@@ -49,7 +49,7 @@ func main() {
 		submit   = flag.String("submit-addr", "", "listen address for the TCP/JSON transaction submission endpoint (empty = off)")
 		workers  = flag.Int("tx-workers", 4, "signature-verification workers for gossip batches (0 = verify inline)")
 		dataDir  = flag.String("data-dir", "", "directory for the durable WAL archive; restarts recover the chain from it (empty = in-memory only)")
-		chkEvery = flag.Uint64("checkpoint-interval", 0, "journal a certified state checkpoint every N finally-certified rounds; restarts re-base onto the newest verified checkpoint and replay only the delta (0 = off, needs -data-dir)")
+		chkEvery = flag.Uint64("checkpoint-interval", 0, "journal a certified state checkpoint every N rounds; a restart re-bases onto the newest verified one on disk, a late joiner with an empty -data-dir onto a peer's, and replays only the delta (0 = off, needs -data-dir)")
 		gateways = flag.Int("gateways", 0, "how many trailing address-book entries are access-tier gateways (run algorand-gateway there)")
 	)
 	flag.Parse()
@@ -128,9 +128,8 @@ func main() {
 	cfg.Tracer = trace.New(func() time.Duration { return time.Since(epoch) }, 0)
 
 	// Durable archive: every commit journals through the WAL before the
-	// node proceeds, and a restart recovers the chain from disk (torn
-	// tails truncated, checksums and certificates re-verified) before
-	// rejoining via delta catch-up.
+	// node proceeds, and a restart recovers the chain from it (see Rejoin
+	// below).
 	var archive *diskstore.Store
 	if *dataDir != "" {
 		archive, err = diskstore.Open(*dataDir, diskstore.Options{Metrics: reg})
@@ -146,39 +145,26 @@ func main() {
 	nd := node.New(*id, sim, transport, provider, self, cfg, genesis, seed0)
 	nd.StopAfterRound = *rounds
 
-	var restored uint64
-	if archive != nil {
-		// Snapshot-first: re-base onto the newest on-disk checkpoint if
-		// its Merkle root and certificate verify (the disk is trusted no
-		// more than a peer), so the archive replay below covers only the
-		// delta past it.
-		if chk, ok := archive.Checkpoint(); ok {
-			adopted, err := nd.RestoreFromCheckpoint(chk)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "node %d: on-disk checkpoint rejected (%v), replaying the full archive\n", *id, err)
-			} else if adopted {
-				fmt.Printf("node %d re-based onto checkpoint at round %d\n", *id, chk.Round())
-			}
-		}
-		restored, err = nd.RestoreFromArchive(archive.Recovered())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "archive restore: %v\n", err)
-			os.Exit(1)
-		}
-		st := archive.Stats()
-		fmt.Printf("node %d recovered %d rounds from %s (%d records, %d bytes truncated, %d dropped)\n",
-			*id, restored, *dataDir, st.RecoveredRecords, st.TruncatedBytes, st.DroppedRecords)
-	}
-
 	pk := self.PublicKey()
 	fmt.Printf("node %d listening on %s (pk %s), running %d rounds...\n",
 		*id, transport.Addr(), pk, *rounds)
 
 	transport.Start()
-	if restored > 0 || nd.Ledger().ChainLength() > 0 {
-		// Anything recovered — archive replay or a checkpoint re-base —
-		// starts behind the network; sync the delta before joining.
-		nd.StartAfterSync(time.Minute)
+	if archive != nil {
+		// A node with a data directory may be a restart or a late joiner:
+		// own checkpoint, own archive, peer snapshot if the disk held
+		// nothing, delta catch-up, then the rounds.
+		restored, err := nd.Rejoin(archive.Recovered(), time.Minute)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "archive restore: %v\n", err)
+			os.Exit(1)
+		}
+		if nd.SnapshotRejects > 0 {
+			fmt.Fprintf(os.Stderr, "node %d: on-disk checkpoint rejected, replayed the full archive\n", *id)
+		}
+		st := archive.Stats()
+		fmt.Printf("node %d recovered to round %d from %s (%d rounds replayed, %d records, %d bytes truncated, %d dropped)\n",
+			*id, nd.Ledger().ChainLength(), *dataDir, restored, st.RecoveredRecords, st.TruncatedBytes, st.DroppedRecords)
 	} else {
 		nd.Start()
 	}
@@ -237,6 +223,9 @@ func main() {
 	}
 	head := nd.Ledger().Head()
 	fmt.Printf("head: round %d hash %s\n", head.Round, head.Hash().Hex()[:16])
+	if chk, ok := nd.Checkpoint(); ok && nd.SnapshotSyncs > 0 {
+		fmt.Printf("fast-synced from a peer's checkpoint (newest held: round %d)\n", chk.Round())
+	}
 	for _, ph := range []trace.Phase{trace.PhasePropose, trace.PhaseBAStep, trace.PhaseCommit, trace.PhasePersist} {
 		if s := nd.Tracer().PhaseSummary(ph); s.N > 0 {
 			fmt.Printf("phase %-8s n=%-4d p50=%.1fms p99=%.1fms max=%.1fms\n", ph, s.N, s.P50ms, s.P99ms, s.MaxMs)

@@ -15,9 +15,10 @@ import (
 // demands the disk-recovered chain equal the network-caught-up chain
 // byte for byte. Every round a node committed must be on its disk
 // (commits journal before the node proceeds, so nothing the network
-// saw may be missing), every archived block must encode identically to
-// the reference chain's block, and every archived certificate must
-// certify its own block.
+// saw may be missing; a node that fast-synced from a peer's checkpoint
+// committed nothing below the anchor), every archived block must encode
+// identically to the reference chain's block, and every archived
+// certificate must certify its own block.
 //
 // Byzantine nodes are skipped entirely. Under AllowTentativeForks-style
 // scenarios a node's own chain is the comparison target (its archive
@@ -91,7 +92,7 @@ func CheckDurability(r *Result) []Violation {
 			// chain a network-caught-up peer holds.
 			target = ref
 		}
-		chain := n.Ledger().ChainLength()
+		chain, base := n.Ledger().ChainLength(), chainBase(n.Ledger())
 		for rd := uint64(1); rd <= chain; rd++ {
 			if img.ShardCount > 1 && rd%img.ShardCount != img.ShardIndex {
 				continue // §8.3 sharding: not this archive's round
@@ -101,6 +102,11 @@ func CheckDurability(r *Result) []Violation {
 				continue // a chain-gap violation is already reported
 			}
 			got, okD := img.Block(rd)
+			if !okD && rd < base {
+				// Fast-synced from a peer onto an empty disk: never committed
+				// here. (A disk that holds rounds below the anchor is checked.)
+				continue
+			}
 			if !okD {
 				vs = append(vs, Violation{Kind: "durability", Node: i, Round: rd,
 					Detail: "committed round missing from the on-disk archive"})

@@ -146,18 +146,6 @@ func (c Config) withDefaults() Config {
 	if c.StatusTTL <= 0 {
 		c.StatusTTL = 5 * time.Minute
 	}
-	if c.MaxConns <= 0 {
-		c.MaxConns = 1024
-	}
-	if c.ConnRetryAfter <= 0 {
-		c.ConnRetryAfter = time.Second
-	}
-	if c.MaxFrameBytes <= 0 {
-		c.MaxFrameBytes = 1 << 20
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 2 * time.Minute
-	}
 	return c
 }
 

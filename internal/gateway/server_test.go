@@ -81,8 +81,74 @@ func TestServerSubmitAndQuery(t *testing.T) {
 	}
 }
 
-func TestServerMalformedInputGetsTypedErrors(t *testing.T) {
-	_, srv := serverHarness(t, Config{})
+// servedEndpoint is one handler set booted behind the shared server
+// (txflow.Server), with read-outs of its reject counters — nil where the
+// handler set keeps none.
+type servedEndpoint struct {
+	h            *testHarness // signs transactions for either set
+	srv          *Server
+	frameRejects func() int64
+	connRejects  func() int64
+}
+
+// handlerSets are the two handler sets the system serves clients
+// through. Each boots under the given limits; a zero field keeps the
+// production default.
+var handlerSets = []struct {
+	name string
+	boot func(t *testing.T, lim txflow.Limits) servedEndpoint
+}{
+	{"gateway", func(t *testing.T, lim txflow.Limits) servedEndpoint {
+		h, srv := serverHarness(t, Config{MaxConns: lim.MaxConns, ConnRetryAfter: lim.ConnRetryAfter,
+			MaxFrameBytes: lim.MaxFrameBytes, IdleTimeout: lim.IdleTimeout})
+		return servedEndpoint{h, srv,
+			func() int64 { return h.gw.Stats().FrameRejects },
+			func() int64 { return h.gw.Stats().ConnRejects }}
+	}},
+	// The consensus node's -submit-addr endpoint: a bare Flow.
+	{"node", func(t *testing.T, lim txflow.Limits) servedEndpoint {
+		h := newHarness(t, Config{}, 8)
+		flow := txflow.New(h.prov, txflow.Config{})
+		var srv *Server
+		var err error
+		if lim == (txflow.Limits{}) {
+			srv, err = txflow.ListenAndServe("127.0.0.1:0", flow)
+		} else {
+			srv, err = txflow.Serve("127.0.0.1:0", txflow.Endpoint{Name: "txflow", SubmitBatch: flow.SubmitBatch, Limits: lim})
+		}
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		t.Cleanup(srv.Close)
+		return servedEndpoint{h: h, srv: srv}
+	}},
+}
+
+// TestServerHostileClients runs every hostile-client case against both
+// handler sets: the loop that bounds a hostile client is one, whoever
+// handles the frames.
+func TestServerHostileClients(t *testing.T) {
+	cases := []struct {
+		name string
+		lim  txflow.Limits
+		run  func(t *testing.T, e servedEndpoint)
+	}{
+		{"malformed input gets typed errors", txflow.Limits{}, hostileMalformedInput},
+		{"oversized frame rejected and closed", txflow.Limits{MaxFrameBytes: 4096}, hostileOversizedFrame},
+		{"connection cap", txflow.Limits{MaxConns: 2, ConnRetryAfter: 1500 * time.Millisecond}, hostileConnectionCap},
+		{"half-open connections reaped", txflow.Limits{IdleTimeout: 150 * time.Millisecond}, hostileHalfOpen},
+		{"bounded under connection churn", txflow.Limits{MaxConns: 8}, hostileChurn},
+		{"batch submit with partial rejects", txflow.Limits{}, batchPartialRejects},
+	}
+	for _, set := range handlerSets {
+		for _, tc := range cases {
+			set, tc := set, tc
+			t.Run(set.name+"/"+tc.name, func(t *testing.T) { tc.run(t, set.boot(t, tc.lim)) })
+		}
+	}
+}
+
+func hostileMalformedInput(t *testing.T, e servedEndpoint) {
 	for _, hostile := range []string{
 		`{not json`,
 		`{"op":"balance","account":"zz"}`,
@@ -93,7 +159,7 @@ func TestServerMalformedInputGetsTypedErrors(t *testing.T) {
 		`"just a string"`,
 		`{"op":"tx_status","id":"deadbeef"}`,
 	} {
-		c := dialT(t, srv.Addr())
+		c := dialT(t, e.srv.Addr())
 		rep := roundTrip(t, c, hostile)
 		if rep["ok"] == true {
 			t.Fatalf("hostile input %q accepted: %v", hostile, rep)
@@ -115,9 +181,8 @@ func TestServerMalformedInputGetsTypedErrors(t *testing.T) {
 	}
 }
 
-func TestServerOversizedFrameRejectedAndClosed(t *testing.T) {
-	h, srv := serverHarness(t, Config{MaxFrameBytes: 4096})
-	c := dialT(t, srv.Addr())
+func hostileOversizedFrame(t *testing.T, e servedEndpoint) {
+	c := dialT(t, e.srv.Addr())
 	// A 64 KiB line against a 4 KiB frame limit.
 	huge := strings.Repeat("x", 64<<10)
 	rep := roundTrip(t, c, huge)
@@ -129,22 +194,27 @@ func TestServerOversizedFrameRejectedAndClosed(t *testing.T) {
 	if _, err := c.Read(make([]byte, 1)); err == nil {
 		t.Fatal("connection stayed open after oversized frame")
 	}
-	if got := h.gw.Stats().FrameRejects; got == 0 {
+	if e.frameRejects != nil && e.frameRejects() == 0 {
 		t.Fatal("frame reject not counted")
 	}
 }
 
-func TestServerConnectionCap(t *testing.T) {
-	h, srv := serverHarness(t, Config{MaxConns: 2, ConnRetryAfter: 1500 * time.Millisecond})
-	c1 := dialT(t, srv.Addr())
-	c2 := dialT(t, srv.Addr())
-	// Prove both are served.
-	roundTrip(t, c1, `{"op":"head"}`)
-	roundTrip(t, c2, `{"op":"head"}`)
+func hostileConnectionCap(t *testing.T, e servedEndpoint) {
+	// Any frame proves a connection is served; a malformed one gets its
+	// typed error from either handler set.
+	served := func(c net.Conn) {
+		if rep := roundTrip(t, c, `{not json`); rep["error"] == nil {
+			t.Fatalf("in-cap connection not served: %v", rep)
+		}
+	}
+	c1 := dialT(t, e.srv.Addr())
+	c2 := dialT(t, e.srv.Addr())
+	served(c1)
+	served(c2)
 
 	// The third connection gets a typed reject with the retry hint and
 	// an immediate close.
-	c3 := dialT(t, srv.Addr())
+	c3 := dialT(t, e.srv.Addr())
 	var rep map[string]any
 	c3.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if err := json.NewDecoder(c3).Decode(&rep); err != nil {
@@ -159,33 +229,28 @@ func TestServerConnectionCap(t *testing.T) {
 	if _, err := c3.Read(make([]byte, 1)); err == nil {
 		t.Fatal("capped connection stayed open")
 	}
-	if h.gw.Stats().ConnRejects == 0 {
+	if e.connRejects != nil && e.connRejects() == 0 {
 		t.Fatal("conn reject not counted")
 	}
 
 	// Closing one in-cap connection frees a slot.
 	c1.Close()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.ConnCount() >= 2 && time.Now().Before(deadline) {
+	for e.srv.ConnCount() >= 2 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	c4 := dialT(t, srv.Addr())
-	rep = roundTrip(t, c4, `{"op":"head"}`)
-	if rep["ok"] != true {
-		t.Fatalf("freed slot not reusable: %v", rep)
-	}
+	served(dialT(t, e.srv.Addr()))
 }
 
-func TestServerReapsHalfOpenConnections(t *testing.T) {
-	_, srv := serverHarness(t, Config{IdleTimeout: 150 * time.Millisecond})
-	c := dialT(t, srv.Addr())
+func hostileHalfOpen(t *testing.T, e servedEndpoint) {
+	c := dialT(t, e.srv.Addr())
 	// Send nothing. The server must reap the connection, not pin its
 	// goroutine and map entry forever.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.ConnCount() > 0 && time.Now().Before(deadline) {
+	for e.srv.ConnCount() > 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if n := srv.ConnCount(); n != 0 {
+	if n := e.srv.ConnCount(); n != 0 {
 		t.Fatalf("half-open connection not reaped: %d still tracked", n)
 	}
 	// The reaped socket reads EOF/reset on the client side.
@@ -195,12 +260,11 @@ func TestServerReapsHalfOpenConnections(t *testing.T) {
 	}
 }
 
-func TestServerBoundedUnderConnectionChurn(t *testing.T) {
-	_, srv := serverHarness(t, Config{MaxConns: 8})
+func hostileChurn(t *testing.T, e servedEndpoint) {
 	// 100 sequential hostile connections: garbage then slam shut. State
 	// must not accumulate.
 	for i := 0; i < 100; i++ {
-		c, err := net.Dial("tcp", srv.Addr())
+		c, err := net.Dial("tcp", e.srv.Addr())
 		if err != nil {
 			t.Fatalf("dial %d: %v", i, err)
 		}
@@ -208,17 +272,17 @@ func TestServerBoundedUnderConnectionChurn(t *testing.T) {
 		c.Close()
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.ConnCount() > 0 && time.Now().Before(deadline) {
+	for e.srv.ConnCount() > 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if n := srv.ConnCount(); n != 0 {
+	if n := e.srv.ConnCount(); n != 0 {
 		t.Fatalf("%d connections leaked after churn", n)
 	}
 }
 
-func TestServerBatchSubmitWithPartialRejects(t *testing.T) {
-	h, srv := serverHarness(t, Config{})
-	c := dialT(t, srv.Addr())
+func batchPartialRejects(t *testing.T, e servedEndpoint) {
+	h := e.h
+	c := dialT(t, e.srv.Addr())
 	good := txflow.FromTransaction(h.tx(t, 0, 1, 0))
 	dup := good
 	tampered := h.tx(t, 2, 1, 0)

@@ -12,9 +12,6 @@ import (
 	"algorand/internal/vtime"
 )
 
-// DebugCatchup, when set by tests, traces sync progress.
-var DebugCatchup func(id int, what string, chain uint64)
-
 // This file implements the networked side of §8.3 bootstrapping: a
 // node serves its archive to peers (ChainRequest → ChainReply), and a
 // fresh node can synchronize its ledger from the network, validating
@@ -214,22 +211,27 @@ func (n *Node) RestoreFromArchive(src *ledger.Store) (uint64, error) {
 	}
 }
 
-// SyncFromPeers catches the node's ledger up to the network (§8.3):
-// it repeatedly asks peers for the next run of blocks+certificates and
-// validates them from genesis state, stopping when no peer has more or
-// the deadline passes. It must run inside the node's scheduler; use
-// StartObserver for a convenient wrapper.
-func (n *Node) SyncFromPeers(p *vtime.Proc, deadline time.Duration) (uint64, error) {
-	return n.SyncFromPeersUntil(p, deadline, 0)
-}
-
-// SyncFromPeersUntil is SyncFromPeers with an optional target round:
-// once the ledger reaches it, the sync returns immediately instead of
-// probing peers until they run dry (target 0 = sync everything).
+// SyncFromPeersUntil catches the node's ledger up to the network
+// (§8.3): it repeatedly asks peers for the next run of
+// blocks+certificates and validates them on top of the current head,
+// stopping when the ledger reaches target (0 = sync everything), no
+// peer has more, or the deadline passes. It must run inside the node's
+// scheduler; Rejoin is the bring-up sequence built on it.
+//
+// Snapshot first: a node whose ledger is still at genesis, in a
+// deployment that writes checkpoints, asks peers for a snapshot before
+// it asks for the chain, so what follows replays the delta past the
+// checkpoint instead of the whole history. A node that holds any round
+// sends no request. The attempt does not eat into the deadline.
 func (n *Node) SyncFromPeersUntil(p *vtime.Proc, deadline time.Duration, target uint64) (uint64, error) {
 	peers := n.net.Neighbors(n.ID)
 	if len(peers) == 0 {
 		return 0, fmt.Errorf("catchup: no peers")
+	}
+	if n.cfg.CheckpointInterval > 0 && n.ledger.ChainLength() == 0 {
+		start := p.Now()
+		n.trySnapshotSync(p)
+		deadline += p.Now() - start
 	}
 	inbox := n.catchupInbox()
 	peerIdx := 0
@@ -256,17 +258,11 @@ func (n *Node) SyncFromPeersUntil(p *vtime.Proc, deadline time.Duration, target 
 
 		m, ok := p.RecvTimeout(inbox, 2*time.Second)
 		if !ok {
-			if DebugCatchup != nil {
-				DebugCatchup(n.ID, "stall", n.ledger.ChainLength())
-			}
 			stalls++
 			continue
 		}
 		reply := m.(*ChainReply)
 		applied, err := n.applyChainReply(reply)
-		if DebugCatchup != nil {
-			DebugCatchup(n.ID, fmt.Sprintf("applied %d err %v", applied, err), n.ledger.ChainLength())
-		}
 		if err != nil {
 			// The peer's chain conflicts with ours below our head: we may
 			// hold the losing side of a tentative fork (§8.2). Try to adopt
@@ -377,9 +373,6 @@ func (n *Node) tryAdoptFork(reply *ChainReply) bool {
 		}
 	}
 	n.ForkAdoptions++
-	if DebugCatchup != nil {
-		DebugCatchup(n.ID, fmt.Sprintf("adopted fork at round %d", fork.Round), n.ledger.ChainLength())
-	}
 	return true
 }
 
@@ -389,18 +382,6 @@ func (n *Node) catchupInbox() *vtime.Mailbox {
 		n.chainReplies = n.sim.NewMailbox()
 	}
 	return n.chainReplies
-}
-
-// StartObserver spawns a process that synchronizes this node from its
-// peers and then reports via done (chain length reached, error).
-func (n *Node) StartObserver(deadline time.Duration, done func(uint64, error)) {
-	n.sim.Spawn(fmt.Sprintf("node-%d-catchup", n.ID), func(p *vtime.Proc) {
-		n.proc = p
-		got, err := n.SyncFromPeers(p, deadline)
-		if done != nil {
-			done(got, err)
-		}
-	})
 }
 
 // trySyncBehind probes peers for committed rounds we are missing, in
@@ -424,49 +405,58 @@ func (n *Node) trySyncBehind() bool {
 	return n.ledger.ChainLength() > before
 }
 
-// StartAfterSync spawns the node's process in rejoin mode: it catches
-// up from peers, then attempts a live round; if that round fails — the
-// network had moved on while we synced — it re-syncs and tries again
-// instead of invoking §8.2 fork recovery (a node that is merely behind
-// is not forked). Once a round completes in lockstep it falls into the
-// regular loop. syncBudget bounds the rejoin phase; a cycle that syncs
-// nothing AND fails its round ends it early, because spinning cannot
-// help then — peers have nothing servable beyond our head, so either
-// the whole network is stalled or we are forked from it. Both are the
-// main loop's job: its checkpoints run §8.2 recovery.
-func (n *Node) StartAfterSync(syncBudget time.Duration) {
-	n.sim.Spawn(fmt.Sprintf("node-%d-rejoin", n.ID), func(p *vtime.Proc) {
-		n.proc = p
-		n.rejoinLoop(p, syncBudget)
-	})
-}
-
-// rejoinLoop is the body of StartAfterSync (also the tail of the
-// snapshot-first rejoin, see StartAfterSnapshotSync): sync, try a live
-// round, repeat within the budget, then fall into the main loop.
-func (n *Node) rejoinLoop(p *vtime.Proc, syncBudget time.Duration) {
-	deadline := p.Now() + syncBudget
-	for !n.sim.Stopped() && !n.halted {
-		before := n.ledger.ChainLength()
-		if _, err := n.SyncFromPeersUntil(p, deadline, 0); err != nil {
-			return // inconsistent peer data; give up rather than diverge
-		}
-		if n.StopAfterRound > 0 && n.ledger.NextRound() > n.StopAfterRound {
-			return
-		}
-		if err := n.runRound(); err == nil {
-			break // back in lockstep with the network
-		}
-		if p.Now() >= deadline || n.ledger.ChainLength() == before {
-			break
+// Rejoin brings up a node that is not starting in lockstep at genesis —
+// a restarted process or a late joiner — through the one §8.3 recipe,
+// each stage validating blocks against certificates on top of what the
+// previous stage left:
+//
+//	own checkpoint → own archive → peer snapshot → peer chain → live loop
+//
+// The two local stages run before Rejoin returns: the newest checkpoint
+// of the durable archive (Config.Archive) is re-based onto if it
+// verifies, then src — what survived of this slot's block archive, nil
+// for a node that lost its disk — is replayed on top; restored counts
+// its rounds. The disk is trusted no more than a peer: a src that fails
+// validation is the returned error, and the node is not started.
+//
+// The network stages run in the node's main process: sync from peers
+// (snapshot first if nothing was restored, see SyncFromPeersUntil),
+// attempt a live round, and if that round fails — the network moved on
+// while we synced — re-sync and try again instead of invoking §8.2 fork
+// recovery (a node that is merely behind is not forked). Once a round
+// completes the node is in the regular loop. budget bounds this phase; a
+// cycle that syncs nothing AND fails its round ends it early: peers have
+// nothing servable beyond our head, so either the whole network is
+// stalled or we are forked from it, and both are the main loop's job.
+func (n *Node) Rejoin(src *ledger.Store, budget time.Duration) (restored uint64, err error) {
+	if n.archive != nil {
+		if chk, ok := n.archive.Checkpoint(); ok {
+			n.RestoreFromCheckpoint(chk) // a rejected checkpoint is counted, and replay covers for it
 		}
 	}
-	n.run()
-}
-
-// ApplyForgedReplyForTest exposes applyChainReply for adversarial
-// tests: it applies a (possibly forged) chain reply and returns the
-// validation outcome.
-func (n *Node) ApplyForgedReplyForTest(blocks []*ledger.Block, certs []*ledger.Certificate) (int, error) {
-	return n.applyChainReply(&ChainReply{Blocks: blocks, Certs: certs, Recipient: n.ID})
+	if src != nil {
+		if restored, err = n.RestoreFromArchive(src); err != nil {
+			return restored, err
+		}
+	}
+	n.launch(fmt.Sprintf("node-%d-rejoin", n.ID), func(p *vtime.Proc) {
+		deadline := p.Now() + budget
+		for !n.sim.Stopped() && !n.halted {
+			before := n.ledger.ChainLength()
+			if _, err := n.SyncFromPeersUntil(p, deadline, 0); err != nil {
+				return // inconsistent peer data; give up rather than diverge
+			}
+			if n.StopAfterRound > 0 && n.ledger.NextRound() > n.StopAfterRound {
+				return
+			}
+			if err := n.runRound(); err == nil {
+				break // back in lockstep with the network
+			}
+			if p.Now() >= deadline || n.ledger.ChainLength() == before {
+				break
+			}
+		}
+		n.run()
+	})
+	return restored, nil
 }

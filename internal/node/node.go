@@ -175,19 +175,17 @@ type Node struct {
 	flow     *txflow.Flow
 	store    *ledger.Store
 	archive  *diskstore.Store
-	// persistErrors counts archive writes that failed even after the
-	// store's rotate-and-retry — commits that are NOT durable. Atomic:
-	// the pipelined final-step process and tests read it concurrently.
-	persistErrors atomic.Int64
-	net           Transport
-	sim           *vtime.Sim
-	proc          *vtime.Proc
-	reg           *metrics.Registry
-	tracer        *trace.Tracer
-	ba            *agreement.Metrics
+	net      Transport
+	sim      *vtime.Sim
+	proc     *vtime.Proc
+	reg      *metrics.Registry
+	tracer   *trace.Tracer
+	ba       *agreement.Metrics
 	// Round outcome counters (registry-backed views of Stats).
 	roundsTotal, roundsEmpty, roundsFinal *metrics.Counter
-	persistErrCounter                     *metrics.Counter
+	// persistErrors counts archive writes that failed even after the
+	// store's rotate-and-retry — commits that are NOT durable.
+	persistErrors *metrics.Counter
 
 	// Current consensus context, nil between rounds. The handler uses it
 	// to validate incoming messages.
@@ -213,7 +211,11 @@ type Node struct {
 	blockMsgRound map[crypto.Digest]uint64
 	// requestedAt tracks outstanding block fetches for retry control.
 	requestedAt map[crypto.Digest]time.Duration
-	reqNonce    uint64
+	// reqNonce numbers this node's unicast requests. It starts at the
+	// scheduler's epoch, not at zero: a replacement for a crashed node
+	// would otherwise repeat its predecessor's (round, requester, nonce)
+	// triples, and peers' duplicate suppression would drop the requests.
+	reqNonce uint64
 	// chainReplies receives §8.3 catch-up replies (see catchup.go).
 	chainReplies *vtime.Mailbox
 	// snapReplies receives fast-sync snapshot replies (see snapshot.go).
@@ -233,10 +235,10 @@ type Node struct {
 	// emitting messages and its process winds down (see Halt).
 	halted bool
 
-	// finished is set when the main process returns after completing
-	// its configured rounds; auxiliary processes (tx flushing) use it
-	// to wind down too. Atomic because SubmitTx reads it from RPC
-	// goroutines while the scheduler winds the node down.
+	// finished is set when the main process returns (see launch);
+	// auxiliary processes (tx flushing) use it to wind down too. Atomic
+	// because SubmitTx reads it from RPC goroutines while the scheduler
+	// winds the node down.
 	finished atomic.Bool
 
 	// alienVotes counts votes rejected for extending a different chain —
@@ -342,6 +344,7 @@ func New(
 		blockMsgRound:   make(map[crypto.Digest]uint64),
 		requestedAt:     make(map[crypto.Digest]time.Duration),
 		finalCtxs:       make(map[uint64]*agreement.Context),
+		reqNonce:        sim.Epoch(),
 		archive:         cfg.Archive,
 		reg:             cfg.Metrics,
 		tracer:          cfg.Tracer,
@@ -350,7 +353,7 @@ func New(
 	n.roundsTotal = cfg.Metrics.Counter("algorand_node_rounds_total", "rounds this node completed")
 	n.roundsEmpty = cfg.Metrics.Counter("algorand_node_rounds_empty_total", "completed rounds that committed the empty block")
 	n.roundsFinal = cfg.Metrics.Counter("algorand_node_rounds_final_total", "completed rounds that reached final consensus")
-	n.persistErrCounter = cfg.Metrics.Counter("algorand_node_persist_errors_total", "archive writes that failed after retry")
+	n.persistErrors = cfg.Metrics.Counter("algorand_node_persist_errors_total", "archive writes that failed after retry")
 	net.SetHandler(id, network.HandlerFunc(n.handleMessage))
 	return n
 }
@@ -381,7 +384,7 @@ func (n *Node) Archive() *diskstore.Store { return n.archive }
 // PersistErrors reports how many archive writes failed permanently
 // (after the diskstore's own rotate-and-retry) — each one a commit the
 // node holds in memory but could not make durable.
-func (n *Node) PersistErrors() int64 { return n.persistErrors.Load() }
+func (n *Node) PersistErrors() int64 { return int64(n.persistErrors.Load()) }
 
 // persistPut archives a committed (block, certificate) pair, journaling
 // it to the durable store — fsync'd before this returns — when one is
@@ -391,8 +394,7 @@ func (n *Node) persistPut(b *ledger.Block, c *ledger.Certificate) {
 	n.store.Put(b, c)
 	if n.archive != nil {
 		if err := n.archive.Append(b, c); err != nil {
-			n.persistErrors.Add(1)
-			n.persistErrCounter.Inc()
+			n.persistErrors.Inc()
 		}
 	}
 	n.maybeCheckpoint(b, c)
@@ -404,8 +406,7 @@ func (n *Node) persistReconcile(b *ledger.Block, c *ledger.Certificate) {
 	n.store.Reconcile(b, c)
 	if n.archive != nil {
 		if err := n.archive.Reconcile(b, c); err != nil {
-			n.persistErrors.Add(1)
-			n.persistErrCounter.Inc()
+			n.persistErrors.Inc()
 		}
 	}
 }
@@ -435,7 +436,7 @@ func (n *Node) SubmitTx(tx *ledger.Transaction) error {
 // down silently at the next round boundary (an in-flight round can no
 // longer complete without the node's own votes). Ledger and Store keep
 // their state, as a crashed machine's disk would — a replacement node
-// for the same slot can RestoreFromArchive and rejoin.
+// for the same slot can Rejoin from them.
 func (n *Node) Halt() { n.halted = true }
 
 // Halted reports whether the node has been crashed via Halt.
@@ -868,15 +869,25 @@ func (n *Node) env(round uint64) *agreement.Env {
 	return e
 }
 
-// Start spawns the node's main process, which runs rounds until
-// StopAfterRound is reached (or forever if zero), plus the gossip
-// flush process that ships freshly admitted transactions to neighbors
-// in size-capped batches.
+// Start spawns the node's main process at genesis, in lockstep with
+// every other node of the deployment: it runs rounds until
+// StopAfterRound is reached (or forever if zero). A node that is not
+// starting with the network — restarted, or joining late — comes up
+// through Rejoin instead.
 func (n *Node) Start() {
+	n.launch(fmt.Sprintf("node-%d", n.ID), func(*vtime.Proc) { n.run() })
+}
+
+// launch starts what every running node has: the signature-verification
+// workers, the main process (running body), and the gossip flush
+// process that ships freshly admitted transactions to neighbors in
+// size-capped batches.
+func (n *Node) launch(name string, body func(p *vtime.Proc)) {
 	n.flow.Start(n.cfg.TxFlowWorkers)
-	n.sim.Spawn(fmt.Sprintf("node-%d", n.ID), func(p *vtime.Proc) {
+	n.sim.Spawn(name, func(p *vtime.Proc) {
 		n.proc = p
-		n.run()
+		defer n.finished.Store(true)
+		body(p)
 	})
 	n.sim.Spawn(fmt.Sprintf("node-%d-txflush", n.ID), func(p *vtime.Proc) {
 		for !n.sim.Stopped() {
@@ -918,11 +929,7 @@ func (n *Node) handleTxBatch(msg *TxBatch, cost crypto.CostModel) network.Verdic
 	return network.Verdict{CPU: cpu}
 }
 
-// DebugRound, when set by tests, observes every failed round attempt.
-var DebugRound func(id int, round uint64, now time.Duration, err error)
-
 func (n *Node) run() {
-	defer n.finished.Store(true)
 	lastRecoveryCheck := time.Duration(0)
 	for !n.sim.Stopped() {
 		if n.halted {
@@ -942,9 +949,6 @@ func (n *Node) run() {
 		lastRecoveryCheck = n.proc.Now()
 
 		if err := n.runRound(); err != nil {
-			if DebugRound != nil {
-				DebugRound(n.ID, n.ledger.NextRound(), n.proc.Now(), err)
-			}
 			// The round may have failed because we fell behind the network
 			// (an outage on our links) rather than because consensus
 			// stalled globally: try §8.3 catch-up from peers first. A node

@@ -251,21 +251,19 @@ func TestObserverSyncsOverNetwork(t *testing.T) {
 			LedgerCfg: cfg.LedgerCfg,
 		}, c.Genesis, c.Seed0)
 
-	var gotRounds uint64
-	var syncErr error
-	synced := false
-	observer.StartObserver(c.Sim.Now()+2*time.Minute, func(n uint64, err error) {
-		gotRounds, syncErr = n, err
-		synced = true
-	})
+	// Rejoin with nothing local: the whole chain comes from peers. The
+	// network has stopped, so the observer stops too once it holds every
+	// round there is.
+	observer.StopAfterRound = cfg.Rounds
+	if _, err := observer.Rejoin(nil, 2*time.Minute); err != nil {
+		t.Fatalf("observer bring-up: %v", err)
+	}
 	c.Sim.Run(c.Sim.Now() + 3*time.Minute)
 
-	if !synced {
+	if !observer.Done() {
 		t.Fatal("observer sync never completed")
 	}
-	if syncErr != nil {
-		t.Fatalf("observer sync error: %v", syncErr)
-	}
+	gotRounds := observer.Ledger().ChainLength()
 	ref := c.Nodes[1].Ledger()
 	if gotRounds != ref.ChainLength() {
 		t.Fatalf("observer reached round %d, network at %d", gotRounds, ref.ChainLength())

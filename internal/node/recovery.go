@@ -17,9 +17,6 @@ import (
 // collide with regular rounds.
 const recoveryRoundBase = uint64(1) << 40
 
-// DebugRecovery, when set by tests, observes each recovery attempt.
-var DebugRecovery func(id int, recRound uint64, proposed crypto.Digest, out agreement.Outcome, err error)
-
 // recover runs the §8.2 fork-recovery protocol: propose the longest
 // fork (as an empty block extending its tip) via sortition with a
 // dedicated role, agree on one proposal with BA⋆ using seed and weights
@@ -191,9 +188,6 @@ func (n *Node) recoverOnce(checkpoint, attempt uint64) bool {
 	}
 
 	out, err := agreement.Run(n.env(recRound), ctx, value)
-	if DebugRecovery != nil {
-		DebugRecovery(n.ID, recRound, value, out, err)
-	}
 	if err != nil || out.Value == ctx.EmptyHash {
 		return false
 	}

@@ -50,8 +50,7 @@ func (n *Node) maybeCheckpoint(b *ledger.Block, c *ledger.Certificate) {
 	n.checkpoint = cp
 	if n.archive != nil {
 		if err := n.archive.AppendCheckpoint(cp); err != nil {
-			n.persistErrors.Add(1)
-			n.persistErrCounter.Inc()
+			n.persistErrors.Inc()
 		}
 	}
 }
@@ -134,8 +133,7 @@ func (n *Node) adoptCheckpoint(chk *ledger.Checkpoint) error {
 	n.persistPut(chk.Block, chk.Cert)
 	if n.archive != nil {
 		if err := n.archive.AppendCheckpoint(chk); err != nil {
-			n.persistErrors.Add(1)
-			n.persistErrCounter.Inc()
+			n.persistErrors.Inc()
 		}
 	}
 	return nil
@@ -155,7 +153,6 @@ func (n *Node) trySnapshotSync(p *vtime.Proc) bool {
 		return false
 	}
 	inbox := n.snapshotInbox()
-	committee := n.committeeParams()
 	for attempt, peer := range peers {
 		if attempt > 0 {
 			p.Sleep(time.Duration(attempt) * 500 * time.Millisecond)
@@ -173,75 +170,41 @@ func (n *Node) trySnapshotSync(p *vtime.Proc) bool {
 		if !ok {
 			continue // peer has no newer checkpoint, or is gone
 		}
-		chk := m.(*SnapshotReply).Checkpoint
-		if chk.Round() <= n.ledger.ChainLength() {
-			continue
-		}
-		// Verification context is pure common knowledge — a fresh genesis
-		// ledger — so a hostile snapshot cannot lean on any state it
-		// shipped us.
-		base := ledger.New(n.provider, n.cfg.LedgerCfg, n.genesisAccounts, n.seed0)
-		if err := VerifyCheckpoint(n.provider, base, chk, committee); err != nil {
-			n.SnapshotRejects++
-			if DebugCatchup != nil {
-				DebugCatchup(n.ID, fmt.Sprintf("snapshot from %d rejected: %v", peer, err), n.ledger.ChainLength())
-			}
+		// Verified exactly like a checkpoint from our own disk.
+		adopted, err := n.RestoreFromCheckpoint(m.(*SnapshotReply).Checkpoint)
+		if err != nil {
 			if mr, ok := n.net.(MisbehaviorReporter); ok {
 				mr.ReportMisbehavior(peer, "snapshot failed verification")
 			}
 			continue
 		}
-		if err := n.adoptCheckpoint(chk); err != nil {
-			n.SnapshotRejects++
-			continue
+		if adopted {
+			n.SnapshotSyncs++
+			return true
 		}
-		n.SnapshotSyncs++
-		if DebugCatchup != nil {
-			DebugCatchup(n.ID, fmt.Sprintf("snapshot sync to round %d", chk.Round()), n.ledger.ChainLength())
-		}
-		return true
 	}
 	return false
 }
 
-// RestoreFromCheckpoint re-bases the node's ledger onto a checkpoint
-// recovered from its own archive. The disk is trusted no more than a
-// peer: the checkpoint is verified exactly like a served snapshot, and
-// a failure leaves the ledger untouched (the caller falls back to
-// genesis replay of the block archive). Adopt only if it advances the
-// chain.
+// RestoreFromCheckpoint re-bases the node's ledger onto a checkpoint —
+// recovered from its own archive or served by a peer, the two are
+// trusted alike: not at all. Verification context is pure common
+// knowledge, a fresh genesis ledger, so a hostile checkpoint cannot lean
+// on any state it shipped us. A failure is counted in SnapshotRejects
+// and leaves the ledger untouched (the caller falls back to replaying
+// blocks). Adopts only a checkpoint that advances the chain.
 func (n *Node) RestoreFromCheckpoint(chk *ledger.Checkpoint) (bool, error) {
 	if chk == nil || chk.Round() <= n.ledger.ChainLength() {
 		return false, nil
 	}
 	base := ledger.New(n.provider, n.cfg.LedgerCfg, n.genesisAccounts, n.seed0)
-	if err := VerifyCheckpoint(n.provider, base, chk, n.committeeParams()); err != nil {
+	err := VerifyCheckpoint(n.provider, base, chk, n.committeeParams())
+	if err == nil {
+		err = n.adoptCheckpoint(chk)
+	}
+	if err != nil {
 		n.SnapshotRejects++
 		return false, err
 	}
-	if err := n.adoptCheckpoint(chk); err != nil {
-		return false, err
-	}
 	return true, nil
-}
-
-// SyncFromSnapshotThenPeers is the full fast-sync recipe for a joining
-// or restarted node: snapshot-first (checkpoint plus delta), falling
-// back transparently to plain §8.3 catch-up from the current head when
-// no usable snapshot is available. Returns the chain length reached.
-func (n *Node) SyncFromSnapshotThenPeers(p *vtime.Proc, deadline time.Duration) (uint64, error) {
-	n.trySnapshotSync(p)
-	return n.SyncFromPeers(p, deadline)
-}
-
-// StartAfterSnapshotSync is StartAfterSync with the snapshot-first
-// path: fetch and verify the newest peer checkpoint, re-base, then
-// rejoin through the regular sync-and-run loop (which replays the
-// delta past the checkpoint).
-func (n *Node) StartAfterSnapshotSync(syncBudget time.Duration) {
-	n.sim.Spawn(fmt.Sprintf("node-%d-snapsync", n.ID), func(p *vtime.Proc) {
-		n.proc = p
-		n.trySnapshotSync(p)
-		n.rejoinLoop(p, syncBudget)
-	})
 }

@@ -190,14 +190,28 @@ func (c *realCluster) runAsync(i int, deadline time.Duration) {
 // waitAll (or orchestrate crashes in between).
 func (c *realCluster) startAll(deadline time.Duration) {
 	for i := 0; i < c.n; i++ {
-		c.build(i, c.pendingListeners[i])
+		if c.pendingListeners[i] != nil {
+			c.build(i, c.pendingListeners[i])
+		}
 	}
 	for i := 0; i < c.n; i++ {
+		if c.nodes[i] == nil {
+			continue // a late joiner (see joinLater)
+		}
 		c.transports[i].Start()
 		c.nodes[i].Start()
 		c.watch(i)
 		c.runAsync(i, deadline)
 	}
+}
+
+// joinLater keeps slot i out of startAll: a token-stake account (its
+// offline money must not cost the others a quorum) whose address nobody
+// listens on until a test brings it up through restartFrom.
+func (c *realCluster) joinLater(i int) {
+	c.genesis[c.ids[i].PublicKey()] = 1
+	c.pendingListeners[i].Close()
+	c.pendingListeners[i] = nil
 }
 
 // waitAll blocks until every node's scheduler has returned, then closes
@@ -233,18 +247,21 @@ func (c *realCluster) crash(i int) {
 }
 
 // restart replaces crashed node i with a fresh process on the same
-// address: it rebinds the listener, replays the crashed node's archive,
-// syncs the rest from peers, and rejoins consensus (mirrors
+// address: it rebinds the listener and brings the replacement up
+// through Rejoin from the crashed node's archive (mirrors
 // internal/sim.Cluster.RestartNode over real sockets).
 func (c *realCluster) restart(i int, syncBudget, deadline time.Duration) {
-	oldStore := c.nodes[i].Store()
-	ln := c.rebind(i)
-	c.build(i, ln)
-	if _, err := c.nodes[i].RestoreFromArchive(oldStore); err != nil {
+	c.restartFrom(i, c.nodes[i].Store(), syncBudget, deadline)
+}
+
+// restartFrom is restart with an explicit archive to replay; nil is a
+// replacement that lost its disk and takes everything from peers.
+func (c *realCluster) restartFrom(i int, src *ledger.Store, syncBudget, deadline time.Duration) {
+	c.build(i, c.rebind(i))
+	c.transports[i].Start()
+	if _, err := c.nodes[i].Rejoin(src, syncBudget); err != nil {
 		c.t.Fatalf("restart node %d: archive replay: %v", i, err)
 	}
-	c.transports[i].Start()
-	c.nodes[i].StartAfterSync(syncBudget)
 	c.watch(i)
 	c.runAsync(i, deadline)
 }

@@ -152,3 +152,53 @@ func TestChurnScriptedDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestRestartedNodeGossipsSubmissions pins that a replacement node is a
+// full node: a payment submitted to it after its restart is flushed to
+// its neighbors like any other node's, so it commits even though the
+// replacement — a token-stake account sortition passes over — proposes
+// nothing itself.
+func TestRestartedNodeGossipsSubmissions(t *testing.T) {
+	cfg := churnConfig(12, 8)
+	const victim = 4
+	cfg.Weights = make([]uint64, cfg.N)
+	for i := range cfg.Weights {
+		cfg.Weights[i] = 1000
+	}
+	cfg.Weights[victim] = 1
+	c := NewCluster(cfg)
+	tx := &ledger.Transaction{From: c.Identity(0).PublicKey(), To: c.Identity(1).PublicKey(), Amount: 1}
+	tx.Sign(c.Identity(0))
+	c.Sim.Spawn("restart-then-submit", func(p *vtime.Proc) {
+		for c.Nodes[victim].Ledger().ChainLength() < 2 {
+			p.Sleep(100 * time.Millisecond)
+		}
+		c.CrashNode(victim)
+		p.Sleep(2 * time.Second)
+		if _, _, err := c.RestartNode(victim, time.Hour); err != nil {
+			t.Errorf("restart: %v", err)
+			return
+		}
+		if err := c.Nodes[victim].SubmitTx(tx); err != nil {
+			t.Errorf("submit to the restarted node: %v", err)
+		}
+	})
+	c.Run()
+	if err := c.AgreementCheck(); err != nil {
+		t.Fatal(err)
+	}
+	l := c.Nodes[0].Ledger()
+	for r := uint64(1); r <= l.ChainLength(); r++ {
+		b, _ := l.BlockAt(r)
+		for i := range b.Txns {
+			if b.Txns[i].ID() != tx.ID() {
+				continue
+			}
+			if b.Proposer == c.Identity(victim).PublicKey() {
+				t.Fatalf("round %d: the payment was proposed by the restarted node itself", r)
+			}
+			return
+		}
+	}
+	t.Fatalf("payment submitted to the restarted node never committed (chain %d)", l.ChainLength())
+}

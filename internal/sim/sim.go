@@ -64,8 +64,8 @@ type Config struct {
 	// (full account table + Merkle root + certificate) each time its
 	// chain commits a round on this grid (0 = no checkpoints). A
 	// restarted node then re-bases onto the newest verified checkpoint
-	// and replays only the delta — see RestartNodeViaSnapshotSync and
-	// the snapshot-first path in RestartNode. Fast sync verifies
+	// and replays only the delta: from its own disk, or from a peer when
+	// it restored nothing (see node.Rejoin). Fast sync verifies
 	// checkpoint certificates from genesis context alone, so the
 	// checkpointed round must fall inside the first seed-refresh epoch:
 	// keep LedgerCfg.SeedRefreshInterval above the chain length a
@@ -355,11 +355,11 @@ func (c *Cluster) CloseArchives() error {
 func (c *Cluster) CrashNode(i int) { c.Nodes[i].Halt() }
 
 // RestartNode replaces a crashed node i with a fresh node in the same
-// network slot: the replacement replays the crashed node's archive
-// (validating every certificate), catches the rest up from peers, and
-// rejoins consensus. syncBudget bounds the rejoin phase. It returns the
-// replacement (also installed in c.Nodes) and how many rounds were
-// restored from the archive.
+// network slot and brings it up through node.Rejoin: the replacement
+// replays the crashed node's archive (validating every certificate),
+// catches the rest up from peers, and rejoins consensus. syncBudget
+// bounds the rejoin phase. It returns the replacement (also installed in
+// c.Nodes) and how many rounds were restored from the archive.
 func (c *Cluster) RestartNode(i int, syncBudget time.Duration) (*node.Node, uint64, error) {
 	if c.archives[i] != nil {
 		// True disk recovery: drop the crashed process's in-memory state
@@ -378,9 +378,11 @@ func (c *Cluster) RestartNode(i int, syncBudget time.Duration) (*node.Node, uint
 }
 
 // RestartNodeFromStore is RestartNode with an explicit archive to
-// restore from (e.g. a tampered copy, for adversarial tests); the
-// replacement gets no durable archive. If the archive fails validation
-// the replacement is installed but not started.
+// restore from — a tampered copy, for adversarial tests, or nil for a
+// replacement that lost its disk and must take everything from peers
+// (snapshot first, see Config.CheckpointInterval); the replacement gets
+// no durable archive. If the archive fails validation the replacement
+// is installed but not started.
 func (c *Cluster) RestartNodeFromStore(i int, src *ledger.Store, syncBudget time.Duration) (*node.Node, uint64, error) {
 	return c.restartWith(i, src, nil, syncBudget)
 }
@@ -395,42 +397,8 @@ func (c *Cluster) restartWith(i int, src *ledger.Store, archive *diskstore.Store
 	n := node.New(i, c.Sim, c.Net, c.Provider, c.ids[i], nodeCfg, c.Genesis, c.Seed0)
 	n.StopAfterRound = c.Cfg.Rounds
 	c.Nodes[i] = n
-	// Snapshot-first: when the recovered archive carries a state
-	// checkpoint, re-base onto it (after re-verifying its certificate
-	// and Merkle root — the disk is trusted no more than a peer) so the
-	// block replay below covers only the delta. A checkpoint failing
-	// verification is simply ignored: the ledger is untouched and the
-	// full genesis replay beneath remains the fallback.
-	if archive != nil {
-		if chk, ok := archive.Checkpoint(); ok {
-			n.RestoreFromCheckpoint(chk)
-		}
-	}
-	restored, err := n.RestoreFromArchive(src)
-	if err != nil {
-		return n, restored, err
-	}
-	n.StartAfterSync(syncBudget)
-	return n, restored, nil
-}
-
-// RestartNodeViaSnapshotSync replaces node i with a fresh diskless
-// replacement that rejoins snapshot-first: it fetches the newest state
-// checkpoint from peers, verifies certificate and Merkle root against
-// genesis-derived committee context, re-bases, and replays only the
-// delta through §8.3 catch-up — falling back transparently to full
-// genesis catch-up when no peer serves a usable snapshot.
-func (c *Cluster) RestartNodeViaSnapshotSync(i int, syncBudget time.Duration) *node.Node {
-	old := c.Nodes[i]
-	if !old.Halted() {
-		old.Halt()
-	}
-	nodeCfg := c.instrumentedNodeCfg(i)
-	n := node.New(i, c.Sim, c.Net, c.Provider, c.ids[i], nodeCfg, c.Genesis, c.Seed0)
-	n.StopAfterRound = c.Cfg.Rounds
-	c.Nodes[i] = n
-	n.StartAfterSnapshotSync(syncBudget)
-	return n
+	restored, err := n.Rejoin(src, syncBudget)
+	return n, restored, err
 }
 
 // fetch resolves a block hash from any node in the deployment,

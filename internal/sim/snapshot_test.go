@@ -59,7 +59,7 @@ func TestSnapshotFastSync(t *testing.T) {
 		}
 		c.CrashNode(victim)
 		p.Sleep(2 * time.Second)
-		synced = c.RestartNodeViaSnapshotSync(victim, time.Hour)
+		synced, _, _ = c.RestartNodeFromStore(victim, nil, time.Hour) // lost its disk
 		target := c.Nodes[0].Ledger().ChainLength()
 		for c.Nodes[victim].Ledger().ChainLength() < target {
 			p.Sleep(50 * time.Millisecond)
@@ -162,7 +162,7 @@ func TestSnapshotPoisoningFallback(t *testing.T) {
 		}
 		c.CrashNode(victim)
 		p.Sleep(2 * time.Second)
-		synced = c.RestartNodeViaSnapshotSync(victim, time.Hour)
+		synced, _, _ = c.RestartNodeFromStore(victim, nil, time.Hour) // lost its disk
 		target := c.Nodes[0].Ledger().ChainLength()
 		for c.Nodes[victim].Ledger().ChainLength() < target {
 			p.Sleep(50 * time.Millisecond)

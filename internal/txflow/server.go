@@ -1,21 +1,27 @@
 package txflow
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
+	"time"
 
 	"algorand/internal/ledger"
+	"algorand/internal/metrics"
 )
 
-// Server is the TCP/JSON submission front door exposed by
-// cmd/algorand-node -submit-addr. Clients connect, write
-// newline-delimited JSON — a single transaction object or an array for
-// a batch — and read one JSON reply per request:
+// Server is the system's one client-facing TCP/JSON endpoint:
+// cmd/algorand-node -submit-addr serves a Flow through it
+// (ListenAndServe), and the access gateway serves its admission path
+// plus query ops through the same loop (gateway.ListenAndServe). Clients
+// write newline-delimited JSON — one request per line, a single
+// transaction object, an array for a batch, or an {"op":...} query where
+// the endpoint has queries — and read one JSON reply per request:
 //
 //	{"from":"<64 hex>","to":"<64 hex>","amount":5,"fee":1,"nonce":0,"sig":"<128 hex>"}
 //	→ {"ok":true}
@@ -24,15 +30,72 @@ import (
 //
 // Each connection is served by its own goroutine, so independent
 // clients verify signatures in parallel; rejections are immediate
-// (admission never blocks on a full pool).
+// (admission never blocks on a full pool). The endpoint is hardened for
+// hostile clients, with the bounds of Endpoint.Limits:
+//
+//   - at most MaxConns concurrent connections; the excess gets
+//     {"ok":false,"error":"<name>: connection limit",
+//     "retry_after_ms":N} and an immediate close;
+//   - one request frame is one line of at most MaxFrameBytes;
+//     oversized frames get a typed error and the connection closes;
+//   - a connection idle for IdleTimeout is reaped (half-open sockets
+//     cannot pin per-connection state);
+//   - malformed JSON gets a typed error, never a panic, and costs
+//     nothing but the reply.
 type Server struct {
-	ln   net.Listener
-	flow *Flow
-	wg   sync.WaitGroup
+	ln net.Listener
+	ep Endpoint
+	wg sync.WaitGroup
 
 	mu     sync.Mutex
 	closed bool
 	conns  map[net.Conn]struct{}
+}
+
+// Endpoint is what a Server serves: the admission call behind the
+// submission frames, the handler behind {"op":...} frames, and the
+// bounds and counters of the connection loop.
+type Endpoint struct {
+	// Name prefixes the loop's own errors ("gateway: connection limit").
+	Name string
+	// SubmitBatch admits decoded transactions (a single submission is a
+	// batch of one); the i-th error belongs to txs[i], which is nil where
+	// the entry did not decode.
+	SubmitBatch func(txs []*ledger.Transaction) []error
+	// Query answers a frame whose "op" field is non-empty with the value
+	// to encode as the reply; nil means the endpoint has no ops.
+	Query  func(raw []byte) any
+	Limits Limits
+	// Sessions counts served connections, ConnRejects connections turned
+	// away at the cap, FrameRejects oversized or malformed frames. Any
+	// may be nil.
+	Sessions, ConnRejects, FrameRejects *metrics.Counter
+}
+
+// Limits are the bounds listed on Server. A zero field gets its default
+// (withDefaults): what the node's -submit-addr endpoint runs under, and
+// what an unset gateway.Config field means.
+type Limits struct {
+	MaxConns       int
+	ConnRetryAfter time.Duration // the retry hint on a connection-cap reject
+	MaxFrameBytes  int
+	IdleTimeout    time.Duration
+}
+
+func (l Limits) withDefaults() Limits {
+	if l.MaxConns <= 0 {
+		l.MaxConns = 1024
+	}
+	if l.ConnRetryAfter <= 0 {
+		l.ConnRetryAfter = time.Second
+	}
+	if l.MaxFrameBytes <= 0 {
+		l.MaxFrameBytes = 1 << 20
+	}
+	if l.IdleTimeout <= 0 {
+		l.IdleTimeout = 2 * time.Minute
+	}
+	return l
 }
 
 // TxJSON is the submission wire format: fixed-size fields in hex,
@@ -55,7 +118,8 @@ type Result struct {
 	RetryAfterMs int64  `json:"retry_after_ms,omitempty"`
 }
 
-type batchReply struct {
+// Reply is the reply frame of a submission, and of any failure.
+type Reply struct {
 	Ok           bool     `json:"ok"`
 	Error        string   `json:"error,omitempty"`
 	RetryAfterMs int64    `json:"retry_after_ms,omitempty"`
@@ -75,10 +139,10 @@ func rejectResult(err error) Result {
 // Transaction converts the JSON form to the ledger type.
 func (j *TxJSON) Transaction() (*ledger.Transaction, error) {
 	tx := &ledger.Transaction{Amount: j.Amount, Fee: j.Fee, Nonce: j.Nonce}
-	if err := hexKey(j.From, tx.From[:]); err != nil {
+	if err := HexKey(j.From, tx.From[:]); err != nil {
 		return nil, fmt.Errorf("from: %w", err)
 	}
-	if err := hexKey(j.To, tx.To[:]); err != nil {
+	if err := HexKey(j.To, tx.To[:]); err != nil {
 		return nil, fmt.Errorf("to: %w", err)
 	}
 	sig, err := hex.DecodeString(j.Sig)
@@ -101,7 +165,8 @@ func FromTransaction(tx *ledger.Transaction) TxJSON {
 	}
 }
 
-func hexKey(s string, dst []byte) error {
+// HexKey decodes a fixed-size hex field (a key, a digest) into dst.
+func HexKey(s string, dst []byte) error {
 	b, err := hex.DecodeString(s)
 	if err != nil || len(b) != len(dst) {
 		return errors.New("bad hex key")
@@ -110,13 +175,20 @@ func hexKey(s string, dst []byte) error {
 	return nil
 }
 
-// ListenAndServe opens the submission endpoint feeding flow.
+// ListenAndServe opens the submission endpoint feeding flow, under the
+// default Limits.
 func ListenAndServe(addr string, flow *Flow) (*Server, error) {
+	return Serve(addr, Endpoint{Name: "txflow", SubmitBatch: flow.SubmitBatch})
+}
+
+// Serve opens an endpoint on addr; zero Limits fields get their defaults.
+func Serve(addr string, ep Endpoint) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{ln: ln, flow: flow, conns: make(map[net.Conn]struct{})}
+	ep.Limits = ep.Limits.withDefaults()
+	s := &Server{ln: ln, ep: ep, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -137,6 +209,20 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
+// ConnCount reports currently served connections (tests assert the
+// bound holds).
+func (s *Server) ConnCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns)
+}
+
+func count(c *metrics.Counter) {
+	if c != nil {
+		c.Inc()
+	}
+}
+
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	for {
@@ -150,8 +236,22 @@ func (s *Server) acceptLoop() {
 			c.Close()
 			return
 		}
+		if len(s.conns) >= s.ep.Limits.MaxConns {
+			s.mu.Unlock()
+			count(s.ep.ConnRejects)
+			// Typed reject with a retry hint; the client backs off and
+			// redials (or fails over to another endpoint).
+			c.SetWriteDeadline(time.Now().Add(2 * time.Second))
+			json.NewEncoder(c).Encode(Reply{
+				Error:        s.ep.Name + ": connection limit",
+				RetryAfterMs: s.ep.Limits.ConnRetryAfter.Milliseconds(),
+			})
+			c.Close()
+			continue
+		}
 		s.conns[c] = struct{}{}
 		s.mu.Unlock()
+		count(s.ep.Sessions)
 		s.wg.Add(1)
 		go s.serve(c)
 	}
@@ -165,96 +265,95 @@ func (s *Server) serve(c net.Conn) {
 		s.mu.Unlock()
 		c.Close()
 	}()
-	dec := json.NewDecoder(c)
 	enc := json.NewEncoder(c)
+	sc := bufio.NewScanner(c)
+	sc.Buffer(make([]byte, 4096), s.ep.Limits.MaxFrameBytes)
 	for {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
-			if err != io.EOF {
-				enc.Encode(batchReply{Ok: false, Error: "bad request: " + err.Error()})
+		// Half-open reaping: no full frame within IdleTimeout kills the
+		// connection.
+		c.SetReadDeadline(time.Now().Add(s.ep.Limits.IdleTimeout))
+		if !sc.Scan() {
+			if errors.Is(sc.Err(), bufio.ErrTooLong) {
+				count(s.ep.FrameRejects)
+				enc.Encode(Reply{Error: s.ep.Name + ": frame exceeds limit"})
 			}
 			return
 		}
-		if err := enc.Encode(s.handle(raw)); err != nil {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
+			continue
+		}
+		if err := enc.Encode(s.handle(line)); err != nil {
 			return
 		}
 	}
 }
 
-func (s *Server) handle(raw json.RawMessage) batchReply {
-	if len(raw) > 0 && raw[0] == '[' {
-		var batch []TxJSON
-		if err := json.Unmarshal(raw, &batch); err != nil {
-			return batchReply{Ok: false, Error: "bad batch: " + err.Error()}
-		}
-		txs := make([]*ledger.Transaction, len(batch))
-		results := make([]Result, len(batch))
-		for i := range batch {
-			tx, err := batch[i].Transaction()
-			if err != nil {
-				results[i] = Result{Error: err.Error()}
-				continue
-			}
-			txs[i] = tx
-		}
-		ok := true
-		errs := s.flow.SubmitBatch(txs)
-		for i, err := range errs {
-			if txs[i] == nil {
-				ok = false
-				continue // decode error already recorded
-			}
-			if err != nil {
-				ok = false
-				results[i] = rejectResult(err)
-			} else {
-				results[i] = Result{Ok: true}
-			}
-		}
-		return batchReply{Ok: ok, Results: results}
+// handle dispatches one request frame.
+func (s *Server) handle(raw []byte) any {
+	if raw[0] == '[' {
+		return s.handleBatch(raw)
 	}
+	// Distinguish a query from a submission by the "op" field.
+	var probe struct {
+		Op string `json:"op"`
+	}
+	if err := json.Unmarshal(raw, &probe); err != nil {
+		count(s.ep.FrameRejects)
+		return Reply{Error: "bad request: " + err.Error()}
+	}
+	if probe.Op == "" {
+		return s.handleSubmit(raw)
+	}
+	if s.ep.Query == nil {
+		return Reply{Error: "unknown op: " + probe.Op}
+	}
+	return s.ep.Query(raw)
+}
+
+func (s *Server) handleSubmit(raw []byte) Reply {
 	var one TxJSON
 	if err := json.Unmarshal(raw, &one); err != nil {
-		return batchReply{Ok: false, Error: "bad tx: " + err.Error()}
+		count(s.ep.FrameRejects)
+		return Reply{Error: "bad tx: " + err.Error()}
 	}
-	tx, err := one.Transaction()
-	if err != nil {
-		return batchReply{Ok: false, Error: err.Error()}
-	}
-	if err := s.flow.Submit(tx); err != nil {
-		rep := batchReply{Ok: false, Error: err.Error()}
-		if retry, ok := RetryAfterHint(err); ok {
-			rep.RetryAfterMs = retry.Milliseconds()
-		}
-		return rep
-	}
-	return batchReply{Ok: true}
+	res := s.submit([]TxJSON{one})[0]
+	return Reply{Ok: res.Ok, Error: res.Error, RetryAfterMs: res.RetryAfterMs}
 }
 
-// SubmitJSON is a tiny client for the endpoint, used by the payments
-// load driver and tests: it dials addr, submits txs (singly or as one
-// batch), and returns the per-transaction results.
-func SubmitJSON(addr string, txs []*ledger.Transaction) ([]Result, error) {
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
+func (s *Server) handleBatch(raw []byte) Reply {
+	var batch []TxJSON
+	if err := json.Unmarshal(raw, &batch); err != nil {
+		count(s.ep.FrameRejects)
+		return Reply{Error: "bad batch: " + err.Error()}
 	}
-	defer c.Close()
-	enc := json.NewEncoder(c)
-	dec := json.NewDecoder(c)
-	batch := make([]TxJSON, len(txs))
-	for i, tx := range txs {
-		batch[i] = FromTransaction(tx)
+	rep := Reply{Ok: true, Results: s.submit(batch)}
+	for _, res := range rep.Results {
+		rep.Ok = rep.Ok && res.Ok
 	}
-	if err := enc.Encode(batch); err != nil {
-		return nil, err
+	return rep
+}
+
+// submit decodes a batch and admits what decoded, one result per entry.
+func (s *Server) submit(batch []TxJSON) []Result {
+	txs := make([]*ledger.Transaction, len(batch))
+	results := make([]Result, len(batch))
+	for i := range batch {
+		tx, err := batch[i].Transaction()
+		if err != nil {
+			results[i] = Result{Error: err.Error()}
+			continue
+		}
+		txs[i] = tx
 	}
-	var rep batchReply
-	if err := dec.Decode(&rep); err != nil {
-		return nil, err
+	for i, err := range s.ep.SubmitBatch(txs) {
+		switch {
+		case txs[i] == nil: // decode error already recorded
+		case err != nil:
+			results[i] = rejectResult(err)
+		default:
+			results[i] = Result{Ok: true}
+		}
 	}
-	if rep.Results == nil && rep.Error != "" {
-		return nil, errors.New(rep.Error)
-	}
-	return rep.Results, nil
+	return results
 }

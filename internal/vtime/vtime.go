@@ -105,6 +105,18 @@ func New() *Sim {
 // and event closures.
 func (s *Sim) Now() time.Duration { return s.now }
 
+// Epoch returns the clock reading in nanoseconds on a scale that never
+// restarts: virtual time, or in realtime mode the wall clock's Unix
+// time (Now restarts at zero with every Run, so two processes that
+// succeed one another read the same small values from it). Counters
+// that must not repeat across incarnations of a node start here.
+func (s *Sim) Epoch() uint64 {
+	if s.realtime {
+		return uint64(time.Now().UnixNano())
+	}
+	return uint64(s.now)
+}
+
 // schedule pushes an event.
 func (s *Sim) schedule(at time.Duration, p *Proc, fn func(), cancelled *bool) *event {
 	if at < s.now {
