@@ -36,6 +36,7 @@ import (
 	"algorand/internal/genesis"
 	"algorand/internal/ledger"
 	"algorand/internal/network"
+	"algorand/internal/node"
 	"algorand/internal/params"
 	"algorand/internal/sim"
 	"algorand/internal/sortition"
@@ -75,8 +76,14 @@ type Ledger = ledger.Ledger
 // checks.
 type LedgerConfig = ledger.Config
 
-// CommitteeParams tells certificate verification the committee sizing.
+// CommitteeParams tells certificate verification the committee sizing;
+// derive it from the protocol parameters with CommitteeParamsFor.
 type CommitteeParams = ledger.CommitteeParams
+
+// CommitteeParamsFor derives the certificate-verification configuration
+// — committee sizes, thresholds and the step bound — from protocol
+// parameters, the same derivation every verifier of the chain uses.
+func CommitteeParamsFor(p Params) CommitteeParams { return node.CommitteeParamsFor(p) }
 
 // SortitionResult is the outcome of Algorithm 1.
 type SortitionResult = sortition.Result

@@ -117,14 +117,8 @@ func main() {
 		blocks = append(blocks, b)
 		certs = append(certs, c)
 	}
-	cp := algorand.CommitteeParams{
-		TauStep:        cfg.Params.TauStep,
-		StepThreshold:  cfg.Params.StepThreshold(),
-		TauFinal:       cfg.Params.TauFinal,
-		FinalThreshold: cfg.Params.FinalThreshold(),
-	}
 	fresh, err := algorand.CatchUp(cluster.Provider, cfg.LedgerCfg, cluster.Genesis,
-		cluster.Seed0, blocks, certs, cp)
+		cluster.Seed0, blocks, certs, algorand.CommitteeParamsFor(cfg.Params))
 	if err != nil {
 		fmt.Println("catch-up failed:", err)
 		return

@@ -63,8 +63,9 @@ const (
 	StepReduction2 uint64 = 2
 	// binaryWireBase + k is the wire step of BinaryBA⋆ step k (k >= 1).
 	binaryWireBase uint64 = 2
-	// StepFinal is the special final step (§7.4).
-	StepFinal uint64 = 1 << 20
+	// StepFinal is the special final step (§7.4); certificate
+	// verification needs the number too, so ledger declares it.
+	StepFinal = ledger.StepFinal
 )
 
 // WireStepOfBinary maps a BinaryBA⋆ step counter to its wire step.

@@ -100,7 +100,7 @@ func CheckSortitionBias(r *Result) []Violation {
 			continue
 		}
 		cert, okC := ref.Certificate(b.Hash())
-		if !okC || cert.Round >= recoveryRoundBase {
+		if !okC || cert.Round >= ledger.RecoveryRoundBase {
 			continue // recovery certs use their own self-describing context
 		}
 		tau := r.CheckParams.TauStep

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"algorand/internal/crypto"
+	"algorand/internal/ledger"
 	"algorand/internal/sim"
 )
 
@@ -233,7 +234,7 @@ func TestChaosPartitionForks(t *testing.T) {
 	seen := map[uint64]crypto.Digest{}
 	for _, n := range res.Cluster.Nodes {
 		for _, st := range n.Stats {
-			if st.End == 0 || st.Round >= recoveryRoundBase {
+			if st.End == 0 || st.Round >= ledger.RecoveryRoundBase {
 				continue
 			}
 			if prev, ok := seen[st.Round]; ok && prev != st.Value {
@@ -297,4 +298,27 @@ func TestBrokenNodeCaught(t *testing.T) {
 	if !strings.Contains(res.Trace(), "-chaos.seed=4242") {
 		t.Fatal("trace does not include the replayable seed")
 	}
+
+	// The oracle applies the step rules itself: relabelled to any other
+	// step, a final certificate is refused before a vote is looked at.
+	l := res.Cluster.Nodes[0].Ledger()
+	for r := uint64(1); r <= l.ChainLength(); r++ {
+		b, _ := l.BlockAt(r)
+		prev, _ := l.BlockAt(r - 1)
+		cert, ok := l.Certificate(b.Hash())
+		if !ok || !cert.Final {
+			continue
+		}
+		if err := checkCertificate(res.Cluster.Provider, l, res.Cluster.Cfg.Params, b, prev, cert); err != nil {
+			t.Fatalf("round %d: honest final certificate refused: %v", r, err)
+		}
+		relabelled := *cert
+		relabelled.Step = 9999
+		if err := checkCertificate(res.Cluster.Provider, l, res.Cluster.Cfg.Params, b, prev, &relabelled); err == nil ||
+			!strings.Contains(err.Error(), "final certificate from step") {
+			t.Fatalf("round %d: final certificate at step 9999 got %v", r, err)
+		}
+		return
+	}
+	t.Fatal("node 0 holds no final certificate; test premise broken")
 }

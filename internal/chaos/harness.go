@@ -452,7 +452,7 @@ func (r *Result) Trace() string {
 	rounds := map[uint64]map[string]*commit{}
 	for _, n := range r.Cluster.Nodes {
 		for _, st := range n.Stats {
-			if st.End == 0 || st.Round >= recoveryRoundBase {
+			if st.End == 0 || st.Round >= ledger.RecoveryRoundBase {
 				continue
 			}
 			byVal := rounds[st.Round]

@@ -6,15 +6,10 @@ import (
 	"algorand/internal/agreement"
 	"algorand/internal/crypto"
 	"algorand/internal/ledger"
-	"algorand/internal/node"
 	"algorand/internal/params"
 	"algorand/internal/sim"
+	"algorand/internal/wire"
 )
-
-// recoveryRoundBase mirrors the node package's recovery round offset:
-// Stats entries at or above it belong to §8.2 recovery consensus, not
-// to chain rounds.
-const recoveryRoundBase = 1 << 40
 
 // Violation is one broken invariant. Node is -1 when the violation is
 // not attributable to a single node.
@@ -98,7 +93,7 @@ func CheckInvariants(c *sim.Cluster, opt CheckOptions) []Violation {
 			continue
 		}
 		for _, st := range n.Stats {
-			if st.End == 0 || !st.Final || st.Round >= recoveryRoundBase {
+			if st.End == 0 || !st.Final || st.Round >= ledger.RecoveryRoundBase {
 				continue
 			}
 			if prev, ok := finalVal[st.Round]; ok {
@@ -190,7 +185,6 @@ func CheckInvariants(c *sim.Cluster, opt CheckOptions) []Violation {
 
 	// --- Certificate validity (§8.3) and seed-chain integrity (§5.2),
 	// walked over every honest node's committed chain.
-	maxStep := agreement.WireStepOfBinary(opt.Params.MaxSteps)
 	for _, n := range c.Nodes {
 		if !honest(n.ID) {
 			continue
@@ -200,7 +194,7 @@ func CheckInvariants(c *sim.Cluster, opt CheckOptions) []Violation {
 		// recovery, which legitimately carries no certificate).
 		baCommitted := map[uint64]crypto.Digest{}
 		for _, st := range n.Stats {
-			if st.End > 0 && st.Round < recoveryRoundBase {
+			if st.End > 0 && st.Round < ledger.RecoveryRoundBase {
 				baCommitted[st.Round] = st.Value
 			}
 		}
@@ -244,41 +238,8 @@ func CheckInvariants(c *sim.Cluster, opt CheckOptions) []Violation {
 				}
 				continue
 			}
-			if cert.Round >= recoveryRoundBase {
-				// A §8.2 recovery adoption: its proof is the recovery
-				// round's certificate, re-verified from the self-describing
-				// recovery context.
-				cp := ledger.CommitteeParams{
-					TauStep:        opt.Params.TauStep,
-					StepThreshold:  opt.Params.StepThreshold(),
-					TauFinal:       opt.Params.TauFinal,
-					FinalThreshold: opt.Params.FinalThreshold(),
-					MaxStep:        maxStep,
-				}
-				if err := node.VerifyRecoveryCert(c.Provider, l, b, cert, cp); err != nil {
-					vs = append(vs, Violation{Kind: "bad-cert", Node: n.ID, Round: r,
-						Detail: fmt.Sprintf("recovery cert: %v", err)})
-				}
-				continue
-			}
-			if cert.Round != r || cert.Value != b.Hash() {
-				vs = append(vs, Violation{Kind: "bad-cert", Node: n.ID, Round: r,
-					Detail: fmt.Sprintf("certificate is for round %d value %x", cert.Round, cert.Value[:4])})
-				continue
-			}
-			tau, threshold := opt.Params.TauStep, opt.Params.StepThreshold()
-			if cert.Final {
-				tau, threshold = opt.Params.TauFinal, opt.Params.FinalThreshold()
-			} else if cert.Step > maxStep {
-				vs = append(vs, Violation{Kind: "bad-cert", Node: n.ID, Round: r,
-					Detail: fmt.Sprintf("certificate step %d beyond MaxSteps", cert.Step)})
-				continue
-			}
-			seed := l.SortitionSeed(r)
-			weights, total := l.SortitionWeights(r)
-			if err := cert.Verify(c.Provider, seed, weights, total, tau, threshold, prev.Hash()); err != nil {
-				vs = append(vs, Violation{Kind: "bad-cert", Node: n.ID, Round: r,
-					Detail: err.Error()})
+			if err := checkCertificate(c.Provider, l, opt.Params, b, prev, cert); err != nil {
+				vs = append(vs, Violation{Kind: "bad-cert", Node: n.ID, Round: r, Detail: err.Error()})
 			}
 		}
 	}
@@ -431,4 +392,53 @@ func CheckInvariants(c *sim.Cluster, opt CheckOptions) []Violation {
 		}
 	}
 	return vs
+}
+
+// checkCertificate is the invariant suite's own reading of §8.3 — is
+// cert proof that the network committed b on top of prev? — written
+// independently of ledger.VerifyCertificate, the one verifier every
+// binary runs, so that a bug there cannot vouch for itself: the
+// certificate is for this block, a final one comes from the final step
+// and a tentative one from a step within MaxSteps, a regular one is for
+// this round and its votes extend prev, a §8.2 recovery one rebuilds its
+// context from the base block its votes name, which must be on this
+// chain.
+func checkCertificate(p crypto.Provider, l *ledger.Ledger, prm params.Params, b, prev *ledger.Block, cert *ledger.Certificate) error {
+	if cert.Value != b.Hash() {
+		return fmt.Errorf("certificate is for value %x", cert.Value[:4])
+	}
+	tau, threshold := prm.TauStep, prm.StepThreshold()
+	switch {
+	case cert.Final && cert.Step != agreement.StepFinal:
+		return fmt.Errorf("final certificate from step %d", cert.Step)
+	case cert.Final:
+		tau, threshold = prm.TauFinal, prm.FinalThreshold()
+	case cert.Step > agreement.WireStepOfBinary(prm.MaxSteps):
+		return fmt.Errorf("certificate step %d beyond MaxSteps", cert.Step)
+	}
+	if cert.Round < ledger.RecoveryRoundBase {
+		if cert.Round != b.Round {
+			return fmt.Errorf("certificate is for round %d", cert.Round)
+		}
+		weights, total := l.SortitionWeights(b.Round)
+		return cert.Verify(p, l.SortitionSeed(b.Round), weights, total, tau, threshold, prev.Hash())
+	}
+	if len(cert.Votes) == 0 {
+		return fmt.Errorf("recovery cert has no votes")
+	}
+	baseHash := cert.Votes[0].PrevHash
+	base, ok := l.BlockOfHash(baseHash)
+	if !ok {
+		return fmt.Errorf("recovery cert base unknown")
+	}
+	if on, ok := l.BlockAt(base.Round); !ok || on.Hash() != baseHash {
+		return fmt.Errorf("recovery cert base not on this chain")
+	}
+	bal, _ := l.BalancesAt(baseHash)
+	off := cert.Round - ledger.RecoveryRoundBase
+	coords := wire.NewEncoderSize(16)
+	coords.Uint64(off / 1024)
+	coords.Uint64(off % 1024)
+	seed := crypto.HashBytes("algorand.recovery.seed", base.Seed[:], coords.Data())
+	return cert.Verify(p, seed, bal.Money, bal.Total, tau, threshold, baseHash)
 }

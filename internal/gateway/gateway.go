@@ -30,6 +30,7 @@
 package gateway
 
 import (
+	"strconv"
 	"time"
 
 	"algorand/internal/crypto"
@@ -70,7 +71,7 @@ type Config struct {
 	// Default 256 KiB.
 	ResendBudget int
 	// Committee configures BA⋆ certificate verification in the read
-	// model: τ/threshold per certificate kind plus the step bound. It
+	// model (DESIGN.md, "Accepting a block you did not agree on"). It
 	// must match the consensus cluster's protocol parameters (see
 	// node.CommitteeParamsFor). The zero value verifies nothing and
 	// therefore applies nothing — a misconfigured gateway fails safe.
@@ -168,7 +169,11 @@ type Gateway struct {
 	// fetchedAt tracks outstanding chain fetches (keyed by starting
 	// round) so one gap does not turn every announce into a request.
 	fetchedAt map[crypto.Digest]time.Duration
-	reqNonce  uint64
+	// reqNonce numbers chain requests. Like the node's it starts at the
+	// scheduler's epoch: a gateway restarted within the peers' duplicate
+	// window would otherwise repeat its predecessor's request ids and
+	// have its first chain fill dropped.
+	reqNonce uint64
 
 	halted bool
 
@@ -213,6 +218,7 @@ func New(id int, sim *vtime.Sim, net node.Transport, provider crypto.Provider, c
 			cfg.RecentBlocks, cfg.StatusTTL, sim.Now),
 		rr:        make([]int, cfg.Clusters),
 		fetchedAt: make(map[crypto.Digest]time.Duration),
+		reqNonce:  sim.Epoch(),
 		reg:       reg,
 	}
 	g.c = gwCounters{
@@ -254,7 +260,7 @@ func (g *Gateway) Registry() *metrics.Registry { return g.reg }
 func (g *Gateway) Start() {
 	g.flow.Start(g.cfg.FlowWorkers)
 	g.net.SetHandler(g.ID, network.HandlerFunc(g.handleMessage))
-	g.sim.Spawn("gateway-"+itoa(g.ID), g.run)
+	g.sim.Spawn("gateway-"+strconv.Itoa(g.ID), g.run)
 }
 
 // Close stops the edge pipeline's worker pool (if FlowWorkers started
@@ -456,26 +462,4 @@ func (g *Gateway) Stats() Stats {
 		PendingBytes:   g.flow.PendingBytes(),
 		Flow:           g.flow.Stats(),
 	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

@@ -50,6 +50,8 @@ type testHarness struct {
 	ids   []crypto.Identity
 	seed0 crypto.Digest
 	l     *ledger.Ledger
+	// genesis is what a replacement gateway is built from.
+	genesis map[crypto.PublicKey]uint64
 }
 
 func newHarness(t *testing.T, cfg Config, users int) *testHarness {
@@ -72,7 +74,7 @@ func newHarness(t *testing.T, cfg Config, users int) *testHarness {
 	net := &stubNet{}
 	gw := New(100, sim, net, prov, cfg, genesis, seed0)
 	l := ledger.New(prov, cfg.LedgerCfg, genesis, seed0)
-	return &testHarness{sim: sim, net: net, gw: gw, prov: prov, ids: ids, seed0: seed0, l: l}
+	return &testHarness{sim: sim, net: net, gw: gw, prov: prov, ids: ids, seed0: seed0, l: l, genesis: genesis}
 }
 
 func (h *testHarness) tx(t *testing.T, from, to, nonce int) *ledger.Transaction {
@@ -432,5 +434,33 @@ func TestHaltedGatewayIgnoresTraffic(t *testing.T) {
 	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash(), Announcer: 0})
 	if len(h.net.unicasts) != 1 {
 		t.Fatal("resumed gateway ignored an announce")
+	}
+}
+
+// TestIncarnationsNeverRepeatRequestIDs: a gateway restarted within the
+// peers' duplicate window is as far behind as its predecessor was, so
+// its first chain fill asks for the same rounds under the same network
+// id. Only the nonce can tell the two requests apart; numbered from the
+// scheduler's epoch, incarnations built at different clock readings
+// never emit the same ChainRequest.
+func TestIncarnationsNeverRepeatRequestIDs(t *testing.T) {
+	h := newHarness(t, Config{}, 4)
+	seen := map[crypto.Digest]bool{}
+	fill := func(gw *Gateway) {
+		gw.handleMessage(0, &node.CommitAnnounce{Round: 3, Announcer: 0})
+		req := h.net.unicasts[len(h.net.unicasts)-1].m.(*node.ChainRequest)
+		if seen[req.ID()] {
+			t.Errorf("chain request %+v repeats an earlier incarnation's id", req)
+		}
+		seen[req.ID()] = true
+	}
+	fill(h.gw)
+	h.sim.Spawn("restart", func(p *vtime.Proc) {
+		p.Sleep(time.Second)
+		fill(New(100, h.sim, h.net, h.prov, Config{Consensus: h.gw.cfg.Consensus}, h.genesis, h.seed0))
+	})
+	h.sim.Run(time.Minute)
+	if len(seen) != 2 {
+		t.Fatalf("%d chain requests seen, want one per incarnation", len(seen))
 	}
 }

@@ -1,20 +1,13 @@
 package gateway
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
 	"algorand/internal/cache"
 	"algorand/internal/crypto"
 	"algorand/internal/ledger"
-	"algorand/internal/node"
 )
-
-// recoveryRoundBase mirrors the node package's §8.2 recovery round
-// numbering: certificates at or past this base prove a recovery
-// adoption rather than a chain round.
-const recoveryRoundBase = uint64(1) << 40
 
 // ReadModel is the gateway's lag-tolerant view of the committed
 // chain, fed exclusively by CommitAnnounce gossip plus the
@@ -23,18 +16,11 @@ const recoveryRoundBase = uint64(1) << 40
 // the model has reached and report that round (`as_of_round`), so a
 // client always knows how stale an answer may be.
 //
-// Integrity model: every applied block is backed by a verified BA⋆
-// certificate, checked against the committee configuration exactly
-// the way a catching-up consensus node checks it (seed-chain
-// sortition seeds, look-back weights, τ/threshold by certificate
-// kind). The model owns a full ledger replica to hold that
-// verification context, so a quorum of lying consensus peers can no
-// longer feed the access tier a fake suffix — the only way to move
-// this head is a certificate the configured committee actually
-// signed. Recovery-adopted rounds (§8.2) carry no certificate of
-// their own and are accepted only beneath a later certified block
-// that commits to them through the PrevHash chain, the same
-// transitive argument network catch-up uses.
+// Integrity model: the model owns a full ledger replica and moves its
+// head only through ledger.ApplyRun, the same §8.3 rule a catching-up
+// consensus node runs, so a quorum of lying consensus peers cannot feed
+// the access tier a fake suffix — the only way to move this head is a
+// certificate the configured committee actually signed.
 type ReadModel struct {
 	mu sync.RWMutex
 
@@ -43,9 +29,7 @@ type ReadModel struct {
 	// the chain exactly like a consensus node's ledger does.
 	l *ledger.Ledger
 
-	provider  crypto.Provider
 	committee ledger.CommitteeParams
-	skew      time.Duration
 
 	// recent is a ring of the last RecentBlocks applied blocks,
 	// indexed by round % len.
@@ -96,9 +80,7 @@ func NewReadModel(provider crypto.Provider, lcfg ledger.Config, committee ledger
 	}
 	return &ReadModel{
 		l:         ledger.New(provider, lcfg, genesis, seed0),
-		provider:  provider,
 		committee: committee,
-		skew:      lcfg.MaxTimestampSkew,
 		recent:    make([]*ledger.Block, recentBlocks),
 		committed: cache.New[crypto.Digest, uint64](statusTTL),
 		pending:   cache.New[crypto.Digest, struct{}](statusTTL),
@@ -121,84 +103,17 @@ func (rm *ReadModel) Observe(round uint64) FetchAction {
 	return FetchAction{Kind: FetchChain, FromRound: head + 1}
 }
 
-// applyRound verifies one certified block at the replica's head and
-// commits it — the same trustless step node catch-up performs.
-func (rm *ReadModel) applyRound(b *ledger.Block, cert *ledger.Certificate) error {
-	if cert.Value != b.Hash() {
-		return fmt.Errorf("round %d cert/block mismatch", b.Round)
-	}
-	if cert.Round >= recoveryRoundBase {
-		if err := node.VerifyRecoveryCert(rm.provider, rm.l, b, cert, rm.committee); err != nil {
-			return fmt.Errorf("round %d recovery cert: %w", b.Round, err)
-		}
-	} else {
-		seed := rm.l.SortitionSeed(b.Round)
-		weights, total := rm.l.SortitionWeights(b.Round)
-		tau, threshold := rm.committee.TauStep, rm.committee.StepThreshold
-		if cert.Final {
-			tau, threshold = rm.committee.TauFinal, rm.committee.FinalThreshold
-		} else if rm.committee.MaxStep != 0 && cert.Step > rm.committee.MaxStep {
-			return fmt.Errorf("round %d absurd step %d", b.Round, cert.Step)
-		}
-		if err := cert.Verify(rm.provider, seed, weights, total, tau, threshold, rm.l.HeadHash()); err != nil {
-			return fmt.Errorf("round %d cert: %w", b.Round, err)
-		}
-	}
-	if err := rm.l.ValidateBlock(b, b.Timestamp+rm.skew); err != nil {
-		return fmt.Errorf("round %d block: %w", b.Round, err)
-	}
-	if err := rm.l.Commit(b, cert); err != nil {
-		return fmt.Errorf("round %d commit: %w", b.Round, err)
-	}
-	return nil
-}
-
 // ApplyRun advances the head through a run of blocks and their
-// certificates (a ChainReply's payload). Uncertified blocks are held
-// as a tentative prefix and commit only beneath a certified anchor;
-// a prefix whose anchor fails verification is rolled back entirely.
-// It returns the blocks actually committed and the post-run balances
-// (for the mempool's nonce floors; the pointer stays owned by the
-// model and is only safe to read before the next ApplyRun). A
-// non-nil error means a peer served data that failed verification.
+// certificates (a ChainReply's payload) by the one §8.3 rule,
+// ledger.ApplyRun, and indexes what committed. It returns the blocks
+// actually committed and the post-run balances (for the mempool's nonce
+// floors; the pointer stays owned by the model and is only safe to read
+// before the next ApplyRun). A non-nil error means a peer served data
+// that failed verification.
 func (rm *ReadModel) ApplyRun(blocks []*ledger.Block, certs []*ledger.Certificate) ([]*ledger.Block, *ledger.Balances, error) {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
-	certOf := make(map[crypto.Digest]*ledger.Certificate, len(certs))
-	for _, c := range certs {
-		if c != nil {
-			certOf[c.Value] = c
-		}
-	}
-	var applied []*ledger.Block
-	var pending []*ledger.Block
-	var failure error
-	for _, b := range blocks {
-		if b == nil {
-			continue
-		}
-		if b.Round != rm.l.NextRound()+uint64(len(pending)) {
-			continue // stale or ahead; ignore
-		}
-		cert, ok := certOf[b.Hash()]
-		if !ok {
-			// A §8.2 recovery adoption: acceptable only on the strength
-			// of a later certificate in this run.
-			pending = append(pending, b)
-			continue
-		}
-		run := append(pending, b)
-		prevHead := rm.l.HeadHash()
-		if err := rm.applyCertifiedRun(pending, b, cert); err != nil {
-			rm.l.SwitchHead(prevHead)
-			failure = err
-			break
-		}
-		applied = append(applied, run...)
-		pending = nil
-	}
-	// Trailing blocks with no certificate anchor are unverifiable and
-	// dropped. Index what committed.
+	applied, err := rm.l.ApplyRun(blocks, certs, rm.committee)
 	now := rm.now()
 	for _, b := range applied {
 		for i := range b.Txns {
@@ -206,33 +121,7 @@ func (rm *ReadModel) ApplyRun(blocks []*ledger.Block, certs []*ledger.Certificat
 		}
 		rm.recent[int(b.Round)%len(rm.recent)] = b
 	}
-	return applied, rm.l.Balances(), failure
-}
-
-// applyCertifiedRun commits an uncertified prefix plus the certified
-// block cb on top of it: cb's certificate transitively validates the
-// whole run through the PrevHash chain (§8.3). The caller restores
-// the head on error.
-func (rm *ReadModel) applyCertifiedRun(pending []*ledger.Block, cb *ledger.Block, cert *ledger.Certificate) error {
-	prev := rm.l.HeadHash()
-	for _, b := range pending {
-		if b.PrevHash != prev {
-			return fmt.Errorf("round %d breaks the hash chain", b.Round)
-		}
-		prev = b.Hash()
-	}
-	if cb.PrevHash != prev {
-		return fmt.Errorf("round %d certified block breaks the hash chain", cb.Round)
-	}
-	for _, b := range pending {
-		if err := rm.l.ValidateBlock(b, b.Timestamp+rm.skew); err != nil {
-			return fmt.Errorf("round %d block: %w", b.Round, err)
-		}
-		if err := rm.l.Commit(b, nil); err != nil {
-			return fmt.Errorf("round %d commit: %w", b.Round, err)
-		}
-	}
-	return rm.applyRound(cb, cert)
+	return applied, rm.l.Balances(), err
 }
 
 // NotePending marks a tx id admitted at this gateway, so status

@@ -390,9 +390,14 @@ func (l *Ledger) SwitchHead(h crypto.Digest) error {
 	if !ok {
 		return errors.New("ledger: switch to unknown block")
 	}
+	l.setHead(e)
+	return nil
+}
+
+// setHead re-points the canonical chain at e.
+func (l *Ledger) setHead(e *entry) {
 	l.head = e
 	l.updateLastFinal()
-	return nil
 }
 
 // ChainLength returns the head round (number of blocks after genesis).

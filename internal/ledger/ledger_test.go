@@ -505,7 +505,10 @@ func TestCatchUpValidatesChain(t *testing.T) {
 	var certs []*Certificate
 	for r := uint64(1); r <= 4; r++ {
 		b := p.proposeBlock(l, nil, time.Duration(r)*time.Minute)
-		cert := p.makeCert(l, r, 1, b.Hash(), tau, r == 4)
+		cert := p.makeCert(l, r, 1, b.Hash(), tau, false)
+		if r == 4 {
+			cert = p.makeCert(l, r, StepFinal, b.Hash(), tau, true)
+		}
 		if err := l.Commit(b, cert); err != nil {
 			t.Fatal(err)
 		}
@@ -631,6 +634,19 @@ func TestCatchUpRejectsAbsurdCertificateStep(t *testing.T) {
 	if _, err := CatchUp(p.provider, DefaultConfig(), p.accounts, crypto.HashBytes("genesis-seed"),
 		[]*Block{b}, []*Certificate{sane}, cp); err != nil {
 		t.Fatalf("sane certificate rejected: %v", err)
+	}
+	// Final is no way around the bound: a final certificate whose votes
+	// verify for the final-sized committee of step 9999 is still not from
+	// the final step.
+	grind := p.makeCert(l, 1, 9999, b.Hash(), tau, true)
+	if _, err := CatchUp(p.provider, DefaultConfig(), p.accounts, crypto.HashBytes("genesis-seed"),
+		[]*Block{b}, []*Certificate{grind}, cp); err == nil {
+		t.Fatal("final certificate at step 9999 accepted")
+	}
+	final := p.makeCert(l, 1, StepFinal, b.Hash(), tau, true)
+	if _, err := CatchUp(p.provider, DefaultConfig(), p.accounts, crypto.HashBytes("genesis-seed"),
+		[]*Block{b}, []*Certificate{final}, cp); err != nil {
+		t.Fatalf("final certificate at the final step rejected: %v", err)
 	}
 }
 

@@ -1,11 +1,8 @@
 package ledger
 
 import (
-	"fmt"
 	"sort"
-	"time"
 
-	"algorand/internal/crypto"
 	"algorand/internal/wire"
 )
 
@@ -165,71 +162,4 @@ func (s *Store) DecodeFrom(d *wire.Decoder) {
 			s.Bytes += int64(c.WireSize())
 		}
 	}
-}
-
-// CommitteeParams captures what certificate verification needs to know
-// about committee sizing for a step.
-type CommitteeParams struct {
-	TauStep        uint64
-	StepThreshold  uint64
-	TauFinal       uint64
-	FinalThreshold uint64
-	// MaxStep bounds the step number a certificate may claim (0 = no
-	// bound). §8.3: an adversary could otherwise search an unbounded
-	// number of step numbers for one where it controls the committee
-	// by chance; honest certificates never exceed the wire step of
-	// BinaryBA⋆'s MaxSteps.
-	MaxStep uint64
-}
-
-// CatchUp bootstraps a new user (§8.3): given the genesis configuration
-// and the chain of blocks with certificates, it validates everything in
-// order — certificates against the sortition seeds and weights of each
-// round, blocks against the evolving state — and returns a ledger at
-// the resulting head. This is exactly what a user joining the system
-// runs, and it requires no trust in whoever supplied the blocks.
-func CatchUp(
-	p crypto.Provider,
-	cfg Config,
-	genesisAccounts map[crypto.PublicKey]uint64,
-	seed0 crypto.Digest,
-	blocks []*Block,
-	certs []*Certificate,
-	cp CommitteeParams,
-) (*Ledger, error) {
-	if len(blocks) != len(certs) {
-		return nil, fmt.Errorf("ledger: %d blocks but %d certificates", len(blocks), len(certs))
-	}
-	l := New(p, cfg, genesisAccounts, seed0)
-	for i, b := range blocks {
-		cert := certs[i]
-		if cert == nil {
-			return nil, fmt.Errorf("ledger: round %d missing certificate", b.Round)
-		}
-		if cert.Value != b.Hash() {
-			return nil, fmt.Errorf("ledger: round %d certificate is for a different block", b.Round)
-		}
-		seed := l.SortitionSeed(b.Round)
-		weights, total := l.SortitionWeights(b.Round)
-		tau, threshold := cp.TauStep, cp.StepThreshold
-		if cert.Final {
-			tau, threshold = cp.TauFinal, cp.FinalThreshold
-		} else if cp.MaxStep != 0 && cert.Step > cp.MaxStep {
-			return nil, fmt.Errorf("ledger: round %d certificate claims step %d beyond bound %d",
-				b.Round, cert.Step, cp.MaxStep)
-		}
-		if err := cert.Verify(p, seed, weights, total, tau, threshold, l.HeadHash()); err != nil {
-			return nil, fmt.Errorf("ledger: round %d certificate invalid: %w", b.Round, err)
-		}
-		// Blocks validate with timestamp checks relaxed: the catch-up
-		// user was not present when the block was made, so only ordering
-		// is checked (now = block time).
-		if err := l.ValidateBlock(b, b.Timestamp+time.Hour); err != nil {
-			return nil, fmt.Errorf("ledger: round %d block invalid: %w", b.Round, err)
-		}
-		if err := l.Commit(b, cert); err != nil {
-			return nil, fmt.Errorf("ledger: round %d commit: %w", b.Round, err)
-		}
-	}
-	return l, nil
 }

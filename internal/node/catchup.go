@@ -71,117 +71,31 @@ func (n *Node) committeeParams() ledger.CommitteeParams {
 	return CommitteeParamsFor(n.cfg.Params)
 }
 
-// applyRound validates block b against certificate cert at the current
-// ledger head, commits it, and archives it — the trustless per-round
-// step shared by network catch-up and crash-restart archive replay.
-func (n *Node) applyRound(b *ledger.Block, cert *ledger.Certificate, cp ledger.CommitteeParams) error {
-	if cert.Value != b.Hash() {
-		return fmt.Errorf("round %d cert/block mismatch", b.Round)
-	}
-	if cert.Round >= recoveryRoundBase {
-		// The block was adopted by §8.2 recovery; its proof is the
-		// recovery round's certificate, verified from the self-describing
-		// recovery context instead of the chain round's.
-		if err := VerifyRecoveryCert(n.provider, n.ledger, b, cert, cp); err != nil {
-			return fmt.Errorf("round %d recovery cert: %w", b.Round, err)
-		}
+// joined is the node's share of accepting a block it did not agree on
+// itself (the §8.3 rule lives in ledger.ApplyCertified/ApplyRun): the
+// block is archived — with its certificate, or as the canonical block of
+// its round when it stands on a descendant's — and passes the same
+// post-commit hook as a block of a live round.
+func (n *Node) joined(b *ledger.Block) {
+	if cert, ok := n.ledger.Certificate(b.Hash()); ok {
+		n.persistPut(b, cert)
 	} else {
-		seed := n.ledger.SortitionSeed(b.Round)
-		weights, total := n.ledger.SortitionWeights(b.Round)
-		tau, threshold := cp.TauStep, cp.StepThreshold
-		if cert.Final {
-			tau, threshold = cp.TauFinal, cp.FinalThreshold
-		} else if cp.MaxStep != 0 && cert.Step > cp.MaxStep {
-			return fmt.Errorf("round %d absurd step %d", b.Round, cert.Step)
-		}
-		if err := cert.Verify(n.provider, seed, weights, total, tau, threshold, n.ledger.HeadHash()); err != nil {
-			return fmt.Errorf("round %d cert: %w", b.Round, err)
-		}
-	}
-	if err := n.ledger.ValidateBlock(b, b.Timestamp+n.cfg.LedgerCfg.MaxTimestampSkew); err != nil {
-		return fmt.Errorf("round %d block: %w", b.Round, err)
-	}
-	if err := n.ledger.Commit(b, cert); err != nil {
-		return fmt.Errorf("round %d commit: %w", b.Round, err)
-	}
-	n.persistPut(b, cert)
-	return nil
-}
-
-// applyChainReply validates and commits a reply's blocks in order,
-// returning how many rounds advanced.
-func (n *Node) applyChainReply(reply *ChainReply) (int, error) {
-	cp := n.committeeParams()
-	certOf := make(map[crypto.Digest]*ledger.Certificate, len(reply.Certs))
-	for _, c := range reply.Certs {
-		certOf[c.Value] = c
-	}
-	applied := 0
-	var pending []*ledger.Block
-	for _, b := range reply.Blocks {
-		if b.Round != n.ledger.NextRound()+uint64(len(pending)) {
-			continue // stale or ahead; ignore
-		}
-		cert, ok := certOf[b.Hash()]
-		if !ok {
-			// A §8.2 recovery adoption: no certificate of its own. It is
-			// acceptable only on the strength of a later certificate in
-			// this reply, whose block commits to it through PrevHash.
-			pending = append(pending, b)
-			continue
-		}
-		k, err := n.applyCertifiedRun(pending, b, cert, cp)
-		applied += k
-		pending = nil
-		if err != nil {
-			return applied, fmt.Errorf("catchup: %w", err)
-		}
-	}
-	// Trailing blocks with no certificate anchor are unverifiable; the
-	// sender should not have included them, and we must not trust them.
-	return applied, nil
-}
-
-// applyCertifiedRun commits an uncertified prefix plus the certified
-// block cb on top of it. The certificate commits to cb, and cb commits
-// to every ancestor through the PrevHash chain, so one valid
-// certificate transitively validates the entire run (§8.3) — this is
-// what lets catch-up cross rounds the network adopted during fork
-// recovery, which carry no certificate of their own. The prefix is
-// committed tentatively; if the anchoring certificate fails to verify,
-// the head is restored and the tentative entries are left behind as a
-// dead side branch.
-func (n *Node) applyCertifiedRun(pending []*ledger.Block, cb *ledger.Block, cert *ledger.Certificate, cp ledger.CommitteeParams) (int, error) {
-	prevHead := n.ledger.HeadHash()
-	prev := prevHead
-	for _, b := range pending {
-		if b.PrevHash != prev {
-			return 0, fmt.Errorf("round %d breaks the hash chain", b.Round)
-		}
-		prev = b.Hash()
-	}
-	if cb.PrevHash != prev {
-		return 0, fmt.Errorf("round %d certified block breaks the hash chain", cb.Round)
-	}
-	for _, b := range pending {
-		if err := n.ledger.ValidateBlock(b, b.Timestamp+n.cfg.LedgerCfg.MaxTimestampSkew); err != nil {
-			n.ledger.SwitchHead(prevHead)
-			return 0, fmt.Errorf("round %d block: %w", b.Round, err)
-		}
-		if err := n.ledger.Commit(b, nil); err != nil {
-			n.ledger.SwitchHead(prevHead)
-			return 0, fmt.Errorf("round %d commit: %w", b.Round, err)
-		}
-	}
-	if err := n.applyRound(cb, cert, cp); err != nil {
-		n.ledger.SwitchHead(prevHead)
-		return 0, err
-	}
-	// The whole run is certificate-backed now; archive the prefix too.
-	for _, b := range pending {
 		n.persistReconcile(b, nil)
 	}
-	return len(pending) + 1, nil
+	n.flow.Committed(b, n.ledger.Balances())
+}
+
+// applyChainReply advances the head through a reply's blocks, returning
+// how many rounds it advanced.
+func (n *Node) applyChainReply(reply *ChainReply) (int, error) {
+	applied, err := n.ledger.ApplyRun(reply.Blocks, reply.Certs, n.committeeParams())
+	for _, b := range applied {
+		n.joined(b)
+	}
+	if err != nil {
+		return len(applied), fmt.Errorf("catchup: %w", err)
+	}
+	return len(applied), nil
 }
 
 // RestoreFromArchive replays a crashed node's archive (§8.3) into this
@@ -192,7 +106,6 @@ func (n *Node) applyCertifiedRun(pending []*ledger.Block, cb *ledger.Block, cert
 // committed without certificates, so gaps are legitimate); the remainder
 // is fetched from peers. Returns the number of rounds restored.
 func (n *Node) RestoreFromArchive(src *ledger.Store) (uint64, error) {
-	cp := n.committeeParams()
 	var restored uint64
 	for {
 		r := n.ledger.NextRound()
@@ -204,9 +117,10 @@ func (n *Node) RestoreFromArchive(src *ledger.Store) (uint64, error) {
 		if !ok {
 			return restored, nil
 		}
-		if err := n.applyRound(b, c, cp); err != nil {
+		if err := n.ledger.ApplyCertified(b, c, n.committeeParams()); err != nil {
 			return restored, fmt.Errorf("restore: %w", err)
 		}
+		n.joined(b)
 		restored++
 	}
 }
@@ -356,21 +270,18 @@ func (n *Node) tryAdoptFork(reply *ChainReply) bool {
 	if n.ledger.SwitchHead(parent.Hash()) != nil {
 		return false
 	}
-	sub := &ChainReply{Recipient: reply.Recipient, Blocks: reply.Blocks[idx:], Certs: reply.Certs}
-	if _, err := n.applyChainReply(sub); err != nil || n.ledger.ChainLength() <= prevLen {
+	applied, err := n.ledger.ApplyRun(reply.Blocks[idx:], reply.Certs, n.committeeParams())
+	if err != nil || n.ledger.ChainLength() <= prevLen {
 		n.ledger.SwitchHead(prevHead)
 		return false
 	}
-	// Force the archives onto the adopted branch, as §8.2 repair does: a
-	// restart must replay the canonical chain, not the abandoned fork.
-	certOf := make(map[crypto.Digest]*ledger.Certificate, len(reply.Certs))
-	for _, c := range reply.Certs {
-		certOf[c.Value] = c
-	}
-	for r := fork.Round; r <= n.ledger.ChainLength(); r++ {
-		if b, ok := n.ledger.BlockAt(r); ok {
-			n.persistReconcile(b, certOf[b.Hash()])
-		}
+	for _, b := range applied {
+		n.joined(b)
+		// Force the archives onto the adopted branch, as §8.2 repair does
+		// (a plain put keeps the block it already holds for a round): a
+		// restart must replay the canonical chain, not the abandoned fork.
+		cert, _ := n.ledger.Certificate(b.Hash())
+		n.persistReconcile(b, cert)
 	}
 	n.ForkAdoptions++
 	return true

@@ -607,7 +607,7 @@ func (n *Node) handlePriority(msg *PriorityGossip, cost crypto.CostModel) networ
 	cpu := cost.VerifySig + cost.VRFVerify
 	m := &msg.M
 	ctx := n.ctx
-	if m.Round >= recoveryRoundBase && (ctx == nil || ctx.Round != m.Round) {
+	if m.Round >= ledger.RecoveryRoundBase && (ctx == nil || ctx.Round != m.Round) {
 		// §8.2 recovery contexts are self-describing: rebuild this one so
 		// the attempt's proposals verify, buffer, and relay even on nodes
 		// that are not (yet) inside that attempt.
@@ -648,7 +648,7 @@ func (n *Node) handleAnnounce(msg *BlockAnnounce, cost crypto.CostModel) network
 	cpu := cost.VerifySig + cost.VRFVerify
 	m := &msg.M
 	ctx := n.ctx
-	if m.Round >= recoveryRoundBase && (ctx == nil || ctx.Round != m.Round) {
+	if m.Round >= ledger.RecoveryRoundBase && (ctx == nil || ctx.Round != m.Round) {
 		ctx = n.recoveryCtxForRound(m.Round) // see handlePriority
 	}
 	if ctx == nil {
@@ -730,7 +730,7 @@ func (n *Node) handleBlock(msg *BlockGossip, cost crypto.CostModel) network.Verd
 	cpu := cost.VRFVerify + time.Duration(len(m.Block.Txns))*cost.VerifySig
 	round := m.Round()
 	ctx := n.ctx
-	if round >= recoveryRoundBase && (ctx == nil || ctx.Round != round) {
+	if round >= ledger.RecoveryRoundBase && (ctx == nil || ctx.Round != round) {
 		ctx = n.recoveryCtxForRound(round) // see handlePriority
 	}
 	if ctx == nil {
@@ -775,7 +775,7 @@ func (n *Node) storeBlockMsg(m *blockprop.BlockMsg) {
 // proposerRoleKind returns the sortition role kind for proposals in a
 // round: the fork-recovery rounds use their own role.
 func (n *Node) proposerRoleKind(round uint64) string {
-	if round >= recoveryRoundBase {
+	if round >= ledger.RecoveryRoundBase {
 		return sortition.RoleForkProposer
 	}
 	return sortition.RoleProposer
@@ -1022,25 +1022,34 @@ func (n *Node) runRound() error {
 	n.tracer.Record(round, trace.PhasePropose, 0, stat.Start, stat.ProposalDone)
 
 	// --- Agreement (§7).
-	if n.cfg.PipelineFinalStep {
-		return n.finishRoundPipelined(ctx, target, stat)
-	}
-	out, err := agreement.Run(n.env(round), ctx, target.Hash())
+	bres, err := agreement.RunWithoutFinal(n.env(round), ctx, target.Hash())
 	if err != nil {
 		n.setContext(nil)
 		return err
 	}
-	stat.BinaryDone = out.BinaryDone
-	stat.BinarySteps = out.BinarySteps
-	stat.Final = out.Final
-	n.tracer.Record(round, trace.PhaseCertify, 0, out.BinaryDone, n.proc.Now())
+	stat.BinaryDone = n.proc.Now()
+	stat.BinarySteps = bres.Steps
+	return n.finishRound(ctx, bres, stat)
+}
 
-	// --- Resolve and commit.
-	block := n.resolveBlock(ctx, out.Value)
-	cert := out.Cert
-	if out.FinalCert != nil {
-		cert = out.FinalCert
+// finishRound is the one way a block this node agreed on reaches its
+// chain: resolve → commit → persist → announce → post-commit hook →
+// round stat. PipelineFinalStep decides only where the §7.4 final
+// confirmation step runs: inline before the commit (Algorithm 3's
+// order), or in a background process after it, overlapped with the next
+// round (§10.2 pipelining), upgrading the committed block to final when
+// the votes arrive.
+func (n *Node) finishRound(ctx *agreement.Context, bres agreement.BinaryResult, stat RoundStat) error {
+	round := ctx.Round
+	cert := bres.Cert
+	if !n.cfg.PipelineFinalStep {
+		if fc := agreement.WaitFinal(n.env(round), ctx, bres.Value); fc != nil {
+			cert, stat.Final = fc, true
+		}
+		n.tracer.Record(round, trace.PhaseCertify, 0, stat.BinaryDone, n.proc.Now())
 	}
+
+	block := n.resolveBlock(ctx, bres.Value)
 	commitStart := n.tracer.WallNow()
 	if err := n.ledger.Commit(block, cert); err != nil {
 		// Agreed on a block we cannot apply: treat like no-consensus so
@@ -1055,17 +1064,9 @@ func (n *Node) runRound() error {
 	n.announceCommit(block)
 	n.flow.Committed(block, n.ledger.Balances())
 	stat.Empty = block.IsEmpty()
-	stat.Value = out.Value
+	stat.Value = bres.Value
 	stat.End = n.proc.Now()
 	n.Stats = append(n.Stats, stat)
-	n.recordRoundOutcome(round, stat)
-	n.setContext(nil)
-	return nil
-}
-
-// recordRoundOutcome closes a completed round's trace and bumps the
-// round outcome counters.
-func (n *Node) recordRoundOutcome(round uint64, stat RoundStat) {
 	n.tracer.Record(round, trace.PhaseRound, 0, stat.Start, stat.End)
 	n.roundsTotal.Inc()
 	if stat.Empty {
@@ -1074,58 +1075,30 @@ func (n *Node) recordRoundOutcome(round uint64, stat RoundStat) {
 	if stat.Final {
 		n.roundsFinal.Inc()
 	}
-}
-
-// finishRoundPipelined commits after BinaryBA⋆ and runs the final
-// confirmation step in a background process, overlapped with the next
-// round (§10.2 pipelining).
-func (n *Node) finishRoundPipelined(ctx *agreement.Context, target *ledger.Block, stat RoundStat) error {
-	bres, err := agreement.RunWithoutFinal(n.env(ctx.Round), ctx, target.Hash())
-	if err != nil {
-		n.setContext(nil)
-		return err
-	}
-	stat.BinaryDone = n.proc.Now()
-	stat.BinarySteps = bres.Steps
-
-	block := n.resolveBlock(ctx, bres.Value)
-	commitStart := n.tracer.WallNow()
-	if err := n.ledger.Commit(block, bres.Cert); err != nil {
-		n.setContext(nil)
-		return fmt.Errorf("commit: %w", err)
-	}
-	n.tracer.Record(ctx.Round, trace.PhaseCommit, 0, commitStart, n.tracer.WallNow())
-	persistStart := n.tracer.WallNow()
-	n.persistPut(block, bres.Cert)
-	n.tracer.Record(ctx.Round, trace.PhasePersist, 0, persistStart, n.tracer.WallNow())
-	n.announceCommit(block)
-	n.flow.Committed(block, n.ledger.Balances())
-	stat.Empty = block.IsEmpty()
-	stat.Value = bres.Value
-	stat.End = n.proc.Now()
-	n.Stats = append(n.Stats, stat)
-	n.recordRoundOutcome(ctx.Round, stat)
-	statIdx := len(n.Stats) - 1
-
-	// Keep accepting this round's final-step votes and count them in
-	// the background; the next round starts immediately.
-	n.finalCtxs[ctx.Round] = ctx
 	n.setContext(nil)
-	n.sim.Spawn(fmt.Sprintf("node-%d-final-%d", n.ID, ctx.Round), func(p *vtime.Proc) {
-		env := n.env(ctx.Round)
+	if !n.cfg.PipelineFinalStep {
+		return nil
+	}
+
+	// Keep accepting this round's final-step votes and count them in the
+	// background; the next round starts immediately.
+	statIdx := len(n.Stats) - 1
+	n.finalCtxs[round] = ctx
+	n.sim.Spawn(fmt.Sprintf("node-%d-final-%d", n.ID, round), func(p *vtime.Proc) {
+		env := n.env(round)
 		env.Proc = p
 		certifyStart := p.Now()
-		cert := agreement.WaitFinal(env, ctx, bres.Value)
-		delete(n.finalCtxs, ctx.Round)
-		if cert == nil {
+		final := agreement.WaitFinal(env, ctx, bres.Value)
+		delete(n.finalCtxs, round)
+		if final == nil {
 			return
 		}
-		n.tracer.Record(ctx.Round, trace.PhaseCertify, 0, certifyStart, p.Now())
+		n.tracer.Record(round, trace.PhaseCertify, 0, certifyStart, p.Now())
 		n.Stats[statIdx].Final = true
 		n.roundsFinal.Inc()
 		// Upgrade the ledger entry and the archive to final.
-		if err := n.ledger.Commit(block, cert); err == nil {
-			n.persistPut(block, cert)
+		if err := n.ledger.Commit(block, final); err == nil {
+			n.persistPut(block, final)
 		}
 	})
 	return nil

@@ -160,6 +160,48 @@ func TestStallRecovery(t *testing.T) {
 	}
 }
 
+// TestCatchUpCrossesRecoveryAdoption: a chain that holds a round the
+// network adopted through §8.2 recovery — proven by a recovery
+// certificate, not a chain round's — re-validates offline from genesis
+// through ledger.CatchUp, the way a new user or an auditor would check
+// it, and reaches the same head.
+func TestCatchUpCrossesRecoveryAdoption(t *testing.T) {
+	cfg := sim.DefaultConfig(16, 3)
+	fastParams(&cfg)
+	cfg.RecoveryInterval = 90 * time.Second
+	cfg.Horizon = 8 * time.Minute
+	c := sim.NewCluster(cfg)
+	c.SplitWorld(0, 45) // stalls BA⋆ entirely; progress resumes by recovery
+	c.Run()
+	if err := c.AgreementCheck(); err != nil {
+		t.Fatal(err)
+	}
+
+	src := c.Nodes[0].Ledger()
+	var blocks []*ledger.Block
+	var certs []*ledger.Certificate
+	adopted := 0
+	for r := uint64(1); r <= src.ChainLength(); r++ {
+		b, _ := src.BlockAt(r)
+		cert, _ := src.Certificate(b.Hash()) // nil beneath a recovery adoption
+		if cert != nil && cert.Round >= ledger.RecoveryRoundBase {
+			adopted++
+		}
+		blocks, certs = append(blocks, b), append(certs, cert)
+	}
+	if adopted == 0 || src.ChainLength() < 3 {
+		t.Fatalf("chain of %d rounds holds %d recovery adoptions; test premise broken", src.ChainLength(), adopted)
+	}
+	l, err := ledger.CatchUp(c.Provider, cfg.LedgerCfg, c.Genesis, c.Seed0, blocks, certs,
+		node.CommitteeParamsFor(cfg.Params))
+	if err != nil {
+		t.Fatalf("catch-up across a recovery adoption: %v", err)
+	}
+	if l.HeadHash() != src.HeadHash() {
+		t.Fatal("offline catch-up reached a different head")
+	}
+}
+
 func TestCatchUpFromClusterArchive(t *testing.T) {
 	cfg := sim.DefaultConfig(20, 3)
 	fastParams(&cfg)

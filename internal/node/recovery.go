@@ -1,7 +1,6 @@
 package node
 
 import (
-	"fmt"
 	"time"
 
 	"algorand/internal/agreement"
@@ -9,13 +8,7 @@ import (
 	"algorand/internal/crypto"
 	"algorand/internal/ledger"
 	"algorand/internal/sortition"
-	"algorand/internal/wire"
 )
-
-// recoveryRoundBase offsets recovery BA⋆ executions into their own
-// round-number space so their sortition roles and vote buffers never
-// collide with regular rounds.
-const recoveryRoundBase = uint64(1) << 40
 
 // recover runs the §8.2 fork-recovery protocol: propose the longest
 // fork (as an empty block extending its tip) via sortition with a
@@ -89,19 +82,9 @@ func (n *Node) roundBudget() time.Duration {
 // would die within a hop of its proposer.)
 //
 // Fresh proposers and committees per attempt: hash the seed each time
-// (§8.2). The attempt coordinates are wire-encoded so the preimage
-// layout is the codec's, not ad hoc.
+// (§8.2, ledger.RecoverySeed).
 func (n *Node) recoveryContext(checkpoint, attempt uint64) *agreement.Context {
 	return n.recoveryContextAt(n.ledger.LastFinal(), checkpoint, attempt)
-}
-
-// recoverySeed derives the sortition seed of one recovery attempt from
-// its base block and coordinates.
-func recoverySeed(base *ledger.Block, checkpoint, attempt uint64) crypto.Digest {
-	e := wire.NewEncoderSize(16)
-	e.Uint64(checkpoint)
-	e.Uint64(attempt)
-	return crypto.HashBytes("algorand.recovery.seed", base.Seed[:], e.Data())
 }
 
 // recoveryContextAt is recoveryContext with an explicit base block.
@@ -111,9 +94,9 @@ func (n *Node) recoveryContextAt(base *ledger.Block, checkpoint, attempt uint64)
 	if !ok {
 		return nil
 	}
-	seed := recoverySeed(base, checkpoint, attempt)
+	seed := ledger.RecoverySeed(base, checkpoint, attempt)
 	return &agreement.Context{
-		Round:         recoveryRoundBase + checkpoint*1024 + attempt,
+		Round:         ledger.RecoveryRoundBase + checkpoint*1024 + attempt,
 		Seed:          seed,
 		Weights:       balances.Money,
 		TotalWeight:   balances.Total,
@@ -125,10 +108,10 @@ func (n *Node) recoveryContextAt(base *ledger.Block, checkpoint, attempt uint64)
 // recoveryCtxForRound rebuilds the context a recovery-round message
 // belongs to; the coordinates are encoded in the round number.
 func (n *Node) recoveryCtxForRound(round uint64) *agreement.Context {
-	if round < recoveryRoundBase {
+	if round < ledger.RecoveryRoundBase {
 		return nil
 	}
-	off := round - recoveryRoundBase
+	off := round - ledger.RecoveryRoundBase
 	return n.recoveryContext(off/1024, off%1024)
 }
 
@@ -213,51 +196,13 @@ func (n *Node) recoverOnce(checkpoint, attempt uint64) bool {
 	return true
 }
 
-// VerifyRecoveryCert checks a §8.2 recovery certificate as transferable
-// proof that the network adopted block b. The certificate's votes name
-// their base block (every vote's PrevHash is the recovery context's
-// anchor); the verifier requires that base on its own canonical chain,
-// rebuilds the self-describing context from it and the coordinates in
-// the round number, and re-verifies the committee votes — the same
-// trustless check as a regular certificate, just against the recovery
-// round's seed and the base block's stake distribution.
-func VerifyRecoveryCert(p crypto.Provider, l *ledger.Ledger, b *ledger.Block, cert *ledger.Certificate, cp ledger.CommitteeParams) error {
-	if cert.Round < recoveryRoundBase {
-		return fmt.Errorf("round %d is not a recovery round", cert.Round)
-	}
-	if cert.Value != b.Hash() {
-		return fmt.Errorf("recovery cert is for another block")
-	}
-	if len(cert.Votes) == 0 {
-		return fmt.Errorf("recovery cert has no votes")
-	}
-	baseHash := cert.Votes[0].PrevHash
-	base, ok := l.BlockOfHash(baseHash)
-	if !ok {
-		return fmt.Errorf("recovery cert base unknown")
-	}
-	if on, ok := l.BlockAt(base.Round); !ok || on.Hash() != baseHash {
-		return fmt.Errorf("recovery cert base not on our chain")
-	}
-	balances, ok := l.BalancesAt(baseHash)
-	if !ok {
-		return fmt.Errorf("recovery cert base state unavailable")
-	}
-	off := cert.Round - recoveryRoundBase
-	seed := recoverySeed(base, off/1024, off%1024)
-	tau, threshold := cp.TauStep, cp.StepThreshold
-	if cert.Final {
-		tau, threshold = cp.TauFinal, cp.FinalThreshold
-	} else if cp.MaxStep != 0 && cert.Step > cp.MaxStep {
-		return fmt.Errorf("recovery cert step %d beyond MaxSteps", cert.Step)
-	}
-	return cert.Verify(p, seed, balances.Money, balances.Total, tau, threshold, baseHash)
-}
-
 // adoptChain commits b and any missing ancestors (fetched on demand),
 // then switches the canonical head to b, recording cert (the recovery
 // certificate, possibly nil) as b's proof.
 func (n *Node) adoptChain(b *ledger.Block, cert *ledger.Certificate) bool {
+	// Nothing at or below our last final block changes hands (§8.2: final
+	// blocks are fork-free); anything above it may be new to the head chain.
+	from := n.ledger.LastFinal().Round + 1
 	// Collect the missing ancestry, newest first.
 	var chain []*ledger.Block
 	cur := b
@@ -286,12 +231,16 @@ func (n *Node) adoptChain(b *ledger.Block, cert *ledger.Certificate) bool {
 	if n.ledger.SwitchHead(b.Hash()) != nil {
 		return false
 	}
-	// Reconcile the archive onto the adopted chain: any block this node
+	// Reconcile the archive onto the adopted chain — any block this node
 	// archived for those rounds belongs to the abandoned fork, and a
-	// restart must not replay it.
-	for i := len(chain) - 1; i >= 0; i-- {
-		n.persistReconcile(chain[i], nil)
+	// restart must not replay it — and run the post-commit hook a block
+	// of a live round gets.
+	for r := from; r <= b.Round; r++ {
+		if blk, ok := n.ledger.BlockAt(r); ok {
+			c, _ := n.ledger.Certificate(blk.Hash())
+			n.persistReconcile(blk, c)
+			n.flow.Committed(blk, n.ledger.Balances())
+		}
 	}
-	n.persistReconcile(b, cert)
 	return true
 }

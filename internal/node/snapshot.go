@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"algorand/internal/crypto"
 	"algorand/internal/ledger"
 	"algorand/internal/network"
 	"algorand/internal/vtime"
@@ -36,7 +35,7 @@ func (n *Node) maybeCheckpoint(b *ledger.Block, c *ledger.Certificate) {
 	if interval == 0 || b.Round == 0 || b.Round%interval != 0 {
 		return
 	}
-	if c == nil || c.Value != b.Hash() || c.Round >= recoveryRoundBase {
+	if c == nil || c.Value != b.Hash() || c.Round >= ledger.RecoveryRoundBase {
 		return
 	}
 	if n.checkpoint != nil && n.checkpoint.Round() >= b.Round {
@@ -86,36 +85,24 @@ func (n *Node) snapshotInbox() *vtime.Mailbox {
 // network committed its block, using only common knowledge: the
 // genesis state held by base. Structural integrity first (certificate
 // is for the block, account table hashes to the header's state root),
-// then the certificate itself against the committee that genesis
-// context derives for the checkpointed round. Returns an error when
-// the proof fails OR when base lacks the sortition context to judge it
-// — a checkpoint past the first seed-refresh epoch needs chain history
-// genesis alone cannot supply, and an unverifiable snapshot is treated
-// exactly like a forged one: refused.
-func VerifyCheckpoint(p crypto.Provider, base *ledger.Ledger, chk *ledger.Checkpoint, cp ledger.CommitteeParams) error {
+// then the certificate itself, by the one §8.3 rule, against the
+// committee that genesis context derives for the checkpointed round.
+// Returns an error when the proof fails OR when base lacks the sortition
+// context to judge it — a checkpoint past the first seed-refresh epoch
+// needs chain history genesis alone cannot supply, and an unverifiable
+// snapshot is treated exactly like a forged one: refused.
+func VerifyCheckpoint(base *ledger.Ledger, chk *ledger.Checkpoint, cp ledger.CommitteeParams) error {
 	if _, err := chk.VerifyState(); err != nil {
 		return err
 	}
 	c, b := chk.Cert, chk.Block
-	if c.Round >= recoveryRoundBase {
+	if c.Round >= ledger.RecoveryRoundBase {
 		return fmt.Errorf("snapshot: round %d carries a recovery certificate, not syncable without chain context", b.Round)
-	}
-	if c.Round != b.Round {
-		return fmt.Errorf("snapshot: certificate round %d does not match block round %d", c.Round, b.Round)
 	}
 	if !base.SortitionContextKnown(b.Round) || !base.SortitionContextKnown(b.Round+1) {
 		return fmt.Errorf("snapshot: round %d is past the genesis seed epoch, context unavailable", b.Round)
 	}
-	seed := base.SortitionSeed(b.Round)
-	weights, total := base.SortitionWeights(b.Round)
-	tau, threshold := cp.TauStep, cp.StepThreshold
-	if c.Final {
-		tau, threshold = cp.TauFinal, cp.FinalThreshold
-	} else if cp.MaxStep != 0 && c.Step > cp.MaxStep {
-		return fmt.Errorf("snapshot: absurd certificate step %d", c.Step)
-	}
-	// Committee votes name the parent of the block they commit.
-	return c.Verify(p, seed, weights, total, tau, threshold, b.PrevHash)
+	return base.VerifyCertificate(b, c, cp)
 }
 
 // adoptCheckpoint re-bases the node's ledger onto a checkpoint that
@@ -198,7 +185,7 @@ func (n *Node) RestoreFromCheckpoint(chk *ledger.Checkpoint) (bool, error) {
 		return false, nil
 	}
 	base := ledger.New(n.provider, n.cfg.LedgerCfg, n.genesisAccounts, n.seed0)
-	err := VerifyCheckpoint(n.provider, base, chk, n.committeeParams())
+	err := VerifyCheckpoint(base, chk, n.committeeParams())
 	if err == nil {
 		err = n.adoptCheckpoint(chk)
 	}

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"algorand/internal/crypto"
 	"algorand/internal/ledger"
+	"algorand/internal/txflow"
 	"algorand/internal/vtime"
 )
 
@@ -201,4 +203,72 @@ func TestRestartedNodeGossipsSubmissions(t *testing.T) {
 		}
 	}
 	t.Fatalf("payment submitted to the restarted node never committed (chain %d)", l.ChainLength())
+}
+
+// TestCaughtUpNodeShedsCommittedTransactions pins that a block a node
+// adopts through §8.3 catch-up gets the same post-commit hook as a block
+// of a round it agreed on: a token-stake node is cut off under load for
+// the rest of the run and healed once the others are done, so its only
+// way to the head is trySyncBehind. Afterwards its mempool must hold
+// nothing the chain already committed, and its nonce floors must reject
+// a replay of anything committed in its absence.
+func TestCaughtUpNodeShedsCommittedTransactions(t *testing.T) {
+	const victim, rounds = 4, 6
+	cfg := churnConfig(12, rounds)
+	cfg.Weights = make([]uint64, cfg.N)
+	for i := range cfg.Weights {
+		cfg.Weights[i] = 1000
+	}
+	cfg.Weights[victim] = 1
+	c := NewCluster(cfg)
+	c.Workload(20, 7)
+	cut := false
+	c.Net.AddPartition(func(a, b int) bool { return cut && (a == victim || b == victim) })
+	c.Sim.Spawn("partition-script", func(p *vtime.Proc) {
+		for c.Nodes[0].Ledger().ChainLength() < 2 {
+			p.Sleep(100 * time.Millisecond)
+		}
+		cut = true
+		for i, n := range c.Nodes {
+			for i != victim && !n.Done() {
+				p.Sleep(100 * time.Millisecond)
+			}
+		}
+		cut = false
+	})
+	c.Run()
+	if err := c.AgreementCheck(); err != nil {
+		t.Fatal(err)
+	}
+
+	v := c.Nodes[victim]
+	l := v.Ledger()
+	if l.ChainLength() != rounds || l.HeadHash() != c.Nodes[0].Ledger().HeadHash() {
+		t.Fatalf("victim at round %d, network at %d", l.ChainLength(), c.Nodes[0].Ledger().ChainLength())
+	}
+	agreed := map[uint64]bool{}
+	for _, st := range v.Stats {
+		agreed[st.Round] = true
+	}
+	replayed := 0
+	for r := uint64(1); r <= rounds; r++ {
+		if agreed[r] {
+			continue
+		}
+		b, _ := l.BlockAt(r)
+		for i := range b.Txns {
+			replayed++
+			if err := v.TxFlow().Submit(&b.Txns[i]); !errors.Is(err, txflow.ErrStaleNonce) {
+				t.Fatalf("round %d, adopted by catch-up: replay of a committed payment got %v, want stale-nonce", r, err)
+			}
+		}
+	}
+	if replayed == 0 {
+		t.Fatal("no payment committed in the victim's absence; test premise broken")
+	}
+	// Whatever is still pending anywhere was admitted and never committed.
+	uncommitted := c.WorkloadStats().Admitted - int64(c.CommittedTxCount(rounds))
+	if pending := int64(v.TxFlow().Len()); pending > uncommitted {
+		t.Fatalf("victim holds %d pending payments, only %d are uncommitted", pending, uncommitted)
+	}
 }
