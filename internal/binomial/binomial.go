@@ -72,6 +72,14 @@ func powUint(x *big.Float, e uint64) *big.Float {
 	return result
 }
 
+// clone returns an independent Walker at the same position.
+func (w *Walker) clone() *Walker {
+	c := *w
+	c.term = new(big.Float).Copy(w.term)
+	c.cdf = new(big.Float).Copy(w.cdf)
+	return &c
+}
+
 // advance moves to the next j, updating term and cdf.
 func (w *Walker) advance() {
 	// term(j+1) = term(j) * (n-j)/(j+1) * ratio
@@ -132,11 +140,19 @@ func FractionOfHash(hash []byte) *big.Float {
 
 // Select is the complete sortition quantile computation: given a VRF
 // hash, a user's weight w, total weight W and expected selections tau,
-// it returns how many of the user's sub-users are selected.
+// it returns how many of the user's sub-users are selected. The answer
+// is New(w, tau, W).Quantile(FractionOfHash(hash)), read from the
+// distribution's remembered boundaries (table.go) when it has any.
 func Select(hash []byte, w, W, tau uint64) uint64 {
-	if w == 0 {
+	switch {
+	case w == 0:
 		return 0
+	case W == 0 || tau >= W: // New's alwaysAll
+		return w
+	case tau == 0: // New's alwaysNone
+		return 0
+	case len(hash) != hashLen:
+		return New(w, tau, W).Quantile(FractionOfHash(hash))
 	}
-	walker := New(w, tau, W)
-	return walker.Quantile(FractionOfHash(hash))
+	return tables.quantile(tableKey{w: w, tau: tau, W: W}, hash)
 }

@@ -109,6 +109,12 @@ func (m *BlockMsg) Round() uint64 { return m.Announce.Round }
 // Priority returns the proposal's priority.
 func (m *BlockMsg) Priority() sortition.Priority { return m.Announce.Priority }
 
+// AnnouncedHash returns the block hash the proposer signed into the
+// announce. For a message that passed VerifyBlockMsg (or came out of
+// Propose) it is the body's hash, which is how a verified proposal
+// carries its hash along instead of being encoded again at every stop.
+func (m *BlockMsg) AnnouncedHash() crypto.Digest { return m.Announce.BlockHash }
+
 // WireSize returns the message size (block plus credentials).
 func (m *BlockMsg) WireSize() int {
 	return m.Block.WireSize() + m.Announce.WireSize()
@@ -217,8 +223,9 @@ func VerifyBlockMsg(
 // WaitResult is the outcome of waiting for block proposals.
 type WaitResult struct {
 	// Block is the highest-priority proposal received, or nil if the
-	// user fell back to the empty block.
-	Block *ledger.Block
+	// user fell back to the empty block; BlockHash is its hash.
+	Block     *ledger.Block
+	BlockHash crypto.Digest
 	// Priority is the winning priority (zero if none).
 	Priority sortition.Priority
 	// Equivocation reports that the winning proposer sent conflicting
@@ -230,7 +237,8 @@ type WaitResult struct {
 }
 
 // arrival is what the node's network handler enqueues for the waiter:
-// either a PriorityMsg or a BlockMsg (already credential-verified).
+// either a PriorityMsg or a BlockMsg (already credential-verified, so
+// the waiter reads a block's hash off its announce).
 type arrival struct {
 	pri *PriorityMsg
 	blk *BlockMsg
@@ -312,7 +320,7 @@ func WaitOpts(
 		if a.blk != nil {
 			noteBlock(blocks, equivocators, a.blk)
 			note(a.blk.Priority(), a.blk.Proposer())
-			noteHash(a.blk.Proposer(), a.blk.Block.Hash())
+			noteHash(a.blk.Proposer(), a.blk.AnnouncedHash())
 		}
 	}
 	if !haveBest {
@@ -326,7 +334,7 @@ func WaitOpts(
 			return WaitResult{Priority: best, Equivocation: true, BestPriorityAt: bestAt}
 		}
 		if bm, ok := blocks[bestProposer]; ok {
-			return WaitResult{Block: bm.Block, Priority: best, BestPriorityAt: bestAt}
+			return WaitResult{Block: bm.Block, BlockHash: bm.AnnouncedHash(), Priority: best, BestPriorityAt: bestAt}
 		}
 		m, ok := proc.RecvDeadline(inbox, blockDeadline)
 		if !ok {
@@ -335,7 +343,7 @@ func WaitOpts(
 		a := m.(arrival)
 		if a.blk != nil {
 			noteBlock(blocks, equivocators, a.blk)
-			noteHash(a.blk.Proposer(), a.blk.Block.Hash())
+			noteHash(a.blk.Proposer(), a.blk.AnnouncedHash())
 		}
 		// Late priority messages can still raise the bar.
 		if a.pri != nil {
@@ -349,6 +357,7 @@ func WaitOpts(
 // WaitAll.
 type Candidate struct {
 	Block    *ledger.Block
+	Hash     crypto.Digest
 	Priority sortition.Priority
 }
 
@@ -382,7 +391,7 @@ func WaitAll(
 		if equivocators[proposer] {
 			continue
 		}
-		out = append(out, Candidate{Block: bm.Block, Priority: bm.Priority()})
+		out = append(out, Candidate{Block: bm.Block, Hash: bm.AnnouncedHash(), Priority: bm.Priority()})
 	}
 	return out
 }
@@ -393,7 +402,7 @@ func WaitAll(
 // priority block proposer ... he discards both proposals").
 func noteBlock(blocks map[crypto.PublicKey]*BlockMsg, equivocators map[crypto.PublicKey]bool, bm *BlockMsg) {
 	prev, ok := blocks[bm.Proposer()]
-	if ok && prev.Block.Hash() != bm.Block.Hash() {
+	if ok && prev.AnnouncedHash() != bm.AnnouncedHash() {
 		equivocators[bm.Proposer()] = true
 		return
 	}

@@ -236,6 +236,9 @@ func TestWaitEquivocationDiscardsBoth(t *testing.T) {
 	alt.Timestamp += 12345
 	altMsg := a.Block
 	altMsg.Block = &alt
+	// Arrivals are verified, so an announce names its own body's hash
+	// (the equivocator signs one announce per version).
+	altMsg.Announce.BlockHash = alt.Hash()
 
 	res := runWait(func(h *waitHarness) {
 		h.sim.After(100*time.Millisecond, func() {

@@ -243,9 +243,15 @@ func TestSyncFastRestartSubLinear(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	// Short chains keep the test fast; the shape claim — snapshot sync
-	// flat while full replay grows — shows up already at 8 vs 32.
-	rep := SyncFastRestart(DefaultScale(), []uint64{8, 32}, 5, 0)
+	// Short chains keep the test fast. The shape claim — snapshot sync
+	// flat while full replay grows — is asserted on what each path has to
+	// replay: the whole chain against the rounds past the newest
+	// checkpoint, which the grid bounds whatever the chain's length. The
+	// two wall-clock timings are sub-millisecond at this size and flip
+	// order when another package's tests share the CPU, so they are
+	// logged, and gated at size by BenchmarkSnapshotSync.
+	const interval = 5
+	rep := SyncFastRestart(DefaultScale(), []uint64{8, 32}, interval, 0)
 	if len(rep.Points) != 2 {
 		t.Fatalf("missing points: %+v", rep.Points)
 	}
@@ -253,13 +259,18 @@ func TestSyncFastRestartSubLinear(t *testing.T) {
 		if !p.HeadsEqual {
 			t.Fatalf("chain %d: snapshot path diverged from genesis replay", p.ChainLength)
 		}
-		if p.CheckpointRound == 0 || p.CheckpointRound%5 != 0 {
-			t.Fatalf("chain %d: checkpoint at %d, off the 5-round grid", p.ChainLength, p.CheckpointRound)
+		if p.CheckpointRound == 0 || p.CheckpointRound%interval != 0 {
+			t.Fatalf("chain %d: checkpoint at %d, off the %d-round grid", p.ChainLength, p.CheckpointRound, interval)
 		}
+		if p.DeltaRounds >= interval || p.DeltaRounds >= p.ChainLength {
+			t.Fatalf("chain %d: snapshot path replays %d rounds past checkpoint %d, want fewer than the interval %d",
+				p.ChainLength, p.DeltaRounds, p.CheckpointRound, interval)
+		}
+		t.Logf("chain %d: full replay %.2f ms over %d rounds, snapshot sync %.2f ms over %d",
+			p.ChainLength, p.FullReplayMs, p.ChainLength, p.SnapshotSyncMs, p.DeltaRounds)
 	}
-	long := rep.Points[1]
-	if long.SnapshotSyncMs >= long.FullReplayMs {
-		t.Fatalf("snapshot sync (%.2fms) not cheaper than full replay (%.2fms) at chain %d",
-			long.SnapshotSyncMs, long.FullReplayMs, long.ChainLength)
+	short, long := rep.Points[0], rep.Points[1]
+	if long.ChainLength <= short.ChainLength {
+		t.Fatalf("chains of %d and %d rounds: the second run did not grow", short.ChainLength, long.ChainLength)
 	}
 }

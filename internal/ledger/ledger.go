@@ -110,6 +110,9 @@ func (l *Ledger) GenesisHash() crypto.Digest { return l.genesis.hash }
 // LastFinal returns the most recent final block on the head chain.
 func (l *Ledger) LastFinal() *Block { return l.lastFinal.block }
 
+// LastFinalHash returns LastFinal's hash.
+func (l *Ledger) LastFinalHash() crypto.Digest { return l.lastFinal.hash }
+
 // Balances returns the state after the head block. Callers must not
 // mutate it.
 func (l *Ledger) Balances() *Balances { return l.head.balances }
@@ -193,10 +196,13 @@ func (l *Ledger) SortitionWeights(r uint64) (map[crypto.PublicKey]uint64, uint64
 // derive or check the seed of the next proposed block).
 func (l *Ledger) PrevSeed() crypto.Digest { return l.head.block.Seed }
 
-// RegisterProposal remembers a proposed block by hash so that a later
-// BA⋆ agreement on that hash can be resolved to block contents.
-func (l *Ledger) RegisterProposal(b *Block) {
-	l.pendingBlocks[b.Hash()] = b
+// RegisterProposal remembers a proposed block under its hash h so that
+// a later BA⋆ agreement on that hash can be resolved to block contents.
+// h comes from whoever checked the body against it — the verifier of the
+// proposal's signed announce, or a caller that hashed b itself — so a
+// megabyte block is not encoded again to file it.
+func (l *Ledger) RegisterProposal(b *Block, h crypto.Digest) {
+	l.pendingBlocks[h] = b
 }
 
 // BlockOfHash resolves a hash to a block: a committed entry, a pending
@@ -268,7 +274,13 @@ func (l *Ledger) ValidateBlock(b *Block, now time.Duration) error {
 // non-head entry, a fork is recorded; the head moves only if the block
 // extends the current head.
 func (l *Ledger) Commit(b *Block, cert *Certificate) error {
-	h := b.Hash()
+	return l.CommitHashed(b, b.Hash(), cert)
+}
+
+// CommitHashed is Commit for a caller that holds b's hash h from where
+// b was resolved or verified: BlockOfHash's own index, or the agreed
+// value a verified proposal was registered under.
+func (l *Ledger) CommitHashed(b *Block, h crypto.Digest, cert *Certificate) error {
 	if _, dup := l.entries[h]; dup {
 		// Already known; attach a certificate the entry lacks (e.g. a
 		// §8.2 recovery certificate for a block first seen uncertified)
@@ -356,26 +368,32 @@ func (l *Ledger) Certificate(h crypto.Digest) (*Certificate, bool) {
 	return e.cert, true
 }
 
+// Tip is the last block of one known chain branch, with its hash.
+type Tip struct {
+	Block *Block
+	Hash  crypto.Digest
+}
+
 // ForkTips returns the tip of every known chain branch, longest first.
 // Used by the §8.2 recovery protocol to propose a fork to converge on.
-func (l *Ledger) ForkTips() []*Block {
+func (l *Ledger) ForkTips() []Tip {
 	hasChild := make(map[crypto.Digest]bool, len(l.entries))
 	for _, e := range l.entries {
 		if e.parent != nil {
 			hasChild[e.parent.hash] = true
 		}
 	}
-	var tips []*Block
+	var tips []Tip
 	for _, e := range l.entries {
 		if !hasChild[e.hash] {
-			tips = append(tips, e.block)
+			tips = append(tips, Tip{Block: e.block, Hash: e.hash})
 		}
 	}
 	// Longest (highest round) first; break ties by hash for determinism.
 	for i := 0; i < len(tips); i++ {
 		for j := i + 1; j < len(tips); j++ {
-			if tips[j].Round > tips[i].Round ||
-				(tips[j].Round == tips[i].Round && tips[i].Hash().Less(tips[j].Hash())) {
+			if tips[j].Block.Round > tips[i].Block.Round ||
+				(tips[j].Block.Round == tips[i].Block.Round && tips[i].Hash.Less(tips[j].Hash)) {
 				tips[i], tips[j] = tips[j], tips[i]
 			}
 		}
@@ -410,6 +428,26 @@ func (l *Ledger) BlockAt(round uint64) (*Block, bool) {
 		return nil, false
 	}
 	return e.block, true
+}
+
+// HashAt returns the hash of the canonical-chain block at the given
+// round, as indexed when the block was committed.
+func (l *Ledger) HashAt(round uint64) (crypto.Digest, bool) {
+	e := ancestorAt(l.head, round)
+	if e == nil {
+		return crypto.Digest{}, false
+	}
+	return e.hash, true
+}
+
+// CertificateAt returns the stored certificate of the canonical-chain
+// block at the given round.
+func (l *Ledger) CertificateAt(round uint64) (*Certificate, bool) {
+	e := ancestorAt(l.head, round)
+	if e == nil || e.cert == nil {
+		return nil, false
+	}
+	return e.cert, true
 }
 
 // IsFinal reports whether the block at the given hash is final, or has

@@ -335,7 +335,7 @@ func TestForkTrackingAndSwitch(t *testing.T) {
 	if len(tips) != 2 {
 		t.Fatalf("tips = %d, want 2", len(tips))
 	}
-	if tips[0].Hash() != b2.Hash() {
+	if tips[0].Hash != b2.Hash() {
 		t.Fatal("longest fork should come first")
 	}
 

@@ -141,15 +141,17 @@ func NewFromCheckpoint(p crypto.Provider, cfg Config, genesisAccounts map[crypto
 		return nil, err
 	}
 	l := New(p, cfg, genesisAccounts, seed0)
+	// VerifyState held the certificate's value against the block's hash.
+	hash := cp.Cert.Value
 	if cp.Block.Round == 0 {
-		if cp.Block.Hash() != l.genesis.hash {
+		if hash != l.genesis.hash {
 			return nil, errors.New("ledger: checkpoint at round 0 is not our genesis")
 		}
 		return l, nil
 	}
 	e := &entry{
 		block:    cp.Block,
-		hash:     cp.Block.Hash(),
+		hash:     hash,
 		balances: bal,
 		cert:     cp.Cert,
 		// The checkpoint anchors finality: this node cannot validate

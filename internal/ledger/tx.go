@@ -42,13 +42,21 @@ const TxWireSize = txSignedSize + 4 + 64
 // untrusted peers.
 const TxMinWireSize = txSignedSize + 4
 
+// appendSigned appends the fields covered by the signature to b. It is
+// in append form so that a hash over them (ID) can build the preimage in
+// a local array.
+func (tx *Transaction) appendSigned(b []byte) []byte {
+	b = append(b, tx.From[:]...)
+	b = append(b, tx.To[:]...)
+	b = wire.AppendUint64(b, tx.Amount)
+	b = wire.AppendUint64(b, tx.Fee)
+	return wire.AppendUint64(b, tx.Nonce)
+}
+
 // encodeSigned appends the fields covered by the signature.
 func (tx *Transaction) encodeSigned(e *wire.Encoder) {
-	e.Fixed(tx.From[:])
-	e.Fixed(tx.To[:])
-	e.Uint64(tx.Amount)
-	e.Uint64(tx.Fee)
-	e.Uint64(tx.Nonce)
+	var buf [txSignedSize]byte
+	e.Fixed(tx.appendSigned(buf[:0]))
 }
 
 // EncodeTo implements wire.Marshaler: the signed core followed by the
@@ -77,14 +85,13 @@ func (tx *Transaction) WireSize() int {
 // SigningBytes returns the canonical byte encoding that is signed: the
 // prefix of the wire encoding before the signature field.
 func (tx *Transaction) SigningBytes() []byte {
-	e := wire.NewEncoderSize(txSignedSize)
-	tx.encodeSigned(e)
-	return e.Data()
+	return tx.appendSigned(make([]byte, 0, txSignedSize))
 }
 
 // ID returns the transaction's unique identifier.
 func (tx *Transaction) ID() crypto.Digest {
-	return crypto.HashBytes("algorand.tx", tx.SigningBytes())
+	var buf [txSignedSize]byte
+	return crypto.HashBytes("algorand.tx", tx.appendSigned(buf[:0]))
 }
 
 // Sign fills in the signature using the sender's identity.

@@ -538,38 +538,53 @@ func (nw *Network) maybeRotate() {
 	}
 }
 
+// envelope is a message in flight with what the network needs to know
+// about it, worked out once when it enters Gossip or Unicast: a batch's
+// ID hashes every transaction in it and a block's encodes the block, and
+// every hop and every duplicate delivery used to ask again.
+type envelope struct {
+	m    Message
+	id   crypto.Digest
+	size int
+}
+
+func seal(m Message) *envelope {
+	return &envelope{m: m, id: m.ID(), size: m.WireSize()}
+}
+
 // Gossip injects a message originated by node origin: it is sent to all
 // of origin's peers and relayed onward per the gossip rules.
 func (nw *Network) Gossip(origin int, m Message) {
 	nw.maybeRotate()
 	ep := nw.eps[origin]
-	ep.seen[m.ID()] = true
+	env := seal(m)
+	ep.seen[env.id] = true
 	if k := m.LimitKey(); k != "" {
 		ep.limitSeen[k]++
 	}
-	nw.relay(origin, -1, m)
+	nw.relay(origin, -1, env)
 }
 
 // Unicast sends a message directly from one node to another (used for
 // catch-up fetches, not gossip). Delivery respects bandwidth/latency
 // but skips relay.
 func (nw *Network) Unicast(from, to int, m Message) {
-	nw.send(from, to, m)
+	nw.send(from, to, seal(m))
 }
 
-// relay forwards m from node `from` to all its neighbors except `skip`.
-func (nw *Network) relay(from, skip int, m Message) {
+// relay forwards env from node `from` to all its neighbors except `skip`.
+func (nw *Network) relay(from, skip int, env *envelope) {
 	ep := nw.eps[from]
 	for _, peer := range ep.neighbors {
 		if peer == skip {
 			continue
 		}
-		nw.send(from, peer, m)
+		nw.send(from, peer, env)
 	}
 }
 
 // send models one point-to-point transfer and schedules delivery.
-func (nw *Network) send(from, to int, m Message) {
+func (nw *Network) send(from, to int, env *envelope) {
 	now := nw.sim.Now()
 	if nw.Partitioned(from, to) {
 		return
@@ -595,7 +610,7 @@ func (nw *Network) send(from, to int, m Message) {
 		}
 	}
 	src, dst := nw.eps[from], nw.eps[to]
-	size := m.WireSize()
+	size := env.size
 
 	src.bytesSent.Add(uint64(size))
 	nw.totalBytes.Add(uint64(size))
@@ -616,24 +631,25 @@ func (nw *Network) send(from, to int, m Message) {
 	}
 
 	nw.sim.After(deliverAt-now, func() {
-		nw.deliver(from, to, m)
+		nw.deliver(from, to, env)
 	})
 }
 
 // deliver runs at the receiver when the message finishes arriving.
-func (nw *Network) deliver(from, to int, m Message) {
+func (nw *Network) deliver(from, to int, env *envelope) {
 	nw.maybeRotate()
 	ep := nw.eps[to]
-	ep.bytesReceived.Add(uint64(m.WireSize()))
-	if ep.sawID(m.ID()) {
+	ep.bytesReceived.Add(uint64(env.size))
+	if ep.sawID(env.id) {
 		ep.dupsDropped.Inc()
 		nw.totalDups.Inc()
 		return
 	}
-	ep.seen[m.ID()] = true
+	ep.seen[env.id] = true
 	ep.msgsReceived.Inc()
 	nw.totalMsgs.Inc()
 
+	m := env.m
 	var verdict Verdict
 	if ep.handler != nil {
 		verdict = ep.handler.HandleMessage(from, m)
@@ -666,7 +682,7 @@ func (nw *Network) deliver(from, to int, m Message) {
 		relayDelay = 0
 	}
 	nw.sim.After(relayDelay, func() {
-		nw.relay(to, from, m)
+		nw.relay(to, from, env)
 	})
 }
 

@@ -512,3 +512,57 @@ func TestMultiRelayLimit(t *testing.T) {
 		t.Fatalf("third variant should be suppressed: %d vs %d", got[103], got[101])
 	}
 }
+
+// countingMsg counts how often the network asks it what it is.
+type countingMsg struct {
+	testMsg
+	ids, sizes int
+}
+
+func (m *countingMsg) ID() crypto.Digest { m.ids++; return m.testMsg.ID() }
+func (m *countingMsg) WireSize() int     { m.sizes++; return m.testMsg.WireSize() }
+
+// TestAllocBudgetMessageSealedOnce guards the envelope: a message is
+// asked for its ID and size once, when it enters Gossip or Unicast, and
+// no hop, first delivery or duplicate delivery asks again. For a
+// transaction batch one ID() hashes every transaction in it.
+func TestAllocBudgetMessageSealedOnce(t *testing.T) {
+	sim := vtime.New()
+	nw := New(sim, DefaultConfig(), 30)
+	installRecorders(nw, 0)
+
+	flood := &countingMsg{testMsg: *msg("sealed", 200)}
+	direct := &countingMsg{testMsg: *msg("sealed-direct", 200)}
+	sim.Spawn("origin", func(p *vtime.Proc) {
+		nw.Gossip(0, flood)
+		nw.Unicast(0, 1, direct)
+		nw.Unicast(0, 1, direct) // the second copy is delivered as a duplicate
+	})
+	sim.Run(time.Minute)
+
+	if nw.TotalMsgs() < 30 || nw.NodeStats(1).DupsDropped == 0 {
+		t.Fatalf("%d first deliveries, %d duplicates at node 1: the flood did not exercise relay and duplicate paths",
+			nw.TotalMsgs(), nw.NodeStats(1).DupsDropped)
+	}
+	if flood.ids != 1 || flood.sizes != 1 {
+		t.Errorf("gossiped message: %d ID() and %d WireSize() calls over %d deliveries, want 1 and 1",
+			flood.ids, flood.sizes, nw.TotalMsgs())
+	}
+	if direct.ids != 2 || direct.sizes != 2 {
+		t.Errorf("message unicast twice: %d ID() and %d WireSize() calls, want 2 and 2", direct.ids, direct.sizes)
+	}
+
+	// A duplicate delivery on its own: nothing asked, nothing allocated.
+	env := seal(flood)
+	flood.ids, flood.sizes = 0, 0
+	dups := nw.NodeStats(1).DupsDropped
+	if got := testing.AllocsPerRun(100, func() { nw.deliver(0, 1, env) }); got != 0 {
+		t.Errorf("duplicate delivery: %.0f allocations, want 0", got)
+	}
+	if nw.NodeStats(1).DupsDropped == dups {
+		t.Fatal("the re-delivery was not treated as a duplicate")
+	}
+	if flood.ids != 0 || flood.sizes != 0 {
+		t.Errorf("duplicate deliveries made %d ID() and %d WireSize() calls, want none", flood.ids, flood.sizes)
+	}
+}

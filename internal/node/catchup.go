@@ -39,7 +39,7 @@ func (n *Node) handleChainRequest(msg *ChainRequest) network.Verdict {
 			break
 		}
 		blocks = append(blocks, b)
-		if c, ok := n.ledger.Certificate(b.Hash()); ok {
+		if c, ok := n.ledger.CertificateAt(r); ok {
 			certs = append(certs, c)
 			servable = len(blocks)
 		}
@@ -75,9 +75,9 @@ func (n *Node) committeeParams() ledger.CommitteeParams {
 // itself (the §8.3 rule lives in ledger.ApplyCertified/ApplyRun): the
 // block is archived — with its certificate, or as the canonical block of
 // its round when it stands on a descendant's — and passes the same
-// post-commit hook as a block of a live round.
+// post-commit hook as a block of a live round. b is on the head chain.
 func (n *Node) joined(b *ledger.Block) {
-	if cert, ok := n.ledger.Certificate(b.Hash()); ok {
+	if cert, ok := n.ledger.CertificateAt(b.Round); ok {
 		n.persistPut(b, cert)
 	} else {
 		n.persistReconcile(b, nil)
@@ -225,11 +225,11 @@ func (n *Node) tryAdoptFork(reply *ChainReply) bool {
 	var fork *ledger.Block
 	idx := -1
 	for i, b := range reply.Blocks {
-		ours, ok := n.ledger.BlockAt(b.Round)
+		ours, ok := n.ledger.HashAt(b.Round)
 		if !ok {
 			break // past our head: no same-round conflict in this reply
 		}
-		if ours.Hash() != b.Hash() {
+		if ours != b.Hash() {
 			fork, idx = b, i
 			break
 		}
@@ -238,8 +238,8 @@ func (n *Node) tryAdoptFork(reply *ChainReply) bool {
 		return false
 	}
 	// The competing branch must graft onto our canonical chain…
-	parent, ok := n.ledger.BlockAt(fork.Round - 1)
-	if !ok || parent.Hash() != fork.PrevHash {
+	parent, ok := n.ledger.HashAt(fork.Round - 1)
+	if !ok || parent != fork.PrevHash {
 		return false
 	}
 	// …must not abandon finalized history…
@@ -267,7 +267,7 @@ func (n *Node) tryAdoptFork(reply *ChainReply) bool {
 	// failure restores the original head. Our abandoned blocks stay in
 	// the ledger as a dead side branch, like a lost recovery fork.
 	prevHead := n.ledger.HeadHash()
-	if n.ledger.SwitchHead(parent.Hash()) != nil {
+	if n.ledger.SwitchHead(parent) != nil {
 		return false
 	}
 	applied, err := n.ledger.ApplyRun(reply.Blocks[idx:], reply.Certs, n.committeeParams())
@@ -280,7 +280,7 @@ func (n *Node) tryAdoptFork(reply *ChainReply) bool {
 		// Force the archives onto the adopted branch, as §8.2 repair does
 		// (a plain put keeps the block it already holds for a round): a
 		// restart must replay the canonical chain, not the abandoned fork.
-		cert, _ := n.ledger.Certificate(b.Hash())
+		cert, _ := n.ledger.CertificateAt(b.Round)
 		n.persistReconcile(b, cert)
 	}
 	n.ForkAdoptions++

@@ -299,3 +299,83 @@ func TestPendingVotesReplayOnRoundEntry(t *testing.T) {
 		t.Fatal("valid buffered vote not replayed into inbox")
 	}
 }
+
+// TestAllocBudgetStragglerVote guards the straggler branch of handleVote:
+// comparing a late vote's PrevHash with our block at that position reads
+// the hash the ledger indexed the block under, so it costs nothing, and
+// in particular nothing that grows with the block — it used to encode
+// all of a 5 000-payment block per late vote.
+func TestAllocBudgetStragglerVote(t *testing.T) {
+	for _, payments := range []int{10, 5000} {
+		r := newHandlerRig(t, 5)
+		l := r.node.Ledger()
+		// Round 1 carries the payments (each user pays the next in turn,
+		// so balances never run out), round 2 is empty, and the node is
+		// in round 3 when a vote for round 2 arrives.
+		post := l.Balances().Clone()
+		txns := make([]ledger.Transaction, payments)
+		for i := range txns {
+			from := r.ids[i%len(r.ids)].PublicKey()
+			txns[i] = ledger.Transaction{
+				From: from, To: r.ids[(i+1)%len(r.ids)].PublicKey(),
+				Amount: 1, Nonce: post.Nonce[from],
+			}
+			if err := post.ApplyTx(&txns[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b1 := &ledger.Block{Round: 1, PrevHash: l.HeadHash(), StateRoot: post.Root(), Txns: txns}
+		if err := l.Commit(b1, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Commit(l.NextEmptyBlock(), nil); err != nil {
+			t.Fatal(err)
+		}
+		r.node.setContext(agreement.NewContext(l))
+
+		late := &VoteMsg{Vote: ledger.Vote{Sender: r.ids[1].PublicKey(), Round: 2, Step: agreement.StepReduction1, PrevHash: b1.Hash()}}
+		alien := &VoteMsg{Vote: ledger.Vote{Sender: r.ids[2].PublicKey(), Round: 2, Step: agreement.StepReduction1, PrevHash: crypto.Digest{9}}}
+		before := r.node.alienVotes
+		r.node.handleMessage(1, late)
+		if r.node.alienVotes != before {
+			t.Fatalf("%d payments: a vote extending our own block counted as fork evidence", payments)
+		}
+		r.node.handleMessage(2, alien)
+		if r.node.alienVotes != before+1 {
+			t.Fatalf("%d payments: a vote extending another block at that position not counted", payments)
+		}
+		if got := testing.AllocsPerRun(50, func() { r.node.handleMessage(1, late) }); got != 0 {
+			t.Errorf("straggler vote against a %d-payment block: %.0f allocations, want 0", payments, got)
+		}
+	}
+}
+
+// TestBlockGossipIDSeparatesRoundAndRecipient: with round and recipient
+// packed into one word (round<<16 | recipient), a recipient from 65 536
+// up spilled into the round's bits: round 2's block to recipient 65 543
+// had the ID of round 3's to recipient 7 (and round 1's to 65 543 that of
+// round 1's to 7), and the second to arrive was dropped as a duplicate.
+func TestBlockGossipIDSeparatesRoundAndRecipient(t *testing.T) {
+	r := newHandlerRig(t, 5)
+	prop := r.makeProposal(t, 1)
+	transfer := func(round uint64, recipient int) *BlockGossip {
+		m := prop.Block
+		m.Announce.Round = round
+		return &BlockGossip{M: m, Recipient: recipient}
+	}
+	pairs := [][2]*BlockGossip{
+		{transfer(2, 1<<16+7), transfer(3, 7)},
+		{transfer(1, 1<<16+7), transfer(1, 7)},
+		{transfer(1, 7), transfer(1, 8)},
+		{transfer(1, 7), transfer(2, 7)},
+	}
+	for _, p := range pairs {
+		if p[0].ID() == p[1].ID() {
+			t.Errorf("round %d to recipient %d and round %d to recipient %d share a dedup key",
+				p[0].M.Round(), p[0].Recipient, p[1].M.Round(), p[1].Recipient)
+		}
+	}
+	if transfer(2, 1<<16+7).ID() != transfer(2, 1<<16+7).ID() {
+		t.Fatal("the same transfer has two IDs")
+	}
+}

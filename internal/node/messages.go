@@ -168,10 +168,17 @@ func (m *BlockGossip) DecodeFrom(d *wire.Decoder) {
 
 // ID covers the block hash, the proposal credentials, and the
 // recipient: the same body sent to two requesters is two transfers.
+// The body is hashed, not read off the announce: this runs before any
+// verification, and a forged body under a genuine announce must not
+// shadow the genuine transfer. Round and recipient are separate fields;
+// packed into one word, recipients from 65 536 up aliased other rounds.
 func (m *BlockGossip) ID() crypto.Digest {
 	h := m.M.Block.Hash()
 	p := m.M.Proposer()
-	return crypto.HashUint64("msg.block", m.M.Round()<<16|uint64(m.Recipient), h[:], p[:])
+	var buf [16]byte
+	binary.LittleEndian.PutUint64(buf[:8], m.M.Round())
+	binary.LittleEndian.PutUint64(buf[8:], uint64(m.Recipient))
+	return crypto.HashBytes("msg.block", buf[:], h[:], p[:])
 }
 
 // LimitKey: transfers are unicast, never relayed.

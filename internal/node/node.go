@@ -524,7 +524,7 @@ func (n *Node) handleMessage(from int, m network.Message) network.Verdict {
 		// Register it so the poller finds it; the hash it is stored
 		// under is computed from the contents, so a bogus fill cannot
 		// satisfy a request for a different block.
-		n.ledger.RegisterProposal(msg.Block)
+		n.ledger.RegisterProposal(msg.Block, msg.Block.Hash())
 		return network.Verdict{Relay: false}
 
 	case *CommitAnnounce:
@@ -544,13 +544,13 @@ func (n *Node) handleMessage(from int, m network.Message) network.Verdict {
 	return network.Verdict{}
 }
 
-// announceCommit tells direct neighbors this node just committed a
-// round (see Config.AnnounceCommits).
-func (n *Node) announceCommit(b *ledger.Block) {
+// announceCommit tells direct neighbors this node just committed the
+// block with hash h at a round (see Config.AnnounceCommits).
+func (n *Node) announceCommit(round uint64, h crypto.Digest) {
 	if !n.cfg.AnnounceCommits || n.halted {
 		return
 	}
-	n.net.Gossip(n.ID, &CommitAnnounce{Round: b.Round, Hash: b.Hash(), Announcer: n.ID})
+	n.net.Gossip(n.ID, &CommitAnnounce{Round: round, Hash: h, Announcer: n.ID})
 }
 
 func (n *Node) handleVote(msg *VoteMsg, cost crypto.CostModel) network.Verdict {
@@ -594,7 +594,7 @@ func (n *Node) handleVote(msg *VoteMsg, cost crypto.CostModel) network.Verdict {
 		// that position, someone is stuck on a fork: recovery evidence
 		// (§8.2 "users passively monitor all BA⋆ votes ... and keep
 		// track of all forks").
-		if prev, ok := n.ledger.BlockAt(v.Round - 1); ok && prev.Hash() != v.PrevHash {
+		if prev, ok := n.ledger.HashAt(v.Round - 1); ok && prev != v.PrevHash {
 			n.alienVotes++
 		}
 		return network.Verdict{Relay: false}
@@ -743,12 +743,13 @@ func (n *Node) handleBlock(msg *BlockGossip, cost crypto.CostModel) network.Verd
 			n.cfg.Params.TauProposer, ctx.Weights[m.Proposer()], ctx.TotalWeight) {
 			return network.Verdict{Relay: false, CPU: cost.VRFVerify}
 		}
-		h := m.Block.Hash()
+		// Verified: the announce's hash is the body's.
+		h := m.AnnouncedHash()
 		if _, have := n.blockMsgs[h]; have {
 			return network.Verdict{Relay: false}
 		}
 		n.storeBlockMsg(m)
-		n.ledger.RegisterProposal(m.Block)
+		n.ledger.RegisterProposal(m.Block, h)
 		n.propInbox(round).Send(blockprop.NewArrivalBlock(m))
 		if best, ok := n.bestPriority[round]; !ok || best.Less(m.Priority()) {
 			n.bestPriority[round] = m.Priority()
@@ -764,9 +765,10 @@ func (n *Node) handleBlock(msg *BlockGossip, cost crypto.CostModel) network.Verd
 	}
 }
 
-// storeBlockMsg remembers a block body (with credentials) for serving.
+// storeBlockMsg remembers a verified (or own) block body, with its
+// credentials, for serving.
 func (n *Node) storeBlockMsg(m *blockprop.BlockMsg) {
-	h := m.Block.Hash()
+	h := m.AnnouncedHash()
 	cp := *m
 	n.blockMsgs[h] = &cp
 	n.blockMsgRound[h] = m.Round()
@@ -989,7 +991,7 @@ func (n *Node) liveFork() bool {
 	headRound := n.ledger.NextRound() - 1
 	head := n.ledger.HeadHash()
 	for _, tip := range n.ledger.ForkTips() {
-		if tip.Round >= headRound && tip.Hash() != head {
+		if tip.Block.Round >= headRound && tip.Hash != head {
 			return true
 		}
 	}
@@ -1012,17 +1014,17 @@ func (n *Node) runRound() error {
 	stat.Equivocation = wres.Equivocation
 	stat.PriorityLearned = wres.BestPriorityAt
 
-	target := n.ledger.NextEmptyBlock()
+	target := ctx.EmptyHash
 	if wres.Block != nil {
 		if err := n.ledger.ValidateBlock(wres.Block, n.proc.Now()); err == nil {
-			target = wres.Block
+			target = wres.BlockHash
 		}
 	}
 	stat.ProposalDone = n.proc.Now()
 	n.tracer.Record(round, trace.PhasePropose, 0, stat.Start, stat.ProposalDone)
 
 	// --- Agreement (§7).
-	bres, err := agreement.RunWithoutFinal(n.env(round), ctx, target.Hash())
+	bres, err := agreement.RunWithoutFinal(n.env(round), ctx, target)
 	if err != nil {
 		n.setContext(nil)
 		return err
@@ -1051,7 +1053,7 @@ func (n *Node) finishRound(ctx *agreement.Context, bres agreement.BinaryResult, 
 
 	block := n.resolveBlock(ctx, bres.Value)
 	commitStart := n.tracer.WallNow()
-	if err := n.ledger.Commit(block, cert); err != nil {
+	if err := n.ledger.CommitHashed(block, bres.Value, cert); err != nil {
 		// Agreed on a block we cannot apply: treat like no-consensus so
 		// recovery reconciles us (should not happen in honest runs).
 		n.setContext(nil)
@@ -1061,7 +1063,7 @@ func (n *Node) finishRound(ctx *agreement.Context, bres agreement.BinaryResult, 
 	persistStart := n.tracer.WallNow()
 	n.persistPut(block, cert)
 	n.tracer.Record(round, trace.PhasePersist, 0, persistStart, n.tracer.WallNow())
-	n.announceCommit(block)
+	n.announceCommit(round, bres.Value)
 	n.flow.Committed(block, n.ledger.Balances())
 	stat.Empty = block.IsEmpty()
 	stat.Value = bres.Value
@@ -1097,7 +1099,7 @@ func (n *Node) finishRound(ctx *agreement.Context, bres agreement.BinaryResult, 
 		n.Stats[statIdx].Final = true
 		n.roundsFinal.Inc()
 		// Upgrade the ledger entry and the archive to final.
-		if err := n.ledger.Commit(block, final); err == nil {
+		if err := n.ledger.CommitHashed(block, bres.Value, final); err == nil {
 			n.persistPut(block, final)
 		}
 	})
@@ -1120,7 +1122,7 @@ func (n *Node) proposeIfSelected(ctx *agreement.Context) {
 		n.Misbehave(n, prop)
 		return
 	}
-	n.ledger.RegisterProposal(block)
+	n.ledger.RegisterProposal(block, prop.Block.AnnouncedHash())
 	n.bestPriority[ctx.Round] = prop.Priority.Priority
 	n.storeBlockMsg(&prop.Block)
 	// Gossip the small priority message first (§6), then announce the
@@ -1181,7 +1183,8 @@ func (n *Node) resolveBlock(ctx *agreement.Context, h crypto.Digest) *ledger.Blo
 		return b
 	}
 	if n.cfg.Fetch != nil {
-		if b, ok := n.cfg.Fetch(h); ok {
+		// The caller commits the result under h without hashing it again.
+		if b, ok := n.cfg.Fetch(h); ok && b.Hash() == h {
 			return b
 		}
 	}

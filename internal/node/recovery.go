@@ -84,12 +84,7 @@ func (n *Node) roundBudget() time.Duration {
 // Fresh proposers and committees per attempt: hash the seed each time
 // (§8.2, ledger.RecoverySeed).
 func (n *Node) recoveryContext(checkpoint, attempt uint64) *agreement.Context {
-	return n.recoveryContextAt(n.ledger.LastFinal(), checkpoint, attempt)
-}
-
-// recoveryContextAt is recoveryContext with an explicit base block.
-func (n *Node) recoveryContextAt(base *ledger.Block, checkpoint, attempt uint64) *agreement.Context {
-	baseHash := base.Hash()
+	base, baseHash := n.ledger.LastFinal(), n.ledger.LastFinalHash()
 	balances, ok := n.ledger.BalancesAt(baseHash)
 	if !ok {
 		return nil
@@ -130,12 +125,12 @@ func (n *Node) recoverOnce(checkpoint, attempt uint64) bool {
 
 	// Propose the longest fork we know: an empty block extending its tip.
 	tips := n.ledger.ForkTips()
-	longest := tips[0]
-	proposal := ledger.EmptyBlock(longest.Round+1, longest.Hash(), longest.Seed, longest.StateRoot)
+	longest := tips[0].Block
+	proposal := ledger.EmptyBlock(longest.Round+1, tips[0].Hash, longest.Seed, longest.StateRoot)
 	w := balances.Money[n.identity.PublicKey()]
 	if prop := blockprop.Propose(n.identity, sortition.RoleForkProposer, seed, recRound,
 		n.cfg.Params.TauProposer, w, balances.Total, proposal); prop != nil {
-		n.ledger.RegisterProposal(proposal)
+		n.ledger.RegisterProposal(proposal, prop.Block.AnnouncedHash())
 		n.storeBlockMsg(&prop.Block)
 		n.net.Gossip(n.ID, &PriorityGossip{M: prop.Priority})
 		n.net.Gossip(n.ID, &BlockAnnounce{M: prop.Priority, Announcer: n.ID})
@@ -154,20 +149,20 @@ func (n *Node) recoverOnce(checkpoint, attempt uint64) bool {
 	// its proposal, so following raw priority splits the committee's
 	// inputs between that proposal and the empty value.
 	value := ctx.EmptyHash
-	var bestBlk *ledger.Block
-	var bestPri sortition.Priority
-	for _, c := range cands {
+	var best *blockprop.Candidate
+	for i := range cands {
+		c := &cands[i]
 		if c.Block.Round < longest.Round+1 || !c.Block.IsEmpty() {
 			continue
 		}
-		if bestBlk == nil || c.Block.Round > bestBlk.Round ||
-			(c.Block.Round == bestBlk.Round && bestPri.Less(c.Priority)) {
-			bestBlk, bestPri = c.Block, c.Priority
+		if best == nil || c.Block.Round > best.Block.Round ||
+			(c.Block.Round == best.Block.Round && best.Priority.Less(c.Priority)) {
+			best = c
 		}
 	}
-	if bestBlk != nil {
-		n.ledger.RegisterProposal(bestBlk)
-		value = bestBlk.Hash()
+	if best != nil {
+		n.ledger.RegisterProposal(best.Block, best.Hash)
+		value = best.Hash
 	}
 
 	out, err := agreement.Run(n.env(recRound), ctx, value)
@@ -182,6 +177,7 @@ func (n *Node) recoverOnce(checkpoint, attempt uint64) bool {
 	fb, ok := n.ledger.BlockOfHash(out.Value)
 	if !ok && n.cfg.Fetch != nil {
 		fb, ok = n.cfg.Fetch(out.Value)
+		ok = ok && fb.Hash() == out.Value // adoptChain files it under that hash
 	}
 	if !ok {
 		return false
@@ -190,16 +186,14 @@ func (n *Node) recoverOnce(checkpoint, attempt uint64) bool {
 	if out.Final && out.FinalCert != nil {
 		cert = out.FinalCert
 	}
-	if !n.adoptChain(fb, cert) {
-		return false
-	}
-	return true
+	return n.adoptChain(fb, out.Value, cert)
 }
 
-// adoptChain commits b and any missing ancestors (fetched on demand),
-// then switches the canonical head to b, recording cert (the recovery
-// certificate, possibly nil) as b's proof.
-func (n *Node) adoptChain(b *ledger.Block, cert *ledger.Certificate) bool {
+// adoptChain commits b — the block the recovery agreed on, by its hash h
+// — and any missing ancestors (fetched on demand), then switches the
+// canonical head to b, recording cert (the recovery certificate,
+// possibly nil) as b's proof.
+func (n *Node) adoptChain(b *ledger.Block, h crypto.Digest, cert *ledger.Certificate) bool {
 	// Nothing at or below our last final block changes hands (§8.2: final
 	// blocks are fork-free); anything above it may be new to the head chain.
 	from := n.ledger.LastFinal().Round + 1
@@ -225,10 +219,10 @@ func (n *Node) adoptChain(b *ledger.Block, cert *ledger.Certificate) bool {
 	}
 	// Commit (or re-commit: the dup path attaches certificates to known
 	// entries) the adopted block with its recovery certificate.
-	if err := n.ledger.Commit(b, cert); err != nil {
+	if err := n.ledger.CommitHashed(b, h, cert); err != nil {
 		return false
 	}
-	if n.ledger.SwitchHead(b.Hash()) != nil {
+	if n.ledger.SwitchHead(h) != nil {
 		return false
 	}
 	// Reconcile the archive onto the adopted chain — any block this node
@@ -237,7 +231,7 @@ func (n *Node) adoptChain(b *ledger.Block, cert *ledger.Certificate) bool {
 	// of a live round gets.
 	for r := from; r <= b.Round; r++ {
 		if blk, ok := n.ledger.BlockAt(r); ok {
-			c, _ := n.ledger.Certificate(blk.Hash())
+			c, _ := n.ledger.CertificateAt(r)
 			n.persistReconcile(blk, c)
 			n.flow.Committed(blk, n.ledger.Balances())
 		}

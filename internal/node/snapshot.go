@@ -35,13 +35,14 @@ func (n *Node) maybeCheckpoint(b *ledger.Block, c *ledger.Certificate) {
 	if interval == 0 || b.Round == 0 || b.Round%interval != 0 {
 		return
 	}
-	if c == nil || c.Value != b.Hash() || c.Round >= ledger.RecoveryRoundBase {
+	// b was just committed, so the ledger has its hash at that round.
+	if h, ok := n.ledger.HashAt(b.Round); !ok || c == nil || c.Value != h || c.Round >= ledger.RecoveryRoundBase {
 		return
 	}
 	if n.checkpoint != nil && n.checkpoint.Round() >= b.Round {
 		return
 	}
-	bal, ok := n.ledger.BalancesAt(b.Hash())
+	bal, ok := n.ledger.BalancesAt(c.Value)
 	if !ok {
 		return
 	}

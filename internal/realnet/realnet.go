@@ -545,12 +545,7 @@ func (t *Transport) deliver(from int, m network.Message) {
 			return
 		}
 	}
-	for _, peer := range t.Neighbors(t.id) {
-		if peer == from {
-			continue
-		}
-		t.send(peer, m)
-	}
+	t.fanout(m, from)
 }
 
 // Gossip implements node.Transport.
@@ -562,9 +557,7 @@ func (t *Transport) Gossip(origin int, m network.Message) {
 			return cur + 1, true
 		})
 	}
-	for _, peer := range t.Neighbors(t.id) {
-		t.send(peer, m)
-	}
+	t.fanout(m, -1)
 }
 
 // Unicast implements node.Transport. The frame is queued under the
@@ -572,18 +565,36 @@ func (t *Transport) Gossip(origin int, m network.Message) {
 // redial instead of being dropped — a catch-up request to a rebooting
 // peer survives the outage (bounded by the queue's drop-oldest policy).
 func (t *Transport) Unicast(from, to int, m network.Message) {
-	t.send(to, m)
+	if f, ok := t.frameOf(m); ok {
+		t.enqueue(to, f)
+	}
 }
 
-// send encodes one frame and hands it to the peer's writer queue. It
-// never blocks and never touches a socket: safe from scheduler context.
-func (t *Transport) send(peer int, m network.Message) {
+// fanout sends m to every neighbor but skip. The frame is encoded once:
+// writers only read a queued payload, so the queues share it. Like
+// Unicast it only queues — no blocking, no socket: safe from scheduler
+// context.
+func (t *Transport) fanout(m network.Message, skip int) {
+	f, ok := t.frameOf(m)
+	if !ok {
+		return
+	}
+	for _, peer := range t.Neighbors(t.id) {
+		if peer != skip {
+			t.enqueue(peer, f)
+		}
+	}
+}
+
+// frameOf encodes m as a frame from this node, reporting a message that
+// has no wire form.
+func (t *Transport) frameOf(m network.Message) (frame, bool) {
 	tag, payload, err := encodeFrame(t.id, m)
 	if err != nil {
 		t.reportErr(err)
-		return
+		return frame{}, false
 	}
-	t.enqueue(peer, frame{tag: tag, payload: payload})
+	return frame{tag: tag, payload: payload}, true
 }
 
 // enqueue queues a frame for a peer, starting its writer on first use.

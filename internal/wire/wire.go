@@ -74,9 +74,16 @@ func (e *Encoder) Data() []byte { return e.buf }
 // Len returns how many bytes have been encoded.
 func (e *Encoder) Len() int { return len(e.buf) }
 
+// AppendUint64 is the codec's 64-bit integer in append form, for a
+// fixed-size preimage built in the caller's own (stack) buffer: what an
+// Encoder holds is on the heap, because it is written through a pointer.
+func AppendUint64(b []byte, v uint64) []byte {
+	return binary.LittleEndian.AppendUint64(b, v)
+}
+
 // Uint64 appends a little-endian 64-bit integer.
 func (e *Encoder) Uint64(v uint64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+	e.buf = AppendUint64(e.buf, v)
 }
 
 // Uint32 appends a little-endian 32-bit integer.
