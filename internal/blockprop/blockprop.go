@@ -19,9 +19,9 @@ import (
 // the proposed block (§6). At ~320 bytes it propagates quickly and lets
 // users discard lower-priority blocks without downloading them; it also
 // serves as the authenticated announcement that drives pull-based block
-// dissemination (a node fetches the block body from a peer that holds
-// it, as the inv/getdata scheme of Bitcoin's gossip, which the paper's
-// TCP prototype inherits, does).
+// dissemination (a node fetches the block body, piece by piece, from
+// the peers that hold it, as the inv/getdata scheme of Bitcoin's gossip,
+// which the paper's TCP prototype inherits, does).
 type PriorityMsg struct {
 	Proposer  crypto.PublicKey
 	Round     uint64
@@ -91,10 +91,12 @@ func (m *PriorityMsg) SigningBytes() []byte {
 	return e.Data()
 }
 
-// BlockMsg carries a full proposed block together with its announce
-// (the proposer's signed credentials, §6). The announce's Proposer and
-// Round identify the proposal even when the block itself is an empty
-// block (as §8.2 recovery proposals are).
+// BlockMsg is a full proposed block together with its announce (the
+// proposer's signed credentials, §6): what Propose builds, what the
+// fetcher assembles from a body's pieces and hands to the waiter. The
+// announce's Proposer and Round identify the proposal even when the
+// block itself is an empty block (as §8.2 recovery proposals are). On
+// the network a body travels as Pieces.
 type BlockMsg struct {
 	Block    *ledger.Block
 	Announce PriorityMsg
@@ -114,25 +116,6 @@ func (m *BlockMsg) Priority() sortition.Priority { return m.Announce.Priority }
 // Propose) it is the body's hash, which is how a verified proposal
 // carries its hash along instead of being encoded again at every stop.
 func (m *BlockMsg) AnnouncedHash() crypto.Digest { return m.Announce.BlockHash }
-
-// WireSize returns the message size (block plus credentials).
-func (m *BlockMsg) WireSize() int {
-	return m.Block.WireSize() + m.Announce.WireSize()
-}
-
-// EncodeTo implements wire.Marshaler: credentials first (small, fixed
-// offset), then the block body.
-func (m *BlockMsg) EncodeTo(e *wire.Encoder) {
-	m.Announce.EncodeTo(e)
-	m.Block.EncodeTo(e)
-}
-
-// DecodeFrom implements wire.Unmarshaler.
-func (m *BlockMsg) DecodeFrom(d *wire.Decoder) {
-	m.Announce.DecodeFrom(d)
-	m.Block = new(ledger.Block)
-	m.Block.DecodeFrom(d)
-}
 
 // Proposal is a block proposal this node has made.
 type Proposal struct {
@@ -326,7 +309,6 @@ func WaitOpts(
 	if !haveBest {
 		return WaitResult{}
 	}
-	_ = bestAt
 
 	// Phase 2: wait for the winning block.
 	for {

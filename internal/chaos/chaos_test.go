@@ -13,6 +13,7 @@ import (
 	"algorand/internal/crypto"
 	"algorand/internal/ledger"
 	"algorand/internal/sim"
+	"algorand/internal/trace"
 )
 
 var chaosSeed = flag.Int64("chaos.seed", 0, "replay one randomized chaos scenario by seed")
@@ -194,6 +195,41 @@ func TestChaosDirected(t *testing.T) {
 			},
 		},
 		{
+			// Conti et al.'s silence, per piece: three nodes advertise the
+			// pieces of 2 MB bodies and never serve one. A requester learns
+			// it only by waiting, and what that may cost is a piece's
+			// timeout: every honest node still assembles every winning body
+			// inside λ_block.
+			name: "piece-withholders",
+			s: Scenario{Seed: 118, Nodes: 16, Rounds: 5, BlockSize: 2 << 20, LambdaBlock: 20 * time.Second,
+				PieceWithholders: []int{2, 7, 11}},
+			post: func(t *testing.T, res *Result) {
+				requireBodiesAssembled(t, res)
+				if timedOut := fetchCounter(res, "timed_out"); timedOut == 0 {
+					t.Error("no piece request ever timed out; the withholders were never asked")
+				} else {
+					t.Logf("piece requests timed out and re-assigned: %d", timedOut)
+				}
+			},
+		},
+		{
+			// Three nodes answer piece requests with pieces the proposer
+			// never signed. The manifest check rejects every one, nothing
+			// forged is ever served onward (validate before relay, per
+			// piece), and the real pieces come from elsewhere in time.
+			name: "piece-forgers",
+			s: Scenario{Seed: 119, Nodes: 16, Rounds: 5, BlockSize: 2 << 20, LambdaBlock: 20 * time.Second,
+				PieceForgers: []int{3, 8, 12}},
+			post: func(t *testing.T, res *Result) {
+				requireBodiesAssembled(t, res)
+				if rejected := fetchCounter(res, "rejected"); rejected == 0 {
+					t.Error("no forged piece was ever rejected; the forgers were never asked")
+				} else {
+					t.Logf("forged pieces rejected: %d", rejected)
+				}
+			},
+		},
+		{
 			// Everything at once: equivocators, a partition, background
 			// loss, a DoS'd node, and a crash spanning the heal.
 			name: "kitchen-sink",
@@ -213,6 +249,56 @@ func TestChaosDirected(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fetchCounter sums one of the algorand_blockprop_pieces_* counters over
+// the honest nodes of a run.
+func fetchCounter(res *Result, which string) uint64 {
+	var total uint64
+	for i := range res.Cluster.Nodes {
+		if !res.Byzantine[i] {
+			total += uint64(res.Cluster.Registry(i).Snapshot()["algorand_blockprop_pieces_"+which+"_total"].Value)
+		}
+	}
+	return total
+}
+
+// requireBodiesAssembled demands that in every round that committed a
+// proposed block, every honest node other than its proposer assembled a
+// body from pieces within λ_block of starting the round (its tracer's
+// block_fetch span), and did not sit out the proposal wait.
+func requireBodiesAssembled(t *testing.T, res *Result) {
+	t.Helper()
+	lambdaBlock := res.CheckParams.LambdaBlock
+	proposed := 0
+	var slowest time.Duration
+	for i, n := range res.Cluster.Nodes {
+		if res.Byzantine[i] {
+			continue
+		}
+		for _, st := range n.Stats {
+			b, ok := n.Ledger().BlockAt(st.Round)
+			if st.Empty || !ok || b.Proposer == n.PublicKey() {
+				continue
+			}
+			proposed++
+			slowest = max(slowest, st.ProposalDone-st.Start)
+			assembled := false
+			for _, rt := range res.Cluster.Tracer(i).Rounds() {
+				for _, sp := range rt.Spans {
+					assembled = assembled || rt.Round == st.Round && sp.Phase == trace.PhaseBlockFetch && sp.End <= st.Start+lambdaBlock
+				}
+			}
+			if !assembled || st.ProposalDone-st.Start >= lambdaBlock {
+				t.Errorf("node %d round %d: winning body not assembled within λ_block (proposal wait %v)",
+					i, st.Round, st.ProposalDone-st.Start)
+			}
+		}
+	}
+	if proposed == 0 {
+		t.Error("no round committed a proposed block; nothing was disseminated")
+	}
+	t.Logf("%d bodies assembled; longest proposal wait %v of λ_block %v", proposed, slowest, lambdaBlock)
 }
 
 // TestChaosPartitionForks is the §8.2 scenario: with the ordinary-step

@@ -91,6 +91,12 @@ func RunWith(s Scenario, preStart func(c *sim.Cluster)) *Result {
 	cfg.Params.LambdaStep = 2 * time.Second
 	cfg.Params.MaxSteps = 8
 	cfg.Params.BlockSize = 4096
+	if s.BlockSize > 0 {
+		cfg.Params.BlockSize = s.BlockSize
+	}
+	if s.LambdaBlock > 0 {
+		cfg.Params.LambdaBlock = s.LambdaBlock
+	}
 	cfg.RecoveryInterval = recoveryInterval
 	cfg.Seed = s.Seed
 	cfg.CheckpointInterval = s.Checkpoint
@@ -169,6 +175,12 @@ func RunWith(s Scenario, preStart func(c *sim.Cluster)) *Result {
 		}
 		res.Grind = c.MakeGrindingProposers(s.Grinders, s.GrindHoldBack)
 	}
+
+	for _, i := range append(append([]int(nil), s.PieceWithholders...), s.PieceForgers...) {
+		res.Byzantine[i] = true
+	}
+	c.MakePieceWithholders(s.PieceWithholders)
+	c.MakePieceForgers(s.PieceForgers)
 
 	for _, p := range s.Partitions {
 		p := p

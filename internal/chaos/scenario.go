@@ -119,6 +119,18 @@ type Scenario struct {
 	// publish (landing it at the edge of peers' λ_priority windows).
 	GrindHoldBack time.Duration
 
+	// PieceWithholders lists nodes that advertise the block pieces they
+	// hold like anyone else and never serve one: Conti et al.'s silence,
+	// per piece. PieceForgers answer every piece request with a piece of
+	// their own making. Both otherwise follow the protocol. BlockSize (0:
+	// the harness's 4 KB, one piece) sizes the proposed bodies so there
+	// are pieces to withhold, and LambdaBlock (0: 5 s) leaves room for
+	// the per-piece timeout inside the proposal wait.
+	PieceWithholders []int
+	PieceForgers     []int
+	BlockSize        int
+	LambdaBlock      time.Duration
+
 	Partitions []PartitionFault
 	LinkFaults []LinkFault
 	Crashes    []CrashFault
@@ -339,6 +351,12 @@ func (s *Scenario) String() string {
 	}
 	if len(s.Grinders) > 0 {
 		fmt.Fprintf(&b, " grinders=%v holdback=%v", s.Grinders, s.GrindHoldBack)
+	}
+	if len(s.PieceWithholders)+len(s.PieceForgers) > 0 {
+		fmt.Fprintf(&b, " withholders=%v forgers=%v", s.PieceWithholders, s.PieceForgers)
+	}
+	if s.BlockSize > 0 {
+		fmt.Fprintf(&b, " blocksize=%d lambdablock=%v", s.BlockSize, s.LambdaBlock)
 	}
 	for _, p := range s.Partitions {
 		fmt.Fprintf(&b, " split[%v,%v)cut=%d", p.Start, p.End, p.Cut)

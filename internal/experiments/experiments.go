@@ -144,10 +144,11 @@ func Figure7(scale Scale, blockSizes []int) []Fig7Point {
 	return out
 }
 
-// DefaultFigure7Sizes mirrors the paper's x axis, scaled down one step
-// at the top (10 MB blocks work but take longer to simulate).
+// DefaultFigure7Sizes mirrors the paper's x axis (256 KB to 10 MB) and
+// adds one size above it: with bodies pulled in pieces from many holders
+// proposal time only leaves the λ_priority+λ_stepvar floor near the top.
 func DefaultFigure7Sizes() []int {
-	return []int{256 << 10, 512 << 10, 1 << 20, 2 << 20, 4 << 20}
+	return []int{256 << 10, 512 << 10, 1 << 20, 2 << 20, 4 << 20, 10 << 20, 16 << 20}
 }
 
 // --- Figure 8: malicious users --------------------------------------------

@@ -150,8 +150,8 @@ type endpoint struct {
 	// consult both, inserts go to the current, and rotation (driven by
 	// Config.SeenTTL) drops the old generation — giving every entry a
 	// lifetime between one and two TTLs.
-	seen      map[crypto.Digest]bool
-	seenOld   map[crypto.Digest]bool
+	seen      map[seenKey]bool
+	seenOld   map[seenKey]bool
 	limitSeen map[string]int
 	limitOld  map[string]int
 	cpuFree   time.Duration
@@ -277,7 +277,7 @@ func New(sim *vtime.Sim, cfg Config, n int) *Network {
 		ep := &endpoint{
 			id:        i,
 			city:      i % NumCities,
-			seen:      make(map[crypto.Digest]bool),
+			seen:      make(map[seenKey]bool),
 			limitSeen: make(map[string]int),
 		}
 		if cfg.ProcsPerVM > 1 {
@@ -511,7 +511,7 @@ func (nw *Network) City(id int) int { return nw.eps[id].city }
 
 // sawID reports whether the endpoint already processed the message, in
 // either cache generation.
-func (ep *endpoint) sawID(id crypto.Digest) bool {
+func (ep *endpoint) sawID(id seenKey) bool {
 	return ep.seen[id] || ep.seenOld[id]
 }
 
@@ -532,7 +532,7 @@ func (nw *Network) maybeRotate() {
 	if now := nw.sim.Now(); now-nw.lastRotate >= ttl {
 		nw.lastRotate = now
 		for _, ep := range nw.eps {
-			ep.seenOld, ep.seen = ep.seen, make(map[crypto.Digest]bool)
+			ep.seenOld, ep.seen = ep.seen, make(map[seenKey]bool)
 			ep.limitOld, ep.limitSeen = ep.limitSeen, make(map[string]int)
 		}
 	}
@@ -544,12 +544,20 @@ func (nw *Network) maybeRotate() {
 // every hop and every duplicate delivery used to ask again.
 type envelope struct {
 	m    Message
-	id   crypto.Digest
+	id   seenKey
 	size int
 }
 
+// seenKey is what the duplicate-suppression caches keep of a message ID:
+// its leading 128 bits. Every endpoint remembers every message it was
+// delivered for one to two SeenTTLs, which at a round every 11 s is
+// hundreds of thousands of entries a deployment; half a digest is half
+// of that memory, and still nothing two honest messages will share.
+type seenKey [16]byte
+
 func seal(m Message) *envelope {
-	return &envelope{m: m, id: m.ID(), size: m.WireSize()}
+	id := m.ID()
+	return &envelope{m: m, id: seenKey(id[:]), size: m.WireSize()}
 }
 
 // Gossip injects a message originated by node origin: it is sent to all
@@ -727,7 +735,7 @@ func (nw *Network) TotalLimbo() int64 { return int64(nw.totalLimbo.Load()) }
 // forced version of what SeenTTL rotation does gradually.
 func (nw *Network) ResetSeen() {
 	for _, ep := range nw.eps {
-		ep.seen = make(map[crypto.Digest]bool)
+		ep.seen = make(map[seenKey]bool)
 		ep.seenOld = nil
 		ep.limitSeen = make(map[string]int)
 		ep.limitOld = nil

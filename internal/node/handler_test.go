@@ -133,6 +133,21 @@ func TestHandlerVoteVerdicts(t *testing.T) {
 	}
 }
 
+// holder makes node idx of the rig a scripted complete holder of prop's
+// body: it answers piece requests from the pieces Split cut, and counts
+// them.
+func (r *handlerRig) holder(idx int, prop *blockprop.Proposal, requests *int) *BlockAnnounce {
+	m, pieces := blockprop.Split(r.ids[idx], &prop.Block)
+	r.net.SetHandler(idx, network.HandlerFunc(func(from int, msg network.Message) network.Verdict {
+		if req, ok := msg.(*PieceRequest); ok {
+			*requests++
+			r.net.Unicast(idx, req.Requester, &BlockPiece{P: pieces[req.Index], Recipient: req.Requester, Nonce: req.Nonce})
+		}
+		return network.Verdict{}
+	}))
+	return &BlockAnnounce{Manifest: *m, Announcer: idx}
+}
+
 func TestHandlerAnnounceTriggersFetch(t *testing.T) {
 	r := newHandlerRig(t, 5)
 	prop := r.makeProposal(t, 1)
@@ -140,24 +155,24 @@ func TestHandlerAnnounceTriggersFetch(t *testing.T) {
 	// Node 1 holds the block; its announce should make node 0 request it
 	// and, once the transfer arrives, re-announce.
 	requests := 0
-	transfers := 0
-	r.net.SetHandler(1, network.HandlerFunc(func(from int, m network.Message) network.Verdict {
-		if req, ok := m.(*BlockRequest); ok {
-			requests++
-			r.net.Unicast(1, req.Requester, &BlockGossip{M: prop.Block, Recipient: req.Requester})
+	announce := r.holder(1, prop, &requests)
+	// Count announces reaching node 0's other neighbours (the re-announce).
+	reannounced, others := 0, 0
+	for _, nb := range r.net.Neighbors(0) {
+		if nb == 1 {
+			continue
 		}
-		return network.Verdict{}
-	}))
-	// Count announces reaching node 2 from node 0 (the re-announce).
-	r.net.SetHandler(2, network.HandlerFunc(func(from int, m network.Message) network.Verdict {
-		if _, ok := m.(*BlockAnnounce); ok && from == 0 {
-			transfers++
-		}
-		return network.Verdict{}
-	}))
+		others++
+		r.net.SetHandler(nb, network.HandlerFunc(func(from int, m network.Message) network.Verdict {
+			if a, ok := m.(*BlockAnnounce); ok && from == 0 && a.Have == nil {
+				reannounced++
+			}
+			return network.Verdict{}
+		}))
+	}
 
 	r.sim.Spawn("driver", func(p *vtime.Proc) {
-		r.net.Unicast(1, 0, &BlockAnnounce{M: prop.Priority, Announcer: 1})
+		r.net.Unicast(1, 0, announce)
 		p.Sleep(10 * time.Second)
 	})
 	r.sim.Run(time.Minute)
@@ -165,28 +180,30 @@ func TestHandlerAnnounceTriggersFetch(t *testing.T) {
 	if requests != 1 {
 		t.Fatalf("announcer served %d requests, want 1", requests)
 	}
-	if _, have := r.node.blockMsgs[prop.Block.Block.Hash()]; !have {
-		t.Fatal("block body not stored after transfer")
+	h := prop.Block.Block.Hash()
+	if _, ok := r.node.fetch.Piece(h, 0); !ok {
+		t.Fatal("block body not held after transfer")
 	}
-	if _, ok := r.node.Ledger().BlockOfHash(prop.Block.Block.Hash()); !ok {
+	if _, ok := r.node.Ledger().BlockOfHash(h); !ok {
 		t.Fatal("block not registered as proposal")
+	}
+	if r.node.propInbox(1).Len() != 2 {
+		t.Fatalf("waiter saw %d arrivals, want the priority and the block", r.node.propInbox(1).Len())
+	}
+	if others == 0 || reannounced != others {
+		t.Fatalf("node 0 announced the whole body %d times to its %d other neighbours, want once each", reannounced, others)
 	}
 }
 
 func TestHandlerDoesNotRefetchHeldBlock(t *testing.T) {
 	r := newHandlerRig(t, 5)
 	prop := r.makeProposal(t, 1)
-	r.node.storeBlockMsg(&prop.Block)
+	r.node.HoldProposal(&prop.Block)
 
 	requests := 0
-	r.net.SetHandler(1, network.HandlerFunc(func(from int, m network.Message) network.Verdict {
-		if _, ok := m.(*BlockRequest); ok {
-			requests++
-		}
-		return network.Verdict{}
-	}))
+	announce := r.holder(1, prop, &requests)
 	r.sim.Spawn("driver", func(p *vtime.Proc) {
-		r.net.Unicast(1, 0, &BlockAnnounce{M: prop.Priority, Announcer: 1})
+		r.net.Unicast(1, 0, announce)
 		p.Sleep(5 * time.Second)
 	})
 	r.sim.Run(time.Minute)
@@ -195,25 +212,28 @@ func TestHandlerDoesNotRefetchHeldBlock(t *testing.T) {
 	}
 }
 
-func TestHandlerServesBlockRequests(t *testing.T) {
+func TestHandlerServesPieceRequests(t *testing.T) {
 	r := newHandlerRig(t, 5)
 	prop := r.makeProposal(t, 1)
-	r.node.storeBlockMsg(&prop.Block)
+	r.node.HoldProposal(&prop.Block)
+	h := prop.Block.Block.Hash()
 
 	served := 0
 	r.net.SetHandler(3, network.HandlerFunc(func(from int, m network.Message) network.Verdict {
-		if bg, ok := m.(*BlockGossip); ok {
-			if bg.M.Block.Hash() != prop.Block.Block.Hash() {
-				t.Error("served wrong block")
+		if bp, ok := m.(*BlockPiece); ok {
+			if bp.P.BlockHash() != h || bp.P.Index() != 0 || bp.Nonce != 1 {
+				t.Error("served the wrong piece")
 			}
 			served++
 		}
 		return network.Verdict{}
 	}))
 	r.sim.Spawn("driver", func(p *vtime.Proc) {
-		r.net.Unicast(3, 0, &BlockRequest{Hash: prop.Block.Block.Hash(), Requester: 3, Nonce: 1})
-		// Requests for unknown blocks are ignored.
-		r.net.Unicast(3, 0, &BlockRequest{Hash: crypto.Digest{42}, Requester: 3, Nonce: 2})
+		r.net.Unicast(3, 0, &PieceRequest{Hash: h, Index: 0, Requester: 3, Nonce: 1})
+		// Requests for unknown blocks and for pieces the body does not
+		// have are ignored.
+		r.net.Unicast(3, 0, &PieceRequest{Hash: crypto.Digest{42}, Index: 0, Requester: 3, Nonce: 2})
+		r.net.Unicast(3, 0, &PieceRequest{Hash: h, Index: 7, Requester: 3, Nonce: 3})
 		p.Sleep(5 * time.Second)
 	})
 	r.sim.Run(time.Minute)
@@ -350,32 +370,32 @@ func TestAllocBudgetStragglerVote(t *testing.T) {
 	}
 }
 
-// TestBlockGossipIDSeparatesRoundAndRecipient: with round and recipient
-// packed into one word (round<<16 | recipient), a recipient from 65 536
-// up spilled into the round's bits: round 2's block to recipient 65 543
-// had the ID of round 3's to recipient 7 (and round 1's to 65 543 that of
-// round 1's to 7), and the second to arrive was dropped as a duplicate.
-func TestBlockGossipIDSeparatesRoundAndRecipient(t *testing.T) {
+// TestBlockPieceIDSeparatesTransfers: the duplicate suppression sees a
+// piece sent to two requesters, or twice to one, or two pieces of one
+// body, or a forged piece under a genuine transfer's coordinates, as
+// different messages, and the same transfer as one.
+func TestBlockPieceIDSeparatesTransfers(t *testing.T) {
 	r := newHandlerRig(t, 5)
 	prop := r.makeProposal(t, 1)
-	transfer := func(round uint64, recipient int) *BlockGossip {
-		m := prop.Block
-		m.Announce.Round = round
-		return &BlockGossip{M: m, Recipient: recipient}
+	prop.Block.Block.PayloadPadding = 3 * blockprop.PieceSize
+	_, pieces := blockprop.Split(r.ids[1], &prop.Block)
+	forged := blockprop.NewPiece(pieces[1].BlockHash(), 1, len(pieces), nil, nil, nil, pieces[1].Padding()-1)
+	transfer := func(p *blockprop.Piece, recipient int, nonce uint64) *BlockPiece {
+		return &BlockPiece{P: p, Recipient: recipient, Nonce: nonce}
 	}
-	pairs := [][2]*BlockGossip{
-		{transfer(2, 1<<16+7), transfer(3, 7)},
-		{transfer(1, 1<<16+7), transfer(1, 7)},
-		{transfer(1, 7), transfer(1, 8)},
-		{transfer(1, 7), transfer(2, 7)},
+	pairs := [][2]*BlockPiece{
+		{transfer(pieces[1], 7, 1), transfer(pieces[1], 8, 1)},
+		{transfer(pieces[1], 7, 1), transfer(pieces[1], 7, 2)},
+		{transfer(pieces[1], 7, 1), transfer(pieces[2], 7, 1)},
+		{transfer(pieces[1], 7, 1), transfer(forged, 7, 1)},
+		{transfer(pieces[1], 1<<16+7, 2), transfer(pieces[1], 7, 3)},
 	}
-	for _, p := range pairs {
+	for i, p := range pairs {
 		if p[0].ID() == p[1].ID() {
-			t.Errorf("round %d to recipient %d and round %d to recipient %d share a dedup key",
-				p[0].M.Round(), p[0].Recipient, p[1].M.Round(), p[1].Recipient)
+			t.Errorf("pair %d shares a dedup key", i)
 		}
 	}
-	if transfer(2, 1<<16+7).ID() != transfer(2, 1<<16+7).ID() {
+	if transfer(pieces[1], 7, 1).ID() != transfer(pieces[1], 7, 1).ID() {
 		t.Fatal("the same transfer has two IDs")
 	}
 }

@@ -71,42 +71,92 @@ func (m *PriorityGossip) LimitKey() string {
 // evidence (§10.4) reaches everyone even under the §8.4 relay limit.
 func (m *PriorityGossip) RelayLimit() int { return 2 }
 
-// BlockAnnounce tells neighbors "I hold this block" — the inv of the
-// pull-based block dissemination. Announcer is transport metadata (whom
-// to request from); the signed core is the proposer's PriorityMsg.
+// BlockAnnounce tells neighbors "I hold this block, or part of it" — the
+// inv of the pull-based block dissemination. Announcer is transport
+// metadata (whom to request from); the signed core is the proposer's
+// manifest: its PriorityMsg and, for a body of several pieces, the
+// digest of each. Have lists the pieces the announcer holds, nil
+// meaning all of them.
 type BlockAnnounce struct {
-	M         blockprop.PriorityMsg
+	Manifest  blockprop.Manifest
 	Announcer int
+	Have      blockprop.Bitmap
 }
 
 // WireSize implements network.Message.
-func (m *BlockAnnounce) WireSize() int { return m.M.WireSize() + 4 }
+func (m *BlockAnnounce) WireSize() int { return m.Manifest.WireSize() + 4 + m.Have.WireSize() }
 
 // EncodeTo implements wire.Marshaler.
 func (m *BlockAnnounce) EncodeTo(e *wire.Encoder) {
-	m.M.EncodeTo(e)
+	m.Manifest.EncodeTo(e)
 	e.Int(m.Announcer)
+	m.Have.EncodeTo(e)
 }
 
 // DecodeFrom implements wire.Unmarshaler.
 func (m *BlockAnnounce) DecodeFrom(d *wire.Decoder) {
-	m.M.DecodeFrom(d)
+	m.Manifest.DecodeFrom(d)
 	m.Announcer = d.Int()
+	m.Have = blockprop.DecodeBitmap(d)
 }
 
 // ID covers the announcer: each holder announces once.
 func (m *BlockAnnounce) ID() crypto.Digest {
+	a := &m.Manifest.Announce
 	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[:8], m.M.Round)
+	binary.LittleEndian.PutUint64(buf[:8], a.Round)
 	binary.LittleEndian.PutUint64(buf[8:], uint64(m.Announcer))
-	return crypto.HashBytes("msg.announce", m.M.Proposer[:], buf[:], m.M.BlockHash[:])
+	return crypto.HashBytes("msg.announce", a.Proposer[:], buf[:], a.BlockHash[:])
 }
 
 // LimitKey: announcements are never relayed (each holder gossips its
 // own), so no limit is needed.
 func (m *BlockAnnounce) LimitKey() string { return "" }
 
-// BlockRequest asks an announcer for a block body (the getdata).
+// BlockHave updates a BlockAnnounce: the announcer now holds these
+// pieces of the body (nil: all of them). Advertisements only grow, so
+// the receiver merges them and a lost or re-ordered one costs nothing.
+type BlockHave struct {
+	Round     uint64
+	Hash      crypto.Digest
+	Announcer int
+	Have      blockprop.Bitmap
+}
+
+// WireSize implements network.Message.
+func (m *BlockHave) WireSize() int { return 8 + 32 + 4 + m.Have.WireSize() }
+
+// EncodeTo implements wire.Marshaler.
+func (m *BlockHave) EncodeTo(e *wire.Encoder) {
+	e.Uint64(m.Round)
+	e.Fixed(m.Hash[:])
+	e.Int(m.Announcer)
+	m.Have.EncodeTo(e)
+}
+
+// DecodeFrom implements wire.Unmarshaler.
+func (m *BlockHave) DecodeFrom(d *wire.Decoder) {
+	m.Round = d.Uint64()
+	d.Fixed(m.Hash[:])
+	m.Announcer = d.Int()
+	m.Have = blockprop.DecodeBitmap(d)
+}
+
+// ID covers the announcer and what it advertises.
+func (m *BlockHave) ID() crypto.Digest {
+	buf := make([]byte, 0, 64)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Announcer))
+	for _, w := range m.Have {
+		buf = binary.LittleEndian.AppendUint64(buf, w)
+	}
+	return crypto.HashBytes("msg.have", m.Hash[:], buf)
+}
+
+// LimitKey: advertisements are never relayed.
+func (m *BlockHave) LimitKey() string { return "" }
+
+// BlockRequest asks a peer for a committed block's body whole (answered
+// with a BlockFill): the §7.1 "obtain it from other users" fallback.
 type BlockRequest struct {
 	Hash      crypto.Digest
 	Requester int
@@ -141,48 +191,90 @@ func (m *BlockRequest) ID() crypto.Digest {
 // LimitKey: requests are unicast, never relayed.
 func (m *BlockRequest) LimitKey() string { return "" }
 
-// BlockGossip carries a full block body, sent unicast in response to a
-// BlockRequest. It is never relayed; dissemination happens through the
-// announce/request cycle.
-type BlockGossip struct {
-	M blockprop.BlockMsg
-	// Recipient disambiguates transfers of the same block to different
-	// requesters for duplicate suppression.
-	Recipient int
+// PieceRequest asks a holder for one piece of a proposed body (the
+// getdata of the pull-based dissemination).
+type PieceRequest struct {
+	Hash      crypto.Digest
+	Index     int
+	Requester int
+	Nonce     uint64
 }
 
 // WireSize implements network.Message.
-func (m *BlockGossip) WireSize() int { return m.M.WireSize() + 4 }
+func (m *PieceRequest) WireSize() int { return 32 + 4 + 4 + 8 }
 
 // EncodeTo implements wire.Marshaler.
-func (m *BlockGossip) EncodeTo(e *wire.Encoder) {
-	m.M.EncodeTo(e)
-	e.Int(m.Recipient)
+func (m *PieceRequest) EncodeTo(e *wire.Encoder) {
+	e.Fixed(m.Hash[:])
+	e.Int(m.Index)
+	e.Int(m.Requester)
+	e.Uint64(m.Nonce)
 }
 
 // DecodeFrom implements wire.Unmarshaler.
-func (m *BlockGossip) DecodeFrom(d *wire.Decoder) {
-	m.M.DecodeFrom(d)
-	m.Recipient = d.Int()
+func (m *PieceRequest) DecodeFrom(d *wire.Decoder) {
+	d.Fixed(m.Hash[:])
+	m.Index = d.Int()
+	m.Requester = d.Int()
+	m.Nonce = d.Uint64()
 }
 
-// ID covers the block hash, the proposal credentials, and the
-// recipient: the same body sent to two requesters is two transfers.
-// The body is hashed, not read off the announce: this runs before any
-// verification, and a forged body under a genuine announce must not
-// shadow the genuine transfer. Round and recipient are separate fields;
-// packed into one word, recipients from 65 536 up aliased other rounds.
-func (m *BlockGossip) ID() crypto.Digest {
-	h := m.M.Block.Hash()
-	p := m.M.Proposer()
+// ID is unique per request.
+func (m *PieceRequest) ID() crypto.Digest {
+	var buf [24]byte
+	binary.LittleEndian.PutUint64(buf[:8], uint64(m.Index))
+	binary.LittleEndian.PutUint64(buf[8:16], uint64(m.Requester))
+	binary.LittleEndian.PutUint64(buf[16:], m.Nonce)
+	return crypto.HashBytes("msg.piecereq", m.Hash[:], buf[:])
+}
+
+// LimitKey: requests are unicast, never relayed.
+func (m *PieceRequest) LimitKey() string { return "" }
+
+// BlockPiece carries one piece of a proposed body, sent unicast in
+// answer to a PieceRequest. It is never relayed; dissemination happens
+// through the announce/request cycle.
+type BlockPiece struct {
+	P *blockprop.Piece
+	// Recipient and Nonce echo the request, so the same piece sent to two
+	// requesters, or twice to one, is as many transfers to the duplicate
+	// suppression.
+	Recipient int
+	Nonce     uint64
+}
+
+// WireSize implements network.Message.
+func (m *BlockPiece) WireSize() int { return m.P.WireSize() + 4 + 8 }
+
+// EncodeTo implements wire.Marshaler.
+func (m *BlockPiece) EncodeTo(e *wire.Encoder) {
+	m.P.EncodeTo(e)
+	e.Int(m.Recipient)
+	e.Uint64(m.Nonce)
+}
+
+// DecodeFrom implements wire.Unmarshaler.
+func (m *BlockPiece) DecodeFrom(d *wire.Decoder) {
+	m.P = new(blockprop.Piece)
+	m.P.DecodeFrom(d)
+	m.Recipient = d.Int()
+	m.Nonce = d.Uint64()
+}
+
+// ID covers the piece's contents, not just its place: this runs before
+// any verification, and a forged piece under a genuine request's
+// coordinates must not shadow the genuine transfer. The digest is the
+// one the manifest check needs anyway, computed once per piece.
+func (m *BlockPiece) ID() crypto.Digest {
+	h := m.P.Digest()
 	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[:8], m.M.Round())
-	binary.LittleEndian.PutUint64(buf[8:], uint64(m.Recipient))
-	return crypto.HashBytes("msg.block", buf[:], h[:], p[:])
+	binary.LittleEndian.PutUint64(buf[:8], uint64(m.Recipient))
+	binary.LittleEndian.PutUint64(buf[8:], m.Nonce)
+	return crypto.HashBytes("msg.piece", buf[:], h[:])
 }
 
 // LimitKey: transfers are unicast, never relayed.
-func (m *BlockGossip) LimitKey() string { return "" }
+func (m *BlockPiece) LimitKey() string { return "" }
 
 // TxMsg carries a payment submitted by a user (Figure 1).
 type TxMsg struct {
@@ -285,10 +377,10 @@ func (m *TxBatch) ID() crypto.Digest {
 // relay limit applies.
 func (m *TxBatch) LimitKey() string { return "" }
 
-// BlockFill is a bare committed-block body answering a resolveBlock
-// fallback request (§7.1 "obtain it from other users"); unlike
-// BlockGossip it carries no proposal credentials — the requester
-// already knows the agreed hash and validates against it.
+// BlockFill is a bare committed-block body answering a BlockRequest
+// (§7.1 "obtain it from other users"); unlike a proposal's pieces it
+// carries no credentials — the requester already knows the agreed hash
+// and validates against it.
 type BlockFill struct {
 	Block     *ledger.Block
 	Recipient int
@@ -567,7 +659,7 @@ const (
 	TagPriority
 	TagBlockAnnounce
 	TagBlockRequest
-	TagBlockGossip
+	_ // 5 was BlockGossip, a whole proposed body in one message
 	TagTx
 	TagBlockFill
 	TagChainRequest
@@ -576,6 +668,9 @@ const (
 	TagCommitAnnounce
 	TagSnapshotRequest
 	TagSnapshotReply
+	TagPieceRequest
+	TagBlockPiece
+	TagBlockHave
 )
 
 // wireMessage is the constraint every gossip message satisfies: the
@@ -597,8 +692,6 @@ func MessageTag(m network.Message) (byte, bool) {
 		return TagBlockAnnounce, true
 	case *BlockRequest:
 		return TagBlockRequest, true
-	case *BlockGossip:
-		return TagBlockGossip, true
 	case *TxMsg:
 		return TagTx, true
 	case *BlockFill:
@@ -615,6 +708,12 @@ func MessageTag(m network.Message) (byte, bool) {
 		return TagSnapshotRequest, true
 	case *SnapshotReply:
 		return TagSnapshotReply, true
+	case *PieceRequest:
+		return TagPieceRequest, true
+	case *BlockPiece:
+		return TagBlockPiece, true
+	case *BlockHave:
+		return TagBlockHave, true
 	}
 	return 0, false
 }
@@ -631,8 +730,6 @@ func NewMessage(tag byte) network.Message {
 		return new(BlockAnnounce)
 	case TagBlockRequest:
 		return new(BlockRequest)
-	case TagBlockGossip:
-		return new(BlockGossip)
 	case TagTx:
 		return new(TxMsg)
 	case TagBlockFill:
@@ -649,6 +746,12 @@ func NewMessage(tag byte) network.Message {
 		return new(SnapshotRequest)
 	case TagSnapshotReply:
 		return new(SnapshotReply)
+	case TagPieceRequest:
+		return new(PieceRequest)
+	case TagBlockPiece:
+		return new(BlockPiece)
+	case TagBlockHave:
+		return new(BlockHave)
 	}
 	return nil
 }

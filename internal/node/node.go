@@ -201,16 +201,18 @@ type Node struct {
 	// Messages for the next round, buffered until we get there.
 	pendingMsgs map[uint64][]network.Message
 
-	// bestPriority tracks the best proposal priority seen per round, for
-	// the §6 relay filter.
-	bestPriority map[uint64]sortition.Priority
-
-	// blockMsgs holds block bodies (with credentials) we can serve to
-	// requesters, keyed by block hash; blockMsgRound drives GC.
-	blockMsgs     map[crypto.Digest]*blockprop.BlockMsg
-	blockMsgRound map[crypto.Digest]uint64
-	// requestedAt tracks outstanding block fetches for retry control.
-	requestedAt map[crypto.Digest]time.Duration
+	// fetch is the block dissemination state (§6): the bodies announced
+	// this round, the pieces of them held (and served to whoever asks),
+	// requested and missing, and the best proposal priority seen, which
+	// is also the §6 relay filter's. fetchTimer says a timeout check is
+	// scheduled for the requests in flight.
+	fetch      *blockprop.Fetcher
+	fetchTimer bool
+	// seedHash/seedLeft drive the first pass over a body this node
+	// proposed (see seed): how many pieces of its stripe each neighbour
+	// has yet to ask for.
+	seedHash crypto.Digest
+	seedLeft map[int]int
 	// reqNonce numbers this node's unicast requests. It starts at the
 	// scheduler's epoch, not at zero: a replacement for a crashed node
 	// would otherwise repeat its predecessor's (round, requester, nonce)
@@ -339,10 +341,7 @@ func New(
 		voteInboxes:     make(map[[2]uint64]*vtime.Mailbox),
 		propInboxes:     make(map[uint64]*vtime.Mailbox),
 		pendingMsgs:     make(map[uint64][]network.Message),
-		bestPriority:    make(map[uint64]sortition.Priority),
-		blockMsgs:       make(map[crypto.Digest]*blockprop.BlockMsg),
-		blockMsgRound:   make(map[crypto.Digest]uint64),
-		requestedAt:     make(map[crypto.Digest]time.Duration),
+		fetch:           blockprop.NewFetcher(id, blockprop.NewFetchMetrics(cfg.Metrics)),
 		finalCtxs:       make(map[uint64]*agreement.Context),
 		reqNonce:        sim.Epoch(),
 		archive:         cfg.Archive,
@@ -502,13 +501,29 @@ func (n *Node) handleMessage(from int, m network.Message) network.Verdict {
 		return n.handlePriority(msg, cost)
 
 	case *BlockAnnounce:
-		return n.handleAnnounce(msg, cost)
+		return n.handleAnnounce(from, msg, cost)
+
+	case *BlockHave:
+		return n.handleHave(from, msg)
+
+	case *PieceRequest:
+		if p, ok := n.fetch.Piece(msg.Hash, msg.Index); ok {
+			n.net.Unicast(n.ID, msg.Requester, &BlockPiece{P: p, Recipient: msg.Requester, Nonce: msg.Nonce})
+			n.seeded(msg)
+		}
+		return network.Verdict{Relay: false}
+
+	case *BlockPiece:
+		return n.handlePiece(from, msg, cost)
 
 	case *BlockRequest:
-		return n.handleBlockRequest(msg)
-
-	case *BlockGossip:
-		return n.handleBlock(msg, cost)
+		// §7.1 "obtain it from other users": any block we know, whole and
+		// without credentials — the requester validates it against the
+		// hash it asked for.
+		if b, ok := n.ledger.BlockOfHash(msg.Hash); ok {
+			n.net.Unicast(n.ID, msg.Requester, &BlockFill{Block: b, Recipient: msg.Requester})
+		}
+		return network.Verdict{Relay: false}
 
 	case *ChainRequest:
 		return n.handleChainRequest(msg)
@@ -628,10 +643,10 @@ func (n *Node) handlePriority(msg *PriorityGossip, cost crypto.CostModel) networ
 		// §6: discard (do not relay) messages below the best priority
 		// seen so far. Equal priority still relays: an equivocator's two
 		// variants share one priority and both must travel (§10.4).
-		if best, ok := n.bestPriority[m.Round]; ok && best != m.Priority && !best.Less(m.Priority) {
+		if best, ok := n.fetch.Best(m.Round); ok && m.Priority.Less(best) {
 			return network.Verdict{Relay: false, CPU: cpu}
 		}
-		n.bestPriority[m.Round] = m.Priority
+		n.fetch.NoteBest(m.Round, m.Priority)
 		return network.Verdict{Relay: true, CPU: cpu}
 	case m.Round == ctx.Round+1:
 		n.pendingMsgs[m.Round] = append(n.pendingMsgs[m.Round], msg)
@@ -641,12 +656,15 @@ func (n *Node) handlePriority(msg *PriorityGossip, cost crypto.CostModel) networ
 	}
 }
 
-// handleAnnounce processes an "I hold this block" message: after
-// credential checks it may trigger a fetch of the block body from the
-// announcer (pull-based dissemination).
-func (n *Node) handleAnnounce(msg *BlockAnnounce, cost crypto.CostModel) network.Verdict {
+// handleAnnounce processes an "I hold (part of) this block" message:
+// after the credential and manifest checks the fetcher decides which
+// pieces to pull from the announcer (pull-based dissemination).
+func (n *Node) handleAnnounce(from int, msg *BlockAnnounce, cost crypto.CostModel) network.Verdict {
 	cpu := cost.VerifySig + cost.VRFVerify
-	m := &msg.M
+	m := &msg.Manifest.Announce
+	if from >= 0 && from != msg.Announcer {
+		return network.Verdict{Relay: false} // whom to pull from is the sender, nobody else
+	}
 	ctx := n.ctx
 	if m.Round >= ledger.RecoveryRoundBase && (ctx == nil || ctx.Round != m.Round) {
 		ctx = n.recoveryCtxForRound(m.Round) // see handlePriority
@@ -662,13 +680,18 @@ func (n *Node) handleAnnounce(msg *BlockAnnounce, cost crypto.CostModel) network
 		if j == 0 {
 			return network.Verdict{Relay: false, CPU: cpu}
 		}
+		if msg.Manifest.Pieces() > 1 {
+			cpu += cost.VerifySig
+		}
+		if msg.Manifest.Verify(n.provider, n.cfg.Params.BlockSize) != nil {
+			return network.Verdict{Relay: false, CPU: cpu}
+		}
 		// The announce carries the same priority information as the
 		// flood; let the waiter see it (it may arrive first).
 		n.propInbox(m.Round).Send(blockprop.NewArrivalPriority(m))
-		if best, ok := n.bestPriority[m.Round]; !ok || best.Less(m.Priority) {
-			n.bestPriority[m.Round] = m.Priority
-		}
-		n.maybeFetch(m, msg.Announcer)
+		n.fetch.NoteBest(m.Round, m.Priority)
+		acts, _ := n.fetch.OnAnnounce(n.sim.Now(), msg.Announcer, &msg.Manifest, msg.Have)
+		n.runFetch(acts)
 		return network.Verdict{Relay: false, CPU: cpu}
 	case m.Round == ctx.Round+1:
 		n.pendingMsgs[m.Round] = append(n.pendingMsgs[m.Round], msg)
@@ -678,100 +701,142 @@ func (n *Node) handleAnnounce(msg *BlockAnnounce, cost crypto.CostModel) network
 	}
 }
 
-// maybeFetch requests the announced block body if it is competitive
-// (at least ties the best known priority — ties matter for §10.4
-// equivocation detection) and not already held or recently requested.
-func (n *Node) maybeFetch(m *blockprop.PriorityMsg, announcer int) {
-	if _, have := n.blockMsgs[m.BlockHash]; have {
-		return
-	}
-	if best, ok := n.bestPriority[m.Round]; ok && m.Priority.Less(best) {
-		return
-	}
-	const retryAfter = 8 * time.Second
-	if at, ok := n.requestedAt[m.BlockHash]; ok && n.sim.Now()-at < retryAfter {
-		return
-	}
-	n.requestedAt[m.BlockHash] = n.sim.Now()
-	n.reqNonce++
-	n.net.Unicast(n.ID, announcer, &BlockRequest{
-		Hash:      m.BlockHash,
-		Requester: n.ID,
-		Nonce:     n.reqNonce,
-	})
-}
-
-// handleBlockRequest serves a block body we hold: either a current
-// proposal (with its announce credentials) or, for the §7.1 "obtain it
-// from other users" fallback, any committed block (sent without
-// credentials — the requester validates it against the agreed hash).
-func (n *Node) handleBlockRequest(msg *BlockRequest) network.Verdict {
-	if bm, ok := n.blockMsgs[msg.Hash]; ok {
-		n.net.Unicast(n.ID, msg.Requester, &BlockGossip{M: *bm, Recipient: msg.Requester})
+// handleHave processes a holder's updated advertisement. It names a
+// body by hash only: one the fetcher has no verified manifest for is
+// ignored there.
+func (n *Node) handleHave(from int, msg *BlockHave) network.Verdict {
+	if from >= 0 && from != msg.Announcer {
 		return network.Verdict{Relay: false}
 	}
-	if b, ok := n.ledger.BlockOfHash(msg.Hash); ok {
-		n.net.Unicast(n.ID, msg.Requester, &BlockFill{Block: b, Recipient: msg.Requester})
+	if ctx := n.ctx; ctx != nil && msg.Round == ctx.Round+1 {
+		n.pendingMsgs[msg.Round] = append(n.pendingMsgs[msg.Round], msg)
+		return network.Verdict{Relay: false}
 	}
+	n.runFetch(n.fetch.OnHave(n.sim.Now(), msg.Announcer, msg.Hash, msg.Have))
 	return network.Verdict{Relay: false}
 }
 
-// handleBlock processes a block body arriving in response to one of our
-// requests: validate, store, hand to the waiter, and announce that we
-// now hold it so neighbors can fetch from us.
-func (n *Node) handleBlock(msg *BlockGossip, cost crypto.CostModel) network.Verdict {
-	m := &msg.M
-	// Verifying a block costs the credential check plus one signature
-	// verification per materialized transaction. PayloadPadding models
-	// unverified payload bytes (the paper's evaluation proposes 1 MB
-	// blocks of synthetic content; its measured CPU is dominated by
-	// vote/VRF verification, §10.3), so padding costs bandwidth but not
-	// CPU.
-	cpu := cost.VRFVerify + time.Duration(len(m.Block.Txns))*cost.VerifySig
-	round := m.Round()
-	ctx := n.ctx
-	if round >= ledger.RecoveryRoundBase && (ctx == nil || ctx.Round != round) {
-		ctx = n.recoveryCtxForRound(round) // see handlePriority
-	}
-	if ctx == nil {
+// handlePiece processes a piece arriving in answer to one of our
+// requests. Verifying it costs one signature verification per
+// materialized transaction; PayloadPadding models unverified payload
+// bytes (the paper's evaluation proposes blocks of synthetic content;
+// its measured CPU is dominated by vote/VRF verification, §10.3), so
+// padding costs bandwidth but not CPU.
+func (n *Node) handlePiece(from int, msg *BlockPiece, cost crypto.CostModel) network.Verdict {
+	if msg.Recipient != n.ID {
 		return network.Verdict{Relay: false}
 	}
+	acts, err := n.fetch.OnPiece(n.sim.Now(), from, msg.P)
 	switch {
-	case round == ctx.Round:
-		roleKind := n.proposerRoleKind(round)
-		if !blockprop.VerifyBlockMsg(n.provider, m, roleKind, ctx.Seed,
-			n.cfg.Params.TauProposer, ctx.Weights[m.Proposer()], ctx.TotalWeight) {
-			return network.Verdict{Relay: false, CPU: cost.VRFVerify}
-		}
-		// Verified: the announce's hash is the body's.
-		h := m.AnnouncedHash()
-		if _, have := n.blockMsgs[h]; have {
-			return network.Verdict{Relay: false}
-		}
-		n.storeBlockMsg(m)
-		n.ledger.RegisterProposal(m.Block, h)
-		n.propInbox(round).Send(blockprop.NewArrivalBlock(m))
-		if best, ok := n.bestPriority[round]; !ok || best.Less(m.Priority()) {
-			n.bestPriority[round] = m.Priority()
-		}
-		// Re-announce: we can now serve this block.
-		n.net.Gossip(n.ID, &BlockAnnounce{M: m.Announce, Announcer: n.ID})
-		return network.Verdict{Relay: false, CPU: cpu}
-	case round == ctx.Round+1:
-		n.pendingMsgs[round] = append(n.pendingMsgs[round], msg)
+	case errors.Is(err, blockprop.ErrUnsolicited):
 		return network.Verdict{Relay: false}
-	default:
-		return network.Verdict{Relay: false}
+	case err != nil && !errors.Is(err, blockprop.ErrBadAssembly):
+		// Everything else only the sender can have caused: a relay serves
+		// what it verified.
+		if mr, ok := n.net.(MisbehaviorReporter); ok {
+			mr.ReportMisbehavior(from, err.Error())
+		}
+	}
+	n.runFetch(acts)
+	return network.Verdict{Relay: false, CPU: time.Duration(len(msg.P.Txns())) * cost.VerifySig}
+}
+
+// runFetch carries out the fetcher's actions and keeps a timeout check
+// scheduled while requests are in flight.
+func (n *Node) runFetch(acts []blockprop.Action) {
+	for _, a := range acts {
+		switch a.Kind {
+		case blockprop.ActRequest:
+			n.reqNonce++
+			n.net.Unicast(n.ID, a.Peer, &PieceRequest{Hash: a.Hash, Index: a.Index, Requester: n.ID, Nonce: n.reqNonce})
+		case blockprop.ActAdvertise:
+			m, _ := n.fetch.Manifest(a.Hash)
+			if a.First {
+				n.net.Gossip(n.ID, &BlockAnnounce{Manifest: *m, Announcer: n.ID, Have: n.fetch.Have(a.Hash)})
+				continue
+			}
+			// Later pieces are news only to the neighbours that lack them.
+			have := &BlockHave{Round: m.Announce.Round, Hash: a.Hash, Announcer: n.ID, Have: n.fetch.Have(a.Hash)}
+			for _, peer := range n.net.Neighbors(n.ID) {
+				if n.fetch.PeerLacks(a.Hash, peer, a.Index) {
+					n.net.Unicast(n.ID, peer, have)
+				}
+			}
+		case blockprop.ActDeliver:
+			// Assembled and checked against the announced hash: register
+			// it and hand it to the waiter.
+			round := a.Msg.Round()
+			n.ledger.RegisterProposal(a.Msg.Block, a.Hash)
+			n.propInbox(round).Send(blockprop.NewArrivalBlock(a.Msg))
+			n.tracer.Record(round, trace.PhaseBlockFetch, 0, a.Started, n.sim.Now())
+		}
+	}
+	if at, inFlight := n.fetch.NextDeadline(); inFlight && !n.fetchTimer {
+		n.fetchTimer = true
+		n.sim.After(at-n.sim.Now(), func() {
+			n.fetchTimer = false
+			if !n.halted {
+				n.runFetch(n.fetch.Tick(n.sim.Now()))
+			}
+		})
 	}
 }
 
-// storeBlockMsg remembers a verified (or own) block body, with its
-// credentials, for serving.
-func (n *Node) storeBlockMsg(m *blockprop.BlockMsg) {
-	h := m.AnnouncedHash()
-	cp := *m
-	n.blockMsgs[h] = &cp
-	n.blockMsgRound[h] = m.Round()
+// seed announces a body this node proposed. Every neighbour may pull
+// all of it, and left to themselves they each start on pieces of their
+// own choosing: the proposer's uplink, the only source there is, then
+// spends the first seconds sending some pieces several times over and
+// others not at all, and the swarm waits for the last distinct piece to
+// leave it. So a body of several pieces is first offered in stripes, a
+// disjoint share per neighbour, which puts every piece into the swarm
+// once in the time the uplink needs to send the body once; a neighbour
+// that has asked for all of its stripe is told the rest (seeded). A
+// neighbour that asks for nothing delays nobody but itself.
+func (n *Node) seed(ann *BlockAnnounce) {
+	count, peers := ann.Manifest.Pieces(), n.net.Neighbors(n.ID)
+	if count == 1 || len(peers) < 2 {
+		n.net.Gossip(n.ID, ann)
+		return
+	}
+	n.seedHash, n.seedLeft = ann.Manifest.Announce.BlockHash, make(map[int]int, len(peers))
+	for k, peer := range peers {
+		striped := *ann
+		if k < count {
+			striped.Have = blockprop.NewBitmap(count)
+			for i := k; i < count; i += len(peers) {
+				striped.Have.Set(i)
+			}
+			n.seedLeft[peer] = striped.Have.Len()
+		}
+		n.net.Unicast(n.ID, peer, &striped)
+	}
+}
+
+// seeded notes a piece of a body this node is seeding going out, and
+// lifts the stripe of a neighbour that has asked for the last of its own.
+func (n *Node) seeded(req *PieceRequest) {
+	left, striped := n.seedLeft[req.Requester]
+	if !striped || req.Hash != n.seedHash {
+		return
+	}
+	if left > 1 {
+		n.seedLeft[req.Requester] = left - 1
+		return
+	}
+	delete(n.seedLeft, req.Requester)
+	m, _ := n.fetch.Manifest(req.Hash)
+	n.net.Unicast(n.ID, req.Requester, &BlockHave{Round: m.Announce.Round, Hash: req.Hash, Announcer: n.ID})
+}
+
+// HoldProposal makes this node a complete holder of a body it proposed:
+// the body is cut into pieces, the manifest signed, and every piece
+// served to whoever asks from now on. It returns the announce to send.
+// Exported for adversarial harnesses, which decide for themselves whom
+// to send which announce.
+func (n *Node) HoldProposal(bm *blockprop.BlockMsg) *BlockAnnounce {
+	m, pieces := blockprop.Split(n.identity, bm)
+	n.fetch.Hold(m, pieces, bm)
+	return &BlockAnnounce{Manifest: *m, Announcer: n.ID}
 }
 
 // proposerRoleKind returns the sortition role kind for proposals in a
@@ -814,18 +879,7 @@ func (n *Node) setContext(ctx *agreement.Context) {
 			delete(n.propInboxes, r)
 		}
 	}
-	for r := range n.bestPriority {
-		if r < ctx.Round {
-			delete(n.bestPriority, r)
-		}
-	}
-	for h, r := range n.blockMsgRound {
-		if r < ctx.Round {
-			delete(n.blockMsgRound, h)
-			delete(n.blockMsgs, h)
-			delete(n.requestedAt, h)
-		}
-	}
+	n.fetch.Advance(ctx.Round)
 }
 
 // gossipVote publishes one of our votes and counts it locally (a
@@ -1123,14 +1177,13 @@ func (n *Node) proposeIfSelected(ctx *agreement.Context) {
 		return
 	}
 	n.ledger.RegisterProposal(block, prop.Block.AnnouncedHash())
-	n.bestPriority[ctx.Round] = prop.Priority.Priority
-	n.storeBlockMsg(&prop.Block)
+	n.fetch.NoteBest(ctx.Round, prop.Priority.Priority)
 	// Gossip the small priority message first (§6), then announce the
 	// block body for our neighbors to pull.
 	if !n.cfg.DisablePriorityGossip {
 		n.net.Gossip(n.ID, &PriorityGossip{M: prop.Priority})
 	}
-	n.net.Gossip(n.ID, &BlockAnnounce{M: prop.Priority, Announcer: n.ID})
+	n.seed(n.HoldProposal(&prop.Block))
 	// Self-delivery so our own Wait sees the proposal.
 	n.propInbox(ctx.Round).Send(blockprop.NewArrivalPriority(&prop.Priority))
 	n.propInbox(ctx.Round).Send(blockprop.NewArrivalBlock(&prop.Block))
@@ -1188,17 +1241,19 @@ func (n *Node) resolveBlock(ctx *agreement.Context, h crypto.Digest) *ledger.Blo
 			return b
 		}
 	}
-	// Ask every peer for the block and poll until it arrives (the
-	// committee agreed on it, so many honest users hold it).
+	// Ask one peer at a time (the committee agreed on the block, so many
+	// honest users hold it, and each would answer with the whole body),
+	// moving to the next when one has had λ_step and not delivered.
 	deadline := n.proc.Now() + n.cfg.Params.LambdaBlock
-	for _, peer := range n.net.Neighbors(n.ID) {
+	peers := n.net.Neighbors(n.ID)
+	for i := 0; len(peers) > 0 && n.proc.Now() < deadline; i++ {
 		n.reqNonce++
-		n.net.Unicast(n.ID, peer, &BlockRequest{Hash: h, Requester: n.ID, Nonce: n.reqNonce})
-	}
-	for n.proc.Now() < deadline {
-		n.proc.Sleep(250 * time.Millisecond)
-		if b, ok := n.ledger.BlockOfHash(h); ok {
-			return b
+		n.net.Unicast(n.ID, peers[i%len(peers)], &BlockRequest{Hash: h, Requester: n.ID, Nonce: n.reqNonce})
+		for next := n.proc.Now() + n.cfg.Params.LambdaStep; n.proc.Now() < next && n.proc.Now() < deadline; {
+			n.proc.Sleep(250 * time.Millisecond)
+			if b, ok := n.ledger.BlockOfHash(h); ok {
+				return b
+			}
 		}
 	}
 	panic(fmt.Sprintf("node %d: cannot resolve agreed block %v", n.ID, h))

@@ -131,9 +131,8 @@ func (n *Node) recoverOnce(checkpoint, attempt uint64) bool {
 	if prop := blockprop.Propose(n.identity, sortition.RoleForkProposer, seed, recRound,
 		n.cfg.Params.TauProposer, w, balances.Total, proposal); prop != nil {
 		n.ledger.RegisterProposal(proposal, prop.Block.AnnouncedHash())
-		n.storeBlockMsg(&prop.Block)
 		n.net.Gossip(n.ID, &PriorityGossip{M: prop.Priority})
-		n.net.Gossip(n.ID, &BlockAnnounce{M: prop.Priority, Announcer: n.ID})
+		n.net.Gossip(n.ID, n.HoldProposal(&prop.Block))
 		n.propInbox(recRound).Send(blockprop.NewArrivalPriority(&prop.Priority))
 		n.propInbox(recRound).Send(blockprop.NewArrivalBlock(&prop.Block))
 	}

@@ -71,6 +71,9 @@ type realCluster struct {
 	// wrapListener decorates node i's listener (inbound faults); nil
 	// means identity.
 	wrapListener func(i int, ln net.Listener) net.Listener
+	// wrapHandler decorates node i's message handler (observers and
+	// scripted misbehaviour); nil means the node's own.
+	wrapHandler func(i int, nd *nodepkg.Node) network.Handler
 
 	addrs      []string
 	sims       []*vtime.Sim
@@ -145,6 +148,9 @@ func (c *realCluster) build(i int, ln net.Listener) {
 	tr := NewWithConfig(sim, i, c.addrs, ln, c.transportConfig(i))
 	nd := nodepkg.New(i, sim, tr, c.provider, c.ids[i], c.nodeCfg, c.genesis, c.seed0)
 	nd.StopAfterRound = c.rounds
+	if c.wrapHandler != nil {
+		tr.SetHandler(i, c.wrapHandler(i, nd))
+	}
 	c.sims[i] = sim
 	c.transports[i] = tr
 	c.nodes[i] = nd

@@ -85,7 +85,10 @@ type Config struct {
 	// bounds it in payload bytes. When either bound is exceeded the
 	// oldest frames are dropped first — gossip tolerates loss, and newer
 	// consensus messages supersede older ones. A frame larger than
-	// QueueBytes on its own is still queued (blocks must transit).
+	// QueueBytes on its own is still queued: no proposal frame exceeds a
+	// piece (blockprop.PieceSize plus a header) any more, but a BlockFill,
+	// a ChainReply or a SnapshotReply carries whole blocks and must
+	// transit.
 	QueueCap   int
 	QueueBytes int
 

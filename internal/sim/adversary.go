@@ -6,6 +6,7 @@ import (
 	"algorand/internal/blockprop"
 	"algorand/internal/crypto"
 	"algorand/internal/ledger"
+	"algorand/internal/network"
 	"algorand/internal/node"
 	"algorand/internal/sortition"
 )
@@ -30,19 +31,15 @@ func (c *Cluster) MakeEquivocatingProposers(k int) {
 			altAnnounce.Sig = c.ids[n.ID].Sign(altAnnounce.SigningBytes())
 			altMsg := blockprop.BlockMsg{Block: &alt, Announce: altAnnounce}
 
-			// Send one version of the block to half the peers and the
-			// other version to the rest (§10.4), pushing the bodies
-			// directly so each victim holds one version before the
-			// conflicting announcements expose the equivocation.
-			neighbors := c.Net.Neighbors(n.ID)
-			for idx, peer := range neighbors {
-				if idx%2 == 0 {
-					c.Net.Gossip(n.ID, &node.PriorityGossip{M: prop.Priority})
-					c.Net.Unicast(n.ID, peer, &node.BlockGossip{M: prop.Block, Recipient: peer})
-				} else {
-					c.Net.Gossip(n.ID, &node.PriorityGossip{M: altAnnounce})
-					c.Net.Unicast(n.ID, peer, &node.BlockGossip{M: altMsg, Recipient: peer})
-				}
+			// Offer one version of the block to half the peers and the
+			// other version to the rest (§10.4), and serve both, so each
+			// victim pulls one version while the conflicting priority
+			// messages expose the equivocation.
+			versions := [2]*node.BlockAnnounce{n.HoldProposal(&prop.Block), n.HoldProposal(&altMsg)}
+			c.Net.Gossip(n.ID, &node.PriorityGossip{M: prop.Priority})
+			c.Net.Gossip(n.ID, &node.PriorityGossip{M: altAnnounce})
+			for idx, peer := range c.Net.Neighbors(n.ID) {
+				c.Net.Unicast(n.ID, peer, versions[idx%2])
 			}
 		}
 		n.VoteSaboteur = func(n *node.Node, v *ledger.Vote) []*ledger.Vote {
@@ -111,12 +108,7 @@ func (c *Cluster) MakeGrindingProposers(ids []int, holdBack time.Duration) *Grin
 					return
 				}
 				c.Net.Gossip(n.ID, &node.PriorityGossip{M: prop.Priority})
-				c.Net.Gossip(n.ID, &node.BlockAnnounce{M: prop.Priority, Announcer: n.ID})
-				// Push the body directly (the honest path serves pulls, but a
-				// withholder never stored the block for serving).
-				for _, peer := range c.Net.Neighbors(n.ID) {
-					c.Net.Unicast(n.ID, peer, &node.BlockGossip{M: prop.Block, Recipient: peer})
-				}
+				c.Net.Gossip(n.ID, n.HoldProposal(&prop.Block))
 			}
 			if holdBack > 0 {
 				c.Sim.After(holdBack, release)
@@ -147,6 +139,61 @@ func (c *Cluster) grindScore(i int, seed crypto.Digest, round uint64) uint64 {
 		sortition.Role{Kind: sortition.RoleCommittee, Round: round + 1, Step: 1},
 		c.Cfg.Params.TauStep, w, total)
 	return prop.J*16 + comm.J
+}
+
+// MakePieceWithholders turns the given nodes into holders that advertise
+// every block piece they hold, as the protocol says, and never serve
+// one: the per-piece form of the silent sender in Conti et al.'s
+// "Undecidable Messages" (PAPERS.md). Everything else they do is honest.
+// A requester finds out only by waiting; the fetcher's per-piece timeout
+// bounds what that costs.
+func (c *Cluster) MakePieceWithholders(ids []int) {
+	for _, i := range ids {
+		n := c.Nodes[i]
+		c.Net.SetHandler(i, network.HandlerFunc(func(from int, m network.Message) network.Verdict {
+			if _, ok := m.(*node.PieceRequest); ok {
+				return network.Verdict{}
+			}
+			return n.HandleMessage(from, m)
+		}))
+	}
+}
+
+// MakePieceForgers turns the given nodes into holders that answer every
+// piece request with a piece of their own making (ForgedPiece).
+// Everything else they do is honest. The manifest check must reject each
+// one, and the requester must get the real piece elsewhere.
+func (c *Cluster) MakePieceForgers(ids []int) {
+	for _, i := range ids {
+		i, n := i, c.Nodes[i]
+		manifests := make(map[crypto.Digest]*blockprop.Manifest)
+		c.Net.SetHandler(i, network.HandlerFunc(func(from int, m network.Message) network.Verdict {
+			switch msg := m.(type) {
+			case *node.BlockAnnounce:
+				manifests[msg.Manifest.Announce.BlockHash] = &msg.Manifest
+			case *node.PieceRequest:
+				if man, ok := manifests[msg.Hash]; ok {
+					c.Net.Unicast(i, msg.Requester, ForgedPiece(man, msg))
+				}
+				return network.Verdict{}
+			}
+			return n.HandleMessage(from, m)
+		}))
+	}
+}
+
+// ForgedPiece answers a piece request with a piece the proposer never
+// signed: the right body, place and count (and, for the first piece, the
+// genuine announce over an empty header), so that nothing short of the
+// manifest's digest tells it from the real one.
+func ForgedPiece(man *blockprop.Manifest, req *node.PieceRequest) *node.BlockPiece {
+	var head *ledger.Block
+	var announce *blockprop.PriorityMsg
+	if req.Index == 0 {
+		head, announce = &ledger.Block{Round: man.Announce.Round}, &man.Announce
+	}
+	forged := blockprop.NewPiece(req.Hash, req.Index, man.Pieces(), head, announce, nil, 1+req.Index)
+	return &node.BlockPiece{P: forged, Recipient: req.Requester, Nonce: req.Nonce}
 }
 
 // SplitWorld partitions the network into two halves for the given

@@ -59,6 +59,11 @@ const (
 	// sortition, reported separately because block assembly is the
 	// txflow pipeline's hand-off point).
 	PhaseAssemble Phase = "assemble"
+	// PhaseBlockFetch covers pulling one proposed body (§6): from the
+	// first neighbour's announce until its pieces are assembled and match
+	// the announced hash. It lies inside PhasePropose and separates
+	// waiting for a body from waiting out λ_priority.
+	PhaseBlockFetch Phase = "block_fetch"
 )
 
 // Span is one timed phase of one round.
@@ -130,7 +135,7 @@ func (t *Tracer) RegisterMetrics(r *metrics.Registry) {
 	// Register before taking t.mu so the registry lock is never
 	// acquired while a tracer lock is held.
 	hists := make(map[Phase]*metrics.Histogram)
-	for _, ph := range []Phase{PhaseSortition, PhaseAssemble, PhasePropose, PhaseBAStep, PhaseCertify, PhaseCommit, PhasePersist, PhaseRound} {
+	for _, ph := range []Phase{PhaseSortition, PhaseAssemble, PhasePropose, PhaseBlockFetch, PhaseBAStep, PhaseCertify, PhaseCommit, PhasePersist, PhaseRound} {
 		hists[ph] = r.Histogram(
 			metrics.Name("algorand_trace_phase_seconds", "phase", string(ph)),
 			"per-round phase latency by trace phase", nil)

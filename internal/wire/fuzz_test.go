@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"testing"
 
+	"algorand/internal/blockprop"
 	"algorand/internal/ledger"
 	"algorand/internal/node"
 	"algorand/internal/wire"
@@ -35,6 +36,19 @@ func FuzzDecode(f *testing.F) {
 	if tag, payload, err := node.EncodeMessage(
 		&node.TxBatch{Txns: []ledger.Transaction{sampleTx()}}); err == nil {
 		f.Add(tag, payload[:len(payload)-7])
+	}
+
+	// Hostile piece shapes: a padding count with nothing behind it, and a
+	// first piece whose header smuggles transactions of its own.
+	if tag, payload, err := node.EncodeMessage(
+		&node.BlockPiece{P: samplePiece(1), Recipient: 1, Nonce: 1}); err == nil {
+		f.Add(tag, payload[:len(payload)-2048])
+	}
+	pri := samplePriority()
+	smuggler := blockprop.NewPiece(pri.BlockHash, 0, 3, sampleBlock(), &pri, nil, 0)
+	if tag, payload, err := node.EncodeMessage(
+		&node.BlockPiece{P: smuggler, Recipient: 1, Nonce: 1}); err == nil {
+		f.Add(tag, payload)
 	}
 
 	f.Fuzz(func(t *testing.T, tag byte, data []byte) {

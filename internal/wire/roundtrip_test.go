@@ -88,8 +88,31 @@ func samplePriority() blockprop.PriorityMsg {
 	}
 }
 
-func sampleBlockMsg() blockprop.BlockMsg {
-	return blockprop.BlockMsg{Block: sampleBlock(), Announce: samplePriority()}
+// sampleManifest describes a body of several pieces (digests and the
+// proposer's second signature) or, with pieces == 1, of one (neither).
+func sampleManifest(pieces int) blockprop.Manifest {
+	m := blockprop.Manifest{Announce: samplePriority()}
+	if pieces > 1 {
+		for i := 0; i < pieces; i++ {
+			m.Digests = append(m.Digests, crypto.HashBytes("piece", []byte{byte(i)}))
+		}
+		m.Sig = bytes.Repeat([]byte{9}, 64)
+	}
+	return m
+}
+
+// samplePiece is a body's first piece (header and announce on board) or
+// a later one.
+func samplePiece(index int) *blockprop.Piece {
+	var head *ledger.Block
+	var announce *blockprop.PriorityMsg
+	if index == 0 {
+		pri := samplePriority()
+		head, announce = sampleBlock(), &pri
+		head.Txns, head.PayloadPadding = nil, 0
+	}
+	return blockprop.NewPiece(crypto.HashBytes("block"), index, 3, head, announce,
+		[]ledger.Transaction{sampleTx(), sampleTx()}, 2048)
 }
 
 func sampleCheckpoint() *ledger.Checkpoint {
@@ -119,7 +142,7 @@ func TestUniversalRoundTrip(t *testing.T) {
 	vote := sampleVote()
 	pri := samplePriority()
 	emptyBlock := ledger.EmptyBlock(3, crypto.HashBytes("h"), crypto.HashBytes("s"), crypto.HashBytes("root"))
-	bmsg := sampleBlockMsg()
+	manifest, manifest1 := sampleManifest(3), sampleManifest(1)
 
 	cases := []struct {
 		name string
@@ -134,7 +157,10 @@ func TestUniversalRoundTrip(t *testing.T) {
 		{"Block", sampleBlock(), func() sizedMarshaler { return new(ledger.Block) }},
 		{"Block/empty", emptyBlock, func() sizedMarshaler { return new(ledger.Block) }},
 		{"PriorityMsg", &pri, func() sizedMarshaler { return new(blockprop.PriorityMsg) }},
-		{"BlockMsg", &bmsg, func() sizedMarshaler { return new(blockprop.BlockMsg) }},
+		{"Manifest", &manifest, func() sizedMarshaler { return new(blockprop.Manifest) }},
+		{"Manifest/one-piece", &manifest1, func() sizedMarshaler { return new(blockprop.Manifest) }},
+		{"Piece/first", samplePiece(0), func() sizedMarshaler { return new(blockprop.Piece) }},
+		{"Piece/later", samplePiece(1), func() sizedMarshaler { return new(blockprop.Piece) }},
 		{"Checkpoint", sampleCheckpoint(), func() sizedMarshaler { return new(ledger.Checkpoint) }},
 	}
 	for _, c := range cases {
@@ -160,9 +186,14 @@ func gossipMessages() []network.Message {
 	return []network.Message{
 		&node.VoteMsg{Vote: sampleVote()},
 		&node.PriorityGossip{M: samplePriority()},
-		&node.BlockAnnounce{M: samplePriority(), Announcer: 3},
+		&node.BlockAnnounce{Manifest: sampleManifest(1), Announcer: 3},
+		&node.BlockAnnounce{Manifest: sampleManifest(3), Announcer: 3, Have: blockprop.Bitmap{5}},
+		&node.BlockHave{Round: 12, Hash: crypto.HashBytes("block"), Announcer: 3, Have: blockprop.Bitmap{7}},
+		&node.BlockHave{Round: 12, Hash: crypto.HashBytes("block"), Announcer: 3},
 		&node.BlockRequest{Hash: crypto.HashBytes("h"), Requester: 2, Nonce: 99},
-		&node.BlockGossip{M: sampleBlockMsg(), Recipient: 4},
+		&node.PieceRequest{Hash: crypto.HashBytes("block"), Index: 2, Requester: 2, Nonce: 99},
+		&node.BlockPiece{P: samplePiece(0), Recipient: 4, Nonce: 99},
+		&node.BlockPiece{P: samplePiece(1), Recipient: 4, Nonce: 99},
 		&node.TxMsg{Tx: tx},
 		&node.TxBatch{Txns: []ledger.Transaction{sampleTx(), sampleTx(), sampleTx()}},
 		&node.TxBatch{},
