@@ -659,7 +659,7 @@ const (
 	TagPriority
 	TagBlockAnnounce
 	TagBlockRequest
-	_ // 5 was BlockGossip, a whole proposed body in one message
+	_ // 5 is retired: it carried a whole proposed body in one message
 	TagTx
 	TagBlockFill
 	TagChainRequest
