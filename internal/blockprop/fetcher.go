@@ -15,17 +15,19 @@ import (
 // no workload that wants another value.
 const (
 	// FetchWindow is how many pieces may be outstanding to one
-	// neighbour. A holder's uplink is a FIFO that votes share with
-	// bodies: with every neighbour limited to a couple of pieces the
-	// queue in front of a vote stays a few tenths of a second long, and
-	// what a requester is owed is spread over every holder it knows.
+	// neighbour: one. A holder's uplink is a FIFO that votes share with
+	// bodies: with each of its neighbours owed at most one piece, the
+	// queue in front of a vote is at most one piece per neighbour (a
+	// tenth of a second each), and what a requester is owed is spread
+	// over every holder it knows. (Two was measured: every uplink then
+	// queues twice as much ahead of a newly released piece, +21 % on the
+	// 10 MB round.)
 	FetchWindow = 1
 	// PieceTimeout is how long a requested piece may take before it is
-	// asked of another holder: above the worst honest case (a full
-	// window per neighbour queued on the holder's uplink and again on
-	// our downlink, under four seconds on 20 Mbit/s links), and a
-	// twelfth of λ_block, so a silent holder costs a piece's wait, not
-	// the body's.
+	// asked of another holder: above the worst honest case (one piece
+	// per neighbour queued on the holder's uplink and again on our
+	// downlink, about two seconds on 20 Mbit/s links), and a twelfth of
+	// λ_block, so a silent holder costs a piece's wait, not the body's.
 	PieceTimeout = 5 * time.Second
 )
 
@@ -112,6 +114,14 @@ type body struct {
 	peers    []peer
 	started  time.Duration
 	msg      *BlockMsg // set once assembled (or proposed here)
+	// stripes is the first pass over a body proposed here (Seed): for
+	// each neighbour offered a share, the pieces of it not yet asked for.
+	stripes []stripe
+}
+
+type stripe struct {
+	peer int
+	left Bitmap
 }
 
 type flight struct {
@@ -187,13 +197,59 @@ func (f *Fetcher) Hold(m *Manifest, pieces []*Piece, msg *BlockMsg) {
 	f.bodies[m.Announce.BlockHash] = &body{manifest: m, pieces: pieces, have: have, held: len(pieces), msg: msg}
 }
 
-// Piece returns a verified piece this node can serve.
-func (f *Fetcher) Piece(hash crypto.Digest, index int) (*Piece, bool) {
+// Seed plans the first pass over a body proposed here (Hold) to the
+// given neighbours, and returns what to advertise to each: nil, the
+// whole body. Every neighbour may pull all of it, and left to themselves
+// they each start on pieces of their own choosing: the proposer's
+// uplink, the only source there is, then spends the first seconds
+// sending some pieces several times over and others not at all, and the
+// swarm waits for the last distinct piece to leave it. So a body of
+// several pieces is first offered in stripes, a disjoint share per
+// neighbour, which puts every piece into the swarm once in the time the
+// uplink needs to send the body once; Serve says when a neighbour has
+// asked for all of its share and is to be told the rest. A neighbour
+// that asks for nothing delays nobody but itself. A nil result means no
+// stripes: one piece, or one neighbour.
+func (f *Fetcher) Seed(hash crypto.Digest, peers []int) []Bitmap {
+	b := f.bodies[hash]
+	if b == nil || b.msg == nil || len(b.pieces) < 2 || len(peers) < 2 {
+		return nil
+	}
+	count := len(b.pieces)
+	offers := make([]Bitmap, len(peers))
+	b.stripes = b.stripes[:0]
+	for k, peer := range peers {
+		if k >= count {
+			break // more neighbours than pieces: the rest are offered everything
+		}
+		offers[k] = NewBitmap(count)
+		for i := k; i < count; i += len(peers) {
+			offers[k].Set(i)
+		}
+		b.stripes = append(b.stripes, stripe{peer: peer, left: append(Bitmap(nil), offers[k]...)})
+	}
+	return offers
+}
+
+// Serve answers neighbour from's request for a piece: the verified piece,
+// if this node holds it. lifted says the request was for the last piece
+// of the stripe the neighbour was offered (Seed) that it had not asked
+// for before, so it is now to be told that everything is held here.
+func (f *Fetcher) Serve(from int, hash crypto.Digest, index int) (p *Piece, lifted bool) {
 	b := f.bodies[hash]
 	if b == nil || index < 0 || index >= len(b.pieces) || b.pieces[index] == nil {
 		return nil, false
 	}
-	return b.pieces[index], true
+	for i := range b.stripes {
+		if st := &b.stripes[i]; st.peer == from && st.left.Has(index) {
+			st.left.clear(index)
+			if lifted = st.left.Len() == 0; lifted {
+				b.stripes = append(b.stripes[:i], b.stripes[i+1:]...)
+			}
+			break
+		}
+	}
+	return b.pieces[index], lifted
 }
 
 // Manifest returns the verified manifest of a known body.
@@ -247,19 +303,21 @@ func (f *Fetcher) OnAnnounce(now time.Duration, from int, m *Manifest, have Bitm
 		if n >= maxBodiesPerProposer {
 			return nil, ErrTooManyBodies
 		}
-		count := m.Pieces()
-		b = &body{
-			manifest: m,
-			pieces:   make([]*Piece, count),
-			have:     NewBitmap(count),
-			pending:  NewBitmap(count),
-			started:  now,
-		}
+		b = newBody(m, now)
 		f.bodies[hash] = b
 	} else if !b.manifest.same(m) {
-		// A second description of one block hash: its pieces would fail
-		// the digests we verified, so the sender is no use as a source.
-		return nil, ErrManifest
+		if b.msg != nil || len(b.manifest.Digests) != 0 || len(m.Digests) == 0 || !sameAnnounce(&b.manifest.Announce, &m.Announce) {
+			// A second description of one block hash: its pieces would fail
+			// the digests we verified, so the sender is no use as a source.
+			return nil, ErrManifest
+		}
+		// What is held is the unsigned claim that the body is one piece,
+		// which anyone who saw the flooded priority can make, and nothing
+		// has matched the announced hash under it; m carries the proposer's
+		// signature over a piece count and digests. The signed description
+		// takes the claim's place, and whoever made the claim, and whatever
+		// was asked of them, is forgotten.
+		*b = *newBody(m, b.started)
 	}
 	if b.msg != nil {
 		return nil, nil
@@ -269,13 +327,27 @@ func (f *Fetcher) OnAnnounce(now time.Duration, from int, m *Manifest, have Bitm
 	return f.out, nil
 }
 
+func newBody(m *Manifest, started time.Duration) *body {
+	count := m.Pieces()
+	return &body{
+		manifest: m,
+		pieces:   make([]*Piece, count),
+		have:     NewBitmap(count),
+		pending:  NewBitmap(count),
+		started:  started,
+	}
+}
+
 // OnHave handles a neighbour's updated advertisement for a body. One
 // for a body this node does not know, or already holds whole, is
-// dropped without allocating.
+// dropped without allocating. So is one for a body of one piece, which
+// has no partial possession to update: an update names a body by hash
+// only, and a piece count the proposer did not sign is a claim of the
+// neighbours that announced it, to be tried on them and nobody else.
 func (f *Fetcher) OnHave(now time.Duration, from int, hash crypto.Digest, have Bitmap) []Action {
 	f.out = f.out[:0]
 	b := f.bodies[hash]
-	if b == nil || b.msg != nil {
+	if b == nil || b.msg != nil || len(b.pieces) == 1 {
 		return nil
 	}
 	f.notePeer(b, from, have, have == nil)
@@ -452,7 +524,7 @@ func (f *Fetcher) NextDeadline() (time.Duration, bool) {
 // holder; for each, the piece fewest other neighbours hold (a rare piece
 // is the one worth having to trade), ties broken by the node's own
 // stream. A neighbour that let a request time out is only asked for
-// what nobody else advertises, one piece at a time.
+// what nobody else advertises (choose).
 func (f *Fetcher) schedule(now time.Duration, b *body) {
 	if b.msg != nil {
 		return
@@ -464,11 +536,7 @@ func (f *Fetcher) schedule(now time.Duration, b *body) {
 		progressed = false
 		for pi := range b.peers {
 			p := &b.peers[pi]
-			window := FetchWindow
-			if p.stalled {
-				window = 1
-			}
-			if p.bad || p.inflight >= window {
+			if p.bad || p.inflight >= FetchWindow {
 				continue
 			}
 			idx := f.choose(b, p)

@@ -102,7 +102,9 @@ func TestManifestVerifyRejections(t *testing.T) {
 // TestFetcherProperty drives one fetcher through random schedules: six
 // neighbours announce, advertise and answer its requests, and every
 // answer may be delayed past its timeout, dropped, duplicated, or come
-// unasked; time jumps; a better priority turns up. Whatever the order,
+// unasked; time jumps; a better priority turns up; a seventh neighbour
+// that has only seen the flooded priorities claims, whenever it likes,
+// that a body is one piece, and answers nothing. Whatever the order,
 // the fetcher never requests a piece it holds or has in flight, never
 // has more than the window outstanding to one neighbour, never asks for
 // what the neighbour did not advertise, requests nothing of a beaten
@@ -114,6 +116,7 @@ func TestFetcherProperty(t *testing.T) {
 	if hi.Priority.Priority.Less(lo.Priority.Priority) {
 		hi, hiM, hiP, lo, loM, loP = lo, loM, loP, hi, hiM, hiP
 	}
+	const claimant = 7 // the neighbour that claims bodies are one piece
 	type asked struct {
 		hash     crypto.Digest
 		peer     int
@@ -165,9 +168,9 @@ func TestFetcherProperty(t *testing.T) {
 					if toPeer >= FetchWindow {
 						t.Fatalf("seed %d: %d requests outstanding to peer %d", seed, toPeer+1, a.Peer)
 					}
-					open = append(open, asked{hash: a.Hash, peer: a.Peer, index: a.Index, deadline: now + PieceTimeout})
+					open = append(open, asked{hash: a.Hash, peer: a.Peer, index: a.Index, deadline: now + PieceTimeout, lost: a.Peer == claimant})
 				case ActAdvertise:
-					if _, ok := f.Piece(a.Hash, a.Index); !ok {
+					if pc, _ := f.Serve(9, a.Hash, a.Index); pc == nil {
 						t.Fatalf("seed %d: advertised piece %d it cannot serve", seed, a.Index)
 					}
 					if held[a.Hash] == nil {
@@ -207,13 +210,45 @@ func TestFetcherProperty(t *testing.T) {
 				merged.merge(have)
 				adv[h][peer] = merged
 			}
-			if _, known := f.Manifest(h); known && rng.Intn(2) == 0 {
+			// An update follows its sender's announce, as on a link that
+			// keeps order: never on an unsigned claim alone.
+			held, known := f.Manifest(h)
+			if known && len(held.Digests) > 0 && rng.Intn(2) == 0 {
 				apply(f.OnHave(now, peer, h, have))
-			} else {
-				acts, err := f.OnAnnounce(now, peer, b.m, have)
-				if err != nil {
-					t.Fatalf("seed %d: announce rejected: %v", seed, err)
+				return
+			}
+			acts, err := f.OnAnnounce(now, peer, b.m, have)
+			if err != nil {
+				t.Fatalf("seed %d: announce rejected: %v", seed, err)
+			}
+			if known && len(held.Digests) == 0 {
+				// The signed manifest took the claim's place, and with it went
+				// whatever had been asked of the claimant.
+				kept := open[:0]
+				for _, o := range open {
+					if o.hash != h || o.peer != claimant {
+						kept = append(kept, o)
+					}
 				}
+				open = kept
+			}
+			apply(acts)
+		}
+		claim := func(h crypto.Digest) {
+			held, known := f.Manifest(h)
+			acts, err := f.OnAnnounce(now, claimant, &Manifest{Announce: bodies[h].m.Announce}, nil)
+			switch {
+			case known && len(held.Digests) > 0:
+				if !errors.Is(err, ErrManifest) || len(acts) != 0 {
+					t.Fatalf("seed %d: one-piece claim against a signed manifest: %v, %d actions", seed, err, len(acts))
+				}
+			case err != nil:
+				t.Fatalf("seed %d: one-piece claim: %v", seed, err)
+			default:
+				if adv[h] == nil {
+					adv[h] = map[int]Bitmap{}
+				}
+				adv[h][claimant] = nil
 				apply(acts)
 			}
 		}
@@ -284,6 +319,8 @@ func TestFetcherProperty(t *testing.T) {
 			case k == 8 && !beaten && rng.Intn(4) == 0:
 				f.NoteBest(1, hi.Priority.Priority)
 				beaten = true
+			case k == 9:
+				claim(hashes[rng.Intn(2)])
 			}
 			if f.Bodies() > 2 {
 				t.Fatalf("seed %d: state for %d bodies with 2 announced", seed, f.Bodies())
@@ -346,7 +383,7 @@ func TestFetcherForgedPiece(t *testing.T) {
 			t.Fatalf("after a forged piece: action %+v", a)
 		}
 	}
-	if _, ok := f.Piece(req.Hash, req.Index); ok {
+	if pc, _ := f.Serve(2, req.Hash, req.Index); pc != nil {
 		t.Fatal("forged piece is served")
 	}
 	if f.m.Rejected.Load() != 1 {
@@ -527,7 +564,178 @@ func TestFetcherTimeoutReassignsThePieceNotTheBody(t *testing.T) {
 	if _, err := f.OnPiece(PieceTimeout+time.Second, 1, ps[first.Index]); err != nil {
 		t.Fatalf("late piece: %v", err)
 	}
-	if _, ok := f.Piece(first.Hash, first.Index); !ok {
+	if pc, _ := f.Serve(2, first.Hash, first.Index); pc == nil {
 		t.Fatal("late piece dropped")
+	}
+}
+
+// TestFetcherOnePieceClaimDoesNotPinTheBody: a neighbour that has seen
+// only the flooded priority message announces a multi-piece body as one
+// piece, which Manifest.Verify cannot refuse (nothing the proposer signed
+// says otherwise), before any honest holder has. The claim must not shut
+// out the holders that later announce the body with its signed manifest.
+func TestFetcherOnePieceClaimDoesNotPinTheBody(t *testing.T) {
+	_, m, ps, _ := bodyOf(t, 10, 4)
+	hash := m.Announce.BlockHash
+	claim := &Manifest{Announce: m.Announce}
+	if err := claim.Verify(fetchProvider, 4*PieceSize); err != nil {
+		t.Fatalf("the unsigned one-piece form is refused outright: %v (then this test is moot)", err)
+	}
+	f := NewFetcher(0, nil)
+	acts, err := f.OnAnnounce(time.Second, 9, claim, nil)
+	if reqs := requests(acts); err != nil || len(reqs) != 1 || reqs[0].Peer != 9 {
+		t.Fatalf("one-piece claim: %v, %+v", err, acts)
+	}
+	// An update names the body by hash only: under an unsigned claim it
+	// makes its sender no source (it would be asked for a piece 0 of 1).
+	if acts := f.OnHave(time.Second, 1, hash, nil); len(acts) != 0 {
+		t.Fatalf("update under an unsigned claim: %+v", acts)
+	}
+
+	// Three honest holders announce the signed manifest. All are used.
+	asked := map[int]int{}
+	for peer := 1; peer <= 3; peer++ {
+		acts, err := f.OnAnnounce(2*time.Second, peer, m, nil)
+		if err != nil {
+			t.Fatalf("honest holder %d refused after the claim: %v", peer, err)
+		}
+		for _, r := range requests(acts) {
+			if r.Peer == 9 {
+				t.Fatalf("claimant asked under the signed manifest: %+v", r)
+			}
+			asked[r.Peer] = r.Index
+		}
+	}
+	if len(asked) != 3 {
+		t.Fatalf("asked %d of 3 honest holders", len(asked))
+	}
+	// What the claimant was asked is forgotten, and the claim is now just
+	// a second description of a hash already described.
+	if _, err := f.OnPiece(2*time.Second, 9, ps[0]); !errors.Is(err, ErrUnsolicited) {
+		t.Fatalf("claimant's answer after the switch: %v, want ErrUnsolicited", err)
+	}
+	if acts, err := f.OnAnnounce(2*time.Second, 9, claim, nil); !errors.Is(err, ErrManifest) || len(acts) != 0 {
+		t.Fatalf("claim against the signed manifest: %v, %d actions", err, len(acts))
+	}
+	if acts := f.Tick(time.Second + PieceTimeout); len(acts) != 0 {
+		t.Fatalf("the claimant's request still times out: %+v", acts)
+	}
+
+	var got *Action
+	for guard := 0; got == nil && guard < 10; guard++ {
+		for peer, index := range asked {
+			delete(asked, peer)
+			acts, err := f.OnPiece(3*time.Second, peer, ps[index])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, a := range acts {
+				switch a.Kind {
+				case ActRequest:
+					asked[a.Peer] = a.Index
+				case ActDeliver:
+					got = &acts[i]
+				}
+			}
+			break
+		}
+	}
+	if got == nil || got.Msg.Block.Hash() != hash {
+		t.Fatal("body not assembled from the honest holders")
+	}
+	if got.Started != time.Second {
+		t.Fatalf("fetch started %v, want the first announce (1s)", got.Started)
+	}
+
+	// The other way round nothing moves: a one-piece body that has matched
+	// its announced hash is not displaced by a signed manifest for it (only
+	// its proposer could make one, and pays with its own proposal).
+	prop, one, onePs, id := bodyOf(t, 11, 1)
+	f = NewFetcher(0, nil)
+	fetchOne(t, f, one)
+	if _, err := f.OnPiece(0, 1, onePs[0]); err != nil {
+		t.Fatal(err)
+	}
+	fat := *prop.Block.Block
+	fat.PayloadPadding = 2 * PieceSize
+	signed, _ := Split(id, &BlockMsg{Block: &fat, Announce: prop.Priority})
+	if _, err := f.OnAnnounce(0, 2, signed, nil); !errors.Is(err, ErrManifest) {
+		t.Fatalf("signed manifest for an assembled one-piece body: %v, want ErrManifest", err)
+	}
+	if pc, _ := f.Serve(2, one.Announce.BlockHash, 0); pc != onePs[0] {
+		t.Fatal("assembled body displaced")
+	}
+}
+
+// TestSeedStripes: for any piece count and neighbourhood, the stripes a
+// proposer offers are disjoint and cover the body, neighbours beyond the
+// piece count are offered everything, and a neighbour is told the rest
+// exactly once, on its request for the last piece of its stripe it had
+// not asked for before: repeats, pieces outside the stripe and other
+// neighbours' requests do not count towards it.
+func TestSeedStripes(t *testing.T) {
+	for seed := int64(0); seed < 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		count := 2 + rng.Intn(7)
+		prop, m, ps, _ := bodyOf(t, 12, count)
+		hash := m.Announce.BlockHash
+		peers := rng.Perm(12)[:1+rng.Intn(11)]
+
+		f := NewFetcher(0, nil)
+		if f.Seed(hash, peers) != nil {
+			t.Fatal("stripes of a body not held")
+		}
+		f.Hold(m, ps, &prop.Block)
+		offers := f.Seed(hash, peers)
+		if len(peers) < 2 {
+			if offers != nil {
+				t.Fatalf("seed %d: stripes for one neighbour", seed)
+			}
+			continue
+		}
+		covered := NewBitmap(count)
+		left := map[int]map[int]bool{}
+		for k, peer := range peers {
+			if offers[k] == nil {
+				if k < count {
+					t.Fatalf("seed %d: neighbour %d of %d offered everything with %d pieces", seed, k, len(peers), count)
+				}
+				continue
+			}
+			left[peer] = map[int]bool{}
+			for i := 0; i < count; i++ {
+				if offers[k].Has(i) {
+					if covered.Has(i) {
+						t.Fatalf("seed %d: piece %d in two stripes", seed, i)
+					}
+					covered.Set(i)
+					left[peer][i] = true
+				}
+			}
+			if len(left[peer]) == 0 {
+				t.Fatalf("seed %d: empty stripe", seed)
+			}
+		}
+		if covered.Len() != count {
+			t.Fatalf("seed %d: stripes cover %d of %d pieces", seed, covered.Len(), count)
+		}
+		for step := 0; step < 40*count; step++ {
+			peer, index := rng.Intn(13), rng.Intn(count+1)-1
+			pc, lifted := f.Serve(peer, hash, index)
+			if (pc != nil) != (index >= 0) || pc != nil && pc != ps[index] {
+				t.Fatalf("seed %d: request for piece %d served %v", seed, index, pc)
+			}
+			want := left[peer][index] && len(left[peer]) == 1
+			if delete(left[peer], index); lifted != want {
+				t.Fatalf("seed %d: neighbour %d asking for piece %d: lifted=%v, want %v", seed, peer, index, lifted, want)
+			}
+		}
+	}
+	// A body of one piece is offered whole.
+	prop, m, ps, _ := bodyOf(t, 13, 1)
+	f := NewFetcher(0, nil)
+	f.Hold(m, ps, &prop.Block)
+	if f.Seed(m.Announce.BlockHash, []int{1, 2, 3}) != nil {
+		t.Fatal("stripes of a one-piece body")
 	}
 }

@@ -259,7 +259,11 @@ func (m *Manifest) signingBytes() []byte {
 // Verify checks what the announce's own verification (VerifyPriority)
 // does not: that the piece count is one a body of at most blockSize
 // bytes can have, and, for a multi-piece body, the proposer's signature
-// over the digests.
+// over the digests. A manifest without digests passes unsigned, so "this
+// body is one piece" is bound to nothing the proposer signed: anyone who
+// saw the flooded priority can say it of any body. The fetcher therefore
+// holds such a claim only until the signed description turns up
+// (OnAnnounce) and tries it on nobody but those who made it (OnHave).
 func (m *Manifest) Verify(p crypto.Provider, blockSize int) error {
 	switch {
 	case len(m.Digests) == 0 && len(m.Sig) == 0:

@@ -230,6 +230,36 @@ func TestChaosDirected(t *testing.T) {
 			},
 		},
 		{
+			// Three nodes announce every 2 MB body as a body of one piece
+			// the moment its priority message reaches them, ahead of every
+			// honest holder: the one manifest anyone can make, since
+			// nothing the proposer signed says how many pieces there are.
+			// Their neighbours believe it until a signed manifest turns
+			// up, ask them for the one piece, and get nothing. The claim
+			// must not shut the honest holders out (a fetcher that pinned
+			// the first manifest it saw waited out λ_block here and voted
+			// for the empty block).
+			name: "manifest-strippers",
+			s: Scenario{Seed: 120, Nodes: 16, Rounds: 5, BlockSize: 2 << 20, LambdaBlock: 20 * time.Second,
+				ManifestStrippers: []int{4, 9, 13}},
+			post: func(t *testing.T, res *Result) {
+				requireBodiesAssembled(t, res)
+				for i, n := range res.Cluster.Nodes {
+					for _, st := range n.Stats {
+						if !res.Byzantine[i] && st.Empty {
+							t.Errorf("node %d round %d: committed the empty block", i, st.Round)
+						}
+					}
+				}
+				unanswered := fetchCounter(res, "requested") - fetchCounter(res, "received") - fetchCounter(res, "duplicate")
+				if unanswered == 0 {
+					t.Error("every piece request was answered; nobody ever believed a stripped manifest")
+				} else {
+					t.Logf("requests made on the strength of a stripped manifest: %d", unanswered)
+				}
+			},
+		},
+		{
 			// Everything at once: equivocators, a partition, background
 			// loss, a DoS'd node, and a crash spanning the heal.
 			name: "kitchen-sink",

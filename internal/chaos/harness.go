@@ -176,11 +176,14 @@ func RunWith(s Scenario, preStart func(c *sim.Cluster)) *Result {
 		res.Grind = c.MakeGrindingProposers(s.Grinders, s.GrindHoldBack)
 	}
 
-	for _, i := range append(append([]int(nil), s.PieceWithholders...), s.PieceForgers...) {
-		res.Byzantine[i] = true
+	for _, ids := range [][]int{s.PieceWithholders, s.PieceForgers, s.ManifestStrippers} {
+		for _, i := range ids {
+			res.Byzantine[i] = true
+		}
 	}
 	c.MakePieceWithholders(s.PieceWithholders)
 	c.MakePieceForgers(s.PieceForgers)
+	c.MakeManifestStrippers(s.ManifestStrippers)
 
 	for _, p := range s.Partitions {
 		p := p

@@ -122,14 +122,18 @@ type Scenario struct {
 	// PieceWithholders lists nodes that advertise the block pieces they
 	// hold like anyone else and never serve one: Conti et al.'s silence,
 	// per piece. PieceForgers answer every piece request with a piece of
-	// their own making. Both otherwise follow the protocol. BlockSize (0:
-	// the harness's 4 KB, one piece) sizes the proposed bodies so there
-	// are pieces to withhold, and LambdaBlock (0: 5 s) leaves room for
-	// the per-piece timeout inside the proposal wait.
-	PieceWithholders []int
-	PieceForgers     []int
-	BlockSize        int
-	LambdaBlock      time.Duration
+	// their own making. ManifestStrippers announce every body, as soon
+	// as its priority message reaches them, as a body of one piece (the
+	// unsigned form of manifest) and serve nothing. All three otherwise
+	// follow the protocol. BlockSize (0: the harness's 4 KB, one piece)
+	// sizes the proposed bodies so there are pieces to withhold, and
+	// LambdaBlock (0: 5 s) leaves room for the per-piece timeout inside
+	// the proposal wait.
+	PieceWithholders  []int
+	PieceForgers      []int
+	ManifestStrippers []int
+	BlockSize         int
+	LambdaBlock       time.Duration
 
 	Partitions []PartitionFault
 	LinkFaults []LinkFault
@@ -250,13 +254,17 @@ func (s *Scenario) StakeWeights() []uint64 {
 }
 
 // ByzantineNodes returns every node under adversarial control: the
-// equivocator prefix plus the grinders.
+// equivocator prefix, the grinders, and the nodes that misbehave in
+// block dissemination only (their stake proposes and votes by the rules,
+// and is Byzantine stake all the same).
 func (s *Scenario) ByzantineNodes() []int {
 	var ids []int
 	for i := 0; i < s.Equivocators; i++ {
 		ids = append(ids, i)
 	}
-	ids = append(ids, s.Grinders...)
+	for _, more := range [][]int{s.Grinders, s.PieceWithholders, s.PieceForgers, s.ManifestStrippers} {
+		ids = append(ids, more...)
+	}
 	return ids
 }
 
@@ -354,6 +362,9 @@ func (s *Scenario) String() string {
 	}
 	if len(s.PieceWithholders)+len(s.PieceForgers) > 0 {
 		fmt.Fprintf(&b, " withholders=%v forgers=%v", s.PieceWithholders, s.PieceForgers)
+	}
+	if len(s.ManifestStrippers) > 0 {
+		fmt.Fprintf(&b, " strippers=%v", s.ManifestStrippers)
 	}
 	if s.BlockSize > 0 {
 		fmt.Fprintf(&b, " blocksize=%d lambdablock=%v", s.BlockSize, s.LambdaBlock)

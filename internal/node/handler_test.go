@@ -181,7 +181,7 @@ func TestHandlerAnnounceTriggersFetch(t *testing.T) {
 		t.Fatalf("announcer served %d requests, want 1", requests)
 	}
 	h := prop.Block.Block.Hash()
-	if _, ok := r.node.fetch.Piece(h, 0); !ok {
+	if pc, _ := r.node.fetch.Serve(-1, h, 0); pc == nil {
 		t.Fatal("block body not held after transfer")
 	}
 	if _, ok := r.node.Ledger().BlockOfHash(h); !ok {

@@ -208,11 +208,6 @@ type Node struct {
 	// scheduled for the requests in flight.
 	fetch      *blockprop.Fetcher
 	fetchTimer bool
-	// seedHash/seedLeft drive the first pass over a body this node
-	// proposed (see seed): how many pieces of its stripe each neighbour
-	// has yet to ask for.
-	seedHash crypto.Digest
-	seedLeft map[int]int
 	// reqNonce numbers this node's unicast requests. It starts at the
 	// scheduler's epoch, not at zero: a replacement for a crashed node
 	// would otherwise repeat its predecessor's (round, requester, nonce)
@@ -507,9 +502,17 @@ func (n *Node) handleMessage(from int, m network.Message) network.Verdict {
 		return n.handleHave(from, msg)
 
 	case *PieceRequest:
-		if p, ok := n.fetch.Piece(msg.Hash, msg.Index); ok {
-			n.net.Unicast(n.ID, msg.Requester, &BlockPiece{P: p, Recipient: msg.Requester, Nonce: msg.Nonce})
-			n.seeded(msg)
+		if from != msg.Requester {
+			return network.Verdict{Relay: false} // a piece goes to whoever asked, nobody else
+		}
+		if p, lifted := n.fetch.Serve(from, msg.Hash, msg.Index); p != nil {
+			n.net.Unicast(n.ID, from, &BlockPiece{P: p, Recipient: from, Nonce: msg.Nonce})
+			if lifted {
+				// The last piece of the stripe this neighbour was offered of a
+				// body we proposed: it may now pull the rest.
+				m, _ := n.fetch.Manifest(msg.Hash)
+				n.net.Unicast(n.ID, from, &BlockHave{Round: m.Announce.Round, Hash: msg.Hash, Announcer: n.ID})
+			}
 		}
 		return network.Verdict{Relay: false}
 
@@ -690,6 +693,10 @@ func (n *Node) handleAnnounce(from int, msg *BlockAnnounce, cost crypto.CostMode
 		// flood; let the waiter see it (it may arrive first).
 		n.propInbox(m.Round).Send(blockprop.NewArrivalPriority(m))
 		n.fetch.NoteBest(m.Round, m.Priority)
+		// A refusal (a second description of a hash already described, a
+		// third body of one proposer, a proposer already found invalid)
+		// makes the announcer no source and is not provably its fault: the
+		// proposer may have signed both.
 		acts, _ := n.fetch.OnAnnounce(n.sim.Now(), msg.Announcer, &msg.Manifest, msg.Have)
 		n.runFetch(acts)
 		return network.Verdict{Relay: false, CPU: cpu}
@@ -782,50 +789,21 @@ func (n *Node) runFetch(acts []blockprop.Action) {
 	}
 }
 
-// seed announces a body this node proposed. Every neighbour may pull
-// all of it, and left to themselves they each start on pieces of their
-// own choosing: the proposer's uplink, the only source there is, then
-// spends the first seconds sending some pieces several times over and
-// others not at all, and the swarm waits for the last distinct piece to
-// leave it. So a body of several pieces is first offered in stripes, a
-// disjoint share per neighbour, which puts every piece into the swarm
-// once in the time the uplink needs to send the body once; a neighbour
-// that has asked for all of its stripe is told the rest (seeded). A
-// neighbour that asks for nothing delays nobody but itself.
+// seed announces a body this node proposed: to everyone at once, or, for
+// a body of several pieces, a disjoint stripe to each neighbour first
+// (blockprop.Fetcher.Seed has the why).
 func (n *Node) seed(ann *BlockAnnounce) {
-	count, peers := ann.Manifest.Pieces(), n.net.Neighbors(n.ID)
-	if count == 1 || len(peers) < 2 {
+	peers := n.net.Neighbors(n.ID)
+	offers := n.fetch.Seed(ann.Manifest.Announce.BlockHash, peers)
+	if offers == nil {
 		n.net.Gossip(n.ID, ann)
 		return
 	}
-	n.seedHash, n.seedLeft = ann.Manifest.Announce.BlockHash, make(map[int]int, len(peers))
 	for k, peer := range peers {
 		striped := *ann
-		if k < count {
-			striped.Have = blockprop.NewBitmap(count)
-			for i := k; i < count; i += len(peers) {
-				striped.Have.Set(i)
-			}
-			n.seedLeft[peer] = striped.Have.Len()
-		}
+		striped.Have = offers[k]
 		n.net.Unicast(n.ID, peer, &striped)
 	}
-}
-
-// seeded notes a piece of a body this node is seeding going out, and
-// lifts the stripe of a neighbour that has asked for the last of its own.
-func (n *Node) seeded(req *PieceRequest) {
-	left, striped := n.seedLeft[req.Requester]
-	if !striped || req.Hash != n.seedHash {
-		return
-	}
-	if left > 1 {
-		n.seedLeft[req.Requester] = left - 1
-		return
-	}
-	delete(n.seedLeft, req.Requester)
-	m, _ := n.fetch.Manifest(req.Hash)
-	n.net.Unicast(n.ID, req.Requester, &BlockHave{Round: m.Announce.Round, Hash: req.Hash, Announcer: n.ID})
 }
 
 // HoldProposal makes this node a complete holder of a body it proposed:

@@ -63,13 +63,24 @@ func TestSeedStripesThenLifts(t *testing.T) {
 		r.node.seed(r.node.HoldProposal(&prop.Block))
 		p.Sleep(time.Second)
 		// The first neighbour asks for its whole stripe, the second for all
-		// but one piece of its own.
+		// but one piece of its own, and for the first of them again and
+		// again: it is distinct pieces that count. The one it still owes is
+		// asked for in its name by the first neighbour, which counts for
+		// nothing and is served to nobody.
 		for k, peer := range peers[:2] {
 			asked := 0
 			for i := 0; i < 6; i++ {
-				if stripes[peer].Has(i) && !(k == 1 && asked == stripes[peer].Len()-1) {
+				switch {
+				case !stripes[peer].Has(i):
+				case k == 1 && asked == stripes[peer].Len()-1:
+					r.net.Unicast(peers[0], 0, &PieceRequest{Hash: h, Index: i, Requester: peer, Nonce: 99})
+				default:
 					asked++
 					r.net.Unicast(peer, 0, &PieceRequest{Hash: h, Index: i, Requester: peer, Nonce: uint64(10*k + i)})
+					if k == 1 && asked == 1 {
+						r.net.Unicast(peer, 0, &PieceRequest{Hash: h, Index: i, Requester: peer, Nonce: 97})
+						r.net.Unicast(peer, 0, &PieceRequest{Hash: h, Index: i, Requester: peer, Nonce: 98})
+					}
 				}
 			}
 		}

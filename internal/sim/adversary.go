@@ -182,6 +182,33 @@ func (c *Cluster) MakePieceForgers(ids []int) {
 	}
 }
 
+// MakeManifestStrippers turns the given nodes into neighbours that, the
+// moment a proposer's flooded priority message reaches them (which is
+// always before the body does), announce its body to every neighbour as
+// a body of one piece: an announce without digests or a second
+// signature, the form a 4 KB body legitimately takes and the one form of
+// manifest anyone can make from public data. They answer no request made
+// on the strength of it. Everything else they do is honest. A fetcher
+// that pinned the first manifest it verified for a block hash would
+// refuse every honest holder's signed manifest afterwards and sit out
+// λ_block.
+func (c *Cluster) MakeManifestStrippers(ids []int) {
+	for _, i := range ids {
+		i, n := i, c.Nodes[i]
+		claimed := make(map[crypto.Digest]bool)
+		c.Net.SetHandler(i, network.HandlerFunc(func(from int, m network.Message) network.Verdict {
+			if pri, ok := m.(*node.PriorityGossip); ok && !claimed[pri.M.BlockHash] {
+				claimed[pri.M.BlockHash] = true
+				claim := &node.BlockAnnounce{Manifest: blockprop.Manifest{Announce: pri.M}, Announcer: i}
+				for _, peer := range c.Net.Neighbors(i) {
+					c.Net.Unicast(i, peer, claim)
+				}
+			}
+			return n.HandleMessage(from, m)
+		}))
+	}
+}
+
 // ForgedPiece answers a piece request with a piece the proposer never
 // signed: the right body, place and count (and, for the first piece, the
 // genuine announce over an empty header), so that nothing short of the
