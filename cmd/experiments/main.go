@@ -6,25 +6,41 @@
 //
 //	experiments -run all
 //	experiments -run figure5 -users 2 -rounds 5
+//	experiments -run nodecost -users 50,100,200,400,1000 -rounds 4
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 
 	"algorand/internal/experiments"
 )
 
 func main() {
 	var (
-		run    = flag.String("run", "all", "experiment: figure3|figure5|figure6|figure7|figure8|throughput|costs|timeouts|steps|ablations|pipeline|coin|sync|all")
-		users  = flag.Float64("users", 1, "user-count multiplier")
+		run    = flag.String("run", "all", "experiment: figure3|figure5|figure6|figure7|figure8|throughput|costs|timeouts|steps|ablations|pipeline|coin|sync|nodecost|all")
+		users  = flag.String("users", "1", "user-count multiplier; for nodecost, the user counts to simulate, comma-separated")
 		rounds = flag.Uint64("rounds", 3, "rounds per run")
 	)
 	flag.Parse()
 
-	scale := experiments.Scale{Users: *users, Rounds: *rounds}
+	// nodecost measures the process, not the protocol: it is not part of
+	// "all" and reads -users as a list of counts.
+	if *run == "nodecost" {
+		if err := nodeCost(*users, *rounds); err != nil {
+			fmt.Fprintln(os.Stderr, "nodecost:", err)
+			os.Exit(1)
+		}
+		return
+	}
+	mult, err := strconv.ParseFloat(*users, 64)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "-users %q is not a multiplier\n", *users)
+		os.Exit(2)
+	}
+	scale := experiments.Scale{Users: mult, Rounds: *rounds}
 	want := func(name string) bool { return *run == "all" || *run == name }
 	ran := false
 

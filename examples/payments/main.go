@@ -81,9 +81,9 @@ func main() {
 
 	bal := cluster.Nodes[0].Ledger().Balances()
 	fmt.Printf("after %d rounds:\n", rounds)
-	fmt.Printf("  alice: %d units\n", bal.Money[alice.PublicKey()])
-	fmt.Printf("  bob:   %d units\n", bal.Money[bob.PublicKey()])
-	fmt.Printf("  carol: %d units\n", bal.Money[carol.PublicKey()])
+	fmt.Printf("  alice: %d units\n", bal.MoneyOf(alice.PublicKey()))
+	fmt.Printf("  bob:   %d units\n", bal.MoneyOf(bob.PublicKey()))
+	fmt.Printf("  carol: %d units\n", bal.MoneyOf(carol.PublicKey()))
 
 	// Throughput accounting, Figure 8 style: committed transactions and
 	// payload over the virtual runtime.

@@ -132,7 +132,7 @@ var ErrNoConsensus = errors.New("agreement: no consensus within MaxSteps")
 // message against a context and returns the verified number of
 // sub-user votes (zero means invalid or not selected).
 func ProcessVote(p crypto.Provider, prm params.Params, ctx *Context, v *ledger.Vote) uint64 {
-	if !p.VerifySig(v.Sender, v.SigningBytes(), v.Sig) {
+	if !v.VerifySig(p) {
 		return 0
 	}
 	// Discard messages that do not extend this chain.

@@ -525,3 +525,29 @@ func TestAblateNoVoteNext3SuppressesExtraVotes(t *testing.T) {
 		t.Fatalf("ablated run still cast %d next-step votes", without)
 	}
 }
+
+// TestAllocBudgetProcessVote guards Algorithm 6 as the simulator runs it
+// for every vote every node hears of: the signing bytes and the VRF input
+// are built on the stack, so validating a vote allocates nothing.
+func TestAllocBudgetProcessVote(t *testing.T) {
+	h := newHarness(t, 20, 20)
+	var vote *ledger.Vote
+	for node := range h.ids {
+		if res := executeSortition(h, node, StepReduction1); res.j > 0 {
+			id := h.ids[node]
+			vote = &ledger.Vote{Sender: id.PublicKey(), Round: h.ctx.Round, Step: StepReduction1,
+				SortHash: res.out, SortProof: res.proof, PrevHash: h.ctx.LastBlockHash, Value: h.ctx.EmptyHash}
+			vote.Sign(id)
+			break
+		}
+	}
+	if vote == nil {
+		t.Fatal("no identity sits on the step-1 committee")
+	}
+	if ProcessVote(h.provider, h.prm, h.ctx, vote) == 0 {
+		t.Fatal("valid vote rejected")
+	}
+	if n := testing.AllocsPerRun(200, func() { ProcessVote(h.provider, h.prm, h.ctx, vote) }); n != 0 {
+		t.Errorf("ProcessVote: %v allocations per vote, want 0", n)
+	}
+}

@@ -43,26 +43,32 @@ const priorityFixedSize = 32 + 8 + 32 + 64 + 4 + 8 + 32 + 4
 // Asserted equal to len(wire.Encode) by the universal round-trip test.
 const PriorityMsgWireSize = priorityFixedSize + 80 + 64
 
-// encodeSigned appends the fields covered by the signature — every
+// prioritySignedSize is the size of a standard announcement's signing
+// bytes; a buffer of this size on the caller's stack holds them, and a
+// longer sortition proof spills to the heap.
+const prioritySignedSize = PriorityMsgWireSize - 4 - 64
+
+// appendSigned appends the fields covered by the signature — every
 // field but the signature itself, in wire order. The block hash is
 // covered, so only the proposer can bind a hash to its priority — a
 // forged second hash would otherwise let an attacker frame an honest
 // proposer as an equivocator.
-func (m *PriorityMsg) encodeSigned(e *wire.Encoder) {
-	e.Fixed(m.Proposer[:])
-	e.Uint64(m.Round)
-	e.Fixed(m.BlockHash[:])
-	e.Fixed(m.SortHash[:])
-	e.Bytes(m.SortProof)
-	e.Uint64(m.SubUser)
-	e.Fixed(m.Priority[:])
+func (m *PriorityMsg) appendSigned(b []byte) []byte {
+	b = append(b, m.Proposer[:]...)
+	b = wire.AppendUint64(b, m.Round)
+	b = append(b, m.BlockHash[:]...)
+	b = append(b, m.SortHash[:]...)
+	b = wire.AppendBytes(b, m.SortProof)
+	b = wire.AppendUint64(b, m.SubUser)
+	return append(b, m.Priority[:]...)
 }
 
 // EncodeTo implements wire.Marshaler: the signed core followed by the
 // length-prefixed signature, so SigningBytes is a strict prefix of the
 // canonical encoding.
 func (m *PriorityMsg) EncodeTo(e *wire.Encoder) {
-	m.encodeSigned(e)
+	var buf [prioritySignedSize]byte
+	e.Fixed(m.appendSigned(buf[:0]))
 	e.Bytes(m.Sig)
 }
 
@@ -86,9 +92,7 @@ func (m *PriorityMsg) WireSize() int {
 // SigningBytes returns the signed encoding: the prefix of the canonical
 // wire encoding before the signature field.
 func (m *PriorityMsg) SigningBytes() []byte {
-	e := wire.NewEncoderSize(PriorityMsgWireSize)
-	m.encodeSigned(e)
-	return e.Data()
+	return m.appendSigned(make([]byte, 0, prioritySignedSize))
 }
 
 // BlockMsg is a full proposed block together with its announce (the
@@ -169,7 +173,8 @@ func VerifyPriority(
 	tauProposer uint64,
 	weight, totalWeight uint64,
 ) uint64 {
-	if !p.VerifySig(m.Proposer, m.SigningBytes(), m.Sig) {
+	var buf [prioritySignedSize]byte
+	if !crypto.VerifySig(p, m.Proposer, m.appendSigned(buf[:0]), m.Sig) {
 		return 0
 	}
 	role := sortition.Role{Kind: roleKind, Round: m.Round}

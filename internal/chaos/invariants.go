@@ -434,11 +434,11 @@ func checkCertificate(p crypto.Provider, l *ledger.Ledger, prm params.Params, b,
 	if on, ok := l.BlockAt(base.Round); !ok || on.Hash() != baseHash {
 		return fmt.Errorf("recovery cert base not on this chain")
 	}
-	bal, _ := l.BalancesAt(baseHash)
+	weights, total, _ := l.WeightsAt(baseHash)
 	off := cert.Round - ledger.RecoveryRoundBase
 	coords := wire.NewEncoderSize(16)
 	coords.Uint64(off / 1024)
 	coords.Uint64(off % 1024)
 	seed := crypto.HashBytes("algorand.recovery.seed", base.Seed[:], coords.Data())
-	return cert.Verify(p, seed, bal.Money, bal.Total, tau, threshold, baseHash)
+	return cert.Verify(p, seed, weights, total, tau, threshold, baseHash)
 }

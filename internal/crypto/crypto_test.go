@@ -2,6 +2,10 @@ package crypto
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"crypto/sha512"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -272,6 +276,76 @@ func TestCanonicalOrdering(t *testing.T) {
 		b := HashUint64("order-test-b", uint64(i))
 		if got, want := a.Compare(b), bytes.Compare(a[:], b[:]); got != want {
 			t.Fatalf("iter %d: Compare = %d, bytes.Compare = %d", i, got, want)
+		}
+	}
+}
+
+// TestFastMatchesHMAC pins the Fast provider's bytes to RFC 2104 as
+// crypto/hmac computes it: the provider builds the two digests in its
+// own frame, and a single differing byte would change every sortition
+// outcome of every simulated run.
+func TestFastMatchesHMAC(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	p := NewFast()
+	for i := 0; i < 1000; i++ {
+		var seed Seed
+		rng.Read(seed[:])
+		// Lengths on both sides of one hash block (64 and 128 bytes) and
+		// of the key block's padding, and the empty message.
+		msg := make([]byte, rng.Intn(400))
+		if i < 8 {
+			msg = make([]byte, []int{0, 1, 63, 64, 65, 127, 128, 129}[i])
+		}
+		rng.Read(msg)
+		id := p.NewIdentity(seed)
+
+		mac := hmac.New(sha256.New, append([]byte("fastcrypto.sig"), seed[:]...))
+		mac.Write(msg)
+		sig := id.Sign(msg)
+		if want := mac.Sum(nil); !bytes.Equal(sig, want) {
+			t.Fatalf("pair %d (%d-byte message): signature %x, crypto/hmac %x", i, len(msg), sig, want)
+		}
+		if !p.VerifySig(id.PublicKey(), msg, sig) {
+			t.Fatalf("pair %d: own signature rejected", i)
+		}
+
+		mac = hmac.New(sha512.New, append([]byte("fastcrypto.vrf"), seed[:]...))
+		mac.Write(msg)
+		out, proof := id.VRFProve(msg)
+		if want := mac.Sum(nil); !bytes.Equal(out[:], want) || !bytes.Equal(proof, want) {
+			t.Fatalf("pair %d (%d-byte message): VRF output %x, crypto/hmac %x", i, len(msg), out, want)
+		}
+		if got, ok := p.VRFVerify(id.PublicKey(), msg, proof); !ok || got != out {
+			t.Fatalf("pair %d: own VRF proof rejected", i)
+		}
+	}
+}
+
+// TestAllocBudgetFastVerify guards the simulator's most frequent calls:
+// every vote and transaction a node hears of is one VerifySig and most
+// are one VRFVerify, and neither may allocate — nor may the helper that
+// lets callers keep their signing bytes on the stack.
+func TestAllocBudgetFastVerify(t *testing.T) {
+	p := NewFast()
+	id := p.NewIdentity(SeedFromUint64(1))
+	pk := id.PublicKey()
+	msg := make([]byte, 200)
+	sig := id.Sign(msg)
+	_, proof := id.VRFProve(msg)
+	var iface Provider = p
+	for name, fn := range map[string]func() bool{
+		"Fast.VerifySig": func() bool { return p.VerifySig(pk, msg, sig) },
+		"Fast.VRFVerify": func() bool { _, ok := p.VRFVerify(pk, msg, proof); return ok },
+		"VerifySig on a stack buffer": func() bool {
+			var buf [200]byte
+			return VerifySig(iface, pk, buf[:], sig)
+		},
+	} {
+		if !fn() {
+			t.Fatalf("%s rejected a valid input", name)
+		}
+		if n := testing.AllocsPerRun(200, func() { fn() }); n != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", name, n)
 		}
 	}
 }

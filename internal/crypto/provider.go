@@ -47,6 +47,34 @@ type Provider interface {
 	Costs() CostModel
 }
 
+// VerifySig is p.VerifySig for a message the caller built in a buffer on
+// its own stack. A call through the Provider interface makes every
+// argument escape; naming the two providers of this package lets the
+// compiler see that neither keeps msg, so the signing bytes of a
+// transaction or a vote cost no allocation per verification. A provider
+// from elsewhere gets a copy.
+func VerifySig(p Provider, pk PublicKey, msg, sig []byte) bool {
+	switch p := p.(type) {
+	case *Fast:
+		return p.VerifySig(pk, msg, sig)
+	case *Real:
+		return p.VerifySig(pk, msg, sig)
+	}
+	return p.VerifySig(pk, bytes.Clone(msg), sig)
+}
+
+// VRFVerify is p.VRFVerify for an input built on the caller's stack
+// (see VerifySig).
+func VRFVerify(p Provider, pk PublicKey, alpha, proof []byte) (VRFOutput, bool) {
+	switch p := p.(type) {
+	case *Fast:
+		return p.VRFVerify(pk, alpha, proof)
+	case *Real:
+		return p.VRFVerify(pk, alpha, proof)
+	}
+	return p.VRFVerify(pk, bytes.Clone(alpha), proof)
+}
+
 // realIdentity implements Identity with Ed25519 + ECVRF.
 type realIdentity struct {
 	signKey ed25519.PrivateKey

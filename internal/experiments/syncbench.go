@@ -104,7 +104,7 @@ func SyncFastRestart(scale Scale, lengths []uint64, interval uint64, seed int64)
 		if _, err := chk.VerifyState(); err != nil {
 			panic(fmt.Sprintf("experiments: checkpoint failed verification: %v", err))
 		}
-		fast, err := ledger.NewFromCheckpoint(c.Provider, cfg.LedgerCfg, c.Genesis, c.Seed0, chk)
+		fast, err := ledger.NewFromCheckpoint(c.Provider, cfg.LedgerCfg, ledger.NewGenesis(c.Genesis, c.Seed0), chk)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: re-base failed: %v", err))
 		}

@@ -143,7 +143,7 @@ func (rm *ReadModel) Balance(pk crypto.PublicKey) (money, nonce, asOfRound uint6
 	rm.mu.RLock()
 	defer rm.mu.RUnlock()
 	bal := rm.l.Balances()
-	return bal.Money[pk], bal.Nonce[pk], rm.l.ChainLength()
+	return bal.MoneyOf(pk), bal.NonceOf(pk), rm.l.ChainLength()
 }
 
 // TxStatus values.

@@ -34,22 +34,28 @@ const voteFixedSize = 32 + 8 + 8 + 64 + 4 + 32 + 32 + 4
 // by the universal round-trip test.
 const VoteWireSize = voteFixedSize + 80 + 64
 
-// encodeSigned appends the fields covered by the signature — every
+// voteSignedSize is the size of a standard vote's signing bytes; a
+// buffer of this size on the caller's stack holds them, and a longer
+// sortition proof spills to the heap.
+const voteSignedSize = VoteWireSize - 4 - 64
+
+// appendSigned appends the fields covered by the signature — every
 // field but the signature itself, in wire order, so the signing bytes
 // are a strict prefix of the canonical encoding.
-func (v *Vote) encodeSigned(e *wire.Encoder) {
-	e.Fixed(v.Sender[:])
-	e.Uint64(v.Round)
-	e.Uint64(v.Step)
-	e.Fixed(v.SortHash[:])
-	e.Bytes(v.SortProof)
-	e.Fixed(v.PrevHash[:])
-	e.Fixed(v.Value[:])
+func (v *Vote) appendSigned(b []byte) []byte {
+	b = append(b, v.Sender[:]...)
+	b = wire.AppendUint64(b, v.Round)
+	b = wire.AppendUint64(b, v.Step)
+	b = append(b, v.SortHash[:]...)
+	b = wire.AppendBytes(b, v.SortProof)
+	b = append(b, v.PrevHash[:]...)
+	return append(b, v.Value[:]...)
 }
 
 // EncodeTo implements wire.Marshaler.
 func (v *Vote) EncodeTo(e *wire.Encoder) {
-	v.encodeSigned(e)
+	var buf [voteSignedSize]byte
+	e.Fixed(v.appendSigned(buf[:0]))
 	e.Bytes(v.Sig)
 }
 
@@ -72,9 +78,13 @@ func (v *Vote) WireSize() int {
 
 // SigningBytes returns the canonical encoding covered by the signature.
 func (v *Vote) SigningBytes() []byte {
-	e := wire.NewEncoderSize(VoteWireSize)
-	v.encodeSigned(e)
-	return e.Data()
+	return v.appendSigned(make([]byte, 0, voteSignedSize))
+}
+
+// VerifySig checks the vote's signature.
+func (v *Vote) VerifySig(p crypto.Provider) bool {
+	var buf [voteSignedSize]byte
+	return crypto.VerifySig(p, v.Sender, v.appendSigned(buf[:0]), v.Sig)
 }
 
 // Sign fills in the signature.
@@ -177,7 +187,7 @@ func (c *Certificate) Verify(
 			return fmt.Errorf("ledger: duplicate voter %v", v.Sender)
 		}
 		seen[v.Sender] = true
-		if !p.VerifySig(v.Sender, v.SigningBytes(), v.Sig) {
+		if !v.VerifySig(p) {
 			return fmt.Errorf("ledger: bad signature from %v", v.Sender)
 		}
 		out, j := sortition.Verify(p, v.Sender, v.SortProof, seed[:], role,

@@ -118,7 +118,7 @@ func (l *Ledger) verifyRecoveryCert(cert *Certificate, tau, threshold uint64) er
 	}
 	off := cert.Round - RecoveryRoundBase
 	seed := RecoverySeed(base.block, off/1024, off%1024)
-	return cert.Verify(l.provider, seed, base.balances.Money, base.balances.Total, tau, threshold, baseHash)
+	return cert.Verify(l.provider, seed, base.moneyByAccount(), base.balances.Total, tau, threshold, baseHash)
 }
 
 // extendHead validates b on the head state and makes it the new head.

@@ -18,7 +18,7 @@ func (p *population) recoveryCert(l *Ledger, base *Block, checkpoint, attempt ui
 	role := sortition.Role{Kind: sortition.RoleCommittee, Round: round, Step: 3}
 	cert := &Certificate{Round: round, Step: 3, Value: value}
 	for _, id := range p.ids {
-		res := sortition.Execute(id, seed[:], role, tau, bal.Money[id.PublicKey()], bal.Total)
+		res := sortition.Execute(id, seed[:], role, tau, bal.MoneyOf(id.PublicKey()), bal.Total)
 		if res.J == 0 {
 			continue
 		}

@@ -558,18 +558,18 @@ func TestFaultSoak(t *testing.T) {
 // fake cert for the block (diskstore verifies structure, not
 // committee signatures — that is the node's job).
 func makeCheckpoint(round uint64, n int) *ledger.Checkpoint {
-	bal := &ledger.Balances{
-		Money: make(map[crypto.PublicKey]uint64),
-		Nonce: make(map[crypto.PublicKey]uint64),
-	}
+	var accounts []ledger.AccountRecord
 	for i := 0; i < n; i++ {
-		pk := crypto.PublicKey(crypto.HashUint64("test.cp.key", uint64(i), nil))
-		bal.Money[pk] = uint64(500 + i)
-		bal.Total += uint64(500 + i)
-		if i%2 == 0 {
-			bal.Nonce[pk] = uint64(i)
+		a := ledger.AccountRecord{
+			Key:   crypto.PublicKey(crypto.HashUint64("test.cp.key", uint64(i), nil)),
+			Money: uint64(500 + i),
 		}
+		if i%2 == 0 {
+			a.Nonce = uint64(i)
+		}
+		accounts = append(accounts, a)
 	}
+	bal := (&ledger.Checkpoint{Accounts: accounts}).Balances()
 	b := &ledger.Block{
 		Round:     round,
 		PrevHash:  crypto.HashUint64("test.cp.prev", round, nil),

@@ -3,6 +3,7 @@ package ledger
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"time"
 
 	"algorand/internal/crypto"
@@ -47,6 +48,48 @@ type entry struct {
 	balances *Balances // state after applying block
 	cert     *Certificate
 	final    bool
+	// weights is balances as the map sortition reads, money by account,
+	// built when a round first draws its weights from this block.
+	weights map[crypto.PublicKey]uint64
+}
+
+// moneyByAccount returns e's balances as a sortition weight table.
+func (e *entry) moneyByAccount() map[crypto.PublicKey]uint64 {
+	if e.weights == nil {
+		e.weights = make(map[crypto.PublicKey]uint64, e.balances.Len())
+		e.balances.Accounts(func(a AccountRecord) bool {
+			e.weights[a.Key] = a.Money
+			return true
+		})
+	}
+	return e.weights
+}
+
+// Genesis is what every user knows before it hears from anyone (§8.3):
+// the genesis accounts and the bootstrap seed, together with everything
+// they determine — the account state, its sortition weight table and the
+// genesis block — worked out once. A Genesis is immutable, so the users
+// of one process can share it: a simulated user then costs what it comes
+// to own, not a copy of the account table.
+type Genesis struct {
+	balances *Balances
+	weights  map[crypto.PublicKey]uint64
+	block    *Block
+	hash     crypto.Digest
+}
+
+// NewGenesis derives the genesis state from its accounts and seed0.
+func NewGenesis(accounts map[crypto.PublicKey]uint64, seed0 crypto.Digest) *Genesis {
+	bal := NewBalances(accounts)
+	g := &Genesis{
+		balances: bal,
+		weights:  maps.Clone(accounts),
+		block:    &Block{Round: 0, Seed: seed0, StateRoot: bal.Root()},
+	}
+	g.hash = g.block.Hash()
+	// Nothing writes the state again: every ledger clones it first.
+	bal.share()
+	return g
 }
 
 // Ledger is one user's view of the blockchain. It tracks the canonical
@@ -72,8 +115,11 @@ type Ledger struct {
 // New creates a ledger from genesis accounts and the bootstrap seed
 // seed0 (§8.3: the genesis block and seed are common knowledge).
 func New(p crypto.Provider, cfg Config, genesisAccounts map[crypto.PublicKey]uint64, seed0 crypto.Digest) *Ledger {
-	bal := NewBalances(genesisAccounts)
-	gBlock := &Block{Round: 0, Seed: seed0, StateRoot: bal.Root()}
+	return NewFromGenesis(p, cfg, NewGenesis(genesisAccounts, seed0))
+}
+
+// NewFromGenesis creates a ledger at g.
+func NewFromGenesis(p crypto.Provider, cfg Config, g *Genesis) *Ledger {
 	l := &Ledger{
 		cfg:           cfg,
 		provider:      p,
@@ -82,10 +128,11 @@ func New(p crypto.Provider, cfg Config, genesisAccounts map[crypto.PublicKey]uin
 		pendingBlocks: make(map[crypto.Digest]*Block),
 	}
 	e := &entry{
-		block:    gBlock,
-		hash:     gBlock.Hash(),
-		balances: bal,
+		block:    g.block,
+		hash:     g.hash,
+		balances: g.balances,
 		final:    true,
+		weights:  g.weights,
 	}
 	l.entries[e.hash] = e
 	l.byRound[0] = []*entry{e}
@@ -175,21 +222,34 @@ func (l *Ledger) SortitionWeights(r uint64) (map[crypto.PublicKey]uint64, uint64
 		e = l.genesis
 	}
 	if !l.cfg.MinOfCurrentAndLookback {
-		return e.balances.Money, e.balances.Total
+		return e.moneyByAccount(), e.balances.Total
 	}
 	cur := l.head.balances
-	min := make(map[crypto.PublicKey]uint64, len(e.balances.Money))
+	min := make(map[crypto.PublicKey]uint64, e.balances.Len())
 	var total uint64
-	for pk, w := range e.balances.Money {
-		if c := cur.Money[pk]; c < w {
+	e.balances.Accounts(func(a AccountRecord) bool {
+		w := a.Money
+		if c := cur.MoneyOf(a.Key); c < w {
 			w = c
 		}
 		if w > 0 {
-			min[pk] = w
+			min[a.Key] = w
 			total += w
 		}
-	}
+		return true
+	})
 	return min, total
+}
+
+// WeightsAt returns the account balances after the block with the given
+// hash as a sortition weight table, with their total: the stake a §8.2
+// recovery attempt based on that block draws its committees from.
+func (l *Ledger) WeightsAt(h crypto.Digest) (map[crypto.PublicKey]uint64, uint64, bool) {
+	e, ok := l.entries[h]
+	if !ok {
+		return nil, 0, false
+	}
+	return e.moneyByAccount(), e.balances.Total, true
 }
 
 // PrevSeed returns the seed of the head block (seed_{r-1} needed to
@@ -312,6 +372,8 @@ func (l *Ledger) CommitHashed(b *Block, h crypto.Digest, cert *Certificate) erro
 	if got := bal.Root(); b.StateRoot != got {
 		return fmt.Errorf("ledger: commit state root %s, post-apply state is %s", b.StateRoot, got)
 	}
+	// The entry's state is final: readers on any goroutine may clone it.
+	bal.share()
 	e := &entry{
 		block:    b,
 		hash:     h,

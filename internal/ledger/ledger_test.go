@@ -108,8 +108,8 @@ func TestBalancesApply(t *testing.T) {
 	if err := b.ApplyTx(tx); err != nil {
 		t.Fatal(err)
 	}
-	if b.Money[a] != 70 || b.Money[bpk] != 130 {
-		t.Fatalf("balances %d/%d", b.Money[a], b.Money[bpk])
+	if b.MoneyOf(a) != 70 || b.MoneyOf(bpk) != 130 {
+		t.Fatalf("balances %d/%d", b.MoneyOf(a), b.MoneyOf(bpk))
 	}
 	if b.Total != 200 {
 		t.Fatalf("total changed: %d", b.Total)
@@ -132,8 +132,11 @@ func TestBalancesCloneIndependent(t *testing.T) {
 	p := newPopulation(2, 100)
 	b := NewBalances(p.accounts)
 	c := b.Clone()
-	c.Money[p.ids[0].PublicKey()] = 1
-	if b.Money[p.ids[0].PublicKey()] != 100 {
+	from, to := p.ids[0].PublicKey(), p.ids[1].PublicKey()
+	if err := c.ApplyTx(&Transaction{From: from, To: to, Amount: 99}); err != nil {
+		t.Fatal(err)
+	}
+	if c.MoneyOf(from) != 1 || b.MoneyOf(from) != 100 || b.MoneyOf(to) != 100 {
 		t.Fatal("clone aliases original")
 	}
 }
@@ -229,7 +232,7 @@ func TestCommitChainAndState(t *testing.T) {
 	if l.Head().Round != 1 || l.NextRound() != 2 {
 		t.Fatalf("head round %d", l.Head().Round)
 	}
-	if got := l.Balances().Money[p.ids[1].PublicKey()]; got != 125 {
+	if got := l.Balances().MoneyOf(p.ids[1].PublicKey()); got != 125 {
 		t.Fatalf("recipient balance %d", got)
 	}
 
@@ -670,18 +673,19 @@ func TestApplyTxConservationQuick(t *testing.T) {
 				Amount: uint64(op.Amount % 80),
 				Nonce:  nonces[from.PublicKey()],
 			}
-			before := b.Money[tx.From] + b.Money[tx.To]
+			before := b.MoneyOf(tx.From) + b.MoneyOf(tx.To)
 			err := b.ApplyTx(tx)
 			if err == nil {
 				nonces[tx.From]++
-			} else if tx.From != tx.To && b.Money[tx.From]+b.Money[tx.To] != before {
+			} else if tx.From != tx.To && b.MoneyOf(tx.From)+b.MoneyOf(tx.To) != before {
 				return false // failed tx mutated state
 			}
 		}
 		var sum uint64
-		for _, m := range b.Money {
-			sum += m
-		}
+		b.Accounts(func(a AccountRecord) bool {
+			sum += a.Money
+			return true
+		})
 		return sum == b.Total && b.Total == 200
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

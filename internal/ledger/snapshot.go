@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"algorand/internal/crypto"
 	"algorand/internal/wire"
@@ -48,33 +49,13 @@ const checkpointOverheadSize = 4
 // (normally the ledger entry's own post-apply state, so that
 // Verify's root check holds by construction).
 func CheckpointOf(b *Block, cert *Certificate, bal *Balances) *Checkpoint {
-	keys := make([]crypto.PublicKey, 0, len(bal.Money))
-	seen := make(map[crypto.PublicKey]bool, len(bal.Money))
-	for pk := range bal.Money {
-		keys = append(keys, pk)
-		seen[pk] = true
-	}
-	for pk := range bal.Nonce {
-		if !seen[pk] {
-			keys = append(keys, pk)
-		}
-	}
-	sortKeys(keys)
-	cp := &Checkpoint{Block: b, Cert: cert, Accounts: make([]AccountRecord, len(keys))}
-	for i, pk := range keys {
-		cp.Accounts[i] = AccountRecord{Key: pk, Money: bal.Money[pk], Nonce: bal.Nonce[pk]}
-	}
+	cp := &Checkpoint{Block: b, Cert: cert, Accounts: make([]AccountRecord, 0, bal.Len())}
+	bal.Accounts(func(a AccountRecord) bool {
+		cp.Accounts = append(cp.Accounts, a)
+		return true
+	})
+	slices.SortFunc(cp.Accounts, func(a, b AccountRecord) int { return a.Key.Compare(b.Key) })
 	return cp
-}
-
-func sortKeys(keys []crypto.PublicKey) {
-	// Insertion sort is fine for test-sized tables; real tables sort
-	// rarely (once per checkpoint interval).
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && bytes.Compare(keys[j][:], keys[j-1][:]) < 0; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
 }
 
 // Round returns the checkpointed round.
@@ -82,16 +63,10 @@ func (cp *Checkpoint) Round() uint64 { return cp.Block.Round }
 
 // Balances rebuilds the account state the checkpoint describes.
 func (cp *Checkpoint) Balances() *Balances {
-	bal := &Balances{
-		Money: make(map[crypto.PublicKey]uint64, len(cp.Accounts)),
-		Nonce: make(map[crypto.PublicKey]uint64, len(cp.Accounts)),
-	}
+	bal := new(Balances)
 	for _, a := range cp.Accounts {
-		bal.Money[a.Key] = a.Money
+		bal.put(merkleBucketOf(a.Key), a)
 		bal.Total += a.Money
-		if a.Nonce != 0 {
-			bal.Nonce[a.Key] = a.Nonce
-		}
 	}
 	return bal
 }
@@ -135,12 +110,12 @@ func (cp *Checkpoint) VerifyState() (*Balances, error) {
 // its certificate — the caller must have checked the certificate
 // against the committee before trusting the resulting ledger (see
 // node.VerifyCheckpoint).
-func NewFromCheckpoint(p crypto.Provider, cfg Config, genesisAccounts map[crypto.PublicKey]uint64, seed0 crypto.Digest, cp *Checkpoint) (*Ledger, error) {
+func NewFromCheckpoint(p crypto.Provider, cfg Config, g *Genesis, cp *Checkpoint) (*Ledger, error) {
 	bal, err := cp.VerifyState()
 	if err != nil {
 		return nil, err
 	}
-	l := New(p, cfg, genesisAccounts, seed0)
+	l := NewFromGenesis(p, cfg, g)
 	// VerifyState held the certificate's value against the block's hash.
 	hash := cp.Cert.Value
 	if cp.Block.Round == 0 {
@@ -149,6 +124,7 @@ func NewFromCheckpoint(p crypto.Provider, cfg Config, genesisAccounts map[crypto
 		}
 		return l, nil
 	}
+	bal.share()
 	e := &entry{
 		block:    cp.Block,
 		hash:     hash,

@@ -14,18 +14,18 @@ import (
 // the block. diskstore and the snapshot wire format only need the
 // structural invariants; certificate validity is the node's job.
 func testCheckpoint(round uint64, n int) *Checkpoint {
-	bal := &Balances{
-		Money: make(map[crypto.PublicKey]uint64),
-		Nonce: make(map[crypto.PublicKey]uint64),
-	}
+	var accounts []AccountRecord
 	for i := 0; i < n; i++ {
-		pk := crypto.PublicKey(crypto.HashUint64("test.checkpoint.key", uint64(i), nil))
-		bal.Money[pk] = uint64(1000 + i)
-		bal.Total += uint64(1000 + i)
-		if i%3 == 0 {
-			bal.Nonce[pk] = uint64(i + 1)
+		a := AccountRecord{
+			Key:   crypto.PublicKey(crypto.HashUint64("test.checkpoint.key", uint64(i), nil)),
+			Money: uint64(1000 + i),
 		}
+		if i%3 == 0 {
+			a.Nonce = uint64(i + 1)
+		}
+		accounts = append(accounts, a)
 	}
+	bal := (&Checkpoint{Accounts: accounts}).Balances()
 	b := &Block{
 		Round:     round,
 		PrevHash:  crypto.HashUint64("test.checkpoint.prev", round, nil),
@@ -66,16 +66,12 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if gotBal.Total != bal.Total || gotBal.Root() != bal.Root() {
 		t.Fatal("decoded balances differ from original")
 	}
-	for pk, m := range bal.Money {
-		if gotBal.Money[pk] != m {
-			t.Fatalf("account %x money %d, want %d", pk[:4], gotBal.Money[pk], m)
+	bal.Accounts(func(a AccountRecord) bool {
+		if m, nn := gotBal.MoneyOf(a.Key), gotBal.NonceOf(a.Key); m != a.Money || nn != a.Nonce {
+			t.Fatalf("account %x money %d nonce %d, want %d and %d", a.Key[:4], m, nn, a.Money, a.Nonce)
 		}
-	}
-	for pk, nn := range bal.Nonce {
-		if gotBal.Nonce[pk] != nn {
-			t.Fatalf("account %x nonce %d, want %d", pk[:4], gotBal.Nonce[pk], nn)
-		}
-	}
+		return true
+	})
 	if !bytes.Equal(wire.Encode(&got), data) {
 		t.Fatal("re-encoding is not byte-identical")
 	}

@@ -101,114 +101,131 @@ func (tx *Transaction) Sign(id crypto.Identity) {
 
 // VerifySig checks the transaction signature.
 func (tx *Transaction) VerifySig(p crypto.Provider) bool {
-	return p.VerifySig(tx.From, tx.SigningBytes(), tx.Sig)
+	var buf [txSignedSize]byte
+	return crypto.VerifySig(p, tx.From, tx.appendSigned(buf[:0]), tx.Sig)
 }
 
-// Balances tracks every account's money and per-account nonces. The
-// total money supply W is maintained incrementally because sortition
-// divides by it constantly, and the Merkle account tree is maintained
-// incrementally because every block header commits to its root.
+// Balances is the account table: every account's money and nonce, the
+// total money supply W (maintained incrementally because sortition
+// divides by it constantly) and the Merkle account tree (maintained
+// incrementally because every block header commits to its root).
+//
+// The table is persistent. Records live in the tree's buckets, Clone
+// copies the bucket pointers and the interior hashes, and a write copies
+// only the bucket it lands in, once: validating, assembling or committing
+// a block costs what the block touches, not what the ledger holds, and
+// the state after every block of every fork shares what it did not
+// change with its parent. Either side of a Clone may be written
+// afterwards; neither sees the other's writes.
 type Balances struct {
-	Money map[crypto.PublicKey]uint64
-	Nonce map[crypto.PublicKey]uint64
 	Total uint64
 
-	tree *accountTree
+	accountTree
 }
 
 // NewBalances builds the genesis account state.
 func NewBalances(initial map[crypto.PublicKey]uint64) *Balances {
-	b := &Balances{
-		Money: make(map[crypto.PublicKey]uint64, len(initial)),
-		Nonce: make(map[crypto.PublicKey]uint64, len(initial)),
-		tree:  newAccountTree(),
-	}
+	b := new(Balances)
 	for pk, amt := range initial {
-		b.Money[pk] = amt
+		b.put(merkleBucketOf(pk), AccountRecord{Key: pk, Money: amt})
 		b.Total += amt
-		b.tree.touch(pk, amt, 0, true)
 	}
 	return b
 }
 
-// Clone returns a deep copy, used for per-round weight snapshots.
+// Clone returns a copy that shares every bucket with b until one of the
+// two writes to it. Its cost does not depend on the number of accounts.
 func (b *Balances) Clone() *Balances {
-	c := &Balances{
-		Money: make(map[crypto.PublicKey]uint64, len(b.Money)),
-		Nonce: make(map[crypto.PublicKey]uint64, len(b.Nonce)),
-		Total: b.Total,
-	}
-	for pk, amt := range b.Money {
-		c.Money[pk] = amt
-	}
-	for pk, n := range b.Nonce {
-		c.Nonce[pk] = n
-	}
-	if b.tree != nil {
-		c.tree = b.tree.clone()
-	}
-	return c
-}
-
-// ensureTree rebuilds the account tree from the maps when the Balances
-// was assembled field-by-field rather than through NewBalances.
-func (b *Balances) ensureTree() *accountTree {
-	if b.tree == nil {
-		t := newAccountTree()
-		for pk, amt := range b.Money {
-			t.touch(pk, amt, b.Nonce[pk], true)
-		}
-		for pk, n := range b.Nonce {
-			if _, ok := b.Money[pk]; !ok {
-				t.touch(pk, 0, n, true)
-			}
-		}
-		b.tree = t
-	}
-	return b.tree
+	b.share()
+	c := *b
+	return &c
 }
 
 // Root returns the state commitment every block header carries: the
 // Merkle root over all account records plus the total supply W.
 func (b *Balances) Root() crypto.Digest {
-	return stateRoot(b.Total, b.ensureTree().root())
+	return stateRoot(b.Total, b.root())
 }
 
-// Weight returns the sortition weight (account balance) of pk.
-func (b *Balances) Weight(pk crypto.PublicKey) uint64 {
-	return b.Money[pk]
+// MoneyOf returns pk's balance, which is also its sortition weight.
+func (b *Balances) MoneyOf(pk crypto.PublicKey) uint64 {
+	return b.get(merkleBucketOf(pk), pk).Money
 }
 
-// CheckTx validates tx against the current state without applying it.
-func (b *Balances) CheckTx(tx *Transaction) error {
+// NonceOf returns the nonce pk's next transaction must carry.
+func (b *Balances) NonceOf(pk crypto.PublicKey) uint64 {
+	return b.get(merkleBucketOf(pk), pk).Nonce
+}
+
+// Len returns the number of accounts.
+func (b *Balances) Len() int {
+	n := 0
+	for _, bk := range b.buckets {
+		if bk != nil {
+			n += len(bk.accounts)
+		}
+	}
+	return n
+}
+
+// Accounts calls yield for every account record until it returns false,
+// in an order that depends only on the set of keys (bucket by bucket,
+// ascending by key within one).
+func (b *Balances) Accounts(yield func(AccountRecord) bool) {
+	for _, bk := range b.buckets {
+		if bk == nil {
+			continue
+		}
+		for i := range bk.accounts {
+			if !yield(bk.accounts[i].AccountRecord) {
+				return
+			}
+		}
+	}
+}
+
+// checkTx validates tx against its sender's record.
+func checkTx(tx *Transaction, from AccountRecord) error {
 	if tx.Amount == 0 {
 		return errors.New("ledger: zero-amount transaction")
 	}
 	if tx.Amount+tx.Fee < tx.Amount {
 		return errors.New("ledger: amount+fee overflows")
 	}
-	if b.Money[tx.From] < tx.Amount+tx.Fee {
-		return fmt.Errorf("ledger: insufficient balance %d < %d", b.Money[tx.From], tx.Amount+tx.Fee)
+	if from.Money < tx.Amount+tx.Fee {
+		return fmt.Errorf("ledger: insufficient balance %d < %d", from.Money, tx.Amount+tx.Fee)
 	}
-	if tx.Nonce != b.Nonce[tx.From] {
-		return fmt.Errorf("ledger: bad nonce %d, want %d", tx.Nonce, b.Nonce[tx.From])
+	if tx.Nonce != from.Nonce {
+		return fmt.Errorf("ledger: bad nonce %d, want %d", tx.Nonce, from.Nonce)
 	}
 	return nil
+}
+
+// CheckTx validates tx against the current state without applying it.
+func (b *Balances) CheckTx(tx *Transaction) error {
+	return checkTx(tx, b.get(merkleBucketOf(tx.From), tx.From))
 }
 
 // ApplyTx validates and applies tx. The fee is burned: it leaves the
 // sender's balance and the total supply W, so fees cannot be minted
 // into sortition weight by self-paying proposers.
 func (b *Balances) ApplyTx(tx *Transaction) error {
-	if err := b.CheckTx(tx); err != nil {
+	i := merkleBucketOf(tx.From)
+	from := b.get(i, tx.From)
+	if err := checkTx(tx, from); err != nil {
 		return err
 	}
-	b.Money[tx.From] -= tx.Amount + tx.Fee
-	b.Money[tx.To] += tx.Amount
+	// A sender that can pay has a record: from.Key is set.
+	from.Money -= tx.Amount + tx.Fee
+	from.Nonce++
+	b.put(i, from)
+	// Read the recipient after the sender is written: they may be one
+	// account.
+	j := merkleBucketOf(tx.To)
+	to := b.get(j, tx.To)
+	to.Key = tx.To
+	to.Money += tx.Amount
+	b.put(j, to)
 	b.Total -= tx.Fee
-	b.Nonce[tx.From]++
-	t := b.ensureTree()
-	t.touch(tx.From, b.Money[tx.From], b.Nonce[tx.From], true)
-	t.touch(tx.To, b.Money[tx.To], b.Nonce[tx.To], true)
 	return nil
 }

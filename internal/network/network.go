@@ -30,8 +30,25 @@ type Message interface {
 	// ID uniquely identifies the message for duplicate suppression.
 	ID() crypto.Digest
 	// LimitKey groups messages for the per-(sender,round,step) relay
-	// limit of §8.4; empty string disables the limit for this message.
-	LimitKey() string
+	// limit of §8.4; the zero key disables the limit for this message.
+	LimitKey() LimitKey
+}
+
+// LimitKey names one relay budget of §8.4: a kind of message, the first
+// eight bytes of its sender's key, a round and a step. It is a fixed-size
+// comparable value, so the caches key on it directly and building one
+// costs nothing. The zero value means "no limit".
+type LimitKey struct {
+	Kind   byte
+	Sender [8]byte
+	Round  uint64
+	Step   uint64
+}
+
+// NewLimitKey builds the key for a message of the given kind (non-zero)
+// from sender.
+func NewLimitKey(kind byte, sender crypto.PublicKey, round, step uint64) LimitKey {
+	return LimitKey{Kind: kind, Sender: [8]byte(sender[:8]), Round: round, Step: step}
 }
 
 // MultiRelay is an optional Message extension raising the relay limit
@@ -152,8 +169,8 @@ type endpoint struct {
 	// lifetime between one and two TTLs.
 	seen      map[seenKey]bool
 	seenOld   map[seenKey]bool
-	limitSeen map[string]int
-	limitOld  map[string]int
+	limitSeen map[LimitKey]int
+	limitOld  map[LimitKey]int
 	cpuFree   time.Duration
 
 	// Per-endpoint counters. Standalone metrics primitives, not
@@ -241,6 +258,9 @@ type Network struct {
 	// lastRotate is the virtual time of the last seen-cache rotation.
 	lastRotate time.Duration
 
+	// idle holds the transfer records not on the event queue.
+	idle []*transfer
+
 	// Aggregate counters, registered under algorand_net_* (see
 	// Config.Metrics); read through TotalBytes/TotalMsgs/TotalLost.
 	totalBytes *metrics.Counter
@@ -278,7 +298,7 @@ func New(sim *vtime.Sim, cfg Config, n int) *Network {
 			id:        i,
 			city:      i % NumCities,
 			seen:      make(map[seenKey]bool),
-			limitSeen: make(map[string]int),
+			limitSeen: make(map[LimitKey]int),
 		}
 		if cfg.ProcsPerVM > 1 {
 			if i%cfg.ProcsPerVM == 0 {
@@ -517,7 +537,7 @@ func (ep *endpoint) sawID(id seenKey) bool {
 
 // limitCount is the §8.4 relay count for a LimitKey across both cache
 // generations.
-func (ep *endpoint) limitCount(k string) int {
+func (ep *endpoint) limitCount(k LimitKey) int {
 	return ep.limitSeen[k] + ep.limitOld[k]
 }
 
@@ -533,7 +553,7 @@ func (nw *Network) maybeRotate() {
 		nw.lastRotate = now
 		for _, ep := range nw.eps {
 			ep.seenOld, ep.seen = ep.seen, make(map[seenKey]bool)
-			ep.limitOld, ep.limitSeen = ep.limitSeen, make(map[string]int)
+			ep.limitOld, ep.limitSeen = ep.limitSeen, make(map[LimitKey]int)
 		}
 	}
 }
@@ -546,6 +566,11 @@ type envelope struct {
 	m    Message
 	id   seenKey
 	size int
+	// limitKey and limit are the message's §8.4 relay budget: at most
+	// limit relays per endpoint of messages sharing limitKey, none
+	// enforced for the zero key.
+	limitKey LimitKey
+	limit    int
 }
 
 // seenKey is what the duplicate-suppression caches keep of a message ID:
@@ -557,7 +582,13 @@ type seenKey [16]byte
 
 func seal(m Message) *envelope {
 	id := m.ID()
-	return &envelope{m: m, id: seenKey(id[:]), size: m.WireSize()}
+	env := &envelope{m: m, id: seenKey(id[:]), size: m.WireSize(), limitKey: m.LimitKey(), limit: 1}
+	// Messages may allow a higher limit (equivocation evidence needs two
+	// copies to travel).
+	if mr, ok := m.(MultiRelay); ok {
+		env.limit = mr.RelayLimit()
+	}
+	return env
 }
 
 // Gossip injects a message originated by node origin: it is sent to all
@@ -567,8 +598,8 @@ func (nw *Network) Gossip(origin int, m Message) {
 	ep := nw.eps[origin]
 	env := seal(m)
 	ep.seen[env.id] = true
-	if k := m.LimitKey(); k != "" {
-		ep.limitSeen[k]++
+	if env.limitKey != (LimitKey{}) {
+		ep.limitSeen[env.limitKey]++
 	}
 	nw.relay(origin, -1, env)
 }
@@ -638,9 +669,43 @@ func (nw *Network) send(from, to int, env *envelope) {
 		deliverAt = release
 	}
 
-	nw.sim.After(deliverAt-now, func() {
+	nw.schedule(deliverAt-now, from, to, env, false)
+}
+
+// transfer is one scheduled step of a message's journey: its delivery at
+// to, or — relay set — its onward relay by to once the node's modeled
+// CPU has verified it. A simulated round is hundreds of thousands of
+// transfers, each of which was a closure of its own on the event queue;
+// the records are recycled through Network.idle instead (only the
+// scheduler goroutine touches them).
+type transfer struct {
+	nw       *Network
+	from, to int32
+	relay    bool
+	env      *envelope
+}
+
+func (nw *Network) schedule(d time.Duration, from, to int, env *envelope, relay bool) {
+	var t *transfer
+	if n := len(nw.idle); n > 0 {
+		t, nw.idle = nw.idle[n-1], nw.idle[:n-1]
+	} else {
+		t = &transfer{nw: nw}
+	}
+	t.from, t.to, t.env, t.relay = int32(from), int32(to), env, relay
+	nw.sim.AfterRun(d, t)
+}
+
+// Run implements vtime.Runner.
+func (t *transfer) Run() {
+	nw, from, to, env, relay := t.nw, int(t.from), int(t.to), t.env, t.relay
+	t.env = nil
+	nw.idle = append(nw.idle, t)
+	if relay {
+		nw.relay(to, from, env)
+	} else {
 		nw.deliver(from, to, env)
-	})
+	}
 }
 
 // deliver runs at the receiver when the message finishes arriving.
@@ -673,14 +738,9 @@ func (nw *Network) deliver(from, to int, env *envelope) {
 	if !verdict.Relay {
 		return
 	}
-	// Per-(sender,round,step) relay limit (§8.4). Messages may allow a
-	// higher limit (equivocation evidence needs two copies to travel).
-	if k := m.LimitKey(); k != "" {
-		limit := 1
-		if mr, ok := m.(MultiRelay); ok {
-			limit = mr.RelayLimit()
-		}
-		if ep.limitCount(k) >= limit {
+	// Per-(sender,round,step) relay limit (§8.4).
+	if k := env.limitKey; k != (LimitKey{}) {
+		if ep.limitCount(k) >= env.limit {
 			return
 		}
 		ep.limitSeen[k]++
@@ -689,9 +749,7 @@ func (nw *Network) deliver(from, to int, env *envelope) {
 	if relayDelay < 0 {
 		relayDelay = 0
 	}
-	nw.sim.After(relayDelay, func() {
-		nw.relay(to, from, env)
-	})
+	nw.schedule(relayDelay, from, to, env, true)
 }
 
 // Stats aggregates per-node statistics.
@@ -737,7 +795,7 @@ func (nw *Network) ResetSeen() {
 	for _, ep := range nw.eps {
 		ep.seen = make(map[seenKey]bool)
 		ep.seenOld = nil
-		ep.limitSeen = make(map[string]int)
+		ep.limitSeen = make(map[LimitKey]int)
 		ep.limitOld = nil
 	}
 }

@@ -13,12 +13,12 @@ import (
 type testMsg struct {
 	id    crypto.Digest
 	size  int
-	limit string
+	limit LimitKey
 }
 
-func (m *testMsg) WireSize() int     { return m.size }
-func (m *testMsg) ID() crypto.Digest { return m.id }
-func (m *testMsg) LimitKey() string  { return m.limit }
+func (m *testMsg) WireSize() int      { return m.size }
+func (m *testMsg) ID() crypto.Digest  { return m.id }
+func (m *testMsg) LimitKey() LimitKey { return m.limit }
 
 func msg(tag string, size int) *testMsg {
 	return &testMsg{id: crypto.HashBytes("test.msg", []byte(tag)), size: size}
@@ -213,8 +213,8 @@ func TestRelayLimitPerSenderRoundStep(t *testing.T) {
 			return Verdict{Relay: true}
 		}))
 	}
-	a := &testMsg{id: crypto.HashBytes("ek", []byte("a")), size: 111, limit: "pk5|r1|s1"}
-	b := &testMsg{id: crypto.HashBytes("ek", []byte("b")), size: 112, limit: "pk5|r1|s1"}
+	a := &testMsg{id: crypto.HashBytes("ek", []byte("a")), size: 111, limit: LimitKey{Kind: 'v', Sender: [8]byte{5}, Round: 1, Step: 1}}
+	b := &testMsg{id: crypto.HashBytes("ek", []byte("b")), size: 112, limit: LimitKey{Kind: 'v', Sender: [8]byte{5}, Round: 1, Step: 1}}
 	sim.Spawn("origin", func(p *vtime.Proc) {
 		nw.Gossip(5, a)
 		nw.Gossip(5, b)
@@ -494,7 +494,7 @@ func TestMultiRelayLimit(t *testing.T) {
 		}))
 	}
 	mk := func(tag string, size int) *multiMsg {
-		return &multiMsg{testMsg{id: crypto.HashBytes("mr", []byte(tag)), size: size, limit: "same-key"}}
+		return &multiMsg{testMsg{id: crypto.HashBytes("mr", []byte(tag)), size: size, limit: LimitKey{Kind: 'p', Round: 1}}}
 	}
 	sim.Spawn("o", func(p *vtime.Proc) {
 		nw.Gossip(3, mk("a", 101))
@@ -516,22 +516,26 @@ func TestMultiRelayLimit(t *testing.T) {
 // countingMsg counts how often the network asks it what it is.
 type countingMsg struct {
 	testMsg
-	ids, sizes int
+	ids, sizes, keys int
 }
 
-func (m *countingMsg) ID() crypto.Digest { m.ids++; return m.testMsg.ID() }
-func (m *countingMsg) WireSize() int     { m.sizes++; return m.testMsg.WireSize() }
+func (m *countingMsg) ID() crypto.Digest  { m.ids++; return m.testMsg.ID() }
+func (m *countingMsg) WireSize() int      { m.sizes++; return m.testMsg.WireSize() }
+func (m *countingMsg) LimitKey() LimitKey { m.keys++; return m.testMsg.LimitKey() }
 
 // TestAllocBudgetMessageSealedOnce guards the envelope: a message is
-// asked for its ID and size once, when it enters Gossip or Unicast, and
-// no hop, first delivery or duplicate delivery asks again. For a
-// transaction batch one ID() hashes every transaction in it.
+// asked for its ID, size and relay-limit key once, when it enters Gossip
+// or Unicast, and no hop, first delivery or duplicate delivery asks
+// again. For a transaction batch one ID() hashes every transaction in it.
+// The transfers themselves ride recycled records: a flood allocates its
+// envelope and, once the pool of records has grown, nothing per hop.
 func TestAllocBudgetMessageSealedOnce(t *testing.T) {
 	sim := vtime.New()
 	nw := New(sim, DefaultConfig(), 30)
 	installRecorders(nw, 0)
 
 	flood := &countingMsg{testMsg: *msg("sealed", 200)}
+	flood.limit = LimitKey{Kind: 'v', Round: 1, Step: 1}
 	direct := &countingMsg{testMsg: *msg("sealed-direct", 200)}
 	sim.Spawn("origin", func(p *vtime.Proc) {
 		nw.Gossip(0, flood)
@@ -544,9 +548,9 @@ func TestAllocBudgetMessageSealedOnce(t *testing.T) {
 		t.Fatalf("%d first deliveries, %d duplicates at node 1: the flood did not exercise relay and duplicate paths",
 			nw.TotalMsgs(), nw.NodeStats(1).DupsDropped)
 	}
-	if flood.ids != 1 || flood.sizes != 1 {
-		t.Errorf("gossiped message: %d ID() and %d WireSize() calls over %d deliveries, want 1 and 1",
-			flood.ids, flood.sizes, nw.TotalMsgs())
+	if flood.ids != 1 || flood.sizes != 1 || flood.keys != 1 {
+		t.Errorf("gossiped message: %d ID(), %d WireSize() and %d LimitKey() calls over %d deliveries, want 1 of each",
+			flood.ids, flood.sizes, flood.keys, nw.TotalMsgs())
 	}
 	if direct.ids != 2 || direct.sizes != 2 {
 		t.Errorf("message unicast twice: %d ID() and %d WireSize() calls, want 2 and 2", direct.ids, direct.sizes)
@@ -564,5 +568,22 @@ func TestAllocBudgetMessageSealedOnce(t *testing.T) {
 	}
 	if flood.ids != 0 || flood.sizes != 0 {
 		t.Errorf("duplicate deliveries made %d ID() and %d WireSize() calls, want none", flood.ids, flood.sizes)
+	}
+
+	// A second flood reuses the first one's transfer records: what it
+	// allocates does not grow with the number of hops.
+	const floods = 5
+	sent, n := nw.TotalBytes(), 0
+	perFlood := testing.AllocsPerRun(floods, func() {
+		n++
+		nw.Gossip(0, msg(fmt.Sprint("sealed-again-", n), 200))
+		sim.Run(0)
+	})
+	hops := float64(nw.TotalBytes()-sent) / 200 / (floods + 1) // AllocsPerRun warms up with one more
+	if hops < 100 {
+		t.Fatalf("a later flood makes %.0f transfers, want a flood", hops)
+	}
+	if perFlood > 10 {
+		t.Errorf("a later flood: %.0f allocations over %.0f transfers, want the message's own few", perFlood, hops)
 	}
 }

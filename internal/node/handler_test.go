@@ -338,7 +338,7 @@ func TestAllocBudgetStragglerVote(t *testing.T) {
 			from := r.ids[i%len(r.ids)].PublicKey()
 			txns[i] = ledger.Transaction{
 				From: from, To: r.ids[(i+1)%len(r.ids)].PublicKey(),
-				Amount: 1, Nonce: post.Nonce[from],
+				Amount: 1, Nonce: post.NonceOf(from),
 			}
 			if err := post.ApplyTx(&txns[i]); err != nil {
 				t.Fatal(err)

@@ -36,8 +36,8 @@ func (m *VoteMsg) ID() crypto.Digest {
 
 // LimitKey enforces the §8.4 rule: relay at most one message per sender
 // per (round, step).
-func (m *VoteMsg) LimitKey() string {
-	return fmt.Sprintf("v|%x|%d|%d", m.Vote.Sender[:8], m.Vote.Round, m.Vote.Step)
+func (m *VoteMsg) LimitKey() network.LimitKey {
+	return network.NewLimitKey('v', m.Vote.Sender, m.Vote.Round, m.Vote.Step)
 }
 
 // PriorityGossip wraps a §6 priority announcement for flooding.
@@ -63,8 +63,8 @@ func (m *PriorityGossip) ID() crypto.Digest {
 }
 
 // LimitKey: priority messages are limited per proposer per round.
-func (m *PriorityGossip) LimitKey() string {
-	return fmt.Sprintf("p|%x|%d", m.M.Proposer[:8], m.M.Round)
+func (m *PriorityGossip) LimitKey() network.LimitKey {
+	return network.NewLimitKey('p', m.M.Proposer, m.M.Round, 0)
 }
 
 // RelayLimit allows two variants per proposer so that equivocation
@@ -111,7 +111,7 @@ func (m *BlockAnnounce) ID() crypto.Digest {
 
 // LimitKey: announcements are never relayed (each holder gossips its
 // own), so no limit is needed.
-func (m *BlockAnnounce) LimitKey() string { return "" }
+func (m *BlockAnnounce) LimitKey() network.LimitKey { return network.LimitKey{} }
 
 // BlockHave updates a BlockAnnounce: the announcer now holds these
 // pieces of the body (nil: all of them). Advertisements only grow, so
@@ -153,7 +153,7 @@ func (m *BlockHave) ID() crypto.Digest {
 }
 
 // LimitKey: advertisements are never relayed.
-func (m *BlockHave) LimitKey() string { return "" }
+func (m *BlockHave) LimitKey() network.LimitKey { return network.LimitKey{} }
 
 // BlockRequest asks a peer for a committed block's body whole (answered
 // with a BlockFill): the §7.1 "obtain it from other users" fallback.
@@ -189,7 +189,7 @@ func (m *BlockRequest) ID() crypto.Digest {
 }
 
 // LimitKey: requests are unicast, never relayed.
-func (m *BlockRequest) LimitKey() string { return "" }
+func (m *BlockRequest) LimitKey() network.LimitKey { return network.LimitKey{} }
 
 // PieceRequest asks a holder for one piece of a proposed body (the
 // getdata of the pull-based dissemination).
@@ -229,7 +229,7 @@ func (m *PieceRequest) ID() crypto.Digest {
 }
 
 // LimitKey: requests are unicast, never relayed.
-func (m *PieceRequest) LimitKey() string { return "" }
+func (m *PieceRequest) LimitKey() network.LimitKey { return network.LimitKey{} }
 
 // BlockPiece carries one piece of a proposed body, sent unicast in
 // answer to a PieceRequest. It is never relayed; dissemination happens
@@ -274,7 +274,7 @@ func (m *BlockPiece) ID() crypto.Digest {
 }
 
 // LimitKey: transfers are unicast, never relayed.
-func (m *BlockPiece) LimitKey() string { return "" }
+func (m *BlockPiece) LimitKey() network.LimitKey { return network.LimitKey{} }
 
 // TxMsg carries a payment submitted by a user (Figure 1).
 type TxMsg struct {
@@ -296,7 +296,7 @@ func (m *TxMsg) ID() crypto.Digest {
 }
 
 // LimitKey: transactions are not rate-limited per step.
-func (m *TxMsg) LimitKey() string { return "" }
+func (m *TxMsg) LimitKey() network.LimitKey { return network.LimitKey{} }
 
 // MaxTxBatchBytes caps the cumulative encoded size of the transactions
 // in one TxBatch message. Peers sending larger batches are malformed
@@ -375,7 +375,7 @@ func (m *TxBatch) ID() crypto.Digest {
 
 // LimitKey: batches are never relayed (receivers re-batch), so no
 // relay limit applies.
-func (m *TxBatch) LimitKey() string { return "" }
+func (m *TxBatch) LimitKey() network.LimitKey { return network.LimitKey{} }
 
 // BlockFill is a bare committed-block body answering a BlockRequest
 // (§7.1 "obtain it from other users"); unlike a proposal's pieces it
@@ -409,7 +409,7 @@ func (m *BlockFill) ID() crypto.Digest {
 }
 
 // LimitKey: unicast, never relayed.
-func (m *BlockFill) LimitKey() string { return "" }
+func (m *BlockFill) LimitKey() network.LimitKey { return network.LimitKey{} }
 
 // ChainRequest asks a peer for committed blocks and certificates
 // starting at a round (the §8.3 catch-up protocol).
@@ -449,7 +449,7 @@ func (m *ChainRequest) ID() crypto.Digest {
 }
 
 // LimitKey: unicast, never relayed.
-func (m *ChainRequest) LimitKey() string { return "" }
+func (m *ChainRequest) LimitKey() network.LimitKey { return network.LimitKey{} }
 
 // ChainReply returns a contiguous run of blocks with their §8.3
 // certificates. The receiver validates everything; nothing is trusted.
@@ -525,7 +525,7 @@ func (m *ChainReply) ID() crypto.Digest {
 }
 
 // LimitKey: unicast, never relayed.
-func (m *ChainReply) LimitKey() string { return "" }
+func (m *ChainReply) LimitKey() network.LimitKey { return network.LimitKey{} }
 
 // CommitAnnounce tells neighbors "round Round committed with this
 // block hash". It is the feed gateway read models tail (the access
@@ -568,7 +568,7 @@ func (m *CommitAnnounce) ID() crypto.Digest {
 
 // LimitKey: announcements are never relayed (each committer gossips
 // its own), so no relay limit is needed.
-func (m *CommitAnnounce) LimitKey() string { return "" }
+func (m *CommitAnnounce) LimitKey() network.LimitKey { return network.LimitKey{} }
 
 // SnapshotRequest asks a peer for its newest state checkpoint (the
 // fast-sync handshake): a restarting or joining node fetches a
@@ -609,7 +609,7 @@ func (m *SnapshotRequest) ID() crypto.Digest {
 }
 
 // LimitKey: unicast, never relayed.
-func (m *SnapshotRequest) LimitKey() string { return "" }
+func (m *SnapshotRequest) LimitKey() network.LimitKey { return network.LimitKey{} }
 
 // SnapshotReply carries one full checkpoint. The receiver trusts
 // nothing: it verifies the certificate against the committee and the
@@ -648,7 +648,7 @@ func (m *SnapshotReply) ID() crypto.Digest {
 }
 
 // LimitKey: unicast, never relayed.
-func (m *SnapshotReply) LimitKey() string { return "" }
+func (m *SnapshotReply) LimitKey() network.LimitKey { return network.LimitKey{} }
 
 // --- Wire registry ----------------------------------------------------------
 

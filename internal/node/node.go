@@ -222,11 +222,10 @@ type Node struct {
 	// at the checkpoint interval, adopted during fast sync, or restored
 	// from the archive — and what it serves to SnapshotRequest peers.
 	checkpoint *ledger.Checkpoint
-	// genesisAccounts/seed0 are retained common knowledge (§8.3): the
-	// verification context for peer-served snapshots, and the base a
-	// checkpoint ledger is grafted onto.
-	genesisAccounts map[crypto.PublicKey]uint64
-	seed0           crypto.Digest
+	// genesis is retained common knowledge (§8.3): the verification
+	// context for peer-served snapshots, and the base a checkpoint ledger
+	// is grafted onto.
+	genesis *ledger.Genesis
 
 	// halted marks a simulated crash: the node stops handling and
 	// emitting messages and its process winds down (see Halt).
@@ -291,6 +290,20 @@ func New(
 	genesisAccounts map[crypto.PublicKey]uint64,
 	seed0 crypto.Digest,
 ) *Node {
+	return NewFromGenesis(id, sim, net, provider, identity, cfg, ledger.NewGenesis(genesisAccounts, seed0))
+}
+
+// NewFromGenesis is New for a caller that starts many nodes of one
+// deployment in one process and lets them share the genesis state.
+func NewFromGenesis(
+	id int,
+	sim *vtime.Sim,
+	net Transport,
+	provider crypto.Provider,
+	identity crypto.Identity,
+	cfg Config,
+	genesis *ledger.Genesis,
+) *Node {
 	if cfg.RecoveryInterval == 0 {
 		cfg.RecoveryInterval = time.Hour
 	}
@@ -322,27 +335,26 @@ func New(
 		shardCount = 1
 	}
 	n := &Node{
-		ID:              id,
-		cfg:             cfg,
-		provider:        provider,
-		identity:        identity,
-		ledger:          ledger.New(provider, cfg.LedgerCfg, genesisAccounts, seed0),
-		genesisAccounts: genesisAccounts,
-		seed0:           seed0,
-		flow:            txflow.New(provider, cfg.TxFlow),
-		store:           ledger.NewStore(uint64(id), shardCount),
-		net:             net,
-		sim:             sim,
-		voteInboxes:     make(map[[2]uint64]*vtime.Mailbox),
-		propInboxes:     make(map[uint64]*vtime.Mailbox),
-		pendingMsgs:     make(map[uint64][]network.Message),
-		fetch:           blockprop.NewFetcher(id, blockprop.NewFetchMetrics(cfg.Metrics)),
-		finalCtxs:       make(map[uint64]*agreement.Context),
-		reqNonce:        sim.Epoch(),
-		archive:         cfg.Archive,
-		reg:             cfg.Metrics,
-		tracer:          cfg.Tracer,
-		ba:              agreement.NewMetrics(cfg.Metrics),
+		ID:          id,
+		cfg:         cfg,
+		provider:    provider,
+		identity:    identity,
+		ledger:      ledger.NewFromGenesis(provider, cfg.LedgerCfg, genesis),
+		genesis:     genesis,
+		flow:        txflow.New(provider, cfg.TxFlow),
+		store:       ledger.NewStore(uint64(id), shardCount),
+		net:         net,
+		sim:         sim,
+		voteInboxes: make(map[[2]uint64]*vtime.Mailbox),
+		propInboxes: make(map[uint64]*vtime.Mailbox),
+		pendingMsgs: make(map[uint64][]network.Message),
+		fetch:       blockprop.NewFetcher(id, blockprop.NewFetchMetrics(cfg.Metrics)),
+		finalCtxs:   make(map[uint64]*agreement.Context),
+		reqNonce:    sim.Epoch(),
+		archive:     cfg.Archive,
+		reg:         cfg.Metrics,
+		tracer:      cfg.Tracer,
+		ba:          agreement.NewMetrics(cfg.Metrics),
 	}
 	n.roundsTotal = cfg.Metrics.Counter("algorand_node_rounds_total", "rounds this node completed")
 	n.roundsEmpty = cfg.Metrics.Counter("algorand_node_rounds_empty_total", "completed rounds that committed the empty block")

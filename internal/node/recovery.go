@@ -85,7 +85,7 @@ func (n *Node) roundBudget() time.Duration {
 // (§8.2, ledger.RecoverySeed).
 func (n *Node) recoveryContext(checkpoint, attempt uint64) *agreement.Context {
 	base, baseHash := n.ledger.LastFinal(), n.ledger.LastFinalHash()
-	balances, ok := n.ledger.BalancesAt(baseHash)
+	weights, total, ok := n.ledger.WeightsAt(baseHash)
 	if !ok {
 		return nil
 	}
@@ -93,8 +93,8 @@ func (n *Node) recoveryContext(checkpoint, attempt uint64) *agreement.Context {
 	return &agreement.Context{
 		Round:         ledger.RecoveryRoundBase + checkpoint*1024 + attempt,
 		Seed:          seed,
-		Weights:       balances.Money,
-		TotalWeight:   balances.Total,
+		Weights:       weights,
+		TotalWeight:   total,
 		LastBlockHash: baseHash,
 		EmptyHash:     crypto.HashBytes("algorand.recovery.empty", seed[:], baseHash[:]),
 	}
@@ -118,8 +118,6 @@ func (n *Node) recoverOnce(checkpoint, attempt uint64) bool {
 	}
 	recRound := ctx.Round
 	seed := ctx.Seed
-	baseHash := ctx.LastBlockHash
-	balances, _ := n.ledger.BalancesAt(baseHash)
 	n.setContext(ctx)
 	defer n.setContext(nil)
 
@@ -127,9 +125,9 @@ func (n *Node) recoverOnce(checkpoint, attempt uint64) bool {
 	tips := n.ledger.ForkTips()
 	longest := tips[0].Block
 	proposal := ledger.EmptyBlock(longest.Round+1, tips[0].Hash, longest.Seed, longest.StateRoot)
-	w := balances.Money[n.identity.PublicKey()]
+	w := ctx.Weights[n.identity.PublicKey()]
 	if prop := blockprop.Propose(n.identity, sortition.RoleForkProposer, seed, recRound,
-		n.cfg.Params.TauProposer, w, balances.Total, proposal); prop != nil {
+		n.cfg.Params.TauProposer, w, ctx.TotalWeight, proposal); prop != nil {
 		n.ledger.RegisterProposal(proposal, prop.Block.AnnouncedHash())
 		n.net.Gossip(n.ID, &PriorityGossip{M: prop.Priority})
 		n.net.Gossip(n.ID, n.HoldProposal(&prop.Block))

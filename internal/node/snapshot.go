@@ -110,7 +110,7 @@ func VerifyCheckpoint(base *ledger.Ledger, chk *ledger.Checkpoint, cp ledger.Com
 // has already been verified. The old ledger (and anything tentative on
 // it) is discarded; the checkpoint anchors finality.
 func (n *Node) adoptCheckpoint(chk *ledger.Checkpoint) error {
-	l, err := ledger.NewFromCheckpoint(n.provider, n.cfg.LedgerCfg, n.genesisAccounts, n.seed0, chk)
+	l, err := ledger.NewFromCheckpoint(n.provider, n.cfg.LedgerCfg, n.genesis, chk)
 	if err != nil {
 		return err
 	}
@@ -185,7 +185,7 @@ func (n *Node) RestoreFromCheckpoint(chk *ledger.Checkpoint) (bool, error) {
 	if chk == nil || chk.Round() <= n.ledger.ChainLength() {
 		return false, nil
 	}
-	base := ledger.New(n.provider, n.cfg.LedgerCfg, n.genesisAccounts, n.seed0)
+	base := ledger.NewFromGenesis(n.provider, n.cfg.LedgerCfg, n.genesis)
 	err := VerifyCheckpoint(base, chk, n.committeeParams())
 	if err == nil {
 		err = n.adoptCheckpoint(chk)

@@ -193,7 +193,7 @@ type Transport struct {
 	// Config.SeenTTL. Lookups consult both generations. Both run on
 	// wall time relative to epoch.
 	seen  *cache.TwoGen[crypto.Digest, struct{}]
-	limit *cache.TwoGen[string, int]
+	limit *cache.TwoGen[network.LimitKey, int]
 	epoch time.Time
 
 	// Transport-wide counters, registered under algorand_realnet_*.
@@ -244,7 +244,7 @@ func NewWithConfig(sim *vtime.Sim, id int, addrs []string, ln net.Listener, cfg 
 		peers:      make(map[int]*peer),
 		inbound:    make(map[net.Conn]int),
 		seen:       cache.New[crypto.Digest, struct{}](cfg.SeenTTL),
-		limit:      cache.New[string, int](cfg.SeenTTL),
+		limit:      cache.New[network.LimitKey, int](cfg.SeenTTL),
 		epoch:      time.Now(),
 		reg:        reg,
 		closed:     make(chan struct{}),
@@ -529,7 +529,7 @@ func (t *Transport) deliver(from int, m network.Message) {
 	if !verdict.Relay {
 		return
 	}
-	if k := m.LimitKey(); k != "" {
+	if k := m.LimitKey(); k != (network.LimitKey{}) {
 		limit := 1
 		if mr, ok := m.(network.MultiRelay); ok {
 			limit = mr.RelayLimit()
@@ -555,7 +555,7 @@ func (t *Transport) deliver(from int, m network.Message) {
 func (t *Transport) Gossip(origin int, m network.Message) {
 	now := t.cacheNow()
 	t.seen.Put(m.ID(), struct{}{}, now)
-	if k := m.LimitKey(); k != "" {
+	if k := m.LimitKey(); k != (network.LimitKey{}) {
 		t.limit.Update(k, now, func(cur int, _ bool, _ int, _ bool) (int, bool) {
 			return cur + 1, true
 		})

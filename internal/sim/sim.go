@@ -151,6 +151,7 @@ type Cluster struct {
 	ids      []crypto.Identity
 	Genesis  map[crypto.PublicKey]uint64
 	Seed0    crypto.Digest
+	genesis  *ledger.Genesis // what Genesis and Seed0 determine, shared by every node
 	nodeCfg  node.Config
 	archives []*diskstore.Store
 	// Per-node observability: every node gets its own metrics registry
@@ -228,6 +229,9 @@ func NewCluster(cfg Config) *Cluster {
 		weights[i] = w
 	}
 	c.Net.SetWeights(weights)
+	// One genesis state for the cluster: each node's ledger shares it
+	// instead of hashing and holding an account table of its own.
+	c.genesis = ledger.NewGenesis(c.Genesis, c.Seed0)
 
 	c.nodeCfg = node.Config{
 		Params:             cfg.Params,
@@ -254,7 +258,7 @@ func NewCluster(cfg Config) *Cluster {
 			c.archives[i] = ds
 			nodeCfg.Archive = ds
 		}
-		n := node.New(i, c.Sim, c.Net, c.Provider, c.ids[i], nodeCfg, c.Genesis, c.Seed0)
+		n := node.NewFromGenesis(i, c.Sim, c.Net, c.Provider, c.ids[i], nodeCfg, c.genesis)
 		n.StopAfterRound = cfg.Rounds
 		c.Nodes = append(c.Nodes, n)
 	}
@@ -394,7 +398,7 @@ func (c *Cluster) restartWith(i int, src *ledger.Store, archive *diskstore.Store
 	}
 	nodeCfg := c.instrumentedNodeCfg(i)
 	nodeCfg.Archive = archive
-	n := node.New(i, c.Sim, c.Net, c.Provider, c.ids[i], nodeCfg, c.Genesis, c.Seed0)
+	n := node.NewFromGenesis(i, c.Sim, c.Net, c.Provider, c.ids[i], nodeCfg, c.genesis)
 	n.StopAfterRound = c.Cfg.Rounds
 	c.Nodes[i] = n
 	restored, err := n.Rejoin(src, syncBudget)
@@ -722,7 +726,7 @@ func (c *Cluster) Workload(txPerSecond float64, seed int64) {
 				return c.Nodes[sender].SubmitTx(tx)
 			},
 			func(pk crypto.PublicKey) uint64 {
-				return c.Nodes[0].Ledger().Balances().Nonce[pk]
+				return c.Nodes[0].Ledger().Balances().NonceOf(pk)
 			})
 	})
 }

@@ -92,7 +92,7 @@ func TestTransactionsConfirm(t *testing.T) {
 	// The payment must be reflected in (nearly) everyone's balances.
 	confirmed := 0
 	for _, n := range c.Nodes {
-		if n.Ledger().Balances().Money[tx.To] == cfg.WeightEach+3 {
+		if n.Ledger().Balances().MoneyOf(tx.To) == cfg.WeightEach+3 {
 			confirmed++
 		}
 	}
@@ -214,7 +214,7 @@ func TestSkewedWeightDistribution(t *testing.T) {
 	}
 	// The whale's ledger weight matches its genesis share.
 	whale := c.Nodes[0].PublicKey()
-	if got := c.Nodes[0].Ledger().Balances().Money[whale]; got != weights[0] {
+	if got := c.Nodes[0].Ledger().Balances().MoneyOf(whale); got != weights[0] {
 		t.Fatalf("whale balance %d, want %d", got, weights[0])
 	}
 }
@@ -351,9 +351,10 @@ func TestSoakManyRounds(t *testing.T) {
 	}
 	// Balances are consistent and conserve the supply.
 	var sum uint64
-	for _, m := range ref.Balances().Money {
-		sum += m
-	}
+	ref.Balances().Accounts(func(a ledger.AccountRecord) bool {
+		sum += a.Money
+		return true
+	})
 	if sum != uint64(cfg.N)*cfg.WeightEach {
 		t.Fatalf("money supply drifted: %d", sum)
 	}

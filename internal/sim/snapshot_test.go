@@ -249,7 +249,7 @@ func TestColdRestartCheckpointByteIdentity(t *testing.T) {
 	replay(full, 1)
 
 	// Checkpoint-first: re-base, then replay only the delta.
-	fast, err := ledger.NewFromCheckpoint(c.Provider, cfg.LedgerCfg, c.Genesis, c.Seed0, chk)
+	fast, err := ledger.NewFromCheckpoint(c.Provider, cfg.LedgerCfg, ledger.NewGenesis(c.Genesis, c.Seed0), chk)
 	if err != nil {
 		t.Fatal(err)
 	}

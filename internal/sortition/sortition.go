@@ -33,24 +33,23 @@ const (
 // Bytes returns the canonical encoding of the role, appended to the
 // seed as the VRF input ("seed || role" in Algorithm 1).
 func (r Role) Bytes() []byte {
-	buf := make([]byte, 0, len(r.Kind)+17)
-	buf = append(buf, r.Kind...)
-	buf = append(buf, 0)
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], r.Round)
-	buf = append(buf, tmp[:]...)
-	binary.LittleEndian.PutUint64(tmp[:], r.Step)
-	buf = append(buf, tmp[:]...)
-	return buf
+	return r.appendTo(make([]byte, 0, len(r.Kind)+17))
 }
 
-// alpha builds the VRF input seed||role.
-func alpha(seed []byte, role Role) []byte {
-	rb := role.Bytes()
-	out := make([]byte, 0, len(seed)+len(rb))
-	out = append(out, seed...)
-	out = append(out, rb...)
-	return out
+func (r Role) appendTo(b []byte) []byte {
+	b = append(b, r.Kind...)
+	b = append(b, 0)
+	b = binary.LittleEndian.AppendUint64(b, r.Round)
+	return binary.LittleEndian.AppendUint64(b, r.Step)
+}
+
+// alphaSize holds the VRF input of a 32-byte seed and any well-known
+// role, so that a verifier builds it on its stack.
+const alphaSize = 32 + len(RoleForkProposer) + 17
+
+// appendAlpha appends the VRF input seed||role.
+func appendAlpha(b, seed []byte, role Role) []byte {
+	return role.appendTo(append(b, seed...))
 }
 
 // Result is the outcome of running sortition locally (Algorithm 1).
@@ -71,7 +70,7 @@ func (r Result) Selected() bool { return r.J > 0 }
 // and computes the number of selected sub-users for a user with weight
 // w out of total weight W and expected selections tau.
 func Execute(id crypto.Identity, seed []byte, role Role, tau, w, W uint64) Result {
-	out, proof := id.VRFProve(alpha(seed, role))
+	out, proof := id.VRFProve(appendAlpha(make([]byte, 0, alphaSize), seed, role))
 	j := binomial.Select(out[:], w, W, tau)
 	return Result{Output: out, Proof: proof, J: j}
 }
@@ -80,7 +79,8 @@ func Execute(id crypto.Identity, seed []byte, role Role, tau, w, W uint64) Resul
 // and returns the number of selected sub-users (zero if the proof is
 // invalid or the user was not selected).
 func Verify(p crypto.Provider, pk crypto.PublicKey, proof, seed []byte, role Role, tau, w, W uint64) (crypto.VRFOutput, uint64) {
-	out, ok := p.VRFVerify(pk, alpha(seed, role), proof)
+	var buf [alphaSize]byte
+	out, ok := crypto.VRFVerify(p, pk, appendAlpha(buf[:0], seed, role), proof)
 	if !ok {
 		return crypto.VRFOutput{}, 0
 	}

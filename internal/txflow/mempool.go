@@ -1,6 +1,7 @@
 package txflow
 
 import (
+	"bytes"
 	"container/heap"
 	"sort"
 	"sync"
@@ -94,13 +95,19 @@ func (sh *shard) precheck(f *Flow, tx *ledger.Transaction) error {
 // insert places a verified transaction into the shard, then enforces
 // the global byte/count bounds by evicting the lowest-fee tail in the
 // shard (possibly the incoming transaction itself, in which case the
-// caller gets ErrPoolFull).
-func (f *Flow) insert(sh *shard, tx *ledger.Transaction, id crypto.Digest) error {
+// caller gets ErrPoolFull). What the pool keeps, and returns, is its own
+// copy: the caller's transaction may sit in a decoded gossip batch, which
+// one pending payment would otherwise pin whole for as long as it waits,
+// or in a buffer the submitter goes on to reuse.
+func (f *Flow) insert(sh *shard, tx *ledger.Transaction, id crypto.Digest) (*ledger.Transaction, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if err := f.checkLocked(sh, tx); err != nil {
-		return err
+		return nil, err
 	}
+	own := *tx
+	own.Sig = bytes.Clone(tx.Sig)
+	tx = &own
 	q := sh.senders[tx.From]
 	if q == nil {
 		q = &senderQueue{}
@@ -144,11 +151,11 @@ func (f *Flow) insert(sh *shard, tx *ledger.Transaction, id crypto.Digest) error
 		if ve.id == id {
 			// The incoming transaction was itself the cheapest: the
 			// pool is full and its fee too low.
-			return ErrPoolFull
+			return nil, ErrPoolFull
 		}
 		f.c.evicted.Inc()
 	}
-	return nil
+	return tx, nil
 }
 
 // lowestFeeTailLocked returns the sender owning the lowest-fee tail
@@ -193,7 +200,7 @@ func (f *Flow) Committed(b *ledger.Block, balances *ledger.Balances) {
 		sc.ids = append(sc.ids, tx.ID())
 	}
 	for from := range bySender {
-		floor := balances.Nonce[from]
+		floor := balances.NonceOf(from)
 		sh := f.shardFor(from)
 		sh.mu.Lock()
 		if sh.floor[from] < floor {
@@ -236,7 +243,7 @@ func (h feeHeap) Less(i, j int) bool {
 	}
 	return h[i].sender.Less(h[j].sender)
 }
-func (h feeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h feeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *feeHeap) Push(x interface{}) { *h = append(*h, x.(assemblyRun)) }
 func (h *feeHeap) Pop() interface{} {
 	old := *h
@@ -267,14 +274,14 @@ func (o *overlay) moneyOf(pk crypto.PublicKey) uint64 {
 	if m, ok := o.money[pk]; ok {
 		return m
 	}
-	return o.base.Money[pk]
+	return o.base.MoneyOf(pk)
 }
 
 func (o *overlay) nonceOf(pk crypto.PublicKey) uint64 {
 	if n, ok := o.nonce[pk]; ok {
 		return n
 	}
-	return o.base.Nonce[pk]
+	return o.base.NonceOf(pk)
 }
 
 // apply validates tx against the overlaid state and applies it,

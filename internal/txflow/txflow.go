@@ -442,7 +442,8 @@ func (f *Flow) ingest(tx *ledger.Transaction) ingestResult {
 
 	// Insert, evicting the lowest-fee pending transaction if the pool
 	// is over its global bounds.
-	if err := f.insert(sh, tx, id); err != nil {
+	tx, err := f.insert(sh, tx, id)
+	if err != nil {
 		f.c.count(err)
 		if errors.Is(err, ErrPoolFull) {
 			err = &Reject{Err: err, RetryAfter: f.cfg.ShedBackoff}

@@ -9,6 +9,7 @@ import (
 
 	"algorand/internal/crypto"
 	"algorand/internal/ledger"
+	"algorand/internal/wire"
 )
 
 // harness builds a Flow over the Fast provider with a controllable
@@ -473,5 +474,64 @@ func TestSubmitBatchMixedResults(t *testing.T) {
 	}
 	if !errors.Is(errs[3], ErrDuplicate) {
 		t.Fatalf("duplicate: %v", errs[3])
+	}
+}
+
+// TestPoolOwnsItsTransactions: what the pool admits it copies. A gossip
+// batch is one array the network layer decoded, and a pending payment
+// that pointed into it kept the whole array alive — and showed whatever
+// the array's owner wrote there next.
+func TestPoolOwnsItsTransactions(t *testing.T) {
+	h := newHarness(t, 4, Config{})
+	batch := []ledger.Transaction{*h.tx(0, 1, 5, 1, 0), *h.tx(2, 3, 7, 2, 0), *h.tx(0, 1, 6, 1, 1)}
+	want := make([][]byte, len(batch))
+	for i := range batch {
+		want[i] = wire.Encode(&batch[i])
+		if fresh, _ := h.flow.IngestGossip(&batch[i]); !fresh {
+			t.Fatalf("payment %d not admitted", i)
+		}
+	}
+	// The batch's owner reuses its memory: fields and signature bytes.
+	for i := range batch {
+		batch[i].Amount, batch[i].Nonce, batch[i].To = 999, 77, crypto.PublicKey{1}
+		for j := range batch[i].Sig {
+			batch[i].Sig[j] ^= 0xff
+		}
+	}
+	pooled := make(map[string]bool)
+	for _, tx := range h.flow.Assemble(h.balances, 1<<20) {
+		tx := tx
+		pooled[string(wire.Encode(&tx))] = true
+	}
+	staged := make(map[string]bool)
+	for _, b := range h.flow.DrainOutbox(1 << 20) {
+		for i := range b {
+			staged[string(wire.Encode(&b[i]))] = true
+		}
+	}
+	for i, enc := range want {
+		if !pooled[string(enc)] {
+			t.Errorf("payment %d: Assemble does not return the bytes that were admitted", i)
+		}
+		if !staged[string(enc)] {
+			t.Errorf("payment %d: the gossip stage does not hold the bytes that were admitted", i)
+		}
+	}
+	if len(pooled) != len(want) || len(staged) != len(want) {
+		t.Fatalf("assembled %d and staged %d payments, admitted %d", len(pooled), len(staged), len(want))
+	}
+}
+
+// TestAllocBudgetVerifySig guards the signing bytes of a transaction:
+// they are built on the verifier's stack, so checking a signature under
+// the modeled provider allocates nothing.
+func TestAllocBudgetVerifySig(t *testing.T) {
+	h := newHarness(t, 2, Config{})
+	tx := h.tx(0, 1, 5, 1, 0)
+	if !tx.VerifySig(h.provider) {
+		t.Fatal("valid signature rejected")
+	}
+	if n := testing.AllocsPerRun(200, func() { tx.VerifySig(h.provider) }); n != 0 {
+		t.Errorf("Transaction.VerifySig: %v allocations, want 0", n)
 	}
 }

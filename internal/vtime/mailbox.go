@@ -39,7 +39,7 @@ func (m *Mailbox) Send(v any) {
 		}
 		m.waiter = nil
 		m.waiterTimedOut = nil
-		m.sim.schedule(m.sim.now, p, nil, nil)
+		m.sim.wakeAt(m.sim.now, p, nil)
 	}
 }
 
@@ -71,7 +71,7 @@ func (p *Proc) RecvDeadline(m *Mailbox, deadline time.Duration) (any, bool) {
 	if deadline >= 0 {
 		cancelled := false
 		m.waiterTimedOut = &cancelled
-		p.sim.schedule(deadline, p, nil, &cancelled)
+		p.sim.wakeAt(deadline, p, &cancelled)
 	}
 	p.park()
 	if m.waiter == p {

@@ -1,0 +1,202 @@
+package vtime
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+	"time"
+)
+
+// TestEventHeapMatchesSort drives the queue with random interleavings of
+// pushes and pops, times drawn from a handful of values so that most
+// comparisons fall through to the sequence number, and holds every pop
+// against a model that sorts.
+func TestEventHeapMatchesSort(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var h eventHeap
+		var model []event
+		var seq uint64
+		for op := 0; op < 4000; op++ {
+			if len(model) == 0 || rng.Intn(5) < 3 {
+				seq++
+				e := event{at: time.Duration(rng.Intn(8)), seq: seq}
+				h.push(e)
+				model = append(model, e)
+				continue
+			}
+			sort.Slice(model, func(i, j int) bool {
+				if model[i].at != model[j].at {
+					return model[i].at < model[j].at
+				}
+				return model[i].seq < model[j].seq
+			})
+			want := model[0]
+			model = model[1:]
+			if got := h.pop(); got.at != want.at || got.seq != want.seq {
+				t.Fatalf("seed %d op %d: popped (at %d, seq %d), the sort oracle has (at %d, seq %d)",
+					seed, op, got.at, got.seq, want.at, want.seq)
+			}
+		}
+		if len(h) != len(model) {
+			t.Fatalf("seed %d: %d events left, the model has %d", seed, len(h), len(model))
+		}
+	}
+}
+
+// TestEventOrderProperty runs random schedules of After (nested), Sleep
+// and deadline receives that a Send may cancel, and checks that what ran
+// is exactly what was scheduled and not cancelled, in (at, seq) order:
+// the order every simulated run's determinism rests on, whatever the
+// queue is built from. The test tags each event with the sequence number
+// the simulation is about to give it.
+func TestEventOrderProperty(t *testing.T) {
+	type planned struct {
+		at        time.Duration
+		seq       uint64
+		cancelled bool
+	}
+	cancels, timeouts := 0, 0
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := New()
+		var plan []*planned
+		var ran []*planned
+		// next records the event the very next scheduling call creates.
+		next := func(at time.Duration) *planned {
+			p := &planned{at: at, seq: s.seq + 1}
+			plan = append(plan, p)
+			return p
+		}
+		// Few distinct delays, zero among them: ties are the common case.
+		delay := func() time.Duration { return time.Duration(rng.Intn(4)) * time.Millisecond }
+
+		var after func(depth int)
+		after = func(depth int) {
+			d := delay()
+			e := next(s.now + d)
+			s.After(d, func() {
+				ran = append(ran, e)
+				for i := rng.Intn(3); depth > 0 && i > 0; i-- {
+					after(depth - 1)
+				}
+			})
+		}
+		for i := 0; i < 10; i++ {
+			after(3)
+		}
+		for i := 0; i < 4; i++ {
+			naps := 1 + rng.Intn(6)
+			start := next(s.now)
+			s.Spawn("sleeper", func(p *Proc) {
+				ran = append(ran, start)
+				for ; naps > 0; naps-- {
+					d := delay()
+					e := next(s.now + d)
+					p.Sleep(d)
+					ran = append(ran, e)
+				}
+			})
+		}
+		for i := 0; i < 6; i++ {
+			m := s.NewMailbox()
+			var woken *planned // the wake-up a Send scheduled for the receiver
+			start := next(s.now)
+			s.Spawn("receiver", func(p *Proc) {
+				ran = append(ran, start)
+				// Yield once, so that a sender due at this instant runs
+				// first and the receive finds its message queued.
+				nap := next(s.now)
+				p.Sleep(0)
+				ran = append(ran, nap)
+				deadline := s.now + delay()
+				var timeout *planned
+				if m.Len() == 0 && deadline > s.now {
+					timeout = next(deadline)
+				}
+				_, ok := p.RecvDeadline(m, deadline)
+				switch {
+				case ok && woken != nil:
+					timeout.cancelled = true
+					ran = append(ran, woken)
+					cancels++
+				case !ok && timeout != nil:
+					ran = append(ran, timeout)
+					timeouts++
+				}
+			})
+			d := delay()
+			send := next(s.now + d)
+			s.After(d, func() {
+				ran = append(ran, send)
+				if m.waiter != nil {
+					woken = next(s.now)
+				}
+				m.Send(i)
+			})
+		}
+		s.Run(0)
+
+		var want []*planned
+		for _, p := range plan {
+			if !p.cancelled {
+				want = append(want, p)
+			}
+		}
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].at != want[j].at {
+				return want[i].at < want[j].at
+			}
+			return want[i].seq < want[j].seq
+		})
+		if len(ran) != len(want) {
+			t.Fatalf("seed %d: %d events ran, %d were scheduled and not cancelled", seed, len(ran), len(want))
+		}
+		for i := range want {
+			if ran[i] != want[i] {
+				t.Fatalf("seed %d: event %d to run was (at %v, seq %d), the sort oracle has (at %v, seq %d)",
+					seed, i, ran[i].at, ran[i].seq, want[i].at, want[i].seq)
+			}
+		}
+	}
+	if cancels == 0 || timeouts == 0 {
+		t.Fatalf("schedules exercised %d cancelled deadlines and %d expired ones, want both", cancels, timeouts)
+	}
+}
+
+type countRunner struct{ n int }
+
+func (c *countRunner) Run() { c.n++ }
+
+// TestAllocBudgetAfter guards the event queue: an event is a value in
+// the queue's one slice, so scheduling a closure costs the closure and
+// scheduling a Runner the caller holds costs nothing.
+func TestAllocBudgetAfter(t *testing.T) {
+	s := New()
+	// Grow the queue first: the budget is the steady state.
+	for i := 0; i < 64; i++ {
+		s.After(time.Millisecond, func() {})
+	}
+	s.Run(0)
+	ran := 0
+	if n := testing.AllocsPerRun(500, func() {
+		for i := 0; i < 32; i++ {
+			s.After(time.Duration(i)*time.Millisecond, func() { ran += i })
+		}
+		s.Run(0)
+	}); n > 32 {
+		t.Errorf("After: %.2f allocations per event, want at most 1 (the closure)", n/32)
+	}
+	r := &countRunner{}
+	if n := testing.AllocsPerRun(500, func() {
+		for i := 0; i < 32; i++ {
+			s.AfterRun(time.Duration(i)*time.Millisecond, r)
+		}
+		s.Run(0)
+	}); n != 0 {
+		t.Errorf("AfterRun: %.2f allocations per event, want 0", n/32)
+	}
+	if ran == 0 || r.n == 0 {
+		t.Fatal("scheduled work did not run")
+	}
+}

@@ -22,7 +22,6 @@
 package vtime
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -56,28 +55,100 @@ type Sim struct {
 	EventCount uint64
 }
 
-// event is a scheduled occurrence: either waking a parked process or
-// running a closure in scheduler context.
+// Runner is scheduled work that needs no closure of its own: a caller
+// that schedules the same kind of work millions of times (the network's
+// deliveries) passes a record it recycles instead of allocating a
+// function value per event. Run executes in scheduler context and must
+// not block.
+type Runner interface {
+	Run()
+}
+
+// runFunc adapts a closure to Runner. A func value is pointer-shaped, so
+// the conversion to the interface allocates nothing.
+type runFunc func()
+
+func (f runFunc) Run() { f() }
+
+// wakeProc is the Runner that wakes a parked process: it hands the baton
+// to the process and waits for it to park or exit. A struct of one
+// pointer converts to the interface without allocating, too.
+type wakeProc struct{ p *Proc }
+
+func (w wakeProc) Run() {
+	s := w.p.sim
+	s.running = w.p
+	w.p.resume <- wake{}
+	<-s.yield
+}
+
+// event is a scheduled occurrence: work to run in scheduler context,
+// which for a parked process is its wake-up.
 type event struct {
 	at        time.Duration
 	seq       uint64
-	proc      *Proc  // non-nil: wake this process
-	fn        func() // non-nil: run this closure (must not block)
-	cancelled *bool  // optional cancellation flag (shared with waiter)
+	run       Runner
+	cancelled *bool // optional cancellation flag (shared with waiter)
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the queue's order: time, then scheduling order. seq is
+// unique, so the order is total and any correct heap pops the same
+// sequence.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+// eventHeap is a binary min-heap of events held by value: one slice, no
+// object per event, and a comparison the compiler inlines.
+type eventHeap []event
+
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = e
+	*h = q
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	e := q[n]
+	q[n] = event{} // drop the references the vacated slot holds
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && q[r].before(&q[child]) {
+			child = r
+		}
+		if !q[child].before(&e) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	q[i] = e
+	return top
+}
 
 // Proc is a simulated process. All its methods must be called from
 // within the process's own goroutine.
@@ -118,21 +189,29 @@ func (s *Sim) Epoch() uint64 {
 }
 
 // schedule pushes an event.
-func (s *Sim) schedule(at time.Duration, p *Proc, fn func(), cancelled *bool) *event {
+func (s *Sim) schedule(at time.Duration, run Runner, cancelled *bool) {
 	if at < s.now {
 		at = s.now
 	}
 	s.seq++
-	e := &event{at: at, seq: s.seq, proc: p, fn: fn, cancelled: cancelled}
-	heap.Push(&s.events, e)
-	return e
+	s.events.push(event{at: at, seq: s.seq, run: run, cancelled: cancelled})
+}
+
+// wakeAt schedules p to resume at the given time.
+func (s *Sim) wakeAt(at time.Duration, p *Proc, cancelled *bool) {
+	s.schedule(at, wakeProc{p}, cancelled)
 }
 
 // After schedules fn to run in scheduler context after delay d. fn must
 // not block; it may send to mailboxes, spawn processes, and schedule
 // further events. Callable from process goroutines and event closures.
 func (s *Sim) After(d time.Duration, fn func()) {
-	s.schedule(s.now+d, nil, fn, nil)
+	s.schedule(s.now+d, runFunc(fn), nil)
+}
+
+// AfterRun is After for work the caller holds as a Runner.
+func (s *Sim) AfterRun(d time.Duration, r Runner) {
+	s.schedule(s.now+d, r, nil)
 }
 
 // Spawn creates a new process running fn, starting at the current
@@ -141,7 +220,7 @@ func (s *Sim) After(d time.Duration, fn func()) {
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{sim: s, name: name, resume: make(chan wake)}
 	s.live++
-	s.schedule(s.now, p, nil, nil)
+	s.wakeAt(s.now, p, nil)
 	go func() {
 		<-p.resume // wait for the scheduler to start us
 		defer func() {
@@ -167,7 +246,7 @@ func (s *Sim) Run(horizon time.Duration) time.Duration {
 		return s.runRealtime(horizon)
 	}
 	for !s.stopped && len(s.events) > 0 {
-		e := heap.Pop(&s.events).(*event)
+		e := s.events.pop()
 		if e.cancelled != nil && *e.cancelled {
 			continue
 		}
@@ -177,17 +256,7 @@ func (s *Sim) Run(horizon time.Duration) time.Duration {
 		}
 		s.now = e.at
 		s.EventCount++
-		if e.fn != nil {
-			e.fn()
-			if s.panicVal != nil {
-				panic(s.panicVal)
-			}
-			continue
-		}
-		// Hand the baton to the process and wait for it to park or exit.
-		s.running = e.proc
-		e.proc.resume <- wake{}
-		<-s.yield
+		e.run.Run()
 		if s.panicVal != nil {
 			panic(s.panicVal)
 		}
@@ -274,14 +343,14 @@ func (s *Sim) runRealtime(horizon time.Duration) time.Duration {
 			}
 			continue
 		}
-		e := heap.Pop(&s.events).(*event)
+		e := s.events.pop()
 		if e.cancelled != nil && *e.cancelled {
 			continue
 		}
 		if wait := e.at - wall(); wait > 0 {
 			select {
 			case fn := <-s.inject:
-				heap.Push(&s.events, e)
+				s.events.push(e)
 				runInjected(fn)
 				continue
 			case <-time.After(wait):
@@ -292,16 +361,7 @@ func (s *Sim) runRealtime(horizon time.Duration) time.Duration {
 			s.now = e.at
 		}
 		s.EventCount++
-		if e.fn != nil {
-			e.fn()
-			if s.panicVal != nil {
-				panic(s.panicVal)
-			}
-			continue
-		}
-		s.running = e.proc
-		e.proc.resume <- wake{}
-		<-s.yield
+		e.run.Run()
 		if s.panicVal != nil {
 			panic(s.panicVal)
 		}
@@ -338,7 +398,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.sim.schedule(p.sim.now+d, p, nil, nil)
+	p.sim.wakeAt(p.sim.now+d, p, nil)
 	p.park()
 }
 

@@ -116,14 +116,11 @@ func samplePiece(index int) *blockprop.Piece {
 }
 
 func sampleCheckpoint() *ledger.Checkpoint {
-	bal := &ledger.Balances{
-		Money: map[crypto.PublicKey]uint64{
-			{1}: 100,
-			{2}: 250,
-			{3}: 7,
-		},
-		Nonce: map[crypto.PublicKey]uint64{{2}: 4},
-	}
+	bal := (&ledger.Checkpoint{Accounts: []ledger.AccountRecord{
+		{Key: crypto.PublicKey{1}, Money: 100},
+		{Key: crypto.PublicKey{2}, Money: 250, Nonce: 4},
+		{Key: crypto.PublicKey{3}, Money: 7},
+	}}).Balances()
 	return ledger.CheckpointOf(sampleBlock(), sampleCert(), bal)
 }
 

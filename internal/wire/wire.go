@@ -81,6 +81,12 @@ func AppendUint64(b []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(b, v)
 }
 
+// AppendBytes is the codec's length-prefixed byte string in append form
+// (see AppendUint64).
+func AppendBytes(b, v []byte) []byte {
+	return append(binary.LittleEndian.AppendUint32(b, uint32(len(v))), v...)
+}
+
 // Uint64 appends a little-endian 64-bit integer.
 func (e *Encoder) Uint64(v uint64) {
 	e.buf = AppendUint64(e.buf, v)
