@@ -226,9 +226,11 @@ func main() {
 	if chk, ok := nd.Checkpoint(); ok && nd.SnapshotSyncs > 0 {
 		fmt.Printf("fast-synced from a peer's checkpoint (newest held: round %d)\n", chk.Round())
 	}
+	snap := reg.Snapshot()
 	for _, ph := range []trace.Phase{trace.PhasePropose, trace.PhaseBAStep, trace.PhaseCommit, trace.PhasePersist} {
-		if s := nd.Tracer().PhaseSummary(ph); s.N > 0 {
-			fmt.Printf("phase %-8s n=%-4d p50=%.1fms p99=%.1fms max=%.1fms\n", ph, s.N, s.P50ms, s.P99ms, s.MaxMs)
+		if v := snap[metrics.Name("algorand_trace_phase_seconds", "phase", string(ph))]; v.Count > 0 {
+			fmt.Printf("phase %-8s n=%-4d p50=%.1fms p90=%.1fms p99=%.1fms\n", ph, v.Count,
+				1e3*v.Q["p50"], 1e3*v.Q["p90"], 1e3*v.Q["p99"])
 		}
 	}
 	if h, ok := nd.TransportHealth(); ok {

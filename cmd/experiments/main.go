@@ -20,7 +20,7 @@ import (
 
 func main() {
 	var (
-		run    = flag.String("run", "all", "experiment: figure3|figure5|figure6|figure7|figure8|throughput|costs|timeouts|steps|ablations|pipeline|coin|sync|nodecost|all")
+		run    = flag.String("run", "all", "experiment: figure3|figure5|figure6|figure7|figure8|throughput|costs|timeouts|steps|ablations|pipeline|coin|gateway|nodecost|all")
 		users  = flag.String("users", "1", "user-count multiplier; for nodecost, the user counts to simulate, comma-separated")
 		rounds = flag.Uint64("rounds", 3, "rounds per run")
 	)
@@ -153,17 +153,23 @@ func main() {
 		fmt.Println(res.Summary())
 		fmt.Println()
 	}
-	if want("sync") {
+	if want("gateway") {
 		ran = true
-		fmt.Println("# Cold-restart cost: genesis replay vs checkpoint+delta (§8.3)")
-		fmt.Println("chain\tcheckpoint\tdelta\tfull_ms\tsnapshot_ms\tspeedup\theads_equal")
-		rep := experiments.SyncFastRestart(scale, experiments.DefaultSyncLengths(), 10, 0)
-		for _, p := range rep.Points {
-			fmt.Printf("%d\t%d\t%d\t%.1f\t%.1f\t%.1f\t%v\n", p.ChainLength,
-				p.CheckpointRound, p.DeltaRounds, p.FullReplayMs, p.SnapshotSyncMs,
-				p.Speedup, p.HeadsEqual)
+		// 18 000 query sessions a virtual second is a million-plus over
+		// the default run's ~65 s.
+		rep := experiments.GatewayClientScale(scale, 100, 18000)
+		fmt.Println("# Access tier: all client traffic through gateways vs direct submission")
+		fmt.Printf("users\t%d\tgateways\t%d\trounds\t%d\toffered_tx_per_s\t%.0f\tquery_sessions_per_s\t%d\n",
+			rep.Users, rep.Gateways, rep.Rounds, rep.OfferedTPS, rep.QuerySessionsPerSec)
+		fmt.Printf("committed_txs\t%d\tMB_per_hour\t%.1f\tdirect_MB_per_hour\t%.1f\tratio\t%.2f\n",
+			rep.CommittedTxs, rep.MBytesPerHour, rep.BaselineMBytesPerHour, rep.ThroughputRatio)
+		fmt.Printf("client_sessions\t%d\tconsensus_client_sessions\t%d\tvirtual_s\t%.1f\n",
+			rep.ClientSessions, rep.ConsensusClientSessions, rep.Elapsed.Seconds())
+		fmt.Printf("load_driver\t%+v\n", rep.Workload)
+		for i, st := range rep.GatewayStats {
+			fmt.Printf("gateway_%d\tsessions=%d\tadmitted=%d\trouted=%d\tresent=%d\thead=%d\tpending=%d\tpending_bytes=%d\n",
+				i, st.Sessions, st.Admitted, st.TxsRouted, st.Resent, st.HeadRound, st.Pending, st.PendingBytes)
 		}
-		fmt.Printf("sub_linear\t%v\n", rep.SubLinear)
 		fmt.Println()
 	}
 

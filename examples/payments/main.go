@@ -10,33 +10,18 @@
 // signature verification with the relayed-digest cache, the sharded
 // fee-ordered mempool, batched TxBatch gossip, and priority assembly —
 // and reports the committed throughput the way §10/Figure 8 does
-// (payload bytes per hour).
-// With -client-scale it instead runs the access-tier experiment: the
-// same payment stream plus a million-plus simulated client sessions,
-// all entering through four gateway nodes (internal/gateway) while the
-// consensus cluster serves zero client connections, written out as
-// BENCH_gateway.json.
+// (payload bytes per hour). The access tier at scale — a million-plus
+// client sessions through four gateways against a direct-submission
+// baseline — is `go run ./cmd/experiments -run gateway`.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 
 	"algorand"
-	"algorand/internal/experiments"
 )
 
 func main() {
-	clientScale := flag.Bool("client-scale", false, "run the gateway client-scale experiment and write BENCH_gateway.json")
-	sessionRate := flag.Int("sessions-per-sec", 18000, "simulated query sessions per virtual second (with -client-scale)")
-	flag.Parse()
-	if *clientScale {
-		runClientScale(*sessionRate)
-		return
-	}
-
 	const users = 40
 	const rounds = 6
 	const txPerSecond = 40.0
@@ -126,33 +111,4 @@ func main() {
 	fmt.Printf("new user bootstrapped to round %d, head %v (matches: %v)\n",
 		fresh.ChainLength(), fresh.HeadHash(),
 		fresh.HeadHash() == src.Ledger().HeadHash())
-}
-
-// runClientScale drives the full access-tier experiment: 50 consensus
-// nodes behind 4 gateways, the TxflowThroughput payment stream plus
-// sessionRate simulated read-only client sessions per virtual second
-// (the default rate yields 1M+ sessions over the run), compared
-// against an identical direct-submission baseline.
-func runClientScale(sessionRate int) {
-	rep := experiments.GatewayClientScale(experiments.DefaultScale(), 100, sessionRate)
-	fmt.Printf("%d users behind %d gateways, %d rounds, %.0f tx/s offered:\n",
-		rep.Users, rep.Gateways, rep.Rounds, rep.OfferedTPS)
-	fmt.Printf("  client sessions: %d (consensus-node client sessions: %d)\n",
-		rep.ClientSessions, rep.ConsensusClientSessions)
-	fmt.Printf("  committed: %d txs, %.1f MB/h — %.2f× the direct baseline's %.1f MB/h\n",
-		rep.CommittedTxs, rep.MBytesPerHour, rep.ThroughputRatio, rep.BaselineMBytesPerHour)
-	for i, st := range rep.GatewayStats {
-		fmt.Printf("  gateway %d: sessions=%d admitted=%d routed=%d resent=%d head=%d pending=%d (%d B)\n",
-			i, st.Sessions, st.Admitted, st.TxsRouted, st.Resent, st.HeadRound, st.Pending, st.PendingBytes)
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "marshal:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile("BENCH_gateway.json", append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "write:", err)
-		os.Exit(1)
-	}
-	fmt.Println("wrote BENCH_gateway.json")
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"algorand/internal/params"
 	"algorand/internal/sim"
 )
 
@@ -16,19 +17,20 @@ type AblationResult struct {
 	ExtraBytesFraction float64
 }
 
-// AblatePriorityGossip measures the §6 priority pre-gossip: without the
-// small priority announcements, every proposed block travels further
-// before being discarded, costing bandwidth and block-proposal latency.
-func AblatePriorityGossip(scale Scale) AblationResult {
+// ablate runs one design choice on and off: two runs at one seed that
+// differ only in the switch flip sets, optionally against the §10.4
+// adversary (a fifth of the users equivocating as proposers).
+func ablate(scale Scale, name string, seed int64, attack bool, flip func(*params.Params)) AblationResult {
 	n := scale.users(100)
-	run := func(disable bool) (LatencyPoint, int64) {
+	run := func(ablated bool) (LatencyPoint, int64) {
 		cfg := sim.DefaultConfig(n, scale.Rounds)
-		cfg.Seed = 99
+		cfg.Seed = seed
+		if ablated {
+			flip(&cfg.Params)
+		}
 		c := sim.NewCluster(cfg)
-		if disable {
-			for _, nd := range c.Nodes {
-				nd.SetDisablePriorityGossip(true)
-			}
+		if attack {
+			c.MakeEquivocatingProposers(n / 5)
 		}
 		c.Run()
 		if err := c.AgreementCheck(); err != nil {
@@ -45,11 +47,19 @@ func AblatePriorityGossip(scale Scale) AblationResult {
 	base, baseBytes := run(false)
 	abl, ablBytes := run(true)
 	return AblationResult{
-		Name:               "priority-pre-gossip",
+		Name:               name,
 		Baseline:           base,
 		Ablated:            abl,
 		ExtraBytesFraction: float64(ablBytes) / float64(baseBytes),
 	}
+}
+
+// AblatePriorityGossip measures the §6 priority pre-gossip: without the
+// small priority announcements, every proposed block travels further
+// before being discarded, costing bandwidth and block-proposal latency.
+func AblatePriorityGossip(scale Scale) AblationResult {
+	return ablate(scale, "priority-pre-gossip", 99, false,
+		func(p *params.Params) { p.AblateNoPriorityGossip = true })
 }
 
 // AblateVoteNext3 disables Algorithm 8's vote-in-next-3-steps and runs
@@ -57,33 +67,8 @@ func AblatePriorityGossip(scale Scale) AblationResult {
 // step late rely on the common coin to catch up, increasing empty
 // rounds and latency tails.
 func AblateVoteNext3(scale Scale) AblationResult {
-	n := scale.users(100)
-	run := func(ablate bool) (LatencyPoint, int64) {
-		cfg := sim.DefaultConfig(n, scale.Rounds)
-		cfg.Seed = 77
-		cfg.Params.AblateNoVoteNext3 = ablate
-		c := sim.NewCluster(cfg)
-		c.MakeEquivocatingProposers(n / 5)
-		c.Run()
-		if err := c.AgreementCheck(); err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
-		}
-		final, empty := c.FinalityRate()
-		return LatencyPoint{
-			Users:     n,
-			Latency:   sim.Summarize(c.AllRoundLatencies(1, cfg.Rounds)),
-			FinalRate: final,
-			EmptyRate: empty,
-		}, c.Net.TotalBytes()
-	}
-	base, bb := run(false)
-	abl, ab := run(true)
-	return AblationResult{
-		Name:               "vote-next-3-steps",
-		Baseline:           base,
-		Ablated:            abl,
-		ExtraBytesFraction: float64(ab) / float64(bb),
-	}
+	return ablate(scale, "vote-next-3-steps", 77, true,
+		func(p *params.Params) { p.AblateNoVoteNext3 = true })
 }
 
 // AblateEquivocationDiscard compares the §10.4 discard-both policy with
@@ -91,37 +76,8 @@ func AblateVoteNext3(scale Scale) AblationResult {
 // users adopt different versions of the attacker's block, sending more
 // rounds through the slow (empty-block) path.
 func AblateEquivocationDiscard(scale Scale) AblationResult {
-	n := scale.users(100)
-	run := func(keepFirst bool) (LatencyPoint, int64) {
-		cfg := sim.DefaultConfig(n, scale.Rounds)
-		cfg.Seed = 55
-		c := sim.NewCluster(cfg)
-		if keepFirst {
-			for _, nd := range c.Nodes {
-				nd.SetKeepFirstOnEquivocation(true)
-			}
-		}
-		c.MakeEquivocatingProposers(n / 5)
-		c.Run()
-		if err := c.AgreementCheck(); err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
-		}
-		final, empty := c.FinalityRate()
-		return LatencyPoint{
-			Users:     n,
-			Latency:   sim.Summarize(c.AllRoundLatencies(1, cfg.Rounds)),
-			FinalRate: final,
-			EmptyRate: empty,
-		}, c.Net.TotalBytes()
-	}
-	base, bb := run(false)
-	abl, ab := run(true)
-	return AblationResult{
-		Name:               "equivocation-discard-both",
-		Baseline:           base,
-		Ablated:            abl,
-		ExtraBytesFraction: float64(ab) / float64(bb),
-	}
+	return ablate(scale, "equivocation-discard-both", 55, true,
+		func(p *params.Params) { p.AblateKeepFirstOnEquivocation = true })
 }
 
 // CoinAblationResult reports the vote-splitting experiment.

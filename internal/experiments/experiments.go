@@ -1,18 +1,19 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (§10) plus the Figure 3 analysis, at simulation
-// scale. Each function returns structured rows that bench_test.go
-// reports and cmd/experiments prints as TSV; EXPERIMENTS.md records
-// paper-vs-measured values.
+// scale. Each function returns structured rows that cmd/experiments
+// prints as TSV; EXPERIMENTS.md records paper-vs-measured values.
 package experiments
 
 import (
 	"fmt"
 	"time"
 
+	"algorand/internal/agreement"
 	"algorand/internal/baseline"
 	"algorand/internal/committee"
 	"algorand/internal/ledger"
 	"algorand/internal/sim"
+	"algorand/internal/trace"
 )
 
 // Scale is a global knob for experiment sizes: 1.0 is the default CI
@@ -365,7 +366,29 @@ type TimeoutReport struct {
 	TimeoutFraction float64
 }
 
-// TimeoutValidation reproduces the §10.5 measurements.
+// baStepSpans returns every node's ba_step spans — one per CountVotes
+// call, Step carrying the wire step — from round fromRound on.
+func baStepSpans(c *sim.Cluster, fromRound uint64) []trace.Span {
+	var out []trace.Span
+	for i := range c.Nodes {
+		for _, rt := range c.Tracer(i).Rounds() {
+			if rt.Round < fromRound {
+				continue
+			}
+			for _, s := range rt.Spans {
+				if s.Phase == trace.PhaseBAStep {
+					out = append(out, s)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TimeoutValidation reproduces the §10.5 measurements from what every
+// node already records: BA⋆ steps are the ba_step spans of its tracer,
+// and a step that lasted its whole timeout is one that timed out (a
+// count that reaches its threshold returns before the deadline).
 func TimeoutValidation(scale Scale) TimeoutReport {
 	n := scale.users(100)
 	cfg := sim.DefaultConfig(n, scale.Rounds)
@@ -375,16 +398,23 @@ func TimeoutValidation(scale Scale) TimeoutReport {
 	var steps []time.Duration
 	var completions []time.Duration
 	var prio []time.Duration
-	timeouts, total := 0, 0
-	for _, nd := range c.Nodes {
-		for _, st := range nd.StepTimes {
-			total++
-			if st.TimedOut {
-				timeouts++
-				continue
-			}
-			steps = append(steps, st.Took)
+	var timeouts, total, regTimeouts, regTotal uint64
+	for _, s := range baStepSpans(c, 1) {
+		total++
+		lambda := cfg.Params.LambdaStep
+		if s.Step == agreement.StepReduction1 {
+			lambda += cfg.Params.LambdaBlock
 		}
+		if s.Duration() >= lambda {
+			timeouts++
+			continue
+		}
+		steps = append(steps, s.Duration())
+	}
+	for i, nd := range c.Nodes {
+		snap := c.Registry(i).Snapshot()
+		regTotal += uint64(snap["algorand_ba_steps_total"].Value)
+		regTimeouts += uint64(snap["algorand_ba_step_timeouts_total"].Value)
 		for _, rs := range nd.Stats {
 			if rs.End > 0 {
 				completions = append(completions, rs.End-rs.Start)
@@ -393,6 +423,10 @@ func TimeoutValidation(scale Scale) TimeoutReport {
 				}
 			}
 		}
+	}
+	if timeouts != regTimeouts || total != regTotal {
+		panic(fmt.Sprintf("experiments: spans show %d timeouts in %d steps, the registry counted %d in %d",
+			timeouts, total, regTimeouts, regTotal))
 	}
 	comp := sim.Summarize(completions)
 	frac := 0.0

@@ -2,124 +2,102 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"algorand/internal/gateway"
 	"algorand/internal/sim"
 )
 
-// GatewayReport is the access-tier scaling experiment: the same
-// payment stream as TxflowThroughput, but every byte of client
-// traffic — submissions and a large read-only query population —
-// enters through a handful of gateway nodes instead of touching the
-// consensus cluster. Two runs back the report: a direct-submission
-// baseline (clients talk straight to consensus nodes, the PR-8 path)
-// and the gateway run. The access tier earns its keep if the
-// committed throughput stays within a few percent of the baseline
-// while consensus nodes serve zero client sessions.
+// GatewayReport is the access-tier scaling experiment: a sustained
+// payment stream plus a large read-only query population, every byte
+// of it entering through a handful of gateway nodes instead of touching
+// the consensus cluster, against a direct-submission baseline in which
+// the same stream goes straight to the consensus nodes. The access tier
+// earns its keep if the committed throughput stays within a few percent
+// of the baseline while consensus nodes serve zero client sessions.
 type GatewayReport struct {
-	Users      int     `json:"users"`
-	Gateways   int     `json:"gateways"`
-	Rounds     uint64  `json:"rounds"`
-	OfferedTPS float64 `json:"offered_tx_per_sec"`
+	Users      int
+	Gateways   int
+	Rounds     uint64
+	OfferedTPS float64
+	Elapsed    time.Duration // virtual
 
-	ElapsedSeconds float64 `json:"elapsed_virtual_seconds"`
+	// ClientSessions is every session the access tier served
+	// (submissions and read-only queries). ConsensusClientSessions is
+	// computed, not asserted: workload submissions that no gateway's
+	// edge admission accounts for.
+	ClientSessions          int64
+	QuerySessionsPerSec     int
+	ConsensusClientSessions int64
 
-	// Client-population evidence: total sessions served by the access
-	// tier (submission sessions + read-only query sessions) and the
-	// count of client sessions that reached a consensus node. The
-	// latter is computed, not asserted: total workload submissions
-	// minus submissions accounted for by gateway edge admission.
-	ClientSessions           int64 `json:"client_sessions_total"`
-	QuerySessionsPerSec      int   `json:"query_sessions_per_sec"`
-	ConsensusClientSessions  int64 `json:"consensus_client_sessions"`
-	GatewaySubmissionsTotal  int64 `json:"gateway_submissions_total"`
-	WorkloadSubmissionsTotal int64 `json:"workload_submissions_total"`
+	CommittedTxs  int
+	MBytesPerHour float64
 
-	CommittedTxs  int     `json:"committed_txs"`
-	CommittedTPS  float64 `json:"committed_tx_per_sec"`
-	PayloadBytes  int64   `json:"committed_payload_bytes"`
-	MBytesPerHour float64 `json:"committed_mbytes_per_hour"`
+	// The direct-submission baseline and the gateway run's share of it.
+	BaselineMBytesPerHour float64
+	ThroughputRatio       float64
 
-	// The direct-submission baseline from an identical cluster without
-	// the access tier, and the gateway run's fraction of it.
-	BaselineMBytesPerHour float64 `json:"baseline_mbytes_per_hour"`
-	ThroughputRatio       float64 `json:"throughput_ratio_vs_direct"`
-
-	// Load-driver retry behaviour (the PR-9 backoff fix: duplicates
-	// come from deliberate retries, not from a driver ignoring typed
-	// rejects).
-	Workload sim.WorkloadStats `json:"workload"`
-
+	// Load-driver retry behaviour: duplicates come from deliberate
+	// retries, not from a driver ignoring typed rejects.
+	Workload sim.WorkloadStats
 	// Per-gateway books at the end of the run. Pending/PendingBytes are
 	// the bounded-memory evidence: the mempool drains as commits land.
-	GatewayStats []gateway.Stats `json:"gateway_stats"`
-
-	Phases PhaseLatencies `json:"phase_latency_ms"`
+	GatewayStats []gateway.Stats
 }
 
 // GatewayClientScale runs the access-tier experiment: scale.users(50)
-// consensus nodes behind four gateways, offeredTPS signed payments per
-// virtual second through the gateways, and querySessionsPerSec
-// simulated read-only client sessions against the gateway read models.
-// A second, gateway-free run of the identical cluster provides the
-// direct-submission throughput baseline.
+// consensus nodes, offeredTPS signed payments per virtual second and
+// querySessionsPerSec simulated read-only client sessions, once with
+// clients talking straight to the consensus nodes (no queries: they
+// have no read model to ask) and once with four gateways in front. The
+// two clusters share seed and stake and differ in nothing else.
 func GatewayClientScale(scale Scale, offeredTPS float64, querySessionsPerSec int) GatewayReport {
 	n := scale.users(50)
-	rounds := scale.Rounds + 3
-
-	// Direct-submission baseline: same cluster, same seed, same offered
-	// load, clients talking straight to consensus nodes.
-	base := TxflowThroughput(scale, offeredTPS)
-
-	cfg := sim.DefaultConfig(n, rounds)
-	cfg.Seed = 9
-	cfg.WeightEach = 1 << 20
-	cfg.Gateways = 4
-
-	c := sim.NewCluster(cfg)
-	c.GatewayWorkload(offeredTPS, cfg.Seed)
-	c.QueryWorkload(float64(querySessionsPerSec), cfg.Seed+1)
-	elapsed := c.Run()
-	if err := c.AgreementCheck(); err != nil {
-		panic(fmt.Sprintf("experiments: agreement violated behind gateways: %v", err))
+	rounds := scale.Rounds + 3 // past the first rounds, so the pipeline is in steady state
+	run := func(gateways int) (c *sim.Cluster, mbPerHour float64) {
+		cfg := sim.DefaultConfig(n, rounds)
+		cfg.Seed = 9
+		cfg.WeightEach = 1 << 20 // fund the whole stream
+		cfg.Gateways = gateways
+		c = sim.NewCluster(cfg)
+		if gateways == 0 {
+			c.Workload(offeredTPS, cfg.Seed)
+		} else {
+			c.GatewayWorkload(offeredTPS, cfg.Seed)
+			c.QueryWorkload(float64(querySessionsPerSec), cfg.Seed+1)
+		}
+		elapsed := c.Run()
+		if err := c.AgreementCheck(); err != nil {
+			panic(fmt.Sprintf("experiments: agreement violated with %d gateways: %v", gateways, err))
+		}
+		return c, float64(c.CommittedPayloadBytes(rounds)) / (1 << 20) / elapsed.Hours()
 	}
+	_, baseline := run(0)
+	c, mbPerHour := run(4)
 
-	committed := c.CommittedTxCount(rounds)
-	payload := c.CommittedPayloadBytes(rounds)
 	ws := c.WorkloadStats()
 	rep := GatewayReport{
-		Users:                    n,
-		Gateways:                 c.NumGateways(),
-		Rounds:                   rounds,
-		OfferedTPS:               offeredTPS,
-		ElapsedSeconds:           elapsed.Seconds(),
-		QuerySessionsPerSec:      querySessionsPerSec,
-		WorkloadSubmissionsTotal: int64(ws.Submitted),
-		CommittedTxs:             committed,
-		PayloadBytes:             payload,
-		BaselineMBytesPerHour:    base.MBytesPerHour,
-		Workload:                 ws,
-		Phases:                   clusterPhaseLatencies(c),
-	}
-	for i := 0; i < c.NumGateways(); i++ {
-		st := c.Gateway(i).Stats()
-		rep.ClientSessions += st.Sessions
-		rep.GatewaySubmissionsTotal += st.Submitted
-		rep.GatewayStats = append(rep.GatewayStats, st)
+		Users:                 n,
+		Gateways:              c.NumGateways(),
+		Rounds:                rounds,
+		OfferedTPS:            offeredTPS,
+		Elapsed:               c.Sim.Now(),
+		QuerySessionsPerSec:   querySessionsPerSec,
+		CommittedTxs:          c.CommittedTxCount(rounds),
+		MBytesPerHour:         mbPerHour,
+		BaselineMBytesPerHour: baseline,
+		ThroughputRatio:       mbPerHour / baseline,
+		Workload:              ws,
 	}
 	// Every workload submission must be accounted for at a gateway
 	// edge; anything unaccounted for would have been a client session
 	// on a consensus node.
-	rep.ConsensusClientSessions = rep.WorkloadSubmissionsTotal - rep.GatewaySubmissionsTotal
-	if rep.ConsensusClientSessions < 0 {
-		rep.ConsensusClientSessions = 0
-	}
-	if elapsed > 0 {
-		rep.CommittedTPS = float64(committed) / elapsed.Seconds()
-		rep.MBytesPerHour = float64(payload) / (1 << 20) / (elapsed.Seconds() / 3600)
-	}
-	if base.MBytesPerHour > 0 {
-		rep.ThroughputRatio = rep.MBytesPerHour / base.MBytesPerHour
+	rep.ConsensusClientSessions = ws.Submitted
+	for i := 0; i < c.NumGateways(); i++ {
+		st := c.Gateway(i).Stats()
+		rep.ClientSessions += st.Sessions
+		rep.ConsensusClientSessions -= st.Submitted
+		rep.GatewayStats = append(rep.GatewayStats, st)
 	}
 	return rep
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"algorand/internal/sim"
-	"algorand/internal/trace"
 )
 
 // NodeCostPoint is what simulating n users for a few rounds cost the
@@ -63,17 +62,8 @@ func NodeCost(n int, rounds uint64, seed int64) NodeCostPoint {
 	}
 
 	var steps []time.Duration
-	for i := range c.Nodes {
-		for _, rt := range c.Tracer(i).Rounds() {
-			if rt.Round < 2 {
-				continue
-			}
-			for _, s := range rt.Spans {
-				if s.Phase == trace.PhaseBAStep {
-					steps = append(steps, s.Duration())
-				}
-			}
-		}
+	for _, s := range baStepSpans(c, 2) {
+		steps = append(steps, s.Duration())
 	}
 	final, _ := c.FinalityRate()
 	return NodeCostPoint{

@@ -187,6 +187,28 @@ func TestClusterRoutingIsDeterministicAndStable(t *testing.T) {
 	if len(seen) != len(h.gw.cfg.Consensus) {
 		t.Fatalf("cluster members cover %d of %d consensus nodes", len(seen), len(h.gw.cfg.Consensus))
 	}
+	// One flush that spans every cluster leaves in cluster order, every
+	// time: the order of these sends is the order of the simulator's
+	// events, so a gateway run repeats only if it does.
+	for _, id := range h.ids {
+		tx := &ledger.Transaction{From: id.PublicKey(), To: h.ids[0].PublicKey(), Amount: 1, Fee: 1}
+		tx.Sign(id)
+		if err := h.gw.Submit(tx); err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+	}
+	h.gw.flushOnce()
+	prev := -1
+	for _, u := range h.net.unicasts {
+		ci := ClusterOf(u.m.(*node.TxBatch).Txns[0].From, 4)
+		if ci < prev {
+			t.Fatalf("cluster %d's batch left after cluster %d's", ci, prev)
+		}
+		prev = ci
+	}
+	if prev != 3 {
+		t.Fatalf("flush reached clusters up to %d, want all 4", prev)
+	}
 }
 
 func TestSubmitRoutesToSenderCluster(t *testing.T) {

@@ -57,13 +57,18 @@ func (g *Gateway) route(txs []ledger.Transaction) {
 	if len(txs) == 0 {
 		return
 	}
-	byCluster := make(map[int][]ledger.Transaction)
+	// A slice, not a map: clusters are served in index order, so the
+	// same batch always leaves in the same order (the simulator's event
+	// order, and with it a run's every number, follows from it).
+	byCluster := make([][]ledger.Transaction, g.cfg.Clusters)
 	for _, tx := range txs {
 		ci := ClusterOf(tx.From, g.cfg.Clusters)
 		byCluster[ci] = append(byCluster[ci], tx)
 	}
 	for ci, group := range byCluster {
-		g.sendToCluster(ci, group)
+		if len(group) > 0 {
+			g.sendToCluster(ci, group)
+		}
 	}
 }
 

@@ -276,28 +276,6 @@ func (m *BlockPiece) ID() crypto.Digest {
 // LimitKey: transfers are unicast, never relayed.
 func (m *BlockPiece) LimitKey() network.LimitKey { return network.LimitKey{} }
 
-// TxMsg carries a payment submitted by a user (Figure 1).
-type TxMsg struct {
-	Tx ledger.Transaction
-}
-
-// WireSize implements network.Message.
-func (m *TxMsg) WireSize() int { return m.Tx.WireSize() }
-
-// EncodeTo implements wire.Marshaler.
-func (m *TxMsg) EncodeTo(e *wire.Encoder) { m.Tx.EncodeTo(e) }
-
-// DecodeFrom implements wire.Unmarshaler.
-func (m *TxMsg) DecodeFrom(d *wire.Decoder) { m.Tx.DecodeFrom(d) }
-
-// ID is the transaction ID.
-func (m *TxMsg) ID() crypto.Digest {
-	return crypto.HashBytes("msg.tx", m.Tx.SigningBytes())
-}
-
-// LimitKey: transactions are not rate-limited per step.
-func (m *TxMsg) LimitKey() network.LimitKey { return network.LimitKey{} }
-
 // MaxTxBatchBytes caps the cumulative encoded size of the transactions
 // in one TxBatch message. Peers sending larger batches are malformed
 // (realnet scores and drops them); honest flushes pack below the cap.
@@ -660,7 +638,7 @@ const (
 	TagBlockAnnounce
 	TagBlockRequest
 	_ // 5 is retired: it carried a whole proposed body in one message
-	TagTx
+	_ // 6 is retired: it carried one transaction, relayed verbatim; TxBatch is the only transaction gossip
 	TagBlockFill
 	TagChainRequest
 	TagChainReply
@@ -692,8 +670,6 @@ func MessageTag(m network.Message) (byte, bool) {
 		return TagBlockAnnounce, true
 	case *BlockRequest:
 		return TagBlockRequest, true
-	case *TxMsg:
-		return TagTx, true
 	case *BlockFill:
 		return TagBlockFill, true
 	case *ChainRequest:
@@ -730,8 +706,6 @@ func NewMessage(tag byte) network.Message {
 		return new(BlockAnnounce)
 	case TagBlockRequest:
 		return new(BlockRequest)
-	case TagTx:
-		return new(TxMsg)
 	case TagBlockFill:
 		return new(BlockFill)
 	case TagChainRequest:

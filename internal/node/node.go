@@ -97,13 +97,6 @@ type Config struct {
 	// node owns writes to the archive for its lifetime; the caller still
 	// owns Close.
 	Archive *diskstore.Store
-	// DisablePriorityGossip suppresses the §6 small priority
-	// announcements (ablation: blocks must carry priorities alone).
-	DisablePriorityGossip bool
-	// KeepFirstOnEquivocation keeps the first block version from an
-	// equivocating proposer instead of discarding both (ablation of the
-	// §10.4 optimization).
-	KeepFirstOnEquivocation bool
 	// TxFlow sizes the transaction ingestion pipeline (see
 	// internal/txflow). The zero value gets defaults; unless TxFlow.Now
 	// is set, the pipeline clock is the node's (virtual) scheduler
@@ -264,18 +257,8 @@ type Node struct {
 	VoteSaboteur func(n *Node, v *ledger.Vote) []*ledger.Vote
 
 	Stats []RoundStat
-	// StepTimes records (duration, timedOut) of every CountVotes call,
-	// for the §10.5 timeout-validation experiment.
-	StepTimes []StepTime
 	// StopAfterRound ends the main loop once the ledger reaches it.
 	StopAfterRound uint64
-}
-
-// StepTime is one CountVotes observation.
-type StepTime struct {
-	Step     uint64
-	Took     time.Duration
-	TimedOut bool
 }
 
 // New creates a node bound to slot id on the network. Call Start to
@@ -488,16 +471,6 @@ func (n *Node) handleMessage(from int, m network.Message) network.Verdict {
 	}
 	cost := n.costs()
 	switch msg := m.(type) {
-	case *TxMsg:
-		// Singleton transaction gossip (legacy path; batched TxBatch is
-		// the steady state). Fresh admissions relay onward.
-		fresh, sigChecked := n.flow.IngestGossip(&msg.Tx)
-		var cpu time.Duration
-		if sigChecked {
-			cpu = cost.VerifySig
-		}
-		return network.Verdict{Relay: fresh, CPU: cpu}
-
 	case *TxBatch:
 		return n.handleTxBatch(msg, cost)
 
@@ -905,8 +878,7 @@ func (n *Node) env(round uint64) *agreement.Env {
 		Inbox:    n.voteInbox,
 		Metrics:  n.ba,
 	}
-	e.StepTimer = func(step uint64, took time.Duration, timedOut bool) {
-		n.StepTimes = append(n.StepTimes, StepTime{Step: step, Took: took, TimedOut: timedOut})
+	e.StepTimer = func(step uint64, took time.Duration, _ bool) {
 		// e.Proc, not n.proc: the pipelined final step runs this from a
 		// background process with its own clock handle.
 		end := e.Proc.Now()
@@ -1054,7 +1026,7 @@ func (n *Node) runRound() error {
 	n.tracer.Record(round, trace.PhaseSortition, 0, stat.Start, n.proc.Now())
 	wres := blockprop.WaitOpts(n.proc, n.propInbox(round),
 		n.cfg.Params.LambdaPriority, n.cfg.Params.LambdaStepVar, n.cfg.Params.LambdaBlock,
-		n.cfg.KeepFirstOnEquivocation)
+		n.cfg.Params.AblateKeepFirstOnEquivocation)
 	stat.Equivocation = wres.Equivocation
 	stat.PriorityLearned = wres.BestPriorityAt
 
@@ -1170,7 +1142,7 @@ func (n *Node) proposeIfSelected(ctx *agreement.Context) {
 	n.fetch.NoteBest(ctx.Round, prop.Priority.Priority)
 	// Gossip the small priority message first (§6), then announce the
 	// block body for our neighbors to pull.
-	if !n.cfg.DisablePriorityGossip {
+	if !n.cfg.Params.AblateNoPriorityGossip {
 		n.net.Gossip(n.ID, &PriorityGossip{M: prop.Priority})
 	}
 	n.seed(n.HoldProposal(&prop.Block))
@@ -1258,11 +1230,3 @@ func (n *Node) AlienVotes() int { return n.alienVotes }
 // after a partition window); the simulation's single-threaded execution
 // makes the swap race-free.
 func (n *Node) SetParams(p params.Params) { n.cfg.Params = p }
-
-// SetDisablePriorityGossip toggles the §6 priority pre-gossip
-// (ablation hook).
-func (n *Node) SetDisablePriorityGossip(v bool) { n.cfg.DisablePriorityGossip = v }
-
-// SetKeepFirstOnEquivocation toggles the §10.4 equivocation policy
-// (ablation hook).
-func (n *Node) SetKeepFirstOnEquivocation(v bool) { n.cfg.KeepFirstOnEquivocation = v }

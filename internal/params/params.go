@@ -38,8 +38,9 @@ type Params struct {
 	// BlockSize is the size of proposed blocks in bytes.
 	BlockSize int
 
-	// Ablation switches (for the DESIGN.md ablation benches; all false
-	// in normal operation).
+	// Ablation switches (for the DESIGN.md ablations that
+	// cmd/experiments -run ablations runs; all false in normal
+	// operation).
 
 	// AblateNoVoteNext3 disables Algorithm 8's vote-in-next-three-steps
 	// after reaching consensus, which normally drags stragglers over
@@ -49,6 +50,12 @@ type Params struct {
 	// fixed choice of block_hash, reintroducing the vote-splitting
 	// attack BA⋆'s third step kind exists to prevent.
 	AblateNoCommonCoin bool
+	// AblateNoPriorityGossip suppresses the §6 small priority
+	// announcements: proposed blocks must carry their priorities alone.
+	AblateNoPriorityGossip bool
+	// AblateKeepFirstOnEquivocation keeps the first block version from
+	// an equivocating proposer instead of discarding both (§10.4).
+	AblateKeepFirstOnEquivocation bool
 }
 
 // Default returns the paper's implementation parameters (Figure 4).

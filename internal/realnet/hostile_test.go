@@ -294,27 +294,28 @@ func TestRateAbuseShedsAndQuarantines(t *testing.T) {
 	}
 }
 
-// txBatchFrame hand-crafts a TxBatch frame from the given sender with
-// an arbitrary message body (valid or hostile).
-func txBatchFrame(from int, body []byte) (byte, []byte) {
+// rawFrame hand-crafts a frame payload from the given sender around an
+// arbitrary message body (valid or hostile).
+func rawFrame(from int, body []byte) []byte {
 	e := wire.NewEncoderSize(4 + len(body))
 	e.Int(from)
 	e.Fixed(body)
-	return nodepkg.TagTxBatch, e.Data()
+	return e.Data()
 }
 
-// TestHostileTxBatch throws malformed transaction batches at the
+// TestHostileTxBatch throws malformed transaction gossip at the
 // transport: a count promising 2^30 transactions, a cumulative payload
-// above MaxTxBatchBytes, and a batch truncated mid-transaction. Each
-// must score the peer as malformed and drop the connection — never
-// crash or wedge the transport — and a legitimate peer must still get
-// through afterwards.
+// above MaxTxBatchBytes, a batch truncated mid-transaction, and a
+// well-formed transaction under retired tag 6 (the single-transaction
+// message that was relayed verbatim). Each must score the peer as
+// malformed and drop the connection — never crash or wedge the
+// transport — and a legitimate peer must still get through afterwards.
 func TestHostileTxBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock TCP test")
 	}
 	// Keep the misbehavior score below the quarantine threshold so all
-	// three cases are observed on live connections (quarantine itself
+	// four cases are observed on live connections (quarantine itself
 	// is pinned by TestSpoofQuarantineAndParole).
 	cfg := testConfig()
 	cfg.QuarantineThreshold = 100
@@ -338,17 +339,20 @@ func TestHostileTxBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hostile := [][]byte{
-		{0x00, 0x00, 0x00, 0x40}, // count = 2^30, no payload
-		overBody,                 // cumulative size above the cap
-		okBody[:len(okBody)-9],   // truncated mid-transaction
+	hostile := []struct {
+		tag  byte
+		body []byte
+	}{
+		{nodepkg.TagTxBatch, []byte{0x00, 0x00, 0x00, 0x40}}, // count = 2^30, no payload
+		{nodepkg.TagTxBatch, overBody},                       // cumulative size above the cap
+		{nodepkg.TagTxBatch, okBody[:len(okBody)-9]},         // truncated mid-transaction
+		{6, wire.Encode(&tx)},                                // retired tag, valid transaction
 	}
 	var malformed uint64
-	for i, body := range hostile {
+	for i, h := range hostile {
 		r := dialRaw(t, m.tr.Addr())
 		r.hello(1)
-		tag, payload := txBatchFrame(1, body)
-		r.frame(tag, payload)
+		r.frame(h.tag, rawFrame(1, h.body))
 		if !closedWithin(r.c, 5*time.Second) {
 			t.Fatalf("hostile batch %d: connection not dropped", i)
 		}

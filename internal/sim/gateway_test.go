@@ -133,3 +133,71 @@ func TestGatewayCrashDoesNotTouchConsensus(t *testing.T) {
 		t.Errorf("surviving gateway stalled at round %d of %d", st.HeadRound, cfg.Rounds)
 	}
 }
+
+// TestGatewayTierCarriesAllClientTraffic pins what the access tier is
+// for, on one deterministic pair of runs that differ only in whether
+// clients talk to gateways or straight to consensus nodes: every
+// submission the load driver made is on some gateway's books (none was
+// a client session on a consensus node), the read-only population got
+// its sessions at the configured rate for as long as the cluster ran,
+// and putting the tier in front cost under a tenth of the committed
+// transactions. cmd/experiments -run gateway is the same pair at scale.
+func TestGatewayTierCarriesAllClientTraffic(t *testing.T) {
+	const txRate, queryRate, gateways = 60.0, 2000.0, 2
+	run := func(gws int) *Cluster {
+		cfg := DefaultConfig(20, 5)
+		cfg.Seed = 9
+		cfg.WeightEach = 1 << 20
+		cfg.Gateways = gws
+		c := NewCluster(cfg)
+		if gws == 0 {
+			c.Workload(txRate, cfg.Seed)
+		} else {
+			c.GatewayWorkload(txRate, cfg.Seed)
+			c.QueryWorkload(queryRate, cfg.Seed+1)
+		}
+		c.Run()
+		if err := c.AgreementCheck(); err != nil {
+			t.Fatalf("agreement with %d gateways: %v", gws, err)
+		}
+		return c
+	}
+	direct, c := run(0), run(gateways)
+
+	var submitted, sessions, querySessions int64
+	for i := 0; i < c.NumGateways(); i++ {
+		st := c.Gateway(i).Stats()
+		submitted += st.Submitted
+		sessions += st.Sessions
+		querySessions += st.Queries / 2 // a session asks for the head and one balance
+	}
+	ws := c.WorkloadStats()
+	if ws.Submitted == 0 || submitted != ws.Submitted {
+		t.Errorf("load driver made %d submissions, gateways account for %d: the rest were client sessions on consensus nodes",
+			ws.Submitted, submitted)
+	}
+	if sessions != submitted+querySessions {
+		t.Errorf("%d sessions served, want %d submissions + %d query sessions", sessions, submitted, querySessions)
+	}
+
+	// The query drivers tick every 10 ms until the last consensus node
+	// finishes its rounds, so they are at most one tick short of rate ×
+	// time (and one session a gateway for the fractional carry).
+	var doneAt time.Duration
+	for _, nd := range c.Nodes {
+		if end := nd.Stats[len(nd.Stats)-1].End; end > doneAt {
+			doneAt = end
+		}
+	}
+	want := queryRate * doneAt.Seconds()
+	if got := float64(querySessions); got > want || got < want-queryRate*0.010-gateways {
+		t.Errorf("%d query sessions over %v, want %.0f/s × that = %.0f", querySessions, doneAt, queryRate, want)
+	}
+
+	through, base := c.CommittedTxCount(c.Cfg.Rounds), direct.CommittedTxCount(direct.Cfg.Rounds)
+	if base == 0 || float64(through) < 0.9*float64(base) {
+		t.Errorf("%d transactions committed through gateways, %d submitted directly: under 0.9×", through, base)
+	}
+	t.Logf("submissions %d, query sessions %d over %v, committed %d via gateways vs %d direct",
+		submitted, querySessions, doneAt, through, base)
+}

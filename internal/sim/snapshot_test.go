@@ -269,3 +269,58 @@ func TestColdRestartCheckpointByteIdentity(t *testing.T) {
 	t.Logf("byte-identity: checkpoint at round %d, head round %d, state %d bytes",
 		chk.Round(), full.ChainLength(), len(fastState))
 }
+
+// TestColdRestartReplayBoundedByInterval is the sub-linear claim of
+// checkpointed recovery on the program's own bring-up path: a durable
+// node that crashes inside the first seed epoch and restarts from its
+// data directory re-bases onto its newest checkpoint and replays only
+// the rounds past it — fewer than CheckpointInterval, at a chain of 6
+// rounds as at one of 15 — and still ends on the network's chain. (Past the first epoch the checkpoint is refused and the whole
+// archive replayed: ROADMAP item 4.)
+func TestColdRestartReplayBoundedByInterval(t *testing.T) {
+	const interval, victim = 4, 3
+	for _, crashAt := range []uint64{6, 15} {
+		cfg := snapshotConfig(12, crashAt+2, interval)
+		cfg.DataDir = t.TempDir()
+		c := NewCluster(cfg)
+
+		var repl *node.Node
+		var atCrash, replayed uint64
+		var err error
+		c.Sim.Spawn("cold-restart-test", func(p *vtime.Proc) {
+			for c.Nodes[victim].Ledger().ChainLength() < crashAt {
+				p.Sleep(200 * time.Millisecond)
+			}
+			c.CrashNode(victim)
+			atCrash = c.Nodes[victim].Ledger().ChainLength()
+			p.Sleep(2 * time.Second)
+			repl, replayed, err = c.RestartNode(victim, time.Hour)
+		})
+		c.Run()
+		if cerr := c.CloseArchives(); cerr != nil {
+			t.Fatal(cerr)
+		}
+
+		if err != nil || repl == nil {
+			t.Fatalf("crash at %d: restart: %v", crashAt, err)
+		}
+		if repl.SnapshotRejects != 0 {
+			t.Fatalf("crash at %d: the node refused its own checkpoint", crashAt)
+		}
+		base := snapshotBase(repl.Ledger())
+		if base == 0 || base%interval != 0 || base+interval <= atCrash {
+			t.Fatalf("crash at %d: re-based onto round %d, want the newest point of the %d-round grid", atCrash, base, interval)
+		}
+		if replayed != atCrash-base || replayed >= interval {
+			t.Fatalf("crash at %d: replayed %d rounds past checkpoint %d, want %d (fewer than the interval %d)",
+				atCrash, replayed, base, atCrash-base, interval)
+		}
+		if err := c.AgreementCheck(); err != nil {
+			t.Fatalf("crash at %d: %v", atCrash, err)
+		}
+		if got, want := repl.Ledger().ChainLength(), c.Nodes[0].Ledger().ChainLength(); got != want {
+			t.Fatalf("crash at %d: replacement ended at round %d, the network at %d", atCrash, got, want)
+		}
+		t.Logf("chain %d: re-based onto %d, %d rounds replayed from disk", atCrash, base, replayed)
+	}
+}

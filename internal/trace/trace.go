@@ -9,9 +9,8 @@
 // proposal, BA⋆ and final confirmation; §10.2's pipelining argument is
 // entirely about overlapping phases), and the CADP-style formal work on
 // BA⋆ models rounds as sequences of timed steps. A per-round,
-// per-phase event record is the substrate both need: experiments pull
-// percentile tables out of it, the e2e benchmark writes
-// phase-latency percentiles into BENCH_txflow.json from it, and an
+// per-phase event record is the substrate both need: experiments and
+// the perf ledger (bench/) pull percentile tables out of it, and an
 // operator can diff a slow round against a healthy one span by span.
 //
 // A Tracer is cheap and bounded: recording is one mutex-guarded append
@@ -194,63 +193,6 @@ func (t *Tracer) Rounds() []RoundTrace {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Round < out[j].Round })
 	return out
-}
-
-// Durations returns the lengths of every retained span of a phase.
-func (t *Tracer) Durations(phase Phase) []time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []time.Duration
-	for _, r := range t.order {
-		for _, s := range t.rounds[r].Spans {
-			if s.Phase == phase {
-				out = append(out, s.Duration())
-			}
-		}
-	}
-	return out
-}
-
-// Summary is a percentile digest of a span population, in the shape
-// BENCH artifacts embed: milliseconds for readability at round scale,
-// plus microsecond fields so sub-millisecond phases (block assembly,
-// commit→persist) don't flatten to 0 in the artifact.
-type Summary struct {
-	N     int     `json:"n"`
-	P50ms float64 `json:"p50_ms"`
-	P90ms float64 `json:"p90_ms"`
-	P99ms float64 `json:"p99_ms"`
-	MaxMs float64 `json:"max_ms"`
-	P50us float64 `json:"p50_us"`
-	P90us float64 `json:"p90_us"`
-	P99us float64 `json:"p99_us"`
-	MaxUs float64 `json:"max_us"`
-}
-
-// Summarize digests a sample of durations.
-func Summarize(sample []time.Duration) Summary {
-	if len(sample) == 0 {
-		return Summary{}
-	}
-	s := append([]time.Duration(nil), sample...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	at := func(q float64) time.Duration {
-		idx := int(q * float64(len(s)-1))
-		return s[idx]
-	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-	p50, p90, p99, max := at(0.50), at(0.90), at(0.99), s[len(s)-1]
-	return Summary{
-		N:     len(s),
-		P50ms: ms(p50), P90ms: ms(p90), P99ms: ms(p99), MaxMs: ms(max),
-		P50us: us(p50), P90us: us(p90), P99us: us(p99), MaxUs: us(max),
-	}
-}
-
-// PhaseSummary digests every retained span of a phase.
-func (t *Tracer) PhaseSummary(phase Phase) Summary {
-	return Summarize(t.Durations(phase))
 }
 
 // ChainedDurations returns, per retained round, the time from the

@@ -43,9 +43,10 @@ func TestRecordAndQuery(t *testing.T) {
 		t.Fatalf("rounds = %+v", rounds)
 	}
 
-	ba := tr.Durations(PhaseBAStep)
-	if len(ba) != 2 || ba[0] != 50*time.Millisecond || ba[1] != 100*time.Millisecond {
-		t.Fatalf("ba durations = %v", ba)
+	ba1, ba2 := rounds[0].Spans[1], rounds[0].Spans[2]
+	if ba1.Phase != PhaseBAStep || ba1.Step != 1 || ba1.Duration() != 50*time.Millisecond ||
+		ba2.Phase != PhaseBAStep || ba2.Step != 2 || ba2.Duration() != 100*time.Millisecond {
+		t.Fatalf("ba spans = %+v, %+v", ba1, ba2)
 	}
 
 	// commit-to-persist: start of commit to end of persist.
@@ -85,26 +86,6 @@ func TestRingEviction(t *testing.T) {
 	}
 	if rounds[0].Round != 7 || rounds[3].Round != 10 {
 		t.Fatalf("retained rounds %d..%d, want 7..10", rounds[0].Round, rounds[3].Round)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 || s.P99ms != 0 {
-		t.Fatalf("empty summary = %+v", s)
-	}
-	var sample []time.Duration
-	for i := 1; i <= 100; i++ {
-		sample = append(sample, time.Duration(i)*time.Millisecond)
-	}
-	s := Summarize(sample)
-	if s.N != 100 || s.MaxMs != 100 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if s.P50ms < 49 || s.P50ms > 51 {
-		t.Fatalf("p50 = %v, want ≈50", s.P50ms)
-	}
-	if s.P99ms < 98 || s.P99ms > 100 {
-		t.Fatalf("p99 = %v, want ≈99", s.P99ms)
 	}
 }
 
@@ -189,7 +170,7 @@ func TestConcurrentRecord(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 200; i++ {
 			_ = tr.Rounds()
-			_ = tr.PhaseSummary(PhaseRound)
+			_ = tr.String()
 			_ = tr.ChainedDurations(PhaseRound, PhaseCommit)
 		}
 	}()

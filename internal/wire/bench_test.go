@@ -2,8 +2,9 @@ package wire_test
 
 // Encode/decode microbenchmarks for the canonical codec, mirroring the
 // gob-baseline measurements taken before the refactor (recorded in
-// EXPERIMENTS.md): a Vote, a signed Transaction, and a 1 MB block
-// transfer with padding materialized.
+// EXPERIMENTS.md): a Vote, a signed Transaction (as the one-transaction
+// TxBatch that carries it), and a 1 MB block transfer with padding
+// materialized.
 
 import (
 	"testing"
@@ -15,7 +16,9 @@ import (
 
 func benchVoteMsg() network.Message { return &node.VoteMsg{Vote: sampleVote()} }
 
-func benchTxMsg() network.Message { return &node.TxMsg{Tx: sampleTx()} }
+func benchTxBatch() network.Message {
+	return &node.TxBatch{Txns: []ledger.Transaction{sampleTx()}}
+}
 
 func benchBlock1MB() network.Message {
 	txns := make([]ledger.Transaction, 16)
@@ -58,8 +61,8 @@ func benchDecode(b *testing.B, m network.Message) {
 }
 
 func BenchmarkWireEncodeVote(b *testing.B)  { benchEncode(b, benchVoteMsg()) }
-func BenchmarkWireEncodeTx(b *testing.B)    { benchEncode(b, benchTxMsg()) }
+func BenchmarkWireEncodeTx(b *testing.B)    { benchEncode(b, benchTxBatch()) }
 func BenchmarkWireEncodeBlock(b *testing.B) { benchEncode(b, benchBlock1MB()) }
 func BenchmarkWireDecodeVote(b *testing.B)  { benchDecode(b, benchVoteMsg()) }
-func BenchmarkWireDecodeTx(b *testing.B)    { benchDecode(b, benchTxMsg()) }
+func BenchmarkWireDecodeTx(b *testing.B)    { benchDecode(b, benchTxBatch()) }
 func BenchmarkWireDecodeBlock(b *testing.B) { benchDecode(b, benchBlock1MB()) }

@@ -14,6 +14,7 @@ package wire_test
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -191,7 +192,7 @@ func gossipMessages() []network.Message {
 		&node.PieceRequest{Hash: crypto.HashBytes("block"), Index: 2, Requester: 2, Nonce: 99},
 		&node.BlockPiece{P: samplePiece(0), Recipient: 4, Nonce: 99},
 		&node.BlockPiece{P: samplePiece(1), Recipient: 4, Nonce: 99},
-		&node.TxMsg{Tx: tx},
+		&node.TxBatch{Txns: []ledger.Transaction{tx}},
 		&node.TxBatch{Txns: []ledger.Transaction{sampleTx(), sampleTx(), sampleTx()}},
 		&node.TxBatch{},
 		&node.BlockFill{Block: sampleBlock(), Recipient: 5},
@@ -229,6 +230,29 @@ func TestUniversalGossipRoundTrip(t *testing.T) {
 				t.Fatal("round-trip changed message identity")
 			}
 		})
+	}
+}
+
+// TestRetiredTagsDecodeAsUnknown pins the fate of tags 5 (a whole
+// proposed body in one message) and 6 (one transaction, relayed
+// verbatim): retired, never reused. A frame carrying either — here
+// around a transaction encoded exactly as tag 6 used to carry it — is an
+// unknown tag like any other, and no message type encodes to them.
+func TestRetiredTagsDecodeAsUnknown(t *testing.T) {
+	tx := sampleTx()
+	for _, tag := range []byte{5, 6} {
+		if m := node.NewMessage(tag); m != nil {
+			t.Fatalf("retired tag %d still names %T", tag, m)
+		}
+		_, err := node.DecodeMessage(tag, wire.Encode(&tx))
+		if err == nil || !strings.Contains(err.Error(), "unknown message tag") {
+			t.Fatalf("retired tag %d: got %v, want the unknown-tag error", tag, err)
+		}
+	}
+	for _, m := range gossipMessages() {
+		if tag, _ := node.MessageTag(m); tag == 5 || tag == 6 {
+			t.Fatalf("%T encodes to retired tag %d", m, tag)
+		}
 	}
 }
 
