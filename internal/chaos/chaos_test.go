@@ -12,6 +12,8 @@ import (
 
 	"algorand/internal/crypto"
 	"algorand/internal/ledger"
+	"algorand/internal/network"
+	"algorand/internal/node"
 	"algorand/internal/sim"
 	"algorand/internal/trace"
 )
@@ -33,7 +35,13 @@ func report(t *testing.T, res *Result, vs []Violation) {
 
 func runScenario(t *testing.T, s Scenario) *Result {
 	t.Helper()
-	res := Run(s)
+	return runScenarioWith(t, s, nil)
+}
+
+// runScenarioWith is runScenario with RunWith's pre-start hook.
+func runScenarioWith(t *testing.T, s Scenario, pre func(c *sim.Cluster)) *Result {
+	t.Helper()
+	res := RunWith(s, pre)
 	t.Cleanup(res.Cleanup)
 	report(t, res, res.Check())
 	return res
@@ -90,6 +98,7 @@ func TestChaosDirected(t *testing.T) {
 	cases := []struct {
 		name string
 		s    Scenario
+		pre  func(c *sim.Cluster) // sabotage before virtual time starts
 		post func(t *testing.T, res *Result)
 	}{
 		{
@@ -260,6 +269,45 @@ func TestChaosDirected(t *testing.T) {
 			},
 		},
 		{
+			// §7.1's "obtain it from other users" when nobody can be reached:
+			// for the first 15 s node 5 hears every priority and every vote
+			// and nothing that carries a body — no announce, no piece, no
+			// fill (Conti et al.'s withheld messages, aimed at one user). It
+			// waits out λ_block, votes empty, and BA⋆ still concludes on the
+			// hash the others agreed on. Asking its neighbours for the body
+			// gets no answer through; the round must fail with an error —
+			// it used to end the process — and §8.3 catch-up, which brings
+			// the blocks with their certificates, must carry the node on.
+			name: "agreed-body-unreachable",
+			s:    Scenario{Seed: 121, Nodes: 16, Rounds: 8},
+			pre: func(c *sim.Cluster) {
+				n := c.Nodes[5]
+				c.Net.SetHandler(5, network.HandlerFunc(func(from int, m network.Message) network.Verdict {
+					switch m.(type) {
+					case *node.BlockAnnounce, *node.BlockHave, *node.BlockPiece, *node.BlockFill:
+						if c.Sim.Now() < 15*time.Second {
+							return network.Verdict{}
+						}
+					}
+					return n.HandleMessage(from, m)
+				}))
+			},
+			post: func(t *testing.T, res *Result) {
+				snap := res.Cluster.Registry(5).Snapshot()
+				fetches := snap["algorand_node_block_fetches_total"].Value
+				failures := snap["algorand_node_block_fetch_failures_total"].Value
+				if failures == 0 {
+					t.Errorf("node 5 asked for %v blocks and failed to get none; it was never cut off from an agreed body", fetches)
+				}
+				for _, st := range res.Cluster.Nodes[5].Stats {
+					if st.Round == 1 {
+						t.Error("node 5 completed round 1 itself; the agreed body reached it")
+					}
+				}
+				t.Logf("node 5: %v by-hash fetches, %v failed, chain %d", fetches, failures, res.Cluster.Nodes[5].Ledger().ChainLength())
+			},
+		},
+		{
 			// Everything at once: equivocators, a partition, background
 			// loss, a DoS'd node, and a crash spanning the heal.
 			name: "kitchen-sink",
@@ -273,7 +321,7 @@ func TestChaosDirected(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			res := runScenario(t, tc.s)
+			res := runScenarioWith(t, tc.s, tc.pre)
 			if tc.post != nil {
 				tc.post(t, res)
 			}

@@ -192,13 +192,3 @@ func (rm *ReadModel) SnapshotBalances() (*ledger.Balances, uint64) {
 	defer rm.mu.RUnlock()
 	return rm.l.Balances().Clone(), rm.l.ChainLength()
 }
-
-// Lag reports how many rounds behind a reference head the model is.
-func (rm *ReadModel) Lag(refRound uint64) uint64 {
-	rm.mu.RLock()
-	defer rm.mu.RUnlock()
-	if head := rm.l.ChainLength(); refRound > head {
-		return refRound - head
-	}
-	return 0
-}

@@ -694,9 +694,6 @@ func (s *Store) Rounds() int {
 	return s.mem.Rounds()
 }
 
-// Dir returns the data directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Stats returns a snapshot of the store's counters: recovery numbers
 // from the last Open, operational numbers since Open.
 func (s *Store) Stats() Stats {

@@ -108,7 +108,8 @@ type Ledger struct {
 	lastFinal *entry
 
 	// pendingBlocks holds proposal pre-images by hash that are not yet
-	// committed (BlockOfHash in Algorithm 3 resolves from here).
+	// committed (BlockOfHash in Algorithm 3 resolves from here). It follows
+	// the round: a commit drops every proposal at or below its round.
 	pendingBlocks map[crypto.Digest]*Block
 }
 
@@ -384,7 +385,15 @@ func (l *Ledger) CommitHashed(b *Block, h crypto.Digest, cert *Certificate) erro
 	}
 	l.entries[h] = e
 	l.byRound[b.Round] = append(l.byRound[b.Round], e)
-	delete(l.pendingBlocks, h)
+	// The round is decided: b is served from entries now, and the
+	// proposals it beat (a proposer's own megabyte body among them) will
+	// never be agreed on. A §8.2 recovery proposal extends a tip, so it
+	// sits above every round committed while it waits.
+	for ph, pb := range l.pendingBlocks {
+		if pb.Round <= b.Round {
+			delete(l.pendingBlocks, ph)
+		}
+	}
 	if parent == l.head {
 		l.head = e
 	}

@@ -201,11 +201,6 @@ func checkTx(tx *Transaction, from AccountRecord) error {
 	return nil
 }
 
-// CheckTx validates tx against the current state without applying it.
-func (b *Balances) CheckTx(tx *Transaction) error {
-	return checkTx(tx, b.get(merkleBucketOf(tx.From), tx.From))
-}
-
 // ApplyTx validates and applies tx. The fee is burned: it leaves the
 // sender's balance and the total supply W, so fees cannot be minted
 // into sortition weight by self-paying proposers.

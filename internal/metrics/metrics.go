@@ -167,14 +167,3 @@ func DurationBuckets() []float64 {
 	}
 	return out
 }
-
-// SizeBuckets is the default histogram layout for byte sizes:
-// exponential from 64 B to 16 MiB (the span from a vote to a large
-// block).
-func SizeBuckets() []float64 {
-	out := make([]float64, 0, 19)
-	for v := 64.0; v <= 16<<20; v *= 4 {
-		out = append(out, v)
-	}
-	return out
-}

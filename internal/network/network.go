@@ -454,9 +454,6 @@ func (nw *Network) AddLinkFault(f LinkFault) {
 	nw.faults = append(nw.faults, f)
 }
 
-// ClearLinkFaults removes every installed link fault.
-func (nw *Network) ClearLinkFaults() { nw.faults = nil }
-
 // AddLimboFault installs an undecidable-message schedule. Limbo faults
 // accumulate; a transfer captured by several holds for the longest of
 // their draws.
@@ -466,10 +463,6 @@ func (nw *Network) AddLimboFault(f LimboFault) {
 	}
 	nw.limbos = append(nw.limbos, f)
 }
-
-// ClearLimboFaults removes every installed limbo fault. Messages already
-// captured stay captured — their release events are scheduled.
-func (nw *Network) ClearLimboFaults() { nw.limbos = nil }
 
 // applyLimbo runs the installed limbo faults for one transfer. It
 // reports the extra hold to apply and whether the transfer was captured.
@@ -525,9 +518,6 @@ func (nw *Network) applyFaults(from, to int, now time.Duration) (bool, time.Dura
 
 // NumNodes returns the network size.
 func (nw *Network) NumNodes() int { return len(nw.eps) }
-
-// City returns the city a node is assigned to.
-func (nw *Network) City(id int) int { return nw.eps[id].city }
 
 // sawID reports whether the endpoint already processed the message, in
 // either cache generation.

@@ -18,8 +18,13 @@ import (
 // every block against its certificate as it goes — the same trustless
 // validation ledger.CatchUp performs offline.
 
-// handleChainRequest serves up to MaxBlocks consecutive archived rounds.
-func (n *Node) handleChainRequest(msg *ChainRequest) network.Verdict {
+// handleChainRequest serves up to MaxBlocks consecutive archived rounds
+// to the peer that sent the request: one naming anybody else would have
+// this node send up to 64 blocks to a party that asked for nothing.
+func (n *Node) handleChainRequest(from int, msg *ChainRequest) network.Verdict {
+	if from != msg.Requester {
+		return network.Verdict{Relay: false}
+	}
 	max := msg.MaxBlocks
 	if max <= 0 || max > 64 {
 		max = 64

@@ -399,3 +399,109 @@ func TestBlockPieceIDSeparatesTransfers(t *testing.T) {
 		t.Fatal("the same transfer has two IDs")
 	}
 }
+
+// TestRequestsAnsweredToSenderOnly: a request for a block, a run of the
+// chain or a checkpoint is answered to the peer it came from. One that
+// names a third party as requester — 44 bytes that would have an honest
+// node send that party a whole block, 64 of them with certificates, or
+// every account — produces no transfer at all.
+func TestRequestsAnsweredToSenderOnly(t *testing.T) {
+	r := newHandlerRig(t, 5)
+	l := r.node.Ledger()
+	b1 := l.NextEmptyBlock()
+	cert := &ledger.Certificate{Round: 1, Value: b1.Hash()}
+	if err := l.Commit(b1, cert); err != nil {
+		t.Fatal(err)
+	}
+	r.node.checkpoint = ledger.CheckpointOf(b1, cert, l.Balances())
+
+	const sender, third = 3, 2
+	cases := []struct {
+		name    string
+		request func(requester int) network.Message
+		isReply func(m network.Message) bool
+	}{
+		{"block",
+			func(req int) network.Message {
+				return &BlockRequest{Hash: b1.Hash(), Requester: req, Nonce: uint64(req)}
+			},
+			func(m network.Message) bool { _, ok := m.(*BlockFill); return ok }},
+		{"chain",
+			func(req int) network.Message {
+				return &ChainRequest{FromRound: 1, MaxBlocks: 8, Requester: req, Nonce: uint64(req)}
+			},
+			func(m network.Message) bool { _, ok := m.(*ChainReply); return ok }},
+		{"snapshot",
+			func(req int) network.Message { return &SnapshotRequest{Requester: req, Nonce: uint64(req)} },
+			func(m network.Message) bool { _, ok := m.(*SnapshotReply); return ok }},
+	}
+	for _, tc := range cases {
+		got := map[int]int{} // transfers by the node that received them
+		for peer := 1; peer < 5; peer++ {
+			peer := peer
+			r.net.SetHandler(peer, network.HandlerFunc(func(from int, m network.Message) network.Verdict {
+				if tc.isReply(m) {
+					got[peer]++
+				}
+				return network.Verdict{}
+			}))
+		}
+		r.sim.Spawn("driver-"+tc.name, func(p *vtime.Proc) {
+			r.net.Unicast(sender, 0, tc.request(third))
+			p.Sleep(5 * time.Second)
+			if len(got) != 0 {
+				t.Errorf("%s request naming a third party produced transfers to %v", tc.name, got)
+			}
+			r.net.Unicast(sender, 0, tc.request(sender))
+			p.Sleep(5 * time.Second)
+		})
+		r.sim.Run(time.Hour)
+		if len(got) != 1 || got[sender] != 1 {
+			t.Errorf("%s request naming its sender: transfers %v, want one to node %d", tc.name, got, sender)
+		}
+	}
+}
+
+// TestBlockFillAcceptedOnlyWhenSolicited: a fill nobody is waiting for —
+// any peer can send one, of any block — leaves no trace in the node; the
+// one fetchBlock asked for is handed to it.
+func TestBlockFillAcceptedOnlyWhenSolicited(t *testing.T) {
+	r := newHandlerRig(t, 5)
+	prop := r.makeProposal(t, 1)
+	block, h := prop.Block.Block, prop.Block.AnnouncedHash()
+	other := r.makeProposal(t, 2).Block.Block
+
+	r.node.handleMessage(1, &BlockFill{Block: block, Recipient: 0})
+	if _, ok := r.node.Ledger().BlockOfHash(h); ok || r.node.blockFills.Len() != 0 {
+		t.Fatal("an unsolicited fill was kept")
+	}
+
+	peers := r.net.Neighbors(0)
+	r.net.SetHandler(peers[0], network.HandlerFunc(func(from int, m network.Message) network.Verdict {
+		if req, ok := m.(*BlockRequest); ok {
+			// The wrong block, the right block for somebody else, then the answer.
+			r.net.Unicast(peers[0], 0, &BlockFill{Block: other, Recipient: 0})
+			r.net.Unicast(peers[0], 0, &BlockFill{Block: block, Recipient: 4})
+			r.net.Unicast(peers[0], 0, &BlockFill{Block: block, Recipient: req.Requester})
+		}
+		return network.Verdict{}
+	}))
+	var got *ledger.Block
+	r.sim.Spawn("fetcher", func(p *vtime.Proc) {
+		got, _ = r.node.fetchBlock(p, h, p.Now()+time.Minute)
+	})
+	r.sim.Run(time.Hour)
+	if got == nil || got.Hash() != h {
+		t.Fatal("the fill that was asked for was not delivered")
+	}
+	if r.node.blockFills.Len() != 0 || r.node.blockWanted != (crypto.Digest{}) {
+		t.Fatal("fetch state left behind")
+	}
+	if _, ok := r.node.Ledger().BlockOfHash(other.Hash()); ok {
+		t.Fatal("a fill with another hash was kept")
+	}
+	snap := r.node.Metrics().Snapshot()
+	if f, x := snap["algorand_node_block_fetches_total"].Value, snap["algorand_node_block_fetch_failures_total"].Value; f != 1 || x != 0 {
+		t.Fatalf("fetches %v failures %v, want 1 and 0", f, x)
+	}
+}

@@ -510,9 +510,9 @@ func (m *ChainReply) LimitKey() network.LimitKey { return network.LimitKey{} }
 // tier's lag-tolerant view of the chain): each node announces its own
 // commits to its direct neighbors and the message is never relayed —
 // a gateway neighbors several consensus nodes, so it hears every round
-// announced independently by each of them and can demand a quorum of
-// matching announcers before fetching the body (BlockRequest →
-// BlockFill, or ChainRequest for gap fill). Consensus nodes ignore it.
+// announced independently by each of them, and asks an announcer for
+// the block with its certificate (ChainRequest). Consensus nodes ignore
+// it.
 type CommitAnnounce struct {
 	Round     uint64
 	Hash      crypto.Digest

@@ -34,9 +34,9 @@ type Transport interface {
 	Gossip(origin int, m network.Message)
 	Unicast(from, to int, m network.Message)
 	SetHandler(id int, h network.Handler)
-	// Neighbors returns the node's current peer set (used as fetch
-	// targets when an agreed block is missing and no Fetch oracle is
-	// configured).
+	// Neighbors returns the node's current peer set: whom it offers block
+	// pieces to, and whom it asks for a block, a chain or a checkpoint it
+	// does not hold.
 	Neighbors(id int) []int
 }
 
@@ -80,9 +80,6 @@ type Config struct {
 	// Real provider, verification already consumes real CPU; the model
 	// costs are for Fast runs.
 	ChargeCrypto bool
-	// Fetch resolves a block hash this node never received (the paper's
-	// "obtain it from other users", §7.1); the simulation provides it.
-	Fetch func(h crypto.Digest) (*ledger.Block, bool)
 	// RecoveryInterval is how often nodes check for forks and kick off
 	// the §8.2 recovery protocol (the paper suggests e.g. hourly).
 	RecoveryInterval time.Duration
@@ -179,6 +176,9 @@ type Node struct {
 	// persistErrors counts archive writes that failed even after the
 	// store's rotate-and-retry — commits that are NOT durable.
 	persistErrors *metrics.Counter
+	// blockFetches counts blocks this node had to ask its peers for by
+	// hash (fetchBlock), blockFetchFailures those nobody delivered in time.
+	blockFetches, blockFetchFailures *metrics.Counter
 
 	// Current consensus context, nil between rounds. The handler uses it
 	// to validate incoming messages.
@@ -210,6 +210,10 @@ type Node struct {
 	chainReplies *vtime.Mailbox
 	// snapReplies receives fast-sync snapshot replies (see snapshot.go).
 	snapReplies *vtime.Mailbox
+	// blockWanted is the hash fetchBlock is waiting for, zero when it is
+	// not waiting; blockFills hands it the BlockFill that matches.
+	blockWanted crypto.Digest
+	blockFills  *vtime.Mailbox
 
 	// checkpoint is the newest state snapshot this node holds — written
 	// at the checkpoint interval, adopted during fast sync, or restored
@@ -334,6 +338,7 @@ func NewFromGenesis(
 		fetch:       blockprop.NewFetcher(id, blockprop.NewFetchMetrics(cfg.Metrics)),
 		finalCtxs:   make(map[uint64]*agreement.Context),
 		reqNonce:    sim.Epoch(),
+		blockFills:  sim.NewMailbox(),
 		archive:     cfg.Archive,
 		reg:         cfg.Metrics,
 		tracer:      cfg.Tracer,
@@ -343,6 +348,8 @@ func NewFromGenesis(
 	n.roundsEmpty = cfg.Metrics.Counter("algorand_node_rounds_empty_total", "completed rounds that committed the empty block")
 	n.roundsFinal = cfg.Metrics.Counter("algorand_node_rounds_final_total", "completed rounds that reached final consensus")
 	n.persistErrors = cfg.Metrics.Counter("algorand_node_persist_errors_total", "archive writes that failed after retry")
+	n.blockFetches = cfg.Metrics.Counter("algorand_node_block_fetches_total", "agreed or adopted blocks this node did not hold and asked its peers for by hash")
+	n.blockFetchFailures = cfg.Metrics.Counter("algorand_node_block_fetch_failures_total", "by-hash block fetches no peer answered before the deadline")
 	net.SetHandler(id, network.HandlerFunc(n.handleMessage))
 	return n
 }
@@ -507,14 +514,17 @@ func (n *Node) handleMessage(from int, m network.Message) network.Verdict {
 	case *BlockRequest:
 		// §7.1 "obtain it from other users": any block we know, whole and
 		// without credentials — the requester validates it against the
-		// hash it asked for.
+		// hash it asked for. Like a piece, it goes to whoever asked.
+		if from != msg.Requester {
+			return network.Verdict{Relay: false}
+		}
 		if b, ok := n.ledger.BlockOfHash(msg.Hash); ok {
 			n.net.Unicast(n.ID, msg.Requester, &BlockFill{Block: b, Recipient: msg.Requester})
 		}
 		return network.Verdict{Relay: false}
 
 	case *ChainRequest:
-		return n.handleChainRequest(msg)
+		return n.handleChainRequest(from, msg)
 
 	case *ChainReply:
 		if msg.Recipient == n.ID {
@@ -523,11 +533,14 @@ func (n *Node) handleMessage(from int, m network.Message) network.Verdict {
 		return network.Verdict{Relay: false}
 
 	case *BlockFill:
-		// A bare block body answering a resolveBlock fallback request.
-		// Register it so the poller finds it; the hash it is stored
-		// under is computed from the contents, so a bogus fill cannot
-		// satisfy a request for a different block.
-		n.ledger.RegisterProposal(msg.Block, msg.Block.Hash())
+		// The answer to fetchBlock's request, and only that: a fill nobody
+		// is waiting for is dropped before it is hashed, one with another
+		// hash after, so no peer can make this node keep a block.
+		if msg.Recipient != n.ID || n.blockWanted == (crypto.Digest{}) || msg.Block.Hash() != n.blockWanted {
+			return network.Verdict{Relay: false}
+		}
+		n.blockWanted = crypto.Digest{}
+		n.blockFills.Send(msg.Block)
 		return network.Verdict{Relay: false}
 
 	case *CommitAnnounce:
@@ -536,7 +549,7 @@ func (n *Node) handleMessage(from int, m network.Message) network.Verdict {
 		return network.Verdict{Relay: false}
 
 	case *SnapshotRequest:
-		return n.handleSnapshotRequest(msg)
+		return n.handleSnapshotRequest(from, msg)
 
 	case *SnapshotReply:
 		if msg.Recipient == n.ID {
@@ -1067,7 +1080,13 @@ func (n *Node) finishRound(ctx *agreement.Context, bres agreement.BinaryResult, 
 		n.tracer.Record(round, trace.PhaseCertify, 0, stat.BinaryDone, n.proc.Now())
 	}
 
-	block := n.resolveBlock(ctx, bres.Value)
+	block, ok := n.resolveBlock(ctx, bres.Value)
+	if !ok {
+		// Agreed on a body no reachable peer holds: whoever committed it
+		// serves it with its certificate once we can reach them (§8.3).
+		n.setContext(nil)
+		return fmt.Errorf("round %d: agreed block %v not obtained from any peer", round, bres.Value)
+	}
 	commitStart := n.tracer.WallNow()
 	if err := n.ledger.CommitHashed(block, bres.Value, cert); err != nil {
 		// Agreed on a block we cannot apply: treat like no-consensus so
@@ -1187,43 +1206,42 @@ func (n *Node) buildBlock(round uint64) *ledger.Block {
 }
 
 // resolveBlock maps an agreed hash to block contents (Algorithm 3's
-// BlockOfHash). If the block is unknown it is obtained "from other
-// users" (§7.1): via the Fetch oracle in simulations, or by requesting
-// it from gossip peers over the transport in real deployments.
-func (n *Node) resolveBlock(ctx *agreement.Context, h crypto.Digest) *ledger.Block {
+// BlockOfHash). A body this node never assembled is obtained "from other
+// users" (§7.1) within λ_block; ok is false when no peer delivered it.
+func (n *Node) resolveBlock(ctx *agreement.Context, h crypto.Digest) (*ledger.Block, bool) {
 	if h == ctx.EmptyHash {
-		return n.ledger.NextEmptyBlock()
+		return n.ledger.NextEmptyBlock(), true
 	}
-	if b, ok := n.ledger.BlockOfHash(h); ok {
-		return b
-	}
-	if n.cfg.Fetch != nil {
-		// The caller commits the result under h without hashing it again.
-		if b, ok := n.cfg.Fetch(h); ok && b.Hash() == h {
-			return b
-		}
-	}
-	// Ask one peer at a time (the committee agreed on the block, so many
-	// honest users hold it, and each would answer with the whole body),
-	// moving to the next when one has had λ_step and not delivered.
-	deadline := n.proc.Now() + n.cfg.Params.LambdaBlock
-	peers := n.net.Neighbors(n.ID)
-	for i := 0; len(peers) > 0 && n.proc.Now() < deadline; i++ {
-		n.reqNonce++
-		n.net.Unicast(n.ID, peers[i%len(peers)], &BlockRequest{Hash: h, Requester: n.ID, Nonce: n.reqNonce})
-		for next := n.proc.Now() + n.cfg.Params.LambdaStep; n.proc.Now() < next && n.proc.Now() < deadline; {
-			n.proc.Sleep(250 * time.Millisecond)
-			if b, ok := n.ledger.BlockOfHash(h); ok {
-				return b
-			}
-		}
-	}
-	panic(fmt.Sprintf("node %d: cannot resolve agreed block %v", n.ID, h))
+	return n.fetchBlock(n.proc, h, n.proc.Now()+n.cfg.Params.LambdaBlock)
 }
 
-// AlienVotes reports how many fork-evidence votes this node has seen
-// since the last recovery (diagnostics).
-func (n *Node) AlienVotes() int { return n.alienVotes }
+// fetchBlock is the one way a node obtains a block it knows only by hash
+// — the value BA⋆ agreed on, the fork §8.2 recovery agreed on, an ancestor
+// of that fork: from its own ledger, else from its neighbours. It asks one
+// at a time (the network agreed on or built on the block, so many honest
+// users hold it, and each would answer with the whole body), moving to the
+// next when one has had λ_step and not delivered, until the deadline. What
+// comes back hashes to h (see the BlockFill handler), so the caller may
+// file it under h without hashing it again. No certificate travels with
+// it: the caller holds the one that makes h binding.
+func (n *Node) fetchBlock(p *vtime.Proc, h crypto.Digest, deadline time.Duration) (*ledger.Block, bool) {
+	if b, ok := n.ledger.BlockOfHash(h); ok {
+		return b, true
+	}
+	n.blockFetches.Inc()
+	n.blockWanted = h
+	peers := n.net.Neighbors(n.ID)
+	for i := 0; len(peers) > 0 && p.Now() < deadline && !n.halted; i++ {
+		n.reqNonce++
+		n.net.Unicast(n.ID, peers[i%len(peers)], &BlockRequest{Hash: h, Requester: n.ID, Nonce: n.reqNonce})
+		if m, ok := p.RecvDeadline(n.blockFills, min(p.Now()+n.cfg.Params.LambdaStep, deadline)); ok {
+			return m.(*ledger.Block), true
+		}
+	}
+	n.blockWanted = crypto.Digest{}
+	n.blockFetchFailures.Inc()
+	return nil, false
+}
 
 // SetParams replaces the node's protocol parameters. Intended for test
 // harnesses that script scenario phases (e.g. restoring thresholds

@@ -171,11 +171,7 @@ func (n *Node) recoverOnce(checkpoint, attempt uint64) bool {
 	// the transferable proof of this adoption, and without it a node
 	// that missed the checkpoint could never be convinced of the
 	// adopted round (§8.3 catch-up serves only certified tails).
-	fb, ok := n.ledger.BlockOfHash(out.Value)
-	if !ok && n.cfg.Fetch != nil {
-		fb, ok = n.cfg.Fetch(out.Value)
-		ok = ok && fb.Hash() == out.Value // adoptChain files it under that hash
-	}
+	fb, ok := n.fetchBlock(n.proc, out.Value, n.proc.Now()+n.roundBudget())
 	if !ok {
 		return false
 	}
@@ -187,9 +183,16 @@ func (n *Node) recoverOnce(checkpoint, attempt uint64) bool {
 }
 
 // adoptChain commits b — the block the recovery agreed on, by its hash h
-// — and any missing ancestors (fetched on demand), then switches the
-// canonical head to b, recording cert (the recovery certificate,
-// possibly nil) as b's proof.
+// — and any missing ancestors (fetched by hash, one round budget each),
+// then switches the canonical head to b, recording cert (the recovery
+// certificate, possibly nil) as b's proof.
+//
+// λ_block is not enough for an ancestor: the first neighbours asked may
+// be fellow losers of the fork, each silent for λ_step, and a node that
+// gives up here leaves recovery without the chain while the majority
+// moves on — too few are then left for the next checkpoint's recovery to
+// reach its threshold. An adoption that outlasts the window only shortens
+// the sleep recover ends with.
 func (n *Node) adoptChain(b *ledger.Block, h crypto.Digest, cert *ledger.Certificate) bool {
 	// Nothing at or below our last final block changes hands (§8.2: final
 	// blocks are fork-free); anything above it may be new to the head chain.
@@ -198,10 +201,7 @@ func (n *Node) adoptChain(b *ledger.Block, h crypto.Digest, cert *ledger.Certifi
 	var chain []*ledger.Block
 	cur := b
 	for !n.ledger.Knows(cur.PrevHash) {
-		if n.cfg.Fetch == nil {
-			return false
-		}
-		parent, ok := n.cfg.Fetch(cur.PrevHash)
+		parent, ok := n.fetchBlock(n.proc, cur.PrevHash, n.proc.Now()+n.roundBudget())
 		if !ok {
 			return false
 		}

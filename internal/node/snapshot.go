@@ -60,11 +60,11 @@ func (n *Node) Checkpoint() (*ledger.Checkpoint, bool) {
 	return n.checkpoint, n.checkpoint != nil
 }
 
-// handleSnapshotRequest serves this node's newest checkpoint to a
-// fast-syncing peer, if it is newer than what the requester already
-// has.
-func (n *Node) handleSnapshotRequest(msg *SnapshotRequest) network.Verdict {
-	if n.checkpoint != nil && n.checkpoint.Round() > msg.MinRound {
+// handleSnapshotRequest serves this node's newest checkpoint to the
+// fast-syncing peer that sent the request (and to nobody else it may
+// name), if it is newer than what the requester already has.
+func (n *Node) handleSnapshotRequest(from int, msg *SnapshotRequest) network.Verdict {
+	if from == msg.Requester && n.checkpoint != nil && n.checkpoint.Round() > msg.MinRound {
 		n.net.Unicast(n.ID, msg.Requester, &SnapshotReply{
 			Checkpoint: n.checkpoint,
 			Recipient:  msg.Requester,

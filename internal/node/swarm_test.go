@@ -217,15 +217,16 @@ func TestResolveBlockAsksOnePeerAtATime(t *testing.T) {
 		}))
 	}
 	var got *ledger.Block
+	var ok bool
 	var took time.Duration
 	r.sim.Spawn("resolver", func(p *vtime.Proc) {
 		r.node.proc = p
-		got = r.node.resolveBlock(r.ctx, h)
+		got, ok = r.node.resolveBlock(r.ctx, h)
 		took = p.Now()
 	})
 	r.sim.Run(10 * time.Minute)
 
-	if got == nil || got.Hash() != h {
+	if !ok || got.Hash() != h {
 		t.Fatal("agreed block not resolved")
 	}
 	if requests != 2 {

@@ -238,23 +238,3 @@ func (c *Cluster) SplitWorld(from, to int64) {
 		return (a < cut) != (b < cut)
 	})
 }
-
-// SilenceNodes drops all traffic from the given nodes (modeling a
-// targeted DoS on known participants). Composes with other faults.
-func (c *Cluster) SilenceNodes(ids map[int]bool) {
-	c.Net.AddPartition(func(a, b int) bool {
-		return ids[a] || ids[b]
-	})
-}
-
-// SilenceNodesDuring drops all traffic touching the given nodes for the
-// virtual-time window [from, to) seconds.
-func (c *Cluster) SilenceNodesDuring(ids map[int]bool, from, to int64) {
-	c.Net.AddPartition(func(a, b int) bool {
-		now := int64(c.Sim.Now().Seconds())
-		if now < from || now >= to {
-			return false
-		}
-		return ids[a] || ids[b]
-	})
-}

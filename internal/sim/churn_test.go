@@ -7,6 +7,8 @@ import (
 
 	"algorand/internal/crypto"
 	"algorand/internal/ledger"
+	"algorand/internal/network"
+	"algorand/internal/node"
 	"algorand/internal/txflow"
 	"algorand/internal/vtime"
 )
@@ -270,5 +272,90 @@ func TestCaughtUpNodeShedsCommittedTransactions(t *testing.T) {
 	uncommitted := c.WorkloadStats().Admitted - int64(c.CommittedTxCount(rounds))
 	if pending := int64(v.TxFlow().Len()); pending > uncommitted {
 		t.Fatalf("victim holds %d pending payments, only %d are uncommitted", pending, uncommitted)
+	}
+}
+
+// TestRestartedNodeFetchesAgreedBlockOverNetwork: a restarted node enters
+// its first live rounds after the bodies went round, so BA⋆ concludes for
+// it on a hash it cannot resolve. The body reaches it through the one
+// by-hash fetch every binary runs — a BlockRequest to a neighbour and a
+// BlockFill back, both on the simulated wire with their bytes and their
+// latency — and the round commits. An oracle once resolved the hash from
+// another node's memory and moved nothing.
+func TestRestartedNodeFetchesAgreedBlockOverNetwork(t *testing.T) {
+	// The paper's λ, not the accelerated ones: there a failed live round
+	// costs more than the network needs for a round, and a restarted node
+	// keeps up by syncing without ever running a round of its own.
+	cfg := DefaultConfig(12, 10)
+	cfg.Params.BlockSize = 64 << 10
+	const victim = 4
+	cfg.Weights = make([]uint64, cfg.N)
+	for i := range cfg.Weights {
+		cfg.Weights[i] = 1000
+	}
+	cfg.Weights[victim] = 1 // never a proposer: every body it commits came from somebody else
+	c := NewCluster(cfg)
+	c.Workload(20, 7)
+
+	var askedAt int64                  // Net.TotalBytes when the victim last asked for a block
+	fills := map[crypto.Digest]int64{} // agreed hash → bytes the network moved to answer
+	for i := range c.Nodes {
+		if n := c.Nodes[i]; i != victim {
+			c.Net.SetHandler(i, network.HandlerFunc(func(from int, m network.Message) network.Verdict {
+				if _, ok := m.(*node.BlockRequest); ok && from == victim {
+					askedAt = c.Net.TotalBytes()
+				}
+				return n.HandleMessage(from, m)
+			}))
+		}
+	}
+	c.Sim.Spawn("restart-script", func(p *vtime.Proc) {
+		for c.Nodes[victim].Ledger().ChainLength() < 2 {
+			p.Sleep(100 * time.Millisecond)
+		}
+		c.CrashNode(victim)
+		for c.Nodes[0].Ledger().ChainLength() < 3 {
+			p.Sleep(100 * time.Millisecond)
+		}
+		n, _, err := c.RestartNode(victim, time.Hour)
+		if err != nil {
+			t.Errorf("restart: %v", err)
+			return
+		}
+		c.Net.SetHandler(victim, network.HandlerFunc(func(from int, m network.Message) network.Verdict {
+			if f, ok := m.(*node.BlockFill); ok {
+				if moved := c.Net.TotalBytes() - askedAt; moved < int64(f.WireSize()) {
+					t.Errorf("a %d-byte fill arrived and the network moved %d bytes since it was asked for", f.WireSize(), moved)
+				}
+				fills[f.Block.Hash()] = int64(f.WireSize())
+			}
+			return n.HandleMessage(from, m)
+		}))
+	})
+	c.Run()
+	if err := c.AgreementCheck(); err != nil {
+		t.Fatal(err)
+	}
+
+	v := c.Nodes[victim]
+	if got := v.Ledger().ChainLength(); got < cfg.Rounds {
+		t.Fatalf("victim chain reached %d of %d rounds", got, cfg.Rounds)
+	}
+	fetched := 0
+	for _, st := range v.Stats {
+		if size, ok := fills[st.Value]; ok && !st.Empty {
+			fetched++
+			t.Logf("round %d: agreed body fetched by hash, %d bytes", st.Round, size)
+		}
+	}
+	if fetched == 0 {
+		t.Fatal("the restarted node committed no non-empty block it had to fetch by hash; test premise broken")
+	}
+	snap := c.Registry(victim).Snapshot()
+	if got := snap["algorand_node_block_fetches_total"].Value; got < float64(fetched) {
+		t.Errorf("block fetch counter %v after %d fetched rounds", got, fetched)
+	}
+	if got := snap["algorand_node_block_fetch_failures_total"].Value; got != 0 {
+		t.Errorf("%v block fetches failed on a healthy network", got)
 	}
 }

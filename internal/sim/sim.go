@@ -160,9 +160,8 @@ type Cluster struct {
 	registries []*metrics.Registry
 	tracers    []*trace.Tracer
 	// Access tier (Config.Gateways). Gateway i has network id N+i;
-	// access it via Gateway(i). gwRegistries parallels it.
-	gateways     []*gateway.Gateway
-	gwRegistries []*metrics.Registry
+	// access it via Gateway(i).
+	gateways []*gateway.Gateway
 	// workload retry/backoff bookkeeping (see Workload).
 	workStats *WorkloadStats
 }
@@ -172,9 +171,6 @@ func (c *Cluster) NumGateways() int { return len(c.gateways) }
 
 // Gateway returns access-tier node i (0-based; its network id is N+i).
 func (c *Cluster) Gateway(i int) *gateway.Gateway { return c.gateways[i] }
-
-// GatewayRegistry returns gateway i's metrics registry.
-func (c *Cluster) GatewayRegistry(i int) *metrics.Registry { return c.gwRegistries[i] }
 
 // Registry returns node i's metrics registry: the single place that
 // node's BA⋆, txflow, trace and round counters are recorded.
@@ -237,7 +233,6 @@ func NewCluster(cfg Config) *Cluster {
 		Params:             cfg.Params,
 		LedgerCfg:          cfg.LedgerCfg,
 		ChargeCrypto:       cfg.ChargeCrypto,
-		Fetch:              c.fetch,
 		RecoveryInterval:   cfg.RecoveryInterval,
 		ShardCount:         cfg.ShardCount,
 		PipelineFinalStep:  cfg.PipelineFinalStep,
@@ -277,13 +272,11 @@ func NewCluster(cfg Config) *Cluster {
 		// and ledger parameters the consensus nodes run.
 		gwCfg.Committee = node.CommitteeParamsFor(cfg.Params)
 		gwCfg.LedgerCfg = cfg.LedgerCfg
-		reg := metrics.NewRegistry()
-		gwCfg.Metrics = reg
-		gwCfg.Flow.Metrics = nil // New fills it with reg
+		gwCfg.Metrics = metrics.NewRegistry()
+		gwCfg.Flow.Metrics = nil // New fills it with the gateway's registry
 		gwCfg.Done = c.allNodesDone
 		gw := gateway.New(cfg.N+i, c.Sim, c.Net, c.Provider, gwCfg, c.Genesis, c.Seed0)
 		c.gateways = append(c.gateways, gw)
-		c.gwRegistries = append(c.gwRegistries, reg)
 	}
 	return c
 }
@@ -403,17 +396,6 @@ func (c *Cluster) restartWith(i int, src *ledger.Store, archive *diskstore.Store
 	c.Nodes[i] = n
 	restored, err := n.Rejoin(src, syncBudget)
 	return n, restored, err
-}
-
-// fetch resolves a block hash from any node in the deployment,
-// modeling the paper's "obtain it from other users" (§7.1).
-func (c *Cluster) fetch(h crypto.Digest) (*ledger.Block, bool) {
-	for _, n := range c.Nodes {
-		if b, ok := n.Ledger().BlockOfHash(h); ok {
-			return b, true
-		}
-	}
-	return nil, false
 }
 
 // Identity exposes user i's identity (for crafting transactions).

@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"algorand/internal/crypto"
 	"algorand/internal/ledger"
+	"algorand/internal/network"
 	"algorand/internal/node"
 )
 
@@ -365,4 +367,49 @@ func min(a, b uint64) uint64 {
 		return a
 	}
 	return b
+}
+
+// TestPendingProposalsFollowTheRound: once a round commits, no ledger
+// still holds a proposal that lost it — every proposer but the winner
+// used to keep its own body, a full block at load, for the life of the
+// process — while every committed hash still resolves.
+func TestPendingProposalsFollowTheRound(t *testing.T) {
+	cfg := DefaultConfig(16, 5)
+	cfg.Params.BlockSize = 64 << 10
+	c := NewCluster(cfg)
+	c.Workload(20, 5)
+	proposed := map[crypto.Digest]uint64{} // every body any node heard announced → its round
+	for i := range c.Nodes {
+		n := c.Nodes[i]
+		c.Net.SetHandler(i, network.HandlerFunc(func(from int, m network.Message) network.Verdict {
+			if pg, ok := m.(*node.PriorityGossip); ok {
+				proposed[pg.M.BlockHash] = pg.M.Round
+			}
+			return n.HandleMessage(from, m)
+		}))
+	}
+	c.Run()
+	if err := c.AgreementCheck(); err != nil {
+		t.Fatal(err)
+	}
+	ref := c.Nodes[0].Ledger()
+	lost := 0
+	for h, round := range proposed {
+		committed, _ := ref.HashAt(round)
+		if h != committed {
+			lost++
+		}
+		for i, n := range c.Nodes {
+			_, held := n.Ledger().BlockOfHash(h)
+			switch {
+			case h == committed && !held:
+				t.Errorf("node %d: committed block of round %d does not resolve", i, round)
+			case h != committed && held && round <= n.Ledger().ChainLength():
+				t.Errorf("node %d at round %d still holds a proposal that lost round %d", i, n.Ledger().ChainLength(), round)
+			}
+		}
+	}
+	if lost == 0 {
+		t.Fatal("every proposal heard of was committed; test premise broken")
+	}
 }

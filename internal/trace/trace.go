@@ -124,9 +124,6 @@ func (t *Tracer) Now() time.Duration { return t.now() }
 // Under a real deployment's wall-clock tracer the two clocks coincide.
 func (t *Tracer) WallNow() time.Duration { return t.wall() }
 
-// SetWallClock overrides the wall clock (deterministic tests pin it).
-func (t *Tracer) SetWallClock(wall func() time.Duration) { t.wall = wall }
-
 // RegisterMetrics tees every recorded span into per-phase duration
 // histograms (algorand_trace_phase_seconds{phase="..."}) in r, so
 // long-horizon percentiles survive the trace ring's eviction.

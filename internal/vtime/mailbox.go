@@ -90,14 +90,3 @@ func (p *Proc) RecvDeadline(m *Mailbox, deadline time.Duration) (any, bool) {
 func (p *Proc) RecvTimeout(m *Mailbox, timeout time.Duration) (any, bool) {
 	return p.RecvDeadline(m, p.sim.now+timeout)
 }
-
-// Drain removes and returns all queued messages without blocking.
-func (m *Mailbox) Drain() []any {
-	q := m.queue
-	m.queue = nil
-	return q
-}
-
-// Peek returns the queued messages without removing them. The caller
-// must not retain or modify the returned slice across simulation steps.
-func (m *Mailbox) Peek() []any { return m.queue }
