@@ -96,8 +96,10 @@ type Env struct {
 	Provider crypto.Provider
 	Identity crypto.Identity
 	Params   params.Params
-	// Gossip broadcasts one of our votes.
-	Gossip func(v *ledger.Vote)
+	// Gossip broadcasts one of our votes. j is the number of sub-users
+	// our own sortition selected for it: the host counts the vote with
+	// that, and need not verify a proof it has just made.
+	Gossip func(v *ledger.Vote, j uint64)
 	// Inbox returns the mailbox of validated votes for (round, step).
 	Inbox func(round, step uint64) *vtime.Mailbox
 	// StepTimer, when non-nil, observes every CountVotes call: the wire
@@ -171,7 +173,7 @@ func CommitteeVote(env *Env, ctx *Context, step uint64, tau uint64, value crypto
 		Value:     value,
 	}
 	v.Sign(env.Identity)
-	env.Gossip(v)
+	env.Gossip(v, res.J)
 	if env.Metrics != nil {
 		env.Metrics.VotesCast.Inc()
 	}

@@ -70,7 +70,7 @@ func (h *harness) inbox(node int, round, step uint64) *vtime.Mailbox {
 
 // broadcast delivers a vote to every node (including the sender) after
 // a small random latency, validating at each receiver.
-func (h *harness) broadcast(v *ledger.Vote) {
+func (h *harness) broadcast(v *ledger.Vote, _ uint64) {
 	for i := range h.ids {
 		i := i
 		if h.dropVotes != nil && h.dropVotes(v, i) {
@@ -497,11 +497,11 @@ func TestAblateNoVoteNext3SuppressesExtraVotes(t *testing.T) {
 		h.dropVotes = nil
 		_ = orig
 		// Count votes for binary steps beyond the concluding one.
-		counting := func(v *ledger.Vote) {
+		counting := func(v *ledger.Vote, j uint64) {
 			if v.Step > WireStepOfBinary(1) && v.Step < StepFinal {
 				votes++
 			}
-			orig(v)
+			orig(v, j)
 		}
 		outs := make([]Outcome, len(h.ids))
 		for i := range h.ids {

@@ -6,11 +6,11 @@
 // Points use extended homogeneous coordinates (X : Y : Z : T) with
 // x = X/Z, y = Y/Z, x*y = T/Z. The addition law is the strongly unified
 // add-2008-hwcd-3 formula set, valid for all curve points since d is a
-// non-square, so it doubles correctly as well.
+// non-square; doubling has its own, cheaper formula (dbl-2008-hwcd).
 //
-// Scalar multiplication is variable-time double-and-add; this library
-// targets simulation and research use, not side-channel resistance
-// (see DESIGN.md).
+// Scalar multiplication comes in two routines (mult.go, and DESIGN.md,
+// "Curve arithmetic"): a uniform fixed-window one for secret scalars and
+// a variable-time interleaved one for public inputs.
 package edwards
 
 import (
@@ -51,16 +51,20 @@ func init() {
 	if _, err := basePoint.SetBytes(enc[:]); err != nil {
 		panic("edwards: cannot construct base point: " + err.Error())
 	}
+	initBaseTables()
 }
 
 // NewIdentityPoint returns the neutral element (0, 1).
 func NewIdentityPoint() *Point {
-	p := &Point{}
-	p.x.Zero()
-	p.y.One()
-	p.z.One()
-	p.t.Zero()
-	return p
+	return new(Point).setIdentity()
+}
+
+func (v *Point) setIdentity() *Point {
+	v.x.Zero()
+	v.y.One()
+	v.z.One()
+	v.t.Zero()
+	return v
 }
 
 // NewGeneratorPoint returns a copy of the standard base point B.
@@ -79,16 +83,51 @@ func (v *Point) Set(u *Point) *Point {
 // Bytes returns the canonical 32-byte compressed encoding of v: the
 // little-endian encoding of y with the sign of x in the top bit.
 func (v *Point) Bytes() [32]byte {
-	var zInv, x, y fe.Element
+	var zInv fe.Element
 	zInv.Invert(&v.z)
-	x.Multiply(&v.x, &zInv)
-	y.Multiply(&v.y, &zInv)
+	return v.bytesWithInverse(&zInv)
+}
+
+// bytesWithInverse is Bytes given 1/Z.
+func (v *Point) bytesWithInverse(zInv *fe.Element) [32]byte {
+	var x, y fe.Element
+	x.Multiply(&v.x, zInv)
+	y.Multiply(&v.y, zInv)
 
 	out := y.Bytes()
 	if x.IsNegative() {
 		out[31] |= 0x80
 	}
 	return out
+}
+
+// maxEncodeBatch is the most points one EncodeBatch call takes; the VRF
+// encodes four at a time.
+const maxEncodeBatch = 8
+
+// EncodeBatch sets out[i] = points[i].Bytes() for every i with one field
+// inversion between them (Montgomery's trick: invert the product of the
+// Zs, then peel one factor off at a time), where Bytes pays one each.
+func EncodeBatch(out [][32]byte, points ...*Point) {
+	n := len(points)
+	if n == 0 || n > maxEncodeBatch || len(out) != n {
+		panic("edwards: EncodeBatch takes 1 to 8 points and as many outputs")
+	}
+	// prefix[i] = Z_0 * ... * Z_i
+	var prefix [maxEncodeBatch]fe.Element
+	prefix[0] = points[0].z
+	for i := 1; i < n; i++ {
+		prefix[i].Multiply(&prefix[i-1], &points[i].z)
+	}
+	// inv = 1 / (Z_0 * ... * Z_i) as i counts down.
+	var inv, zInv fe.Element
+	inv.Invert(&prefix[n-1])
+	for i := n - 1; i > 0; i-- {
+		zInv.Multiply(&inv, &prefix[i-1])
+		inv.Multiply(&inv, &points[i].z)
+		out[i] = points[i].bytesWithInverse(&zInv)
+	}
+	out[0] = points[0].bytesWithInverse(&inv)
 }
 
 // SetBytes decompresses the 32-byte encoding in, setting v and returning
@@ -150,44 +189,98 @@ func (v *Point) Equal(u *Point) bool {
 
 // IsIdentity reports whether v is the neutral element.
 func (v *Point) IsIdentity() bool {
-	return v.Equal(NewIdentityPoint())
+	return v.x.IsZero() && v.y.Equal(&v.z)
+}
+
+// cached is a point in the form an addition consumes, (Y+X, Y-X, Z, 2dT):
+// what every table entry of the multiplication routines is, and what Add
+// makes of its second operand on the way in.
+type cached struct {
+	yPlusX, yMinusX, z, t2d fe.Element
+}
+
+// fromPoint sets c to the cached form of p.
+func (c *cached) fromPoint(p *Point) *cached {
+	c.yPlusX.Add(&p.y, &p.x)
+	c.yMinusX.Subtract(&p.y, &p.x)
+	c.z.Set(&p.z)
+	c.t2d.Multiply(&p.t, &curveD2)
+	return c
 }
 
 // Add sets v = p + q and returns v. The formulas are strongly unified:
 // they are correct for p == q as well.
 func (v *Point) Add(p, q *Point) *Point {
+	var c cached
+	return v.addCached(p, c.fromPoint(q))
+}
+
+// addCached sets v = p + q (8M) and returns v.
+func (v *Point) addCached(p *Point, q *cached) *Point {
 	var a, b, c, d, e, f, g, h fe.Element
-	var t1, t2 fe.Element
 
-	t1.Subtract(&p.y, &p.x) // Y1 - X1
-	t2.Subtract(&q.y, &q.x) // Y2 - X2
-	a.Multiply(&t1, &t2)
-
-	t1.Add(&p.y, &p.x) // Y1 + X1
-	t2.Add(&q.y, &q.x) // Y2 + X2
-	b.Multiply(&t1, &t2)
-
-	c.Multiply(&p.t, &q.t)
-	c.Multiply(&c, &curveD2)
-
+	a.Subtract(&p.y, &p.x)
+	a.Multiply(&a, &q.yMinusX) // (Y1 - X1)(Y2 - X2)
+	b.Add(&p.y, &p.x)
+	b.Multiply(&b, &q.yPlusX) // (Y1 + X1)(Y2 + X2)
+	c.Multiply(&p.t, &q.t2d)  // 2d T1 T2
 	d.Multiply(&p.z, &q.z)
-	d.Add(&d, &d)
+	d.Add(&d, &d) // 2 Z1 Z2
 
 	e.Subtract(&b, &a)
 	f.Subtract(&d, &c)
 	g.Add(&d, &c)
 	h.Add(&b, &a)
+	return v.complete(&e, &f, &g, &h)
+}
 
-	v.x.Multiply(&e, &f)
-	v.y.Multiply(&g, &h)
-	v.t.Multiply(&e, &h)
-	v.z.Multiply(&f, &g)
+// subCached sets v = p - q and returns v. The cached form of -q is q's
+// with Y+X and Y-X exchanged and 2dT negated.
+func (v *Point) subCached(p *Point, q *cached) *Point {
+	neg := cached{yPlusX: q.yMinusX, yMinusX: q.yPlusX, z: q.z}
+	neg.t2d.Negate(&q.t2d)
+	return v.addCached(p, &neg)
+}
+
+// complete sets v = (E*F : G*H : F*G : E*H), the four products every
+// addition and doubling ends with.
+func (v *Point) complete(e, f, g, h *fe.Element) *Point {
+	v.x.Multiply(e, f)
+	v.y.Multiply(g, h)
+	v.z.Multiply(f, g)
+	v.t.Multiply(e, h)
 	return v
 }
 
-// Double sets v = 2*p and returns v.
+// Double sets v = 2*p and returns v (4S + 4M against the 9M of Add(p, p)).
 func (v *Point) Double(p *Point) *Point {
-	return v.Add(p, p)
+	return v.double(p, true)
+}
+
+// double is Double; with withT false it skips the product that gives T
+// (4S + 3M) and leaves v good for one thing only, being doubled again,
+// which reads X, Y and Z. The multiplication loops double in runs.
+func (v *Point) double(p *Point, withT bool) *Point {
+	var xx, yy, zz2, e, f, g, h fe.Element
+
+	xx.Square(&p.x)
+	yy.Square(&p.y)
+	zz2.Square(&p.z)
+	zz2.Add(&zz2, &zz2)
+	e.Add(&p.x, &p.y)
+	e.Square(&e)
+
+	h.Add(&yy, &xx)
+	g.Subtract(&yy, &xx)
+	e.Subtract(&e, &h) // 2 X Y
+	f.Subtract(&zz2, &g)
+	if withT {
+		return v.complete(&e, &f, &g, &h)
+	}
+	v.x.Multiply(&e, &f)
+	v.y.Multiply(&g, &h)
+	v.z.Multiply(&f, &g)
+	return v
 }
 
 // Negate sets v = -p and returns v.
@@ -201,16 +294,15 @@ func (v *Point) Negate(p *Point) *Point {
 
 // Subtract sets v = p - q and returns v.
 func (v *Point) Subtract(p, q *Point) *Point {
-	var negQ Point
-	negQ.Negate(q)
-	return v.Add(p, &negQ)
+	var c cached
+	return v.subCached(p, c.fromPoint(q))
 }
 
 // MultByCofactor sets v = 8*p and returns v.
 func (v *Point) MultByCofactor(p *Point) *Point {
-	v.Double(p)
-	v.Double(v)
-	return v.Double(v)
+	v.double(p, false)
+	v.double(v, false)
+	return v.double(v, true)
 }
 
 // IsSmallOrder reports whether p is in the small-order (8-torsion)
@@ -219,44 +311,4 @@ func (p *Point) IsSmallOrder() bool {
 	var v Point
 	v.MultByCofactor(p)
 	return v.IsIdentity()
-}
-
-// ScalarMult sets v = s*q where s is interpreted as a 256-bit
-// little-endian integer (it need not be reduced mod the group order),
-// and returns v. Variable time.
-func (v *Point) ScalarMult(s *Scalar, q *Point) *Point {
-	sb := s.Bytes()
-	return v.scalarMultBytes(sb[:], q)
-}
-
-func (v *Point) scalarMultBytes(sb []byte, q *Point) *Point {
-	acc := NewIdentityPoint()
-	base := *q
-	started := false
-	// MSB-first double-and-add.
-	for i := len(sb) - 1; i >= 0; i-- {
-		for bit := 7; bit >= 0; bit-- {
-			if started {
-				acc.Double(acc)
-			}
-			if (sb[i]>>uint(bit))&1 == 1 {
-				acc.Add(acc, &base)
-				started = true
-			}
-		}
-	}
-	return v.Set(acc)
-}
-
-// ScalarBaseMult sets v = s*B and returns v.
-func (v *Point) ScalarBaseMult(s *Scalar) *Point {
-	return v.ScalarMult(s, &basePoint)
-}
-
-// VarTimeDoubleScalarBaseMult sets v = a*A + b*B and returns v.
-func (v *Point) VarTimeDoubleScalarBaseMult(a *Scalar, pA *Point, b *Scalar) *Point {
-	var t1, t2 Point
-	t1.ScalarMult(a, pA)
-	t2.ScalarBaseMult(b)
-	return v.Add(&t1, &t2)
 }

@@ -208,3 +208,23 @@ func TestSmallMultiplesMatchReference(t *testing.T) {
 		}
 	}
 }
+
+// scalarMultBytes is the multiplication production ran before the windowed
+// routines: MSB-first double-and-add over a little-endian scalar of any
+// length, doubling through the unified addition. It stays as the second
+// oracle beside the math/big model — same coordinates as production, no
+// recoding, no table, no dedicated doubling — and takes scalars production
+// cannot construct (l itself, in TestBasePointOrder).
+func (v *Point) scalarMultBytes(sb []byte, q *Point) *Point {
+	acc := NewIdentityPoint()
+	base := *q
+	for i := len(sb) - 1; i >= 0; i-- {
+		for bit := 7; bit >= 0; bit-- {
+			acc.Add(acc, acc)
+			if (sb[i]>>uint(bit))&1 == 1 {
+				acc.Add(acc, &base)
+			}
+		}
+	}
+	return v.Set(acc)
+}

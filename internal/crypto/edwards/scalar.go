@@ -16,8 +16,11 @@ type Scalar struct {
 	b [32]byte
 }
 
-// order is l as a big.Int.
-var order *big.Int
+// order is l as a big.Int, orderLE its 32-byte little-endian encoding.
+var (
+	order   *big.Int
+	orderLE [32]byte
+)
 
 func init() {
 	l, ok := new(big.Int).SetString(
@@ -33,6 +36,11 @@ func init() {
 		panic("edwards: inconsistent group order constants")
 	}
 	order = l
+	var be [32]byte
+	l.FillBytes(be[:])
+	for i := range be {
+		orderLE[i] = be[31-i]
+	}
 }
 
 // Order returns the group order l as a new big.Int.
@@ -77,17 +85,19 @@ func (s *Scalar) SetUniformBytes(x []byte) (*Scalar, error) {
 }
 
 // SetCanonicalBytes sets s to the 32-byte little-endian value x, and
-// returns an error if x is not canonical (x >= l).
+// returns an error if x is not canonical (x >= l). It compares bytes, not
+// big.Ints: a proof's s passes through here on every verification.
 func (s *Scalar) SetCanonicalBytes(x []byte) (*Scalar, error) {
 	if len(x) != 32 {
 		return nil, errors.New("edwards: scalar must be 32 bytes")
 	}
-	var be [32]byte
-	for i := 0; i < 32; i++ {
-		be[i] = x[31-i]
+	// The most significant byte in which x and l differ decides; none
+	// means x == l.
+	i := 31
+	for i > 0 && x[i] == orderLE[i] {
+		i--
 	}
-	v := new(big.Int).SetBytes(be[:])
-	if v.Cmp(order) >= 0 {
+	if x[i] >= orderLE[i] {
 		return nil, errors.New("edwards: non-canonical scalar")
 	}
 	copy(s.b[:], x)

@@ -73,17 +73,15 @@ func (v *Element) IsNegative() bool {
 // carryPropagate brings the limbs below 52 bits by performing one round
 // of carry propagation, folding the top carry back via 19.
 func (v *Element) carryPropagate() *Element {
-	c0 := v.l0 >> 51
-	c1 := v.l1 >> 51
-	c2 := v.l2 >> 51
-	c3 := v.l3 >> 51
+	// Top limb first: every line reads the limb below it before that limb
+	// is rewritten, which keeps the function small enough to inline into
+	// Multiply, Square, Add and Subtract.
 	c4 := v.l4 >> 51
-
+	v.l4 = v.l4&maskLow51Bits + v.l3>>51
+	v.l3 = v.l3&maskLow51Bits + v.l2>>51
+	v.l2 = v.l2&maskLow51Bits + v.l1>>51
+	v.l1 = v.l1&maskLow51Bits + v.l0>>51
 	v.l0 = v.l0&maskLow51Bits + c4*19
-	v.l1 = v.l1&maskLow51Bits + c0
-	v.l2 = v.l2&maskLow51Bits + c1
-	v.l3 = v.l3&maskLow51Bits + c2
-	v.l4 = v.l4&maskLow51Bits + c3
 	return v
 }
 
@@ -478,10 +476,15 @@ func putLE64(b []byte, x uint64) {
 	b[7] = byte(x >> 56)
 }
 
-// Select sets v = a if cond == 1 and v = b if cond == 0.
+// Select sets v = a if cond == 1 and v = b if cond == 0, reading both and
+// branching on neither: the fixed-window multiplication picks table
+// entries by secret digits through it.
 func (v *Element) Select(a, b *Element, cond int) *Element {
-	if cond != 0 {
-		return v.Set(a)
-	}
-	return v.Set(b)
+	m := -uint64(cond & 1)
+	v.l0 = b.l0 ^ m&(a.l0^b.l0)
+	v.l1 = b.l1 ^ m&(a.l1^b.l1)
+	v.l2 = b.l2 ^ m&(a.l2^b.l2)
+	v.l3 = b.l3 ^ m&(a.l3^b.l3)
+	v.l4 = b.l4 ^ m&(a.l4^b.l4)
+	return v
 }

@@ -334,6 +334,33 @@ func TestEqualDifferentRepresentations(t *testing.T) {
 	}
 }
 
+// TestSelect covers both arms, with the destination aliasing either
+// operand as the table lookup of the fixed-window multiplication does. The
+// limbs are compared, not the values: Select moves a representation.
+func TestSelect(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 50; i++ {
+		a, _ := randElement(rng)
+		b, _ := randElement(rng)
+		b.Add(b, b) // limbs above 51 bits must survive too
+		var v Element
+		if v.Select(a, b, 1); v != *a {
+			t.Fatal("Select(a, b, 1) != a")
+		}
+		if v.Select(a, b, 0); v != *b {
+			t.Fatal("Select(a, b, 0) != b")
+		}
+		v = *b
+		if v.Select(a, &v, 1); v != *a {
+			t.Fatal("Select(a, v, 1) != a")
+		}
+		v = *a
+		if v.Select(&v, b, 0); v != *b {
+			t.Fatal("Select(v, b, 0) != b")
+		}
+	}
+}
+
 func firstBytes(e Element) []byte {
 	b := e.Bytes()
 	return b[:]

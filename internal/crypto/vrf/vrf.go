@@ -18,6 +18,7 @@
 package vrf
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"crypto/sha512"
 	"errors"
@@ -69,8 +70,7 @@ func GenerateKey(seed []byte) (*PrivateKey, error) {
 	}
 	copy(priv.prefix[:], h[32:])
 	var y edwards.Point
-	y.ScalarBaseMult(&priv.x)
-	enc := y.Bytes()
+	enc := y.ScalarBaseMult(&priv.x).Bytes()
 	priv.pub = enc[:]
 	return priv, nil
 }
@@ -85,142 +85,137 @@ func (sk *PrivateKey) Seed() []byte {
 	return append([]byte(nil), sk.seed...)
 }
 
-// encodeToCurveTAI hashes alpha to a curve point using the
-// try-and-increment method with the public key as the salt.
-func encodeToCurveTAI(salt PublicKey, alpha []byte) (*edwards.Point, error) {
-	var p edwards.Point
+// encodeToCurveTAI hashes alpha to a curve point h using the
+// try-and-increment method with the public key as the salt. The hash
+// input is built on the stack for any alpha a sortition role produces;
+// a longer one spills to the heap and is hashed the same.
+func encodeToCurveTAI(h *edwards.Point, salt PublicKey, alpha []byte) error {
+	var buf [256]byte
+	msg := append(buf[:0], suiteID, domainEncode)
+	msg = append(msg, salt...)
+	msg = append(msg, alpha...)
+	msg = append(msg, 0, domainBack)
 	for ctr := 0; ctr < 256; ctr++ {
-		h := sha512.New()
-		h.Write([]byte{suiteID, domainEncode})
-		h.Write(salt)
-		h.Write(alpha)
-		h.Write([]byte{byte(ctr), domainBack})
-		digest := h.Sum(nil)
-		if _, err := p.SetBytes(digest[:32]); err != nil {
+		msg[len(msg)-2] = byte(ctr)
+		digest := sha512.Sum512(msg)
+		if _, err := h.SetBytes(digest[:32]); err != nil {
 			continue
 		}
 		// Clear the cofactor so H is in the prime-order subgroup.
-		p.MultByCofactor(&p)
-		if p.IsIdentity() {
+		h.MultByCofactor(h)
+		if h.IsIdentity() {
 			continue
 		}
-		return &p, nil
+		return nil
 	}
-	return nil, errors.New("vrf: encode-to-curve failed after 256 attempts")
+	return errors.New("vrf: encode-to-curve failed after 256 attempts")
 }
 
 // generateNonce derives the deterministic nonce k from the secret prefix
 // and the encoded input point, as in RFC 8032 / RFC 9381 §5.4.2.2.
-func (sk *PrivateKey) generateNonce(hBytes []byte) *edwards.Scalar {
-	h := sha512.New()
-	h.Write(sk.prefix[:])
-	h.Write(hBytes)
-	digest := h.Sum(nil)
-	var k edwards.Scalar
-	if _, err := k.SetUniformBytes(digest); err != nil {
+func (sk *PrivateKey) generateNonce(k *edwards.Scalar, hBytes *[32]byte) {
+	var msg [64]byte
+	copy(msg[:32], sk.prefix[:])
+	copy(msg[32:], hBytes[:])
+	digest := sha512.Sum512(msg[:])
+	if _, err := k.SetUniformBytes(digest[:]); err != nil {
 		panic("vrf: internal nonce error: " + err.Error())
 	}
-	return &k
 }
 
-// challenge computes the 16-byte challenge c from the five points.
-func challenge(points ...[]byte) *edwards.Scalar {
-	h := sha512.New()
-	h.Write([]byte{suiteID, domainChal})
-	for _, p := range points {
-		h.Write(p)
-	}
-	h.Write([]byte{domainBack})
-	digest := h.Sum(nil)
+// challenge computes the 16-byte challenge c from the five encoded
+// points Y, H, Gamma, U, V.
+func challenge(y []byte, h, gamma, u, v *[32]byte) (c [challengeSize]byte) {
+	var msg [2 + 5*32 + 1]byte
+	msg[0], msg[1] = suiteID, domainChal
+	copy(msg[2:34], y)
+	copy(msg[34:], h[:])
+	copy(msg[66:], gamma[:])
+	copy(msg[98:], u[:])
+	copy(msg[130:], v[:])
+	msg[162] = domainBack
+	digest := sha512.Sum512(msg[:])
+	copy(c[:], digest[:])
+	return c
+}
 
-	var cBytes [32]byte
-	copy(cBytes[:challengeSize], digest[:challengeSize])
-	var c edwards.Scalar
-	if _, err := c.SetCanonicalBytes(cBytes[:]); err != nil {
-		// A 128-bit value is always canonical mod l.
+// setChallenge sets s to the scalar a challenge stands for; a 128-bit
+// value is always canonical mod l.
+func setChallenge(s *edwards.Scalar, c []byte) *edwards.Scalar {
+	var wide [32]byte
+	copy(wide[:challengeSize], c)
+	if _, err := s.SetCanonicalBytes(wide[:]); err != nil {
 		panic("vrf: internal challenge error: " + err.Error())
 	}
-	return &c
+	return s
 }
 
-// Prove computes the VRF proof pi and output beta for input alpha.
+// Prove computes the VRF proof pi and output beta for input alpha. Its
+// three multiplications by x and k go through the uniform routine.
 func (sk *PrivateKey) Prove(alpha []byte) (beta [OutputSize]byte, pi [ProofSize]byte, err error) {
-	hPoint, err := encodeToCurveTAI(sk.pub, alpha)
-	if err != nil {
+	var h, gamma, gamma8, u, v edwards.Point
+	if err := encodeToCurveTAI(&h, sk.pub, alpha); err != nil {
 		return beta, pi, err
 	}
-	hBytes := hPoint.Bytes()
+	gamma.ScalarMult(&sk.x, &h)
+	gamma8.MultByCofactor(&gamma)
+	// Two inversions for the five encodings: the nonce hashes H, so H
+	// cannot wait for U and V.
+	var enc [3][32]byte
+	edwards.EncodeBatch(enc[:], &h, &gamma, &gamma8)
+	hBytes, gammaBytes := &enc[0], &enc[1]
 
-	var gamma edwards.Point
-	gamma.ScalarMult(&sk.x, hPoint)
-	gammaBytes := gamma.Bytes()
+	var k, cs, s edwards.Scalar
+	sk.generateNonce(&k, hBytes)
+	u.ScalarBaseMult(&k)
+	v.ScalarMult(&k, &h)
+	var uv [2][32]byte
+	edwards.EncodeBatch(uv[:], &u, &v)
 
-	k := sk.generateNonce(hBytes[:])
-	var u, v edwards.Point
-	u.ScalarBaseMult(k)
-	v.ScalarMult(k, hPoint)
-	uBytes := u.Bytes()
-	vBytes := v.Bytes()
-
-	c := challenge(sk.pub, hBytes[:], gammaBytes[:], uBytes[:], vBytes[:])
-
-	var s edwards.Scalar
-	s.MultiplyAdd(c, &sk.x, k)
+	c := challenge(sk.pub, hBytes, gammaBytes, &uv[0], &uv[1])
+	s.MultiplyAdd(setChallenge(&cs, c[:]), &sk.x, &k)
 
 	copy(pi[:32], gammaBytes[:])
-	cb := c.Bytes()
-	copy(pi[32:48], cb[:challengeSize])
+	copy(pi[32:48], c[:])
 	sb := s.Bytes()
 	copy(pi[48:], sb[:])
-
-	beta = gammaToHash(&gamma)
-	return beta, pi, nil
+	return gammaToHash(&enc[2]), pi, nil
 }
 
-// gammaToHash computes beta from the Gamma point.
-func gammaToHash(gamma *edwards.Point) [OutputSize]byte {
-	var cg edwards.Point
-	cg.MultByCofactor(gamma)
-	enc := cg.Bytes()
-	h := sha512.New()
-	h.Write([]byte{suiteID, domainProof})
-	h.Write(enc[:])
-	h.Write([]byte{domainBack})
-	var beta [OutputSize]byte
-	copy(beta[:], h.Sum(nil))
-	return beta
+// gammaToHash computes beta from the encoding of 8*Gamma.
+func gammaToHash(gamma8 *[32]byte) [OutputSize]byte {
+	var msg [2 + 32 + 1]byte
+	msg[0], msg[1] = suiteID, domainProof
+	copy(msg[2:], gamma8[:])
+	msg[34] = domainBack
+	return sha512.Sum512(msg[:])
 }
 
 // ProofToHash returns beta for a syntactically valid proof pi, without
 // verifying it against a public key. Use Verify for untrusted proofs.
 func ProofToHash(pi []byte) (beta [OutputSize]byte, err error) {
-	gamma, _, _, err := decodeProof(pi)
-	if err != nil {
+	var gamma edwards.Point
+	var c, s edwards.Scalar
+	if err := decodeProof(&gamma, &c, &s, pi); err != nil {
 		return beta, err
 	}
-	return gammaToHash(gamma), nil
+	enc := gamma.MultByCofactor(&gamma).Bytes()
+	return gammaToHash(&enc), nil
 }
 
 // decodeProof splits pi into its Gamma point, challenge and response.
-func decodeProof(pi []byte) (gamma *edwards.Point, c, s *edwards.Scalar, err error) {
+func decodeProof(gamma *edwards.Point, c, s *edwards.Scalar, pi []byte) error {
 	if len(pi) != ProofSize {
-		return nil, nil, nil, errors.New("vrf: invalid proof length")
+		return errors.New("vrf: invalid proof length")
 	}
-	gamma = new(edwards.Point)
 	if _, err := gamma.SetBytes(pi[:32]); err != nil {
-		return nil, nil, nil, errors.New("vrf: invalid Gamma point: " + err.Error())
+		return errors.New("vrf: invalid Gamma point: " + err.Error())
 	}
-	var cBytes [32]byte
-	copy(cBytes[:challengeSize], pi[32:48])
-	c = new(edwards.Scalar)
-	if _, err := c.SetCanonicalBytes(cBytes[:]); err != nil {
-		return nil, nil, nil, err
-	}
-	s = new(edwards.Scalar)
+	setChallenge(c, pi[32:48])
 	if _, err := s.SetCanonicalBytes(pi[48:80]); err != nil {
-		return nil, nil, nil, errors.New("vrf: non-canonical s")
+		return errors.New("vrf: non-canonical s")
 	}
-	return gamma, c, s, nil
+	return nil
 }
 
 // Verify checks proof pi for public key pk and input alpha. On success
@@ -229,7 +224,7 @@ func Verify(pk PublicKey, alpha, pi []byte) (beta [OutputSize]byte, err error) {
 	if len(pk) != PublicKeySize {
 		return beta, errors.New("vrf: invalid public key length")
 	}
-	var y edwards.Point
+	var y, gamma, h, neg, u, v edwards.Point
 	if _, err := y.SetBytes(pk); err != nil {
 		return beta, errors.New("vrf: invalid public key: " + err.Error())
 	}
@@ -238,39 +233,31 @@ func Verify(pk PublicKey, alpha, pi []byte) (beta [OutputSize]byte, err error) {
 	if y.IsSmallOrder() {
 		return beta, errors.New("vrf: small-order public key")
 	}
-
-	gamma, c, s, err := decodeProof(pi)
-	if err != nil {
+	var c, s edwards.Scalar
+	if err := decodeProof(&gamma, &c, &s, pi); err != nil {
+		return beta, err
+	}
+	if err := encodeToCurveTAI(&h, pk, alpha); err != nil {
 		return beta, err
 	}
 
-	hPoint, err := encodeToCurveTAI(pk, alpha)
-	if err != nil {
-		return beta, err
-	}
-	hBytes := hPoint.Bytes()
+	// U = s*B - c*Y and V = s*H - c*Gamma, each one interleaved pass in
+	// which the 128-bit c joins the doublings s has already begun. Every
+	// input is public.
+	u.VarTimeDoubleScalarBaseMult(&c, neg.Negate(&y), &s)
+	v.VarTimeDoubleScalarMult(&c, neg.Negate(&gamma), &s, &h)
 
-	// U = s*B - c*Y
-	var cY, u edwards.Point
-	cY.ScalarMult(c, &y)
-	u.ScalarBaseMult(s)
-	u.Subtract(&u, &cY)
+	// One inversion for H, U, V and 8*Gamma. Gamma itself is read back from
+	// the proof: SetBytes accepts only the canonical encoding of a point,
+	// so re-encoding what it decoded returns the same 32 bytes.
+	var enc [4][32]byte
+	edwards.EncodeBatch(enc[:], &h, &u, &v, gamma.MultByCofactor(&gamma))
 
-	// V = s*H - c*Gamma
-	var sH, cGamma, v edwards.Point
-	sH.ScalarMult(s, hPoint)
-	cGamma.ScalarMult(c, gamma)
-	v.Subtract(&sH, &cGamma)
-
-	gammaBytes := gamma.Bytes()
-	uBytes := u.Bytes()
-	vBytes := v.Bytes()
-	cPrime := challenge(pk, hBytes[:], gammaBytes[:], uBytes[:], vBytes[:])
-
-	if !cPrime.Equal(c) {
+	cPrime := challenge(pk, &enc[0], (*[32]byte)(pi[:32]), &enc[1], &enc[2])
+	if !bytes.Equal(cPrime[:], pi[32:48]) {
 		return beta, errors.New("vrf: proof verification failed")
 	}
-	return gammaToHash(gamma), nil
+	return gammaToHash(&enc[3]), nil
 }
 
 // Ed25519PublicKeyMatches reports whether the VRF public key equals the

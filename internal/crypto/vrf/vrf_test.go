@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"algorand/internal/crypto/edwards"
 )
 
 func testKey(t testing.TB, seedByte byte) *PrivateKey {
@@ -232,6 +234,48 @@ func TestOutputBitUniformity(t *testing.T) {
 	// Loose 5-sigma style bound around n/2 for a fair coin.
 	if ones < n/2-50 || ones > n/2+50 {
 		t.Fatalf("low bit looks biased: %d/%d ones", ones, n)
+	}
+}
+
+// TestAllocBudgetVRF: Verify allocates nothing — group arithmetic, the
+// scalar range check and the hashes all work on the stack — and Prove
+// only what its math/big scalar arithmetic does (the nonce's reduction of
+// 64 bytes mod l, and s = c*x + k mod l): 14 allocations where there were
+// 24, none of them in the group or hash code.
+func TestAllocBudgetVRF(t *testing.T) {
+	sk := testKey(t, 13)
+	alpha := []byte("round-7:committee:3, a sortition-sized input of some sixty bytes")
+	_, pi, err := sk.Prove(alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk := sk.Public()
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := Verify(pk, alpha, pi[:]); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Verify allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := ProofToHash(pi[:]); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ProofToHash allocates %v times, want 0", n)
+	}
+	var hBytes [32]byte
+	var c, k, s edwards.Scalar
+	bigOnly := testing.AllocsPerRun(50, func() {
+		sk.generateNonce(&k, &hBytes)
+		s.MultiplyAdd(setChallenge(&c, pi[32:48]), &sk.x, &k)
+	})
+	if n := testing.AllocsPerRun(50, func() {
+		if _, _, err := sk.Prove(alpha); err != nil {
+			t.Fatal(err)
+		}
+	}); n > bigOnly+1 || n > 15 {
+		t.Errorf("Prove allocates %v times; its math/big scalar arithmetic alone %v, budget 15", n, bigOnly)
 	}
 }
 

@@ -143,7 +143,7 @@ func coinAttackTrial(withCoin bool, seed int64, maxSteps int) (int, bool) {
 	// watches group A's first vote of each step to time its injections.
 	stepSeen := make(map[uint64]bool)
 	var injectAt func(step uint64)
-	gossipFrom := func(v *ledger.Vote) {
+	gossipFrom := func(v *ledger.Vote, _ uint64) {
 		for i := 0; i < nHonest; i++ {
 			i := i
 			vc := *v

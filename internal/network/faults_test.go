@@ -34,7 +34,7 @@ func TestPartitionsCompose(t *testing.T) {
 
 	cut := 5
 	nw.AddPartition(func(a, b int) bool { return (a < cut) != (b < cut) }) // split {0..4} | {5..9}
-	nw.AddPartition(func(a, b int) bool { return a == 2 || b == 2 })      // silence node 2
+	nw.AddPartition(func(a, b int) bool { return a == 2 || b == 2 })       // silence node 2
 
 	if !nw.Partitioned(1, 7) || !nw.Partitioned(7, 1) {
 		t.Fatal("world split not applied while DoS filter installed")

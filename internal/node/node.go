@@ -105,9 +105,6 @@ type Config struct {
 	// fully synchronous in the scheduler goroutine, which the
 	// deterministic simulator requires.
 	TxFlowWorkers int
-	// TxFlushInterval is how often freshly admitted transactions are
-	// flushed to neighbors as TxBatch gossip (default 250ms).
-	TxFlushInterval time.Duration
 	// PipelineFinalStep overlaps the §7.4 final confirmation step with
 	// the next round: the node commits tentatively after BinaryBA⋆ and
 	// upgrades the block to final in the background when the final-step
@@ -179,6 +176,9 @@ type Node struct {
 	// blockFetches counts blocks this node had to ask its peers for by
 	// hash (fetchBlock), blockFetchFailures those nobody delivered in time.
 	blockFetches, blockFetchFailures *metrics.Counter
+	// Sortition credentials (a signature and a VRF proof each) this node
+	// set out to verify, by the message that carried them.
+	voteChecks, priorityChecks, announceChecks *metrics.Counter
 
 	// Current consensus context, nil between rounds. The handler uses it
 	// to validate incoming messages.
@@ -297,9 +297,6 @@ func NewFromGenesis(
 	if cfg.MaxRecoveryAttempts == 0 {
 		cfg.MaxRecoveryAttempts = 8
 	}
-	if cfg.TxFlushInterval == 0 {
-		cfg.TxFlushInterval = 250 * time.Millisecond
-	}
 	if cfg.TxFlow.Now == nil {
 		// The pipeline clock follows the scheduler. Virtual-time runs
 		// only call into the Flow from scheduler context; realtime
@@ -350,9 +347,21 @@ func NewFromGenesis(
 	n.persistErrors = cfg.Metrics.Counter("algorand_node_persist_errors_total", "archive writes that failed after retry")
 	n.blockFetches = cfg.Metrics.Counter("algorand_node_block_fetches_total", "agreed or adopted blocks this node did not hold and asked its peers for by hash")
 	n.blockFetchFailures = cfg.Metrics.Counter("algorand_node_block_fetch_failures_total", "by-hash block fetches no peer answered before the deadline")
+	const checksHelp = "sortition credentials (signature + VRF proof) this node set out to verify, by carrying message"
+	n.voteChecks = cfg.Metrics.Counter(voteChecksName, checksHelp)
+	n.priorityChecks = cfg.Metrics.Counter(priorityChecksName, checksHelp)
+	n.announceChecks = cfg.Metrics.Counter(announceChecksName, checksHelp)
 	net.SetHandler(id, network.HandlerFunc(n.handleMessage))
 	return n
 }
+
+// The labelled series names are rendered once, not once per node: a
+// simulated cluster builds thousands of nodes inside its set-up time.
+var (
+	voteChecksName     = metrics.Name("algorand_node_sortition_checks_total", "of", "vote")
+	priorityChecksName = metrics.Name("algorand_node_sortition_checks_total", "of", "priority")
+	announceChecksName = metrics.Name("algorand_node_sortition_checks_total", "of", "announce")
+)
 
 // Metrics exposes the node's registry: every subsystem under the node
 // (BA⋆, txflow, tracing, round outcomes) records here.
@@ -576,6 +585,7 @@ func (n *Node) handleVote(msg *VoteMsg, cost crypto.CostModel) network.Verdict {
 	// in flight are validated against that round's context.
 	if v.Step == agreement.StepFinal {
 		if fctx, ok := n.finalCtxs[v.Round]; ok {
+			n.voteChecks.Inc()
 			nv := agreement.ProcessVote(n.provider, n.cfg.Params, fctx, v)
 			if nv == 0 {
 				return network.Verdict{Relay: false, CPU: cpu}
@@ -595,6 +605,7 @@ func (n *Node) handleVote(msg *VoteMsg, cost crypto.CostModel) network.Verdict {
 			n.alienVotes++
 			return network.Verdict{Relay: false, CPU: cost.VerifySig}
 		}
+		n.voteChecks.Inc()
 		nv := agreement.ProcessVote(n.provider, n.cfg.Params, ctx, v)
 		if nv == 0 {
 			return network.Verdict{Relay: false, CPU: cpu}
@@ -635,6 +646,7 @@ func (n *Node) handlePriority(msg *PriorityGossip, cost crypto.CostModel) networ
 	switch {
 	case m.Round == ctx.Round:
 		roleKind := n.proposerRoleKind(m.Round)
+		n.priorityChecks.Inc()
 		j := blockprop.VerifyPriority(n.provider, m, roleKind, ctx.Seed,
 			n.cfg.Params.TauProposer, ctx.Weights[m.Proposer], ctx.TotalWeight)
 		if j == 0 {
@@ -676,6 +688,7 @@ func (n *Node) handleAnnounce(from int, msg *BlockAnnounce, cost crypto.CostMode
 	switch {
 	case m.Round == ctx.Round:
 		roleKind := n.proposerRoleKind(m.Round)
+		n.announceChecks.Inc()
 		j := blockprop.VerifyPriority(n.provider, m, roleKind, ctx.Seed,
 			n.cfg.Params.TauProposer, ctx.Weights[m.Proposer], ctx.TotalWeight)
 		if j == 0 {
@@ -859,8 +872,12 @@ func (n *Node) setContext(ctx *agreement.Context) {
 }
 
 // gossipVote publishes one of our votes and counts it locally (a
-// committee member processes its own message too).
-func (n *Node) gossipVote(v *ledger.Vote) {
+// committee member processes its own message too) with the j its own
+// sortition gave a statement ago: there is nothing to learn from verifying
+// a signature and a proof the node has just made. What a VoteSaboteur puts
+// in the vote's place is anyone's, and goes through ProcessVote like a
+// vote off the wire.
+func (n *Node) gossipVote(v *ledger.Vote, j uint64) {
 	if n.halted {
 		return
 	}
@@ -871,10 +888,17 @@ func (n *Node) gossipVote(v *ledger.Vote) {
 	for _, vv := range votes {
 		msg := &VoteMsg{Vote: *vv}
 		n.net.Gossip(n.ID, msg)
-		if ctx := n.ctx; ctx != nil && vv.Round == ctx.Round {
-			if nv := agreement.ProcessVote(n.provider, n.cfg.Params, ctx, vv); nv > 0 {
-				n.voteInbox(vv.Round, vv.Step).Send(agreement.ValidatedVote{Vote: *vv, NumVotes: nv})
-			}
+		ctx := n.ctx
+		if ctx == nil || vv.Round != ctx.Round {
+			continue
+		}
+		nv := j
+		if n.VoteSaboteur != nil {
+			n.voteChecks.Inc()
+			nv = agreement.ProcessVote(n.provider, n.cfg.Params, ctx, vv)
+		}
+		if nv > 0 {
+			n.voteInbox(vv.Round, vv.Step).Send(agreement.ValidatedVote{Vote: *vv, NumVotes: nv})
 		}
 	}
 }
@@ -922,13 +946,27 @@ func (n *Node) launch(name string, body func(p *vtime.Proc)) {
 	})
 	n.sim.Spawn(fmt.Sprintf("node-%d-txflush", n.ID), func(p *vtime.Proc) {
 		for !n.sim.Stopped() {
-			p.Sleep(n.cfg.TxFlushInterval)
+			p.Sleep(txFlushPeriod(n.cfg.Params))
 			if n.Done() {
 				return
 			}
 			n.flushTxBatches()
 		}
 	})
+}
+
+// txFlushPeriod is how long a freshly admitted transaction may wait in
+// the outbox before its TxBatch leaves: a quarter of λ_priority, so that a
+// payment crosses several hops inside the proposal wait of the round it
+// arrives in, and never more than 250 ms — which is what the quarter comes
+// to at the paper's λ_priority = 5 s and wherever it is at least 1 s. A
+// period set apart from the round's own timers could exceed the round: at
+// λ_priority = 150 ms a fixed 250 ms made a payment miss a proposal it had
+// arrived in time for. Less than a quarter buys no latency at the median
+// and costs a frame per payment per hop; the floor keeps a degenerate λ
+// (a flag set to zero) from turning the flush process into a spin.
+func txFlushPeriod(p params.Params) time.Duration {
+	return max(time.Millisecond, min(250*time.Millisecond, p.LambdaPriority/4))
 }
 
 // flushTxBatches drains the pipeline's outbox into TxBatch gossip.

@@ -1,0 +1,126 @@
+package node
+
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"algorand/internal/crypto"
+	"algorand/internal/ledger"
+	"algorand/internal/metrics"
+	"algorand/internal/network"
+	"algorand/internal/params"
+	"algorand/internal/sortition"
+	"algorand/internal/vtime"
+)
+
+// committeeCounter is one node's view of the shared provider: it counts
+// the committee-role proofs the node asks to have verified, and those of
+// them that name the node's own key.
+type committeeCounter struct {
+	crypto.Provider
+	own       crypto.PublicKey
+	all, mine int
+}
+
+func (c *committeeCounter) VRFVerify(pk crypto.PublicKey, alpha, proof []byte) (crypto.VRFOutput, bool) {
+	if bytes.Contains(alpha, []byte(sortition.RoleCommittee)) {
+		c.all++
+		if pk == c.own {
+			c.mine++
+		}
+	}
+	return c.Provider.VRFVerify(pk, alpha, proof)
+}
+
+// runCounted runs five nodes, each behind its own committeeCounter, for
+// the given number of rounds; setup may alter a node before it starts.
+func runCounted(t *testing.T, rounds uint64, setup func(n *Node, id crypto.Identity)) ([]*Node, []*committeeCounter) {
+	t.Helper()
+	const users = 5
+	sim := vtime.New()
+	net := network.New(sim, network.DefaultConfig(), users)
+	fast := crypto.NewFast()
+	ids := make([]crypto.Identity, users)
+	genesis := make(map[crypto.PublicKey]uint64)
+	for i := range ids {
+		ids[i] = fast.NewIdentity(crypto.SeedFromUint64(uint64(i)))
+		genesis[ids[i].PublicKey()] = 100
+	}
+	prm := params.Default()
+	prm.TauProposer, prm.TauStep, prm.TauFinal = 5, 200, 200
+	prm.LambdaPriority, prm.LambdaStepVar = time.Second, time.Second
+	prm.LambdaBlock, prm.LambdaStep = 5*time.Second, 2*time.Second
+	prm.BlockSize = 4096
+	var nodes []*Node
+	var counters []*committeeCounter
+	for i := range ids {
+		c := &committeeCounter{Provider: fast, own: ids[i].PublicKey()}
+		n := New(i, sim, net, c, ids[i], Config{Params: prm, LedgerCfg: ledger.DefaultConfig()}, genesis, crypto.HashBytes("g"))
+		n.StopAfterRound = rounds
+		setup(n, ids[i])
+		nodes, counters = append(nodes, n), append(counters, c)
+	}
+	for _, n := range nodes {
+		n.Start()
+	}
+	sim.Run(10 * time.Minute)
+	for _, n := range nodes {
+		if got := n.Ledger().ChainLength(); got != rounds {
+			t.Fatalf("node %d committed %d rounds, want %d", n.ID, got, rounds)
+		}
+	}
+	return nodes, counters
+}
+
+func counter(n *Node, name string) int {
+	return int(n.Metrics().Snapshot()[name].Value)
+}
+
+// TestOwnVotesAreNotVerified: a node counts the votes it casts with the j
+// its own sortition returned. It used to sign a vote, prove its
+// membership, and then pay a signature check and a VRF verification to
+// learn the same number — seven times a round on the step's critical
+// path. Votes off the wire are verified as before, one
+// algorand_node_sortition_checks_total{of="vote"} each.
+func TestOwnVotesAreNotVerified(t *testing.T) {
+	nodes, counters := runCounted(t, 4, func(*Node, crypto.Identity) {})
+	for i, n := range nodes {
+		cast := counter(n, "algorand_ba_votes_cast_total")
+		counted := counter(n, "algorand_ba_votes_counted_total")
+		checks := counter(n, metrics.Name("algorand_node_sortition_checks_total", "of", "vote"))
+		if cast == 0 || counted <= cast {
+			t.Fatalf("node %d cast %d votes and counted %d: the run proves nothing", i, cast, counted)
+		}
+		if counters[i].mine != 0 {
+			t.Errorf("node %d had %d of its own committee proofs verified (it cast %d votes)", i, counters[i].mine, cast)
+		}
+		if counters[i].all != checks {
+			t.Errorf("node %d: %d committee proofs verified, %d vote checks counted", i, counters[i].all, checks)
+		}
+	}
+}
+
+// TestSabotagedVotesAreVerified: what a VoteSaboteur hands back in place
+// of the node's vote is not the node's word any more, and is counted only
+// after ProcessVote has passed it.
+func TestSabotagedVotesAreVerified(t *testing.T) {
+	nodes, counters := runCounted(t, 3, func(n *Node, id crypto.Identity) {
+		if n.ID != 0 {
+			return
+		}
+		n.VoteSaboteur = func(n *Node, v *ledger.Vote) []*ledger.Vote {
+			forged := *v
+			forged.SortHash[0] ^= 1 // a credential the proof does not back
+			forged.Sign(id)
+			return []*ledger.Vote{v, &forged}
+		}
+	})
+	cast := counter(nodes[0], "algorand_ba_votes_cast_total")
+	if counters[0].mine != 2*cast {
+		t.Errorf("the saboteur's node verified %d of its own committee proofs, want two for each of its %d votes", counters[0].mine, cast)
+	}
+	if counters[1].mine != 0 {
+		t.Errorf("an honest node verified %d of its own committee proofs", counters[1].mine)
+	}
+}
