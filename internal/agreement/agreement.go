@@ -100,7 +100,8 @@ type Env struct {
 	// our own sortition selected for it: the host counts the vote with
 	// that, and need not verify a proof it has just made.
 	Gossip func(v *ledger.Vote, j uint64)
-	// Inbox returns the mailbox of validated votes for (round, step).
+	// Inbox returns the mailbox of validated votes for (round, step); the
+	// host sends each as a *ValidatedVote, the one copy a step holds.
 	Inbox func(round, step uint64) *vtime.Mailbox
 	// StepTimer, when non-nil, observes every CountVotes call: the wire
 	// step, how long the count took, and whether it timed out. Drives
@@ -184,11 +185,9 @@ type countResult struct {
 	// value is the winner, or timedOut is true.
 	value    crypto.Digest
 	timedOut bool
-	// votesFor holds, per value, the validated votes received (used to
-	// assemble certificates).
-	votesFor map[crypto.Digest][]ValidatedVote
-	// all holds every validated vote of the step (used by CommonCoin).
-	all []ValidatedVote
+	// votes is the step's one store: every validated vote counted, in
+	// arrival order. certificateFrom and CommonCoin read it.
+	votes []*ValidatedVote
 }
 
 // CountVotes implements Algorithm 5: read validated votes for
@@ -212,7 +211,7 @@ func CountVotes(env *Env, ctx *Context, step uint64, T float64, tau uint64, lamb
 }
 
 func countVotesInner(env *Env, ctx *Context, step uint64, T float64, tau uint64, lambda time.Duration) countResult {
-	res := countResult{votesFor: make(map[crypto.Digest][]ValidatedVote)}
+	var res countResult
 	counts := make(map[crypto.Digest]uint64)
 	voters := make(map[crypto.PublicKey]bool)
 	inbox := env.Inbox(ctx.Round, step)
@@ -225,7 +224,7 @@ func countVotesInner(env *Env, ctx *Context, step uint64, T float64, tau uint64,
 			res.timedOut = true
 			return res
 		}
-		vv := m.(ValidatedVote)
+		vv := m.(*ValidatedVote)
 		if voters[vv.Vote.Sender] || vv.NumVotes == 0 {
 			if voters[vv.Vote.Sender] && env.Metrics != nil {
 				env.Metrics.VotesDeduped.Inc()
@@ -236,8 +235,7 @@ func countVotesInner(env *Env, ctx *Context, step uint64, T float64, tau uint64,
 		if env.Metrics != nil {
 			env.Metrics.VotesCounted.Inc()
 		}
-		res.all = append(res.all, vv)
-		res.votesFor[vv.Vote.Value] = append(res.votesFor[vv.Vote.Value], vv)
+		res.votes = append(res.votes, vv)
 		counts[vv.Vote.Value] += vv.NumVotes
 		if float64(counts[vv.Vote.Value]) > threshold {
 			res.value = vv.Vote.Value
@@ -246,12 +244,20 @@ func countVotesInner(env *Env, ctx *Context, step uint64, T float64, tau uint64,
 	}
 }
 
-// certificateFrom assembles the §8.3 certificate for value from the
-// votes gathered in a concluding step.
-func certificateFrom(ctx *Context, step uint64, value crypto.Digest, votes []ValidatedVote, final bool) *ledger.Certificate {
-	c := &ledger.Certificate{Round: ctx.Round, Step: step, Value: value, Final: final}
+// certificateFrom assembles the §8.3 certificate for value: the votes
+// for it among those a concluding step gathered, in arrival order.
+func certificateFrom(ctx *Context, step uint64, value crypto.Digest, votes []*ValidatedVote, final bool) *ledger.Certificate {
+	k := 0
 	for _, vv := range votes {
-		c.Votes = append(c.Votes, vv.Vote)
+		if vv.Vote.Value == value {
+			k++
+		}
+	}
+	c := &ledger.Certificate{Round: ctx.Round, Step: step, Value: value, Final: final, Votes: make([]ledger.Vote, 0, k)}
+	for _, vv := range votes {
+		if vv.Vote.Value == value {
+			c.Votes = append(c.Votes, vv.Vote)
+		}
 	}
 	return c
 }
@@ -282,7 +288,7 @@ func Reduction(env *Env, ctx *Context, hblock crypto.Digest) crypto.Digest {
 // CommonCoin implements Algorithm 9: a binary value, predominantly
 // common across users, derived from the lowest sub-user hash among the
 // step's votes.
-func CommonCoin(votes []ValidatedVote) int {
+func CommonCoin(votes []*ValidatedVote) int {
 	var minHash crypto.Digest
 	have := false
 	for _, vv := range votes {
@@ -344,7 +350,7 @@ func BinaryBA(env *Env, ctx *Context, blockHash crypto.Digest) (BinaryResult, er
 			r = cr.value
 			voteNext3(step, r)
 			res := BinaryResult{Value: r, Steps: step, LastStep: WireStepOfBinary(step)}
-			res.Cert = certificateFrom(ctx, res.LastStep, r, cr.votesFor[r], false)
+			res.Cert = certificateFrom(ctx, res.LastStep, r, cr.votes, false)
 			if step == 1 {
 				CommitteeVote(env, ctx, StepFinal, prm.TauFinal, r)
 				res.VotedFinal = true
@@ -367,7 +373,7 @@ func BinaryBA(env *Env, ctx *Context, blockHash crypto.Digest) (BinaryResult, er
 			r = cr.value
 			voteNext3(step, r)
 			res := BinaryResult{Value: r, Steps: step, LastStep: WireStepOfBinary(step)}
-			res.Cert = certificateFrom(ctx, res.LastStep, r, cr.votesFor[r], false)
+			res.Cert = certificateFrom(ctx, res.LastStep, r, cr.votes, false)
 			return res, nil
 		} else {
 			r = cr.value
@@ -383,7 +389,7 @@ func BinaryBA(env *Env, ctx *Context, blockHash crypto.Digest) (BinaryResult, er
 		if cr.timedOut {
 			coin := 0
 			if !prm.AblateNoCommonCoin {
-				coin = CommonCoin(cr.all)
+				coin = CommonCoin(cr.votes)
 			}
 			if coin == 0 {
 				r = blockHash
@@ -443,7 +449,7 @@ func WaitFinal(env *Env, ctx *Context, value crypto.Digest) *ledger.Certificate 
 	prm := env.Params
 	fr := CountVotes(env, ctx, StepFinal, prm.TFinal, prm.TauFinal, prm.LambdaStep)
 	if !fr.timedOut && fr.value == value {
-		return certificateFrom(ctx, StepFinal, fr.value, fr.votesFor[fr.value], true)
+		return certificateFrom(ctx, StepFinal, fr.value, fr.votes, true)
 	}
 	return nil
 }

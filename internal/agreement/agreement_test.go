@@ -2,8 +2,10 @@ package agreement
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"algorand/internal/crypto"
 	"algorand/internal/ledger"
@@ -82,7 +84,7 @@ func (h *harness) broadcast(v *ledger.Vote, _ uint64) {
 			if nv == 0 {
 				return
 			}
-			h.inbox(i, v.Round, v.Step).Send(ValidatedVote{Vote: *v, NumVotes: nv})
+			h.inbox(i, v.Round, v.Step).Send(&ValidatedVote{Vote: *v, NumVotes: nv})
 		})
 	}
 }
@@ -405,13 +407,13 @@ func executeSortition(h *harness, node int, step uint64) sortRes {
 
 func TestCommonCoinProperties(t *testing.T) {
 	// Agreement: identical vote sets give identical coins.
-	mk := func(seed byte, n int) []ValidatedVote {
-		var votes []ValidatedVote
+	mk := func(seed byte, n int) []*ValidatedVote {
+		var votes []*ValidatedVote
 		for i := 0; i < n; i++ {
 			var v ledger.Vote
 			v.SortHash[0] = seed
 			v.SortHash[1] = byte(i)
-			votes = append(votes, ValidatedVote{Vote: v, NumVotes: uint64(1 + i%3)})
+			votes = append(votes, &ValidatedVote{Vote: v, NumVotes: uint64(1 + i%3)})
 		}
 		return votes
 	}
@@ -549,5 +551,149 @@ func TestAllocBudgetProcessVote(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() { ProcessVote(h.provider, h.prm, h.ctx, vote) }); n != 0 {
 		t.Errorf("ProcessVote: %v allocations per vote, want 0", n)
+	}
+}
+
+// voteBy is node's validated vote for value in a step, nil when sortition
+// leaves the node off that step's committee.
+func (h *harness) voteBy(node int, step uint64, value crypto.Digest) *ValidatedVote {
+	res := executeSortition(h, node, step)
+	if res.j == 0 {
+		return nil
+	}
+	id := h.ids[node]
+	v := ledger.Vote{Sender: id.PublicKey(), Round: h.ctx.Round, Step: step,
+		SortHash: res.out, SortProof: res.proof, PrevHash: h.ctx.LastBlockHash, Value: value}
+	v.Sign(id)
+	return &ValidatedVote{Vote: v, NumVotes: res.j}
+}
+
+// countSent runs one CountVotes of node 0 over votes already in its inbox.
+func (h *harness) countSent(step uint64, T float64, sent []*ValidatedVote) (res countResult, allocated uint64) {
+	for _, vv := range sent {
+		h.inbox(0, h.ctx.Round, step).Send(vv)
+	}
+	env := h.env(0)
+	h.sim.Spawn("counter", func(p *vtime.Proc) {
+		env.Proc = p
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res = CountVotes(env, h.ctx, step, T, h.prm.TauStep, h.prm.LambdaStep)
+		runtime.ReadMemStats(&after)
+		allocated = after.TotalAlloc - before.TotalAlloc
+	})
+	h.sim.Run(time.Hour)
+	return res, allocated
+}
+
+// TestAllocBudgetCountVotes guards the one store of a step: what
+// CountVotes keeps of a validated vote is the pointer the host sent, so a
+// step of k votes allocates less than one more copy of each would (it
+// made three: the list of all, the list per value, the certificate).
+func TestAllocBudgetCountVotes(t *testing.T) {
+	h := newHarness(t, 300, 250)
+	step := WireStepOfBinary(1)
+	var sent []*ValidatedVote
+	for node := range h.ids {
+		if vv := h.voteBy(node, step, h.ctx.EmptyHash); vv != nil {
+			sent = append(sent, vv)
+		}
+	}
+	if len(sent) < 100 {
+		t.Fatalf("only %d of %d users on the committee; raise tau", len(sent), len(h.ids))
+	}
+	// A threshold nobody reaches: the step counts every vote and times out.
+	res, allocated := h.countSent(step, 100, sent)
+	if !res.timedOut || len(res.votes) != len(sent) {
+		t.Fatalf("counted %d of %d votes, timed out %v", len(res.votes), len(sent), res.timedOut)
+	}
+	for i := range sent {
+		if res.votes[i] != sent[i] {
+			t.Fatalf("vote %d in the store is not the validated copy the host sent", i)
+		}
+	}
+	if perVote, one := allocated/uint64(len(sent)), uint64(unsafe.Sizeof(ValidatedVote{})); perVote >= one {
+		t.Errorf("counting a vote allocated %d bytes, a copy of it is %d", perVote, one)
+	}
+
+	cert := certificateFrom(h.ctx, step, h.ctx.EmptyHash, res.votes, false)
+	if len(cert.Votes) != len(sent) || cap(cert.Votes) != len(sent) {
+		t.Errorf("certificate of %d votes holds len %d cap %d", len(sent), len(cert.Votes), cap(cert.Votes))
+	}
+	if n := testing.AllocsPerRun(50, func() { cert = certificateFrom(h.ctx, step, h.ctx.EmptyHash, res.votes, false) }); n != 2 {
+		t.Errorf("certificateFrom: %v allocations, want the certificate and one array of votes", n)
+	}
+}
+
+// TestCertificateHoldsTheWinningValuesVotes: a concluding step that also
+// saw votes for the other value, and a voter who sent both, certifies the
+// winner with exactly the votes counted for it, in the order they came.
+func TestCertificateHoldsTheWinningValuesVotes(t *testing.T) {
+	h := newHarness(t, 60, 45)
+	step := WireStepOfBinary(1)
+	block := crypto.HashBytes("proposed-block")
+	var sent []*ValidatedVote
+	equivocator := -1
+	for node := range h.ids {
+		value := block
+		if node%4 == 1 {
+			value = h.ctx.EmptyHash
+		}
+		vv := h.voteBy(node, step, value)
+		if vv == nil {
+			continue
+		}
+		if equivocator < 0 && value == h.ctx.EmptyHash {
+			// Its vote for the empty hash comes first and is the one counted.
+			equivocator = node
+			sent = append(sent, vv, h.voteBy(node, step, block))
+			continue
+		}
+		sent = append(sent, vv)
+	}
+	if equivocator < 0 {
+		t.Fatal("no empty-hash voter on the committee")
+	}
+	res, _ := h.countSent(step, h.prm.TStep, sent)
+	if res.timedOut || res.value != block {
+		t.Fatalf("step concluded on %v (timed out %v), want the block", res.value, res.timedOut)
+	}
+
+	// What Algorithm 5 counted for the block, replayed by hand.
+	var want []ledger.Vote
+	voted := map[crypto.PublicKey]bool{}
+	var weight uint64
+	for _, vv := range sent {
+		if voted[vv.Vote.Sender] {
+			continue
+		}
+		voted[vv.Vote.Sender] = true
+		if vv.Vote.Value != block {
+			continue
+		}
+		want = append(want, vv.Vote)
+		if weight += vv.NumVotes; float64(weight) > h.prm.TStep*float64(h.prm.TauStep) {
+			break
+		}
+	}
+	if len(want) == len(sent) || len(res.votes) <= len(want) {
+		t.Fatal("the step saw no vote for the other value; test premise broken")
+	}
+
+	cert := certificateFrom(h.ctx, step, block, res.votes, false)
+	if len(cert.Votes) != len(want) {
+		t.Fatalf("certificate holds %d votes, %d were counted for the block", len(cert.Votes), len(want))
+	}
+	for i := range want {
+		if cert.Votes[i].Sender != want[i].Sender || cert.Votes[i].Value != block {
+			t.Fatalf("vote %d of the certificate is %v's for %v", i, cert.Votes[i].Sender, cert.Votes[i].Value)
+		}
+		if cert.Votes[i].Sender == h.ids[equivocator].PublicKey() {
+			t.Fatal("the equivocator's second vote is in the certificate")
+		}
+	}
+	threshold := uint64(h.prm.TStep * float64(h.prm.TauStep))
+	if err := cert.Verify(h.provider, h.ctx.Seed, h.ctx.Weights, h.ctx.TotalWeight, h.prm.TauStep, threshold, h.ctx.LastBlockHash); err != nil {
+		t.Fatalf("certificate does not verify: %v", err)
 	}
 }

@@ -127,25 +127,17 @@ type Proposal struct {
 	Block    BlockMsg
 }
 
-// Propose runs proposer sortition for the round and, if selected,
-// builds the proposal messages around the supplied block. It returns
-// nil if the user was not selected. The block's seed fields must
+// Elect runs proposer sortition for the round (§6): a user learns
+// whether it is selected before it prepares a block.
+func Elect(id crypto.Identity, roleKind string, seed crypto.Digest, round, tauProposer, weight, totalWeight uint64) sortition.Result {
+	return sortition.Execute(id, seed[:], sortition.Role{Kind: roleKind, Round: round}, tauProposer, weight, totalWeight)
+}
+
+// NewProposal builds a selected proposer's messages around the supplied
+// block from the result of its election. The block's seed fields must
 // already be filled in by the caller (they depend on the proposer's
 // VRF, see ledger.SeedFromVRF).
-func Propose(
-	id crypto.Identity,
-	roleKind string,
-	seed crypto.Digest,
-	round uint64,
-	tauProposer uint64,
-	weight, totalWeight uint64,
-	block *ledger.Block,
-) *Proposal {
-	role := sortition.Role{Kind: roleKind, Round: round}
-	res := sortition.Execute(id, seed[:], role, tauProposer, weight, totalWeight)
-	if !res.Selected() {
-		return nil
-	}
+func NewProposal(id crypto.Identity, round uint64, res sortition.Result, block *ledger.Block) *Proposal {
 	pri, idx := sortition.BestPriority(res.Output, res.J)
 	pm := PriorityMsg{
 		Proposer:  id.PublicKey(),
@@ -159,6 +151,23 @@ func Propose(
 	pm.Sig = id.Sign(pm.SigningBytes())
 	bm := BlockMsg{Block: block, Announce: pm}
 	return &Proposal{Priority: pm, Block: bm}
+}
+
+// Propose is Elect, then NewProposal around a block the caller already
+// holds; it returns nil if the user was not selected.
+func Propose(
+	id crypto.Identity,
+	roleKind string,
+	seed crypto.Digest,
+	round uint64,
+	tauProposer uint64,
+	weight, totalWeight uint64,
+	block *ledger.Block,
+) *Proposal {
+	if res := Elect(id, roleKind, seed, round, tauProposer, weight, totalWeight); res.Selected() {
+		return NewProposal(id, round, res, block)
+	}
+	return nil
 }
 
 // VerifyPriority checks a priority message: signature, sortition proof

@@ -153,7 +153,7 @@ func coinAttackTrial(withCoin bool, seed int64, maxSteps int) (int, bool) {
 				if nv == 0 {
 					return
 				}
-				inbox(i, vc.Step).Send(agreement.ValidatedVote{Vote: vc, NumVotes: nv})
+				inbox(i, vc.Step).Send(&agreement.ValidatedVote{Vote: vc, NumVotes: nv})
 			})
 		}
 		if !stepSeen[v.Step] {
@@ -201,7 +201,7 @@ func coinAttackTrial(withCoin bool, seed int64, maxSteps int) (int, bool) {
 				if nv == 0 {
 					return
 				}
-				inbox(i, wireStep).Send(agreement.ValidatedVote{Vote: *v, NumVotes: nv})
+				inbox(i, wireStep).Send(&agreement.ValidatedVote{Vote: *v, NumVotes: nv})
 			}
 		})
 	}

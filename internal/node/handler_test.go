@@ -14,6 +14,8 @@ import (
 	"algorand/internal/network"
 	"algorand/internal/params"
 	"algorand/internal/sortition"
+	"algorand/internal/trace"
+	"algorand/internal/txflow"
 	"algorand/internal/vtime"
 )
 
@@ -503,5 +505,118 @@ func TestBlockFillAcceptedOnlyWhenSolicited(t *testing.T) {
 	snap := r.node.Metrics().Snapshot()
 	if f, x := snap["algorand_node_block_fetches_total"].Value, snap["algorand_node_block_fetch_failures_total"].Value; f != 1 || x != 0 {
 		t.Fatalf("fetches %v failures %v, want 1 and 0", f, x)
+	}
+}
+
+// TestPendingBufferBounded: what a node holds for the round after its own
+// cannot be verified yet, so a neighbour that floods it with next-round
+// messages fills maxPendingBytes and no more; the rest is dropped and
+// counted, and entering the round empties the buffer.
+func TestPendingBufferBounded(t *testing.T) {
+	r := newHandlerRig(t, 5)
+	dropped := func() float64 {
+		return r.node.Metrics().Snapshot()["algorand_node_pending_dropped_total"].Value
+	}
+	flood := &VoteMsg{Vote: ledger.Vote{Sender: r.ids[1].PublicKey(), Round: 2, Step: 1, SortProof: make([]byte, 1<<10), Sig: make([]byte, 64)}}
+	fits := maxPendingBytes / flood.WireSize()
+	for i := 0; i < fits+500; i++ {
+		if v := r.node.handleMessage(1, flood); v.Relay {
+			t.Fatal("unverified next-round vote relayed")
+		}
+	}
+	if got := len(r.node.pendingMsgs[2]); got != fits {
+		t.Fatalf("%d messages buffered, want the %d that fit in %d bytes", got, fits, maxPendingBytes)
+	}
+	if got := dropped(); got != 500 {
+		t.Fatalf("dropped counter reads %v, want 500", got)
+	}
+	// Every kind shares the one budget.
+	r.node.handleMessage(2, &BlockHave{Round: 2, Announcer: 2, Have: make(blockprop.Bitmap, 1<<10)})
+	r.node.handleMessage(1, &PriorityGossip{M: blockprop.PriorityMsg{Round: 2, SortProof: make([]byte, 1<<10)}})
+	if got := dropped(); got != 502 {
+		t.Fatalf("dropped counter reads %v after two more kinds, want 502", got)
+	}
+
+	if err := r.node.Ledger().Commit(r.node.Ledger().NextEmptyBlock(), nil); err != nil {
+		t.Fatal(err)
+	}
+	r.node.setContext(agreement.NewContext(r.node.Ledger()))
+	if len(r.node.pendingMsgs) != 0 || len(r.node.pendingSize) != 0 {
+		t.Fatalf("entering round 2 left %d buffers, %d byte counts", len(r.node.pendingMsgs), len(r.node.pendingSize))
+	}
+	r.node.handleMessage(1, &VoteMsg{Vote: ledger.Vote{Sender: r.ids[1].PublicKey(), Round: 3, Step: 1}})
+	if len(r.node.pendingMsgs[3]) != 1 {
+		t.Fatal("round 3 vote not buffered after the flood was cleared")
+	}
+}
+
+// TestAllocBudgetUnselectedProposer guards §6's order: a user runs
+// proposer sortition first and prepares a block only if selected. A node
+// sortition passes over assembles nothing — it allocates the same with 10
+// and with 10 000 payments pending and records no assemble span — where
+// it used to build, apply and root a whole block and then throw it away.
+func TestAllocBudgetUnselectedProposer(t *testing.T) {
+	spans := func(r *handlerRig, phase trace.Phase) (k int) {
+		for _, rt := range r.node.Tracer().Rounds() {
+			for _, s := range rt.Spans {
+				if s.Phase == phase {
+					k++
+				}
+			}
+		}
+		return k
+	}
+	propose := func(r *handlerRig, payments int, tau uint64) (allocs float64) {
+		prm := r.node.cfg.Params
+		prm.TauProposer = tau
+		r.node.SetParams(prm)
+		r.node.flow = txflow.New(r.provider, txflow.Config{MaxPerSender: payments, Now: r.sim.Now})
+		for i := 0; i < payments; i++ {
+			id := r.ids[i%len(r.ids)]
+			tx := &ledger.Transaction{From: id.PublicKey(), To: r.ids[(i+1)%len(r.ids)].PublicKey(), Amount: 1, Nonce: uint64(i / len(r.ids))}
+			tx.Sign(id)
+			if err := r.node.SubmitTx(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.sim.Spawn("proposer", func(p *vtime.Proc) {
+			r.node.proc = p
+			allocs = testing.AllocsPerRun(20, func() { r.node.proposeIfSelected(r.ctx, 0) })
+		})
+		r.sim.Run(time.Second)
+		return allocs
+	}
+
+	var unselected [2]float64
+	for k, payments := range []int{10, 10000} {
+		r := newHandlerRig(t, 5)
+		if blockprop.Elect(r.ids[0], sortition.RoleProposer, r.ctx.Seed, 1, 1, 100, r.ctx.TotalWeight).Selected() {
+			t.Fatal("node 0 is selected at τ_proposer = 1; the rig needs another seed")
+		}
+		unselected[k] = propose(r, payments, 1)
+		if got := spans(r, trace.PhaseAssemble); got != 0 {
+			t.Errorf("%d pending, not selected: %d assemble spans", payments, got)
+		}
+		if got := spans(r, trace.PhaseSortition); got != 21 {
+			t.Errorf("%d pending: %d sortition spans over 21 elections", payments, got)
+		}
+		if r.node.propInbox(1).Len() != 0 {
+			t.Error("an unselected node delivered itself a proposal")
+		}
+	}
+	if unselected[0] != unselected[1] {
+		t.Errorf("not selected: %.0f allocations with 10 pending, %.0f with 10 000", unselected[0], unselected[1])
+	}
+
+	// Selected, the same call assembles: one span and one proposal a call.
+	r := newHandlerRig(t, 5)
+	if selected := propose(r, 10, 200); selected <= unselected[0] {
+		t.Errorf("selected proposer allocated %.0f, unselected %.0f", selected, unselected[0])
+	}
+	if got := spans(r, trace.PhaseAssemble); got != 21 {
+		t.Errorf("selected: %d assemble spans over 21 proposals", got)
+	}
+	if got := r.node.propInbox(1).Len(); got != 42 {
+		t.Errorf("selected: %d arrivals for the waiter, want a priority and a block per proposal", got)
 	}
 }

@@ -191,8 +191,11 @@ type Node struct {
 	voteInboxes map[[2]uint64]*vtime.Mailbox
 	propInboxes map[uint64]*vtime.Mailbox
 
-	// Messages for the next round, buffered until we get there.
-	pendingMsgs map[uint64][]network.Message
+	// Messages for the next round, buffered unverified until we get there;
+	// pendingSize is their wire size, which bufferNext bounds.
+	pendingMsgs    map[uint64][]network.Message
+	pendingSize    map[uint64]int
+	pendingDropped *metrics.Counter
 
 	// fetch is the block dissemination state (§6): the bodies announced
 	// this round, the pieces of them held (and served to whoever asks),
@@ -332,6 +335,7 @@ func NewFromGenesis(
 		voteInboxes: make(map[[2]uint64]*vtime.Mailbox),
 		propInboxes: make(map[uint64]*vtime.Mailbox),
 		pendingMsgs: make(map[uint64][]network.Message),
+		pendingSize: make(map[uint64]int),
 		fetch:       blockprop.NewFetcher(id, blockprop.NewFetchMetrics(cfg.Metrics)),
 		finalCtxs:   make(map[uint64]*agreement.Context),
 		reqNonce:    sim.Epoch(),
@@ -347,6 +351,7 @@ func NewFromGenesis(
 	n.persistErrors = cfg.Metrics.Counter("algorand_node_persist_errors_total", "archive writes that failed after retry")
 	n.blockFetches = cfg.Metrics.Counter("algorand_node_block_fetches_total", "agreed or adopted blocks this node did not hold and asked its peers for by hash")
 	n.blockFetchFailures = cfg.Metrics.Counter("algorand_node_block_fetch_failures_total", "by-hash block fetches no peer answered before the deadline")
+	n.pendingDropped = cfg.Metrics.Counter("algorand_node_pending_dropped_total", "next-round messages dropped because the unverified buffer was full")
 	const checksHelp = "sortition credentials (signature + VRF proof) this node set out to verify, by carrying message"
 	n.voteChecks = cfg.Metrics.Counter(voteChecksName, checksHelp)
 	n.priorityChecks = cfg.Metrics.Counter(priorityChecksName, checksHelp)
@@ -590,7 +595,7 @@ func (n *Node) handleVote(msg *VoteMsg, cost crypto.CostModel) network.Verdict {
 			if nv == 0 {
 				return network.Verdict{Relay: false, CPU: cpu}
 			}
-			n.voteInbox(v.Round, v.Step).Send(agreement.ValidatedVote{Vote: *v, NumVotes: nv})
+			n.voteInbox(v.Round, v.Step).Send(&agreement.ValidatedVote{Vote: *v, NumVotes: nv})
 			return network.Verdict{Relay: true, CPU: cpu}
 		}
 	}
@@ -610,12 +615,11 @@ func (n *Node) handleVote(msg *VoteMsg, cost crypto.CostModel) network.Verdict {
 		if nv == 0 {
 			return network.Verdict{Relay: false, CPU: cpu}
 		}
-		n.voteInbox(v.Round, v.Step).Send(agreement.ValidatedVote{Vote: *v, NumVotes: nv})
+		n.voteInbox(v.Round, v.Step).Send(&agreement.ValidatedVote{Vote: *v, NumVotes: nv})
 		return network.Verdict{Relay: true, CPU: cpu}
 	case v.Round == ctx.Round+1:
 		// We are a step behind; buffer and validate when we get there.
-		n.pendingMsgs[v.Round] = append(n.pendingMsgs[v.Round], msg)
-		return network.Verdict{Relay: false}
+		return n.bufferNext(v.Round, msg)
 	case v.Round < ctx.Round:
 		// A straggler's vote. If it extends a block other than ours at
 		// that position, someone is stuck on a fork: recovery evidence
@@ -662,11 +666,28 @@ func (n *Node) handlePriority(msg *PriorityGossip, cost crypto.CostModel) networ
 		n.fetch.NoteBest(m.Round, m.Priority)
 		return network.Verdict{Relay: true, CPU: cpu}
 	case m.Round == ctx.Round+1:
-		n.pendingMsgs[m.Round] = append(n.pendingMsgs[m.Round], msg)
-		return network.Verdict{Relay: false}
+		return n.bufferNext(m.Round, msg)
 	default:
 		return network.Verdict{Relay: false}
 	}
+}
+
+// maxPendingBytes bounds what a node holds for the round after its own,
+// none of which it can check before it knows that round's seed: more than
+// a round of votes at the paper's committee sizes (2 000 a step over seven
+// steps, 10 000 final, ~250 B each: 6 MB), so that only a flood meets it.
+const maxPendingBytes = 8 << 20
+
+// bufferNext holds m for the next round, or drops and counts it when that
+// round's buffer is full: a hostile neighbour cannot grow a node at will.
+func (n *Node) bufferNext(round uint64, m network.Message) network.Verdict {
+	if size := n.pendingSize[round] + m.WireSize(); size <= maxPendingBytes {
+		n.pendingSize[round] = size
+		n.pendingMsgs[round] = append(n.pendingMsgs[round], m)
+	} else {
+		n.pendingDropped.Inc()
+	}
+	return network.Verdict{Relay: false}
 }
 
 // handleAnnounce processes an "I hold (part of) this block" message:
@@ -712,8 +733,7 @@ func (n *Node) handleAnnounce(from int, msg *BlockAnnounce, cost crypto.CostMode
 		n.runFetch(acts)
 		return network.Verdict{Relay: false, CPU: cpu}
 	case m.Round == ctx.Round+1:
-		n.pendingMsgs[m.Round] = append(n.pendingMsgs[m.Round], msg)
-		return network.Verdict{Relay: false}
+		return n.bufferNext(m.Round, msg)
 	default:
 		return network.Verdict{Relay: false}
 	}
@@ -727,8 +747,7 @@ func (n *Node) handleHave(from int, msg *BlockHave) network.Verdict {
 		return network.Verdict{Relay: false}
 	}
 	if ctx := n.ctx; ctx != nil && msg.Round == ctx.Round+1 {
-		n.pendingMsgs[msg.Round] = append(n.pendingMsgs[msg.Round], msg)
-		return network.Verdict{Relay: false}
+		return n.bufferNext(msg.Round, msg)
 	}
 	n.runFetch(n.fetch.OnHave(n.sim.Now(), msg.Announcer, msg.Hash, msg.Have))
 	return network.Verdict{Relay: false}
@@ -846,6 +865,7 @@ func (n *Node) setContext(ctx *agreement.Context) {
 	}
 	buffered := n.pendingMsgs[ctx.Round]
 	delete(n.pendingMsgs, ctx.Round)
+	delete(n.pendingSize, ctx.Round)
 	for _, m := range buffered {
 		n.handleMessage(-1, m) // relay verdict already settled at arrival
 	}
@@ -853,6 +873,7 @@ func (n *Node) setContext(ctx *agreement.Context) {
 	for r := range n.pendingMsgs {
 		if r < ctx.Round {
 			delete(n.pendingMsgs, r)
+			delete(n.pendingSize, r)
 		}
 	}
 	for k := range n.voteInboxes {
@@ -898,7 +919,7 @@ func (n *Node) gossipVote(v *ledger.Vote, j uint64) {
 			nv = agreement.ProcessVote(n.provider, n.cfg.Params, ctx, vv)
 		}
 		if nv > 0 {
-			n.voteInbox(vv.Round, vv.Step).Send(agreement.ValidatedVote{Vote: *vv, NumVotes: nv})
+			n.voteInbox(vv.Round, vv.Step).Send(&agreement.ValidatedVote{Vote: *vv, NumVotes: nv})
 		}
 	}
 }
@@ -1073,8 +1094,7 @@ func (n *Node) runRound() error {
 	n.setContext(ctx)
 
 	// --- Block proposal (§6).
-	n.proposeIfSelected(ctx)
-	n.tracer.Record(round, trace.PhaseSortition, 0, stat.Start, n.proc.Now())
+	n.proposeIfSelected(ctx, stat.Start)
 	wres := blockprop.WaitOpts(n.proc, n.propInbox(round),
 		n.cfg.Params.LambdaPriority, n.cfg.Params.LambdaStepVar, n.cfg.Params.LambdaBlock,
 		n.cfg.Params.AblateKeepFirstOnEquivocation)
@@ -1179,18 +1199,20 @@ func (n *Node) finishRound(ctx *agreement.Context, bres agreement.BinaryResult, 
 	return nil
 }
 
-// proposeIfSelected runs proposer sortition and gossips our proposal.
-func (n *Node) proposeIfSelected(ctx *agreement.Context) {
-	w := ctx.Weights[n.identity.PublicKey()]
-	if w == 0 {
+// proposeIfSelected runs proposer sortition, which ends the sortition span,
+// and only if it selects us (§6) builds a block and gossips our proposal.
+func (n *Node) proposeIfSelected(ctx *agreement.Context, roundStart time.Duration) {
+	var res sortition.Result
+	if w := ctx.Weights[n.identity.PublicKey()]; w > 0 {
+		res = blockprop.Elect(n.identity, sortition.RoleProposer, ctx.Seed, ctx.Round,
+			n.cfg.Params.TauProposer, w, ctx.TotalWeight)
+	}
+	n.tracer.Record(ctx.Round, trace.PhaseSortition, 0, roundStart, n.proc.Now())
+	if !res.Selected() {
 		return
 	}
 	block := n.buildBlock(ctx.Round)
-	prop := blockprop.Propose(n.identity, sortition.RoleProposer, ctx.Seed, ctx.Round,
-		n.cfg.Params.TauProposer, w, ctx.TotalWeight, block)
-	if prop == nil {
-		return
-	}
+	prop := blockprop.NewProposal(n.identity, ctx.Round, res, block)
 	if n.Misbehave != nil {
 		n.Misbehave(n, prop)
 		return

@@ -8,6 +8,7 @@ import (
 	"algorand/internal/ledger"
 	"algorand/internal/network"
 	"algorand/internal/node"
+	"algorand/internal/trace"
 )
 
 func TestSmallClusterReachesConsensus(t *testing.T) {
@@ -411,5 +412,56 @@ func TestPendingProposalsFollowTheRound(t *testing.T) {
 	}
 	if lost == 0 {
 		t.Fatal("every proposal heard of was committed; test premise broken")
+	}
+}
+
+// TestBlocksAreBuiltOnlyByProposers: §6 has a user run proposer sortition
+// first and prepare a block only if selected, so over a run a node's
+// assemble spans are its proposals, one for one — and most node-rounds
+// have neither.
+func TestBlocksAreBuiltOnlyByProposers(t *testing.T) {
+	const n, rounds = 50, 3
+	c := NewCluster(DefaultConfig(n, rounds))
+	c.Workload(20, 5)
+	// A proposer's own priority message reaches its neighbours straight
+	// from it, whatever the relay filter makes of it afterwards.
+	proposed := make([]map[uint64]bool, n)
+	for i := range c.Nodes {
+		nd := c.Nodes[i]
+		proposed[i] = map[uint64]bool{}
+		c.Net.SetHandler(i, network.HandlerFunc(func(from int, m network.Message) network.Verdict {
+			if pg, ok := m.(*node.PriorityGossip); ok && pg.M.Proposer == c.Nodes[from].PublicKey() {
+				proposed[from][pg.M.Round] = true
+			}
+			return nd.HandleMessage(from, m)
+		}))
+	}
+	c.Run()
+	if err := c.AgreementCheck(); err != nil {
+		t.Fatal(err)
+	}
+	proposals := 0
+	for i := range c.Nodes {
+		assembled, elected := 0, 0
+		for _, rt := range c.Tracer(i).Rounds() {
+			for _, s := range rt.Spans {
+				switch s.Phase {
+				case trace.PhaseAssemble:
+					assembled++
+				case trace.PhaseSortition:
+					elected++
+				}
+			}
+		}
+		if assembled != len(proposed[i]) {
+			t.Errorf("node %d assembled %d blocks and gossiped %d proposals", i, assembled, len(proposed[i]))
+		}
+		if elected != rounds {
+			t.Errorf("node %d recorded %d sortition spans in %d rounds", i, elected, rounds)
+		}
+		proposals += len(proposed[i])
+	}
+	if proposals < rounds || proposals > n*rounds/2 {
+		t.Fatalf("%d proposals over %d node-rounds; test premise broken", proposals, n*rounds)
 	}
 }

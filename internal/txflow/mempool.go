@@ -323,8 +323,13 @@ func (f *Flow) Assemble(balances *ledger.Balances, maxBytes int) []ledger.Transa
 	}
 	heap.Init(&h)
 
+	// Room for what is pending, or for the share of it that fits.
+	room := f.Len()
+	if pending := f.PendingBytes(); pending > maxBytes {
+		room = room*maxBytes/pending + 1
+	}
 	ov := newOverlay(balances)
-	var out []ledger.Transaction
+	out := make([]ledger.Transaction, 0, room)
 	size := 0
 	for h.Len() > 0 && size < maxBytes {
 		run := h[0]

@@ -493,7 +493,8 @@ func (f *Flow) admitRate(from crypto.PublicKey, now time.Duration) (bool, time.D
 
 // DrainOutbox returns the staged transactions packed into batches of
 // at most maxBatchBytes of encoded payload each, clearing the stage.
-// The node's flush process gossips each batch as one TxBatch message.
+// The node's flush process gossips each batch as one TxBatch message;
+// the batches are cut from one array sized by what was staged.
 func (f *Flow) DrainOutbox(maxBatchBytes int) [][]ledger.Transaction {
 	f.outMu.Lock()
 	staged := f.outbox
@@ -502,22 +503,19 @@ func (f *Flow) DrainOutbox(maxBatchBytes int) [][]ledger.Transaction {
 	if len(staged) == 0 {
 		return nil
 	}
+	all := make([]ledger.Transaction, len(staged))
 	var batches [][]ledger.Transaction
-	var cur []ledger.Transaction
-	size := 0
-	for _, tx := range staged {
+	start, size := 0, 0
+	for i, tx := range staged {
 		w := tx.WireSize()
-		if size+w > maxBatchBytes && len(cur) > 0 {
-			batches = append(batches, cur)
-			cur, size = nil, 0
+		if size+w > maxBatchBytes && i > start {
+			batches = append(batches, all[start:i:i])
+			start, size = i, 0
 		}
-		cur = append(cur, *tx)
+		all[i] = *tx
 		size += w
 	}
-	if len(cur) > 0 {
-		batches = append(batches, cur)
-	}
-	return batches
+	return append(batches, all[start:])
 }
 
 // Len returns the number of pending transactions.

@@ -3,6 +3,7 @@ package txflow
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -533,5 +534,48 @@ func TestAllocBudgetVerifySig(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() { tx.VerifySig(h.provider) }); n != 0 {
 		t.Errorf("Transaction.VerifySig: %v allocations, want 0", n)
+	}
+}
+
+// TestAllocBudgetDrainAndAssemble guards the one copy a payment gets on
+// its way out of the pool: DrainOutbox cuts its batches out of one array
+// sized by what was staged, and Assemble sizes its list by what is
+// pending (or by the share of it the block has room for). Both used to
+// grow their output from nil, a payment at a time.
+func TestAllocBudgetDrainAndAssemble(t *testing.T) {
+	const users, each = 40, 25
+	h := newHarness(t, users, Config{})
+	for nonce := uint64(0); nonce < each; nonce++ {
+		for i := 0; i < users; i++ {
+			if err := h.flow.Submit(h.tx(i, (i+1)%users, 1, 0, nonce)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const k = users * each
+	w := h.tx(0, 1, 1, 0, 0).WireSize()
+
+	if txs := h.flow.Assemble(h.balances, 1<<20); len(txs) != k || cap(txs) != k {
+		t.Errorf("all %d pending fit: assembled len %d cap %d", k, len(txs), cap(txs))
+	}
+	if txs := h.flow.Assemble(h.balances, k/4*w); len(txs) != k/4 || cap(txs) > k/4+1 {
+		t.Errorf("room for %d of %d pending: assembled len %d cap %d", k/4, k, len(txs), cap(txs))
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	batches := h.flow.DrainOutbox(k / 8 * w)
+	runtime.ReadMemStats(&after)
+	if len(batches) != 8 {
+		t.Fatalf("%d batches, want 8", len(batches))
+	}
+	// The array, and the list of batches growing 1, 2, 4, 8.
+	if n := after.Mallocs - before.Mallocs; n > 5 {
+		t.Errorf("DrainOutbox of %d payments in 8 batches: %d allocations, want at most 5", k, n)
+	}
+	for i, b := range batches {
+		if len(b) != k/8 || cap(b) != len(b) {
+			t.Errorf("batch %d: len %d cap %d; an append to it would write into the next", i, len(b), cap(b))
+		}
 	}
 }
