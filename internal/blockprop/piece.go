@@ -171,12 +171,16 @@ func (p *Piece) DecodeFrom(d *wire.Decoder) {
 // body and its place in it.
 func (p *Piece) Digest() crypto.Digest {
 	if !p.hasDigest {
-		e := wire.NewEncoderSize(p.WireSize() - p.padding)
+		e := preimages.Get()
 		p.encodeHashed(e)
 		p.digest, p.hasDigest = crypto.HashBytes("algorand.piece", e.Data()), true
+		preimages.Put(e)
 	}
 	return p.digest
 }
+
+// preimages lends the buffers digests and signed bytes are built in.
+var preimages wire.Pool
 
 // check applies the rules a piece must meet whatever it contains.
 func (p *Piece) check(count int) error {
@@ -243,12 +247,10 @@ func (m *Manifest) DecodeFrom(d *wire.Decoder) {
 	m.Sig = d.Bytes()
 }
 
-// signingBytes is what the proposer signs: a domain tag no other signed
-// message starts with, the announced hash and the digests, in order.
-func (m *Manifest) signingBytes() []byte {
-	const tag = "algorand.manifest"
-	e := wire.NewEncoderSize(len(tag) + 32 + 32*len(m.Digests))
-	e.Fixed([]byte(tag))
+// signingBytes builds in e what the proposer signs: a domain tag no other
+// signed message starts with, the announced hash and the digests, in order.
+func (m *Manifest) signingBytes(e *wire.Encoder) []byte {
+	e.Fixed([]byte("algorand.manifest"))
 	e.Fixed(m.Announce.BlockHash[:])
 	for i := range m.Digests {
 		e.Fixed(m.Digests[i][:])
@@ -270,7 +272,10 @@ func (m *Manifest) Verify(p crypto.Provider, blockSize int) error {
 		return nil
 	case len(m.Digests) < 2 || len(m.Digests) > maxPieces(blockSize):
 		return ErrPieceCount
-	case !p.VerifySig(m.Announce.Proposer, m.signingBytes(), m.Sig):
+	}
+	e := preimages.Get()
+	defer preimages.Put(e)
+	if !p.VerifySig(m.Announce.Proposer, m.signingBytes(e), m.Sig) {
 		return ErrManifest
 	}
 	return nil
@@ -334,7 +339,9 @@ func Split(id crypto.Identity, bm *BlockMsg) (*Manifest, []*Piece) {
 		}
 	}
 	if m.Digests != nil {
-		m.Sig = id.Sign(m.signingBytes())
+		e := preimages.Get()
+		m.Sig = id.Sign(m.signingBytes(e))
+		preimages.Put(e)
 	}
 	return m, pieces
 }

@@ -44,6 +44,7 @@ type FS interface {
 type File interface {
 	io.Reader
 	io.Writer
+	Stat() (os.FileInfo, error)
 	Truncate(size int64) error
 	Sync() error
 	Close() error

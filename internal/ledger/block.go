@@ -120,10 +120,14 @@ func (b *Block) DecodeFrom(d *wire.Decoder) {
 // is the canonical wire encoding minus the materialized padding zeros
 // (a strict prefix; the padding count itself is covered).
 func (b *Block) Hash() crypto.Digest {
-	e := wire.NewEncoderSize(blockFixedSize + 256 + len(b.Txns)*TxWireSize)
+	e := preimages.Get()
+	defer preimages.Put(e)
 	b.encodeHashed(e)
 	return crypto.HashBytes("algorand.block", e.Data())
 }
+
+// preimages lends the buffers hash preimages are built in and dropped from.
+var preimages wire.Pool
 
 // IsEmpty reports whether this is an empty block (no proposer).
 func (b *Block) IsEmpty() bool {

@@ -68,10 +68,9 @@ func (cp CommitteeParams) sizing(cert *Certificate) (tau, threshold uint64, err 
 // from its base block and coordinates. The coordinates are wire-encoded
 // so the preimage layout is the codec's, not ad hoc.
 func RecoverySeed(base *Block, checkpoint, attempt uint64) crypto.Digest {
-	e := wire.NewEncoderSize(16)
-	e.Uint64(checkpoint)
-	e.Uint64(attempt)
-	return crypto.HashBytes("algorand.recovery.seed", base.Seed[:], e.Data())
+	var buf [16]byte
+	coords := wire.AppendUint64(wire.AppendUint64(buf[:0], checkpoint), attempt)
+	return crypto.HashBytes("algorand.recovery.seed", base.Seed[:], coords)
 }
 
 // VerifyCertificate checks cert as transferable proof that the network

@@ -44,11 +44,11 @@
 package diskstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -157,8 +157,6 @@ type Store struct {
 
 	mem     *ledger.Store // in-memory image of everything durable
 	durable map[uint64]recState
-	last    uint64 // highest durable round
-	haveAny bool
 
 	// checkpoint is the newest structurally valid state snapshot on
 	// disk (nil if none). Recovery drops checkpoint records that fail
@@ -190,6 +188,7 @@ type storeCounters struct {
 	recoveredRecords *metrics.Gauge
 	truncatedBytes   *metrics.Gauge
 	droppedRecords   *metrics.Gauge
+	unreadable       *metrics.Gauge
 	appends          *metrics.Counter
 	rotations        *metrics.Counter
 	writeErrors      *metrics.Counter
@@ -202,6 +201,7 @@ func newStoreCounters(r *metrics.Registry) storeCounters {
 		recoveredRecords: r.Gauge("algorand_disk_recovered_records", "intact records applied by the last Open scan"),
 		truncatedBytes:   r.Gauge("algorand_disk_truncated_bytes", "torn tail bytes cut off by the last Open scan"),
 		droppedRecords:   r.Gauge("algorand_disk_dropped_records", "records discarded by the last Open scan (bad checksum or body)"),
+		unreadable:       r.Gauge("algorand_disk_unreadable_segments", "segments the last Open scan could not read in full (scanned as far as they went, not truncated)"),
 		appends:          r.Counter("algorand_disk_appends_total", "records journaled"),
 		rotations:        r.Counter("algorand_disk_rotations_total", "segment rollovers (size or fault driven)"),
 		writeErrors:      r.Counter("algorand_disk_write_errors_total", "write faults absorbed by rotate-and-retry"),
@@ -246,12 +246,14 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.cnt.recoveredRecords.Set(0)
 	s.cnt.truncatedBytes.Set(0)
 	s.cnt.droppedRecords.Set(0)
+	s.cnt.unreadable.Set(0)
 
 	names, err := fs.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("diskstore: %w", err)
 	}
 	var maxSeq uint64
+	var scan bytes.Buffer // every segment is read into this one buffer
 	for _, name := range names {
 		seq, ok := segSeq(name)
 		if !ok {
@@ -260,7 +262,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		if seq > maxSeq {
 			maxSeq = seq
 		}
-		if err := s.recoverSegment(filepath.Join(dir, name), opts); err != nil {
+		if err := s.recoverSegment(filepath.Join(dir, name), opts, &scan); err != nil {
 			return nil, err
 		}
 	}
@@ -295,19 +297,25 @@ func segSeq(name string) (uint64, bool) {
 func segName(seq uint64) string { return fmt.Sprintf("seg-%08d.wal", seq) }
 
 // recoverSegment scans one segment, applying intact records and
-// truncating a torn tail in place.
-func (s *Store) recoverSegment(path string, opts Options) error {
+// truncating a torn tail in place. It reads the segment into scan, which
+// the next one overwrites: nothing a wire.Decoder returns aliases it.
+func (s *Store) recoverSegment(path string, opts Options, scan *bytes.Buffer) error {
 	f, err := s.fs.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return fmt.Errorf("diskstore: %w", err)
 	}
-	buf, rerr := io.ReadAll(f)
+	scan.Reset()
+	if fi, err := f.Stat(); err == nil {
+		scan.Grow(int(fi.Size()) + bytes.MinRead) // allocate once, not in doublings
+	}
+	_, rerr := scan.ReadFrom(f)
 	f.Close()
+	buf := scan.Bytes()
 	if rerr != nil {
 		// Scan whatever was readable; the unread rest is treated as a
 		// torn tail below but not truncated (the read path, not the
-		// data, may be at fault).
-		rerr = fmt.Errorf("diskstore: reading %s: %w", filepath.Base(path), rerr)
+		// data, may be at fault), and the segment is counted.
+		s.cnt.unreadable.Add(1)
 	}
 
 	off := 0
@@ -401,7 +409,8 @@ func (s *Store) applyRecord(payload []byte, opts Options) bool {
 		if d.Finish() != nil {
 			return false
 		}
-		if c != nil && c.Value != b.Hash() {
+		hash := b.Hash()
+		if c != nil && c.Value != hash {
 			return false
 		}
 		if kind == recPut {
@@ -411,7 +420,7 @@ func (s *Store) applyRecord(payload []byte, opts Options) bool {
 		} else {
 			s.mem.Reconcile(b, c)
 		}
-		s.noteDurable(b.Round)
+		s.noteDurable(b, hash)
 		return true
 	case recCheckpoint:
 		cp := new(ledger.Checkpoint)
@@ -433,36 +442,36 @@ func (s *Store) applyRecord(payload []byte, opts Options) bool {
 		if d.Finish() != nil {
 			return false
 		}
-		b, ok := s.mem.Block(round)
-		if !ok || c.Value != b.Hash() {
+		st, ok := s.durable[round] // holds the hash of the image's block
+		if !ok || c.Value != st.hash {
 			return false
 		}
+		b, _ := s.mem.Block(round)
 		s.mem.Put(b, c)
-		s.noteDurable(round)
+		s.durable[round] = s.stateOf(round, st.hash)
 		return true
 	default:
 		return false
 	}
 }
 
-// noteDurable refreshes the dedup state for a round from the in-memory
-// image.
-func (s *Store) noteDurable(round uint64) {
-	b, ok := s.mem.Block(round)
+// stateOf is the dedup state of a round the image holds, given its hash.
+func (s *Store) stateOf(round uint64, hash crypto.Digest) recState {
+	c, ok := s.mem.Cert(round)
+	return recState{hash: hash, hasCert: ok, certFinal: ok && c.Final}
+}
+
+// noteDurable refreshes the dedup state for b's round from the in-memory
+// image. hash is b's; only another block held for the round is re-hashed.
+func (s *Store) noteDurable(b *ledger.Block, hash crypto.Digest) {
+	held, ok := s.mem.Block(b.Round)
 	if !ok {
-		delete(s.durable, round)
-		return
+		return // a reconcile record of a round outside this shard
 	}
-	st := recState{hash: b.Hash()}
-	if c, ok := s.mem.Cert(round); ok {
-		st.hasCert = true
-		st.certFinal = c.Final
+	if held != b {
+		hash = held.Hash()
 	}
-	s.durable[round] = st
-	if !s.haveAny || round > s.last {
-		s.haveAny = true
-		s.last = round
-	}
+	s.durable[b.Round] = s.stateOf(b.Round, hash)
 }
 
 // rotateLocked closes the active segment (if any) and starts a fresh
@@ -484,12 +493,13 @@ func (s *Store) rotateLocked() error {
 	}
 	s.active = f
 
-	var e wire.Encoder
-	e.Byte(recMeta)
-	e.Uint32(formatVersion)
-	e.Uint64(s.mem.ShardIndex)
-	e.Uint64(s.mem.ShardCount)
-	if err := s.writeToActive(e.Data()); err != nil {
+	// Not borrowed: the record that forced a rotation waits in the buffer.
+	meta := frame(wire.NewEncoderSize(64), recMeta, func(e *wire.Encoder) {
+		e.Uint32(formatVersion)
+		e.Uint64(s.mem.ShardIndex)
+		e.Uint64(s.mem.ShardCount)
+	})
+	if err := s.writeToActive(meta); err != nil {
 		s.broken = true
 		return err
 	}
@@ -500,14 +510,33 @@ func (s *Store) rotateLocked() error {
 	return nil
 }
 
-// writeToActive frames, writes, and (unless NoSync) fsyncs one payload
-// to the active segment. Caller holds s.mu.
-func (s *Store) writeToActive(payload []byte) error {
-	rec := make([]byte, headerSize+len(payload))
+// frame builds one record in e: 12 bytes left for the header, the
+// payload encoded behind them, magic, length and CRC filled in place.
+func frame(e *wire.Encoder, kind byte, body func(*wire.Encoder)) []byte {
+	e.Zeros(headerSize)
+	e.Byte(kind)
+	body(e)
+	rec := e.Data()
 	binary.LittleEndian.PutUint32(rec[0:4], recordMagic)
-	binary.LittleEndian.PutUint32(rec[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[8:12], crc32.Checksum(payload, crcTable))
-	copy(rec[headerSize:], payload)
+	binary.LittleEndian.PutUint32(rec[4:8], uint32(len(rec)-headerSize))
+	binary.LittleEndian.PutUint32(rec[8:12], crc32.Checksum(rec[headerSize:], crcTable))
+	return rec
+}
+
+// recordBufs lends the buffers journaled records are framed in; the
+// stores of a process write in turn, so one block-sized buffer serves all.
+var recordBufs wire.Pool
+
+// record journals one record, framed in a borrowed buffer. Caller holds s.mu.
+func (s *Store) record(kind byte, body func(*wire.Encoder)) error {
+	e := recordBufs.Get()
+	defer recordBufs.Put(e)
+	return s.journal(frame(e, kind, body))
+}
+
+// writeToActive writes and (unless NoSync) fsyncs one framed record to
+// the active segment. Caller holds s.mu.
+func (s *Store) writeToActive(rec []byte) error {
 	if _, err := s.active.Write(rec); err != nil {
 		s.cnt.writeErrors.Inc()
 		return err
@@ -522,11 +551,11 @@ func (s *Store) writeToActive(payload []byte) error {
 	return nil
 }
 
-// journal writes one record durably, rotating to a fresh segment and
-// retrying if the active one absorbs a fault. Caller holds s.mu.
-func (s *Store) journal(payload []byte) error {
-	if len(payload) > maxRecordSize {
-		return fmt.Errorf("diskstore: record of %d bytes exceeds maximum", len(payload))
+// journal writes one framed record durably, rotating to a fresh segment
+// and retrying if the active one absorbs a fault. Caller holds s.mu.
+func (s *Store) journal(rec []byte) error {
+	if len(rec)-headerSize > maxRecordSize {
+		return fmt.Errorf("diskstore: record of %d bytes exceeds maximum", len(rec)-headerSize)
 	}
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
@@ -536,7 +565,7 @@ func (s *Store) journal(payload []byte) error {
 				continue
 			}
 		}
-		if err := s.writeToActive(payload); err != nil {
+		if err := s.writeToActive(rec); err != nil {
 			// The segment's tail state is now unknown (a torn record may
 			// be on disk); never append after it.
 			s.broken = true
@@ -556,7 +585,7 @@ func (s *Store) journal(payload []byte) error {
 // reflects the call even if the disk write errors, so a transient disk
 // fault never desynchronizes the node's view; the error reports that
 // durability was not achieved.
-func (s *Store) Append(b *ledger.Block, c *ledger.Certificate) error {
+func (s *Store) Append(b *ledger.Block, c *ledger.Certificate) (err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -569,31 +598,30 @@ func (s *Store) Append(b *ledger.Block, c *ledger.Certificate) error {
 	st, have := s.durable[b.Round]
 	switch {
 	case !have:
-		var e wire.Encoder
-		e.Byte(recPut)
-		b.EncodeTo(&e)
-		e.Bool(c != nil)
-		if c != nil {
-			c.EncodeTo(&e)
-		}
-		if err := s.journal(e.Data()); err != nil {
-			return err
-		}
+		err = s.record(recPut, func(e *wire.Encoder) { encodePair(e, b, c) })
 	case st.hash == hash && c != nil && c.Value == hash &&
 		(!st.hasCert || (c.Final && !st.certFinal)):
 		// Same block, new or upgraded certificate: journal just the cert.
-		var e wire.Encoder
-		e.Byte(recCert)
-		e.Uint64(b.Round)
-		c.EncodeTo(&e)
-		if err := s.journal(e.Data()); err != nil {
-			return err
-		}
+		err = s.record(recCert, func(e *wire.Encoder) {
+			e.Uint64(b.Round)
+			c.EncodeTo(e)
+		})
 	default:
 		return nil // already durable in this state
 	}
-	s.noteDurable(b.Round)
-	return nil
+	if err == nil {
+		s.noteDurable(b, hash)
+	}
+	return err
+}
+
+// encodePair is the body of a put or reconcile record.
+func encodePair(e *wire.Encoder, b *ledger.Block, c *ledger.Certificate) {
+	b.EncodeTo(e)
+	e.Bool(c != nil)
+	if c != nil {
+		c.EncodeTo(e)
+	}
 }
 
 // Reconcile durably forces the archive to the canonical block for a
@@ -610,26 +638,15 @@ func (s *Store) Reconcile(b *ledger.Block, c *ledger.Certificate) error {
 	if !ok {
 		return nil // not this shard's round
 	}
-	want := recState{hash: nb.Hash()}
-	if nc, ok := s.mem.Cert(b.Round); ok {
-		want.hasCert = true
-		want.certFinal = nc.Final
-	}
+	want := s.stateOf(b.Round, nb.Hash())
 	if st, have := s.durable[b.Round]; have && st == want {
 		return nil
 	}
-	var e wire.Encoder
-	e.Byte(recReconcile)
-	nb.EncodeTo(&e)
-	nc, hasCert := s.mem.Cert(b.Round)
-	e.Bool(hasCert)
-	if hasCert {
-		nc.EncodeTo(&e)
-	}
-	if err := s.journal(e.Data()); err != nil {
+	nc, _ := s.mem.Cert(b.Round) // nil when the round has none
+	if err := s.record(recReconcile, func(e *wire.Encoder) { encodePair(e, nb, nc) }); err != nil {
 		return err
 	}
-	s.noteDurable(b.Round)
+	s.durable[b.Round] = want
 	return nil
 }
 
@@ -650,10 +667,7 @@ func (s *Store) AppendCheckpoint(cp *ledger.Checkpoint) error {
 	if s.checkpoint != nil && cp.Round() <= s.checkpoint.Round() {
 		return nil
 	}
-	e := wire.NewEncoderSize(1 + cp.WireSize())
-	e.Byte(recCheckpoint)
-	cp.EncodeTo(e)
-	if err := s.journal(e.Data()); err != nil {
+	if err := s.record(recCheckpoint, cp.EncodeTo); err != nil {
 		return err
 	}
 	s.checkpoint = cp
@@ -678,13 +692,6 @@ func (s *Store) Recovered() *ledger.Store {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.mem
-}
-
-// LastRound returns the highest durable round, if any.
-func (s *Store) LastRound() (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.last, s.haveAny
 }
 
 // Rounds returns how many rounds are durable.

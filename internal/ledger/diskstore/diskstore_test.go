@@ -8,12 +8,15 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 
 	"algorand/internal/crypto"
 	"algorand/internal/diskfault"
 	"algorand/internal/ledger"
+	"algorand/internal/metrics"
 	"algorand/internal/wire"
 )
 
@@ -68,8 +71,8 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 		}
 	}
 	want := snapshot(s)
-	if last, ok := s.LastRound(); !ok || last != 8 {
-		t.Fatalf("LastRound = %d, %v", last, ok)
+	if got := s.Rounds(); got != 8 {
+		t.Fatalf("Rounds = %d, want 8", got)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -758,6 +761,555 @@ func TestCheckpointUnderWriteFaults(t *testing.T) {
 	cp, ok := r.Checkpoint()
 	if !ok || cp.Round() != 4 {
 		t.Fatalf("checkpoint lost to write fault: %v, %v", cp, ok)
+	}
+}
+
+// --- The record format, frozen ---------------------------------------------
+//
+// The reference below writes an archive the way this package first did:
+// every payload built in an encoder of its own, every record a fresh
+// slice with the header in front and the payload copied behind it. Its
+// constants are spelt out, not shared with the package, so that the
+// format cannot move without this file saying so.
+
+func refFrame(payload []byte) []byte {
+	rec := make([]byte, 12+len(payload))
+	binary.LittleEndian.PutUint32(rec[0:4], 0x314C5741) // "AWL1"
+	binary.LittleEndian.PutUint32(rec[4:8], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[8:12], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	copy(rec[12:], payload)
+	return rec
+}
+
+func refMeta(shardIndex, shardCount uint64) []byte {
+	var e wire.Encoder
+	e.Byte(0)
+	e.Uint32(1)
+	e.Uint64(shardIndex)
+	e.Uint64(shardCount)
+	return e.Data()
+}
+
+// refPair is a put (kind 1) or reconcile (kind 3) payload.
+func refPair(kind byte, b *ledger.Block, c *ledger.Certificate) []byte {
+	var e wire.Encoder
+	e.Byte(kind)
+	b.EncodeTo(&e)
+	e.Bool(c != nil)
+	if c != nil {
+		c.EncodeTo(&e)
+	}
+	return e.Data()
+}
+
+func refCert(round uint64, c *ledger.Certificate) []byte {
+	var e wire.Encoder
+	e.Byte(2)
+	e.Uint64(round)
+	c.EncodeTo(&e)
+	return e.Data()
+}
+
+func refCheckpoint(cp *ledger.Checkpoint) []byte {
+	return append([]byte{4}, wire.Encode(cp)...)
+}
+
+// refArchive lays records out in segments as the store does: a meta
+// record opens every segment, and a segment that has reached segBytes
+// takes no further record.
+type refArchive struct {
+	segBytes int
+	segs     [][]byte
+	records  [][]byte // every record in write order, meta records included
+}
+
+// open starts a segment, as Open and every rotation do.
+func (a *refArchive) open() {
+	a.segs = append(a.segs, nil)
+	a.put(refMeta(0, 1))
+}
+
+func (a *refArchive) add(payload []byte) {
+	if len(a.segs[len(a.segs)-1]) >= a.segBytes {
+		a.open()
+	}
+	a.put(payload)
+}
+
+func (a *refArchive) put(payload []byte) {
+	rec := refFrame(payload)
+	a.records = append(a.records, rec)
+	a.segs[len(a.segs)-1] = append(a.segs[len(a.segs)-1], rec...)
+}
+
+// opLogFS records every Write and Sync the store issues, in order.
+type opLogFS struct {
+	diskfault.FS
+	ops *[]string
+}
+
+func (fs opLogFS) OpenFile(name string, flag int, perm os.FileMode) (diskfault.File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &opLogFile{File: f, name: filepath.Base(name), ops: fs.ops}, nil
+}
+
+type opLogFile struct {
+	diskfault.File
+	name string
+	ops  *[]string
+}
+
+func (f *opLogFile) Write(p []byte) (int, error) {
+	*f.ops = append(*f.ops, fmt.Sprintf("write %s %d", f.name, len(p)))
+	return f.File.Write(p)
+}
+
+func (f *opLogFile) Sync() error {
+	*f.ops = append(*f.ops, "sync "+f.name)
+	return f.File.Sync()
+}
+
+// TestRecordBytesMatchFrozenReference: records are framed in place in a
+// borrowed buffer now, and nothing on disk may show it. A scripted run of
+// every record kind — put with and without a certificate, a certificate
+// for a block already there, a tentative→final upgrade, both reconcile
+// forms, two checkpoints, a dozen rotations — must leave segment files
+// equal, byte for byte, to the reference's; each record must reach the
+// file as exactly one Write of the whole record followed by one Sync;
+// and an archive written the reference way must open to the same image.
+func TestRecordBytesMatchFrozenReference(t *testing.T) {
+	const segBytes = 700
+	dir := t.TempDir()
+	var ops []string
+	s := mustOpen(t, dir, Options{FS: opLogFS{diskfault.OS(), &ops}, SegmentBytes: segBytes})
+	ref := &refArchive{segBytes: segBytes}
+	ref.open()
+
+	blocks, certs := makeChain(10)
+	finalOf := func(b *ledger.Block) *ledger.Certificate {
+		return &ledger.Certificate{Round: b.Round, Value: b.Hash(), Final: true,
+			Votes: []ledger.Vote{{Round: b.Round, Value: b.Hash()}, {Round: b.Round, Step: 1, Value: b.Hash()}}}
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	must(s.Append(blocks[0], certs[0]))
+	ref.add(refPair(1, blocks[0], certs[0]))
+	must(s.Append(blocks[1], nil))
+	ref.add(refPair(1, blocks[1], nil))
+	must(s.Append(blocks[1], certs[1])) // the certificate alone
+	ref.add(refCert(2, certs[1]))
+	must(s.Append(blocks[2], certs[2]))
+	ref.add(refPair(1, blocks[2], certs[2]))
+	must(s.Append(blocks[2], finalOf(blocks[2]))) // tentative → final
+	ref.add(refCert(3, finalOf(blocks[2])))
+	must(s.Append(blocks[2], certs[2])) // a downgrade writes nothing
+	fork2 := &ledger.Block{Round: 2, PrevHash: blocks[0].Hash(), Seed: crypto.HashUint64("test.fork", 2, nil)}
+	must(s.Reconcile(fork2, nil)) // erases round 2's certificate
+	ref.add(refPair(3, fork2, nil))
+	fork3 := &ledger.Block{Round: 3, PrevHash: fork2.Hash(), Seed: crypto.HashUint64("test.fork", 3, nil), PayloadPadding: 40}
+	must(s.Reconcile(fork3, finalOf(fork3)))
+	ref.add(refPair(3, fork3, finalOf(fork3)))
+	must(s.Reconcile(fork3, finalOf(fork3))) // already so: writes nothing
+	cp4 := makeCheckpoint(4, 5)
+	must(s.AppendCheckpoint(cp4))
+	ref.add(refCheckpoint(cp4))
+	for i := 3; i < 10; i++ {
+		must(s.Append(blocks[i], certs[i]))
+		ref.add(refPair(1, blocks[i], certs[i]))
+	}
+	cp8 := makeCheckpoint(8, 9)
+	must(s.AppendCheckpoint(cp8))
+	ref.add(refCheckpoint(cp8))
+
+	// One Write of the whole record, then one Sync, per record — before
+	// Close adds its own last Sync.
+	if len(ops) != 2*len(ref.records) {
+		t.Fatalf("%d file operations for %d records, want one write and one sync each:\n%v", len(ops), len(ref.records), ops)
+	}
+	seg := 0
+	for i, rec := range ref.records {
+		if i > 0 && bytes.Equal(rec, ref.records[0]) {
+			seg++ // a meta record opens the next segment
+		}
+		if want := fmt.Sprintf("write %s %d", segName(uint64(seg+1)), len(rec)); ops[2*i] != want {
+			t.Fatalf("record %d: operation %q, want %q", i, ops[2*i], want)
+		}
+		if want := "sync " + segName(uint64(seg+1)); ops[2*i+1] != want {
+			t.Fatalf("record %d: followed by %q, want %q", i, ops[2*i+1], want)
+		}
+	}
+	if len(ref.segs) < 10 {
+		t.Fatalf("the script rotated %d times, want a dozen", len(ref.segs)-1)
+	}
+	if st := s.Stats(); st.Appends != len(ref.records)-len(ref.segs) || st.Rotations != len(ref.segs)-1 {
+		t.Fatalf("stats %+v, want %d appends and %d rotations", st, len(ref.records)-len(ref.segs), len(ref.segs)-1)
+	}
+	want := snapshot(s)
+	must(s.Close())
+
+	// The files, byte for byte.
+	names, err := diskfault.OS().ReadDir(dir)
+	must(err)
+	if len(names) != len(ref.segs) {
+		t.Fatalf("store wrote %d files %v, reference has %d segments", len(names), names, len(ref.segs))
+	}
+	for i, name := range names {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		must(err)
+		if name != segName(uint64(i+1)) || !bytes.Equal(got, ref.segs[i]) {
+			t.Fatalf("segment %d (%s, %d bytes) differs from the reference (%s, %d bytes)",
+				i+1, name, len(got), segName(uint64(i+1)), len(ref.segs[i]))
+		}
+	}
+
+	// An archive written the reference way opens to the same image.
+	refDir := t.TempDir()
+	for i, seg := range ref.segs {
+		must(os.WriteFile(filepath.Join(refDir, segName(uint64(i+1))), seg, 0o644))
+	}
+	r := mustOpen(t, refDir, Options{})
+	defer r.Close()
+	if st := r.Stats(); st.DroppedRecords != 0 || st.TruncatedBytes != 0 || st.RecoveredRecords != len(ref.records) {
+		t.Fatalf("reference archive did not open cleanly: %+v (wrote %d records)", st, len(ref.records))
+	}
+	if !bytes.Equal(snapshot(r), want) {
+		t.Fatal("the reference archive opens to a different image than the store held")
+	}
+	if cp, ok := r.Checkpoint(); !ok || !bytes.Equal(wire.Encode(cp), wire.Encode(cp8)) {
+		t.Fatal("the reference archive's newest checkpoint is not the one written last")
+	}
+}
+
+// --- A segment that cannot be read in full ---------------------------------
+
+// readFailFS fails every Read of one file once after bytes of it have
+// been delivered: a medium error that is the read path's, not the
+// data's. (diskfault scripts faults into writes and flips bytes on the
+// way back; a read that errors out is needed only here.)
+type readFailFS struct {
+	diskfault.FS
+	name  string
+	after int
+}
+
+func (fs readFailFS) OpenFile(name string, flag int, perm os.FileMode) (diskfault.File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	if err != nil || filepath.Base(name) != fs.name || flag != os.O_RDONLY {
+		return f, err
+	}
+	return &readFailFile{File: f, left: fs.after}, nil
+}
+
+type readFailFile struct {
+	diskfault.File
+	left int
+}
+
+func (f *readFailFile) Read(p []byte) (int, error) {
+	if f.left == 0 {
+		return 0, diskfault.ErrInjected
+	}
+	if len(p) > f.left {
+		p = p[:f.left]
+	}
+	n, err := f.File.Read(p)
+	f.left -= n
+	return n, err
+}
+
+// TestUnreadableSegmentCounted: a segment whose read fails half way used
+// to be scanned as far as it went while Open reported nothing anywhere.
+// Recovery stays total and the file stays as it is (the next Open may
+// read it whole), but the operator's gauge now says one segment was not
+// read in full.
+func TestUnreadableSegmentCounted(t *testing.T) {
+	dir := t.TempDir()
+	blocks, certs := makeChain(6)
+	s := mustOpen(t, dir, Options{})
+	for i, b := range blocks {
+		if err := s.Append(b, certs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := snapshot(s)
+	s.Close()
+
+	seg := lastSegment(t, dir)
+	_, offs, lens := recordOffsets(t, seg)
+	if len(offs) != 7 {
+		t.Fatalf("found %d records, want 7 (meta and six rounds)", len(offs))
+	}
+	sizeBefore := fileSize(t, seg)
+	reg := metrics.NewRegistry()
+	unreadable := reg.Gauge("algorand_disk_unreadable_segments", "")
+
+	// The read dies in the middle of round 4's record (record 0 is meta).
+	fs := readFailFS{FS: diskfault.OS(), name: filepath.Base(seg), after: offs[4] + headerSize + lens[4]/2}
+	r, err := Open(dir, Options{FS: fs, Metrics: reg})
+	if err != nil {
+		t.Fatalf("Open must stay total over a failing read: %v", err)
+	}
+	for round := uint64(1); round <= 6; round++ {
+		if _, ok := r.Recovered().Block(round); ok != (round <= 3) {
+			t.Fatalf("round %d recovered = %v; rounds 1-3 lie before the fault, 4-6 behind it", round, ok)
+		}
+	}
+	if st := r.Stats(); st.TruncatedBytes != 0 || st.DroppedRecords != 0 || st.RecoveredRounds != 3 {
+		t.Fatalf("stats after a failed read: %+v, want 3 rounds, nothing truncated, nothing dropped", st)
+	}
+	if after := fileSize(t, seg); after != sizeBefore {
+		t.Fatalf("segment cut from %d to %d bytes on a read error", sizeBefore, after)
+	}
+	if got := unreadable.Load(); got != 1 {
+		t.Fatalf("algorand_disk_unreadable_segments = %d, want 1", got)
+	}
+	r.Close()
+
+	// The medium recovers: everything is still there, and the gauge
+	// describes this Open, not the last one.
+	again := mustOpen(t, dir, Options{Metrics: reg})
+	defer again.Close()
+	if !bytes.Equal(snapshot(again), want) {
+		t.Fatal("a segment left alone after a read error did not recover in full later")
+	}
+	if got := unreadable.Load(); got != 0 {
+		t.Fatalf("algorand_disk_unreadable_segments = %d after a clean Open, want 0", got)
+	}
+}
+
+// --- Allocation budgets ------------------------------------------------------
+
+// poolKeeps reports whether sync.Pool hands back what it was given. The
+// race detector makes it drop a quarter of all Puts on purpose (and
+// materializes the padding zeros in a temporary): a budget over borrowed
+// buffers holds only where this does.
+func poolKeeps() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		x := new(int)
+		p.Put(x)
+		if p.Get() != any(x) {
+			return false
+		}
+	}
+	return true
+}
+
+// paddedChain is makeChain at the benchmark's sizes: blocks padded to
+// pad bytes, certificates of 24 full-size votes.
+func paddedChain(n, pad int) ([]*ledger.Block, []*ledger.Certificate) {
+	blocks, certs := makeChain(n)
+	for i, b := range blocks {
+		b.PayloadPadding = pad
+		if i > 0 {
+			b.PrevHash = blocks[i-1].Hash()
+		}
+		c := &ledger.Certificate{Round: b.Round, Step: 3, Value: b.Hash()}
+		for v := 0; v < 24; v++ {
+			c.Votes = append(c.Votes, ledger.Vote{
+				Sender: crypto.PublicKey(crypto.HashUint64("test.voter", uint64(v), nil)),
+				Round:  b.Round, Step: 3, Value: b.Hash(), PrevHash: b.PrevHash,
+				SortProof: make([]byte, 80), Sig: make([]byte, 64),
+			})
+		}
+		certs[i] = c
+	}
+	return blocks, certs
+}
+
+// allocatedBy returns the bytes fn allocates.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestAllocBudgetAppend guards the durable path's one buffer: journaling
+// a 1 MB block with a 24-vote certificate, or a checkpoint carrying one,
+// allocates a few kilobytes of bookkeeping — not the 2.2 MB of an
+// encoder grown to the record and a second slice to copy it behind its
+// header. Rotations (every fourth record at these sizes) are part of the
+// steady state and inside the budget.
+func TestAllocBudgetAppend(t *testing.T) {
+	if !poolKeeps() {
+		t.Skip("sync.Pool drops Puts here (race detector): every dropped buffer is allocated again")
+	}
+	// One P, as testing.AllocsPerRun arranges for itself: a goroutine that
+	// changes P between two calls leaves the buffer in the old P's cache.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const budget = 16 << 10
+	const warm, ops = 9, 8
+	s := mustOpen(t, t.TempDir(), Options{NoSync: true})
+	defer s.Close()
+	blocks, certs := paddedChain(warm+ops, 1<<20)
+	appendFrom := func(from, to int) {
+		for i := from; i < to; i++ {
+			if err := s.Append(blocks[i], certs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendFrom(0, warm)
+	got := allocatedBy(func() { appendFrom(warm, warm+ops) }) / ops
+	t.Logf("Append of a 1 MB block: %d bytes allocated per call", got)
+	if got > budget {
+		t.Errorf("Append of a 1 MB block allocates %d bytes, budget %d", got, budget)
+	}
+
+	cps := make([]*ledger.Checkpoint, warm+ops)
+	for i := range cps {
+		cp := makeCheckpoint(uint64(100+i), 16)
+		cp.Block.PayloadPadding = 1 << 20
+		cp.Cert.Value = cp.Block.Hash()
+		cps[i] = cp
+	}
+	checkpointFrom := func(from, to int) {
+		for i := from; i < to; i++ {
+			if err := s.AppendCheckpoint(cps[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	checkpointFrom(0, warm)
+	verify := allocatedBy(func() {
+		for _, cp := range cps[warm:] {
+			if _, err := cp.VerifyState(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	got = allocatedBy(func() { checkpointFrom(warm, warm+ops) })
+	got = (max(got, verify) - verify) / ops
+	t.Logf("AppendCheckpoint with a 1 MB block: %d bytes allocated per call beyond VerifyState's %d", got, verify/ops)
+	if got > budget {
+		t.Errorf("AppendCheckpoint with a 1 MB block allocates %d bytes beyond VerifyState's own, budget %d", got, budget)
+	}
+}
+
+// TestAllocBudgetOpen guards the recovery scan's one buffer: Open reads
+// every segment into the same memory, sized from the file, so what it
+// allocates is bounded by the largest segment (plus what the recovered
+// image itself takes) and not by five times all of them, which is what a
+// fresh io.ReadAll per segment cost.
+func TestAllocBudgetOpen(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{NoSync: true, SegmentBytes: 1 << 20})
+	blocks, certs := paddedChain(18, 256<<10)
+	for i := range blocks {
+		if err := s.Append(blocks[i], certs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	var largest, sum int64
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		size := fileSize(t, filepath.Join(dir, e.Name()))
+		sum += size
+		if size > largest {
+			largest = size
+		}
+	}
+	if len(entries) < 4 || sum < 4*largest/2 {
+		t.Fatalf("%d segments, %d bytes in all, largest %d: the test wants several of similar size", len(entries), sum, largest)
+	}
+	var r *Store
+	got := int64(allocatedBy(func() { r = mustOpen(t, dir, Options{NoSync: true}) }))
+	defer r.Close()
+	if r.Rounds() != len(blocks) {
+		t.Fatalf("recovered %d rounds, want %d", r.Rounds(), len(blocks))
+	}
+	t.Logf("Open allocated %d bytes over %d segments (%d bytes, largest %d)", got, len(entries), sum, largest)
+	// 1.2× the largest as measured, 2.2× under the race detector.
+	if got > 3*largest {
+		t.Errorf("Open allocated %d bytes over %d segments (%d bytes, largest %d): budget is three times the largest", got, len(entries), sum, largest)
+	}
+}
+
+// --- Borrowed buffers under concurrency -------------------------------------
+
+// TestConcurrentAppendAndHash: two stores journal block-sized records
+// while four goroutines hash the same blocks, all out of the two shared
+// pools. Every hash is compared with the one computed before the
+// goroutines started and both archives must recover to what was
+// appended: a buffer lent twice would show as a wrong hash, a record
+// that fails its CRC on the way back, or a report from -race.
+func TestConcurrentAppendAndHash(t *testing.T) {
+	blocks, certs := paddedChain(12, 128<<10)
+	for i, b := range blocks { // payments too, so preimages differ in size
+		for j := 0; j < 40*(i%4); j++ {
+			b.Txns = append(b.Txns, ledger.Transaction{Amount: uint64(j), Nonce: uint64(i), Sig: make([]byte, 64)})
+		}
+		certs[i].Value = b.Hash()
+	}
+	want := make([]crypto.Digest, len(blocks))
+	for i, b := range blocks {
+		want[i] = b.Hash()
+	}
+
+	dirs := []string{t.TempDir(), t.TempDir()}
+	images := make([][]byte, len(dirs))
+	var wg sync.WaitGroup
+	for d := range dirs {
+		d := d
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, err := Open(dirs[d], Options{NoSync: true, SegmentBytes: 512 << 10})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := range blocks {
+				if err := s.Append(blocks[i], certs[i]); err != nil {
+					t.Errorf("store %d, round %d: %v", d, blocks[i].Round, err)
+				}
+			}
+			if err := s.AppendCheckpoint(makeCheckpoint(uint64(50+d), 8)); err != nil {
+				t.Errorf("store %d checkpoint: %v", d, err)
+			}
+			images[d] = snapshot(s)
+			s.Close()
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 400; n++ {
+				i := (n*5 + g) % len(blocks)
+				if got := blocks[i].Hash(); got != want[i] {
+					t.Errorf("hasher %d: block %d hashed to %v, want %v", g, i, got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	for d, dir := range dirs {
+		r := mustOpen(t, dir, Options{})
+		if st := r.Stats(); st.DroppedRecords != 0 || st.TruncatedBytes != 0 || st.RecoveredRounds != len(blocks) {
+			t.Errorf("store %d reopened with damage: %+v", d, st)
+		}
+		if !bytes.Equal(snapshot(r), images[d]) {
+			t.Errorf("store %d recovered to a different image than it held", d)
+		}
+		if cp, ok := r.Checkpoint(); !ok || cp.Round() != uint64(50+d) {
+			t.Errorf("store %d lost its checkpoint", d)
+		}
+		r.Close()
 	}
 }
 

@@ -3,6 +3,7 @@ package ledger
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -153,6 +154,52 @@ func TestBlockHashDeterministic(t *testing.T) {
 	if b1.Hash() == b3.Hash() {
 		t.Fatal("different blocks hash equal")
 	}
+}
+
+// poolKeeps reports whether sync.Pool hands back what it was given. The
+// race detector makes it drop a quarter of all Puts on purpose, and a
+// borrowed buffer is then allocated afresh that often: an allocation
+// budget over borrowed buffers holds only where this does.
+func poolKeeps() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		x := new(int)
+		p.Put(x)
+		if p.Get() != any(x) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAllocBudgetBlockHash guards the borrowed preimage: a block with a
+// round's worth of payments (1 100 of them, 160 KB of preimage) hashes
+// without allocating once the buffer exists, and a mutated block hashes
+// differently — there is no memo on a Block to go stale.
+func TestAllocBudgetBlockHash(t *testing.T) {
+	p := newPopulation(2, 1<<40)
+	b := &Block{Round: 1, Proposer: p.ids[0].PublicKey(), PayloadPadding: 1 << 20}
+	for i := 0; i < 1100; i++ {
+		tx := Transaction{From: p.ids[0].PublicKey(), To: p.ids[1].PublicKey(), Amount: 1, Nonce: uint64(i)}
+		tx.Sign(p.ids[0])
+		b.Txns = append(b.Txns, tx)
+	}
+	before := b.Hash() // warm-up: the buffer grows to the preimage once
+	b.Txns[1099].Amount++
+	if b.Hash() == before {
+		t.Fatal("a block edited after it was hashed still has the old hash")
+	}
+	if !poolKeeps() {
+		t.Skip("sync.Pool drops Puts here (race detector): every dropped buffer is allocated again")
+	}
+	var sinkHash crypto.Digest
+	if n := testing.AllocsPerRun(100, func() { sinkHash = b.Hash() }); n != 0 {
+		t.Errorf("Block.Hash allocates %v times per call after warm-up, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sinkHash = RecoverySeed(b, 3, 1) }); n != 0 {
+		t.Errorf("RecoverySeed allocates %v times per call, want 0", n)
+	}
+	_ = sinkHash
 }
 
 func TestEmptyBlockCanonical(t *testing.T) {

@@ -661,15 +661,15 @@ func decodeHello(tag byte, payload []byte, nPeers, self int) (int, error) {
 }
 
 // encodeFrame builds a frame payload: the sender id followed by the
-// message's canonical wire encoding.
+// message's canonical wire encoding, in one buffer the frame then owns.
 func encodeFrame(from int, m network.Message) (tag byte, payload []byte, err error) {
-	tag, body, err := nodepkg.EncodeMessage(m)
-	if err != nil {
-		return 0, nil, err
+	tag, ok := nodepkg.MessageTag(m)
+	if !ok {
+		return 0, nil, fmt.Errorf("realnet: %T is not a wire message", m)
 	}
-	e := wire.NewEncoderSize(4 + len(body))
+	e := wire.NewEncoderSize(4 + m.WireSize())
 	e.Int(from)
-	e.Fixed(body)
+	m.(wire.Marshaler).EncodeTo(e) // every tagged message has a wire form
 	return tag, e.Data(), nil
 }
 
@@ -687,14 +687,4 @@ func decodeFrame(tag byte, payload []byte, nPeers int) (from int, m network.Mess
 	}
 	m, err = nodepkg.DecodeMessage(tag, payload[4:])
 	return from, m, err
-}
-
-// encodeSize reports a message's framed wire size (diagnostics): the
-// canonical encoding plus the sender id and the 5-byte frame header.
-func encodeSize(m network.Message) int {
-	_, payload, err := nodepkg.EncodeMessage(m)
-	if err != nil {
-		return -1
-	}
-	return 5 + 4 + len(payload)
 }

@@ -75,6 +75,10 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%T encode: %v", m, err)
 		}
+		if len(payload) != 4+m.WireSize() || cap(payload) != len(payload) {
+			t.Fatalf("%T frame payload len %d cap %d, want both 4 + WireSize %d: encoded once, into a buffer sized in advance",
+				m, len(payload), cap(payload), m.WireSize())
+		}
 		from, back, err := decodeFrame(tag, payload, nPeers)
 		if err != nil {
 			t.Fatalf("%T decode: %v", m, err)
@@ -86,6 +90,16 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("%T round-trip changed message identity", m)
 		}
 	}
+}
+
+// encodeSize reports a message's framed wire size: the canonical
+// encoding plus the sender id and the 5-byte frame header.
+func encodeSize(m network.Message) int {
+	_, payload, err := nodepkg.EncodeMessage(m)
+	if err != nil {
+		return -1
+	}
+	return 5 + 4 + len(payload)
 }
 
 // TestDecodeFrameRejectsAlienSender pins the address-book validation: a

@@ -377,3 +377,77 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("snapshot re-encoding differs")
 	}
 }
+
+// roundTripBlocks is every block the universal round-trip tables hold,
+// the table's own and those that ride inside a gossip message, plus the
+// shapes between them: payments without padding, padding without
+// payments, and a body large enough to outgrow any buffer a smaller one
+// left behind.
+func roundTripBlocks() []*ledger.Block {
+	blocks := []*ledger.Block{
+		sampleBlock(),
+		ledger.EmptyBlock(3, crypto.HashBytes("h"), crypto.HashBytes("s"), crypto.HashBytes("root")),
+		sampleCheckpoint().Block,
+	}
+	for _, m := range gossipMessages() {
+		switch m := m.(type) {
+		case *node.BlockFill:
+			blocks = append(blocks, m.Block)
+		case *node.ChainReply:
+			blocks = append(blocks, m.Blocks...)
+		case *node.SnapshotReply:
+			blocks = append(blocks, m.Checkpoint.Block)
+		}
+	}
+	noPad, noTxns, big := sampleBlock(), sampleBlock(), sampleBlock()
+	noPad.PayloadPadding = 0
+	noTxns.Txns = nil
+	for i := 0; i < 2000; i++ {
+		tx := sampleTx()
+		tx.Nonce = uint64(i)
+		big.Txns = append(big.Txns, tx)
+	}
+	big.PayloadPadding = 1 << 20
+	return append(blocks, noPad, noTxns, big)
+}
+
+// TestBlockHashIsThePaddingFreePrefix pins what a block's hash covers
+// now that its preimage is built in a borrowed buffer: exactly the
+// canonical encoding up to the materialized padding, whatever the buffer
+// held before — large after small, small after large, and again.
+func TestBlockHashIsThePaddingFreePrefix(t *testing.T) {
+	blocks := roundTripBlocks()
+	want := make([]crypto.Digest, len(blocks))
+	for i, b := range blocks {
+		full := wire.Encode(b)
+		if len(full) != b.WireSize() {
+			t.Fatalf("block %d: encoded %d bytes, WireSize says %d", i, len(full), b.WireSize())
+		}
+		want[i] = crypto.HashBytes("algorand.block", full[:b.WireSize()-b.PayloadPadding])
+	}
+	for pass := 0; pass < 3; pass++ {
+		for i := range blocks {
+			// Forwards, then backwards: every block follows a larger and a
+			// smaller one at least once.
+			if pass == 1 {
+				i = len(blocks) - 1 - i
+			}
+			if got := blocks[i].Hash(); got != want[i] {
+				t.Fatalf("pass %d, block %d: Hash() = %v, want H(encoding minus padding) = %v", pass, i, got, want[i])
+			}
+		}
+	}
+}
+
+// TestPieceDigestIsThePaddingFreePrefix is the same statement for a
+// piece's manifest entry.
+func TestPieceDigestIsThePaddingFreePrefix(t *testing.T) {
+	for _, index := range []int{0, 1, 0, 1} {
+		p := samplePiece(index)
+		full := wire.Encode(p)
+		want := crypto.HashBytes("algorand.piece", full[:p.WireSize()-p.Padding()])
+		if got := p.Digest(); got != want {
+			t.Fatalf("piece %d: Digest() = %v, want H(encoding minus padding) = %v", index, got, want)
+		}
+	}
+}

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Marshaler is a type with a canonical wire encoding.
@@ -71,8 +72,28 @@ func NewEncoderSize(n int) *Encoder {
 // Data returns the bytes encoded so far.
 func (e *Encoder) Data() []byte { return e.buf }
 
-// Len returns how many bytes have been encoded.
-func (e *Encoder) Len() int { return len(e.buf) }
+// Reset empties the encoder and keeps its buffer.
+func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+
+// Pool lends empty encoders for bytes built only to be hashed or written
+// and dropped before the call returns: nobody may hold Data() past Put.
+// A package declares one per size class it uses, so a block-sized buffer
+// is never handed to a 200-byte preimage. The zero value is ready to use.
+type Pool struct{ p sync.Pool }
+
+// Get borrows an empty encoder.
+func (p *Pool) Get() *Encoder {
+	if e, ok := p.p.Get().(*Encoder); ok {
+		return e
+	}
+	return new(Encoder)
+}
+
+// Put empties e and gives it back.
+func (p *Pool) Put(e *Encoder) {
+	e.Reset()
+	p.p.Put(e)
+}
 
 // AppendUint64 is the codec's 64-bit integer in append form, for a
 // fixed-size preimage built in the caller's own (stack) buffer: what an

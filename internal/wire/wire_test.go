@@ -161,3 +161,89 @@ func TestWriteFrameTooLarge(t *testing.T) {
 		t.Fatal("oversized frame written")
 	}
 }
+
+// TestPoolLendsEmptyEncoders pins the borrowed-buffer contract: whatever
+// a previous borrower wrote, Get hands out an empty encoder; what Data()
+// returned before Put is what was written; and concurrent borrowers never
+// share a buffer. (Which encoder comes back is the pool's business: the
+// race detector makes sync.Pool drop a quarter of all Puts.)
+func TestPoolLendsEmptyEncoders(t *testing.T) {
+	var p Pool
+	e := p.Get()
+	if len(e.Data()) != 0 {
+		t.Fatalf("a fresh pool lent an encoder holding %d bytes", len(e.Data()))
+	}
+	e.Fixed(bytes.Repeat([]byte{0xAA}, 1<<10))
+	e.Uint64(7)
+	written := append([]byte(nil), e.Data()...)
+	if want := append(bytes.Repeat([]byte{0xAA}, 1<<10), 7, 0, 0, 0, 0, 0, 0, 0); !bytes.Equal(written, want) {
+		t.Fatal("Data() before Put is not what was written")
+	}
+	p.Put(e)
+	if len(e.Data()) != 0 {
+		t.Fatalf("Put left %d bytes in the encoder", len(e.Data()))
+	}
+	for i := 0; i < 32; i++ {
+		e := p.Get()
+		if len(e.Data()) != 0 {
+			t.Fatalf("borrow %d: encoder came back holding %d bytes", i, len(e.Data()))
+		}
+		// A shorter message than the last borrower's: nothing of the old
+		// one may show through.
+		e.Uint32(uint32(i))
+		if got := e.Data(); len(got) != 4 || got[0] != byte(i) || got[1] != 0 {
+			t.Fatalf("borrow %d: wrote 4 bytes, Data() is % x", i, got)
+		}
+		p.Put(e)
+	}
+
+	// Reset keeps the buffer: the second fill of the same size allocates
+	// nothing.
+	var r Encoder
+	chunk := make([]byte, 1<<16)
+	r.Fixed(chunk)
+	if r.Reset(); len(r.Data()) != 0 {
+		t.Fatal("Reset left bytes behind")
+	}
+	if n := testing.AllocsPerRun(10, func() { r.Fixed(chunk); r.Reset() }); n != 0 {
+		t.Fatalf("refilling a Reset encoder allocates %v times, want 0", n)
+	}
+}
+
+// TestPoolConcurrentBorrowers: eight goroutines borrow, fill with their
+// own byte, check and return, ten thousand times each; a buffer lent to
+// two of them at once shows up as a foreign byte (and to -race as a
+// write-write race).
+func TestPoolConcurrentBorrowers(t *testing.T) {
+	var p Pool
+	done := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		g := g
+		go func() {
+			for i := 0; i < 10_000; i++ {
+				e := p.Get()
+				if len(e.Data()) != 0 {
+					done <- errors.New("borrowed a non-empty encoder")
+					return
+				}
+				n := 1 + (i*7+g)%300
+				for j := 0; j < n; j++ {
+					e.Byte(byte(g))
+				}
+				for _, b := range e.Data() {
+					if b != byte(g) {
+						done <- errors.New("another borrower wrote into a lent buffer")
+						return
+					}
+				}
+				p.Put(e)
+			}
+			done <- nil
+		}()
+	}
+	for g := 0; g < 8; g++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
