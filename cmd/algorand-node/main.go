@@ -260,11 +260,10 @@ func printUnifiedStats(reg *metrics.Registry, transport *realnet.Transport, nd *
 		fmt.Fprintf(os.Stderr, "-- round latency: n=%d p50=%.2fs p90=%.2fs p99=%.2fs\n",
 			v.Count, v.Q["p50"], v.Q["p90"], v.Q["p99"])
 	}
-	fmt.Fprintf(os.Stderr, "-- txflow: admitted=%d verified=%d pending=%d dups=%d cache_hits=%d\n",
+	fmt.Fprintf(os.Stderr, "-- txflow: admitted=%d verified=%d pending=%d dups=%d\n",
 		c("algorand_txflow_admitted_total"), c("algorand_txflow_verified_total"),
 		c("algorand_txflow_pending"),
-		c(metrics.Name("algorand_txflow_rejected_total", "reason", "duplicate")),
-		c("algorand_txflow_verified_cache_hits_total"))
+		c(metrics.Name("algorand_txflow_rejected_total", "reason", "duplicate")))
 	if haveDisk {
 		fmt.Fprintf(os.Stderr, "-- disk: appends=%d rotations=%d write_errors=%d sync_errors=%d persist_errors=%d\n",
 			c("algorand_disk_appends_total"), c("algorand_disk_rotations_total"),

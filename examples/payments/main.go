@@ -7,8 +7,8 @@
 // Beyond the two named payments, this example is also the txflow load
 // driver: a sustained stream of fee-paying transactions from every
 // user exercises the ingestion pipeline end to end — admission,
-// signature verification with the relayed-digest cache, the sharded
-// fee-ordered mempool, batched TxBatch gossip, and priority assembly —
+// signature verification, the sharded fee-ordered mempool, batched
+// TxBatch gossip, and priority assembly —
 // and reports the committed throughput the way §10/Figure 8 does
 // (payload bytes per hour). The access tier at scale — a million-plus
 // client sessions through four gateways against a direct-submission

@@ -1,5 +1,5 @@
 // Package cache provides the two-generation TTL'd map the gossip layer
-// and the transaction pipeline both depend on, as one shared generic.
+// and the gateway's read model both depend on, as one shared generic.
 //
 // The scheme: entries are written into a current generation; every TTL
 // the current generation becomes the previous one and the previous one
@@ -7,10 +7,10 @@
 // O(1) amortized — no per-entry timers, no background sweeper. This is
 // the classic gossip dedup structure (a message digest only needs to be
 // remembered for about one network diameter's worth of propagation),
-// and it previously existed twice in this repo with the same shape and
-// different element types: realnet's seen/relay-limit caches
-// (crypto.Digest→bool, string→int) and txflow's verified-digest cache
-// (crypto.Digest→struct{}). TwoGen replaces both.
+// and its users are realnet's seen/relay-limit caches
+// (crypto.Digest→struct{}, network.LimitKey→int) and the gateway read
+// model's transaction-status indexes (crypto.Digest→uint64 committed,
+// crypto.Digest→struct{} pending).
 //
 // Time is a caller-supplied time.Duration reading — virtual time under
 // the simulator, wall-clock offsets in real deployments — passed into

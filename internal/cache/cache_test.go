@@ -84,7 +84,7 @@ func TestUpdateRelayLimitPattern(t *testing.T) {
 func TestInstrumentCounters(t *testing.T) {
 	r := metrics.NewRegistry()
 	c := New[string, struct{}](time.Second)
-	c.Instrument(r, "algorand_txflow_verified_cache")
+	c.Instrument(r, "test_cache")
 
 	c.Put("x", struct{}{}, 0)
 	c.Get("x", 0) // hit
@@ -92,10 +92,10 @@ func TestInstrumentCounters(t *testing.T) {
 	c.Get("x", 0) // hit
 
 	snap := r.Snapshot()
-	if got := snap["algorand_txflow_verified_cache_hits_total"].Value; got != 2 {
+	if got := snap["test_cache_hits_total"].Value; got != 2 {
 		t.Fatalf("hits = %v, want 2", got)
 	}
-	if got := snap["algorand_txflow_verified_cache_misses_total"].Value; got != 1 {
+	if got := snap["test_cache_misses_total"].Value; got != 1 {
 		t.Fatalf("misses = %v, want 1", got)
 	}
 }

@@ -25,7 +25,7 @@
 // gateways, gateways talk consensus-gossip. A gateway holds no stake,
 // proposes nothing, and votes on nothing — it can crash, restart, or
 // be partitioned without touching safety, and every structure it
-// keeps (mempool, verified cache, read-model indexes, connection set)
+// keeps (mempool, rate windows, read-model indexes, connection set)
 // is explicitly bounded.
 package gateway
 

@@ -53,14 +53,14 @@ func (g *Gateway) flushOnce() {
 
 // route splits one drained batch by cluster and unicasts each
 // cluster's slice, re-packed under the TxBatch cap, to FanOut members.
-func (g *Gateway) route(txs []ledger.Transaction) {
+func (g *Gateway) route(txs []*ledger.Transaction) {
 	if len(txs) == 0 {
 		return
 	}
 	// A slice, not a map: clusters are served in index order, so the
 	// same batch always leaves in the same order (the simulator's event
 	// order, and with it a run's every number, follows from it).
-	byCluster := make([][]ledger.Transaction, g.cfg.Clusters)
+	byCluster := make([][]*ledger.Transaction, g.cfg.Clusters)
 	for _, tx := range txs {
 		ci := ClusterOf(tx.From, g.cfg.Clusters)
 		byCluster[ci] = append(byCluster[ci], tx)
@@ -75,13 +75,13 @@ func (g *Gateway) route(txs []ledger.Transaction) {
 // sendToCluster packs group into ≤MaxTxBatchBytes batches and
 // unicasts each to FanOut members of the cluster, rotating the
 // round-robin cursor.
-func (g *Gateway) sendToCluster(ci int, group []ledger.Transaction) {
+func (g *Gateway) sendToCluster(ci int, group []*ledger.Transaction) {
 	members := g.clusterMembers(ci)
 	fan := g.cfg.FanOut
 	if fan > len(members) {
 		fan = len(members)
 	}
-	var pack []ledger.Transaction
+	var pack []*ledger.Transaction
 	packBytes := 0
 	emit := func() {
 		if len(pack) == 0 {
@@ -125,5 +125,10 @@ func (g *Gateway) resendPending() {
 		return
 	}
 	g.c.resent.Add(uint64(len(txs)))
-	g.route(txs)
+	// Assemble's copies, in an array nobody writes again.
+	resend := make([]*ledger.Transaction, len(txs))
+	for i := range txs {
+		resend[i] = &txs[i]
+	}
+	g.route(resend)
 }

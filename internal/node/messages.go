@@ -290,15 +290,17 @@ const maxTxBatchTxs = MaxTxBatchBytes / ledger.TxMinWireSize
 // transactions through its own txflow pipeline and re-batches whatever
 // was fresh for its neighbors, so duplicate suppression falls out of
 // the mempool instead of the gossip seen-cache.
+// Nobody writes a payment once it is in a batch: a receiver's pool adopts
+// the pointers, and a pending payment pins itself, not its batch.
 type TxBatch struct {
-	Txns []ledger.Transaction
+	Txns []*ledger.Transaction
 }
 
 // WireSize implements network.Message.
 func (m *TxBatch) WireSize() int {
 	total := 4
-	for i := range m.Txns {
-		total += m.Txns[i].WireSize()
+	for _, tx := range m.Txns {
+		total += tx.WireSize()
 	}
 	return total
 }
@@ -306,8 +308,8 @@ func (m *TxBatch) WireSize() int {
 // EncodeTo implements wire.Marshaler.
 func (m *TxBatch) EncodeTo(e *wire.Encoder) {
 	e.Int(len(m.Txns))
-	for i := range m.Txns {
-		m.Txns[i].EncodeTo(e)
+	for _, tx := range m.Txns {
+		tx.EncodeTo(e)
 	}
 }
 
@@ -324,9 +326,10 @@ func (m *TxBatch) DecodeFrom(d *wire.Decoder) {
 	if n == 0 {
 		return
 	}
-	m.Txns = make([]ledger.Transaction, n)
+	m.Txns = make([]*ledger.Transaction, n)
 	total := 4
 	for i := range m.Txns {
+		m.Txns[i] = new(ledger.Transaction)
 		m.Txns[i].DecodeFrom(d)
 		if d.Err() != nil {
 			m.Txns = nil
@@ -343,13 +346,16 @@ func (m *TxBatch) DecodeFrom(d *wire.Decoder) {
 // ID hashes the contained transaction IDs: identical re-batches are
 // the same message to the duplicate-suppression layer.
 func (m *TxBatch) ID() crypto.Digest {
-	ids := make([]byte, 0, 32*len(m.Txns))
-	for i := range m.Txns {
-		id := m.Txns[i].ID()
-		ids = append(ids, id[:]...)
+	e := txBatchIDs.Get()
+	defer txBatchIDs.Put(e)
+	for _, tx := range m.Txns {
+		id := tx.ID()
+		e.Fixed(id[:])
 	}
-	return crypto.HashBytes("msg.txbatch", ids)
+	return crypto.HashBytes("msg.txbatch", e.Data())
 }
+
+var txBatchIDs wire.Pool // lends ID's 32·n-byte preimages
 
 // LimitKey: batches are never relayed (receivers re-batch), so no
 // relay limit applies.

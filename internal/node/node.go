@@ -1001,17 +1001,17 @@ func (n *Node) flushTxBatches() {
 // the pipeline. Batches are never relayed verbatim (Relay is always
 // false): what was fresh here lands in our own outbox and reaches our
 // neighbors re-batched, so propagation terminates exactly when no
-// receiver sees anything new. With a worker pool running, the whole
-// batch is handed off so the scheduler never pays for signature
-// verification.
+// receiver sees anything new. The pool adopts what it admits: nothing
+// writes msg's payments again. With a worker pool running, the whole batch
+// is handed off so the scheduler never pays for signature verification.
 func (n *Node) handleTxBatch(msg *TxBatch, cost crypto.CostModel) network.Verdict {
 	if n.cfg.TxFlowWorkers > 0 {
 		n.flow.EnqueueBatch(msg.Txns)
 		return network.Verdict{}
 	}
 	var cpu time.Duration
-	for i := range msg.Txns {
-		_, sigChecked := n.flow.IngestGossip(&msg.Txns[i])
+	for _, tx := range msg.Txns {
+		_, sigChecked := n.flow.IngestGossip(tx)
 		if sigChecked {
 			cpu += cost.VerifySig
 		}

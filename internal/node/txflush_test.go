@@ -1,6 +1,7 @@
 package node
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"algorand/internal/network"
 	"algorand/internal/params"
 	"algorand/internal/vtime"
+	"algorand/internal/wire"
 )
 
 func TestTxFlushPeriodFollowsLambdaPriority(t *testing.T) {
@@ -77,5 +79,55 @@ func TestPaymentGossipedWithinQuarterLambdaPriority(t *testing.T) {
 			t.Errorf("payment admitted at %v left at %v: waited %v, more than λ_priority/4 = %v",
 				at, log.batches[i], wait, prm.LambdaPriority/4)
 		}
+	}
+}
+
+// TestDuplicateBatchPinsNothing: a pending payment keeps itself
+// reachable, never the batch it arrived in. A peer can wrap one fresh
+// payment in a near-cap batch of payments the node already holds; were
+// the batch one array the pool pointed into, that one admission would
+// hold ~77 KB for as long as it waits, against the 176 bytes the pool's
+// MaxBytes accounts for.
+func TestDuplicateBatchPinsNothing(t *testing.T) {
+	const duplicates = 700
+	rig := newHandlerRig(t, 3)
+	held := &ledger.Transaction{From: rig.ids[1].PublicKey(), To: rig.ids[0].PublicKey(), Amount: 1}
+	held.Sign(rig.ids[1])
+	fresh := &ledger.Transaction{From: rig.ids[2].PublicKey(), To: rig.ids[0].PublicKey(), Amount: 1}
+	fresh.Sign(rig.ids[2])
+	if err := rig.node.SubmitTx(held); err != nil {
+		t.Fatal(err)
+	}
+	hostile := &TxBatch{}
+	for i := 0; i < duplicates; i++ {
+		if i == duplicates/2 {
+			hostile.Txns = append(hostile.Txns, fresh)
+		}
+		hostile.Txns = append(hostile.Txns, held)
+	}
+	frame := wire.Encode(hostile)
+	if len(frame) > MaxTxBatchBytes {
+		t.Fatalf("test batch of %d bytes is over the cap", len(frame))
+	}
+	hostile = nil
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	msg := new(TxBatch)
+	if err := wire.Decode(frame, msg); err != nil {
+		t.Fatal(err)
+	}
+	rig.node.handleTxBatch(msg, crypto.CostModel{})
+	msg = nil
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(frame)
+
+	if s := rig.node.TxFlow().Stats(); s.Admitted != 2 || s.Duplicate != duplicates {
+		t.Fatalf("admitted %d, duplicate %d; want 2 and %d", s.Admitted, s.Duplicate, duplicates)
+	}
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 16<<10 {
+		t.Errorf("one fresh payment among %d duplicates left %d bytes reachable, want under 16 KB", duplicates, grew)
 	}
 }

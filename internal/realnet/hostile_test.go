@@ -325,16 +325,16 @@ func TestHostileTxBatch(t *testing.T) {
 	// transactions to cross MaxTxBatchBytes.
 	tx := ledger.Transaction{From: crypto.PublicKey{1}, Amount: 1, Sig: make([]byte, 120)}
 	n := nodepkg.MaxTxBatchBytes/tx.WireSize() + 2
-	over := &nodepkg.TxBatch{Txns: make([]ledger.Transaction, n)}
+	over := &nodepkg.TxBatch{Txns: make([]*ledger.Transaction, n)}
 	for i := range over.Txns {
-		over.Txns[i] = tx
+		over.Txns[i] = &tx
 	}
 	_, overBody, err := nodepkg.EncodeMessage(over)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A valid single-tx batch to truncate.
-	_, okBody, err := nodepkg.EncodeMessage(&nodepkg.TxBatch{Txns: []ledger.Transaction{tx}})
+	_, okBody, err := nodepkg.EncodeMessage(&nodepkg.TxBatch{Txns: []*ledger.Transaction{&tx}})
 	if err != nil {
 		t.Fatal(err)
 	}

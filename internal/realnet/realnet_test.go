@@ -64,7 +64,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		vote,
 		&nodepkg.BlockRequest{Hash: crypto.HashBytes("h"), Requester: 2, Nonce: 7},
 		&nodepkg.BlockFill{Block: blk, Recipient: 1},
-		&nodepkg.TxBatch{Txns: []ledger.Transaction{{From: id.PublicKey(), Amount: 5}}},
+		&nodepkg.TxBatch{Txns: []*ledger.Transaction{{From: id.PublicKey(), Amount: 5}}},
 	}
 	const nPeers = 16
 	for _, m := range msgs {

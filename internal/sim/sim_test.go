@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"bytes"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -9,6 +12,8 @@ import (
 	"algorand/internal/network"
 	"algorand/internal/node"
 	"algorand/internal/trace"
+	"algorand/internal/vtime"
+	"algorand/internal/wire"
 )
 
 func TestSmallClusterReachesConsensus(t *testing.T) {
@@ -464,4 +469,100 @@ func TestBlocksAreBuiltOnlyByProposers(t *testing.T) {
 	if proposals < rounds || proposals > n*rounds/2 {
 		t.Fatalf("%d proposals over %d node-rounds; test premise broken", proposals, n*rounds)
 	}
+}
+
+// paymentRun drives a 50-node cluster for three rounds with a submitter
+// that, like a client reusing one buffer, scribbles over every payment as
+// soon as SubmitTx returns. It returns the cluster, what was submitted
+// (wire bytes by transaction ID) and what the process allocated.
+func paymentRun(t *testing.T, txPerSecond int) (*Cluster, map[crypto.Digest][]byte, uint64) {
+	const n, rounds = 50, 3
+	c := NewCluster(DefaultConfig(n, rounds))
+	submitted := make(map[crypto.Digest][]byte)
+	if txPerSecond > 0 {
+		c.Sim.Spawn("submitter", func(p *vtime.Proc) {
+			nonces := make([]uint64, n)
+			for i := 0; !c.Sim.Stopped() && !c.allNodesDone(); i++ {
+				p.Sleep(time.Second / time.Duration(txPerSecond))
+				from := i % n
+				tx := &ledger.Transaction{From: c.ids[from].PublicKey(), To: c.ids[(from+7)%n].PublicKey(), Amount: 1, Nonce: nonces[from]}
+				tx.Sign(c.ids[from])
+				id, enc := tx.ID(), wire.Encode(tx)
+				if err := c.Nodes[from].SubmitTx(tx); err != nil {
+					continue
+				}
+				nonces[from]++
+				submitted[id] = enc
+				tx.Amount, tx.Nonce, tx.To = 999, 77, crypto.PublicKey{1}
+				for j := range tx.Sig {
+					tx.Sig[j] ^= 0xff
+				}
+			}
+		})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c.Run()
+	runtime.ReadMemStats(&after)
+	if err := c.AgreementCheck(); err != nil {
+		t.Fatal(err)
+	}
+	return c, submitted, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestPaymentIsOneObjectFromSubmitToBlock: a payment is copied once where
+// it enters the cluster and then handed from pool to outbox to batch to
+// pool as it is, every node holding the same object. What every node
+// commits is byte for byte what the sender submitted, and what a payment
+// costs a node to hear, hold, hand on and commit — the run's allocation
+// over an idle run's, per payment per node — stays a few words over the
+// payment's own copy into the blocks that carry it.
+func TestPaymentIsOneObjectFromSubmitToBlock(t *testing.T) {
+	c, submitted, loaded := paymentRun(t, 100)
+	committed := 0
+	for i, nd := range c.Nodes {
+		for r := uint64(1); r <= nd.Ledger().ChainLength(); r++ {
+			b, ok := nd.Ledger().BlockAt(r)
+			if !ok {
+				t.Fatalf("node %d has no block %d", i, r)
+			}
+			for j := range b.Txns {
+				tx := &b.Txns[j]
+				if want, ok := submitted[tx.ID()]; !ok || !bytes.Equal(wire.Encode(tx), want) {
+					t.Fatalf("node %d, round %d, payment %d: committed %x, submitted %x", i, r, j, wire.Encode(tx), want)
+				}
+			}
+			if i == 0 {
+				committed += len(b.Txns)
+			}
+		}
+	}
+	if committed < len(submitted)/3 {
+		t.Fatalf("%d of %d submitted payments committed; test premise broken", committed, len(submitted))
+	}
+	if !poolKeeps() {
+		t.Skip("sync.Pool drops Puts here (race detector): every batch ID and block hash allocates its preimage again")
+	}
+	_, _, idle := paymentRun(t, 0)
+	const bound = 250 // bytes per payment per node
+	per := (float64(loaded) - float64(idle)) / float64(len(submitted)*len(c.Nodes))
+	t.Logf("%d payments, %d committed on node 0; %.0f bytes allocated per payment per node", len(submitted), committed, per)
+	if per > bound {
+		t.Errorf("a payment costs %.0f bytes per node, want at most %d", per, bound)
+	}
+}
+
+// poolKeeps reports whether sync.Pool hands back what it was given. The
+// race detector makes it drop a quarter of all Puts on purpose: an
+// allocation budget over borrowed buffers holds only where this does.
+func poolKeeps() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		x := new(int)
+		p.Put(x)
+		if p.Get() != any(x) {
+			return false
+		}
+	}
+	return true
 }

@@ -89,10 +89,9 @@ func (a *atomic32) next() int {
 	return n
 }
 
-// BenchmarkVerifyCacheHit measures re-delivery of an already verified
-// transaction: the TTL'd digest cache must make it far cheaper than a
-// verification.
-func BenchmarkVerifyCacheHit(b *testing.B) {
+// BenchmarkDuplicateRedelivery measures re-delivery of a pending
+// transaction: it ends in precheck, far cheaper than a verification.
+func BenchmarkDuplicateRedelivery(b *testing.B) {
 	provider := crypto.NewReal()
 	f := New(provider, Config{})
 	txs := benchTxs(b, provider, 1, 1)

@@ -3,6 +3,7 @@ package txflow
 import (
 	"bytes"
 	"container/heap"
+	"slices"
 	"sort"
 	"sync"
 
@@ -10,23 +11,17 @@ import (
 	"algorand/internal/ledger"
 )
 
-// entry is one pending transaction.
-type entry struct {
-	tx *ledger.Transaction
-	id crypto.Digest
-}
-
 // senderQueue holds one sender's pending transactions in ascending
 // nonce order. Nonces are unique within a queue; a strictly
 // higher-fee transaction for the same nonce displaces the incumbent.
 type senderQueue struct {
-	txs []entry
+	txs []*ledger.Transaction
 }
 
 // find locates the queue index holding nonce, or its insertion point.
 func (q *senderQueue) find(nonce uint64) (int, bool) {
-	i := sort.Search(len(q.txs), func(i int) bool { return q.txs[i].tx.Nonce >= nonce })
-	return i, i < len(q.txs) && q.txs[i].tx.Nonce == nonce
+	i := sort.Search(len(q.txs), func(i int) bool { return q.txs[i].Nonce >= nonce })
+	return i, i < len(q.txs) && q.txs[i].Nonce == nonce
 }
 
 // shard is one lock domain of the mempool. Senders are distributed
@@ -72,7 +67,7 @@ func (f *Flow) checkLocked(sh *shard, tx *ledger.Transaction) error {
 		// lower/equal-fee copy is a duplicate; a strictly higher fee is
 		// a replacement and takes the incumbent's slot (so the cap
 		// below does not apply).
-		if q.txs[i].tx.Fee >= tx.Fee {
+		if q.txs[i].Fee >= tx.Fee {
 			return ErrDuplicate
 		}
 		return nil
@@ -95,19 +90,20 @@ func (sh *shard) precheck(f *Flow, tx *ledger.Transaction) error {
 // insert places a verified transaction into the shard, then enforces
 // the global byte/count bounds by evicting the lowest-fee tail in the
 // shard (possibly the incoming transaction itself, in which case the
-// caller gets ErrPoolFull). What the pool keeps, and returns, is its own
-// copy: the caller's transaction may sit in a decoded gossip batch, which
-// one pending payment would otherwise pin whole for as long as it waits,
-// or in a buffer the submitter goes on to reuse.
-func (f *Flow) insert(sh *shard, tx *ledger.Transaction, id crypto.Digest) (*ledger.Transaction, error) {
+// caller gets ErrPoolFull). What the pool keeps, and returns, is tx itself
+// when the caller gave it away (own: gossip, each payment an allocation of
+// its own) and otherwise a copy: a submitter may reuse its buffer.
+func (f *Flow) insert(sh *shard, tx *ledger.Transaction, own bool) (*ledger.Transaction, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if err := f.checkLocked(sh, tx); err != nil {
 		return nil, err
 	}
-	own := *tx
-	own.Sig = bytes.Clone(tx.Sig)
-	tx = &own
+	if !own {
+		cp := *tx
+		cp.Sig = bytes.Clone(tx.Sig)
+		tx = &cp
+	}
 	q := sh.senders[tx.From]
 	if q == nil {
 		q = &senderQueue{}
@@ -115,14 +111,13 @@ func (f *Flow) insert(sh *shard, tx *ledger.Transaction, id crypto.Digest) (*led
 	}
 	i, replace := q.find(tx.Nonce)
 	if replace {
-		old := q.txs[i]
-		q.txs[i] = entry{tx: tx, id: id}
-		f.bytes.Add(int64(tx.WireSize() - old.tx.WireSize()))
+		f.bytes.Add(int64(tx.WireSize() - q.txs[i].WireSize()))
+		q.txs[i] = tx
 		f.c.replaced.Inc()
 	} else {
-		q.txs = append(q.txs, entry{})
+		q.txs = append(q.txs, nil)
 		copy(q.txs[i+1:], q.txs[i:])
-		q.txs[i] = entry{tx: tx, id: id}
+		q.txs[i] = tx
 		f.count.Add(1)
 		f.bytes.Add(int64(tx.WireSize()))
 	}
@@ -147,8 +142,8 @@ func (f *Flow) insert(sh *shard, tx *ledger.Transaction, id crypto.Digest) (*led
 			delete(sh.senders, victim)
 		}
 		f.count.Add(-1)
-		f.bytes.Add(int64(-ve.tx.WireSize()))
-		if ve.id == id {
+		f.bytes.Add(int64(-ve.WireSize()))
+		if ve == tx {
 			// The incoming transaction was itself the cheapest: the
 			// pool is full and its fee too low.
 			return nil, ErrPoolFull
@@ -166,12 +161,12 @@ func (sh *shard) lowestFeeTailLocked() (crypto.PublicKey, *senderQueue) {
 		bestQ  *senderQueue
 	)
 	for pk, q := range sh.senders {
-		tail := q.txs[len(q.txs)-1].tx
+		tail := q.txs[len(q.txs)-1]
 		if bestQ == nil {
 			bestPK, bestQ = pk, q
 			continue
 		}
-		btail := bestQ.txs[len(bestQ.txs)-1].tx
+		btail := bestQ.txs[len(bestQ.txs)-1]
 		if tail.Fee < btail.Fee || (tail.Fee == btail.Fee && bestPK.Less(pk)) {
 			bestPK, bestQ = pk, q
 		}
@@ -185,19 +180,10 @@ func (sh *shard) lowestFeeTailLocked() (crypto.PublicKey, *senderQueue) {
 // senders that appear in the block are touched. balances must reflect
 // the state after the commit; it is read on the calling goroutine.
 func (f *Flow) Committed(b *ledger.Block, balances *ledger.Balances) {
-	// Group by sender so each shard/queue is visited once.
-	type senderCommit struct {
-		ids []crypto.Digest
-	}
-	bySender := make(map[crypto.PublicKey]*senderCommit)
+	// The set of senders, so each shard/queue is visited once.
+	bySender := make(map[crypto.PublicKey]struct{})
 	for i := range b.Txns {
-		tx := &b.Txns[i]
-		sc := bySender[tx.From]
-		if sc == nil {
-			sc = &senderCommit{}
-			bySender[tx.From] = sc
-		}
-		sc.ids = append(sc.ids, tx.ID())
+		bySender[b.Txns[i].From] = struct{}{}
 	}
 	for from := range bySender {
 		floor := balances.NonceOf(from)
@@ -209,11 +195,11 @@ func (f *Flow) Committed(b *ledger.Block, balances *ledger.Balances) {
 		if q := sh.senders[from]; q != nil {
 			// Everything below the committed nonce is spent or stale.
 			cut, _ := q.find(floor)
-			for _, e := range q.txs[:cut] {
+			for _, tx := range q.txs[:cut] {
 				f.count.Add(-1)
-				f.bytes.Add(int64(-e.tx.WireSize()))
+				f.bytes.Add(int64(-tx.WireSize()))
 			}
-			q.txs = append(q.txs[:0], q.txs[cut:]...)
+			q.txs = slices.Delete(q.txs, 0, cut)
 			if len(q.txs) == 0 {
 				delete(sh.senders, from)
 			}
@@ -231,13 +217,13 @@ type feeHeap []assemblyRun
 
 type assemblyRun struct {
 	sender crypto.PublicKey
-	txs    []entry // pending run, ascending nonce
-	pos    int     // next index to consider
+	txs    []*ledger.Transaction // pending run, ascending nonce
+	pos    int                   // next index to consider
 }
 
 func (h feeHeap) Len() int { return len(h) }
 func (h feeHeap) Less(i, j int) bool {
-	fi, fj := h[i].txs[h[i].pos].tx.Fee, h[j].txs[h[j].pos].tx.Fee
+	fi, fj := h[i].txs[h[i].pos].Fee, h[j].txs[h[j].pos].Fee
 	if fi != fj {
 		return fi > fj
 	}
@@ -309,15 +295,13 @@ func (o *overlay) apply(tx *ledger.Transaction) bool {
 // calling goroutine); pool state is not mutated — commit-time cleanup
 // happens in Committed.
 func (f *Flow) Assemble(balances *ledger.Balances, maxBytes int) []ledger.Transaction {
-	// Snapshot each shard's queues under its own lock. The entries are
-	// immutable once inserted; only the slices need copying.
+	// Snapshot each shard's queues under its own lock. A pending payment
+	// is never written; only the slices need copying.
 	h := make(feeHeap, 0, 64)
 	for _, sh := range f.shards {
 		sh.mu.Lock()
 		for pk, q := range sh.senders {
-			run := make([]entry, len(q.txs))
-			copy(run, q.txs)
-			h = append(h, assemblyRun{sender: pk, txs: run})
+			h = append(h, assemblyRun{sender: pk, txs: slices.Clone(q.txs)})
 		}
 		sh.mu.Unlock()
 	}
@@ -333,7 +317,7 @@ func (f *Flow) Assemble(balances *ledger.Balances, maxBytes int) []ledger.Transa
 	size := 0
 	for h.Len() > 0 && size < maxBytes {
 		run := h[0]
-		tx := run.txs[run.pos].tx
+		tx := run.txs[run.pos]
 		w := tx.WireSize()
 		if size+w > maxBytes {
 			// This sender's head does not fit; with uniform transaction

@@ -47,7 +47,7 @@ func newCounters(r *metrics.Registry) counters {
 		outboxDrop:  r.Counter("algorand_txflow_outbox_drop_total", "admitted transactions dropped from the gossip outbox"),
 		evicted:     r.Counter("algorand_txflow_evicted_total", "pending transactions evicted to admit higher-fee ones"),
 		replaced:    r.Counter("algorand_txflow_replaced_total", "pending transactions replaced by same-nonce higher-fee ones"),
-		verified:    r.Counter("algorand_txflow_verified_total", "signatures actually verified (cache misses)"),
+		verified:    r.Counter("algorand_txflow_verified_total", "signatures actually verified"),
 	}
 }
 
@@ -94,10 +94,9 @@ type Stats struct {
 	Evicted  uint64
 	Replaced uint64
 
-	// Verification economics: Verified signatures actually checked,
-	// CacheHits re-deliveries served from the TTL'd digest cache.
-	Verified  uint64
-	CacheHits uint64
+	// Verified counts signatures actually checked: one per fresh
+	// payment, none for a re-delivery.
+	Verified uint64
 }
 
 // Rejected sums every rejection reason.
@@ -109,10 +108,10 @@ func (s Stats) Rejected() uint64 {
 // String renders a one-line operator summary.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"txflow: pending %d (%d B) | admitted %d rejected %d (dup %d stale %d badsig %d rate %d full %d) | evicted %d replaced %d | verified %d cache-hits %d",
+		"txflow: pending %d (%d B) | admitted %d rejected %d (dup %d stale %d badsig %d rate %d full %d) | evicted %d replaced %d | verified %d",
 		s.Pending, s.PendingBytes, s.Admitted, s.Rejected(),
 		s.Duplicate, s.StaleNonce, s.BadSig, s.RateLimited, s.PoolFull,
-		s.Evicted, s.Replaced, s.Verified, s.CacheHits)
+		s.Evicted, s.Replaced, s.Verified)
 }
 
 // Stats snapshots the pipeline counters. Safe to call from any
@@ -134,6 +133,5 @@ func (f *Flow) Stats() Stats {
 		Evicted:      f.c.evicted.Load(),
 		Replaced:     f.c.replaced.Load(),
 		Verified:     f.c.verified.Load(),
-		CacheHits:    f.cacheHits.Load(),
 	}
 }

@@ -10,15 +10,19 @@
 //	                        │
 //	                        ▼
 //	               signature verification
-//	               (worker pool over crypto.Provider,
-//	                TTL'd verified-digest cache)
+//	               (worker pool over crypto.Provider)
 //	                        │
 //	                        ▼
 //	               sharded mempool (fee-then-nonce)
 //	                        │           │
 //	                        ▼           ▼
-//	               DrainBatches     Assemble
+//	               DrainOutbox      Assemble
 //	               (batched gossip) (proposer's block)
+//
+// A gossiped payment is one object from the decoder to the next hop: the
+// pool adopts the pointer, the outbox stages it, DrainOutbox's batches are
+// the staged slice, and nobody writes it again. A re-delivery never reaches
+// a signature check: it is pending or stale, and rejected before crypto.
 //
 // Every stage is safe for concurrent use; nothing in the pipeline ever
 // blocks the caller. Admission either accepts a transaction or rejects
@@ -34,7 +38,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"algorand/internal/cache"
 	"algorand/internal/crypto"
 	"algorand/internal/ledger"
 	"algorand/internal/metrics"
@@ -118,14 +121,10 @@ type Config struct {
 	// Rate-limit rejects instead carry the exact remainder of the
 	// sender's window. Default 500ms.
 	ShedBackoff time.Duration
-	// VerifiedTTL is how long a verified transaction digest is
-	// remembered, so relayed copies are never re-verified. Entries live
-	// between TTL and 2×TTL. Default 2 minutes.
-	VerifiedTTL time.Duration
 	// QueueDepth bounds the async ingest queue consumed by the worker
 	// pool. Default 4096.
 	QueueDepth int
-	// Now supplies the pipeline clock (TTL rotation, rate windows). The
+	// Now supplies the pipeline clock (rate windows). The
 	// simulator passes virtual time; real deployments leave it nil and
 	// get wall-clock time since construction. The function must be safe
 	// to call from any goroutine that calls into the Flow.
@@ -155,9 +154,6 @@ func (c Config) withDefaults() Config {
 	if c.ShedBackoff <= 0 {
 		c.ShedBackoff = 500 * time.Millisecond
 	}
-	if c.VerifiedTTL <= 0 {
-		c.VerifiedTTL = 2 * time.Minute
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4096
 	}
@@ -176,11 +172,6 @@ type Flow struct {
 	count atomic.Int64
 	bytes atomic.Int64
 
-	// verified remembers recently verified transaction digests for
-	// VerifiedTTL, so every relayed copy of a transaction costs at most
-	// one signature verification.
-	verified *cache.TwoGen[crypto.Digest, struct{}]
-
 	rateMu    sync.Mutex
 	rates     map[crypto.PublicKey]rateSlot
 	rateSweep time.Duration
@@ -194,13 +185,10 @@ type Flow struct {
 	epoch time.Time
 
 	c counters
-	// cacheHits aliases the verified cache's instrumented hit counter
-	// for the Stats() view.
-	cacheHits *metrics.Counter
 
 	// Worker pool (Start/Close). queue carries gossip batches whose
 	// verification is offloaded from the scheduler goroutine.
-	queue   chan []ledger.Transaction
+	queue   chan []*ledger.Transaction
 	done    chan struct{}
 	wg      sync.WaitGroup
 	started atomic.Bool
@@ -229,11 +217,6 @@ func New(provider crypto.Provider, cfg Config) *Flow {
 		reg = metrics.NewRegistry()
 	}
 	f.c = newCounters(reg)
-	f.verified = cache.New[crypto.Digest, struct{}](cfg.VerifiedTTL)
-	f.verified.Instrument(reg, "algorand_txflow_verified_cache")
-	// Instrument registered the hit counter; registration is idempotent,
-	// so this fetches the same instance.
-	f.cacheHits = reg.Counter("algorand_txflow_verified_cache_hits_total", "")
 	reg.GaugeFunc("algorand_txflow_pending", "pending transactions in the mempool",
 		func() float64 { return float64(f.Len()) })
 	reg.GaugeFunc("algorand_txflow_pending_bytes", "encoded size of pending transactions",
@@ -252,7 +235,7 @@ func (f *Flow) Start(workers int) {
 	if workers <= 0 || !f.started.CompareAndSwap(false, true) {
 		return
 	}
-	f.queue = make(chan []ledger.Transaction, f.cfg.QueueDepth)
+	f.queue = make(chan []*ledger.Transaction, f.cfg.QueueDepth)
 	f.done = make(chan struct{})
 	for i := 0; i < workers; i++ {
 		f.wg.Add(1)
@@ -261,8 +244,8 @@ func (f *Flow) Start(workers int) {
 			for {
 				select {
 				case batch := <-f.queue:
-					for i := range batch {
-						f.ingest(&batch[i])
+					for _, tx := range batch {
+						f.ingest(tx, adopt, false)
 					}
 				case <-f.done:
 					return
@@ -282,12 +265,19 @@ func (f *Flow) Close() {
 	f.wg.Wait()
 }
 
+// What the pool may do with the *ledger.Transaction it admits: gossip's is
+// written by nobody again; a submitter may reuse its buffer.
+const (
+	adopt  = true
+	copyIn = false
+)
+
 // Submit runs one transaction through the full pipeline synchronously:
 // admission, signature verification, mempool insertion, and gossip
-// staging. It returns nil on admission or a typed rejection reason.
+// staging. It returns nil on admission or a typed rejection reason; tx
+// stays the caller's.
 func (f *Flow) Submit(tx *ledger.Transaction) error {
-	res := f.ingest(tx)
-	return res.err
+	return f.ingest(tx, copyIn, false).err
 }
 
 // SubmitBatch admits a batch, returning one result per transaction in
@@ -296,50 +286,34 @@ func (f *Flow) Submit(tx *ledger.Transaction) error {
 // and insertion stay ordered.
 func (f *Flow) SubmitBatch(txs []*ledger.Transaction) []error {
 	errs := make([]error, len(txs))
+	sigOK := make([]bool, len(txs))
 	if f.started.Load() && len(txs) > 1 {
-		f.verifyParallel(txs)
+		f.verifyParallel(txs, sigOK)
 	}
 	for i, tx := range txs {
 		if tx == nil {
 			errs[i] = ErrInvalid
 			continue
 		}
-		errs[i] = f.Submit(tx)
+		errs[i] = f.ingest(tx, copyIn, sigOK[i]).err
 	}
 	return errs
 }
 
-// verifyParallel pre-warms the verified-digest cache for a batch by
-// checking signatures concurrently on the calling goroutine plus the
-// batch's own span of goroutines. Invalid signatures are left out of
-// the cache and fail again (cheaply, by then cached as nothing) in the
-// ordered pass.
-func (f *Flow) verifyParallel(txs []*ledger.Transaction) {
-	type job struct{ tx *ledger.Transaction }
-	jobs := make(chan job, len(txs))
-	for _, tx := range txs {
-		if tx != nil {
-			jobs <- job{tx}
-		}
-	}
-	close(jobs)
-	workers := 4
-	if len(txs) < workers {
-		workers = len(txs)
-	}
+// verifyParallel checks a batch's signatures on up to four goroutines and
+// sets ok[i] where txs[i]'s passed: the ordered pass re-checks (and
+// rejects, in order) only the others.
+func (f *Flow) verifyParallel(txs []*ledger.Transaction, ok []bool) {
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for w := 0; w < min(4, len(txs)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				key := verifiedKey(j.tx)
-				if f.verified.Contains(key, f.cfg.Now()) {
-					continue
-				}
-				if j.tx.VerifySig(f.provider) {
+			for i := int(next.Add(1)) - 1; i < len(txs); i = int(next.Add(1)) - 1 {
+				if tx := txs[i]; tx != nil && tx.VerifySig(f.provider) {
 					f.c.verified.Inc()
-					f.verified.Put(key, struct{}{}, f.cfg.Now())
+					ok[i] = true
 				}
 			}
 		}()
@@ -350,20 +324,21 @@ func (f *Flow) verifyParallel(txs []*ledger.Transaction) {
 // IngestGossip runs one relayed transaction through the pipeline
 // synchronously and reports whether it was freshly admitted (so the
 // caller can decide to propagate it) and whether a signature was
-// actually verified (so the simulator can charge CPU for it).
+// actually verified (so the simulator can charge CPU for it). The pool
+// takes ownership of tx: the caller must not write it again.
 func (f *Flow) IngestGossip(tx *ledger.Transaction) (fresh, sigChecked bool) {
-	res := f.ingest(tx)
+	res := f.ingest(tx, adopt, false)
 	return res.err == nil, res.sigChecked
 }
 
-// EnqueueBatch hands a gossip batch to the worker pool without
-// blocking. It must only be used after Start; when the queue is full
-// the batch is dropped and counted, never blocked on — upstream gossip
-// redundancy re-delivers.
-func (f *Flow) EnqueueBatch(txs []ledger.Transaction) error {
+// EnqueueBatch hands a gossip batch, and ownership of it, to the worker
+// pool without blocking. It must only be used after Start; when the queue
+// is full the batch is dropped and counted, never blocked on — upstream
+// gossip redundancy re-delivers.
+func (f *Flow) EnqueueBatch(txs []*ledger.Transaction) error {
 	if !f.started.Load() {
-		for i := range txs {
-			f.ingest(&txs[i])
+		for _, tx := range txs {
+			f.ingest(tx, adopt, false)
 		}
 		return nil
 	}
@@ -381,17 +356,9 @@ type ingestResult struct {
 	sigChecked bool
 }
 
-// ingest is the single admission path shared by every entry point.
-// verifiedKey is the digest-cache key for a verified transaction. It
-// binds the signature bytes to the signed core: tx.ID() covers only
-// the signed prefix, so two transactions with the same core but
-// different signature bytes must not share a cache entry.
-func verifiedKey(tx *ledger.Transaction) crypto.Digest {
-	id := tx.ID()
-	return crypto.HashBytes("txflow.verified", id[:], tx.Sig)
-}
-
-func (f *Flow) ingest(tx *ledger.Transaction) ingestResult {
+// ingest is the single admission path shared by every entry point: own
+// is adopt or copyIn, sigOK that the caller already verified the signature.
+func (f *Flow) ingest(tx *ledger.Transaction, own, sigOK bool) ingestResult {
 	now := f.cfg.Now()
 
 	// Structural checks: reject garbage before touching crypto.
@@ -404,7 +371,7 @@ func (f *Flow) ingest(tx *ledger.Transaction) ingestResult {
 
 	// Cheap stateful pre-checks under the shard lock: stale nonce,
 	// duplicate, per-sender cap. All of these reject without a
-	// signature verification.
+	// signature verification: every re-delivery ends here.
 	if err := sh.precheck(f, tx); err != nil {
 		f.c.count(err)
 		if errors.Is(err, ErrSenderLimit) {
@@ -413,36 +380,29 @@ func (f *Flow) ingest(tx *ledger.Transaction) ingestResult {
 		return ingestResult{err: err}
 	}
 
-	if f.cfg.RateLimit > 0 {
-		if ok, retry := f.admitRate(tx.From, now); !ok {
-			f.c.rateLimited.Inc()
-			f.c.shed.Inc()
-			return ingestResult{err: &Reject{Err: ErrRateLimited, RetryAfter: retry}}
-		}
+	// A full rate window refuses before the signature is looked at, but is
+	// charged only after it verified: until then tx.From is a claim, and a
+	// forged payment must not spend its purported sender's admissions.
+	if err := f.admitRate(tx.From, now, false); err != nil {
+		return ingestResult{err: err}
 	}
 
-	// Signature verification, skipped when the TTL'd cache has already
-	// seen this exact transaction (relayed copies of a tx we verified).
-	// The cache key covers the signature bytes, not just the signed
-	// core: tx.ID() alone would let a same-core copy with a corrupted
-	// signature ride a previous verification into the pool.
-	id := tx.ID()
-	key := verifiedKey(tx)
-	sigChecked := false
-	// Contains counts the hit/miss in the cache's instrumented counters.
-	if !f.verified.Contains(key, now) {
-		sigChecked = true
+	sigChecked := !sigOK
+	if sigChecked {
 		if !tx.VerifySig(f.provider) {
 			f.c.badSig.Inc()
 			return ingestResult{err: ErrBadSig, sigChecked: true}
 		}
 		f.c.verified.Inc()
-		f.verified.Put(key, struct{}{}, now)
+	}
+
+	if err := f.admitRate(tx.From, now, true); err != nil {
+		return ingestResult{err: err, sigChecked: sigChecked}
 	}
 
 	// Insert, evicting the lowest-fee pending transaction if the pool
 	// is over its global bounds.
-	tx, err := f.insert(sh, tx, id)
+	tx, err := f.insert(sh, tx, own)
 	if err != nil {
 		f.c.count(err)
 		if errors.Is(err, ErrPoolFull) {
@@ -463,10 +423,14 @@ func (f *Flow) ingest(tx *ledger.Transaction) ingestResult {
 	return ingestResult{sigChecked: sigChecked}
 }
 
-// admitRate charges one admission against the sender's rate window. On
-// refusal it returns how long until the sender's window rolls over —
-// the exact moment a resubmission can succeed.
-func (f *Flow) admitRate(from crypto.PublicKey, now time.Duration) (bool, time.Duration) {
+// admitRate checks that the sender's rate window has room and, with
+// charge, takes one admission from it. Its refusal is counted and carries
+// how long until the window rolls over — the exact moment a resubmission
+// can succeed.
+func (f *Flow) admitRate(from crypto.PublicKey, now time.Duration, charge bool) error {
+	if f.cfg.RateLimit <= 0 {
+		return nil
+	}
 	f.rateMu.Lock()
 	defer f.rateMu.Unlock()
 	// Periodically drop senders whose window has passed, bounding the
@@ -484,18 +448,22 @@ func (f *Flow) admitRate(from crypto.PublicKey, now time.Duration) (bool, time.D
 		s = rateSlot{window: now}
 	}
 	if s.n >= f.cfg.RateLimit {
-		return false, s.window + f.cfg.RateWindow - now
+		f.c.rateLimited.Inc()
+		f.c.shed.Inc()
+		return &Reject{Err: ErrRateLimited, RetryAfter: s.window + f.cfg.RateWindow - now}
 	}
-	s.n++
-	f.rates[from] = s
-	return true, 0
+	if charge {
+		s.n++
+		f.rates[from] = s
+	}
+	return nil
 }
 
 // DrainOutbox returns the staged transactions packed into batches of
 // at most maxBatchBytes of encoded payload each, clearing the stage.
-// The node's flush process gossips each batch as one TxBatch message;
-// the batches are cut from one array sized by what was staged.
-func (f *Flow) DrainOutbox(maxBatchBytes int) [][]ledger.Transaction {
+// The node's flush process gossips each batch as one TxBatch message; the
+// batches are the staged slice itself, each clipped to its length.
+func (f *Flow) DrainOutbox(maxBatchBytes int) [][]*ledger.Transaction {
 	f.outMu.Lock()
 	staged := f.outbox
 	f.outbox = nil
@@ -503,19 +471,17 @@ func (f *Flow) DrainOutbox(maxBatchBytes int) [][]ledger.Transaction {
 	if len(staged) == 0 {
 		return nil
 	}
-	all := make([]ledger.Transaction, len(staged))
-	var batches [][]ledger.Transaction
+	var batches [][]*ledger.Transaction
 	start, size := 0, 0
 	for i, tx := range staged {
 		w := tx.WireSize()
 		if size+w > maxBatchBytes && i > start {
-			batches = append(batches, all[start:i:i])
+			batches = append(batches, staged[start:i:i])
 			start, size = i, 0
 		}
-		all[i] = *tx
 		size += w
 	}
-	return append(batches, all[start:])
+	return append(batches, staged[start:len(staged):len(staged)])
 }
 
 // Len returns the number of pending transactions.

@@ -133,8 +133,12 @@ func TestRejectionReasons(t *testing.T) {
 	}
 }
 
-func TestVerifiedCacheSkipsReverification(t *testing.T) {
-	h := newHarness(t, 2, Config{VerifiedTTL: time.Minute})
+// TestRelayedCopyIsNeverReverified: a payment's signature is checked once
+// per node. Every later delivery finds it pending (duplicate) or below
+// its sender's committed nonce (stale), and both are decided before a
+// signature is looked at.
+func TestRelayedCopyIsNeverReverified(t *testing.T) {
+	h := newHarness(t, 2, Config{})
 	tx := h.tx(0, 1, 5, 0, 0)
 	if fresh, sig := h.flow.IngestGossip(tx); !fresh || !sig {
 		t.Fatalf("first ingest: fresh=%v sigChecked=%v", fresh, sig)
@@ -143,6 +147,9 @@ func TestVerifiedCacheSkipsReverification(t *testing.T) {
 	if fresh, sig := h.flow.IngestGossip(tx); fresh || sig {
 		t.Fatalf("relayed copy: fresh=%v sigChecked=%v, want false/false", fresh, sig)
 	}
+	if s := h.flow.Stats(); s.Verified != 1 || s.Duplicate != 1 {
+		t.Fatalf("after a relay: verified %d duplicate %d, want 1 and 1", s.Verified, s.Duplicate)
+	}
 	// Commit it, then replay: stale, still no re-verification.
 	blk := &ledger.Block{Round: 1, Txns: []ledger.Transaction{*tx}}
 	h.balances.ApplyTx(tx)
@@ -150,25 +157,17 @@ func TestVerifiedCacheSkipsReverification(t *testing.T) {
 	if fresh, sig := h.flow.IngestGossip(tx); fresh || sig {
 		t.Fatalf("replayed after commit: fresh=%v sigChecked=%v", fresh, sig)
 	}
-	s := h.flow.Stats()
-	if s.Verified != 1 {
-		t.Fatalf("verified %d signatures, want exactly 1", s.Verified)
-	}
-	// After 2×TTL the cache forgets; a replay (still stale) is rejected
-	// before verification anyway.
-	h.advance(3 * time.Minute)
-	if fresh, sig := h.flow.IngestGossip(tx); fresh || sig {
-		t.Fatalf("stale replay after TTL: fresh=%v sigChecked=%v", fresh, sig)
+	if s := h.flow.Stats(); s.Verified != 1 || s.StaleNonce != 1 {
+		t.Fatalf("after a post-commit replay: verified %d stale %d, want 1 and 1", s.Verified, s.StaleNonce)
 	}
 }
 
-// TestCorruptSigCannotRideCache pins the cache key down to the
-// signature bytes: a transaction whose signed core was verified
-// earlier (and then evicted from the pool) must not smuggle a
-// corrupted signature past verification via the digest cache —
-// tx.ID() covers only the signed prefix.
-func TestCorruptSigCannotRideCache(t *testing.T) {
-	h := newHarness(t, 4, Config{Shards: 1, MaxTxs: 2, VerifiedTTL: time.Minute})
+// TestEvictedCoreWithCorruptSigIsBadSig: a payment that was verified and
+// then evicted from the pool leaves nothing behind that vouches for its
+// signed core. The same core under a corrupted signature is verified
+// like any fresh payment, and rejected.
+func TestEvictedCoreWithCorruptSigIsBadSig(t *testing.T) {
+	h := newHarness(t, 4, Config{Shards: 1, MaxTxs: 2})
 	victim := h.tx(0, 1, 1, 0, 0) // fee 0: first eviction victim
 	if err := h.flow.Submit(victim); err != nil {
 		t.Fatalf("victim submit: %v", err)
@@ -182,8 +181,6 @@ func TestCorruptSigCannotRideCache(t *testing.T) {
 	if got := h.flow.Stats().Evicted; got == 0 {
 		t.Fatal("setup failed: victim was not evicted")
 	}
-	// Same signed core, corrupted signature. The verified cache still
-	// remembers the core's digest — admission must re-verify and reject.
 	corrupt := *victim
 	corrupt.Sig = append([]byte{}, victim.Sig...)
 	corrupt.Sig[0] ^= 0xff
@@ -232,6 +229,43 @@ func TestRateLimiting(t *testing.T) {
 	h.advance(time.Second)
 	if err := h.flow.Submit(h.tx(0, 1, 1, 0, 3)); err != nil {
 		t.Fatalf("next window: %v", err)
+	}
+}
+
+// TestForgedPaymentsDoNotSpendTheSendersRate: From is a claim until the
+// signature verifies, so the rate window is charged only then. Anyone
+// could otherwise lock a victim out of a rate-limited gateway with
+// forged payments in the victim's name.
+func TestForgedPaymentsDoNotSpendTheSendersRate(t *testing.T) {
+	const limit, forged = 3, 10
+	h := newHarness(t, 2, Config{RateLimit: limit, RateWindow: time.Second})
+	for n := uint64(0); n < forged; n++ {
+		bad := h.tx(0, 1, 1, 0, n)
+		bad.Sig[0] ^= 1
+		if err := h.flow.Submit(bad); !errors.Is(err, ErrBadSig) {
+			t.Fatalf("forged payment %d: %v, want ErrBadSig", n, err)
+		}
+	}
+	for n := uint64(0); n < limit; n++ {
+		if err := h.flow.Submit(h.tx(0, 1, 1, 0, n)); err != nil {
+			t.Fatalf("the sender's own payment %d after %d forged ones: %v", n, forged, err)
+		}
+	}
+	// The sender's real excess is refused, and refused before a signature
+	// check: a full window costs a forger's target nothing either.
+	for n := uint64(limit); n < limit+2; n++ {
+		err := h.flow.Submit(h.tx(0, 1, 1, 0, n))
+		if !errors.Is(err, ErrRateLimited) {
+			t.Fatalf("over budget (nonce %d): %v, want ErrRateLimited", n, err)
+		}
+		if retry, ok := RetryAfterHint(err); !ok || retry != time.Second {
+			t.Fatalf("over budget (nonce %d): retry hint %v %v, want 1s", n, retry, ok)
+		}
+	}
+	s := h.flow.Stats()
+	if s.RateLimited != 2 || s.BadSig != forged || s.Admitted != limit || s.Verified != limit {
+		t.Fatalf("rate-limited %d bad-sig %d admitted %d verified %d, want 2, %d, %d, %d",
+			s.RateLimited, s.BadSig, s.Admitted, s.Verified, forged, limit, limit)
 	}
 }
 
@@ -438,10 +472,10 @@ func TestWorkerPoolIngest(t *testing.T) {
 	h.flow.Start(4)
 	defer h.flow.Close()
 
-	var batch []ledger.Transaction
+	var batch []*ledger.Transaction
 	for i := 0; i < 8; i++ {
 		for n := uint64(0); n < 4; n++ {
-			batch = append(batch, *h.tx(i, (i+1)%8, 1, 0, n))
+			batch = append(batch, h.tx(i, (i+1)%8, 1, 0, n))
 		}
 	}
 	if err := h.flow.EnqueueBatch(batch); err != nil {
@@ -478,38 +512,90 @@ func TestSubmitBatchMixedResults(t *testing.T) {
 	}
 }
 
-// TestPoolOwnsItsTransactions: what the pool admits it copies. A gossip
-// batch is one array the network layer decoded, and a pending payment
-// that pointed into it kept the whole array alive — and showed whatever
-// the array's owner wrote there next.
-func TestPoolOwnsItsTransactions(t *testing.T) {
-	h := newHarness(t, 4, Config{})
-	batch := []ledger.Transaction{*h.tx(0, 1, 5, 1, 0), *h.tx(2, 3, 7, 2, 0), *h.tx(0, 1, 6, 1, 1)}
-	want := make([][]byte, len(batch))
-	for i := range batch {
-		want[i] = wire.Encode(&batch[i])
-		if fresh, _ := h.flow.IngestGossip(&batch[i]); !fresh {
-			t.Fatalf("payment %d not admitted", i)
+// TestSubmitBatchVerifiesEachSignatureOnce: under a running worker pool
+// the batch's signatures are checked in parallel first, and the ordered
+// pass reads those verdicts: a signature that passed is not checked
+// again, one that failed is checked again and rejected in its place.
+func TestSubmitBatchVerifiesEachSignatureOnce(t *testing.T) {
+	const n, badAt = 24, 7
+	h := newHarness(t, n, Config{})
+	h.flow.Start(4)
+	defer h.flow.Close()
+	txs := make([]*ledger.Transaction, n)
+	for i := range txs {
+		txs[i] = h.tx(i, (i+1)%n, 1, 0, 0)
+	}
+	txs[badAt].Sig[5] ^= 0xff
+	for i, err := range h.flow.SubmitBatch(txs) {
+		switch {
+		case i == badAt && !errors.Is(err, ErrBadSig):
+			t.Errorf("payment %d (bad signature): %v, want ErrBadSig", i, err)
+		case i != badAt && err != nil:
+			t.Errorf("payment %d: %v", i, err)
 		}
 	}
-	// The batch's owner reuses its memory: fields and signature bytes.
-	for i := range batch {
-		batch[i].Amount, batch[i].Nonce, batch[i].To = 999, 77, crypto.PublicKey{1}
-		for j := range batch[i].Sig {
-			batch[i].Sig[j] ^= 0xff
-		}
+	s := h.flow.Stats()
+	if s.Verified != n-1 || s.Admitted != n-1 || s.BadSig != 1 {
+		t.Fatalf("verified %d admitted %d bad-sig %d, want %d, %d, 1", s.Verified, s.Admitted, s.BadSig, n-1, n-1)
 	}
-	pooled := make(map[string]bool)
-	for _, tx := range h.flow.Assemble(h.balances, 1<<20) {
-		tx := tx
-		pooled[string(wire.Encode(&tx))] = true
-	}
-	staged := make(map[string]bool)
+	// Admission stayed ordered: the outbox holds the good ones in batch order.
+	i := 0
 	for _, b := range h.flow.DrainOutbox(1 << 20) {
-		for i := range b {
-			staged[string(wire.Encode(&b[i]))] = true
+		for _, tx := range b {
+			if i == badAt {
+				i++
+			}
+			if tx.From != txs[i].From {
+				t.Fatalf("staged payment out of batch order at %d", i)
+			}
+			i++
 		}
 	}
+}
+
+// encodings maps the wire bytes of each payment to true.
+func encodings(txs ...[]*ledger.Transaction) map[string]bool {
+	set := make(map[string]bool)
+	for _, b := range txs {
+		for _, tx := range b {
+			set[string(wire.Encode(tx))] = true
+		}
+	}
+	return set
+}
+
+// TestPoolOwnsItsTransactions: what a submitter hands to Submit or
+// SubmitBatch stays the submitter's. It may scribble over the fields and
+// the signature bytes as soon as the call returns; the pool and the
+// gossip stage hold the bytes that were admitted.
+func TestPoolOwnsItsTransactions(t *testing.T) {
+	h := newHarness(t, 6, Config{})
+	txs := []*ledger.Transaction{h.tx(0, 1, 5, 1, 0), h.tx(2, 3, 7, 2, 0), h.tx(0, 1, 6, 1, 1), h.tx(4, 5, 9, 3, 0)}
+	want := make([][]byte, len(txs))
+	for i, tx := range txs {
+		want[i] = wire.Encode(tx)
+	}
+	if err := h.flow.Submit(txs[0]); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	for i, err := range h.flow.SubmitBatch(txs[1:]) {
+		if err != nil {
+			t.Fatalf("SubmitBatch, payment %d: %v", i+1, err)
+		}
+	}
+	for _, tx := range txs {
+		tx.Amount, tx.Nonce, tx.To = 999, 77, crypto.PublicKey{1}
+		for j := range tx.Sig {
+			tx.Sig[j] ^= 0xff
+		}
+	}
+	assembled := h.flow.Assemble(h.balances, 1<<20)
+	ptrs := make([]*ledger.Transaction, len(assembled))
+	for i := range assembled {
+		ptrs[i] = &assembled[i]
+	}
+	pooled := encodings(ptrs)
+	staged := encodings(h.flow.DrainOutbox(1 << 20)...)
 	for i, enc := range want {
 		if !pooled[string(enc)] {
 			t.Errorf("payment %d: Assemble does not return the bytes that were admitted", i)
@@ -520,6 +606,37 @@ func TestPoolOwnsItsTransactions(t *testing.T) {
 	}
 	if len(pooled) != len(want) || len(staged) != len(want) {
 		t.Fatalf("assembled %d and staged %d payments, admitted %d", len(pooled), len(staged), len(want))
+	}
+}
+
+// TestGossipIsAdopted: a payment that arrives by gossip is one object
+// from the decoder to the next hop. The pointer IngestGossip was given
+// is the pointer DrainOutbox hands on, and a second pool fed that batch
+// stages the same pointer again.
+func TestGossipIsAdopted(t *testing.T) {
+	h := newHarness(t, 4, Config{})
+	txs := []*ledger.Transaction{h.tx(0, 1, 5, 1, 0), h.tx(2, 3, 7, 2, 0), h.tx(0, 1, 6, 1, 1)}
+	for i, tx := range txs {
+		if fresh, _ := h.flow.IngestGossip(tx); !fresh {
+			t.Fatalf("payment %d not admitted", i)
+		}
+	}
+	hop1 := h.flow.DrainOutbox(1 << 20)
+	if len(hop1) != 1 || len(hop1[0]) != len(txs) {
+		t.Fatalf("drained %v, want one batch of %d", hop1, len(txs))
+	}
+	next := New(h.provider, Config{})
+	if err := next.EnqueueBatch(hop1[0]); err != nil {
+		t.Fatal(err)
+	}
+	hop2 := next.DrainOutbox(1 << 20)
+	if len(hop2) != 1 || len(hop2[0]) != len(txs) {
+		t.Fatalf("second hop drained %v, want one batch of %d", hop2, len(txs))
+	}
+	for i, tx := range txs {
+		if hop1[0][i] != tx || hop2[0][i] != tx {
+			t.Errorf("payment %d: ingested %p, first hop hands on %p, second %p", i, tx, hop1[0][i], hop2[0][i])
+		}
 	}
 }
 
@@ -537,11 +654,41 @@ func TestAllocBudgetVerifySig(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetDrainAndAssemble guards the one copy a payment gets on
-// its way out of the pool: DrainOutbox cuts its batches out of one array
-// sized by what was staged, and Assemble sizes its list by what is
-// pending (or by the share of it the block has room for). Both used to
-// grow their output from nil, a payment at a time.
+// TestAllocBudgetGossipIngest guards what a node pays to admit a payment
+// it hears: the pool keeps the pointer it was given, so what is allocated
+// is the sender's queue and the outbox growing by doubling — a few words
+// a payment, amortised — and a duplicate allocates nothing.
+func TestAllocBudgetGossipIngest(t *testing.T) {
+	const users, each = 40, 25
+	h := newHarness(t, users, Config{})
+	txs := make([]*ledger.Transaction, 0, users*each)
+	for nonce := uint64(0); nonce < each; nonce++ {
+		for i := 0; i < users; i++ {
+			txs = append(txs, h.tx(i, (i+1)%users, 1, 0, nonce))
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, tx := range txs {
+		h.flow.IngestGossip(tx)
+	}
+	runtime.ReadMemStats(&after)
+	if got := h.flow.Len(); got != len(txs) {
+		t.Fatalf("admitted %d of %d", got, len(txs))
+	}
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(txs)); per > 64 {
+		t.Errorf("a fresh gossiped payment: %.0f bytes allocated in the pool, want at most 64", per)
+	}
+	if n := testing.AllocsPerRun(200, func() { h.flow.IngestGossip(txs[0]) }); n != 0 {
+		t.Errorf("a duplicate gossiped payment: %v allocations, want 0", n)
+	}
+}
+
+// TestAllocBudgetDrainAndAssemble guards a payment's way out of the pool.
+// DrainOutbox copies nothing: its batches are the staged slice, cut at
+// the cap and each clipped to its length, and all a drain allocates is
+// the list of them. Assemble makes the one copy, into a list sized by
+// what is pending (or by the share of it the block has room for).
 func TestAllocBudgetDrainAndAssemble(t *testing.T) {
 	const users, each = 40, 25
 	h := newHarness(t, users, Config{})
@@ -569,9 +716,9 @@ func TestAllocBudgetDrainAndAssemble(t *testing.T) {
 	if len(batches) != 8 {
 		t.Fatalf("%d batches, want 8", len(batches))
 	}
-	// The array, and the list of batches growing 1, 2, 4, 8.
-	if n := after.Mallocs - before.Mallocs; n > 5 {
-		t.Errorf("DrainOutbox of %d payments in 8 batches: %d allocations, want at most 5", k, n)
+	// The list of batches growing 1, 2, 4, 8: 15 slice headers.
+	if n, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; n > 4 || bytes > 15*24 {
+		t.Errorf("DrainOutbox of %d payments in 8 batches: %d allocations of %d bytes, want the batch headers only", k, n, bytes)
 	}
 	for i, b := range batches {
 		if len(b) != k/8 || cap(b) != len(b) {

@@ -17,7 +17,7 @@ import (
 func benchVoteMsg() network.Message { return &node.VoteMsg{Vote: sampleVote()} }
 
 func benchTxBatch() network.Message {
-	return &node.TxBatch{Txns: []ledger.Transaction{sampleTx()}}
+	return &node.TxBatch{Txns: sampleTxs(1)}
 }
 
 func benchBlock1MB() network.Message {

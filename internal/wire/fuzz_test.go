@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"algorand/internal/blockprop"
-	"algorand/internal/ledger"
 	"algorand/internal/node"
 	"algorand/internal/wire"
 )
@@ -34,7 +33,7 @@ func FuzzDecode(f *testing.F) {
 	// a valid batch truncated mid-transaction.
 	f.Add(node.TagTxBatch, []byte{0x00, 0x00, 0x00, 0x40})
 	if tag, payload, err := node.EncodeMessage(
-		&node.TxBatch{Txns: []ledger.Transaction{sampleTx()}}); err == nil {
+		&node.TxBatch{Txns: sampleTxs(1)}); err == nil {
 		f.Add(tag, payload[:len(payload)-7])
 	}
 

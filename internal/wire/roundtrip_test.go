@@ -13,6 +13,7 @@ package wire_test
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
 	"strings"
 	"testing"
@@ -36,6 +37,16 @@ func sampleTx() ledger.Transaction {
 		Nonce:  7,
 		Sig:    bytes.Repeat([]byte{0x51}, 64),
 	}
+}
+
+// sampleTxs is n payments of a TxBatch, each an object of its own.
+func sampleTxs(n int) []*ledger.Transaction {
+	txs := make([]*ledger.Transaction, n)
+	for i := range txs {
+		tx := sampleTx()
+		txs[i] = &tx
+	}
+	return txs
 }
 
 func sampleVote() ledger.Vote {
@@ -192,8 +203,8 @@ func gossipMessages() []network.Message {
 		&node.PieceRequest{Hash: crypto.HashBytes("block"), Index: 2, Requester: 2, Nonce: 99},
 		&node.BlockPiece{P: samplePiece(0), Recipient: 4, Nonce: 99},
 		&node.BlockPiece{P: samplePiece(1), Recipient: 4, Nonce: 99},
-		&node.TxBatch{Txns: []ledger.Transaction{tx}},
-		&node.TxBatch{Txns: []ledger.Transaction{sampleTx(), sampleTx(), sampleTx()}},
+		&node.TxBatch{Txns: []*ledger.Transaction{&tx}},
+		&node.TxBatch{Txns: sampleTxs(3)},
 		&node.TxBatch{},
 		&node.BlockFill{Block: sampleBlock(), Recipient: 5},
 		&node.ChainRequest{FromRound: 10, MaxBlocks: 32, Requester: 1, Nonce: 98},
@@ -307,9 +318,65 @@ func TestWireSizeConstants(t *testing.T) {
 	}
 	// A TxBatch is a u32 count plus the canonical transactions: its
 	// WireSize must track TxWireSize exactly (drift check).
-	batch := &node.TxBatch{Txns: []ledger.Transaction{sampleTx(), sampleTx()}}
+	batch := &node.TxBatch{Txns: sampleTxs(2)}
 	if got, want := len(wire.Encode(batch)), 4+2*ledger.TxWireSize; got != want || got != batch.WireSize() {
 		t.Fatalf("TxBatch encoding %d bytes, WireSize %d, constant math %d", got, batch.WireSize(), want)
+	}
+}
+
+// TestTxBatchBytesFrozen holds a TxBatch to a frame encoded before its
+// payments became objects of their own (PR 23): the same payments come
+// out of it, the same bytes go back in, and ID and WireSize are what they
+// were — the duplicate-suppression layer and the bandwidth model see the
+// message they saw.
+func TestTxBatchBytesFrozen(t *testing.T) {
+	const (
+		txA = "0102030000000000000000000000000000000000000000000000000000000000" + // From
+			"0405060000000000000000000000000000000000000000000000000000000000" + // To
+			"e803000000000000" + "0300000000000000" + "0700000000000000" + // Amount, Fee, Nonce
+			"40000000" + // len(Sig)
+			"5151515151515151515151515151515151515151515151515151515151515151" +
+			"5151515151515151515151515151515151515151515151515151515151515151"
+		txB = "aabb000000000000000000000000000000000000000000000000000000000000" +
+			"cc00000000000000000000000000000000000000000000000000000000000000" +
+			"0100000000000000" + "0000000000000000" + "0000000000010000" +
+			"40000000" +
+			"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f" +
+			"202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f"
+		frame    = "03000000" + txA + txB + txA
+		id       = "0d7dfa75b476158502bf2b36ede02044e6085a034f038d98ca3df111ad42dcf3"
+		wireSize = 472
+	)
+	frozen, err := hex.DecodeString(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got node.TxBatch
+	if err := wire.Decode(frozen, &got); err != nil {
+		t.Fatalf("decoding the frozen frame: %v", err)
+	}
+	a := sampleTx()
+	b := ledger.Transaction{From: crypto.PublicKey{0xaa, 0xbb}, To: crypto.PublicKey{0xcc}, Amount: 1, Nonce: 1 << 40}
+	for i := 0; i < 64; i++ {
+		b.Sig = append(b.Sig, byte(i))
+	}
+	want := []*ledger.Transaction{&a, &b, &a}
+	if !reflect.DeepEqual(got.Txns, want) {
+		t.Fatalf("decoded %+v, want %+v", got.Txns, want)
+	}
+	if got.Txns[0] == got.Txns[2] {
+		t.Fatal("two payments of one batch decoded into one object")
+	}
+	for _, m := range []*node.TxBatch{&got, {Txns: want}} {
+		if enc := wire.Encode(m); !bytes.Equal(enc, frozen) {
+			t.Fatalf("re-encoded to %x, frozen frame is %x", enc, frozen)
+		}
+		if h := m.ID(); hex.EncodeToString(h[:]) != id {
+			t.Fatalf("ID %x, frozen %s", h[:], id)
+		}
+		if m.WireSize() != wireSize {
+			t.Fatalf("WireSize %d, frozen %d", m.WireSize(), wireSize)
+		}
 	}
 }
 
@@ -329,15 +396,15 @@ func TestTxBatchDecodeRejectsHostileInputs(t *testing.T) {
 	tx := sampleTx()
 	tx.Sig = bytes.Repeat([]byte{9}, 120)
 	n := node.MaxTxBatchBytes/tx.WireSize() + 2
-	big := &node.TxBatch{Txns: make([]ledger.Transaction, n)}
+	big := &node.TxBatch{Txns: make([]*ledger.Transaction, n)}
 	for i := range big.Txns {
-		big.Txns[i] = tx
+		big.Txns[i] = &tx
 	}
 	if err := wire.Decode(wire.Encode(big), new(node.TxBatch)); err == nil {
 		t.Fatal("oversized batch accepted")
 	}
 	// Truncated mid-transaction.
-	ok := &node.TxBatch{Txns: []ledger.Transaction{sampleTx(), sampleTx()}}
+	ok := &node.TxBatch{Txns: sampleTxs(2)}
 	data := wire.Encode(ok)
 	if err := wire.Decode(data[:len(data)-10], new(node.TxBatch)); err == nil {
 		t.Fatal("truncated batch accepted")
