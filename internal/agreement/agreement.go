@@ -84,9 +84,11 @@ type Context struct {
 
 // ValidatedVote is a committee vote that already passed ProcessVote
 // (signature, chain linkage and sortition checks); NumVotes is the
-// verified number of selected sub-users.
+// verified number of selected sub-users. Vote is the vote gossip
+// delivered, not a copy: nobody writes a delivered vote again, so every
+// node that counts it may point at the same one.
 type ValidatedVote struct {
-	Vote     ledger.Vote
+	Vote     *ledger.Vote
 	NumVotes uint64
 }
 
@@ -256,7 +258,7 @@ func certificateFrom(ctx *Context, step uint64, value crypto.Digest, votes []*Va
 	c := &ledger.Certificate{Round: ctx.Round, Step: step, Value: value, Final: final, Votes: make([]ledger.Vote, 0, k)}
 	for _, vv := range votes {
 		if vv.Vote.Value == value {
-			c.Votes = append(c.Votes, vv.Vote)
+			c.Votes = append(c.Votes, *vv.Vote)
 		}
 	}
 	return c

@@ -84,7 +84,7 @@ func (h *harness) broadcast(v *ledger.Vote, _ uint64) {
 			if nv == 0 {
 				return
 			}
-			h.inbox(i, v.Round, v.Step).Send(&ValidatedVote{Vote: *v, NumVotes: nv})
+			h.inbox(i, v.Round, v.Step).Send(&ValidatedVote{Vote: v, NumVotes: nv})
 		})
 	}
 }
@@ -410,7 +410,7 @@ func TestCommonCoinProperties(t *testing.T) {
 	mk := func(seed byte, n int) []*ValidatedVote {
 		var votes []*ValidatedVote
 		for i := 0; i < n; i++ {
-			var v ledger.Vote
+			v := new(ledger.Vote)
 			v.SortHash[0] = seed
 			v.SortHash[1] = byte(i)
 			votes = append(votes, &ValidatedVote{Vote: v, NumVotes: uint64(1 + i%3)})
@@ -562,7 +562,7 @@ func (h *harness) voteBy(node int, step uint64, value crypto.Digest) *ValidatedV
 		return nil
 	}
 	id := h.ids[node]
-	v := ledger.Vote{Sender: id.PublicKey(), Round: h.ctx.Round, Step: step,
+	v := &ledger.Vote{Sender: id.PublicKey(), Round: h.ctx.Round, Step: step,
 		SortHash: res.out, SortProof: res.proof, PrevHash: h.ctx.LastBlockHash, Value: value}
 	v.Sign(id)
 	return &ValidatedVote{Vote: v, NumVotes: res.j}
@@ -587,9 +587,11 @@ func (h *harness) countSent(step uint64, T float64, sent []*ValidatedVote) (res 
 }
 
 // TestAllocBudgetCountVotes guards the one store of a step: what
-// CountVotes keeps of a validated vote is the pointer the host sent, so a
-// step of k votes allocates less than one more copy of each would (it
-// made three: the list of all, the list per value, the certificate).
+// CountVotes keeps of a validated vote is the pointer the host sent, and
+// that points at the vote gossip delivered, so a step of k votes allocates
+// less than half a vote's 328 wire bytes for each — the voter set and the
+// list of pointers (it made three copies: the list of all, the list per
+// value, the certificate; and the host a fourth).
 func TestAllocBudgetCountVotes(t *testing.T) {
 	h := newHarness(t, 300, 250)
 	step := WireStepOfBinary(1)
@@ -608,12 +610,15 @@ func TestAllocBudgetCountVotes(t *testing.T) {
 		t.Fatalf("counted %d of %d votes, timed out %v", len(res.votes), len(sent), res.timedOut)
 	}
 	for i := range sent {
-		if res.votes[i] != sent[i] {
-			t.Fatalf("vote %d in the store is not the validated copy the host sent", i)
+		if res.votes[i] != sent[i] || res.votes[i].Vote != sent[i].Vote {
+			t.Fatalf("vote %d in the store is not the validated vote the host sent", i)
 		}
 	}
-	if perVote, one := allocated/uint64(len(sent)), uint64(unsafe.Sizeof(ValidatedVote{})); perVote >= one {
-		t.Errorf("counting a vote allocated %d bytes, a copy of it is %d", perVote, one)
+	if got := unsafe.Sizeof(ValidatedVote{}); got != 16 {
+		t.Errorf("a ValidatedVote is %d bytes, want a pointer and a count", got)
+	}
+	if perVote, half := allocated/uint64(len(sent)), uint64(ledger.VoteWireSize)/2; perVote >= half {
+		t.Errorf("counting a vote allocated %d bytes, half a copy of it is %d", perVote, half)
 	}
 
 	cert := certificateFrom(h.ctx, step, h.ctx.EmptyHash, res.votes, false)
@@ -671,7 +676,7 @@ func TestCertificateHoldsTheWinningValuesVotes(t *testing.T) {
 		if vv.Vote.Value != block {
 			continue
 		}
-		want = append(want, vv.Vote)
+		want = append(want, *vv.Vote)
 		if weight += vv.NumVotes; float64(weight) > h.prm.TStep*float64(h.prm.TauStep) {
 			break
 		}

@@ -146,14 +146,13 @@ func coinAttackTrial(withCoin bool, seed int64, maxSteps int) (int, bool) {
 	gossipFrom := func(v *ledger.Vote, _ uint64) {
 		for i := 0; i < nHonest; i++ {
 			i := i
-			vc := *v
 			delay := time.Duration(1+rng.Intn(20)) * time.Millisecond
 			s.After(delay, func() {
-				nv := agreement.ProcessVote(provider, prm, ctx, &vc)
+				nv := agreement.ProcessVote(provider, prm, ctx, v)
 				if nv == 0 {
 					return
 				}
-				inbox(i, vc.Step).Send(&agreement.ValidatedVote{Vote: vc, NumVotes: nv})
+				inbox(i, v.Step).Send(&agreement.ValidatedVote{Vote: v, NumVotes: nv})
 			})
 		}
 		if !stepSeen[v.Step] {
@@ -201,7 +200,7 @@ func coinAttackTrial(withCoin bool, seed int64, maxSteps int) (int, bool) {
 				if nv == 0 {
 					return
 				}
-				inbox(i, wireStep).Send(&agreement.ValidatedVote{Vote: *v, NumVotes: nv})
+				inbox(i, wireStep).Send(&agreement.ValidatedVote{Vote: v, NumVotes: nv})
 			}
 		})
 	}

@@ -15,6 +15,7 @@
 package network
 
 import (
+	"math"
 	"math/rand"
 	"time"
 
@@ -162,16 +163,7 @@ type endpoint struct {
 
 	up, down *link // possibly shared across a VM
 
-	// seen/limitSeen are the current generation of the duplicate and
-	// relay-limit caches; seenOld/limitOld the previous one. Lookups
-	// consult both, inserts go to the current, and rotation (driven by
-	// Config.SeenTTL) drops the old generation — giving every entry a
-	// lifetime between one and two TTLs.
-	seen      map[seenKey]bool
-	seenOld   map[seenKey]bool
-	limitSeen map[LimitKey]int
-	limitOld  map[LimitKey]int
-	cpuFree   time.Duration
+	cpuFree time.Duration
 
 	// Per-endpoint counters. Standalone metrics primitives, not
 	// registered anywhere: a registry series per endpoint would not
@@ -255,7 +247,12 @@ type Network struct {
 	// draws also come from faultRng).
 	limbos []LimboFault
 
-	// lastRotate is the virtual time of the last seen-cache rotation.
+	// cur and old are the two live generations of the duplicate and
+	// relay-limit records. Lookups consult both, marks go to cur, and
+	// rotation (driven by Config.SeenTTL, last at lastRotate, counted by
+	// stamp) drops old: a mark lives between one and two TTLs.
+	cur, old   generation
+	stamp      uint32
 	lastRotate time.Duration
 
 	// idle holds the transfer records not on the event queue.
@@ -294,12 +291,7 @@ func New(sim *vtime.Sim, cfg Config, n int) *Network {
 	}
 	var vmUp, vmDown *link
 	for i := 0; i < n; i++ {
-		ep := &endpoint{
-			id:        i,
-			city:      i % NumCities,
-			seen:      make(map[seenKey]bool),
-			limitSeen: make(map[LimitKey]int),
-		}
+		ep := &endpoint{id: i, city: i % NumCities}
 		if cfg.ProcsPerVM > 1 {
 			if i%cfg.ProcsPerVM == 0 {
 				bps := cfg.VMBps
@@ -317,6 +309,7 @@ func New(sim *vtime.Sim, cfg Config, n int) *Network {
 		nw.weights[i] = 1
 		nw.eps = append(nw.eps, ep)
 	}
+	nw.rotate()
 	nw.ReshufflePeers()
 	return nw
 }
@@ -519,32 +512,57 @@ func (nw *Network) applyFaults(from, to int, now time.Duration) (bool, time.Dura
 // NumNodes returns the network size.
 func (nw *Network) NumNodes() int { return len(nw.eps) }
 
-// sawID reports whether the endpoint already processed the message, in
-// either cache generation.
-func (ep *endpoint) sawID(id seenKey) bool {
-	return ep.seen[id] || ep.seenOld[id]
+// generation is one SeenTTL of what the endpoints have learned about
+// messages, kept once per message and not once per receiver. seen numbers
+// the message IDs and relays the §8.4 budgets, from 1, as they turn up;
+// bitset r (bit i: endpoint i has processed the message) and count array r
+// (the relays endpoint i has spent on the budget) lie in slabs of
+// slabRecords each: a map entry and N/8 bytes a message, N a budget.
+type generation struct {
+	seen   map[seenKey]int32
+	relays map[LimitKey]int32
+	bits   [][]uint64
+	counts [][]uint8
 }
 
-// limitCount is the §8.4 relay count for a LimitKey across both cache
-// generations.
-func (ep *endpoint) limitCount(k LimitKey) int {
-	return ep.limitSeen[k] + ep.limitOld[k]
-}
+const slabRecords = 256
 
-// maybeRotate ages the suppression caches once per SeenTTL of virtual
-// time: the current generation becomes the old one and the previous
-// old generation is forgotten.
-func (nw *Network) maybeRotate() {
-	ttl := nw.cfg.SeenTTL
-	if ttl <= 0 {
-		return
-	}
-	if now := nw.sim.Now(); now-nw.lastRotate >= ttl {
-		nw.lastRotate = now
-		for _, ep := range nw.eps {
-			ep.seenOld, ep.seen = ep.seen, make(map[seenKey]bool)
-			ep.limitOld, ep.limitSeen = ep.limitSeen, make(map[LimitKey]int)
+// enter returns key's record number, numbering it and growing the slabs
+// of n-element records to hold it if the generation has not met key yet.
+func enter[K comparable, T any](index map[K]int32, slabs *[][]T, key K, n int) int32 {
+	r, ok := index[key]
+	if !ok {
+		if len(index)/slabRecords == len(*slabs) {
+			*slabs = append(*slabs, make([]T, n*slabRecords))
 		}
+		r = int32(len(index) + 1)
+		index[key] = r
+	}
+	return r
+}
+
+// record is the n elements of record r; nil for r == 0, no record.
+func record[T any](slabs [][]T, r int32, n int) []T {
+	if r == 0 {
+		return nil
+	}
+	o := int(r-1) % slabRecords * n
+	return slabs[int(r-1)/slabRecords][o : o+n]
+}
+
+// rotate makes the current generation the old one and forgets the
+// previous old one, for every endpoint at the same instant.
+func (nw *Network) rotate() {
+	nw.old, nw.cur = nw.cur, generation{seen: make(map[seenKey]int32), relays: make(map[LimitKey]int32)}
+	nw.stamp++
+}
+
+// maybeRotate ages the suppression records once per SeenTTL of virtual
+// time.
+func (nw *Network) maybeRotate() {
+	if now, ttl := nw.sim.Now(), nw.cfg.SeenTTL; ttl > 0 && now-nw.lastRotate >= ttl {
+		nw.lastRotate = now
+		nw.rotate()
 	}
 }
 
@@ -560,14 +578,22 @@ type envelope struct {
 	// limit relays per endpoint of messages sharing limitKey, none
 	// enforced for the zero key.
 	limitKey LimitKey
-	limit    int
+	limit    uint8
+	// The numbers of the message's records in the current and the old
+	// generation (0: none) as of rotation number stamp. They are looked up
+	// again after a rotation, so a delivery released from limbo two TTLs
+	// on meets what per-endpoint caches would have told it, and in between
+	// a delivery is a bit test. Envelopes of one ID share one record.
+	stamp             uint32
+	seen, seenOld     int32
+	relays, relaysOld int32
 }
 
-// seenKey is what the duplicate-suppression caches keep of a message ID:
-// its leading 128 bits. Every endpoint remembers every message it was
-// delivered for one to two SeenTTLs, which at a round every 11 s is
-// hundreds of thousands of entries a deployment; half a digest is half
-// of that memory, and still nothing two honest messages will share.
+// seenKey is what the network keeps of a message ID: its leading 128
+// bits, still nothing two honest messages will share. It is kept once per
+// envelope and once per generation that meets the message; with most
+// messages unicast once, the other half of the digest in both places is
+// 6.5 % of what sim-bigblock-10mb allocates (EXPERIMENTS.md, eighth delta).
 type seenKey [16]byte
 
 func seal(m Message) *envelope {
@@ -576,20 +602,37 @@ func seal(m Message) *envelope {
 	// Messages may allow a higher limit (equivocation evidence needs two
 	// copies to travel).
 	if mr, ok := m.(MultiRelay); ok {
-		env.limit = mr.RelayLimit()
+		env.limit = uint8(min(mr.RelayLimit(), math.MaxUint8))
 	}
 	return env
+}
+
+// records returns env's bitsets and relay counts in the current and the
+// old generation, entering the message in the current one if this is the
+// first that generation hears of it.
+func (nw *Network) records(env *envelope) (seen, seenOld []uint64, relays, relaysOld []uint8) {
+	n := len(nw.eps)
+	words := (n + 63) / 64
+	if env.stamp != nw.stamp {
+		env.stamp = nw.stamp
+		env.seen, env.seenOld = enter(nw.cur.seen, &nw.cur.bits, env.id, words), nw.old.seen[env.id]
+		if k := env.limitKey; k != (LimitKey{}) {
+			env.relays, env.relaysOld = enter(nw.cur.relays, &nw.cur.counts, k, n), nw.old.relays[k]
+		}
+	}
+	return record(nw.cur.bits, env.seen, words), record(nw.old.bits, env.seenOld, words),
+		record(nw.cur.counts, env.relays, n), record(nw.old.counts, env.relaysOld, n)
 }
 
 // Gossip injects a message originated by node origin: it is sent to all
 // of origin's peers and relayed onward per the gossip rules.
 func (nw *Network) Gossip(origin int, m Message) {
 	nw.maybeRotate()
-	ep := nw.eps[origin]
 	env := seal(m)
-	ep.seen[env.id] = true
-	if env.limitKey != (LimitKey{}) {
-		ep.limitSeen[env.limitKey]++
+	seen, _, relays, _ := nw.records(env)
+	seen[origin>>6] |= 1 << (origin & 63)
+	if relays != nil && relays[origin] < math.MaxUint8 { // an origin has no budget: the count saturates
+		relays[origin]++
 	}
 	nw.relay(origin, -1, env)
 }
@@ -703,12 +746,14 @@ func (nw *Network) deliver(from, to int, env *envelope) {
 	nw.maybeRotate()
 	ep := nw.eps[to]
 	ep.bytesReceived.Add(uint64(env.size))
-	if ep.sawID(env.id) {
+	seen, seenOld, relays, relaysOld := nw.records(env)
+	w, bit := to>>6, uint64(1)<<(to&63)
+	if seen[w]&bit != 0 || (seenOld != nil && seenOld[w]&bit != 0) {
 		ep.dupsDropped.Inc()
 		nw.totalDups.Inc()
 		return
 	}
-	ep.seen[env.id] = true
+	seen[w] |= bit
 	ep.msgsReceived.Inc()
 	nw.totalMsgs.Inc()
 
@@ -729,11 +774,15 @@ func (nw *Network) deliver(from, to int, env *envelope) {
 		return
 	}
 	// Per-(sender,round,step) relay limit (§8.4).
-	if k := env.limitKey; k != (LimitKey{}) {
-		if ep.limitCount(k) >= env.limit {
+	if relays != nil {
+		spent := int(relays[to])
+		if relaysOld != nil {
+			spent += int(relaysOld[to])
+		}
+		if spent >= int(env.limit) {
 			return
 		}
-		ep.limitSeen[k]++
+		relays[to]++
 	}
 	relayDelay := ep.cpuFree - nw.sim.Now()
 	if relayDelay < 0 {
@@ -778,14 +827,3 @@ func (nw *Network) TotalLost() int64 { return int64(nw.totalLost.Load()) }
 // TotalLimbo is the aggregate count of transfers held in
 // undecidable-message limbo.
 func (nw *Network) TotalLimbo() int64 { return int64(nw.totalLimbo.Load()) }
-
-// ResetSeen clears all duplicate-suppression state at once — the
-// forced version of what SeenTTL rotation does gradually.
-func (nw *Network) ResetSeen() {
-	for _, ep := range nw.eps {
-		ep.seen = make(map[seenKey]bool)
-		ep.seenOld = nil
-		ep.limitSeen = make(map[LimitKey]int)
-		ep.limitOld = nil
-	}
-}

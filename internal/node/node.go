@@ -595,7 +595,7 @@ func (n *Node) handleVote(msg *VoteMsg, cost crypto.CostModel) network.Verdict {
 			if nv == 0 {
 				return network.Verdict{Relay: false, CPU: cpu}
 			}
-			n.voteInbox(v.Round, v.Step).Send(&agreement.ValidatedVote{Vote: *v, NumVotes: nv})
+			n.voteInbox(v.Round, v.Step).Send(&agreement.ValidatedVote{Vote: v, NumVotes: nv})
 			return network.Verdict{Relay: true, CPU: cpu}
 		}
 	}
@@ -615,7 +615,7 @@ func (n *Node) handleVote(msg *VoteMsg, cost crypto.CostModel) network.Verdict {
 		if nv == 0 {
 			return network.Verdict{Relay: false, CPU: cpu}
 		}
-		n.voteInbox(v.Round, v.Step).Send(&agreement.ValidatedVote{Vote: *v, NumVotes: nv})
+		n.voteInbox(v.Round, v.Step).Send(&agreement.ValidatedVote{Vote: v, NumVotes: nv})
 		return network.Verdict{Relay: true, CPU: cpu}
 	case v.Round == ctx.Round+1:
 		// We are a step behind; buffer and validate when we get there.
@@ -919,7 +919,7 @@ func (n *Node) gossipVote(v *ledger.Vote, j uint64) {
 			nv = agreement.ProcessVote(n.provider, n.cfg.Params, ctx, vv)
 		}
 		if nv > 0 {
-			n.voteInbox(vv.Round, vv.Step).Send(&agreement.ValidatedVote{Vote: *vv, NumVotes: nv})
+			n.voteInbox(vv.Round, vv.Step).Send(&agreement.ValidatedVote{Vote: &msg.Vote, NumVotes: nv})
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"algorand/internal/agreement"
 	"algorand/internal/crypto"
 	"algorand/internal/ledger"
 	"algorand/internal/metrics"
@@ -122,5 +123,94 @@ func TestSabotagedVotesAreVerified(t *testing.T) {
 	}
 	if counters[1].mine != 0 {
 		t.Errorf("an honest node verified %d of its own committee proofs", counters[1].mine)
+	}
+}
+
+// received empties a vote inbox.
+func received(r *handlerRig, mb *vtime.Mailbox) (got []*agreement.ValidatedVote) {
+	r.sim.Spawn("reader", func(p *vtime.Proc) {
+		for mb.Len() > 0 {
+			got = append(got, p.Recv(mb).(*agreement.ValidatedVote))
+		}
+	})
+	r.sim.Run(0)
+	return got
+}
+
+// TestCountedVoteIsTheDeliveredVote: what a step counts is the vote
+// gossip delivered, by pointer — nobody writes a delivered vote again —
+// and taking the pointer skips no check. A vote off the wire, a vote that
+// waited in the next-round buffer and what a saboteur put in its own
+// vote's place each pass ProcessVote before they reach an inbox, and one
+// that fails it never does.
+func TestCountedVoteIsTheDeliveredVote(t *testing.T) {
+	r := newHandlerRig(t, 5)
+	n := r.node
+	checks := func() int { return int(n.voteChecks.Load()) }
+	step := agreement.StepReduction1
+
+	// Off the wire.
+	msg := &VoteMsg{Vote: *r.makeVote(t, 1, 1, step, crypto.HashBytes("v"))}
+	forged := &VoteMsg{Vote: msg.Vote}
+	forged.Vote.Sender = r.ids[2].PublicKey()
+	n.handleMessage(1, msg)
+	n.handleMessage(2, forged)
+	if got := received(r, n.voteInbox(1, step)); len(got) != 1 || got[0].Vote != &msg.Vote || got[0].NumVotes == 0 {
+		t.Fatalf("inbox holds %d votes after one valid and one forged, want the valid one as delivered", len(got))
+	}
+	if checks() != 2 {
+		t.Fatalf("%d votes checked, want both", checks())
+	}
+
+	// Through the next-round buffer: checked on entry to the round, not before.
+	if err := n.Ledger().Commit(n.Ledger().NextEmptyBlock(), nil); err != nil {
+		t.Fatal(err)
+	}
+	r.ctx = agreement.NewContext(n.Ledger())
+	early := &VoteMsg{Vote: *r.makeVote(t, 3, 2, step, crypto.HashBytes("w"))}
+	earlyForged := &VoteMsg{Vote: early.Vote}
+	earlyForged.Vote.Value = crypto.HashBytes("not what was signed")
+	n.handleMessage(3, early)
+	n.handleMessage(4, earlyForged)
+	if checks() != 2 || len(n.pendingMsgs[2]) != 2 {
+		t.Fatalf("%d votes checked and %d buffered while a round behind, want 2 and 2", checks(), len(n.pendingMsgs[2]))
+	}
+	n.setContext(r.ctx)
+	if got := received(r, n.voteInbox(2, step)); len(got) != 1 || got[0].Vote != &early.Vote {
+		t.Fatalf("inbox holds %d votes after replaying one valid and one forged, want the valid one as buffered", len(got))
+	}
+	if checks() != 4 {
+		t.Fatalf("%d votes checked after the replay, want 4", checks())
+	}
+
+	// Our own vote: counted unchecked, and it is the one gossip carries.
+	var gossiped []*VoteMsg
+	r.net.SetHandler(r.net.Neighbors(0)[0], network.HandlerFunc(func(from int, m network.Message) network.Verdict {
+		gossiped = append(gossiped, m.(*VoteMsg))
+		return network.Verdict{}
+	}))
+	own := r.makeVote(t, 0, 2, step, crypto.HashBytes("w"))
+	n.gossipVote(own, 3)
+	got := received(r, n.voteInbox(2, step))
+	if len(got) != 1 || len(gossiped) != 1 || got[0].Vote != &gossiped[0].Vote || got[0].NumVotes != 3 || checks() != 4 {
+		t.Fatalf("own vote: %d counted, %d gossiped, %d checks, want one object and no check", len(got), len(gossiped), checks()-4)
+	}
+
+	// A saboteur's substitutes are anybody's: each is checked.
+	n.VoteSaboteur = func(_ *Node, v *ledger.Vote) []*ledger.Vote {
+		bad := *v
+		bad.Value = crypto.HashBytes("and another value")
+		bad.SortHash[0] ^= 1 // a credential the proof does not back
+		bad.Sign(r.ids[0])
+		return []*ledger.Vote{v, &bad}
+	}
+	gossiped = nil
+	n.gossipVote(r.makeVote(t, 0, 2, agreement.StepReduction2, crypto.HashBytes("w")), 3)
+	got = received(r, n.voteInbox(2, agreement.StepReduction2))
+	if len(gossiped) != 2 || checks() != 6 {
+		t.Fatalf("saboteur: %d votes gossiped, %d checked, want 2 and 2", len(gossiped), checks()-4)
+	}
+	if len(got) != 1 || got[0].Vote != &gossiped[0].Vote {
+		t.Fatalf("saboteur: %d votes counted, want only the one whose credential verifies, as gossiped", len(got))
 	}
 }

@@ -566,3 +566,70 @@ func poolKeeps() bool {
 	}
 	return true
 }
+
+// TestVoteIsOneObjectFromGossipToCertificate: a vote exists once in the
+// process from the node that cast it to the certificates that quote it.
+// Every node is handed the same VoteMsg, counts the Vote inside it by
+// pointer (internal/node's TestCountedVoteIsTheDeliveredVote pins that
+// end), and copies it only into a certificate, byte for byte; so handling
+// a vote costs a node a pointer with a count and a slot in an inbox, not
+// the 240 bytes of a validated copy.
+func TestVoteIsOneObjectFromGossipToCertificate(t *testing.T) {
+	const n, rounds = 50, 3
+	c := NewCluster(DefaultConfig(n, rounds))
+	gossiped := make(map[crypto.Digest]*node.VoteMsg)
+	var handled, allocated uint64
+	for i := range c.Nodes {
+		i := i
+		c.Net.SetHandler(i, network.HandlerFunc(func(from int, m network.Message) network.Verdict {
+			vm, ok := m.(*node.VoteMsg)
+			if !ok {
+				return c.Nodes[i].HandleMessage(from, m)
+			}
+			if first, ok := gossiped[vm.ID()]; ok && first != vm {
+				t.Errorf("node %d was handed a second object for the vote %x", i, vm.ID())
+			}
+			gossiped[vm.ID()] = vm
+			if i != 0 {
+				return c.Nodes[i].HandleMessage(from, m)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			verdict := c.Nodes[i].HandleMessage(from, m)
+			runtime.ReadMemStats(&after)
+			handled++
+			allocated += after.TotalAlloc - before.TotalAlloc
+			return verdict
+		}))
+	}
+	c.Run()
+	if err := c.AgreementCheck(); err != nil {
+		t.Fatal(err)
+	}
+	quoted := 0
+	for i, nd := range c.Nodes {
+		for r := uint64(1); r <= rounds; r++ {
+			cert, ok := nd.Ledger().CertificateAt(r)
+			if !ok || len(cert.Votes) == 0 {
+				t.Fatalf("node %d has no certificate for round %d", i, r)
+			}
+			for j := range cert.Votes {
+				v := &cert.Votes[j]
+				vm, ok := gossiped[(&node.VoteMsg{Vote: *v}).ID()]
+				if !ok || !bytes.Equal(wire.Encode(v), wire.Encode(&vm.Vote)) {
+					t.Fatalf("node %d, round %d: vote %d of the certificate is not a vote gossip delivered", i, r, j)
+				}
+			}
+			quoted += len(cert.Votes)
+		}
+	}
+	if int(handled) < len(gossiped)*9/10 {
+		t.Fatalf("node 0 handled %d of %d votes; test premise broken", handled, len(gossiped))
+	}
+	const bound = 80 // bytes a node allocates to handle a vote
+	per := float64(allocated) / float64(handled)
+	t.Logf("%d votes, quoted %d times in %d certificates; node 0 handled %d, %.0f bytes allocated each", len(gossiped), quoted, n*rounds, handled, per)
+	if per > bound {
+		t.Errorf("handling a vote allocated %.0f bytes, want at most %d", per, bound)
+	}
+}

@@ -10,8 +10,10 @@ import "time"
 // (e.g. the network layer delivering a message via Sim.After). It is not
 // safe for use outside the simulation.
 type Mailbox struct {
-	sim   *Sim
+	sim *Sim
+	// queue[head:] are the messages waiting; earlier slots are cleared.
 	queue []any
+	head  int
 	// waiter is the process currently parked on this mailbox, if any.
 	// The paper's per-(round,step) incomingMsgs buffers map to one
 	// Mailbox each, and a process only ever waits on one mailbox at a
@@ -26,10 +28,17 @@ func (s *Sim) NewMailbox() *Mailbox {
 }
 
 // Len returns the number of queued messages.
-func (m *Mailbox) Len() int { return len(m.queue) }
+func (m *Mailbox) Len() int { return len(m.queue) - m.head }
 
 // Send enqueues v and wakes the waiting process, if any.
 func (m *Mailbox) Send(v any) {
+	if n := len(m.queue); n == cap(m.queue) && m.head > n/2 {
+		// Full, and mostly of slots already handed over: a mailbox that is
+		// never quite drained moves up instead of growing without bound.
+		n = copy(m.queue, m.queue[m.head:])
+		clear(m.queue[n:])
+		m.queue, m.head = m.queue[:n], 0
+	}
 	m.queue = append(m.queue, v)
 	if m.waiter != nil {
 		p := m.waiter
@@ -56,10 +65,8 @@ func (p *Proc) Recv(m *Mailbox) any {
 // virtual deadline passes. A negative deadline means wait forever.
 // It returns (message, true) or (nil, false) on timeout.
 func (p *Proc) RecvDeadline(m *Mailbox, deadline time.Duration) (any, bool) {
-	if len(m.queue) > 0 {
-		v := m.queue[0]
-		m.queue = m.queue[1:]
-		return v, true
+	if m.Len() > 0 {
+		return m.pop(), true
 	}
 	if deadline >= 0 && deadline <= p.sim.now {
 		return nil, false
@@ -81,9 +88,19 @@ func (p *Proc) RecvDeadline(m *Mailbox, deadline time.Duration) (any, bool) {
 		return nil, false
 	}
 	// Woken by Send: a message is guaranteed queued.
-	v := m.queue[0]
-	m.queue = m.queue[1:]
-	return v, true
+	return m.pop(), true
+}
+
+// pop takes the oldest message off the queue and clears its slot, so the
+// mailbox does not keep what it has handed over alive; a drained queue
+// starts again at the front of its array instead of sliding off the end.
+func (m *Mailbox) pop() any {
+	v := m.queue[m.head]
+	m.queue[m.head] = nil
+	if m.head++; m.head == len(m.queue) {
+		m.queue, m.head = m.queue[:0], 0
+	}
+	return v
 }
 
 // RecvTimeout is RecvDeadline with a relative timeout.

@@ -2,6 +2,7 @@ package vtime
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -198,5 +199,81 @@ func TestAllocBudgetAfter(t *testing.T) {
 	}
 	if ran == 0 || r.n == 0 {
 		t.Fatal("scheduled work did not run")
+	}
+}
+
+// TestAllocBudgetMailboxSteadyState guards the mailbox's queue: a mailbox
+// that is filled and drained, lap after lap, uses the array of its first
+// lap for all of them — it used to slide along it a slot a receive and
+// allocate a new one whenever it fell off the end — and one that is never
+// quite drained does not grow for it. What a receive hands over the
+// mailbox no longer holds: it is collectable while the mailbox, with
+// later messages still queued, lives on.
+func TestAllocBudgetMailboxSteadyState(t *testing.T) {
+	s := New()
+	mb := s.NewMailbox()
+	const k = 48
+	msgs := make([]*int, k)
+	for i := range msgs {
+		msgs[i] = new(int)
+	}
+	lap := func(p *Proc, keep int) {
+		for _, m := range msgs {
+			mb.Send(m)
+		}
+		for mb.Len() > keep {
+			if got := p.Recv(mb).(*int); got == nil {
+				t.Error("received nil")
+			}
+		}
+	}
+	var drained, backlog uint64
+	collected := make(chan struct{})
+	s.Spawn("laps", func(p *Proc) {
+		measure := func(keep int) uint64 {
+			lap(p, keep)
+			lap(p, keep)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < 100; i++ {
+				lap(p, keep)
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		drained = measure(0)
+		backlog = measure(5)
+		for mb.Len() > 0 {
+			p.Recv(mb)
+		}
+
+		first := new([64]byte)
+		runtime.SetFinalizer(first, func(*[64]byte) { close(collected) })
+		mb.Send(first)
+		mb.Send(new(int))
+		first = nil
+		p.Recv(mb)
+	})
+	s.Run(0)
+	if drained != 0 {
+		t.Errorf("100 laps of %d sends and %d receives allocated %d bytes after the first, want 0", k, k, drained)
+	}
+	if backlog != 0 {
+		t.Errorf("100 laps over a backlog of 5 allocated %d bytes, want 0: the queue moves up in its array", backlog)
+	}
+	if mb.Len() != 1 {
+		t.Fatalf("%d messages queued, want the one behind the received", mb.Len())
+	}
+	for i := 0; ; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(mb)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if i == 100 {
+			t.Fatal("a received message is still reachable from the mailbox it came through")
+		}
 	}
 }
