@@ -1,19 +1,21 @@
 // Package agreement implements BA⋆, Algorand's Byzantine agreement
-// protocol (§7, Algorithms 3-9). The code follows the paper's blocking
-// pseudocode closely, which the vtime runtime makes possible: each user
-// is a goroutine, CountVotes blocks on a per-(round,step) mailbox with
-// a deadline, and committee membership is re-drawn with cryptographic
-// sortition at every step so members speak only once.
+// protocol (§7, Algorithms 3-9), in two pieces. Machine is the protocol:
+// Reduction, BinaryBA⋆ and the final step as a pure state machine that
+// takes validated votes and timeouts and answers with actions — vote,
+// count, conclude, stuck. Drive is the one blocking loop that executes
+// those actions for a vtime process: a vote through sortition, signing
+// and gossip, a count by reading a per-(round, step) mailbox until its
+// deadline. Committee membership is re-drawn with cryptographic
+// sortition at every step, so members speak only once.
 //
 // The package is deliberately free of networking and ledger policy: the
-// host node supplies an Env with its identity, parameter set, a gossip
-// function and per-step vote inboxes, and receives back the agreed
-// value, its finality, and vote certificates (§8.3).
+// host node supplies an Env with its identity, a gossip function and
+// per-step vote inboxes, and receives back the agreed value, its
+// finality, and vote certificates (§8.3).
 package agreement
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"algorand/internal/crypto"
@@ -28,7 +30,7 @@ import (
 // registry. All fields are registry-backed; a nil *Metrics disables
 // recording (every hook checks).
 type Metrics struct {
-	// Steps counts CountVotes executions (one per BA⋆ step entered).
+	// Steps counts vote-counting steps (one per BA⋆ step entered).
 	Steps *metrics.Counter
 	// StepTimeouts counts steps that expired without crossing T·tau.
 	StepTimeouts *metrics.Counter
@@ -39,7 +41,7 @@ type Metrics struct {
 	VotesDeduped *metrics.Counter
 	// VotesCast counts committee votes this user signed and gossiped.
 	VotesCast *metrics.Counter
-	// StepSeconds observes each CountVotes duration.
+	// StepSeconds observes how long each step counted.
 	StepSeconds *metrics.Histogram
 }
 
@@ -51,7 +53,7 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 		VotesCounted: r.Counter("algorand_ba_votes_counted_total", "validated committee votes tallied"),
 		VotesDeduped: r.Counter("algorand_ba_votes_deduped_total", "votes dropped by the per-step sender dedup rule"),
 		VotesCast:    r.Counter("algorand_ba_votes_cast_total", "committee votes this user signed and gossiped"),
-		StepSeconds:  r.Histogram("algorand_ba_step_seconds", "CountVotes duration per step", nil),
+		StepSeconds:  r.Histogram("algorand_ba_step_seconds", "vote-counting duration per step", nil),
 	}
 }
 
@@ -92,12 +94,10 @@ type ValidatedVote struct {
 	NumVotes uint64
 }
 
-// Env is what BA⋆ needs from its host node.
+// Env is what Drive needs from its host node.
 type Env struct {
 	Proc     *vtime.Proc
-	Provider crypto.Provider
 	Identity crypto.Identity
-	Params   params.Params
 	// Gossip broadcasts one of our votes. j is the number of sub-users
 	// our own sortition selected for it: the host counts the vote with
 	// that, and need not verify a proof it has just made.
@@ -105,9 +105,9 @@ type Env struct {
 	// Inbox returns the mailbox of validated votes for (round, step); the
 	// host sends each as a *ValidatedVote, the one copy a step holds.
 	Inbox func(round, step uint64) *vtime.Mailbox
-	// StepTimer, when non-nil, observes every CountVotes call: the wire
-	// step, how long the count took, and whether it timed out. Drives
-	// the §10.5 timeout-validation experiment.
+	// StepTimer, when non-nil, observes every count: the wire step, how
+	// long it took, and whether it timed out. Drives the §10.5
+	// timeout-validation experiment.
 	StepTimer func(step uint64, took time.Duration, timedOut bool)
 	// Metrics, when non-nil, receives per-step counter updates.
 	Metrics *Metrics
@@ -124,9 +124,6 @@ type Outcome struct {
 	Cert *ledger.Certificate
 	// FinalCert aggregates final-step votes when Final.
 	FinalCert *ledger.Certificate
-	// BinaryDone is the virtual time when BinaryBA⋆ concluded, before
-	// the final-confirmation step (the Figure 7 "BA⋆ w/o final" mark).
-	BinaryDone time.Duration
 }
 
 // ErrNoConsensus is returned when BinaryBA⋆ exceeds MaxSteps; the node
@@ -157,24 +154,38 @@ func ProcessVote(p crypto.Provider, prm params.Params, ctx *Context, v *ledger.V
 	return j
 }
 
-// CommitteeVote implements Algorithm 4: check committee membership for
+// Drive executes acts — what m's Start, StartBinary or Confirm returned —
+// and every action m answers them with, until m concludes (its Outcome)
+// or is stuck (ErrNoConsensus). It is the one place BA⋆ blocks: a vote is
+// cast through sortition, signing and env.Gossip, a count reads
+// env.Inbox(round, step) until its deadline.
+func Drive(env *Env, m *Machine, acts []Action) (Outcome, error) {
+	for i := 0; i < len(acts); i++ {
+		switch a := acts[i]; a.Kind {
+		case ActVote:
+			committeeVote(env, m.ctx, a.Step, a.Tau, a.Value)
+		case ActCount:
+			acts, i = countVotes(env, m, a.Step, a.Lambda), -1
+		case ActConclude:
+			return m.out, nil
+		case ActStuck:
+			return Outcome{}, ErrNoConsensus
+		}
+	}
+	return Outcome{}, ErrNoConsensus
+}
+
+// committeeVote implements Algorithm 4: check committee membership for
 // (round, step) by sortition and, if selected, gossip a signed vote.
-func CommitteeVote(env *Env, ctx *Context, step uint64, tau uint64, value crypto.Digest) {
+func committeeVote(env *Env, ctx *Context, step uint64, tau uint64, value crypto.Digest) {
 	role := sortition.Role{Kind: sortition.RoleCommittee, Round: ctx.Round, Step: step}
 	w := ctx.Weights[env.Identity.PublicKey()]
 	res := sortition.Execute(env.Identity, ctx.Seed[:], role, tau, w, ctx.TotalWeight)
 	if !res.Selected() {
 		return
 	}
-	v := &ledger.Vote{
-		Sender:    env.Identity.PublicKey(),
-		Round:     ctx.Round,
-		Step:      step,
-		SortHash:  res.Output,
-		SortProof: res.Proof,
-		PrevHash:  ctx.LastBlockHash,
-		Value:     value,
-	}
+	v := &ledger.Vote{Sender: env.Identity.PublicKey(), Round: ctx.Round, Step: step,
+		SortHash: res.Output, SortProof: res.Proof, PrevHash: ctx.LastBlockHash, Value: value}
 	v.Sign(env.Identity)
 	env.Gossip(v, res.J)
 	if env.Metrics != nil {
@@ -182,278 +193,40 @@ func CommitteeVote(env *Env, ctx *Context, step uint64, tau uint64, value crypto
 	}
 }
 
-// countResult is what CountVotes observed in one step.
-type countResult struct {
-	// value is the winner, or timedOut is true.
-	value    crypto.Digest
-	timedOut bool
-	// votes is the step's one store: every validated vote counted, in
-	// arrival order. certificateFrom and CommonCoin read it.
-	votes []*ValidatedVote
-}
-
-// CountVotes implements Algorithm 5: read validated votes for
-// (round, step) until some value exceeds T·tau sub-user votes or the
-// timeout λ expires. Votes are deduplicated by sender.
-func CountVotes(env *Env, ctx *Context, step uint64, T float64, tau uint64, lambda time.Duration) countResult {
+// countVotes is Algorithm 5's wait: it hands m each validated vote of
+// (round, step) until m's tally crosses the threshold or lambda passes,
+// and returns what m does next.
+func countVotes(env *Env, m *Machine, step uint64, lambda time.Duration) []Action {
 	start := env.Proc.Now()
-	res := countVotesInner(env, ctx, step, T, tau, lambda)
-	took := env.Proc.Now() - start
-	if m := env.Metrics; m != nil {
-		m.Steps.Inc()
-		if res.timedOut {
-			m.StepTimeouts.Inc()
+	inbox, deadline := env.Inbox(m.ctx.Round, step), start+lambda
+	var acts []Action
+	timedOut := false
+	for len(acts) == 0 {
+		msg, ok := env.Proc.RecvDeadline(inbox, deadline)
+		if !ok {
+			timedOut, acts = true, m.Timeout()
+			break
 		}
-		m.StepSeconds.ObserveDuration(took)
+		var rc Receipt
+		rc, acts = m.Deliver(msg.(*ValidatedVote))
+		if mt := env.Metrics; mt != nil && rc == VoteCounted {
+			mt.VotesCounted.Inc()
+		} else if mt != nil && rc == VoteDuplicate {
+			mt.VotesDeduped.Inc()
+		}
+	}
+	took := env.Proc.Now() - start
+	if mt := env.Metrics; mt != nil {
+		mt.Steps.Inc()
+		if timedOut {
+			mt.StepTimeouts.Inc()
+		}
+		mt.StepSeconds.ObserveDuration(took)
 	}
 	if env.StepTimer != nil {
-		env.StepTimer(step, took, res.timedOut)
+		env.StepTimer(step, took, timedOut)
 	}
-	return res
-}
-
-func countVotesInner(env *Env, ctx *Context, step uint64, T float64, tau uint64, lambda time.Duration) countResult {
-	var res countResult
-	counts := make(map[crypto.Digest]uint64)
-	voters := make(map[crypto.PublicKey]bool)
-	inbox := env.Inbox(ctx.Round, step)
-	deadline := env.Proc.Now() + lambda
-	threshold := float64(tau) * T
-
-	for {
-		m, ok := env.Proc.RecvDeadline(inbox, deadline)
-		if !ok {
-			res.timedOut = true
-			return res
-		}
-		vv := m.(*ValidatedVote)
-		if voters[vv.Vote.Sender] || vv.NumVotes == 0 {
-			if voters[vv.Vote.Sender] && env.Metrics != nil {
-				env.Metrics.VotesDeduped.Inc()
-			}
-			continue
-		}
-		voters[vv.Vote.Sender] = true
-		if env.Metrics != nil {
-			env.Metrics.VotesCounted.Inc()
-		}
-		res.votes = append(res.votes, vv)
-		counts[vv.Vote.Value] += vv.NumVotes
-		if float64(counts[vv.Vote.Value]) > threshold {
-			res.value = vv.Vote.Value
-			return res
-		}
-	}
-}
-
-// certificateFrom assembles the §8.3 certificate for value: the votes
-// for it among those a concluding step gathered, in arrival order.
-func certificateFrom(ctx *Context, step uint64, value crypto.Digest, votes []*ValidatedVote, final bool) *ledger.Certificate {
-	k := 0
-	for _, vv := range votes {
-		if vv.Vote.Value == value {
-			k++
-		}
-	}
-	c := &ledger.Certificate{Round: ctx.Round, Step: step, Value: value, Final: final, Votes: make([]ledger.Vote, 0, k)}
-	for _, vv := range votes {
-		if vv.Vote.Value == value {
-			c.Votes = append(c.Votes, *vv.Vote)
-		}
-	}
-	return c
-}
-
-// Reduction implements Algorithm 7: reduce agreement on an arbitrary
-// block hash to agreement between one specific hash and the empty hash.
-func Reduction(env *Env, ctx *Context, hblock crypto.Digest) crypto.Digest {
-	prm := env.Params
-	// Step 1: gossip the block hash.
-	CommitteeVote(env, ctx, StepReduction1, prm.TauStep, hblock)
-	// Other users might still be waiting for block proposals, so wait
-	// λ_block + λ_step.
-	r1 := CountVotes(env, ctx, StepReduction1, prm.TStep, prm.TauStep, prm.LambdaBlock+prm.LambdaStep)
-
-	// Step 2: re-gossip the popular block hash.
-	if r1.timedOut {
-		CommitteeVote(env, ctx, StepReduction2, prm.TauStep, ctx.EmptyHash)
-	} else {
-		CommitteeVote(env, ctx, StepReduction2, prm.TauStep, r1.value)
-	}
-	r2 := CountVotes(env, ctx, StepReduction2, prm.TStep, prm.TauStep, prm.LambdaStep)
-	if r2.timedOut {
-		return ctx.EmptyHash
-	}
-	return r2.value
-}
-
-// CommonCoin implements Algorithm 9: a binary value, predominantly
-// common across users, derived from the lowest sub-user hash among the
-// step's votes.
-func CommonCoin(votes []*ValidatedVote) int {
-	var minHash crypto.Digest
-	have := false
-	for _, vv := range votes {
-		for j := uint64(1); j <= vv.NumVotes; j++ {
-			h := sortition.SubUserHash(vv.Vote.SortHash, j)
-			if !have || h.Less(minHash) {
-				minHash = h
-				have = true
-			}
-		}
-	}
-	if !have {
-		return 0
-	}
-	return int(minHash[len(minHash)-1] & 1)
-}
-
-// BinaryResult carries BinaryBA⋆'s conclusion.
-type BinaryResult struct {
-	// Value is the agreed hash (block_hash or empty_hash).
-	Value crypto.Digest
-	// Steps is the number of binary steps executed.
-	Steps int
-	// LastStep is the concluding wire step.
-	LastStep uint64
-	// Cert aggregates the concluding step's votes.
-	Cert *ledger.Certificate
-	// VotedFinal reports whether this user cast a final-step vote.
-	VotedFinal bool
-}
-
-// BinaryBA implements Algorithm 8: agreement between block_hash and
-// empty_hash. On consensus it votes the result in the next three steps
-// (so stragglers can cross the threshold) and, if consensus was reached
-// in the very first step, votes in the final step to enable final
-// consensus.
-func BinaryBA(env *Env, ctx *Context, blockHash crypto.Digest) (BinaryResult, error) {
-	prm := env.Params
-	step := 1
-	r := blockHash
-	emptyHash := ctx.EmptyHash
-
-	voteNext3 := func(step int, value crypto.Digest) {
-		if prm.AblateNoVoteNext3 {
-			return
-		}
-		for s := step + 1; s <= step+3; s++ {
-			CommitteeVote(env, ctx, WireStepOfBinary(s), prm.TauStep, value)
-		}
-	}
-
-	for step < prm.MaxSteps {
-		// --- Step kind 1: bias toward block_hash on timeout.
-		CommitteeVote(env, ctx, WireStepOfBinary(step), prm.TauStep, r)
-		cr := CountVotes(env, ctx, WireStepOfBinary(step), prm.TStep, prm.TauStep, prm.LambdaStep)
-		if cr.timedOut {
-			r = blockHash
-		} else if cr.value != emptyHash {
-			r = cr.value
-			voteNext3(step, r)
-			res := BinaryResult{Value: r, Steps: step, LastStep: WireStepOfBinary(step)}
-			res.Cert = certificateFrom(ctx, res.LastStep, r, cr.votes, false)
-			if step == 1 {
-				CommitteeVote(env, ctx, StepFinal, prm.TauFinal, r)
-				res.VotedFinal = true
-			}
-			return res, nil
-		} else {
-			r = cr.value
-		}
-		step++
-		if step >= prm.MaxSteps {
-			break
-		}
-
-		// --- Step kind 2: bias toward empty_hash on timeout.
-		CommitteeVote(env, ctx, WireStepOfBinary(step), prm.TauStep, r)
-		cr = CountVotes(env, ctx, WireStepOfBinary(step), prm.TStep, prm.TauStep, prm.LambdaStep)
-		if cr.timedOut {
-			r = emptyHash
-		} else if cr.value == emptyHash {
-			r = cr.value
-			voteNext3(step, r)
-			res := BinaryResult{Value: r, Steps: step, LastStep: WireStepOfBinary(step)}
-			res.Cert = certificateFrom(ctx, res.LastStep, r, cr.votes, false)
-			return res, nil
-		} else {
-			r = cr.value
-		}
-		step++
-		if step >= prm.MaxSteps {
-			break
-		}
-
-		// --- Step kind 3: common coin breaks adversarial vote splitting.
-		CommitteeVote(env, ctx, WireStepOfBinary(step), prm.TauStep, r)
-		cr = CountVotes(env, ctx, WireStepOfBinary(step), prm.TStep, prm.TauStep, prm.LambdaStep)
-		if cr.timedOut {
-			coin := 0
-			if !prm.AblateNoCommonCoin {
-				coin = CommonCoin(cr.votes)
-			}
-			if coin == 0 {
-				r = blockHash
-			} else {
-				r = emptyHash
-			}
-		} else {
-			r = cr.value
-		}
-		step++
-	}
-
-	// No consensus after MaxSteps; assume network problems and rely on
-	// the §8.2 recovery protocol to recover liveness.
-	return BinaryResult{Steps: step}, ErrNoConsensus
-}
-
-// Run executes BA⋆ for one round (Algorithm 3). blockHash is the hash
-// of the highest-priority proposal the node received (or the empty
-// hash). The returned outcome's Value is a hash; resolving it to block
-// contents (BlockOfHash) is the caller's concern.
-func Run(env *Env, ctx *Context, blockHash crypto.Digest) (Outcome, error) {
-	bres, err := RunWithoutFinal(env, ctx, blockHash)
-	if err != nil {
-		return Outcome{}, err
-	}
-	binaryDone := env.Proc.Now()
-
-	out := Outcome{
-		Value:       bres.Value,
-		BinarySteps: bres.Steps,
-		Cert:        bres.Cert,
-		BinaryDone:  binaryDone,
-	}
-	// Check if we reached "final" or "tentative" consensus.
-	if fc := WaitFinal(env, ctx, bres.Value); fc != nil {
-		out.Final = true
-		out.FinalCert = fc
-	}
-	return out, nil
-}
-
-// RunWithoutFinal runs the reduction and BinaryBA⋆ phases only. The
-// caller is responsible for the final confirmation step (WaitFinal),
-// which it may overlap with the next round — the §10.2 pipelining
-// optimization the paper describes but leaves unimplemented.
-func RunWithoutFinal(env *Env, ctx *Context, blockHash crypto.Digest) (BinaryResult, error) {
-	hblock := Reduction(env, ctx, blockHash)
-	return BinaryBA(env, ctx, hblock)
-}
-
-// WaitFinal runs the final confirmation step (§7.4): it counts
-// final-step votes for up to λ_step and, if value gathered more than
-// T_final·τ_final, returns the final certificate; nil means the round
-// stays tentative.
-func WaitFinal(env *Env, ctx *Context, value crypto.Digest) *ledger.Certificate {
-	prm := env.Params
-	fr := CountVotes(env, ctx, StepFinal, prm.TFinal, prm.TauFinal, prm.LambdaStep)
-	if !fr.timedOut && fr.value == value {
-		return certificateFrom(ctx, StepFinal, fr.value, fr.votes, true)
-	}
-	return nil
+	return acts
 }
 
 // NewContext builds a Context from a ledger for its next round.
@@ -468,9 +241,4 @@ func NewContext(l *ledger.Ledger) *Context {
 		LastBlockHash: l.HeadHash(),
 		EmptyHash:     l.NextEmptyBlock().Hash(),
 	}
-}
-
-// String renders a context for debugging.
-func (c *Context) String() string {
-	return fmt.Sprintf("ctx{round %d, seed %v, W %d}", c.Round, c.Seed, c.TotalWeight)
 }

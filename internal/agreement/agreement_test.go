@@ -91,14 +91,21 @@ func (h *harness) broadcast(v *ledger.Vote, _ uint64) {
 
 func (h *harness) env(node int) *Env {
 	return &Env{
-		Provider: h.provider,
 		Identity: h.ids[node],
-		Params:   h.prm,
 		Gossip:   h.broadcast,
 		Inbox: func(round, step uint64) *vtime.Mailbox {
 			return h.inbox(node, round, step)
 		},
 	}
+}
+
+// run is one node's round: BA⋆ from block, then the final step.
+func run(env *Env, ctx *Context, prm params.Params, block crypto.Digest) (Outcome, error) {
+	m := NewMachine(ctx, prm)
+	if _, err := Drive(env, m, m.Start(block)); err != nil {
+		return Outcome{}, err
+	}
+	return Drive(env, m, m.Confirm())
 }
 
 // runAll runs BA⋆ on every node and collects outcomes.
@@ -111,7 +118,7 @@ func (h *harness) runAll(start func(i int) crypto.Digest) ([]Outcome, []error) {
 		env := h.env(i)
 		h.sim.Spawn("node", func(p *vtime.Proc) {
 			env.Proc = p
-			outs[i], errs[i] = Run(env, h.ctx, start(i))
+			outs[i], errs[i] = run(env, h.ctx, h.prm, start(i))
 		})
 	}
 	h.sim.Run(time.Hour)
@@ -196,8 +203,8 @@ func TestAgreementWithEquivocatingCommittee(t *testing.T) {
 				if s == StepFinal {
 					tau = h.prm.TauFinal
 				}
-				CommitteeVote(env, h.ctx, s, tau, block)
-				CommitteeVote(env, h.ctx, s, tau, h.ctx.EmptyHash)
+				committeeVote(env, h.ctx, s, tau, block)
+				committeeVote(env, h.ctx, s, tau, h.ctx.EmptyHash)
 				p.Sleep(h.prm.LambdaStep / 2)
 			}
 		})
@@ -211,7 +218,7 @@ func TestAgreementWithEquivocatingCommittee(t *testing.T) {
 		env := h.env(i)
 		h.sim.Spawn("honest", func(p *vtime.Proc) {
 			env.Proc = p
-			outs[i], errs[i] = Run(env, h.ctx, block)
+			outs[i], errs[i] = run(env, h.ctx, h.prm, block)
 		})
 	}
 	h.sim.Run(2 * time.Hour)
@@ -273,7 +280,7 @@ func TestLaggingNodeCatchesUp(t *testing.T) {
 			if i == 0 {
 				p.Sleep(3 * time.Second) // one straggler
 			}
-			outs[i], errs[i] = Run(env, h.ctx, block)
+			outs[i], errs[i] = run(env, h.ctx, h.prm, block)
 		})
 	}
 	h.sim.Run(time.Hour)
@@ -398,7 +405,7 @@ func sortitionExecute(id crypto.Identity, ctx *Context, step uint64, tau, w uint
 
 func executeSortition(h *harness, node int, step uint64) sortRes {
 	env := h.env(node)
-	// Reuse CommitteeVote's internals via sortition package directly.
+	// Reuse committeeVote's internals via sortition package directly.
 	id := env.Identity
 	w := h.ctx.Weights[id.PublicKey()]
 	res := sortitionExecute(id, h.ctx, step, h.prm.TauStep, w)
@@ -467,7 +474,7 @@ func TestStepTimerObservesEveryCount(t *testing.T) {
 				t.Errorf("negative step duration")
 			}
 		}
-		Run(env, h.ctx, block)
+		run(env, h.ctx, h.prm, block)
 	})
 	// The rest of the population runs without timers.
 	for i := 1; i < len(h.ids); i++ {
@@ -475,7 +482,7 @@ func TestStepTimerObservesEveryCount(t *testing.T) {
 		e := h.env(i)
 		h.sim.Spawn("node", func(p *vtime.Proc) {
 			e.Proc = p
-			Run(e, h.ctx, block)
+			run(e, h.ctx, h.prm, block)
 		})
 	}
 	h.sim.Run(time.Hour)
@@ -512,7 +519,7 @@ func TestAblateNoVoteNext3SuppressesExtraVotes(t *testing.T) {
 			env.Gossip = counting
 			h.sim.Spawn("node", func(p *vtime.Proc) {
 				env.Proc = p
-				outs[i], _ = Run(env, h.ctx, block)
+				outs[i], _ = run(env, h.ctx, h.prm, block)
 			})
 		}
 		h.sim.Run(time.Hour)
@@ -568,30 +575,36 @@ func (h *harness) voteBy(node int, step uint64, value crypto.Digest) *ValidatedV
 	return &ValidatedVote{Vote: v, NumVotes: res.j}
 }
 
-// countSent runs one CountVotes of node 0 over votes already in its inbox.
-func (h *harness) countSent(step uint64, T float64, sent []*ValidatedVote) (res countResult, allocated uint64) {
-	for _, vv := range sent {
-		h.inbox(0, h.ctx.Round, step).Send(vv)
-	}
-	env := h.env(0)
-	h.sim.Spawn("counter", func(p *vtime.Proc) {
-		env.Proc = p
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		res = CountVotes(env, h.ctx, step, T, h.prm.TauStep, h.prm.LambdaStep)
-		runtime.ReadMemStats(&after)
-		allocated = after.TotalAlloc - before.TotalAlloc
-	})
-	h.sim.Run(time.Hour)
-	return res, allocated
+// binaryStep1 is node 0's machine counting BinaryBA⋆ step 1 of a round
+// whose block is block, at threshold fraction T.
+func (h *harness) binaryStep1(block crypto.Digest, T float64) *Machine {
+	prm := h.prm
+	prm.TStep = T
+	m := NewMachine(h.ctx, prm)
+	m.StartBinary(block)
+	return m
 }
 
-// TestAllocBudgetCountVotes guards the one store of a step: what
-// CountVotes keeps of a validated vote is the pointer the host sent, and
-// that points at the vote gossip delivered, so a step of k votes allocates
-// less than half a vote's 328 wire bytes for each — the voter set and the
-// list of pointers (it made three copies: the list of all, the list per
-// value, the certificate; and the host a fourth).
+// deliver hands sent to m as Drive would, until one ends the step.
+func deliver(m *Machine, sent []*ValidatedVote) (acts []Action, allocated uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, vv := range sent {
+		if _, acts = m.Deliver(vv); acts != nil {
+			break
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return acts, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestAllocBudgetCountVotes guards the one store of a step: what the
+// machine's tally keeps of a validated vote is the pointer the host sent,
+// and that points at the vote gossip delivered, so a step of k votes
+// allocates less than half a vote's 328 wire bytes for each — the voter
+// set and the list of pointers (it made three copies: the list of all,
+// the list per value, the certificate; and the host a fourth). A step
+// after the first allocates nothing: the tally is cleared, not remade.
 func TestAllocBudgetCountVotes(t *testing.T) {
 	h := newHarness(t, 300, 250)
 	step := WireStepOfBinary(1)
@@ -605,12 +618,13 @@ func TestAllocBudgetCountVotes(t *testing.T) {
 		t.Fatalf("only %d of %d users on the committee; raise tau", len(sent), len(h.ids))
 	}
 	// A threshold nobody reaches: the step counts every vote and times out.
-	res, allocated := h.countSent(step, 100, sent)
-	if !res.timedOut || len(res.votes) != len(sent) {
-		t.Fatalf("counted %d of %d votes, timed out %v", len(res.votes), len(sent), res.timedOut)
+	m := h.binaryStep1(crypto.HashBytes("proposed-block"), 100)
+	acts, allocated := deliver(m, sent)
+	if acts != nil || len(m.votes) != len(sent) {
+		t.Fatalf("counted %d of %d votes, step ended with %v", len(m.votes), len(sent), acts)
 	}
 	for i := range sent {
-		if res.votes[i] != sent[i] || res.votes[i].Vote != sent[i].Vote {
+		if m.votes[i] != sent[i] || m.votes[i].Vote != sent[i].Vote {
 			t.Fatalf("vote %d in the store is not the validated vote the host sent", i)
 		}
 	}
@@ -621,12 +635,37 @@ func TestAllocBudgetCountVotes(t *testing.T) {
 		t.Errorf("counting a vote allocated %d bytes, half a copy of it is %d", perVote, half)
 	}
 
-	cert := certificateFrom(h.ctx, step, h.ctx.EmptyHash, res.votes, false)
+	cert := certificateFrom(h.ctx, step, h.ctx.EmptyHash, m.votes, false)
 	if len(cert.Votes) != len(sent) || cap(cert.Votes) != len(sent) {
 		t.Errorf("certificate of %d votes holds len %d cap %d", len(sent), len(cert.Votes), cap(cert.Votes))
 	}
-	if n := testing.AllocsPerRun(50, func() { cert = certificateFrom(h.ctx, step, h.ctx.EmptyHash, res.votes, false) }); n != 2 {
+	if n := testing.AllocsPerRun(50, func() { cert = certificateFrom(h.ctx, step, h.ctx.EmptyHash, m.votes, false) }); n != 2 {
 		t.Errorf("certificateFrom: %v allocations, want the certificate and one array of votes", n)
+	}
+
+	// The same voters in every later step: each times out into the next,
+	// on the tally the first one grew. (The coin's fallback is switched
+	// off: it hashes every sub-user, allocations of its own.)
+	m.prm.AblateNoCommonCoin = true
+	const later = 20
+	var steps [][]*ValidatedVote
+	for k := 2; k <= later+2; k++ {
+		var votes []*ValidatedVote
+		for _, vv := range sent {
+			v := *vv.Vote
+			v.Step = WireStepOfBinary(k)
+			votes = append(votes, &ValidatedVote{Vote: &v, NumVotes: vv.NumVotes})
+		}
+		steps = append(steps, votes)
+	}
+	if n := testing.AllocsPerRun(later, func() {
+		m.Timeout()
+		deliver(m, steps[m.k-2])
+	}); n != 0 {
+		t.Errorf("a later step's tally: %v allocations, want none", n)
+	}
+	if len(m.votes) != len(sent) {
+		t.Fatalf("step %d counted %d of %d votes", m.k, len(m.votes), len(sent))
 	}
 }
 
@@ -659,9 +698,11 @@ func TestCertificateHoldsTheWinningValuesVotes(t *testing.T) {
 	if equivocator < 0 {
 		t.Fatal("no empty-hash voter on the committee")
 	}
-	res, _ := h.countSent(step, h.prm.TStep, sent)
-	if res.timedOut || res.value != block {
-		t.Fatalf("step concluded on %v (timed out %v), want the block", res.value, res.timedOut)
+	m := h.binaryStep1(block, h.prm.TStep)
+	acts, _ := deliver(m, sent)
+	out := m.out
+	if len(acts) == 0 || acts[len(acts)-1].Kind != ActConclude || out.Value != block {
+		t.Fatalf("step ended with %v on %v, want the block", acts, out.Value)
 	}
 
 	// What Algorithm 5 counted for the block, replayed by hand.
@@ -681,11 +722,11 @@ func TestCertificateHoldsTheWinningValuesVotes(t *testing.T) {
 			break
 		}
 	}
-	if len(want) == len(sent) || len(res.votes) <= len(want) {
+	if len(want) == len(sent) || len(m.votes) <= len(want) {
 		t.Fatal("the step saw no vote for the other value; test premise broken")
 	}
 
-	cert := certificateFrom(h.ctx, step, block, res.votes, false)
+	cert := out.Cert
 	if len(cert.Votes) != len(want) {
 		t.Fatalf("certificate holds %d votes, %d were counted for the block", len(cert.Votes), len(want))
 	}

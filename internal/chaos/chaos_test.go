@@ -413,6 +413,23 @@ func TestChaosPartitionForks(t *testing.T) {
 	}
 }
 
+// TestChaosRebasedNodeFollowsGenesisRecovery pins swarm seed 5104: node 9
+// restarts re-based onto its own round-2 checkpoint while no round of the
+// run is final, and its peers agree on round 4 by §8.2 recovery based on
+// genesis, their last final block. A re-based chain stops at its anchor,
+// so a verifier that looked for genesis by walking back from the head
+// refused the recovery certificate and the node stayed at round 3.
+func TestChaosRebasedNodeFollowsGenesisRecovery(t *testing.T) {
+	res := runScenario(t, RandomScenario(5104))
+	n := res.Cluster.Nodes[9]
+	if chainBase(n.Ledger()) == 0 {
+		t.Error("node 9 did not re-base onto a checkpoint; test premise broken")
+	}
+	if got := n.Ledger().ChainLength(); got < res.Scenario.Rounds {
+		t.Errorf("node 9 chain %d of %d", got, res.Scenario.Rounds)
+	}
+}
+
 // TestChaosDeterministic runs the same scenario twice and demands
 // bit-identical outcomes — the property that makes -chaos.seed replay
 // trustworthy.

@@ -402,7 +402,7 @@ func CheckInvariants(c *sim.Cluster, opt CheckOptions) []Violation {
 // and a tentative one from a step within MaxSteps, a regular one is for
 // this round and its votes extend prev, a §8.2 recovery one rebuilds its
 // context from the base block its votes name, which must be on this
-// chain.
+// chain (genesis is on every chain, a re-based one included).
 func checkCertificate(p crypto.Provider, l *ledger.Ledger, prm params.Params, b, prev *ledger.Block, cert *ledger.Certificate) error {
 	if cert.Value != b.Hash() {
 		return fmt.Errorf("certificate is for value %x", cert.Value[:4])
@@ -431,7 +431,7 @@ func checkCertificate(p crypto.Provider, l *ledger.Ledger, prm params.Params, b,
 	if !ok {
 		return fmt.Errorf("recovery cert base unknown")
 	}
-	if on, ok := l.BlockAt(base.Round); !ok || on.Hash() != baseHash {
+	if on, ok := l.BlockAt(base.Round); baseHash != l.GenesisHash() && (!ok || on.Hash() != baseHash) {
 		return fmt.Errorf("recovery cert base not on this chain")
 	}
 	weights, total, _ := l.WeightsAt(baseHash)

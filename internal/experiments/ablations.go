@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"algorand/internal/params"
 	"algorand/internal/sim"
@@ -108,6 +107,3 @@ func (r CoinAblationResult) Summary() string {
 		mean(r.WithCoin), r.StuckWith, len(r.WithCoin),
 		mean(r.WithoutCoin), r.StuckWithout, len(r.WithoutCoin))
 }
-
-// durationScale for the attack harness.
-const coinAttackLambda = 2 * time.Second

@@ -12,8 +12,9 @@ import (
 	"algorand/internal/vtime"
 )
 
-// CoinAttack reproduces the §7.4 "getting unstuck" scenario against the
-// real BinaryBA⋆ implementation. The setup is the paper's: a malicious
+// RunCoinAblation reproduces the §7.4 "getting unstuck" scenario against
+// the real BinaryBA⋆ implementation, trials times with the common coin
+// and trials times without it. The setup is the paper's: a malicious
 // highest-priority proposer has split the honest users out of the
 // reduction stage — group A enters BinaryBA⋆ with the block's hash,
 // group B with the empty hash — and the adversary's committee weight b
@@ -37,46 +38,27 @@ import (
 // saw — unpredictable and common across A — so with probability ≈1/2
 // per loop A flips to empty, the groups unify, and consensus follows
 // two steps later.
-func CoinAttack(trials int, withCoin bool, seedBase int64) CoinAblationResult {
+func RunCoinAblation(trials int, seedBase int64) CoinAblationResult {
 	res := CoinAblationResult{MaxSteps: 24}
-	for t := 0; t < trials; t++ {
-		steps, stuck := coinAttackTrial(withCoin, seedBase+int64(t), res.MaxSteps)
+	for _, withCoin := range []bool{true, false} {
+		steps, stuck := &res.WithoutCoin, &res.StuckWithout
 		if withCoin {
-			res.WithCoin = append(res.WithCoin, steps)
-			if stuck {
-				res.StuckWith++
-			}
-		} else {
-			res.WithoutCoin = append(res.WithoutCoin, steps)
-			if stuck {
-				res.StuckWithout++
+			steps, stuck = &res.WithCoin, &res.StuckWith
+		}
+		for t := 0; t < trials; t++ {
+			k, hit := coinAttackTrial(withCoin, seedBase+int64(t), res.MaxSteps)
+			*steps = append(*steps, k)
+			if hit {
+				*stuck++
 			}
 		}
 	}
 	return res
 }
 
-// RunCoinAblation runs both arms.
-func RunCoinAblation(trials int, seedBase int64) CoinAblationResult {
-	with := CoinAttack(trials, true, seedBase)
-	without := CoinAttack(trials, false, seedBase)
-	with.WithoutCoin = without.WithoutCoin
-	with.StuckWithout = without.StuckWithout
-	return with
-}
-
 // coinAttackTrial runs one BinaryBA⋆ execution under the splitting
 // adversary and returns the (max over honest users) binary step count,
 // plus whether anyone hit MaxSteps.
-func coinAttackTrialDebug(withCoin bool, seed int64, maxSteps int) (int, bool) {
-	coinDebug = true
-	defer func() { coinDebug = false }()
-	return coinAttackTrial(withCoin, seed, maxSteps)
-}
-
-// coinDebug enables tracing in the attack harness.
-var coinDebug = false
-
 func coinAttackTrial(withCoin bool, seed int64, maxSteps int) (int, bool) {
 	// h = 0.7 sits inside the attack-feasible window (T < h and
 	// h/2 + (1-h) > T), and τ = 1600 gives the binomial margins enough
@@ -89,6 +71,7 @@ func coinAttackTrial(withCoin bool, seed int64, maxSteps int) (int, bool) {
 		advW      = 3000
 		tau       = 1600
 		threshold = 0.60
+		lambda    = 2 * time.Second
 	)
 	s := vtime.New()
 	provider := crypto.NewFast()
@@ -99,7 +82,7 @@ func coinAttackTrial(withCoin bool, seed int64, maxSteps int) (int, bool) {
 	prm.TauFinal = tau
 	prm.TStep = threshold
 	prm.MaxSteps = maxSteps
-	prm.LambdaStep = coinAttackLambda
+	prm.LambdaStep = lambda
 	prm.AblateNoCommonCoin = !withCoin
 
 	weights := make(map[crypto.PublicKey]uint64)
@@ -123,18 +106,14 @@ func coinAttackTrial(withCoin bool, seed int64, maxSteps int) (int, bool) {
 		EmptyHash:     crypto.HashBytes("attack.empty"),
 	}
 
-	// Per-honest-node vote inboxes.
-	inboxes := make([]map[uint64]*vtime.Mailbox, nHonest)
-	for i := range inboxes {
-		inboxes[i] = make(map[uint64]*vtime.Mailbox)
-	}
+	// Per-honest-node vote inboxes, by (node, step).
+	inboxes := make(map[[2]uint64]*vtime.Mailbox)
 	inbox := func(node int, step uint64) *vtime.Mailbox {
-		mb, ok := inboxes[node][step]
-		if !ok {
-			mb = s.NewMailbox()
-			inboxes[node][step] = mb
+		k := [2]uint64{uint64(node), step}
+		if inboxes[k] == nil {
+			inboxes[k] = s.NewMailbox()
 		}
-		return mb
+		return inboxes[k]
 	}
 
 	groupA := func(i int) bool { return i < nHonest/2 }
@@ -145,7 +124,6 @@ func coinAttackTrial(withCoin bool, seed int64, maxSteps int) (int, bool) {
 	var injectAt func(step uint64)
 	gossipFrom := func(v *ledger.Vote, _ uint64) {
 		for i := 0; i < nHonest; i++ {
-			i := i
 			delay := time.Duration(1+rng.Intn(20)) * time.Millisecond
 			s.After(delay, func() {
 				nv := agreement.ProcessVote(provider, prm, ctx, v)
@@ -175,7 +153,6 @@ func coinAttackTrial(withCoin bool, seed int64, maxSteps int) (int, bool) {
 		if (k-1)%3 != 1 {      // only the timeout→empty step kind
 			return
 		}
-		push := blockHash
 		role := sortition.Role{Kind: sortition.RoleCommittee, Round: ctx.Round, Step: wireStep}
 		res := sortition.Execute(adv, ctx.Seed[:], role, prm.TauStep, weights[adv.PublicKey()], total)
 		if res.J == 0 {
@@ -188,7 +165,7 @@ func coinAttackTrial(withCoin bool, seed int64, maxSteps int) (int, bool) {
 			SortHash:  res.Output,
 			SortProof: res.Proof,
 			PrevHash:  ctx.LastBlockHash,
-			Value:     push,
+			Value:     blockHash,
 		}
 		v.Sign(adv)
 		s.After(prm.LambdaStep*9/10, func() {
@@ -205,17 +182,8 @@ func coinAttackTrial(withCoin bool, seed int64, maxSteps int) (int, bool) {
 		})
 	}
 
-	stepsTaken := make([]int, nHonest)
-	anyStuck := false
+	maxTaken, anyStuck := 0, false
 	for i := 0; i < nHonest; i++ {
-		i := i
-		env := &agreement.Env{
-			Provider: provider,
-			Identity: honest[i],
-			Params:   prm,
-			Gossip:   gossipFrom,
-			Inbox:    func(_, step uint64) *vtime.Mailbox { return inbox(i, step) },
-		}
 		// Skip the reduction stage: the scenario starts from an already
 		// split population, which is exactly the state the reduction can
 		// leave behind under a dishonest highest-priority proposer.
@@ -224,32 +192,16 @@ func coinAttackTrial(withCoin bool, seed int64, maxSteps int) (int, bool) {
 			start = ctx.EmptyHash
 		}
 		s.Spawn("honest", func(p *vtime.Proc) {
-			env.Proc = p
-			if coinDebug && i == 0 {
-				env.StepTimer = func(step uint64, took time.Duration, timedOut bool) {
-					println("node0 step", int(step-2), "took(ms)", int(took.Milliseconds()), "timeout:", timedOut)
-				}
-			}
-			out, err := agreement.BinaryBA(env, ctx, start)
+			env := &agreement.Env{Proc: p, Identity: honest[i], Gossip: gossipFrom,
+				Inbox: func(_, step uint64) *vtime.Mailbox { return inbox(i, step) }}
+			m := agreement.NewMachine(ctx, prm)
+			out, err := agreement.Drive(env, m, m.StartBinary(start))
 			if err != nil {
-				stepsTaken[i] = maxSteps
-				anyStuck = true
-				return
+				out.BinarySteps, anyStuck = maxSteps, true
 			}
-			stepsTaken[i] = out.Steps
-			if coinDebug && i < 3 {
-				println("node", i, "consensus at step", out.Steps, "empty:", out.Value == ctx.EmptyHash)
-			}
+			maxTaken = max(maxTaken, out.BinarySteps)
 		})
 	}
-
 	s.Run(time.Duration(maxSteps+8) * prm.LambdaStep * 4)
-
-	maxTaken := 0
-	for _, st := range stepsTaken {
-		if st > maxTaken {
-			maxTaken = st
-		}
-	}
 	return maxTaken, anyStuck
 }

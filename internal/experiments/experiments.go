@@ -366,8 +366,8 @@ type TimeoutReport struct {
 	TimeoutFraction float64
 }
 
-// baStepSpans returns every node's ba_step spans — one per CountVotes
-// call, Step carrying the wire step — from round fromRound on.
+// baStepSpans returns every node's ba_step spans — one per counted step,
+// Step carrying the wire step — from round fromRound on.
 func baStepSpans(c *sim.Cluster, fromRound uint64) []trace.Span {
 	var out []trace.Span
 	for i := range c.Nodes {

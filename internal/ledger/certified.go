@@ -105,14 +105,15 @@ func (l *Ledger) VerifyCertificate(b *Block, cert *Certificate, cp CommitteePara
 // They name their base block (every vote's PrevHash is the recovery
 // context's anchor); the base must be on our canonical chain, and the
 // context — seed from the base and the coordinates in the round number,
-// stake as of the base — is rebuilt from it.
+// stake as of the base — is rebuilt from it. Genesis is on every chain,
+// including one re-based onto a checkpoint, which stops at its anchor.
 func (l *Ledger) verifyRecoveryCert(cert *Certificate, tau, threshold uint64) error {
 	if len(cert.Votes) == 0 {
 		return errors.New("ledger: empty certificate")
 	}
 	baseHash := cert.Votes[0].PrevHash
 	base, ok := l.entries[baseHash]
-	if !ok || ancestorAt(l.head, base.block.Round) != base {
+	if !ok || base != l.genesis && ancestorAt(l.head, base.block.Round) != base {
 		return errors.New("ledger: recovery certificate's base block is not on our chain")
 	}
 	off := cert.Round - RecoveryRoundBase

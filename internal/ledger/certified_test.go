@@ -132,3 +132,40 @@ func TestApplyRunHostile(t *testing.T) {
 		})
 	}
 }
+
+// TestRebasedLedgerFollowsGenesisRecovery: a ledger re-based onto a
+// checkpoint holds no block between genesis and its anchor, and its peers,
+// with no final round yet, base their §8.2 recovery on genesis. Genesis is
+// on every chain, so that certificate verifies; one based on a block the
+// ledger does not hold still does not.
+func TestRebasedLedgerFollowsGenesisRecovery(t *testing.T) {
+	p := newPopulation(60, 10)
+	const tau = 120
+	cp := CommitteeParams{TauStep: tau, StepThreshold: 5, TauFinal: tau, FinalThreshold: 5, MaxStep: 200}
+	src := p.ledger()
+	for r := uint64(1); r <= 3; r++ {
+		b := p.proposeBlock(src, nil, time.Duration(r)*time.Minute)
+		if err := src.Commit(b, p.makeCert(src, r, 1, b.Hash(), tau, false)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	anchor := src.Head()
+	cert, _ := src.CertificateAt(anchor.Round)
+	l, err := NewFromCheckpoint(p.provider, DefaultConfig(), NewGenesis(p.accounts, crypto.HashBytes("genesis-seed")),
+		CheckpointOf(anchor, cert, src.Balances()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	genesis, _ := src.BlockAt(0)
+	unheld, _ := src.BlockAt(2)
+	adopted := EmptyBlock(4, anchor.Hash(), anchor.Seed, anchor.StateRoot)
+	if err := l.ApplyCertified(adopted, p.recoveryCert(src, unheld, 7, 1, adopted.Hash(), tau), cp); err == nil {
+		t.Fatal("a recovery certificate based on a block the ledger does not hold was accepted")
+	}
+	if err := l.ApplyCertified(adopted, p.recoveryCert(src, genesis, 7, 1, adopted.Hash(), tau), cp); err != nil {
+		t.Fatalf("a recovery certificate based on genesis was refused: %v", err)
+	}
+	if l.HeadHash() != adopted.Hash() {
+		t.Fatal("the adopted block is not the head")
+	}
+}

@@ -925,13 +925,11 @@ func (n *Node) gossipVote(v *ledger.Vote, j uint64) {
 }
 
 // env builds the BA⋆ environment for the current process, recording
-// each CountVotes call as a ba_step span of the given round.
+// each step's count as a ba_step span of the given round.
 func (n *Node) env(round uint64) *agreement.Env {
 	e := &agreement.Env{
 		Proc:     n.proc,
-		Provider: n.provider,
 		Identity: n.identity,
-		Params:   n.cfg.Params,
 		Gossip:   n.gossipVote,
 		Inbox:    n.voteInbox,
 		Metrics:  n.ba,
@@ -1111,42 +1109,43 @@ func (n *Node) runRound() error {
 	n.tracer.Record(round, trace.PhasePropose, 0, stat.Start, stat.ProposalDone)
 
 	// --- Agreement (§7).
-	bres, err := agreement.RunWithoutFinal(n.env(round), ctx, target)
+	m := agreement.NewMachine(ctx, n.cfg.Params)
+	out, err := agreement.Drive(n.env(round), m, m.Start(target))
 	if err != nil {
 		n.setContext(nil)
 		return err
 	}
 	stat.BinaryDone = n.proc.Now()
-	stat.BinarySteps = bres.Steps
-	return n.finishRound(ctx, bres, stat)
+	stat.BinarySteps = out.BinarySteps
+	return n.finishRound(ctx, m, out, stat)
 }
 
 // finishRound is the one way a block this node agreed on reaches its
 // chain: resolve → commit → persist → announce → post-commit hook →
-// round stat. PipelineFinalStep decides only where the §7.4 final
-// confirmation step runs: inline before the commit (Algorithm 3's
-// order), or in a background process after it, overlapped with the next
-// round (§10.2 pipelining), upgrading the committed block to final when
-// the votes arrive.
-func (n *Node) finishRound(ctx *agreement.Context, bres agreement.BinaryResult, stat RoundStat) error {
+// round stat. PipelineFinalStep decides only which process drives m
+// through the §7.4 final confirmation step: this one, before the commit
+// (Algorithm 3's order), or a background one after it, overlapped with
+// the next round (§10.2 pipelining), upgrading the committed block to
+// final when the votes arrive.
+func (n *Node) finishRound(ctx *agreement.Context, m *agreement.Machine, out agreement.Outcome, stat RoundStat) error {
 	round := ctx.Round
-	cert := bres.Cert
+	cert := out.Cert
 	if !n.cfg.PipelineFinalStep {
-		if fc := agreement.WaitFinal(n.env(round), ctx, bres.Value); fc != nil {
-			cert, stat.Final = fc, true
+		if fin, _ := agreement.Drive(n.env(round), m, m.Confirm()); fin.Final {
+			cert, stat.Final = fin.FinalCert, true
 		}
 		n.tracer.Record(round, trace.PhaseCertify, 0, stat.BinaryDone, n.proc.Now())
 	}
 
-	block, ok := n.resolveBlock(ctx, bres.Value)
+	block, ok := n.resolveBlock(ctx, out.Value)
 	if !ok {
 		// Agreed on a body no reachable peer holds: whoever committed it
 		// serves it with its certificate once we can reach them (§8.3).
 		n.setContext(nil)
-		return fmt.Errorf("round %d: agreed block %v not obtained from any peer", round, bres.Value)
+		return fmt.Errorf("round %d: agreed block %v not obtained from any peer", round, out.Value)
 	}
 	commitStart := n.tracer.WallNow()
-	if err := n.ledger.CommitHashed(block, bres.Value, cert); err != nil {
+	if err := n.ledger.CommitHashed(block, out.Value, cert); err != nil {
 		// Agreed on a block we cannot apply: treat like no-consensus so
 		// recovery reconciles us (should not happen in honest runs).
 		n.setContext(nil)
@@ -1156,10 +1155,10 @@ func (n *Node) finishRound(ctx *agreement.Context, bres agreement.BinaryResult, 
 	persistStart := n.tracer.WallNow()
 	n.persistPut(block, cert)
 	n.tracer.Record(round, trace.PhasePersist, 0, persistStart, n.tracer.WallNow())
-	n.announceCommit(round, bres.Value)
+	n.announceCommit(round, out.Value)
 	n.flow.Committed(block, n.ledger.Balances())
 	stat.Empty = block.IsEmpty()
-	stat.Value = bres.Value
+	stat.Value = out.Value
 	stat.End = n.proc.Now()
 	n.Stats = append(n.Stats, stat)
 	n.tracer.Record(round, trace.PhaseRound, 0, stat.Start, stat.End)
@@ -1183,17 +1182,17 @@ func (n *Node) finishRound(ctx *agreement.Context, bres agreement.BinaryResult, 
 		env := n.env(round)
 		env.Proc = p
 		certifyStart := p.Now()
-		final := agreement.WaitFinal(env, ctx, bres.Value)
+		fin, _ := agreement.Drive(env, m, m.Confirm())
 		delete(n.finalCtxs, round)
-		if final == nil {
+		if !fin.Final {
 			return
 		}
 		n.tracer.Record(round, trace.PhaseCertify, 0, certifyStart, p.Now())
 		n.Stats[statIdx].Final = true
 		n.roundsFinal.Inc()
 		// Upgrade the ledger entry and the archive to final.
-		if err := n.ledger.CommitHashed(block, bres.Value, final); err == nil {
-			n.persistPut(block, final)
+		if err := n.ledger.CommitHashed(block, out.Value, fin.FinalCert); err == nil {
+			n.persistPut(block, fin.FinalCert)
 		}
 	})
 	return nil

@@ -162,7 +162,11 @@ func (n *Node) recoverOnce(checkpoint, attempt uint64) bool {
 		value = best.Hash
 	}
 
-	out, err := agreement.Run(n.env(recRound), ctx, value)
+	env, m := n.env(recRound), agreement.NewMachine(ctx, n.cfg.Params)
+	out, err := agreement.Drive(env, m, m.Start(value))
+	if err == nil {
+		out, err = agreement.Drive(env, m, m.Confirm())
+	}
 	if err != nil || out.Value == ctx.EmptyHash {
 		return false
 	}

@@ -3,10 +3,11 @@
 //
 // The Algorand paper's pseudocode (Algorithms 3-8) is written in a
 // blocking style: CountVotes reads messages until a vote threshold or a
-// timeout λ elapses, BinaryBA⋆ loops over steps, and so on. Rather than
-// contorting that logic into explicit state machines, vtime lets each
+// timeout λ elapses, BinaryBA⋆ loops over steps, and so on. The protocol
+// logic itself is kept in pure state machines (agreement.Machine,
+// blockprop.Fetcher); vtime lets the code that drives them for each
 // simulated user run as an ordinary goroutine that blocks on virtual
-// time: Sleep, mailbox receives with deadlines, and CPU charges.
+// time: Sleep and mailbox receives with deadlines.
 //
 // Exactly one goroutine (a process or the scheduler) executes at any
 // instant; control is handed off through channels acting as a baton.
@@ -157,9 +158,7 @@ type Proc struct {
 	name string
 	// resume is the baton handing control back to this process.
 	resume chan wake
-	// CPU is the total virtual CPU time charged via Charge.
-	CPU  time.Duration
-	done bool
+	done   bool
 }
 
 // wake tells a parked process why it resumed.
@@ -400,15 +399,4 @@ func (p *Proc) Sleep(d time.Duration) {
 	}
 	p.sim.wakeAt(p.sim.now+d, p, nil)
 	p.park()
-}
-
-// Charge models d of CPU work: virtual time the process is busy and
-// cannot react to messages. It is accounted separately in p.CPU so
-// experiments can report CPU utilization (§10.3).
-func (p *Proc) Charge(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	p.CPU += d
-	p.Sleep(d)
 }

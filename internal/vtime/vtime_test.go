@@ -229,23 +229,6 @@ func TestStop(t *testing.T) {
 	}
 }
 
-func TestChargeAccountsCPU(t *testing.T) {
-	s := New()
-	var p1 *Proc
-	p1 = s.Spawn("worker", func(p *Proc) {
-		p.Charge(100 * time.Millisecond)
-		p.Sleep(time.Second)
-		p.Charge(50 * time.Millisecond)
-	})
-	end := s.Run(0)
-	if p1.CPU != 150*time.Millisecond {
-		t.Fatalf("CPU = %v", p1.CPU)
-	}
-	if end != 1150*time.Millisecond {
-		t.Fatalf("end = %v", end)
-	}
-}
-
 func TestAbandonedProcessLikeHangForever(t *testing.T) {
 	s := New()
 	mb := s.NewMailbox()
