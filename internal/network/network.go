@@ -134,6 +134,10 @@ func DefaultConfig() Config {
 type link struct {
 	bps  int64
 	free time.Duration // time at which the link becomes idle
+	// deliveries holds, on a downlink, the transfers that finish on it,
+	// each due at the free it reserved; free never decreases, so neither
+	// do their times (see vtime.Lane).
+	deliveries *vtime.Lane
 }
 
 // transmit reserves the link for msg starting no earlier than now and
@@ -163,7 +167,11 @@ type endpoint struct {
 
 	up, down *link // possibly shared across a VM
 
+	// cpuFree is when the node's modeled CPU is next idle; relays holds
+	// its relays, each due when the verification before it ends. Neither
+	// that time nor the clock runs backwards, so the lane's times do not.
 	cpuFree time.Duration
+	relays  *vtime.Lane
 
 	// Per-endpoint counters. Standalone metrics primitives, not
 	// registered anywhere: a registry series per endpoint would not
@@ -255,8 +263,9 @@ type Network struct {
 	stamp      uint32
 	lastRotate time.Duration
 
-	// idle holds the transfer records not on the event queue.
-	idle []*transfer
+	// idle is the free list of transfer records, linked through their
+	// next.
+	idle *transfer
 
 	// Aggregate counters, registered under algorand_net_* (see
 	// Config.Metrics); read through TotalBytes/TotalMsgs/TotalLost.
@@ -291,7 +300,7 @@ func New(sim *vtime.Sim, cfg Config, n int) *Network {
 	}
 	var vmUp, vmDown *link
 	for i := 0; i < n; i++ {
-		ep := &endpoint{id: i, city: i % NumCities}
+		ep := &endpoint{id: i, city: i % NumCities, relays: sim.NewLane()}
 		if cfg.ProcsPerVM > 1 {
 			if i%cfg.ProcsPerVM == 0 {
 				bps := cfg.VMBps
@@ -299,12 +308,12 @@ func New(sim *vtime.Sim, cfg Config, n int) *Network {
 					bps = cfg.UplinkBps
 				}
 				vmUp = &link{bps: bps}
-				vmDown = &link{bps: bps}
+				vmDown = &link{bps: bps, deliveries: sim.NewLane()}
 			}
 			ep.up, ep.down = vmUp, vmDown
 		} else {
 			ep.up = &link{bps: cfg.UplinkBps}
-			ep.down = &link{bps: cfg.DownlinkBps}
+			ep.down = &link{bps: cfg.DownlinkBps, deliveries: sim.NewLane()}
 		}
 		nw.weights[i] = 1
 		nw.eps = append(nw.eps, ep)
@@ -698,42 +707,48 @@ func (nw *Network) send(from, to int, env *envelope) {
 	// Downlink reservation is made against its state at send time; with
 	// event-driven delivery this is a standard approximation.
 	deliverAt := dst.down.transmit(arrive, size)
-	if release := now + limboHold; limboHold > 0 && release > deliverAt {
-		deliverAt = release
+	t := nw.newTransfer(from, to, env, false)
+	if limboHold > 0 {
+		// Released at the adversary's instant, out of the link's order.
+		nw.sim.AfterRun(max(deliverAt, now+limboHold)-now, t)
+		return
 	}
-
-	nw.schedule(deliverAt-now, from, to, env, false)
+	dst.down.deliveries.Push(deliverAt, &t.item, t)
 }
 
 // transfer is one scheduled step of a message's journey: its delivery at
 // to, or — relay set — its onward relay by to once the node's modeled
 // CPU has verified it. A simulated round is hundreds of thousands of
-// transfers, each of which was a closure of its own on the event queue;
-// the records are recycled through Network.idle instead (only the
+// transfers. A record waits in its lane, linked through item, and once it
+// has run on the free list Network.idle, linked through next, so a record
+// is allocated only when more are in flight than ever before (only the
 // scheduler goroutine touches them).
 type transfer struct {
+	item     vtime.LaneItem
+	next     *transfer
 	nw       *Network
 	from, to int32
 	relay    bool
 	env      *envelope
 }
 
-func (nw *Network) schedule(d time.Duration, from, to int, env *envelope, relay bool) {
-	var t *transfer
-	if n := len(nw.idle); n > 0 {
-		t, nw.idle = nw.idle[n-1], nw.idle[:n-1]
+// newTransfer returns a record for a step of env's journey.
+func (nw *Network) newTransfer(from, to int, env *envelope, relay bool) *transfer {
+	t := nw.idle
+	if t != nil {
+		nw.idle, t.next = t.next, nil
 	} else {
 		t = &transfer{nw: nw}
 	}
 	t.from, t.to, t.env, t.relay = int32(from), int32(to), env, relay
-	nw.sim.AfterRun(d, t)
+	return t
 }
 
 // Run implements vtime.Runner.
 func (t *transfer) Run() {
 	nw, from, to, env, relay := t.nw, int(t.from), int(t.to), t.env, t.relay
 	t.env = nil
-	nw.idle = append(nw.idle, t)
+	t.next, nw.idle = nw.idle, t
 	if relay {
 		nw.relay(to, from, env)
 	} else {
@@ -784,11 +799,8 @@ func (nw *Network) deliver(from, to int, env *envelope) {
 		}
 		relays[to]++
 	}
-	relayDelay := ep.cpuFree - nw.sim.Now()
-	if relayDelay < 0 {
-		relayDelay = 0
-	}
-	nw.schedule(relayDelay, from, to, env, true)
+	t := nw.newTransfer(from, to, env, true)
+	ep.relays.Push(ep.cpuFree, &t.item, t)
 }
 
 // Stats aggregates per-node statistics.

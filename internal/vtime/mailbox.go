@@ -44,7 +44,7 @@ func (m *Mailbox) Send(v any) {
 		p := m.waiter
 		// Cancel the waiter's pending deadline event and wake it now.
 		if m.waiterTimedOut != nil {
-			*m.waiterTimedOut = true
+			m.sim.cancel(m.waiterTimedOut)
 		}
 		m.waiter = nil
 		m.waiterTimedOut = nil

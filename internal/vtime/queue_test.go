@@ -45,22 +45,26 @@ func TestEventHeapMatchesSort(t *testing.T) {
 	}
 }
 
-// TestEventOrderProperty runs random schedules of After (nested), Sleep
-// and deadline receives that a Send may cancel, and checks that what ran
-// is exactly what was scheduled and not cancelled, in (at, seq) order:
-// the order every simulated run's determinism rests on, whatever the
-// queue is built from. The test tags each event with the sequence number
-// the simulation is about to give it.
+// TestEventOrderProperty runs random schedules of After (nested), Sleep,
+// lane pushes and deadline receives that a Send may cancel, and checks
+// that what ran is exactly what was scheduled and not cancelled, in (at,
+// seq) order: the order every simulated run's determinism rests on,
+// whatever the queue is built from. Lane times never decrease and often
+// tie; most deadlines are an hour out and cancelled, enough to compact the
+// queue several times a seed; and half the seeds stop at a random horizon
+// and resume, which must lose nothing. The test tags each event with the
+// sequence number the simulation is about to give it.
 func TestEventOrderProperty(t *testing.T) {
 	type planned struct {
 		at        time.Duration
 		seq       uint64
 		cancelled bool
 	}
-	cancels, timeouts := 0, 0
+	cancels, timeouts, compactions, laneRuns := 0, 0, 0, 0
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := New()
+		compacted := compactions
 		var plan []*planned
 		var ran []*planned
 		// next records the event the very next scheduling call creates.
@@ -72,19 +76,41 @@ func TestEventOrderProperty(t *testing.T) {
 		// Few distinct delays, zero among them: ties are the common case.
 		delay := func() time.Duration { return time.Duration(rng.Intn(4)) * time.Millisecond }
 
-		var after func(depth int)
+		lanes := []*Lane{s.NewLane(), s.NewLane(), s.NewLane()}
+		var after, push func(depth int)
+		spawn := func(depth int) {
+			for i := rng.Intn(3); depth > 0 && i > 0; i-- {
+				if rng.Intn(2) == 0 {
+					after(depth - 1)
+				} else {
+					push(depth - 1)
+				}
+			}
+		}
 		after = func(depth int) {
 			d := delay()
 			e := next(s.now + d)
 			s.After(d, func() {
 				ran = append(ran, e)
-				for i := rng.Intn(3); depth > 0 && i > 0; i-- {
-					after(depth - 1)
-				}
+				spawn(depth)
 			})
+		}
+		push = func(depth int) {
+			l := lanes[rng.Intn(len(lanes))]
+			at := s.now
+			if l.tail != nil {
+				at = max(at, l.tail.at)
+			}
+			e := next(at + delay())
+			l.Push(e.at, new(LaneItem), runFunc(func() {
+				ran = append(ran, e)
+				laneRuns++
+				spawn(depth)
+			}))
 		}
 		for i := 0; i < 10; i++ {
 			after(3)
+			push(3)
 		}
 		for i := 0; i < 4; i++ {
 			naps := 1 + rng.Intn(6)
@@ -96,45 +122,71 @@ func TestEventOrderProperty(t *testing.T) {
 					e := next(s.now + d)
 					p.Sleep(d)
 					ran = append(ran, e)
+					push(1)
 				}
 			})
 		}
-		for i := 0; i < 6; i++ {
+		// Receivers take one message a lap, senders send one a lap.
+		const receivers, laps = 40, 8
+		for i := 0; i < receivers; i++ {
 			m := s.NewMailbox()
 			var woken *planned // the wake-up a Send scheduled for the receiver
 			start := next(s.now)
 			s.Spawn("receiver", func(p *Proc) {
 				ran = append(ran, start)
-				// Yield once, so that a sender due at this instant runs
-				// first and the receive finds its message queued.
-				nap := next(s.now)
-				p.Sleep(0)
-				ran = append(ran, nap)
-				deadline := s.now + delay()
-				var timeout *planned
-				if m.Len() == 0 && deadline > s.now {
-					timeout = next(deadline)
-				}
-				_, ok := p.RecvDeadline(m, deadline)
-				switch {
-				case ok && woken != nil:
-					timeout.cancelled = true
-					ran = append(ran, woken)
-					cancels++
-				case !ok && timeout != nil:
-					ran = append(ran, timeout)
-					timeouts++
+				for lap := 0; lap < laps; lap++ {
+					// Yield once, so that a sender due at this instant runs
+					// first and the receive finds its message queued.
+					nap := next(s.now)
+					p.Sleep(0)
+					ran = append(ran, nap)
+					deadline := s.now + delay()
+					if rng.Intn(4) > 0 {
+						deadline = s.now + time.Hour
+					}
+					var timeout *planned
+					if m.Len() == 0 && deadline > s.now {
+						timeout = next(deadline)
+					}
+					woken = nil
+					_, ok := p.RecvDeadline(m, deadline)
+					switch {
+					case ok && woken != nil:
+						timeout.cancelled = true
+						ran = append(ran, woken)
+						cancels++
+					case !ok && timeout != nil:
+						ran = append(ran, timeout)
+						timeouts++
+					}
 				}
 			})
-			d := delay()
-			send := next(s.now + d)
-			s.After(d, func() {
-				ran = append(ran, send)
-				if m.waiter != nil {
-					woken = next(s.now)
-				}
-				m.Send(i)
-			})
+			var send func(lap int)
+			send = func(lap int) {
+				d := 2*time.Millisecond + delay()
+				e := next(s.now + d)
+				s.After(d, func() {
+					ran = append(ran, e)
+					if m.waiter != nil {
+						woken = next(s.now)
+					}
+					dead := s.dead
+					m.Send(lap)
+					if dead > 0 && s.dead == 0 {
+						compactions++
+					}
+					if lap+1 < laps {
+						send(lap + 1)
+					}
+				})
+			}
+			send(0)
+		}
+		if seed%2 == 0 {
+			h := time.Duration(1 + rng.Intn(int(20*time.Millisecond)))
+			if end := s.Run(h); end != h {
+				t.Fatalf("seed %d: Run(%v) returned %v", seed, h, end)
+			}
 		}
 		s.Run(0)
 
@@ -159,10 +211,29 @@ func TestEventOrderProperty(t *testing.T) {
 					seed, i, ran[i].at, ran[i].seq, want[i].at, want[i].seq)
 			}
 		}
+		if compactions-compacted < 2 {
+			t.Fatalf("seed %d: the queue was compacted %d times, want several", seed, compactions-compacted)
+		}
 	}
-	if cancels == 0 || timeouts == 0 {
-		t.Fatalf("schedules exercised %d cancelled deadlines and %d expired ones, want both", cancels, timeouts)
+	t.Logf("200 schedules: %d cancelled deadlines, %d expired, %d compactions, %d lane items run", cancels, timeouts, compactions, laneRuns)
+	if cancels == 0 || timeouts == 0 || laneRuns == 0 {
+		t.Fatalf("schedules exercised %d cancelled deadlines, %d expired ones and %d lane items, want all three", cancels, timeouts, laneRuns)
 	}
+}
+
+// TestLanePushBehindTailPanics: a lane runs its items in the order they
+// were pushed, so one due before the item ahead of it is refused.
+func TestLanePushBehindTailPanics(t *testing.T) {
+	s := New()
+	l := s.NewLane()
+	l.Push(2*time.Millisecond, new(LaneItem), runFunc(func() {}))
+	l.Push(2*time.Millisecond, new(LaneItem), runFunc(func() {})) // a tie is in order
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a push behind the lane's tail did not panic")
+		}
+	}()
+	l.Push(time.Millisecond, new(LaneItem), runFunc(func() {}))
 }
 
 type countRunner struct{ n int }

@@ -41,6 +41,8 @@ type Sim struct {
 	now    time.Duration
 	seq    uint64
 	events eventHeap
+	// dead counts the cancelled events still in events (see cancel).
+	dead int
 
 	running  *Proc // the currently executing process, nil if scheduler
 	yield    chan struct{}
@@ -129,10 +131,15 @@ func (h *eventHeap) pop() event {
 	q[n] = event{} // drop the references the vacated slot holds
 	q = q[:n]
 	*h = q
-	if n == 0 {
-		return top
+	if n > 0 {
+		q.down(0, e)
 	}
-	i := 0
+	return top
+}
+
+// down places e, bound for slot i, where it belongs below i.
+func (q eventHeap) down(i int, e event) {
+	n := len(q)
 	for {
 		child := 2*i + 1
 		if child >= n {
@@ -148,7 +155,6 @@ func (h *eventHeap) pop() event {
 		i = child
 	}
 	q[i] = e
-	return top
 }
 
 // Proc is a simulated process. All its methods must be called from
@@ -194,6 +200,38 @@ func (s *Sim) schedule(at time.Duration, run Runner, cancelled *bool) {
 	}
 	s.seq++
 	s.events.push(event{at: at, seq: s.seq, run: run, cancelled: cancelled})
+}
+
+// cancel sets the flag an event was scheduled with. The event stays on
+// the queue, skipped when it comes up; but a deadline that a message beat
+// lies far ahead, and a node waits for every message with one, so left
+// there they would outnumber the live events. Once they are half the
+// queue, and at least 64, compact drops them all: a cost linear in the
+// queue, paid once per as many cancellations.
+func (s *Sim) cancel(flag *bool) {
+	*flag = true
+	if s.dead++; s.dead >= 64 && 2*s.dead >= len(s.events) {
+		s.compact()
+	}
+}
+
+// compact drops the cancelled events from the queue and rebuilds the heap
+// in place. seq is unique, so the rebuilt heap pops the same sequence.
+func (s *Sim) compact() {
+	q := s.events
+	n := 0
+	for _, e := range q {
+		if e.cancelled == nil || !*e.cancelled {
+			q[n] = e
+			n++
+		}
+	}
+	clear(q[n:])
+	q = q[:n]
+	for i := n/2 - 1; i >= 0; i-- {
+		q.down(i, q[i])
+	}
+	s.events, s.dead = q, 0
 }
 
 // wakeAt schedules p to resume at the given time.
@@ -245,14 +283,17 @@ func (s *Sim) Run(horizon time.Duration) time.Duration {
 		return s.runRealtime(horizon)
 	}
 	for !s.stopped && len(s.events) > 0 {
-		e := s.events.pop()
-		if e.cancelled != nil && *e.cancelled {
+		// Look before popping: an event past the horizon stays queued for
+		// the next Run.
+		if e := &s.events[0]; e.cancelled != nil && *e.cancelled {
+			s.events.pop()
+			s.dead--
 			continue
-		}
-		if horizon > 0 && e.at > horizon {
+		} else if horizon > 0 && e.at > horizon {
 			s.now = horizon
 			break
 		}
+		e := s.events.pop()
 		s.now = e.at
 		s.EventCount++
 		e.run.Run()
@@ -342,19 +383,21 @@ func (s *Sim) runRealtime(horizon time.Duration) time.Duration {
 			}
 			continue
 		}
-		e := s.events.pop()
-		if e.cancelled != nil && *e.cancelled {
+		// The earliest event stays queued while the loop waits for it: an
+		// injection may schedule an earlier one, or cancel it.
+		if e := &s.events[0]; e.cancelled != nil && *e.cancelled {
+			s.events.pop()
+			s.dead--
 			continue
-		}
-		if wait := e.at - wall(); wait > 0 {
+		} else if wait := e.at - wall(); wait > 0 {
 			select {
 			case fn := <-s.inject:
-				s.events.push(e)
 				runInjected(fn)
 				continue
 			case <-time.After(wait):
 			}
 		}
+		e := s.events.pop()
 		s.now = wall()
 		if s.now < e.at {
 			s.now = e.at
