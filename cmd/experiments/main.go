@@ -20,7 +20,7 @@ import (
 
 func main() {
 	var (
-		run    = flag.String("run", "all", "experiment: figure3|figure5|figure6|figure7|figure8|throughput|costs|timeouts|steps|ablations|pipeline|coin|gateway|nodecost|all")
+		run    = flag.String("run", "all", "experiment: figure3|figure5|figure6|figure7|figure8|throughput|costs|timeouts|steps|ablations|coin|gateway|nodecost|all")
 		users  = flag.String("users", "1", "user-count multiplier; for nodecost, the user counts to simulate, comma-separated")
 		rounds = flag.Uint64("rounds", 3, "rounds per run")
 	)
@@ -134,16 +134,6 @@ func main() {
 				res.Baseline.Latency.Median.Seconds(), res.Ablated.Latency.Median.Seconds(),
 				res.ExtraBytesFraction, res.Baseline.EmptyRate, res.Ablated.EmptyRate)
 		}
-		fmt.Println()
-	}
-	if want("pipeline") {
-		ran = true
-		res := experiments.PipelineThroughput(scale)
-		fmt.Println("# Final-step pipelining (§10.2 optimization)")
-		fmt.Printf("baseline_round_s\t%.2f\tfinal_rate\t%.2f\n",
-			res.BaselineRoundTime.Seconds(), res.BaselineFinalRate)
-		fmt.Printf("pipelined_round_s\t%.2f\tfinal_rate\t%.2f\tspeedup\t%.2fx\n",
-			res.PipelinedRoundTime.Seconds(), res.PipelinedFinalRate, res.Speedup)
 		fmt.Println()
 	}
 	if want("coin") {

@@ -251,20 +251,10 @@ func NewArrivalBlock(m *BlockMsg) any { return arrival{blk: m} }
 // block messages on inbox for λ_priority+λ_stepvar to learn the highest
 // priority, then keep waiting (up to the λ_block deadline measured from
 // the start) for the matching block. It returns the chosen block or the
-// empty-block fallback.
+// empty-block fallback. keepFirst keeps the first block version received
+// from an equivocating proposer instead of discarding both (the ablation
+// of the paper's §10.4 discard-both optimization).
 func Wait(
-	proc *vtime.Proc,
-	inbox *vtime.Mailbox,
-	lambdaPriority, lambdaStepVar, lambdaBlock time.Duration,
-) WaitResult {
-	return WaitOpts(proc, inbox, lambdaPriority, lambdaStepVar, lambdaBlock, false)
-}
-
-// WaitOpts is Wait with the §10.4 equivocation policy selectable:
-// keepFirst keeps the first block version received from an equivocating
-// proposer instead of discarding both (the ablation of the paper's
-// discard-both optimization).
-func WaitOpts(
 	proc *vtime.Proc,
 	inbox *vtime.Mailbox,
 	lambdaPriority, lambdaStepVar, lambdaBlock time.Duration,

@@ -139,7 +139,7 @@ func runWait(script func(h *waitHarness)) WaitResult {
 	h := &waitHarness{sim: vtime.New()}
 	h.inbox = h.sim.NewMailbox()
 	h.sim.Spawn("waiter", func(p *vtime.Proc) {
-		h.res = Wait(p, h.inbox, 2*time.Second, time.Second, 10*time.Second)
+		h.res = Wait(p, h.inbox, 2*time.Second, time.Second, 10*time.Second, false)
 	})
 	script(h)
 	h.sim.Run(time.Minute)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"algorand/internal/crypto"
+	"algorand/internal/ledger"
 	"algorand/internal/metrics"
 	"algorand/internal/sortition"
 )
@@ -585,20 +586,21 @@ func (f *Fetcher) choose(b *body, p *peer) int {
 // that are held whole stay, to be served: a neighbour a few pieces
 // behind when its peers' BA⋆ finished would otherwise find every source
 // gone and wait out λ_block. Everything older, and every unfinished
-// fetch, priority and invalid-proposer mark of earlier rounds, goes.
+// fetch, priority and invalid-proposer mark of earlier rounds, goes; a
+// regular round also ends every §8.2 recovery round (ledger.RoundOver).
 func (f *Fetcher) Advance(round uint64) {
 	for h, b := range f.bodies {
-		if r := b.manifest.Announce.Round; r+1 < round || (r < round && b.msg == nil) {
+		if r := b.manifest.Announce.Round; ledger.RoundOver(r+1, round) || (ledger.RoundOver(r, round) && b.msg == nil) {
 			delete(f.bodies, h)
 		}
 	}
 	for r := range f.best {
-		if r < round {
+		if ledger.RoundOver(r, round) {
 			delete(f.best, r)
 		}
 	}
 	for k := range f.invalid {
-		if k.round < round {
+		if ledger.RoundOver(k.round, round) {
 			delete(f.invalid, k)
 		}
 	}

@@ -232,61 +232,6 @@ func ThroughputVsBitcoin(scale Scale, algorandSizes []int) []ThroughputRow {
 	return rows
 }
 
-// --- Final-step pipelining (§10.2 optimization) ----------------------------
-
-// PipelineResult compares round rate with and without overlapping the
-// final confirmation step with the next round.
-type PipelineResult struct {
-	BaselineRoundTime  time.Duration // median wall time per round
-	PipelinedRoundTime time.Duration
-	// Speedup = baseline/pipelined round time.
-	Speedup float64
-	// Final rates: pipelining must not lose finality relative to the
-	// baseline (both runs share a seed, so committee draws match).
-	BaselineFinalRate  float64
-	PipelinedFinalRate float64
-}
-
-// PipelineThroughput measures the §10.2 pipelining optimization: "the
-// throughput can be further increased by pipelining the final step,
-// which takes about 6 seconds, with the next round of Algorand." The
-// prototype in the paper does not implement it; this repository does.
-func PipelineThroughput(scale Scale) PipelineResult {
-	n := scale.users(100)
-	measure := func(pipeline bool) (time.Duration, float64) {
-		cfg := sim.DefaultConfig(n, scale.Rounds)
-		cfg.Seed = 31
-		cfg.PipelineFinalStep = pipeline
-		c := sim.NewCluster(cfg)
-		c.Run()
-		if err := c.AgreementCheck(); err != nil {
-			panic(fmt.Sprintf("experiments: agreement violated: %v", err))
-		}
-		// Round rate: per-node time from round 1 start to last round end,
-		// divided by rounds. Completion times include the final step in
-		// the baseline but not in the pipelined runs — which is the point.
-		var per []time.Duration
-		for _, nd := range c.Nodes {
-			if len(nd.Stats) == 0 {
-				continue
-			}
-			span := nd.Stats[len(nd.Stats)-1].End - nd.Stats[0].Start
-			per = append(per, span/time.Duration(len(nd.Stats)))
-		}
-		final, _ := c.FinalityRate()
-		return sim.Summarize(per).Median, final
-	}
-	base, baseFinal := measure(false)
-	piped, finalRate := measure(true)
-	return PipelineResult{
-		BaselineRoundTime:  base,
-		PipelinedRoundTime: piped,
-		Speedup:            float64(base) / float64(piped),
-		BaselineFinalRate:  baseFinal,
-		PipelinedFinalRate: finalRate,
-	}
-}
-
 // --- Costs (§10.3) ---------------------------------------------------------
 
 // CostsReport aggregates the §10.3 cost measurements.

@@ -232,19 +232,3 @@ func TestAblationVoteNext3(t *testing.T) {
 	// point of the bench is the latency/empty-rate comparison recorded
 	// in EXPERIMENTS.md.
 }
-
-func TestPipelineFinalStep(t *testing.T) {
-	res := PipelineThroughput(halfScale)
-	t.Logf("baseline %v/round (final %.2f), pipelined %v/round (%.2fx, final %.2f)",
-		res.BaselineRoundTime, res.BaselineFinalRate,
-		res.PipelinedRoundTime, res.Speedup, res.PipelinedFinalRate)
-	if res.Speedup <= 1.0 {
-		t.Fatalf("pipelining did not speed rounds up: %.2fx", res.Speedup)
-	}
-	// Pipelining must not lose finality relative to the baseline (both
-	// runs share committee draws via the seed).
-	if res.PipelinedFinalRate < res.BaselineFinalRate-0.01 {
-		t.Fatalf("pipelining lost finality: %.2f vs baseline %.2f",
-			res.PipelinedFinalRate, res.BaselineFinalRate)
-	}
-}

@@ -30,6 +30,13 @@ const (
 	RecoveryRoundBase = uint64(1) << 40
 )
 
+// RoundOver reports whether round r is behind a node now at round cur: an
+// earlier round, or, once the node is back at a regular round, any §8.2
+// recovery round, which the offset places above every regular one.
+func RoundOver(r, cur uint64) bool {
+	return r < cur || (cur < RecoveryRoundBase && r >= RecoveryRoundBase)
+}
+
 // CommitteeParams captures what certificate verification needs to know
 // about committee sizing for a step (derive it with
 // node.CommitteeParamsFor; DESIGN.md §8.3 subsection has the rule).

@@ -54,7 +54,9 @@ func (s *Store) Put(b *Block, c *Certificate) bool {
 			s.certs[b.Round] = c
 			s.Bytes += int64(c.WireSize())
 		} else if c.Final && !prev.Final {
-			// Pipelined finality upgrade: replace the tentative cert.
+			// A final certificate for a round archived with a tentative
+			// one, as when a §8.2 adoption reconciles a block the node
+			// held: replace it.
 			s.Bytes += int64(c.WireSize()) - int64(prev.WireSize())
 			s.certs[b.Round] = c
 		}

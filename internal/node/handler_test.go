@@ -620,3 +620,77 @@ func TestAllocBudgetUnselectedProposer(t *testing.T) {
 		t.Errorf("selected: %d arrivals for the waiter, want a priority and a block per proposal", got)
 	}
 }
+
+// TestRecoveryProposalOnlyForALiveAttempt: a §8.2 recovery proposal is
+// verified, relayed and kept only for an attempt recover could be running
+// — of this checkpoint or the one before, below MaxRecoveryAttempts — and
+// entering a regular round forgets every recovery round. A stakeholder
+// that searches checkpoints offline until sortition picks it as fork
+// proposer must not be able to grow every honest node by an inbox, a best
+// priority and a body fetch per hit, for good.
+func TestRecoveryProposalOnlyForALiveAttempt(t *testing.T) {
+	r := newHandlerRig(t, 5)
+	r.sim.After(2*time.Hour+time.Minute, func() {}) // the clock at checkpoint 2
+	r.sim.Run(0)
+	tips := r.node.Ledger().ForkTips()
+	fork := ledger.EmptyBlock(tips[0].Block.Round+1, tips[0].Hash, tips[0].Block.Seed, tips[0].Block.StateRoot)
+	propose := func(checkpoint, attempt uint64) *blockprop.Proposal {
+		ctx := r.node.recoveryContext(checkpoint, attempt)
+		body := *fork // a body of its own per attempt, for the fetcher to tell apart
+		body.Timestamp = time.Duration(ctx.Round)
+		prop := blockprop.Propose(r.ids[1], sortition.RoleForkProposer, ctx.Seed, ctx.Round,
+			r.node.cfg.Params.TauProposer, 100, ctx.TotalWeight, &body)
+		if prop == nil {
+			t.Fatal("identity not selected as fork proposer; raise tau")
+		}
+		return prop
+	}
+	recoveryState := func() (inboxes, best int) {
+		for round := range r.node.propInboxes {
+			if round >= ledger.RecoveryRoundBase {
+				inboxes++
+				if _, ok := r.node.fetch.Best(round); ok {
+					best++
+				}
+			}
+		}
+		return inboxes, best
+	}
+
+	maxAttempts := uint64(r.node.cfg.MaxRecoveryAttempts)
+	var dead [][2]uint64
+	for cp := uint64(1000); cp < 1040; cp++ {
+		dead = append(dead, [2]uint64{cp, 0})
+	}
+	dead = append(dead, [2]uint64{0, 0}, [2]uint64{3, 0}, [2]uint64{2, maxAttempts})
+	for _, c := range dead {
+		if v := r.node.handleMessage(1, &PriorityGossip{M: propose(c[0], c[1]).Priority}); v.Relay {
+			t.Fatalf("a proposal for checkpoint %d attempt %d at checkpoint 2 was relayed", c[0], c[1])
+		}
+	}
+	if got := r.node.priorityChecks.Load(); got != 0 {
+		t.Fatalf("%d proposals for attempts no node can be running were verified", got)
+	}
+	if inboxes, best := recoveryState(); inboxes != 0 || best != 0 {
+		t.Fatalf("they left %d inboxes and %d best priorities", inboxes, best)
+	}
+
+	live := [][2]uint64{{1, 0}, {2, 0}, {2, maxAttempts - 1}}
+	for _, c := range live {
+		prop := propose(c[0], c[1])
+		if v := r.node.handleMessage(1, &PriorityGossip{M: prop.Priority}); !v.Relay {
+			t.Fatalf("a proposal for checkpoint %d attempt %d at checkpoint 2 was not relayed", c[0], c[1])
+		}
+		m, _ := blockprop.Split(r.ids[1], &prop.Block)
+		r.node.handleMessage(1, &BlockAnnounce{Manifest: *m, Announcer: 1})
+	}
+	if inboxes, best := recoveryState(); inboxes != len(live) || best != len(live) || r.node.fetch.Bodies() != len(live) {
+		t.Fatalf("live attempts left %d inboxes, %d best priorities, %d bodies; want %d each",
+			inboxes, best, r.node.fetch.Bodies(), len(live))
+	}
+
+	r.node.setContext(agreement.NewContext(r.node.Ledger()))
+	if inboxes, best := recoveryState(); inboxes != 0 || best != 0 || r.node.fetch.Bodies() != 0 {
+		t.Fatalf("a regular round kept %d recovery inboxes, %d best priorities, %d bodies", inboxes, best, r.node.fetch.Bodies())
+	}
+}

@@ -105,13 +105,6 @@ type Config struct {
 	// fully synchronous in the scheduler goroutine, which the
 	// deterministic simulator requires.
 	TxFlowWorkers int
-	// PipelineFinalStep overlaps the §7.4 final confirmation step with
-	// the next round: the node commits tentatively after BinaryBA⋆ and
-	// upgrades the block to final in the background when the final-step
-	// votes arrive. This is the §10.2 throughput optimization the paper
-	// describes ("the final step ... could be pipelined with the next
-	// round (although our prototype does not do so)").
-	PipelineFinalStep bool
 	// CheckpointInterval, when positive, writes a state checkpoint —
 	// block header, certificate, full account table — every that many
 	// rounds: into the durable archive when one is configured, and
@@ -183,9 +176,6 @@ type Node struct {
 	// Current consensus context, nil between rounds. The handler uses it
 	// to validate incoming messages.
 	ctx *agreement.Context
-	// finalCtxs holds contexts of rounds whose pipelined final step is
-	// still in flight; the handler accepts their final-step votes.
-	finalCtxs map[uint64]*agreement.Context
 
 	// Vote inboxes per (round, step); proposal inboxes per round.
 	voteInboxes map[[2]uint64]*vtime.Mailbox
@@ -231,11 +221,14 @@ type Node struct {
 	// emitting messages and its process winds down (see Halt).
 	halted bool
 
-	// finished is set when the main process returns (see launch);
-	// auxiliary processes (tx flushing) use it to wind down too. Atomic
-	// because SubmitTx reads it from RPC goroutines while the scheduler
-	// winds the node down.
+	// finished is set when the node's process returns (see launch); the
+	// transaction flush timer reads it to stop re-arming. Atomic because
+	// SubmitTx reads it from RPC goroutines while the scheduler winds the
+	// node down.
 	finished atomic.Bool
+	// flushTick is flushTxBatches bound once, so that re-arming the timer
+	// every tick allocates no method value.
+	flushTick func()
 
 	// alienVotes counts votes rejected for extending a different chain —
 	// the fork signal that triggers recovery participation (§8.2).
@@ -337,7 +330,6 @@ func NewFromGenesis(
 		pendingMsgs: make(map[uint64][]network.Message),
 		pendingSize: make(map[uint64]int),
 		fetch:       blockprop.NewFetcher(id, blockprop.NewFetchMetrics(cfg.Metrics)),
-		finalCtxs:   make(map[uint64]*agreement.Context),
 		reqNonce:    sim.Epoch(),
 		blockFills:  sim.NewMailbox(),
 		archive:     cfg.Archive,
@@ -586,19 +578,6 @@ func (n *Node) announceCommit(round uint64, h crypto.Digest) {
 func (n *Node) handleVote(msg *VoteMsg, cost crypto.CostModel) network.Verdict {
 	cpu := cost.VerifySig + cost.VRFVerify
 	v := &msg.Vote
-	// Final-step votes of a round whose pipelined confirmation is still
-	// in flight are validated against that round's context.
-	if v.Step == agreement.StepFinal {
-		if fctx, ok := n.finalCtxs[v.Round]; ok {
-			n.voteChecks.Inc()
-			nv := agreement.ProcessVote(n.provider, n.cfg.Params, fctx, v)
-			if nv == 0 {
-				return network.Verdict{Relay: false, CPU: cpu}
-			}
-			n.voteInbox(v.Round, v.Step).Send(&agreement.ValidatedVote{Vote: v, NumVotes: nv})
-			return network.Verdict{Relay: true, CPU: cpu}
-		}
-	}
 	ctx := n.ctx
 	if ctx == nil {
 		return network.Verdict{Relay: false}
@@ -869,23 +848,21 @@ func (n *Node) setContext(ctx *agreement.Context) {
 	for _, m := range buffered {
 		n.handleMessage(-1, m) // relay verdict already settled at arrival
 	}
-	// Garbage-collect stale buffers and inboxes.
+	// Garbage-collect stale buffers and inboxes: earlier rounds, and on a
+	// regular round every §8.2 recovery round.
 	for r := range n.pendingMsgs {
-		if r < ctx.Round {
+		if ledger.RoundOver(r, ctx.Round) {
 			delete(n.pendingMsgs, r)
 			delete(n.pendingSize, r)
 		}
 	}
 	for k := range n.voteInboxes {
-		if k[0] < ctx.Round {
-			if _, pipelined := n.finalCtxs[k[0]]; pipelined && k[1] == agreement.StepFinal {
-				continue
-			}
+		if ledger.RoundOver(k[0], ctx.Round) {
 			delete(n.voteInboxes, k)
 		}
 	}
 	for r := range n.propInboxes {
-		if r < ctx.Round {
+		if ledger.RoundOver(r, ctx.Round) {
 			delete(n.propInboxes, r)
 		}
 	}
@@ -927,20 +904,17 @@ func (n *Node) gossipVote(v *ledger.Vote, j uint64) {
 // env builds the BA⋆ environment for the current process, recording
 // each step's count as a ba_step span of the given round.
 func (n *Node) env(round uint64) *agreement.Env {
-	e := &agreement.Env{
+	return &agreement.Env{
 		Proc:     n.proc,
 		Identity: n.identity,
 		Gossip:   n.gossipVote,
 		Inbox:    n.voteInbox,
 		Metrics:  n.ba,
+		StepTimer: func(step uint64, took time.Duration, _ bool) {
+			end := n.proc.Now()
+			n.tracer.Record(round, trace.PhaseBAStep, step, end-took, end)
+		},
 	}
-	e.StepTimer = func(step uint64, took time.Duration, _ bool) {
-		// e.Proc, not n.proc: the pipelined final step runs this from a
-		// background process with its own clock handle.
-		end := e.Proc.Now()
-		n.tracer.Record(round, trace.PhaseBAStep, step, end-took, end)
-	}
-	return e
 }
 
 // Start spawns the node's main process at genesis, in lockstep with
@@ -953,9 +927,12 @@ func (n *Node) Start() {
 }
 
 // launch starts what every running node has: the signature-verification
-// workers, the main process (running body), and the gossip flush
-// process that ships freshly admitted transactions to neighbors in
-// size-capped batches.
+// workers, the one process (running body), and the gossip flush timer
+// that ships freshly admitted transactions to neighbors in size-capped
+// batches. The first tick is armed by an event queued right behind the
+// process, not by launch itself: that puts it, and every tick after it,
+// where the runs recorded in EXPERIMENTS.md and bench/ have it in the
+// event order.
 func (n *Node) launch(name string, body func(p *vtime.Proc)) {
 	n.flow.Start(n.cfg.TxFlowWorkers)
 	n.sim.Spawn(name, func(p *vtime.Proc) {
@@ -963,15 +940,8 @@ func (n *Node) launch(name string, body func(p *vtime.Proc)) {
 		defer n.finished.Store(true)
 		body(p)
 	})
-	n.sim.Spawn(fmt.Sprintf("node-%d-txflush", n.ID), func(p *vtime.Proc) {
-		for !n.sim.Stopped() {
-			p.Sleep(txFlushPeriod(n.cfg.Params))
-			if n.Done() {
-				return
-			}
-			n.flushTxBatches()
-		}
-	})
+	n.flushTick = n.flushTxBatches
+	n.sim.After(0, func() { n.sim.After(txFlushPeriod(n.cfg.Params), n.flushTick) })
 }
 
 // txFlushPeriod is how long a freshly admitted transaction may wait in
@@ -988,11 +958,17 @@ func txFlushPeriod(p params.Params) time.Duration {
 	return max(time.Millisecond, min(250*time.Millisecond, p.LambdaPriority/4))
 }
 
-// flushTxBatches drains the pipeline's outbox into TxBatch gossip.
+// flushTxBatches is the flush timer's tick: until the node is done it
+// drains the pipeline's outbox into TxBatch gossip and re-arms itself
+// txFlushPeriod later.
 func (n *Node) flushTxBatches() {
+	if n.Done() {
+		return
+	}
 	for _, batch := range n.flow.DrainOutbox(MaxTxBatchBytes) {
 		n.net.Gossip(n.ID, &TxBatch{Txns: batch})
 	}
+	n.sim.After(txFlushPeriod(n.cfg.Params), n.flushTick)
 }
 
 // handleTxBatch admits every transaction of a gossiped batch through
@@ -1084,16 +1060,20 @@ func (n *Node) liveFork() bool {
 	return false
 }
 
-// runRound executes one complete round: propose, wait, BA⋆, commit.
+// runRound executes one complete round in Algorithm 3's order: propose,
+// wait, BA⋆ (Reduction and BinaryBA⋆), the §7.4 final step, then resolve
+// → commit → persist → announce → post-commit hook → round stat. It is
+// the one way a block this node agreed on reaches its chain.
 func (n *Node) runRound() error {
 	round := n.ledger.NextRound()
 	stat := RoundStat{Round: round, Start: n.proc.Now()}
 	ctx := agreement.NewContext(n.ledger)
 	n.setContext(ctx)
+	defer n.setContext(nil)
 
 	// --- Block proposal (§6).
 	n.proposeIfSelected(ctx, stat.Start)
-	wres := blockprop.WaitOpts(n.proc, n.propInbox(round),
+	wres := blockprop.Wait(n.proc, n.propInbox(round),
 		n.cfg.Params.LambdaPriority, n.cfg.Params.LambdaStepVar, n.cfg.Params.LambdaBlock,
 		n.cfg.Params.AblateKeepFirstOnEquivocation)
 	stat.Equivocation = wres.Equivocation
@@ -1109,46 +1089,29 @@ func (n *Node) runRound() error {
 	n.tracer.Record(round, trace.PhasePropose, 0, stat.Start, stat.ProposalDone)
 
 	// --- Agreement (§7).
-	m := agreement.NewMachine(ctx, n.cfg.Params)
-	out, err := agreement.Drive(n.env(round), m, m.Start(target))
+	env, m := n.env(round), agreement.NewMachine(ctx, n.cfg.Params)
+	out, err := agreement.Drive(env, m, m.Start(target))
 	if err != nil {
-		n.setContext(nil)
 		return err
 	}
 	stat.BinaryDone = n.proc.Now()
 	stat.BinarySteps = out.BinarySteps
-	return n.finishRound(ctx, m, out, stat)
-}
-
-// finishRound is the one way a block this node agreed on reaches its
-// chain: resolve → commit → persist → announce → post-commit hook →
-// round stat. PipelineFinalStep decides only which process drives m
-// through the §7.4 final confirmation step: this one, before the commit
-// (Algorithm 3's order), or a background one after it, overlapped with
-// the next round (§10.2 pipelining), upgrading the committed block to
-// final when the votes arrive.
-func (n *Node) finishRound(ctx *agreement.Context, m *agreement.Machine, out agreement.Outcome, stat RoundStat) error {
-	round := ctx.Round
 	cert := out.Cert
-	if !n.cfg.PipelineFinalStep {
-		if fin, _ := agreement.Drive(n.env(round), m, m.Confirm()); fin.Final {
-			cert, stat.Final = fin.FinalCert, true
-		}
-		n.tracer.Record(round, trace.PhaseCertify, 0, stat.BinaryDone, n.proc.Now())
+	if fin, _ := agreement.Drive(env, m, m.Confirm()); fin.Final {
+		cert, stat.Final = fin.FinalCert, true
 	}
+	n.tracer.Record(round, trace.PhaseCertify, 0, stat.BinaryDone, n.proc.Now())
 
 	block, ok := n.resolveBlock(ctx, out.Value)
 	if !ok {
 		// Agreed on a body no reachable peer holds: whoever committed it
 		// serves it with its certificate once we can reach them (§8.3).
-		n.setContext(nil)
 		return fmt.Errorf("round %d: agreed block %v not obtained from any peer", round, out.Value)
 	}
 	commitStart := n.tracer.WallNow()
 	if err := n.ledger.CommitHashed(block, out.Value, cert); err != nil {
 		// Agreed on a block we cannot apply: treat like no-consensus so
 		// recovery reconciles us (should not happen in honest runs).
-		n.setContext(nil)
 		return fmt.Errorf("commit: %w", err)
 	}
 	n.tracer.Record(round, trace.PhaseCommit, 0, commitStart, n.tracer.WallNow())
@@ -1169,32 +1132,6 @@ func (n *Node) finishRound(ctx *agreement.Context, m *agreement.Machine, out agr
 	if stat.Final {
 		n.roundsFinal.Inc()
 	}
-	n.setContext(nil)
-	if !n.cfg.PipelineFinalStep {
-		return nil
-	}
-
-	// Keep accepting this round's final-step votes and count them in the
-	// background; the next round starts immediately.
-	statIdx := len(n.Stats) - 1
-	n.finalCtxs[round] = ctx
-	n.sim.Spawn(fmt.Sprintf("node-%d-final-%d", n.ID, round), func(p *vtime.Proc) {
-		env := n.env(round)
-		env.Proc = p
-		certifyStart := p.Now()
-		fin, _ := agreement.Drive(env, m, m.Confirm())
-		delete(n.finalCtxs, round)
-		if !fin.Final {
-			return
-		}
-		n.tracer.Record(round, trace.PhaseCertify, 0, certifyStart, p.Now())
-		n.Stats[statIdx].Final = true
-		n.roundsFinal.Inc()
-		// Upgrade the ledger entry and the archive to final.
-		if err := n.ledger.CommitHashed(block, out.Value, fin.FinalCert); err == nil {
-			n.persistPut(block, fin.FinalCert)
-		}
-	})
 	return nil
 }
 

@@ -101,13 +101,22 @@ func (n *Node) recoveryContext(checkpoint, attempt uint64) *agreement.Context {
 }
 
 // recoveryCtxForRound rebuilds the context a recovery-round message
-// belongs to; the coordinates are encoded in the round number.
+// belongs to; the coordinates are encoded in the round number. Only an
+// attempt recover could be running is one: of this checkpoint or the one
+// before, on the clock recover reads, and below MaxRecoveryAttempts.
+// Anything else would let a stakeholder search coordinates offline until
+// sortition picks it, and have every node verify, relay and keep each hit.
 func (n *Node) recoveryCtxForRound(round uint64) *agreement.Context {
 	if round < ledger.RecoveryRoundBase {
 		return nil
 	}
 	off := round - ledger.RecoveryRoundBase
-	return n.recoveryContext(off/1024, off%1024)
+	checkpoint, attempt := off/1024, off%1024
+	now := uint64(n.sim.Now() / n.cfg.RecoveryInterval)
+	if checkpoint > now || checkpoint+1 < now || attempt >= uint64(n.cfg.MaxRecoveryAttempts) {
+		return nil
+	}
+	return n.recoveryContext(checkpoint, attempt)
 }
 
 // recoverOnce runs one recovery BA⋆ attempt; it reports success.

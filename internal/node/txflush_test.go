@@ -42,32 +42,42 @@ func (g *gossipLog) Gossip(origin int, m network.Message) {
 	g.Transport.Gossip(origin, m)
 }
 
-// TestPaymentGossipedWithinQuarterLambdaPriority: at λ_priority = 100 ms a
-// payment admitted at any moment is on its way to the neighbours 25 ms
-// later at most. With the period fixed at 250 ms it waited for a timer
-// longer than the whole proposal phase of the round it arrived in.
-func TestPaymentGossipedWithinQuarterLambdaPriority(t *testing.T) {
-	sim := vtime.New()
+// launchIdle starts a node at λ_priority = 100 ms with everything a running
+// node has except rounds: its flush timer is what is under test. submit
+// has the node admit one payment at a given virtual time.
+func launchIdle(t *testing.T) (sim *vtime.Sim, n *Node, log *gossipLog, prm params.Params, submit func(at time.Duration)) {
+	sim = vtime.New()
 	provider := crypto.NewFast()
 	ids := []crypto.Identity{provider.NewIdentity(crypto.SeedFromUint64(1)), provider.NewIdentity(crypto.SeedFromUint64(2))}
 	genesis := map[crypto.PublicKey]uint64{ids[0].PublicKey(): 100, ids[1].PublicKey(): 100}
-	prm := params.Default()
+	prm = params.Default()
 	prm.LambdaPriority = 100 * time.Millisecond
-	log := &gossipLog{Transport: network.New(sim, network.DefaultConfig(), 2), sim: sim}
-	n := New(0, sim, log, provider, ids[0], Config{Params: prm, LedgerCfg: ledger.DefaultConfig()}, genesis, crypto.HashBytes("g"))
-	// Everything a running node has except rounds: the flush process is
-	// what is under test.
+	log = &gossipLog{Transport: network.New(sim, network.DefaultConfig(), 2), sim: sim}
+	n = New(0, sim, log, provider, ids[0], Config{Params: prm, LedgerCfg: ledger.DefaultConfig()}, genesis, crypto.HashBytes("g"))
 	n.launch("idle", func(p *vtime.Proc) { p.Sleep(time.Hour) })
-
-	admitted := []time.Duration{3 * time.Millisecond, 131 * time.Millisecond, 777 * time.Millisecond}
-	for i, at := range admitted {
-		tx := &ledger.Transaction{From: ids[0].PublicKey(), To: ids[1].PublicKey(), Amount: 1, Nonce: uint64(i)}
+	var nonce uint64
+	submit = func(at time.Duration) {
+		tx := &ledger.Transaction{From: ids[0].PublicKey(), To: ids[1].PublicKey(), Amount: 1, Nonce: nonce}
 		tx.Sign(ids[0])
+		nonce++
 		sim.After(at, func() {
 			if err := n.SubmitTx(tx); err != nil {
 				t.Errorf("submit at %v: %v", sim.Now(), err)
 			}
 		})
+	}
+	return sim, n, log, prm, submit
+}
+
+// TestPaymentGossipedWithinQuarterLambdaPriority: at λ_priority = 100 ms a
+// payment admitted at any moment is on its way to the neighbours 25 ms
+// later at most. With the period fixed at 250 ms it waited for a timer
+// longer than the whole proposal phase of the round it arrived in.
+func TestPaymentGossipedWithinQuarterLambdaPriority(t *testing.T) {
+	sim, _, log, prm, submit := launchIdle(t)
+	admitted := []time.Duration{3 * time.Millisecond, 131 * time.Millisecond, 777 * time.Millisecond}
+	for _, at := range admitted {
+		submit(at)
 	}
 	sim.Run(time.Second)
 
@@ -79,6 +89,27 @@ func TestPaymentGossipedWithinQuarterLambdaPriority(t *testing.T) {
 			t.Errorf("payment admitted at %v left at %v: waited %v, more than λ_priority/4 = %v",
 				at, log.batches[i], wait, prm.LambdaPriority/4)
 		}
+	}
+}
+
+// TestHaltedNodeStopsFlushing: the flush timer winds down with the node. A
+// payment admitted just before a crash is still in the outbox at the next
+// tick; that tick sends nothing and arms no other.
+func TestHaltedNodeStopsFlushing(t *testing.T) {
+	sim, n, log, prm, submit := launchIdle(t)
+	period := txFlushPeriod(prm)
+	submit(period / 2)     // leaves at the first tick
+	submit(3 * period / 2) // admitted, then the node halts before the second tick
+	sim.After(7*period/4, n.Halt)
+	var quiet uint64
+	sim.After(10*period, func() { quiet = sim.EventCount })
+	sim.Run(time.Second)
+
+	if len(log.batches) != 1 || log.batches[0] != period {
+		t.Fatalf("batches left at %v, want one at the first tick (%v) and none after the halt", log.batches, period)
+	}
+	if sim.EventCount != quiet {
+		t.Fatalf("%d events ran after the halted node's last tick", sim.EventCount-quiet)
 	}
 }
 

@@ -57,9 +57,6 @@ type Config struct {
 	RecoveryInterval time.Duration
 	// ShardCount for §8.3 storage sharding (0 = store everything).
 	ShardCount uint64
-	// PipelineFinalStep enables the §10.2 final-step pipelining
-	// optimization on every node.
-	PipelineFinalStep bool
 	// CheckpointInterval makes every node write a state checkpoint
 	// (full account table + Merkle root + certificate) each time its
 	// chain commits a round on this grid (0 = no checkpoints). A
@@ -235,7 +232,6 @@ func NewCluster(cfg Config) *Cluster {
 		ChargeCrypto:       cfg.ChargeCrypto,
 		RecoveryInterval:   cfg.RecoveryInterval,
 		ShardCount:         cfg.ShardCount,
-		PipelineFinalStep:  cfg.PipelineFinalStep,
 		CheckpointInterval: cfg.CheckpointInterval,
 		TxFlow:             cfg.TxFlow,
 		AnnounceCommits:    cfg.Gateways > 0,

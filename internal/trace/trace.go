@@ -7,7 +7,7 @@
 // The motivation is the same as internal/metrics: the paper's claims
 // are about *where the time goes* (Figure 7 decomposes a round into
 // proposal, BA⋆ and final confirmation; §10.2's pipelining argument is
-// entirely about overlapping phases), and the CADP-style formal work on
+// entirely about which phases could overlap), and the CADP-style formal work on
 // BA⋆ models rounds as sequences of timed steps. A per-round,
 // per-phase event record is the substrate both need: experiments and
 // the perf ledger (bench/) pull percentile tables out of it, and an
@@ -46,7 +46,7 @@ const (
 	// final); the span's Step field carries the wire step number.
 	PhaseBAStep Phase = "ba_step"
 	// PhaseCertify covers BA⋆ conclusion to certificate in hand (the
-	// final confirmation wait in unpipelined runs).
+	// §7.4 final confirmation wait).
 	PhaseCertify Phase = "certify"
 	// PhaseCommit covers applying the agreed block to the ledger.
 	PhaseCommit Phase = "commit"
@@ -83,8 +83,9 @@ type RoundTrace struct {
 }
 
 // Tracer collects round traces on a caller-supplied clock. All methods
-// are safe for concurrent use (the pipelined final step records from a
-// background process while the next round records from the scheduler).
+// are safe for concurrent use: in a real deployment the scheduler
+// records while another goroutine (a harness, an operator's tooling)
+// reads the rounds.
 type Tracer struct {
 	mu      sync.Mutex
 	now     func() time.Duration
