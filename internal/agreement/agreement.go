@@ -11,7 +11,7 @@
 // The package is deliberately free of networking and ledger policy: the
 // host node supplies an Env with its identity, a gossip function and
 // per-step vote inboxes, and receives back the agreed value, its
-// finality, and vote certificates (§8.3).
+// finality, and its vote certificate (§8.3).
 package agreement
 
 import (
@@ -120,10 +120,10 @@ type Outcome struct {
 	Final bool
 	// BinarySteps is how many BinaryBA⋆ steps ran (1 in the common case).
 	BinarySteps int
-	// Cert aggregates the votes of the concluding BinaryBA⋆ step.
+	// Cert is the round's certificate (§8.3), built once the final step
+	// ends: its votes when Final, else the concluding BinaryBA⋆ step's.
+	// The Outcome Drive returns when BinaryBA⋆ concludes has none yet.
 	Cert *ledger.Certificate
-	// FinalCert aggregates final-step votes when Final.
-	FinalCert *ledger.Certificate
 }
 
 // ErrNoConsensus is returned when BinaryBA⋆ exceeds MaxSteps; the node

@@ -145,8 +145,8 @@ func TestUnanimousFinalConsensus(t *testing.T) {
 		if o.BinarySteps != 1 {
 			t.Fatalf("node %d took %d binary steps, want 1", i, o.BinarySteps)
 		}
-		if o.FinalCert == nil || o.Cert == nil {
-			t.Fatalf("node %d missing certificates", i)
+		if o.Cert == nil || !o.Cert.Final {
+			t.Fatalf("node %d holds no final certificate", i)
 		}
 	}
 }
@@ -237,32 +237,36 @@ func TestAgreementWithEquivocatingCommittee(t *testing.T) {
 	}
 }
 
+// TestCertificatesVerify: a round's one certificate is the final step's
+// when the round is final and the concluding BinaryBA⋆ step's when it is
+// not, and either passes Certificate.Verify at its committee's size and
+// threshold.
 func TestCertificatesVerify(t *testing.T) {
-	h := newHarness(t, 40, 30)
 	block := crypto.HashBytes("certified-block")
-	outs, _ := h.runAll(func(int) crypto.Digest { return block })
-
-	o := outs[0]
-	if o.Cert == nil {
-		t.Fatal("no certificate")
-	}
-	threshold := uint64(float64(h.prm.TauStep) * h.prm.TStep)
-	err := o.Cert.Verify(h.provider, h.ctx.Seed, h.ctx.Weights, h.ctx.TotalWeight,
-		h.prm.TauStep, threshold, h.ctx.LastBlockHash)
-	if err != nil {
-		t.Fatalf("tentative certificate invalid: %v", err)
-	}
-	if o.FinalCert == nil {
-		t.Fatal("no final certificate")
-	}
-	fThreshold := uint64(float64(h.prm.TauFinal) * h.prm.TFinal)
-	err = o.FinalCert.Verify(h.provider, h.ctx.Seed, h.ctx.Weights, h.ctx.TotalWeight,
-		h.prm.TauFinal, fThreshold, h.ctx.LastBlockHash)
-	if err != nil {
-		t.Fatalf("final certificate invalid: %v", err)
-	}
-	if !o.FinalCert.Final || o.Cert.Final {
-		t.Fatal("certificate finality flags wrong")
+	for _, final := range []bool{true, false} {
+		h := newHarness(t, 40, 30)
+		if !final {
+			// Nobody hears a final-step vote: every round stays tentative.
+			h.dropVotes = func(v *ledger.Vote, _ int) bool { return v.Step == StepFinal }
+		}
+		outs, errs := h.runAll(func(int) crypto.Digest { return block })
+		for i, o := range outs {
+			if errs[i] != nil || o.Value != block || o.Final != final {
+				t.Fatalf("node %d: %v on %v, final %v; want the block, final %v", i, errs[i], o.Value, o.Final, final)
+			}
+			step, tau, T := WireStepOfBinary(o.BinarySteps), h.prm.TauStep, h.prm.TStep
+			if final {
+				step, tau, T = StepFinal, h.prm.TauFinal, h.prm.TFinal
+			}
+			c := o.Cert
+			if c == nil || c.Step != step || c.Final != final || c.Value != block {
+				t.Fatalf("node %d (final %v): certificate %+v, want one of step %d for the block", i, final, c, step)
+			}
+			if err := c.Verify(h.provider, h.ctx.Seed, h.ctx.Weights, h.ctx.TotalWeight,
+				tau, uint64(float64(tau)*T), h.ctx.LastBlockHash); err != nil {
+				t.Fatalf("node %d (final %v): certificate invalid: %v", i, final, err)
+			}
+		}
 	}
 }
 
@@ -726,7 +730,13 @@ func TestCertificateHoldsTheWinningValuesVotes(t *testing.T) {
 		t.Fatal("the step saw no vote for the other value; test premise broken")
 	}
 
-	cert := out.Cert
+	// No final-step vote comes: the round is certified by the step above.
+	m.Confirm()
+	m.Timeout()
+	cert := m.out.Cert
+	if cert == nil || cert.Final || cert.Step != step {
+		t.Fatalf("certificate %+v, want a tentative one of step %d", cert, step)
+	}
 	if len(cert.Votes) != len(want) {
 		t.Fatalf("certificate holds %d votes, %d were counted for the block", len(cert.Votes), len(want))
 	}

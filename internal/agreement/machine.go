@@ -50,7 +50,9 @@ const (
 // vote of the step being counted, that step's timeout, Confirm — and
 // actions come out: vote, count, conclude, stuck. It holds no clock,
 // mailbox, goroutine or network (Drive executes its actions); the
-// returned actions are valid until the next call.
+// returned actions are valid until the next call. Reset readies it for
+// another round: a host keeps one machine, and what it grew in one round
+// it reuses in the next.
 type Machine struct {
 	ctx *Context
 	prm params.Params
@@ -60,27 +62,43 @@ type Machine struct {
 	// k is BinaryBA⋆'s step counter and blockHash its block_hash.
 	k         int
 	blockHash crypto.Digest
-	// The step's tally: who voted, the weight each value gathered, and
-	// every vote counted, in arrival order — the step's one store, which
-	// the certificate and the common coin read. A machine lives on the
-	// heap, so the tally is cleared between steps, not remade: a step
-	// after the first allocates nothing for it.
-	voters map[crypto.PublicKey]bool
+	// The tally: the step each sender was last counted in, the weight each
+	// value gathered in the step, and every vote the step counted, in
+	// arrival order — the step's one store, which the certificate and the
+	// common coin read. A sender counts once per step, so voters lasts the
+	// round (Reset empties it); the rest is cleared between steps, not
+	// remade: a step after the first allocates nothing for it.
+	voters map[crypto.PublicKey]uint64
 	weight map[crypto.Digest]uint64
 	votes  []*ValidatedVote
-	out    Outcome
-	acts   []Action
+	// kept is the concluding BinaryBA⋆ step's votes, set aside while the
+	// final step counts: a round that does not become final is certified
+	// by them (§8.3). It lasts the round.
+	kept []*ValidatedVote
+	out  Outcome
+	acts []Action
 }
 
 // NewMachine returns the BA⋆ machine of the round ctx describes.
 func NewMachine(ctx *Context, prm params.Params) *Machine {
-	return &Machine{
-		ctx:    ctx,
-		prm:    prm,
-		voters: make(map[crypto.PublicKey]bool),
+	m := &Machine{
+		voters: make(map[crypto.PublicKey]uint64),
 		weight: make(map[crypto.Digest]uint64),
 		acts:   make([]Action, 0, 5), // the longest list: decide's three votes, the final vote, conclude
 	}
+	m.Reset(ctx, prm)
+	return m
+}
+
+// Reset makes m the machine of the round ctx describes, as NewMachine
+// would, keeping only the storage its tally grew.
+func (m *Machine) Reset(ctx *Context, prm params.Params) {
+	m.ctx, m.prm = ctx, prm
+	m.step, m.k, m.blockHash = 0, 0, crypto.Digest{}
+	clear(m.voters)
+	clear(m.kept)
+	m.kept = m.kept[:0]
+	m.out = Outcome{}
 }
 
 // Start begins BA⋆ (Algorithm 3) on hblock, the highest-priority
@@ -118,13 +136,13 @@ func (m *Machine) Deliver(vv *ValidatedVote) (Receipt, []Action) {
 	if v.Step != m.step || v.Round != m.ctx.Round { // m.step is 0 between steps
 		return VoteIgnored, nil
 	}
-	if m.voters[v.Sender] {
+	if m.voters[v.Sender] == m.step {
 		return VoteDuplicate, nil
 	}
 	if vv.NumVotes == 0 {
 		return VoteIgnored, nil
 	}
-	m.voters[v.Sender] = true
+	m.voters[v.Sender] = m.step
 	m.votes = append(m.votes, vv)
 	m.weight[v.Value] += vv.NumVotes
 	if float64(m.weight[v.Value]) > m.threshold {
@@ -152,8 +170,8 @@ func (m *Machine) count(step uint64, lambda time.Duration) {
 		T, tau = m.prm.TFinal, m.prm.TauFinal
 	}
 	m.step, m.threshold = step, float64(tau)*T
-	clear(m.voters)
 	clear(m.weight)
+	clear(m.votes)
 	m.votes = m.votes[:0]
 	m.acts = append(m.acts, Action{Kind: ActCount, Step: step, Lambda: lambda})
 }
@@ -175,10 +193,14 @@ func (m *Machine) end(timedOut bool, value crypto.Digest) []Action {
 		m.k, m.blockHash = 1, value
 		m.binaryStep(value)
 	case StepFinal:
-		if !timedOut && value == m.out.Value {
-			m.out.Final = true
-			m.out.FinalCert = certificateFrom(m.ctx, StepFinal, value, m.votes, true)
+		// The round's one certificate: the final step's votes if they made
+		// it final, else those of the step BinaryBA⋆ concluded in.
+		m.out.Final = !timedOut && value == m.out.Value
+		step, votes := WireStepOfBinary(m.out.BinarySteps), m.kept
+		if m.out.Final {
+			step, votes = StepFinal, m.votes
 		}
+		m.out.Cert = certificateFrom(m.ctx, step, m.out.Value, votes, m.out.Final)
 		m.acts = append(m.acts, Action{Kind: ActConclude, Value: m.out.Value})
 	default:
 		m.binaryEnded(timedOut, value)
@@ -226,15 +248,16 @@ func (m *Machine) binaryEnded(timedOut bool, value crypto.Digest) {
 // decide ends BinaryBA⋆ on value at step k. It votes value in the next
 // three steps, so that stragglers can cross the threshold, and, when
 // consensus came in the very first step, in the final step, to enable
-// final consensus.
+// final consensus. The step's votes are kept for the certificate the
+// final step settles on.
 func (m *Machine) decide(value crypto.Digest) {
 	if !m.prm.AblateNoVoteNext3 {
 		for s := m.k + 1; s <= m.k+3; s++ {
 			m.vote(WireStepOfBinary(s), m.prm.TauStep, value)
 		}
 	}
-	m.out = Outcome{Value: value, BinarySteps: m.k,
-		Cert: certificateFrom(m.ctx, WireStepOfBinary(m.k), value, m.votes, false)}
+	m.kept = append(m.kept, m.votes...)
+	m.out = Outcome{Value: value, BinarySteps: m.k}
 	if m.k == 1 {
 		m.vote(StepFinal, m.prm.TauFinal, value)
 	}

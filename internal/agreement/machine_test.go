@@ -13,7 +13,9 @@ import (
 // TestMachineTransitions drives the machine with no scheduler, one event
 // at a time, and asserts the exact actions of every transition: each
 // Reduction step, each BinaryBA⋆ step kind on a timeout and on either
-// value winning, the final step, MaxSteps and both ablation switches.
+// value winning, the final step, MaxSteps and both ablation switches. The
+// cases run in turn on one machine, Reset between them, and their voters
+// are the same users: what a case leaves in it must not reach the next.
 func TestMachineTransitions(t *testing.T) {
 	block, other := crypto.HashBytes("machine.block"), crypto.HashBytes("machine.other")
 	empty := crypto.HashBytes("machine.empty")
@@ -28,7 +30,7 @@ func TestMachineTransitions(t *testing.T) {
 	binary := func(v crypto.Digest) event { return func(m *Machine) []Action { return m.StartBinary(v) } }
 	timeout := func(m *Machine) []Action { return m.Timeout() }
 	confirm := func(m *Machine) []Action { return m.Confirm() }
-	sender := 0
+	sender := 0 // the users of a case are numbered from 1
 	// deliver hands the step being counted one vote for v of weight w.
 	deliver := func(v crypto.Digest, w uint64, sortHash byte) event {
 		return func(m *Machine) []Action {
@@ -70,12 +72,18 @@ func TestMachineTransitions(t *testing.T) {
 	}
 	concludedOnBlock := []event{binary(block), wins(block)}
 
+	// The outcome of a concluded case; certStep is its certificate's step,
+	// 0 while BinaryBA⋆ has concluded and the final step has not.
+	type outcome struct {
+		Outcome
+		certStep uint64
+	}
 	cases := []struct {
 		name    string
 		prm     func(p *params.Params)
 		events  []event // the last one's actions are asserted
 		want    []Action
-		outcome *Outcome
+		outcome *outcome
 	}{
 		{name: "start", events: []event{start(block)},
 			want: []Action{vote(StepReduction1, τs, block), count(StepReduction1, prm.LambdaBlock+λ)}},
@@ -92,10 +100,10 @@ func TestMachineTransitions(t *testing.T) {
 			want: []Action{vote(b(5), τs, block), count(b(5), λ)}},
 		{name: "kind 0 won by the block at step 1", events: concludedOnBlock,
 			want:    []Action{vote(b(2), τs, block), vote(b(3), τs, block), vote(b(4), τs, block), vote(StepFinal, τf, block), conclude(block)},
-			outcome: &Outcome{Value: block, BinarySteps: 1}},
+			outcome: &outcome{Outcome: Outcome{Value: block, BinarySteps: 1}}},
 		{name: "kind 0 won by the block after step 1", events: append(atStep(4), wins(block)),
 			want:    []Action{vote(b(5), τs, block), vote(b(6), τs, block), vote(b(7), τs, block), conclude(block)},
-			outcome: &Outcome{Value: block, BinarySteps: 4}},
+			outcome: &outcome{Outcome: Outcome{Value: block, BinarySteps: 4}}},
 		{name: "kind 0 won by the empty hash", events: append(atStep(1), wins(empty)),
 			want: []Action{vote(b(2), τs, empty), count(b(2), λ)}},
 		{name: "kind 1 times out to the empty hash", events: append(atStep(2), timeout),
@@ -104,7 +112,7 @@ func TestMachineTransitions(t *testing.T) {
 			want: []Action{vote(b(3), τs, block), count(b(3), λ)}},
 		{name: "kind 1 won by the empty hash", events: append(atStep(2), wins(empty)),
 			want:    []Action{vote(b(3), τs, empty), vote(b(4), τs, empty), vote(b(5), τs, empty), conclude(empty)},
-			outcome: &Outcome{Value: empty, BinarySteps: 2}},
+			outcome: &outcome{Outcome: Outcome{Value: empty, BinarySteps: 2}}},
 		{name: "kind 2 times out to the block on coin 0", events: append(atStep(3), deliver(empty, 1, coin[0]), timeout),
 			want: []Action{vote(b(4), τs, block), count(b(4), λ)}},
 		{name: "kind 2 times out to the empty hash on coin 1", events: append(atStep(3), deliver(block, 1, coin[1]), timeout),
@@ -116,11 +124,13 @@ func TestMachineTransitions(t *testing.T) {
 
 		{name: "confirm", events: append(concludedOnBlock, confirm), want: []Action{count(StepFinal, λ)}},
 		{name: "final step won", events: append(concludedOnBlock, confirm, wins(block)),
-			want: []Action{conclude(block)}, outcome: &Outcome{Value: block, BinarySteps: 1, Final: true}},
-		{name: "final step times out", events: append(concludedOnBlock, confirm, timeout),
-			want: []Action{conclude(block)}, outcome: &Outcome{Value: block, BinarySteps: 1}},
+			want: []Action{conclude(block)}, outcome: &outcome{Outcome{Value: block, BinarySteps: 1, Final: true}, StepFinal}},
+		{name: "final step times out", events: append(concludedOnBlock, confirm, deliver(block, 1, 0), timeout),
+			want: []Action{conclude(block)}, outcome: &outcome{Outcome{Value: block, BinarySteps: 1}, b(1)}},
 		{name: "final step won by another value", events: append(concludedOnBlock, confirm, wins(other)),
-			want: []Action{conclude(block)}, outcome: &Outcome{Value: block, BinarySteps: 1}},
+			want: []Action{conclude(block)}, outcome: &outcome{Outcome{Value: block, BinarySteps: 1}, b(1)}},
+		{name: "tentative after step 2", events: append(atStep(2), wins(empty), confirm, timeout),
+			want: []Action{conclude(empty)}, outcome: &outcome{Outcome{Value: empty, BinarySteps: 2}, b(2)}},
 
 		{name: "MaxSteps 1", prm: func(p *params.Params) { p.MaxSteps = 1 }, events: atStep(1),
 			want: []Action{{Kind: ActStuck}}},
@@ -132,13 +142,19 @@ func TestMachineTransitions(t *testing.T) {
 			events: append(atStep(3), deliver(block, 1, coin[1]), timeout),
 			want:   []Action{vote(b(4), τs, block), count(b(4), λ)}},
 	}
+	var m *Machine
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := prm
 			if tc.prm != nil {
 				tc.prm(&p)
 			}
-			m := NewMachine(ctx, p)
+			if m == nil {
+				m = NewMachine(ctx, p)
+			} else {
+				m.Reset(ctx, p)
+			}
+			sender = 0
 			var acts []Action
 			for _, ev := range tc.events {
 				acts = ev(m)
@@ -149,10 +165,25 @@ func TestMachineTransitions(t *testing.T) {
 			if tc.outcome == nil {
 				return
 			}
-			out := m.out
-			if out.Value != tc.outcome.Value || out.BinarySteps != tc.outcome.BinarySteps || out.Final != tc.outcome.Final ||
-				out.Cert == nil || (out.FinalCert != nil) != out.Final {
-				t.Fatalf("outcome %+v, want %+v", out, *tc.outcome)
+			out, want := m.out, tc.outcome
+			if out.Value != want.Value || out.BinarySteps != want.BinarySteps || out.Final != want.Final {
+				t.Fatalf("outcome %+v, want %+v", out, want.Outcome)
+			}
+			// The one certificate holds the one vote for the value that the
+			// final step counted if the round is final, else the one the
+			// concluding BinaryBA⋆ step counted.
+			cert := out.Cert
+			switch {
+			case want.certStep == 0:
+				if cert != nil {
+					t.Fatalf("a certificate of step %d before the final step ended", cert.Step)
+				}
+			case cert == nil:
+				t.Fatal("no certificate")
+			case cert.Round != ctx.Round || cert.Step != want.certStep || cert.Value != out.Value || cert.Final != out.Final:
+				t.Fatalf("certificate of round %d step %d for %v, final %v; want step %d", cert.Round, cert.Step, cert.Value, cert.Final, want.certStep)
+			case len(cert.Votes) != 1 || cert.Votes[0].Step != cert.Step || cert.Votes[0].Value != cert.Value:
+				t.Fatalf("certificate holds %+v, want the one vote of its step for its value", cert.Votes)
 			}
 		})
 	}

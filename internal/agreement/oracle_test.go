@@ -17,7 +17,9 @@ import (
 
 // The parent commit's BA⋆, frozen as the oracle Machine and Drive are held
 // to: the paper's blocking pseudocode (Algorithms 4, 5, 7, 8 and the final
-// step) as it ran before they replaced it, with env.Params passed as prm.
+// step) as it ran before they replaced it, with env.Params passed as prm,
+// and the certificate its host stored: the final step's when the round is
+// final, else the concluding BinaryBA⋆ step's.
 
 func parentCommitteeVote(env *Env, ctx *Context, step uint64, tau uint64, value crypto.Digest) {
 	role := sortition.Role{Kind: sortition.RoleCommittee, Round: ctx.Round, Step: step}
@@ -210,21 +212,34 @@ func parentImpl(env *Env, prm params.Params, ctx *Context, start crypto.Digest, 
 		return Outcome{}, err
 	}
 	if fc := parentWaitFinal(env, prm, ctx, out.Value); fc != nil {
-		out.Final, out.FinalCert = true, fc
+		out.Final, out.Cert = true, fc
 	}
 	return out, nil
 }
 
-func machineImpl(env *Env, prm params.Params, ctx *Context, start crypto.Digest, binaryOnly bool) (Outcome, error) {
-	m := NewMachine(ctx, prm)
-	acts := m.Start(start)
-	if binaryOnly {
-		acts = m.StartBinary(start)
+// reusedMachines is Machine and Drive as a node runs them, on a machine
+// it keeps from round to round: each honest user takes a machine another
+// one left in an earlier schedule, Reset, or a new one if none is spare.
+func reusedMachines() baImpl {
+	var spare []*Machine
+	return func(env *Env, prm params.Params, ctx *Context, start crypto.Digest, binaryOnly bool) (Outcome, error) {
+		var m *Machine
+		if k := len(spare); k > 0 {
+			m, spare = spare[k-1], spare[:k-1]
+			m.Reset(ctx, prm)
+		} else {
+			m = NewMachine(ctx, prm)
+		}
+		defer func() { spare = append(spare, m) }()
+		acts := m.Start(start)
+		if binaryOnly {
+			acts = m.StartBinary(start)
+		}
+		if _, err := Drive(env, m, acts); err != nil {
+			return Outcome{}, err
+		}
+		return Drive(env, m, m.Confirm())
 	}
-	if _, err := Drive(env, m, acts); err != nil {
-		return Outcome{}, err
-	}
-	return Drive(env, m, m.Confirm())
 }
 
 // schedule is one seeded configuration: 4–7 voters with random stake,
@@ -330,7 +345,9 @@ func (sc *schedule) run(impl baImpl) trialResult {
 	weights := make(map[crypto.PublicKey]uint64, n)
 	var total uint64
 	for i, w := range sc.weights {
-		id := provider.NewIdentity(crypto.SeedFromUint64(uint64(sc.seed)<<8 | uint64(i)))
+		// The same users in every schedule, as a node's committee is much
+		// the same from one round to the next.
+		id := provider.NewIdentity(crypto.SeedFromUint64(uint64(i)))
 		ids = append(ids, id)
 		weights[id.PublicKey()] = w
 		total += w
@@ -418,10 +435,12 @@ func (sc *schedule) run(impl baImpl) trialResult {
 // TestMachineMatchesParent holds Machine and Drive to the blocking BA⋆
 // they replaced: on 300 seeded schedules, every vote gossiped (when, by
 // whom, in which step, for what), every outcome (value, binary steps,
-// certificates vote for vote, finality, error), every StepTimer reading
-// and every counter must be the same.
+// the certificate vote for vote, finality, error), every StepTimer
+// reading and every counter must be the same. Each schedule runs on
+// machines the schedules before it left behind.
 func TestMachineMatchesParent(t *testing.T) {
 	var final, tentative, stuck, coinSteps int
+	machineImpl := reusedMachines()
 	for seed := int64(1); seed <= 300; seed++ {
 		sc := newSchedule(seed)
 		want, got := sc.run(parentImpl), sc.run(machineImpl)

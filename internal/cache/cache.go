@@ -15,8 +15,8 @@
 // Time is a caller-supplied time.Duration reading — virtual time under
 // the simulator, wall-clock offsets in real deployments — passed into
 // every operation, which keeps the cache free of clock policy and lets
-// rotation happen lazily on access. Hit/miss counters can be teed into
-// an observability registry via Instrument.
+// rotation happen lazily on access. A cache given hit/miss counters
+// (the package's tests give them) counts its lookups into them.
 package cache
 
 import (
@@ -35,7 +35,7 @@ type TwoGen[K comparable, V any] struct {
 	prev    map[K]V
 	rotated time.Duration
 
-	hits, misses *metrics.Counter // optional; nil until Instrument
+	hits, misses *metrics.Counter // optional; nil unless counted
 }
 
 // New creates a cache whose entries live between ttl and 2×ttl. A
@@ -45,19 +45,6 @@ func New[K comparable, V any](ttl time.Duration) *TwoGen[K, V] {
 		ttl: ttl,
 		cur: make(map[K]V),
 	}
-}
-
-// Instrument tees lookup outcomes into hit/miss counters registered
-// under name_hits_total / name_misses_total in r.
-func (c *TwoGen[K, V]) Instrument(r *metrics.Registry, name string) {
-	// Register before taking c.mu: gauge functions may read this cache
-	// under the registry lock, so the registry lock must never be
-	// acquired while holding c.mu.
-	hits := r.Counter(name+"_hits_total", "cache lookups served from a live generation")
-	misses := r.Counter(name+"_misses_total", "cache lookups that found no live entry")
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.hits, c.misses = hits, misses
 }
 
 // rotateLocked ages the generations if a TTL has elapsed. A zero or

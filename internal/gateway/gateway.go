@@ -272,10 +272,6 @@ func (g *Gateway) Close() { g.flow.Close() }
 // over to another; consensus is untouched.
 func (g *Gateway) Halt() { g.halted = true }
 
-// Resume undoes Halt (a restarted gateway keeps its read model; a
-// truly cold restart would rebuild it from a fresh New).
-func (g *Gateway) Resume() { g.halted = false }
-
 // Submit offers one signed transaction at the edge. It returns nil on
 // admission or a typed txflow error (ErrDuplicate, ErrStaleNonce,
 // ErrBadSig, ErrRateLimited, ...) — use txflow.RetryAfterHint for the

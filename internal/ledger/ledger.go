@@ -111,6 +111,19 @@ type Ledger struct {
 	// committed (BlockOfHash in Algorithm 3 resolves from here). It follows
 	// the round: a commit drops every proposal at or below its round.
 	pendingBlocks map[crypto.Digest]*Block
+
+	// validated is the block ValidateBlock last accepted, with the head it
+	// extended and the state applying it produced. Committing that block
+	// onto that head adopts the state instead of applying the block again;
+	// the commit of any new block empties the slot.
+	validated validated
+}
+
+// validated is ValidateBlock's one-slot handoff to CommitHashed.
+type validated struct {
+	block  *Block
+	parent *entry
+	state  *Balances
 }
 
 // New creates a ledger from genesis accounts and the bootstrap seed
@@ -286,7 +299,8 @@ func (l *Ledger) NextEmptyBlock() *Block {
 // ValidateBlock performs the §8.1 checks on a proposed block extending
 // the head: round and previous-hash linkage, transaction validity
 // against the head state, seed validity, and timestamp sanity. now is
-// the validator's current (virtual) clock.
+// the validator's current (virtual) clock. Every call runs every check;
+// a block it accepts leaves its post-state for CommitHashed to adopt.
 func (l *Ledger) ValidateBlock(b *Block, now time.Duration) error {
 	if b.Round != l.NextRound() {
 		return fmt.Errorf("ledger: block round %d, want %d", b.Round, l.NextRound())
@@ -327,6 +341,7 @@ func (l *Ledger) ValidateBlock(b *Block, now time.Duration) error {
 	if got := tmp.Root(); b.StateRoot != got {
 		return fmt.Errorf("ledger: block state root %s, post-apply state is %s", b.StateRoot, got)
 	}
+	l.validated = validated{block: b, parent: l.head, state: tmp}
 	return nil
 }
 
@@ -357,6 +372,8 @@ func (l *Ledger) CommitHashed(b *Block, h crypto.Digest, cert *Certificate) erro
 		}
 		return nil
 	}
+	v := l.validated
+	l.validated = validated{}
 	parent, ok := l.entries[b.PrevHash]
 	if !ok {
 		return errors.New("ledger: commit with unknown parent")
@@ -364,14 +381,22 @@ func (l *Ledger) CommitHashed(b *Block, h crypto.Digest, cert *Certificate) erro
 	if b.Round != parent.block.Round+1 {
 		return fmt.Errorf("ledger: commit round %d after parent round %d", b.Round, parent.block.Round)
 	}
-	bal := parent.balances.Clone()
-	for i := range b.Txns {
-		if err := bal.ApplyTx(&b.Txns[i]); err != nil {
-			return fmt.Errorf("ledger: commit tx %d: %w", i, err)
+	// The state ValidateBlock computed for this block on the head it still
+	// extends is what applying the block again would produce. Nothing
+	// writes a block once it is built or decoded, so the same pointer is
+	// the same block. Any other commit — a §8.2 recovery ancestor, another
+	// block, a head that moved, a block nobody validated — applies it here.
+	bal := v.state
+	if v.block != b || v.parent != parent || parent != l.head || bal.Root() != b.StateRoot {
+		bal = parent.balances.Clone()
+		for i := range b.Txns {
+			if err := bal.ApplyTx(&b.Txns[i]); err != nil {
+				return fmt.Errorf("ledger: commit tx %d: %w", i, err)
+			}
 		}
-	}
-	if got := bal.Root(); b.StateRoot != got {
-		return fmt.Errorf("ledger: commit state root %s, post-apply state is %s", b.StateRoot, got)
+		if got := bal.Root(); b.StateRoot != got {
+			return fmt.Errorf("ledger: commit state root %s, post-apply state is %s", b.StateRoot, got)
+		}
 	}
 	// The entry's state is final: readers on any goroutine may clone it.
 	bal.share()

@@ -177,9 +177,15 @@ type Node struct {
 	// to validate incoming messages.
 	ctx *agreement.Context
 
-	// Vote inboxes per (round, step); proposal inboxes per round.
-	voteInboxes map[[2]uint64]*vtime.Mailbox
-	propInboxes map[uint64]*vtime.Mailbox
+	// Vote inboxes per (round, step); proposal inboxes per round. The
+	// inboxes of a finished round are emptied into spareInboxes and handed
+	// out again before a new one is made.
+	voteInboxes  map[[2]uint64]*vtime.Mailbox
+	propInboxes  map[uint64]*vtime.Mailbox
+	spareInboxes []*vtime.Mailbox
+	// machine is the node's one BA⋆ machine, reset for every round and
+	// every §8.2 recovery attempt (see machineFor).
+	machine *agreement.Machine
 
 	// Messages for the next round, buffered unverified until we get there;
 	// pendingSize is their wire size, which bufferNext bounds.
@@ -453,7 +459,7 @@ func (n *Node) voteInbox(round, step uint64) *vtime.Mailbox {
 	k := [2]uint64{round, step}
 	mb, ok := n.voteInboxes[k]
 	if !ok {
-		mb = n.sim.NewMailbox()
+		mb = n.newInbox()
 		n.voteInboxes[k] = mb
 	}
 	return mb
@@ -462,10 +468,39 @@ func (n *Node) voteInbox(round, step uint64) *vtime.Mailbox {
 func (n *Node) propInbox(round uint64) *vtime.Mailbox {
 	mb, ok := n.propInboxes[round]
 	if !ok {
-		mb = n.sim.NewMailbox()
+		mb = n.newInbox()
 		n.propInboxes[round] = mb
 	}
 	return mb
+}
+
+// newInbox returns an empty mailbox: one a finished round left behind,
+// with the queue it grew, or else a new one.
+func (n *Node) newInbox() *vtime.Mailbox {
+	k := len(n.spareInboxes)
+	if k == 0 {
+		return n.sim.NewMailbox()
+	}
+	mb := n.spareInboxes[k-1]
+	n.spareInboxes = n.spareInboxes[:k-1]
+	return mb
+}
+
+// retireInbox empties the inbox of a finished round for newInbox: what
+// still waits in it — a straggler's vote, a late proposal — is dropped.
+func (n *Node) retireInbox(mb *vtime.Mailbox) {
+	mb.Reset()
+	n.spareInboxes = append(n.spareInboxes, mb)
+}
+
+// machineFor returns the node's one BA⋆ machine, reset for ctx.
+func (n *Node) machineFor(ctx *agreement.Context) *agreement.Machine {
+	if n.machine == nil {
+		n.machine = agreement.NewMachine(ctx, n.cfg.Params)
+	} else {
+		n.machine.Reset(ctx, n.cfg.Params)
+	}
+	return n.machine
 }
 
 // costs returns the modeled CPU cost model if charging is enabled.
@@ -848,22 +883,24 @@ func (n *Node) setContext(ctx *agreement.Context) {
 	for _, m := range buffered {
 		n.handleMessage(-1, m) // relay verdict already settled at arrival
 	}
-	// Garbage-collect stale buffers and inboxes: earlier rounds, and on a
-	// regular round every §8.2 recovery round.
+	// Drop stale buffers and retire stale inboxes: earlier rounds, and on
+	// a regular round every §8.2 recovery round.
 	for r := range n.pendingMsgs {
 		if ledger.RoundOver(r, ctx.Round) {
 			delete(n.pendingMsgs, r)
 			delete(n.pendingSize, r)
 		}
 	}
-	for k := range n.voteInboxes {
+	for k, mb := range n.voteInboxes {
 		if ledger.RoundOver(k[0], ctx.Round) {
 			delete(n.voteInboxes, k)
+			n.retireInbox(mb)
 		}
 	}
-	for r := range n.propInboxes {
+	for r, mb := range n.propInboxes {
 		if ledger.RoundOver(r, ctx.Round) {
 			delete(n.propInboxes, r)
+			n.retireInbox(mb)
 		}
 	}
 	n.fetch.Advance(ctx.Round)
@@ -1089,17 +1126,14 @@ func (n *Node) runRound() error {
 	n.tracer.Record(round, trace.PhasePropose, 0, stat.Start, stat.ProposalDone)
 
 	// --- Agreement (§7).
-	env, m := n.env(round), agreement.NewMachine(ctx, n.cfg.Params)
+	env, m := n.env(round), n.machineFor(ctx)
 	out, err := agreement.Drive(env, m, m.Start(target))
 	if err != nil {
 		return err
 	}
 	stat.BinaryDone = n.proc.Now()
-	stat.BinarySteps = out.BinarySteps
-	cert := out.Cert
-	if fin, _ := agreement.Drive(env, m, m.Confirm()); fin.Final {
-		cert, stat.Final = fin.FinalCert, true
-	}
+	out, _ = agreement.Drive(env, m, m.Confirm()) // the final step always concludes
+	stat.BinarySteps, stat.Final = out.BinarySteps, out.Final
 	n.tracer.Record(round, trace.PhaseCertify, 0, stat.BinaryDone, n.proc.Now())
 
 	block, ok := n.resolveBlock(ctx, out.Value)
@@ -1109,14 +1143,14 @@ func (n *Node) runRound() error {
 		return fmt.Errorf("round %d: agreed block %v not obtained from any peer", round, out.Value)
 	}
 	commitStart := n.tracer.WallNow()
-	if err := n.ledger.CommitHashed(block, out.Value, cert); err != nil {
+	if err := n.ledger.CommitHashed(block, out.Value, out.Cert); err != nil {
 		// Agreed on a block we cannot apply: treat like no-consensus so
 		// recovery reconciles us (should not happen in honest runs).
 		return fmt.Errorf("commit: %w", err)
 	}
 	n.tracer.Record(round, trace.PhaseCommit, 0, commitStart, n.tracer.WallNow())
 	persistStart := n.tracer.WallNow()
-	n.persistPut(block, cert)
+	n.persistPut(block, out.Cert)
 	n.tracer.Record(round, trace.PhasePersist, 0, persistStart, n.tracer.WallNow())
 	n.announceCommit(round, out.Value)
 	n.flow.Committed(block, n.ledger.Balances())

@@ -214,3 +214,39 @@ func TestCountedVoteIsTheDeliveredVote(t *testing.T) {
 		t.Fatalf("saboteur: %d votes counted, want only the one whose credential verifies, as gossiped", len(got))
 	}
 }
+
+// TestStragglerNeverReachesTheNextRound: the vote inboxes of a finished
+// round are emptied and handed out again in the next. A straggler's vote
+// left unread in round 1's inbox is dropped with it, so round 2's count
+// gets only round 2's votes out of the same mailbox.
+func TestStragglerNeverReachesTheNextRound(t *testing.T) {
+	r := newHandlerRig(t, 5)
+	n := r.node
+	steps := []uint64{agreement.StepReduction1, agreement.StepReduction2}
+	retired := map[*vtime.Mailbox]bool{}
+	for i, step := range steps {
+		n.handleMessage(1+i, &VoteMsg{Vote: *r.makeVote(t, 1+i, 1, step, crypto.HashBytes("straggler"))})
+		mb := n.voteInbox(1, step)
+		if mb.Len() != 1 {
+			t.Fatalf("round 1 step %d: %d votes waiting, want the straggler", step, mb.Len())
+		}
+		retired[mb] = true
+	}
+
+	if err := n.Ledger().Commit(n.Ledger().NextEmptyBlock(), nil); err != nil {
+		t.Fatal(err)
+	}
+	r.ctx = agreement.NewContext(n.Ledger())
+	n.setContext(r.ctx)
+	for i, step := range steps {
+		mb := n.voteInbox(2, step)
+		if !retired[mb] {
+			t.Fatalf("round 2 step %d counts from a new mailbox, not one round 1 left", step)
+		}
+		fresh := &VoteMsg{Vote: *r.makeVote(t, 3+i, 2, step, crypto.HashBytes("fresh"))}
+		n.handleMessage(3+i, fresh)
+		if got := received(r, mb); len(got) != 1 || got[0].Vote != &fresh.Vote {
+			t.Fatalf("round 2 step %d: inbox gave %d votes, want only round 2's", step, len(got))
+		}
+	}
+}

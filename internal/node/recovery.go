@@ -171,7 +171,7 @@ func (n *Node) recoverOnce(checkpoint, attempt uint64) bool {
 		value = best.Hash
 	}
 
-	env, m := n.env(recRound), agreement.NewMachine(ctx, n.cfg.Params)
+	env, m := n.env(recRound), n.machineFor(ctx)
 	out, err := agreement.Drive(env, m, m.Start(value))
 	if err == nil {
 		out, err = agreement.Drive(env, m, m.Confirm())
@@ -188,11 +188,7 @@ func (n *Node) recoverOnce(checkpoint, attempt uint64) bool {
 	if !ok {
 		return false
 	}
-	cert := out.Cert
-	if out.Final && out.FinalCert != nil {
-		cert = out.FinalCert
-	}
-	return n.adoptChain(fb, out.Value, cert)
+	return n.adoptChain(fb, out.Value, out.Cert)
 }
 
 // adoptChain commits b — the block the recovery agreed on, by its hash h

@@ -52,6 +52,17 @@ func (m *Mailbox) Send(v any) {
 	}
 }
 
+// Reset empties m for another use: what is queued is dropped, and the
+// queue keeps its array for what comes next. A mailbox a process waits on
+// is still in use, and resetting it panics.
+func (m *Mailbox) Reset() {
+	if m.waiter != nil {
+		panic("vtime: reset of a mailbox a process is waiting on")
+	}
+	clear(m.queue)
+	m.queue, m.head = m.queue[:0], 0
+}
+
 // Recv blocks until a message is available and returns it.
 func (p *Proc) Recv(m *Mailbox) any {
 	v, ok := p.RecvDeadline(m, -1)

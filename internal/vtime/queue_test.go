@@ -348,3 +348,59 @@ func TestAllocBudgetMailboxSteadyState(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocBudgetMailboxReset guards a reused inbox: a mailbox emptied
+// with Reset keeps its queue's array, so refilling it allocates nothing,
+// and what it held before is gone.
+func TestAllocBudgetMailboxReset(t *testing.T) {
+	s := New()
+	mb := s.NewMailbox()
+	msgs := make([]*int, 48)
+	for i := range msgs {
+		msgs[i] = new(int)
+	}
+	fill := func() {
+		for _, m := range msgs {
+			mb.Send(m)
+		}
+	}
+	fill()
+	mb.Reset()
+	if mb.Len() != 0 {
+		t.Fatalf("%d messages left after Reset", mb.Len())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		fill()
+		mb.Reset()
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got != 0 {
+		t.Errorf("100 refills of a reset mailbox allocated %d bytes, want 0", got)
+	}
+	mb.Send(msgs[0])
+	s.Spawn("reader", func(p *Proc) {
+		if got, ok := p.RecvDeadline(mb, 0); !ok || got != any(msgs[0]) || mb.Len() != 0 {
+			t.Errorf("a reset mailbox gave %v, %v with %d behind it; want only what was sent after", got, ok, mb.Len())
+		}
+	})
+	s.Run(0)
+}
+
+// TestMailboxResetWhileWaitedOnPanics: a mailbox a process is parked on
+// is in use, and handing it on is a bug that must not pass silently.
+func TestMailboxResetWhileWaitedOnPanics(t *testing.T) {
+	s := New()
+	mb := s.NewMailbox()
+	s.Spawn("waiter", func(p *Proc) { p.RecvDeadline(mb, time.Second) })
+	var recovered any
+	s.After(time.Millisecond, func() {
+		defer func() { recovered = recover() }()
+		mb.Reset()
+	})
+	s.Run(2 * time.Second)
+	if recovered == nil {
+		t.Fatal("Reset of a mailbox a process waits on did not panic")
+	}
+}
