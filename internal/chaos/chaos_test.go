@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -95,6 +96,7 @@ func TestChaosSwarm(t *testing.T) {
 // hand-built scenarios, so a regression in any one protocol defense
 // fails a scenario bearing its name.
 func TestChaosDirected(t *testing.T) {
+	var firstPeers []int // node 0's gossip peers as peer-reshuffling starts
 	cases := []struct {
 		name string
 		s    Scenario
@@ -133,6 +135,21 @@ func TestChaosDirected(t *testing.T) {
 			name: "targeted-dos",
 			s: Scenario{Seed: 105, Nodes: 16, Rounds: 6,
 				DoS: []DoSFault{{Nodes: []int{2, 9}, Start: 5 * time.Second, End: 25 * time.Second}}},
+		},
+		{
+			// §8.4: every node's gossip peers are re-drawn about once a
+			// round while a tenth of all transfers are lost and two nodes
+			// are silenced. No round may depend on one fixed overlay.
+			name: "peer-reshuffling",
+			s: Scenario{Seed: 122, Nodes: 16, Rounds: 6, Reshuffle: 4 * time.Second,
+				LinkFaults: []LinkFault{{End: 20 * time.Second, LossProb: 0.10, From: -1, To: -1}},
+				DoS:        []DoSFault{{Nodes: []int{2, 9}, Start: 5 * time.Second, End: 25 * time.Second}}},
+			pre: func(c *sim.Cluster) { firstPeers = slices.Clone(c.Net.Peers(0)) },
+			post: func(t *testing.T, res *Result) {
+				if slices.Equal(firstPeers, res.Cluster.Net.Peers(0)) {
+					t.Errorf("node 0 ended the run with the peers it started with, %v: nothing re-drew them", firstPeers)
+				}
+			},
 		},
 		{
 			// Figure 1's transaction flow under fire: a messy payment

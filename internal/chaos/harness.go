@@ -283,6 +283,7 @@ func RunWith(s Scenario, preStart func(c *sim.Cluster)) *Result {
 	if s.Churn != nil {
 		startChurn(c, res, s)
 	}
+	c.StartPeerReshuffling(s.Reshuffle)
 
 	if preStart != nil {
 		preStart(c)

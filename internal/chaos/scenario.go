@@ -145,6 +145,9 @@ type Scenario struct {
 	// Churn, when non-nil, replaces fixed crash lists with a continuous
 	// Poisson crash/restart process over the whole window.
 	Churn *ChurnFault
+	// Reshuffle, when > 0, re-draws every node's gossip peers at this
+	// interval, as the paper does each round (§8.4).
+	Reshuffle time.Duration
 
 	// StakeDist selects the genesis stake distribution ("" = equal
 	// stakes, StakeZipf, StakePareto); StakeAlpha is the tail exponent.
@@ -393,6 +396,9 @@ func (s *Scenario) String() string {
 	if c := s.Churn; c != nil {
 		fmt.Fprintf(&b, " churn[%v,%v)rate=%.1f/min down=[%v,%v] conc=%d",
 			c.Start, c.End, c.EventsPerMin, c.MinDown, c.MaxDown, c.MaxConcurrent)
+	}
+	if s.Reshuffle > 0 {
+		fmt.Fprintf(&b, " reshuffle=%v", s.Reshuffle)
 	}
 	if s.StakeDist != "" {
 		fmt.Fprintf(&b, " stake=%s(a=%.2f)", s.StakeDist, s.StakeAlpha)

@@ -229,6 +229,47 @@ func dedupSchedule(seed int64, n int, ttl time.Duration, build dedupRig) (*Netwo
 	return nw, log
 }
 
+// matchModel runs schedule on the per-endpoint model and on the network,
+// each on an n-endpoint network of its own, fails t (the messages headed
+// by label) on the first first delivery, counter or total that differs,
+// and returns the network.
+func matchModel(t *testing.T, label string, n int, schedule func(dedupRig) (*Network, []arrival)) *Network {
+	t.Helper()
+	var model *oracle
+	want, wantLog := schedule(func(sim *vtime.Sim, cfg Config, h func(from, to int, m Message) Verdict) (*Network, func(int, Message), func(int, int, Message)) {
+		model = newOracle(sim, cfg, n, h)
+		return model.nw, model.gossip, model.unicast
+	})
+	got, gotLog := schedule(func(sim *vtime.Sim, cfg Config, h func(from, to int, m Message) Verdict) (*Network, func(int, Message), func(int, int, Message)) {
+		nw := New(sim, cfg, n)
+		for i := 0; i < n; i++ {
+			i := i
+			nw.SetHandler(i, HandlerFunc(func(from int, m Message) Verdict { return h(from, i, m) }))
+		}
+		return nw, nw.Gossip, nw.Unicast
+	})
+	if len(gotLog) != len(wantLog) {
+		t.Fatalf("%s: %d first deliveries, the per-endpoint model makes %d", label, len(gotLog), len(wantLog))
+	}
+	for i := range wantLog {
+		if gotLog[i] != wantLog[i] {
+			t.Fatalf("%s: first delivery %d is %+v, the per-endpoint model's is %+v", label, i, gotLog[i], wantLog[i])
+		}
+	}
+	for i := 0; i < n; i++ {
+		g, w := got.NodeStats(i), want.NodeStats(i)
+		w.MsgsReceived, w.DupsDropped = model.eps[i].msgs, model.eps[i].dups
+		if g != w {
+			t.Fatalf("%s, endpoint %d: counters %+v, the per-endpoint model's %+v", label, i, g, w)
+		}
+	}
+	if got.TotalLimbo() != want.TotalLimbo() || got.TotalLost() != want.TotalLost() || got.TotalBytes() != want.TotalBytes() {
+		t.Fatalf("%s: limbo/lost/bytes %d/%d/%d, the model's %d/%d/%d", label,
+			got.TotalLimbo(), got.TotalLost(), got.TotalBytes(), want.TotalLimbo(), want.TotalLost(), want.TotalBytes())
+	}
+	return got
+}
+
 // TestDedupMatchesPerEndpointModel: one dedup record and one array of
 // relay counts per message, shared by all endpoints, decide every delivery
 // as a pair of maps per endpoint did. Random schedules over 70 endpoints
@@ -247,38 +288,11 @@ func TestDedupMatchesPerEndpointModel(t *testing.T) {
 			seeds = int(seed) - 1
 			break
 		}
-		var model *oracle
-		want, wantLog := dedupSchedule(seed, n, ttl, func(sim *vtime.Sim, cfg Config, h func(from, to int, m Message) Verdict) (*Network, func(int, Message), func(int, int, Message)) {
-			model = newOracle(sim, cfg, n, h)
-			return model.nw, model.gossip, model.unicast
+		got := matchModel(t, fmt.Sprint("seed ", seed), n, func(build dedupRig) (*Network, []arrival) {
+			return dedupSchedule(seed, n, ttl, build)
 		})
-		got, gotLog := dedupSchedule(seed, n, ttl, func(sim *vtime.Sim, cfg Config, h func(from, to int, m Message) Verdict) (*Network, func(int, Message), func(int, int, Message)) {
-			nw := New(sim, cfg, n)
-			for i := 0; i < n; i++ {
-				i := i
-				nw.SetHandler(i, HandlerFunc(func(from int, m Message) Verdict { return h(from, i, m) }))
-			}
-			return nw, nw.Gossip, nw.Unicast
-		})
-		if len(gotLog) != len(wantLog) {
-			t.Fatalf("seed %d: %d first deliveries, the per-endpoint model makes %d", seed, len(gotLog), len(wantLog))
-		}
-		for i := range wantLog {
-			if gotLog[i] != wantLog[i] {
-				t.Fatalf("seed %d: first delivery %d is %+v, the per-endpoint model's is %+v", seed, i, gotLog[i], wantLog[i])
-			}
-		}
 		for i := 0; i < n; i++ {
-			g, w := got.NodeStats(i), want.NodeStats(i)
-			w.MsgsReceived, w.DupsDropped = model.eps[i].msgs, model.eps[i].dups
-			if g != w {
-				t.Fatalf("seed %d, endpoint %d: counters %+v, the per-endpoint model's %+v", seed, i, g, w)
-			}
-			dups += g.DupsDropped
-		}
-		if got.TotalLimbo() != want.TotalLimbo() || got.TotalLost() != want.TotalLost() || got.TotalBytes() != want.TotalBytes() {
-			t.Fatalf("seed %d: limbo/lost/bytes %d/%d/%d, the model's %d/%d/%d", seed,
-				got.TotalLimbo(), got.TotalLost(), got.TotalBytes(), want.TotalLimbo(), want.TotalLost(), want.TotalBytes())
+			dups += got.NodeStats(i).DupsDropped
 		}
 		deliveries += got.TotalMsgs()
 		limbo += got.TotalLimbo()
@@ -386,14 +400,164 @@ func TestAllocBudgetFlood(t *testing.T) {
 	if first != n-1 || transfers < 6*n {
 		t.Fatalf("a flood made %d first deliveries in %d transfers, want all %d endpoints and a flood's duplicates", first, transfers, n-1)
 	}
-	// An envelope, two map entries, 8 bytes of bits, 64 of counts, and a
-	// share of a map's growth. An entry per endpoint in each of two maps
-	// was over 4 KB.
+	// Two map entries, 8 bytes of bits, 64 of counts, and a share of a
+	// map's growth; the envelope is the first flood's, recycled. An entry
+	// per endpoint in each of two maps was over 4 KB.
 	if perFlood > 1024 {
 		t.Errorf("a flood over %d endpoints allocated %d bytes, want under 1024: something is kept per endpoint again", n, perFlood)
 	}
-	env := seal(votes[1])
+	env := nw.seal(votes[1])
 	if got := testing.AllocsPerRun(100, func() { nw.deliver(0, 1, env) }); got != 0 {
 		t.Errorf("duplicate delivery: %.0f allocations, want 0", got)
 	}
+}
+
+// TestAllocBudgetRotation: rotation recycles the generation it forgets.
+// The third generation is the first one emptied and made current again:
+// carrying the traffic the first carried, it allocates no map or slab
+// storage, and it knows nothing the first knew, so the same floods are
+// first deliveries again.
+func TestAllocBudgetRotation(t *testing.T) {
+	const n, votes = 64, slabRecords + 44 // a slab and part of another
+	sim := vtime.New()
+	cfg := DefaultConfig()
+	cfg.SeenTTL = 0 // the test rotates
+	nw := New(sim, cfg, n)
+	installRecorders(nw, 0)
+	msgs := make([]*testMsg, votes)
+	for i := range msgs {
+		msgs[i] = msg(fmt.Sprint("rotation-", i), 300)
+		msgs[i].limit = LimitKey{Kind: 'v', Sender: [8]byte{byte(i), byte(i >> 8)}, Round: 1, Step: 1}
+	}
+	traffic := func() (first int64, bytes uint64) {
+		var before, after runtime.MemStats
+		got := nw.TotalMsgs()
+		runtime.ReadMemStats(&before)
+		for _, m := range msgs {
+			nw.Gossip(0, m)
+			sim.Run(0)
+		}
+		runtime.ReadMemStats(&after)
+		return nw.TotalMsgs() - got, after.TotalAlloc - before.TotalAlloc
+	}
+	first, firstBytes := traffic()
+	nw.rotate()
+	second, secondBytes := traffic() // all duplicates: the old generation remembers
+	nw.rotate()
+	third, thirdBytes := traffic()
+	t.Logf("%d floods: %d/%d/%d first deliveries, %d/%d/%d bytes allocated in generations 1/2/3",
+		votes, first, second, third, firstBytes, secondBytes, thirdBytes)
+	if first != votes*(n-1) || second != 0 || third != first {
+		t.Fatalf("first deliveries %d/%d/%d, want %d, 0 and %d: a recycled generation remembers what it knew", first, second, third, votes*(n-1), votes*(n-1))
+	}
+	if firstBytes < 16<<10 {
+		t.Fatalf("the first generation allocated %d bytes: the traffic did not grow its maps and slabs", firstBytes)
+	}
+	if thirdBytes > 512 {
+		t.Errorf("the third generation allocated %d bytes, want none of the first's %d: its maps or slabs were not recycled", thirdBytes, firstBytes)
+	}
+}
+
+// TestEnvelopeOutlivesItsTransfers: an envelope goes back to the pool only
+// when nothing holds it any more. A transfer held in limbo across two
+// rotations, while more than a thousand other messages are sealed and
+// released, still carries its own message; and a handler that sends from
+// inside a delivery, as a node answers a piece request, does not change
+// what that delivery relays. Both schedules also run on the per-endpoint
+// model, whose every first delivery and counter they must match.
+func TestEnvelopeOutlivesItsTransfers(t *testing.T) {
+	const n, ttl = 20, 4 * time.Second
+	setup := func(build dedupRig, handle func(from, to int, m Message)) (*vtime.Sim, *Network, func(int, Message), func(int, int, Message), *[]arrival) {
+		sim := vtime.New()
+		cfg := DefaultConfig()
+		cfg.SeenTTL = ttl
+		log := new([]arrival)
+		nw, gossip, unicast := build(sim, cfg, func(from, to int, m Message) Verdict {
+			*log = append(*log, arrival{sim.Now(), from, to, m.WireSize()})
+			handle(from, to, m)
+			return Verdict{Relay: m.WireSize() > 100}
+		})
+		return sim, nw, gossip, unicast, log
+	}
+
+	t.Run("held in limbo", func(t *testing.T) {
+		held := &testMsg{id: crypto.HashBytes("held", nil), size: 77} // delivered, not relayed
+		const release = 2*ttl + ttl/2
+		var sealed int
+		var delivered []Message
+		var arrivals []arrival
+		nw := matchModel(t, "held in limbo", n, func(build dedupRig) (*Network, []arrival) {
+			sealed, delivered = 0, nil
+			sim, nw, gossip, unicast, log := setup(build, func(from, to int, m Message) {
+				if m.WireSize() == held.size {
+					delivered = append(delivered, m)
+				}
+			})
+			nw.AddLimboFault(LimboFault{
+				Match:    func(from, to int) bool { return from == 0 && to == 1 },
+				Active:   func(now time.Duration) bool { return now == 0 },
+				HoldProb: 1, HoldFor: release,
+			})
+			rng := rand.New(rand.NewSource(1))
+			sim.Spawn("schedule", func(p *vtime.Proc) {
+				unicast(0, 1, held)
+				for step := 0; sim.Now() < release; step++ {
+					p.Sleep(ttl / 64)
+					for j := 0; j < 8; j++ {
+						from := rng.Intn(n)
+						m := &testMsg{id: crypto.HashBytes("churn", []byte(fmt.Sprint(step, j))), size: 40 + j}
+						unicast(from, (from+1+rng.Intn(n-1))%n, m)
+						sealed++
+					}
+					if step%8 == 0 {
+						gossip(rng.Intn(n), &testMsg{id: crypto.HashBytes("churn.flood", []byte(fmt.Sprint(step))), size: 200 + step})
+						sealed++
+					}
+				}
+			})
+			sim.Run(time.Hour)
+			arrivals = *log
+			return nw, arrivals
+		})
+		var at time.Duration
+		for _, a := range arrivals {
+			if a.size == held.size {
+				at = a.at
+			}
+		}
+		if sealed <= 1000 || nw.stamp < 3 || nw.TotalLimbo() != 1 {
+			t.Fatalf("%d messages sealed, %d rotations, %d transfers held: want over 1000, at least two and one", sealed, nw.stamp-1, nw.TotalLimbo())
+		}
+		if len(delivered) != 1 || delivered[0] != Message(held) || delivered[0].ID() != held.id || at < release {
+			t.Fatalf("the held transfer delivered %v at %v, want the held message itself once, at %v or later", delivered, at, release)
+		}
+	})
+
+	t.Run("sending from a handler", func(t *testing.T) {
+		outer := &testMsg{id: crypto.HashBytes("outer", nil), size: 500}
+		var reached int
+		matchModel(t, "sending from a handler", n, func(build dedupRig) (*Network, []arrival) {
+			reached = 0
+			var gossip func(int, Message)
+			var unicast func(int, int, Message)
+			sim, nw, g, u, log := setup(build, func(from, to int, m Message) {
+				if m != Message(outer) {
+					return
+				}
+				reached++
+				// A reply to the sender and an announcement of one's own,
+				// both sealed while the outer delivery runs.
+				unicast(to, from, &testMsg{id: crypto.HashBytes("reply", []byte{byte(to)}), size: 40})
+				gossip(to, &testMsg{id: crypto.HashBytes("note", []byte{byte(to)}), size: 60})
+			})
+			gossip, unicast = g, u
+			// Unicast, so that its first delivery is its envelope's only holder.
+			sim.Spawn("origin", func(p *vtime.Proc) { unicast(0, 1, outer) })
+			sim.Run(time.Hour)
+			return nw, *log
+		})
+		if reached != n {
+			t.Fatalf("the outer message reached %d of %d endpoints: a delivery relayed what its handler sent", reached, n)
+		}
+	})
 }

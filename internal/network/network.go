@@ -258,14 +258,16 @@ type Network struct {
 	// cur and old are the two live generations of the duplicate and
 	// relay-limit records. Lookups consult both, marks go to cur, and
 	// rotation (driven by Config.SeenTTL, last at lastRotate, counted by
-	// stamp) drops old: a mark lives between one and two TTLs.
+	// stamp) empties old and makes it cur: a mark lives between one and two
+	// TTLs.
 	cur, old   generation
 	stamp      uint32
 	lastRotate time.Duration
 
 	// idle is the free list of transfer records, linked through their
-	// next.
-	idle *transfer
+	// next, and spare that of envelopes, linked through theirs.
+	idle  *transfer
+	spare *envelope
 
 	// Aggregate counters, registered under algorand_net_* (see
 	// Config.Metrics); read through TotalBytes/TotalMsgs/TotalLost.
@@ -536,8 +538,9 @@ type generation struct {
 
 const slabRecords = 256
 
-// enter returns key's record number, numbering it and growing the slabs
-// of n-element records to hold it if the generation has not met key yet.
+// enter returns key's record number, numbering it if the generation has
+// not met key yet and growing the slabs of n-element records when it lies
+// past them (a recycled generation starts with its slabs, zeroed).
 func enter[K comparable, T any](index map[K]int32, slabs *[][]T, key K, n int) int32 {
 	r, ok := index[key]
 	if !ok {
@@ -560,9 +563,25 @@ func record[T any](slabs [][]T, r int32, n int) []T {
 }
 
 // rotate makes the current generation the old one and forgets the
-// previous old one, for every endpoint at the same instant.
+// previous old one, for every endpoint at the same instant. The forgotten
+// generation, emptied, becomes the current one, its maps and slabs kept at
+// the size the traffic gave them; the first rotation has none to recycle
+// and sizes its maps from the generation it follows.
 func (nw *Network) rotate() {
-	nw.old, nw.cur = nw.cur, generation{seen: make(map[seenKey]int32), relays: make(map[LimitKey]int32)}
+	g := nw.old
+	if g.seen == nil {
+		g = generation{seen: make(map[seenKey]int32, len(nw.cur.seen)), relays: make(map[LimitKey]int32, len(nw.cur.relays))}
+	} else {
+		clear(g.seen)
+		clear(g.relays)
+		for _, s := range g.bits {
+			clear(s)
+		}
+		for _, s := range g.counts {
+			clear(s)
+		}
+	}
+	nw.old, nw.cur = nw.cur, g
 	nw.stamp++
 }
 
@@ -579,8 +598,19 @@ func (nw *Network) maybeRotate() {
 // about it, worked out once when it enters Gossip or Unicast: a batch's
 // ID hashes every transaction in it and a block's encodes the block, and
 // every hop and every duplicate delivery used to ask again.
+//
+// An envelope counts its holders in refs: the transfers carrying it, and
+// the Gossip or Unicast call that sealed it while that runs. The last to
+// let go puts it on the free list Network.spare, linked through next, so
+// an envelope is allocated only when more messages are in flight than
+// ever before. A holder lets go once it is done with the envelope: a
+// transfer after its delivery or relay has returned, because a handler
+// sends from inside a delivery, and a transfer held in limbo past any
+// number of rotations still holds its own message.
 type envelope struct {
 	m    Message
+	nw   *Network
+	next *envelope
 	id   seenKey
 	size int
 	// limitKey and limit are the message's §8.4 relay budget: at most
@@ -588,6 +618,7 @@ type envelope struct {
 	// enforced for the zero key.
 	limitKey LimitKey
 	limit    uint8
+	refs     int32
 	// The numbers of the message's records in the current and the old
 	// generation (0: none) as of rotation number stamp. They are looked up
 	// again after a rotation, so a delivery released from limbo two TTLs
@@ -605,15 +636,31 @@ type envelope struct {
 // 6.5 % of what sim-bigblock-10mb allocates (EXPERIMENTS.md, eighth delta).
 type seenKey [16]byte
 
-func seal(m Message) *envelope {
+// seal returns an envelope for m held once, by the caller, who lets go of
+// it with release.
+func (nw *Network) seal(m Message) *envelope {
+	env := nw.spare
+	if env != nil {
+		nw.spare = env.next
+	} else {
+		env = new(envelope)
+	}
 	id := m.ID()
-	env := &envelope{m: m, id: seenKey(id[:]), size: m.WireSize(), limitKey: m.LimitKey(), limit: 1}
+	*env = envelope{m: m, nw: nw, id: seenKey(id[:]), size: m.WireSize(), limitKey: m.LimitKey(), limit: 1, refs: 1}
 	// Messages may allow a higher limit (equivocation evidence needs two
 	// copies to travel).
 	if mr, ok := m.(MultiRelay); ok {
 		env.limit = uint8(min(mr.RelayLimit(), math.MaxUint8))
 	}
 	return env
+}
+
+// release lets go of one hold on env.
+func (env *envelope) release() {
+	if env.refs--; env.refs == 0 {
+		nw := env.nw
+		env.m, env.next, nw.spare = nil, nw.spare, env
+	}
 }
 
 // records returns env's bitsets and relay counts in the current and the
@@ -637,20 +684,23 @@ func (nw *Network) records(env *envelope) (seen, seenOld []uint64, relays, relay
 // of origin's peers and relayed onward per the gossip rules.
 func (nw *Network) Gossip(origin int, m Message) {
 	nw.maybeRotate()
-	env := seal(m)
+	env := nw.seal(m)
 	seen, _, relays, _ := nw.records(env)
 	seen[origin>>6] |= 1 << (origin & 63)
 	if relays != nil && relays[origin] < math.MaxUint8 { // an origin has no budget: the count saturates
 		relays[origin]++
 	}
 	nw.relay(origin, -1, env)
+	env.release()
 }
 
 // Unicast sends a message directly from one node to another (used for
 // catch-up fetches, not gossip). Delivery respects bandwidth/latency
 // but skips relay.
 func (nw *Network) Unicast(from, to int, m Message) {
-	nw.send(from, to, seal(m))
+	env := nw.seal(m)
+	nw.send(from, to, env)
+	env.release()
 }
 
 // relay forwards env from node `from` to all its neighbors except `skip`.
@@ -707,7 +757,7 @@ func (nw *Network) send(from, to int, env *envelope) {
 	// Downlink reservation is made against its state at send time; with
 	// event-driven delivery this is a standard approximation.
 	deliverAt := dst.down.transmit(arrive, size)
-	t := nw.newTransfer(from, to, env, false)
+	t := nw.newTransfer(from, to, env)
 	if limboHold > 0 {
 		// Released at the adversary's instant, out of the link's order.
 		nw.sim.AfterRun(max(deliverAt, now+limboHold)-now, t)
@@ -717,43 +767,56 @@ func (nw *Network) send(from, to int, env *envelope) {
 }
 
 // transfer is one scheduled step of a message's journey: its delivery at
-// to, or — relay set — its onward relay by to once the node's modeled
-// CPU has verified it. A simulated round is hundreds of thousands of
-// transfers. A record waits in its lane, linked through item, and once it
-// has run on the free list Network.idle, linked through next, so a record
-// is allocated only when more are in flight than ever before (only the
-// scheduler goroutine touches them).
+// to, or its onward relay by to once the node's modeled CPU has verified
+// it, which a relay lane runs as a *relayTransfer. A simulated round is
+// hundreds of thousands of transfers. A record waits in its lane, linked
+// through item, and once it has run on the free list Network.idle, linked
+// through next, so a record is allocated only when more are in flight
+// than ever before (only the scheduler goroutine touches them). Each holds
+// its envelope.
 type transfer struct {
 	item     vtime.LaneItem
 	next     *transfer
-	nw       *Network
 	from, to int32
-	relay    bool
 	env      *envelope
 }
 
+// relayTransfer is a transfer whose step is the relay.
+type relayTransfer transfer
+
 // newTransfer returns a record for a step of env's journey.
-func (nw *Network) newTransfer(from, to int, env *envelope, relay bool) *transfer {
+func (nw *Network) newTransfer(from, to int, env *envelope) *transfer {
 	t := nw.idle
 	if t != nil {
 		nw.idle, t.next = t.next, nil
 	} else {
-		t = &transfer{nw: nw}
+		t = new(transfer)
 	}
-	t.from, t.to, t.env, t.relay = int32(from), int32(to), env, relay
+	env.refs++
+	t.from, t.to, t.env = int32(from), int32(to), env
 	return t
 }
 
-// Run implements vtime.Runner.
-func (t *transfer) Run() {
-	nw, from, to, env, relay := t.nw, int(t.from), int(t.to), t.env, t.relay
+// take puts t back on the free list and returns what it carried.
+func (t *transfer) take() (from, to int, env *envelope) {
+	from, to, env = int(t.from), int(t.to), t.env
 	t.env = nil
-	t.next, nw.idle = nw.idle, t
-	if relay {
-		nw.relay(to, from, env)
-	} else {
-		nw.deliver(from, to, env)
-	}
+	t.next, env.nw.idle = env.nw.idle, t
+	return from, to, env
+}
+
+// Run implements vtime.Runner: the delivery.
+func (t *transfer) Run() {
+	from, to, env := t.take()
+	env.nw.deliver(from, to, env)
+	env.release()
+}
+
+// Run implements vtime.Runner: the relay.
+func (t *relayTransfer) Run() {
+	from, to, env := (*transfer)(t).take()
+	env.nw.relay(to, from, env)
+	env.release()
 }
 
 // deliver runs at the receiver when the message finishes arriving.
@@ -799,8 +862,8 @@ func (nw *Network) deliver(from, to int, env *envelope) {
 		}
 		relays[to]++
 	}
-	t := nw.newTransfer(from, to, env, true)
-	ep.relays.Push(ep.cpuFree, &t.item, t)
+	t := nw.newTransfer(from, to, env)
+	ep.relays.Push(ep.cpuFree, &t.item, (*relayTransfer)(t))
 }
 
 // Stats aggregates per-node statistics.

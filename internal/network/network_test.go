@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"algorand/internal/crypto"
 	"algorand/internal/vtime"
@@ -527,9 +528,13 @@ func (m *countingMsg) LimitKey() LimitKey { m.keys++; return m.testMsg.LimitKey(
 // asked for its ID, size and relay-limit key once, when it enters Gossip
 // or Unicast, and no hop, first delivery or duplicate delivery asks
 // again. For a transaction batch one ID() hashes every transaction in it.
-// The transfers themselves ride recycled records: a flood allocates its
-// envelope and, once the pool of records has grown, nothing per hop.
+// Envelopes and transfer records are recycled: once their pools have
+// grown, a unicast of a message that is already built allocates nothing,
+// and a flood allocates no envelope and nothing per hop.
 func TestAllocBudgetMessageSealedOnce(t *testing.T) {
+	if size := unsafe.Sizeof(transfer{}); size != 64 {
+		t.Errorf("a transfer record is %d bytes, want 64: a round is hundreds of thousands of them", size)
+	}
 	sim := vtime.New()
 	nw := New(sim, DefaultConfig(), 30)
 	installRecorders(nw, 0)
@@ -557,7 +562,7 @@ func TestAllocBudgetMessageSealedOnce(t *testing.T) {
 	}
 
 	// A duplicate delivery on its own: nothing asked, nothing allocated.
-	env := seal(flood)
+	env := nw.seal(flood)
 	flood.ids, flood.sizes = 0, 0
 	dups := nw.NodeStats(1).DupsDropped
 	if got := testing.AllocsPerRun(100, func() { nw.deliver(0, 1, env) }); got != 0 {
@@ -570,10 +575,25 @@ func TestAllocBudgetMessageSealedOnce(t *testing.T) {
 		t.Errorf("duplicate deliveries made %d ID() and %d WireSize() calls, want none", flood.ids, flood.sizes)
 	}
 
-	// A second flood reuses the first one's transfer records: what it
-	// allocates does not grow with the number of hops.
+	// A unicast of a built message, delivered and released: nothing.
+	if got := testing.AllocsPerRun(100, func() {
+		nw.Unicast(0, 1, direct)
+		sim.Run(0)
+	}); got != 0 {
+		t.Errorf("a unicast once the pools are warm: %.0f allocations, want 0", got)
+	}
+
+	// A second flood reuses the first one's envelope and transfer records:
+	// what it allocates does not grow with the number of hops, and the
+	// pool of envelopes does not grow at all.
 	const floods = 5
-	sent, n := nw.TotalBytes(), 0
+	spares := func() (k int) {
+		for env := nw.spare; env != nil; env = env.next {
+			k++
+		}
+		return k
+	}
+	sent, n, pool := nw.TotalBytes(), 0, spares()
 	perFlood := testing.AllocsPerRun(floods, func() {
 		n++
 		nw.Gossip(0, msg(fmt.Sprint("sealed-again-", n), 200))
@@ -585,5 +605,8 @@ func TestAllocBudgetMessageSealedOnce(t *testing.T) {
 	}
 	if perFlood > 10 {
 		t.Errorf("a later flood: %.0f allocations over %.0f transfers, want the message's own few", perFlood, hops)
+	}
+	if got := spares(); pool == 0 || got != pool {
+		t.Errorf("%d envelopes in the pool before %d floods and %d after, want the same, not none", pool, floods+1, got)
 	}
 }

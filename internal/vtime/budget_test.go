@@ -3,7 +3,6 @@ package vtime_test
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -89,42 +88,9 @@ func TestAllocBudgetQueue(t *testing.T) {
 
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
-	before := vtimeAllocs()
+	before := vtime.Allocs()
 	flood()
-	if got := vtimeAllocs() - before; got != 0 {
+	if got := vtime.Allocs() - before; got != 0 {
 		t.Errorf("a flood after the first allocated %d bytes in vtime, want 0", got)
 	}
-}
-
-// vtimeAllocs sums the bytes allocated so far by code in package vtime,
-// as the memory profile records it (every allocation, at
-// MemProfileRate 1): the records whose first frame outside the runtime is
-// in vtime, except the sudogs the runtime allocates for itself when a
-// goroutine blocks on a channel and its cache of them is empty.
-func vtimeAllocs() int64 {
-	// A profile is published by the collection after the one it was made
-	// in.
-	runtime.GC()
-	runtime.GC()
-	n, _ := runtime.MemProfile(nil, true)
-	recs := make([]runtime.MemProfileRecord, n+64)
-	n, ok := runtime.MemProfile(recs, true)
-	if !ok {
-		panic("memory profile grew while read")
-	}
-	var total int64
-	for _, r := range recs[:n] {
-		frames := runtime.CallersFrames(r.Stack())
-		f, more := frames.Next()
-		if f.Function == "runtime.acquireSudog" {
-			continue
-		}
-		for more && strings.HasPrefix(f.Function, "runtime.") {
-			f, more = frames.Next()
-		}
-		if strings.HasPrefix(f.Function, "algorand/internal/vtime.") {
-			total += r.AllocBytes
-		}
-	}
-	return total
 }

@@ -298,19 +298,19 @@ func TestAllocBudgetMailboxSteadyState(t *testing.T) {
 			}
 		}
 	}
-	var drained, backlog uint64
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	var drained, backlog int64
 	collected := make(chan struct{})
 	s.Spawn("laps", func(p *Proc) {
-		measure := func(keep int) uint64 {
+		measure := func(keep int) int64 {
 			lap(p, keep)
 			lap(p, keep)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
+			before := Allocs()
 			for i := 0; i < 100; i++ {
 				lap(p, keep)
 			}
-			runtime.ReadMemStats(&after)
-			return after.TotalAlloc - before.TotalAlloc
+			return Allocs() - before
 		}
 		drained = measure(0)
 		backlog = measure(5)
@@ -369,14 +369,14 @@ func TestAllocBudgetMailboxReset(t *testing.T) {
 	if mb.Len() != 0 {
 		t.Fatalf("%d messages left after Reset", mb.Len())
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := Allocs()
 	for i := 0; i < 100; i++ {
 		fill()
 		mb.Reset()
 	}
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got != 0 {
+	if got := Allocs() - before; got != 0 {
 		t.Errorf("100 refills of a reset mailbox allocated %d bytes, want 0", got)
 	}
 	mb.Send(msgs[0])
