@@ -233,13 +233,23 @@ func main() {
 				1e3*v.Q["p50"], 1e3*v.Q["p90"], 1e3*v.Q["p99"])
 		}
 	}
-	if h, ok := nd.TransportHealth(); ok {
-		fmt.Printf("transport: %d/%d peers connected, %d quarantined, %d queue drops, %d redials\n",
-			h.Connected, h.Peers, h.Quarantined, h.QueueDrops, h.Redials)
+	ts := transport.Stats()
+	connected, quarantined := 0, 0
+	var drops, redials uint64
+	for _, p := range ts.Peers {
+		if p.Connected {
+			connected++
+		}
+		if p.Quarantined {
+			quarantined++
+		}
+		drops, redials = drops+p.QueueDrops, redials+p.Redials
 	}
+	fmt.Printf("transport: %d/%d peers connected, %d quarantined, %d queue drops, %d redials\n",
+		connected, len(ts.Peers), quarantined, drops, redials)
 	fmt.Printf("%s\n", nd.TxFlow().Stats())
 	if *stats {
-		fmt.Printf("%s\n", transport.Stats())
+		fmt.Printf("%s\n", ts)
 	}
 }
 

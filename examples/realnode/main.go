@@ -77,7 +77,7 @@ func main() {
 	for i := 0; i < nodes; i++ {
 		i := i
 		sims[i] = vtime.New().Realtime()
-		transports[i] = realnet.NewWithListener(sims[i], i, addrs, listeners[i])
+		transports[i] = realnet.NewWithConfig(sims[i], i, addrs, listeners[i], realnet.DefaultConfig())
 		members[i] = node.New(i, sims[i], transports[i], provider, ids[i], cfg, genesis, seed0)
 		members[i].StopAfterRound = rounds
 		transports[i].Start()
@@ -99,7 +99,7 @@ func main() {
 	// The late joiner: waits until the network is done, then syncs.
 	j := nodes
 	sims[j] = vtime.New().Realtime()
-	transports[j] = realnet.NewWithListener(sims[j], j, addrs, listeners[j])
+	transports[j] = realnet.NewWithConfig(sims[j], j, addrs, listeners[j], realnet.DefaultConfig())
 	members[j] = node.New(j, sims[j], transports[j], provider, ids[j], cfg, genesis, seed0)
 	transports[j].Start()
 	var joined uint64

@@ -247,6 +247,66 @@ func NewArrivalPriority(m *PriorityMsg) any { return arrival{pri: m} }
 // NewArrivalBlock wraps a verified block message for the waiter.
 func NewArrivalBlock(m *BlockMsg) any { return arrival{blk: m} }
 
+// collector is what a proposal wait has read from its inbox: the best
+// priority and when it was learned, each proposer's block and the hash
+// it bound to its priority, and the equivocators (§10.4: "if a user
+// receives two conflicting versions of a block from the highest
+// priority block proposer ... he discards both proposals"). A second
+// hash marks a proposer an equivocator without needing both bodies.
+// It holds no process or mailbox, so that its maps can live on the
+// waiter's stack.
+type collector struct {
+	best         sortition.Priority
+	bestProposer crypto.PublicKey
+	bestAt       time.Duration
+	haveBest     bool
+
+	blocks       map[crypto.PublicKey]*BlockMsg
+	announced    map[crypto.PublicKey]crypto.Digest
+	equivocators map[crypto.PublicKey]bool
+}
+
+func newCollector() collector {
+	return collector{
+		blocks:       make(map[crypto.PublicKey]*BlockMsg),
+		announced:    make(map[crypto.PublicKey]crypto.Digest),
+		equivocators: make(map[crypto.PublicKey]bool),
+	}
+}
+
+// recv takes one arrival from inbox into the record, or reports false
+// once the deadline passes with the inbox empty.
+func (c *collector) recv(proc *vtime.Proc, inbox *vtime.Mailbox, deadline time.Duration) bool {
+	m, ok := proc.RecvDeadline(inbox, deadline)
+	if !ok {
+		return false
+	}
+	a := m.(arrival)
+	if a.pri != nil {
+		c.note(proc.Now(), a.pri.Proposer, a.pri.Priority, a.pri.BlockHash)
+	}
+	if bm := a.blk; bm != nil {
+		// A second version is not kept; note marks its proposer.
+		if prev, ok := c.blocks[bm.Proposer()]; !ok || prev.AnnouncedHash() == bm.AnnouncedHash() {
+			c.blocks[bm.Proposer()] = bm
+		}
+		c.note(proc.Now(), bm.Proposer(), bm.Priority(), bm.AnnouncedHash())
+	}
+	return true
+}
+
+// note records a proposer's priority and the hash it bound to it.
+func (c *collector) note(now time.Duration, proposer crypto.PublicKey, pri sortition.Priority, h crypto.Digest) {
+	if !c.haveBest || c.best.Less(pri) {
+		c.best, c.bestProposer, c.bestAt, c.haveBest = pri, proposer, now, true
+	}
+	if prev, ok := c.announced[proposer]; !ok {
+		c.announced[proposer] = h
+	} else if prev != h {
+		c.equivocators[proposer] = true
+	}
+}
+
 // Wait implements the §6 waiting discipline: listen for priority and
 // block messages on inbox for λ_priority+λ_stepvar to learn the highest
 // priority, then keep waiting (up to the λ_block deadline measured from
@@ -263,78 +323,29 @@ func Wait(
 	start := proc.Now()
 	priorityDeadline := start + lambdaPriority + lambdaStepVar
 	blockDeadline := start + lambdaBlock
-
-	var best sortition.Priority
-	var bestProposer crypto.PublicKey
-	var bestAt time.Duration
-	haveBest := false
-	// Candidate blocks by proposer, to detect equivocation and to have
-	// the block at hand when its priority wins. announced tracks the
-	// hash each proposer bound to its priority; a second hash marks the
-	// proposer an equivocator (§10.4) without needing both block bodies.
-	blocks := make(map[crypto.PublicKey]*BlockMsg)
-	announced := make(map[crypto.PublicKey]crypto.Digest)
-	equivocators := make(map[crypto.PublicKey]bool)
-
-	noteHash := func(proposer crypto.PublicKey, h crypto.Digest) {
-		if prev, ok := announced[proposer]; ok && prev != h {
-			equivocators[proposer] = true
-			return
-		}
-		announced[proposer] = h
-	}
-
-	note := func(pri sortition.Priority, proposer crypto.PublicKey) {
-		if !haveBest || best.Less(pri) {
-			best = pri
-			bestProposer = proposer
-			bestAt = proc.Now()
-			haveBest = true
-		}
-	}
+	c := newCollector()
 
 	// Phase 1: collect priorities (block messages may arrive too).
-	for proc.Now() < priorityDeadline {
-		m, ok := proc.RecvDeadline(inbox, priorityDeadline)
-		if !ok {
-			break
-		}
-		a := m.(arrival)
-		if a.pri != nil {
-			note(a.pri.Priority, a.pri.Proposer)
-			noteHash(a.pri.Proposer, a.pri.BlockHash)
-		}
-		if a.blk != nil {
-			noteBlock(blocks, equivocators, a.blk)
-			note(a.blk.Priority(), a.blk.Proposer())
-			noteHash(a.blk.Proposer(), a.blk.AnnouncedHash())
-		}
+	for proc.Now() < priorityDeadline && c.recv(proc, inbox, priorityDeadline) {
 	}
-	if !haveBest {
+	if !c.haveBest {
 		return WaitResult{}
 	}
 
-	// Phase 2: wait for the winning block.
+	// Phase 2: wait for the winning block; late priority messages can
+	// still raise the bar.
 	for {
-		if equivocators[bestProposer] && !keepFirst {
-			return WaitResult{Priority: best, Equivocation: true, BestPriorityAt: bestAt}
+		res := WaitResult{Priority: c.best, BestPriorityAt: c.bestAt}
+		if c.equivocators[c.bestProposer] && !keepFirst {
+			res.Equivocation = true
+			return res
 		}
-		if bm, ok := blocks[bestProposer]; ok {
-			return WaitResult{Block: bm.Block, BlockHash: bm.AnnouncedHash(), Priority: best, BestPriorityAt: bestAt}
+		if bm, ok := c.blocks[c.bestProposer]; ok {
+			res.Block, res.BlockHash = bm.Block, bm.AnnouncedHash()
+			return res
 		}
-		m, ok := proc.RecvDeadline(inbox, blockDeadline)
-		if !ok {
-			return WaitResult{Priority: best, BestPriorityAt: bestAt} // timed out: empty block
-		}
-		a := m.(arrival)
-		if a.blk != nil {
-			noteBlock(blocks, equivocators, a.blk)
-			noteHash(a.blk.Proposer(), a.blk.AnnouncedHash())
-		}
-		// Late priority messages can still raise the bar.
-		if a.pri != nil {
-			note(a.pri.Priority, a.pri.Proposer)
-			noteHash(a.pri.Proposer, a.pri.BlockHash)
+		if !c.recv(proc, inbox, blockDeadline) {
+			return res // timed out: empty block
 		}
 	}
 }
@@ -348,49 +359,22 @@ type Candidate struct {
 }
 
 // WaitAll listens for the full proposal window and returns every
-// distinct proposer's block received, discarding equivocators (§10.4).
-// Recovery (§8.2) uses it to settle on the longest proposed fork
-// rather than on the single highest priority: a proposer on a short
-// branch cannot know a longer one exists, so the highest priority
-// alone may name a proposal that most of the network must reject —
-// splitting BA⋆'s inputs between that proposal and the empty value.
-func WaitAll(
-	proc *vtime.Proc,
-	inbox *vtime.Mailbox,
-	lambdaBlock time.Duration,
-) []Candidate {
-	blockDeadline := proc.Now() + lambdaBlock
-	blocks := make(map[crypto.PublicKey]*BlockMsg)
-	equivocators := make(map[crypto.PublicKey]bool)
-	for {
-		m, ok := proc.RecvDeadline(inbox, blockDeadline)
-		if !ok {
-			break
-		}
-		a := m.(arrival)
-		if a.blk != nil {
-			noteBlock(blocks, equivocators, a.blk)
-		}
+// distinct proposer's block received, leaving out equivocators by
+// Wait's rule (§10.4). Recovery (§8.2) uses it to settle on the longest
+// proposed fork rather than on the single highest priority: a proposer
+// on a short branch cannot know a longer one exists, so the highest
+// priority alone may name a proposal that most of the network must
+// reject — splitting BA⋆'s inputs between that proposal and the empty
+// value.
+func WaitAll(proc *vtime.Proc, inbox *vtime.Mailbox, lambdaBlock time.Duration) []Candidate {
+	c, deadline := newCollector(), proc.Now()+lambdaBlock
+	for c.recv(proc, inbox, deadline) {
 	}
 	var out []Candidate
-	for proposer, bm := range blocks {
-		if equivocators[proposer] {
-			continue
+	for proposer, bm := range c.blocks {
+		if !c.equivocators[proposer] {
+			out = append(out, Candidate{Block: bm.Block, Hash: bm.AnnouncedHash(), Priority: bm.Priority()})
 		}
-		out = append(out, Candidate{Block: bm.Block, Hash: bm.AnnouncedHash(), Priority: bm.Priority()})
 	}
 	return out
-}
-
-// noteBlock records a block arrival, flagging equivocation when a
-// proposer sends two different blocks for the same round (§10.4: "if a
-// user receives two conflicting versions of a block from the highest
-// priority block proposer ... he discards both proposals").
-func noteBlock(blocks map[crypto.PublicKey]*BlockMsg, equivocators map[crypto.PublicKey]bool, bm *BlockMsg) {
-	prev, ok := blocks[bm.Proposer()]
-	if ok && prev.AnnouncedHash() != bm.AnnouncedHash() {
-		equivocators[bm.Proposer()] = true
-		return
-	}
-	blocks[bm.Proposer()] = bm
 }

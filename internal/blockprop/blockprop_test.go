@@ -268,3 +268,36 @@ func TestWaitBlockOnlyNoPriorityMsg(t *testing.T) {
 		t.Fatal("block-only proposal not accepted")
 	}
 }
+
+// TestWaitAllLeavesOutHashEquivocator: a §8.2 recovery proposer whose
+// priority message and block name different hashes is left out of
+// WaitAll's candidates, as Wait leaves it out of the choice (§10.4).
+func TestWaitAllLeavesOutHashEquivocator(t *testing.T) {
+	eq, honest := mkProposal(t, 7, 1), mkProposal(t, 8, 1)
+	alt := *eq.Block.Block
+	alt.Timestamp += 12345
+	otherHash := eq.Priority
+	otherHash.BlockHash = alt.Hash()
+	send := func(inbox *vtime.Mailbox) {
+		inbox.Send(NewArrivalPriority(&otherHash))
+		inbox.Send(NewArrivalBlock(&eq.Block))
+	}
+
+	if res := runWait(func(h *waitHarness) { h.sim.After(100*time.Millisecond, func() { send(h.inbox) }) }); !res.Equivocation || res.Block != nil {
+		t.Fatalf("Wait chose the equivocator's block (equivocation %v)", res.Equivocation)
+	}
+
+	sim := vtime.New()
+	inbox := sim.NewMailbox()
+	var cands []Candidate
+	sim.Spawn("collector", func(p *vtime.Proc) { cands = WaitAll(p, inbox, 10*time.Second) })
+	sim.After(100*time.Millisecond, func() {
+		send(inbox)
+		inbox.Send(NewArrivalPriority(&honest.Priority))
+		inbox.Send(NewArrivalBlock(&honest.Block))
+	})
+	sim.Run(time.Minute)
+	if len(cands) != 1 || cands[0].Hash != honest.Block.AnnouncedHash() {
+		t.Fatalf("WaitAll candidates %+v, want only the honest proposer's", cands)
+	}
+}

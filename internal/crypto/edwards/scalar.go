@@ -129,13 +129,6 @@ func (s *Scalar) Bytes() [32]byte {
 	return s.b
 }
 
-// Equal reports whether s == t (comparing the stored representations
-// reduced mod l).
-func (s *Scalar) Equal(t *Scalar) bool {
-	return s.big().Cmp(t.big()) == 0 &&
-		new(big.Int).Mod(s.big(), order).Cmp(new(big.Int).Mod(t.big(), order)) == 0
-}
-
 // MultiplyAdd sets s = a*b + c mod l and returns s.
 func (s *Scalar) MultiplyAdd(a, b, c *Scalar) *Scalar {
 	v := new(big.Int).Mul(a.big(), b.big())
@@ -148,17 +141,7 @@ func (s *Scalar) Add(a, b *Scalar) *Scalar {
 	return s.setBig(new(big.Int).Add(a.big(), b.big()))
 }
 
-// Multiply sets s = a * b mod l and returns s.
-func (s *Scalar) Multiply(a, b *Scalar) *Scalar {
-	return s.setBig(new(big.Int).Mul(a.big(), b.big()))
-}
-
 // Negate sets s = -a mod l and returns s.
 func (s *Scalar) Negate(a *Scalar) *Scalar {
 	return s.setBig(new(big.Int).Neg(a.big()))
-}
-
-// IsZero reports whether s == 0 mod l.
-func (s *Scalar) IsZero() bool {
-	return new(big.Int).Mod(s.big(), order).Sign() == 0
 }

@@ -47,9 +47,24 @@ func makeChain(n int) ([]*ledger.Block, []*ledger.Certificate) {
 	return blocks, certs
 }
 
-// snapshot returns the canonical encoding of a store's archive image
-// for byte-for-byte comparison.
-func snapshot(s *Store) []byte { return wire.Encode(s.Recovered()) }
+// snapshot renders a store's archive image for byte-for-byte
+// comparison: its shard, then round by round in ascending order the
+// block and the certificate, if any.
+func snapshot(s *Store) []byte {
+	img := s.Recovered()
+	var e wire.Encoder
+	e.Uint64(img.ShardIndex)
+	e.Uint64(img.ShardCount)
+	for r, left := uint64(0), img.Rounds(); left > 0; r++ {
+		if b, ok := img.Block(r); ok {
+			left--
+			c, _ := img.Cert(r)
+			e.Uint64(r)
+			e.Bytes(refPair(1, b, c))
+		}
+	}
+	return e.Data()
+}
 
 func mustOpen(t *testing.T, dir string, opts Options) *Store {
 	t.Helper()

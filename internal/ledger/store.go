@@ -1,11 +1,5 @@
 package ledger
 
-import (
-	"sort"
-
-	"algorand/internal/wire"
-)
-
 // Store is a user's block/certificate archive with §8.3 sharding: for a
 // shard count N, the user persists blocks and certificates whose round
 // number is congruent to their shard index mod N. Bytes tracks storage
@@ -108,60 +102,3 @@ func (s *Store) Cert(round uint64) (*Certificate, bool) {
 
 // Rounds returns how many rounds are archived.
 func (s *Store) Rounds() int { return len(s.blocks) }
-
-// EncodeTo implements wire.Marshaler: a deterministic snapshot of the
-// archive (shard configuration plus every stored round in ascending
-// order), suitable for persisting a shard to disk or shipping it to a
-// bootstrapping peer.
-func (s *Store) EncodeTo(e *wire.Encoder) {
-	e.Uint64(s.ShardIndex)
-	e.Uint64(s.ShardCount)
-	rounds := make([]uint64, 0, len(s.blocks))
-	for r := range s.blocks {
-		rounds = append(rounds, r)
-	}
-	sort.Slice(rounds, func(i, j int) bool { return rounds[i] < rounds[j] })
-	e.Int(len(rounds))
-	for _, r := range rounds {
-		e.Uint64(r)
-		s.blocks[r].EncodeTo(e)
-		c, ok := s.certs[r]
-		e.Bool(ok)
-		if ok {
-			c.EncodeTo(e)
-		}
-	}
-}
-
-// DecodeFrom implements wire.Unmarshaler, rebuilding the archive and
-// its storage accounting from a snapshot.
-func (s *Store) DecodeFrom(d *wire.Decoder) {
-	s.ShardIndex = d.Uint64()
-	s.ShardCount = d.Uint64()
-	if s.ShardCount == 0 {
-		s.ShardCount = 1
-	}
-	n := d.Count(8 + blockFixedSize + 1)
-	s.blocks = make(map[uint64]*Block, n)
-	s.certs = make(map[uint64]*Certificate, n)
-	s.Bytes = 0
-	for i := 0; i < n; i++ {
-		r := d.Uint64()
-		b := new(Block)
-		b.DecodeFrom(d)
-		if d.Err() != nil {
-			return
-		}
-		s.blocks[r] = b
-		s.Bytes += int64(b.WireSize())
-		if d.Bool() {
-			c := new(Certificate)
-			c.DecodeFrom(d)
-			if d.Err() != nil {
-				return
-			}
-			s.certs[r] = c
-			s.Bytes += int64(c.WireSize())
-		}
-	}
-}

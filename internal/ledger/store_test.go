@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"algorand/internal/crypto"
-	"algorand/internal/wire"
 )
 
 // storeBlock builds a distinct block for a round; vary pad to get
@@ -142,32 +141,4 @@ func TestReconcileRespectsShard(t *testing.T) {
 		t.Fatal("shard 1/3 refused its own round 4")
 	}
 	auditBytes(t, s, 4)
-}
-
-// TestStoreSnapshotAfterReconcile: the wire snapshot round-trips the
-// reconciled archive, and the decoder rebuilds the same Bytes total the
-// mutations maintained incrementally.
-func TestStoreSnapshotAfterReconcile(t *testing.T) {
-	s := NewStore(0, 1)
-	for r := uint64(1); r <= 3; r++ {
-		b := storeBlock(r, int(r)*32)
-		s.Put(b, storeCert(b, false))
-	}
-	repl := storeBlock(2, 512)
-	s.Reconcile(repl, nil)
-
-	var out Store
-	if err := wire.Decode(wire.Encode(s), &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Rounds() != 3 || out.Bytes != s.Bytes {
-		t.Fatalf("round trip: rounds=%d bytes=%d, want rounds=3 bytes=%d",
-			out.Rounds(), out.Bytes, s.Bytes)
-	}
-	if _, ok := out.Cert(2); ok {
-		t.Fatal("erased certificate reappeared after the round trip")
-	}
-	if b, _ := out.Block(2); b.Hash() != repl.Hash() {
-		t.Fatal("reconciled block lost in the round trip")
-	}
 }

@@ -27,14 +27,14 @@ func runUnicast(nw *Network, sim *vtime.Sim, from, to int, tag string) bool {
 
 func TestPartitionsCompose(t *testing.T) {
 	// Two independently installed faults — a world split and a targeted
-	// DoS — must both apply at once. Before AddPartition the second
-	// SetPartition call silently erased the first.
+	// DoS — must both apply at once, and each heals when its window ends.
 	sim := vtime.New()
 	nw := New(sim, DefaultConfig(), 10)
 
-	cut := 5
-	nw.AddPartition(func(a, b int) bool { return (a < cut) != (b < cut) }) // split {0..4} | {5..9}
-	nw.AddPartition(func(a, b int) bool { return a == 2 || b == 2 })       // silence node 2
+	const cut, heal = 5, time.Hour
+	open := func() bool { return sim.Now() < heal }
+	nw.AddPartition(func(a, b int) bool { return open() && (a < cut) != (b < cut) }) // split {0..4} | {5..9}
+	nw.AddPartition(func(a, b int) bool { return open() && (a == 2 || b == 2) })     // silence node 2
 
 	if !nw.Partitioned(1, 7) || !nw.Partitioned(7, 1) {
 		t.Fatal("world split not applied while DoS filter installed")
@@ -58,25 +58,11 @@ func TestPartitionsCompose(t *testing.T) {
 		t.Fatal("silenced node's message delivered")
 	}
 
-	// SetPartition(nil) heals everything at once.
-	nw.SetPartition(nil)
+	// Past the window both filters let everything through.
+	sim.After(heal-sim.Now(), func() {})
+	sim.Run(0)
 	if nw.Partitioned(1, 7) || nw.Partitioned(2, 3) {
 		t.Fatal("heal did not clear all filters")
-	}
-}
-
-func TestSetPartitionReplacesFilters(t *testing.T) {
-	// Backward compatibility: SetPartition(f) installs f as the only
-	// filter, discarding previous ones.
-	sim := vtime.New()
-	nw := New(sim, DefaultConfig(), 4)
-	nw.AddPartition(func(a, b int) bool { return true })
-	nw.SetPartition(func(a, b int) bool { return a == 0 })
-	if nw.Partitioned(1, 2) {
-		t.Fatal("old filter survived SetPartition")
-	}
-	if !nw.Partitioned(0, 1) {
-		t.Fatal("new filter not installed")
 	}
 }
 

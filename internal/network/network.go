@@ -410,22 +410,11 @@ func (nw *Network) Peers(id int) []int { return nw.eps[id].peers }
 // Neighbors returns node id's full relay set (outgoing ∪ incoming).
 func (nw *Network) Neighbors(id int) []int { return nw.eps[id].neighbors }
 
-// SetPartition replaces all installed partition filters with f: when it
-// returns true for (from, to), the transfer is silently dropped. Used to
-// script network partitions (weak synchrony, §3). Pass nil to heal
-// everything. Use AddPartition to compose several concurrent faults.
-func (nw *Network) SetPartition(f func(from, to int) bool) {
-	if f == nil {
-		nw.partitions = nil
-		return
-	}
-	nw.partitions = []func(from, to int) bool{f}
-}
-
-// AddPartition installs an additional message filter alongside the
-// existing ones; a transfer is dropped when any installed filter matches
-// it. Filters that script a bounded window should gate on virtual time
-// internally (they are cheap to keep installed after expiry).
+// AddPartition installs a message filter alongside the existing ones; a
+// transfer is silently dropped when any installed filter matches it. It
+// is how a network partition is scripted (weak synchrony, §3): a filter
+// for a bounded window gates on virtual time itself (it is cheap to keep
+// installed after expiry).
 func (nw *Network) AddPartition(f func(from, to int) bool) {
 	nw.partitions = append(nw.partitions, f)
 }

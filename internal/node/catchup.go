@@ -152,7 +152,6 @@ func (n *Node) SyncFromPeersUntil(p *vtime.Proc, deadline time.Duration, target 
 		n.trySnapshotSync(p)
 		deadline += p.Now() - start
 	}
-	inbox := n.catchupInbox()
 	peerIdx := 0
 	stalls := 0
 	probedFork := false
@@ -161,21 +160,21 @@ func (n *Node) SyncFromPeersUntil(p *vtime.Proc, deadline time.Duration, target 
 		if target > 0 && n.ledger.ChainLength() >= target {
 			break
 		}
-		n.reqNonce++
+		peer := peers[peerIdx%len(peers)]
 		req := &ChainRequest{
 			FromRound: n.ledger.NextRound(),
 			MaxBlocks: 32,
 			Requester: n.ID,
-			Nonce:     n.reqNonce,
+			Nonce:     n.expect(peer, n.chainReplies),
 		}
 		if fromOverride > 0 {
 			req.FromRound = fromOverride
 			fromOverride = 0
 		}
-		n.net.Unicast(n.ID, peers[peerIdx%len(peers)], req)
+		n.net.Unicast(n.ID, peer, req)
 		peerIdx++
 
-		m, ok := p.RecvTimeout(inbox, 2*time.Second)
+		m, ok := p.RecvTimeout(n.chainReplies, 2*time.Second)
 		if !ok {
 			stalls++
 			continue
@@ -290,14 +289,6 @@ func (n *Node) tryAdoptFork(reply *ChainReply) bool {
 	}
 	n.ForkAdoptions++
 	return true
-}
-
-// catchupInbox returns the mailbox chain replies are routed to.
-func (n *Node) catchupInbox() *vtime.Mailbox {
-	if n.chainReplies == nil {
-		n.chainReplies = n.sim.NewMailbox()
-	}
-	return n.chainReplies
 }
 
 // trySyncBehind probes peers for committed rounds we are missing, in

@@ -508,6 +508,49 @@ func TestBlockFillAcceptedOnlyWhenSolicited(t *testing.T) {
 	}
 }
 
+// TestRepliesTakenOnlyWhenAsked: a chain or snapshot reply is queued for
+// the loop that asked, once, from the peer asked, echoing the nonce it
+// was asked under. A flood nobody asked for, a reply from another peer
+// and a second reply to one nonce are dropped unread, and the node
+// forgets the oldest of more than maxAsked requests.
+func TestRepliesTakenOnlyWhenAsked(t *testing.T) {
+	r := newHandlerRig(t, 5)
+	n := r.node
+	queued := func() int { return n.chainReplies.Len() + n.snapReplies.Len() }
+	for i := 0; i < 1000; i++ {
+		for _, from := range []int{1, 2} {
+			n.handleMessage(from, &ChainReply{Recipient: 0, Nonce: n.reqNonce + uint64(i)})
+			n.handleMessage(from, &SnapshotReply{Checkpoint: &ledger.Checkpoint{}, Recipient: 0, Nonce: n.reqNonce + uint64(i)})
+		}
+	}
+	if got := queued(); got != 0 {
+		t.Fatalf("%d unsolicited replies queued", got)
+	}
+
+	chain, snap := n.expect(1, n.chainReplies), n.expect(2, n.snapReplies)
+	n.handleMessage(2, &ChainReply{Recipient: 0, Nonce: chain})
+	n.handleMessage(1, &SnapshotReply{Checkpoint: &ledger.Checkpoint{}, Recipient: 0, Nonce: snap})
+	if got := queued(); got != 0 {
+		t.Fatalf("%d replies from a peer not asked queued", got)
+	}
+	for i := 0; i < 2; i++ {
+		n.handleMessage(1, &ChainReply{Recipient: 0, Nonce: chain})
+		n.handleMessage(2, &SnapshotReply{Checkpoint: &ledger.Checkpoint{}, Recipient: 0, Nonce: snap})
+	}
+	if n.chainReplies.Len() != 1 || n.snapReplies.Len() != 1 {
+		t.Fatalf("answers queued: %d chain, %d snapshot; want one each", n.chainReplies.Len(), n.snapReplies.Len())
+	}
+
+	first := n.expect(1, n.chainReplies)
+	for i := 0; i < maxAsked; i++ {
+		n.expect(1, n.chainReplies)
+	}
+	n.handleMessage(1, &ChainReply{Recipient: 0, Nonce: first})
+	if len(n.asked) != maxAsked || n.chainReplies.Len() != 1 {
+		t.Fatalf("%d requests filed, %d chain replies queued; want %d and 1", len(n.asked), n.chainReplies.Len(), maxAsked)
+	}
+}
+
 // TestPendingBufferBounded: what a node holds for the round after its own
 // cannot be verified yet, so a neighbour that floods it with next-round
 // messages fills maxPendingBytes and no more; the rest is dropped and
@@ -623,7 +666,7 @@ func TestAllocBudgetUnselectedProposer(t *testing.T) {
 
 // TestRecoveryProposalOnlyForALiveAttempt: a §8.2 recovery proposal is
 // verified, relayed and kept only for an attempt recover could be running
-// — of this checkpoint or the one before, below MaxRecoveryAttempts — and
+// — of this checkpoint or the one before, below maxRecoveryAttempts — and
 // entering a regular round forgets every recovery round. A stakeholder
 // that searches checkpoints offline until sortition picks it as fork
 // proposer must not be able to grow every honest node by an inbox, a best
@@ -657,7 +700,7 @@ func TestRecoveryProposalOnlyForALiveAttempt(t *testing.T) {
 		return inboxes, best
 	}
 
-	maxAttempts := uint64(r.node.cfg.MaxRecoveryAttempts)
+	maxAttempts := uint64(maxRecoveryAttempts)
 	var dead [][2]uint64
 	for cp := uint64(1000); cp < 1040; cp++ {
 		dead = append(dead, [2]uint64{cp, 0})

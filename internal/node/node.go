@@ -8,6 +8,7 @@ package node
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -40,37 +41,6 @@ type Transport interface {
 	Neighbors(id int) []int
 }
 
-// TransportHealth is a coarse liveness snapshot of the transport under
-// a node. The paper's liveness argument assumes the network heals
-// (§3's strong synchrony holds "most of the time"); this is the signal
-// an operator watches to know whether that assumption currently holds
-// for this node: how many peers are reachable, how many are serving a
-// misbehavior quarantine, and how much gossip the transport has shed
-// (queue drops) or repaired (redials).
-type TransportHealth struct {
-	Peers       int // address-book peers (self excluded)
-	Connected   int // peers with a live outbound connection
-	Quarantined int // peers currently quarantined for misbehavior
-	QueueDrops  uint64
-	Redials     uint64
-}
-
-// TransportHealthReporter is optionally implemented by transports that
-// can report health (internal/realnet does; the in-process simulator
-// has no failing links to report on).
-type TransportHealthReporter interface {
-	Health() TransportHealth
-}
-
-// TransportHealth reports the underlying transport's health snapshot,
-// or ok=false when the transport does not expose one.
-func (n *Node) TransportHealth() (TransportHealth, bool) {
-	if hr, ok := n.net.(TransportHealthReporter); ok {
-		return hr.Health(), true
-	}
-	return TransportHealth{}, false
-}
-
 // Config assembles a node's dependencies.
 type Config struct {
 	Params    params.Params
@@ -83,8 +53,6 @@ type Config struct {
 	// RecoveryInterval is how often nodes check for forks and kick off
 	// the §8.2 recovery protocol (the paper suggests e.g. hourly).
 	RecoveryInterval time.Duration
-	// MaxRecoveryAttempts bounds consecutive failed recovery BA⋆ tries.
-	MaxRecoveryAttempts int
 	// ShardCount configures §8.3 storage sharding (0 = store all).
 	ShardCount uint64
 	// Archive, when non-nil, is the durable on-disk form of the node's
@@ -205,10 +173,13 @@ type Node struct {
 	// would otherwise repeat its predecessor's (round, requester, nonce)
 	// triples, and peers' duplicate suppression would drop the requests.
 	reqNonce uint64
-	// chainReplies receives §8.3 catch-up replies (see catchup.go).
+	// asked is the chain and snapshot requests this node has out, oldest
+	// first (see expect and answer). chainReplies receives the answers to
+	// §8.3 catch-up (catchup.go), snapReplies those to fast sync
+	// (snapshot.go).
+	asked        []request
 	chainReplies *vtime.Mailbox
-	// snapReplies receives fast-sync snapshot replies (see snapshot.go).
-	snapReplies *vtime.Mailbox
+	snapReplies  *vtime.Mailbox
 	// blockWanted is the hash fetchBlock is waiting for, zero when it is
 	// not waiting; blockFills hands it the BlockFill that matches.
 	blockWanted crypto.Digest
@@ -296,9 +267,6 @@ func NewFromGenesis(
 	if cfg.RecoveryInterval == 0 {
 		cfg.RecoveryInterval = time.Hour
 	}
-	if cfg.MaxRecoveryAttempts == 0 {
-		cfg.MaxRecoveryAttempts = 8
-	}
 	if cfg.TxFlow.Now == nil {
 		// The pipeline clock follows the scheduler. Virtual-time runs
 		// only call into the Flow from scheduler context; realtime
@@ -321,27 +289,29 @@ func NewFromGenesis(
 		shardCount = 1
 	}
 	n := &Node{
-		ID:          id,
-		cfg:         cfg,
-		provider:    provider,
-		identity:    identity,
-		ledger:      ledger.NewFromGenesis(provider, cfg.LedgerCfg, genesis),
-		genesis:     genesis,
-		flow:        txflow.New(provider, cfg.TxFlow),
-		store:       ledger.NewStore(uint64(id), shardCount),
-		net:         net,
-		sim:         sim,
-		voteInboxes: make(map[[2]uint64]*vtime.Mailbox),
-		propInboxes: make(map[uint64]*vtime.Mailbox),
-		pendingMsgs: make(map[uint64][]network.Message),
-		pendingSize: make(map[uint64]int),
-		fetch:       blockprop.NewFetcher(id, blockprop.NewFetchMetrics(cfg.Metrics)),
-		reqNonce:    sim.Epoch(),
-		blockFills:  sim.NewMailbox(),
-		archive:     cfg.Archive,
-		reg:         cfg.Metrics,
-		tracer:      cfg.Tracer,
-		ba:          agreement.NewMetrics(cfg.Metrics),
+		ID:           id,
+		cfg:          cfg,
+		provider:     provider,
+		identity:     identity,
+		ledger:       ledger.NewFromGenesis(provider, cfg.LedgerCfg, genesis),
+		genesis:      genesis,
+		flow:         txflow.New(provider, cfg.TxFlow),
+		store:        ledger.NewStore(uint64(id), shardCount),
+		net:          net,
+		sim:          sim,
+		voteInboxes:  make(map[[2]uint64]*vtime.Mailbox),
+		propInboxes:  make(map[uint64]*vtime.Mailbox),
+		pendingMsgs:  make(map[uint64][]network.Message),
+		pendingSize:  make(map[uint64]int),
+		fetch:        blockprop.NewFetcher(id, blockprop.NewFetchMetrics(cfg.Metrics)),
+		reqNonce:     sim.Epoch(),
+		blockFills:   sim.NewMailbox(),
+		chainReplies: sim.NewMailbox(),
+		snapReplies:  sim.NewMailbox(),
+		archive:      cfg.Archive,
+		reg:          cfg.Metrics,
+		tracer:       cfg.Tracer,
+		ba:           agreement.NewMetrics(cfg.Metrics),
 	}
 	n.roundsTotal = cfg.Metrics.Counter("algorand_node_rounds_total", "rounds this node completed")
 	n.roundsEmpty = cfg.Metrics.Counter("algorand_node_rounds_empty_total", "completed rounds that committed the empty block")
@@ -385,9 +355,6 @@ func (n *Node) HandleMessage(from int, m network.Message) network.Verdict {
 
 // Store exposes the node's §8.3 archive.
 func (n *Node) Store() *ledger.Store { return n.store }
-
-// Archive exposes the node's durable on-disk store, if configured.
-func (n *Node) Archive() *diskstore.Store { return n.archive }
 
 // PersistErrors reports how many archive writes failed permanently
 // (after the diskstore's own rotate-and-retry) — each one a commit the
@@ -568,10 +535,7 @@ func (n *Node) handleMessage(from int, m network.Message) network.Verdict {
 		return n.handleChainRequest(from, msg)
 
 	case *ChainReply:
-		if msg.Recipient == n.ID {
-			n.catchupInbox().Send(msg)
-		}
-		return network.Verdict{Relay: false}
+		return n.answer(from, msg.Nonce, msg)
 
 	case *BlockFill:
 		// The answer to fetchBlock's request, and only that: a fill nobody
@@ -593,12 +557,48 @@ func (n *Node) handleMessage(from int, m network.Message) network.Verdict {
 		return n.handleSnapshotRequest(from, msg)
 
 	case *SnapshotReply:
-		if msg.Recipient == n.ID {
-			n.snapshotInbox().Send(msg)
-		}
-		return network.Verdict{Relay: false}
+		return n.answer(from, msg.Nonce, msg)
 	}
 	return network.Verdict{}
+}
+
+// maxAsked bounds the requests a node remembers having out.
+const maxAsked = 64
+
+// request is a chain or snapshot request this node has out: the nonce it
+// carries, the peer asked, and the mailbox its answer goes to.
+type request struct {
+	nonce uint64
+	peer  int
+	box   *vtime.Mailbox
+}
+
+// expect numbers a request to peer whose answer goes to box, and files
+// it; the oldest filed request is forgotten once maxAsked are out. A
+// late answer, to a request its loop has stopped waiting for, still
+// counts until then.
+func (n *Node) expect(peer int, box *vtime.Mailbox) uint64 {
+	n.reqNonce++
+	if len(n.asked) == maxAsked {
+		n.asked = slices.Delete(n.asked, 0, 1)
+	}
+	n.asked = append(n.asked, request{nonce: n.reqNonce, peer: peer, box: box})
+	return n.reqNonce
+}
+
+// answer hands a reply to the loop that asked for it: once, from the
+// peer asked, echoing the nonce it was asked under. Anything else is
+// dropped unread, so no peer can make this node queue what it did not
+// ask for.
+func (n *Node) answer(from int, nonce uint64, m network.Message) network.Verdict {
+	for i, r := range n.asked {
+		if r.nonce == nonce && r.peer == from {
+			n.asked = slices.Delete(n.asked, i, i+1)
+			r.box.Send(m)
+			break
+		}
+	}
+	return network.Verdict{Relay: false}
 }
 
 // announceCommit tells direct neighbors this node just committed the

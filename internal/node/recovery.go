@@ -10,6 +10,9 @@ import (
 	"algorand/internal/sortition"
 )
 
+// maxRecoveryAttempts bounds consecutive failed recovery BA⋆ tries.
+const maxRecoveryAttempts = 8
+
 // recover runs the §8.2 fork-recovery protocol: propose the longest
 // fork (as an empty block extending its tip) via sortition with a
 // dedicated role, agree on one proposal with BA⋆ using seed and weights
@@ -44,7 +47,7 @@ func (n *Node) recover() {
 			n.proc.Sleep(d)
 		}
 	}()
-	for attempt := 0; attempt < n.cfg.MaxRecoveryAttempts; attempt++ {
+	for attempt := 0; attempt < maxRecoveryAttempts; attempt++ {
 		// A failed attempt takes up to one round budget, so gate on the
 		// attempt *finishing* by windowEnd — an attempt that merely starts
 		// before the bound overruns it, pushes the retry round across the
@@ -103,7 +106,7 @@ func (n *Node) recoveryContext(checkpoint, attempt uint64) *agreement.Context {
 // recoveryCtxForRound rebuilds the context a recovery-round message
 // belongs to; the coordinates are encoded in the round number. Only an
 // attempt recover could be running is one: of this checkpoint or the one
-// before, on the clock recover reads, and below MaxRecoveryAttempts.
+// before, on the clock recover reads, and below maxRecoveryAttempts.
 // Anything else would let a stakeholder search coordinates offline until
 // sortition picks it, and have every node verify, relay and keep each hit.
 func (n *Node) recoveryCtxForRound(round uint64) *agreement.Context {
@@ -113,7 +116,7 @@ func (n *Node) recoveryCtxForRound(round uint64) *agreement.Context {
 	off := round - ledger.RecoveryRoundBase
 	checkpoint, attempt := off/1024, off%1024
 	now := uint64(n.sim.Now() / n.cfg.RecoveryInterval)
-	if checkpoint > now || checkpoint+1 < now || attempt >= uint64(n.cfg.MaxRecoveryAttempts) {
+	if checkpoint > now || checkpoint+1 < now || attempt >= maxRecoveryAttempts {
 		return nil
 	}
 	return n.recoveryContext(checkpoint, attempt)

@@ -74,14 +74,6 @@ func (n *Node) handleSnapshotRequest(from int, msg *SnapshotRequest) network.Ver
 	return network.Verdict{Relay: false}
 }
 
-// snapshotInbox returns the mailbox snapshot replies are routed to.
-func (n *Node) snapshotInbox() *vtime.Mailbox {
-	if n.snapReplies == nil {
-		n.snapReplies = n.sim.NewMailbox()
-	}
-	return n.snapReplies
-}
-
 // VerifyCheckpoint checks a checkpoint as transferable proof that the
 // network committed its block, using only common knowledge: the
 // genesis state held by base. Structural integrity first (certificate
@@ -140,7 +132,6 @@ func (n *Node) trySnapshotSync(p *vtime.Proc) bool {
 	if len(peers) == 0 {
 		return false
 	}
-	inbox := n.snapshotInbox()
 	for attempt, peer := range peers {
 		if attempt > 0 {
 			p.Sleep(time.Duration(attempt) * 500 * time.Millisecond)
@@ -148,13 +139,12 @@ func (n *Node) trySnapshotSync(p *vtime.Proc) bool {
 		if n.halted {
 			return false
 		}
-		n.reqNonce++
 		n.net.Unicast(n.ID, peer, &SnapshotRequest{
 			MinRound:  n.ledger.ChainLength(),
 			Requester: n.ID,
-			Nonce:     n.reqNonce,
+			Nonce:     n.expect(peer, n.snapReplies),
 		})
-		m, ok := p.RecvTimeout(inbox, 2*time.Second)
+		m, ok := p.RecvTimeout(n.snapReplies, 2*time.Second)
 		if !ok {
 			continue // peer has no newer checkpoint, or is gone
 		}

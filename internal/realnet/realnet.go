@@ -208,25 +208,10 @@ type Transport struct {
 	onError func(err error)
 }
 
-// New creates a transport for node id, listening on addrs[id]. The
-// addrs slice is the shared address book (§9: "we currently provide
-// each user with an address book file listing the IP address and port
-// for every user").
-func New(sim *vtime.Sim, id int, addrs []string) (*Transport, error) {
-	ln, err := net.Listen("tcp", addrs[id])
-	if err != nil {
-		return nil, fmt.Errorf("realnet: listen %s: %w", addrs[id], err)
-	}
-	return NewWithListener(sim, id, addrs, ln), nil
-}
-
-// NewWithListener is New with a pre-bound listener (tests bind :0 first
-// to learn their ports) and default configuration.
-func NewWithListener(sim *vtime.Sim, id int, addrs []string, ln net.Listener) *Transport {
-	return NewWithConfig(sim, id, addrs, ln, DefaultConfig())
-}
-
-// NewWithConfig is NewWithListener with explicit tuning.
+// NewWithConfig creates a transport for node id, serving on ln, which
+// the caller has bound to addrs[id]. The addrs slice is the shared
+// address book (§9: "we currently provide each user with an address
+// book file listing the IP address and port for every user").
 func NewWithConfig(sim *vtime.Sim, id int, addrs []string, ln net.Listener, cfg Config) *Transport {
 	ctx, cancel := context.WithCancel(context.Background())
 	reg := cfg.Metrics

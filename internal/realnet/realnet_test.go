@@ -35,14 +35,16 @@ func TestRealTCPConsensus(t *testing.T) {
 		}
 	}
 
-	// The health surface reports full connectivity and no quarantines
-	// after a clean run.
-	h, ok := c.nodes[0].TransportHealth()
-	if !ok {
-		t.Fatal("realnet transport must report health")
+	// The transport's view holds every peer and no quarantine after a
+	// clean run.
+	s := c.transports[0].Stats()
+	if len(s.Peers) != n-1 {
+		t.Fatalf("%d peers, want %d", len(s.Peers), n-1)
 	}
-	if h.Peers != n-1 || h.Quarantined != 0 {
-		t.Fatalf("health %+v, want %d peers and no quarantines", h, n-1)
+	for _, p := range s.Peers {
+		if p.Quarantined {
+			t.Fatalf("peer %d quarantined after a clean run", p.Peer)
+		}
 	}
 }
 

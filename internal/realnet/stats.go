@@ -99,24 +99,6 @@ func (t *Transport) Stats() Stats {
 	return s
 }
 
-// Health implements node.TransportHealthReporter: the coarse liveness
-// summary the node (and its operator) watches.
-func (t *Transport) Health() nodepkg.TransportHealth {
-	s := t.Stats()
-	h := nodepkg.TransportHealth{Peers: len(s.Peers)}
-	for _, p := range s.Peers {
-		if p.Connected {
-			h.Connected++
-		}
-		if p.Quarantined {
-			h.Quarantined++
-		}
-		h.QueueDrops += p.QueueDrops
-		h.Redials += p.Redials
-	}
-	return h
-}
-
 // String renders a compact operator-facing summary, one line per peer.
 func (s Stats) String() string {
 	var b strings.Builder

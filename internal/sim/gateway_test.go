@@ -73,16 +73,12 @@ func TestGatewayPartitionRecovery(t *testing.T) {
 	c := NewCluster(cfg)
 	c.GatewayWorkload(40, 11)
 
-	// Cut gateway 0 (network id n) off from everyone for a window long
-	// enough to span complete rounds, then heal.
+	// Cut gateway 0 (network id n) off from everyone from 20 s to 80 s, a
+	// window long enough to span complete rounds, then heal.
 	gwID := n
-	c.Sim.Spawn("partitioner", func(p *vtime.Proc) {
-		p.Sleep(20 * time.Second)
-		c.Net.AddPartition(func(from, to int) bool {
-			return from == gwID || to == gwID
-		})
-		p.Sleep(60 * time.Second)
-		c.Net.SetPartition(nil)
+	c.Net.AddPartition(func(from, to int) bool {
+		now := c.Sim.Now()
+		return (from == gwID || to == gwID) && now >= 20*time.Second && now < 80*time.Second
 	})
 	c.Run()
 

@@ -113,9 +113,6 @@ func New(now func() time.Duration, capRounds int) *Tracer {
 	}
 }
 
-// Now reads the tracer's clock.
-func (t *Tracer) Now() time.Duration { return t.now() }
-
 // WallNow reads the tracer's wall clock. Synchronous compute phases
 // (block assembly, commit, persist) cost zero *virtual* time — the
 // simulator only advances the clock for modeled waits — so recording
@@ -166,15 +163,6 @@ func (t *Tracer) Record(round uint64, phase Phase, step uint64, start, end time.
 	t.mu.Unlock()
 	if h != nil {
 		h.ObserveDuration(end - start)
-	}
-}
-
-// Begin opens a span at the clock's current reading and returns a
-// closure that records it when called.
-func (t *Tracer) Begin(round uint64, phase Phase, step uint64) func() {
-	start := t.now()
-	return func() {
-		t.Record(round, phase, step, start, t.now())
 	}
 }
 

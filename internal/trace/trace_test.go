@@ -61,19 +61,6 @@ func TestRecordAndQuery(t *testing.T) {
 	}
 }
 
-func TestBegin(t *testing.T) {
-	clk := &fakeClock{}
-	tr := New(clk.Now, 0)
-	end := tr.Begin(7, PhaseCommit, 0)
-	clk.Advance(25 * time.Millisecond)
-	end()
-
-	rounds := tr.Rounds()
-	if len(rounds) != 1 || rounds[0].Spans[0].Duration() != 25*time.Millisecond {
-		t.Fatalf("rounds = %+v", rounds)
-	}
-}
-
 func TestRingEviction(t *testing.T) {
 	clk := &fakeClock{}
 	tr := New(clk.Now, 4)
@@ -160,8 +147,7 @@ func TestConcurrentRecord(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				r := uint64(w*500 + i)
 				tr.Record(r, PhaseRound, 0, 0, time.Duration(i)*time.Microsecond)
-				end := tr.Begin(r, PhaseCommit, 0)
-				end()
+				tr.Record(r, PhaseCommit, 0, 0, time.Duration(i)*time.Microsecond)
 			}
 		}(w)
 	}

@@ -426,9 +426,6 @@ func (p *Proc) park() wake {
 	return <-p.resume
 }
 
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
 // Sim returns the simulation this process belongs to.
 func (p *Proc) Sim() *Sim { return p.sim }
 

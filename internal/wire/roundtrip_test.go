@@ -411,40 +411,6 @@ func TestTxBatchDecodeRejectsHostileInputs(t *testing.T) {
 	}
 }
 
-func TestStoreSnapshotRoundTrip(t *testing.T) {
-	s := ledger.NewStore(0, 1)
-	b := sampleBlock()
-	if !s.Put(b, sampleCert()) {
-		t.Fatal("Put refused")
-	}
-	b2 := sampleBlock()
-	b2.Round = 13
-	if !s.Put(b2, nil) {
-		t.Fatal("Put refused")
-	}
-
-	data := wire.Encode(s)
-	got := new(ledger.Store)
-	if err := wire.Decode(data, got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Rounds() != s.Rounds() || got.Bytes != s.Bytes {
-		t.Fatalf("snapshot: %d rounds / %d bytes, want %d / %d",
-			got.Rounds(), got.Bytes, s.Rounds(), s.Bytes)
-	}
-	gb, ok := got.Block(12)
-	if !ok || gb.Hash() != b.Hash() {
-		t.Fatal("block 12 lost in snapshot")
-	}
-	if _, ok := got.Cert(12); !ok {
-		t.Fatal("cert 12 lost in snapshot")
-	}
-	// Deterministic: re-encoding the decoded store is byte-identical.
-	if !bytes.Equal(data, wire.Encode(got)) {
-		t.Fatal("snapshot re-encoding differs")
-	}
-}
-
 // roundTripBlocks is every block the universal round-trip tables hold,
 // the table's own and those that ride inside a gossip message, plus the
 // shapes between them: payments without padding, padding without
