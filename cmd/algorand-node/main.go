@@ -154,7 +154,7 @@ func main() {
 		// A node with a data directory may be a restart or a late joiner:
 		// own checkpoint, own archive, peer snapshot if the disk held
 		// nothing, delta catch-up, then the rounds.
-		restored, err := nd.Rejoin(archive.Recovered(), time.Minute)
+		restored, err := nd.Rejoin(time.Minute)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "archive restore: %v\n", err)
 			os.Exit(1)

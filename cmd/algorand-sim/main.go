@@ -22,7 +22,6 @@ func main() {
 		malicious = flag.Float64("malicious", 0, "fraction of equivocating users (0..0.3)")
 		seed      = flag.Int64("seed", 1, "simulation seed")
 		realCrypt = flag.Bool("real-crypto", false, "use full Ed25519+ECVRF instead of the fast provider")
-		shards    = flag.Uint64("shards", 0, "storage shard count (0 = archive everything)")
 	)
 	flag.Parse()
 
@@ -30,7 +29,6 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Params.BlockSize = *blockSize
 	cfg.UseRealCrypto = *realCrypt
-	cfg.ShardCount = *shards
 
 	fmt.Printf("simulating %d users, %d rounds, %d KB blocks (crypto: %s)\n",
 		*n, *rounds, *blockSize>>10, providerName(*realCrypt))

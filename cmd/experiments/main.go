@@ -49,7 +49,7 @@ func main() {
 		fmt.Println("# Figure 3: committee size vs honest fraction (violation <= 5e-9)")
 		fmt.Println("h\ttau\tT")
 		for _, p := range experiments.Figure3(experiments.DefaultFigure3Fractions()) {
-			fmt.Printf("%.2f\t%d\t%.3f\n", p.HonestFraction, p.Tau, p.Threshold)
+			fmt.Printf("%.2f\t%d\t%.3f\n", p.Honest, p.Tau, p.Threshold)
 		}
 		fmt.Println()
 	}

@@ -27,7 +27,6 @@ func main() {
 	const txPerSecond = 40.0
 
 	cfg := algorand.NewSimConfig(users, rounds)
-	cfg.ShardCount = 1    // every node archives everything (for catch-up)
 	cfg.WeightEach = 1000 // fund sustained fee-paying traffic
 	cfg.Gateways = 2      // clients enter through the access tier
 	cluster := algorand.NewCluster(cfg)
@@ -91,14 +90,14 @@ func main() {
 	fmt.Printf("load driver: submitted=%d admitted=%d retries=%d backoffs=%d stale-resyncs=%d\n",
 		ws.Submitted, ws.Admitted, ws.Retries, ws.Backoffs, ws.StaleSync)
 
-	// A new user joins: fetch blocks + certificates from node 0's
-	// archive and validate everything from genesis (§8.3).
+	// A new user joins: fetch blocks + certificates from node 0's chain
+	// and validate everything from genesis (§8.3).
 	src := cluster.Nodes[0]
 	var blocks []*algorand.Block
 	var certs []*algorand.Certificate
 	for r := uint64(1); r <= src.Ledger().ChainLength(); r++ {
-		b, _ := src.Store().Block(r)
-		c, _ := src.Store().Cert(r)
+		b, _ := src.Ledger().BlockAt(r)
+		c, _ := src.Ledger().CertificateAt(r)
 		blocks = append(blocks, b)
 		certs = append(certs, c)
 	}

@@ -94,9 +94,6 @@ func CheckDurability(r *Result) []Violation {
 		}
 		chain, base := n.Ledger().ChainLength(), chainBase(n.Ledger())
 		for rd := uint64(1); rd <= chain; rd++ {
-			if img.ShardCount > 1 && rd%img.ShardCount != img.ShardIndex {
-				continue // §8.3 sharding: not this archive's round
-			}
 			want, ok := target.BlockAt(rd)
 			if !ok {
 				continue // a chain-gap violation is already reported

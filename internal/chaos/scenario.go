@@ -180,9 +180,9 @@ type Scenario struct {
 	// directory. Crashes then lose the process but keep the disk:
 	// restarts recover through the full diskstore scan (torn-tail
 	// truncation, checksums, certificate re-verification) instead of the
-	// crashed process's memory image, and the durability invariant
-	// re-opens every data dir cold after the run and demands the disk
-	// chain equal the network's, byte for byte.
+	// certified chain the crashed process's ledger held, and the
+	// durability invariant re-opens every data dir cold after the run
+	// and demands the disk chain equal the network's, byte for byte.
 	Durable bool
 
 	// Checkpoint, when > 0, makes every node write a state checkpoint

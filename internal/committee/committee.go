@@ -135,9 +135,9 @@ func MinTau(h, target float64) (tau uint64, T float64) {
 
 // Figure3Point is one point of the Figure 3 curve.
 type Figure3Point struct {
-	HonestFraction float64
-	Tau            uint64
-	Threshold      float64
+	Honest    float64 // h, the honest fraction of the money
+	Tau       uint64
+	Threshold float64
 }
 
 // Figure3 computes the committee-size curve for the given honest
@@ -146,7 +146,7 @@ func Figure3(fractions []float64) []Figure3Point {
 	pts := make([]Figure3Point, 0, len(fractions))
 	for _, h := range fractions {
 		tau, T := MinTau(h, 5e-9)
-		pts = append(pts, Figure3Point{HonestFraction: h, Tau: tau, Threshold: T})
+		pts = append(pts, Figure3Point{Honest: h, Tau: tau, Threshold: T})
 	}
 	return pts
 }

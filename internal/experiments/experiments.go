@@ -254,7 +254,6 @@ type CostsReport struct {
 func Costs(scale Scale) CostsReport {
 	n := scale.users(100)
 	cfg := sim.DefaultConfig(n, scale.Rounds)
-	cfg.ShardCount = 10
 	c := sim.NewCluster(cfg)
 	end := c.Run()
 	if err := c.AgreementCheck(); err != nil {
@@ -277,10 +276,23 @@ func Costs(scale Scale) CostsReport {
 	paperVotes := 1371 // ⌊0.685·2000⌋+1
 	certKB := float64(ledger.CertWireSize(paperVotes)) / 1024
 
-	// Sharded storage per block: every 10th (block + certificate).
+	// Sharded storage per block: user i keeps the rounds ≡ i (mod 10) of
+	// its chain, each block with its certificate.
+	const shards = 10
 	var storage int64
-	for _, nd := range c.Nodes {
-		storage += nd.Store().Bytes
+	for i, nd := range c.Nodes {
+		l := nd.Ledger()
+		for r := uint64(1); r <= l.ChainLength(); r++ {
+			if r%shards != uint64(i%shards) {
+				continue
+			}
+			if b, ok := l.BlockAt(r); ok {
+				storage += int64(b.WireSize())
+			}
+			if cert, ok := l.CertificateAt(r); ok {
+				storage += int64(cert.WireSize())
+			}
+		}
 	}
 	blocks := float64(cfg.Rounds)
 	perUserPerBlockKB := float64(storage) / float64(n) / blocks / 1024

@@ -30,6 +30,7 @@
 package gateway
 
 import (
+	"slices"
 	"strconv"
 	"time"
 
@@ -81,9 +82,6 @@ type Config struct {
 	// read model's chain replica needs it to derive the same sortition
 	// seeds and look-back weights the committee used.
 	LedgerCfg ledger.Config
-	// RecentBlocks bounds the ring of full blocks retained for
-	// block-by-round queries. Default 64.
-	RecentBlocks int
 	// StatusTTL bounds how long committed and pending transaction ids
 	// are queryable in the status index (a TTL'd two-generation cache,
 	// not an unbounded map). Entries live between TTL and 2×TTL.
@@ -141,9 +139,6 @@ func (c Config) withDefaults() Config {
 	if c.ResendBudget <= 0 {
 		c.ResendBudget = 256 << 10
 	}
-	if c.RecentBlocks <= 0 {
-		c.RecentBlocks = 64
-	}
 	if c.StatusTTL <= 0 {
 		c.StatusTTL = 5 * time.Minute
 	}
@@ -174,11 +169,25 @@ type Gateway struct {
 	// window would otherwise repeat its predecessor's request ids and
 	// have its first chain fill dropped.
 	reqNonce uint64
+	// asked is the chain requests out, oldest first, at most maxAsked: a
+	// ChainReply is applied once, from the peer asked, echoing the nonce
+	// it was asked under (the rule node.answer follows), so no neighbour
+	// can buy a certificate verification with a reply nobody asked for.
+	asked []ask
 
 	halted bool
 
 	reg *metrics.Registry
 	c   gwCounters
+}
+
+// maxAsked bounds the chain requests a gateway remembers having out.
+const maxAsked = 64
+
+// ask is one chain request out: its nonce and the peer asked.
+type ask struct {
+	nonce uint64
+	peer  int
 }
 
 type gwCounters struct {
@@ -215,7 +224,7 @@ func New(id int, sim *vtime.Sim, net node.Transport, provider crypto.Provider, c
 		net:  net,
 		flow: txflow.New(provider, cfg.Flow),
 		rm: NewReadModel(provider, cfg.LedgerCfg, cfg.Committee, genesis, seed0,
-			cfg.RecentBlocks, cfg.StatusTTL, sim.Now),
+			cfg.StatusTTL, sim.Now),
 		rr:        make([]int, cfg.Clusters),
 		fetchedAt: make(map[crypto.Digest]time.Duration),
 		reqNonce:  sim.Epoch(),
@@ -329,7 +338,8 @@ func (g *Gateway) handleMessage(from int, m network.Message) network.Verdict {
 		g.c.announces.Inc()
 		g.observeAnnounce(msg)
 	case *node.ChainReply:
-		if msg.Recipient == g.ID {
+		if i := slices.Index(g.asked, ask{msg.Nonce, from}); i >= 0 {
+			g.asked = slices.Delete(g.asked, i, i+1)
 			g.applyRun(msg.Blocks, msg.Certs)
 		}
 	}
@@ -358,6 +368,10 @@ func (g *Gateway) observeAnnounce(msg *node.CommitAnnounce) {
 	g.gcFetches(now)
 	g.c.chainFills.Inc()
 	g.reqNonce++
+	if len(g.asked) == maxAsked {
+		g.asked = slices.Delete(g.asked, 0, 1)
+	}
+	g.asked = append(g.asked, ask{g.reqNonce, msg.Announcer})
 	g.net.Unicast(g.ID, msg.Announcer, &node.ChainRequest{
 		FromRound: act.FromRound, MaxBlocks: 64, Requester: g.ID, Nonce: g.reqNonce,
 	})

@@ -255,7 +255,7 @@ func TestAnnounceDrivesChainFetchAndCertifiedApply(t *testing.T) {
 	}
 	// The certified reply applies the block.
 	h.gw.handleMessage(0, &node.ChainReply{
-		Blocks: []*ledger.Block{b1}, Certs: []*ledger.Certificate{cert1}, Recipient: 100,
+		Blocks: []*ledger.Block{b1}, Certs: []*ledger.Certificate{cert1}, Recipient: 100, Nonce: req.Nonce,
 	})
 	round, head := h.gw.rm.Head()
 	if round != 1 || head != b1.Hash() {
@@ -311,14 +311,32 @@ func TestApplyRejectsUncertifiedAndForgedBlocks(t *testing.T) {
 	}
 }
 
+// lastRequest returns the chain request the gateway sent last.
+func (h *testHarness) lastRequest(t *testing.T) *node.ChainRequest {
+	t.Helper()
+	if len(h.net.unicasts) == 0 {
+		t.Fatal("the gateway sent no chain request")
+	}
+	req, ok := h.net.unicasts[len(h.net.unicasts)-1].m.(*node.ChainRequest)
+	if !ok {
+		t.Fatalf("last unicast is %T, not a chain request", h.net.unicasts[len(h.net.unicasts)-1].m)
+	}
+	return req
+}
+
+// forgedReply is a reply carrying b under a certificate no committee
+// signed.
+func (h *testHarness) forgedReply(b *ledger.Block, nonce uint64) *node.ChainReply {
+	forged := &ledger.Certificate{Round: b.Round, Step: 1, Value: b.Hash(),
+		Votes: []ledger.Vote{{Sender: h.ids[1].PublicKey(), Round: b.Round, Step: 1, Value: b.Hash()}}}
+	return &node.ChainReply{Blocks: []*ledger.Block{b}, Certs: []*ledger.Certificate{forged}, Recipient: 100, Nonce: nonce}
+}
+
 func TestForgedReplyCountsCertReject(t *testing.T) {
 	h := newHarness(t, Config{}, 4)
 	b1 := h.propose(*h.tx(t, 0, 1, 0))
-	forged := &ledger.Certificate{Round: 1, Step: 1, Value: b1.Hash(),
-		Votes: []ledger.Vote{{Sender: h.ids[1].PublicKey(), Round: 1, Step: 1, Value: b1.Hash()}}}
-	h.gw.handleMessage(0, &node.ChainReply{
-		Blocks: []*ledger.Block{b1}, Certs: []*ledger.Certificate{forged}, Recipient: 100,
-	})
+	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash(), Announcer: 0})
+	h.gw.handleMessage(0, h.forgedReply(b1, h.lastRequest(t).Nonce))
 	if round, _ := h.gw.rm.Head(); round != 0 {
 		t.Fatalf("forged reply moved the head to %d", round)
 	}
@@ -352,10 +370,104 @@ func TestGapTriggersChainFillAndCatchUp(t *testing.T) {
 		t.Fatalf("unexpected gap fill %#v", h.net.unicasts[0].m)
 	}
 	// The reply catches the model up, verifying every certificate.
-	h.gw.handleMessage(1, &node.ChainReply{Blocks: blocks, Certs: certs, Recipient: 100})
+	h.gw.handleMessage(0, &node.ChainReply{Blocks: blocks, Certs: certs, Recipient: 100, Nonce: req.Nonce})
 	round, head := h.gw.rm.Head()
 	if round != 3 || head != blocks[2].Hash() {
 		t.Fatalf("head = (%d, %x), want (3, %x)", round, head, blocks[2].Hash())
+	}
+}
+
+// TestRepliesAppliedOnlyWhenAsked: a gateway applies a ChainReply once,
+// from the peer it asked, echoing the nonce it asked under. Anything
+// else is dropped before a certificate is looked at, so no neighbour can
+// make it verify what it did not ask for.
+func TestRepliesAppliedOnlyWhenAsked(t *testing.T) {
+	h := newHarness(t, Config{}, 4)
+	b1 := h.propose()
+	cert1 := h.certify(b1, false)
+
+	// Unsolicited, forged: neither applied nor verified.
+	h.gw.handleMessage(0, h.forgedReply(b1, 1))
+	if round, _ := h.gw.rm.Head(); round != 0 {
+		t.Fatalf("unsolicited reply moved the head to %d", round)
+	}
+	if st := h.gw.Stats(); st.CertRejects != 0 {
+		t.Fatalf("unsolicited reply cost %d certificate verifications", st.CertRejects)
+	}
+
+	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash(), Announcer: 0})
+	nonce := h.lastRequest(t).Nonce
+	genuine := func(from int, nonce uint64) {
+		h.gw.handleMessage(from, &node.ChainReply{
+			Blocks: []*ledger.Block{b1}, Certs: []*ledger.Certificate{cert1}, Recipient: 100, Nonce: nonce,
+		})
+	}
+	genuine(1, nonce)   // another peer
+	genuine(0, nonce+1) // another nonce
+	if st := h.gw.Stats(); st.BlocksApplied != 0 || st.CertRejects != 0 {
+		t.Fatalf("stray replies: blocksApplied=%d certRejects=%d, want 0/0", st.BlocksApplied, st.CertRejects)
+	}
+	genuine(0, nonce)
+	if round, head := h.gw.rm.Head(); round != 1 || head != b1.Hash() {
+		t.Fatalf("the reply asked for did not apply: head (%d, %x)", round, head)
+	}
+	// Answered once: a repeat is not taken again.
+	h.gw.handleMessage(0, h.forgedReply(b1, nonce))
+	if st := h.gw.Stats(); st.BlocksApplied != 1 || st.CertRejects != 0 {
+		t.Fatalf("after a repeat: blocksApplied=%d certRejects=%d, want 1/0", st.BlocksApplied, st.CertRejects)
+	}
+}
+
+// TestOldestRequestForgotten: the gateway files at most maxAsked chain
+// requests; the oldest goes first.
+func TestOldestRequestForgotten(t *testing.T) {
+	h := newHarness(t, Config{}, 4)
+	b1 := h.propose()
+	var nonces []uint64
+	h.sim.Spawn("announcer", func(p *vtime.Proc) {
+		for i := 0; i <= maxAsked; i++ {
+			h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash(), Announcer: 0})
+			nonces = append(nonces, h.lastRequest(t).Nonce)
+			p.Sleep(2 * time.Second) // past the per-round refetch window
+		}
+	})
+	h.sim.Run(time.Hour)
+	if len(nonces) != maxAsked+1 || len(h.gw.asked) != maxAsked {
+		t.Fatalf("%d requests sent, %d filed; want %d and %d", len(nonces), len(h.gw.asked), maxAsked+1, maxAsked)
+	}
+	h.gw.handleMessage(0, h.forgedReply(b1, nonces[0]))
+	if st := h.gw.Stats(); st.CertRejects != 0 {
+		t.Fatal("a reply to a forgotten request was verified")
+	}
+	h.gw.handleMessage(0, h.forgedReply(b1, nonces[1]))
+	if st := h.gw.Stats(); st.CertRejects != 1 {
+		t.Fatal("a reply to a filed request was not verified")
+	}
+}
+
+// TestBlockQueryReadsTheReplica: a block query answers any applied
+// round, however far back, from the read model's own chain.
+func TestBlockQueryReadsTheReplica(t *testing.T) {
+	h := newHarness(t, Config{}, 4)
+	var blocks []*ledger.Block
+	for r := 0; r < 70; r++ {
+		blocks = append(blocks, h.advance(t))
+	}
+	for _, want := range []*ledger.Block{blocks[0], blocks[5], blocks[69]} {
+		got, ok := h.gw.rm.BlockAt(want.Round)
+		if !ok || got.Hash() != want.Hash() {
+			t.Fatalf("round %d of 70: block not answered", want.Round)
+		}
+	}
+	if _, ok := h.gw.rm.BlockAt(71); ok {
+		t.Fatal("answered a round not applied yet")
+	}
+	if _, ok := h.gw.rm.BlockAt(0); ok {
+		t.Fatal("answered genesis as an applied block")
+	}
+	reply, ok := h.gw.handleQuery([]byte(`{"op":"block","round":1}`)).(queryReply)
+	if !ok || !reply.Ok || reply.Round != 1 || reply.AsOfRound != 70 {
+		t.Fatalf("block query for round 1: %+v", reply)
 	}
 }
 

@@ -31,10 +31,6 @@ type ReadModel struct {
 
 	committee ledger.CommitteeParams
 
-	// recent is a ring of the last RecentBlocks applied blocks,
-	// indexed by round % len.
-	recent []*ledger.Block
-
 	// committed maps tx id → commit round for status queries; pending
 	// marks ids admitted at this gateway and not yet seen committed.
 	// Both are TTL'd two-generation caches, so the status index stays
@@ -68,10 +64,7 @@ type FetchAction struct {
 // certificates are verified under the cluster's committee parameters.
 func NewReadModel(provider crypto.Provider, lcfg ledger.Config, committee ledger.CommitteeParams,
 	genesis map[crypto.PublicKey]uint64, seed0 crypto.Digest,
-	recentBlocks int, statusTTL time.Duration, now func() time.Duration) *ReadModel {
-	if recentBlocks <= 0 {
-		recentBlocks = 64
-	}
+	statusTTL time.Duration, now func() time.Duration) *ReadModel {
 	if statusTTL <= 0 {
 		statusTTL = 5 * time.Minute
 	}
@@ -81,7 +74,6 @@ func NewReadModel(provider crypto.Provider, lcfg ledger.Config, committee ledger
 	return &ReadModel{
 		l:         ledger.New(provider, lcfg, genesis, seed0),
 		committee: committee,
-		recent:    make([]*ledger.Block, recentBlocks),
 		committed: cache.New[crypto.Digest, uint64](statusTTL),
 		pending:   cache.New[crypto.Digest, struct{}](statusTTL),
 		now:       now,
@@ -119,7 +111,6 @@ func (rm *ReadModel) ApplyRun(blocks []*ledger.Block, certs []*ledger.Certificat
 		for i := range b.Txns {
 			rm.committed.Put(b.Txns[i].ID(), b.Round, now)
 		}
-		rm.recent[int(b.Round)%len(rm.recent)] = b
 	}
 	return applied, rm.l.Balances(), err
 }
@@ -173,16 +164,14 @@ func (rm *ReadModel) TxStatus(id crypto.Digest) (status string, round, asOfRound
 	return StatusUnknown, 0, asOfRound
 }
 
-// BlockAt returns a recently applied block by round, if it is still
-// in the ring.
+// BlockAt returns the applied block of a round from the replica.
 func (rm *ReadModel) BlockAt(round uint64) (*ledger.Block, bool) {
 	rm.mu.RLock()
 	defer rm.mu.RUnlock()
-	b := rm.recent[int(round)%len(rm.recent)]
-	if b == nil || b.Round != round {
-		return nil, false
+	if round == 0 {
+		return nil, false // genesis is no applied block
 	}
-	return b, true
+	return rm.l.BlockAt(round)
 }
 
 // SnapshotBalances deep-copies the current account state (the router

@@ -98,7 +98,7 @@ func (g *Gateway) handleQuery(raw []byte) any {
 		headRound, _ := rm.Head()
 		b, ok := rm.BlockAt(q.Round)
 		if !ok {
-			return queryReply{Ok: false, Error: "block: not retained", AsOfRound: headRound}
+			return queryReply{Ok: false, Error: "block: not applied", AsOfRound: headRound}
 		}
 		h := b.Hash()
 		return queryReply{

@@ -209,6 +209,16 @@ func (l *Ledger) seedRound(r uint64) uint64 {
 	return r - back
 }
 
+// weightRound returns the round whose balances weigh sortition at round
+// r: LookbackRounds before the seed round, clamped at genesis (§5.3).
+func (l *Ledger) weightRound(r uint64) uint64 {
+	sr := l.seedRound(r)
+	if sr < l.cfg.LookbackRounds {
+		return 0
+	}
+	return sr - l.cfg.LookbackRounds
+}
+
 // SortitionSeed returns the seed to use for sortition at round r, read
 // from the head chain.
 func (l *Ledger) SortitionSeed(r uint64) crypto.Digest {
@@ -225,13 +235,7 @@ func (l *Ledger) SortitionSeed(r uint64) crypto.Digest {
 // smaller of the look-back and current balances (the paper's suggested
 // "nothing at stake" mitigation).
 func (l *Ledger) SortitionWeights(r uint64) (map[crypto.PublicKey]uint64, uint64) {
-	wr := l.seedRound(r)
-	if wr >= l.cfg.LookbackRounds {
-		wr -= l.cfg.LookbackRounds
-	} else {
-		wr = 0
-	}
-	e := ancestorAt(l.head, wr)
+	e := ancestorAt(l.head, l.weightRound(r))
 	if e == nil {
 		e = l.genesis
 	}

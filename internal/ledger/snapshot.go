@@ -159,12 +159,7 @@ func (l *Ledger) SortitionContextKnown(r uint64) bool {
 	if ancestorAt(l.head, sr) == nil {
 		return false
 	}
-	wr := sr
-	if wr >= l.cfg.LookbackRounds {
-		wr -= l.cfg.LookbackRounds
-	} else {
-		wr = 0
-	}
+	wr := l.weightRound(r)
 	return wr == 0 || ancestorAt(l.head, wr) != nil
 }
 

@@ -2,16 +2,14 @@ package ledger
 
 // Store is a user's block/certificate archive with §8.3 sharding: for a
 // shard count N, the user persists blocks and certificates whose round
-// number is congruent to their shard index mod N. Bytes tracks storage
-// cost for the §10.3 accounting.
+// number is congruent to their shard index mod N. A running node's one
+// Store is its durable archive's image (diskstore.Store.Recovered).
 type Store struct {
 	ShardIndex uint64
 	ShardCount uint64
 
 	blocks map[uint64]*Block
 	certs  map[uint64]*Certificate
-	// Bytes is the total wire size of everything persisted.
-	Bytes int64
 }
 
 // NewStore creates a store. shardCount == 1 keeps everything.
@@ -24,6 +22,25 @@ func NewStore(shardIndex, shardCount uint64) *Store {
 		ShardCount: shardCount,
 		blocks:     make(map[uint64]*Block),
 		certs:      make(map[uint64]*Certificate),
+	}
+}
+
+// CertifiedChain returns l's head chain from round 1 up to the first
+// round without a block or a certificate, as an archive: what a crashed
+// user's memory gives a replacement to replay (node.RestoreFromArchive
+// stops at that round too).
+func CertifiedChain(l *Ledger) *Store {
+	s := NewStore(0, 1)
+	for r := uint64(1); ; r++ {
+		b, ok := l.BlockAt(r)
+		if !ok {
+			return s
+		}
+		c, ok := l.CertificateAt(r)
+		if !ok {
+			return s
+		}
+		s.Put(b, c)
 	}
 }
 
@@ -40,18 +57,11 @@ func (s *Store) Put(b *Block, c *Certificate) bool {
 	}
 	if _, dup := s.blocks[b.Round]; !dup {
 		s.blocks[b.Round] = b
-		s.Bytes += int64(b.WireSize())
 	}
 	if c != nil {
-		prev, dup := s.certs[b.Round]
-		if !dup {
-			s.certs[b.Round] = c
-			s.Bytes += int64(c.WireSize())
-		} else if c.Final && !prev.Final {
-			// A final certificate for a round archived with a tentative
-			// one, as when a §8.2 adoption reconciles a block the node
-			// held: replace it.
-			s.Bytes += int64(c.WireSize()) - int64(prev.WireSize())
+		if prev, dup := s.certs[b.Round]; !dup || (c.Final && !prev.Final) {
+			// A final certificate replaces a tentative one for a round, as
+			// when a §8.2 adoption reconciles a block the node held.
 			s.certs[b.Round] = c
 		}
 	}
@@ -67,24 +77,16 @@ func (s *Store) Reconcile(b *Block, c *Certificate) {
 	if !s.responsible(b.Round) {
 		return
 	}
-	if prev, ok := s.blocks[b.Round]; ok {
-		if prev.Hash() == b.Hash() {
-			if c != nil {
-				s.Put(b, c)
-			}
-			return
+	if prev, ok := s.blocks[b.Round]; ok && prev.Hash() == b.Hash() {
+		if c != nil {
+			s.Put(b, c)
 		}
-		s.Bytes -= int64(prev.WireSize())
+		return
 	}
 	s.blocks[b.Round] = b
-	s.Bytes += int64(b.WireSize())
-	if prev, ok := s.certs[b.Round]; ok {
-		s.Bytes -= int64(prev.WireSize())
-		delete(s.certs, b.Round)
-	}
+	delete(s.certs, b.Round)
 	if c != nil {
 		s.certs[b.Round] = c
-		s.Bytes += int64(c.WireSize())
 	}
 }
 

@@ -28,34 +28,14 @@ func storeCert(b *Block, final bool) *Certificate {
 	}
 }
 
-// auditBytes recomputes the store's Bytes from scratch and demands the
-// running total matches — every mutation path must keep the §10.3
-// storage accounting exact.
-func auditBytes(t *testing.T, s *Store, rounds ...uint64) {
-	t.Helper()
-	var want int64
-	for _, r := range rounds {
-		if b, ok := s.Block(r); ok {
-			want += int64(b.WireSize())
-		}
-		if c, ok := s.Cert(r); ok {
-			want += int64(c.WireSize())
-		}
-	}
-	if s.Bytes != want {
-		t.Fatalf("Bytes = %d, recomputed %d", s.Bytes, want)
-	}
-}
-
 // TestReconcileReplacesAbandonedFork is the §8.2 path: after fork
 // recovery the archived block for a round may belong to an abandoned
 // branch; Reconcile must swap in the canonical block, drop the stale
-// certificate, and keep the byte accounting exact.
+// certificate.
 func TestReconcileReplacesAbandonedFork(t *testing.T) {
 	s := NewStore(0, 1)
 	forked := storeBlock(1, 64)
 	s.Put(forked, storeCert(forked, false))
-	auditBytes(t, s, 1)
 
 	canonical := storeBlock(1, 256)
 	cert := storeCert(canonical, true)
@@ -69,12 +49,11 @@ func TestReconcileReplacesAbandonedFork(t *testing.T) {
 	if !ok || c.Value != canonical.Hash() || !c.Final {
 		t.Fatal("canonical certificate not stored")
 	}
-	auditBytes(t, s, 1)
 }
 
 // TestReconcileNilCertErases: recovery adoptions carry no certificate
 // of their own, so reconciling with nil must erase the stale cert (it
-// certifies a block no longer in the archive) and refund its bytes.
+// certifies a block no longer in the archive).
 func TestReconcileNilCertErases(t *testing.T) {
 	s := NewStore(0, 1)
 	forked := storeBlock(2, 64)
@@ -88,25 +67,20 @@ func TestReconcileNilCertErases(t *testing.T) {
 	if got, ok := s.Block(2); !ok || got.Hash() != adopted.Hash() {
 		t.Fatal("adopted block not stored")
 	}
-	auditBytes(t, s, 2)
 }
 
 // TestReconcileSameBlockUpgradesCert: when the archived block already
 // is the canonical one, Reconcile degrades to Put — a tentative cert
-// upgrades to final (accounting for the size delta), a nil cert is a
-// pure no-op, and a downgrade back to tentative is refused.
+// upgrades to final, a nil cert is a pure no-op, and a downgrade back
+// to tentative is refused.
 func TestReconcileSameBlockUpgradesCert(t *testing.T) {
 	s := NewStore(0, 1)
 	b := storeBlock(3, 64)
 	tent := storeCert(b, false)
 	s.Put(b, tent)
 
-	before := s.Bytes
 	s.Reconcile(b, nil) // same block, no cert: nothing changes
-	if s.Bytes != before {
-		t.Fatalf("no-op reconcile moved Bytes %d → %d", before, s.Bytes)
-	}
-	if c, _ := s.Cert(3); c.Final {
+	if c, _ := s.Cert(3); c != tent {
 		t.Fatal("no-op reconcile changed the certificate")
 	}
 
@@ -116,13 +90,11 @@ func TestReconcileSameBlockUpgradesCert(t *testing.T) {
 	if c, _ := s.Cert(3); !c.Final {
 		t.Fatal("tentative certificate not upgraded to final")
 	}
-	auditBytes(t, s, 3)
 
 	s.Reconcile(b, tent) // downgrade attempt
 	if c, _ := s.Cert(3); !c.Final {
 		t.Fatal("final certificate downgraded to tentative")
 	}
-	auditBytes(t, s, 3)
 }
 
 // TestReconcileRespectsShard: a round outside this shard's residue
@@ -131,8 +103,8 @@ func TestReconcileRespectsShard(t *testing.T) {
 	s := NewStore(1, 3) // responsible for rounds ≡ 1 (mod 3)
 	b := storeBlock(2, 0)
 	s.Reconcile(b, storeCert(b, true))
-	if s.Rounds() != 0 || s.Bytes != 0 {
-		t.Fatalf("shard 1/3 stored round 2 (rounds=%d bytes=%d)", s.Rounds(), s.Bytes)
+	if s.Rounds() != 0 {
+		t.Fatalf("shard 1/3 stored round 2 (rounds=%d)", s.Rounds())
 	}
 
 	mine := storeBlock(4, 0)
@@ -140,5 +112,40 @@ func TestReconcileRespectsShard(t *testing.T) {
 	if _, ok := s.Block(4); !ok {
 		t.Fatal("shard 1/3 refused its own round 4")
 	}
-	auditBytes(t, s, 4)
+}
+
+// TestCertifiedChainStopsAtFirstGap: the archive a crashed user's ledger
+// gives is its head chain from round 1 through the last round before
+// one without a certificate, each round with the certificate the ledger
+// holds — what RestoreFromArchive can replay, and no more.
+func TestCertifiedChainStopsAtFirstGap(t *testing.T) {
+	l := newPopulation(1, 100).ledger()
+	var certs []*Certificate
+	for r := 1; r <= 4; r++ {
+		b := l.NextEmptyBlock()
+		c := storeCert(b, r == 2)
+		if r == 3 {
+			c = nil // a §8.2 recovery adoption carries no certificate
+		}
+		if err := l.Commit(b, c); err != nil {
+			t.Fatal(err)
+		}
+		certs = append(certs, c)
+	}
+	s := CertifiedChain(l)
+	if s.Rounds() != 2 {
+		t.Fatalf("certified chain holds %d rounds, want 2", s.Rounds())
+	}
+	for r := uint64(1); r <= 2; r++ {
+		b, _ := l.BlockAt(r)
+		if got, ok := s.Block(r); !ok || got != b {
+			t.Fatalf("round %d: block not the ledger's", r)
+		}
+		if got, ok := s.Cert(r); !ok || got != certs[r-1] {
+			t.Fatalf("round %d: certificate not the ledger's", r)
+		}
+	}
+	if CertifiedChain(newPopulation(1, 100).ledger()).Rounds() != 0 {
+		t.Fatal("a ledger at genesis yields rounds")
+	}
 }

@@ -52,7 +52,6 @@ func (h *hop) ID() (d crypto.Digest) {
 	binary.BigEndian.PutUint64(d[:], h.n)
 	return d
 }
-func (h *hop) LimitKey() LimitKey { return LimitKey{} }
 
 func newOracle(sim *vtime.Sim, cfg Config, n int, handler func(from, to int, m Message) Verdict) *oracle {
 	o := &oracle{nw: New(sim, cfg, n), ttl: cfg.SeenTTL, eps: make([]oracleEndpoint, n), handler: handler}
@@ -95,8 +94,8 @@ func (o *oracle) gossip(origin int, m Message) {
 	o.maybeRotate()
 	ep := &o.eps[origin]
 	ep.seen[m.ID()] = true
-	if k := m.LimitKey(); k != (LimitKey{}) {
-		ep.limitSeen[k]++
+	if l, ok := m.(Limited); ok && l.LimitKey() != (LimitKey{}) {
+		ep.limitSeen[l.LimitKey()]++
 	}
 	o.relay(origin, -1, m)
 }
@@ -114,12 +113,9 @@ func (o *oracle) deliver(from, to int, m Message) {
 	if !o.handler(from, to, m).Relay {
 		return
 	}
-	if k := m.LimitKey(); k != (LimitKey{}) {
-		limit := 1
-		if mr, ok := m.(MultiRelay); ok {
-			limit = mr.RelayLimit()
-		}
-		if ep.limitSeen[k]+ep.limitOld[k] >= limit {
+	if l, ok := m.(Limited); ok && l.LimitKey() != (LimitKey{}) {
+		k := l.LimitKey()
+		if ep.limitSeen[k]+ep.limitOld[k] >= l.RelayLimit() {
 			return
 		}
 		ep.limitSeen[k]++

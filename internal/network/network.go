@@ -30,9 +30,16 @@ type Message interface {
 	WireSize() int
 	// ID uniquely identifies the message for duplicate suppression.
 	ID() crypto.Digest
-	// LimitKey groups messages for the per-(sender,round,step) relay
-	// limit of §8.4; the zero key disables the limit for this message.
+}
+
+// Limited is an optional Message extension for the messages §8.4 puts
+// under a relay budget: an endpoint relays at most RelayLimit messages
+// sharing a LimitKey (the zero key sets no budget; a limit of two lets
+// equivocation evidence travel). A message that is not Limited is
+// relayed on its own ID alone.
+type Limited interface {
 	LimitKey() LimitKey
+	RelayLimit() int
 }
 
 // LimitKey names one relay budget of §8.4: a kind of message, the first
@@ -50,13 +57,6 @@ type LimitKey struct {
 // from sender.
 func NewLimitKey(kind byte, sender crypto.PublicKey, round, step uint64) LimitKey {
 	return LimitKey{Kind: kind, Sender: [8]byte(sender[:8]), Round: round, Step: step}
-}
-
-// MultiRelay is an optional Message extension raising the relay limit
-// for a LimitKey above one — e.g. block announcements allow two per
-// proposer per round so that equivocation evidence still propagates.
-type MultiRelay interface {
-	RelayLimit() int
 }
 
 // Verdict is a node's decision about a received message.
@@ -635,11 +635,9 @@ func (nw *Network) seal(m Message) *envelope {
 		env = new(envelope)
 	}
 	id := m.ID()
-	*env = envelope{m: m, nw: nw, id: seenKey(id[:]), size: m.WireSize(), limitKey: m.LimitKey(), limit: 1, refs: 1}
-	// Messages may allow a higher limit (equivocation evidence needs two
-	// copies to travel).
-	if mr, ok := m.(MultiRelay); ok {
-		env.limit = uint8(min(mr.RelayLimit(), math.MaxUint8))
+	*env = envelope{m: m, nw: nw, id: seenKey(id[:]), size: m.WireSize(), refs: 1}
+	if l, ok := m.(Limited); ok {
+		env.limitKey, env.limit = l.LimitKey(), uint8(min(l.RelayLimit(), math.MaxUint8))
 	}
 	return env
 }

@@ -10,7 +10,8 @@ import (
 	"algorand/internal/vtime"
 )
 
-// testMsg is a trivial gossip message.
+// testMsg is a trivial gossip message, under a relay budget of one when
+// it has a limit key.
 type testMsg struct {
 	id    crypto.Digest
 	size  int
@@ -20,6 +21,7 @@ type testMsg struct {
 func (m *testMsg) WireSize() int      { return m.size }
 func (m *testMsg) ID() crypto.Digest  { return m.id }
 func (m *testMsg) LimitKey() LimitKey { return m.limit }
+func (m *testMsg) RelayLimit() int    { return 1 }
 
 func msg(tag string, size int) *testMsg {
 	return &testMsg{id: crypto.HashBytes("test.msg", []byte(tag)), size: size}

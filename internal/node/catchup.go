@@ -319,12 +319,14 @@ func (n *Node) trySyncBehind() bool {
 //
 //	own checkpoint → own archive → peer snapshot → peer chain → live loop
 //
-// The two local stages run before Rejoin returns: the newest checkpoint
-// of the durable archive (Config.Archive) is re-based onto if it
-// verifies, then src — what survived of this slot's block archive, nil
-// for a node that lost its disk — is replayed on top; restored counts
-// its rounds. The disk is trusted no more than a peer: a src that fails
-// validation is the returned error, and the node is not started.
+// The two local stages run before Rejoin returns, when the node has a
+// durable archive (Config.Archive): its newest checkpoint is re-based
+// onto if it verifies, then the chain it recovered is replayed on top;
+// restored counts those rounds. The disk is trusted no more than a peer:
+// an archive that fails validation is the returned error, and the node
+// is not started. A node without an archive starts from what its ledger
+// holds (a caller may have replayed a chain into it with
+// RestoreFromArchive first).
 //
 // The network stages run in the node's main process: sync from peers
 // (snapshot first if nothing was restored, see SyncFromPeersUntil),
@@ -335,14 +337,12 @@ func (n *Node) trySyncBehind() bool {
 // cycle that syncs nothing AND fails its round ends it early: peers have
 // nothing servable beyond our head, so either the whole network is
 // stalled or we are forked from it, and both are the main loop's job.
-func (n *Node) Rejoin(src *ledger.Store, budget time.Duration) (restored uint64, err error) {
+func (n *Node) Rejoin(budget time.Duration) (restored uint64, err error) {
 	if n.archive != nil {
 		if chk, ok := n.archive.Checkpoint(); ok {
 			n.RestoreFromCheckpoint(chk) // a rejected checkpoint is counted, and replay covers for it
 		}
-	}
-	if src != nil {
-		if restored, err = n.RestoreFromArchive(src); err != nil {
+		if restored, err = n.RestoreFromArchive(n.archive.Recovered()); err != nil {
 			return restored, err
 		}
 	}

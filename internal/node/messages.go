@@ -34,11 +34,14 @@ func (m *VoteMsg) ID() crypto.Digest {
 	return crypto.HashBytes("msg.vote", m.Vote.Sender[:], buf[:], m.Vote.Value[:])
 }
 
-// LimitKey enforces the §8.4 rule: relay at most one message per sender
-// per (round, step).
+// LimitKey and RelayLimit put votes under the §8.4 relay budget
+// (network.Limited): at most one message per sender per (round, step).
 func (m *VoteMsg) LimitKey() network.LimitKey {
 	return network.NewLimitKey('v', m.Vote.Sender, m.Vote.Round, m.Vote.Step)
 }
+
+// RelayLimit: one vote a key.
+func (m *VoteMsg) RelayLimit() int { return 1 }
 
 // PriorityGossip wraps a §6 priority announcement for flooding.
 type PriorityGossip struct {
@@ -109,10 +112,6 @@ func (m *BlockAnnounce) ID() crypto.Digest {
 	return crypto.HashBytes("msg.announce", a.Proposer[:], buf[:], a.BlockHash[:])
 }
 
-// LimitKey: announcements are never relayed (each holder gossips its
-// own), so no limit is needed.
-func (m *BlockAnnounce) LimitKey() network.LimitKey { return network.LimitKey{} }
-
 // BlockHave updates a BlockAnnounce: the announcer now holds these
 // pieces of the body (nil: all of them). Advertisements only grow, so
 // the receiver merges them and a lost or re-ordered one costs nothing.
@@ -152,9 +151,6 @@ func (m *BlockHave) ID() crypto.Digest {
 	return crypto.HashBytes("msg.have", m.Hash[:], buf)
 }
 
-// LimitKey: advertisements are never relayed.
-func (m *BlockHave) LimitKey() network.LimitKey { return network.LimitKey{} }
-
 // BlockRequest asks a peer for a committed block's body whole (answered
 // with a BlockFill): the §7.1 "obtain it from other users" fallback.
 type BlockRequest struct {
@@ -187,9 +183,6 @@ func (m *BlockRequest) ID() crypto.Digest {
 	binary.LittleEndian.PutUint64(buf[8:], m.Nonce)
 	return crypto.HashBytes("msg.blockreq", m.Hash[:], buf[:])
 }
-
-// LimitKey: requests are unicast, never relayed.
-func (m *BlockRequest) LimitKey() network.LimitKey { return network.LimitKey{} }
 
 // PieceRequest asks a holder for one piece of a proposed body (the
 // getdata of the pull-based dissemination).
@@ -227,9 +220,6 @@ func (m *PieceRequest) ID() crypto.Digest {
 	binary.LittleEndian.PutUint64(buf[16:], m.Nonce)
 	return crypto.HashBytes("msg.piecereq", m.Hash[:], buf[:])
 }
-
-// LimitKey: requests are unicast, never relayed.
-func (m *PieceRequest) LimitKey() network.LimitKey { return network.LimitKey{} }
 
 // BlockPiece carries one piece of a proposed body, sent unicast in
 // answer to a PieceRequest. It is never relayed; dissemination happens
@@ -272,9 +262,6 @@ func (m *BlockPiece) ID() crypto.Digest {
 	binary.LittleEndian.PutUint64(buf[8:], m.Nonce)
 	return crypto.HashBytes("msg.piece", buf[:], h[:])
 }
-
-// LimitKey: transfers are unicast, never relayed.
-func (m *BlockPiece) LimitKey() network.LimitKey { return network.LimitKey{} }
 
 // MaxTxBatchBytes caps the cumulative encoded size of the transactions
 // in one TxBatch message. Peers sending larger batches are malformed
@@ -357,10 +344,6 @@ func (m *TxBatch) ID() crypto.Digest {
 
 var txBatchIDs wire.Pool // lends ID's 32·n-byte preimages
 
-// LimitKey: batches are never relayed (receivers re-batch), so no
-// relay limit applies.
-func (m *TxBatch) LimitKey() network.LimitKey { return network.LimitKey{} }
-
 // BlockFill is a bare committed-block body answering a BlockRequest
 // (§7.1 "obtain it from other users"); unlike a proposal's pieces it
 // carries no credentials — the requester already knows the agreed hash
@@ -391,9 +374,6 @@ func (m *BlockFill) ID() crypto.Digest {
 	h := m.Block.Hash()
 	return crypto.HashUint64("msg.blockfill", uint64(m.Recipient), h[:])
 }
-
-// LimitKey: unicast, never relayed.
-func (m *BlockFill) LimitKey() network.LimitKey { return network.LimitKey{} }
 
 // ChainRequest asks a peer for committed blocks and certificates
 // starting at a round (the §8.3 catch-up protocol).
@@ -431,9 +411,6 @@ func (m *ChainRequest) ID() crypto.Digest {
 	binary.LittleEndian.PutUint64(buf[16:], m.Nonce)
 	return crypto.HashBytes("msg.chainreq", buf[:])
 }
-
-// LimitKey: unicast, never relayed.
-func (m *ChainRequest) LimitKey() network.LimitKey { return network.LimitKey{} }
 
 // ChainReply returns a contiguous run of blocks with their §8.3
 // certificates. The receiver validates everything; nothing is trusted.
@@ -508,9 +485,6 @@ func (m *ChainReply) ID() crypto.Digest {
 	return crypto.HashUint64("msg.chainreply", first, buf[:])
 }
 
-// LimitKey: unicast, never relayed.
-func (m *ChainReply) LimitKey() network.LimitKey { return network.LimitKey{} }
-
 // CommitAnnounce tells neighbors "round Round committed with this
 // block hash". It is the feed gateway read models tail (the access
 // tier's lag-tolerant view of the chain): each node announces its own
@@ -550,10 +524,6 @@ func (m *CommitAnnounce) ID() crypto.Digest {
 	return crypto.HashBytes("msg.commitann", buf[:], m.Hash[:])
 }
 
-// LimitKey: announcements are never relayed (each committer gossips
-// its own), so no relay limit is needed.
-func (m *CommitAnnounce) LimitKey() network.LimitKey { return network.LimitKey{} }
-
 // SnapshotRequest asks a peer for its newest state checkpoint (the
 // fast-sync handshake): a restarting or joining node fetches a
 // verified snapshot and replays only the delta past it, instead of
@@ -592,9 +562,6 @@ func (m *SnapshotRequest) ID() crypto.Digest {
 	return crypto.HashBytes("msg.snapreq", buf[:])
 }
 
-// LimitKey: unicast, never relayed.
-func (m *SnapshotRequest) LimitKey() network.LimitKey { return network.LimitKey{} }
-
 // SnapshotReply carries one full checkpoint. The receiver trusts
 // nothing: it verifies the certificate against the committee and the
 // account table against the block header's state root before adopting
@@ -630,9 +597,6 @@ func (m *SnapshotReply) ID() crypto.Digest {
 	binary.LittleEndian.PutUint64(buf[8:], m.Nonce)
 	return crypto.HashUint64("msg.snapreply", m.Checkpoint.Round(), buf[:])
 }
-
-// LimitKey: unicast, never relayed.
-func (m *SnapshotReply) LimitKey() network.LimitKey { return network.LimitKey{} }
 
 // --- Wire registry ----------------------------------------------------------
 

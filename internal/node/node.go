@@ -53,14 +53,12 @@ type Config struct {
 	// RecoveryInterval is how often nodes check for forks and kick off
 	// the §8.2 recovery protocol (the paper suggests e.g. hourly).
 	RecoveryInterval time.Duration
-	// ShardCount configures §8.3 storage sharding (0 = store all).
-	ShardCount uint64
-	// Archive, when non-nil, is the durable on-disk form of the node's
-	// §8.3 store: every commit, catch-up adoption, and §8.2 fork repair
-	// is journaled (fsync'd) through it before the node proceeds, and a
-	// restart recovers the chain from it instead of from genesis. The
-	// node owns writes to the archive for its lifetime; the caller still
-	// owns Close.
+	// Archive, when non-nil, is the node's §8.3 archive, on disk: every
+	// commit, catch-up adoption, and §8.2 fork repair is journaled
+	// (fsync'd) through it before the node proceeds, and Rejoin recovers
+	// the chain from it instead of from genesis. Without one the chain
+	// lives only in the ledger. The node owns writes to the archive for
+	// its lifetime; the caller still owns Close.
 	Archive *diskstore.Store
 	// TxFlow sizes the transaction ingestion pipeline (see
 	// internal/txflow). The zero value gets defaults; unless TxFlow.Now
@@ -121,7 +119,6 @@ type Node struct {
 	identity crypto.Identity
 	ledger   *ledger.Ledger
 	flow     *txflow.Flow
-	store    *ledger.Store
 	archive  *diskstore.Store
 	net      Transport
 	sim      *vtime.Sim
@@ -284,10 +281,6 @@ func NewFromGenesis(
 		cfg.Tracer = trace.New(sim.Now, 0)
 	}
 	cfg.Tracer.RegisterMetrics(cfg.Metrics)
-	shardCount := cfg.ShardCount
-	if shardCount == 0 {
-		shardCount = 1
-	}
 	n := &Node{
 		ID:           id,
 		cfg:          cfg,
@@ -296,7 +289,6 @@ func NewFromGenesis(
 		ledger:       ledger.NewFromGenesis(provider, cfg.LedgerCfg, genesis),
 		genesis:      genesis,
 		flow:         txflow.New(provider, cfg.TxFlow),
-		store:        ledger.NewStore(uint64(id), shardCount),
 		net:          net,
 		sim:          sim,
 		voteInboxes:  make(map[[2]uint64]*vtime.Mailbox),
@@ -353,20 +345,16 @@ func (n *Node) HandleMessage(from int, m network.Message) network.Verdict {
 	return n.handleMessage(from, m)
 }
 
-// Store exposes the node's §8.3 archive.
-func (n *Node) Store() *ledger.Store { return n.store }
-
 // PersistErrors reports how many archive writes failed permanently
 // (after the diskstore's own rotate-and-retry) — each one a commit the
 // node holds in memory but could not make durable.
 func (n *Node) PersistErrors() int64 { return int64(n.persistErrors.Load()) }
 
 // persistPut archives a committed (block, certificate) pair, journaling
-// it to the durable store — fsync'd before this returns — when one is
+// it to the durable archive — fsync'd before this returns — when one is
 // configured. The paper's §8.3 storage obligation: persist before the
 // round's outcome is treated as settled.
 func (n *Node) persistPut(b *ledger.Block, c *ledger.Certificate) {
-	n.store.Put(b, c)
 	if n.archive != nil {
 		if err := n.archive.Append(b, c); err != nil {
 			n.persistErrors.Inc()
@@ -375,10 +363,9 @@ func (n *Node) persistPut(b *ledger.Block, c *ledger.Certificate) {
 	n.maybeCheckpoint(b, c)
 }
 
-// persistReconcile forces the archives — memory and disk — to the
-// canonical block for a round after §8.2 fork repair.
+// persistReconcile forces the durable archive to the canonical block for
+// a round after §8.2 fork repair.
 func (n *Node) persistReconcile(b *ledger.Block, c *ledger.Certificate) {
-	n.store.Reconcile(b, c)
 	if n.archive != nil {
 		if err := n.archive.Reconcile(b, c); err != nil {
 			n.persistErrors.Inc()
@@ -409,9 +396,9 @@ func (n *Node) SubmitTx(tx *ledger.Transaction) error {
 // Halt simulates a crash: the node stops handling incoming messages,
 // emitting votes, proposing, and serving its archive. Its process winds
 // down silently at the next round boundary (an in-flight round can no
-// longer complete without the node's own votes). Ledger and Store keep
-// their state, as a crashed machine's disk would — a replacement node
-// for the same slot can Rejoin from them.
+// longer complete without the node's own votes). Its ledger keeps its
+// state, and so does its archive on disk: a replacement node for the
+// same slot replays one or the other (ledger.CertifiedChain, Rejoin).
 func (n *Node) Halt() { n.halted = true }
 
 // Halted reports whether the node has been crashed via Halt.

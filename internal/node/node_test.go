@@ -211,17 +211,18 @@ func TestCatchUpFromClusterArchive(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Collect blocks+certs from node 0's archive and bootstrap a fresh
-	// user from genesis (§8.3).
+	// Collect blocks+certs from node 0's certified chain and bootstrap a
+	// fresh user from genesis (§8.3).
 	src := c.Nodes[0]
+	archive := ledger.CertifiedChain(src.Ledger())
 	var blocks []*ledger.Block
 	var certs []*ledger.Certificate
 	for r := uint64(1); r <= src.Ledger().ChainLength(); r++ {
-		b, ok := src.Store().Block(r)
+		b, ok := archive.Block(r)
 		if !ok {
 			t.Fatalf("round %d missing from archive", r)
 		}
-		cert, ok := src.Store().Cert(r)
+		cert, ok := archive.Cert(r)
 		if !ok {
 			t.Fatalf("round %d missing certificate", r)
 		}
@@ -297,7 +298,7 @@ func TestObserverSyncsOverNetwork(t *testing.T) {
 	// network has stopped, so the observer stops too once it holds every
 	// round there is.
 	observer.StopAfterRound = cfg.Rounds
-	if _, err := observer.Rejoin(nil, 2*time.Minute); err != nil {
+	if _, err := observer.Rejoin(2 * time.Minute); err != nil {
 		t.Fatalf("observer bring-up: %v", err)
 	}
 	c.Sim.Run(c.Sim.Now() + 3*time.Minute)
@@ -327,8 +328,8 @@ func TestObserverRejectsTamperedReply(t *testing.T) {
 	var blocks []*ledger.Block
 	var certs []*ledger.Certificate
 	for r := uint64(1); r <= src.Ledger().ChainLength(); r++ {
-		b, _ := src.Store().Block(r)
-		cert, _ := src.Store().Cert(r)
+		b, _ := src.Ledger().BlockAt(r)
+		cert, _ := src.Ledger().CertificateAt(r)
 		blocks = append(blocks, b)
 		certs = append(certs, cert)
 	}

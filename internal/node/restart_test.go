@@ -9,8 +9,8 @@ import (
 )
 
 // TestCrashRestartCatchesUp is the §8.3 crash path end to end: a node
-// crashes mid-run, a replacement restores the validated prefix from the
-// crashed node's archive, pulls the missing rounds from peers, and
+// crashes mid-run, a replacement restores the certified prefix of the
+// crashed node's chain, pulls the missing rounds from peers, and
 // rejoins consensus in time to finish the run with everyone else.
 func TestCrashRestartCatchesUp(t *testing.T) {
 	cfg := sim.DefaultConfig(16, 10)
@@ -22,10 +22,11 @@ func TestCrashRestartCatchesUp(t *testing.T) {
 	const victim = 3
 	var restored uint64
 	var restartErr error
-	var chainAtCrash uint64
+	var chainAtCrash, certifiedAtCrash uint64
 	c.Sim.After(8*time.Second, func() {
 		c.CrashNode(victim)
 		chainAtCrash = c.Nodes[victim].Ledger().ChainLength()
+		certifiedAtCrash = uint64(ledger.CertifiedChain(c.Nodes[victim].Ledger()).Rounds())
 	})
 	c.Sim.After(14*time.Second, func() {
 		_, restored, restartErr = c.RestartNode(victim, 10*time.Minute)
@@ -38,6 +39,9 @@ func TestCrashRestartCatchesUp(t *testing.T) {
 	}
 	if restored == 0 {
 		t.Fatal("archive replay restored nothing; crash happened too early for the test premise")
+	}
+	if restored != certifiedAtCrash {
+		t.Fatalf("restored %d rounds, want the %d certified rounds the crashed node held", restored, certifiedAtCrash)
 	}
 	if chainAtCrash >= cfg.Rounds {
 		t.Fatal("crash happened after the run finished; test premise broken")
@@ -110,10 +114,10 @@ func TestRestartRejectsTamperedArchive(t *testing.T) {
 	tampered := false
 	c.Sim.After(10*time.Second, func() {
 		c.CrashNode(victim)
-		// Build a forged copy of the archive: round 2's block is altered
-		// (block pointers are shared between nodes in the simulation, so
-		// the original must not be mutated in place).
-		src := c.Nodes[victim].Store()
+		// Build a forged copy of the crashed node's chain: round 2's block
+		// is altered (block pointers are shared between nodes in the
+		// simulation, so the original must not be mutated in place).
+		src := ledger.CertifiedChain(c.Nodes[victim].Ledger())
 		forgedStore := ledger.NewStore(0, 1)
 		for r := uint64(1); ; r++ {
 			b, ok1 := src.Block(r)

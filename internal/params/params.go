@@ -7,11 +7,6 @@ import "time"
 // Params collects every tunable of the protocol. The zero value is not
 // usable; start from Default or Scaled.
 type Params struct {
-	// HonestFraction h: assumed fraction of money held by honest users.
-	HonestFraction float64
-	// SeedRefreshInterval R: how many rounds a sortition seed is reused
-	// before being refreshed (§5.2).
-	SeedRefreshInterval uint64
 	// TauProposer: expected number of block proposers (§B.1).
 	TauProposer uint64
 	// TauStep: expected committee size for ordinary BA⋆ steps (§B.2).
@@ -32,9 +27,6 @@ type Params struct {
 	LambdaStep time.Duration
 	// LambdaStepVar: estimate of BA⋆ completion-time variance.
 	LambdaStepVar time.Duration
-	// LookbackB is the weak-synchrony period b (§5.3): user weights are
-	// taken from the last block at least b older than the seed block.
-	LookbackB time.Duration
 	// BlockSize is the size of proposed blocks in bytes.
 	BlockSize int
 
@@ -61,20 +53,17 @@ type Params struct {
 // Default returns the paper's implementation parameters (Figure 4).
 func Default() Params {
 	return Params{
-		HonestFraction:      0.80,
-		SeedRefreshInterval: 1000,
-		TauProposer:         26,
-		TauStep:             2000,
-		TStep:               0.685,
-		TauFinal:            10000,
-		TFinal:              0.74,
-		MaxSteps:            150,
-		LambdaPriority:      5 * time.Second,
-		LambdaBlock:         time.Minute,
-		LambdaStep:          20 * time.Second,
-		LambdaStepVar:       5 * time.Second,
-		LookbackB:           24 * time.Hour,
-		BlockSize:           1 << 20, // 1 MByte
+		TauProposer:    26,
+		TauStep:        2000,
+		TStep:          0.685,
+		TauFinal:       10000,
+		TFinal:         0.74,
+		MaxSteps:       150,
+		LambdaPriority: 5 * time.Second,
+		LambdaBlock:    time.Minute,
+		LambdaStep:     20 * time.Second,
+		LambdaStepVar:  5 * time.Second,
+		BlockSize:      1 << 20, // 1 MByte
 	}
 }
 

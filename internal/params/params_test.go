@@ -8,12 +8,6 @@ import (
 // TestDefaultsMatchFigure4 pins the paper's implementation parameters.
 func TestDefaultsMatchFigure4(t *testing.T) {
 	p := Default()
-	if p.HonestFraction != 0.80 {
-		t.Errorf("h = %v", p.HonestFraction)
-	}
-	if p.SeedRefreshInterval != 1000 {
-		t.Errorf("R = %d", p.SeedRefreshInterval)
-	}
 	if p.TauProposer != 26 {
 		t.Errorf("tau_proposer = %d", p.TauProposer)
 	}

@@ -240,8 +240,8 @@ func (c *realCluster) run(deadline time.Duration) {
 }
 
 // crash kills node i the way a process dies: the node goes silent, its
-// scheduler stops, and its sockets close. The node's Store survives
-// (the machine's disk). Safe to call from the test goroutine.
+// scheduler stops, and its sockets close. Its ledger survives, standing
+// for the machine's disk. Safe to call from the test goroutine.
 func (c *realCluster) crash(i int) {
 	sim, nd := c.sims[i], c.nodes[i]
 	sim.Inject(func() {
@@ -253,19 +253,25 @@ func (c *realCluster) crash(i int) {
 }
 
 // restart replaces crashed node i with a fresh process on the same
-// address: it rebinds the listener and brings the replacement up
-// through Rejoin from the crashed node's archive (mirrors
-// internal/sim.Cluster.RestartNode over real sockets).
+// address: it rebinds the listener, replays the certified chain the
+// crashed node held and brings the replacement up through Rejoin
+// (mirrors internal/sim.Cluster.RestartNode over real sockets).
 func (c *realCluster) restart(i int, syncBudget, deadline time.Duration) {
-	c.restartFrom(i, c.nodes[i].Store(), syncBudget, deadline)
+	c.restartFrom(i, ledger.CertifiedChain(c.nodes[i].Ledger()), syncBudget, deadline)
 }
 
-// restartFrom is restart with an explicit archive to replay; nil is a
-// replacement that lost its disk and takes everything from peers.
+// restartFrom is restart with an explicit chain to replay; nil is a
+// replacement that takes everything from its own archive
+// (nodeCfg.Archive), if any, and then from peers.
 func (c *realCluster) restartFrom(i int, src *ledger.Store, syncBudget, deadline time.Duration) {
 	c.build(i, c.rebind(i))
 	c.transports[i].Start()
-	if _, err := c.nodes[i].Rejoin(src, syncBudget); err != nil {
+	if src != nil {
+		if _, err := c.nodes[i].RestoreFromArchive(src); err != nil {
+			c.t.Fatalf("restart node %d: chain replay: %v", i, err)
+		}
+	}
+	if _, err := c.nodes[i].Rejoin(syncBudget); err != nil {
 		c.t.Fatalf("restart node %d: archive replay: %v", i, err)
 	}
 	c.watch(i)

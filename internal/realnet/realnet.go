@@ -514,11 +514,7 @@ func (t *Transport) deliver(from int, m network.Message) {
 	if !verdict.Relay {
 		return
 	}
-	if k := m.LimitKey(); k != (network.LimitKey{}) {
-		limit := 1
-		if mr, ok := m.(network.MultiRelay); ok {
-			limit = mr.RelayLimit()
-		}
+	if k, limit := relayBudget(m); limit > 0 {
 		// Count the relay against the key's budget iff it is still under
 		// the two-generation total; relay iff it was counted.
 		allowed := t.limit.Update(k, t.cacheNow(),
@@ -536,11 +532,22 @@ func (t *Transport) deliver(from int, m network.Message) {
 	t.fanout(m, from)
 }
 
+// relayBudget returns m's §8.4 relay budget: its key and how many relays
+// the key allows, 0 for none.
+func relayBudget(m network.Message) (network.LimitKey, int) {
+	if l, ok := m.(network.Limited); ok {
+		if k := l.LimitKey(); k != (network.LimitKey{}) {
+			return k, l.RelayLimit()
+		}
+	}
+	return network.LimitKey{}, 0
+}
+
 // Gossip implements node.Transport.
 func (t *Transport) Gossip(origin int, m network.Message) {
 	now := t.cacheNow()
 	t.seen.Put(m.ID(), struct{}{}, now)
-	if k := m.LimitKey(); k != (network.LimitKey{}) {
+	if k, limit := relayBudget(m); limit > 0 {
 		t.limit.Update(k, now, func(cur int, _ bool, _ int, _ bool) (int, bool) {
 			return cur + 1, true
 		})

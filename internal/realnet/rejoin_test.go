@@ -35,7 +35,7 @@ func TestRealTCPColdJoinViaPeerSnapshot(t *testing.T) {
 	}
 	defer ds.Close()
 	c.nodeCfg.Archive = ds
-	c.restartFrom(joiner, ds.Recovered(), time.Minute, 240*time.Second)
+	c.restartFrom(joiner, nil, time.Minute, 240*time.Second)
 	c.waitAll()
 
 	nd := c.nodes[joiner]
@@ -108,7 +108,7 @@ func TestRealTCPDoubleRejoinDoesNotStall(t *testing.T) {
 	// others would stop instead of idling on to serve the second.
 	c.build(victim, c.rebind(victim))
 	c.transports[victim].Start()
-	if _, err := c.nodes[victim].Rejoin(nil, time.Minute); err != nil {
+	if _, err := c.nodes[victim].Rejoin(time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	c.runAsync(victim, 240*time.Second)

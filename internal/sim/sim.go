@@ -55,8 +55,6 @@ type Config struct {
 	Seed int64
 	// RecoveryInterval for §8.2 (default 1h).
 	RecoveryInterval time.Duration
-	// ShardCount for §8.3 storage sharding (0 = store everything).
-	ShardCount uint64
 	// CheckpointInterval makes every node write a state checkpoint
 	// (full account table + Merkle root + certificate) each time its
 	// chain commits a round on this grid (0 = no checkpoints). A
@@ -88,8 +86,8 @@ type Config struct {
 	// Diskless, with DataDir set, marks nodes that nevertheless run
 	// without a durable archive (len must equal N): a mixed
 	// durable/diskless fleet, as churn scenarios use. A diskless node's
-	// restart recovers from its crashed process's in-memory store, like
-	// every node does when DataDir is empty.
+	// restart replays the certified chain its crashed process's ledger
+	// held, like every node does when DataDir is empty.
 	Diskless []bool
 	// Gateways adds that many access-tier gateway nodes (see
 	// internal/gateway) to the deployment, at network ids N..N+G-1.
@@ -231,7 +229,6 @@ func NewCluster(cfg Config) *Cluster {
 		LedgerCfg:          cfg.LedgerCfg,
 		ChargeCrypto:       cfg.ChargeCrypto,
 		RecoveryInterval:   cfg.RecoveryInterval,
-		ShardCount:         cfg.ShardCount,
 		CheckpointInterval: cfg.CheckpointInterval,
 		TxFlow:             cfg.TxFlow,
 		AnnounceCommits:    cfg.Gateways > 0,
@@ -242,7 +239,7 @@ func NewCluster(cfg Config) *Cluster {
 	for i := 0; i < cfg.N; i++ {
 		nodeCfg := c.instrumentedNodeCfg(i)
 		if cfg.DataDir != "" && !(cfg.Diskless != nil && cfg.Diskless[i]) {
-			ds, err := diskstore.Open(c.nodeDataDir(i), c.archiveOptions(i))
+			ds, err := diskstore.Open(c.nodeDataDir(i), diskstore.Options{FS: c.Cfg.DiskFS})
 			if err != nil {
 				panic(fmt.Sprintf("sim: opening archive for node %d: %v", i, err))
 			}
@@ -306,14 +303,6 @@ func (c *Cluster) nodeDataDir(i int) string {
 	return filepath.Join(c.Cfg.DataDir, fmt.Sprintf("node-%d", i))
 }
 
-func (c *Cluster) archiveOptions(i int) diskstore.Options {
-	return diskstore.Options{
-		FS:         c.Cfg.DiskFS,
-		ShardIndex: uint64(i),
-		ShardCount: c.Cfg.ShardCount,
-	}
-}
-
 // Archive returns node i's durable store (nil without Config.DataDir).
 func (c *Cluster) Archive(i int) *diskstore.Store { return c.archives[i] }
 
@@ -324,7 +313,7 @@ func (c *Cluster) OpenArchiveOffline(i int) (*diskstore.Store, error) {
 	if c.Cfg.DataDir == "" {
 		return nil, fmt.Errorf("sim: no DataDir configured")
 	}
-	return diskstore.Open(c.nodeDataDir(i), c.archiveOptions(i))
+	return diskstore.Open(c.nodeDataDir(i), diskstore.Options{FS: c.Cfg.DiskFS})
 }
 
 // CloseArchives closes every open archive (end of a durable run, before
@@ -343,31 +332,34 @@ func (c *Cluster) CloseArchives() error {
 }
 
 // CrashNode simulates a crash of node i: it goes silent immediately and
-// its process winds down. The node's Store survives (the machine's
-// disk); RestartNode builds a replacement from it.
+// its process winds down. Its archive survives on disk, and without one
+// its ledger survives in memory; RestartNode builds a replacement from
+// whichever it has.
 func (c *Cluster) CrashNode(i int) { c.Nodes[i].Halt() }
 
 // RestartNode replaces a crashed node i with a fresh node in the same
 // network slot and brings it up through node.Rejoin: the replacement
-// replays the crashed node's archive (validating every certificate),
-// catches the rest up from peers, and rejoins consensus. syncBudget
-// bounds the rejoin phase. It returns the replacement (also installed in
-// c.Nodes) and how many rounds were restored from the archive.
+// replays the crashed node's archive — or, for a node without one, the
+// certified chain its ledger held (ledger.CertifiedChain) — validating
+// every certificate, catches the rest up from peers, and rejoins
+// consensus. syncBudget bounds the rejoin phase. It returns the
+// replacement (also installed in c.Nodes) and how many rounds were
+// restored from the archive.
 func (c *Cluster) RestartNode(i int, syncBudget time.Duration) (*node.Node, uint64, error) {
-	if c.archives[i] != nil {
-		// True disk recovery: drop the crashed process's in-memory state
-		// entirely, close its archive handle, and re-open the data
-		// directory — running the full recovery scan (torn-tail
-		// truncation, checksum checks) before certificate re-verification.
-		c.archives[i].Close()
-		ds, err := diskstore.Open(c.nodeDataDir(i), c.archiveOptions(i))
-		if err != nil {
-			return nil, 0, err
-		}
-		c.archives[i] = ds
-		return c.restartWith(i, ds.Recovered(), ds, syncBudget)
+	if c.archives[i] == nil {
+		return c.restartWith(i, ledger.CertifiedChain(c.Nodes[i].Ledger()), nil, syncBudget)
 	}
-	return c.restartWith(i, c.Nodes[i].Store(), nil, syncBudget)
+	// True disk recovery: drop the crashed process's in-memory state
+	// entirely, close its archive handle, and re-open the data directory
+	// — running the full recovery scan (torn-tail truncation, checksum
+	// checks) before certificate re-verification, which Rejoin does.
+	c.archives[i].Close()
+	ds, err := diskstore.Open(c.nodeDataDir(i), diskstore.Options{FS: c.Cfg.DiskFS})
+	if err != nil {
+		return nil, 0, err
+	}
+	c.archives[i] = ds
+	return c.restartWith(i, nil, ds, syncBudget)
 }
 
 // RestartNodeFromStore is RestartNode with an explicit archive to
@@ -380,6 +372,8 @@ func (c *Cluster) RestartNodeFromStore(i int, src *ledger.Store, syncBudget time
 	return c.restartWith(i, src, nil, syncBudget)
 }
 
+// restartWith installs a replacement for node i that replays src (when
+// non-nil) and then Rejoins, which replays archive (when non-nil).
 func (c *Cluster) restartWith(i int, src *ledger.Store, archive *diskstore.Store, syncBudget time.Duration) (*node.Node, uint64, error) {
 	old := c.Nodes[i]
 	if !old.Halted() {
@@ -390,8 +384,15 @@ func (c *Cluster) restartWith(i int, src *ledger.Store, archive *diskstore.Store
 	n := node.NewFromGenesis(i, c.Sim, c.Net, c.Provider, c.ids[i], nodeCfg, c.genesis)
 	n.StopAfterRound = c.Cfg.Rounds
 	c.Nodes[i] = n
-	restored, err := n.Rejoin(src, syncBudget)
-	return n, restored, err
+	var restored uint64
+	if src != nil {
+		var err error
+		if restored, err = n.RestoreFromArchive(src); err != nil {
+			return n, restored, err
+		}
+	}
+	fromDisk, err := n.Rejoin(syncBudget)
+	return n, restored + fromDisk, err
 }
 
 // Identity exposes user i's identity (for crafting transactions).

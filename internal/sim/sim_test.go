@@ -175,28 +175,6 @@ func TestBandwidthAccounting(t *testing.T) {
 	}
 }
 
-func TestStorageSharding(t *testing.T) {
-	cfg := DefaultConfig(20, 3)
-	cfg.ShardCount = 4
-	c := NewCluster(cfg)
-	c.Run()
-	var bytes int64
-	for _, n := range c.Nodes {
-		bytes += n.Store().Bytes
-	}
-	// Compare against an unsharded run.
-	cfg2 := DefaultConfig(20, 3)
-	c2 := NewCluster(cfg2)
-	c2.Run()
-	var fullBytes int64
-	for _, n := range c2.Nodes {
-		fullBytes += n.Store().Bytes
-	}
-	if bytes*2 > fullBytes {
-		t.Fatalf("sharded storage %d not ≪ full %d", bytes, fullBytes)
-	}
-}
-
 func TestSkewedWeightDistribution(t *testing.T) {
 	// The paper's evaluation gives everyone an equal share ("maximizes
 	// the number of messages"); real deployments are skewed. Consensus

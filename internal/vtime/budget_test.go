@@ -13,9 +13,8 @@ import (
 
 type floodMsg struct{ id crypto.Digest }
 
-func (m *floodMsg) WireSize() int              { return 300 }
-func (m *floodMsg) ID() crypto.Digest          { return m.id }
-func (m *floodMsg) LimitKey() network.LimitKey { return network.LimitKey{} }
+func (m *floodMsg) WireSize() int     { return 300 }
+func (m *floodMsg) ID() crypto.Digest { return m.id }
 func newFloodMsg(name string, i int) *floodMsg {
 	return &floodMsg{crypto.HashBytes(name, []byte{byte(i)})}
 }
