@@ -8,10 +8,12 @@
 //     (edwards25519 + ECVRF-EDWARDS25519-SHA512-TAI);
 //   - BA⋆, the paper's Byzantine agreement protocol (Algorithms 3-9);
 //   - block proposal with priority gossip (§6);
-//   - a ledger with seeds, certificates, sharded storage and catch-up
-//     (§5, §8);
+//   - a ledger with seeds, certificates, a durable archive and
+//     trustless catch-up (§5, §8);
 //   - a deterministic whole-network simulator reproducing the paper's
 //     evaluation setup (§10), including adversaries;
+//   - an access tier of gateways that gossip client payments to every
+//     user as a node does (§4) and answer reads from a certified replica;
 //   - the committee-size analysis of §7.5 (Figure 3) and a Nakamoto
 //     (Bitcoin) baseline for the throughput comparison (§10.2).
 //
@@ -108,13 +110,13 @@ type NetworkConfig = network.Config
 // --- Access tier ------------------------------------------------------------
 
 // Gateway is one access-tier node: the user-facing front door between
-// clients and the consensus cluster (edge validation, deterministic
-// cluster routing, a CommitAnnounce-fed read model). Consensus nodes
-// behind gateways carry zero client connections.
+// clients and the consensus cluster (edge validation, TxBatch gossip with
+// a resend paced by the chain, a CommitAnnounce-fed read model).
+// Consensus nodes behind gateways carry zero client connections.
 type Gateway = gateway.Gateway
 
-// GatewayConfig assembles a gateway (set SimConfig.Gateways and
-// SimConfig.GatewayCfg to add an access tier to a simulation).
+// GatewayConfig assembles a gateway (set SimConfig.Gateways to add an
+// access tier to a simulation).
 type GatewayConfig = gateway.Config
 
 // GatewayStats is a gateway's end-of-run books.

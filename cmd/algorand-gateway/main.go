@@ -12,11 +12,12 @@
 //
 // Clients submit transactions and run queries against -listen (the
 // node -submit-addr TCP/JSON protocol plus {"op":...} queries); the
-// gateway validates at the edge, routes admitted transactions to
-// deterministic consensus clusters, and answers reads from its
-// CommitAnnounce-fed read model. Consensus nodes carry zero client
+// gateway validates at the edge, gossips admitted transactions to the
+// network as a node does, and answers reads from its CommitAnnounce-fed
+// read model. Consensus nodes carry zero client
 // connections. A gateway owns no stake and signs nothing, so it needs
-// no identity of its own — only the shared genesis derivation.
+// no identity of its own — only the shared genesis derivation
+// (node.NewDeployment).
 package main
 
 import (
@@ -33,7 +34,6 @@ import (
 	"algorand/internal/ledger"
 	"algorand/internal/metrics"
 	"algorand/internal/node"
-	"algorand/internal/params"
 	"algorand/internal/realnet"
 	"algorand/internal/vtime"
 )
@@ -65,15 +65,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The same genesis derivation as algorand-node: only the first
-	// `voters` book entries are funded identities; gateways hold none.
+	// The same derivation as algorand-node (node.NewDeployment): only the
+	// first `voters` book entries are funded identities; gateways hold
+	// none. The read model verifies certificates under the committee the
+	// nodes run (the λ timing knobs do not enter verification).
 	provider := crypto.NewReal()
-	genesis := make(map[crypto.PublicKey]uint64)
-	for i := 0; i < voters; i++ {
-		idty := provider.NewIdentity(crypto.SeedFromUint64(*gseed<<20 | uint64(i)))
-		genesis[idty.PublicKey()] = *weight
-	}
-	seed0 := crypto.HashUint64("algorand-node.genesis", *gseed)
+	dep := node.NewDeployment(provider, *gseed, *weight, voters)
 
 	reg := metrics.NewRegistry()
 	sim := vtime.New().Realtime()
@@ -92,22 +89,8 @@ func main() {
 		})
 	}
 
-	consensus := make([]int, voters)
-	for i := range consensus {
-		consensus[i] = i
-	}
-	// The same committee-size derivation as algorand-node, so the read
-	// model verifies certificates under the parameters the cluster
-	// actually runs (the λ timing knobs do not enter verification).
-	prm := params.Default()
-	prm.TauProposer = uint64(voters)/2 + 1
-	prm.TauStep = uint64(voters) * 3
-	prm.TauFinal = uint64(voters) * 6
-	prm.MaxSteps = 12
-
 	cfg := gateway.Config{
-		Consensus:   consensus,
-		Committee:   node.CommitteeParamsFor(prm),
+		Committee:   node.CommitteeParamsFor(dep.Params),
 		LedgerCfg:   ledger.DefaultConfig(),
 		FlowWorkers: *workers,
 		MaxConns:    *maxConns,
@@ -118,7 +101,7 @@ func main() {
 	epoch := time.Now()
 	cfg.Flow.Now = func() time.Duration { return time.Since(epoch) }
 
-	gw := gateway.New(*id, sim, transport, provider, cfg, genesis, seed0)
+	gw := gateway.New(*id, sim, transport, provider, cfg, dep.Genesis, dep.Seed0)
 	transport.Start()
 	gw.Start()
 	defer gw.Close()

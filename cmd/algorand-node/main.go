@@ -27,7 +27,6 @@ import (
 	"algorand/internal/ledger/diskstore"
 	"algorand/internal/metrics"
 	"algorand/internal/node"
-	"algorand/internal/params"
 	"algorand/internal/realnet"
 	"algorand/internal/trace"
 	"algorand/internal/txflow"
@@ -64,32 +63,18 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Protocol parameters scaled to the deployment size and the chosen
-	// step timeout.
+	// Identities, genesis and committee sizes derive from the shared seed
+	// word; the step timeout is this deployment's choice.
+	provider := crypto.NewReal()
+	dep := node.NewDeployment(provider, *gseed, *weight, voters)
 	step := time.Duration(*lambdaMS) * time.Millisecond
-	prm := params.Default()
-	prm.TauProposer = uint64(voters)/2 + 1
-	prm.TauStep = uint64(voters) * 3
-	prm.TauFinal = uint64(voters) * 6
+	prm := dep.Params
 	prm.LambdaStep = step
 	prm.LambdaPriority = step / 2
 	prm.LambdaStepVar = step / 4
 	prm.LambdaBlock = 2 * step
-	prm.MaxSteps = 12
 	prm.BlockSize = 8 << 10
-
-	// Shared genesis: all identities derive from the seed word.
-	provider := crypto.NewReal()
-	genesis := make(map[crypto.PublicKey]uint64)
-	var self crypto.Identity
-	for i := 0; i < voters; i++ {
-		idty := provider.NewIdentity(crypto.SeedFromUint64(*gseed<<20 | uint64(i)))
-		genesis[idty.PublicKey()] = *weight
-		if i == *id {
-			self = idty
-		}
-	}
-	seed0 := crypto.HashUint64("algorand-node.genesis", *gseed)
+	self := dep.Identities[*id]
 
 	// One registry for the whole process: the transport, the durable
 	// archive, and the node (BA⋆ counters, round outcomes, trace phase
@@ -142,7 +127,7 @@ func main() {
 		cfg.CheckpointInterval = *chkEvery
 	}
 
-	nd := node.New(*id, sim, transport, provider, self, cfg, genesis, seed0)
+	nd := node.New(*id, sim, transport, provider, self, cfg, dep.Genesis, dep.Seed0)
 	nd.StopAfterRound = *rounds
 
 	pk := self.PublicKey()

@@ -10,7 +10,7 @@
 // and its users are realnet's seen/relay-limit caches
 // (crypto.Digest→struct{}, network.LimitKey→int) and the gateway read
 // model's transaction-status indexes (crypto.Digest→uint64 committed,
-// crypto.Digest→struct{} pending).
+// crypto.Digest→uint64 pending, the head at admission).
 //
 // Time is a caller-supplied time.Duration reading — virtual time under
 // the simulator, wall-clock offsets in real deployments — passed into

@@ -13,9 +13,9 @@
 //     verified-signature cache, duplicate and stale-nonce filters,
 //     per-sender rate windows, bounded pools with typed rejects and
 //     retry_after_ms hints;
-//   - deterministically routes each admitted transaction by
-//     sender-hash to a cluster of consensus nodes and coalesces
-//     submissions into TxBatch gossip (see router.go);
+//   - hands admitted transactions to the network the way a node does,
+//     as TxBatch gossip, and floods again what is still pending three
+//     applied rounds later (see resendPending);
 //   - answers queries from a lag-tolerant read model fed by
 //     CommitAnnounce gossip, applying only blocks whose BA⋆
 //     certificates verify against the committee — never by calling
@@ -46,31 +46,6 @@ import (
 // Config assembles a gateway. The zero value of every sizing field
 // gets a sensible default.
 type Config struct {
-	// Consensus lists the network ids of the consensus nodes this
-	// gateway routes transactions to and fetches blocks from. Required.
-	Consensus []int
-	// Clusters partitions senders into deterministic routing clusters
-	// (cluster = low 4 bytes of the sender key mod Clusters, the same
-	// arithmetic txflow uses for mempool sharding, so every gateway
-	// routes a given sender identically). Default min(4, len(Consensus)).
-	Clusters int
-	// FanOut is how many consensus members of a cluster each flushed
-	// batch is sent to (redundancy against a crashed or partitioned
-	// member). Default 2.
-	FanOut int
-	// FlushInterval is how often freshly admitted transactions are
-	// coalesced into TxBatch unicasts toward their clusters.
-	// Default 250ms.
-	FlushInterval time.Duration
-	// ResendInterval is how often transactions still pending in the
-	// gateway mempool (admitted but not yet observed committed) are
-	// re-sent toward their clusters — the recovery path after a routed
-	// batch died with a crashed consensus node or a partition.
-	// Default 10s.
-	ResendInterval time.Duration
-	// ResendBudget bounds the bytes re-sent per ResendInterval tick.
-	// Default 256 KiB.
-	ResendBudget int
 	// Committee configures BA⋆ certificate verification in the read
 	// model (DESIGN.md, "Accepting a block you did not agree on"). It
 	// must match the consensus cluster's protocol parameters (see
@@ -82,11 +57,6 @@ type Config struct {
 	// read model's chain replica needs it to derive the same sortition
 	// seeds and look-back weights the committee used.
 	LedgerCfg ledger.Config
-	// StatusTTL bounds how long committed and pending transaction ids
-	// are queryable in the status index (a TTL'd two-generation cache,
-	// not an unbounded map). Entries live between TTL and 2×TTL.
-	// Default 5 minutes.
-	StatusTTL time.Duration
 	// Flow sizes the edge admission pipeline (see txflow.Config).
 	// Unless Flow.Now is set, the pipeline clock is the simulator's.
 	Flow txflow.Config
@@ -120,30 +90,18 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-func (c Config) withDefaults() Config {
-	if c.Clusters <= 0 {
-		c.Clusters = 4
-	}
-	if len(c.Consensus) > 0 && c.Clusters > len(c.Consensus) {
-		c.Clusters = len(c.Consensus)
-	}
-	if c.FanOut <= 0 {
-		c.FanOut = 2
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = 250 * time.Millisecond
-	}
-	if c.ResendInterval <= 0 {
-		c.ResendInterval = 10 * time.Second
-	}
-	if c.ResendBudget <= 0 {
-		c.ResendBudget = 256 << 10
-	}
-	if c.StatusTTL <= 0 {
-		c.StatusTTL = 5 * time.Minute
-	}
-	return c
-}
+const (
+	// flushInterval is how often freshly admitted transactions leave as
+	// TxBatch gossip: a node's txFlushPeriod at the paper's λ_priority.
+	flushInterval = 250 * time.Millisecond
+	// resendAfter is how many applied rounds a payment may stay pending
+	// before the gateway floods it again. Three rounds are past a
+	// fault-free confirmation, so only a payment a crash or partition
+	// lost is sent twice.
+	resendAfter = 3
+	// resendBudget bounds the bytes one resend floods.
+	resendBudget = 256 << 10
+)
 
 // Gateway is one access-tier node.
 type Gateway struct {
@@ -155,15 +113,11 @@ type Gateway struct {
 	flow *txflow.Flow
 	rm   *ReadModel
 
-	// Round-robin cursors, one per cluster, so successive flushes
-	// rotate across a cluster's members.
-	rr []int
-	// resendAt is the virtual time of the next pending-tx resend.
-	resendAt time.Duration
-
-	// fetchedAt tracks outstanding chain fetches (keyed by starting
-	// round) so one gap does not turn every announce into a request.
-	fetchedAt map[crypto.Digest]time.Duration
+	// fromAsked is the FromRound of the last chain request and askedAt
+	// when it went, so one gap does not turn every announce into a
+	// request.
+	fromAsked uint64
+	askedAt   time.Duration
 	// reqNonce numbers chain requests. Like the node's it starts at the
 	// scheduler's epoch: a gateway restarted within the peers' duplicate
 	// window would otherwise repeat its predecessor's request ids and
@@ -206,7 +160,6 @@ type gwCounters struct {
 // starts from the same genesis block hash and balances the ledger
 // derives. The caller wires the transport handler by calling Start.
 func New(id int, sim *vtime.Sim, net node.Transport, provider crypto.Provider, cfg Config, genesis map[crypto.PublicKey]uint64, seed0 crypto.Digest) *Gateway {
-	cfg = cfg.withDefaults()
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -218,27 +171,24 @@ func New(id int, sim *vtime.Sim, net node.Transport, provider crypto.Provider, c
 		cfg.Flow.Now = sim.Now
 	}
 	g := &Gateway{
-		ID:   id,
-		cfg:  cfg,
-		sim:  sim,
-		net:  net,
-		flow: txflow.New(provider, cfg.Flow),
-		rm: NewReadModel(provider, cfg.LedgerCfg, cfg.Committee, genesis, seed0,
-			cfg.StatusTTL, sim.Now),
-		rr:        make([]int, cfg.Clusters),
-		fetchedAt: make(map[crypto.Digest]time.Duration),
-		reqNonce:  sim.Epoch(),
-		reg:       reg,
+		ID:       id,
+		cfg:      cfg,
+		sim:      sim,
+		net:      net,
+		flow:     txflow.New(provider, cfg.Flow),
+		rm:       NewReadModel(provider, cfg.LedgerCfg, cfg.Committee, genesis, seed0, sim.Now),
+		reqNonce: sim.Epoch(),
+		reg:      reg,
 	}
 	g.c = gwCounters{
 		submitted:     reg.Counter("algorand_gateway_submitted_total", "transactions offered to the gateway"),
 		admitted:      reg.Counter("algorand_gateway_admitted_total", "transactions admitted at the edge"),
 		rejected:      reg.Counter("algorand_gateway_rejected_total", "transactions rejected at the edge"),
 		queries:       reg.Counter("algorand_gateway_queries_total", "read-model queries answered"),
-		batchesRouted: reg.Counter("algorand_gateway_batches_routed_total", "TxBatch unicasts sent toward clusters"),
-		txsRouted:     reg.Counter("algorand_gateway_txs_routed_total", "transactions routed toward clusters"),
-		bytesRouted:   reg.Counter("algorand_gateway_bytes_routed_total", "encoded transaction bytes routed"),
-		resent:        reg.Counter("algorand_gateway_resent_total", "pending transactions re-sent after ResendInterval"),
+		batchesRouted: reg.Counter("algorand_gateway_batches_routed_total", "TxBatch messages gossiped"),
+		txsRouted:     reg.Counter("algorand_gateway_txs_routed_total", "transactions gossiped, resends included"),
+		bytesRouted:   reg.Counter("algorand_gateway_bytes_routed_total", "encoded TxBatch bytes gossiped"),
+		resent:        reg.Counter("algorand_gateway_resent_total", "pending transactions gossiped again after resendAfter applied rounds"),
 		announces:     reg.Counter("algorand_gateway_commit_announces_total", "CommitAnnounce messages observed"),
 		blocksApplied: reg.Counter("algorand_gateway_blocks_applied_total", "committed blocks applied to the read model"),
 		chainFills:    reg.Counter("algorand_gateway_chain_fills_total", "gap-filling chain requests issued"),
@@ -347,25 +297,23 @@ func (g *Gateway) handleMessage(from int, m network.Message) network.Verdict {
 }
 
 // observeAnnounce feeds one commit announcement to the read model and
-// issues whatever fetch it asks for. Block bodies always arrive as
-// ChainReply runs — the certificates ride along, and only they can
-// move the head.
+// issues the fetch it asks for. Block bodies always arrive as ChainReply
+// runs — the certificates ride along, and only they can move the head.
 func (g *Gateway) observeAnnounce(msg *node.CommitAnnounce) {
-	act := g.rm.Observe(msg.Round)
-	if act.Kind != FetchChain {
+	from, behind := g.rm.Observe(msg.Round)
+	if !behind {
 		g.c.staleAnnounce.Inc()
 		return
 	}
 	now := g.sim.Now()
-	// One outstanding fetch per starting round per second: every
-	// consensus neighbor announces every round, and each announce
-	// would otherwise re-request the same run.
-	key := crypto.HashUint64("gateway.chainfill", act.FromRound)
-	if at, ok := g.fetchedAt[key]; ok && now-at < time.Second {
+	// One fetch per starting round per second: every consensus neighbour
+	// announces every round, and each announce would otherwise re-request
+	// the same run. The head never goes back, so the last round asked is
+	// the only one an announce can ask for again.
+	if from == g.fromAsked && now-g.askedAt < time.Second {
 		return
 	}
-	g.fetchedAt[key] = now
-	g.gcFetches(now)
+	g.fromAsked, g.askedAt = from, now
 	g.c.chainFills.Inc()
 	g.reqNonce++
 	if len(g.asked) == maxAsked {
@@ -373,27 +321,15 @@ func (g *Gateway) observeAnnounce(msg *node.CommitAnnounce) {
 	}
 	g.asked = append(g.asked, ask{g.reqNonce, msg.Announcer})
 	g.net.Unicast(g.ID, msg.Announcer, &node.ChainRequest{
-		FromRound: act.FromRound, MaxBlocks: 64, Requester: g.ID, Nonce: g.reqNonce,
+		FromRound: from, MaxBlocks: 64, Requester: g.ID, Nonce: g.reqNonce,
 	})
-}
-
-// gcFetches bounds the outstanding-fetch map (entries older than a
-// minute are dead either way).
-func (g *Gateway) gcFetches(now time.Duration) {
-	if len(g.fetchedAt) < 256 {
-		return
-	}
-	for h, at := range g.fetchedAt {
-		if now-at > time.Minute {
-			delete(g.fetchedAt, h)
-		}
-	}
 }
 
 // applyRun advances the read model through a fetched chain run and,
 // for each block that actually committed (certificate verified),
 // clears its transactions from the gateway mempool so they are
-// neither re-sent nor re-admitted.
+// neither re-sent nor re-admitted. A run that moved the head then
+// paces the resend.
 func (g *Gateway) applyRun(blocks []*ledger.Block, certs []*ledger.Certificate) {
 	applied, balances, err := g.rm.ApplyRun(blocks, certs)
 	if err != nil {
@@ -405,28 +341,67 @@ func (g *Gateway) applyRun(blocks []*ledger.Block, certs []*ledger.Certificate) 
 		// commit. balances is the read model's post-run state.
 		g.flow.Committed(b, balances)
 	}
+	if len(applied) > 0 {
+		g.resendPending(balances, applied[len(applied)-1].Round)
+	}
 }
 
-// run is the gateway's background process: flush admitted
-// transactions toward their clusters, periodically re-send still
-// pending ones, and wind down when the cluster is done.
-func (g *Gateway) run(p *vtime.Proc) {
-	g.resendAt = p.Now() + g.cfg.ResendInterval
-	for {
-		p.Sleep(g.cfg.FlushInterval)
-		if g.sim.Stopped() {
-			return
-		}
-		if g.cfg.Done != nil && g.cfg.Done() {
-			return
-		}
-		if g.halted {
+// resendPending floods again the payments still pending in the gateway
+// mempool that were admitted at least resendAfter applied rounds before
+// head: a flood a crash or a partition swallowed. The chain paces it, not
+// a clock: a payment younger than that may still be on its way into a
+// block. Assemble orders each sender's ready payments against the read
+// model's balances without removing anything from the pool, within
+// resendBudget, and a payment sent again counts as admitted at head, so
+// one that stays pending goes out every resendAfter rounds.
+func (g *Gateway) resendPending(balances *ledger.Balances, head uint64) {
+	if g.flow.Len() == 0 {
+		return
+	}
+	txs := g.flow.Assemble(balances, resendBudget)
+	var resend []*ledger.Transaction
+	for i := range txs {
+		id := txs[i].ID()
+		// An id the status index has aged out has been pending for minutes.
+		if at, ok := g.rm.pendingSince(id); ok && at+resendAfter > head {
 			continue
 		}
-		g.flushOnce()
-		if p.Now() >= g.resendAt {
-			g.resendAt = p.Now() + g.cfg.ResendInterval
-			g.resendPending()
+		g.rm.NotePending(id)
+		// Assemble's copies, in an array nobody writes again.
+		resend = append(resend, &txs[i])
+	}
+	g.c.resent.Add(uint64(len(resend)))
+	g.gossip(txflow.Batches(resend, node.MaxTxBatchBytes))
+}
+
+// flushOnce gossips freshly admitted transactions.
+func (g *Gateway) flushOnce() {
+	g.gossip(g.flow.DrainOutbox(node.MaxTxBatchBytes))
+}
+
+// gossip hands each batch to the network as one TxBatch, as a node's
+// flush does: the next proposer is secret until it reveals itself, so
+// every payment goes to everyone.
+func (g *Gateway) gossip(batches [][]*ledger.Transaction) {
+	for _, batch := range batches {
+		m := &node.TxBatch{Txns: batch}
+		g.net.Gossip(g.ID, m)
+		g.c.batchesRouted.Inc()
+		g.c.txsRouted.Add(uint64(len(batch)))
+		g.c.bytesRouted.Add(uint64(m.WireSize()))
+	}
+}
+
+// run is the gateway's background process: flush admitted transactions
+// every flushInterval, and wind down when the cluster is done.
+func (g *Gateway) run(p *vtime.Proc) {
+	for {
+		p.Sleep(flushInterval)
+		if g.sim.Stopped() || (g.cfg.Done != nil && g.cfg.Done()) {
+			return
+		}
+		if !g.halted {
+			g.flushOnce()
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -64,9 +65,6 @@ func newHarness(t *testing.T, cfg Config, users int) *testHarness {
 		id := prov.NewIdentity(crypto.SeedFromUint64(uint64(i) + 1))
 		ids = append(ids, id)
 		genesis[id.PublicKey()] = 1000
-	}
-	if cfg.Consensus == nil {
-		cfg.Consensus = []int{0, 1, 2, 3, 4, 5, 6, 7}
 	}
 	cfg.Committee = testCommittee
 	cfg.LedgerCfg = ledger.DefaultConfig()
@@ -162,80 +160,139 @@ func TestReadModelGenesisMatchesLedger(t *testing.T) {
 	}
 }
 
-func TestClusterRoutingIsDeterministicAndStable(t *testing.T) {
-	h := newHarness(t, Config{Clusters: 4}, 16)
-	for _, id := range h.ids {
-		pk := id.PublicKey()
-		ci := ClusterOf(pk, 4)
-		if ci != ClusterOf(pk, 4) {
-			t.Fatal("routing not deterministic")
-		}
-		if ci < 0 || ci >= 4 {
-			t.Fatalf("cluster %d out of range", ci)
-		}
-	}
-	// Every cluster's member set is disjoint and covers Consensus.
-	seen := map[int]bool{}
-	for ci := 0; ci < 4; ci++ {
-		for _, m := range h.gw.clusterMembers(ci) {
-			if seen[m] {
-				t.Fatalf("consensus node %d serves two clusters", m)
-			}
-			seen[m] = true
-		}
-	}
-	if len(seen) != len(h.gw.cfg.Consensus) {
-		t.Fatalf("cluster members cover %d of %d consensus nodes", len(seen), len(h.gw.cfg.Consensus))
-	}
-	// One flush that spans every cluster leaves in cluster order, every
-	// time: the order of these sends is the order of the simulator's
-	// events, so a gateway run repeats only if it does.
-	for _, id := range h.ids {
-		tx := &ledger.Transaction{From: id.PublicKey(), To: h.ids[0].PublicKey(), Amount: 1, Fee: 1}
-		tx.Sign(id)
+// TestFlushGossipsEveryDrainedBatch: a gateway hands payments to the
+// network as a node does — each drained batch leaves as one TxBatch
+// flood, in admission order, and nothing is unicast to a chosen node.
+func TestFlushGossipsEveryDrainedBatch(t *testing.T) {
+	h := newHarness(t, Config{}, 16)
+	// More than one batch's worth.
+	var want []crypto.Digest
+	for bytes := 0; bytes <= node.MaxTxBatchBytes; {
+		from := len(want) % len(h.ids)
+		tx := h.tx(t, from, (from+1)%len(h.ids), len(want)/len(h.ids))
 		if err := h.gw.Submit(tx); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
+		want = append(want, tx.ID())
+		bytes += tx.WireSize()
 	}
 	h.gw.flushOnce()
-	prev := -1
-	for _, u := range h.net.unicasts {
-		ci := ClusterOf(u.m.(*node.TxBatch).Txns[0].From, 4)
-		if ci < prev {
-			t.Fatalf("cluster %d's batch left after cluster %d's", ci, prev)
-		}
-		prev = ci
+	if len(h.net.unicasts) != 0 {
+		t.Fatalf("flush unicast %d messages", len(h.net.unicasts))
 	}
-	if prev != 3 {
-		t.Fatalf("flush reached clusters up to %d, want all 4", prev)
+	if len(h.net.gossips) < 2 {
+		t.Fatalf("%d payments left in %d floods, want them split at the batch cap", len(want), len(h.net.gossips))
+	}
+	var got []crypto.Digest
+	for _, m := range h.net.gossips {
+		batch, ok := m.(*node.TxBatch)
+		if !ok || batch.WireSize() > node.MaxTxBatchBytes+4 {
+			t.Fatalf("flush gossiped %T of %d bytes", m, m.WireSize())
+		}
+		for _, tx := range batch.Txns {
+			got = append(got, tx.ID())
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("floods carry %d payments, want the %d admitted in admission order", len(got), len(want))
+	}
+	if st := h.gw.Stats(); st.BatchesRouted != int64(len(h.net.gossips)) || st.TxsRouted != int64(len(want)) {
+		t.Fatalf("stats batches=%d txs=%d, want %d/%d", st.BatchesRouted, st.TxsRouted, len(h.net.gossips), len(want))
+	}
+	// Drained: a second flush sends nothing.
+	floods := len(h.net.gossips)
+	h.gw.flushOnce()
+	if len(h.net.gossips) != floods {
+		t.Fatal("a second flush sent again")
 	}
 }
 
-func TestSubmitRoutesToSenderCluster(t *testing.T) {
-	h := newHarness(t, Config{Clusters: 4, FanOut: 2}, 8)
-	tx := h.tx(t, 0, 1, 0)
-	if err := h.gw.Submit(tx); err != nil {
+// TestResendWaitsThreeAppliedRounds: the chain paces the resend. A
+// payment still pending is flooded again once the read model has
+// applied resendAfter rounds past the head it was admitted at, not
+// before, and then not again until resendAfter more.
+func TestResendWaitsThreeAppliedRounds(t *testing.T) {
+	h := newHarness(t, Config{}, 4)
+	old := h.tx(t, 0, 1, 0)
+	if err := h.gw.Submit(old); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 	h.gw.flushOnce()
-	if len(h.net.unicasts) != 2 {
-		t.Fatalf("want FanOut=2 unicasts, got %d", len(h.net.unicasts))
+	h.advance(t) // round 1
+	young := h.tx(t, 1, 2, 0)
+	if err := h.gw.Submit(young); err != nil {
+		t.Fatalf("submit: %v", err)
 	}
-	wantCluster := ClusterOf(tx.From, 4)
-	members := h.gw.clusterMembers(wantCluster)
-	memberSet := map[int]bool{}
-	for _, m := range members {
-		memberSet[m] = true
-	}
-	for _, u := range h.net.unicasts {
-		if !memberSet[u.to] {
-			t.Fatalf("batch routed to node %d outside cluster %d members %v", u.to, wantCluster, members)
+	h.gw.flushOnce()
+	resent := func() []crypto.Digest {
+		var ids []crypto.Digest
+		for _, m := range h.net.gossips[2:] {
+			for _, tx := range m.(*node.TxBatch).Txns {
+				ids = append(ids, tx.ID())
+			}
 		}
-		batch, ok := u.m.(*node.TxBatch)
-		if !ok || len(batch.Txns) != 1 || batch.Txns[0].ID() != tx.ID() {
-			t.Fatalf("unexpected routed message %#v", u.m)
-		}
+		return ids
 	}
+	h.advance(t) // round 2: old was admitted at 0, two rounds ago
+	if ids := resent(); len(ids) != 0 {
+		t.Fatalf("%d payments re-sent two rounds after admission", len(ids))
+	}
+	h.advance(t) // round 3: old is three rounds old, young two
+	if ids := resent(); !slices.Equal(ids, []crypto.Digest{old.ID()}) {
+		t.Fatalf("re-sent %d payments at round 3, want the one admitted at round 0", len(ids))
+	}
+	h.advance(t) // round 4: young is three rounds old; old was re-sent at 3
+	if ids := resent(); !slices.Equal(ids, []crypto.Digest{old.ID(), young.ID()}) {
+		t.Fatalf("re-sent %d payments by round 4, want old once and young once", len(ids))
+	}
+	if st := h.gw.Stats(); st.Resent != 2 {
+		t.Fatalf("resent = %d, want 2", st.Resent)
+	}
+	// Committed: cleared from the pool, never sent again.
+	h.advance(t, *old, *young)
+	h.advance(t)
+	h.advance(t)
+	h.advance(t)
+	if st := h.gw.Stats(); st.Resent != 2 || st.Pending != 0 {
+		t.Fatalf("after commit: resent=%d pending=%d, want 2/0", st.Resent, st.Pending)
+	}
+}
+
+// TestOneChainRequestPerStartingRound: every consensus neighbour
+// announces every round, so announces of one gap within a second send
+// one ChainRequest; a later gap sends at once.
+func TestOneChainRequestPerStartingRound(t *testing.T) {
+	h := newHarness(t, Config{}, 4)
+	var b1 *ledger.Block
+	h.sim.Spawn("announcer", func(p *vtime.Proc) {
+		p.Sleep(time.Second) // the gateway's clock starts at zero, as does no request
+		b1 = h.propose()
+		cert1 := h.certify(b1, false)
+		h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash(), Announcer: 0})
+		p.Sleep(500 * time.Millisecond)
+		h.gw.handleMessage(1, &node.CommitAnnounce{Round: 1, Hash: b1.Hash(), Announcer: 1})
+		if len(h.net.unicasts) != 1 {
+			t.Errorf("two announces of round 1 within a second sent %d requests", len(h.net.unicasts))
+		}
+		// The gap is filled: the next round's announce asks from round 2 at once.
+		if err := h.l.Commit(b1, cert1); err != nil {
+			t.Errorf("shadow commit: %v", err)
+		}
+		h.gw.handleMessage(0, &node.ChainReply{
+			Blocks: []*ledger.Block{b1}, Certs: []*ledger.Certificate{cert1}, Recipient: 100, Nonce: h.lastRequest(t).Nonce,
+		})
+		h.gw.handleMessage(0, &node.CommitAnnounce{Round: 2, Announcer: 0})
+		if req := h.lastRequest(t); len(h.net.unicasts) != 2 || req.FromRound != 2 {
+			t.Errorf("a higher FromRound waited: %d requests, last from round %d", len(h.net.unicasts), req.FromRound)
+		}
+		// The same gap a second later is asked again.
+		p.Sleep(time.Second)
+		h.gw.handleMessage(1, &node.CommitAnnounce{Round: 2, Announcer: 1})
+		if len(h.net.unicasts) != 3 {
+			t.Errorf("the same gap a second later sent %d requests in all, want 3", len(h.net.unicasts))
+		}
+	})
+	h.sim.Run(time.Minute)
 }
 
 func TestAnnounceDrivesChainFetchAndCertifiedApply(t *testing.T) {
@@ -591,7 +648,7 @@ func TestIncarnationsNeverRepeatRequestIDs(t *testing.T) {
 	fill(h.gw)
 	h.sim.Spawn("restart", func(p *vtime.Proc) {
 		p.Sleep(time.Second)
-		fill(New(100, h.sim, h.net, h.prov, Config{Consensus: h.gw.cfg.Consensus}, h.genesis, h.seed0))
+		fill(New(100, h.sim, h.net, h.prov, Config{}, h.genesis, h.seed0))
 	})
 	h.sim.Run(time.Minute)
 	if len(seen) != 2 {

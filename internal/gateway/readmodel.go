@@ -32,42 +32,26 @@ type ReadModel struct {
 	committee ledger.CommitteeParams
 
 	// committed maps tx id → commit round for status queries; pending
-	// marks ids admitted at this gateway and not yet seen committed.
-	// Both are TTL'd two-generation caches, so the status index stays
-	// bounded no matter how long the gateway runs.
+	// maps ids admitted at this gateway and not yet seen committed to the
+	// head at admission, which paces the gateway's resend. Both are
+	// TTL'd two-generation caches, so the status index stays bounded no
+	// matter how long the gateway runs.
 	committed *cache.TwoGen[crypto.Digest, uint64]
-	pending   *cache.TwoGen[crypto.Digest, struct{}]
+	pending   *cache.TwoGen[crypto.Digest, uint64]
 
 	now func() time.Duration
 }
 
-// FetchKind tells the gateway what the read model needs next.
-type FetchKind int
-
-const (
-	// FetchNone: nothing to do.
-	FetchNone FetchKind = iota
-	// FetchChain: the announced round is past the head; request the
-	// chain (blocks and their certificates) from FromRound.
-	FetchChain
-)
-
-// FetchAction is the read model's reaction to an announce.
-type FetchAction struct {
-	Kind      FetchKind
-	FromRound uint64
-}
+// statusTTL bounds how long committed and pending transaction ids are
+// queryable in the status index. Entries live between TTL and 2×TTL.
+const statusTTL = 5 * time.Minute
 
 // NewReadModel builds the model at genesis. genesis, seed0, lcfg and
 // committee must match the consensus cluster's configuration: the
 // genesis entry is derived exactly the way ledger.New derives it, and
 // certificates are verified under the cluster's committee parameters.
 func NewReadModel(provider crypto.Provider, lcfg ledger.Config, committee ledger.CommitteeParams,
-	genesis map[crypto.PublicKey]uint64, seed0 crypto.Digest,
-	statusTTL time.Duration, now func() time.Duration) *ReadModel {
-	if statusTTL <= 0 {
-		statusTTL = 5 * time.Minute
-	}
+	genesis map[crypto.PublicKey]uint64, seed0 crypto.Digest, now func() time.Duration) *ReadModel {
 	if now == nil {
 		panic("gateway: ReadModel needs a clock")
 	}
@@ -75,24 +59,21 @@ func NewReadModel(provider crypto.Provider, lcfg ledger.Config, committee ledger
 		l:         ledger.New(provider, lcfg, genesis, seed0),
 		committee: committee,
 		committed: cache.New[crypto.Digest, uint64](statusTTL),
-		pending:   cache.New[crypto.Digest, struct{}](statusTTL),
+		pending:   cache.New[crypto.Digest, uint64](statusTTL),
 		now:       now,
 	}
 }
 
-// Observe records one commit announcement and returns the fetch the
-// gateway should issue, if any. One announcer suffices: announces are
-// only a liveness signal telling the model its head is behind — the
-// fetched blocks prove themselves through their certificates, so
-// counting distinct announcers would add lag without adding trust.
-func (rm *ReadModel) Observe(round uint64) FetchAction {
-	rm.mu.RLock()
-	head := rm.l.ChainLength()
-	rm.mu.RUnlock()
-	if round <= head {
-		return FetchAction{Kind: FetchNone}
-	}
-	return FetchAction{Kind: FetchChain, FromRound: head + 1}
+// Observe records one commit announcement: behind reports that the
+// announced round is past the head, and from is the first round the
+// model lacks, where the chain request that fills the gap starts. One
+// announcer suffices: announces are only a liveness signal telling the
+// model its head is behind — the fetched blocks prove themselves
+// through their certificates, so counting distinct announcers would add
+// lag without adding trust.
+func (rm *ReadModel) Observe(round uint64) (from uint64, behind bool) {
+	head, _ := rm.Head()
+	return head + 1, round > head
 }
 
 // ApplyRun advances the head through a run of blocks and their
@@ -115,10 +96,16 @@ func (rm *ReadModel) ApplyRun(blocks []*ledger.Block, certs []*ledger.Certificat
 	return applied, rm.l.Balances(), err
 }
 
-// NotePending marks a tx id admitted at this gateway, so status
-// queries distinguish "pending here" from "unknown".
+// NotePending marks a tx id admitted at this gateway at the current
+// head, so status queries distinguish "pending here" from "unknown".
 func (rm *ReadModel) NotePending(id crypto.Digest) {
-	rm.pending.Put(id, struct{}{}, rm.now())
+	head, _ := rm.Head()
+	rm.pending.Put(id, head, rm.now())
+}
+
+// pendingSince returns the head at which a pending id was admitted.
+func (rm *ReadModel) pendingSince(id crypto.Digest) (uint64, bool) {
+	return rm.pending.Get(id, rm.now())
 }
 
 // Head returns the model's round and head hash.
@@ -172,12 +159,4 @@ func (rm *ReadModel) BlockAt(round uint64) (*ledger.Block, bool) {
 		return nil, false // genesis is no applied block
 	}
 	return rm.l.BlockAt(round)
-}
-
-// SnapshotBalances deep-copies the current account state (the router
-// uses it to re-stage pending transactions without holding the lock).
-func (rm *ReadModel) SnapshotBalances() (*ledger.Balances, uint64) {
-	rm.mu.RLock()
-	defer rm.mu.RUnlock()
-	return rm.l.Balances().Clone(), rm.l.ChainLength()
 }

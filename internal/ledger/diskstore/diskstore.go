@@ -1,8 +1,8 @@
 // Package diskstore is the durable, crash-safe form of the §8.3 ledger
-// archive: every committed (block, certificate) pair a node is
-// responsible for is journaled through a checksummed write-ahead log of
-// segmented archive files before the node proceeds, and recovered —
-// trustlessly — on restart.
+// archive: every committed (block, certificate) pair a node holds is
+// journaled through a checksummed write-ahead log of segmented archive
+// files before the node proceeds, and recovered — trustlessly — on
+// restart.
 //
 // On-disk layout: a data directory of segments named seg-%08d.wal,
 // numbered from 1. Each segment is a sequence of records:
@@ -12,8 +12,8 @@
 // all fixed fields little-endian. A payload is one kind byte followed
 // by a body in the canonical internal/wire encoding:
 //
-//	meta      — format version, shard index, shard count (first record
-//	            of every segment)
+//	meta      — format version, shard index 0, shard count 1 (first
+//	            record of every segment)
 //	put       — block, has-cert bool, certificate
 //	cert      — round, certificate (tentative→final upgrade without
 //	            rewriting the block)
@@ -96,11 +96,6 @@ type Options struct {
 	// FS is the file abstraction to write through; nil means the real
 	// filesystem. Tests pass a diskfault.Injector.
 	FS diskfault.FS
-	// ShardIndex/ShardCount give the §8.3 shard this archive persists
-	// (count 0 means 1: keep everything). Must match an existing data
-	// directory's meta records.
-	ShardIndex uint64
-	ShardCount uint64
 	// SegmentBytes rotates the active segment once it exceeds this size
 	// (default 4 MiB).
 	SegmentBytes int64
@@ -217,9 +212,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	if fs == nil {
 		fs = diskfault.OS()
 	}
-	if opts.ShardCount == 0 {
-		opts.ShardCount = 1
-	}
 	segBytes := opts.SegmentBytes
 	if segBytes <= 0 {
 		segBytes = 4 << 20
@@ -236,7 +228,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:      dir,
 		segBytes: segBytes,
 		noSync:   opts.NoSync,
-		mem:      ledger.NewStore(opts.ShardIndex, opts.ShardCount),
+		mem:      ledger.NewStore(),
 		durable:  make(map[uint64]recState),
 		cnt:      newStoreCounters(reg),
 	}
@@ -262,7 +254,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		if seq > maxSeq {
 			maxSeq = seq
 		}
-		if err := s.recoverSegment(filepath.Join(dir, name), opts, &scan); err != nil {
+		if err := s.recoverSegment(filepath.Join(dir, name), &scan); err != nil {
 			return nil, err
 		}
 	}
@@ -299,7 +291,7 @@ func segName(seq uint64) string { return fmt.Sprintf("seg-%08d.wal", seq) }
 // recoverSegment scans one segment, applying intact records and
 // truncating a torn tail in place. It reads the segment into scan, which
 // the next one overwrites: nothing a wire.Decoder returns aliases it.
-func (s *Store) recoverSegment(path string, opts Options, scan *bytes.Buffer) error {
+func (s *Store) recoverSegment(path string, scan *bytes.Buffer) error {
 	f, err := s.fs.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return fmt.Errorf("diskstore: %w", err)
@@ -319,7 +311,7 @@ func (s *Store) recoverSegment(path string, opts Options, scan *bytes.Buffer) er
 	}
 
 	off := 0
-	torn := false
+	torn, foreign := false, false
 	for off < len(buf) {
 		rest := buf[off:]
 		if len(rest) < headerSize {
@@ -346,7 +338,7 @@ func (s *Store) recoverSegment(path string, opts Options, scan *bytes.Buffer) er
 			off += headerSize + int(length)
 			continue
 		}
-		if ok := s.applyRecord(payload, opts); ok {
+		if ok := !foreign && s.applyRecord(payload, &foreign); ok {
 			s.cnt.recoveredRecords.Add(1)
 		} else {
 			s.cnt.droppedRecords.Add(1)
@@ -383,8 +375,9 @@ func (s *Store) truncate(path string, size int64) error {
 }
 
 // applyRecord replays one intact record into the in-memory image,
-// reporting whether it was applied.
-func (s *Store) applyRecord(payload []byte, opts Options) bool {
+// reporting whether it was applied. It sets foreign on a meta record
+// naming another shard.
+func (s *Store) applyRecord(payload []byte, foreign *bool) bool {
 	d := wire.NewDecoder(payload)
 	switch kind := d.Byte(); kind {
 	case recMeta:
@@ -394,10 +387,13 @@ func (s *Store) applyRecord(payload []byte, opts Options) bool {
 		if d.Finish() != nil || version != formatVersion {
 			return false
 		}
-		// A shard mismatch means the directory belongs to someone else's
-		// archive; refusing the record (rather than Open erroring) keeps
-		// recovery total, and the caller sees zero recovered rounds.
-		return shardIndex == opts.ShardIndex%opts.ShardCount && shardCount == opts.ShardCount
+		// Every archive is shard 0 of 1; the record keeps the §8.3 fields
+		// it has always had. Another shard means the segment belongs to
+		// someone else's archive: nothing after its meta is applied
+		// (rather than Open erroring, which keeps recovery total), and the
+		// caller sees none of its rounds.
+		*foreign = shardIndex != 0 || shardCount != 1
+		return !*foreign
 	case recPut, recReconcile:
 		b := new(ledger.Block)
 		b.DecodeFrom(d)
@@ -414,9 +410,7 @@ func (s *Store) applyRecord(payload []byte, opts Options) bool {
 			return false
 		}
 		if kind == recPut {
-			if !s.mem.Put(b, c) {
-				return false
-			}
+			s.mem.Put(b, c)
 		} else {
 			s.mem.Reconcile(b, c)
 		}
@@ -464,10 +458,7 @@ func (s *Store) stateOf(round uint64, hash crypto.Digest) recState {
 // noteDurable refreshes the dedup state for b's round from the in-memory
 // image. hash is b's; only another block held for the round is re-hashed.
 func (s *Store) noteDurable(b *ledger.Block, hash crypto.Digest) {
-	held, ok := s.mem.Block(b.Round)
-	if !ok {
-		return // a reconcile record of a round outside this shard
-	}
+	held, _ := s.mem.Block(b.Round)
 	if held != b {
 		hash = held.Hash()
 	}
@@ -496,8 +487,8 @@ func (s *Store) rotateLocked() error {
 	// Not borrowed: the record that forced a rotation waits in the buffer.
 	meta := frame(wire.NewEncoderSize(64), recMeta, func(e *wire.Encoder) {
 		e.Uint32(formatVersion)
-		e.Uint64(s.mem.ShardIndex)
-		e.Uint64(s.mem.ShardCount)
+		e.Uint64(0) // shard index
+		e.Uint64(1) // shard count
 	})
 	if err := s.writeToActive(meta); err != nil {
 		s.broken = true
@@ -579,21 +570,18 @@ func (s *Store) journal(rec []byte) error {
 }
 
 // Append durably archives a committed (block, certificate) pair. Rounds
-// outside this archive's shard, and rounds already durable in the same
-// state, are no-ops — so replaying a recovered chain through Append
-// (the restart path) writes nothing. The in-memory image always
-// reflects the call even if the disk write errors, so a transient disk
-// fault never desynchronizes the node's view; the error reports that
-// durability was not achieved.
+// already durable in the same state are no-ops — so replaying a
+// recovered chain through Append (the restart path) writes nothing. The
+// in-memory image always reflects the call even if the disk write
+// errors, so a transient disk fault never desynchronizes the node's
+// view; the error reports that durability was not achieved.
 func (s *Store) Append(b *ledger.Block, c *ledger.Certificate) (err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if !s.mem.Put(b, c) {
-		return nil // not this shard's round
-	}
+	s.mem.Put(b, c)
 	hash := b.Hash()
 	st, have := s.durable[b.Round]
 	switch {
@@ -634,10 +622,7 @@ func (s *Store) Reconcile(b *ledger.Block, c *ledger.Certificate) error {
 		return ErrClosed
 	}
 	s.mem.Reconcile(b, c)
-	nb, ok := s.mem.Block(b.Round)
-	if !ok {
-		return nil // not this shard's round
-	}
+	nb, _ := s.mem.Block(b.Round)
 	want := s.stateOf(b.Round, nb.Hash())
 	if st, have := s.durable[b.Round]; have && st == want {
 		return nil

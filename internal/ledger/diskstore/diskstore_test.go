@@ -53,8 +53,8 @@ func makeChain(n int) ([]*ledger.Block, []*ledger.Certificate) {
 func snapshot(s *Store) []byte {
 	img := s.Recovered()
 	var e wire.Encoder
-	e.Uint64(img.ShardIndex)
-	e.Uint64(img.ShardCount)
+	e.Uint64(0) // shard index
+	e.Uint64(1) // shard count
 	for r, left := uint64(0), img.Rounds(); left > 0; r++ {
 		if b, ok := img.Block(r); ok {
 			left--
@@ -225,28 +225,26 @@ func TestReconcileDurable(t *testing.T) {
 	}
 }
 
-// TestShardedAppend: only the shard's rounds are persisted.
-func TestShardedAppend(t *testing.T) {
+// TestForeignShardSegmentRecoversNothing: every archive is shard 0 of 1,
+// and a segment whose meta record names another shard belongs to someone
+// else's archive: none of its records is applied.
+func TestForeignShardSegmentRecoversNothing(t *testing.T) {
 	dir := t.TempDir()
-	blocks, certs := makeChain(6)
-	s := mustOpen(t, dir, Options{ShardIndex: 1, ShardCount: 3})
+	blocks, certs := makeChain(3)
+	seg := refFrame(refMeta(1, 3))
 	for i, b := range blocks {
-		if err := s.Append(b, certs[i]); err != nil {
-			t.Fatal(err)
-		}
+		seg = append(seg, refFrame(refPair(1, b, certs[i]))...)
 	}
-	s.Close()
-
-	r := mustOpen(t, dir, Options{ShardIndex: 1, ShardCount: 3})
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := mustOpen(t, dir, Options{})
 	defer r.Close()
-	if got := r.Rounds(); got != 2 { // rounds 1 and 4 ≡ 1 (mod 3)
-		t.Fatalf("recovered %d rounds, want 2", got)
+	if got := r.Rounds(); got != 0 {
+		t.Fatalf("recovered %d rounds from another shard's segment, want 0", got)
 	}
-	if _, ok := r.Recovered().Block(4); !ok {
-		t.Fatal("round 4 (≡ shard 1 mod 3) missing")
-	}
-	if _, ok := r.Recovered().Block(2); ok {
-		t.Fatal("round 2 persisted outside the shard")
+	if st := r.Stats(); st.RecoveredRecords != 0 || st.DroppedRecords != 4 {
+		t.Fatalf("recovered %d records and dropped %d, want 0 and 4", st.RecoveredRecords, st.DroppedRecords)
 	}
 }
 

@@ -20,12 +20,6 @@ type Config struct {
 	// with ~minute-long rounds the two are interchangeable, and rounds
 	// are what a deterministic simulation can count exactly.)
 	LookbackRounds uint64
-	// MinOfCurrentAndLookback enables the §5.3 "nothing at stake"
-	// mitigation the paper sketches but does not explore: a user's
-	// sortition weight is min(current balance, look-back balance), so
-	// users who have since spent their money cannot leverage old
-	// balances against the system.
-	MinOfCurrentAndLookback bool
 	// MaxTimestampSkew bounds how far a block timestamp may be ahead of
 	// the validator's clock ("approximately current", §8.1).
 	MaxTimestampSkew time.Duration
@@ -231,32 +225,12 @@ func (l *Ledger) SortitionSeed(r uint64) crypto.Digest {
 
 // SortitionWeights returns the balance snapshot used to weigh sortition
 // at round r, applying the look-back rule (§5.3), along with the total.
-// With MinOfCurrentAndLookback it instead returns, per user, the
-// smaller of the look-back and current balances (the paper's suggested
-// "nothing at stake" mitigation).
 func (l *Ledger) SortitionWeights(r uint64) (map[crypto.PublicKey]uint64, uint64) {
 	e := ancestorAt(l.head, l.weightRound(r))
 	if e == nil {
 		e = l.genesis
 	}
-	if !l.cfg.MinOfCurrentAndLookback {
-		return e.moneyByAccount(), e.balances.Total
-	}
-	cur := l.head.balances
-	min := make(map[crypto.PublicKey]uint64, e.balances.Len())
-	var total uint64
-	e.balances.Accounts(func(a AccountRecord) bool {
-		w := a.Money
-		if c := cur.MoneyOf(a.Key); c < w {
-			w = c
-		}
-		if w > 0 {
-			min[a.Key] = w
-			total += w
-		}
-		return true
-	})
-	return min, total
+	return e.moneyByAccount(), e.balances.Total
 }
 
 // WeightsAt returns the account balances after the block with the given

@@ -506,41 +506,6 @@ func TestCertificateWireSizeMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestStoreSharding(t *testing.T) {
-	p := newPopulation(1, 100)
-	l := p.ledger()
-	stores := []*Store{NewStore(0, 3), NewStore(1, 3), NewStore(2, 3)}
-	full := NewStore(0, 1)
-
-	var blocks []*Block
-	for r := 0; r < 9; r++ {
-		b := l.NextEmptyBlock()
-		if err := l.Commit(b, nil); err != nil {
-			t.Fatal(err)
-		}
-		blocks = append(blocks, b)
-		for _, s := range stores {
-			s.Put(b, nil)
-		}
-		full.Put(b, nil)
-	}
-	for _, s := range stores {
-		if s.Rounds() != 3 {
-			t.Fatalf("shard stored %d rounds, want 3", s.Rounds())
-		}
-	}
-	if full.Rounds() != 9 {
-		t.Fatalf("full store has %d rounds", full.Rounds())
-	}
-	// Round lookup respects responsibility: round 1 belongs to shard 1.
-	if _, ok := stores[1].Block(blocks[0].Round); !ok {
-		t.Fatal("shard 1 should hold round 1")
-	}
-	if _, ok := stores[0].Block(blocks[0].Round); ok {
-		t.Fatal("shard 0 should not hold round 1")
-	}
-}
-
 func TestCatchUpValidatesChain(t *testing.T) {
 	p := newPopulation(60, 10)
 	l := p.ledger()
@@ -605,58 +570,6 @@ func TestBlockWireSize(t *testing.T) {
 	}
 	if got := len(wire.Encode(b2)); got != b2.WireSize() {
 		t.Fatalf("encoded %d bytes, WireSize says %d", got, b2.WireSize())
-	}
-}
-
-func TestMinOfCurrentAndLookbackWeights(t *testing.T) {
-	p := newPopulation(2, 100)
-	cfg := DefaultConfig()
-	cfg.SeedRefreshInterval = 1
-	cfg.LookbackRounds = 3
-	cfg.MinOfCurrentAndLookback = true
-	l := New(p.provider, cfg, p.accounts, crypto.HashBytes("g"))
-
-	// Rounds 1-3: empty. Round 4: user 0 spends 80 of its 100.
-	for r := 0; r < 3; r++ {
-		if err := l.Commit(l.NextEmptyBlock(), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tx := Transaction{From: p.ids[0].PublicKey(), To: p.ids[1].PublicKey(), Amount: 80, Nonce: 0}
-	tx.Sign(p.ids[0])
-	b4 := p.proposeBlock(l, []Transaction{tx}, time.Second)
-	if err := l.Commit(b4, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// Round 5: seedRound=4, lookback 3 → snapshot at round 1 (100/100),
-	// but the "nothing at stake" rule caps user 0 at its CURRENT 20.
-	w, total := l.SortitionWeights(5)
-	if w[p.ids[0].PublicKey()] != 20 {
-		t.Fatalf("spender's weight %d, want min(100,20)=20", w[p.ids[0].PublicKey()])
-	}
-	if w[p.ids[1].PublicKey()] != 100 {
-		t.Fatalf("receiver's weight %d, want min(100,180)=100", w[p.ids[1].PublicKey()])
-	}
-	if total != 120 {
-		t.Fatalf("total %d, want 120", total)
-	}
-
-	// Without the option, the stale lookback balance would be used.
-	cfg.MinOfCurrentAndLookback = false
-	l2 := New(p.provider, cfg, p.accounts, crypto.HashBytes("g"))
-	for r := 0; r < 3; r++ {
-		if err := l2.Commit(l2.NextEmptyBlock(), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b4b := p.proposeBlock(l2, []Transaction{tx}, time.Second)
-	if err := l2.Commit(b4b, nil); err != nil {
-		t.Fatal(err)
-	}
-	w2, _ := l2.SortitionWeights(5)
-	if w2[p.ids[0].PublicKey()] != 100 {
-		t.Fatalf("plain lookback weight %d, want 100", w2[p.ids[0].PublicKey()])
 	}
 }
 

@@ -1,27 +1,17 @@
 package ledger
 
-// Store is a user's block/certificate archive with §8.3 sharding: for a
-// shard count N, the user persists blocks and certificates whose round
-// number is congruent to their shard index mod N. A running node's one
-// Store is its durable archive's image (diskstore.Store.Recovered).
+// Store is a user's block/certificate archive (§8.3). A running node's
+// one Store is its durable archive's image (diskstore.Store.Recovered).
 type Store struct {
-	ShardIndex uint64
-	ShardCount uint64
-
 	blocks map[uint64]*Block
 	certs  map[uint64]*Certificate
 }
 
-// NewStore creates a store. shardCount == 1 keeps everything.
-func NewStore(shardIndex, shardCount uint64) *Store {
-	if shardCount == 0 {
-		shardCount = 1
-	}
+// NewStore creates an empty store.
+func NewStore() *Store {
 	return &Store{
-		ShardIndex: shardIndex % shardCount,
-		ShardCount: shardCount,
-		blocks:     make(map[uint64]*Block),
-		certs:      make(map[uint64]*Certificate),
+		blocks: make(map[uint64]*Block),
+		certs:  make(map[uint64]*Certificate),
 	}
 }
 
@@ -30,7 +20,7 @@ func NewStore(shardIndex, shardCount uint64) *Store {
 // user's memory gives a replacement to replay (node.RestoreFromArchive
 // stops at that round too).
 func CertifiedChain(l *Ledger) *Store {
-	s := NewStore(0, 1)
+	s := NewStore()
 	for r := uint64(1); ; r++ {
 		b, ok := l.BlockAt(r)
 		if !ok {
@@ -44,17 +34,8 @@ func CertifiedChain(l *Ledger) *Store {
 	}
 }
 
-// responsible reports whether this store shards the given round.
-func (s *Store) responsible(round uint64) bool {
-	return round%s.ShardCount == s.ShardIndex
-}
-
-// Put archives a block and its certificate if this shard covers the
-// round, returning whether it was stored.
-func (s *Store) Put(b *Block, c *Certificate) bool {
-	if !s.responsible(b.Round) {
-		return false
-	}
+// Put archives a block and its certificate.
+func (s *Store) Put(b *Block, c *Certificate) {
 	if _, dup := s.blocks[b.Round]; !dup {
 		s.blocks[b.Round] = b
 	}
@@ -65,7 +46,6 @@ func (s *Store) Put(b *Block, c *Certificate) bool {
 			s.certs[b.Round] = c
 		}
 	}
-	return true
 }
 
 // Reconcile forces the archive to the canonical block for a round,
@@ -74,9 +54,6 @@ func (s *Store) Put(b *Block, c *Certificate) bool {
 // abandoned fork. A nil certificate erases any stored one (recovery
 // adoptions have no certificate of their own).
 func (s *Store) Reconcile(b *Block, c *Certificate) {
-	if !s.responsible(b.Round) {
-		return
-	}
 	if prev, ok := s.blocks[b.Round]; ok && prev.Hash() == b.Hash() {
 		if c != nil {
 			s.Put(b, c)

@@ -33,7 +33,7 @@ func storeCert(b *Block, final bool) *Certificate {
 // branch; Reconcile must swap in the canonical block, drop the stale
 // certificate.
 func TestReconcileReplacesAbandonedFork(t *testing.T) {
-	s := NewStore(0, 1)
+	s := NewStore()
 	forked := storeBlock(1, 64)
 	s.Put(forked, storeCert(forked, false))
 
@@ -55,7 +55,7 @@ func TestReconcileReplacesAbandonedFork(t *testing.T) {
 // of their own, so reconciling with nil must erase the stale cert (it
 // certifies a block no longer in the archive).
 func TestReconcileNilCertErases(t *testing.T) {
-	s := NewStore(0, 1)
+	s := NewStore()
 	forked := storeBlock(2, 64)
 	s.Put(forked, storeCert(forked, false))
 
@@ -74,7 +74,7 @@ func TestReconcileNilCertErases(t *testing.T) {
 // upgrades to final, a nil cert is a pure no-op, and a downgrade back
 // to tentative is refused.
 func TestReconcileSameBlockUpgradesCert(t *testing.T) {
-	s := NewStore(0, 1)
+	s := NewStore()
 	b := storeBlock(3, 64)
 	tent := storeCert(b, false)
 	s.Put(b, tent)
@@ -94,23 +94,6 @@ func TestReconcileSameBlockUpgradesCert(t *testing.T) {
 	s.Reconcile(b, tent) // downgrade attempt
 	if c, _ := s.Cert(3); !c.Final {
 		t.Fatal("final certificate downgraded to tentative")
-	}
-}
-
-// TestReconcileRespectsShard: a round outside this shard's residue
-// class is ignored entirely (§8.3 sharding).
-func TestReconcileRespectsShard(t *testing.T) {
-	s := NewStore(1, 3) // responsible for rounds ≡ 1 (mod 3)
-	b := storeBlock(2, 0)
-	s.Reconcile(b, storeCert(b, true))
-	if s.Rounds() != 0 {
-		t.Fatalf("shard 1/3 stored round 2 (rounds=%d)", s.Rounds())
-	}
-
-	mine := storeBlock(4, 0)
-	s.Reconcile(mine, nil)
-	if _, ok := s.Block(4); !ok {
-		t.Fatal("shard 1/3 refused its own round 4")
 	}
 }
 

@@ -130,7 +130,7 @@ func (n *Node) RestoreFromArchive(src *ledger.Store) (uint64, error) {
 	}
 }
 
-// SyncFromPeersUntil catches the node's ledger up to the network
+// syncFromPeersUntil catches the node's ledger up to the network
 // (§8.3): it repeatedly asks peers for the next run of
 // blocks+certificates and validates them on top of the current head,
 // stopping when the ledger reaches target (0 = sync everything), no
@@ -142,7 +142,7 @@ func (n *Node) RestoreFromArchive(src *ledger.Store) (uint64, error) {
 // it asks for the chain, so what follows replays the delta past the
 // checkpoint instead of the whole history. A node that holds any round
 // sends no request. The attempt does not eat into the deadline.
-func (n *Node) SyncFromPeersUntil(p *vtime.Proc, deadline time.Duration, target uint64) (uint64, error) {
+func (n *Node) syncFromPeersUntil(p *vtime.Proc, deadline time.Duration, target uint64) (uint64, error) {
 	peers := n.net.Neighbors(n.ID)
 	if len(peers) == 0 {
 		return 0, fmt.Errorf("catchup: no peers")
@@ -299,7 +299,7 @@ func (n *Node) trySyncBehind() bool {
 	before := n.ledger.ChainLength()
 	for !n.halted {
 		prev := n.ledger.ChainLength()
-		if _, err := n.SyncFromPeersUntil(n.proc, n.proc.Now()+10*time.Second, 0); err != nil {
+		if _, err := n.syncFromPeersUntil(n.proc, n.proc.Now()+10*time.Second, 0); err != nil {
 			// Peer data conflicts with our chain and the sync loop's fork
 			// adoption could not resolve it (not longer, or final blocks
 			// diverge): leave it to §8.2 recovery.
@@ -329,7 +329,7 @@ func (n *Node) trySyncBehind() bool {
 // RestoreFromArchive first).
 //
 // The network stages run in the node's main process: sync from peers
-// (snapshot first if nothing was restored, see SyncFromPeersUntil),
+// (snapshot first if nothing was restored, see syncFromPeersUntil),
 // attempt a live round, and if that round fails — the network moved on
 // while we synced — re-sync and try again instead of invoking §8.2 fork
 // recovery (a node that is merely behind is not forked). Once a round
@@ -350,7 +350,7 @@ func (n *Node) Rejoin(budget time.Duration) (restored uint64, err error) {
 		deadline := p.Now() + budget
 		for !n.sim.Stopped() && !n.halted {
 			before := n.ledger.ChainLength()
-			if _, err := n.SyncFromPeersUntil(p, deadline, 0); err != nil {
+			if _, err := n.syncFromPeersUntil(p, deadline, 0); err != nil {
 				return // inconsistent peer data; give up rather than diverge
 			}
 			if n.StopAfterRound > 0 && n.ledger.NextRound() > n.StopAfterRound {

@@ -118,7 +118,7 @@ func TestRestartRejectsTamperedArchive(t *testing.T) {
 		// is altered (block pointers are shared between nodes in the
 		// simulation, so the original must not be mutated in place).
 		src := ledger.CertifiedChain(c.Nodes[victim].Ledger())
-		forgedStore := ledger.NewStore(0, 1)
+		forgedStore := ledger.NewStore()
 		for r := uint64(1); ; r++ {
 			b, ok1 := src.Block(r)
 			cert, ok2 := src.Cert(r)

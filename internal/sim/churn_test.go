@@ -92,7 +92,7 @@ func TestChurnJoinMidRound(t *testing.T) {
 		// the middle of the network's current round.
 		p.Sleep(1300 * time.Millisecond)
 		var err error
-		_, restored, err = c.RestartNodeFromStore(joiner, ledger.NewStore(0, 1), time.Hour)
+		_, restored, err = c.RestartNodeFromStore(joiner, ledger.NewStore(), time.Hour)
 		if err != nil {
 			t.Errorf("join: %v", err)
 			return

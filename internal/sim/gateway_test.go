@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"algorand/internal/gateway"
 	"algorand/internal/vtime"
 )
 
@@ -12,15 +11,12 @@ import (
 // consensus cluster plus two gateways, all client load entering
 // through the gateways. Consensus nodes see zero client submissions;
 // the gateways' read models follow the committed chain via
-// CommitAnnounce quorums; routed transactions commit.
+// CommitAnnounce quorums; gossiped transactions commit, and in a run
+// without faults none is sent twice.
 func TestGatewayTierFollowsChain(t *testing.T) {
 	cfg := DefaultConfig(20, 6)
 	cfg.WeightEach = 1 << 16
 	cfg.Gateways = 2
-	cfg.GatewayCfg = gateway.Config{
-		FlushInterval:  100 * time.Millisecond,
-		ResendInterval: 5 * time.Second,
-	}
 	c := NewCluster(cfg)
 	c.GatewayWorkload(40, 7)
 	c.Run()
@@ -39,8 +35,8 @@ func TestGatewayTierFollowsChain(t *testing.T) {
 	t.Logf("workload: %+v, committed %d", ws, committed)
 	for i := 0; i < c.NumGateways(); i++ {
 		st := c.Gateway(i).Stats()
-		t.Logf("gateway %d: head=%d applied=%d announces=%d routed=%d pending=%d",
-			i, st.HeadRound, st.BlocksApplied, st.Announces, st.TxsRouted, st.Pending)
+		t.Logf("gateway %d: head=%d applied=%d announces=%d gossiped=%d resent=%d pending=%d",
+			i, st.HeadRound, st.BlocksApplied, st.Announces, st.TxsRouted, st.Resent, st.Pending)
 		if st.HeadRound+2 < cfg.Rounds {
 			t.Errorf("gateway %d read model stalled at round %d of %d", i, st.HeadRound, cfg.Rounds)
 		}
@@ -50,6 +46,9 @@ func TestGatewayTierFollowsChain(t *testing.T) {
 		if i == 0 && st.Admitted == 0 {
 			t.Errorf("gateway %d admitted nothing", i)
 		}
+		if st.Resent != 0 {
+			t.Errorf("gateway %d re-sent %d payments in a run without faults", i, st.Resent)
+		}
 		// Bounded state: the mempool drains as blocks commit.
 		if st.Pending > int(st.Admitted) {
 			t.Errorf("gateway %d pending %d exceeds admitted %d", i, st.Pending, st.Admitted)
@@ -58,7 +57,7 @@ func TestGatewayTierFollowsChain(t *testing.T) {
 }
 
 // TestGatewayPartitionRecovery isolates one gateway mid-run: clients
-// keep submitting to it (admission still works), nothing routes out,
+// keep submitting to it (admission still works), nothing gets out,
 // and after the heal the gateway must gap-fill its read model and
 // re-send its still-pending transactions so they commit.
 func TestGatewayPartitionRecovery(t *testing.T) {
@@ -66,10 +65,6 @@ func TestGatewayPartitionRecovery(t *testing.T) {
 	cfg := DefaultConfig(n, 10)
 	cfg.WeightEach = 1 << 16
 	cfg.Gateways = 2
-	cfg.GatewayCfg = gateway.Config{
-		FlushInterval:  100 * time.Millisecond,
-		ResendInterval: 3 * time.Second,
-	}
 	c := NewCluster(cfg)
 	c.GatewayWorkload(40, 11)
 
@@ -108,7 +103,6 @@ func TestGatewayCrashDoesNotTouchConsensus(t *testing.T) {
 	cfg := DefaultConfig(16, 6)
 	cfg.WeightEach = 1 << 16
 	cfg.Gateways = 2
-	cfg.GatewayCfg = gateway.Config{FlushInterval: 100 * time.Millisecond}
 	c := NewCluster(cfg)
 	c.GatewayWorkload(30, 13)
 	c.Sim.Spawn("gateway-killer", func(p *vtime.Proc) {

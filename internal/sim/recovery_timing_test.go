@@ -59,7 +59,7 @@ func measureRejoin(t *testing.T, rounds uint64, fromDisk bool) (restored uint64,
 		if fromDisk {
 			_, restored, err = c.RestartNode(victim, time.Hour)
 		} else {
-			_, restored, err = c.RestartNodeFromStore(victim, ledger.NewStore(0, 1), time.Hour)
+			_, restored, err = c.RestartNodeFromStore(victim, ledger.NewStore(), time.Hour)
 		}
 		if err != nil {
 			t.Errorf("restart: %v", err)

@@ -98,9 +98,6 @@ type Config struct {
 	// (node.Config.AnnounceCommits) so the gateways' read models can
 	// follow the chain.
 	Gateways int
-	// GatewayCfg overrides gateway sizing (Consensus and per-gateway
-	// Metrics/Done are always filled in by NewCluster).
-	GatewayCfg gateway.Config
 }
 
 // DefaultConfig returns a simulation with the paper's structure at
@@ -251,23 +248,14 @@ func NewCluster(cfg Config) *Cluster {
 		c.Nodes = append(c.Nodes, n)
 	}
 	for i := 0; i < cfg.Gateways; i++ {
-		gwCfg := cfg.GatewayCfg
-		if gwCfg.Consensus == nil {
-			gwCfg.Consensus = make([]int, cfg.N)
-			for j := range gwCfg.Consensus {
-				gwCfg.Consensus[j] = j
-			}
-		}
-		if gwCfg.Flow.Now == nil {
-			gwCfg.Flow.Now = c.Sim.Now
-		}
 		// The read model verifies certificates under the same protocol
 		// and ledger parameters the consensus nodes run.
-		gwCfg.Committee = node.CommitteeParamsFor(cfg.Params)
-		gwCfg.LedgerCfg = cfg.LedgerCfg
-		gwCfg.Metrics = metrics.NewRegistry()
-		gwCfg.Flow.Metrics = nil // New fills it with the gateway's registry
-		gwCfg.Done = c.allNodesDone
+		gwCfg := gateway.Config{
+			Committee: node.CommitteeParamsFor(cfg.Params),
+			LedgerCfg: cfg.LedgerCfg,
+			Metrics:   metrics.NewRegistry(),
+			Done:      c.allNodesDone,
+		}
 		gw := gateway.New(cfg.N+i, c.Sim, c.Net, c.Provider, gwCfg, c.Genesis, c.Seed0)
 		c.gateways = append(c.gateways, gw)
 	}

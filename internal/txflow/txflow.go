@@ -462,26 +462,33 @@ func (f *Flow) admitRate(from crypto.PublicKey, now time.Duration, charge bool) 
 // DrainOutbox returns the staged transactions packed into batches of
 // at most maxBatchBytes of encoded payload each, clearing the stage.
 // The node's flush process gossips each batch as one TxBatch message; the
-// batches are the staged slice itself, each clipped to its length.
+// batches are the staged slice itself (see Batches).
 func (f *Flow) DrainOutbox(maxBatchBytes int) [][]*ledger.Transaction {
 	f.outMu.Lock()
 	staged := f.outbox
 	f.outbox = nil
 	f.outMu.Unlock()
-	if len(staged) == 0 {
+	return Batches(staged, maxBatchBytes)
+}
+
+// Batches cuts txs into consecutive sub-slices of at most maxBatchBytes
+// of encoded payload each (a larger transaction alone in its own), each
+// clipped to its length so that an append cannot run into the next.
+func Batches(txs []*ledger.Transaction, maxBatchBytes int) [][]*ledger.Transaction {
+	if len(txs) == 0 {
 		return nil
 	}
 	var batches [][]*ledger.Transaction
 	start, size := 0, 0
-	for i, tx := range staged {
+	for i, tx := range txs {
 		w := tx.WireSize()
 		if size+w > maxBatchBytes && i > start {
-			batches = append(batches, staged[start:i:i])
+			batches = append(batches, txs[start:i:i])
 			start, size = i, 0
 		}
 		size += w
 	}
-	return append(batches, staged[start:len(staged):len(staged)])
+	return append(batches, txs[start:len(txs):len(txs)])
 }
 
 // Len returns the number of pending transactions.
