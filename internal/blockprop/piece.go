@@ -45,11 +45,12 @@ var (
 //
 // A Piece is immutable: it is built by Split, NewPiece or the decoder
 // and its fields are not exported. That is what lets it remember its own
-// digest, which the transport's duplicate suppression and the manifest
-// check both ask for and every relay of the piece would otherwise hash
-// again: a copy of a Piece cannot be edited into another piece that
-// still carries the first one's digest (DESIGN.md, "Computed once",
-// keeps such memos out of ledger.Block for that reason).
+// digest, which the manifest check asks for on every node the piece
+// reaches (in the simulator they all hold the same Piece, and would
+// otherwise each hash it again): a copy of a Piece cannot be edited into
+// another piece that still carries the first one's digest (DESIGN.md,
+// "Computed once", keeps such memos out of ledger.Block for that
+// reason).
 type Piece struct {
 	blockHash crypto.Digest // the body this piece belongs to, as announced
 	index     int

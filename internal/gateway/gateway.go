@@ -67,18 +67,9 @@ type Config struct {
 
 	// MaxConns caps concurrently served client connections; excess
 	// connections get a typed reject with a retry hint and are closed.
-	// Default 1024.
+	// Default 1024. The endpoint's other bounds are txflow.Limits'
+	// defaults.
 	MaxConns int
-	// ConnRetryAfter is the retry_after_ms hint attached to
-	// connection-cap rejects. Default 1s.
-	ConnRetryAfter time.Duration
-	// MaxFrameBytes bounds one newline-delimited request frame; larger
-	// frames get a typed error and the connection is closed.
-	// Default 1 MiB.
-	MaxFrameBytes int
-	// IdleTimeout reaps half-open connections: a connection that sends
-	// nothing for this long is closed. Default 2 minutes.
-	IdleTimeout time.Duration
 
 	// Done, when non-nil, reports that the consensus cluster has wound
 	// down; the gateway's background processes exit so a simulation
@@ -119,9 +110,9 @@ type Gateway struct {
 	fromAsked uint64
 	askedAt   time.Duration
 	// reqNonce numbers chain requests. Like the node's it starts at the
-	// scheduler's epoch: a gateway restarted within the peers' duplicate
-	// window would otherwise repeat its predecessor's request ids and
-	// have its first chain fill dropped.
+	// scheduler's epoch: a gateway restarted in its predecessor's slot
+	// would otherwise repeat its predecessor's nonces, and could take a
+	// late reply to its predecessor's request for its own.
 	reqNonce uint64
 	// asked is the chain requests out, oldest first, at most maxAsked: a
 	// ChainReply is applied once, from the peer asked, echoing the nonce
@@ -320,9 +311,7 @@ func (g *Gateway) observeAnnounce(msg *node.CommitAnnounce) {
 		g.asked = slices.Delete(g.asked, 0, 1)
 	}
 	g.asked = append(g.asked, ask{g.reqNonce, msg.Announcer})
-	g.net.Unicast(g.ID, msg.Announcer, &node.ChainRequest{
-		FromRound: from, MaxBlocks: 64, Requester: g.ID, Nonce: g.reqNonce,
-	})
+	g.net.Unicast(g.ID, msg.Announcer, &node.ChainRequest{FromRound: from, MaxBlocks: 64, Nonce: g.reqNonce})
 }
 
 // applyRun advances the read model through a fetched chain run and,

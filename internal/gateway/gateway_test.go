@@ -279,7 +279,7 @@ func TestOneChainRequestPerStartingRound(t *testing.T) {
 			t.Errorf("shadow commit: %v", err)
 		}
 		h.gw.handleMessage(0, &node.ChainReply{
-			Blocks: []*ledger.Block{b1}, Certs: []*ledger.Certificate{cert1}, Recipient: 100, Nonce: h.lastRequest(t).Nonce,
+			Blocks: []*ledger.Block{b1}, Certs: []*ledger.Certificate{cert1}, Nonce: h.lastRequest(t).Nonce,
 		})
 		h.gw.handleMessage(0, &node.CommitAnnounce{Round: 2, Announcer: 0})
 		if req := h.lastRequest(t); len(h.net.unicasts) != 2 || req.FromRound != 2 {
@@ -312,7 +312,7 @@ func TestAnnounceDrivesChainFetchAndCertifiedApply(t *testing.T) {
 	}
 	// The certified reply applies the block.
 	h.gw.handleMessage(0, &node.ChainReply{
-		Blocks: []*ledger.Block{b1}, Certs: []*ledger.Certificate{cert1}, Recipient: 100, Nonce: req.Nonce,
+		Blocks: []*ledger.Block{b1}, Certs: []*ledger.Certificate{cert1}, Nonce: req.Nonce,
 	})
 	round, head := h.gw.rm.Head()
 	if round != 1 || head != b1.Hash() {
@@ -386,7 +386,7 @@ func (h *testHarness) lastRequest(t *testing.T) *node.ChainRequest {
 func (h *testHarness) forgedReply(b *ledger.Block, nonce uint64) *node.ChainReply {
 	forged := &ledger.Certificate{Round: b.Round, Step: 1, Value: b.Hash(),
 		Votes: []ledger.Vote{{Sender: h.ids[1].PublicKey(), Round: b.Round, Step: 1, Value: b.Hash()}}}
-	return &node.ChainReply{Blocks: []*ledger.Block{b}, Certs: []*ledger.Certificate{forged}, Recipient: 100, Nonce: nonce}
+	return &node.ChainReply{Blocks: []*ledger.Block{b}, Certs: []*ledger.Certificate{forged}, Nonce: nonce}
 }
 
 func TestForgedReplyCountsCertReject(t *testing.T) {
@@ -427,7 +427,7 @@ func TestGapTriggersChainFillAndCatchUp(t *testing.T) {
 		t.Fatalf("unexpected gap fill %#v", h.net.unicasts[0].m)
 	}
 	// The reply catches the model up, verifying every certificate.
-	h.gw.handleMessage(0, &node.ChainReply{Blocks: blocks, Certs: certs, Recipient: 100, Nonce: req.Nonce})
+	h.gw.handleMessage(0, &node.ChainReply{Blocks: blocks, Certs: certs, Nonce: req.Nonce})
 	round, head := h.gw.rm.Head()
 	if round != 3 || head != blocks[2].Hash() {
 		t.Fatalf("head = (%d, %x), want (3, %x)", round, head, blocks[2].Hash())
@@ -456,7 +456,7 @@ func TestRepliesAppliedOnlyWhenAsked(t *testing.T) {
 	nonce := h.lastRequest(t).Nonce
 	genuine := func(from int, nonce uint64) {
 		h.gw.handleMessage(from, &node.ChainReply{
-			Blocks: []*ledger.Block{b1}, Certs: []*ledger.Certificate{cert1}, Recipient: 100, Nonce: nonce,
+			Blocks: []*ledger.Block{b1}, Certs: []*ledger.Certificate{cert1}, Nonce: nonce,
 		})
 	}
 	genuine(1, nonce)   // another peer
@@ -628,22 +628,22 @@ func TestHaltedGatewayIgnoresTraffic(t *testing.T) {
 	}
 }
 
-// TestIncarnationsNeverRepeatRequestIDs: a gateway restarted within the
-// peers' duplicate window is as far behind as its predecessor was, so
-// its first chain fill asks for the same rounds under the same network
-// id. Only the nonce can tell the two requests apart; numbered from the
-// scheduler's epoch, incarnations built at different clock readings
-// never emit the same ChainRequest.
+// TestIncarnationsNeverRepeatRequestIDs: a gateway restarted in its
+// predecessor's slot is as far behind as its predecessor was, so its
+// first chain fill asks the same peer for the same rounds. Only the nonce
+// tells the two requests apart, and so the predecessor's late reply from
+// the restarted gateway's own; numbered from the scheduler's epoch,
+// incarnations built at different clock readings never use the same one.
 func TestIncarnationsNeverRepeatRequestIDs(t *testing.T) {
 	h := newHarness(t, Config{}, 4)
-	seen := map[crypto.Digest]bool{}
+	seen := map[uint64]bool{}
 	fill := func(gw *Gateway) {
 		gw.handleMessage(0, &node.CommitAnnounce{Round: 3, Announcer: 0})
 		req := h.net.unicasts[len(h.net.unicasts)-1].m.(*node.ChainRequest)
-		if seen[req.ID()] {
-			t.Errorf("chain request %+v repeats an earlier incarnation's id", req)
+		if seen[req.Nonce] {
+			t.Errorf("chain request %+v repeats an earlier incarnation's nonce", req)
 		}
-		seen[req.ID()] = true
+		seen[req.Nonce] = true
 	}
 	fill(h.gw)
 	h.sim.Spawn("restart", func(p *vtime.Proc) {

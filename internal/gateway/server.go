@@ -50,20 +50,19 @@ type queryReply struct {
 	PayloadBytes int    `json:"payload_bytes,omitempty"`
 }
 
-// ListenAndServe opens the gateway endpoint, bounded by the
-// MaxConns/ConnRetryAfter/MaxFrameBytes/IdleTimeout of the gateway's
-// Config.
+// ListenAndServe opens the gateway endpoint, bounded by the gateway's
+// Config.MaxConns and txflow.Limits' defaults for the rest.
 func ListenAndServe(addr string, gw *Gateway) (*Server, error) {
+	return serve(addr, gw, txflow.Limits{MaxConns: gw.cfg.MaxConns})
+}
+
+// serve opens the gateway endpoint under lim.
+func serve(addr string, gw *Gateway, lim txflow.Limits) (*Server, error) {
 	return txflow.Serve(addr, txflow.Endpoint{
-		Name:        "gateway",
-		SubmitBatch: gw.SubmitBatch,
-		Query:       gw.handleQuery,
-		Limits: txflow.Limits{
-			MaxConns:       gw.cfg.MaxConns,
-			ConnRetryAfter: gw.cfg.ConnRetryAfter,
-			MaxFrameBytes:  gw.cfg.MaxFrameBytes,
-			IdleTimeout:    gw.cfg.IdleTimeout,
-		},
+		Name:         "gateway",
+		SubmitBatch:  gw.SubmitBatch,
+		Query:        gw.handleQuery,
+		Limits:       lim,
 		Sessions:     gw.c.sessions,
 		ConnRejects:  gw.c.connRejects,
 		FrameRejects: gw.c.frameRejects,

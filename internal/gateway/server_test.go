@@ -12,11 +12,12 @@ import (
 	"algorand/internal/txflow"
 )
 
-// serverHarness boots a gateway TCP endpoint against a stub transport.
-func serverHarness(t *testing.T, cfg Config) (*testHarness, *Server) {
+// serverHarness boots a gateway TCP endpoint under lim against a stub
+// transport; the zero lim is what ListenAndServe serves under.
+func serverHarness(t *testing.T, lim txflow.Limits) (*testHarness, *Server) {
 	t.Helper()
-	h := newHarness(t, cfg, 8)
-	srv, err := ListenAndServe("127.0.0.1:0", h.gw)
+	h := newHarness(t, Config{}, 8)
+	srv, err := serve("127.0.0.1:0", h.gw, lim)
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
@@ -49,7 +50,7 @@ func roundTrip(t *testing.T, c net.Conn, line string) map[string]any {
 }
 
 func TestServerSubmitAndQuery(t *testing.T) {
-	h, srv := serverHarness(t, Config{})
+	h, srv := serverHarness(t, txflow.Limits{})
 	c := dialT(t, srv.Addr())
 
 	tx := h.tx(t, 0, 1, 0)
@@ -99,8 +100,7 @@ var handlerSets = []struct {
 	boot func(t *testing.T, lim txflow.Limits) servedEndpoint
 }{
 	{"gateway", func(t *testing.T, lim txflow.Limits) servedEndpoint {
-		h, srv := serverHarness(t, Config{MaxConns: lim.MaxConns, ConnRetryAfter: lim.ConnRetryAfter,
-			MaxFrameBytes: lim.MaxFrameBytes, IdleTimeout: lim.IdleTimeout})
+		h, srv := serverHarness(t, lim)
 		return servedEndpoint{h, srv,
 			func() int64 { return h.gw.Stats().FrameRejects },
 			func() int64 { return h.gw.Stats().ConnRejects }}

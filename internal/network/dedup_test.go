@@ -1,7 +1,6 @@
 package network
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -19,9 +18,9 @@ import (
 // reference the shared per-message records are held against.
 //
 // It runs on a Network of its own that it uses for transport only: every
-// hop travels as a unicast under an ID of its own, so that network's
-// suppression never fires and every arrival reaches the oracle, which
-// then decides by its maps. It sends in the order Network sends and
+// hop travels as a unicast of a message that is not Flooded, so that
+// network's suppression never sees it and every arrival reaches the
+// oracle, which then decides by its maps. It sends in the order Network sends and
 // queues one event where Network queues one, so under the same seeds the
 // two runs draw the same jitter, reserve the same links and interleave
 // the same way.
@@ -31,7 +30,6 @@ type oracle struct {
 	lastRotate time.Duration
 	eps        []oracleEndpoint
 	handler    func(from, to int, m Message) Verdict
-	hops       uint64
 }
 
 type oracleEndpoint struct {
@@ -40,18 +38,10 @@ type oracleEndpoint struct {
 	msgs, dups          int64
 }
 
-// hop is one transfer of the oracle's: the message, under an ID no other
-// transfer has.
-type hop struct {
-	m Message
-	n uint64
-}
+// hop is one transfer of the oracle's: the message, with no ID of its own.
+type hop struct{ m Message }
 
 func (h *hop) WireSize() int { return h.m.WireSize() }
-func (h *hop) ID() (d crypto.Digest) {
-	binary.BigEndian.PutUint64(d[:], h.n)
-	return d
-}
 
 func newOracle(sim *vtime.Sim, cfg Config, n int, handler func(from, to int, m Message) Verdict) *oracle {
 	o := &oracle{nw: New(sim, cfg, n), ttl: cfg.SeenTTL, eps: make([]oracleEndpoint, n), handler: handler}
@@ -78,8 +68,7 @@ func (o *oracle) maybeRotate() {
 }
 
 func (o *oracle) unicast(from, to int, m Message) {
-	o.hops++
-	o.nw.Unicast(from, to, &hop{m: m, n: o.hops})
+	o.nw.Unicast(from, to, &hop{m: m})
 }
 
 func (o *oracle) relay(from, skip int, m Message) {
@@ -93,7 +82,7 @@ func (o *oracle) relay(from, skip int, m Message) {
 func (o *oracle) gossip(origin int, m Message) {
 	o.maybeRotate()
 	ep := &o.eps[origin]
-	ep.seen[m.ID()] = true
+	ep.seen[m.(Flooded).ID()] = true
 	if l, ok := m.(Limited); ok && l.LimitKey() != (LimitKey{}) {
 		ep.limitSeen[l.LimitKey()]++
 	}
@@ -103,7 +92,7 @@ func (o *oracle) gossip(origin int, m Message) {
 func (o *oracle) deliver(from, to int, m Message) {
 	o.maybeRotate()
 	ep := &o.eps[to]
-	id := m.ID()
+	id := m.(Flooded).ID()
 	if ep.seen[id] || ep.seenOld[id] {
 		ep.dups++
 		return
@@ -524,7 +513,7 @@ func TestEnvelopeOutlivesItsTransfers(t *testing.T) {
 		if sealed <= 1000 || nw.stamp < 3 || nw.TotalLimbo() != 1 {
 			t.Fatalf("%d messages sealed, %d rotations, %d transfers held: want over 1000, at least two and one", sealed, nw.stamp-1, nw.TotalLimbo())
 		}
-		if len(delivered) != 1 || delivered[0] != Message(held) || delivered[0].ID() != held.id || at < release {
+		if len(delivered) != 1 || delivered[0] != Message(held) || delivered[0].(Flooded).ID() != held.id || at < release {
 			t.Fatalf("the held transfer delivered %v at %v, want the held message itself once, at %v or later", delivered, at, release)
 		}
 	})

@@ -24,15 +24,26 @@ import (
 	"algorand/internal/vtime"
 )
 
-// Message is anything gossiped on the network.
+// Message is anything sent on the network.
 type Message interface {
 	// WireSize is the serialized size in bytes, for bandwidth modeling.
 	WireSize() int
-	// ID uniquely identifies the message for duplicate suppression.
+}
+
+// Flooded is a Message that travels by Gossip: the only kind an endpoint
+// relays, and so the only kind whose copies reach it by many paths. Its
+// ID is what duplicate suppression remembers, and it must cover every
+// byte the receiver authenticates: a message is marked seen before it is
+// verified, so a forged copy that shared a genuine message's ID would
+// shadow it. Every other message goes straight to its handler, each copy
+// of it, and is never relayed; the handler's own request tables take a
+// reply once.
+type Flooded interface {
+	Message
 	ID() crypto.Digest
 }
 
-// Limited is an optional Message extension for the messages §8.4 puts
+// Limited is an optional Flooded extension for the messages §8.4 puts
 // under a relay budget: an endpoint relays at most RelayLimit messages
 // sharing a LimitKey (the zero key sets no budget; a limit of two lets
 // equivocation evidence travel). A message that is not Limited is
@@ -584,9 +595,10 @@ func (nw *Network) maybeRotate() {
 }
 
 // envelope is a message in flight with what the network needs to know
-// about it, worked out once when it enters Gossip or Unicast: a batch's
-// ID hashes every transaction in it and a block's encodes the block, and
-// every hop and every duplicate delivery used to ask again.
+// about it, worked out once when it enters Gossip or Unicast: its size
+// and, for a Flooded message, its ID and relay budget (a batch's ID
+// hashes every payment in it, a vote's its signed bytes), which every hop
+// and every duplicate delivery used to ask again.
 //
 // An envelope counts its holders in refs: the transfers carrying it, and
 // the Gossip or Unicast call that sealed it while that runs. The last to
@@ -607,7 +619,11 @@ type envelope struct {
 	// enforced for the zero key.
 	limitKey LimitKey
 	limit    uint8
-	refs     int32
+	// flooded says the message is Flooded: it has an ID and records, and
+	// it may be relayed. Any other message is handed to each receiver as
+	// it arrives.
+	flooded bool
+	refs    int32
 	// The numbers of the message's records in the current and the old
 	// generation (0: none) as of rotation number stamp. They are looked up
 	// again after a rotation, so a delivery released from limbo two TTLs
@@ -634,10 +650,13 @@ func (nw *Network) seal(m Message) *envelope {
 	} else {
 		env = new(envelope)
 	}
-	id := m.ID()
-	*env = envelope{m: m, nw: nw, id: seenKey(id[:]), size: m.WireSize(), refs: 1}
-	if l, ok := m.(Limited); ok {
-		env.limitKey, env.limit = l.LimitKey(), uint8(min(l.RelayLimit(), math.MaxUint8))
+	*env = envelope{m: m, nw: nw, size: m.WireSize(), refs: 1}
+	if f, ok := m.(Flooded); ok {
+		id := f.ID()
+		env.id, env.flooded = seenKey(id[:]), true
+		if l, ok := m.(Limited); ok {
+			env.limitKey, env.limit = l.LimitKey(), uint8(min(l.RelayLimit(), math.MaxUint8))
+		}
 	}
 	return env
 }
@@ -668,22 +687,25 @@ func (nw *Network) records(env *envelope) (seen, seenOld []uint64, relays, relay
 }
 
 // Gossip injects a message originated by node origin: it is sent to all
-// of origin's peers and relayed onward per the gossip rules.
+// of origin's peers and, if it is Flooded, relayed onward per the gossip
+// rules.
 func (nw *Network) Gossip(origin int, m Message) {
 	nw.maybeRotate()
 	env := nw.seal(m)
-	seen, _, relays, _ := nw.records(env)
-	seen[origin>>6] |= 1 << (origin & 63)
-	if relays != nil && relays[origin] < math.MaxUint8 { // an origin has no budget: the count saturates
-		relays[origin]++
+	if env.flooded {
+		seen, _, relays, _ := nw.records(env)
+		seen[origin>>6] |= 1 << (origin & 63)
+		if relays != nil && relays[origin] < math.MaxUint8 { // an origin has no budget: the count saturates
+			relays[origin]++
+		}
 	}
 	nw.relay(origin, -1, env)
 	env.release()
 }
 
-// Unicast sends a message directly from one node to another (used for
-// catch-up fetches, not gossip). Delivery respects bandwidth/latency
-// but skips relay.
+// Unicast sends a message directly from one node to another (requests,
+// replies, pieces; not gossip). Delivery respects bandwidth/latency but
+// skips relay.
 func (nw *Network) Unicast(from, to int, m Message) {
 	env := nw.seal(m)
 	nw.send(from, to, env)
@@ -811,14 +833,18 @@ func (nw *Network) deliver(from, to int, env *envelope) {
 	nw.maybeRotate()
 	ep := nw.eps[to]
 	ep.bytesReceived.Add(uint64(env.size))
-	seen, seenOld, relays, relaysOld := nw.records(env)
-	w, bit := to>>6, uint64(1)<<(to&63)
-	if seen[w]&bit != 0 || (seenOld != nil && seenOld[w]&bit != 0) {
-		ep.dupsDropped.Inc()
-		nw.totalDups.Inc()
-		return
+	var relays, relaysOld []uint8
+	if env.flooded {
+		var seen, seenOld []uint64
+		seen, seenOld, relays, relaysOld = nw.records(env)
+		w, bit := to>>6, uint64(1)<<(to&63)
+		if seen[w]&bit != 0 || (seenOld != nil && seenOld[w]&bit != 0) {
+			ep.dupsDropped.Inc()
+			nw.totalDups.Inc()
+			return
+		}
+		seen[w] |= bit
 	}
-	seen[w] |= bit
 	ep.msgsReceived.Inc()
 	nw.totalMsgs.Inc()
 
@@ -835,7 +861,7 @@ func (nw *Network) deliver(from, to int, env *envelope) {
 	ep.cpuFree = busyFrom + verdict.CPU
 	ep.cpuUsedNs.Add(uint64(verdict.CPU))
 
-	if !verdict.Relay {
+	if !verdict.Relay || !env.flooded {
 		return
 	}
 	// Per-(sender,round,step) relay limit (§8.4).
@@ -879,7 +905,8 @@ func (nw *Network) NodeStats(id int) Stats {
 // TotalBytes is the aggregate of bytes sent across the whole network.
 func (nw *Network) TotalBytes() int64 { return int64(nw.totalBytes.Load()) }
 
-// TotalMsgs is the aggregate count of first-copy deliveries.
+// TotalMsgs is the aggregate count of deliveries handed to a handler: the
+// first copy of a Flooded message at each endpoint, every other message.
 func (nw *Network) TotalMsgs() int64 { return int64(nw.totalMsgs.Load()) }
 
 // TotalLost is the aggregate count of transfers dropped by link faults

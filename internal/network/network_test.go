@@ -469,6 +469,47 @@ func TestUnicast(t *testing.T) {
 	}
 }
 
+// plainMsg is a message that is not Flooded: it declares no ID.
+type plainMsg struct{ size int }
+
+func (m *plainMsg) WireSize() int { return m.size }
+
+// TestOnlyFloodedRemembered: a Flooded message sent twice is delivered
+// once; one that is not Flooded is handed to its receiver each time it
+// is sent, and relayed by nobody, even when it is gossiped to handlers
+// that ask for a relay.
+func TestOnlyFloodedRemembered(t *testing.T) {
+	sim := vtime.New()
+	nw := New(sim, DefaultConfig(), 10)
+	at4 := map[Message]int{}
+	all := map[Message]int{}
+	for i := 0; i < 10; i++ {
+		i := i
+		nw.SetHandler(i, HandlerFunc(func(from int, m Message) Verdict {
+			if i == 4 {
+				at4[m]++
+			}
+			all[m]++
+			return Verdict{Relay: true}
+		}))
+	}
+	flooded, plain, gossiped := msg("flooded", 100), &plainMsg{size: 100}, &plainMsg{size: 120}
+	sim.Spawn("o", func(p *vtime.Proc) {
+		for k := 0; k < 2; k++ {
+			nw.Unicast(1, 4, flooded)
+			nw.Unicast(1, 4, plain)
+		}
+		nw.Gossip(1, gossiped)
+	})
+	sim.Run(time.Minute)
+	if at4[flooded] != 1 || at4[plain] != 2 {
+		t.Fatalf("sent twice: the Flooded message delivered %d times, the other %d; want 1 and 2", at4[flooded], at4[plain])
+	}
+	if got, want := all[gossiped], len(nw.Neighbors(1)); got != want {
+		t.Fatalf("a gossiped message that is not Flooded reached %d endpoints, want origin's %d neighbours and no relay", got, want)
+	}
+}
+
 func BenchmarkGossip1000Nodes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sim := vtime.New()

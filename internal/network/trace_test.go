@@ -44,7 +44,7 @@ func deliveryTrace(seed int64) (string, *Network) {
 	for i := 0; i < n; i++ {
 		nw.SetHandler(i, HandlerFunc(func(from int, m Message) Verdict {
 			event('d', from, i)
-			id := m.ID()
+			id := m.(Flooded).ID()
 			h.Write(id[:])
 			// Verification costs vary with the message and the node, and a
 			// few nodes find a few messages invalid.

@@ -19,12 +19,9 @@ import (
 // validation ledger.CatchUp performs offline.
 
 // handleChainRequest serves up to MaxBlocks consecutive archived rounds
-// to the peer that sent the request: one naming anybody else would have
-// this node send up to 64 blocks to a party that asked for nothing.
+// to the peer that sent the request; a request has no field that could
+// name anybody else.
 func (n *Node) handleChainRequest(from int, msg *ChainRequest) network.Verdict {
-	if from != msg.Requester {
-		return network.Verdict{Relay: false}
-	}
 	max := msg.MaxBlocks
 	if max <= 0 || max > 64 {
 		max = 64
@@ -34,7 +31,7 @@ func (n *Node) handleChainRequest(from int, msg *ChainRequest) network.Verdict {
 	// an adopted round. Blocks without a certificate of their own
 	// (recovery adoptions) are included only up to the last certified
 	// block — beyond that the receiver could not validate them.
-	reply := &ChainReply{Recipient: msg.Requester, Nonce: msg.Nonce}
+	reply := &ChainReply{Nonce: msg.Nonce}
 	var blocks []*ledger.Block
 	var certs []*ledger.Certificate
 	servable := 0
@@ -52,7 +49,7 @@ func (n *Node) handleChainRequest(from int, msg *ChainRequest) network.Verdict {
 	reply.Blocks = blocks[:servable]
 	reply.Certs = certs
 	if len(reply.Blocks) > 0 {
-		n.net.Unicast(n.ID, msg.Requester, reply)
+		n.net.Unicast(n.ID, from, reply)
 	}
 	return network.Verdict{Relay: false}
 }
@@ -164,7 +161,6 @@ func (n *Node) syncFromPeersUntil(p *vtime.Proc, deadline time.Duration, target 
 		req := &ChainRequest{
 			FromRound: n.ledger.NextRound(),
 			MaxBlocks: 32,
-			Requester: n.ID,
 			Nonce:     n.expect(peer, n.chainReplies),
 		}
 		if fromOverride > 0 {

@@ -6,5 +6,5 @@ import "algorand/internal/ledger"
 // tests: it applies a (possibly forged) chain reply and returns the
 // validation outcome.
 func (n *Node) ApplyForgedReplyForTest(blocks []*ledger.Block, certs []*ledger.Certificate) (int, error) {
-	return n.applyChainReply(&ChainReply{Blocks: blocks, Certs: certs, Recipient: n.ID})
+	return n.applyChainReply(&ChainReply{Blocks: blocks, Certs: certs})
 }

@@ -4,6 +4,7 @@ package node
 // pull-based block fetching, pending-round buffering.
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -143,7 +144,7 @@ func (r *handlerRig) holder(idx int, prop *blockprop.Proposal, requests *int) *B
 	r.net.SetHandler(idx, network.HandlerFunc(func(from int, msg network.Message) network.Verdict {
 		if req, ok := msg.(*PieceRequest); ok {
 			*requests++
-			r.net.Unicast(idx, req.Requester, &BlockPiece{P: pieces[req.Index], Recipient: req.Requester, Nonce: req.Nonce})
+			r.net.Unicast(idx, from, &BlockPiece{P: pieces[req.Index]})
 		}
 		return network.Verdict{}
 	}))
@@ -223,7 +224,7 @@ func TestHandlerServesPieceRequests(t *testing.T) {
 	served := 0
 	r.net.SetHandler(3, network.HandlerFunc(func(from int, m network.Message) network.Verdict {
 		if bp, ok := m.(*BlockPiece); ok {
-			if bp.P.BlockHash() != h || bp.P.Index() != 0 || bp.Nonce != 1 {
+			if bp.P.BlockHash() != h || bp.P.Index() != 0 {
 				t.Error("served the wrong piece")
 			}
 			served++
@@ -231,11 +232,11 @@ func TestHandlerServesPieceRequests(t *testing.T) {
 		return network.Verdict{}
 	}))
 	r.sim.Spawn("driver", func(p *vtime.Proc) {
-		r.net.Unicast(3, 0, &PieceRequest{Hash: h, Index: 0, Requester: 3, Nonce: 1})
+		r.net.Unicast(3, 0, &PieceRequest{Hash: h, Index: 0})
 		// Requests for unknown blocks and for pieces the body does not
 		// have are ignored.
-		r.net.Unicast(3, 0, &PieceRequest{Hash: crypto.Digest{42}, Index: 0, Requester: 3, Nonce: 2})
-		r.net.Unicast(3, 0, &PieceRequest{Hash: h, Index: 7, Requester: 3, Nonce: 3})
+		r.net.Unicast(3, 0, &PieceRequest{Hash: crypto.Digest{42}, Index: 0})
+		r.net.Unicast(3, 0, &PieceRequest{Hash: h, Index: 7})
 		p.Sleep(5 * time.Second)
 	})
 	r.sim.Run(time.Minute)
@@ -372,43 +373,16 @@ func TestAllocBudgetStragglerVote(t *testing.T) {
 	}
 }
 
-// TestBlockPieceIDSeparatesTransfers: the duplicate suppression sees a
-// piece sent to two requesters, or twice to one, or two pieces of one
-// body, or a forged piece under a genuine transfer's coordinates, as
-// different messages, and the same transfer as one.
-func TestBlockPieceIDSeparatesTransfers(t *testing.T) {
-	r := newHandlerRig(t, 5)
-	prop := r.makeProposal(t, 1)
-	prop.Block.Block.PayloadPadding = 3 * blockprop.PieceSize
-	_, pieces := blockprop.Split(r.ids[1], &prop.Block)
-	forged := blockprop.NewPiece(pieces[1].BlockHash(), 1, len(pieces), nil, nil, nil, pieces[1].Padding()-1)
-	transfer := func(p *blockprop.Piece, recipient int, nonce uint64) *BlockPiece {
-		return &BlockPiece{P: p, Recipient: recipient, Nonce: nonce}
-	}
-	pairs := [][2]*BlockPiece{
-		{transfer(pieces[1], 7, 1), transfer(pieces[1], 8, 1)},
-		{transfer(pieces[1], 7, 1), transfer(pieces[1], 7, 2)},
-		{transfer(pieces[1], 7, 1), transfer(pieces[2], 7, 1)},
-		{transfer(pieces[1], 7, 1), transfer(forged, 7, 1)},
-		{transfer(pieces[1], 1<<16+7, 2), transfer(pieces[1], 7, 3)},
-	}
-	for i, p := range pairs {
-		if p[0].ID() == p[1].ID() {
-			t.Errorf("pair %d shares a dedup key", i)
-		}
-	}
-	if transfer(pieces[1], 7, 1).ID() != transfer(pieces[1], 7, 1).ID() {
-		t.Fatal("the same transfer has two IDs")
-	}
-}
-
-// TestRequestsAnsweredToSenderOnly: a request for a block, a run of the
-// chain or a checkpoint is answered to the peer it came from. One that
-// names a third party as requester — 44 bytes that would have an honest
-// node send that party a whole block, 64 of them with certificates, or
-// every account — produces no transfer at all.
+// TestRequestsAnsweredToSenderOnly: a request for a piece, a block, a
+// run of the chain or a checkpoint is answered to the peer it came from;
+// it has no field that could name anybody else. A third party that sends
+// the genuine requester's exact bytes first is answered itself, and does
+// not stop the genuine requester from being served: the transport
+// remembers no request.
 func TestRequestsAnsweredToSenderOnly(t *testing.T) {
 	r := newHandlerRig(t, 5)
+	prop := r.makeProposal(t, 1)
+	r.node.HoldProposal(&prop.Block)
 	l := r.node.Ledger()
 	b1 := l.NextEmptyBlock()
 	cert := &ledger.Certificate{Round: 1, Value: b1.Hash()}
@@ -417,24 +391,23 @@ func TestRequestsAnsweredToSenderOnly(t *testing.T) {
 	}
 	r.node.checkpoint = ledger.CheckpointOf(b1, cert, l.Balances())
 
-	const sender, third = 3, 2
+	const genuine, third = 3, 2
 	cases := []struct {
 		name    string
-		request func(requester int) network.Message
+		request func() network.Message
 		isReply func(m network.Message) bool
 	}{
+		{"piece",
+			func() network.Message { return &PieceRequest{Hash: prop.Block.Block.Hash(), Index: 0} },
+			func(m network.Message) bool { _, ok := m.(*BlockPiece); return ok }},
 		{"block",
-			func(req int) network.Message {
-				return &BlockRequest{Hash: b1.Hash(), Requester: req, Nonce: uint64(req)}
-			},
+			func() network.Message { return &BlockRequest{Hash: b1.Hash()} },
 			func(m network.Message) bool { _, ok := m.(*BlockFill); return ok }},
 		{"chain",
-			func(req int) network.Message {
-				return &ChainRequest{FromRound: 1, MaxBlocks: 8, Requester: req, Nonce: uint64(req)}
-			},
+			func() network.Message { return &ChainRequest{FromRound: 1, MaxBlocks: 8, Nonce: 7} },
 			func(m network.Message) bool { _, ok := m.(*ChainReply); return ok }},
 		{"snapshot",
-			func(req int) network.Message { return &SnapshotRequest{Requester: req, Nonce: uint64(req)} },
+			func() network.Message { return &SnapshotRequest{Nonce: 7} },
 			func(m network.Message) bool { _, ok := m.(*SnapshotReply); return ok }},
 	}
 	for _, tc := range cases {
@@ -449,42 +422,208 @@ func TestRequestsAnsweredToSenderOnly(t *testing.T) {
 			}))
 		}
 		r.sim.Spawn("driver-"+tc.name, func(p *vtime.Proc) {
-			r.net.Unicast(sender, 0, tc.request(third))
-			p.Sleep(5 * time.Second)
-			if len(got) != 0 {
-				t.Errorf("%s request naming a third party produced transfers to %v", tc.name, got)
-			}
-			r.net.Unicast(sender, 0, tc.request(sender))
+			r.net.Unicast(third, 0, tc.request())
+			p.Sleep(time.Second)
+			r.net.Unicast(genuine, 0, tc.request())
 			p.Sleep(5 * time.Second)
 		})
 		r.sim.Run(time.Hour)
-		if len(got) != 1 || got[sender] != 1 {
-			t.Errorf("%s request naming its sender: transfers %v, want one to node %d", tc.name, got, sender)
+		if len(got) != 2 || got[third] != 1 || got[genuine] != 1 {
+			t.Errorf("%s request sent by a third party, then by its requester: transfers %v, want one to each of %d and %d",
+				tc.name, got, third, genuine)
 		}
+	}
+}
+
+// TestForgedCopyDoesNotShadowGenuine: duplicate suppression marks a
+// flooded message seen before the handler verifies it, so its ID covers
+// every byte the handler authenticates. A vote, a priority announcement
+// or a batch with one signature byte changed, delivered first, is
+// rejected, and the genuine message after it is still counted or
+// admitted.
+func TestForgedCopyDoesNotShadowGenuine(t *testing.T) {
+	r := newHandlerRig(t, 5)
+	vote := r.makeVote(t, 1, 1, agreement.StepReduction1, crypto.HashBytes("v"))
+	prop := r.makeProposal(t, 1)
+	tx := &ledger.Transaction{From: r.ids[1].PublicKey(), To: r.ids[2].PublicKey(), Amount: 1}
+	tx.Sign(r.ids[1])
+	forge := func(sig []byte) []byte {
+		f := append([]byte(nil), sig...)
+		f[0] ^= 1
+		return f
+	}
+	forgedVote := *vote
+	forgedVote.Sig = forge(vote.Sig)
+	forgedPri := prop.Priority
+	forgedPri.Sig = forge(prop.Priority.Sig)
+	forgedTx := *tx
+	forgedTx.Sig = forge(tx.Sig)
+
+	pairs := [][2]network.Message{
+		{&VoteMsg{Vote: forgedVote}, &VoteMsg{Vote: *vote}},
+		{&PriorityGossip{M: forgedPri}, &PriorityGossip{M: prop.Priority}},
+		{&TxBatch{Txns: []*ledger.Transaction{&forgedTx}}, &TxBatch{Txns: []*ledger.Transaction{tx}}},
+	}
+	r.sim.Spawn("forger", func(p *vtime.Proc) {
+		for _, pair := range pairs {
+			r.net.Unicast(2, 0, pair[0])
+			p.Sleep(time.Second)
+			r.net.Unicast(1, 0, pair[1])
+			p.Sleep(time.Second)
+		}
+	})
+	r.sim.Run(time.Minute)
+	if got := r.node.voteInbox(1, agreement.StepReduction1).Len(); got != 1 {
+		t.Errorf("%d votes counted, want the genuine one", got)
+	}
+	if got := r.node.propInbox(1).Len(); got != 1 {
+		t.Errorf("%d priority arrivals, want the genuine one", got)
+	}
+	if st := r.node.TxFlow().Stats(); st.Pending != 1 {
+		t.Errorf("%d payments pending, want the genuine one", st.Pending)
+	}
+}
+
+// TestAllocBudgetFloodedIDs: a flooded message's ID covers its signed
+// bytes and signatures. Two copies of one message share it, an
+// equivocator's two votes or announcements and a copy with a forged
+// signature do not, and working it out allocates nothing once the
+// preimage pool is warm.
+func TestAllocBudgetFloodedIDs(t *testing.T) {
+	r := newHandlerRig(t, 5)
+	a := r.makeProposal(t, 1)
+	b := r.makeProposal(t, 1)
+	b.Priority.BlockHash = crypto.HashBytes("equivocation")
+	b.Priority.Sig = r.ids[1].Sign(b.Priority.SigningBytes())
+	tx := &ledger.Transaction{From: r.ids[1].PublicKey(), To: r.ids[2].PublicKey(), Amount: 1}
+	tx.Sign(r.ids[1])
+	forgedTx := *tx
+	forgedTx.Sig = append([]byte(nil), tx.Sig...)
+	forgedTx.Sig[3] ^= 1
+	vote := func(value string, sig func([]byte)) network.Flooded {
+		v := r.makeVote(t, 1, 1, agreement.StepReduction1, crypto.HashBytes(value))
+		sig(v.Sig)
+		return &VoteMsg{Vote: *v}
+	}
+	keep, flip := func([]byte) {}, func(s []byte) { s[len(s)-1] ^= 1 }
+	same := [][2]network.Flooded{
+		{vote("v", keep), vote("v", keep)},
+		{&PriorityGossip{M: a.Priority}, &PriorityGossip{M: a.Priority}},
+		{&TxBatch{Txns: []*ledger.Transaction{tx}}, &TxBatch{Txns: []*ledger.Transaction{tx}}},
+	}
+	distinct := [][2]network.Flooded{
+		{vote("v", keep), vote("w", keep)},
+		{vote("v", keep), vote("v", flip)},
+		{&PriorityGossip{M: a.Priority}, &PriorityGossip{M: b.Priority}},
+		{&TxBatch{Txns: []*ledger.Transaction{tx}}, &TxBatch{Txns: []*ledger.Transaction{&forgedTx}}},
+	}
+	for i, p := range same {
+		if p[0].ID() != p[1].ID() {
+			t.Errorf("same %d: two copies of one %T have two IDs", i, p[0])
+		}
+	}
+	for i, p := range distinct {
+		if p[0].ID() == p[1].ID() {
+			t.Errorf("distinct %d: two %T share an ID", i, p[0])
+		}
+	}
+	if !poolKeeps() {
+		t.Skip("sync.Pool drops Puts here (race detector): every dropped preimage is allocated again")
+	}
+	for _, m := range []network.Flooded{same[0][0], same[1][0], same[2][0]} {
+		if got := testing.AllocsPerRun(100, func() { m.ID() }); got != 0 {
+			t.Errorf("%T.ID: %.0f allocations, want 0", m, got)
+		}
+	}
+}
+
+// poolKeeps reports whether sync.Pool hands back what it was given. The
+// race detector makes it drop a quarter of all Puts on purpose: an
+// allocation budget over borrowed buffers holds only where this does.
+func poolKeeps() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		x := new(int)
+		p.Put(x)
+		if p.Get() != any(x) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRepliesSentTwiceTakenOnce: a reply or a piece is not Flooded, so
+// the network hands each copy to the handler, and the handler's request
+// tables take it once — a chain or snapshot reply once for the loop
+// that asked (node.answer), a piece once for the fetcher. (A block fill
+// sent twice is TestBlockFillAcceptedOnlyWhenSolicited's.)
+func TestRepliesSentTwiceTakenOnce(t *testing.T) {
+	r := newHandlerRig(t, 5)
+	n := r.node
+	b1 := n.Ledger().NextEmptyBlock()
+	chk := ledger.CheckpointOf(b1, &ledger.Certificate{Round: 1, Value: b1.Hash()}, n.Ledger().Balances())
+	chain, snap := n.expect(1, n.chainReplies), n.expect(2, n.snapReplies)
+	r.sim.Spawn("replier", func(p *vtime.Proc) {
+		for i := 0; i < 2; i++ {
+			r.net.Unicast(1, 0, &ChainReply{Blocks: []*ledger.Block{b1}, Nonce: chain})
+			r.net.Unicast(2, 0, &SnapshotReply{Checkpoint: chk, Nonce: snap})
+		}
+		p.Sleep(time.Second)
+	})
+	r.sim.Run(time.Minute)
+	if n.chainReplies.Len() != 1 || n.snapReplies.Len() != 1 {
+		t.Fatalf("answers queued: %d chain, %d snapshot; want one each", n.chainReplies.Len(), n.snapReplies.Len())
+	}
+
+	prop := r.bigProposal(t, 1, 3)
+	m, pieces := blockprop.Split(r.ids[1], &prop.Block)
+	r.net.SetHandler(1, network.HandlerFunc(func(from int, msg network.Message) network.Verdict {
+		if req, ok := msg.(*PieceRequest); ok {
+			r.net.Unicast(1, from, &BlockPiece{P: pieces[req.Index]})
+			r.net.Unicast(1, from, &BlockPiece{P: pieces[req.Index]})
+		}
+		return network.Verdict{}
+	}))
+	r.sim.Spawn("announcer", func(p *vtime.Proc) {
+		r.net.Unicast(1, 0, &BlockAnnounce{Manifest: *m, Announcer: 1})
+		p.Sleep(10 * time.Second)
+	})
+	r.sim.Run(2 * time.Minute)
+	snapM := n.Metrics().Snapshot()
+	requested := snapM["algorand_blockprop_pieces_requested_total"].Value
+	received := snapM["algorand_blockprop_pieces_received_total"].Value
+	dup := snapM["algorand_blockprop_pieces_duplicate_total"].Value
+	if int(requested) != len(pieces) || received != requested || dup != requested {
+		t.Fatalf("%d pieces: %v requested, %v taken, %v dropped as duplicates; want each piece taken once and its copy dropped",
+			len(pieces), requested, received, dup)
+	}
+	if got := n.propInbox(1).Len(); got != 2 {
+		t.Fatalf("waiter saw %d arrivals, want the priority and the block once", got)
 	}
 }
 
 // TestBlockFillAcceptedOnlyWhenSolicited: a fill nobody is waiting for —
 // any peer can send one, of any block — leaves no trace in the node; the
-// one fetchBlock asked for is handed to it.
+// one fetchBlock asked for is handed to it, once.
 func TestBlockFillAcceptedOnlyWhenSolicited(t *testing.T) {
 	r := newHandlerRig(t, 5)
 	prop := r.makeProposal(t, 1)
 	block, h := prop.Block.Block, prop.Block.AnnouncedHash()
 	other := r.makeProposal(t, 2).Block.Block
 
-	r.node.handleMessage(1, &BlockFill{Block: block, Recipient: 0})
+	r.node.handleMessage(1, &BlockFill{Block: block})
 	if _, ok := r.node.Ledger().BlockOfHash(h); ok || r.node.blockFills.Len() != 0 {
 		t.Fatal("an unsolicited fill was kept")
 	}
 
 	peers := r.net.Neighbors(0)
 	r.net.SetHandler(peers[0], network.HandlerFunc(func(from int, m network.Message) network.Verdict {
-		if req, ok := m.(*BlockRequest); ok {
-			// The wrong block, the right block for somebody else, then the answer.
-			r.net.Unicast(peers[0], 0, &BlockFill{Block: other, Recipient: 0})
-			r.net.Unicast(peers[0], 0, &BlockFill{Block: block, Recipient: 4})
-			r.net.Unicast(peers[0], 0, &BlockFill{Block: block, Recipient: req.Requester})
+		if _, ok := m.(*BlockRequest); ok {
+			// The wrong block, then the answer twice: the second copy
+			// finds nobody waiting.
+			r.net.Unicast(peers[0], from, &BlockFill{Block: other})
+			r.net.Unicast(peers[0], from, &BlockFill{Block: block})
+			r.net.Unicast(peers[0], from, &BlockFill{Block: block})
 		}
 		return network.Verdict{}
 	}))
@@ -519,8 +658,8 @@ func TestRepliesTakenOnlyWhenAsked(t *testing.T) {
 	queued := func() int { return n.chainReplies.Len() + n.snapReplies.Len() }
 	for i := 0; i < 1000; i++ {
 		for _, from := range []int{1, 2} {
-			n.handleMessage(from, &ChainReply{Recipient: 0, Nonce: n.reqNonce + uint64(i)})
-			n.handleMessage(from, &SnapshotReply{Checkpoint: &ledger.Checkpoint{}, Recipient: 0, Nonce: n.reqNonce + uint64(i)})
+			n.handleMessage(from, &ChainReply{Nonce: n.reqNonce + uint64(i)})
+			n.handleMessage(from, &SnapshotReply{Checkpoint: &ledger.Checkpoint{}, Nonce: n.reqNonce + uint64(i)})
 		}
 	}
 	if got := queued(); got != 0 {
@@ -528,14 +667,14 @@ func TestRepliesTakenOnlyWhenAsked(t *testing.T) {
 	}
 
 	chain, snap := n.expect(1, n.chainReplies), n.expect(2, n.snapReplies)
-	n.handleMessage(2, &ChainReply{Recipient: 0, Nonce: chain})
-	n.handleMessage(1, &SnapshotReply{Checkpoint: &ledger.Checkpoint{}, Recipient: 0, Nonce: snap})
+	n.handleMessage(2, &ChainReply{Nonce: chain})
+	n.handleMessage(1, &SnapshotReply{Checkpoint: &ledger.Checkpoint{}, Nonce: snap})
 	if got := queued(); got != 0 {
 		t.Fatalf("%d replies from a peer not asked queued", got)
 	}
 	for i := 0; i < 2; i++ {
-		n.handleMessage(1, &ChainReply{Recipient: 0, Nonce: chain})
-		n.handleMessage(2, &SnapshotReply{Checkpoint: &ledger.Checkpoint{}, Recipient: 0, Nonce: snap})
+		n.handleMessage(1, &ChainReply{Nonce: chain})
+		n.handleMessage(2, &SnapshotReply{Checkpoint: &ledger.Checkpoint{}, Nonce: snap})
 	}
 	if n.chainReplies.Len() != 1 || n.snapReplies.Len() != 1 {
 		t.Fatalf("answers queued: %d chain, %d snapshot; want one each", n.chainReplies.Len(), n.snapReplies.Len())
@@ -545,7 +684,7 @@ func TestRepliesTakenOnlyWhenAsked(t *testing.T) {
 	for i := 0; i < maxAsked; i++ {
 		n.expect(1, n.chainReplies)
 	}
-	n.handleMessage(1, &ChainReply{Recipient: 0, Nonce: first})
+	n.handleMessage(1, &ChainReply{Nonce: first})
 	if len(n.asked) != maxAsked || n.chainReplies.Len() != 1 {
 		t.Fatalf("%d requests filed, %d chain replies queued; want %d and 1", len(n.asked), n.chainReplies.Len(), maxAsked)
 	}

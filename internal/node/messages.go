@@ -25,14 +25,10 @@ func (m *VoteMsg) EncodeTo(e *wire.Encoder) { m.Vote.EncodeTo(e) }
 // DecodeFrom implements wire.Unmarshaler.
 func (m *VoteMsg) DecodeFrom(d *wire.Decoder) { m.Vote.DecodeFrom(d) }
 
-// ID identifies the exact vote (sender, round, step, value): an
-// equivocating sender's two votes are distinct messages.
-func (m *VoteMsg) ID() crypto.Digest {
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[:8], m.Vote.Round)
-	binary.LittleEndian.PutUint64(buf[8:], m.Vote.Step)
-	return crypto.HashBytes("msg.vote", m.Vote.Sender[:], buf[:], m.Vote.Value[:])
-}
+// ID implements network.Flooded. It hashes the vote's signed bytes and
+// its signature: an equivocating sender's two votes are distinct
+// messages, and so is a copy with one byte of the signature changed.
+func (m *VoteMsg) ID() crypto.Digest { return encodedID("msg.vote", m) }
 
 // LimitKey and RelayLimit put votes under the §8.4 relay budget
 // (network.Limited): at most one message per sender per (round, step).
@@ -57,13 +53,11 @@ func (m *PriorityGossip) EncodeTo(e *wire.Encoder) { m.M.EncodeTo(e) }
 // DecodeFrom implements wire.Unmarshaler.
 func (m *PriorityGossip) DecodeFrom(d *wire.Decoder) { m.M.DecodeFrom(d) }
 
-// ID identifies the announcement, including the bound block hash so an
-// equivocator's two variants are distinct messages.
-func (m *PriorityGossip) ID() crypto.Digest {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], m.M.Round)
-	return crypto.HashBytes("msg.priority", m.M.Proposer[:], buf[:], m.M.Priority[:], m.M.BlockHash[:])
-}
+// ID implements network.Flooded. It hashes the announcement's signed
+// bytes, the bound block hash among them, and its signature: an
+// equivocator's two variants are distinct messages, and so is a forged
+// copy of either.
+func (m *PriorityGossip) ID() crypto.Digest { return encodedID("msg.priority", m) }
 
 // LimitKey: priority messages are limited per proposer per round.
 func (m *PriorityGossip) LimitKey() network.LimitKey {
@@ -103,7 +97,8 @@ func (m *BlockAnnounce) DecodeFrom(d *wire.Decoder) {
 	m.Have = blockprop.DecodeBitmap(d)
 }
 
-// ID covers the announcer: each holder announces once.
+// ID implements network.Flooded. It covers the announcer: each holder
+// announces once.
 func (m *BlockAnnounce) ID() crypto.Digest {
 	a := &m.Manifest.Announce
 	var buf [16]byte
@@ -141,126 +136,62 @@ func (m *BlockHave) DecodeFrom(d *wire.Decoder) {
 	m.Have = blockprop.DecodeBitmap(d)
 }
 
-// ID covers the announcer and what it advertises.
-func (m *BlockHave) ID() crypto.Digest {
-	buf := make([]byte, 0, 64)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Announcer))
-	for _, w := range m.Have {
-		buf = binary.LittleEndian.AppendUint64(buf, w)
-	}
-	return crypto.HashBytes("msg.have", m.Hash[:], buf)
-}
-
 // BlockRequest asks a peer for a committed block's body whole (answered
-// with a BlockFill): the §7.1 "obtain it from other users" fallback.
+// with a BlockFill to the transport's sender): the §7.1 "obtain it from
+// other users" fallback.
 type BlockRequest struct {
-	Hash      crypto.Digest
-	Requester int
-	Nonce     uint64
+	Hash crypto.Digest
 }
 
 // WireSize implements network.Message.
-func (m *BlockRequest) WireSize() int { return 32 + 4 + 8 }
+func (m *BlockRequest) WireSize() int { return 32 }
 
 // EncodeTo implements wire.Marshaler.
-func (m *BlockRequest) EncodeTo(e *wire.Encoder) {
-	e.Fixed(m.Hash[:])
-	e.Int(m.Requester)
-	e.Uint64(m.Nonce)
-}
+func (m *BlockRequest) EncodeTo(e *wire.Encoder) { e.Fixed(m.Hash[:]) }
 
 // DecodeFrom implements wire.Unmarshaler.
-func (m *BlockRequest) DecodeFrom(d *wire.Decoder) {
-	d.Fixed(m.Hash[:])
-	m.Requester = d.Int()
-	m.Nonce = d.Uint64()
-}
-
-// ID is unique per request.
-func (m *BlockRequest) ID() crypto.Digest {
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[:8], uint64(m.Requester))
-	binary.LittleEndian.PutUint64(buf[8:], m.Nonce)
-	return crypto.HashBytes("msg.blockreq", m.Hash[:], buf[:])
-}
+func (m *BlockRequest) DecodeFrom(d *wire.Decoder) { d.Fixed(m.Hash[:]) }
 
 // PieceRequest asks a holder for one piece of a proposed body (the
-// getdata of the pull-based dissemination).
+// getdata of the pull-based dissemination), answered to the transport's
+// sender.
 type PieceRequest struct {
-	Hash      crypto.Digest
-	Index     int
-	Requester int
-	Nonce     uint64
+	Hash  crypto.Digest
+	Index int
 }
 
 // WireSize implements network.Message.
-func (m *PieceRequest) WireSize() int { return 32 + 4 + 4 + 8 }
+func (m *PieceRequest) WireSize() int { return 32 + 4 }
 
 // EncodeTo implements wire.Marshaler.
 func (m *PieceRequest) EncodeTo(e *wire.Encoder) {
 	e.Fixed(m.Hash[:])
 	e.Int(m.Index)
-	e.Int(m.Requester)
-	e.Uint64(m.Nonce)
 }
 
 // DecodeFrom implements wire.Unmarshaler.
 func (m *PieceRequest) DecodeFrom(d *wire.Decoder) {
 	d.Fixed(m.Hash[:])
 	m.Index = d.Int()
-	m.Requester = d.Int()
-	m.Nonce = d.Uint64()
-}
-
-// ID is unique per request.
-func (m *PieceRequest) ID() crypto.Digest {
-	var buf [24]byte
-	binary.LittleEndian.PutUint64(buf[:8], uint64(m.Index))
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(m.Requester))
-	binary.LittleEndian.PutUint64(buf[16:], m.Nonce)
-	return crypto.HashBytes("msg.piecereq", m.Hash[:], buf[:])
 }
 
 // BlockPiece carries one piece of a proposed body, sent unicast in
 // answer to a PieceRequest. It is never relayed; dissemination happens
-// through the announce/request cycle.
+// through the announce/request cycle, and the fetcher takes a piece once.
 type BlockPiece struct {
 	P *blockprop.Piece
-	// Recipient and Nonce echo the request, so the same piece sent to two
-	// requesters, or twice to one, is as many transfers to the duplicate
-	// suppression.
-	Recipient int
-	Nonce     uint64
 }
 
 // WireSize implements network.Message.
-func (m *BlockPiece) WireSize() int { return m.P.WireSize() + 4 + 8 }
+func (m *BlockPiece) WireSize() int { return m.P.WireSize() }
 
 // EncodeTo implements wire.Marshaler.
-func (m *BlockPiece) EncodeTo(e *wire.Encoder) {
-	m.P.EncodeTo(e)
-	e.Int(m.Recipient)
-	e.Uint64(m.Nonce)
-}
+func (m *BlockPiece) EncodeTo(e *wire.Encoder) { m.P.EncodeTo(e) }
 
 // DecodeFrom implements wire.Unmarshaler.
 func (m *BlockPiece) DecodeFrom(d *wire.Decoder) {
 	m.P = new(blockprop.Piece)
 	m.P.DecodeFrom(d)
-	m.Recipient = d.Int()
-	m.Nonce = d.Uint64()
-}
-
-// ID covers the piece's contents, not just its place: this runs before
-// any verification, and a forged piece under a genuine request's
-// coordinates must not shadow the genuine transfer. The digest is the
-// one the manifest check needs anyway, computed once per piece.
-func (m *BlockPiece) ID() crypto.Digest {
-	h := m.P.Digest()
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[:8], uint64(m.Recipient))
-	binary.LittleEndian.PutUint64(buf[8:], m.Nonce)
-	return crypto.HashBytes("msg.piece", buf[:], h[:])
 }
 
 // MaxTxBatchBytes caps the cumulative encoded size of the transactions
@@ -330,68 +261,49 @@ func (m *TxBatch) DecodeFrom(d *wire.Decoder) {
 	}
 }
 
-// ID hashes the contained transaction IDs: identical re-batches are
-// the same message to the duplicate-suppression layer.
-func (m *TxBatch) ID() crypto.Digest {
-	e := txBatchIDs.Get()
-	defer txBatchIDs.Put(e)
-	for _, tx := range m.Txns {
-		id := tx.ID()
-		e.Fixed(id[:])
-	}
-	return crypto.HashBytes("msg.txbatch", e.Data())
-}
-
-var txBatchIDs wire.Pool // lends ID's 32·n-byte preimages
+// ID implements network.Flooded. It hashes every payment in the batch,
+// signatures included: identical re-batches from different senders are
+// the same message to the duplicate-suppression layer, and a batch with
+// one signature forged is another.
+func (m *TxBatch) ID() crypto.Digest { return encodedID("msg.txbatch", m) }
 
 // BlockFill is a bare committed-block body answering a BlockRequest
 // (§7.1 "obtain it from other users"); unlike a proposal's pieces it
 // carries no credentials — the requester already knows the agreed hash
 // and validates against it.
 type BlockFill struct {
-	Block     *ledger.Block
-	Recipient int
+	Block *ledger.Block
 }
 
 // WireSize implements network.Message.
-func (m *BlockFill) WireSize() int { return m.Block.WireSize() + 4 }
+func (m *BlockFill) WireSize() int { return m.Block.WireSize() }
 
 // EncodeTo implements wire.Marshaler.
-func (m *BlockFill) EncodeTo(e *wire.Encoder) {
-	m.Block.EncodeTo(e)
-	e.Int(m.Recipient)
-}
+func (m *BlockFill) EncodeTo(e *wire.Encoder) { m.Block.EncodeTo(e) }
 
 // DecodeFrom implements wire.Unmarshaler.
 func (m *BlockFill) DecodeFrom(d *wire.Decoder) {
 	m.Block = new(ledger.Block)
 	m.Block.DecodeFrom(d)
-	m.Recipient = d.Int()
-}
-
-// ID covers block hash and recipient.
-func (m *BlockFill) ID() crypto.Digest {
-	h := m.Block.Hash()
-	return crypto.HashUint64("msg.blockfill", uint64(m.Recipient), h[:])
 }
 
 // ChainRequest asks a peer for committed blocks and certificates
-// starting at a round (the §8.3 catch-up protocol).
+// starting at a round (the §8.3 catch-up protocol). The reply goes to the
+// transport's sender and echoes Nonce, which is how the requester tells
+// its answer from any other (see Node.answer).
 type ChainRequest struct {
 	FromRound uint64
 	MaxBlocks int
-	Requester int
 	Nonce     uint64
 }
 
 // WireSize implements network.Message.
-func (m *ChainRequest) WireSize() int { return 8 + 4 + 4 + 8 }
+func (m *ChainRequest) WireSize() int { return 8 + 4 + 8 }
 
 // EncodeTo implements wire.Marshaler.
 func (m *ChainRequest) EncodeTo(e *wire.Encoder) {
 	e.Uint64(m.FromRound)
 	e.Int(m.MaxBlocks)
-	e.Int(m.Requester)
 	e.Uint64(m.Nonce)
 }
 
@@ -399,31 +311,20 @@ func (m *ChainRequest) EncodeTo(e *wire.Encoder) {
 func (m *ChainRequest) DecodeFrom(d *wire.Decoder) {
 	m.FromRound = d.Uint64()
 	m.MaxBlocks = d.Int()
-	m.Requester = d.Int()
 	m.Nonce = d.Uint64()
-}
-
-// ID is unique per request.
-func (m *ChainRequest) ID() crypto.Digest {
-	var buf [24]byte
-	binary.LittleEndian.PutUint64(buf[:8], m.FromRound)
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(m.Requester))
-	binary.LittleEndian.PutUint64(buf[16:], m.Nonce)
-	return crypto.HashBytes("msg.chainreq", buf[:])
 }
 
 // ChainReply returns a contiguous run of blocks with their §8.3
 // certificates. The receiver validates everything; nothing is trusted.
 type ChainReply struct {
-	Blocks    []*ledger.Block
-	Certs     []*ledger.Certificate
-	Recipient int
-	Nonce     uint64
+	Blocks []*ledger.Block
+	Certs  []*ledger.Certificate
+	Nonce  uint64
 }
 
 // WireSize implements network.Message.
 func (m *ChainReply) WireSize() int {
-	total := 4 + 4 + 4 + 8 // two counts, recipient, nonce
+	total := 4 + 4 + 8 // two counts, nonce
 	for _, b := range m.Blocks {
 		total += b.WireSize()
 	}
@@ -443,7 +344,6 @@ func (m *ChainReply) EncodeTo(e *wire.Encoder) {
 	for _, c := range m.Certs {
 		c.EncodeTo(e)
 	}
-	e.Int(m.Recipient)
 	e.Uint64(m.Nonce)
 }
 
@@ -469,20 +369,7 @@ func (m *ChainReply) DecodeFrom(d *wire.Decoder) {
 		}
 		m.Certs = append(m.Certs, c)
 	}
-	m.Recipient = d.Int()
 	m.Nonce = d.Uint64()
-}
-
-// ID is unique per reply.
-func (m *ChainReply) ID() crypto.Digest {
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[:8], uint64(m.Recipient))
-	binary.LittleEndian.PutUint64(buf[8:], m.Nonce)
-	first := uint64(0)
-	if len(m.Blocks) > 0 {
-		first = m.Blocks[0].Round
-	}
-	return crypto.HashUint64("msg.chainreply", first, buf[:])
 }
 
 // CommitAnnounce tells neighbors "round Round committed with this
@@ -516,7 +403,8 @@ func (m *CommitAnnounce) DecodeFrom(d *wire.Decoder) {
 	m.Announcer = d.Int()
 }
 
-// ID covers the announcer: each node announces each commit once.
+// ID implements network.Flooded. It covers the announcer: each node
+// announces each commit once.
 func (m *CommitAnnounce) ID() crypto.Digest {
 	var buf [16]byte
 	binary.LittleEndian.PutUint64(buf[:8], m.Round)
@@ -527,39 +415,28 @@ func (m *CommitAnnounce) ID() crypto.Digest {
 // SnapshotRequest asks a peer for its newest state checkpoint (the
 // fast-sync handshake): a restarting or joining node fetches a
 // verified snapshot and replays only the delta past it, instead of
-// the whole chain from genesis.
+// the whole chain from genesis. Like a ChainRequest it is answered to
+// the transport's sender, echoing Nonce.
 type SnapshotRequest struct {
 	// MinRound filters checkpoints the requester already has: peers
 	// whose newest checkpoint is at or below it stay silent.
-	MinRound  uint64
-	Requester int
-	Nonce     uint64
+	MinRound uint64
+	Nonce    uint64
 }
 
 // WireSize implements network.Message.
-func (m *SnapshotRequest) WireSize() int { return 8 + 4 + 8 }
+func (m *SnapshotRequest) WireSize() int { return 8 + 8 }
 
 // EncodeTo implements wire.Marshaler.
 func (m *SnapshotRequest) EncodeTo(e *wire.Encoder) {
 	e.Uint64(m.MinRound)
-	e.Int(m.Requester)
 	e.Uint64(m.Nonce)
 }
 
 // DecodeFrom implements wire.Unmarshaler.
 func (m *SnapshotRequest) DecodeFrom(d *wire.Decoder) {
 	m.MinRound = d.Uint64()
-	m.Requester = d.Int()
 	m.Nonce = d.Uint64()
-}
-
-// ID is unique per request.
-func (m *SnapshotRequest) ID() crypto.Digest {
-	var buf [24]byte
-	binary.LittleEndian.PutUint64(buf[:8], m.MinRound)
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(m.Requester))
-	binary.LittleEndian.PutUint64(buf[16:], m.Nonce)
-	return crypto.HashBytes("msg.snapreq", buf[:])
 }
 
 // SnapshotReply carries one full checkpoint. The receiver trusts
@@ -568,17 +445,15 @@ func (m *SnapshotRequest) ID() crypto.Digest {
 // any of it, exactly as it would a chain served by a peer.
 type SnapshotReply struct {
 	Checkpoint *ledger.Checkpoint
-	Recipient  int
 	Nonce      uint64
 }
 
 // WireSize implements network.Message.
-func (m *SnapshotReply) WireSize() int { return m.Checkpoint.WireSize() + 4 + 8 }
+func (m *SnapshotReply) WireSize() int { return m.Checkpoint.WireSize() + 8 }
 
 // EncodeTo implements wire.Marshaler.
 func (m *SnapshotReply) EncodeTo(e *wire.Encoder) {
 	m.Checkpoint.EncodeTo(e)
-	e.Int(m.Recipient)
 	e.Uint64(m.Nonce)
 }
 
@@ -586,17 +461,19 @@ func (m *SnapshotReply) EncodeTo(e *wire.Encoder) {
 func (m *SnapshotReply) DecodeFrom(d *wire.Decoder) {
 	m.Checkpoint = new(ledger.Checkpoint)
 	m.Checkpoint.DecodeFrom(d)
-	m.Recipient = d.Int()
 	m.Nonce = d.Uint64()
 }
 
-// ID is unique per reply.
-func (m *SnapshotReply) ID() crypto.Digest {
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[:8], uint64(m.Recipient))
-	binary.LittleEndian.PutUint64(buf[8:], m.Nonce)
-	return crypto.HashUint64("msg.snapreply", m.Checkpoint.Round(), buf[:])
+// encodedID hashes m's canonical encoding under domain: the ID of a
+// Flooded message whose every byte the receiver authenticates.
+func encodedID(domain string, m wire.Marshaler) crypto.Digest {
+	e := msgIDs.Get()
+	defer msgIDs.Put(e)
+	m.EncodeTo(e)
+	return crypto.HashBytes(domain, e.Data())
 }
+
+var msgIDs wire.Pool // lends encodedID its preimages
 
 // --- Wire registry ----------------------------------------------------------
 

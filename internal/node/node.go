@@ -165,10 +165,10 @@ type Node struct {
 	// scheduled for the requests in flight.
 	fetch      *blockprop.Fetcher
 	fetchTimer bool
-	// reqNonce numbers this node's unicast requests. It starts at the
-	// scheduler's epoch, not at zero: a replacement for a crashed node
-	// would otherwise repeat its predecessor's (round, requester, nonce)
-	// triples, and peers' duplicate suppression would drop the requests.
+	// reqNonce numbers this node's chain and snapshot requests. It starts
+	// at the scheduler's epoch, not at zero: a replacement for a crashed
+	// node would otherwise repeat its predecessor's nonces, and could take
+	// a late reply to its predecessor's request for its own.
 	reqNonce uint64
 	// asked is the chain and snapshot requests this node has out, oldest
 	// first (see expect and answer). chainReplies receives the answers to
@@ -489,11 +489,9 @@ func (n *Node) handleMessage(from int, m network.Message) network.Verdict {
 		return n.handleHave(from, msg)
 
 	case *PieceRequest:
-		if from != msg.Requester {
-			return network.Verdict{Relay: false} // a piece goes to whoever asked, nobody else
-		}
+		// A piece goes to whoever asked: the request names nobody else.
 		if p, lifted := n.fetch.Serve(from, msg.Hash, msg.Index); p != nil {
-			n.net.Unicast(n.ID, from, &BlockPiece{P: p, Recipient: from, Nonce: msg.Nonce})
+			n.net.Unicast(n.ID, from, &BlockPiece{P: p})
 			if lifted {
 				// The last piece of the stripe this neighbour was offered of a
 				// body we proposed: it may now pull the rest.
@@ -510,11 +508,8 @@ func (n *Node) handleMessage(from int, m network.Message) network.Verdict {
 		// §7.1 "obtain it from other users": any block we know, whole and
 		// without credentials — the requester validates it against the
 		// hash it asked for. Like a piece, it goes to whoever asked.
-		if from != msg.Requester {
-			return network.Verdict{Relay: false}
-		}
 		if b, ok := n.ledger.BlockOfHash(msg.Hash); ok {
-			n.net.Unicast(n.ID, msg.Requester, &BlockFill{Block: b, Recipient: msg.Requester})
+			n.net.Unicast(n.ID, from, &BlockFill{Block: b})
 		}
 		return network.Verdict{Relay: false}
 
@@ -528,7 +523,7 @@ func (n *Node) handleMessage(from int, m network.Message) network.Verdict {
 		// The answer to fetchBlock's request, and only that: a fill nobody
 		// is waiting for is dropped before it is hashed, one with another
 		// hash after, so no peer can make this node keep a block.
-		if msg.Recipient != n.ID || n.blockWanted == (crypto.Digest{}) || msg.Block.Hash() != n.blockWanted {
+		if n.blockWanted == (crypto.Digest{}) || msg.Block.Hash() != n.blockWanted {
 			return network.Verdict{Relay: false}
 		}
 		n.blockWanted = crypto.Digest{}
@@ -761,9 +756,6 @@ func (n *Node) handleHave(from int, msg *BlockHave) network.Verdict {
 // its measured CPU is dominated by vote/VRF verification, §10.3), so
 // padding costs bandwidth but not CPU.
 func (n *Node) handlePiece(from int, msg *BlockPiece, cost crypto.CostModel) network.Verdict {
-	if msg.Recipient != n.ID {
-		return network.Verdict{Relay: false}
-	}
 	acts, err := n.fetch.OnPiece(n.sim.Now(), from, msg.P)
 	switch {
 	case errors.Is(err, blockprop.ErrUnsolicited):
@@ -785,8 +777,7 @@ func (n *Node) runFetch(acts []blockprop.Action) {
 	for _, a := range acts {
 		switch a.Kind {
 		case blockprop.ActRequest:
-			n.reqNonce++
-			n.net.Unicast(n.ID, a.Peer, &PieceRequest{Hash: a.Hash, Index: a.Index, Requester: n.ID, Nonce: n.reqNonce})
+			n.net.Unicast(n.ID, a.Peer, &PieceRequest{Hash: a.Hash, Index: a.Index})
 		case blockprop.ActAdvertise:
 			m, _ := n.fetch.Manifest(a.Hash)
 			if a.First {
@@ -1249,8 +1240,7 @@ func (n *Node) fetchBlock(p *vtime.Proc, h crypto.Digest, deadline time.Duration
 	n.blockWanted = h
 	peers := n.net.Neighbors(n.ID)
 	for i := 0; len(peers) > 0 && p.Now() < deadline && !n.halted; i++ {
-		n.reqNonce++
-		n.net.Unicast(n.ID, peers[i%len(peers)], &BlockRequest{Hash: h, Requester: n.ID, Nonce: n.reqNonce})
+		n.net.Unicast(n.ID, peers[i%len(peers)], &BlockRequest{Hash: h})
 		if m, ok := p.RecvDeadline(n.blockFills, min(p.Now()+n.cfg.Params.LambdaStep, deadline)); ok {
 			return m.(*ledger.Block), true
 		}

@@ -61,15 +61,11 @@ func (n *Node) Checkpoint() (*ledger.Checkpoint, bool) {
 }
 
 // handleSnapshotRequest serves this node's newest checkpoint to the
-// fast-syncing peer that sent the request (and to nobody else it may
-// name), if it is newer than what the requester already has.
+// fast-syncing peer that sent the request, if it is newer than what the
+// requester already has.
 func (n *Node) handleSnapshotRequest(from int, msg *SnapshotRequest) network.Verdict {
-	if from == msg.Requester && n.checkpoint != nil && n.checkpoint.Round() > msg.MinRound {
-		n.net.Unicast(n.ID, msg.Requester, &SnapshotReply{
-			Checkpoint: n.checkpoint,
-			Recipient:  msg.Requester,
-			Nonce:      msg.Nonce,
-		})
+	if n.checkpoint != nil && n.checkpoint.Round() > msg.MinRound {
+		n.net.Unicast(n.ID, from, &SnapshotReply{Checkpoint: n.checkpoint, Nonce: msg.Nonce})
 	}
 	return network.Verdict{Relay: false}
 }
@@ -140,9 +136,8 @@ func (n *Node) trySnapshotSync(p *vtime.Proc) bool {
 			return false
 		}
 		n.net.Unicast(n.ID, peer, &SnapshotRequest{
-			MinRound:  n.ledger.ChainLength(),
-			Requester: n.ID,
-			Nonce:     n.expect(peer, n.snapReplies),
+			MinRound: n.ledger.ChainLength(),
+			Nonce:    n.expect(peer, n.snapReplies),
 		})
 		m, ok := p.RecvTimeout(n.snapReplies, 2*time.Second)
 		if !ok {

@@ -65,21 +65,21 @@ func TestSeedStripesThenLifts(t *testing.T) {
 		// The first neighbour asks for its whole stripe, the second for all
 		// but one piece of its own, and for the first of them again and
 		// again: it is distinct pieces that count. The one it still owes is
-		// asked for in its name by the first neighbour, which counts for
-		// nothing and is served to nobody.
+		// asked for by the first neighbour instead, which is served to the
+		// first neighbour and counts for nobody's stripe but its own.
 		for k, peer := range peers[:2] {
 			asked := 0
 			for i := 0; i < 6; i++ {
 				switch {
 				case !stripes[peer].Has(i):
 				case k == 1 && asked == stripes[peer].Len()-1:
-					r.net.Unicast(peers[0], 0, &PieceRequest{Hash: h, Index: i, Requester: peer, Nonce: 99})
+					r.net.Unicast(peers[0], 0, &PieceRequest{Hash: h, Index: i})
 				default:
 					asked++
-					r.net.Unicast(peer, 0, &PieceRequest{Hash: h, Index: i, Requester: peer, Nonce: uint64(10*k + i)})
+					r.net.Unicast(peer, 0, &PieceRequest{Hash: h, Index: i})
 					if k == 1 && asked == 1 {
-						r.net.Unicast(peer, 0, &PieceRequest{Hash: h, Index: i, Requester: peer, Nonce: 97})
-						r.net.Unicast(peer, 0, &PieceRequest{Hash: h, Index: i, Requester: peer, Nonce: 98})
+						r.net.Unicast(peer, 0, &PieceRequest{Hash: h, Index: i})
+						r.net.Unicast(peer, 0, &PieceRequest{Hash: h, Index: i})
 					}
 				}
 			}
@@ -142,7 +142,7 @@ func TestFetchStateBounded(t *testing.T) {
 				}
 				for _, b := range bodies {
 					if b.ann.Manifest.Announce.BlockHash == req.Hash {
-						r.net.Unicast(peer, 0, &BlockPiece{P: b.pieces[req.Index], Recipient: 0, Nonce: req.Nonce})
+						r.net.Unicast(peer, 0, &BlockPiece{P: b.pieces[req.Index]})
 					}
 				}
 				return network.Verdict{}
@@ -210,7 +210,7 @@ func TestResolveBlockAsksOnePeerAtATime(t *testing.T) {
 			if req, ok := m.(*BlockRequest); ok && req.Hash == h {
 				requests++
 				if peer != silent {
-					r.net.Unicast(peer, 0, &BlockFill{Block: block, Recipient: 0})
+					r.net.Unicast(peer, 0, &BlockFill{Block: block})
 				}
 			}
 			return network.Verdict{}
@@ -250,7 +250,7 @@ func TestAllocBudgetSwarmNoOps(t *testing.T) {
 	m, pieces := blockprop.Split(r.ids[1], &prop.Block)
 	h := prop.Block.AnnouncedHash()
 
-	unknown := &BlockPiece{P: pieces[1], Recipient: 0, Nonce: 1}
+	unknown := &BlockPiece{P: pieces[1]}
 	if got := testing.AllocsPerRun(50, func() { r.node.handleMessage(1, unknown) }); got != 0 {
 		t.Errorf("piece of a body nobody announced: %.0f allocations, want 0", got)
 	}
@@ -262,15 +262,15 @@ func TestAllocBudgetSwarmNoOps(t *testing.T) {
 		if guard > 10 {
 			t.Fatal("body not assembled")
 		}
-		for i, p := range pieces {
-			r.node.handleMessage(1, &BlockPiece{P: p, Recipient: 0, Nonce: uint64(10*guard + i)})
+		for _, p := range pieces {
+			r.node.handleMessage(1, &BlockPiece{P: p})
 		}
 	}
 	if r.node.propInbox(1).Len() != 2 {
 		t.Fatalf("waiter saw %d arrivals, want the priority and the assembled block", r.node.propInbox(1).Len())
 	}
 
-	again := &BlockPiece{P: pieces[2], Recipient: 0, Nonce: 99}
+	again := &BlockPiece{P: pieces[2]}
 	if got := testing.AllocsPerRun(50, func() { r.node.handleMessage(1, again) }); got != 0 {
 		t.Errorf("second copy of a held piece: %.0f allocations, want 0", got)
 	}

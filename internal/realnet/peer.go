@@ -61,7 +61,6 @@ type peerCounters struct {
 	framesIn     *metrics.Counter
 	bytesIn      *metrics.Counter
 	malformed    *metrics.Counter
-	spoofed      *metrics.Counter
 	rateAbuse    *metrics.Counter
 	reported     *metrics.Counter
 	quarantines  *metrics.Counter
@@ -81,7 +80,6 @@ func newPeerCounters(r *metrics.Registry, id int) peerCounters {
 		framesIn:     peerC("algorand_realnet_frames_in_total", "frames received"),
 		bytesIn:      peerC("algorand_realnet_bytes_in_total", "bytes received"),
 		malformed:    peerC("algorand_realnet_malformed_total", "undecodable frames received"),
-		spoofed:      peerC("algorand_realnet_spoofed_total", "frames whose sender id contradicted the hello"),
 		rateAbuse:    peerC("algorand_realnet_rate_abuse_total", "frames shed over the per-peer rate budget"),
 		reported:     peerC("algorand_realnet_reported_total", "application-reported protocol offenses"),
 		quarantines:  peerC("algorand_realnet_quarantines_total", "times the peer was quarantined"),

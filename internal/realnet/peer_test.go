@@ -39,7 +39,7 @@ func TestQueueDropOldest(t *testing.T) {
 	defer tr.Close()
 
 	for i := 0; i < 10; i++ {
-		tr.Unicast(0, 1, &nodepkg.BlockRequest{Hash: crypto.HashBytes("q"), Requester: 0, Nonce: uint64(i)})
+		tr.Unicast(0, 1, &nodepkg.BlockRequest{Hash: crypto.HashUint64("q", uint64(i))})
 	}
 	s := tr.Stats()
 	ps := s.Peers[0]
@@ -121,7 +121,7 @@ func TestSupervisorRedialsAndFlushesQueue(t *testing.T) {
 	defer trA.Close()
 	go simA.Run(10 * time.Second)
 
-	msg := &nodepkg.BlockRequest{Hash: crypto.HashBytes("catchup"), Requester: 0, Nonce: 42}
+	msg := &nodepkg.BlockRequest{Hash: crypto.HashBytes("catchup")}
 	trA.Unicast(0, 1, msg)
 
 	// Let the supervisor fail a few dials first.

@@ -7,8 +7,9 @@
 // validated by the node's handler before relaying, exact duplicates are
 // dropped, and per-(sender,round,step) relay limits apply — but trades
 // the simulator's modeled latency/bandwidth for real sockets. Messages
-// travel as internal/wire frames: a length prefix, a one-byte type tag,
-// the sender id and the message's canonical encoding.
+// travel as internal/wire frames: a length prefix, a one-byte type tag
+// and the message's canonical encoding (node.EncodeMessage). The sender
+// is the peer the connection's hello bound, so no frame names one.
 //
 // Unlike the simulator, real sockets fail: dials are refused, peers
 // crash and restart, writes stall. The paper's safety and liveness
@@ -26,13 +27,14 @@
 //     a catch-up request to a rebooting peer waits instead of vanishing.
 //   - Connections carry read/write deadlines and idle keepalive pings,
 //     so a dead peer is detected and reaped rather than leaking.
-//   - The duplicate-suppression and relay-limit caches are generational
-//     with a TTL (mirroring internal/network.Config.SeenTTL), bounding
-//     their memory over long runs.
+//   - The duplicate-suppression and relay-limit caches hold gossip
+//     (network.Flooded messages) only, and are generational with a TTL
+//     (mirroring internal/network.Config.SeenTTL), bounding their memory
+//     over long runs.
 //   - Inbound connections must open with a hello frame declaring the
-//     dialer's address-book id. Per-peer inbound accounting scores
-//     misbehavior — malformed frames, sender ids that contradict the
-//     hello, frame-rate abuse — and quarantines an offending peer for a
+//     dialer's address-book id, which is the sender of every frame after
+//     it. Per-peer inbound accounting scores misbehavior — malformed
+//     frames, frame-rate abuse — and quarantines an offending peer for a
 //     parole period. The id claim is transport-level bookkeeping only;
 //     message authenticity still rests on the signatures every gossip
 //     message carries (§8.4).
@@ -69,7 +71,6 @@ const (
 // Config.QuarantineThreshold is quarantined.
 const (
 	scoreMalformed = 4 // frame that fails to decode
-	scoreSpoofed   = 5 // frame sender id contradicting the hello
 	scoreRate      = 2 // frames above the per-window rate budget
 	scoreReported  = 4 // application-reported offense (e.g. forged snapshot)
 )
@@ -434,8 +435,8 @@ func (t *Transport) quarantineEnacted(id int) {
 
 // readLoop decodes frames from one inbound connection and injects
 // deliveries into the node's scheduler. The first frame must be a hello
-// declaring the dialer's address-book id; after that, every frame's
-// sender id must match it. A malformed frame drops the connection — the
+// declaring the dialer's address-book id; every frame after it is a
+// message from that peer. A malformed frame drops the connection — the
 // peer is either broken or hostile; either way the stream cannot be
 // resynchronized.
 func (t *Transport) readLoop(c net.Conn) {
@@ -471,24 +472,21 @@ func (t *Transport) readLoop(c net.Conn) {
 		if tag == tagPing {
 			continue
 		}
-		from, msg, err := decodeFrame(tag, payload, len(t.addrs))
+		msg, err := nodepkg.DecodeMessage(tag, payload)
 		if err != nil {
 			p.offend(scoreMalformed, p.c.malformed)
 			t.reportErr(fmt.Errorf("realnet: bad frame from peer %d (%s): %w", peerID, c.RemoteAddr(), err))
 			return
 		}
-		if from != peerID {
-			p.offend(scoreSpoofed, p.c.spoofed)
-			t.reportErr(fmt.Errorf("realnet: peer %d spoofed sender id %d", peerID, from))
-			return
-		}
-		if !t.sim.InjectStop(t.closed, func() { t.deliver(from, msg) }) {
+		if !t.sim.InjectStop(t.closed, func() { t.deliver(peerID, msg) }) {
 			return
 		}
 	}
 }
 
 // deliver runs in scheduler context: dedup, handle, relay per verdict.
+// Only a network.Flooded message is looked up and marked in the seen
+// cache, and only one is relayed; any other goes straight to the handler.
 // The suppression caches rotate themselves lazily on each access (see
 // internal/cache); entries live between one and two SeenTTLs.
 func (t *Transport) deliver(from int, m network.Message) {
@@ -496,13 +494,13 @@ func (t *Transport) deliver(from int, m network.Message) {
 		t.quarantineDrops.Inc()
 		return
 	}
+	f, flooded := m.(network.Flooded)
 	// Atomic check-and-mark across both cache generations: only the
 	// first delivery of a message id proceeds.
-	fresh := t.seen.Update(m.ID(), t.cacheNow(),
+	if flooded && !t.seen.Update(f.ID(), t.cacheNow(),
 		func(_ struct{}, curOK bool, _ struct{}, prevOK bool) (struct{}, bool) {
 			return struct{}{}, !curOK && !prevOK
-		})
-	if !fresh {
+		}) {
 		t.dupDropped.Inc()
 		return
 	}
@@ -511,7 +509,7 @@ func (t *Transport) deliver(from int, m network.Message) {
 	if t.handler != nil {
 		verdict = t.handler.HandleMessage(from, m)
 	}
-	if !verdict.Relay {
+	if !verdict.Relay || !flooded {
 		return
 	}
 	if k, limit := relayBudget(m); limit > 0 {
@@ -543,14 +541,18 @@ func relayBudget(m network.Message) (network.LimitKey, int) {
 	return network.LimitKey{}, 0
 }
 
-// Gossip implements node.Transport.
+// Gossip implements node.Transport. A network.Flooded message is marked
+// seen and counted against its relay budget first, so its echoes are
+// dropped.
 func (t *Transport) Gossip(origin int, m network.Message) {
-	now := t.cacheNow()
-	t.seen.Put(m.ID(), struct{}{}, now)
-	if k, limit := relayBudget(m); limit > 0 {
-		t.limit.Update(k, now, func(cur int, _ bool, _ int, _ bool) (int, bool) {
-			return cur + 1, true
-		})
+	if f, ok := m.(network.Flooded); ok {
+		now := t.cacheNow()
+		t.seen.Put(f.ID(), struct{}{}, now)
+		if k, limit := relayBudget(m); limit > 0 {
+			t.limit.Update(k, now, func(cur int, _ bool, _ int, _ bool) (int, bool) {
+				return cur + 1, true
+			})
+		}
 	}
 	t.fanout(m, -1)
 }
@@ -581,10 +583,10 @@ func (t *Transport) fanout(m network.Message, skip int) {
 	}
 }
 
-// frameOf encodes m as a frame from this node, reporting a message that
-// has no wire form.
+// frameOf encodes m as a frame, in one buffer the frame then owns,
+// reporting a message that has no wire form.
 func (t *Transport) frameOf(m network.Message) (frame, bool) {
-	tag, payload, err := encodeFrame(t.id, m)
+	tag, payload, err := nodepkg.EncodeMessage(m)
 	if err != nil {
 		t.reportErr(err)
 		return frame{}, false
@@ -650,33 +652,4 @@ func decodeHello(tag byte, payload []byte, nPeers, self int) (int, error) {
 		return 0, fmt.Errorf("hello claims our own id %d", id)
 	}
 	return id, nil
-}
-
-// encodeFrame builds a frame payload: the sender id followed by the
-// message's canonical wire encoding, in one buffer the frame then owns.
-func encodeFrame(from int, m network.Message) (tag byte, payload []byte, err error) {
-	tag, ok := nodepkg.MessageTag(m)
-	if !ok {
-		return 0, nil, fmt.Errorf("realnet: %T is not a wire message", m)
-	}
-	e := wire.NewEncoderSize(4 + m.WireSize())
-	e.Int(from)
-	m.(wire.Marshaler).EncodeTo(e) // every tagged message has a wire form
-	return tag, e.Data(), nil
-}
-
-// decodeFrame is the inverse of encodeFrame. The claimed sender id is
-// validated against the address book: an out-of-range id is a protocol
-// violation, not a deliverable message.
-func decodeFrame(tag byte, payload []byte, nPeers int) (from int, m network.Message, err error) {
-	if len(payload) < 4 {
-		return 0, nil, fmt.Errorf("realnet: frame payload of %d bytes", len(payload))
-	}
-	d := wire.NewDecoder(payload[:4])
-	from = d.Int()
-	if from < 0 || from >= nPeers {
-		return 0, nil, fmt.Errorf("realnet: sender id %d outside address book [0,%d)", from, nPeers)
-	}
-	m, err = nodepkg.DecodeMessage(tag, payload[4:])
-	return from, m, err
 }

@@ -1,6 +1,8 @@
 package realnet
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -8,6 +10,7 @@ import (
 	"algorand/internal/ledger"
 	"algorand/internal/network"
 	nodepkg "algorand/internal/node"
+	"algorand/internal/wire"
 )
 
 // TestRealTCPConsensus runs a real multi-node Algorand deployment over
@@ -48,12 +51,13 @@ func TestRealTCPConsensus(t *testing.T) {
 	}
 }
 
+// TestFrameRoundTrip: a frame is the message's tag and canonical
+// encoding (node.EncodeMessage) behind the 5-byte frame header, encoded
+// once into a buffer sized in advance. It names no sender — the
+// connection's hello does — and reads back as the message it was. The
+// per-type encoding round-trip lives in internal/wire's universal test;
+// this covers the transport envelope.
 func TestFrameRoundTrip(t *testing.T) {
-	// Frames must round-trip through the wire codec with the sender id
-	// intact, and the framed size must be the canonical WireSize plus
-	// the fixed envelope overhead (5-byte frame header + 4-byte sender).
-	// The per-type encoding round-trip lives in internal/wire's
-	// universal test; this covers the transport envelope.
 	provider := crypto.NewReal()
 	id := provider.NewIdentity(crypto.SeedFromUint64(1))
 	vote := &nodepkg.VoteMsg{Vote: ledger.Vote{
@@ -64,86 +68,67 @@ func TestFrameRoundTrip(t *testing.T) {
 	blk := &ledger.Block{Round: 3, PayloadPadding: 128}
 	msgs := []network.Message{
 		vote,
-		&nodepkg.BlockRequest{Hash: crypto.HashBytes("h"), Requester: 2, Nonce: 7},
-		&nodepkg.BlockFill{Block: blk, Recipient: 1},
+		&nodepkg.BlockRequest{Hash: crypto.HashBytes("h")},
+		&nodepkg.BlockFill{Block: blk},
 		&nodepkg.TxBatch{Txns: []*ledger.Transaction{{From: id.PublicKey(), Amount: 5}}},
 	}
-	const nPeers = 16
+	tr := &Transport{closed: make(chan struct{})}
 	for _, m := range msgs {
-		if sz := encodeSize(m); sz != m.WireSize()+9 {
-			t.Fatalf("%T framed size %d, want WireSize %d + 9", m, sz, m.WireSize())
+		f, ok := tr.frameOf(m)
+		if !ok {
+			t.Fatalf("%T has no frame", m)
 		}
-		tag, payload, err := encodeFrame(7, m)
-		if err != nil {
-			t.Fatalf("%T encode: %v", m, err)
+		if len(f.payload) != m.WireSize() || cap(f.payload) != len(f.payload) {
+			t.Fatalf("%T frame payload len %d cap %d, want both WireSize %d: encoded once, into a buffer sized in advance",
+				m, len(f.payload), cap(f.payload), m.WireSize())
 		}
-		if len(payload) != 4+m.WireSize() || cap(payload) != len(payload) {
-			t.Fatalf("%T frame payload len %d cap %d, want both 4 + WireSize %d: encoded once, into a buffer sized in advance",
-				m, len(payload), cap(payload), m.WireSize())
+		var conn bytes.Buffer
+		if err := wire.WriteFrame(&conn, f.tag, f.payload); err != nil {
+			t.Fatal(err)
 		}
-		from, back, err := decodeFrame(tag, payload, nPeers)
-		if err != nil {
-			t.Fatalf("%T decode: %v", m, err)
+		if conn.Len() != m.WireSize()+5 {
+			t.Fatalf("%T framed size %d, want WireSize %d + 5", m, conn.Len(), m.WireSize())
 		}
-		if from != 7 {
-			t.Fatalf("%T sender %d, want 7", m, from)
-		}
-		if back.ID() != m.ID() {
-			t.Fatalf("%T round-trip changed message identity", m)
-		}
-	}
-}
-
-// encodeSize reports a message's framed wire size: the canonical
-// encoding plus the sender id and the 5-byte frame header.
-func encodeSize(m network.Message) int {
-	_, payload, err := nodepkg.EncodeMessage(m)
-	if err != nil {
-		return -1
-	}
-	return 5 + 4 + len(payload)
-}
-
-// TestDecodeFrameRejectsAlienSender pins the address-book validation: a
-// frame whose claimed sender id falls outside [0, nPeers) must fail to
-// decode rather than flow into relay bookkeeping with a bogus id.
-func TestDecodeFrameRejectsAlienSender(t *testing.T) {
-	msg := &nodepkg.BlockRequest{Hash: crypto.HashBytes("x"), Requester: 1, Nonce: 1}
-	// (The encoder clamps negatives to 0, so out-of-range means >= nPeers
-	// on the wire.)
-	for _, from := range []int{5, 100} {
-		tag, payload, err := encodeFrame(from, msg)
+		tag, payload, err := wire.ReadFrame(&conn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := decodeFrame(tag, payload, 5); err == nil {
-			t.Fatalf("sender id %d accepted against a 5-entry address book", from)
+		back, err := nodepkg.DecodeMessage(tag, payload)
+		if err != nil {
+			t.Fatalf("%T decode: %v", m, err)
 		}
-	}
-	// Boundary: the largest valid id decodes.
-	tag, payload, err := encodeFrame(4, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := decodeFrame(tag, payload, 5); err != nil {
-		t.Fatalf("sender id 4 rejected against a 5-entry address book: %v", err)
+		if !reflect.DeepEqual(back, m) {
+			t.Fatalf("%T round-trip mismatch:\n got %#v\nwant %#v", m, back, m)
+		}
 	}
 }
 
+// TestTransportDedupAndRelayLimit: only gossip is remembered. A
+// network.Flooded message gossiped twice reaches each receiver once, its
+// relays included; a message that is not Flooded, sent twice, reaches its
+// receiver twice and is relayed by nobody.
 func TestTransportDedupAndRelayLimit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock TCP test")
 	}
-	// Three transports; nodes 1 and 2 count deliveries.
+	// Three transports; nodes 1 and 2 count deliveries and relay all.
 	nets := newMiniNet(t, 3, nil, 3*time.Second)
 
-	msg := &nodepkg.BlockRequest{Hash: crypto.HashBytes("dup"), Requester: 0, Nonce: 1}
-	nets[0].tr.Gossip(0, msg)
-	nets[0].tr.Gossip(0, msg) // duplicate: receivers must drop it
+	flood := &nodepkg.CommitAnnounce{Round: 1, Hash: crypto.HashBytes("dup"), Announcer: 0}
+	nets[0].tr.Gossip(0, flood)
+	nets[0].tr.Gossip(0, flood) // duplicate: receivers must drop it
 
 	time.Sleep(700 * time.Millisecond)
 	c1, c2 := nets[1].count(), nets[2].count()
 	if c1 != 1 || c2 != 1 {
 		t.Fatalf("deliveries %d/%d, want exactly 1 each (dedup)", c1, c2)
+	}
+
+	req := &nodepkg.BlockRequest{Hash: crypto.HashBytes("dup")}
+	nets[0].tr.Unicast(0, 1, req)
+	nets[0].tr.Unicast(0, 1, req) // not Flooded: both copies are handled
+	time.Sleep(700 * time.Millisecond)
+	if d1, d2 := nets[1].count()-c1, nets[2].count()-c2; d1 != 2 || d2 != 0 {
+		t.Fatalf("a unicast sent twice: %d/%d deliveries, want 2 at its receiver and none relayed", d1, d2)
 	}
 }

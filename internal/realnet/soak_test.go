@@ -39,14 +39,12 @@ func TestSoakBoundedTransportState(t *testing.T) {
 
 	iters := 600 * soakScale()
 	for i := 0; i < iters; i++ {
-		m.tr.Gossip(0, &nodepkg.BlockRequest{
-			Hash: crypto.HashBytes("soak"), Requester: 0, Nonce: uint64(i),
-		})
+		m.tr.Gossip(0, &nodepkg.CommitAnnounce{Round: uint64(i), Hash: crypto.HashBytes("soak")})
 		// Inbound churn: short-lived raw connections that hello and die.
 		if i%20 == 0 {
 			r := dialRaw(t, m.tr.Addr())
 			r.hello(1)
-			tag, payload := voteFrame(t, 1, uint64(1_000_000+i))
+			tag, payload := requestFrame(t, uint64(1_000_000+i))
 			r.frame(tag, payload)
 			r.c.Close()
 		}
@@ -54,9 +52,7 @@ func TestSoakBoundedTransportState(t *testing.T) {
 	}
 	// Let the last generation age out, then trigger a rotation.
 	time.Sleep(3 * cfg.SeenTTL)
-	m.tr.Gossip(0, &nodepkg.BlockRequest{
-		Hash: crypto.HashBytes("soak"), Requester: 0, Nonce: uint64(iters + 1),
-	})
+	m.tr.Gossip(0, &nodepkg.CommitAnnounce{Round: uint64(iters + 1), Hash: crypto.HashBytes("soak")})
 	time.Sleep(100 * time.Millisecond)
 
 	s := m.tr.Stats()

@@ -33,7 +33,6 @@ type PeerStats struct {
 	FramesIn    uint64
 	BytesIn     uint64
 	Malformed   uint64
-	Spoofed     uint64
 	RateAbuse   uint64
 	Reported    uint64 // application-reported offenses (node layer)
 	Score       int
@@ -87,7 +86,6 @@ func (t *Transport) Stats() Stats {
 			FramesIn:     p.c.framesIn.Load(),
 			BytesIn:      p.c.bytesIn.Load(),
 			Malformed:    p.c.malformed.Load(),
-			Spoofed:      p.c.spoofed.Load(),
 			RateAbuse:    p.c.rateAbuse.Load(),
 			Reported:     p.c.reported.Load(),
 			Score:        p.score,
@@ -112,11 +110,11 @@ func (s Stats) String() string {
 		if p.Quarantined {
 			state = "quarantined"
 		}
-		fmt.Fprintf(&b, "  peer %d [%s]: q=%d/%dB drops=%d dials=%d redials=%d fails=%d out=%d/%dB in=%d/%dB bad=%d/%d/%d\n",
+		fmt.Fprintf(&b, "  peer %d [%s]: q=%d/%dB drops=%d dials=%d redials=%d fails=%d out=%d/%dB in=%d/%dB bad=%d/%d\n",
 			p.Peer, state, p.QueueDepth, p.QueueBytes, p.QueueDrops,
 			p.Dials, p.Redials, p.ConnectFails,
 			p.FramesOut, p.BytesOut, p.FramesIn, p.BytesIn,
-			p.Malformed, p.Spoofed, p.RateAbuse)
+			p.Malformed, p.RateAbuse)
 	}
 	return b.String()
 }

@@ -34,7 +34,7 @@ type pieceLog struct {
 
 func (l *pieceLog) observe(i int, nd *nodepkg.Node) network.Handler {
 	return network.HandlerFunc(func(from int, m network.Message) network.Verdict {
-		if bp, ok := m.(*nodepkg.BlockPiece); ok && bp.Recipient == i {
+		if bp, ok := m.(*nodepkg.BlockPiece); ok {
 			l.mu.Lock()
 			if l.from == nil {
 				l.from = make(map[int]map[crypto.Digest]map[int]int)
@@ -141,7 +141,7 @@ func TestRealTCPForgedPiecesScored(t *testing.T) {
 				manifests[msg.Manifest.Announce.BlockHash] = &msg.Manifest
 			case *nodepkg.PieceRequest:
 				if man, ok := manifests[msg.Hash]; ok {
-					c.transports[forger].Unicast(forger, msg.Requester, sim.ForgedPiece(man, msg))
+					c.transports[forger].Unicast(forger, from, sim.ForgedPiece(man, msg.Index))
 				}
 				return network.Verdict{}
 			}

@@ -173,7 +173,7 @@ func (c *Cluster) MakePieceForgers(ids []int) {
 				manifests[msg.Manifest.Announce.BlockHash] = &msg.Manifest
 			case *node.PieceRequest:
 				if man, ok := manifests[msg.Hash]; ok {
-					c.Net.Unicast(i, msg.Requester, ForgedPiece(man, msg))
+					c.Net.Unicast(i, from, ForgedPiece(man, msg.Index))
 				}
 				return network.Verdict{}
 			}
@@ -209,18 +209,18 @@ func (c *Cluster) MakeManifestStrippers(ids []int) {
 	}
 }
 
-// ForgedPiece answers a piece request with a piece the proposer never
-// signed: the right body, place and count (and, for the first piece, the
-// genuine announce over an empty header), so that nothing short of the
-// manifest's digest tells it from the real one.
-func ForgedPiece(man *blockprop.Manifest, req *node.PieceRequest) *node.BlockPiece {
+// ForgedPiece answers a request for piece index of man's body with a
+// piece the proposer never signed: the right body, place and count (and,
+// for the first piece, the genuine announce over an empty header), so
+// that nothing short of the manifest's digest tells it from the real one.
+func ForgedPiece(man *blockprop.Manifest, index int) *node.BlockPiece {
 	var head *ledger.Block
 	var announce *blockprop.PriorityMsg
-	if req.Index == 0 {
+	if index == 0 {
 		head, announce = &ledger.Block{Round: man.Announce.Round}, &man.Announce
 	}
-	forged := blockprop.NewPiece(req.Hash, req.Index, man.Pieces(), head, announce, nil, 1+req.Index)
-	return &node.BlockPiece{P: forged, Recipient: req.Requester, Nonce: req.Nonce}
+	forged := blockprop.NewPiece(man.Announce.BlockHash, index, man.Pieces(), head, announce, nil, 1+index)
+	return &node.BlockPiece{P: forged}
 }
 
 // SplitWorld partitions the network into two halves for the given

@@ -145,9 +145,7 @@ func TestSnapshotPoisoningFallback(t *testing.T) {
 					}
 					evil.Accounts[0].Money += 1 << 40
 					poisoned++
-					c.Net.Unicast(i, req.Requester, &node.SnapshotReply{
-						Checkpoint: evil, Recipient: req.Requester, Nonce: req.Nonce,
-					})
+					c.Net.Unicast(i, from, &node.SnapshotReply{Checkpoint: evil, Nonce: req.Nonce})
 					return network.Verdict{}
 				}
 			}

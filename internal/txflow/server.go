@@ -73,8 +73,8 @@ type Endpoint struct {
 }
 
 // Limits are the bounds listed on Server. A zero field gets its default
-// (withDefaults): what the node's -submit-addr endpoint runs under, and
-// what an unset gateway.Config field means.
+// (withDefaults): what the node's -submit-addr endpoint runs under, and a
+// gateway's, but for its Config.MaxConns.
 type Limits struct {
 	MaxConns       int
 	ConnRetryAfter time.Duration // the retry hint on a connection-cap reject

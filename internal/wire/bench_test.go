@@ -30,7 +30,7 @@ func benchBlock1MB() network.Message {
 	b.Txns = txns
 	b.PayloadPadding = 0
 	b.PayloadPadding = 1<<20 - b.WireSize()
-	return &node.BlockFill{Block: b, Recipient: 1}
+	return &node.BlockFill{Block: b}
 }
 
 func benchEncode(b *testing.B, m network.Message) {

@@ -40,13 +40,13 @@ func FuzzDecode(f *testing.F) {
 	// Hostile piece shapes: a padding count with nothing behind it, and a
 	// first piece whose header smuggles transactions of its own.
 	if tag, payload, err := node.EncodeMessage(
-		&node.BlockPiece{P: samplePiece(1), Recipient: 1, Nonce: 1}); err == nil {
+		&node.BlockPiece{P: samplePiece(1)}); err == nil {
 		f.Add(tag, payload[:len(payload)-2048])
 	}
 	pri := samplePriority()
 	smuggler := blockprop.NewPiece(pri.BlockHash, 0, 3, sampleBlock(), &pri, nil, 0)
 	if tag, payload, err := node.EncodeMessage(
-		&node.BlockPiece{P: smuggler, Recipient: 1, Nonce: 1}); err == nil {
+		&node.BlockPiece{P: smuggler}); err == nil {
 		f.Add(tag, payload)
 	}
 

@@ -199,24 +199,23 @@ func gossipMessages() []network.Message {
 		&node.BlockAnnounce{Manifest: sampleManifest(3), Announcer: 3, Have: blockprop.Bitmap{5}},
 		&node.BlockHave{Round: 12, Hash: crypto.HashBytes("block"), Announcer: 3, Have: blockprop.Bitmap{7}},
 		&node.BlockHave{Round: 12, Hash: crypto.HashBytes("block"), Announcer: 3},
-		&node.BlockRequest{Hash: crypto.HashBytes("h"), Requester: 2, Nonce: 99},
-		&node.PieceRequest{Hash: crypto.HashBytes("block"), Index: 2, Requester: 2, Nonce: 99},
-		&node.BlockPiece{P: samplePiece(0), Recipient: 4, Nonce: 99},
-		&node.BlockPiece{P: samplePiece(1), Recipient: 4, Nonce: 99},
+		&node.BlockRequest{Hash: crypto.HashBytes("h")},
+		&node.PieceRequest{Hash: crypto.HashBytes("block"), Index: 2},
+		&node.BlockPiece{P: samplePiece(0)},
+		&node.BlockPiece{P: samplePiece(1)},
 		&node.TxBatch{Txns: []*ledger.Transaction{&tx}},
 		&node.TxBatch{Txns: sampleTxs(3)},
 		&node.TxBatch{},
-		&node.BlockFill{Block: sampleBlock(), Recipient: 5},
-		&node.ChainRequest{FromRound: 10, MaxBlocks: 32, Requester: 1, Nonce: 98},
+		&node.BlockFill{Block: sampleBlock()},
+		&node.ChainRequest{FromRound: 10, MaxBlocks: 32, Nonce: 98},
 		&node.ChainReply{
-			Blocks:    []*ledger.Block{sampleBlock()},
-			Certs:     []*ledger.Certificate{sampleCert()},
-			Recipient: 1,
-			Nonce:     98,
+			Blocks: []*ledger.Block{sampleBlock()},
+			Certs:  []*ledger.Certificate{sampleCert()},
+			Nonce:  98,
 		},
 		&node.CommitAnnounce{Round: 12, Hash: crypto.HashBytes("c"), Announcer: 7},
-		&node.SnapshotRequest{MinRound: 40, Requester: 6, Nonce: 97},
-		&node.SnapshotReply{Checkpoint: sampleCheckpoint(), Recipient: 6, Nonce: 97},
+		&node.SnapshotRequest{MinRound: 40, Nonce: 97},
+		&node.SnapshotReply{Checkpoint: sampleCheckpoint(), Nonce: 97},
 	}
 }
 
@@ -237,7 +236,7 @@ func TestUniversalGossipRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(m, got) {
 				t.Fatalf("round-trip mismatch:\n got %#v\nwant %#v", got, m)
 			}
-			if got.ID() != m.ID() {
+			if f, ok := m.(network.Flooded); ok && got.(network.Flooded).ID() != f.ID() {
 				t.Fatal("round-trip changed message identity")
 			}
 		})
@@ -325,10 +324,10 @@ func TestWireSizeConstants(t *testing.T) {
 }
 
 // TestTxBatchBytesFrozen holds a TxBatch to a frame encoded before its
-// payments became objects of their own (PR 23): the same payments come
-// out of it, the same bytes go back in, and ID and WireSize are what they
-// were — the duplicate-suppression layer and the bandwidth model see the
-// message they saw.
+// payments became objects of their own: the same payments come out of
+// it, the same bytes go back in, and WireSize is what it was — the
+// bandwidth model sees the message it saw. The ID is the one frozen when
+// it came to cover the payments' signatures: the hash of these bytes.
 func TestTxBatchBytesFrozen(t *testing.T) {
 	const (
 		txA = "0102030000000000000000000000000000000000000000000000000000000000" + // From
@@ -344,7 +343,7 @@ func TestTxBatchBytesFrozen(t *testing.T) {
 			"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f" +
 			"202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f"
 		frame    = "03000000" + txA + txB + txA
-		id       = "0d7dfa75b476158502bf2b36ede02044e6085a034f038d98ca3df111ad42dcf3"
+		id       = "b90c540329c9cdfd0614b621ee24c859df709bcbe8344c63739679dc751dce31"
 		wireSize = 472
 	)
 	frozen, err := hex.DecodeString(frame)
@@ -371,7 +370,7 @@ func TestTxBatchBytesFrozen(t *testing.T) {
 		if enc := wire.Encode(m); !bytes.Equal(enc, frozen) {
 			t.Fatalf("re-encoded to %x, frozen frame is %x", enc, frozen)
 		}
-		if h := m.ID(); hex.EncodeToString(h[:]) != id {
+		if h := m.ID(); hex.EncodeToString(h[:]) != id || h != crypto.HashBytes("msg.txbatch", frozen) {
 			t.Fatalf("ID %x, frozen %s", h[:], id)
 		}
 		if m.WireSize() != wireSize {
