@@ -95,13 +95,22 @@ type Fetcher struct {
 	bodies  map[crypto.Digest]*body
 	best    map[uint64]sortition.Priority
 	invalid map[proposal]struct{} // proposers whose body did not assemble
-	m       *FetchMetrics
-	out     []Action
+	// announced holds who has announced which body (OnAnnounce), so that
+	// a copy of an announce costs no second verification (Announced).
+	announced map[announcement]struct{}
+	m         *FetchMetrics
+	out       []Action
 }
 
 type proposal struct {
 	round    uint64
 	proposer crypto.PublicKey
+}
+
+type announcement struct {
+	round uint64
+	hash  crypto.Digest
+	peer  int
 }
 
 // body is the fetch state of one announced block.
@@ -154,11 +163,12 @@ func NewFetcher(self int, m *FetchMetrics) *Fetcher {
 		m = NewFetchMetrics(metrics.NewRegistry())
 	}
 	return &Fetcher{
-		rng:     uint64(self)*0x9e3779b97f4a7c15 + 1,
-		bodies:  make(map[crypto.Digest]*body),
-		best:    make(map[uint64]sortition.Priority),
-		invalid: make(map[proposal]struct{}),
-		m:       m,
+		rng:       uint64(self)*0x9e3779b97f4a7c15 + 1,
+		bodies:    make(map[crypto.Digest]*body),
+		best:      make(map[uint64]sortition.Priority),
+		invalid:   make(map[proposal]struct{}),
+		announced: make(map[announcement]struct{}),
+		m:         m,
 	}
 }
 
@@ -283,12 +293,23 @@ func (f *Fetcher) PeerLacks(hash crypto.Digest, peer, index int) bool {
 	return true
 }
 
+// Announced reports whether neighbour from has announced the body with
+// this hash in a round not yet over. The caller drops such an announce
+// before verifying it: a neighbour announces a body once, so a copy is a
+// replay, and verifying it again would only cost a VRF check.
+func (f *Fetcher) Announced(round uint64, hash crypto.Digest, from int) bool {
+	_, ok := f.announced[announcement{round, hash, from}]
+	return ok
+}
+
 // OnAnnounce handles "peer from holds (part of) the body m describes".
 // The caller has verified the announce's credentials and m.Verify. have
-// nil means the whole body.
+// nil means the whole body. The announce is remembered (Announced) even
+// when the body is refused or already held.
 func (f *Fetcher) OnAnnounce(now time.Duration, from int, m *Manifest, have Bitmap) ([]Action, error) {
 	f.out = f.out[:0]
 	hash := m.Announce.BlockHash
+	f.announced[announcement{m.Announce.Round, hash, from}] = struct{}{}
 	b := f.bodies[hash]
 	if b == nil {
 		key := proposal{m.Announce.Round, m.Announce.Proposer}
@@ -586,8 +607,9 @@ func (f *Fetcher) choose(b *body, p *peer) int {
 // that are held whole stay, to be served: a neighbour a few pieces
 // behind when its peers' BA⋆ finished would otherwise find every source
 // gone and wait out λ_block. Everything older, and every unfinished
-// fetch, priority and invalid-proposer mark of earlier rounds, goes; a
-// regular round also ends every §8.2 recovery round (ledger.RoundOver).
+// fetch, priority, invalid-proposer mark and announce record of earlier
+// rounds, goes; a regular round also ends every §8.2 recovery round
+// (ledger.RoundOver).
 func (f *Fetcher) Advance(round uint64) {
 	for h, b := range f.bodies {
 		if r := b.manifest.Announce.Round; ledger.RoundOver(r+1, round) || (ledger.RoundOver(r, round) && b.msg == nil) {
@@ -602,6 +624,11 @@ func (f *Fetcher) Advance(round uint64) {
 	for k := range f.invalid {
 		if ledger.RoundOver(k.round, round) {
 			delete(f.invalid, k)
+		}
+	}
+	for k := range f.announced {
+		if ledger.RoundOver(k.round, round) {
+			delete(f.announced, k)
 		}
 	}
 }

@@ -523,11 +523,23 @@ func TestFetcherEquivocatorsTwoBodies(t *testing.T) {
 	if _, err := f.OnAnnounce(0, 1, m3, nil); !errors.Is(err, ErrTooManyBodies) {
 		t.Fatalf("third body of one proposer: %v, want ErrTooManyBodies", err)
 	}
+	// Who announced what is remembered for the round, bodies held and
+	// refused alike, and for that neighbour only.
+	r := m1.Announce.Round
+	for _, m := range []*Manifest{m1, m2, m3} {
+		if h := m.Announce.BlockHash; !f.Announced(r, h, 1) || f.Announced(r, h, 2) {
+			t.Fatalf("body %x: announced by 1 %v, by 2 %v; want true and false", h[:4], f.Announced(r, h, 1), f.Announced(r, h, 2))
+		}
+	}
 	// A second description of a hash already described is no source.
 	conflicting := *m1
 	conflicting.Digests = append([]crypto.Digest(nil), m2.Digests...)
 	if _, err := f.OnAnnounce(0, 2, &conflicting, nil); !errors.Is(err, ErrManifest) {
 		t.Fatalf("conflicting manifest: %v, want ErrManifest", err)
+	}
+	f.Advance(r + 1)
+	if f.Announced(r, m1.Announce.BlockHash, 1) {
+		t.Fatal("an announce record outlived its round")
 	}
 }
 

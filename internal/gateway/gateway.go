@@ -277,7 +277,7 @@ func (g *Gateway) handleMessage(from int, m network.Message) network.Verdict {
 	switch msg := m.(type) {
 	case *node.CommitAnnounce:
 		g.c.announces.Inc()
-		g.observeAnnounce(msg)
+		g.observeAnnounce(from, msg)
 	case *node.ChainReply:
 		if i := slices.Index(g.asked, ask{msg.Nonce, from}); i >= 0 {
 			g.asked = slices.Delete(g.asked, i, i+1)
@@ -287,11 +287,12 @@ func (g *Gateway) handleMessage(from int, m network.Message) network.Verdict {
 	return network.Verdict{}
 }
 
-// observeAnnounce feeds one commit announcement to the read model and
-// issues the fetch it asks for. Block bodies always arrive as ChainReply
-// runs — the certificates ride along, and only they can move the head.
-func (g *Gateway) observeAnnounce(msg *node.CommitAnnounce) {
-	from, behind := g.rm.Observe(msg.Round)
+// observeAnnounce feeds one commit announcement, sent by neighbour from,
+// to the read model and asks from for the fetch it calls for. Block bodies
+// always arrive as ChainReply runs — the certificates ride along, and
+// only they can move the head.
+func (g *Gateway) observeAnnounce(from int, msg *node.CommitAnnounce) {
+	start, behind := g.rm.Observe(msg.Round)
 	if !behind {
 		g.c.staleAnnounce.Inc()
 		return
@@ -301,17 +302,17 @@ func (g *Gateway) observeAnnounce(msg *node.CommitAnnounce) {
 	// announces every round, and each announce would otherwise re-request
 	// the same run. The head never goes back, so the last round asked is
 	// the only one an announce can ask for again.
-	if from == g.fromAsked && now-g.askedAt < time.Second {
+	if start == g.fromAsked && now-g.askedAt < time.Second {
 		return
 	}
-	g.fromAsked, g.askedAt = from, now
+	g.fromAsked, g.askedAt = start, now
 	g.c.chainFills.Inc()
 	g.reqNonce++
 	if len(g.asked) == maxAsked {
 		g.asked = slices.Delete(g.asked, 0, 1)
 	}
-	g.asked = append(g.asked, ask{g.reqNonce, msg.Announcer})
-	g.net.Unicast(g.ID, msg.Announcer, &node.ChainRequest{FromRound: from, MaxBlocks: 64, Nonce: g.reqNonce})
+	g.asked = append(g.asked, ask{g.reqNonce, from})
+	g.net.Unicast(g.ID, from, &node.ChainRequest{FromRound: start, MaxBlocks: 64, Nonce: g.reqNonce})
 }
 
 // applyRun advances the read model through a fetched chain run and,

@@ -268,9 +268,9 @@ func TestOneChainRequestPerStartingRound(t *testing.T) {
 		p.Sleep(time.Second) // the gateway's clock starts at zero, as does no request
 		b1 = h.propose()
 		cert1 := h.certify(b1, false)
-		h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash(), Announcer: 0})
+		h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash()})
 		p.Sleep(500 * time.Millisecond)
-		h.gw.handleMessage(1, &node.CommitAnnounce{Round: 1, Hash: b1.Hash(), Announcer: 1})
+		h.gw.handleMessage(1, &node.CommitAnnounce{Round: 1, Hash: b1.Hash()})
 		if len(h.net.unicasts) != 1 {
 			t.Errorf("two announces of round 1 within a second sent %d requests", len(h.net.unicasts))
 		}
@@ -281,13 +281,13 @@ func TestOneChainRequestPerStartingRound(t *testing.T) {
 		h.gw.handleMessage(0, &node.ChainReply{
 			Blocks: []*ledger.Block{b1}, Certs: []*ledger.Certificate{cert1}, Nonce: h.lastRequest(t).Nonce,
 		})
-		h.gw.handleMessage(0, &node.CommitAnnounce{Round: 2, Announcer: 0})
+		h.gw.handleMessage(0, &node.CommitAnnounce{Round: 2})
 		if req := h.lastRequest(t); len(h.net.unicasts) != 2 || req.FromRound != 2 {
 			t.Errorf("a higher FromRound waited: %d requests, last from round %d", len(h.net.unicasts), req.FromRound)
 		}
 		// The same gap a second later is asked again.
 		p.Sleep(time.Second)
-		h.gw.handleMessage(1, &node.CommitAnnounce{Round: 2, Announcer: 1})
+		h.gw.handleMessage(1, &node.CommitAnnounce{Round: 2})
 		if len(h.net.unicasts) != 3 {
 			t.Errorf("the same gap a second later sent %d requests in all, want 3", len(h.net.unicasts))
 		}
@@ -302,7 +302,7 @@ func TestAnnounceDrivesChainFetchAndCertifiedApply(t *testing.T) {
 
 	// One announce suffices: the fetched certificates carry the trust.
 	h.net.SetHandler(100, network.HandlerFunc(h.gw.handleMessage))
-	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash(), Announcer: 0})
+	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash()})
 	if len(h.net.unicasts) != 1 {
 		t.Fatalf("want 1 chain fetch, got %d", len(h.net.unicasts))
 	}
@@ -326,6 +326,30 @@ func TestAnnounceDrivesChainFetchAndCertifiedApply(t *testing.T) {
 	status, r, _ := h.gw.rm.TxStatus(b1.Txns[0].ID())
 	if status != StatusCommitted || r != 1 {
 		t.Fatalf("tx status = (%s, %d), want (committed, 1)", status, r)
+	}
+}
+
+// TestChainRequestGoesToAnnounceSender: a commit announcement travels one
+// hop, so whom the gateway asks for the chain is the neighbour that
+// delivered it, as the transport names it. Neighbour 2 delivering node 0's
+// announcement is asked itself; node 0 is never asked, and a reply from it
+// is not taken.
+func TestChainRequestGoesToAnnounceSender(t *testing.T) {
+	h := newHarness(t, Config{}, 4)
+	b1 := h.propose()
+	cert1 := h.certify(b1, false)
+	h.gw.handleMessage(2, &node.CommitAnnounce{Round: 1, Hash: b1.Hash()})
+	if len(h.net.unicasts) != 1 || h.net.unicasts[0].to != 2 {
+		t.Fatalf("an announcement delivered by 2 sent %+v, want one ChainRequest to 2", h.net.unicasts)
+	}
+	reply := &node.ChainReply{Blocks: []*ledger.Block{b1}, Certs: []*ledger.Certificate{cert1}, Nonce: h.lastRequest(t).Nonce}
+	h.gw.handleMessage(0, reply)
+	if round, _ := h.gw.rm.Head(); round != 0 {
+		t.Fatalf("a reply from a node not asked moved the head to %d", round)
+	}
+	h.gw.handleMessage(2, reply)
+	if round, head := h.gw.rm.Head(); round != 1 || head != b1.Hash() {
+		t.Fatalf("head = (%d, %x) after the reply of the neighbour asked, want (1, %x)", round, head, b1.Hash())
 	}
 }
 
@@ -392,7 +416,7 @@ func (h *testHarness) forgedReply(b *ledger.Block, nonce uint64) *node.ChainRepl
 func TestForgedReplyCountsCertReject(t *testing.T) {
 	h := newHarness(t, Config{}, 4)
 	b1 := h.propose(*h.tx(t, 0, 1, 0))
-	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash(), Announcer: 0})
+	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash()})
 	h.gw.handleMessage(0, h.forgedReply(b1, h.lastRequest(t).Nonce))
 	if round, _ := h.gw.rm.Head(); round != 0 {
 		t.Fatalf("forged reply moved the head to %d", round)
@@ -418,7 +442,7 @@ func TestGapTriggersChainFillAndCatchUp(t *testing.T) {
 	}
 
 	// The gateway hears about round 3 only (it was down for 1 and 2).
-	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 3, Hash: blocks[2].Hash(), Announcer: 0})
+	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 3, Hash: blocks[2].Hash()})
 	if len(h.net.unicasts) != 1 {
 		t.Fatalf("want 1 chain request, got %d", len(h.net.unicasts))
 	}
@@ -452,7 +476,7 @@ func TestRepliesAppliedOnlyWhenAsked(t *testing.T) {
 		t.Fatalf("unsolicited reply cost %d certificate verifications", st.CertRejects)
 	}
 
-	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash(), Announcer: 0})
+	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash()})
 	nonce := h.lastRequest(t).Nonce
 	genuine := func(from int, nonce uint64) {
 		h.gw.handleMessage(from, &node.ChainReply{
@@ -483,7 +507,7 @@ func TestOldestRequestForgotten(t *testing.T) {
 	var nonces []uint64
 	h.sim.Spawn("announcer", func(p *vtime.Proc) {
 		for i := 0; i <= maxAsked; i++ {
-			h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash(), Announcer: 0})
+			h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash()})
 			nonces = append(nonces, h.lastRequest(t).Nonce)
 			p.Sleep(2 * time.Second) // past the per-round refetch window
 		}
@@ -604,7 +628,7 @@ func TestCommittedClearsPendingAndBlocksResubmission(t *testing.T) {
 func TestStaleAnnouncesDoNotFetch(t *testing.T) {
 	h := newHarness(t, Config{}, 4)
 	b1 := h.advance(t)
-	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash(), Announcer: 0})
+	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash()})
 	if len(h.net.unicasts) != 0 {
 		t.Fatalf("stale announce triggered a fetch: %v", h.net.unicasts)
 	}
@@ -617,12 +641,12 @@ func TestHaltedGatewayIgnoresTraffic(t *testing.T) {
 	h := newHarness(t, Config{}, 4)
 	h.gw.Halt()
 	b1 := h.propose()
-	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash(), Announcer: 0})
+	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash()})
 	if len(h.net.unicasts) != 0 {
 		t.Fatal("halted gateway fetched a block")
 	}
 	h.gw.Resume()
-	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash(), Announcer: 0})
+	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash()})
 	if len(h.net.unicasts) != 1 {
 		t.Fatal("resumed gateway ignored an announce")
 	}
@@ -638,7 +662,7 @@ func TestIncarnationsNeverRepeatRequestIDs(t *testing.T) {
 	h := newHarness(t, Config{}, 4)
 	seen := map[uint64]bool{}
 	fill := func(gw *Gateway) {
-		gw.handleMessage(0, &node.CommitAnnounce{Round: 3, Announcer: 0})
+		gw.handleMessage(0, &node.CommitAnnounce{Round: 3})
 		req := h.net.unicasts[len(h.net.unicasts)-1].m.(*node.ChainRequest)
 		if seen[req.Nonce] {
 			t.Errorf("chain request %+v repeats an earlier incarnation's nonce", req)

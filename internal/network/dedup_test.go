@@ -82,17 +82,17 @@ func (o *oracle) relay(from, skip int, m Message) {
 func (o *oracle) gossip(origin int, m Message) {
 	o.maybeRotate()
 	ep := &o.eps[origin]
-	ep.seen[m.(Flooded).ID()] = true
-	if l, ok := m.(Limited); ok && l.LimitKey() != (LimitKey{}) {
-		ep.limitSeen[l.LimitKey()]++
-	}
+	f := m.(Flooded)
+	ep.seen[f.ID()] = true
+	ep.limitSeen[f.LimitKey()]++
 	o.relay(origin, -1, m)
 }
 
 func (o *oracle) deliver(from, to int, m Message) {
 	o.maybeRotate()
 	ep := &o.eps[to]
-	id := m.(Flooded).ID()
+	f := m.(Flooded)
+	id := f.ID()
 	if ep.seen[id] || ep.seenOld[id] {
 		ep.dups++
 		return
@@ -102,13 +102,11 @@ func (o *oracle) deliver(from, to int, m Message) {
 	if !o.handler(from, to, m).Relay {
 		return
 	}
-	if l, ok := m.(Limited); ok && l.LimitKey() != (LimitKey{}) {
-		k := l.LimitKey()
-		if ep.limitSeen[k]+ep.limitOld[k] >= l.RelayLimit() {
-			return
-		}
-		ep.limitSeen[k]++
+	k := f.LimitKey()
+	if ep.limitSeen[k]+ep.limitOld[k] >= f.RelayLimit() {
+		return
 	}
+	ep.limitSeen[k]++
 	o.nw.sim.After(0, func() { o.relay(to, from, m) })
 }
 

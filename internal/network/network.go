@@ -30,25 +30,19 @@ type Message interface {
 	WireSize() int
 }
 
-// Flooded is a Message that travels by Gossip: the only kind an endpoint
-// relays, and so the only kind whose copies reach it by many paths. Its
-// ID is what duplicate suppression remembers, and it must cover every
-// byte the receiver authenticates: a message is marked seen before it is
-// verified, so a forged copy that shared a genuine message's ID would
-// shadow it. Every other message goes straight to its handler, each copy
-// of it, and is never relayed; the handler's own request tables take a
-// reply once.
+// Flooded is a Message that travels more than one hop: the only kind an
+// endpoint relays, and so the only kind whose copies reach it by many
+// paths. Its ID is what duplicate suppression remembers, and it must cover
+// every byte the receiver authenticates: a message is marked seen before it
+// is verified, so a forged copy that shared a genuine message's ID would
+// shadow it. An endpoint relays at most RelayLimit messages sharing a
+// LimitKey (§8.4; a limit of two lets equivocation evidence travel).
+// Every other message, gossiped to the origin's neighbours or unicast, goes
+// straight to its handler, each copy of it, and is never relayed: a
+// handler's own state takes a reply or an announce once.
 type Flooded interface {
 	Message
 	ID() crypto.Digest
-}
-
-// Limited is an optional Flooded extension for the messages §8.4 puts
-// under a relay budget: an endpoint relays at most RelayLimit messages
-// sharing a LimitKey (the zero key sets no budget; a limit of two lets
-// equivocation evidence travel). A message that is not Limited is
-// relayed on its own ID alone.
-type Limited interface {
 	LimitKey() LimitKey
 	RelayLimit() int
 }
@@ -56,7 +50,7 @@ type Limited interface {
 // LimitKey names one relay budget of §8.4: a kind of message, the first
 // eight bytes of its sender's key, a round and a step. It is a fixed-size
 // comparable value, so the caches key on it directly and building one
-// costs nothing. The zero value means "no limit".
+// costs nothing.
 type LimitKey struct {
 	Kind   byte
 	Sender [8]byte
@@ -596,9 +590,9 @@ func (nw *Network) maybeRotate() {
 
 // envelope is a message in flight with what the network needs to know
 // about it, worked out once when it enters Gossip or Unicast: its size
-// and, for a Flooded message, its ID and relay budget (a batch's ID
-// hashes every payment in it, a vote's its signed bytes), which every hop
-// and every duplicate delivery used to ask again.
+// and, for a Flooded message, its ID and relay budget (a vote's ID hashes
+// its signed bytes and signature), which every hop and every duplicate
+// delivery used to ask again.
 //
 // An envelope counts its holders in refs: the transfers carrying it, and
 // the Gossip or Unicast call that sealed it while that runs. The last to
@@ -615,8 +609,7 @@ type envelope struct {
 	id   seenKey
 	size int
 	// limitKey and limit are the message's §8.4 relay budget: at most
-	// limit relays per endpoint of messages sharing limitKey, none
-	// enforced for the zero key.
+	// limit relays per endpoint of messages sharing limitKey.
 	limitKey LimitKey
 	limit    uint8
 	// flooded says the message is Flooded: it has an ID and records, and
@@ -654,9 +647,7 @@ func (nw *Network) seal(m Message) *envelope {
 	if f, ok := m.(Flooded); ok {
 		id := f.ID()
 		env.id, env.flooded = seenKey(id[:]), true
-		if l, ok := m.(Limited); ok {
-			env.limitKey, env.limit = l.LimitKey(), uint8(min(l.RelayLimit(), math.MaxUint8))
-		}
+		env.limitKey, env.limit = f.LimitKey(), uint8(min(f.RelayLimit(), math.MaxUint8))
 	}
 	return env
 }
@@ -678,9 +669,7 @@ func (nw *Network) records(env *envelope) (seen, seenOld []uint64, relays, relay
 	if env.stamp != nw.stamp {
 		env.stamp = nw.stamp
 		env.seen, env.seenOld = enter(nw.cur.seen, &nw.cur.bits, env.id, words), nw.old.seen[env.id]
-		if k := env.limitKey; k != (LimitKey{}) {
-			env.relays, env.relaysOld = enter(nw.cur.relays, &nw.cur.counts, k, n), nw.old.relays[k]
-		}
+		env.relays, env.relaysOld = enter(nw.cur.relays, &nw.cur.counts, env.limitKey, n), nw.old.relays[env.limitKey]
 	}
 	return record(nw.cur.bits, env.seen, words), record(nw.old.bits, env.seenOld, words),
 		record(nw.cur.counts, env.relays, n), record(nw.old.counts, env.relaysOld, n)
@@ -695,7 +684,7 @@ func (nw *Network) Gossip(origin int, m Message) {
 	if env.flooded {
 		seen, _, relays, _ := nw.records(env)
 		seen[origin>>6] |= 1 << (origin & 63)
-		if relays != nil && relays[origin] < math.MaxUint8 { // an origin has no budget: the count saturates
+		if relays[origin] < math.MaxUint8 { // an origin has no budget: the count saturates
 			relays[origin]++
 		}
 	}
@@ -865,16 +854,14 @@ func (nw *Network) deliver(from, to int, env *envelope) {
 		return
 	}
 	// Per-(sender,round,step) relay limit (§8.4).
-	if relays != nil {
-		spent := int(relays[to])
-		if relaysOld != nil {
-			spent += int(relaysOld[to])
-		}
-		if spent >= int(env.limit) {
-			return
-		}
-		relays[to]++
+	spent := int(relays[to])
+	if relaysOld != nil {
+		spent += int(relaysOld[to])
 	}
+	if spent >= int(env.limit) {
+		return
+	}
+	relays[to]++
 	t := nw.newTransfer(from, to, env)
 	ep.relays.Push(ep.cpuFree, &t.item, (*relayTransfer)(t))
 }

@@ -10,18 +10,24 @@ import (
 	"algorand/internal/vtime"
 )
 
-// testMsg is a trivial gossip message, under a relay budget of one when
-// it has a limit key.
+// testMsg is a trivial relayed message under a relay budget of one: that
+// of its limit key, or without one a key of its own, which allows what its
+// ID does anyway.
 type testMsg struct {
 	id    crypto.Digest
 	size  int
 	limit LimitKey
 }
 
-func (m *testMsg) WireSize() int      { return m.size }
-func (m *testMsg) ID() crypto.Digest  { return m.id }
-func (m *testMsg) LimitKey() LimitKey { return m.limit }
-func (m *testMsg) RelayLimit() int    { return 1 }
+func (m *testMsg) WireSize() int     { return m.size }
+func (m *testMsg) ID() crypto.Digest { return m.id }
+func (m *testMsg) RelayLimit() int   { return 1 }
+func (m *testMsg) LimitKey() LimitKey {
+	if m.limit == (LimitKey{}) {
+		return LimitKey{Kind: 't', Sender: [8]byte(m.id[:8])}
+	}
+	return m.limit
+}
 
 func msg(tag string, size int) *testMsg {
 	return &testMsg{id: crypto.HashBytes("test.msg", []byte(tag)), size: size}
@@ -474,10 +480,10 @@ type plainMsg struct{ size int }
 
 func (m *plainMsg) WireSize() int { return m.size }
 
-// TestOnlyFloodedRemembered: a Flooded message sent twice is delivered
-// once; one that is not Flooded is handed to its receiver each time it
-// is sent, and relayed by nobody, even when it is gossiped to handlers
-// that ask for a relay.
+// TestOnlyFloodedRemembered: a Flooded message, one relayed under a §8.4
+// budget like a vote, sent twice is delivered once; one that is not
+// Flooded is handed to its receiver each time it is sent, and relayed by
+// nobody, even when it is gossiped to handlers that ask for a relay.
 func TestOnlyFloodedRemembered(t *testing.T) {
 	sim := vtime.New()
 	nw := New(sim, DefaultConfig(), 10)
@@ -494,6 +500,7 @@ func TestOnlyFloodedRemembered(t *testing.T) {
 		}))
 	}
 	flooded, plain, gossiped := msg("flooded", 100), &plainMsg{size: 100}, &plainMsg{size: 120}
+	flooded.limit = LimitKey{Kind: 'v', Sender: [8]byte{1}, Round: 1, Step: 1}
 	sim.Spawn("o", func(p *vtime.Proc) {
 		for k := 0; k < 2; k++ {
 			nw.Unicast(1, 4, flooded)

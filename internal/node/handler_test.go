@@ -148,7 +148,7 @@ func (r *handlerRig) holder(idx int, prop *blockprop.Proposal, requests *int) *B
 		}
 		return network.Verdict{}
 	}))
-	return &BlockAnnounce{Manifest: *m, Announcer: idx}
+	return &BlockAnnounce{Manifest: *m}
 }
 
 func TestHandlerAnnounceTriggersFetch(t *testing.T) {
@@ -312,7 +312,7 @@ func TestPendingVotesReplayOnRoundEntry(t *testing.T) {
 			PrevHash: ctx2.LastBlockHash, Value: crypto.HashBytes("x"),
 		}
 		v.Sign(r.ids[1])
-		r.node.pendingMsgs[2] = append(r.node.pendingMsgs[2], &VoteMsg{Vote: *v})
+		r.node.pendingMsgs[2] = append(r.node.pendingMsgs[2], pending{1, &VoteMsg{Vote: *v}})
 	}
 	r.node.setContext(ctx2)
 	if len(r.node.pendingMsgs[2]) != 0 {
@@ -440,7 +440,8 @@ func TestRequestsAnsweredToSenderOnly(t *testing.T) {
 // every byte the handler authenticates. A vote, a priority announcement
 // or a batch with one signature byte changed, delivered first, is
 // rejected, and the genuine message after it is still counted or
-// admitted.
+// admitted. A holder's announce handed on by another neighbour first
+// still lets the holder's own announce make it a source.
 func TestForgedCopyDoesNotShadowGenuine(t *testing.T) {
 	r := newHandlerRig(t, 5)
 	vote := r.makeVote(t, 1, 1, agreement.StepReduction1, crypto.HashBytes("v"))
@@ -482,24 +483,85 @@ func TestForgedCopyDoesNotShadowGenuine(t *testing.T) {
 	if st := r.node.TxFlow().Stats(); st.Pending != 1 {
 		t.Errorf("%d payments pending, want the genuine one", st.Pending)
 	}
+
+	// An announce travels one hop and names no holder: neighbour 2 handing
+	// on holder 1's announce first makes 2 a source, and 1's own announce
+	// still makes 1 one. 2 never serves a piece, so 1 is asked.
+	a := newHandlerRig(t, 5)
+	requests := 0
+	ann := a.holder(1, prop, &requests)
+	a.sim.Spawn("hand-on", func(p *vtime.Proc) {
+		a.net.Unicast(2, 0, ann)
+		p.Sleep(time.Second)
+		a.net.Unicast(1, 0, ann)
+	})
+	a.sim.Run(time.Minute)
+	if _, ok := a.node.Ledger().BlockOfHash(prop.Block.AnnouncedHash()); requests == 0 || !ok {
+		t.Errorf("holder 1 asked for %d pieces and the body assembled: %v; want it asked and the body held", requests, ok)
+	}
 }
 
-// TestAllocBudgetFloodedIDs: a flooded message's ID covers its signed
-// bytes and signatures. Two copies of one message share it, an
-// equivocator's two votes or announcements and a copy with a forged
-// signature do not, and working it out allocates nothing once the
-// preimage pool is warm.
+// TestReplayedOneHopVerifiedOnce: no transport remembers a one-hop
+// message, so what a copy of one costs is its handler's to bound. A
+// neighbour announces a body once: the same genuine announce delivered
+// 100 times costs one sortition check, for a body taken and for a third
+// body of one proposer, which is refused. A batch delivered 100 times is
+// admitted once and each payment's signature verified once, because the
+// mempool drops a payment it holds before its signature is looked at.
+func TestReplayedOneHopVerifiedOnce(t *testing.T) {
+	r := newHandlerRig(t, 5)
+	checks := func() int { return counter(r.node, announceChecksName) }
+	body := func(tag string) *BlockAnnounce {
+		pri := r.makeProposal(t, 1).Priority
+		if tag != "" {
+			pri.BlockHash = crypto.HashBytes(tag)
+			pri.Sig = r.ids[1].Sign(pri.SigningBytes())
+		}
+		return &BlockAnnounce{Manifest: blockprop.Manifest{Announce: pri}}
+	}
+	r.node.handleMessage(1, body("second"))
+	for _, tc := range []struct {
+		name string
+		ann  *BlockAnnounce
+	}{{"taken", body("")}, {"refused third body", body("third")}} {
+		before := checks()
+		for i := 0; i < 100; i++ {
+			r.node.handleMessage(2, tc.ann)
+		}
+		if got := checks() - before; got != 1 {
+			t.Errorf("%s: one announce delivered 100 times cost %d sortition checks, want 1", tc.name, got)
+		}
+	}
+	if got := r.node.fetch.Bodies(); got != 2 {
+		t.Errorf("the fetcher holds %d bodies of proposer 1, want 2 and the third refused", got)
+	}
+
+	var txs []*ledger.Transaction
+	for i := 1; i <= 2; i++ {
+		tx := &ledger.Transaction{From: r.ids[i].PublicKey(), To: r.ids[0].PublicKey(), Amount: 1}
+		tx.Sign(r.ids[i])
+		txs = append(txs, tx)
+	}
+	batch := &TxBatch{Txns: txs}
+	for i := 0; i < 100; i++ {
+		r.node.handleMessage(3, batch)
+	}
+	if st := r.node.TxFlow().Stats(); st.Admitted != 2 || st.Verified != 2 {
+		t.Errorf("a batch of 2 delivered 100 times: %d admitted, %d signatures verified; want 2 and 2", st.Admitted, st.Verified)
+	}
+}
+
+// TestAllocBudgetFloodedIDs: a relayed message's ID, a vote's or a
+// priority announcement's, covers its signed bytes and signature. Two
+// copies of one message share it, an equivocator's two votes or
+// announcements and a copy with a forged signature do not, and working it
+// out allocates nothing once the preimage pool is warm.
 func TestAllocBudgetFloodedIDs(t *testing.T) {
 	r := newHandlerRig(t, 5)
 	a := r.makeProposal(t, 1)
 	b := r.makeProposal(t, 1)
 	b.Priority.BlockHash = crypto.HashBytes("equivocation")
 	b.Priority.Sig = r.ids[1].Sign(b.Priority.SigningBytes())
-	tx := &ledger.Transaction{From: r.ids[1].PublicKey(), To: r.ids[2].PublicKey(), Amount: 1}
-	tx.Sign(r.ids[1])
-	forgedTx := *tx
-	forgedTx.Sig = append([]byte(nil), tx.Sig...)
-	forgedTx.Sig[3] ^= 1
 	vote := func(value string, sig func([]byte)) network.Flooded {
 		v := r.makeVote(t, 1, 1, agreement.StepReduction1, crypto.HashBytes(value))
 		sig(v.Sig)
@@ -509,13 +571,11 @@ func TestAllocBudgetFloodedIDs(t *testing.T) {
 	same := [][2]network.Flooded{
 		{vote("v", keep), vote("v", keep)},
 		{&PriorityGossip{M: a.Priority}, &PriorityGossip{M: a.Priority}},
-		{&TxBatch{Txns: []*ledger.Transaction{tx}}, &TxBatch{Txns: []*ledger.Transaction{tx}}},
 	}
 	distinct := [][2]network.Flooded{
 		{vote("v", keep), vote("w", keep)},
 		{vote("v", keep), vote("v", flip)},
 		{&PriorityGossip{M: a.Priority}, &PriorityGossip{M: b.Priority}},
-		{&TxBatch{Txns: []*ledger.Transaction{tx}}, &TxBatch{Txns: []*ledger.Transaction{&forgedTx}}},
 	}
 	for i, p := range same {
 		if p[0].ID() != p[1].ID() {
@@ -530,7 +590,7 @@ func TestAllocBudgetFloodedIDs(t *testing.T) {
 	if !poolKeeps() {
 		t.Skip("sync.Pool drops Puts here (race detector): every dropped preimage is allocated again")
 	}
-	for _, m := range []network.Flooded{same[0][0], same[1][0], same[2][0]} {
+	for _, m := range []network.Flooded{same[0][0], same[1][0]} {
 		if got := testing.AllocsPerRun(100, func() { m.ID() }); got != 0 {
 			t.Errorf("%T.ID: %.0f allocations, want 0", m, got)
 		}
@@ -585,7 +645,7 @@ func TestRepliesSentTwiceTakenOnce(t *testing.T) {
 		return network.Verdict{}
 	}))
 	r.sim.Spawn("announcer", func(p *vtime.Proc) {
-		r.net.Unicast(1, 0, &BlockAnnounce{Manifest: *m, Announcer: 1})
+		r.net.Unicast(1, 0, &BlockAnnounce{Manifest: *m})
 		p.Sleep(10 * time.Second)
 	})
 	r.sim.Run(2 * time.Minute)
@@ -713,7 +773,7 @@ func TestPendingBufferBounded(t *testing.T) {
 		t.Fatalf("dropped counter reads %v, want 500", got)
 	}
 	// Every kind shares the one budget.
-	r.node.handleMessage(2, &BlockHave{Round: 2, Announcer: 2, Have: make(blockprop.Bitmap, 1<<10)})
+	r.node.handleMessage(2, &BlockHave{Round: 2, Have: make(blockprop.Bitmap, 1<<10)})
 	r.node.handleMessage(1, &PriorityGossip{M: blockprop.PriorityMsg{Round: 2, SortProof: make([]byte, 1<<10)}})
 	if got := dropped(); got != 502 {
 		t.Fatalf("dropped counter reads %v after two more kinds, want 502", got)
@@ -864,7 +924,7 @@ func TestRecoveryProposalOnlyForALiveAttempt(t *testing.T) {
 			t.Fatalf("a proposal for checkpoint %d attempt %d at checkpoint 2 was not relayed", c[0], c[1])
 		}
 		m, _ := blockprop.Split(r.ids[1], &prop.Block)
-		r.node.handleMessage(1, &BlockAnnounce{Manifest: *m, Announcer: 1})
+		r.node.handleMessage(1, &BlockAnnounce{Manifest: *m})
 	}
 	if inboxes, best := recoveryState(); inboxes != len(live) || best != len(live) || r.node.fetch.Bodies() != len(live) {
 		t.Fatalf("live attempts left %d inboxes, %d best priorities, %d bodies; want %d each",

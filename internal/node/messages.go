@@ -1,7 +1,6 @@
 package node
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"algorand/internal/blockprop"
@@ -30,8 +29,8 @@ func (m *VoteMsg) DecodeFrom(d *wire.Decoder) { m.Vote.DecodeFrom(d) }
 // messages, and so is a copy with one byte of the signature changed.
 func (m *VoteMsg) ID() crypto.Digest { return encodedID("msg.vote", m) }
 
-// LimitKey and RelayLimit put votes under the §8.4 relay budget
-// (network.Limited): at most one message per sender per (round, step).
+// LimitKey puts votes under the §8.4 relay budget: at most one message
+// per sender per (round, step).
 func (m *VoteMsg) LimitKey() network.LimitKey {
 	return network.NewLimitKey('v', m.Vote.Sender, m.Vote.Round, m.Vote.Step)
 }
@@ -69,62 +68,47 @@ func (m *PriorityGossip) LimitKey() network.LimitKey {
 func (m *PriorityGossip) RelayLimit() int { return 2 }
 
 // BlockAnnounce tells neighbors "I hold this block, or part of it" — the
-// inv of the pull-based block dissemination. Announcer is transport
-// metadata (whom to request from); the signed core is the proposer's
-// manifest: its PriorityMsg and, for a body of several pieces, the
-// digest of each. Have lists the pieces the announcer holds, nil
-// meaning all of them.
+// inv of the pull-based block dissemination, sent one hop: whom to
+// request pieces from is its sender, as the transport names it. The
+// signed core is the proposer's manifest: its PriorityMsg and, for a body
+// of several pieces, the digest of each. Have lists the pieces the sender
+// holds, nil meaning all of them.
 type BlockAnnounce struct {
-	Manifest  blockprop.Manifest
-	Announcer int
-	Have      blockprop.Bitmap
+	Manifest blockprop.Manifest
+	Have     blockprop.Bitmap
 }
 
 // WireSize implements network.Message.
-func (m *BlockAnnounce) WireSize() int { return m.Manifest.WireSize() + 4 + m.Have.WireSize() }
+func (m *BlockAnnounce) WireSize() int { return m.Manifest.WireSize() + m.Have.WireSize() }
 
 // EncodeTo implements wire.Marshaler.
 func (m *BlockAnnounce) EncodeTo(e *wire.Encoder) {
 	m.Manifest.EncodeTo(e)
-	e.Int(m.Announcer)
 	m.Have.EncodeTo(e)
 }
 
 // DecodeFrom implements wire.Unmarshaler.
 func (m *BlockAnnounce) DecodeFrom(d *wire.Decoder) {
 	m.Manifest.DecodeFrom(d)
-	m.Announcer = d.Int()
 	m.Have = blockprop.DecodeBitmap(d)
 }
 
-// ID implements network.Flooded. It covers the announcer: each holder
-// announces once.
-func (m *BlockAnnounce) ID() crypto.Digest {
-	a := &m.Manifest.Announce
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[:8], a.Round)
-	binary.LittleEndian.PutUint64(buf[8:], uint64(m.Announcer))
-	return crypto.HashBytes("msg.announce", a.Proposer[:], buf[:], a.BlockHash[:])
-}
-
-// BlockHave updates a BlockAnnounce: the announcer now holds these
-// pieces of the body (nil: all of them). Advertisements only grow, so
-// the receiver merges them and a lost or re-ordered one costs nothing.
+// BlockHave updates a BlockAnnounce: its sender now holds these pieces
+// of the body (nil: all of them). Advertisements only grow, so the
+// receiver merges them and a lost or re-ordered one costs nothing.
 type BlockHave struct {
-	Round     uint64
-	Hash      crypto.Digest
-	Announcer int
-	Have      blockprop.Bitmap
+	Round uint64
+	Hash  crypto.Digest
+	Have  blockprop.Bitmap
 }
 
 // WireSize implements network.Message.
-func (m *BlockHave) WireSize() int { return 8 + 32 + 4 + m.Have.WireSize() }
+func (m *BlockHave) WireSize() int { return 8 + 32 + m.Have.WireSize() }
 
 // EncodeTo implements wire.Marshaler.
 func (m *BlockHave) EncodeTo(e *wire.Encoder) {
 	e.Uint64(m.Round)
 	e.Fixed(m.Hash[:])
-	e.Int(m.Announcer)
 	m.Have.EncodeTo(e)
 }
 
@@ -132,7 +116,6 @@ func (m *BlockHave) EncodeTo(e *wire.Encoder) {
 func (m *BlockHave) DecodeFrom(d *wire.Decoder) {
 	m.Round = d.Uint64()
 	d.Fixed(m.Hash[:])
-	m.Announcer = d.Int()
 	m.Have = blockprop.DecodeBitmap(d)
 }
 
@@ -261,12 +244,6 @@ func (m *TxBatch) DecodeFrom(d *wire.Decoder) {
 	}
 }
 
-// ID implements network.Flooded. It hashes every payment in the batch,
-// signatures included: identical re-batches from different senders are
-// the same message to the duplicate-suppression layer, and a batch with
-// one signature forged is another.
-func (m *TxBatch) ID() crypto.Digest { return encodedID("msg.txbatch", m) }
-
 // BlockFill is a bare committed-block body answering a BlockRequest
 // (§7.1 "obtain it from other users"); unlike a proposal's pieces it
 // carries no credentials — the requester already knows the agreed hash
@@ -377,39 +354,27 @@ func (m *ChainReply) DecodeFrom(d *wire.Decoder) {
 // tier's lag-tolerant view of the chain): each node announces its own
 // commits to its direct neighbors and the message is never relayed —
 // a gateway neighbors several consensus nodes, so it hears every round
-// announced independently by each of them, and asks an announcer for
-// the block with its certificate (ChainRequest). Consensus nodes ignore
-// it.
+// announced independently by each of them, and asks the sender of an
+// announce for the block with its certificate (ChainRequest). Consensus
+// nodes ignore it.
 type CommitAnnounce struct {
-	Round     uint64
-	Hash      crypto.Digest
-	Announcer int
+	Round uint64
+	Hash  crypto.Digest
 }
 
 // WireSize implements network.Message.
-func (m *CommitAnnounce) WireSize() int { return 8 + 32 + 4 }
+func (m *CommitAnnounce) WireSize() int { return 8 + 32 }
 
 // EncodeTo implements wire.Marshaler.
 func (m *CommitAnnounce) EncodeTo(e *wire.Encoder) {
 	e.Uint64(m.Round)
 	e.Fixed(m.Hash[:])
-	e.Int(m.Announcer)
 }
 
 // DecodeFrom implements wire.Unmarshaler.
 func (m *CommitAnnounce) DecodeFrom(d *wire.Decoder) {
 	m.Round = d.Uint64()
 	d.Fixed(m.Hash[:])
-	m.Announcer = d.Int()
-}
-
-// ID implements network.Flooded. It covers the announcer: each node
-// announces each commit once.
-func (m *CommitAnnounce) ID() crypto.Digest {
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[:8], m.Round)
-	binary.LittleEndian.PutUint64(buf[8:], uint64(m.Announcer))
-	return crypto.HashBytes("msg.commitann", buf[:], m.Hash[:])
 }
 
 // SnapshotRequest asks a peer for its newest state checkpoint (the

@@ -152,9 +152,10 @@ type Node struct {
 	// every §8.2 recovery attempt (see machineFor).
 	machine *agreement.Machine
 
-	// Messages for the next round, buffered unverified until we get there;
-	// pendingSize is their wire size, which bufferNext bounds.
-	pendingMsgs    map[uint64][]network.Message
+	// Messages for the next round, buffered unverified with their senders
+	// until we get there; pendingSize is their wire size, which bufferNext
+	// bounds.
+	pendingMsgs    map[uint64][]pending
 	pendingSize    map[uint64]int
 	pendingDropped *metrics.Counter
 
@@ -293,7 +294,7 @@ func NewFromGenesis(
 		sim:          sim,
 		voteInboxes:  make(map[[2]uint64]*vtime.Mailbox),
 		propInboxes:  make(map[uint64]*vtime.Mailbox),
-		pendingMsgs:  make(map[uint64][]network.Message),
+		pendingMsgs:  make(map[uint64][]pending),
 		pendingSize:  make(map[uint64]int),
 		fetch:        blockprop.NewFetcher(id, blockprop.NewFetchMetrics(cfg.Metrics)),
 		reqNonce:     sim.Epoch(),
@@ -477,10 +478,10 @@ func (n *Node) handleMessage(from int, m network.Message) network.Verdict {
 		return n.handleTxBatch(msg, cost)
 
 	case *VoteMsg:
-		return n.handleVote(msg, cost)
+		return n.handleVote(from, msg, cost)
 
 	case *PriorityGossip:
-		return n.handlePriority(msg, cost)
+		return n.handlePriority(from, msg, cost)
 
 	case *BlockAnnounce:
 		return n.handleAnnounce(from, msg, cost)
@@ -496,7 +497,7 @@ func (n *Node) handleMessage(from int, m network.Message) network.Verdict {
 				// The last piece of the stripe this neighbour was offered of a
 				// body we proposed: it may now pull the rest.
 				m, _ := n.fetch.Manifest(msg.Hash)
-				n.net.Unicast(n.ID, from, &BlockHave{Round: m.Announce.Round, Hash: msg.Hash, Announcer: n.ID})
+				n.net.Unicast(n.ID, from, &BlockHave{Round: m.Announce.Round, Hash: msg.Hash})
 			}
 		}
 		return network.Verdict{Relay: false}
@@ -589,10 +590,10 @@ func (n *Node) announceCommit(round uint64, h crypto.Digest) {
 	if !n.cfg.AnnounceCommits || n.halted {
 		return
 	}
-	n.net.Gossip(n.ID, &CommitAnnounce{Round: round, Hash: h, Announcer: n.ID})
+	n.net.Gossip(n.ID, &CommitAnnounce{Round: round, Hash: h})
 }
 
-func (n *Node) handleVote(msg *VoteMsg, cost crypto.CostModel) network.Verdict {
+func (n *Node) handleVote(from int, msg *VoteMsg, cost crypto.CostModel) network.Verdict {
 	cpu := cost.VerifySig + cost.VRFVerify
 	v := &msg.Vote
 	ctx := n.ctx
@@ -615,7 +616,7 @@ func (n *Node) handleVote(msg *VoteMsg, cost crypto.CostModel) network.Verdict {
 		return network.Verdict{Relay: true, CPU: cpu}
 	case v.Round == ctx.Round+1:
 		// We are a step behind; buffer and validate when we get there.
-		return n.bufferNext(v.Round, msg)
+		return n.bufferNext(v.Round, from, msg)
 	case v.Round < ctx.Round:
 		// A straggler's vote. If it extends a block other than ours at
 		// that position, someone is stuck on a fork: recovery evidence
@@ -630,7 +631,7 @@ func (n *Node) handleVote(msg *VoteMsg, cost crypto.CostModel) network.Verdict {
 	}
 }
 
-func (n *Node) handlePriority(msg *PriorityGossip, cost crypto.CostModel) network.Verdict {
+func (n *Node) handlePriority(from int, msg *PriorityGossip, cost crypto.CostModel) network.Verdict {
 	cpu := cost.VerifySig + cost.VRFVerify
 	m := &msg.M
 	ctx := n.ctx
@@ -662,7 +663,7 @@ func (n *Node) handlePriority(msg *PriorityGossip, cost crypto.CostModel) networ
 		n.fetch.NoteBest(m.Round, m.Priority)
 		return network.Verdict{Relay: true, CPU: cpu}
 	case m.Round == ctx.Round+1:
-		return n.bufferNext(m.Round, msg)
+		return n.bufferNext(m.Round, from, msg)
 	default:
 		return network.Verdict{Relay: false}
 	}
@@ -674,27 +675,33 @@ func (n *Node) handlePriority(msg *PriorityGossip, cost crypto.CostModel) networ
 // steps, 10 000 final, ~250 B each: 6 MB), so that only a flood meets it.
 const maxPendingBytes = 8 << 20
 
-// bufferNext holds m for the next round, or drops and counts it when that
-// round's buffer is full: a hostile neighbour cannot grow a node at will.
-func (n *Node) bufferNext(round uint64, m network.Message) network.Verdict {
+// pending is a message buffered for the next round and the neighbour it
+// came from.
+type pending struct {
+	from int
+	m    network.Message
+}
+
+// bufferNext holds m, from neighbour from, for the next round, or drops
+// and counts it when that round's buffer is full: a hostile neighbour
+// cannot grow a node at will.
+func (n *Node) bufferNext(round uint64, from int, m network.Message) network.Verdict {
 	if size := n.pendingSize[round] + m.WireSize(); size <= maxPendingBytes {
 		n.pendingSize[round] = size
-		n.pendingMsgs[round] = append(n.pendingMsgs[round], m)
+		n.pendingMsgs[round] = append(n.pendingMsgs[round], pending{from, m})
 	} else {
 		n.pendingDropped.Inc()
 	}
 	return network.Verdict{Relay: false}
 }
 
-// handleAnnounce processes an "I hold (part of) this block" message:
+// handleAnnounce processes neighbour from's "I hold (part of) this block":
 // after the credential and manifest checks the fetcher decides which
-// pieces to pull from the announcer (pull-based dissemination).
+// pieces to pull from it (pull-based dissemination). A neighbour announces
+// a body once; a copy of an announce it has made is dropped unverified.
 func (n *Node) handleAnnounce(from int, msg *BlockAnnounce, cost crypto.CostModel) network.Verdict {
 	cpu := cost.VerifySig + cost.VRFVerify
 	m := &msg.Manifest.Announce
-	if from >= 0 && from != msg.Announcer {
-		return network.Verdict{Relay: false} // whom to pull from is the sender, nobody else
-	}
 	ctx := n.ctx
 	if m.Round >= ledger.RecoveryRoundBase && (ctx == nil || ctx.Round != m.Round) {
 		ctx = n.recoveryCtxForRound(m.Round) // see handlePriority
@@ -704,6 +711,9 @@ func (n *Node) handleAnnounce(from int, msg *BlockAnnounce, cost crypto.CostMode
 	}
 	switch {
 	case m.Round == ctx.Round:
+		if n.fetch.Announced(m.Round, m.BlockHash, from) {
+			return network.Verdict{Relay: false} // a copy: verified once already
+		}
 		roleKind := n.proposerRoleKind(m.Round)
 		n.announceChecks.Inc()
 		j := blockprop.VerifyPriority(n.provider, m, roleKind, ctx.Seed,
@@ -723,29 +733,26 @@ func (n *Node) handleAnnounce(from int, msg *BlockAnnounce, cost crypto.CostMode
 		n.fetch.NoteBest(m.Round, m.Priority)
 		// A refusal (a second description of a hash already described, a
 		// third body of one proposer, a proposer already found invalid)
-		// makes the announcer no source and is not provably its fault: the
+		// makes the sender no source and is not provably its fault: the
 		// proposer may have signed both.
-		acts, _ := n.fetch.OnAnnounce(n.sim.Now(), msg.Announcer, &msg.Manifest, msg.Have)
+		acts, _ := n.fetch.OnAnnounce(n.sim.Now(), from, &msg.Manifest, msg.Have)
 		n.runFetch(acts)
 		return network.Verdict{Relay: false, CPU: cpu}
 	case m.Round == ctx.Round+1:
-		return n.bufferNext(m.Round, msg)
+		return n.bufferNext(m.Round, from, msg)
 	default:
 		return network.Verdict{Relay: false}
 	}
 }
 
-// handleHave processes a holder's updated advertisement. It names a
+// handleHave processes neighbour from's updated advertisement. It names a
 // body by hash only: one the fetcher has no verified manifest for is
 // ignored there.
 func (n *Node) handleHave(from int, msg *BlockHave) network.Verdict {
-	if from >= 0 && from != msg.Announcer {
-		return network.Verdict{Relay: false}
-	}
 	if ctx := n.ctx; ctx != nil && msg.Round == ctx.Round+1 {
-		return n.bufferNext(msg.Round, msg)
+		return n.bufferNext(msg.Round, from, msg)
 	}
-	n.runFetch(n.fetch.OnHave(n.sim.Now(), msg.Announcer, msg.Hash, msg.Have))
+	n.runFetch(n.fetch.OnHave(n.sim.Now(), from, msg.Hash, msg.Have))
 	return network.Verdict{Relay: false}
 }
 
@@ -781,11 +788,11 @@ func (n *Node) runFetch(acts []blockprop.Action) {
 		case blockprop.ActAdvertise:
 			m, _ := n.fetch.Manifest(a.Hash)
 			if a.First {
-				n.net.Gossip(n.ID, &BlockAnnounce{Manifest: *m, Announcer: n.ID, Have: n.fetch.Have(a.Hash)})
+				n.net.Gossip(n.ID, &BlockAnnounce{Manifest: *m, Have: n.fetch.Have(a.Hash)})
 				continue
 			}
 			// Later pieces are news only to the neighbours that lack them.
-			have := &BlockHave{Round: m.Announce.Round, Hash: a.Hash, Announcer: n.ID, Have: n.fetch.Have(a.Hash)}
+			have := &BlockHave{Round: m.Announce.Round, Hash: a.Hash, Have: n.fetch.Have(a.Hash)}
 			for _, peer := range n.net.Neighbors(n.ID) {
 				if n.fetch.PeerLacks(a.Hash, peer, a.Index) {
 					n.net.Unicast(n.ID, peer, have)
@@ -836,7 +843,7 @@ func (n *Node) seed(ann *BlockAnnounce) {
 func (n *Node) HoldProposal(bm *blockprop.BlockMsg) *BlockAnnounce {
 	m, pieces := blockprop.Split(n.identity, bm)
 	n.fetch.Hold(m, pieces, bm)
-	return &BlockAnnounce{Manifest: *m, Announcer: n.ID}
+	return &BlockAnnounce{Manifest: *m}
 }
 
 // proposerRoleKind returns the sortition role kind for proposals in a
@@ -858,8 +865,8 @@ func (n *Node) setContext(ctx *agreement.Context) {
 	buffered := n.pendingMsgs[ctx.Round]
 	delete(n.pendingMsgs, ctx.Round)
 	delete(n.pendingSize, ctx.Round)
-	for _, m := range buffered {
-		n.handleMessage(-1, m) // relay verdict already settled at arrival
+	for _, p := range buffered {
+		n.handleMessage(p.from, p.m) // relay verdict already settled at arrival
 	}
 	// Drop stale buffers and retire stale inboxes: earlier rounds, and on
 	// a regular round every §8.2 recovery round.

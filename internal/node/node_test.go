@@ -12,6 +12,18 @@ import (
 	"algorand/internal/vtime"
 )
 
+// splitWorld cuts c's network into two halves for the virtual seconds
+// [from, to): no message crosses the cut. It is the weak-synchrony
+// adversary of §3 that exercises §8.2 recovery, and composes with any
+// other installed partition.
+func splitWorld(c *sim.Cluster, from, to int64) {
+	cut := len(c.Nodes) / 2
+	c.Net.AddPartition(func(a, b int) bool {
+		now := int64(c.Sim.Now().Seconds())
+		return now >= from && now < to && (a < cut) != (b < cut)
+	})
+}
+
 // fastParams shrinks the timeouts so stall-and-recover scenarios run in
 // little virtual time.
 func fastParams(c *sim.Config) {
@@ -59,7 +71,7 @@ func TestForkRecovery(t *testing.T) {
 	cfg.RecoveryInterval = 2 * time.Minute
 	cfg.Horizon = 8 * time.Minute
 	c := sim.NewCluster(cfg)
-	c.SplitWorld(0, 60) // partition for the first virtual minute
+	splitWorld(c, 0, 60) // partition for the first virtual minute
 	// Once the network heals, restore the paper's safe threshold so the
 	// weakened-TStep fork generator stops firing and recovery can stick.
 	c.Sim.After(70*time.Second, func() {
@@ -142,7 +154,7 @@ func TestStallRecovery(t *testing.T) {
 	cfg.RecoveryInterval = 90 * time.Second
 	cfg.Horizon = 8 * time.Minute
 	c := sim.NewCluster(cfg)
-	c.SplitWorld(0, 45)
+	splitWorld(c, 0, 45)
 
 	c.Run()
 	if err := c.AgreementCheck(); err != nil {
@@ -171,7 +183,7 @@ func TestCatchUpCrossesRecoveryAdoption(t *testing.T) {
 	cfg.RecoveryInterval = 90 * time.Second
 	cfg.Horizon = 8 * time.Minute
 	c := sim.NewCluster(cfg)
-	c.SplitWorld(0, 45) // stalls BA⋆ entirely; progress resumes by recovery
+	splitWorld(c, 0, 45) // stalls BA⋆ entirely; progress resumes by recovery
 	c.Run()
 	if err := c.AgreementCheck(); err != nil {
 		t.Fatal(err)

@@ -151,13 +151,12 @@ func TestFetchStateBounded(t *testing.T) {
 		r.sim.Spawn("driver", func(p *vtime.Proc) {
 			for step := 0; step < 12; step++ {
 				b := bodies[rng.Intn(len(bodies))]
-				a := *b.ann
-				a.Announcer = 1 + rng.Intn(5)
+				a, from := *b.ann, 1+rng.Intn(5)
 				if rng.Intn(2) == 0 {
 					a.Have = blockprop.NewBitmap(len(b.pieces))
 					a.Have.Set(rng.Intn(len(b.pieces)))
 				}
-				r.net.Unicast(a.Announcer, 0, &a)
+				r.net.Unicast(from, 0, &a)
 				p.Sleep(time.Duration(rng.Intn(4000)) * time.Millisecond)
 			}
 			p.Sleep(3 * blockprop.PieceTimeout)
@@ -256,7 +255,7 @@ func TestAllocBudgetSwarmNoOps(t *testing.T) {
 	}
 
 	// Fetch the body whole from node 1.
-	r.node.handleMessage(1, &BlockAnnounce{Manifest: *m, Announcer: 1})
+	r.node.handleMessage(1, &BlockAnnounce{Manifest: *m})
 	assembled := func() bool { _, ok := r.node.Ledger().BlockOfHash(h); return ok }
 	for guard := 0; !assembled(); guard++ {
 		if guard > 10 {
@@ -274,11 +273,11 @@ func TestAllocBudgetSwarmNoOps(t *testing.T) {
 	if got := testing.AllocsPerRun(50, func() { r.node.handleMessage(1, again) }); got != 0 {
 		t.Errorf("second copy of a held piece: %.0f allocations, want 0", got)
 	}
-	have := &BlockHave{Round: 1, Hash: h, Announcer: 2, Have: blockprop.Bitmap{3}}
+	have := &BlockHave{Round: 1, Hash: h, Have: blockprop.Bitmap{3}}
 	if got := testing.AllocsPerRun(50, func() { r.node.handleMessage(2, have) }); got != 0 {
 		t.Errorf("advertisement for an assembled body: %.0f allocations, want 0", got)
 	}
-	stranger := &BlockHave{Round: 1, Hash: crypto.Digest{42}, Announcer: 2, Have: blockprop.Bitmap{3}}
+	stranger := &BlockHave{Round: 1, Hash: crypto.Digest{42}, Have: blockprop.Bitmap{3}}
 	if got := testing.AllocsPerRun(50, func() { r.node.handleMessage(2, stranger) }); got != 0 {
 		t.Errorf("advertisement for an unknown body: %.0f allocations, want 0", got)
 	}

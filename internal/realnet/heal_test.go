@@ -108,9 +108,10 @@ func TestSelfHealingUnderFaults(t *testing.T) {
 	c := newRealCluster(t, n, rounds)
 
 	// Outbound: every connection a node dials gets a fault script chosen
-	// by its ordinal — periodic resets, a stall (long enough to be felt,
-	// short of the write deadline), or a partial write that tears a
-	// frame mid-stream.
+	// by its ordinal — a reset (it ends the connection, so a script needs
+	// no second one), a stall (long enough to be felt, short of the write
+	// deadline) and then a reset, or a partial write that tears a frame
+	// mid-stream.
 	c.cfg = func(i int) Config {
 		cfg := testConfig()
 		cfg.Seed = int64(i + 1)
@@ -118,10 +119,12 @@ func TestSelfHealingUnderFaults(t *testing.T) {
 		cfg.Dial = netfault.WrapDial(nil, func(ord int) netfault.Script {
 			switch ord % 3 {
 			case 0:
-				return netfault.Periodic(32<<10, netfault.Reset, 0, 64)
+				return netfault.Script{{After: 32 << 10, Act: netfault.Reset}}
 			case 1:
-				s := netfault.Script{{After: 16 << 10, Act: netfault.Stall, Dur: 150 * time.Millisecond}}
-				return append(s, netfault.Periodic(64<<10, netfault.Reset, 0, 32)...)
+				return netfault.Script{
+					{After: 16 << 10, Act: netfault.Stall, Dur: 150 * time.Millisecond},
+					{After: 64 << 10, Act: netfault.Reset},
+				}
 			default:
 				return netfault.Script{{After: 24 << 10, Act: netfault.PartialWrite}}
 			}
@@ -132,7 +135,7 @@ func TestSelfHealingUnderFaults(t *testing.T) {
 	c.wrapListener = func(i int, ln net.Listener) net.Listener {
 		return netfault.WrapListener(ln, func(ord int) netfault.Script {
 			if ord%4 == 3 {
-				return netfault.Periodic(40<<10, netfault.Reset, 0, 32)
+				return netfault.Script{{After: 40 << 10, Act: netfault.Reset}}
 			}
 			return nil
 		})

@@ -51,16 +51,6 @@ type Event struct {
 // events never fire.
 type Script []Event
 
-// Periodic builds a Script of n copies of the same fault, at offsets
-// every, 2*every, ... — "reset every 48 KiB" style scripts.
-func Periodic(every int64, act Action, dur time.Duration, n int) Script {
-	s := make(Script, 0, n)
-	for i := 1; i <= n; i++ {
-		s = append(s, Event{After: every * int64(i), Act: act, Dur: dur})
-	}
-	return s
-}
-
 // ErrInjected is the error returned by faulted operations.
 var ErrInjected = errors.New("netfault: injected fault")
 

@@ -109,9 +109,21 @@ func TestCorruptReadFlipsByte(t *testing.T) {
 	}
 }
 
+// TestPeriodicScript: a script of resets every 100 bytes ends the
+// connection at the first of them. The later events never fire, so one
+// reset is the whole of such a period: the remote receives 100 bytes and
+// every write after the reset fails.
 func TestPeriodicScript(t *testing.T) {
-	s := Periodic(100, Reset, 0, 3)
-	if len(s) != 3 || s[0].After != 100 || s[2].After != 300 {
-		t.Fatalf("unexpected periodic script: %+v", s)
+	c, s := tcpPair(t)
+	fc := Wrap(c, Script{{After: 100, Act: Reset}, {After: 200, Act: Reset}, {After: 300, Act: Reset}})
+	if n, err := fc.Write(make([]byte, 250)); n != 100 || err != ErrInjected {
+		t.Fatalf("first write: %d bytes, %v; want 100 and ErrInjected", n, err)
+	}
+	if n, err := fc.Write(make([]byte, 250)); n != 0 || err == nil {
+		t.Fatalf("write after the reset: %d bytes, %v; want 0 and an error", n, err)
+	}
+	s.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if got, _ := io.ReadAll(s); len(got) != 100 {
+		t.Fatalf("remote received %d bytes, want 100", len(got))
 	}
 }

@@ -27,8 +27,8 @@
 //     a catch-up request to a rebooting peer waits instead of vanishing.
 //   - Connections carry read/write deadlines and idle keepalive pings,
 //     so a dead peer is detected and reaped rather than leaking.
-//   - The duplicate-suppression and relay-limit caches hold gossip
-//     (network.Flooded messages) only, and are generational with a TTL
+//   - The duplicate-suppression and relay-limit caches hold relayed
+//     messages (network.Flooded) only, and are generational with a TTL
 //     (mirroring internal/network.Config.SeenTTL), bounding their memory
 //     over long runs.
 //   - Inbound connections must open with a hello frame declaring the
@@ -512,33 +512,21 @@ func (t *Transport) deliver(from int, m network.Message) {
 	if !verdict.Relay || !flooded {
 		return
 	}
-	if k, limit := relayBudget(m); limit > 0 {
-		// Count the relay against the key's budget iff it is still under
-		// the two-generation total; relay iff it was counted.
-		allowed := t.limit.Update(k, t.cacheNow(),
-			func(cur int, _ bool, prev int, _ bool) (int, bool) {
-				if cur+prev >= limit {
-					return cur, false
-				}
-				return cur + 1, true
-			})
-		if !allowed {
-			t.relayLimited.Inc()
-			return
-		}
+	// Count the relay against the key's budget iff it is still under the
+	// two-generation total; relay iff it was counted.
+	limit := f.RelayLimit()
+	allowed := t.limit.Update(f.LimitKey(), t.cacheNow(),
+		func(cur int, _ bool, prev int, _ bool) (int, bool) {
+			if cur+prev >= limit {
+				return cur, false
+			}
+			return cur + 1, true
+		})
+	if !allowed {
+		t.relayLimited.Inc()
+		return
 	}
 	t.fanout(m, from)
-}
-
-// relayBudget returns m's §8.4 relay budget: its key and how many relays
-// the key allows, 0 for none.
-func relayBudget(m network.Message) (network.LimitKey, int) {
-	if l, ok := m.(network.Limited); ok {
-		if k := l.LimitKey(); k != (network.LimitKey{}) {
-			return k, l.RelayLimit()
-		}
-	}
-	return network.LimitKey{}, 0
 }
 
 // Gossip implements node.Transport. A network.Flooded message is marked
@@ -548,11 +536,9 @@ func (t *Transport) Gossip(origin int, m network.Message) {
 	if f, ok := m.(network.Flooded); ok {
 		now := t.cacheNow()
 		t.seen.Put(f.ID(), struct{}{}, now)
-		if k, limit := relayBudget(m); limit > 0 {
-			t.limit.Update(k, now, func(cur int, _ bool, _ int, _ bool) (int, bool) {
-				return cur + 1, true
-			})
-		}
+		t.limit.Update(f.LimitKey(), now, func(cur int, _ bool, _ int, _ bool) (int, bool) {
+			return cur + 1, true
+		})
 	}
 	t.fanout(m, -1)
 }

@@ -103,10 +103,10 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTransportDedupAndRelayLimit: only gossip is remembered. A
-// network.Flooded message gossiped twice reaches each receiver once, its
-// relays included; a message that is not Flooded, sent twice, reaches its
-// receiver twice and is relayed by nobody.
+// TestTransportDedupAndRelayLimit: only what is relayed is remembered. A
+// network.Flooded message (a vote) gossiped twice reaches each receiver
+// once, its relays included; a message that is not Flooded, sent twice,
+// reaches its receiver twice and is relayed by nobody.
 func TestTransportDedupAndRelayLimit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock TCP test")
@@ -114,7 +114,7 @@ func TestTransportDedupAndRelayLimit(t *testing.T) {
 	// Three transports; nodes 1 and 2 count deliveries and relay all.
 	nets := newMiniNet(t, 3, nil, 3*time.Second)
 
-	flood := &nodepkg.CommitAnnounce{Round: 1, Hash: crypto.HashBytes("dup"), Announcer: 0}
+	flood := &nodepkg.VoteMsg{Vote: ledger.Vote{Round: 1, Step: 1, Value: crypto.HashBytes("dup")}}
 	nets[0].tr.Gossip(0, flood)
 	nets[0].tr.Gossip(0, flood) // duplicate: receivers must drop it
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"algorand/internal/crypto"
+	"algorand/internal/ledger"
 	nodepkg "algorand/internal/node"
 )
 
@@ -39,7 +40,7 @@ func TestSoakBoundedTransportState(t *testing.T) {
 
 	iters := 600 * soakScale()
 	for i := 0; i < iters; i++ {
-		m.tr.Gossip(0, &nodepkg.CommitAnnounce{Round: uint64(i), Hash: crypto.HashBytes("soak")})
+		m.tr.Gossip(0, soakVote(uint64(i)))
 		// Inbound churn: short-lived raw connections that hello and die.
 		if i%20 == 0 {
 			r := dialRaw(t, m.tr.Addr())
@@ -52,7 +53,7 @@ func TestSoakBoundedTransportState(t *testing.T) {
 	}
 	// Let the last generation age out, then trigger a rotation.
 	time.Sleep(3 * cfg.SeenTTL)
-	m.tr.Gossip(0, &nodepkg.CommitAnnounce{Round: uint64(iters + 1), Hash: crypto.HashBytes("soak")})
+	m.tr.Gossip(0, soakVote(uint64(iters+1)))
 	time.Sleep(100 * time.Millisecond)
 
 	s := m.tr.Stats()
@@ -81,4 +82,10 @@ func TestSoakBoundedTransportState(t *testing.T) {
 		}
 	}
 	t.Logf("soak stats after %d msgs: %s", iters, s)
+}
+
+// soakVote is a relayed message of its own: its round gives it an ID and
+// a relay budget no other shares.
+func soakVote(round uint64) *nodepkg.VoteMsg {
+	return &nodepkg.VoteMsg{Vote: ledger.Vote{Round: round, Step: 1, Value: crypto.HashBytes("soak")}}
 }

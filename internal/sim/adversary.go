@@ -199,7 +199,7 @@ func (c *Cluster) MakeManifestStrippers(ids []int) {
 		c.Net.SetHandler(i, network.HandlerFunc(func(from int, m network.Message) network.Verdict {
 			if pri, ok := m.(*node.PriorityGossip); ok && !claimed[pri.M.BlockHash] {
 				claimed[pri.M.BlockHash] = true
-				claim := &node.BlockAnnounce{Manifest: blockprop.Manifest{Announce: pri.M}, Announcer: i}
+				claim := &node.BlockAnnounce{Manifest: blockprop.Manifest{Announce: pri.M}}
 				for _, peer := range c.Net.Neighbors(i) {
 					c.Net.Unicast(i, peer, claim)
 				}
@@ -221,20 +221,4 @@ func ForgedPiece(man *blockprop.Manifest, index int) *node.BlockPiece {
 	}
 	forged := blockprop.NewPiece(man.Announce.BlockHash, index, man.Pieces(), head, announce, nil, 1+index)
 	return &node.BlockPiece{P: forged}
-}
-
-// SplitWorld partitions the network into two halves for the given
-// virtual-time window [from, to): no messages cross the cut. This is
-// the weak-synchrony adversary of §3 used to exercise §8.2 recovery.
-// The filter composes with other installed faults (AddPartition), so a
-// world split and a targeted DoS can be scripted on the same run.
-func (c *Cluster) SplitWorld(from, to int64) {
-	cut := len(c.Nodes) / 2
-	c.Net.AddPartition(func(a, b int) bool {
-		now := int64(c.Sim.Now().Seconds())
-		if now < from || now >= to {
-			return false
-		}
-		return (a < cut) != (b < cut)
-	})
 }

@@ -90,7 +90,7 @@ func (r *Reject) Unwrap() error { return r.Err }
 // RetryAfterHint extracts the backoff hint from a rejection, reporting
 // whether one was attached. Rate-limit rejects carry the exact
 // remainder of the sender's window; pool-full and per-sender-cap
-// rejects carry the configured ShedBackoff.
+// rejects carry shedBackoff.
 func RetryAfterHint(err error) (time.Duration, bool) {
 	var rej *Reject
 	if errors.As(err, &rej) {
@@ -116,14 +116,6 @@ type Config struct {
 	// Default 0. RateWindow defaults to 1s.
 	RateLimit  int
 	RateWindow time.Duration
-	// ShedBackoff is the retry-after hint attached to load-shedding
-	// rejects that have no natural deadline (pool full, per-sender cap).
-	// Rate-limit rejects instead carry the exact remainder of the
-	// sender's window. Default 500ms.
-	ShedBackoff time.Duration
-	// QueueDepth bounds the async ingest queue consumed by the worker
-	// pool. Default 4096.
-	QueueDepth int
 	// Now supplies the pipeline clock (rate windows). The
 	// simulator passes virtual time; real deployments leave it nil and
 	// get wall-clock time since construction. The function must be safe
@@ -151,14 +143,19 @@ func (c Config) withDefaults() Config {
 	if c.RateWindow <= 0 {
 		c.RateWindow = time.Second
 	}
-	if c.ShedBackoff <= 0 {
-		c.ShedBackoff = 500 * time.Millisecond
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4096
-	}
 	return c
 }
+
+const (
+	// shedBackoff is the retry-after hint attached to load-shedding
+	// rejects that have no natural deadline (pool full, per-sender cap).
+	// Rate-limit rejects instead carry the exact remainder of the
+	// sender's window.
+	shedBackoff = 500 * time.Millisecond
+	// queueDepth bounds the async ingest queue consumed by the worker
+	// pool, in batches.
+	queueDepth = 4096
+)
 
 // Flow is the transaction pipeline. All methods are safe for
 // concurrent use from any goroutine.
@@ -235,7 +232,7 @@ func (f *Flow) Start(workers int) {
 	if workers <= 0 || !f.started.CompareAndSwap(false, true) {
 		return
 	}
-	f.queue = make(chan []*ledger.Transaction, f.cfg.QueueDepth)
+	f.queue = make(chan []*ledger.Transaction, queueDepth)
 	f.done = make(chan struct{})
 	for i := 0; i < workers; i++ {
 		f.wg.Add(1)
@@ -375,7 +372,7 @@ func (f *Flow) ingest(tx *ledger.Transaction, own, sigOK bool) ingestResult {
 	if err := sh.precheck(f, tx); err != nil {
 		f.c.count(err)
 		if errors.Is(err, ErrSenderLimit) {
-			err = &Reject{Err: err, RetryAfter: f.cfg.ShedBackoff}
+			err = &Reject{Err: err, RetryAfter: shedBackoff}
 		}
 		return ingestResult{err: err}
 	}
@@ -406,7 +403,7 @@ func (f *Flow) ingest(tx *ledger.Transaction, own, sigOK bool) ingestResult {
 	if err != nil {
 		f.c.count(err)
 		if errors.Is(err, ErrPoolFull) {
-			err = &Reject{Err: err, RetryAfter: f.cfg.ShedBackoff}
+			err = &Reject{Err: err, RetryAfter: shedBackoff}
 		}
 		return ingestResult{err: err, sigChecked: sigChecked}
 	}

@@ -11,10 +11,15 @@ import (
 	"algorand/internal/vtime"
 )
 
+// floodMsg is a relayed message under a relay budget of its own.
 type floodMsg struct{ id crypto.Digest }
 
 func (m *floodMsg) WireSize() int     { return 300 }
 func (m *floodMsg) ID() crypto.Digest { return m.id }
+func (m *floodMsg) RelayLimit() int   { return 1 }
+func (m *floodMsg) LimitKey() network.LimitKey {
+	return network.LimitKey{Kind: 'f', Sender: [8]byte(m.id[:8])}
+}
 func newFloodMsg(name string, i int) *floodMsg {
 	return &floodMsg{crypto.HashBytes(name, []byte{byte(i)})}
 }

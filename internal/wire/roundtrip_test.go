@@ -195,10 +195,10 @@ func gossipMessages() []network.Message {
 	return []network.Message{
 		&node.VoteMsg{Vote: sampleVote()},
 		&node.PriorityGossip{M: samplePriority()},
-		&node.BlockAnnounce{Manifest: sampleManifest(1), Announcer: 3},
-		&node.BlockAnnounce{Manifest: sampleManifest(3), Announcer: 3, Have: blockprop.Bitmap{5}},
-		&node.BlockHave{Round: 12, Hash: crypto.HashBytes("block"), Announcer: 3, Have: blockprop.Bitmap{7}},
-		&node.BlockHave{Round: 12, Hash: crypto.HashBytes("block"), Announcer: 3},
+		&node.BlockAnnounce{Manifest: sampleManifest(1)},
+		&node.BlockAnnounce{Manifest: sampleManifest(3), Have: blockprop.Bitmap{5}},
+		&node.BlockHave{Round: 12, Hash: crypto.HashBytes("block"), Have: blockprop.Bitmap{7}},
+		&node.BlockHave{Round: 12, Hash: crypto.HashBytes("block")},
 		&node.BlockRequest{Hash: crypto.HashBytes("h")},
 		&node.PieceRequest{Hash: crypto.HashBytes("block"), Index: 2},
 		&node.BlockPiece{P: samplePiece(0)},
@@ -213,7 +213,7 @@ func gossipMessages() []network.Message {
 			Certs:  []*ledger.Certificate{sampleCert()},
 			Nonce:  98,
 		},
-		&node.CommitAnnounce{Round: 12, Hash: crypto.HashBytes("c"), Announcer: 7},
+		&node.CommitAnnounce{Round: 12, Hash: crypto.HashBytes("c")},
 		&node.SnapshotRequest{MinRound: 40, Nonce: 97},
 		&node.SnapshotReply{Checkpoint: sampleCheckpoint(), Nonce: 97},
 	}
@@ -326,8 +326,7 @@ func TestWireSizeConstants(t *testing.T) {
 // TestTxBatchBytesFrozen holds a TxBatch to a frame encoded before its
 // payments became objects of their own: the same payments come out of
 // it, the same bytes go back in, and WireSize is what it was — the
-// bandwidth model sees the message it saw. The ID is the one frozen when
-// it came to cover the payments' signatures: the hash of these bytes.
+// bandwidth model sees the message it saw.
 func TestTxBatchBytesFrozen(t *testing.T) {
 	const (
 		txA = "0102030000000000000000000000000000000000000000000000000000000000" + // From
@@ -343,7 +342,6 @@ func TestTxBatchBytesFrozen(t *testing.T) {
 			"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f" +
 			"202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f"
 		frame    = "03000000" + txA + txB + txA
-		id       = "b90c540329c9cdfd0614b621ee24c859df709bcbe8344c63739679dc751dce31"
 		wireSize = 472
 	)
 	frozen, err := hex.DecodeString(frame)
@@ -369,9 +367,6 @@ func TestTxBatchBytesFrozen(t *testing.T) {
 	for _, m := range []*node.TxBatch{&got, {Txns: want}} {
 		if enc := wire.Encode(m); !bytes.Equal(enc, frozen) {
 			t.Fatalf("re-encoded to %x, frozen frame is %x", enc, frozen)
-		}
-		if h := m.ID(); hex.EncodeToString(h[:]) != id || h != crypto.HashBytes("msg.txbatch", frozen) {
-			t.Fatalf("ID %x, frozen %s", h[:], id)
 		}
 		if m.WireSize() != wireSize {
 			t.Fatalf("WireSize %d, frozen %d", m.WireSize(), wireSize)
