@@ -111,6 +111,9 @@ type Env struct {
 	StepTimer func(step uint64, took time.Duration, timedOut bool)
 	// Metrics, when non-nil, receives per-step counter updates.
 	Metrics *Metrics
+	// Halted, when non-nil, reports that the host has crashed: Drive
+	// starts no count after it does, and returns ErrHalted.
+	Halted func() bool
 }
 
 // Outcome is the result of one BA⋆ execution.
@@ -129,6 +132,9 @@ type Outcome struct {
 // ErrNoConsensus is returned when BinaryBA⋆ exceeds MaxSteps; the node
 // must fall back to the recovery protocol (§8.2).
 var ErrNoConsensus = errors.New("agreement: no consensus within MaxSteps")
+
+// ErrHalted is returned when the host halted while BA⋆ ran.
+var ErrHalted = errors.New("agreement: host halted")
 
 // ProcessVote implements Algorithm 6: it validates an incoming vote
 // message against a context and returns the verified number of
@@ -156,15 +162,18 @@ func ProcessVote(p crypto.Provider, prm params.Params, ctx *Context, v *ledger.V
 
 // Drive executes acts — what m's Start, StartBinary or Confirm returned —
 // and every action m answers them with, until m concludes (its Outcome)
-// or is stuck (ErrNoConsensus). It is the one place BA⋆ blocks: a vote is
-// cast through sortition, signing and env.Gossip, a count reads
-// env.Inbox(round, step) until its deadline.
+// or is stuck (ErrNoConsensus), or its host has halted (ErrHalted). It is
+// the one place BA⋆ blocks: a vote is cast through sortition, signing and
+// env.Gossip, a count reads env.Inbox(round, step) until its deadline.
 func Drive(env *Env, m *Machine, acts []Action) (Outcome, error) {
 	for i := 0; i < len(acts); i++ {
 		switch a := acts[i]; a.Kind {
 		case ActVote:
 			committeeVote(env, m.ctx, a.Step, a.Tau, a.Value)
 		case ActCount:
+			if env.Halted != nil && env.Halted() {
+				return Outcome{}, ErrHalted
+			}
 			acts, i = countVotes(env, m, a.Step, a.Lambda), -1
 		case ActConclude:
 			return m.out, nil

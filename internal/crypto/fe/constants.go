@@ -42,8 +42,3 @@ func sqrtM1() *Element {
 	})
 	return &sqrtM1Once.v
 }
-
-// SqrtM1 returns sqrt(-1) mod p as an Element (a copy).
-func SqrtM1() Element {
-	return *sqrtM1()
-}

@@ -271,29 +271,6 @@ func (v *Element) Square(a *Element) *Element {
 	return v.carryPropagate()
 }
 
-// Mult32 sets v = a * x for a small scalar x and returns v.
-func (v *Element) Mult32(a *Element, x uint32) *Element {
-	x0lo, x0hi := mul51(a.l0, x)
-	x1lo, x1hi := mul51(a.l1, x)
-	x2lo, x2hi := mul51(a.l2, x)
-	x3lo, x3hi := mul51(a.l3, x)
-	x4lo, x4hi := mul51(a.l4, x)
-	v.l0 = x0lo + 19*x4hi
-	v.l1 = x1lo + x0hi
-	v.l2 = x2lo + x1hi
-	v.l3 = x3lo + x2hi
-	v.l4 = x4lo + x3hi
-	return v.carryPropagate()
-}
-
-// mul51 returns lo + hi*2^51 = a * b where a is below 2^52.
-func mul51(a uint64, b uint32) (lo, hi uint64) {
-	mh, ml := bits.Mul64(a, uint64(b))
-	lo = ml & maskLow51Bits
-	hi = (mh << 13) | (ml >> 51)
-	return
-}
-
 // pow2k sets v = a^(2^k) by squaring k times. k must be positive.
 func (v *Element) pow2k(a *Element, k int) *Element {
 	v.Square(a)

@@ -118,22 +118,6 @@ func TestArithAgainstBig(t *testing.T) {
 	}
 }
 
-func TestMult32(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	p := P()
-	for i := 0; i < 200; i++ {
-		a, ab := randElement(rng)
-		x := rng.Uint32()
-		var got Element
-		got.Mult32(a, x)
-		want := new(big.Int).Mul(ab, big.NewInt(int64(x)))
-		want.Mod(want, p)
-		if got.Big().Cmp(want) != 0 {
-			t.Fatalf("mult32 mismatch: %v * %d", ab, x)
-		}
-	}
-}
-
 func TestInvert(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	var one Element
@@ -159,9 +143,8 @@ func TestInvert(t *testing.T) {
 }
 
 func TestSqrtM1(t *testing.T) {
-	i := SqrtM1()
 	var sq, minusOne Element
-	sq.Square(&i)
+	sq.Square(sqrtM1())
 	minusOne.Negate(new(Element).One())
 	if !sq.Equal(&minusOne) {
 		t.Fatal("sqrt(-1)^2 != -1")

@@ -19,7 +19,6 @@ package vrf
 
 import (
 	"bytes"
-	"crypto/ed25519"
 	"crypto/sha512"
 	"errors"
 
@@ -258,23 +257,4 @@ func Verify(pk PublicKey, alpha, pi []byte) (beta [OutputSize]byte, err error) {
 		return beta, errors.New("vrf: proof verification failed")
 	}
 	return gammaToHash(&enc[3]), nil
-}
-
-// Ed25519PublicKeyMatches reports whether the VRF public key equals the
-// Ed25519 public key derived from the same seed; used in tests and to
-// document that one seed can serve both roles.
-func Ed25519PublicKeyMatches(seed []byte, pk PublicKey) bool {
-	if len(seed) != SeedSize {
-		return false
-	}
-	epk := ed25519.NewKeyFromSeed(seed).Public().(ed25519.PublicKey)
-	if len(pk) != len(epk) {
-		return false
-	}
-	for i := range pk {
-		if pk[i] != epk[i] {
-			return false
-		}
-	}
-	return true
 }

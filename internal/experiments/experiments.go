@@ -25,9 +25,6 @@ type Scale struct {
 	Rounds uint64
 }
 
-// DefaultScale runs in seconds per experiment.
-func DefaultScale() Scale { return Scale{Users: 1, Rounds: 3} }
-
 func (s Scale) users(base int) int {
 	n := int(float64(base) * s.Users)
 	if n < 10 {

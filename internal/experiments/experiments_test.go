@@ -27,7 +27,7 @@ func TestFigure3OperatingPoint(t *testing.T) {
 func TestFigure5LatencyFlat(t *testing.T) {
 	// 50 → 200 users; cmd/experiments -run figure5 and -run nodecost
 	// carry the curve on to 400 and beyond.
-	pts := Figure5(DefaultScale(), []int{50, 200})
+	pts := Figure5(Scale{Users: 1, Rounds: 3}, []int{50, 200})
 	var min, max time.Duration
 	for i, p := range pts {
 		if p.Latency.N == 0 {
@@ -50,7 +50,7 @@ func TestFigure5LatencyFlat(t *testing.T) {
 }
 
 func TestFigure6SharedVMSlower(t *testing.T) {
-	scale := DefaultScale()
+	scale := Scale{Users: 1, Rounds: 3}
 	users := []int{50}
 	dedicated := Figure5(scale, users)
 	shared := Figure6(scale, users, 10)

@@ -109,16 +109,11 @@ type Gateway struct {
 	// request.
 	fromAsked uint64
 	askedAt   time.Duration
-	// reqNonce numbers chain requests. Like the node's it starts at the
-	// scheduler's epoch: a gateway restarted in its predecessor's slot
-	// would otherwise repeat its predecessor's nonces, and could take a
-	// late reply to its predecessor's request for its own.
-	reqNonce uint64
-	// asked is the chain requests out, oldest first, at most maxAsked: a
-	// ChainReply is applied once, from the peer asked, echoing the nonce
-	// it was asked under (the rule node.answer follows), so no neighbour
+	// asked is the peers chain requests are out to, oldest first, at most
+	// maxAsked: a ChainReply is applied from the peer asked, once per
+	// request filed to it (the rule node.answer follows), so no neighbour
 	// can buy a certificate verification with a reply nobody asked for.
-	asked []ask
+	asked []int
 
 	halted bool
 
@@ -128,12 +123,6 @@ type Gateway struct {
 
 // maxAsked bounds the chain requests a gateway remembers having out.
 const maxAsked = 64
-
-// ask is one chain request out: its nonce and the peer asked.
-type ask struct {
-	nonce uint64
-	peer  int
-}
 
 type gwCounters struct {
 	submitted, admitted, rejected          *metrics.Counter
@@ -162,14 +151,13 @@ func New(id int, sim *vtime.Sim, net node.Transport, provider crypto.Provider, c
 		cfg.Flow.Now = sim.Now
 	}
 	g := &Gateway{
-		ID:       id,
-		cfg:      cfg,
-		sim:      sim,
-		net:      net,
-		flow:     txflow.New(provider, cfg.Flow),
-		rm:       NewReadModel(provider, cfg.LedgerCfg, cfg.Committee, genesis, seed0, sim.Now),
-		reqNonce: sim.Epoch(),
-		reg:      reg,
+		ID:   id,
+		cfg:  cfg,
+		sim:  sim,
+		net:  net,
+		flow: txflow.New(provider, cfg.Flow),
+		rm:   NewReadModel(provider, cfg.LedgerCfg, cfg.Committee, genesis, seed0, sim.Now),
+		reg:  reg,
 	}
 	g.c = gwCounters{
 		submitted:     reg.Counter("algorand_gateway_submitted_total", "transactions offered to the gateway"),
@@ -279,7 +267,7 @@ func (g *Gateway) handleMessage(from int, m network.Message) network.Verdict {
 		g.c.announces.Inc()
 		g.observeAnnounce(from, msg)
 	case *node.ChainReply:
-		if i := slices.Index(g.asked, ask{msg.Nonce, from}); i >= 0 {
+		if i := slices.Index(g.asked, from); i >= 0 {
 			g.asked = slices.Delete(g.asked, i, i+1)
 			g.applyRun(msg.Blocks, msg.Certs)
 		}
@@ -307,12 +295,11 @@ func (g *Gateway) observeAnnounce(from int, msg *node.CommitAnnounce) {
 	}
 	g.fromAsked, g.askedAt = start, now
 	g.c.chainFills.Inc()
-	g.reqNonce++
 	if len(g.asked) == maxAsked {
 		g.asked = slices.Delete(g.asked, 0, 1)
 	}
-	g.asked = append(g.asked, ask{g.reqNonce, from})
-	g.net.Unicast(g.ID, from, &node.ChainRequest{FromRound: start, MaxBlocks: 64, Nonce: g.reqNonce})
+	g.asked = append(g.asked, from)
+	g.net.Unicast(g.ID, from, &node.ChainRequest{FromRound: start, MaxBlocks: 64})
 }
 
 // applyRun advances the read model through a fetched chain run and,

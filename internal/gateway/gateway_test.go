@@ -279,7 +279,7 @@ func TestOneChainRequestPerStartingRound(t *testing.T) {
 			t.Errorf("shadow commit: %v", err)
 		}
 		h.gw.handleMessage(0, &node.ChainReply{
-			Blocks: []*ledger.Block{b1}, Certs: []*ledger.Certificate{cert1}, Nonce: h.lastRequest(t).Nonce,
+			Blocks: []*ledger.Block{b1}, Certs: []*ledger.Certificate{cert1},
 		})
 		h.gw.handleMessage(0, &node.CommitAnnounce{Round: 2})
 		if req := h.lastRequest(t); len(h.net.unicasts) != 2 || req.FromRound != 2 {
@@ -312,7 +312,7 @@ func TestAnnounceDrivesChainFetchAndCertifiedApply(t *testing.T) {
 	}
 	// The certified reply applies the block.
 	h.gw.handleMessage(0, &node.ChainReply{
-		Blocks: []*ledger.Block{b1}, Certs: []*ledger.Certificate{cert1}, Nonce: req.Nonce,
+		Blocks: []*ledger.Block{b1}, Certs: []*ledger.Certificate{cert1},
 	})
 	round, head := h.gw.rm.Head()
 	if round != 1 || head != b1.Hash() {
@@ -342,7 +342,7 @@ func TestChainRequestGoesToAnnounceSender(t *testing.T) {
 	if len(h.net.unicasts) != 1 || h.net.unicasts[0].to != 2 {
 		t.Fatalf("an announcement delivered by 2 sent %+v, want one ChainRequest to 2", h.net.unicasts)
 	}
-	reply := &node.ChainReply{Blocks: []*ledger.Block{b1}, Certs: []*ledger.Certificate{cert1}, Nonce: h.lastRequest(t).Nonce}
+	reply := &node.ChainReply{Blocks: []*ledger.Block{b1}, Certs: []*ledger.Certificate{cert1}}
 	h.gw.handleMessage(0, reply)
 	if round, _ := h.gw.rm.Head(); round != 0 {
 		t.Fatalf("a reply from a node not asked moved the head to %d", round)
@@ -407,17 +407,17 @@ func (h *testHarness) lastRequest(t *testing.T) *node.ChainRequest {
 
 // forgedReply is a reply carrying b under a certificate no committee
 // signed.
-func (h *testHarness) forgedReply(b *ledger.Block, nonce uint64) *node.ChainReply {
+func (h *testHarness) forgedReply(b *ledger.Block) *node.ChainReply {
 	forged := &ledger.Certificate{Round: b.Round, Step: 1, Value: b.Hash(),
 		Votes: []ledger.Vote{{Sender: h.ids[1].PublicKey(), Round: b.Round, Step: 1, Value: b.Hash()}}}
-	return &node.ChainReply{Blocks: []*ledger.Block{b}, Certs: []*ledger.Certificate{forged}, Nonce: nonce}
+	return &node.ChainReply{Blocks: []*ledger.Block{b}, Certs: []*ledger.Certificate{forged}}
 }
 
 func TestForgedReplyCountsCertReject(t *testing.T) {
 	h := newHarness(t, Config{}, 4)
 	b1 := h.propose(*h.tx(t, 0, 1, 0))
 	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash()})
-	h.gw.handleMessage(0, h.forgedReply(b1, h.lastRequest(t).Nonce))
+	h.gw.handleMessage(0, h.forgedReply(b1))
 	if round, _ := h.gw.rm.Head(); round != 0 {
 		t.Fatalf("forged reply moved the head to %d", round)
 	}
@@ -451,24 +451,24 @@ func TestGapTriggersChainFillAndCatchUp(t *testing.T) {
 		t.Fatalf("unexpected gap fill %#v", h.net.unicasts[0].m)
 	}
 	// The reply catches the model up, verifying every certificate.
-	h.gw.handleMessage(0, &node.ChainReply{Blocks: blocks, Certs: certs, Nonce: req.Nonce})
+	h.gw.handleMessage(0, &node.ChainReply{Blocks: blocks, Certs: certs})
 	round, head := h.gw.rm.Head()
 	if round != 3 || head != blocks[2].Hash() {
 		t.Fatalf("head = (%d, %x), want (3, %x)", round, head, blocks[2].Hash())
 	}
 }
 
-// TestRepliesAppliedOnlyWhenAsked: a gateway applies a ChainReply once,
-// from the peer it asked, echoing the nonce it asked under. Anything
-// else is dropped before a certificate is looked at, so no neighbour can
-// make it verify what it did not ask for.
+// TestRepliesAppliedOnlyWhenAsked: a gateway applies a ChainReply from
+// the peer it asked, once per request filed to it. Anything else is
+// dropped before a certificate is looked at, so no neighbour can make it
+// verify what it did not ask for.
 func TestRepliesAppliedOnlyWhenAsked(t *testing.T) {
 	h := newHarness(t, Config{}, 4)
 	b1 := h.propose()
 	cert1 := h.certify(b1, false)
 
 	// Unsolicited, forged: neither applied nor verified.
-	h.gw.handleMessage(0, h.forgedReply(b1, 1))
+	h.gw.handleMessage(0, h.forgedReply(b1))
 	if round, _ := h.gw.rm.Head(); round != 0 {
 		t.Fatalf("unsolicited reply moved the head to %d", round)
 	}
@@ -477,23 +477,19 @@ func TestRepliesAppliedOnlyWhenAsked(t *testing.T) {
 	}
 
 	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash()})
-	nonce := h.lastRequest(t).Nonce
-	genuine := func(from int, nonce uint64) {
-		h.gw.handleMessage(from, &node.ChainReply{
-			Blocks: []*ledger.Block{b1}, Certs: []*ledger.Certificate{cert1}, Nonce: nonce,
-		})
+	genuine := func(from int) {
+		h.gw.handleMessage(from, &node.ChainReply{Blocks: []*ledger.Block{b1}, Certs: []*ledger.Certificate{cert1}})
 	}
-	genuine(1, nonce)   // another peer
-	genuine(0, nonce+1) // another nonce
+	genuine(1) // another peer
 	if st := h.gw.Stats(); st.BlocksApplied != 0 || st.CertRejects != 0 {
-		t.Fatalf("stray replies: blocksApplied=%d certRejects=%d, want 0/0", st.BlocksApplied, st.CertRejects)
+		t.Fatalf("stray reply: blocksApplied=%d certRejects=%d, want 0/0", st.BlocksApplied, st.CertRejects)
 	}
-	genuine(0, nonce)
+	genuine(0)
 	if round, head := h.gw.rm.Head(); round != 1 || head != b1.Hash() {
 		t.Fatalf("the reply asked for did not apply: head (%d, %x)", round, head)
 	}
 	// Answered once: a repeat is not taken again.
-	h.gw.handleMessage(0, h.forgedReply(b1, nonce))
+	h.gw.handleMessage(0, h.forgedReply(b1))
 	if st := h.gw.Stats(); st.BlocksApplied != 1 || st.CertRejects != 0 {
 		t.Fatalf("after a repeat: blocksApplied=%d certRejects=%d, want 1/0", st.BlocksApplied, st.CertRejects)
 	}
@@ -504,23 +500,25 @@ func TestRepliesAppliedOnlyWhenAsked(t *testing.T) {
 func TestOldestRequestForgotten(t *testing.T) {
 	h := newHarness(t, Config{}, 4)
 	b1 := h.propose()
-	var nonces []uint64
 	h.sim.Spawn("announcer", func(p *vtime.Proc) {
 		for i := 0; i <= maxAsked; i++ {
-			h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash()})
-			nonces = append(nonces, h.lastRequest(t).Nonce)
+			from := 0
+			if i == 0 {
+				from = 1 // the oldest request goes to 1, every later one to 0
+			}
+			h.gw.handleMessage(from, &node.CommitAnnounce{Round: 1, Hash: b1.Hash()})
 			p.Sleep(2 * time.Second) // past the per-round refetch window
 		}
 	})
 	h.sim.Run(time.Hour)
-	if len(nonces) != maxAsked+1 || len(h.gw.asked) != maxAsked {
-		t.Fatalf("%d requests sent, %d filed; want %d and %d", len(nonces), len(h.gw.asked), maxAsked+1, maxAsked)
+	if len(h.net.unicasts) != maxAsked+1 || len(h.gw.asked) != maxAsked {
+		t.Fatalf("%d requests sent, %d filed; want %d and %d", len(h.net.unicasts), len(h.gw.asked), maxAsked+1, maxAsked)
 	}
-	h.gw.handleMessage(0, h.forgedReply(b1, nonces[0]))
+	h.gw.handleMessage(1, h.forgedReply(b1))
 	if st := h.gw.Stats(); st.CertRejects != 0 {
 		t.Fatal("a reply to a forgotten request was verified")
 	}
-	h.gw.handleMessage(0, h.forgedReply(b1, nonces[1]))
+	h.gw.handleMessage(0, h.forgedReply(b1))
 	if st := h.gw.Stats(); st.CertRejects != 1 {
 		t.Fatal("a reply to a filed request was not verified")
 	}
@@ -652,30 +650,43 @@ func TestHaltedGatewayIgnoresTraffic(t *testing.T) {
 	}
 }
 
-// TestIncarnationsNeverRepeatRequestIDs: a gateway restarted in its
-// predecessor's slot is as far behind as its predecessor was, so its
-// first chain fill asks the same peer for the same rounds. Only the nonce
-// tells the two requests apart, and so the predecessor's late reply from
-// the restarted gateway's own; numbered from the scheduler's epoch,
-// incarnations built at different clock readings never use the same one.
-func TestIncarnationsNeverRepeatRequestIDs(t *testing.T) {
+// TestPredecessorReplyProvesItself: a chain reply is applied because the
+// neighbour it comes from was asked, not because of which request it
+// answers. A gateway asks neighbour 0 for rounds 1 to 3 and halts; its
+// replacement in the same slot applies round 1 and asks 0 for the rest.
+// 0's late reply to the predecessor is taken for it: round 1 is stale and
+// skipped, 2 and 3 extend the head under their certificates, and nothing
+// fails verification.
+func TestPredecessorReplyProvesItself(t *testing.T) {
 	h := newHarness(t, Config{}, 4)
-	seen := map[uint64]bool{}
-	fill := func(gw *Gateway) {
-		gw.handleMessage(0, &node.CommitAnnounce{Round: 3})
-		req := h.net.unicasts[len(h.net.unicasts)-1].m.(*node.ChainRequest)
-		if seen[req.Nonce] {
-			t.Errorf("chain request %+v repeats an earlier incarnation's nonce", req)
+	var blocks []*ledger.Block
+	var certs []*ledger.Certificate
+	for r := 0; r < 3; r++ {
+		b := h.propose()
+		c := h.certify(b, false)
+		if err := h.l.Commit(b, c); err != nil {
+			t.Fatalf("shadow commit: %v", err)
 		}
-		seen[req.Nonce] = true
+		blocks, certs = append(blocks, b), append(certs, c)
 	}
-	fill(h.gw)
-	h.sim.Spawn("restart", func(p *vtime.Proc) {
-		p.Sleep(time.Second)
-		fill(New(100, h.sim, h.net, h.prov, Config{}, h.genesis, h.seed0))
-	})
-	h.sim.Run(time.Minute)
-	if len(seen) != 2 {
-		t.Fatalf("%d chain requests seen, want one per incarnation", len(seen))
+	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 3, Hash: blocks[2].Hash()})
+	if req := h.lastRequest(t); req.FromRound != 1 {
+		t.Fatalf("the predecessor asked from round %d, want 1", req.FromRound)
+	}
+	h.gw.Halt()
+
+	repl := New(100, h.sim, h.net, h.prov, Config{Committee: testCommittee, LedgerCfg: ledger.DefaultConfig()}, h.genesis, h.seed0)
+	repl.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: blocks[0].Hash()})
+	repl.handleMessage(0, &node.ChainReply{Blocks: blocks[:1], Certs: certs[:1]})
+	repl.handleMessage(0, &node.CommitAnnounce{Round: 3, Hash: blocks[2].Hash()})
+	if req := h.lastRequest(t); req.FromRound != 2 {
+		t.Fatalf("the replacement asked from round %d, want 2", req.FromRound)
+	}
+	repl.handleMessage(0, &node.ChainReply{Blocks: blocks, Certs: certs}) // the predecessor's
+	if round, head := repl.rm.Head(); round != 3 || head != blocks[2].Hash() {
+		t.Fatalf("replacement head (%d, %x), want (3, %x): the predecessor's reply was not taken", round, head, blocks[2].Hash())
+	}
+	if st := repl.Stats(); st.BlocksApplied != 3 || st.CertRejects != 0 {
+		t.Fatalf("blocksApplied=%d certRejects=%d, want 3/0: each round applied once, nothing rejected", st.BlocksApplied, st.CertRejects)
 	}
 }

@@ -172,9 +172,6 @@ func (l *Ledger) LastFinalHash() crypto.Digest { return l.lastFinal.hash }
 // mutate it.
 func (l *Ledger) Balances() *Balances { return l.head.balances }
 
-// TotalMoney returns the money supply W.
-func (l *Ledger) TotalMoney() uint64 { return l.head.balances.Total }
-
 // ancestorAt walks from e back to the entry at the given round.
 func ancestorAt(e *entry, round uint64) *entry {
 	for e != nil && e.block.Round > round {
@@ -522,15 +519,4 @@ func (l *Ledger) CertificateAt(round uint64) (*Certificate, bool) {
 		return nil, false
 	}
 	return e.cert, true
-}
-
-// IsFinal reports whether the block at the given hash is final, or has
-// a final successor on the head chain (transactions are confirmed when
-// they appear in a final block or a predecessor of one, §8.2).
-func (l *Ledger) IsFinal(h crypto.Digest) bool {
-	e, ok := l.entries[h]
-	if !ok {
-		return false
-	}
-	return e.block.Round <= l.lastFinal.block.Round && ancestorAt(l.lastFinal, e.block.Round) == e
 }

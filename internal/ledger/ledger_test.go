@@ -410,7 +410,7 @@ func TestFinality(t *testing.T) {
 	if err := l.Commit(b1, cert1); err != nil {
 		t.Fatal(err)
 	}
-	if l.IsFinal(b1.Hash()) {
+	if l.LastFinal().Round != 0 {
 		t.Fatal("tentative block reported final")
 	}
 
@@ -420,11 +420,11 @@ func TestFinality(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Final block and its predecessors are confirmed.
-	if !l.IsFinal(b2.Hash()) || !l.IsFinal(b1.Hash()) {
-		t.Fatal("finality not propagated to predecessors")
-	}
 	if l.LastFinal().Hash() != b2.Hash() {
 		t.Fatal("lastFinal wrong")
+	}
+	if l.LastFinal().PrevHash != b1.Hash() {
+		t.Fatal("finality not propagated to predecessors")
 	}
 }
 
@@ -534,7 +534,7 @@ func TestCatchUpValidatesChain(t *testing.T) {
 	if nl.Head().Hash() != l.Head().Hash() {
 		t.Fatal("catch-up reached different head")
 	}
-	if !nl.IsFinal(blocks[3].Hash()) {
+	if nl.LastFinalHash() != blocks[3].Hash() {
 		t.Fatal("final certificate not honored")
 	}
 

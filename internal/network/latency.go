@@ -14,35 +14,34 @@ import (
 // Intra-city latency is a small constant, per the paper ("latency
 // within the same city is modeled as negligible").
 
-// city is a named location.
+// city is a location.
 type city struct {
-	name     string
 	lat, lon float64 // degrees
 }
 
 // cities are 20 major cities spread across the continents, matching the
 // paper's methodology.
 var cities = []city{
-	{"NewYork", 40.71, -74.01},
-	{"London", 51.51, -0.13},
-	{"Tokyo", 35.68, 139.69},
-	{"Singapore", 1.35, 103.82},
-	{"Sydney", -33.87, 151.21},
-	{"Frankfurt", 50.11, 8.68},
-	{"SanFrancisco", 37.77, -122.42},
-	{"SaoPaulo", -23.55, -46.63},
-	{"Mumbai", 19.08, 72.88},
-	{"Toronto", 43.65, -79.38},
-	{"Amsterdam", 52.37, 4.90},
-	{"Seoul", 37.57, 126.98},
-	{"Dallas", 32.78, -96.80},
-	{"Paris", 48.86, 2.35},
-	{"Johannesburg", -26.20, 28.05},
-	{"HongKong", 22.32, 114.17},
-	{"Moscow", 55.76, 37.62},
-	{"Stockholm", 59.33, 18.07},
-	{"Seattle", 47.61, -122.33},
-	{"Madrid", 40.42, -3.70},
+	{40.71, -74.01},  // NewYork
+	{51.51, -0.13},   // London
+	{35.68, 139.69},  // Tokyo
+	{1.35, 103.82},   // Singapore
+	{-33.87, 151.21}, // Sydney
+	{50.11, 8.68},    // Frankfurt
+	{37.77, -122.42}, // SanFrancisco
+	{-23.55, -46.63}, // SaoPaulo
+	{19.08, 72.88},   // Mumbai
+	{43.65, -79.38},  // Toronto
+	{52.37, 4.90},    // Amsterdam
+	{37.57, 126.98},  // Seoul
+	{32.78, -96.80},  // Dallas
+	{48.86, 2.35},    // Paris
+	{-26.20, 28.05},  // Johannesburg
+	{22.32, 114.17},  // HongKong
+	{55.76, 37.62},   // Moscow
+	{59.33, 18.07},   // Stockholm
+	{47.61, -122.33}, // Seattle
+	{40.42, -3.70},   // Madrid
 }
 
 // NumCities is the number of modeled cities.
@@ -90,6 +89,3 @@ func init() {
 func CityLatency(a, b int) time.Duration {
 	return latencyTable[a%NumCities][b%NumCities]
 }
-
-// CityName returns a city's name for logs.
-func CityName(i int) string { return cities[i%NumCities].name }

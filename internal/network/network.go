@@ -514,9 +514,6 @@ func (nw *Network) applyFaults(from, to int, now time.Duration) (bool, time.Dura
 	return false, extra
 }
 
-// NumNodes returns the network size.
-func (nw *Network) NumNodes() int { return len(nw.eps) }
-
 // generation is one SeenTTL of what the endpoints have learned about
 // messages, kept once per message and not once per receiver. seen numbers
 // the message IDs and relays the §8.4 budgets, from 1, as they turn up;

@@ -31,7 +31,7 @@ func (n *Node) handleChainRequest(from int, msg *ChainRequest) network.Verdict {
 	// an adopted round. Blocks without a certificate of their own
 	// (recovery adoptions) are included only up to the last certified
 	// block — beyond that the receiver could not validate them.
-	reply := &ChainReply{Nonce: msg.Nonce}
+	reply := &ChainReply{}
 	var blocks []*ledger.Block
 	var certs []*ledger.Certificate
 	servable := 0
@@ -153,20 +153,17 @@ func (n *Node) syncFromPeersUntil(p *vtime.Proc, deadline time.Duration, target 
 	stalls := 0
 	probedFork := false
 	fromOverride := uint64(0)
-	for p.Now() < deadline && stalls < 2*len(peers) {
+	for p.Now() < deadline && stalls < 2*len(peers) && !n.halted {
 		if target > 0 && n.ledger.ChainLength() >= target {
 			break
 		}
 		peer := peers[peerIdx%len(peers)]
-		req := &ChainRequest{
-			FromRound: n.ledger.NextRound(),
-			MaxBlocks: 32,
-			Nonce:     n.expect(peer, n.chainReplies),
-		}
+		req := &ChainRequest{FromRound: n.ledger.NextRound(), MaxBlocks: 32}
 		if fromOverride > 0 {
 			req.FromRound = fromOverride
 			fromOverride = 0
 		}
+		n.expect(peer, n.chainReplies)
 		n.net.Unicast(n.ID, peer, req)
 		peerIdx++
 

@@ -404,10 +404,10 @@ func TestRequestsAnsweredToSenderOnly(t *testing.T) {
 			func() network.Message { return &BlockRequest{Hash: b1.Hash()} },
 			func(m network.Message) bool { _, ok := m.(*BlockFill); return ok }},
 		{"chain",
-			func() network.Message { return &ChainRequest{FromRound: 1, MaxBlocks: 8, Nonce: 7} },
+			func() network.Message { return &ChainRequest{FromRound: 1, MaxBlocks: 8} },
 			func(m network.Message) bool { _, ok := m.(*ChainReply); return ok }},
 		{"snapshot",
-			func() network.Message { return &SnapshotRequest{Nonce: 7} },
+			func() network.Message { return &SnapshotRequest{} },
 			func(m network.Message) bool { _, ok := m.(*SnapshotReply); return ok }},
 	}
 	for _, tc := range cases {
@@ -622,11 +622,12 @@ func TestRepliesSentTwiceTakenOnce(t *testing.T) {
 	n := r.node
 	b1 := n.Ledger().NextEmptyBlock()
 	chk := ledger.CheckpointOf(b1, &ledger.Certificate{Round: 1, Value: b1.Hash()}, n.Ledger().Balances())
-	chain, snap := n.expect(1, n.chainReplies), n.expect(2, n.snapReplies)
+	n.expect(1, n.chainReplies)
+	n.expect(2, n.snapReplies)
 	r.sim.Spawn("replier", func(p *vtime.Proc) {
 		for i := 0; i < 2; i++ {
-			r.net.Unicast(1, 0, &ChainReply{Blocks: []*ledger.Block{b1}, Nonce: chain})
-			r.net.Unicast(2, 0, &SnapshotReply{Checkpoint: chk, Nonce: snap})
+			r.net.Unicast(1, 0, &ChainReply{Blocks: []*ledger.Block{b1}})
+			r.net.Unicast(2, 0, &SnapshotReply{Checkpoint: chk})
 		}
 		p.Sleep(time.Second)
 	})
@@ -708,45 +709,50 @@ func TestBlockFillAcceptedOnlyWhenSolicited(t *testing.T) {
 }
 
 // TestRepliesTakenOnlyWhenAsked: a chain or snapshot reply is queued for
-// the loop that asked, once, from the peer asked, echoing the nonce it
-// was asked under. A flood nobody asked for, a reply from another peer
-// and a second reply to one nonce are dropped unread, and the node
-// forgets the oldest of more than maxAsked requests.
+// the loop that asked, once per request filed to the peer it came from.
+// A flood nobody asked for, a reply from another peer and a second reply
+// to one request are dropped unread, and the node forgets the oldest of
+// more than maxAsked requests.
 func TestRepliesTakenOnlyWhenAsked(t *testing.T) {
 	r := newHandlerRig(t, 5)
 	n := r.node
 	queued := func() int { return n.chainReplies.Len() + n.snapReplies.Len() }
 	for i := 0; i < 1000; i++ {
 		for _, from := range []int{1, 2} {
-			n.handleMessage(from, &ChainReply{Nonce: n.reqNonce + uint64(i)})
-			n.handleMessage(from, &SnapshotReply{Checkpoint: &ledger.Checkpoint{}, Nonce: n.reqNonce + uint64(i)})
+			n.handleMessage(from, &ChainReply{})
+			n.handleMessage(from, &SnapshotReply{Checkpoint: &ledger.Checkpoint{}})
 		}
 	}
 	if got := queued(); got != 0 {
 		t.Fatalf("%d unsolicited replies queued", got)
 	}
 
-	chain, snap := n.expect(1, n.chainReplies), n.expect(2, n.snapReplies)
-	n.handleMessage(2, &ChainReply{Nonce: chain})
-	n.handleMessage(1, &SnapshotReply{Checkpoint: &ledger.Checkpoint{}, Nonce: snap})
+	n.expect(1, n.chainReplies)
+	n.expect(2, n.snapReplies)
+	n.handleMessage(2, &ChainReply{})
+	n.handleMessage(1, &SnapshotReply{Checkpoint: &ledger.Checkpoint{}})
 	if got := queued(); got != 0 {
 		t.Fatalf("%d replies from a peer not asked queued", got)
 	}
 	for i := 0; i < 2; i++ {
-		n.handleMessage(1, &ChainReply{Nonce: chain})
-		n.handleMessage(2, &SnapshotReply{Checkpoint: &ledger.Checkpoint{}, Nonce: snap})
+		n.handleMessage(1, &ChainReply{})
+		n.handleMessage(2, &SnapshotReply{Checkpoint: &ledger.Checkpoint{}})
 	}
 	if n.chainReplies.Len() != 1 || n.snapReplies.Len() != 1 {
 		t.Fatalf("answers queued: %d chain, %d snapshot; want one each", n.chainReplies.Len(), n.snapReplies.Len())
 	}
 
-	first := n.expect(1, n.chainReplies)
+	n.expect(2, n.snapReplies) // the oldest, forgotten when maxAsked more are filed
 	for i := 0; i < maxAsked; i++ {
 		n.expect(1, n.chainReplies)
 	}
-	n.handleMessage(1, &ChainReply{Nonce: first})
-	if len(n.asked) != maxAsked || n.chainReplies.Len() != 1 {
-		t.Fatalf("%d requests filed, %d chain replies queued; want %d and 1", len(n.asked), n.chainReplies.Len(), maxAsked)
+	n.handleMessage(2, &SnapshotReply{Checkpoint: &ledger.Checkpoint{}})
+	for i := 0; i <= maxAsked; i++ {
+		n.handleMessage(1, &ChainReply{})
+	}
+	if len(n.asked) != 0 || n.snapReplies.Len() != 1 || n.chainReplies.Len() != 1+maxAsked {
+		t.Fatalf("%d requests left filed, %d snapshot and %d chain replies queued; want 0, 1 and %d",
+			len(n.asked), n.snapReplies.Len(), n.chainReplies.Len(), 1+maxAsked)
 	}
 }
 

@@ -266,12 +266,12 @@ func (m *BlockFill) DecodeFrom(d *wire.Decoder) {
 
 // ChainRequest asks a peer for committed blocks and certificates
 // starting at a round (the §8.3 catch-up protocol). The reply goes to the
-// transport's sender and echoes Nonce, which is how the requester tells
-// its answer from any other (see Node.answer).
+// transport's sender, which takes it because it asked that peer (see
+// Node.answer).
 type ChainRequest struct {
 	FromRound uint64
 	MaxBlocks int
-	Nonce     uint64
+	Nonce     uint64 // unused: written as zero, never read
 }
 
 // WireSize implements network.Message.
@@ -296,7 +296,7 @@ func (m *ChainRequest) DecodeFrom(d *wire.Decoder) {
 type ChainReply struct {
 	Blocks []*ledger.Block
 	Certs  []*ledger.Certificate
-	Nonce  uint64
+	Nonce  uint64 // unused: written as zero, never read
 }
 
 // WireSize implements network.Message.
@@ -381,12 +381,12 @@ func (m *CommitAnnounce) DecodeFrom(d *wire.Decoder) {
 // fast-sync handshake): a restarting or joining node fetches a
 // verified snapshot and replays only the delta past it, instead of
 // the whole chain from genesis. Like a ChainRequest it is answered to
-// the transport's sender, echoing Nonce.
+// the transport's sender.
 type SnapshotRequest struct {
 	// MinRound filters checkpoints the requester already has: peers
 	// whose newest checkpoint is at or below it stay silent.
 	MinRound uint64
-	Nonce    uint64
+	Nonce    uint64 // unused: written as zero, never read
 }
 
 // WireSize implements network.Message.
@@ -410,7 +410,7 @@ func (m *SnapshotRequest) DecodeFrom(d *wire.Decoder) {
 // any of it, exactly as it would a chain served by a peer.
 type SnapshotReply struct {
 	Checkpoint *ledger.Checkpoint
-	Nonce      uint64
+	Nonce      uint64 // unused: written as zero, never read
 }
 
 // WireSize implements network.Message.

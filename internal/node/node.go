@@ -166,11 +166,6 @@ type Node struct {
 	// scheduled for the requests in flight.
 	fetch      *blockprop.Fetcher
 	fetchTimer bool
-	// reqNonce numbers this node's chain and snapshot requests. It starts
-	// at the scheduler's epoch, not at zero: a replacement for a crashed
-	// node would otherwise repeat its predecessor's nonces, and could take
-	// a late reply to its predecessor's request for its own.
-	reqNonce uint64
 	// asked is the chain and snapshot requests this node has out, oldest
 	// first (see expect and answer). chainReplies receives the answers to
 	// §8.3 catch-up (catchup.go), snapReplies those to fast sync
@@ -297,7 +292,6 @@ func NewFromGenesis(
 		pendingMsgs:  make(map[uint64][]pending),
 		pendingSize:  make(map[uint64]int),
 		fetch:        blockprop.NewFetcher(id, blockprop.NewFetchMetrics(cfg.Metrics)),
-		reqNonce:     sim.Epoch(),
 		blockFills:   sim.NewMailbox(),
 		chainReplies: sim.NewMailbox(),
 		snapReplies:  sim.NewMailbox(),
@@ -395,11 +389,12 @@ func (n *Node) SubmitTx(tx *ledger.Transaction) error {
 }
 
 // Halt simulates a crash: the node stops handling incoming messages,
-// emitting votes, proposing, and serving its archive. Its process winds
-// down silently at the next round boundary (an in-flight round can no
-// longer complete without the node's own votes). Its ledger keeps its
-// state, and so does its archive on disk: a replacement node for the
-// same slot replays one or the other (ledger.CertifiedChain, Rejoin).
+// emitting votes, proposing, and serving its archive. Its process ends
+// once the wait it is in runs out: BA⋆ starts no further count, and the
+// node neither syncs nor sleeps to a recovery checkpoint. Its ledger
+// keeps its state, and so does its archive on disk: a replacement node
+// for the same slot replays one or the other (ledger.CertifiedChain,
+// Rejoin).
 func (n *Node) Halt() { n.halted = true }
 
 // Halted reports whether the node has been crashed via Halt.
@@ -518,7 +513,7 @@ func (n *Node) handleMessage(from int, m network.Message) network.Verdict {
 		return n.handleChainRequest(from, msg)
 
 	case *ChainReply:
-		return n.answer(from, msg.Nonce, msg)
+		return n.answer(from, n.chainReplies, msg)
 
 	case *BlockFill:
 		// The answer to fetchBlock's request, and only that: a fill nobody
@@ -540,7 +535,7 @@ func (n *Node) handleMessage(from int, m network.Message) network.Verdict {
 		return n.handleSnapshotRequest(from, msg)
 
 	case *SnapshotReply:
-		return n.answer(from, msg.Nonce, msg)
+		return n.answer(from, n.snapReplies, msg)
 	}
 	return network.Verdict{}
 }
@@ -548,38 +543,32 @@ func (n *Node) handleMessage(from int, m network.Message) network.Verdict {
 // maxAsked bounds the requests a node remembers having out.
 const maxAsked = 64
 
-// request is a chain or snapshot request this node has out: the nonce it
-// carries, the peer asked, and the mailbox its answer goes to.
+// request is a chain or snapshot request this node has out: the peer
+// asked, and the mailbox its answer goes to.
 type request struct {
-	nonce uint64
-	peer  int
-	box   *vtime.Mailbox
+	peer int
+	box  *vtime.Mailbox
 }
 
-// expect numbers a request to peer whose answer goes to box, and files
-// it; the oldest filed request is forgotten once maxAsked are out. A
-// late answer, to a request its loop has stopped waiting for, still
-// counts until then.
-func (n *Node) expect(peer int, box *vtime.Mailbox) uint64 {
-	n.reqNonce++
+// expect files a request to peer whose answer goes to box; the oldest
+// filed request is forgotten once maxAsked are out. A late answer, to a
+// request its loop has stopped waiting for, still counts until then.
+func (n *Node) expect(peer int, box *vtime.Mailbox) {
 	if len(n.asked) == maxAsked {
 		n.asked = slices.Delete(n.asked, 0, 1)
 	}
-	n.asked = append(n.asked, request{nonce: n.reqNonce, peer: peer, box: box})
-	return n.reqNonce
+	n.asked = append(n.asked, request{peer: peer, box: box})
 }
 
-// answer hands a reply to the loop that asked for it: once, from the
-// peer asked, echoing the nonce it was asked under. Anything else is
-// dropped unread, so no peer can make this node queue what it did not
-// ask for.
-func (n *Node) answer(from int, nonce uint64, m network.Message) network.Verdict {
-	for i, r := range n.asked {
-		if r.nonce == nonce && r.peer == from {
-			n.asked = slices.Delete(n.asked, i, i+1)
-			r.box.Send(m)
-			break
-		}
+// answer hands a reply for box to the loop that asked for it: once per
+// request filed to the peer it came from, taking the oldest. Anything
+// else is dropped unread, so no peer can make this node queue what it
+// did not ask for. Which request a reply answers is not asked: a chain
+// or a checkpoint proves itself (§8.3), whoever it was meant for.
+func (n *Node) answer(from int, box *vtime.Mailbox, m network.Message) network.Verdict {
+	if i := slices.Index(n.asked, request{peer: from, box: box}); i >= 0 {
+		n.asked = slices.Delete(n.asked, i, i+1)
+		box.Send(m)
 	}
 	return network.Verdict{Relay: false}
 }
@@ -932,6 +921,7 @@ func (n *Node) env(round uint64) *agreement.Env {
 		Gossip:   n.gossipVote,
 		Inbox:    n.voteInbox,
 		Metrics:  n.ba,
+		Halted:   n.Halted,
 		StepTimer: func(step uint64, took time.Duration, _ bool) {
 			end := n.proc.Now()
 			n.tracer.Record(round, trace.PhaseBAStep, step, end-took, end)
@@ -1035,6 +1025,9 @@ func (n *Node) run() {
 		lastRecoveryCheck = n.proc.Now()
 
 		if err := n.runRound(); err != nil {
+			if n.halted {
+				return
+			}
 			// The round may have failed because we fell behind the network
 			// (an outage on our links) rather than because consensus
 			// stalled globally: try §8.3 catch-up from peers first. A node
@@ -1117,7 +1110,10 @@ func (n *Node) runRound() error {
 		return err
 	}
 	stat.BinaryDone = n.proc.Now()
-	out, _ = agreement.Drive(env, m, m.Confirm()) // the final step always concludes
+	// The final step concludes unless the node halts.
+	if out, err = agreement.Drive(env, m, m.Confirm()); err != nil {
+		return err
+	}
 	stat.BinarySteps, stat.Final = out.BinarySteps, out.Final
 	n.tracer.Record(round, trace.PhaseCertify, 0, stat.BinaryDone, n.proc.Now())
 

@@ -43,7 +43,7 @@ func (n *Node) recover() {
 	// with exactly one round budget left before the next checkpoint.
 	defer func() {
 		n.alienVotes = 0
-		if d := windowEnd - n.proc.Now(); d > 0 {
+		if d := windowEnd - n.proc.Now(); d > 0 && !n.halted {
 			n.proc.Sleep(d)
 		}
 	}()
@@ -53,7 +53,7 @@ func (n *Node) recover() {
 		// before the bound overruns it, pushes the retry round across the
 		// next checkpoint, and takes this node off the grid for a whole
 		// extra window.
-		if attempt > 0 && n.proc.Now()+n.roundBudget() > windowEnd {
+		if n.halted || attempt > 0 && n.proc.Now()+n.roundBudget() > windowEnd {
 			break
 		}
 		if n.recoverOnce(checkpoint, uint64(attempt)) {

@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"algorand/internal/ledger"
+	"algorand/internal/network"
+	"algorand/internal/node"
 	"algorand/internal/sim"
 )
 
@@ -201,5 +203,96 @@ func TestHaltSilencesNode(t *testing.T) {
 	c.Nodes[victim].SubmitTx(tx)
 	if c.Net.NodeStats(victim).BytesSent != pre {
 		t.Fatal("halted node gossiped a submitted transaction")
+	}
+}
+
+// TestPredecessorReplyProvesItself: a chain reply is taken because the
+// peer it comes from was asked, not because of which request it answers.
+// A predecessor holding round 1 asks peer P for the chain from round 2
+// and halts; its replacement, restored to round 3, files its own request
+// to P. P's late reply to the predecessor reaches the replacement, which
+// takes it: rounds 2 and 3 are stale and skipped, 4 to 6 extend its head
+// and are applied under their certificates. P never answers the
+// replacement's own request, and every other peer is silent, so that
+// reply is the only way to the network's head.
+func TestPredecessorReplyProvesItself(t *testing.T) {
+	const slot, rounds = 0, 6
+	cfg := sim.DefaultConfig(12, rounds)
+	fastParams(&cfg)
+	c := sim.NewCluster(cfg)
+	c.Run()
+	if err := c.AgreementCheck(); err != nil {
+		t.Fatal(err)
+	}
+	ref := c.Nodes[1].Ledger()
+	upTo := func(k uint64) *ledger.Store {
+		s := ledger.NewStore()
+		for r := uint64(1); r <= k; r++ {
+			b, _ := ref.BlockAt(r)
+			cert, _ := ref.CertificateAt(r)
+			s.Put(b, cert)
+		}
+		return s
+	}
+	fresh := func(held uint64) *node.Node {
+		n := node.New(slot, c.Sim, c.Net, c.Provider, c.Identity(slot),
+			node.Config{Params: cfg.Params, LedgerCfg: cfg.LedgerCfg}, c.Genesis, c.Seed0)
+		if _, err := n.RestoreFromArchive(upTo(held)); err != nil {
+			t.Fatal(err)
+		}
+		n.StopAfterRound = rounds
+		return n
+	}
+
+	peers := c.Net.Neighbors(slot)
+	p := peers[0] // the first peer a sync asks
+	var late *node.ChainRequest
+	answered := false
+	for _, peer := range peers {
+		c.Net.SetHandler(peer, network.HandlerFunc(func(from int, m network.Message) network.Verdict {
+			req, ok := m.(*node.ChainRequest)
+			if !ok || peer != p || from != slot {
+				return network.Verdict{}
+			}
+			switch {
+			case req.FromRound == 2 && late == nil:
+				late = req // the predecessor's: held back
+			case req.FromRound == 4 && late != nil && !answered:
+				// The replacement has asked: the predecessor's reply lands now.
+				answered = true
+				reply := &node.ChainReply{}
+				for r := late.FromRound; r <= rounds; r++ {
+					b, _ := ref.BlockAt(r)
+					cert, _ := ref.CertificateAt(r)
+					reply.Blocks, reply.Certs = append(reply.Blocks, b), append(reply.Certs, cert)
+				}
+				c.Net.Unicast(p, slot, reply)
+			}
+			return network.Verdict{}
+		}))
+	}
+
+	pred := fresh(1)
+	if _, err := pred.Rejoin(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	var repl *node.Node
+	c.Sim.After(time.Second, func() {
+		pred.Halt()
+		repl = fresh(3)
+		if _, err := repl.Rejoin(time.Minute); err != nil {
+			t.Error(err)
+		}
+	})
+	c.Sim.Run(c.Sim.Now() + 5*time.Minute)
+
+	if late == nil || !answered {
+		t.Fatalf("the predecessor's request was not held back and answered late (held %v, answered %v)", late != nil, answered)
+	}
+	if got := repl.Ledger().ChainLength(); got != rounds || repl.Ledger().HeadHash() != ref.HeadHash() {
+		t.Fatalf("replacement at round %d, want the network's head at %d: the predecessor's reply was not taken", got, rounds)
+	}
+	if pred.Ledger().ChainLength() != 1 {
+		t.Fatalf("the halted predecessor moved to round %d", pred.Ledger().ChainLength())
 	}
 }

@@ -65,7 +65,7 @@ func (n *Node) Checkpoint() (*ledger.Checkpoint, bool) {
 // requester already has.
 func (n *Node) handleSnapshotRequest(from int, msg *SnapshotRequest) network.Verdict {
 	if n.checkpoint != nil && n.checkpoint.Round() > msg.MinRound {
-		n.net.Unicast(n.ID, from, &SnapshotReply{Checkpoint: n.checkpoint, Nonce: msg.Nonce})
+		n.net.Unicast(n.ID, from, &SnapshotReply{Checkpoint: n.checkpoint})
 	}
 	return network.Verdict{Relay: false}
 }
@@ -135,10 +135,8 @@ func (n *Node) trySnapshotSync(p *vtime.Proc) bool {
 		if n.halted {
 			return false
 		}
-		n.net.Unicast(n.ID, peer, &SnapshotRequest{
-			MinRound: n.ledger.ChainLength(),
-			Nonce:    n.expect(peer, n.snapReplies),
-		})
+		n.expect(peer, n.snapReplies)
+		n.net.Unicast(n.ID, peer, &SnapshotRequest{MinRound: n.ledger.ChainLength()})
 		m, ok := p.RecvTimeout(n.snapReplies, 2*time.Second)
 		if !ok {
 			continue // peer has no newer checkpoint, or is gone

@@ -5,7 +5,7 @@ package params
 import "time"
 
 // Params collects every tunable of the protocol. The zero value is not
-// usable; start from Default or Scaled.
+// usable; start from Default.
 type Params struct {
 	// TauProposer: expected number of block proposers (§B.1).
 	TauProposer uint64
@@ -65,35 +65,6 @@ func Default() Params {
 		LambdaStepVar:  5 * time.Second,
 		BlockSize:      1 << 20, // 1 MByte
 	}
-}
-
-// Scaled returns parameters with committee sizes scaled down by the
-// given factor while preserving the threshold fractions. Experiments on
-// hundreds-to-thousands of simulated users use this so that committees
-// remain a minority of users, mirroring the paper's ratios
-// (50,000 users : τ_step 2,000 = 4%). The thresholds' safety margins
-// shrink with the committee (variance grows relatively), so scaled runs
-// trade some of the paper's 5·10⁻⁹ violation bound for tractability;
-// EXPERIMENTS.md quantifies this with internal/committee.
-func Scaled(factor float64) Params {
-	p := Default()
-	if factor <= 0 {
-		factor = 1
-	}
-	scale := func(x uint64) uint64 {
-		v := uint64(float64(x) / factor)
-		if v < 1 {
-			v = 1
-		}
-		return v
-	}
-	p.TauProposer = scale(p.TauProposer)
-	if p.TauProposer < 3 {
-		p.TauProposer = 3 // keep multiple proposers likely
-	}
-	p.TauStep = scale(p.TauStep)
-	p.TauFinal = scale(p.TauFinal)
-	return p
 }
 
 // StepThreshold returns the number of votes needed in an ordinary step:

@@ -38,28 +38,3 @@ func TestThresholds(t *testing.T) {
 		t.Errorf("final threshold = %d, want 7400", got)
 	}
 }
-
-func TestScaled(t *testing.T) {
-	p := Scaled(100)
-	if p.TauStep != 20 {
-		t.Errorf("scaled tau_step = %d", p.TauStep)
-	}
-	if p.TauFinal != 100 {
-		t.Errorf("scaled tau_final = %d", p.TauFinal)
-	}
-	if p.TStep != 0.685 || p.TFinal != 0.74 {
-		t.Error("thresholds must be preserved under scaling")
-	}
-	if p.TauProposer < 3 {
-		t.Error("proposer count floor violated")
-	}
-	// Degenerate factors fall back safely.
-	q := Scaled(0)
-	if q.TauStep != Default().TauStep {
-		t.Error("factor 0 should mean unscaled")
-	}
-	r := Scaled(1e12)
-	if r.TauStep < 1 || r.TauFinal < 1 {
-		t.Error("scaling must keep committees nonempty")
-	}
-}

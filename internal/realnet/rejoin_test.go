@@ -70,11 +70,11 @@ func TestRealTCPColdJoinViaPeerSnapshot(t *testing.T) {
 	t.Logf("cold join: re-based onto round %d, %d rounds replayed as delta", base, l.ChainLength()-base)
 }
 
-// TestRealTCPDoubleRejoinDoesNotStall pins request-nonce uniqueness
-// across incarnations: a node that comes up twice at the same height
-// within the peers' SeenTTL must not repeat its first ChainRequest
-// byte for byte, or the peer's duplicate suppression drops it and the
-// sync sits out a reply timeout before asking the next peer.
+// TestRealTCPDoubleRejoinDoesNotStall: a node that comes up twice at the
+// same height within the peers' SeenTTL sends its first ChainRequest
+// byte for byte as its predecessor did. The peers remember no request,
+// so both are answered: none is dropped as a duplicate, and the second
+// incarnation does not sit out a reply timeout before its first reply.
 func TestRealTCPDoubleRejoinDoesNotStall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock TCP test")

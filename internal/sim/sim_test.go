@@ -297,7 +297,7 @@ func TestWorkloadTransactionsGetCommitted(t *testing.T) {
 		t.Fatalf("only %d workload transactions committed", got)
 	}
 	// Conservation: total money is unchanged.
-	if c.Nodes[0].Ledger().TotalMoney() != uint64(cfg.N)*cfg.WeightEach {
+	if c.Nodes[0].Ledger().Balances().Total != uint64(cfg.N)*cfg.WeightEach {
 		t.Fatal("money supply changed")
 	}
 }

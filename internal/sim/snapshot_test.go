@@ -136,7 +136,7 @@ func TestSnapshotPoisoningFallback(t *testing.T) {
 		i := i
 		orig := c.Nodes[i]
 		c.Net.SetHandler(i, network.HandlerFunc(func(from int, m network.Message) network.Verdict {
-			if req, ok := m.(*node.SnapshotRequest); ok {
+			if _, ok := m.(*node.SnapshotRequest); ok {
 				if chk, okC := orig.Checkpoint(); okC {
 					evil := &ledger.Checkpoint{
 						Block:    chk.Block,
@@ -145,7 +145,7 @@ func TestSnapshotPoisoningFallback(t *testing.T) {
 					}
 					evil.Accounts[0].Money += 1 << 40
 					poisoned++
-					c.Net.Unicast(i, from, &node.SnapshotReply{Checkpoint: evil, Nonce: req.Nonce})
+					c.Net.Unicast(i, from, &node.SnapshotReply{Checkpoint: evil})
 					return network.Verdict{}
 				}
 			}
