@@ -271,24 +271,21 @@ func (m *BlockFill) DecodeFrom(d *wire.Decoder) {
 type ChainRequest struct {
 	FromRound uint64
 	MaxBlocks int
-	Nonce     uint64 // unused: written as zero, never read
 }
 
 // WireSize implements network.Message.
-func (m *ChainRequest) WireSize() int { return 8 + 4 + 8 }
+func (m *ChainRequest) WireSize() int { return 8 + 4 }
 
 // EncodeTo implements wire.Marshaler.
 func (m *ChainRequest) EncodeTo(e *wire.Encoder) {
 	e.Uint64(m.FromRound)
 	e.Int(m.MaxBlocks)
-	e.Uint64(m.Nonce)
 }
 
 // DecodeFrom implements wire.Unmarshaler.
 func (m *ChainRequest) DecodeFrom(d *wire.Decoder) {
 	m.FromRound = d.Uint64()
 	m.MaxBlocks = d.Int()
-	m.Nonce = d.Uint64()
 }
 
 // ChainReply returns a contiguous run of blocks with their §8.3
@@ -296,12 +293,11 @@ func (m *ChainRequest) DecodeFrom(d *wire.Decoder) {
 type ChainReply struct {
 	Blocks []*ledger.Block
 	Certs  []*ledger.Certificate
-	Nonce  uint64 // unused: written as zero, never read
 }
 
 // WireSize implements network.Message.
 func (m *ChainReply) WireSize() int {
-	total := 4 + 4 + 8 // two counts, nonce
+	total := 4 + 4 // two counts
 	for _, b := range m.Blocks {
 		total += b.WireSize()
 	}
@@ -321,7 +317,6 @@ func (m *ChainReply) EncodeTo(e *wire.Encoder) {
 	for _, c := range m.Certs {
 		c.EncodeTo(e)
 	}
-	e.Uint64(m.Nonce)
 }
 
 // DecodeFrom implements wire.Unmarshaler.
@@ -346,7 +341,6 @@ func (m *ChainReply) DecodeFrom(d *wire.Decoder) {
 		}
 		m.Certs = append(m.Certs, c)
 	}
-	m.Nonce = d.Uint64()
 }
 
 // CommitAnnounce tells neighbors "round Round committed with this
@@ -386,22 +380,19 @@ type SnapshotRequest struct {
 	// MinRound filters checkpoints the requester already has: peers
 	// whose newest checkpoint is at or below it stay silent.
 	MinRound uint64
-	Nonce    uint64 // unused: written as zero, never read
 }
 
 // WireSize implements network.Message.
-func (m *SnapshotRequest) WireSize() int { return 8 + 8 }
+func (m *SnapshotRequest) WireSize() int { return 8 }
 
 // EncodeTo implements wire.Marshaler.
 func (m *SnapshotRequest) EncodeTo(e *wire.Encoder) {
 	e.Uint64(m.MinRound)
-	e.Uint64(m.Nonce)
 }
 
 // DecodeFrom implements wire.Unmarshaler.
 func (m *SnapshotRequest) DecodeFrom(d *wire.Decoder) {
 	m.MinRound = d.Uint64()
-	m.Nonce = d.Uint64()
 }
 
 // SnapshotReply carries one full checkpoint. The receiver trusts
@@ -410,23 +401,20 @@ func (m *SnapshotRequest) DecodeFrom(d *wire.Decoder) {
 // any of it, exactly as it would a chain served by a peer.
 type SnapshotReply struct {
 	Checkpoint *ledger.Checkpoint
-	Nonce      uint64 // unused: written as zero, never read
 }
 
 // WireSize implements network.Message.
-func (m *SnapshotReply) WireSize() int { return m.Checkpoint.WireSize() + 8 }
+func (m *SnapshotReply) WireSize() int { return m.Checkpoint.WireSize() }
 
 // EncodeTo implements wire.Marshaler.
 func (m *SnapshotReply) EncodeTo(e *wire.Encoder) {
 	m.Checkpoint.EncodeTo(e)
-	e.Uint64(m.Nonce)
 }
 
 // DecodeFrom implements wire.Unmarshaler.
 func (m *SnapshotReply) DecodeFrom(d *wire.Decoder) {
 	m.Checkpoint = new(ledger.Checkpoint)
 	m.Checkpoint.DecodeFrom(d)
-	m.Nonce = d.Uint64()
 }
 
 // encodedID hashes m's canonical encoding under domain: the ID of a

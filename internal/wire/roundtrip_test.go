@@ -207,15 +207,14 @@ func gossipMessages() []network.Message {
 		&node.TxBatch{Txns: sampleTxs(3)},
 		&node.TxBatch{},
 		&node.BlockFill{Block: sampleBlock()},
-		&node.ChainRequest{FromRound: 10, MaxBlocks: 32, Nonce: 98},
+		&node.ChainRequest{FromRound: 10, MaxBlocks: 32},
 		&node.ChainReply{
 			Blocks: []*ledger.Block{sampleBlock()},
 			Certs:  []*ledger.Certificate{sampleCert()},
-			Nonce:  98,
 		},
 		&node.CommitAnnounce{Round: 12, Hash: crypto.HashBytes("c")},
-		&node.SnapshotRequest{MinRound: 40, Nonce: 97},
-		&node.SnapshotReply{Checkpoint: sampleCheckpoint(), Nonce: 97},
+		&node.SnapshotRequest{MinRound: 40},
+		&node.SnapshotReply{Checkpoint: sampleCheckpoint()},
 	}
 }
 
