@@ -31,7 +31,6 @@ func (n *Node) handleChainRequest(from int, msg *ChainRequest) network.Verdict {
 	// an adopted round. Blocks without a certificate of their own
 	// (recovery adoptions) are included only up to the last certified
 	// block — beyond that the receiver could not validate them.
-	reply := &ChainReply{}
 	var blocks []*ledger.Block
 	var certs []*ledger.Certificate
 	servable := 0
@@ -46,10 +45,8 @@ func (n *Node) handleChainRequest(from int, msg *ChainRequest) network.Verdict {
 			servable = len(blocks)
 		}
 	}
-	reply.Blocks = blocks[:servable]
-	reply.Certs = certs
-	if len(reply.Blocks) > 0 {
-		n.net.Unicast(n.ID, from, reply)
+	if servable > 0 {
+		n.net.Unicast(n.ID, from, &ChainReply{Blocks: blocks[:servable], Certs: certs})
 	}
 	return network.Verdict{Relay: false}
 }
