@@ -30,7 +30,6 @@
 package gateway
 
 import (
-	"slices"
 	"strconv"
 	"time"
 
@@ -109,20 +108,15 @@ type Gateway struct {
 	// request.
 	fromAsked uint64
 	askedAt   time.Duration
-	// asked is the peers chain requests are out to, oldest first, at most
-	// maxAsked: a ChainReply is applied from the peer asked, once per
-	// request filed to it (the rule node.answer follows), so no neighbour
-	// can buy a certificate verification with a reply nobody asked for.
-	asked []int
+	// asked files the chain requests out, so no neighbour can buy a
+	// certificate verification with a ChainReply nobody asked for.
+	asked node.Requests
 
 	halted bool
 
 	reg *metrics.Registry
 	c   gwCounters
 }
-
-// maxAsked bounds the chain requests a gateway remembers having out.
-const maxAsked = 64
 
 type gwCounters struct {
 	submitted, admitted, rejected          *metrics.Counter
@@ -267,8 +261,7 @@ func (g *Gateway) handleMessage(from int, m network.Message) network.Verdict {
 		g.c.announces.Inc()
 		g.observeAnnounce(from, msg)
 	case *node.ChainReply:
-		if i := slices.Index(g.asked, from); i >= 0 {
-			g.asked = slices.Delete(g.asked, i, i+1)
+		if g.asked.Take(from, node.TagChainReply) {
 			g.applyRun(msg.Blocks, msg.Certs)
 		}
 	}
@@ -295,10 +288,7 @@ func (g *Gateway) observeAnnounce(from int, msg *node.CommitAnnounce) {
 	}
 	g.fromAsked, g.askedAt = start, now
 	g.c.chainFills.Inc()
-	if len(g.asked) == maxAsked {
-		g.asked = slices.Delete(g.asked, 0, 1)
-	}
-	g.asked = append(g.asked, from)
+	g.asked.File(from, node.TagChainReply)
 	g.net.Unicast(g.ID, from, &node.ChainRequest{FromRound: start, MaxBlocks: 64})
 }
 

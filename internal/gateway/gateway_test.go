@@ -458,8 +458,9 @@ func TestGapTriggersChainFillAndCatchUp(t *testing.T) {
 	}
 }
 
-// TestRepliesAppliedOnlyWhenAsked: a gateway applies a ChainReply from
-// the peer it asked, once per request filed to it. Anything else is
+// TestRepliesAppliedOnlyWhenAsked: a gateway's chain replies go through
+// its node.Requests table, so it applies a ChainReply from the peer it
+// asked, once per request filed to it. Anything else is
 // dropped before a certificate is looked at, so no neighbour can make it
 // verify what it did not ask for.
 func TestRepliesAppliedOnlyWhenAsked(t *testing.T) {
@@ -492,35 +493,6 @@ func TestRepliesAppliedOnlyWhenAsked(t *testing.T) {
 	h.gw.handleMessage(0, h.forgedReply(b1))
 	if st := h.gw.Stats(); st.BlocksApplied != 1 || st.CertRejects != 0 {
 		t.Fatalf("after a repeat: blocksApplied=%d certRejects=%d, want 1/0", st.BlocksApplied, st.CertRejects)
-	}
-}
-
-// TestOldestRequestForgotten: the gateway files at most maxAsked chain
-// requests; the oldest goes first.
-func TestOldestRequestForgotten(t *testing.T) {
-	h := newHarness(t, Config{}, 4)
-	b1 := h.propose()
-	h.sim.Spawn("announcer", func(p *vtime.Proc) {
-		for i := 0; i <= maxAsked; i++ {
-			from := 0
-			if i == 0 {
-				from = 1 // the oldest request goes to 1, every later one to 0
-			}
-			h.gw.handleMessage(from, &node.CommitAnnounce{Round: 1, Hash: b1.Hash()})
-			p.Sleep(2 * time.Second) // past the per-round refetch window
-		}
-	})
-	h.sim.Run(time.Hour)
-	if len(h.net.unicasts) != maxAsked+1 || len(h.gw.asked) != maxAsked {
-		t.Fatalf("%d requests sent, %d filed; want %d and %d", len(h.net.unicasts), len(h.gw.asked), maxAsked+1, maxAsked)
-	}
-	h.gw.handleMessage(1, h.forgedReply(b1))
-	if st := h.gw.Stats(); st.CertRejects != 0 {
-		t.Fatal("a reply to a forgotten request was verified")
-	}
-	h.gw.handleMessage(0, h.forgedReply(b1))
-	if st := h.gw.Stats(); st.CertRejects != 1 {
-		t.Fatal("a reply to a filed request was not verified")
 	}
 }
 

@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"algorand/internal/agreement"
@@ -17,6 +18,46 @@ import (
 // fresh node can synchronize its ledger from the network, validating
 // every block against its certificate as it goes — the same trustless
 // validation ledger.CatchUp performs offline.
+
+// maxAsked bounds the requests a Requests table remembers.
+const maxAsked = 64
+
+// replyWait is how long a catch-up loop waits for a chain or snapshot
+// reply before it asks the next peer.
+const replyWait = 2 * time.Second
+
+// Requests is the one rule for taking a ChainReply or SnapshotReply, a
+// node's and a gateway's: once per request filed to the peer it came
+// from. Anything else is dropped unread, so no peer can make its receiver
+// queue or verify what it did not ask for. The zero value is empty.
+type Requests struct{ out []filed } // oldest first, at most maxAsked
+
+// filed is one request out: the peer asked and the tag of its reply.
+type filed struct {
+	peer int
+	tag  byte
+}
+
+// File records a request to peer answered by a reply tagged tag. The
+// oldest is forgotten once maxAsked are out; a late reply, to a request
+// its loop has stopped waiting for, counts until then.
+func (r *Requests) File(peer int, tag byte) {
+	if len(r.out) == maxAsked {
+		r.out = slices.Delete(r.out, 0, 1)
+	}
+	r.out = append(r.out, filed{peer, tag})
+}
+
+// Take reports whether a reply tagged tag from peer answers a filed
+// request, and forgets the oldest such request if it does. Which request
+// it answers is not asked: a chain or a checkpoint proves itself (§8.3).
+func (r *Requests) Take(peer int, tag byte) bool {
+	i := slices.Index(r.out, filed{peer, tag})
+	if i >= 0 {
+		r.out = slices.Delete(r.out, i, i+1)
+	}
+	return i >= 0
+}
 
 // handleChainRequest serves up to MaxBlocks consecutive archived rounds
 // to the peer that sent the request; a request has no field that could
@@ -143,7 +184,7 @@ func (n *Node) syncFromPeersUntil(p *vtime.Proc, deadline time.Duration, target 
 	}
 	if n.cfg.CheckpointInterval > 0 && n.ledger.ChainLength() == 0 {
 		start := p.Now()
-		n.trySnapshotSync(p)
+		n.trySnapshotSync(p, peers)
 		deadline += p.Now() - start
 	}
 	peerIdx := 0
@@ -160,11 +201,11 @@ func (n *Node) syncFromPeersUntil(p *vtime.Proc, deadline time.Duration, target 
 			req.FromRound = fromOverride
 			fromOverride = 0
 		}
-		n.expect(peer, n.chainReplies)
+		n.asked.File(peer, TagChainReply)
 		n.net.Unicast(n.ID, peer, req)
 		peerIdx++
 
-		m, ok := p.RecvTimeout(n.chainReplies, 2*time.Second)
+		m, ok := p.RecvTimeout(n.chainReplies, replyWait)
 		if !ok {
 			stalls++
 			continue

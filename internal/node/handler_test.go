@@ -615,15 +615,15 @@ func poolKeeps() bool {
 // TestRepliesSentTwiceTakenOnce: a reply or a piece is not Flooded, so
 // the network hands each copy to the handler, and the handler's request
 // tables take it once — a chain or snapshot reply once for the loop
-// that asked (node.answer), a piece once for the fetcher. (A block fill
+// that asked (Requests), a piece once for the fetcher. (A block fill
 // sent twice is TestBlockFillAcceptedOnlyWhenSolicited's.)
 func TestRepliesSentTwiceTakenOnce(t *testing.T) {
 	r := newHandlerRig(t, 5)
 	n := r.node
 	b1 := n.Ledger().NextEmptyBlock()
 	chk := ledger.CheckpointOf(b1, &ledger.Certificate{Round: 1, Value: b1.Hash()}, n.Ledger().Balances())
-	n.expect(1, n.chainReplies)
-	n.expect(2, n.snapReplies)
+	n.asked.File(1, TagChainReply)
+	n.asked.File(2, TagSnapshotReply)
 	r.sim.Spawn("replier", func(p *vtime.Proc) {
 		for i := 0; i < 2; i++ {
 			r.net.Unicast(1, 0, &ChainReply{Blocks: []*ledger.Block{b1}})
@@ -708,11 +708,10 @@ func TestBlockFillAcceptedOnlyWhenSolicited(t *testing.T) {
 	}
 }
 
-// TestRepliesTakenOnlyWhenAsked: a chain or snapshot reply is queued for
-// the loop that asked, once per request filed to the peer it came from.
-// A flood nobody asked for, a reply from another peer and a second reply
-// to one request are dropped unread, and the node forgets the oldest of
-// more than maxAsked requests.
+// TestRepliesTakenOnlyWhenAsked: the node's chain and snapshot replies
+// go through its Requests table. A flood nobody asked for, a reply from
+// another peer and a second reply to one request are dropped unread; the
+// answer is queued for the loop that asked, once.
 func TestRepliesTakenOnlyWhenAsked(t *testing.T) {
 	r := newHandlerRig(t, 5)
 	n := r.node
@@ -727,8 +726,8 @@ func TestRepliesTakenOnlyWhenAsked(t *testing.T) {
 		t.Fatalf("%d unsolicited replies queued", got)
 	}
 
-	n.expect(1, n.chainReplies)
-	n.expect(2, n.snapReplies)
+	n.asked.File(1, TagChainReply)
+	n.asked.File(2, TagSnapshotReply)
 	n.handleMessage(2, &ChainReply{})
 	n.handleMessage(1, &SnapshotReply{Checkpoint: &ledger.Checkpoint{}})
 	if got := queued(); got != 0 {
@@ -741,18 +740,45 @@ func TestRepliesTakenOnlyWhenAsked(t *testing.T) {
 	if n.chainReplies.Len() != 1 || n.snapReplies.Len() != 1 {
 		t.Fatalf("answers queued: %d chain, %d snapshot; want one each", n.chainReplies.Len(), n.snapReplies.Len())
 	}
+}
 
-	n.expect(2, n.snapReplies) // the oldest, forgotten when maxAsked more are filed
-	for i := 0; i < maxAsked; i++ {
-		n.expect(1, n.chainReplies)
+// TestRequests: a reply is taken once per request filed to the peer it
+// came from with the tag asked for, the oldest of more than maxAsked
+// filed requests is forgotten, and a late reply is taken while its
+// request is still filed.
+func TestRequests(t *testing.T) {
+	type msg struct {
+		peer int
+		tag  byte
 	}
-	n.handleMessage(2, &SnapshotReply{Checkpoint: &ledger.Checkpoint{}})
-	for i := 0; i <= maxAsked; i++ {
-		n.handleMessage(1, &ChainReply{})
+	chain, snap := msg{1, TagChainReply}, msg{2, TagSnapshotReply}
+	times := func(k int, m msg) []msg {
+		out := make([]msg, k)
+		for i := range out {
+			out[i] = m
+		}
+		return out
 	}
-	if len(n.asked) != 0 || n.snapReplies.Len() != 1 || n.chainReplies.Len() != 1+maxAsked {
-		t.Fatalf("%d requests left filed, %d snapshot and %d chain replies queued; want 0, 1 and %d",
-			len(n.asked), n.snapReplies.Len(), n.chainReplies.Len(), 1+maxAsked)
+	for _, tc := range []struct {
+		name    string
+		file    []msg
+		replies []msg
+		taken   int // how many of replies, counted from the first, are taken
+	}{
+		{"once per request", []msg{chain, chain}, times(3, chain), 2},
+		{"wrong peer or tag", []msg{chain}, []msg{{2, TagChainReply}, {1, TagSnapshotReply}}, 0},
+		{"oldest forgotten", append([]msg{snap}, times(maxAsked, chain)...), append(times(maxAsked+1, chain), snap), maxAsked},
+		{"late reply", append([]msg{snap}, times(maxAsked-1, chain)...), []msg{snap}, 1},
+	} {
+		var r Requests
+		for _, m := range tc.file {
+			r.File(m.peer, m.tag)
+		}
+		for i, m := range tc.replies {
+			if got := r.Take(m.peer, m.tag); got != (i < tc.taken) {
+				t.Errorf("%s: reply %d from %d tagged %d taken = %v, want %v", tc.name, i, m.peer, m.tag, got, !got)
+			}
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ package node
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -166,11 +165,9 @@ type Node struct {
 	// scheduled for the requests in flight.
 	fetch      *blockprop.Fetcher
 	fetchTimer bool
-	// asked is the chain and snapshot requests this node has out, oldest
-	// first (see expect and answer). chainReplies receives the answers to
-	// §8.3 catch-up (catchup.go), snapReplies those to fast sync
-	// (snapshot.go).
-	asked        []request
+	// asked files the chain and snapshot requests out (see answer);
+	// chainReplies and snapReplies take their answers (catchup.go, snapshot.go).
+	asked        Requests
 	chainReplies *vtime.Mailbox
 	snapReplies  *vtime.Mailbox
 	// blockWanted is the hash fetchBlock is waiting for, zero when it is
@@ -540,34 +537,10 @@ func (n *Node) handleMessage(from int, m network.Message) network.Verdict {
 	return network.Verdict{}
 }
 
-// maxAsked bounds the requests a node remembers having out.
-const maxAsked = 64
-
-// request is a chain or snapshot request this node has out: the peer
-// asked, and the mailbox its answer goes to.
-type request struct {
-	peer int
-	box  *vtime.Mailbox
-}
-
-// expect files a request to peer whose answer goes to box; the oldest
-// filed request is forgotten once maxAsked are out. A late answer, to a
-// request its loop has stopped waiting for, still counts until then.
-func (n *Node) expect(peer int, box *vtime.Mailbox) {
-	if len(n.asked) == maxAsked {
-		n.asked = slices.Delete(n.asked, 0, 1)
-	}
-	n.asked = append(n.asked, request{peer: peer, box: box})
-}
-
-// answer hands a reply for box to the loop that asked for it: once per
-// request filed to the peer it came from, taking the oldest. Anything
-// else is dropped unread, so no peer can make this node queue what it
-// did not ask for. Which request a reply answers is not asked: a chain
-// or a checkpoint proves itself (§8.3), whoever it was meant for.
+// answer hands a reply to the loop waiting on box if the node asked its
+// sender for it (Requests.Take); anything else is dropped unread.
 func (n *Node) answer(from int, box *vtime.Mailbox, m network.Message) network.Verdict {
-	if i := slices.Index(n.asked, request{peer: from, box: box}); i >= 0 {
-		n.asked = slices.Delete(n.asked, i, i+1)
+	if tag, _ := MessageTag(m); n.asked.Take(from, tag) {
 		box.Send(m)
 	}
 	return network.Verdict{Relay: false}

@@ -115,19 +115,15 @@ func (n *Node) adoptCheckpoint(chk *ledger.Checkpoint) error {
 	return nil
 }
 
-// trySnapshotSync asks peers round-robin for a checkpoint newer than
-// our chain and adopts the first one that verifies, with backoff
-// between attempts. Peers serving snapshots that fail verification are
-// counted, reported to the transport's misbehavior scoring, and
-// skipped; the sync then continues with the next peer. Returns whether
+// trySnapshotSync asks peers, the caller's neighbours, round-robin for a
+// checkpoint newer than our chain and adopts the first one that verifies,
+// with backoff between attempts. Peers serving snapshots that fail
+// verification are counted, reported to the transport's misbehavior
+// scoring, and skipped; the sync continues with the next peer. Returns whether
 // the ledger was re-based — on false the caller falls back to full
 // replay from its current head (ultimately genesis), so a poisoned or
 // stale snapshot can delay a join but never corrupt or wedge it.
-func (n *Node) trySnapshotSync(p *vtime.Proc) bool {
-	peers := n.net.Neighbors(n.ID)
-	if len(peers) == 0 {
-		return false
-	}
+func (n *Node) trySnapshotSync(p *vtime.Proc, peers []int) bool {
 	for attempt, peer := range peers {
 		if attempt > 0 {
 			p.Sleep(time.Duration(attempt) * 500 * time.Millisecond)
@@ -135,9 +131,9 @@ func (n *Node) trySnapshotSync(p *vtime.Proc) bool {
 		if n.halted {
 			return false
 		}
-		n.expect(peer, n.snapReplies)
+		n.asked.File(peer, TagSnapshotReply)
 		n.net.Unicast(n.ID, peer, &SnapshotRequest{MinRound: n.ledger.ChainLength()})
-		m, ok := p.RecvTimeout(n.snapReplies, 2*time.Second)
+		m, ok := p.RecvTimeout(n.snapReplies, replyWait)
 		if !ok {
 			continue // peer has no newer checkpoint, or is gone
 		}
