@@ -15,15 +15,12 @@
 // Time is a caller-supplied time.Duration reading — virtual time under
 // the simulator, wall-clock offsets in real deployments — passed into
 // every operation, which keeps the cache free of clock policy and lets
-// rotation happen lazily on access. A cache given hit/miss counters
-// (the package's tests give them) counts its lookups into them.
+// rotation happen lazily on access.
 package cache
 
 import (
 	"sync"
 	"time"
-
-	"algorand/internal/metrics"
 )
 
 // TwoGen is a two-generation TTL'd cache. The zero value is not usable;
@@ -34,8 +31,6 @@ type TwoGen[K comparable, V any] struct {
 	cur     map[K]V
 	prev    map[K]V
 	rotated time.Duration
-
-	hits, misses *metrics.Counter // optional; nil unless counted
 }
 
 // New creates a cache whose entries live between ttl and 2×ttl. A
@@ -63,31 +58,17 @@ func (c *TwoGen[K, V]) rotateLocked(now time.Duration) {
 	c.rotated = now
 }
 
-// countLocked records a lookup outcome if instrumented.
-func (c *TwoGen[K, V]) countLocked(hit bool) {
-	if hit {
-		if c.hits != nil {
-			c.hits.Inc()
-		}
-	} else if c.misses != nil {
-		c.misses.Inc()
-	}
-}
-
 // Get returns the freshest live value for k.
 func (c *TwoGen[K, V]) Get(k K, now time.Duration) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.rotateLocked(now)
 	if v, ok := c.cur[k]; ok {
-		c.countLocked(true)
 		return v, true
 	}
 	if v, ok := c.prev[k]; ok {
-		c.countLocked(true)
 		return v, true
 	}
-	c.countLocked(false)
 	var zero V
 	return zero, false
 }
@@ -113,7 +94,6 @@ func (c *TwoGen[K, V]) Put(k K, v V, now time.Duration) {
 // callers fold a policy check into the same critical section — e.g.
 // realnet's relay limit increments a per-key count only while the
 // two-generation total is under the cap, and relays iff it stored.
-// Lookups via Update are not counted as hits/misses.
 func (c *TwoGen[K, V]) Update(k K, now time.Duration, f func(cur V, curOK bool, prev V, prevOK bool) (V, bool)) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

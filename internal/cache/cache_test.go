@@ -4,8 +4,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"algorand/internal/metrics"
 )
 
 func TestPutGetTTL(t *testing.T) {
@@ -81,25 +79,6 @@ func TestUpdateRelayLimitPattern(t *testing.T) {
 	}
 }
 
-func TestInstrumentCounters(t *testing.T) {
-	r := metrics.NewRegistry()
-	c := New[string, struct{}](time.Second)
-	c.Instrument(r, "test_cache")
-
-	c.Put("x", struct{}{}, 0)
-	c.Get("x", 0) // hit
-	c.Get("y", 0) // miss
-	c.Get("x", 0) // hit
-
-	snap := r.Snapshot()
-	if got := snap["test_cache_hits_total"].Value; got != 2 {
-		t.Fatalf("hits = %v, want 2", got)
-	}
-	if got := snap["test_cache_misses_total"].Value; got != 1 {
-		t.Fatalf("misses = %v, want 1", got)
-	}
-}
-
 func TestLen(t *testing.T) {
 	c := New[int, int](time.Second)
 	c.Put(1, 1, 0)
@@ -116,9 +95,7 @@ func TestLen(t *testing.T) {
 // TestConcurrent races writers, readers, and updaters; meaningful under
 // -race.
 func TestConcurrent(t *testing.T) {
-	r := metrics.NewRegistry()
 	c := New[int, int](time.Millisecond)
-	c.Instrument(r, "hammer_cache")
 
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {

@@ -168,23 +168,23 @@ func (n *Node) RestoreFromArchive(src *ledger.Store) (uint64, error) {
 // syncFromPeersUntil catches the node's ledger up to the network
 // (§8.3): it repeatedly asks peers for the next run of
 // blocks+certificates and validates them on top of the current head,
-// stopping when the ledger reaches target (0 = sync everything), no
-// peer has more, or the deadline passes. It must run inside the node's
-// scheduler; Rejoin is the bring-up sequence built on it.
+// stopping when no peer has more or the deadline passes. It must run in
+// the node's process; Rejoin is the bring-up sequence built on it.
 //
 // Snapshot first: a node whose ledger is still at genesis, in a
 // deployment that writes checkpoints, asks peers for a snapshot before
 // it asks for the chain, so what follows replays the delta past the
 // checkpoint instead of the whole history. A node that holds any round
 // sends no request. The attempt does not eat into the deadline.
-func (n *Node) syncFromPeersUntil(p *vtime.Proc, deadline time.Duration, target uint64) (uint64, error) {
+func (n *Node) syncFromPeersUntil(deadline time.Duration) error {
+	p := n.proc
 	peers := n.net.Neighbors(n.ID)
 	if len(peers) == 0 {
-		return 0, fmt.Errorf("catchup: no peers")
+		return fmt.Errorf("catchup: no peers")
 	}
 	if n.cfg.CheckpointInterval > 0 && n.ledger.ChainLength() == 0 {
 		start := p.Now()
-		n.trySnapshotSync(p, peers)
+		n.trySnapshotSync(peers)
 		deadline += p.Now() - start
 	}
 	peerIdx := 0
@@ -192,9 +192,6 @@ func (n *Node) syncFromPeersUntil(p *vtime.Proc, deadline time.Duration, target 
 	probedFork := false
 	fromOverride := uint64(0)
 	for p.Now() < deadline && stalls < 2*len(peers) && !n.halted {
-		if target > 0 && n.ledger.ChainLength() >= target {
-			break
-		}
 		peer := peers[peerIdx%len(peers)]
 		req := &ChainRequest{FromRound: n.ledger.NextRound(), MaxBlocks: 32}
 		if fromOverride > 0 {
@@ -229,7 +226,7 @@ func (n *Node) syncFromPeersUntil(p *vtime.Proc, deadline time.Duration, target 
 				fromOverride = n.ledger.LastFinal().Round + 1
 				continue
 			}
-			return n.ledger.ChainLength(), err
+			return err
 		}
 		if applied == 0 {
 			stalls++
@@ -237,7 +234,7 @@ func (n *Node) syncFromPeersUntil(p *vtime.Proc, deadline time.Duration, target 
 			stalls = 0
 		}
 	}
-	return n.ledger.ChainLength(), nil
+	return nil
 }
 
 // tryAdoptFork reconciles this node onto a strictly longer certified
@@ -330,7 +327,7 @@ func (n *Node) trySyncBehind() bool {
 	before := n.ledger.ChainLength()
 	for !n.halted {
 		prev := n.ledger.ChainLength()
-		if _, err := n.syncFromPeersUntil(n.proc, n.proc.Now()+10*time.Second, 0); err != nil {
+		if err := n.syncFromPeersUntil(n.proc.Now() + 10*time.Second); err != nil {
 			// Peer data conflicts with our chain and the sync loop's fork
 			// adoption could not resolve it (not longer, or final blocks
 			// diverge): leave it to §8.2 recovery.
@@ -381,7 +378,7 @@ func (n *Node) Rejoin(budget time.Duration) (restored uint64, err error) {
 		deadline := p.Now() + budget
 		for !n.sim.Stopped() && !n.halted {
 			before := n.ledger.ChainLength()
-			if _, err := n.syncFromPeersUntil(p, deadline, 0); err != nil {
+			if err := n.syncFromPeersUntil(deadline); err != nil {
 				return // inconsistent peer data; give up rather than diverge
 			}
 			if n.StopAfterRound > 0 && n.ledger.NextRound() > n.StopAfterRound {

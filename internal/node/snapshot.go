@@ -6,7 +6,6 @@ import (
 
 	"algorand/internal/ledger"
 	"algorand/internal/network"
-	"algorand/internal/vtime"
 )
 
 // This file implements checkpointed fast sync: nodes write periodic
@@ -123,7 +122,8 @@ func (n *Node) adoptCheckpoint(chk *ledger.Checkpoint) error {
 // the ledger was re-based — on false the caller falls back to full
 // replay from its current head (ultimately genesis), so a poisoned or
 // stale snapshot can delay a join but never corrupt or wedge it.
-func (n *Node) trySnapshotSync(p *vtime.Proc, peers []int) bool {
+func (n *Node) trySnapshotSync(peers []int) bool {
+	p := n.proc
 	for attempt, peer := range peers {
 		if attempt > 0 {
 			p.Sleep(time.Duration(attempt) * 500 * time.Millisecond)

@@ -146,11 +146,6 @@ type Cluster struct {
 	genesis  *ledger.Genesis // what Genesis and Seed0 determine, shared by every node
 	nodeCfg  node.Config
 	archives []*diskstore.Store
-	// Per-node observability: every node gets its own metrics registry
-	// and round tracer (a restarted slot gets fresh ones, as a fresh
-	// process would). Access via Registry(i)/Tracer(i).
-	registries []*metrics.Registry
-	tracers    []*trace.Tracer
 	// Access tier (Config.Gateways). Gateway i has network id N+i;
 	// access it via Gateway(i).
 	gateways []*gateway.Gateway
@@ -166,10 +161,10 @@ func (c *Cluster) Gateway(i int) *gateway.Gateway { return c.gateways[i] }
 
 // Registry returns node i's metrics registry: the single place that
 // node's BA⋆, txflow, trace and round counters are recorded.
-func (c *Cluster) Registry(i int) *metrics.Registry { return c.registries[i] }
+func (c *Cluster) Registry(i int) *metrics.Registry { return c.Nodes[i].Metrics() }
 
 // Tracer returns node i's per-round phase tracer.
-func (c *Cluster) Tracer(i int) *trace.Tracer { return c.tracers[i] }
+func (c *Cluster) Tracer(i int) *trace.Tracer { return c.Nodes[i].Tracer() }
 
 // NewCluster builds the deployment (without starting node processes).
 func NewCluster(cfg Config) *Cluster {
@@ -231,10 +226,8 @@ func NewCluster(cfg Config) *Cluster {
 		AnnounceCommits:    cfg.Gateways > 0,
 	}
 	c.archives = make([]*diskstore.Store, cfg.N)
-	c.registries = make([]*metrics.Registry, cfg.N)
-	c.tracers = make([]*trace.Tracer, cfg.N)
 	for i := 0; i < cfg.N; i++ {
-		nodeCfg := c.instrumentedNodeCfg(i)
+		nodeCfg := c.instrumentedNodeCfg()
 		if cfg.DataDir != "" && !(cfg.Diskless != nil && cfg.Diskless[i]) {
 			ds, err := diskstore.Open(c.nodeDataDir(i), diskstore.Options{FS: c.Cfg.DiskFS})
 			if err != nil {
@@ -274,15 +267,12 @@ func (c *Cluster) allNodesDone() bool {
 }
 
 // instrumentedNodeCfg clones the cluster node config with a fresh
-// registry and tracer for slot i (also replacing any previous ones —
-// a restarted slot starts its observability from zero, like a fresh
-// process).
-func (c *Cluster) instrumentedNodeCfg(i int) node.Config {
+// registry and tracer: every node gets its own, and a restarted slot
+// starts its observability from zero, like a fresh process.
+func (c *Cluster) instrumentedNodeCfg() node.Config {
 	nodeCfg := c.nodeCfg
-	c.registries[i] = metrics.NewRegistry()
-	c.tracers[i] = trace.New(c.Sim.Now, 0)
-	nodeCfg.Metrics = c.registries[i]
-	nodeCfg.Tracer = c.tracers[i]
+	nodeCfg.Metrics = metrics.NewRegistry()
+	nodeCfg.Tracer = trace.New(c.Sim.Now, 0)
 	return nodeCfg
 }
 
@@ -367,7 +357,7 @@ func (c *Cluster) restartWith(i int, src *ledger.Store, archive *diskstore.Store
 	if !old.Halted() {
 		old.Halt()
 	}
-	nodeCfg := c.instrumentedNodeCfg(i)
+	nodeCfg := c.instrumentedNodeCfg()
 	nodeCfg.Archive = archive
 	n := node.NewFromGenesis(i, c.Sim, c.Net, c.Provider, c.ids[i], nodeCfg, c.genesis)
 	n.StopAfterRound = c.Cfg.Rounds
