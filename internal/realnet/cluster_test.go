@@ -112,15 +112,8 @@ func newRealCluster(t *testing.T, n int, rounds uint64) *realCluster {
 	c.done = make([]chan struct{}, n)
 
 	// Bind ephemeral ports first to build the address book.
-	listeners := make([]net.Listener, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		c.addrs = append(c.addrs, ln.Addr().String())
-	}
+	var listeners []net.Listener
+	listeners, c.addrs = listenLoopback(t, n)
 	for i := 0; i < n; i++ {
 		c.ids = append(c.ids, c.provider.NewIdentity(crypto.SeedFromUint64(uint64(7000+i))))
 		c.genesis[c.ids[i].PublicKey()] = 10
@@ -374,16 +367,7 @@ func newMiniAt(t *testing.T, id int, addrs []string, ln net.Listener, conf Confi
 // starts their schedulers for the given horizon.
 func newMiniNet(t *testing.T, n int, cfg func(i int) Config, horizon time.Duration) []*miniTransport {
 	t.Helper()
-	var lns []net.Listener
-	var addrs []string
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns = append(lns, ln)
-		addrs = append(addrs, ln.Addr().String())
-	}
+	lns, addrs := listenLoopback(t, n)
 	out := make([]*miniTransport, n)
 	for i := 0; i < n; i++ {
 		conf := testConfig()
@@ -393,4 +377,18 @@ func newMiniNet(t *testing.T, n int, cfg func(i int) Config, horizon time.Durati
 		out[i] = newMiniAt(t, i, addrs, lns[i], conf, horizon)
 	}
 	return out
+}
+
+// listenLoopback binds n ephemeral loopback ports: the listeners and the
+// address book they make.
+func listenLoopback(t *testing.T, n int) (lns []net.Listener, addrs []string) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns, addrs = append(lns, ln), append(addrs, ln.Addr().String())
+	}
+	return lns, addrs
 }

@@ -102,33 +102,3 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-// TestTransportDedupAndRelayLimit: only what is relayed is remembered. A
-// network.Flooded message (a vote) gossiped twice reaches each receiver
-// once, its relays included; a message that is not Flooded, sent twice,
-// reaches its receiver twice and is relayed by nobody.
-func TestTransportDedupAndRelayLimit(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock TCP test")
-	}
-	// Three transports; nodes 1 and 2 count deliveries and relay all.
-	nets := newMiniNet(t, 3, nil, 3*time.Second)
-
-	flood := &nodepkg.VoteMsg{Vote: ledger.Vote{Round: 1, Step: 1, Value: crypto.HashBytes("dup")}}
-	nets[0].tr.Gossip(0, flood)
-	nets[0].tr.Gossip(0, flood) // duplicate: receivers must drop it
-
-	time.Sleep(700 * time.Millisecond)
-	c1, c2 := nets[1].count(), nets[2].count()
-	if c1 != 1 || c2 != 1 {
-		t.Fatalf("deliveries %d/%d, want exactly 1 each (dedup)", c1, c2)
-	}
-
-	req := &nodepkg.BlockRequest{Hash: crypto.HashBytes("dup")}
-	nets[0].tr.Unicast(0, 1, req)
-	nets[0].tr.Unicast(0, 1, req) // not Flooded: both copies are handled
-	time.Sleep(700 * time.Millisecond)
-	if d1, d2 := nets[1].count()-c1, nets[2].count()-c2; d1 != 2 || d2 != 0 {
-		t.Fatalf("a unicast sent twice: %d/%d deliveries, want 2 at its receiver and none relayed", d1, d2)
-	}
-}
