@@ -143,6 +143,79 @@ func TestLargeBlockPropagationScalesWithSize(t *testing.T) {
 	}
 }
 
+func TestNoRelayVerdictStopsPropagation(t *testing.T) {
+	sim := vtime.New()
+	cfg := DefaultConfig()
+	nw := New(sim, cfg, 50)
+	received := make([]bool, 50)
+	for i := 0; i < 50; i++ {
+		i := i
+		nw.SetHandler(i, HandlerFunc(func(from int, m Message) Verdict {
+			received[i] = true
+			return Verdict{Relay: false} // invalid message: do not relay
+		}))
+	}
+	sim.Spawn("origin", func(p *vtime.Proc) {
+		nw.Gossip(7, msg("junk", 100))
+	})
+	sim.Run(time.Minute)
+	count := 0
+	for _, r := range received {
+		if r {
+			count++
+		}
+	}
+	// Only the origin's direct neighbors can have seen it.
+	if count > 2*cfg.Fanout+4 {
+		t.Fatalf("junk reached %d nodes despite no-relay verdicts", count)
+	}
+}
+
+func TestRelayLimitPerSenderRoundStep(t *testing.T) {
+	// Two *different* messages sharing a LimitKey (equivocation): both
+	// are delivered to apps that see them, but each node relays only the
+	// first, so the second spreads much less.
+	sim := vtime.New()
+	nw := New(sim, DefaultConfig(), 80)
+	type seen struct{ a, b bool }
+	got := make([]seen, 80)
+	for i := 0; i < 80; i++ {
+		i := i
+		nw.SetHandler(i, HandlerFunc(func(from int, m Message) Verdict {
+			tm := m.(*testMsg)
+			if tm.size == 111 {
+				got[i].a = true
+			} else {
+				got[i].b = true
+			}
+			return Verdict{Relay: true}
+		}))
+	}
+	a := &testMsg{id: crypto.HashBytes("ek", []byte("a")), size: 111, limit: LimitKey{Kind: 'v', Sender: [8]byte{5}, Round: 1, Step: 1}}
+	b := &testMsg{id: crypto.HashBytes("ek", []byte("b")), size: 112, limit: LimitKey{Kind: 'v', Sender: [8]byte{5}, Round: 1, Step: 1}}
+	sim.Spawn("origin", func(p *vtime.Proc) {
+		nw.Gossip(5, a)
+		nw.Gossip(5, b)
+	})
+	sim.Run(time.Minute)
+
+	countA, countB := 0, 0
+	for _, s := range got {
+		if s.a {
+			countA++
+		}
+		if s.b {
+			countB++
+		}
+	}
+	if countA < 70 {
+		t.Fatalf("first message reached only %d nodes", countA)
+	}
+	if countB >= countA {
+		t.Fatalf("limited message reached %d >= %d", countB, countA)
+	}
+}
+
 func TestBandwidthSerialization(t *testing.T) {
 	// A sender with 8 neighbors pushing a 1MB message must serialize
 	// ~8 copies: ~0.42s each at 20 Mbit/s, so the last copy leaves
@@ -345,6 +418,32 @@ func TestResetSeenAllowsReGossip(t *testing.T) {
 	sim.Run(time.Minute)
 }
 
+func TestUnicast(t *testing.T) {
+	sim := vtime.New()
+	nw := New(sim, DefaultConfig(), 10)
+	got := false
+	relayedTo := 0
+	for i := 0; i < 10; i++ {
+		i := i
+		nw.SetHandler(i, HandlerFunc(func(from int, m Message) Verdict {
+			if i == 4 {
+				got = true
+			} else {
+				relayedTo++
+			}
+			return Verdict{Relay: false}
+		}))
+	}
+	sim.Spawn("o", func(p *vtime.Proc) { nw.Unicast(1, 4, msg("uni", 100)) })
+	sim.Run(time.Minute)
+	if !got {
+		t.Fatal("unicast not delivered")
+	}
+	if relayedTo != 0 {
+		t.Fatal("unicast leaked to other nodes")
+	}
+}
+
 func BenchmarkGossip1000Nodes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sim := vtime.New()
@@ -361,6 +460,36 @@ type multiMsg struct {
 }
 
 func (m *multiMsg) RelayLimit() int { return 2 }
+
+func TestMultiRelayLimit(t *testing.T) {
+	sim := vtime.New()
+	nw := New(sim, DefaultConfig(), 60)
+	got := make(map[int]int) // size -> nodes that saw it
+	for i := 0; i < 60; i++ {
+		nw.SetHandler(i, HandlerFunc(func(from int, m Message) Verdict {
+			got[m.WireSize()]++
+			return Verdict{Relay: true}
+		}))
+	}
+	mk := func(tag string, size int) *multiMsg {
+		return &multiMsg{testMsg{id: crypto.HashBytes("mr", []byte(tag)), size: size, limit: LimitKey{Kind: 'p', Round: 1}}}
+	}
+	sim.Spawn("o", func(p *vtime.Proc) {
+		nw.Gossip(3, mk("a", 101))
+		nw.Gossip(3, mk("b", 102))
+		nw.Gossip(3, mk("c", 103))
+	})
+	sim.Run(time.Minute)
+
+	// With a relay limit of 2 per key, the first two variants flood; the
+	// third reaches only the origin's direct neighbors.
+	if got[101] < 50 || got[102] < 50 {
+		t.Fatalf("first two variants under-delivered: %d/%d", got[101], got[102])
+	}
+	if got[103] >= got[101]/2 {
+		t.Fatalf("third variant should be suppressed: %d vs %d", got[103], got[101])
+	}
+}
 
 // countingMsg counts how often the network asks it what it is.
 type countingMsg struct {
