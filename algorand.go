@@ -111,7 +111,8 @@ type NetworkConfig = network.Config
 
 // Gateway is one access-tier node: the user-facing front door between
 // clients and the consensus cluster (edge validation, TxBatch gossip with
-// a resend paced by the chain, a CommitAnnounce-fed read model).
+// a resend paced by the chain, a read model that asks its neighbours in
+// turn for the chain past its head).
 // Consensus nodes behind gateways carry zero client connections.
 type Gateway = gateway.Gateway
 

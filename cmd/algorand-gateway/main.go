@@ -13,11 +13,11 @@
 // Clients submit transactions and run queries against -listen (the
 // node -submit-addr TCP/JSON protocol plus {"op":...} queries); the
 // gateway validates at the edge, gossips admitted transactions to the
-// network as a node does, and answers reads from its CommitAnnounce-fed
-// read model. Consensus nodes carry zero client
-// connections. A gateway owns no stake and signs nothing, so it needs
-// no identity of its own — only the shared genesis derivation
-// (node.NewDeployment).
+// network as a node does, and answers reads from a read model that asks
+// the consensus nodes in turn, once a second, for the chain past its head.
+// Consensus nodes carry zero client connections. A gateway owns no stake
+// and signs nothing, so it needs no identity of its own — only the shared
+// genesis derivation (node.NewDeployment).
 package main
 
 import (
@@ -148,8 +148,8 @@ func main() {
 		st.Sessions, st.Queries, st.Submitted, st.Admitted, st.Rejected)
 	fmt.Printf("  routed: %d txs in %d batches (%d bytes), resent=%d\n",
 		st.TxsRouted, st.BatchesRouted, st.BytesRouted, st.Resent)
-	fmt.Printf("  read model: %d blocks applied, %d announces (%d stale), %d chain fills, %d cert rejects\n",
-		st.BlocksApplied, st.Announces, st.StaleAnnounces, st.ChainFills, st.CertRejects)
+	fmt.Printf("  read model: %d blocks applied, %d chain requests, %d cert rejects\n",
+		st.BlocksApplied, st.ChainFills, st.CertRejects)
 	fmt.Printf("  edge pool: %d pending (%d bytes); conn rejects=%d frame rejects=%d\n",
 		st.Pending, st.PendingBytes, st.ConnRejects, st.FrameRejects)
 }

@@ -100,9 +100,6 @@ func main() {
 
 	cfg := node.Config{Params: prm, LedgerCfg: ledger.DefaultConfig()}
 	cfg.TxFlowWorkers = *workers
-	// With an access tier in the book, announce every commit so gateway
-	// read models follow the chain (one 44-byte frame per neighbor).
-	cfg.AnnounceCommits = *gateways > 0
 	// The RPC server submits from its own goroutines, so the pipeline
 	// clock must be readable off the scheduler: use the wall clock.
 	epoch := time.Now()

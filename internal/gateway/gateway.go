@@ -16,8 +16,9 @@
 //   - hands admitted transactions to the network the way a node does,
 //     as TxBatch gossip, and floods again what is still pending three
 //     applied rounds later (see resendPending);
-//   - answers queries from a lag-tolerant read model fed by
-//     CommitAnnounce gossip, applying only blocks whose BA⋆
+//   - answers queries from a lag-tolerant read model that asks its
+//     neighbours in turn for the chain past its head, as a node that
+//     is behind does (§8.3), applying only blocks whose BA⋆
 //     certificates verify against the committee — never by calling
 //     into a consensus node's lock (see readmodel.go).
 //
@@ -84,6 +85,9 @@ const (
 	// flushInterval is how often freshly admitted transactions leave as
 	// TxBatch gossip: a node's txFlushPeriod at the paper's λ_priority.
 	flushInterval = 250 * time.Millisecond
+	// askInterval is how often the gateway asks a neighbour for the chain
+	// past its read model's head.
+	askInterval = time.Second
 	// resendAfter is how many applied rounds a payment may stay pending
 	// before the gateway floods it again. Three rounds are past a
 	// fault-free confirmation, so only a payment a crash or partition
@@ -103,11 +107,9 @@ type Gateway struct {
 	flow *txflow.Flow
 	rm   *ReadModel
 
-	// fromAsked is the FromRound of the last chain request and askedAt
-	// when it went, so one gap does not turn every announce into a
-	// request.
-	fromAsked uint64
-	askedAt   time.Duration
+	// nextPeer counts the chain requests sent, so each goes to the next
+	// neighbour in turn.
+	nextPeer int
 	// asked files the chain requests out, so no neighbour can buy a
 	// certificate verification with a ChainReply nobody asked for.
 	asked node.Requests
@@ -123,8 +125,7 @@ type gwCounters struct {
 	queries                                *metrics.Counter
 	batchesRouted, txsRouted               *metrics.Counter
 	bytesRouted, resent                    *metrics.Counter
-	announces, blocksApplied               *metrics.Counter
-	chainFills, certRejects, staleAnnounce *metrics.Counter
+	blocksApplied, chainFills, certRejects *metrics.Counter
 	connRejects, frameRejects              *metrics.Counter
 	sessions                               *metrics.Counter
 }
@@ -162,11 +163,9 @@ func New(id int, sim *vtime.Sim, net node.Transport, provider crypto.Provider, c
 		txsRouted:     reg.Counter("algorand_gateway_txs_routed_total", "transactions gossiped, resends included"),
 		bytesRouted:   reg.Counter("algorand_gateway_bytes_routed_total", "encoded TxBatch bytes gossiped"),
 		resent:        reg.Counter("algorand_gateway_resent_total", "pending transactions gossiped again after resendAfter applied rounds"),
-		announces:     reg.Counter("algorand_gateway_commit_announces_total", "CommitAnnounce messages observed"),
 		blocksApplied: reg.Counter("algorand_gateway_blocks_applied_total", "committed blocks applied to the read model"),
-		chainFills:    reg.Counter("algorand_gateway_chain_fills_total", "gap-filling chain requests issued"),
+		chainFills:    reg.Counter("algorand_gateway_chain_fills_total", "chain requests sent"),
 		certRejects:   reg.Counter("algorand_gateway_cert_rejects_total", "fetched chain runs rejected for failing certificate verification"),
-		staleAnnounce: reg.Counter("algorand_gateway_stale_announces_total", "announces at or below the read-model head"),
 		connRejects:   reg.Counter("algorand_gateway_conn_rejects_total", "connections rejected at the connection cap"),
 		frameRejects:  reg.Counter("algorand_gateway_frame_rejects_total", "frames rejected as oversized or malformed"),
 		sessions:      reg.Counter("algorand_gateway_sessions_total", "client sessions served (connections and virtual sessions)"),
@@ -250,46 +249,29 @@ func (g *Gateway) QuerySession(pk crypto.PublicKey) (money, nonce, asOfRound uin
 	return g.rm.Balance(pk)
 }
 
-// handleMessage consumes consensus gossip relevant to the access
-// tier. Gateways never relay: they are leaves of the gossip graph.
+// handleMessage takes the chain replies the gateway asked for. Gateways
+// never relay: they are leaves of the gossip graph.
 func (g *Gateway) handleMessage(from int, m network.Message) network.Verdict {
-	if g.halted {
-		return network.Verdict{}
-	}
-	switch msg := m.(type) {
-	case *node.CommitAnnounce:
-		g.c.announces.Inc()
-		g.observeAnnounce(from, msg)
-	case *node.ChainReply:
-		if g.asked.Take(from, node.TagChainReply) {
-			g.applyRun(msg.Blocks, msg.Certs)
-		}
+	if msg, ok := m.(*node.ChainReply); ok && !g.halted && g.asked.Take(from, node.TagChainReply) {
+		g.applyRun(msg.Blocks, msg.Certs)
 	}
 	return network.Verdict{}
 }
 
-// observeAnnounce feeds one commit announcement, sent by neighbour from,
-// to the read model and asks from for the fetch it calls for. Block bodies
-// always arrive as ChainReply runs — the certificates ride along, and
-// only they can move the head.
-func (g *Gateway) observeAnnounce(from int, msg *node.CommitAnnounce) {
-	start, behind := g.rm.Observe(msg.Round)
-	if !behind {
-		g.c.staleAnnounce.Inc()
+// askChain asks the next neighbour in turn for the chain past the read
+// model's head. A neighbour with nothing past it sends nothing; blocks
+// arrive with their certificates, and only those can move the head.
+func (g *Gateway) askChain() {
+	peers := g.net.Neighbors(g.ID)
+	if len(peers) == 0 {
 		return
 	}
-	now := g.sim.Now()
-	// One fetch per starting round per second: every consensus neighbour
-	// announces every round, and each announce would otherwise re-request
-	// the same run. The head never goes back, so the last round asked is
-	// the only one an announce can ask for again.
-	if start == g.fromAsked && now-g.askedAt < time.Second {
-		return
-	}
-	g.fromAsked, g.askedAt = start, now
+	peer := peers[g.nextPeer%len(peers)]
+	g.nextPeer++
+	head, _ := g.rm.Head()
 	g.c.chainFills.Inc()
-	g.asked.File(from, node.TagChainReply)
-	g.net.Unicast(g.ID, from, &node.ChainRequest{FromRound: start, MaxBlocks: 64})
+	g.asked.File(peer, node.TagChainReply)
+	g.net.Unicast(g.ID, peer, &node.ChainRequest{FromRound: head + 1, MaxBlocks: 64})
 }
 
 // applyRun advances the read model through a fetched chain run and,
@@ -360,15 +342,20 @@ func (g *Gateway) gossip(batches [][]*ledger.Transaction) {
 }
 
 // run is the gateway's background process: flush admitted transactions
-// every flushInterval, and wind down when the cluster is done.
+// every flushInterval, ask for the chain every askInterval, and wind down
+// when the cluster is done.
 func (g *Gateway) run(p *vtime.Proc) {
-	for {
+	for wake := 1; ; wake++ {
 		p.Sleep(flushInterval)
 		if g.sim.Stopped() || (g.cfg.Done != nil && g.cfg.Done()) {
 			return
 		}
-		if !g.halted {
-			g.flushOnce()
+		if g.halted {
+			continue
+		}
+		g.flushOnce()
+		if wake%int(askInterval/flushInterval) == 0 {
+			g.askChain()
 		}
 	}
 }
@@ -376,42 +363,39 @@ func (g *Gateway) run(p *vtime.Proc) {
 // Stats is a point-in-time snapshot of the gateway's registry-backed
 // counters plus the embedded pipeline's.
 type Stats struct {
-	Submitted, Admitted, Rejected           int64
-	Queries, Sessions                       int64
-	BatchesRouted, TxsRouted, BytesRouted   int64
-	Resent                                  int64
-	Announces, BlocksApplied                int64
-	ChainFills, CertRejects, StaleAnnounces int64
-	ConnRejects, FrameRejects               int64
-	HeadRound                               uint64
-	Pending                                 int
-	PendingBytes                            int
-	Flow                                    txflow.Stats
+	Submitted, Admitted, Rejected          int64
+	Queries, Sessions                      int64
+	BatchesRouted, TxsRouted, BytesRouted  int64
+	Resent                                 int64
+	BlocksApplied, ChainFills, CertRejects int64
+	ConnRejects, FrameRejects              int64
+	HeadRound                              uint64
+	Pending                                int
+	PendingBytes                           int
+	Flow                                   txflow.Stats
 }
 
 // Stats snapshots the gateway.
 func (g *Gateway) Stats() Stats {
 	head, _ := g.rm.Head()
 	return Stats{
-		Submitted:      int64(g.c.submitted.Load()),
-		Admitted:       int64(g.c.admitted.Load()),
-		Rejected:       int64(g.c.rejected.Load()),
-		Queries:        int64(g.c.queries.Load()),
-		Sessions:       int64(g.c.sessions.Load()),
-		BatchesRouted:  int64(g.c.batchesRouted.Load()),
-		TxsRouted:      int64(g.c.txsRouted.Load()),
-		BytesRouted:    int64(g.c.bytesRouted.Load()),
-		Resent:         int64(g.c.resent.Load()),
-		Announces:      int64(g.c.announces.Load()),
-		BlocksApplied:  int64(g.c.blocksApplied.Load()),
-		ChainFills:     int64(g.c.chainFills.Load()),
-		CertRejects:    int64(g.c.certRejects.Load()),
-		StaleAnnounces: int64(g.c.staleAnnounce.Load()),
-		ConnRejects:    int64(g.c.connRejects.Load()),
-		FrameRejects:   int64(g.c.frameRejects.Load()),
-		HeadRound:      head,
-		Pending:        g.flow.Len(),
-		PendingBytes:   g.flow.PendingBytes(),
-		Flow:           g.flow.Stats(),
+		Submitted:     int64(g.c.submitted.Load()),
+		Admitted:      int64(g.c.admitted.Load()),
+		Rejected:      int64(g.c.rejected.Load()),
+		Queries:       int64(g.c.queries.Load()),
+		Sessions:      int64(g.c.sessions.Load()),
+		BatchesRouted: int64(g.c.batchesRouted.Load()),
+		TxsRouted:     int64(g.c.txsRouted.Load()),
+		BytesRouted:   int64(g.c.bytesRouted.Load()),
+		Resent:        int64(g.c.resent.Load()),
+		BlocksApplied: int64(g.c.blocksApplied.Load()),
+		ChainFills:    int64(g.c.chainFills.Load()),
+		CertRejects:   int64(g.c.certRejects.Load()),
+		ConnRejects:   int64(g.c.connRejects.Load()),
+		FrameRejects:  int64(g.c.frameRejects.Load()),
+		HeadRound:     head,
+		Pending:       g.flow.Len(),
+		PendingBytes:  g.flow.PendingBytes(),
+		Flow:          g.flow.Stats(),
 	}
 }

@@ -16,9 +16,10 @@ import (
 
 // stubNet records the gateway's outgoing traffic without a network.
 type stubNet struct {
-	unicasts []stubSend
-	gossips  []network.Message
-	handler  network.Handler
+	unicasts  []stubSend
+	gossips   []network.Message
+	handler   network.Handler
+	neighbors []int
 }
 
 type stubSend struct {
@@ -31,7 +32,7 @@ func (s *stubNet) Unicast(from, to int, m network.Message) {
 	s.unicasts = append(s.unicasts, stubSend{to: to, m: m})
 }
 func (s *stubNet) SetHandler(id int, h network.Handler) { s.handler = h }
-func (s *stubNet) Neighbors(id int) []int               { return nil }
+func (s *stubNet) Neighbors(id int) []int               { return s.neighbors }
 
 // testCommittee is the harness's certificate-verification
 // configuration: a committee large enough that every funded identity
@@ -69,7 +70,7 @@ func newHarness(t *testing.T, cfg Config, users int) *testHarness {
 	cfg.Committee = testCommittee
 	cfg.LedgerCfg = ledger.DefaultConfig()
 	seed0 := crypto.HashBytes("gateway.test.seed0")
-	net := &stubNet{}
+	net := &stubNet{neighbors: []int{0, 1, 2}}
 	gw := New(100, sim, net, prov, cfg, genesis, seed0)
 	l := ledger.New(prov, cfg.LedgerCfg, genesis, seed0)
 	return &testHarness{sim: sim, net: net, gw: gw, prov: prov, ids: ids, seed0: seed0, l: l, genesis: genesis}
@@ -258,51 +259,44 @@ func TestResendWaitsThreeAppliedRounds(t *testing.T) {
 	}
 }
 
-// TestOneChainRequestPerStartingRound: every consensus neighbour
-// announces every round, so announces of one gap within a second send
-// one ChainRequest; a later gap sends at once.
+// TestOneChainRequestPerStartingRound: the gateway's process wakes every
+// flushInterval and asks once per askInterval, from the round past its
+// head. A reply that moves the head moves the next request's starting
+// round; a head that has not moved is asked for again an askInterval later.
 func TestOneChainRequestPerStartingRound(t *testing.T) {
 	h := newHarness(t, Config{}, 4)
-	var b1 *ledger.Block
-	h.sim.Spawn("announcer", func(p *vtime.Proc) {
-		p.Sleep(time.Second) // the gateway's clock starts at zero, as does no request
-		b1 = h.propose()
-		cert1 := h.certify(b1, false)
-		h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash()})
-		p.Sleep(500 * time.Millisecond)
-		h.gw.handleMessage(1, &node.CommitAnnounce{Round: 1, Hash: b1.Hash()})
-		if len(h.net.unicasts) != 1 {
-			t.Errorf("two announces of round 1 within a second sent %d requests", len(h.net.unicasts))
-		}
-		// The gap is filled: the next round's announce asks from round 2 at once.
-		if err := h.l.Commit(b1, cert1); err != nil {
-			t.Errorf("shadow commit: %v", err)
-		}
-		h.gw.handleMessage(0, &node.ChainReply{
-			Blocks: []*ledger.Block{b1}, Certs: []*ledger.Certificate{cert1},
-		})
-		h.gw.handleMessage(0, &node.CommitAnnounce{Round: 2})
-		if req := h.lastRequest(t); len(h.net.unicasts) != 2 || req.FromRound != 2 {
-			t.Errorf("a higher FromRound waited: %d requests, last from round %d", len(h.net.unicasts), req.FromRound)
-		}
-		// The same gap a second later is asked again.
-		p.Sleep(time.Second)
-		h.gw.handleMessage(1, &node.CommitAnnounce{Round: 2})
-		if len(h.net.unicasts) != 3 {
-			t.Errorf("the same gap a second later sent %d requests in all, want 3", len(h.net.unicasts))
-		}
+	h.gw.Start()
+	b1 := h.propose()
+	cert1 := h.certify(b1, false)
+	if err := h.l.Commit(b1, cert1); err != nil {
+		t.Fatalf("shadow commit: %v", err)
+	}
+	h.sim.Run(askInterval + askInterval/2)
+	if req := h.lastRequest(t); len(h.net.unicasts) != 1 || req.FromRound != 1 {
+		t.Fatalf("six wakes sent %d requests, last from round %d; want 1, from round 1", len(h.net.unicasts), req.FromRound)
+	}
+	h.gw.handleMessage(h.net.unicasts[0].to, &node.ChainReply{
+		Blocks: []*ledger.Block{b1}, Certs: []*ledger.Certificate{cert1},
 	})
-	h.sim.Run(time.Minute)
+	h.sim.Run(2*askInterval + askInterval/2)
+	if req := h.lastRequest(t); len(h.net.unicasts) != 2 || req.FromRound != 2 {
+		t.Fatalf("after the head moved to 1: %d requests, last from round %d; want 2, from round 2", len(h.net.unicasts), req.FromRound)
+	}
+	h.sim.Run(3*askInterval + askInterval/2)
+	if req := h.lastRequest(t); len(h.net.unicasts) != 3 || req.FromRound != 2 {
+		t.Fatalf("the same gap an askInterval later: %d requests, last from round %d; want 3, from round 2", len(h.net.unicasts), req.FromRound)
+	}
 }
 
+// TestAnnounceDrivesChainFetchAndCertifiedApply: one chain request to one
+// neighbour suffices, because the certificates in its reply carry the
+// trust, and the certified reply moves balances and transaction status.
 func TestAnnounceDrivesChainFetchAndCertifiedApply(t *testing.T) {
 	h := newHarness(t, Config{}, 4)
 	b1 := h.propose(*h.tx(t, 0, 1, 0))
 	cert1 := h.certify(b1, false)
 
-	// One announce suffices: the fetched certificates carry the trust.
-	h.net.SetHandler(100, network.HandlerFunc(h.gw.handleMessage))
-	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash()})
+	h.gw.askChain()
 	if len(h.net.unicasts) != 1 {
 		t.Fatalf("want 1 chain fetch, got %d", len(h.net.unicasts))
 	}
@@ -329,27 +323,43 @@ func TestAnnounceDrivesChainFetchAndCertifiedApply(t *testing.T) {
 	}
 }
 
-// TestChainRequestGoesToAnnounceSender: a commit announcement travels one
-// hop, so whom the gateway asks for the chain is the neighbour that
-// delivered it, as the transport names it. Neighbour 2 delivering node 0's
-// announcement is asked itself; node 0 is never asked, and a reply from it
-// is not taken.
-func TestChainRequestGoesToAnnounceSender(t *testing.T) {
+// TestGatewayAsksNeighboursInTurn: once per askInterval the gateway asks
+// the next of its neighbours, as the transport names them, for the chain
+// from the round past its head, and it takes a reply only from the
+// neighbour it asked. A reply from another is not applied, even a genuine
+// one.
+func TestGatewayAsksNeighboursInTurn(t *testing.T) {
 	h := newHarness(t, Config{}, 4)
+	h.gw.Start()
 	b1 := h.propose()
 	cert1 := h.certify(b1, false)
-	h.gw.handleMessage(2, &node.CommitAnnounce{Round: 1, Hash: b1.Hash()})
-	if len(h.net.unicasts) != 1 || h.net.unicasts[0].to != 2 {
-		t.Fatalf("an announcement delivered by 2 sent %+v, want one ChainRequest to 2", h.net.unicasts)
+	if err := h.l.Commit(b1, cert1); err != nil {
+		t.Fatalf("shadow commit: %v", err)
 	}
 	reply := &node.ChainReply{Blocks: []*ledger.Block{b1}, Certs: []*ledger.Certificate{cert1}}
-	h.gw.handleMessage(0, reply)
-	if round, _ := h.gw.rm.Head(); round != 0 {
-		t.Fatalf("a reply from a node not asked moved the head to %d", round)
+	h.sim.Run(2 * askInterval)
+	if len(h.net.unicasts) != 2 || h.net.unicasts[0].to != 0 || h.net.unicasts[1].to != 1 {
+		t.Fatalf("two askIntervals sent %+v, want one ChainRequest to 0, then one to 1", h.net.unicasts)
 	}
 	h.gw.handleMessage(2, reply)
+	if round, _ := h.gw.rm.Head(); round != 0 {
+		t.Fatalf("a reply from a neighbour not asked moved the head to %d", round)
+	}
+	h.gw.handleMessage(1, reply)
 	if round, head := h.gw.rm.Head(); round != 1 || head != b1.Hash() {
 		t.Fatalf("head = (%d, %x) after the reply of the neighbour asked, want (1, %x)", round, head, b1.Hash())
+	}
+	h.sim.Run(4 * askInterval)
+	var to []int
+	for i, u := range h.net.unicasts {
+		req := u.m.(*node.ChainRequest)
+		if want := uint64(1 + i/2); req.FromRound != want || req.MaxBlocks != 64 {
+			t.Fatalf("request %d asks from round %d for %d blocks, want from %d for 64", i, req.FromRound, req.MaxBlocks, want)
+		}
+		to = append(to, u.to)
+	}
+	if !slices.Equal(to, []int{0, 1, 2, 0}) {
+		t.Fatalf("four askIntervals asked %v, want the neighbours in turn: [0 1 2 0]", to)
 	}
 }
 
@@ -416,7 +426,7 @@ func (h *testHarness) forgedReply(b *ledger.Block) *node.ChainReply {
 func TestForgedReplyCountsCertReject(t *testing.T) {
 	h := newHarness(t, Config{}, 4)
 	b1 := h.propose(*h.tx(t, 0, 1, 0))
-	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash()})
+	h.gw.askChain()
 	h.gw.handleMessage(0, h.forgedReply(b1))
 	if round, _ := h.gw.rm.Head(); round != 0 {
 		t.Fatalf("forged reply moved the head to %d", round)
@@ -441,8 +451,8 @@ func TestGapTriggersChainFillAndCatchUp(t *testing.T) {
 		certs = append(certs, c)
 	}
 
-	// The gateway hears about round 3 only (it was down for 1 and 2).
-	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 3, Hash: blocks[2].Hash()})
+	// The gateway, at genesis, asks for everything past it.
+	h.gw.askChain()
 	if len(h.net.unicasts) != 1 {
 		t.Fatalf("want 1 chain request, got %d", len(h.net.unicasts))
 	}
@@ -477,7 +487,7 @@ func TestRepliesAppliedOnlyWhenAsked(t *testing.T) {
 		t.Fatalf("unsolicited reply cost %d certificate verifications", st.CertRejects)
 	}
 
-	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash()})
+	h.gw.askChain() // asks neighbour 0
 	genuine := func(from int) {
 		h.gw.handleMessage(from, &node.ChainReply{Blocks: []*ledger.Block{b1}, Certs: []*ledger.Certificate{cert1}})
 	}
@@ -595,42 +605,39 @@ func TestCommittedClearsPendingAndBlocksResubmission(t *testing.T) {
 	}
 }
 
-func TestStaleAnnouncesDoNotFetch(t *testing.T) {
-	h := newHarness(t, Config{}, 4)
-	b1 := h.advance(t)
-	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash()})
-	if len(h.net.unicasts) != 0 {
-		t.Fatalf("stale announce triggered a fetch: %v", h.net.unicasts)
-	}
-	if st := h.gw.Stats(); st.StaleAnnounces != 1 {
-		t.Fatalf("stale announces = %d, want 1", st.StaleAnnounces)
-	}
-}
-
 func TestHaltedGatewayIgnoresTraffic(t *testing.T) {
 	h := newHarness(t, Config{}, 4)
-	h.gw.Halt()
 	b1 := h.propose()
-	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash()})
-	if len(h.net.unicasts) != 0 {
-		t.Fatal("halted gateway fetched a block")
+	cert1 := h.certify(b1, false)
+	h.gw.askChain() // neighbour 0 is asked before the crash
+	h.gw.Start()
+	h.gw.Halt()
+	h.gw.handleMessage(0, &node.ChainReply{Blocks: []*ledger.Block{b1}, Certs: []*ledger.Certificate{cert1}})
+	if round, _ := h.gw.rm.Head(); round != 0 {
+		t.Fatalf("halted gateway applied a reply: head %d", round)
+	}
+	h.sim.Run(2 * askInterval)
+	if len(h.net.unicasts) != 1 {
+		t.Fatal("halted gateway asked for the chain")
 	}
 	h.gw.Resume()
-	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: b1.Hash()})
-	if len(h.net.unicasts) != 1 {
-		t.Fatal("resumed gateway ignored an announce")
+	h.sim.Run(3 * askInterval)
+	if len(h.net.unicasts) != 2 {
+		t.Fatalf("resumed gateway sent %d chain requests in an askInterval, want 1", len(h.net.unicasts)-1)
 	}
 }
 
 // TestPredecessorReplyProvesItself: a chain reply is applied because the
 // neighbour it comes from was asked, not because of which request it
-// answers. A gateway asks neighbour 0 for rounds 1 to 3 and halts; its
+// answers. A gateway whose one neighbour is 0 asks it for rounds 1 to 3
+// and halts; its
 // replacement in the same slot applies round 1 and asks 0 for the rest.
 // 0's late reply to the predecessor is taken for it: round 1 is stale and
 // skipped, 2 and 3 extend the head under their certificates, and nothing
 // fails verification.
 func TestPredecessorReplyProvesItself(t *testing.T) {
 	h := newHarness(t, Config{}, 4)
+	h.net.neighbors = []int{0}
 	var blocks []*ledger.Block
 	var certs []*ledger.Certificate
 	for r := 0; r < 3; r++ {
@@ -641,16 +648,16 @@ func TestPredecessorReplyProvesItself(t *testing.T) {
 		}
 		blocks, certs = append(blocks, b), append(certs, c)
 	}
-	h.gw.handleMessage(0, &node.CommitAnnounce{Round: 3, Hash: blocks[2].Hash()})
+	h.gw.askChain()
 	if req := h.lastRequest(t); req.FromRound != 1 {
 		t.Fatalf("the predecessor asked from round %d, want 1", req.FromRound)
 	}
 	h.gw.Halt()
 
 	repl := New(100, h.sim, h.net, h.prov, Config{Committee: testCommittee, LedgerCfg: ledger.DefaultConfig()}, h.genesis, h.seed0)
-	repl.handleMessage(0, &node.CommitAnnounce{Round: 1, Hash: blocks[0].Hash()})
+	repl.askChain()
 	repl.handleMessage(0, &node.ChainReply{Blocks: blocks[:1], Certs: certs[:1]})
-	repl.handleMessage(0, &node.CommitAnnounce{Round: 3, Hash: blocks[2].Hash()})
+	repl.askChain()
 	if req := h.lastRequest(t); req.FromRound != 2 {
 		t.Fatalf("the replacement asked from round %d, want 2", req.FromRound)
 	}

@@ -10,11 +10,11 @@ import (
 )
 
 // ReadModel is the gateway's lag-tolerant view of the committed
-// chain, fed exclusively by CommitAnnounce gossip plus the
-// block+certificate runs fetched in response — it never calls into a
-// consensus node's ledger lock. Queries answer from whatever round
-// the model has reached and report that round (`as_of_round`), so a
-// client always knows how stale an answer may be.
+// chain, fed exclusively by the block+certificate runs the gateway asks
+// its neighbours for — it never calls into a consensus node's ledger
+// lock. Queries answer from whatever round the model has reached and
+// report that round (`as_of_round`), so a client always knows how stale
+// an answer may be.
 //
 // Integrity model: the model owns a full ledger replica and moves its
 // head only through ledger.ApplyRun, the same §8.3 rule a catching-up
@@ -62,18 +62,6 @@ func NewReadModel(provider crypto.Provider, lcfg ledger.Config, committee ledger
 		pending:   cache.New[crypto.Digest, uint64](statusTTL),
 		now:       now,
 	}
-}
-
-// Observe records one commit announcement: behind reports that the
-// announced round is past the head, and from is the first round the
-// model lacks, where the chain request that fills the gap starts. One
-// announcer suffices: announces are only a liveness signal telling the
-// model its head is behind — the fetched blocks prove themselves
-// through their certificates, so counting distinct announcers would add
-// lag without adding trust.
-func (rm *ReadModel) Observe(round uint64) (from uint64, behind bool) {
-	head, _ := rm.Head()
-	return head + 1, round > head
 }
 
 // ApplyRun advances the head through a run of blocks and their

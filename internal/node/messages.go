@@ -343,34 +343,6 @@ func (m *ChainReply) DecodeFrom(d *wire.Decoder) {
 	}
 }
 
-// CommitAnnounce tells neighbors "round Round committed with this
-// block hash". It is the feed gateway read models tail (the access
-// tier's lag-tolerant view of the chain): each node announces its own
-// commits to its direct neighbors and the message is never relayed —
-// a gateway neighbors several consensus nodes, so it hears every round
-// announced independently by each of them, and asks the sender of an
-// announce for the block with its certificate (ChainRequest). Consensus
-// nodes ignore it.
-type CommitAnnounce struct {
-	Round uint64
-	Hash  crypto.Digest
-}
-
-// WireSize implements network.Message.
-func (m *CommitAnnounce) WireSize() int { return 8 + 32 }
-
-// EncodeTo implements wire.Marshaler.
-func (m *CommitAnnounce) EncodeTo(e *wire.Encoder) {
-	e.Uint64(m.Round)
-	e.Fixed(m.Hash[:])
-}
-
-// DecodeFrom implements wire.Unmarshaler.
-func (m *CommitAnnounce) DecodeFrom(d *wire.Decoder) {
-	m.Round = d.Uint64()
-	d.Fixed(m.Hash[:])
-}
-
 // SnapshotRequest asks a peer for its newest state checkpoint (the
 // fast-sync handshake): a restarting or joining node fetches a
 // verified snapshot and replays only the delta past it, instead of
@@ -443,7 +415,7 @@ const (
 	TagChainRequest
 	TagChainReply
 	TagTxBatch
-	TagCommitAnnounce
+	_ // 11 is retired: it told a gateway that a round committed; a gateway asks for the chain on its own clock
 	TagSnapshotRequest
 	TagSnapshotReply
 	TagPieceRequest
@@ -478,8 +450,6 @@ func MessageTag(m network.Message) (byte, bool) {
 		return TagChainReply, true
 	case *TxBatch:
 		return TagTxBatch, true
-	case *CommitAnnounce:
-		return TagCommitAnnounce, true
 	case *SnapshotRequest:
 		return TagSnapshotRequest, true
 	case *SnapshotReply:
@@ -514,8 +484,6 @@ func NewMessage(tag byte) network.Message {
 		return new(ChainReply)
 	case TagTxBatch:
 		return new(TxBatch)
-	case TagCommitAnnounce:
-		return new(CommitAnnounce)
 	case TagSnapshotRequest:
 		return new(SnapshotRequest)
 	case TagSnapshotReply:

@@ -77,12 +77,6 @@ type Config struct {
 	// or joining nodes fast-sync from the newest checkpoint plus a
 	// catch-up delta instead of replaying the chain from genesis.
 	CheckpointInterval uint64
-	// AnnounceCommits makes the node gossip a CommitAnnounce to its
-	// direct neighbors after every durable commit. Gateways (the access
-	// tier) tail these announcements to advance their read models;
-	// consensus nodes ignore them and they are never relayed, so the
-	// per-round cost is one 44-byte frame per neighbor link.
-	AnnounceCommits bool
 	// Metrics is the registry every subsystem under this node records
 	// into: BA⋆ step counters, round counters, the trace phase
 	// histograms, and (unless TxFlow.Metrics overrides it) the
@@ -523,11 +517,6 @@ func (n *Node) handleMessage(from int, m network.Message) network.Verdict {
 		n.blockFills.Send(msg.Block)
 		return network.Verdict{Relay: false}
 
-	case *CommitAnnounce:
-		// Gateway read-model feed; consensus nodes have their own ledger
-		// and ignore it. Never relayed — each committer announces its own.
-		return network.Verdict{Relay: false}
-
 	case *SnapshotRequest:
 		return n.handleSnapshotRequest(from, msg)
 
@@ -544,15 +533,6 @@ func (n *Node) answer(from int, box *vtime.Mailbox, m network.Message) network.V
 		box.Send(m)
 	}
 	return network.Verdict{Relay: false}
-}
-
-// announceCommit tells direct neighbors this node just committed the
-// block with hash h at a round (see Config.AnnounceCommits).
-func (n *Node) announceCommit(round uint64, h crypto.Digest) {
-	if !n.cfg.AnnounceCommits || n.halted {
-		return
-	}
-	n.net.Gossip(n.ID, &CommitAnnounce{Round: round, Hash: h})
 }
 
 func (n *Node) handleVote(from int, msg *VoteMsg, cost crypto.CostModel) network.Verdict {
@@ -1106,7 +1086,6 @@ func (n *Node) runRound() error {
 	persistStart := n.tracer.WallNow()
 	n.persistPut(block, out.Cert)
 	n.tracer.Record(round, trace.PhasePersist, 0, persistStart, n.tracer.WallNow())
-	n.announceCommit(round, out.Value)
 	n.flow.Committed(block, n.ledger.Balances())
 	stat.Empty = block.IsEmpty()
 	stat.Value = out.Value

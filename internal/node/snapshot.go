@@ -118,18 +118,17 @@ func (n *Node) adoptCheckpoint(chk *ledger.Checkpoint) error {
 // checkpoint newer than our chain and adopts the first one that verifies,
 // with backoff between attempts. Peers serving snapshots that fail
 // verification are counted, reported to the transport's misbehavior
-// scoring, and skipped; the sync continues with the next peer. Returns whether
-// the ledger was re-based — on false the caller falls back to full
-// replay from its current head (ultimately genesis), so a poisoned or
-// stale snapshot can delay a join but never corrupt or wedge it.
-func (n *Node) trySnapshotSync(peers []int) bool {
+// scoring, and skipped; the sync continues with the next peer. The caller
+// replays the chain from whatever head this leaves (ultimately genesis), so
+// a poisoned or stale snapshot can delay a join but never corrupt or wedge it.
+func (n *Node) trySnapshotSync(peers []int) {
 	p := n.proc
 	for attempt, peer := range peers {
 		if attempt > 0 {
 			p.Sleep(time.Duration(attempt) * 500 * time.Millisecond)
 		}
 		if n.halted {
-			return false
+			return
 		}
 		n.asked.File(peer, TagSnapshotReply)
 		n.net.Unicast(n.ID, peer, &SnapshotRequest{MinRound: n.ledger.ChainLength()})
@@ -147,10 +146,9 @@ func (n *Node) trySnapshotSync(peers []int) bool {
 		}
 		if adopted {
 			n.SnapshotSyncs++
-			return true
+			return
 		}
 	}
-	return false
 }
 
 // RestoreFromCheckpoint re-bases the node's ledger onto a checkpoint —

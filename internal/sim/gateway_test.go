@@ -10,9 +10,9 @@ import (
 // TestGatewayTierFollowsChain is the basic access-tier scenario: a
 // consensus cluster plus two gateways, all client load entering
 // through the gateways. Consensus nodes see zero client submissions;
-// the gateways' read models follow the committed chain via
-// CommitAnnounce quorums; gossiped transactions commit, and in a run
-// without faults none is sent twice.
+// the gateways' read models follow the committed chain by asking their
+// neighbours for it; gossiped transactions commit, and in a run without
+// faults none is sent twice.
 func TestGatewayTierFollowsChain(t *testing.T) {
 	cfg := DefaultConfig(20, 6)
 	cfg.WeightEach = 1 << 16
@@ -35,13 +35,13 @@ func TestGatewayTierFollowsChain(t *testing.T) {
 	t.Logf("workload: %+v, committed %d", ws, committed)
 	for i := 0; i < c.NumGateways(); i++ {
 		st := c.Gateway(i).Stats()
-		t.Logf("gateway %d: head=%d applied=%d announces=%d gossiped=%d resent=%d pending=%d",
-			i, st.HeadRound, st.BlocksApplied, st.Announces, st.TxsRouted, st.Resent, st.Pending)
+		t.Logf("gateway %d: head=%d applied=%d chainRequests=%d gossiped=%d resent=%d pending=%d",
+			i, st.HeadRound, st.BlocksApplied, st.ChainFills, st.TxsRouted, st.Resent, st.Pending)
 		if st.HeadRound+2 < cfg.Rounds {
 			t.Errorf("gateway %d read model stalled at round %d of %d", i, st.HeadRound, cfg.Rounds)
 		}
-		if st.Announces == 0 {
-			t.Errorf("gateway %d heard no commit announces", i)
+		if st.ChainFills == 0 {
+			t.Errorf("gateway %d asked nobody for the chain", i)
 		}
 		if i == 0 && st.Admitted == 0 {
 			t.Errorf("gateway %d admitted nothing", i)
@@ -81,7 +81,7 @@ func TestGatewayPartitionRecovery(t *testing.T) {
 		t.Fatalf("agreement: %v", err)
 	}
 	st := c.Gateway(0).Stats()
-	t.Logf("partitioned gateway: head=%d applied=%d chainFills=%d resent=%d pending=%d",
+	t.Logf("partitioned gateway: head=%d applied=%d chainRequests=%d resent=%d pending=%d",
 		st.HeadRound, st.BlocksApplied, st.ChainFills, st.Resent, st.Pending)
 	if st.HeadRound+3 < cfg.Rounds {
 		t.Errorf("partitioned gateway stalled at round %d of %d after heal", st.HeadRound, cfg.Rounds)

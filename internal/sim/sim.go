@@ -94,9 +94,8 @@ type Config struct {
 	// They hold zero stake — the money-weighted peer selection keeps
 	// them out of the consensus gossip core while the undirected
 	// neighbor union still connects each of them to several consensus
-	// nodes — and every consensus node announces its commits
-	// (node.Config.AnnounceCommits) so the gateways' read models can
-	// follow the chain.
+	// nodes, whom each gateway asks in turn for the chain its read
+	// model has not applied yet.
 	Gateways int
 }
 
@@ -223,7 +222,6 @@ func NewCluster(cfg Config) *Cluster {
 		RecoveryInterval:   cfg.RecoveryInterval,
 		CheckpointInterval: cfg.CheckpointInterval,
 		TxFlow:             cfg.TxFlow,
-		AnnounceCommits:    cfg.Gateways > 0,
 	}
 	c.archives = make([]*diskstore.Store, cfg.N)
 	for i := 0; i < cfg.N; i++ {

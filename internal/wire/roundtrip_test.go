@@ -212,7 +212,6 @@ func gossipMessages() []network.Message {
 			Blocks: []*ledger.Block{sampleBlock()},
 			Certs:  []*ledger.Certificate{sampleCert()},
 		},
-		&node.CommitAnnounce{Round: 12, Hash: crypto.HashBytes("c")},
 		&node.SnapshotRequest{MinRound: 40},
 		&node.SnapshotReply{Checkpoint: sampleCheckpoint()},
 	}
@@ -243,23 +242,27 @@ func TestUniversalGossipRoundTrip(t *testing.T) {
 }
 
 // TestRetiredTagsDecodeAsUnknown pins the fate of tags 5 (a whole
-// proposed body in one message) and 6 (one transaction, relayed
-// verbatim): retired, never reused. A frame carrying either — here
-// around a transaction encoded exactly as tag 6 used to carry it — is an
-// unknown tag like any other, and no message type encodes to them.
+// proposed body in one message), 6 (one transaction, relayed verbatim)
+// and 11 (a round and the hash it committed, told to a gateway): retired,
+// never reused. A frame carrying any of them — here around a transaction
+// encoded exactly as tag 6 used to carry it, and around the 40 bytes tag
+// 11 carried — is an unknown tag like any other, and no message type
+// encodes to them.
 func TestRetiredTagsDecodeAsUnknown(t *testing.T) {
 	tx := sampleTx()
-	for _, tag := range []byte{5, 6} {
+	commit := make([]byte, 8+32)
+	retired := map[byte][]byte{5: wire.Encode(&tx), 6: wire.Encode(&tx), 11: commit}
+	for tag, payload := range retired {
 		if m := node.NewMessage(tag); m != nil {
 			t.Fatalf("retired tag %d still names %T", tag, m)
 		}
-		_, err := node.DecodeMessage(tag, wire.Encode(&tx))
+		_, err := node.DecodeMessage(tag, payload)
 		if err == nil || !strings.Contains(err.Error(), "unknown message tag") {
 			t.Fatalf("retired tag %d: got %v, want the unknown-tag error", tag, err)
 		}
 	}
 	for _, m := range gossipMessages() {
-		if tag, _ := node.MessageTag(m); tag == 5 || tag == 6 {
+		if tag, _ := node.MessageTag(m); retired[tag] != nil {
 			t.Fatalf("%T encodes to retired tag %d", m, tag)
 		}
 	}
