@@ -22,10 +22,6 @@ import (
 // maxAsked bounds the requests a Requests table remembers.
 const maxAsked = 64
 
-// replyWait is how long a catch-up loop waits for a chain or snapshot
-// reply before it asks the next peer.
-const replyWait = 2 * time.Second
-
 // Requests is the one rule for taking a ChainReply or SnapshotReply, a
 // node's and a gateway's: once per request filed to the peer it came
 // from. Anything else is dropped unread, so no peer can make its receiver
@@ -165,78 +161,6 @@ func (n *Node) RestoreFromArchive(src *ledger.Store) (uint64, error) {
 	}
 }
 
-// syncFromPeersUntil catches the node's ledger up to the network
-// (§8.3): it repeatedly asks peers for the next run of
-// blocks+certificates and validates them on top of the current head,
-// stopping when no peer has more or the deadline passes. It must run in
-// the node's process; Rejoin is the bring-up sequence built on it.
-//
-// Snapshot first: a node whose ledger is still at genesis, in a
-// deployment that writes checkpoints, asks peers for a snapshot before
-// it asks for the chain, so what follows replays the delta past the
-// checkpoint instead of the whole history. A node that holds any round
-// sends no request. The attempt does not eat into the deadline.
-func (n *Node) syncFromPeersUntil(deadline time.Duration) error {
-	p := n.proc
-	peers := n.net.Neighbors(n.ID)
-	if len(peers) == 0 {
-		return fmt.Errorf("catchup: no peers")
-	}
-	if n.cfg.CheckpointInterval > 0 && n.ledger.ChainLength() == 0 {
-		start := p.Now()
-		n.trySnapshotSync(peers)
-		deadline += p.Now() - start
-	}
-	peerIdx := 0
-	stalls := 0
-	probedFork := false
-	fromOverride := uint64(0)
-	for p.Now() < deadline && stalls < 2*len(peers) && !n.halted {
-		peer := peers[peerIdx%len(peers)]
-		req := &ChainRequest{FromRound: n.ledger.NextRound(), MaxBlocks: 32}
-		if fromOverride > 0 {
-			req.FromRound = fromOverride
-			fromOverride = 0
-		}
-		n.asked.File(peer, TagChainReply)
-		n.net.Unicast(n.ID, peer, req)
-		peerIdx++
-
-		m, ok := p.RecvTimeout(n.chainReplies, replyWait)
-		if !ok {
-			stalls++
-			continue
-		}
-		reply := m.(*ChainReply)
-		applied, err := n.applyChainReply(reply)
-		if err != nil {
-			// The peer's chain conflicts with ours below our head: we may
-			// hold the losing side of a tentative fork (§8.2). Try to adopt
-			// the peer's branch on the strength of its certificates.
-			if n.tryAdoptFork(reply) {
-				stalls = 0
-				continue
-			}
-			// The divergence may start below the reply's first round, in
-			// which case the reply never shows us the fork point. Re-request
-			// once from just past our last final block — the earliest round
-			// a fork can live at — so the next reply spans the divergence.
-			if !probedFork {
-				probedFork = true
-				fromOverride = n.ledger.LastFinal().Round + 1
-				continue
-			}
-			return err
-		}
-		if applied == 0 {
-			stalls++
-		} else {
-			stalls = 0
-		}
-	}
-	return nil
-}
-
 // tryAdoptFork reconciles this node onto a strictly longer certified
 // chain served by a peer whose blocks conflict with our own tentative
 // suffix. A node that committed the losing side of a tentative fork —
@@ -319,27 +243,6 @@ func (n *Node) tryAdoptFork(reply *ChainReply) bool {
 	return true
 }
 
-// trySyncBehind probes peers for committed rounds we are missing, in
-// short bounded bites so a genuinely stalled network (nobody has more
-// blocks than we do) costs only ~10 virtual seconds before the caller
-// falls through to §8.2 recovery. Returns whether the chain advanced.
-func (n *Node) trySyncBehind() bool {
-	before := n.ledger.ChainLength()
-	for !n.halted {
-		prev := n.ledger.ChainLength()
-		if err := n.syncFromPeersUntil(n.proc.Now() + 10*time.Second); err != nil {
-			// Peer data conflicts with our chain and the sync loop's fork
-			// adoption could not resolve it (not longer, or final blocks
-			// diverge): leave it to §8.2 recovery.
-			break
-		}
-		if n.ledger.ChainLength() == prev {
-			break
-		}
-	}
-	return n.ledger.ChainLength() > before
-}
-
 // Rejoin brings up a node that is not starting in lockstep at genesis —
 // a restarted process or a late joiner — through the one §8.3 recipe,
 // each stage validating blocks against certificates on top of what the
@@ -354,17 +257,9 @@ func (n *Node) trySyncBehind() bool {
 // an archive that fails validation is the returned error, and the node
 // is not started. A node without an archive starts from what its ledger
 // holds (a caller may have replayed a chain into it with
-// RestoreFromArchive first).
-//
-// The network stages run in the node's main process: sync from peers
-// (snapshot first if nothing was restored, see syncFromPeersUntil),
-// attempt a live round, and if that round fails — the network moved on
-// while we synced — re-sync and try again instead of invoking §8.2 fork
-// recovery (a node that is merely behind is not forked). Once a round
-// completes the node is in the regular loop. budget bounds this phase; a
-// cycle that syncs nothing AND fails its round ends it early: peers have
-// nothing servable beyond our head, so either the whole network is
-// stalled or we are forked from it, and both are the main loop's job.
+// RestoreFromArchive first). The network stages are the catch-up
+// machine's rejoin start state (rejoin.go), run in the node's process;
+// budget bounds them.
 func (n *Node) Rejoin(budget time.Duration) (restored uint64, err error) {
 	if n.archive != nil {
 		if chk, ok := n.archive.Checkpoint(); ok {
@@ -374,24 +269,93 @@ func (n *Node) Rejoin(budget time.Duration) (restored uint64, err error) {
 			return restored, err
 		}
 	}
-	n.launch(fmt.Sprintf("node-%d-rejoin", n.ID), func(p *vtime.Proc) {
-		deadline := p.Now() + budget
-		for !n.sim.Stopped() && !n.halted {
-			before := n.ledger.ChainLength()
-			if err := n.syncFromPeersUntil(deadline); err != nil {
-				return // inconsistent peer data; give up rather than diverge
-			}
-			if n.StopAfterRound > 0 && n.ledger.NextRound() > n.StopAfterRound {
-				return
-			}
-			if err := n.runRound(); err == nil {
-				break // back in lockstep with the network
-			}
-			if p.Now() >= deadline || n.ledger.ChainLength() == before {
-				break
-			}
-		}
-		n.run()
+	n.launch(fmt.Sprintf("node-%d-rejoin", n.ID), func(*vtime.Proc) {
+		n.run(n.catchup.Rejoin(n.observe(), budget))
 	})
 	return restored, nil
+}
+
+// observe is the view the catch-up machine gets with an input, and tells
+// it first if the node has halted.
+func (n *Node) observe() view {
+	if n.halted {
+		n.catchup.Halt()
+	}
+	return view{
+		now:     n.sim.Now(),
+		head:    n.ledger.ChainLength(),
+		final:   n.ledger.LastFinal().Round,
+		peers:   n.net.Neighbors(n.ID),
+		stopped: n.sim.Stopped(),
+		done:    n.StopAfterRound > 0 && n.ledger.NextRound() > n.StopAfterRound,
+		budget:  n.roundBudget(),
+	}
+}
+
+// run is the catch-up machine's driver and the node's one process: it
+// carries out acts, the actions of the machine's start state, and every
+// list after them, handing the machine what came of each, until it says
+// stop. The node waits for chain and snapshot replies here and nowhere
+// else.
+func (n *Node) run(acts []cuAct) {
+	p, m := n.proc, &n.catchup
+	var reply *ChainReply
+	peer := 0
+	for {
+		a := acts[len(acts)-1]
+		for _, ask := range acts[:len(acts)-1] {
+			peer = ask.Peer
+			if ask.Kind == cuAskSnapshot {
+				n.asked.File(peer, TagSnapshotReply)
+				n.net.Unicast(n.ID, peer, &SnapshotRequest{MinRound: ask.Round})
+			} else {
+				n.asked.File(peer, TagChainReply)
+				n.net.Unicast(n.ID, peer, &ChainRequest{FromRound: ask.Round, MaxBlocks: ask.Blocks})
+			}
+		}
+		switch a.Kind {
+		case cuWait:
+			box := n.chainReplies
+			if acts[0].Kind == cuAskSnapshot {
+				box = n.snapReplies
+			}
+			got, ok := p.RecvDeadline(box, a.At)
+			switch {
+			case !ok:
+				acts = m.Elapsed(n.observe())
+			case box == n.snapReplies:
+				// Verified exactly like a checkpoint from our own disk.
+				adopted, err := n.RestoreFromCheckpoint(got.(*SnapshotReply).Checkpoint)
+				if mr, ok := n.net.(MisbehaviorReporter); ok && err != nil {
+					mr.ReportMisbehavior(peer, "snapshot failed verification")
+				}
+				if adopted {
+					n.SnapshotSyncs++
+				}
+				acts = m.SnapshotReply(n.observe(), adopted)
+			default:
+				reply = got.(*ChainReply)
+				applied, err := n.applyChainReply(reply)
+				acts = m.ChainReply(n.observe(), applied, err != nil)
+			}
+		case cuAdoptFork:
+			acts = m.Adopted(n.observe(), n.tryAdoptFork(reply))
+		case cuSleep:
+			p.Sleep(a.At - p.Now())
+			acts = m.Elapsed(n.observe())
+		case cuRecover:
+			if !a.IfForked || n.alienVotes > 0 || n.liveFork() {
+				n.recover()
+			}
+			acts = m.Recovered(n.observe())
+		case cuLive:
+			if n.runRound() != nil {
+				acts = m.RoundFailed(n.observe())
+			} else {
+				acts = m.RoundDone(n.observe())
+			}
+		case cuStop:
+			return
+		}
+	}
 }

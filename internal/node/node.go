@@ -164,6 +164,8 @@ type Node struct {
 	asked        Requests
 	chainReplies *vtime.Mailbox
 	snapReplies  *vtime.Mailbox
+	// catchup decides what the node's process does next (rejoin.go).
+	catchup catchup
 	// blockWanted is the hash fetchBlock is waiting for, zero when it is
 	// not waiting; blockFills hands it the BlockFill that matches.
 	blockWanted crypto.Digest
@@ -290,6 +292,7 @@ func NewFromGenesis(
 		reg:          cfg.Metrics,
 		tracer:       cfg.Tracer,
 		ba:           agreement.NewMetrics(cfg.Metrics),
+		catchup:      newCatchup(cfg.RecoveryInterval, cfg.CheckpointInterval > 0),
 	}
 	n.roundsTotal = cfg.Metrics.Counter("algorand_node_rounds_total", "rounds this node completed")
 	n.roundsEmpty = cfg.Metrics.Counter("algorand_node_rounds_empty_total", "completed rounds that committed the empty block")
@@ -888,7 +891,7 @@ func (n *Node) env(round uint64) *agreement.Env {
 // starting with the network — restarted, or joining late — comes up
 // through Rejoin instead.
 func (n *Node) Start() {
-	n.launch(fmt.Sprintf("node-%d", n.ID), func(*vtime.Proc) { n.run() })
+	n.launch(fmt.Sprintf("node-%d", n.ID), func(*vtime.Proc) { n.run(n.catchup.Live(n.observe())) })
 }
 
 // launch starts what every running node has: the signature-verification
@@ -956,60 +959,6 @@ func (n *Node) handleTxBatch(msg *TxBatch, cost crypto.CostModel) network.Verdic
 		}
 	}
 	return network.Verdict{CPU: cpu}
-}
-
-func (n *Node) run() {
-	lastRecoveryCheck := time.Duration(0)
-	for !n.sim.Stopped() {
-		if n.halted {
-			return
-		}
-		if n.StopAfterRound > 0 && n.ledger.NextRound() > n.StopAfterRound {
-			return
-		}
-		// §8.2: at every recovery checkpoint, if we have seen evidence of
-		// forks, run the recovery protocol before the next round.
-		checkpoint := n.proc.Now() / n.cfg.RecoveryInterval
-		if checkpoint > lastRecoveryCheck/n.cfg.RecoveryInterval {
-			if n.alienVotes > 0 || n.liveFork() {
-				n.recover()
-			}
-		}
-		lastRecoveryCheck = n.proc.Now()
-
-		if err := n.runRound(); err != nil {
-			if n.halted {
-				return
-			}
-			// The round may have failed because we fell behind the network
-			// (an outage on our links) rather than because consensus
-			// stalled globally: try §8.3 catch-up from peers first. A node
-			// that is merely behind is not forked and must not wait for a
-			// recovery checkpoint.
-			if n.trySyncBehind() {
-				// Caught up — but only rejoin immediately if the next
-				// round can finish before the next recovery checkpoint.
-				// A round spanning the checkpoint makes this node miss
-				// the one moment the network reassembles (§8.2 recovery
-				// and round retries run on the checkpoint grid), and a
-				// few off-grid nodes can starve everyone's quorum when
-				// committees are small.
-				next := (n.proc.Now()/n.cfg.RecoveryInterval + 1) * n.cfg.RecoveryInterval
-				if n.proc.Now()+n.roundBudget() > next {
-					n.proc.Sleep(next - n.proc.Now())
-				}
-				continue
-			}
-			// No consensus within MaxSteps: wait for the next recovery
-			// checkpoint (loosely synchronized clocks), then recover.
-			next := (n.proc.Now()/n.cfg.RecoveryInterval + 1) * n.cfg.RecoveryInterval
-			n.proc.Sleep(next - n.proc.Now())
-			if n.halted {
-				return
-			}
-			n.recover()
-		}
-	}
 }
 
 // liveFork reports whether the ledger holds a competing branch at least

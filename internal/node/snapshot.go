@@ -2,7 +2,6 @@ package node
 
 import (
 	"fmt"
-	"time"
 
 	"algorand/internal/ledger"
 	"algorand/internal/network"
@@ -112,43 +111,6 @@ func (n *Node) adoptCheckpoint(chk *ledger.Checkpoint) error {
 		}
 	}
 	return nil
-}
-
-// trySnapshotSync asks peers, the caller's neighbours, round-robin for a
-// checkpoint newer than our chain and adopts the first one that verifies,
-// with backoff between attempts. Peers serving snapshots that fail
-// verification are counted, reported to the transport's misbehavior
-// scoring, and skipped; the sync continues with the next peer. The caller
-// replays the chain from whatever head this leaves (ultimately genesis), so
-// a poisoned or stale snapshot can delay a join but never corrupt or wedge it.
-func (n *Node) trySnapshotSync(peers []int) {
-	p := n.proc
-	for attempt, peer := range peers {
-		if attempt > 0 {
-			p.Sleep(time.Duration(attempt) * 500 * time.Millisecond)
-		}
-		if n.halted {
-			return
-		}
-		n.asked.File(peer, TagSnapshotReply)
-		n.net.Unicast(n.ID, peer, &SnapshotRequest{MinRound: n.ledger.ChainLength()})
-		m, ok := p.RecvTimeout(n.snapReplies, replyWait)
-		if !ok {
-			continue // peer has no newer checkpoint, or is gone
-		}
-		// Verified exactly like a checkpoint from our own disk.
-		adopted, err := n.RestoreFromCheckpoint(m.(*SnapshotReply).Checkpoint)
-		if err != nil {
-			if mr, ok := n.net.(MisbehaviorReporter); ok {
-				mr.ReportMisbehavior(peer, "snapshot failed verification")
-			}
-			continue
-		}
-		if adopted {
-			n.SnapshotSyncs++
-			return
-		}
-	}
 }
 
 // RestoreFromCheckpoint re-bases the node's ledger onto a checkpoint —

@@ -211,7 +211,8 @@ func TestRestartedNodeGossipsSubmissions(t *testing.T) {
 // adopts through §8.3 catch-up gets the same post-commit hook as a block
 // of a round it agreed on: a token-stake node is cut off under load for
 // the rest of the run and healed once the others are done, so its only
-// way to the head is trySyncBehind. Afterwards its mempool must hold
+// way to the head is the catch-up of a node whose round failed.
+// Afterwards its mempool must hold
 // nothing the chain already committed, and its nonce floors must reject
 // a replay of anything committed in its absence.
 func TestCaughtUpNodeShedsCommittedTransactions(t *testing.T) {
