@@ -148,8 +148,8 @@ func main() {
 		st.Sessions, st.Queries, st.Submitted, st.Admitted, st.Rejected)
 	fmt.Printf("  routed: %d txs in %d batches (%d bytes), resent=%d\n",
 		st.TxsRouted, st.BatchesRouted, st.BytesRouted, st.Resent)
-	fmt.Printf("  read model: %d blocks applied, %d chain requests, %d cert rejects\n",
-		st.BlocksApplied, st.ChainFills, st.CertRejects)
+	fmt.Printf("  read model: %d blocks applied, %d chain replies applied and %d applied nothing, %d cert rejects\n",
+		st.BlocksApplied, st.ChainFills, st.IdleFills, st.CertRejects)
 	fmt.Printf("  edge pool: %d pending (%d bytes); conn rejects=%d frame rejects=%d\n",
 		st.Pending, st.PendingBytes, st.ConnRejects, st.FrameRejects)
 }

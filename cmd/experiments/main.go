@@ -7,12 +7,14 @@
 //	experiments -run all
 //	experiments -run figure5 -users 2 -rounds 5
 //	experiments -run nodecost -users 50,100,200,400,1000 -rounds 4
+//	experiments -run rejoin
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 
 	"algorand/internal/experiments"
@@ -20,7 +22,7 @@ import (
 
 func main() {
 	var (
-		run    = flag.String("run", "all", "experiment: figure3|figure5|figure6|figure7|figure8|throughput|costs|timeouts|steps|ablations|coin|gateway|nodecost|all")
+		run    = flag.String("run", "all", "experiment: figure3|figure5|figure6|figure7|figure8|throughput|costs|timeouts|steps|ablations|coin|gateway|nodecost|rejoin|all")
 		users  = flag.String("users", "1", "user-count multiplier; for nodecost, the user counts to simulate, comma-separated")
 		rounds = flag.Uint64("rounds", 3, "rounds per run")
 	)
@@ -33,6 +35,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "nodecost:", err)
 			os.Exit(1)
 		}
+		return
+	}
+	// rejoin reads one node's catch-up series on a fixed fault schedule,
+	// seed by seed; it is not part of "all".
+	if *run == "rejoin" {
+		printRejoin(experiments.Rejoin([]int64{11, 12, 13, 14, 15}))
 		return
 	}
 	mult, err := strconv.ParseFloat(*users, 64)
@@ -157,8 +165,8 @@ func main() {
 			rep.ClientSessions, rep.ConsensusClientSessions, rep.Elapsed.Seconds())
 		fmt.Printf("load_driver\t%+v\n", rep.Workload)
 		for i, st := range rep.GatewayStats {
-			fmt.Printf("gateway_%d\tsessions=%d\tadmitted=%d\trouted=%d\tresent=%d\thead=%d\tpending=%d\tpending_bytes=%d\n",
-				i, st.Sessions, st.Admitted, st.TxsRouted, st.Resent, st.HeadRound, st.Pending, st.PendingBytes)
+			fmt.Printf("gateway_%d\tsessions=%d\tadmitted=%d\trouted=%d\tresent=%d\thead=%d\tpending=%d\tpending_bytes=%d\tfills=%d\tidle_fills=%d\n",
+				i, st.Sessions, st.Admitted, st.TxsRouted, st.Resent, st.HeadRound, st.Pending, st.PendingBytes, st.ChainFills, st.IdleFills)
 		}
 		fmt.Println()
 	}
@@ -177,4 +185,39 @@ func printLatency(pts []experiments.LatencyPoint, xName string) {
 			p.Latency.P75.Seconds(), p.Latency.Max.Seconds(), p.FinalRate, p.EmptyRate)
 	}
 	fmt.Println()
+}
+
+// printRejoin prints, per seed, the restarted node's bring-up: when it
+// came back and what its disk held, each stage it entered, the rounds it
+// ran live, when its process ended, and its catch-up series at the end.
+func printRejoin(rs []experiments.RejoinReading) {
+	names := [...]string{"none", "own_checkpoint", "own_archive", "peer_snapshot", "peer_chain", "live"}
+	fmt.Println("# Rejoin: crash-rejoin's schedule, the victim's catch-up series")
+	for _, r := range rs {
+		fmt.Printf("seed\t%d\trestart_s\t%.1f\theld\t%d\tended_s\t%.1f\n", r.Seed, r.RestartAt.Seconds(), r.Held, r.Ended.Seconds())
+		if r.Err != nil {
+			fmt.Printf("error\t%v\n", r.Err)
+			continue
+		}
+		for _, s := range r.Stages {
+			fmt.Printf("stage\t%s\tentered_s\t%.1f\n", names[s.Stage], s.Entered)
+		}
+		for _, st := range r.Rounds {
+			fmt.Printf("round\t%d\tstart_s\t%.1f\tend_s\t%.1f\ttook_s\t%.1f\n", st.Round, st.Start.Seconds(), st.End.Seconds(), (st.End - st.Start).Seconds())
+		}
+		keys := make([]string, 0, len(r.Series))
+		for k := range r.Series {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			v := r.Series[k]
+			if v.Kind == "histogram" {
+				fmt.Printf("series\t%s\tcount\t%d\tsum\t%.1f\n", k, v.Count, v.Sum)
+			} else {
+				fmt.Printf("series\t%s\t%s\n", k, strconv.FormatFloat(v.Value, 'f', -1, 64))
+			}
+		}
+		fmt.Println()
+	}
 }

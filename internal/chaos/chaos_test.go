@@ -28,8 +28,13 @@ func report(t *testing.T, res *Result, vs []Violation) {
 	if len(vs) == 0 {
 		return
 	}
+	named := map[int]bool{}
 	for _, v := range vs {
 		t.Errorf("invariant violated: %s", v)
+		if v.Node >= 0 && v.Node < len(res.Cluster.Nodes) && !named[v.Node] {
+			named[v.Node] = true
+			t.Errorf("catch-up series of %s", res.Series(v.Node))
+		}
 	}
 	t.Errorf("run trace:\n%s", res.Trace())
 }

@@ -447,6 +447,29 @@ func (r *Result) Check() []Violation {
 	return vs
 }
 
+// Series renders node i's catch-up series (node.CatchupSeries) on one
+// line: where its bring-up stands, what its asks came to, what it slept.
+func (r *Result) Series(i int) string {
+	snap := r.Cluster.Nodes[i].CatchupSeries()
+	names := make([]string, 0, len(snap))
+	for name := range snap {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	fmt.Fprintf(&b, "node %d:", i)
+	for _, name := range names {
+		v := snap[name]
+		name = strings.TrimPrefix(name, "algorand_node_catchup_")
+		if v.Kind == "histogram" {
+			fmt.Fprintf(&b, " %s=%d/%.1fs", name, v.Count, v.Sum)
+		} else {
+			fmt.Fprintf(&b, " %s=%g", name, v.Value)
+		}
+	}
+	return b.String()
+}
+
 // Trace renders the per-round history of the run — what every honest
 // node committed and when — plus the fault schedule. It is printed on
 // invariant violations so a failure is diagnosable from the test log

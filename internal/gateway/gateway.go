@@ -97,6 +97,15 @@ const (
 	resendBudget = 256 << 10
 )
 
+// A chain reply the gateway took applied a block, or applied none; the
+// labelled names are rendered once.
+var (
+	fillsAppliedName = metrics.Name("algorand_gateway_chain_fills_total", "applied", "true")
+	fillsIdleName    = metrics.Name("algorand_gateway_chain_fills_total", "applied", "false")
+)
+
+const fillsHelp = "chain replies taken, by whether they applied a block"
+
 // Gateway is one access-tier node.
 type Gateway struct {
 	ID  int
@@ -121,13 +130,14 @@ type Gateway struct {
 }
 
 type gwCounters struct {
-	submitted, admitted, rejected          *metrics.Counter
-	queries                                *metrics.Counter
-	batchesRouted, txsRouted               *metrics.Counter
-	bytesRouted, resent                    *metrics.Counter
-	blocksApplied, chainFills, certRejects *metrics.Counter
-	connRejects, frameRejects              *metrics.Counter
-	sessions                               *metrics.Counter
+	submitted, admitted, rejected *metrics.Counter
+	queries                       *metrics.Counter
+	batchesRouted, txsRouted      *metrics.Counter
+	bytesRouted, resent           *metrics.Counter
+	blocksApplied, certRejects    *metrics.Counter
+	fillsApplied, fillsIdle       *metrics.Counter
+	connRejects, frameRejects     *metrics.Counter
+	sessions                      *metrics.Counter
 }
 
 // New builds a gateway with network identity id. The genesis account
@@ -164,7 +174,8 @@ func New(id int, sim *vtime.Sim, net node.Transport, provider crypto.Provider, c
 		bytesRouted:   reg.Counter("algorand_gateway_bytes_routed_total", "encoded TxBatch bytes gossiped"),
 		resent:        reg.Counter("algorand_gateway_resent_total", "pending transactions gossiped again after resendAfter applied rounds"),
 		blocksApplied: reg.Counter("algorand_gateway_blocks_applied_total", "committed blocks applied to the read model"),
-		chainFills:    reg.Counter("algorand_gateway_chain_fills_total", "chain requests sent"),
+		fillsApplied:  reg.Counter(fillsAppliedName, fillsHelp),
+		fillsIdle:     reg.Counter(fillsIdleName, fillsHelp),
 		certRejects:   reg.Counter("algorand_gateway_cert_rejects_total", "fetched chain runs rejected for failing certificate verification"),
 		connRejects:   reg.Counter("algorand_gateway_conn_rejects_total", "connections rejected at the connection cap"),
 		frameRejects:  reg.Counter("algorand_gateway_frame_rejects_total", "frames rejected as oversized or malformed"),
@@ -269,7 +280,6 @@ func (g *Gateway) askChain() {
 	peer := peers[g.nextPeer%len(peers)]
 	g.nextPeer++
 	head, _ := g.rm.Head()
-	g.c.chainFills.Inc()
 	g.asked.File(peer, node.TagChainReply)
 	g.net.Unicast(g.ID, peer, &node.ChainRequest{FromRound: head + 1, MaxBlocks: 64})
 }
@@ -283,6 +293,11 @@ func (g *Gateway) applyRun(blocks []*ledger.Block, certs []*ledger.Certificate) 
 	applied, balances, err := g.rm.ApplyRun(blocks, certs)
 	if err != nil {
 		g.c.certRejects.Inc()
+	}
+	if len(applied) > 0 {
+		g.c.fillsApplied.Inc()
+	} else {
+		g.c.fillsIdle.Inc()
 	}
 	for _, b := range applied {
 		g.c.blocksApplied.Inc()
@@ -363,16 +378,19 @@ func (g *Gateway) run(p *vtime.Proc) {
 // Stats is a point-in-time snapshot of the gateway's registry-backed
 // counters plus the embedded pipeline's.
 type Stats struct {
-	Submitted, Admitted, Rejected          int64
-	Queries, Sessions                      int64
-	BatchesRouted, TxsRouted, BytesRouted  int64
-	Resent                                 int64
-	BlocksApplied, ChainFills, CertRejects int64
-	ConnRejects, FrameRejects              int64
-	HeadRound                              uint64
-	Pending                                int
-	PendingBytes                           int
-	Flow                                   txflow.Stats
+	Submitted, Admitted, Rejected         int64
+	Queries, Sessions                     int64
+	BatchesRouted, TxsRouted, BytesRouted int64
+	Resent                                int64
+	BlocksApplied, CertRejects            int64
+	// ChainFills counts the chain replies taken that applied a block,
+	// IdleFills those that applied none.
+	ChainFills, IdleFills     int64
+	ConnRejects, FrameRejects int64
+	HeadRound                 uint64
+	Pending                   int
+	PendingBytes              int
+	Flow                      txflow.Stats
 }
 
 // Stats snapshots the gateway.
@@ -389,7 +407,8 @@ func (g *Gateway) Stats() Stats {
 		BytesRouted:   int64(g.c.bytesRouted.Load()),
 		Resent:        int64(g.c.resent.Load()),
 		BlocksApplied: int64(g.c.blocksApplied.Load()),
-		ChainFills:    int64(g.c.chainFills.Load()),
+		ChainFills:    int64(g.c.fillsApplied.Load()),
+		IdleFills:     int64(g.c.fillsIdle.Load()),
 		CertRejects:   int64(g.c.certRejects.Load()),
 		ConnRejects:   int64(g.c.connRejects.Load()),
 		FrameRejects:  int64(g.c.frameRejects.Load()),

@@ -3,11 +3,14 @@ package node
 import (
 	"fmt"
 	"slices"
+	"strings"
+	"sync/atomic"
 	"time"
 
 	"algorand/internal/agreement"
 	"algorand/internal/crypto"
 	"algorand/internal/ledger"
+	"algorand/internal/metrics"
 	"algorand/internal/network"
 	"algorand/internal/params"
 	"algorand/internal/vtime"
@@ -263,8 +266,10 @@ func (n *Node) tryAdoptFork(reply *ChainReply) bool {
 func (n *Node) Rejoin(budget time.Duration) (restored uint64, err error) {
 	if n.archive != nil {
 		if chk, ok := n.archive.Checkpoint(); ok {
+			n.enter(stageOwnCheckpoint)
 			n.RestoreFromCheckpoint(chk) // a rejected checkpoint is counted, and replay covers for it
 		}
+		n.enter(stageOwnArchive)
 		if restored, err = n.RestoreFromArchive(n.archive.Recovered()); err != nil {
 			return restored, err
 		}
@@ -298,10 +303,12 @@ func (n *Node) observe() view {
 // stop. The node waits for chain and snapshot replies here and nowhere
 // else.
 func (n *Node) run(acts []cuAct) {
-	p, m := n.proc, &n.catchup
+	p, m, cs := n.proc, &n.catchup, &n.cus
 	var reply *ChainReply
-	peer := 0
+	peer, applied := 0, 0
 	for {
+		n.enter(m.stage)
+		cs.behind.Set(int64(cs.seen - min(cs.seen, n.ledger.ChainLength())))
 		a := acts[len(acts)-1]
 		for _, ask := range acts[:len(acts)-1] {
 			peer = ask.Peer
@@ -319,28 +326,55 @@ func (n *Node) run(acts []cuAct) {
 			if acts[0].Kind == cuAskSnapshot {
 				box = n.snapReplies
 			}
+			// A reply already queued was taken after the wait that asked for
+			// it ended: it answers this ask late.
+			late := box.Len() > 0
 			got, ok := p.RecvDeadline(box, a.At)
+			switch {
+			case !ok:
+				cs.timedOut.Inc()
+			case late:
+				cs.late.Inc()
+			default:
+				cs.answered.Inc()
+			}
 			switch {
 			case !ok:
 				acts = m.Elapsed(n.observe())
 			case box == n.snapReplies:
 				// Verified exactly like a checkpoint from our own disk.
-				adopted, err := n.RestoreFromCheckpoint(got.(*SnapshotReply).Checkpoint)
+				sr := got.(*SnapshotReply)
+				adopted, err := n.RestoreFromCheckpoint(sr.Checkpoint)
 				if mr, ok := n.net.(MisbehaviorReporter); ok && err != nil {
 					mr.ReportMisbehavior(peer, "snapshot failed verification")
 				}
 				if adopted {
 					n.SnapshotSyncs++
 				}
+				cs.reply(sr.WireSize(), adopted)
 				acts = m.SnapshotReply(n.observe(), adopted)
 			default:
 				reply = got.(*ChainReply)
-				applied, err := n.applyChainReply(reply)
+				var err error
+				applied, err = n.applyChainReply(reply)
+				for _, c := range reply.Certs {
+					if c.Round < ledger.RecoveryRoundBase {
+						cs.seen = max(cs.seen, c.Round)
+					}
+				}
+				if err == nil {
+					cs.reply(reply.WireSize(), applied > 0)
+				}
 				acts = m.ChainReply(n.observe(), applied, err != nil)
 			}
 		case cuAdoptFork:
-			acts = m.Adopted(n.observe(), n.tryAdoptFork(reply))
+			ok := n.tryAdoptFork(reply)
+			cs.reply(reply.WireSize(), ok || applied > 0)
+			acts = m.Adopted(n.observe(), ok)
 		case cuSleep:
+			if a.Checkpoint {
+				cs.sleeps.ObserveDuration(a.At - p.Now())
+			}
 			p.Sleep(a.At - p.Now())
 			acts = m.Elapsed(n.observe())
 		case cuRecover:
@@ -349,6 +383,9 @@ func (n *Node) run(acts []cuAct) {
 			}
 			acts = m.Recovered(n.observe())
 		case cuLive:
+			if a.Retry {
+				cs.retries.Inc()
+			}
 			if n.runRound() != nil {
 				acts = m.RoundFailed(n.observe())
 			} else {
@@ -357,5 +394,81 @@ func (n *Node) run(acts []cuAct) {
 		case cuStop:
 			return
 		}
+	}
+}
+
+// The catch-up series' labelled names, rendered once (see voteChecksName).
+var (
+	requestsAnsweredName = metrics.Name("algorand_node_catchup_requests_total", "outcome", "answered")
+	requestsTimedOutName = metrics.Name("algorand_node_catchup_requests_total", "outcome", "timed_out")
+	requestsLateName     = metrics.Name("algorand_node_catchup_requests_total", "outcome", "late")
+	replyBytesUsedName   = metrics.Name("algorand_node_catchup_reply_bytes_total", "applied", "true")
+	replyBytesIdleName   = metrics.Name("algorand_node_catchup_reply_bytes_total", "applied", "false")
+)
+
+// catchupSeries is what the catch-up machine's transitions show of why a
+// node is behind and what catching up cost it; run sets each series
+// where the machine changes state.
+type catchupSeries struct {
+	stage   *metrics.Gauge
+	entered atomic.Int64 // when the stage was entered, on the node's clock
+	// Chain and snapshot asks by how their wait ended: a reply came in
+	// it, none came, or one was already queued, taken after the wait for
+	// it had ended. Together they are the asks the node made.
+	answered, timedOut, late *metrics.Counter
+	// Reply bytes that moved the head, and reply bytes that did not.
+	used, idle *metrics.Counter
+	retries    *metrics.Counter
+	sleeps     *metrics.Histogram
+	// behind is seen minus the head. seen is the highest round a chain
+	// reply carried a certificate for: what a peer claims, verified only
+	// once the chain beneath it is, since a certificate is checked against
+	// the committee its own chain selects.
+	behind *metrics.Gauge
+	seen   uint64
+}
+
+func (cs *catchupSeries) register(reg *metrics.Registry) {
+	cs.stage = reg.Gauge("algorand_node_catchup_stage", "bring-up stage: 1 own checkpoint, 2 own archive, 3 peer snapshot, 4 peer chain, 5 live")
+	reg.GaugeFunc("algorand_node_catchup_stage_entered_seconds", "when the node entered its bring-up stage, on its clock",
+		func() float64 { return time.Duration(cs.entered.Load()).Seconds() })
+	const asks = "chain and snapshot requests by how their wait ended (late: a reply taken after its own wait ended)"
+	cs.answered = reg.Counter(requestsAnsweredName, asks)
+	cs.timedOut = reg.Counter(requestsTimedOutName, asks)
+	cs.late = reg.Counter(requestsLateName, asks)
+	const bytes = "chain and snapshot reply bytes, by whether applying the reply moved the head"
+	cs.used = reg.Counter(replyBytesUsedName, bytes)
+	cs.idle = reg.Counter(replyBytesIdleName, bytes)
+	cs.retries = reg.Counter("algorand_node_catchup_round_retries_total", "live rounds started after one failed")
+	cs.sleeps = reg.Histogram("algorand_node_catchup_checkpoint_sleep_seconds", "sleeps to a recovery checkpoint", []float64{10, 60, 300, 1800, 3600})
+	cs.behind = reg.Gauge("algorand_node_catchup_rounds_behind", "the highest round a chain reply carried a certificate for, minus the head")
+}
+
+// CatchupSeries returns the node's catch-up series as they stand: every
+// series of its registry named algorand_node_catchup_*.
+func (n *Node) CatchupSeries() metrics.Snapshot {
+	out := metrics.Snapshot{}
+	for name, v := range n.reg.Snapshot() {
+		if strings.HasPrefix(name, "algorand_node_catchup_") {
+			out[name] = v
+		}
+	}
+	return out
+}
+
+// reply counts a reply's bytes by whether applying it moved the head.
+func (cs *catchupSeries) reply(size int, used bool) {
+	if used {
+		cs.used.Add(uint64(size))
+	} else {
+		cs.idle.Add(uint64(size))
+	}
+}
+
+// enter records the stage the node is in, and when it entered it.
+func (n *Node) enter(s stage) {
+	if int64(s) != n.cus.stage.Load() {
+		n.cus.stage.Set(int64(s))
+		n.cus.entered.Store(int64(n.sim.Now()))
 	}
 }

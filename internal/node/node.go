@@ -164,8 +164,10 @@ type Node struct {
 	asked        Requests
 	chainReplies *vtime.Mailbox
 	snapReplies  *vtime.Mailbox
-	// catchup decides what the node's process does next (rejoin.go).
+	// catchup decides what the node's process does next (rejoin.go), and
+	// cus shows its transitions.
 	catchup catchup
+	cus     catchupSeries
 	// blockWanted is the hash fetchBlock is waiting for, zero when it is
 	// not waiting; blockFills hands it the BlockFill that matches.
 	blockWanted crypto.Digest
@@ -305,6 +307,7 @@ func NewFromGenesis(
 	n.voteChecks = cfg.Metrics.Counter(voteChecksName, checksHelp)
 	n.priorityChecks = cfg.Metrics.Counter(priorityChecksName, checksHelp)
 	n.announceChecks = cfg.Metrics.Counter(announceChecksName, checksHelp)
+	n.cus.register(cfg.Metrics)
 	net.SetHandler(id, network.HandlerFunc(n.handleMessage))
 	return n
 }

@@ -32,9 +32,9 @@ const (
 	cuAskChain                  // ask Peer for Blocks blocks from round Round
 	cuWait                      // wait until At for the reply to the ask
 	cuAdoptFork                 // adopt the branch of the reply that failed to apply
-	cuSleep                     // sleep until At
+	cuSleep                     // sleep until At, to a recovery checkpoint if Checkpoint
 	cuRecover                   // run §8.2 recovery; if IfForked, only on fork evidence
-	cuLive                      // run a live round
+	cuLive                      // run a live round, again after a failed one if Retry
 	cuStop                      // end the node's process
 )
 
@@ -46,6 +46,9 @@ type cuAct struct {
 	Blocks   int
 	At       time.Duration
 	IfForked bool
+	// Checkpoint and Retry say what the series count (run): a sleep to
+	// a recovery checkpoint, a round after a failed one.
+	Checkpoint, Retry bool
 }
 
 // view is what the machine is told of the node with every input.
@@ -91,6 +94,7 @@ type catchup struct {
 	stage  stage
 	wait   int
 	halted bool
+	failed bool // the last round failed
 	// rejoining: a sync returns to Rejoin's cycle (sync, then a round,
 	// until a round succeeds, the budget ends or a cycle neither syncs nor
 	// finishes a round), not to the bites of a live node whose round
@@ -204,11 +208,14 @@ func (m *catchup) Recovered(v view) []cuAct {
 }
 
 // RoundDone says a live round committed a block.
-func (m *catchup) RoundDone(v view) []cuAct { m.acts = m.buf[:0]; return m.top(v) }
+func (m *catchup) RoundDone(v view) []cuAct {
+	m.acts, m.failed = m.buf[:0], false
+	return m.top(v)
+}
 
 // RoundFailed says a live round ended without a block.
 func (m *catchup) RoundFailed(v view) []cuAct {
-	m.acts = m.buf[:0]
+	m.acts, m.failed = m.buf[:0], true
 	switch {
 	case m.rejoining && (v.now >= m.rejoinBy || v.head == m.cycleHead):
 		return m.top(v)
@@ -238,14 +245,14 @@ func (m *catchup) top(v view) []cuAct {
 
 func (m *catchup) live() []cuAct {
 	m.stage = stageLive
-	return append(m.acts, cuAct{Kind: cuLive})
+	return append(m.acts, cuAct{Kind: cuLive, Retry: m.failed})
 }
 
 func (m *catchup) stop() []cuAct { return append(m.acts, cuAct{Kind: cuStop}) }
 
 func (m *catchup) sleep(wait int, at time.Duration) []cuAct {
 	m.wait = wait
-	return append(m.acts, cuAct{Kind: cuSleep, At: at})
+	return append(m.acts, cuAct{Kind: cuSleep, At: at, Checkpoint: wait != wBackoff})
 }
 
 // cycle begins a sync of the rejoin cycle, nextBite one of a behind node.

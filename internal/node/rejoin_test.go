@@ -35,13 +35,15 @@ func snapAsk(peer int, head uint64, now time.Duration) []cuAct {
 
 var (
 	live    = []cuAct{{Kind: cuLive}}
+	retry   = []cuAct{{Kind: cuLive, Retry: true}}
 	stop    = []cuAct{{Kind: cuStop}}
 	adopt   = []cuAct{{Kind: cuAdoptFork}}
 	recover = []cuAct{{Kind: cuRecover}}
 	check   = []cuAct{{Kind: cuRecover, IfForked: true}}
 )
 
-func sleepTo(t time.Duration) []cuAct { return []cuAct{{Kind: cuSleep, At: t}} }
+func sleepTo(t time.Duration) []cuAct   { return []cuAct{{Kind: cuSleep, At: t, Checkpoint: true}} }
+func backoffTo(t time.Duration) []cuAct { return []cuAct{{Kind: cuSleep, At: t}} }
 
 func elapsed(m *catchup, v view) []cuAct   { return m.Elapsed(v) }
 func roundDone(m *catchup, v view) []cuAct { return m.RoundDone(v) }
@@ -124,7 +126,7 @@ func TestCatchupMachine(t *testing.T) {
 			{"applied", at(s, 9), reply(4), chainAsk(7, 10, s)},
 			{"deadline", at(61*s, 9), elapsed, live},
 			// Past the budget: the main loop.
-			{"failed late", at(70*s, 9), roundFail, live},
+			{"failed late", at(70*s, 9), roundFail, retry},
 		}},
 		{name: "rejoin syncs again after a failed round", stage: stagePeerChain, steps: []in{
 			start(at(0, 5), chainAsk(4, 6, 0), rejoinFor(time.Minute)),
@@ -141,7 +143,7 @@ func TestCatchupMachine(t *testing.T) {
 			start(at(0, 5), chainAsk(4, 6, 0), rejoinFor(time.Minute)),
 			{"nothing", at(s, 5), reply(0), chainAsk(7, 6, s)},
 			{"deadline", at(61*s, 5), elapsed, live},
-			{"failed", at(62*s, 5), roundFail, live},
+			{"failed", at(62*s, 5), roundFail, retry},
 		}},
 		{name: "one fork re-ask from past the last final block", stage: stagePeerChain, steps: []in{
 			start(at(0, 30), chainAsk(4, 31, 0), rejoinFor(time.Minute)),
@@ -162,9 +164,9 @@ func TestCatchupMachine(t *testing.T) {
 		}},
 		{name: "snapshot first, with backoff, then the chain past the attempts' time", snapshots: true, stage: stageLive, steps: []in{
 			start(at(0, 0), snapAsk(4, 0, 0), rejoinFor(10*s)),
-			{"no reply", at(2*s, 0), elapsed, sleepTo(2*s + 500*time.Millisecond)},
+			{"no reply", at(2*s, 0), elapsed, backoffTo(2*s + 500*time.Millisecond)},
 			{"backoff", at(2*s+500*time.Millisecond, 0), elapsed, snapAsk(7, 0, 2*s+500*time.Millisecond)},
-			{"stale", at(3*s, 0), snapshot(false), sleepTo(4 * s)},
+			{"stale", at(3*s, 0), snapshot(false), backoffTo(4 * s)},
 			{"backoff", at(4*s, 0), elapsed, snapAsk(9, 0, 4*s)},
 			{"no reply", at(6*s, 0), elapsed, chainAsk(4, 1, 6*s)},
 			// The deadline moved by the six seconds the snapshot took.
@@ -186,14 +188,14 @@ func TestCatchupMachine(t *testing.T) {
 			{"nothing", at(111*s, 14), reply(0), chainAsk(7, 15, 111*s)},
 			{"bite over", at(120*s, 14), elapsed, sleepTo(testInterval)},
 			{"slept", at(testInterval, 14), elapsed, check},
-			{"recovered", at(testInterval, 14), recovered, live},
+			{"recovered", at(testInterval, 14), recovered, retry},
 		}},
 		{name: "behind without the sleep when a round ends before the checkpoint", stage: stageLive, steps: []in{
 			start(at(0, 0), live, liveStart),
 			{"failed", at(100*s, 10), roundFail, chainAsk(4, 11, 100*s)},
 			{"applied", view{now: 101 * s, head: 14, peers: testPeers, budget: time.Minute}, reply(4), chainAsk(7, 15, 101*s)},
 			{"bite over", view{now: 111 * s, head: 14, peers: testPeers, budget: time.Minute}, elapsed, chainAsk(4, 15, 111*s)},
-			{"bite over", view{now: 121 * s, head: 14, peers: testPeers, budget: time.Minute}, elapsed, live},
+			{"bite over", view{now: 121 * s, head: 14, peers: testPeers, budget: time.Minute}, elapsed, retry},
 		}},
 		{name: "behind and stuck: sleep to the checkpoint and recover", stage: stagePeerChain, steps: []in{
 			start(at(0, 0), live, liveStart),

@@ -35,13 +35,16 @@ func TestGatewayTierFollowsChain(t *testing.T) {
 	t.Logf("workload: %+v, committed %d", ws, committed)
 	for i := 0; i < c.NumGateways(); i++ {
 		st := c.Gateway(i).Stats()
-		t.Logf("gateway %d: head=%d applied=%d chainRequests=%d gossiped=%d resent=%d pending=%d",
-			i, st.HeadRound, st.BlocksApplied, st.ChainFills, st.TxsRouted, st.Resent, st.Pending)
+		t.Logf("gateway %d: head=%d applied=%d fills=%d idle=%d gossiped=%d resent=%d pending=%d",
+			i, st.HeadRound, st.BlocksApplied, st.ChainFills, st.IdleFills, st.TxsRouted, st.Resent, st.Pending)
 		if st.HeadRound+2 < cfg.Rounds {
 			t.Errorf("gateway %d read model stalled at round %d of %d", i, st.HeadRound, cfg.Rounds)
 		}
 		if st.ChainFills == 0 {
-			t.Errorf("gateway %d asked nobody for the chain", i)
+			t.Errorf("gateway %d applied no chain reply", i)
+		}
+		if reg := c.Gateway(i).Registry().Snapshot(); reg[`algorand_gateway_chain_fills_total{applied="true"}`].Value != float64(st.ChainFills) {
+			t.Errorf("gateway %d: the registry's applied fills differ from Stats' %d", i, st.ChainFills)
 		}
 		if i == 0 && st.Admitted == 0 {
 			t.Errorf("gateway %d admitted nothing", i)
@@ -81,8 +84,8 @@ func TestGatewayPartitionRecovery(t *testing.T) {
 		t.Fatalf("agreement: %v", err)
 	}
 	st := c.Gateway(0).Stats()
-	t.Logf("partitioned gateway: head=%d applied=%d chainRequests=%d resent=%d pending=%d",
-		st.HeadRound, st.BlocksApplied, st.ChainFills, st.Resent, st.Pending)
+	t.Logf("partitioned gateway: head=%d applied=%d fills=%d idle=%d resent=%d pending=%d",
+		st.HeadRound, st.BlocksApplied, st.ChainFills, st.IdleFills, st.Resent, st.Pending)
 	if st.HeadRound+3 < cfg.Rounds {
 		t.Errorf("partitioned gateway stalled at round %d of %d after heal", st.HeadRound, cfg.Rounds)
 	}
