@@ -261,7 +261,7 @@ func (n *Node) tryAdoptFork(reply *ChainReply) bool {
 // is not started. A node without an archive starts from what its ledger
 // holds (a caller may have replayed a chain into it with
 // RestoreFromArchive first). The network stages are the catch-up
-// machine's rejoin start state (rejoin.go), run in the node's process;
+// machine's rejoin start state (machine.go), run in the node's process;
 // budget bounds them.
 func (n *Node) Rejoin(budget time.Duration) (restored uint64, err error) {
 	if n.archive != nil {
@@ -330,18 +330,17 @@ func (n *Node) run(acts []cuAct) {
 			// it ended: it answers this ask late.
 			late := box.Len() > 0
 			got, ok := p.RecvDeadline(box, a.At)
-			switch {
-			case !ok:
+			if !ok {
 				cs.timedOut.Inc()
-			case late:
+				acts = m.Elapsed(n.observe())
+				break
+			}
+			if late {
 				cs.late.Inc()
-			default:
+			} else {
 				cs.answered.Inc()
 			}
-			switch {
-			case !ok:
-				acts = m.Elapsed(n.observe())
-			case box == n.snapReplies:
+			if box == n.snapReplies {
 				// Verified exactly like a checkpoint from our own disk.
 				sr := got.(*SnapshotReply)
 				adopted, err := n.RestoreFromCheckpoint(sr.Checkpoint)
@@ -353,20 +352,20 @@ func (n *Node) run(acts []cuAct) {
 				}
 				cs.reply(sr.WireSize(), adopted)
 				acts = m.SnapshotReply(n.observe(), adopted)
-			default:
-				reply = got.(*ChainReply)
-				var err error
-				applied, err = n.applyChainReply(reply)
-				for _, c := range reply.Certs {
-					if c.Round < ledger.RecoveryRoundBase {
-						cs.seen = max(cs.seen, c.Round)
-					}
-				}
-				if err == nil {
-					cs.reply(reply.WireSize(), applied > 0)
-				}
-				acts = m.ChainReply(n.observe(), applied, err != nil)
+				break
 			}
+			reply = got.(*ChainReply)
+			var err error
+			applied, err = n.applyChainReply(reply)
+			for _, c := range reply.Certs {
+				if c.Round < ledger.RecoveryRoundBase {
+					cs.seen = max(cs.seen, c.Round)
+				}
+			}
+			if err == nil {
+				cs.reply(reply.WireSize(), applied > 0)
+			}
+			acts = m.ChainReply(n.observe(), applied, err != nil)
 		case cuAdoptFork:
 			ok := n.tryAdoptFork(reply)
 			cs.reply(reply.WireSize(), ok || applied > 0)

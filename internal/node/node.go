@@ -164,7 +164,7 @@ type Node struct {
 	asked        Requests
 	chainReplies *vtime.Mailbox
 	snapReplies  *vtime.Mailbox
-	// catchup decides what the node's process does next (rejoin.go), and
+	// catchup decides what the node's process does next (machine.go), and
 	// cus shows its transitions.
 	catchup catchup
 	cus     catchupSeries
