@@ -73,7 +73,8 @@ const (
 )
 
 // catchup is the machine. Its rules are the fields above the blank line,
-// each set once, in newCatchup.
+// each set once, in newCatchup. The actions an input returns are valid
+// until the next input.
 type catchup struct {
 	replyWait time.Duration // how long an ask waits for its reply
 	askBlocks int           // blocks a chain ask asks for
@@ -110,9 +111,9 @@ type catchup struct {
 	asked, stalls, reasks int
 	attempt               int
 	from                  uint64
-	rejoinBy              time.Duration
-	cycleHead             uint64 // the head the rejoin cycle began at
-	behindHead, biteHead  uint64 // the head the behind node's catch-up and bite began at
+	rejoinBy              time.Duration // the rejoin's budget ends
+	cycleHead             uint64        // the head the rejoin cycle began at
+	behindHead, biteHead  uint64        // the head the behind node's catch-up and bite began at
 	buf                   [2]cuAct
 	acts                  []cuAct
 }
