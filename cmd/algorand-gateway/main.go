@@ -101,7 +101,7 @@ func main() {
 	epoch := time.Now()
 	cfg.Flow.Now = func() time.Duration { return time.Since(epoch) }
 
-	gw := gateway.New(*id, sim, transport, provider, cfg, dep.Genesis, dep.Seed0)
+	gw := gateway.New(*id, sim, transport, provider, cfg, dep.Params, dep.Genesis, dep.Seed0)
 	transport.Start()
 	gw.Start()
 	defer gw.Close()

@@ -63,8 +63,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Identities, genesis and committee sizes derive from the shared seed
-	// word; the step timeout is this deployment's choice.
+	// Identities, genesis, committee and block sizes derive from the
+	// shared seed word; the step timeout is this deployment's choice.
 	provider := crypto.NewReal()
 	dep := node.NewDeployment(provider, *gseed, *weight, voters)
 	step := time.Duration(*lambdaMS) * time.Millisecond
@@ -73,7 +73,6 @@ func main() {
 	prm.LambdaPriority = step / 2
 	prm.LambdaStepVar = step / 4
 	prm.LambdaBlock = 2 * step
-	prm.BlockSize = 8 << 10
 	self := dep.Identities[*id]
 
 	// One registry for the whole process: the transport, the durable

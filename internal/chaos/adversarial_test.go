@@ -195,6 +195,24 @@ func TestChaosTentativeForkStraggler(t *testing.T) {
 	t.Logf("catch-up fork adoptions across the run: %d", adoptions)
 }
 
+// TestChaosPinnedSwarmSeeds replays the swarm seeds past the range CI
+// runs that a fix turned green, under every invariant the swarm checks,
+// as seed 20120 is pinned above.
+func TestChaosPinnedSwarmSeeds(t *testing.T) {
+	seeds := []int64{
+		// Node 7 (under DoS) and node 2 (restarted from disk) committed an
+		// empty tentative round 3 against the majority's final block and
+		// never left it while a chain ask asked for more than its wait
+		// carried; with sized asks each adopts the majority's branch.
+		1876,
+	}
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			runScenario(t, RandomScenario(seed))
+		})
+	}
+}
+
 // TestChaosChurnDeterministic runs one churn-heavy scenario twice and
 // demands identical outcomes — churn draws (victims, downtimes,
 // inter-arrivals) must come entirely from the scenario seed for

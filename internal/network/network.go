@@ -123,12 +123,15 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
+// PaperLinkBps is §10's per-user link: 20 Mbit/s each way.
+const PaperLinkBps = 20_000_000
+
 // DefaultConfig matches the paper's evaluation setup.
 func DefaultConfig() Config {
 	return Config{
 		Fanout:      4,
-		UplinkBps:   20_000_000,
-		DownlinkBps: 20_000_000,
+		UplinkBps:   PaperLinkBps,
+		DownlinkBps: PaperLinkBps,
 		JitterFrac:  0.10,
 		SeenTTL:     time.Minute,
 		Seed:        1,

@@ -12,8 +12,8 @@ import (
 // the two cannot drift apart and have every gateway reject every
 // certificate.
 type Deployment struct {
-	// Params sizes the committees for the voters. The λ timeouts and the
-	// block size are the caller's: they do not enter verification.
+	// Params sizes the committees for the voters, and the blocks. The λ
+	// timeouts are the caller's: they do not enter verification.
 	Params params.Params
 	// Identities are the voters', in address-book order.
 	Identities []crypto.Identity
@@ -31,6 +31,7 @@ func NewDeployment(provider crypto.Provider, gseed, weight uint64, voters int) D
 	prm.TauStep = uint64(voters) * 3
 	prm.TauFinal = uint64(voters) * 6
 	prm.MaxSteps = 12
+	prm.BlockSize = 8 << 10
 	d := Deployment{
 		Params:     prm,
 		Identities: make([]crypto.Identity, voters),

@@ -294,7 +294,7 @@ func NewFromGenesis(
 		reg:          cfg.Metrics,
 		tracer:       cfg.Tracer,
 		ba:           agreement.NewMetrics(cfg.Metrics),
-		catchup:      newCatchup(cfg.RecoveryInterval, cfg.CheckpointInterval > 0),
+		catchup:      newCatchup(cfg.RecoveryInterval, cfg.CheckpointInterval > 0, roundWireTime(cfg.Params)),
 	}
 	n.roundsTotal = cfg.Metrics.Counter("algorand_node_rounds_total", "rounds this node completed")
 	n.roundsEmpty = cfg.Metrics.Counter("algorand_node_rounds_empty_total", "completed rounds that committed the empty block")

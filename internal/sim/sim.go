@@ -247,7 +247,7 @@ func NewCluster(cfg Config) *Cluster {
 			Metrics:   metrics.NewRegistry(),
 			Done:      c.allNodesDone,
 		}
-		gw := gateway.New(cfg.N+i, c.Sim, c.Net, c.Provider, gwCfg, c.Genesis, c.Seed0)
+		gw := gateway.New(cfg.N+i, c.Sim, c.Net, c.Provider, gwCfg, cfg.Params, c.Genesis, c.Seed0)
 		c.gateways = append(c.gateways, gw)
 	}
 	return c
