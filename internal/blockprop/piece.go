@@ -15,7 +15,8 @@ import (
 // pieces at the paper's 10 MB, 4 at 1 MB. A piece crosses a 20 Mbit/s
 // link in a tenth of a second, which is the unit a relay's neighbours
 // wait for before they can pull from it in turn (a whole 10 MB body is
-// four seconds per hop), and the longest a vote queues behind one.
+// four seconds per hop), and, since a piece yields to every other
+// message on a link, the longest a vote waits behind pieces.
 const PieceSize = 256 << 10
 
 // maxPieces bounds the piece count a body proposed under the given

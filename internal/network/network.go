@@ -11,7 +11,8 @@
 // the sender's uplink — gossiping a 1 MB block to four peers costs four
 // back-to-back transmissions — and on the receiver's downlink, which is
 // what makes block propagation time grow linearly with block size
-// (Figure 7).
+// (Figure 7). On either link a Reply yields: a vote queued behind block
+// pieces waits only for the piece being transmitted.
 package network
 
 import (
@@ -45,6 +46,18 @@ type Flooded interface {
 	ID() crypto.Digest
 	LimitKey() LimitKey
 	RelayLimit() int
+}
+
+// Reply is a Message that answers a request with a body: a block piece, a
+// committed block, a chain or a checkpoint. On every link a reply yields:
+// it waits behind every other message queued there, and any other message
+// waits only for the reply being transmitted, so a vote is never queued
+// behind the bodies a holder owes its requesters. Replies keep their order
+// among themselves. Both transports pick a message's class through this
+// marker alone.
+type Reply interface {
+	Message
+	Reply()
 }
 
 // LimitKey names one relay budget of §8.4: a kind of message, the first
@@ -138,26 +151,91 @@ func DefaultConfig() Config {
 	}
 }
 
-// link models a bandwidth-limited queue (an uplink or downlink).
+// link models a bandwidth-limited queue (an uplink or downlink) of two
+// classes: replies, and every other message, which goes ahead of any reply
+// not yet begun.
 type link struct {
-	bps  int64
-	free time.Duration // time at which the link becomes idle
-	// deliveries holds, on a downlink, the transfers that finish on it,
-	// each due at the free it reserved; free never decreases, so neither
-	// do their times (see vtime.Lane).
-	deliveries *vtime.Lane
+	bps int64
+	// free is when the link has sent everything it holds; gossipFree when
+	// it has sent every message that is not a reply. Neither decreases.
+	free, gossipFree time.Duration
+	// replies are the transmissions of replies that have not ended, in the
+	// order reserved; a message that goes ahead of replies does not move
+	// them (the delivery of each is already scheduled), it only pushes free
+	// back by its own transmission time.
+	replies spans
+	// deliveries and replyDeliveries hold, on a downlink, the transfers
+	// that finish on it, each due at the gossipFree or the free it
+	// reserved, so the times in each lane do not decrease (see vtime.Lane).
+	deliveries, replyDeliveries *vtime.Lane
 }
 
-// transmit reserves the link for msg starting no earlier than now and
-// returns the completion time.
-func (l *link) transmit(now time.Duration, bytes int) time.Duration {
-	start := now
-	if l.free > start {
-		start = l.free
-	}
+// transmit reserves the link for a message of the given size that is
+// ready at `at`, now being the clock, and returns the completion time. A
+// reply waits for everything reserved; any other message waits for the
+// messages of its class and for the reply in progress when it is ready.
+func (l *link) transmit(now, at time.Duration, bytes int, reply bool) time.Duration {
 	tx := time.Duration(float64(bytes*8) / float64(l.bps) * float64(time.Second))
-	l.free = start + tx
-	return l.free
+	l.replies.expire(now)
+	if reply {
+		start := max(at, l.free)
+		l.free = start + tx
+		l.replies.push(span{start, l.free})
+		return l.free
+	}
+	start := max(at, l.gossipFree)
+	if start == at {
+		start = l.replies.after(at)
+	}
+	l.gossipFree = start + tx
+	l.free = max(l.free+tx, l.gossipFree)
+	return l.gossipFree
+}
+
+// span is one reserved transmission, [start, end).
+type span struct{ start, end time.Duration }
+
+// spans is a ring of spans in the order reserved, which is also the order
+// of their starts and of their ends. Its buffer grows to the most spans
+// ever held at once and is reused, so a reservation allocates nothing.
+type spans struct {
+	buf     []span
+	head, n int
+}
+
+// push appends s.
+func (r *spans) push(s span) {
+	if r.n == len(r.buf) {
+		buf := make([]span, max(4, 2*len(r.buf)))
+		for i := range r.n {
+			buf[i] = r.buf[(r.head+i)%len(r.buf)]
+		}
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)%len(r.buf)] = s
+	r.n++
+}
+
+// expire drops the spans that have ended by now.
+func (r *spans) expire(now time.Duration) {
+	for r.n > 0 && r.buf[r.head].end <= now {
+		r.head = (r.head + 1) % len(r.buf)
+		r.n--
+	}
+}
+
+// after returns the end of the span in progress at t, or t if none is.
+func (r *spans) after(t time.Duration) time.Duration {
+	for i := range r.n {
+		s := r.buf[(r.head+i)%len(r.buf)]
+		if s.start > t {
+			break
+		}
+		if t < s.end {
+			return s.end
+		}
+	}
+	return t
 }
 
 // endpoint is the per-node network state.
@@ -318,12 +396,12 @@ func New(sim *vtime.Sim, cfg Config, n int) *Network {
 					bps = cfg.UplinkBps
 				}
 				vmUp = &link{bps: bps}
-				vmDown = &link{bps: bps, deliveries: sim.NewLane()}
+				vmDown = &link{bps: bps, deliveries: sim.NewLane(), replyDeliveries: sim.NewLane()}
 			}
 			ep.up, ep.down = vmUp, vmDown
 		} else {
 			ep.up = &link{bps: cfg.UplinkBps}
-			ep.down = &link{bps: cfg.DownlinkBps, deliveries: sim.NewLane()}
+			ep.down = &link{bps: cfg.DownlinkBps, deliveries: sim.NewLane(), replyDeliveries: sim.NewLane()}
 		}
 		nw.weights[i] = 1
 		nw.eps = append(nw.eps, ep)
@@ -616,7 +694,9 @@ type envelope struct {
 	// it may be relayed. Any other message is handed to each receiver as
 	// it arrives.
 	flooded bool
-	refs    int32
+	// reply says the message is a Reply: it yields on every link.
+	reply bool
+	refs  int32
 	// The numbers of the message's records in the current and the old
 	// generation (0: none) as of rotation number stamp. They are looked up
 	// again after a rotation, so a delivery released from limbo two TTLs
@@ -644,6 +724,7 @@ func (nw *Network) seal(m Message) *envelope {
 		env = new(envelope)
 	}
 	*env = envelope{m: m, nw: nw, size: m.WireSize(), refs: 1}
+	_, env.reply = m.(Reply)
 	if f, ok := m.(Flooded); ok {
 		id := f.ID()
 		env.id, env.flooded = seenKey(id[:]), true
@@ -744,7 +825,7 @@ func (nw *Network) send(from, to int, env *envelope) {
 	src.bytesSent.Add(uint64(size))
 	nw.totalBytes.Add(uint64(size))
 
-	upDone := src.up.transmit(now, size)
+	upDone := src.up.transmit(now, now, size, env.reply)
 	lat := CityLatency(src.city, dst.city)
 	if nw.cfg.JitterFrac > 0 {
 		j := nw.cfg.JitterFrac * (2*nw.rng.Float64() - 1)
@@ -754,14 +835,18 @@ func (nw *Network) send(from, to int, env *envelope) {
 	arrive := upDone + lat
 	// Downlink reservation is made against its state at send time; with
 	// event-driven delivery this is a standard approximation.
-	deliverAt := dst.down.transmit(arrive, size)
+	deliverAt := dst.down.transmit(now, arrive, size, env.reply)
 	t := nw.newTransfer(from, to, env)
 	if limboHold > 0 {
 		// Released at the adversary's instant, out of the link's order.
 		nw.sim.AfterRun(max(deliverAt, now+limboHold)-now, t)
 		return
 	}
-	dst.down.deliveries.Push(deliverAt, &t.item, t)
+	lane := dst.down.deliveries
+	if env.reply {
+		lane = dst.down.replyDeliveries
+	}
+	lane.Push(deliverAt, &t.item, t)
 }
 
 // transfer is one scheduled step of a message's journey: its delivery at

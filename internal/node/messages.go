@@ -168,6 +168,9 @@ type BlockPiece struct {
 // WireSize implements network.Message.
 func (m *BlockPiece) WireSize() int { return m.P.WireSize() }
 
+// Reply implements network.Reply: a piece yields to gossip on every link.
+func (m *BlockPiece) Reply() {}
+
 // EncodeTo implements wire.Marshaler.
 func (m *BlockPiece) EncodeTo(e *wire.Encoder) { m.P.EncodeTo(e) }
 
@@ -255,6 +258,9 @@ type BlockFill struct {
 // WireSize implements network.Message.
 func (m *BlockFill) WireSize() int { return m.Block.WireSize() }
 
+// Reply implements network.Reply.
+func (m *BlockFill) Reply() {}
+
 // EncodeTo implements wire.Marshaler.
 func (m *BlockFill) EncodeTo(e *wire.Encoder) { m.Block.EncodeTo(e) }
 
@@ -306,6 +312,9 @@ func (m *ChainReply) WireSize() int {
 	}
 	return total
 }
+
+// Reply implements network.Reply.
+func (m *ChainReply) Reply() {}
 
 // EncodeTo implements wire.Marshaler.
 func (m *ChainReply) EncodeTo(e *wire.Encoder) {
@@ -377,6 +386,9 @@ type SnapshotReply struct {
 
 // WireSize implements network.Message.
 func (m *SnapshotReply) WireSize() int { return m.Checkpoint.WireSize() }
+
+// Reply implements network.Reply.
+func (m *SnapshotReply) Reply() {}
 
 // EncodeTo implements wire.Marshaler.
 func (m *SnapshotReply) EncodeTo(e *wire.Encoder) {

@@ -30,6 +30,10 @@ type contractNet struct {
 	ttl    time.Duration         // the transport's SeenTTL
 	settle func()                // lets every message in flight land
 	wait   func(d time.Duration) // lets d pass
+	// stall holds what from sends to `to` in from's queue until the
+	// returned release has run: the simulator's uplink queues it anyway,
+	// and the TCP transport parks from's writer to `to`.
+	stall func(from, to int) (release func())
 
 	mu    sync.Mutex
 	log   []delivery
@@ -79,6 +83,30 @@ func (c *contractNet) froms(at int, m network.Message) []int {
 	return out
 }
 
+// order returns where endpoint at first handled each of ms, counting only
+// what at handled; -1 where it did not.
+func (c *contractNet) order(at int, ms ...network.Message) []int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]int, len(ms))
+	for i, m := range ms {
+		out[i] = -1
+		tag, frame, _ := nodepkg.EncodeMessage(m)
+		k := 0
+		for _, d := range c.log {
+			if d.at != at {
+				continue
+			}
+			if dt, df, _ := nodepkg.EncodeMessage(d.m); dt == tag && bytes.Equal(df, frame) {
+				out[i] = k
+				break
+			}
+			k++
+		}
+	}
+	return out
+}
+
 // handled fails t unless endpoint i handled m want[i] times.
 func (c *contractNet) handled(t *testing.T, what string, m network.Message, want [endpoints]int) {
 	t.Helper()
@@ -109,7 +137,7 @@ func simContract(t *testing.T) *contractNet {
 	c := &contractNet{ttl: cfg.SeenTTL, settle: func() { sim.Run(0) }, wait: func(d time.Duration) {
 		sim.After(d, func() {})
 		sim.Run(0)
-	}}
+	}, stall: func(int, int) func() { return func() {} }}
 	for i := range c.tr {
 		c.tr[i] = nw
 	}
@@ -145,6 +173,16 @@ func tcpContract(t *testing.T) *contractNet {
 	for i := range trs {
 		trs[i] = NewWithConfig(vtime.New().Realtime(), i, addrs, lns[i], cfg)
 		c.tr[i] = trs[i]
+	}
+	// A stall quarantines the peer at the sender for a moment: the writer
+	// parks with its queue intact and sends it on the next connection.
+	c.stall = func(from, to int) func() {
+		p := trs[from].peers[to]
+		until := time.Now().Add(quiet)
+		p.mu.Lock()
+		p.quarantinedUntil = until
+		p.mu.Unlock()
+		return func() { time.Sleep(time.Until(until)) }
 	}
 	c.listen(t)
 	for i, tr := range trs {
@@ -242,6 +280,30 @@ var contractCases = []struct {
 		c.settle()
 		c.handled(t, "a block request unicast twice", req, [endpoints]int{0, 2, 0, 0})
 		c.from(t, "a gossiped batch", batch, 0, 1, 2, 3)
+	}},
+	{"replies yield", func(t *testing.T, c *contractNet) {
+		// Fills queued to a peer ahead of a vote: the vote waits at most for
+		// the fill being sent, and the fills keep their order.
+		c.verdict(func(int) bool { return false })
+		release := c.stall(0, 1)
+		var ms []network.Message
+		for i := range 8 {
+			fill := &nodepkg.BlockFill{Block: &ledger.Block{Round: uint64(i + 1), PayloadPadding: blockprop.PieceSize}}
+			c.tr[0].Unicast(0, 1, fill)
+			ms = append(ms, fill)
+		}
+		v := vote(1, "behind replies")
+		c.tr[0].Unicast(0, 1, v)
+		release()
+		c.settle()
+		got := c.order(1, append(ms, v)...)
+		fills, at := got[:len(ms)], got[len(ms)]
+		if !slices.IsSorted(fills) || fills[0] < 0 {
+			t.Errorf("fills handled at places %v, want every one in the order sent", fills)
+		}
+		if at < 0 || at > fills[1] {
+			t.Errorf("the vote was handled at place %d, the fills at %v: want it before the second fill", at, fills)
+		}
 	}},
 	{"seen TTL", func(t *testing.T, c *contractNet) {
 		// Two votes flood under two keys. Within a TTL the first's resend

@@ -30,8 +30,12 @@ type peer struct {
 	// rng drives backoff jitter; only the writer goroutine uses it.
 	rng *rand.Rand
 
+	// queue and replies are the send queue's two classes, each oldest
+	// first: the writer takes from replies only when queue is empty (see
+	// Config.QueueCap). queuedBytes counts both.
 	mu          sync.Mutex
 	queue       []frame
+	replies     []frame
 	queuedBytes int
 	connected   bool
 	everDialed  bool
@@ -105,50 +109,76 @@ func (p *peer) wake() {
 	}
 }
 
-// pushBack queues a frame, enforcing the drop-oldest bounds.
+// class is the queue f waits in. Caller holds p.mu.
+func (p *peer) class(f frame) *[]frame {
+	if f.reply {
+		return &p.replies
+	}
+	return &p.queue
+}
+
+// pushBack queues a frame at the tail of its class, enforcing the bounds.
 func (p *peer) pushBack(f frame) {
 	p.mu.Lock()
-	p.queue = append(p.queue, f)
+	q := p.class(f)
+	*q = append(*q, f)
 	p.queuedBytes += len(f.payload)
-	p.trimLocked()
+	p.trimLocked(f.reply)
 	p.mu.Unlock()
 	p.wake()
 }
 
-// pushFront requeues a frame whose write failed, so it rides the next
-// connection instead of being lost. If the queue is at capacity the
-// frame is dropped (it is the oldest by definition).
+// pushFront requeues a frame whose write failed at the head of its class,
+// so it rides the next connection instead of being lost. If the queue is
+// at capacity the frame is dropped.
 func (p *peer) pushFront(f frame) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if cap := p.t.cfg.QueueCap; cap > 0 && len(p.queue) >= cap {
+	if cap := p.t.cfg.QueueCap; cap > 0 && p.depthLocked() >= cap {
 		p.c.drops.Inc()
 		return
 	}
-	p.queue = append([]frame{f}, p.queue...)
+	q := p.class(f)
+	*q = append([]frame{f}, *q...)
 	p.queuedBytes += len(f.payload)
 }
 
-// trimLocked drops oldest frames until the queue is within both bounds,
-// always keeping at least the newest frame.
-func (p *peer) trimLocked() {
+// trimLocked drops frames until the queue is within both bounds: the
+// oldest reply first, and a frame that is not a reply only when no reply
+// is queued. It never drops the newest frame, the last of its class, which
+// is a reply if newestReply.
+func (p *peer) trimLocked(newestReply bool) {
 	maxN, maxB := p.t.cfg.QueueCap, p.t.cfg.QueueBytes
-	for len(p.queue) > 1 &&
-		((maxN > 0 && len(p.queue) > maxN) || (maxB > 0 && p.queuedBytes > maxB)) {
-		p.queuedBytes -= len(p.queue[0].payload)
-		p.queue = append(p.queue[:0], p.queue[1:]...)
+	for (maxN > 0 && p.depthLocked() > maxN) || (maxB > 0 && p.queuedBytes > maxB) {
+		var q *[]frame
+		switch {
+		case len(p.replies) > 1 || len(p.replies) == 1 && !newestReply:
+			q = &p.replies
+		case len(p.replies) == 0 && len(p.queue) > 1:
+			q = &p.queue
+		default:
+			return // only the newest frame is left, or it is the one reply queued
+		}
+		p.queuedBytes -= len((*q)[0].payload)
+		*q = append((*q)[:0], (*q)[1:]...)
 		p.c.drops.Inc()
 	}
 }
 
+// pop takes the oldest frame that is not a reply, or with none queued the
+// oldest reply.
 func (p *peer) pop() (frame, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.queue) == 0 {
+	q := &p.queue
+	if len(*q) == 0 {
+		q = &p.replies
+	}
+	if len(*q) == 0 {
 		return frame{}, false
 	}
-	f := p.queue[0]
-	p.queue = append(p.queue[:0], p.queue[1:]...)
+	f := (*q)[0]
+	*q = append((*q)[:0], (*q)[1:]...)
 	p.queuedBytes -= len(f.payload)
 	return f, true
 }
@@ -156,8 +186,10 @@ func (p *peer) pop() (frame, bool) {
 func (p *peer) depth() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.queue)
+	return p.depthLocked()
 }
+
+func (p *peer) depthLocked() int { return len(p.queue) + len(p.replies) }
 
 // wait blocks until work is signaled (work=true), the timeout elapses
 // (work=false), or the transport closes (alive=false). d<=0 waits

@@ -1,12 +1,14 @@
 package realnet
 
 import (
+	"bytes"
 	"math/rand"
 	"net"
 	"testing"
 	"time"
 
 	"algorand/internal/crypto"
+	"algorand/internal/ledger"
 	nodepkg "algorand/internal/node"
 	"algorand/internal/vtime"
 )
@@ -90,6 +92,61 @@ func TestQueueBytesBound(t *testing.T) {
 	tr2.enqueue(1, frame{tag: tagPing, payload: make([]byte, 64<<10)})
 	if got := tr2.Stats().Peers[0].QueueDepth; got != 1 {
 		t.Fatalf("oversized frame not queued (depth %d)", got)
+	}
+}
+
+// TestQueueRepliesYield pins the send queue's two classes on a down peer:
+// a reply larger than QueueBytes, queued behind votes, drops the older
+// reply and none of the votes; the writer takes every vote before any
+// reply; and a frame requeued after a failed write goes back to the head
+// of its own class.
+func TestQueueRepliesYield(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	sim := vtime.New().Realtime()
+	tr := NewWithConfig(sim, 0, []string{ln.Addr().String(), deadAddr(t)}, ln, cfg)
+	defer tr.Close()
+
+	tr.Unicast(0, 1, &nodepkg.BlockFill{Block: &ledger.Block{Round: 1}})
+	var votes [][]byte
+	for i := range 10 {
+		v := &nodepkg.VoteMsg{Vote: ledger.Vote{Round: uint64(i)}}
+		_, payload, _ := nodepkg.EncodeMessage(v)
+		votes = append(votes, payload)
+		tr.Unicast(0, 1, v)
+	}
+	big := &nodepkg.ChainReply{}
+	for range 9 {
+		big.Blocks = append(big.Blocks, &ledger.Block{PayloadPadding: 1 << 20})
+	}
+	if big.WireSize() <= cfg.QueueBytes {
+		t.Fatalf("a chain reply of %d bytes is not over QueueBytes %d", big.WireSize(), cfg.QueueBytes)
+	}
+	tr.Unicast(0, 1, big)
+	if ps := tr.Stats().Peers[0]; ps.QueueDepth != len(votes)+1 || ps.QueueDrops != 1 {
+		t.Fatalf("queue holds %d frames after %d drops, want the %d votes and the chain reply after dropping the fill",
+			ps.QueueDepth, ps.QueueDrops, len(votes))
+	}
+
+	p := tr.peers[1]
+	first, _ := p.pop()
+	p.pushFront(first)
+	for i, want := range votes {
+		f, ok := p.pop()
+		if !ok || f.reply || !bytes.Equal(f.payload, want) {
+			t.Fatalf("pop %d: got a frame of %d bytes (reply %v), want vote %d", i, len(f.payload), f.reply, i)
+		}
+	}
+	f, _ := p.pop()
+	p.pushFront(f)
+	if f, ok := p.pop(); !ok || !f.reply || len(f.payload) != big.WireSize() {
+		t.Fatalf("last pop: %d bytes (reply %v), want the chain reply requeued at its head", len(f.payload), f.reply)
+	}
+	if _, ok := p.pop(); ok {
+		t.Fatal("the queue holds more than was sent")
 	}
 }
 

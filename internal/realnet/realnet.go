@@ -83,13 +83,17 @@ type DialFunc func(ctx context.Context, addr string) (net.Conn, error)
 // not useful; start from DefaultConfig.
 type Config struct {
 	// QueueCap bounds each peer's send queue in frames; QueueBytes
-	// bounds it in payload bytes. When either bound is exceeded the
-	// oldest frames are dropped first — gossip tolerates loss, and newer
-	// consensus messages supersede older ones. A frame larger than
-	// QueueBytes on its own is still queued: no proposal frame exceeds a
-	// piece (blockprop.PieceSize plus a header) any more, but a BlockFill,
-	// a ChainReply or a SnapshotReply carries whole blocks and must
-	// transit.
+	// bounds it in payload bytes. The queue holds two classes, replies
+	// (network.Reply) and every other frame, and both bounds count both.
+	// The writer sends the oldest frame that is not a reply before any
+	// reply, as the simulator's links do. When either bound is exceeded
+	// the oldest reply is dropped first, and a frame that is not a reply
+	// only when no reply is queued: a requester asks again, while a vote
+	// or an announce is not sent twice. The newest frame is always kept,
+	// so a reply larger than QueueBytes on its own is still queued — no
+	// piece exceeds blockprop.PieceSize plus a header, but a BlockFill, a
+	// ChainReply or a SnapshotReply carries whole blocks and must transit
+	// — and no vote queued before it is dropped to make room for it.
 	QueueCap   int
 	QueueBytes int
 
@@ -577,7 +581,8 @@ func (t *Transport) frameOf(m network.Message) (frame, bool) {
 		t.reportErr(err)
 		return frame{}, false
 	}
-	return frame{tag: tag, payload: payload}, true
+	_, reply := m.(network.Reply)
+	return frame{tag: tag, payload: payload, reply: reply}, true
 }
 
 // enqueue queues a frame for a peer, starting its writer on first use.
@@ -607,10 +612,12 @@ func (t *Transport) enqueue(id int, f frame) {
 
 // --- Frame codec ------------------------------------------------------------
 
-// frame is one encoded transport frame awaiting transmission.
+// frame is one encoded transport frame awaiting transmission; reply says
+// it carries a network.Reply, which yields to every other frame queued.
 type frame struct {
 	tag     byte
 	payload []byte
+	reply   bool
 }
 
 // helloPayload encodes the handshake body: the dialer's address-book id.

@@ -75,7 +75,7 @@ func (t *Transport) Stats() Stats {
 		s.Peers = append(s.Peers, PeerStats{
 			Peer:         p.id,
 			Connected:    p.connected,
-			QueueDepth:   len(p.queue),
+			QueueDepth:   p.depthLocked(),
 			QueueBytes:   p.queuedBytes,
 			QueueDrops:   p.c.drops.Load(),
 			Dials:        p.c.dials.Load(),
