@@ -48,7 +48,6 @@ func main() {
 		listen   = flag.String("listen", "", "listen address for the client TCP/JSON endpoint (required)")
 		rounds   = flag.Uint64("rounds", 0, "exit once the read model reaches this round (0 = run until killed)")
 		maxConns = flag.Int("max-conns", 1024, "concurrent client connection cap")
-		workers  = flag.Int("tx-workers", 4, "edge signature-verification workers")
 		metricsA = flag.String("metrics-addr", "", "listen address for the Prometheus-style text metrics endpoint (empty = off)")
 		verbose  = flag.Bool("v", false, "log transport errors")
 	)
@@ -90,11 +89,10 @@ func main() {
 	}
 
 	cfg := gateway.Config{
-		Committee:   node.CommitteeParamsFor(dep.Params),
-		LedgerCfg:   ledger.DefaultConfig(),
-		FlowWorkers: *workers,
-		MaxConns:    *maxConns,
-		Metrics:     reg,
+		Committee: node.CommitteeParamsFor(dep.Params),
+		LedgerCfg: ledger.DefaultConfig(),
+		MaxConns:  *maxConns,
+		Metrics:   reg,
 	}
 	// The TCP server submits from its own goroutines, so the pipeline
 	// clock must be readable off the scheduler: use the wall clock.
@@ -104,7 +102,6 @@ func main() {
 	gw := gateway.New(*id, sim, transport, provider, cfg, dep.Params, dep.Genesis, dep.Seed0)
 	transport.Start()
 	gw.Start()
-	defer gw.Close()
 
 	srv, err := gateway.ListenAndServe(*listen, gw)
 	if err != nil {

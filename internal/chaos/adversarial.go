@@ -141,8 +141,7 @@ func CheckSortitionBias(r *Result) []Violation {
 
 // CheckDegradation asserts graceful degradation of the ingestion
 // pipeline after a run with transaction load: pending pools stay within
-// their configured bounds (plus the per-shard eviction overshoot the
-// sharded design permits), and — for Overload scenarios, where the
+// their configured bounds exactly, and — for Overload scenarios, where the
 // offered load provably exceeds admission capacity — the pipeline must
 // have shed with *typed* rejects rather than absorbed everything. The
 // memory bound is the point: a pipeline that "survives" overload by
@@ -161,15 +160,13 @@ func CheckDegradation(r *Result) []Violation {
 			continue
 		}
 		st := f.Stats()
-		if st.Pending > cfg.MaxTxs+cfg.Shards {
+		if st.Pending > cfg.MaxTxs {
 			vs = append(vs, Violation{Kind: "queue-bound", Node: n.ID,
-				Detail: fmt.Sprintf("pending %d txs exceeds pool bound %d (+%d shard overshoot)",
-					st.Pending, cfg.MaxTxs, cfg.Shards)})
+				Detail: fmt.Sprintf("pending %d txs exceeds pool bound %d", st.Pending, cfg.MaxTxs)})
 		}
-		if st.PendingBytes > cfg.MaxBytes+cfg.Shards*ledger.TxWireSize {
+		if st.PendingBytes > cfg.MaxBytes {
 			vs = append(vs, Violation{Kind: "queue-bound", Node: n.ID,
-				Detail: fmt.Sprintf("pending %d bytes exceeds byte bound %d (+%d shard overshoot)",
-					st.PendingBytes, cfg.MaxBytes, cfg.Shards*ledger.TxWireSize)})
+				Detail: fmt.Sprintf("pending %d bytes exceeds byte bound %d", st.PendingBytes, cfg.MaxBytes)})
 		}
 		shed += st.SenderLimit + st.RateLimited + st.PoolFull + st.Evicted
 	}

@@ -124,7 +124,7 @@ func RunWith(s Scenario, preStart func(c *sim.Cluster)) *Result {
 	if s.TxLoad > 0 {
 		// Deliberately small pool bounds: at these rates the lowest-fee
 		// eviction path fires constantly, which is the point.
-		cfg.TxFlow = txflow.Config{Shards: 4, MaxTxs: 256, MaxBytes: 64 << 10, MaxPerSender: 48}
+		cfg.TxFlow = txflow.Config{MaxTxs: 256, MaxBytes: 64 << 10, MaxPerSender: 48}
 	}
 	if s.Overload {
 		// Overload scenarios shrink admission hard below the offered
@@ -132,7 +132,7 @@ func RunWith(s Scenario, preStart func(c *sim.Cluster)) *Result {
 		// saturate, and the degradation invariant demands the pipeline
 		// shed with typed rejects instead of growing without bound.
 		cfg.TxFlow = txflow.Config{
-			Shards: 4, MaxTxs: 96, MaxBytes: 24 << 10, MaxPerSender: 12,
+			MaxTxs: 96, MaxBytes: 24 << 10, MaxPerSender: 12,
 			RateLimit: 10, RateWindow: time.Second,
 		}
 	}

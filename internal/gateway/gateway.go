@@ -61,10 +61,6 @@ type Config struct {
 	// Flow sizes the edge admission pipeline (see txflow.Config).
 	// Unless Flow.Now is set, the pipeline clock is the simulator's.
 	Flow txflow.Config
-	// FlowWorkers, when positive, starts that many background
-	// signature-verification workers (real deployments). Zero keeps
-	// admission synchronous, which the deterministic simulator needs.
-	FlowWorkers int
 
 	// MaxConns caps concurrently served client connections; excess
 	// connections get a typed reject with a retry hint and are closed.
@@ -191,10 +187,6 @@ func New(id int, sim *vtime.Sim, net node.Transport, provider crypto.Provider, c
 	return g
 }
 
-// Flow exposes the edge admission pipeline (the real-deployment server
-// starts its workers; tests inspect its stats).
-func (g *Gateway) Flow() *txflow.Flow { return g.flow }
-
 // ReadModel exposes the query surface.
 func (g *Gateway) ReadModel() *ReadModel { return g.rm }
 
@@ -203,14 +195,9 @@ func (g *Gateway) Registry() *metrics.Registry { return g.reg }
 
 // Start registers the transport handler and spawns the flush process.
 func (g *Gateway) Start() {
-	g.flow.Start(g.cfg.FlowWorkers)
 	g.net.SetHandler(g.ID, network.HandlerFunc(g.handleMessage))
 	g.sim.Spawn("gateway-"+strconv.Itoa(g.ID), g.run)
 }
-
-// Close stops the edge pipeline's worker pool (if FlowWorkers started
-// one). The gateway remains usable synchronously.
-func (g *Gateway) Close() { g.flow.Close() }
 
 // Halt simulates a gateway crash: it stops handling messages and its
 // background process winds down. Clients of a halted gateway fail

@@ -72,25 +72,14 @@ const (
 	wStuck           // the sleep to the checkpoint, then the recovery, of a node that could not catch up
 )
 
-// catchup is the machine. Its rules are the fields above the blank line,
-// each set once, in newCatchup. The actions an input returns are valid
-// until the next input.
+// catchup is the machine. Its rules are the constants below it and the
+// fields above the blank line, which newCatchup sets once. The actions an
+// input returns are valid until the next input.
 type catchup struct {
 	askBlocks int           // blocks a chain ask asks for (chainAskBlocks)
 	perRound  time.Duration // a round's block on the link; a chain ask waits for what it asked
-	// A sync ends at its deadline, or after stallsPerPeer asks per peer in
-	// a row brought nothing. When a reply conflicts with the head and its
-	// branch cannot be adopted, a sync asks again from past the last final
-	// block, forkReasks times: the fork may lie below the reply's rounds.
-	stallsPerPeer, forkReasks int
-	backoff                   time.Duration // × the attempt: the sleep between snapshot asks
-	bite                      time.Duration // one sync of a node whose live round failed
-	// sleepAfterCatchUp sends a node that caught up to the next recovery
-	// checkpoint when its round could not end before it: a round across
-	// the checkpoint misses the moment the network reassembles.
-	sleepAfterCatchUp bool
-	interval          time.Duration // between recovery checkpoints
-	snapshots         bool          // the deployment writes checkpoints
+	interval  time.Duration // between recovery checkpoints
+	snapshots bool          // the deployment writes checkpoints
 
 	stage  stage
 	wait   int
@@ -125,12 +114,25 @@ const replyWait = 2 * time.Second
 // maxChainBlocks is the most blocks a peer serves one chain ask.
 const maxChainBlocks = 64
 
+// A sync ends at its deadline, or after stallsPerPeer asks per peer in a
+// row brought nothing. When a reply conflicts with the head and its branch
+// cannot be adopted, a sync asks again from past the last final block,
+// forkReasks times: the fork may lie below the reply's rounds.
+// sleepAfterCatchUp sends a node that caught up to the next recovery
+// checkpoint when its round could not end before it: a round across the
+// checkpoint misses the moment the network reassembles.
+const (
+	stallsPerPeer     = 2
+	forkReasks        = 1
+	backoff           = 500 * time.Millisecond // × the attempt: the sleep between snapshot asks
+	bite              = 10 * time.Second       // one sync of a node whose live round failed
+	sleepAfterCatchUp = true
+)
+
 // newCatchup makes the machine of a node whose link sends a round's
 // block in perRound (> 0).
 func newCatchup(interval time.Duration, snapshots bool, perRound time.Duration) catchup {
-	return catchup{askBlocks: chainAskBlocks(perRound), perRound: perRound, stallsPerPeer: 2, forkReasks: 1,
-		backoff: 500 * time.Millisecond, bite: 10 * time.Second, sleepAfterCatchUp: true,
-		interval: interval, snapshots: snapshots}
+	return catchup{askBlocks: chainAskBlocks(perRound), perRound: perRound, interval: interval, snapshots: snapshots}
 }
 
 // chainAskBlocks is the most rounds of perRound each whose transfer fits
@@ -175,7 +177,7 @@ func (m *catchup) Adopted(v view, ok bool) []cuAct {
 	switch {
 	case ok:
 		m.stalls = 0
-	case m.reasks < m.forkReasks:
+	case m.reasks < forkReasks:
 		m.reasks++
 		m.from = v.final + 1
 	default:
@@ -286,7 +288,7 @@ func (m *catchup) nextBite(v view) []cuAct {
 		return m.caughtUp(v)
 	}
 	m.biteHead = v.head
-	return m.sync(v, v.now+m.bite)
+	return m.sync(v, v.now+bite)
 }
 
 // sync begins catching up from the peers until deadline: from a snapshot
@@ -319,7 +321,7 @@ func (m *catchup) nextSnapshot(v view) []cuAct {
 	if m.attempt++; m.attempt == len(m.peers) {
 		return m.snapshotted(v)
 	}
-	return m.sleep(wBackoff, v.now+time.Duration(m.attempt)*m.backoff)
+	return m.sleep(wBackoff, v.now+time.Duration(m.attempt)*backoff)
 }
 
 // snapshotted ends the snapshot attempts, whose time the sync's deadline
@@ -330,7 +332,7 @@ func (m *catchup) snapshotted(v view) []cuAct {
 }
 
 func (m *catchup) askChain(v view) []cuAct {
-	if v.now >= m.deadline || m.stalls >= m.stallsPerPeer*len(m.peers) || m.halted {
+	if v.now >= m.deadline || m.stalls >= stallsPerPeer*len(m.peers) || m.halted {
 		return m.synced(v, true)
 	}
 	from, blocks := v.head+1, m.askBlocks
@@ -371,7 +373,7 @@ func (m *catchup) caughtUp(v view) []cuAct {
 	switch {
 	case v.head <= m.behindHead:
 		return m.sleep(wStuck, next)
-	case m.sleepAfterCatchUp && v.now+v.budget > next:
+	case sleepAfterCatchUp && v.now+v.budget > next:
 		return m.sleep(wCaughtUp, next)
 	}
 	return m.top(v)

@@ -5,7 +5,6 @@ import (
 	"container/heap"
 	"slices"
 	"sort"
-	"sync"
 
 	"algorand/internal/crypto"
 	"algorand/internal/ledger"
@@ -24,41 +23,13 @@ func (q *senderQueue) find(nonce uint64) (int, bool) {
 	return i, i < len(q.txs) && q.txs[i].Nonce == nonce
 }
 
-// shard is one lock domain of the mempool. Senders are distributed
-// across shards by key bytes, so submitters for different senders
-// rarely contend, and every operation — insert, evict, commit-time
-// removal — only locks the shards it touches.
-type shard struct {
-	mu      sync.Mutex
-	senders map[crypto.PublicKey]*senderQueue
-	// floor[s] is s's account nonce as of the last committed block that
-	// contained one of s's transactions; anything below it can never
-	// apply and is rejected at admission. Maintained by Committed so
-	// admission never reads the (scheduler-owned) ledger state.
-	floor map[crypto.PublicKey]uint64
-}
-
-func newShard() *shard {
-	return &shard{
-		senders: make(map[crypto.PublicKey]*senderQueue),
-		floor:   make(map[crypto.PublicKey]uint64),
-	}
-}
-
-func (f *Flow) shardFor(pk crypto.PublicKey) *shard {
-	// The low key bytes are hash-derived and uniformly distributed for
-	// both providers, so a simple modulus spreads senders evenly.
-	idx := (uint64(pk[0]) | uint64(pk[1])<<8 | uint64(pk[2])<<16 | uint64(pk[3])<<24) % uint64(len(f.shards))
-	return f.shards[idx]
-}
-
 // checkLocked implements the stateful admission rules. Caller holds
-// sh.mu.
-func (f *Flow) checkLocked(sh *shard, tx *ledger.Transaction) error {
-	if tx.Nonce < sh.floor[tx.From] {
+// f.mu.
+func (f *Flow) checkLocked(tx *ledger.Transaction) error {
+	if tx.Nonce < f.floor[tx.From] {
 		return ErrStaleNonce
 	}
-	q := sh.senders[tx.From]
+	q := f.senders[tx.From]
 	if q == nil {
 		return nil
 	}
@@ -81,22 +52,22 @@ func (f *Flow) checkLocked(sh *shard, tx *ledger.Transaction) error {
 // precheck rejects transactions that cannot be admitted, before the
 // caller spends a signature verification on them. It is advisory —
 // insert re-runs the same checks authoritatively.
-func (sh *shard) precheck(f *Flow, tx *ledger.Transaction) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return f.checkLocked(sh, tx)
+func (f *Flow) precheck(tx *ledger.Transaction) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.checkLocked(tx)
 }
 
-// insert places a verified transaction into the shard, then enforces
-// the global byte/count bounds by evicting the lowest-fee tail in the
-// shard (possibly the incoming transaction itself, in which case the
-// caller gets ErrPoolFull). What the pool keeps, and returns, is tx itself
+// insert places a verified transaction into the pool, then enforces the
+// byte/count bounds by evicting the lowest-fee tail of the whole pool
+// (possibly the incoming transaction itself, in which case the caller
+// gets ErrPoolFull). What the pool keeps, and returns, is tx itself
 // when the caller gave it away (own: gossip, each payment an allocation of
 // its own) and otherwise a copy: a submitter may reuse its buffer.
-func (f *Flow) insert(sh *shard, tx *ledger.Transaction, own bool) (*ledger.Transaction, error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := f.checkLocked(sh, tx); err != nil {
+func (f *Flow) insert(tx *ledger.Transaction, own bool) (*ledger.Transaction, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.checkLocked(tx); err != nil {
 		return nil, err
 	}
 	if !own {
@@ -104,45 +75,37 @@ func (f *Flow) insert(sh *shard, tx *ledger.Transaction, own bool) (*ledger.Tran
 		cp.Sig = bytes.Clone(tx.Sig)
 		tx = &cp
 	}
-	q := sh.senders[tx.From]
+	q := f.senders[tx.From]
 	if q == nil {
 		q = &senderQueue{}
-		sh.senders[tx.From] = q
+		f.senders[tx.From] = q
 	}
 	i, replace := q.find(tx.Nonce)
 	if replace {
-		f.bytes.Add(int64(tx.WireSize() - q.txs[i].WireSize()))
+		f.bytes += tx.WireSize() - q.txs[i].WireSize()
 		q.txs[i] = tx
 		f.c.replaced.Inc()
 	} else {
 		q.txs = append(q.txs, nil)
 		copy(q.txs[i+1:], q.txs[i:])
 		q.txs[i] = tx
-		f.count.Add(1)
-		f.bytes.Add(int64(tx.WireSize()))
+		f.count++
+		f.bytes += tx.WireSize()
 	}
 
-	// Enforce the global bounds. Eviction is shard-local: the victim is
-	// the lowest-fee *tail* transaction (each sender's highest pending
-	// nonce — the least immediately usable) among this shard's senders.
-	// This approximates global lowest-fee eviction without taking every
-	// shard's lock; over time inserts land in every shard, so pressure
-	// is applied everywhere.
-	for int(f.count.Load()) > f.cfg.MaxTxs || int(f.bytes.Load()) > f.cfg.MaxBytes {
-		victim, vq := sh.lowestFeeTailLocked()
-		if vq == nil {
-			// Nothing left to evict here but still over the global
-			// bound (other shards hold the mass): admit anyway — the
-			// next insert into a loaded shard rebalances.
-			break
-		}
+	// Enforce the bounds. The victim is the lowest-fee *tail*
+	// transaction (each sender's highest pending nonce — the least
+	// immediately usable) in the pool. The pool is not empty here, since
+	// it holds tx.
+	for f.count > f.cfg.MaxTxs || f.bytes > f.cfg.MaxBytes {
+		victim, vq := f.lowestFeeTailLocked()
 		ve := vq.txs[len(vq.txs)-1]
 		vq.txs = vq.txs[:len(vq.txs)-1]
 		if len(vq.txs) == 0 {
-			delete(sh.senders, victim)
+			delete(f.senders, victim)
 		}
-		f.count.Add(-1)
-		f.bytes.Add(int64(-ve.WireSize()))
+		f.count--
+		f.bytes -= ve.WireSize()
 		if ve == tx {
 			// The incoming transaction was itself the cheapest: the
 			// pool is full and its fee too low.
@@ -154,13 +117,13 @@ func (f *Flow) insert(sh *shard, tx *ledger.Transaction, own bool) (*ledger.Tran
 }
 
 // lowestFeeTailLocked returns the sender owning the lowest-fee tail
-// entry in the shard (ties broken by key order for determinism).
-func (sh *shard) lowestFeeTailLocked() (crypto.PublicKey, *senderQueue) {
+// entry in the pool (ties broken by key order for determinism).
+func (f *Flow) lowestFeeTailLocked() (crypto.PublicKey, *senderQueue) {
 	var (
 		bestPK crypto.PublicKey
 		bestQ  *senderQueue
 	)
-	for pk, q := range sh.senders {
+	for pk, q := range f.senders {
 		tail := q.txs[len(q.txs)-1]
 		if bestQ == nil {
 			bestPK, bestQ = pk, q
@@ -176,35 +139,33 @@ func (sh *shard) lowestFeeTailLocked() (crypto.PublicKey, *senderQueue) {
 
 // Committed removes a committed block's transactions from the pool and
 // garbage-collects anything each affected sender can no longer apply.
-// Cost is O(committed senders), not a scan of the pool: only shards of
-// senders that appear in the block are touched. balances must reflect
-// the state after the commit; it is read on the calling goroutine.
+// Cost is O(committed senders), not a scan of the pool. balances must
+// reflect the state after the commit; it is read on the calling goroutine.
 func (f *Flow) Committed(b *ledger.Block, balances *ledger.Balances) {
-	// The set of senders, so each shard/queue is visited once.
+	// The set of senders, so each queue is visited once.
 	bySender := make(map[crypto.PublicKey]struct{})
 	for i := range b.Txns {
 		bySender[b.Txns[i].From] = struct{}{}
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	for from := range bySender {
 		floor := balances.NonceOf(from)
-		sh := f.shardFor(from)
-		sh.mu.Lock()
-		if sh.floor[from] < floor {
-			sh.floor[from] = floor
+		if f.floor[from] < floor {
+			f.floor[from] = floor
 		}
-		if q := sh.senders[from]; q != nil {
+		if q := f.senders[from]; q != nil {
 			// Everything below the committed nonce is spent or stale.
 			cut, _ := q.find(floor)
 			for _, tx := range q.txs[:cut] {
-				f.count.Add(-1)
-				f.bytes.Add(int64(-tx.WireSize()))
+				f.count--
+				f.bytes -= tx.WireSize()
 			}
 			q.txs = slices.Delete(q.txs, 0, cut)
 			if len(q.txs) == 0 {
-				delete(sh.senders, from)
+				delete(f.senders, from)
 			}
 		}
-		sh.mu.Unlock()
 	}
 }
 
@@ -295,23 +256,21 @@ func (o *overlay) apply(tx *ledger.Transaction) bool {
 // calling goroutine); pool state is not mutated — commit-time cleanup
 // happens in Committed.
 func (f *Flow) Assemble(balances *ledger.Balances, maxBytes int) []ledger.Transaction {
-	// Snapshot each shard's queues under its own lock. A pending payment
-	// is never written; only the slices need copying.
-	h := make(feeHeap, 0, 64)
-	for _, sh := range f.shards {
-		sh.mu.Lock()
-		for pk, q := range sh.senders {
-			h = append(h, assemblyRun{sender: pk, txs: slices.Clone(q.txs)})
-		}
-		sh.mu.Unlock()
+	// Snapshot the queues. A pending payment is never written; only the
+	// slices need copying.
+	f.mu.Lock()
+	h := make(feeHeap, 0, len(f.senders))
+	for pk, q := range f.senders {
+		h = append(h, assemblyRun{sender: pk, txs: slices.Clone(q.txs)})
 	}
+	// Room for what is pending, or for the share of it that fits.
+	room := f.count
+	if f.bytes > maxBytes {
+		room = room*maxBytes/f.bytes + 1
+	}
+	f.mu.Unlock()
 	heap.Init(&h)
 
-	// Room for what is pending, or for the share of it that fits.
-	room := f.Len()
-	if pending := f.PendingBytes(); pending > maxBytes {
-		room = room*maxBytes/pending + 1
-	}
 	ov := newOverlay(balances)
 	out := make([]ledger.Transaction, 0, room)
 	size := 0

@@ -10,10 +10,11 @@
 //	                        │
 //	                        ▼
 //	               signature verification
-//	               (worker pool over crypto.Provider)
+//	               (on the admitting goroutine, or on
+//	               the node's gossip workers)
 //	                        │
 //	                        ▼
-//	               sharded mempool (fee-then-nonce)
+//	               mempool (fee-then-nonce, one lock)
 //	                        │           │
 //	                        ▼           ▼
 //	               DrainOutbox      Assemble
@@ -101,9 +102,6 @@ func RetryAfterHint(err error) (time.Duration, bool) {
 
 // Config sizes the pipeline. The zero value gets sensible defaults.
 type Config struct {
-	// Shards is the number of mempool shards (senders are distributed
-	// by key hash). Default 16.
-	Shards int
 	// MaxTxs and MaxBytes bound the pool globally; past either bound
 	// admission evicts the lowest-fee pending transaction (or rejects
 	// the incoming one if its own fee is lowest). Defaults 1<<16 txs,
@@ -128,9 +126,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 16
-	}
 	if c.MaxTxs <= 0 {
 		c.MaxTxs = 1 << 16
 	}
@@ -152,8 +147,8 @@ const (
 	// Rate-limit rejects instead carry the exact remainder of the
 	// sender's window.
 	shedBackoff = 500 * time.Millisecond
-	// queueDepth bounds the async ingest queue consumed by the worker
-	// pool, in batches.
+	// queueDepth bounds the async ingest queue consumed by the node's
+	// gossip workers, in batches.
 	queueDepth = 4096
 )
 
@@ -163,11 +158,17 @@ type Flow struct {
 	cfg      Config
 	provider crypto.Provider
 
-	shards []*shard
-	// Global occupancy, maintained with atomics so shards only contend
-	// on their own locks.
-	count atomic.Int64
-	bytes atomic.Int64
+	// mu guards the pool: the sender queues, the nonce floors and the
+	// occupancy.
+	mu      sync.Mutex
+	senders map[crypto.PublicKey]*senderQueue
+	// floor[s] is s's account nonce as of the last committed block that
+	// contained one of s's transactions; anything below it can never
+	// apply and is rejected at admission. Maintained by Committed so
+	// admission never reads the (scheduler-owned) ledger state.
+	floor map[crypto.PublicKey]uint64
+	count int
+	bytes int
 
 	rateMu    sync.Mutex
 	rates     map[crypto.PublicKey]rateSlot
@@ -183,8 +184,8 @@ type Flow struct {
 
 	c counters
 
-	// Worker pool (Start/Close). queue carries gossip batches whose
-	// verification is offloaded from the scheduler goroutine.
+	// Gossip workers (Start/Close). queue carries gossip batches whose
+	// verification is offloaded from the node's scheduler goroutine.
 	queue   chan []*ledger.Transaction
 	done    chan struct{}
 	wg      sync.WaitGroup
@@ -202,7 +203,8 @@ func New(provider crypto.Provider, cfg Config) *Flow {
 	f := &Flow{
 		cfg:      cfg,
 		provider: provider,
-		shards:   make([]*shard, cfg.Shards),
+		senders:  make(map[crypto.PublicKey]*senderQueue),
+		floor:    make(map[crypto.PublicKey]uint64),
 		rates:    make(map[crypto.PublicKey]rateSlot),
 		epoch:    time.Now(),
 	}
@@ -218,9 +220,6 @@ func New(provider crypto.Provider, cfg Config) *Flow {
 		func() float64 { return float64(f.Len()) })
 	reg.GaugeFunc("algorand_txflow_pending_bytes", "encoded size of pending transactions",
 		func() float64 { return float64(f.PendingBytes()) })
-	for i := range f.shards {
-		f.shards[i] = newShard()
-	}
 	return f
 }
 
@@ -242,7 +241,7 @@ func (f *Flow) Start(workers int) {
 				select {
 				case batch := <-f.queue:
 					for _, tx := range batch {
-						f.ingest(tx, adopt, false)
+						f.ingest(tx, adopt)
 					}
 				case <-f.done:
 					return
@@ -274,48 +273,21 @@ const (
 // staging. It returns nil on admission or a typed rejection reason; tx
 // stays the caller's.
 func (f *Flow) Submit(tx *ledger.Transaction) error {
-	return f.ingest(tx, copyIn, false).err
+	return f.ingest(tx, copyIn).err
 }
 
-// SubmitBatch admits a batch, returning one result per transaction in
-// order (nil entries get ErrInvalid). When the worker pool is running,
-// signature verification for the batch is fanned out first; admission
-// and insertion stay ordered.
+// SubmitBatch admits a batch in order on the caller's goroutine,
+// returning one result per transaction (nil entries get ErrInvalid).
 func (f *Flow) SubmitBatch(txs []*ledger.Transaction) []error {
 	errs := make([]error, len(txs))
-	sigOK := make([]bool, len(txs))
-	if f.started.Load() && len(txs) > 1 {
-		f.verifyParallel(txs, sigOK)
-	}
 	for i, tx := range txs {
 		if tx == nil {
 			errs[i] = ErrInvalid
 			continue
 		}
-		errs[i] = f.ingest(tx, copyIn, sigOK[i]).err
+		errs[i] = f.ingest(tx, copyIn).err
 	}
 	return errs
-}
-
-// verifyParallel checks a batch's signatures on up to four goroutines and
-// sets ok[i] where txs[i]'s passed: the ordered pass re-checks (and
-// rejects, in order) only the others.
-func (f *Flow) verifyParallel(txs []*ledger.Transaction, ok []bool) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < min(4, len(txs)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(txs); i = int(next.Add(1)) - 1 {
-				if tx := txs[i]; tx != nil && tx.VerifySig(f.provider) {
-					f.c.verified.Inc()
-					ok[i] = true
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // IngestGossip runs one relayed transaction through the pipeline
@@ -324,7 +296,7 @@ func (f *Flow) verifyParallel(txs []*ledger.Transaction, ok []bool) {
 // actually verified (so the simulator can charge CPU for it). The pool
 // takes ownership of tx: the caller must not write it again.
 func (f *Flow) IngestGossip(tx *ledger.Transaction) (fresh, sigChecked bool) {
-	res := f.ingest(tx, adopt, false)
+	res := f.ingest(tx, adopt)
 	return res.err == nil, res.sigChecked
 }
 
@@ -335,7 +307,7 @@ func (f *Flow) IngestGossip(tx *ledger.Transaction) (fresh, sigChecked bool) {
 func (f *Flow) EnqueueBatch(txs []*ledger.Transaction) error {
 	if !f.started.Load() {
 		for _, tx := range txs {
-			f.ingest(tx, adopt, false)
+			f.ingest(tx, adopt)
 		}
 		return nil
 	}
@@ -354,8 +326,8 @@ type ingestResult struct {
 }
 
 // ingest is the single admission path shared by every entry point: own
-// is adopt or copyIn, sigOK that the caller already verified the signature.
-func (f *Flow) ingest(tx *ledger.Transaction, own, sigOK bool) ingestResult {
+// is adopt or copyIn.
+func (f *Flow) ingest(tx *ledger.Transaction, own bool) ingestResult {
 	now := f.cfg.Now()
 
 	// Structural checks: reject garbage before touching crypto.
@@ -364,12 +336,10 @@ func (f *Flow) ingest(tx *ledger.Transaction, own, sigOK bool) ingestResult {
 		return ingestResult{err: ErrInvalid}
 	}
 
-	sh := f.shardFor(tx.From)
-
-	// Cheap stateful pre-checks under the shard lock: stale nonce,
+	// Cheap stateful pre-checks under the pool lock: stale nonce,
 	// duplicate, per-sender cap. All of these reject without a
 	// signature verification: every re-delivery ends here.
-	if err := sh.precheck(f, tx); err != nil {
+	if err := f.precheck(tx); err != nil {
 		f.c.count(err)
 		if errors.Is(err, ErrSenderLimit) {
 			err = &Reject{Err: err, RetryAfter: shedBackoff}
@@ -384,28 +354,25 @@ func (f *Flow) ingest(tx *ledger.Transaction, own, sigOK bool) ingestResult {
 		return ingestResult{err: err}
 	}
 
-	sigChecked := !sigOK
-	if sigChecked {
-		if !tx.VerifySig(f.provider) {
-			f.c.badSig.Inc()
-			return ingestResult{err: ErrBadSig, sigChecked: true}
-		}
-		f.c.verified.Inc()
+	if !tx.VerifySig(f.provider) {
+		f.c.badSig.Inc()
+		return ingestResult{err: ErrBadSig, sigChecked: true}
 	}
+	f.c.verified.Inc()
 
 	if err := f.admitRate(tx.From, now, true); err != nil {
-		return ingestResult{err: err, sigChecked: sigChecked}
+		return ingestResult{err: err, sigChecked: true}
 	}
 
 	// Insert, evicting the lowest-fee pending transaction if the pool
-	// is over its global bounds.
-	tx, err := f.insert(sh, tx, own)
+	// is over its bounds.
+	tx, err := f.insert(tx, own)
 	if err != nil {
 		f.c.count(err)
 		if errors.Is(err, ErrPoolFull) {
 			err = &Reject{Err: err, RetryAfter: shedBackoff}
 		}
-		return ingestResult{err: err, sigChecked: sigChecked}
+		return ingestResult{err: err, sigChecked: true}
 	}
 	f.c.admitted.Inc()
 
@@ -417,7 +384,7 @@ func (f *Flow) ingest(tx *ledger.Transaction, own, sigOK bool) ingestResult {
 		f.c.outboxDrop.Inc()
 	}
 	f.outMu.Unlock()
-	return ingestResult{sigChecked: sigChecked}
+	return ingestResult{sigChecked: true}
 }
 
 // admitRate checks that the sender's rate window has room and, with
@@ -489,7 +456,15 @@ func Batches(txs []*ledger.Transaction, maxBatchBytes int) [][]*ledger.Transacti
 }
 
 // Len returns the number of pending transactions.
-func (f *Flow) Len() int { return int(f.count.Load()) }
+func (f *Flow) Len() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.count
+}
 
 // PendingBytes returns the encoded size of all pending transactions.
-func (f *Flow) PendingBytes() int { return int(f.bytes.Load()) }
+func (f *Flow) PendingBytes() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.bytes
+}

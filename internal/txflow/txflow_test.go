@@ -167,7 +167,7 @@ func TestRelayedCopyIsNeverReverified(t *testing.T) {
 // signed core. The same core under a corrupted signature is verified
 // like any fresh payment, and rejected.
 func TestEvictedCoreWithCorruptSigIsBadSig(t *testing.T) {
-	h := newHarness(t, 4, Config{Shards: 1, MaxTxs: 2})
+	h := newHarness(t, 4, Config{MaxTxs: 2})
 	victim := h.tx(0, 1, 1, 0, 0) // fee 0: first eviction victim
 	if err := h.flow.Submit(victim); err != nil {
 		t.Fatalf("victim submit: %v", err)
@@ -186,6 +186,34 @@ func TestEvictedCoreWithCorruptSigIsBadSig(t *testing.T) {
 	corrupt.Sig[0] ^= 0xff
 	if err := h.flow.Submit(&corrupt); err != ErrBadSig {
 		t.Fatalf("corrupt-sig copy: err=%v, want ErrBadSig", err)
+	}
+}
+
+// TestFullPoolEvictsCheapestAnywhere: a full pool makes room for a
+// higher-fee payment by evicting the cheapest pending one, whichever
+// sender holds it.
+func TestFullPoolEvictsCheapestAnywhere(t *testing.T) {
+	const users = 40
+	for k := 2; k < users; k++ {
+		t.Run(fmt.Sprintf("sender%d", k), func(t *testing.T) {
+			h := newHarness(t, users, Config{MaxTxs: 2})
+			for i, fee := range []uint64{1, 5} {
+				if err := h.flow.Submit(h.tx(i, k, 1, fee, 0)); err != nil {
+					t.Fatalf("fee-%d payment: %v", fee, err)
+				}
+			}
+			if err := h.flow.Submit(h.tx(k, 0, 1, 10, 0)); err != nil {
+				t.Fatalf("fee-10 payment: %v", err)
+			}
+			if got := h.flow.Len(); got != 2 {
+				t.Fatalf("Len = %d, want 2", got)
+			}
+			for _, tx := range h.flow.Assemble(h.balances, 1<<20) {
+				if tx.Fee == 1 {
+					t.Fatal("fee-1 payment still pending")
+				}
+			}
+		})
 	}
 }
 
@@ -270,8 +298,8 @@ func TestForgedPaymentsDoNotSpendTheSendersRate(t *testing.T) {
 }
 
 func TestLowestFeeEviction(t *testing.T) {
-	// Pool bounded to 8 txs, one shard so eviction pressure is exact.
-	h := newHarness(t, 12, Config{Shards: 1, MaxTxs: 8})
+	// Pool bounded to 8 txs.
+	h := newHarness(t, 12, Config{MaxTxs: 8})
 	for i := 0; i < 8; i++ {
 		if err := h.flow.Submit(h.tx(i, 11, 1, uint64(10+i), 0)); err != nil {
 			t.Fatalf("fill %d: %v", i, err)
@@ -356,7 +384,7 @@ func TestAssemblePriorityAndValidity(t *testing.T) {
 
 func TestAssembleDeterministic(t *testing.T) {
 	build := func() []ledger.Transaction {
-		h := newHarness(t, 8, Config{Shards: 4})
+		h := newHarness(t, 8, Config{})
 		for i := 0; i < 8; i++ {
 			for n := uint64(0); n < 3; n++ {
 				h.flow.Submit(h.tx(i, (i+1)%8, 1, uint64(i%3), n))
@@ -408,7 +436,7 @@ func TestDrainOutboxBatchCap(t *testing.T) {
 // run concurrently. Run under -race; correctness here is "no race, no
 // panic, bounds hold".
 func TestConcurrentIngest(t *testing.T) {
-	h := newHarness(t, 16, Config{Shards: 4, MaxTxs: 256, RateLimit: 0})
+	h := newHarness(t, 16, Config{MaxTxs: 256, RateLimit: 0})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
@@ -512,10 +540,10 @@ func TestSubmitBatchMixedResults(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchVerifiesEachSignatureOnce: under a running worker pool
-// the batch's signatures are checked in parallel first, and the ordered
-// pass reads those verdicts: a signature that passed is not checked
-// again, one that failed is checked again and rejected in its place.
+// TestSubmitBatchVerifiesEachSignatureOnce: a batch submitted while the
+// gossip workers run is still admitted in order on the caller's
+// goroutine, each signature checked once: a good one admitted, a bad one
+// rejected in its place.
 func TestSubmitBatchVerifiesEachSignatureOnce(t *testing.T) {
 	const n, badAt = 24, 7
 	h := newHarness(t, n, Config{})
