@@ -31,7 +31,7 @@ func benchTxs(b *testing.B, provider crypto.Provider, senders, perSender int) []
 }
 
 // BenchmarkSubmitVerify measures the full admission path — admission
-// checks, one real Ed25519 verification, sharded insert — per
+// checks, one real Ed25519 verification, pool insert — per
 // transaction, single-goroutine.
 func BenchmarkSubmitVerify(b *testing.B) {
 	provider := crypto.NewReal()
