@@ -104,7 +104,8 @@ type Cluster = sim.Cluster
 // Percentiles summarizes a latency sample as the paper's figures do.
 type Percentiles = sim.Percentiles
 
-// NetworkConfig tunes the gossip transport.
+// NetworkConfig is what a simulation sets of the gossip transport: its
+// seed and the Figure 6 grouping of processes onto VMs.
 type NetworkConfig = network.Config
 
 // --- Access tier ------------------------------------------------------------

@@ -104,8 +104,7 @@ func main() {
 	epoch := time.Now()
 	cfg.TxFlow.Now = func() time.Duration { return time.Since(epoch) }
 	cfg.Metrics = reg
-	// Round spans on the wall clock (readable from the final-step
-	// background process as well as the scheduler).
+	// Round spans on the wall clock.
 	cfg.Tracer = trace.New(func() time.Duration { return time.Since(epoch) }, 0)
 
 	// Durable archive: every commit journals through the WAL before the
@@ -140,7 +139,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "archive restore: %v\n", err)
 			os.Exit(1)
 		}
-		if nd.SnapshotRejects > 0 {
+		if reg.Snapshot()["algorand_node_snapshot_rejects_total"].Value > 0 {
 			fmt.Fprintf(os.Stderr, "node %d: on-disk checkpoint rejected, replayed the full archive\n", *id)
 		}
 		st := archive.Stats()
@@ -204,10 +203,10 @@ func main() {
 	}
 	head := nd.Ledger().Head()
 	fmt.Printf("head: round %d hash %s\n", head.Round, head.Hash().Hex()[:16])
-	if chk, ok := nd.Checkpoint(); ok && nd.SnapshotSyncs > 0 {
+	snap := reg.Snapshot()
+	if chk, ok := nd.Checkpoint(); ok && snap["algorand_node_snapshot_syncs_total"].Value > 0 {
 		fmt.Printf("fast-synced from a peer's checkpoint (newest held: round %d)\n", chk.Round())
 	}
-	snap := reg.Snapshot()
 	for _, ph := range []trace.Phase{trace.PhasePropose, trace.PhaseBAStep, trace.PhaseCommit, trace.PhasePersist} {
 		if v := snap[metrics.Name("algorand_trace_phase_seconds", "phase", string(ph))]; v.Count > 0 {
 			fmt.Printf("phase %-8s n=%-4d p50=%.1fms p90=%.1fms p99=%.1fms\n", ph, v.Count,

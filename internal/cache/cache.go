@@ -33,8 +33,8 @@ type TwoGen[K comparable, V any] struct {
 	rotated time.Duration
 }
 
-// New creates a cache whose entries live between ttl and 2×ttl. A
-// ttl <= 0 disables expiry: entries live forever.
+// New creates a cache whose entries live between ttl and 2×ttl, which is
+// positive.
 func New[K comparable, V any](ttl time.Duration) *TwoGen[K, V] {
 	return &TwoGen[K, V]{
 		ttl: ttl,
@@ -42,10 +42,9 @@ func New[K comparable, V any](ttl time.Duration) *TwoGen[K, V] {
 	}
 }
 
-// rotateLocked ages the generations if a TTL has elapsed. A zero or
-// negative TTL disables expiry entirely (realnet's SeenTTL=0 mode).
+// rotateLocked ages the generations if a TTL has elapsed.
 func (c *TwoGen[K, V]) rotateLocked(now time.Duration) {
-	if c.ttl <= 0 || now-c.rotated < c.ttl {
+	if now-c.rotated < c.ttl {
 		return
 	}
 	// If more than two TTLs passed idle, both generations are stale.

@@ -187,7 +187,7 @@ func TestChaosTentativeForkStraggler(t *testing.T) {
 	res := runScenario(t, RandomScenario(20120))
 	adoptions := 0
 	for _, n := range res.Cluster.Nodes {
-		adoptions += n.ForkAdoptions
+		adoptions += int(n.Metrics().Snapshot()["algorand_node_fork_adoptions_total"].Value)
 	}
 	// The exact trajectory is seed- and code-path-sensitive; the hard
 	// assertions are the invariants above. Log whether the fork actually

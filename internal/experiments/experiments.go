@@ -103,8 +103,7 @@ func Figure6(scale Scale, userCounts []int, procsPerVM int) []LatencyPoint {
 		n := scale.users(base)
 		cfg := sim.DefaultConfig(n, scale.Rounds)
 		cfg.Seed = int64(n)
-		cfg.Net.ProcsPerVM = procsPerVM
-		cfg.Net.VMBps = cfg.Net.UplinkBps // one 20 Mbit/s NIC shared by the VM
+		cfg.Net.ProcsPerVM = procsPerVM // one 20 Mbit/s NIC shared by the VM
 		// The paper raises λ_step to 1 minute for this experiment.
 		cfg.Params.LambdaStep = time.Minute
 		out = append(out, runLatency(cfg))

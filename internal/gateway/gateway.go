@@ -79,9 +79,6 @@ type Config struct {
 }
 
 const (
-	// flushInterval is how often freshly admitted transactions leave as
-	// TxBatch gossip: a node's txFlushPeriod at the paper's λ_priority.
-	flushInterval = 250 * time.Millisecond
 	// askInterval is how often the gateway asks a neighbour for the chain
 	// past its read model's head.
 	askInterval = time.Second
@@ -117,6 +114,9 @@ type Gateway struct {
 	// neighbour in turn.
 	nextPeer  int
 	askBlocks int // blocks a chain request asks for, as a node's (node.ChainAsk)
+	// flushPeriod is how often freshly admitted transactions leave as
+	// TxBatch gossip, as a node's do (node.TxFlushPeriod).
+	flushPeriod time.Duration
 	// asked files the chain requests out, so no neighbour can buy a
 	// certificate verification with a ChainReply nobody asked for.
 	asked node.Requests
@@ -162,7 +162,7 @@ func New(id int, sim *vtime.Sim, net node.Transport, provider crypto.Provider, c
 		rm:   NewReadModel(provider, cfg.LedgerCfg, cfg.Committee, genesis, seed0, sim.Now),
 		reg:  reg,
 	}
-	g.askBlocks = node.ChainAsk(p)
+	g.askBlocks, g.flushPeriod = node.ChainAsk(p), node.TxFlushPeriod(p)
 	g.c = gwCounters{
 		submitted:     reg.Counter("algorand_gateway_submitted_total", "transactions offered to the gateway"),
 		admitted:      reg.Counter("algorand_gateway_admitted_total", "transactions admitted at the edge"),
@@ -347,19 +347,24 @@ func (g *Gateway) gossip(batches [][]*ledger.Transaction) {
 }
 
 // run is the gateway's background process: flush admitted transactions
-// every flushInterval, ask for the chain every askInterval, and wind down
-// when the cluster is done.
+// every flushPeriod, ask for the chain at the first flush of each
+// askInterval, and wind down when the cluster is done.
 func (g *Gateway) run(p *vtime.Proc) {
-	for wake := 1; ; wake++ {
-		p.Sleep(flushInterval)
+	nextAsk := g.sim.Now() + askInterval
+	for {
+		p.Sleep(g.flushPeriod)
 		if g.sim.Stopped() || (g.cfg.Done != nil && g.cfg.Done()) {
 			return
+		}
+		ask := g.sim.Now() >= nextAsk
+		if ask {
+			nextAsk += askInterval
 		}
 		if g.halted {
 			continue
 		}
 		g.flushOnce()
-		if wake%int(askInterval/flushInterval) == 0 {
+		if ask {
 			g.askChain()
 		}
 	}

@@ -264,7 +264,7 @@ func TestResendWaitsThreeAppliedRounds(t *testing.T) {
 }
 
 // TestOneChainRequestPerStartingRound: the gateway's process wakes every
-// flushInterval and asks once per askInterval, from the round past its
+// flushPeriod and asks once per askInterval, from the round past its
 // head. A reply that moves the head moves the next request's starting
 // round; a head that has not moved is asked for again an askInterval later.
 func TestOneChainRequestPerStartingRound(t *testing.T) {
@@ -289,6 +289,33 @@ func TestOneChainRequestPerStartingRound(t *testing.T) {
 	h.sim.Run(3*askInterval + askInterval/2)
 	if req := h.lastRequest(t); len(h.net.unicasts) != 3 || req.FromRound != 2 {
 		t.Fatalf("the same gap an askInterval later: %d requests, last from round %d; want 3, from round 2", len(h.net.unicasts), req.FromRound)
+	}
+}
+
+// TestFlushFollowsLambdaPriority: a gateway flushes on a node's period
+// (node.TxFlushPeriod), not on a fixed 250 ms, so at λ_priority = 150 ms a
+// payment admitted at t leaves as a TxBatch by t + 37.5 ms, inside the
+// proposal wait of the round it arrived in.
+func TestFlushFollowsLambdaPriority(t *testing.T) {
+	h := newHarness(t, Config{}, 4)
+	p := testParams
+	p.LambdaPriority = 150 * time.Millisecond
+	const period = 37500 * time.Microsecond
+	h.gw = New(100, h.sim, h.net, h.prov, Config{Committee: testCommittee, LedgerCfg: ledger.DefaultConfig()}, p, h.genesis, h.seed0)
+	h.gw.Start()
+	for i, at := range []time.Duration{100 * time.Millisecond, 150 * time.Millisecond, 230 * time.Millisecond} {
+		h.sim.Run(at)
+		tx := h.tx(t, 0, 1, i)
+		if err := h.gw.Submit(tx); err != nil {
+			t.Fatalf("submit at %v: %v", at, err)
+		}
+		h.sim.Run(at + period)
+		if len(h.net.gossips) != i+1 {
+			t.Fatalf("payment admitted at %v: %d batches gossiped by %v, want %d", at, len(h.net.gossips), at+period, i+1)
+		}
+		if b, ok := h.net.gossips[i].(*node.TxBatch); !ok || len(b.Txns) != 1 || b.Txns[0].ID() != tx.ID() {
+			t.Fatalf("payment admitted at %v left as %#v", at, h.net.gossips[i])
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -43,8 +44,8 @@ type hop struct{ m Message }
 
 func (h *hop) WireSize() int { return h.m.WireSize() }
 
-func newOracle(sim *vtime.Sim, cfg Config, n int, handler func(from, to int, m Message) Verdict) *oracle {
-	o := &oracle{nw: New(sim, cfg, n), ttl: cfg.SeenTTL, eps: make([]oracleEndpoint, n), handler: handler}
+func newOracle(sim *vtime.Sim, cfg settings, n int, handler func(from, to int, m Message) Verdict) *oracle {
+	o := &oracle{nw: newNetwork(sim, cfg, n), ttl: cfg.seenTTL, eps: make([]oracleEndpoint, n), handler: handler}
 	for i := range o.eps {
 		i := i
 		o.eps[i].seen, o.eps[i].limitSeen = map[crypto.Digest]bool{}, map[LimitKey]int{}
@@ -113,7 +114,7 @@ func (o *oracle) deliver(from, to int, m Message) {
 // dedupRig builds the side under test on sim: the network its faults are
 // installed on, and its Gossip and Unicast. handler is what every endpoint
 // does with a first delivery.
-type dedupRig func(sim *vtime.Sim, cfg Config, handler func(from, to int, m Message) Verdict) (nw *Network, gossip func(int, Message), unicast func(int, int, Message))
+type dedupRig func(sim *vtime.Sim, cfg settings, handler func(from, to int, m Message) Verdict) (nw *Network, gossip func(int, Message), unicast func(int, int, Message))
 
 // arrival is one first delivery as a handler saw it.
 type arrival struct {
@@ -128,8 +129,8 @@ type arrival struct {
 // calls at the same instants.
 func dedupSchedule(seed int64, n int, ttl time.Duration, build dedupRig) (*Network, []arrival) {
 	sim := vtime.New()
-	cfg := DefaultConfig()
-	cfg.SeenTTL = ttl
+	cfg := defaults(DefaultConfig())
+	cfg.seenTTL = ttl
 	cfg.Seed = seed
 	var log []arrival
 	var nw *Network
@@ -219,12 +220,12 @@ func dedupSchedule(seed int64, n int, ttl time.Duration, build dedupRig) (*Netwo
 func matchModel(t *testing.T, label string, n int, schedule func(dedupRig) (*Network, []arrival)) *Network {
 	t.Helper()
 	var model *oracle
-	want, wantLog := schedule(func(sim *vtime.Sim, cfg Config, h func(from, to int, m Message) Verdict) (*Network, func(int, Message), func(int, int, Message)) {
+	want, wantLog := schedule(func(sim *vtime.Sim, cfg settings, h func(from, to int, m Message) Verdict) (*Network, func(int, Message), func(int, int, Message)) {
 		model = newOracle(sim, cfg, n, h)
 		return model.nw, model.gossip, model.unicast
 	})
-	got, gotLog := schedule(func(sim *vtime.Sim, cfg Config, h func(from, to int, m Message) Verdict) (*Network, func(int, Message), func(int, int, Message)) {
-		nw := New(sim, cfg, n)
+	got, gotLog := schedule(func(sim *vtime.Sim, cfg settings, h func(from, to int, m Message) Verdict) (*Network, func(int, Message), func(int, int, Message)) {
+		nw := newNetwork(sim, cfg, n)
 		for i := 0; i < n; i++ {
 			i := i
 			nw.SetHandler(i, HandlerFunc(func(from int, m Message) Verdict { return h(from, i, m) }))
@@ -295,8 +296,7 @@ func TestDedupMatchesPerEndpointModel(t *testing.T) {
 func TestRotationForgetsAfterTwoGenerations(t *testing.T) {
 	const n = 70
 	sim := vtime.New()
-	cfg := DefaultConfig()
-	nw := New(sim, cfg, n)
+	nw := New(sim, DefaultConfig(), n)
 	installRecorders(nw, 0)
 	key := LimitKey{Kind: 'v', Sender: [8]byte{7}, Round: 3, Step: 2}
 	vote := func(size int) *testMsg {
@@ -305,9 +305,9 @@ func TestRotationForgetsAfterTwoGenerations(t *testing.T) {
 	sim.Spawn("rounds", func(p *vtime.Proc) {
 		nw.Gossip(5, vote(301))
 		nw.Gossip(9, vote(302))
-		p.Sleep(cfg.SeenTTL)
+		p.Sleep(SeenTTL)
 		nw.Gossip(0, msg("tick", 50))
-		p.Sleep(cfg.SeenTTL)
+		p.Sleep(SeenTTL)
 		nw.Gossip(5, vote(303))
 	})
 	sim.Run(time.Hour)
@@ -369,9 +369,9 @@ func TestAllocBudgetFlood(t *testing.T) {
 func TestAllocBudgetRotation(t *testing.T) {
 	const n, votes = 64, slabRecords + 44 // a slab and part of another
 	sim := vtime.New()
-	cfg := DefaultConfig()
-	cfg.SeenTTL = 0 // the test rotates
-	nw := New(sim, cfg, n)
+	cfg := defaults(DefaultConfig())
+	cfg.seenTTL = math.MaxInt64 // the test rotates
+	nw := newNetwork(sim, cfg, n)
 	installRecorders(nw, 0)
 	msgs := make([]*testMsg, votes)
 	for i := range msgs {
@@ -418,8 +418,8 @@ func TestEnvelopeOutlivesItsTransfers(t *testing.T) {
 	const n, ttl = 20, 4 * time.Second
 	setup := func(build dedupRig, handle func(from, to int, m Message)) (*vtime.Sim, *Network, func(int, Message), func(int, int, Message), *[]arrival) {
 		sim := vtime.New()
-		cfg := DefaultConfig()
-		cfg.SeenTTL = ttl
+		cfg := defaults(DefaultConfig())
+		cfg.seenTTL = ttl
 		log := new([]arrival)
 		nw, gossip, unicast := build(sim, cfg, func(from, to int, m Message) Verdict {
 			*log = append(*log, arrival{sim.Now(), from, to, m.WireSize()})

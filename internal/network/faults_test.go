@@ -71,9 +71,9 @@ func TestPartitionsCompose(t *testing.T) {
 func lossTrace(t *testing.T, seed int64) []bool {
 	t.Helper()
 	sim := vtime.New()
-	cfg := DefaultConfig()
-	cfg.JitterFrac = 0
-	nw := New(sim, cfg, 4)
+	cfg := defaults(DefaultConfig())
+	cfg.jitter = 0
+	nw := newNetwork(sim, cfg, 4)
 	nw.SeedFaults(seed)
 	nw.AddLinkFault(LinkFault{LossProb: 0.3})
 
@@ -126,9 +126,9 @@ func TestLinkFaultLossReproducible(t *testing.T) {
 func delayTrace(t *testing.T, seed int64) []time.Duration {
 	t.Helper()
 	sim := vtime.New()
-	cfg := DefaultConfig()
-	cfg.JitterFrac = 0
-	nw := New(sim, cfg, 4)
+	cfg := defaults(DefaultConfig())
+	cfg.jitter = 0
+	nw := newNetwork(sim, cfg, 4)
 	nw.SeedFaults(seed)
 	nw.AddLinkFault(LinkFault{
 		ExtraDelay:  200 * time.Millisecond,
@@ -187,9 +187,9 @@ func TestLinkFaultWindowAndMatch(t *testing.T) {
 	// A fault gated to [10s, 20s) on the 0->1 link only: sends outside
 	// the window or on other links are untouched.
 	sim := vtime.New()
-	cfg := DefaultConfig()
-	cfg.JitterFrac = 0
-	nw := New(sim, cfg, 4)
+	cfg := defaults(DefaultConfig())
+	cfg.jitter = 0
+	nw := newNetwork(sim, cfg, 4)
 	nw.SeedFaults(99)
 	nw.AddLinkFault(LinkFault{
 		Match:    func(from, to int) bool { return from == 0 && to == 1 },

@@ -5,13 +5,14 @@
 // most one message per (sender, round, step).
 //
 // The transport model reproduces the paper's evaluation setup (§10):
-// per-process bandwidth caps (20 Mbit/s), inter-city propagation
-// latency with jitter, and optionally a shared per-VM NIC for the
-// Figure 6 bottleneck experiment. Message transmission serializes on
-// the sender's uplink — gossiping a 1 MB block to four peers costs four
-// back-to-back transmissions — and on the receiver's downlink, which is
-// what makes block propagation time grow linearly with block size
-// (Figure 7). On either link a Reply yields: a vote queued behind block
+// per-process bandwidth caps (PaperLinkBps, 20 Mbit/s), four outgoing
+// peers, inter-city propagation latency with ±10 % jitter, and optionally
+// a shared per-VM NIC for the Figure 6 bottleneck experiment. These are
+// constants; a Config sets only the seed and the Figure 6 grouping.
+// Message transmission serializes on the sender's uplink — gossiping a
+// 1 MB block to four peers costs four back-to-back transmissions — and on
+// the receiver's downlink, which is what makes block propagation time
+// grow linearly with block size (Figure 7). On either link a Reply yields: a vote queued behind block
 // pieces waits only for the piece being transmitted.
 package network
 
@@ -101,54 +102,50 @@ func (f HandlerFunc) HandleMessage(from int, m Message) Verdict {
 	return f(from, m)
 }
 
-// Config tunes the transport and gossip topology.
+// Config is what a simulation sets: the randomness and the Figure 6
+// grouping. Everything else about the transport is a constant below.
 type Config struct {
-	// Fanout is the number of outgoing gossip peers per node (paper: 4
-	// outgoing, ~8 total with incoming).
-	Fanout int
-	// UplinkBps / DownlinkBps cap each process's bandwidth (paper: 20
-	// Mbit/s per process).
-	UplinkBps   int64
-	DownlinkBps int64
 	// ProcsPerVM > 1 groups that many consecutive nodes onto one virtual
-	// machine sharing a single NIC (VMBps up/down), reproducing the
-	// Figure 6 bottleneck. Zero or one disables sharing.
+	// machine sharing a single NIC of PaperLinkBps up and down,
+	// reproducing the Figure 6 bottleneck. Zero or one gives every node a
+	// NIC of its own.
 	ProcsPerVM int
-	VMBps      int64
-	// JitterFrac adds ±JitterFrac×latency of uniform jitter per message.
-	JitterFrac float64
-	// SeenTTL bounds the duplicate-suppression and relay-limit caches in
-	// time: an entry suppresses matching messages for between one and two
-	// TTLs, then is forgotten. Real gossip implementations time-bound
-	// these caches to bound memory; here expiry is also what keeps a
-	// *retried* BA⋆ round live — the §8.4 relay limit is keyed by
-	// (sender, round, step), and if a failed attempt's keys never expired,
-	// the retry's fresh votes would reach direct peers but never be
-	// relayed, wedging the round forever. Zero disables expiry.
-	SeenTTL time.Duration
 	// Seed drives all of the network's randomness.
 	Seed int64
-	// Metrics receives the network's aggregate counters
-	// (algorand_net_*). Per-endpoint counters stay unregistered — at the
-	// paper's 500k-user scale, per-node registry series would dominate
-	// memory — and are read through NodeStats. Nil gets a private
-	// registry.
-	Metrics *metrics.Registry
 }
 
-// PaperLinkBps is §10's per-user link: 20 Mbit/s each way.
-const PaperLinkBps = 20_000_000
+const (
+	// PaperLinkBps is §10's per-user link: 20 Mbit/s each way. Every
+	// uplink, downlink and shared VM NIC runs at it.
+	PaperLinkBps = 20_000_000
+	// SeenTTL bounds the duplicate-suppression and relay-limit records of
+	// both transports in time: a record suppresses matching messages for
+	// between one and two TTLs, then is forgotten. Real gossip
+	// implementations time-bound these records to bound memory; here
+	// expiry is also what keeps a retried BA⋆ round live — the §8.4 relay
+	// limit is keyed by (sender, round, step), and if a failed attempt's
+	// keys never expired, the retry's fresh votes would reach direct peers
+	// but never be relayed, wedging the round forever.
+	SeenTTL = time.Minute
+	// fanout is the number of outgoing gossip peers per node (paper: 4
+	// outgoing, ~8 total with incoming).
+	fanout = 4
+	// latencyJitter adds ±latencyJitter×latency of uniform jitter per
+	// message.
+	latencyJitter = 0.10
+)
 
 // DefaultConfig matches the paper's evaluation setup.
-func DefaultConfig() Config {
-	return Config{
-		Fanout:      4,
-		UplinkBps:   PaperLinkBps,
-		DownlinkBps: PaperLinkBps,
-		JitterFrac:  0.10,
-		SeenTTL:     time.Minute,
-		Seed:        1,
-	}
+func DefaultConfig() Config { return Config{Seed: 1} }
+
+// settings is a Config and the values it does not carry. New gives every
+// network the constants; this package's tests build settings of their own
+// (no jitter, a shorter TTL, a faster VM NIC).
+type settings struct {
+	Config
+	jitter  float64
+	seenTTL time.Duration
+	nicBps  int64 // every NIC's rate, a node's own or its VM's
 }
 
 // link models a bandwidth-limited queue (an uplink or downlink) of two
@@ -319,7 +316,7 @@ type LimboFault struct {
 // Network is the simulated gossip network.
 type Network struct {
 	sim *vtime.Sim
-	cfg Config
+	cfg settings
 	rng *rand.Rand
 	eps []*endpoint
 	// weights drives money-weighted peer selection.
@@ -343,7 +340,7 @@ type Network struct {
 
 	// cur and old are the two live generations of the duplicate and
 	// relay-limit records. Lookups consult both, marks go to cur, and
-	// rotation (driven by Config.SeenTTL, last at lastRotate, counted by
+	// rotation (every seenTTL, last at lastRotate, counted by
 	// stamp) empties old and makes it cur: a mark lives between one and two
 	// TTLs.
 	cur, old   generation
@@ -355,54 +352,40 @@ type Network struct {
 	idle  *transfer
 	spare *envelope
 
-	// Aggregate counters, registered under algorand_net_* (see
-	// Config.Metrics); read through TotalBytes/TotalMsgs/TotalLost.
-	totalBytes *metrics.Counter
-	totalMsgs  *metrics.Counter
-	totalLost  *metrics.Counter
-	totalDups  *metrics.Counter
-	totalLimbo *metrics.Counter
+	// Aggregate counters, read through TotalBytes, TotalMsgs, TotalLost
+	// and TotalLimbo.
+	totalBytes metrics.Counter
+	totalMsgs  metrics.Counter
+	totalLost  metrics.Counter
+	totalLimbo metrics.Counter
 }
 
 // New creates a network of n nodes on sim. Handlers start nil; call
 // SetHandler before gossiping to a node.
 func New(sim *vtime.Sim, cfg Config, n int) *Network {
-	if cfg.Fanout <= 0 {
-		cfg.Fanout = 4
-	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
+	return newNetwork(sim, defaults(cfg), n)
+}
+
+// defaults is cfg with the constants beside it.
+func defaults(cfg Config) settings {
+	return settings{Config: cfg, jitter: latencyJitter, seenTTL: SeenTTL, nicBps: PaperLinkBps}
+}
+
+// newNetwork is New on settings of the caller's.
+func newNetwork(sim *vtime.Sim, cfg settings, n int) *Network {
 	nw := &Network{
 		sim:     sim,
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		weights: make([]uint64, n),
-
-		totalBytes: reg.Counter("algorand_net_bytes_total", "bytes sent across the simulated network"),
-		totalMsgs:  reg.Counter("algorand_net_msgs_total", "first-copy messages delivered across the network"),
-		totalLost:  reg.Counter("algorand_net_lost_total", "transfers dropped by link faults (not partitions)"),
-		totalDups:  reg.Counter("algorand_net_dups_total", "deliveries suppressed as exact duplicates"),
-		totalLimbo: reg.Counter("algorand_net_limbo_total", "transfers held in undecidable-message limbo"),
 	}
-	var vmUp, vmDown *link
+	var up, down *link // a node's own, or its VM's, made at the VM's first node
 	for i := 0; i < n; i++ {
 		ep := &endpoint{id: i, city: i % NumCities, relays: sim.NewLane()}
-		if cfg.ProcsPerVM > 1 {
-			if i%cfg.ProcsPerVM == 0 {
-				bps := cfg.VMBps
-				if bps == 0 {
-					bps = cfg.UplinkBps
-				}
-				vmUp = &link{bps: bps}
-				vmDown = &link{bps: bps, deliveries: sim.NewLane(), replyDeliveries: sim.NewLane()}
-			}
-			ep.up, ep.down = vmUp, vmDown
-		} else {
-			ep.up = &link{bps: cfg.UplinkBps}
-			ep.down = &link{bps: cfg.DownlinkBps, deliveries: sim.NewLane(), replyDeliveries: sim.NewLane()}
+		if cfg.ProcsPerVM <= 1 || i%cfg.ProcsPerVM == 0 {
+			up, down = &link{bps: cfg.nicBps}, &link{bps: cfg.nicBps, deliveries: sim.NewLane(), replyDeliveries: sim.NewLane()}
 		}
+		ep.up, ep.down = up, down
 		nw.weights[i] = 1
 		nw.eps = append(nw.eps, ep)
 	}
@@ -435,10 +418,7 @@ func (nw *Network) ReshufflePeers() {
 		total += w
 	}
 	for _, ep := range nw.eps {
-		k := nw.cfg.Fanout
-		if k > n-1 {
-			k = n - 1
-		}
+		k := min(fanout, n-1)
 		ep.peers = ep.peers[:0]
 		chosen := map[int]bool{ep.id: true}
 		for len(ep.peers) < k {
@@ -471,7 +451,7 @@ func (nw *Network) ReshufflePeers() {
 	// Build the undirected neighbor sets (outgoing ∪ incoming).
 	sets := make([]map[int]bool, n)
 	for i := range sets {
-		sets[i] = make(map[int]bool, 2*nw.cfg.Fanout)
+		sets[i] = make(map[int]bool, 2*fanout)
 	}
 	for _, ep := range nw.eps {
 		for _, p := range ep.peers {
@@ -660,7 +640,7 @@ func (nw *Network) rotate() {
 // maybeRotate ages the suppression records once per SeenTTL of virtual
 // time.
 func (nw *Network) maybeRotate() {
-	if now, ttl := nw.sim.Now(), nw.cfg.SeenTTL; ttl > 0 && now-nw.lastRotate >= ttl {
+	if now := nw.sim.Now(); now-nw.lastRotate >= nw.cfg.seenTTL {
 		nw.lastRotate = now
 		nw.rotate()
 	}
@@ -827,8 +807,8 @@ func (nw *Network) send(from, to int, env *envelope) {
 
 	upDone := src.up.transmit(now, now, size, env.reply)
 	lat := CityLatency(src.city, dst.city)
-	if nw.cfg.JitterFrac > 0 {
-		j := nw.cfg.JitterFrac * (2*nw.rng.Float64() - 1)
+	if nw.cfg.jitter > 0 {
+		j := nw.cfg.jitter * (2*nw.rng.Float64() - 1)
 		lat += time.Duration(float64(lat) * j)
 	}
 	lat += faultDelay
@@ -914,7 +894,6 @@ func (nw *Network) deliver(from, to int, env *envelope) {
 		w, bit := to>>6, uint64(1)<<(to&63)
 		if seen[w]&bit != 0 || (seenOld != nil && seenOld[w]&bit != 0) {
 			ep.dupsDropped.Inc()
-			nw.totalDups.Inc()
 			return
 		}
 		seen[w] |= bit

@@ -145,8 +145,7 @@ func TestLargeBlockPropagationScalesWithSize(t *testing.T) {
 
 func TestNoRelayVerdictStopsPropagation(t *testing.T) {
 	sim := vtime.New()
-	cfg := DefaultConfig()
-	nw := New(sim, cfg, 50)
+	nw := New(sim, DefaultConfig(), 50)
 	received := make([]bool, 50)
 	for i := 0; i < 50; i++ {
 		i := i
@@ -166,7 +165,7 @@ func TestNoRelayVerdictStopsPropagation(t *testing.T) {
 		}
 	}
 	// Only the origin's direct neighbors can have seen it.
-	if count > 2*cfg.Fanout+4 {
+	if count > 2*fanout+4 {
 		t.Fatalf("junk reached %d nodes despite no-relay verdicts", count)
 	}
 }
@@ -221,9 +220,9 @@ func TestBandwidthSerialization(t *testing.T) {
 	// ~8 copies: ~0.42s each at 20 Mbit/s, so the last copy leaves
 	// several seconds after the first.
 	sim := vtime.New()
-	cfg := DefaultConfig()
-	cfg.JitterFrac = 0
-	nw := New(sim, cfg, 20)
+	cfg := defaults(DefaultConfig())
+	cfg.jitter = 0
+	nw := newNetwork(sim, cfg, 20)
 	recv := installRecorders(nw, 0)
 	sim.Spawn("origin", func(p *vtime.Proc) {
 		nw.Gossip(0, msg("big", 1<<20))
@@ -255,13 +254,12 @@ func TestBandwidthSerialization(t *testing.T) {
 func TestSharedVMBandwidthSlowsDelivery(t *testing.T) {
 	run := func(shared bool) time.Duration {
 		sim := vtime.New()
-		cfg := DefaultConfig()
-		cfg.JitterFrac = 0
+		cfg := defaults(DefaultConfig())
+		cfg.jitter = 0
 		if shared {
-			cfg.ProcsPerVM = 10
-			cfg.VMBps = cfg.UplinkBps // 10 procs share one 20 Mbit/s NIC
+			cfg.ProcsPerVM = 10 // 10 procs share one 20 Mbit/s NIC
 		}
-		nw := New(sim, cfg, 60)
+		nw := newNetwork(sim, cfg, 60)
 		recv := installRecorders(nw, 0)
 		sim.Spawn("origins", func(p *vtime.Proc) {
 			// Several origins transmit large messages at once.
@@ -288,9 +286,9 @@ func TestSharedVMBandwidthSlowsDelivery(t *testing.T) {
 func TestCPUChargingDelaysRelay(t *testing.T) {
 	run := func(cpu time.Duration) time.Duration {
 		sim := vtime.New()
-		cfg := DefaultConfig()
-		cfg.JitterFrac = 0
-		nw := New(sim, cfg, 60)
+		cfg := defaults(DefaultConfig())
+		cfg.jitter = 0
+		nw := newNetwork(sim, cfg, 60)
 		recv := installRecorders(nw, cpu)
 		sim.Spawn("origin", func(p *vtime.Proc) {
 			nw.Gossip(0, msg("cpu", 300))

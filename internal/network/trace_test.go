@@ -25,13 +25,13 @@ import (
 func deliveryTrace(seed int64) (string, *Network) {
 	const n = 40
 	sim := vtime.New()
-	cfg := DefaultConfig()
+	cfg := defaults(DefaultConfig())
 	cfg.Seed = seed
-	cfg.SeenTTL = 20 * time.Second
+	cfg.seenTTL = 20 * time.Second
 	if seed%2 == 0 {
-		cfg.ProcsPerVM, cfg.VMBps = 4, 40_000_000
+		cfg.ProcsPerVM, cfg.nicBps = 4, 40_000_000
 	}
-	nw := New(sim, cfg, n)
+	nw := newNetwork(sim, cfg, n)
 	h := sha256.New()
 	put := func(vals ...int64) {
 		for _, v := range vals {
@@ -124,7 +124,9 @@ func TestDeliveryTraceMatchesParent(t *testing.T) {
 			t.Errorf("seed %d: delivery trace %s, the queue-per-event implementation's %s", seed, got, want[seed])
 		}
 		msgs, lost, limbo = msgs+nw.TotalMsgs(), lost+nw.TotalLost(), limbo+nw.TotalLimbo()
-		dups += int64(nw.totalDups.Load())
+		for i := range nw.eps {
+			dups += nw.NodeStats(i).DupsDropped
+		}
 	}
 	t.Logf("%d schedules: %d first deliveries, %d duplicates, %d transfers lost, %d through limbo", len(want), msgs, dups, lost, limbo)
 	if dups < msgs || lost == 0 || limbo == 0 {

@@ -57,9 +57,9 @@ func TestRepliesYield(t *testing.T) {
 			// Every piece and then the note leave 0 at once for 1: the note
 			// follows piece 0 on 0's uplink, and on 1's downlink, where it
 			// arrives while piece 0 is coming in.
-			sim, cfg := vtime.New(), DefaultConfig()
-			cfg.JitterFrac = 0
-			nw := New(sim, cfg, 2)
+			sim, cfg := vtime.New(), defaults(DefaultConfig())
+			cfg.jitter = 0
+			nw := newNetwork(sim, cfg, 2)
 			got := listenAt(nw, sim, 1)
 			for i := range queued {
 				nw.Unicast(0, 1, &piece{i})
@@ -77,9 +77,9 @@ func TestRepliesYield(t *testing.T) {
 			// them sends 0 a piece at once, so the pieces queue on 0's
 			// downlink; a note sent halfway into the second piece time
 			// arrives while piece 0 is coming in.
-			sim, cfg := vtime.New(), DefaultConfig()
-			cfg.JitterFrac = 0
-			nw := New(sim, cfg, (queued+2)*NumCities)
+			sim, cfg := vtime.New(), defaults(DefaultConfig())
+			cfg.jitter = 0
+			nw := newNetwork(sim, cfg, (queued+2)*NumCities)
 			got := listenAt(nw, sim, 0)
 			for i := 1; i <= queued; i++ {
 				nw.Unicast(i*NumCities, 0, &piece{i})
@@ -93,9 +93,9 @@ func TestRepliesYield(t *testing.T) {
 			}
 		}},
 		{"replies keep their order among themselves", func(t *testing.T, queued int) {
-			sim, cfg := vtime.New(), DefaultConfig()
-			cfg.JitterFrac = 0
-			nw := New(sim, cfg, 2)
+			sim, cfg := vtime.New(), defaults(DefaultConfig())
+			cfg.jitter = 0
+			nw := newNetwork(sim, cfg, 2)
 			got := listenAt(nw, sim, 1)
 			var sent []Message
 			for i := range queued {
@@ -165,9 +165,9 @@ func TestRepliesYield(t *testing.T) {
 // another round of them and a note, and delivering all of it, allocates
 // nothing once the rings of replies have grown.
 func TestAllocBudgetRepliesQueued(t *testing.T) {
-	sim, cfg := vtime.New(), DefaultConfig()
-	cfg.JitterFrac = 0
-	nw := New(sim, cfg, 2)
+	sim, cfg := vtime.New(), defaults(DefaultConfig())
+	cfg.jitter = 0
+	nw := newNetwork(sim, cfg, 2)
 	listenAt(nw, sim, 1)
 	pieces, n := make([]*piece, 16), &note{}
 	for i := range pieces {

@@ -253,7 +253,7 @@ func (n *Node) tryAdoptFork(reply *ChainReply) bool {
 		cert, _ := n.ledger.CertificateAt(b.Round)
 		n.persistReconcile(b, cert)
 	}
-	n.ForkAdoptions++
+	n.reg.Counter("algorand_node_fork_adoptions_total", "tentative suffixes abandoned for a longer certified chain served by peers").Inc()
 	return true
 }
 
@@ -359,7 +359,7 @@ func (n *Node) run(acts []cuAct) {
 					mr.ReportMisbehavior(peer, "snapshot failed verification")
 				}
 				if adopted {
-					n.SnapshotSyncs++
+					n.reg.Counter("algorand_node_snapshot_syncs_total", "fast syncs onto a verified peer-served checkpoint").Inc()
 				}
 				cs.reply(sr.WireSize(), adopted)
 				acts = m.SnapshotReply(n.observe(), adopted)

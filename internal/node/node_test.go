@@ -118,7 +118,7 @@ func TestForkRecovery(t *testing.T) {
 	// 3. Recovery must have run on most nodes.
 	recovered := 0
 	for _, n := range c.Nodes {
-		if n.Recovered > 0 {
+		if n.Metrics().Snapshot()["algorand_node_recoveries_total"].Value > 0 {
 			recovered++
 		}
 	}

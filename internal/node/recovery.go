@@ -57,7 +57,7 @@ func (n *Node) recover() {
 			break
 		}
 		if n.recoverOnce(checkpoint, uint64(attempt)) {
-			n.Recovered++
+			n.reg.Counter("algorand_node_recoveries_total", "completed §8.2 fork recoveries").Inc()
 			return
 		}
 	}

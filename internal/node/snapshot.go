@@ -117,9 +117,10 @@ func (n *Node) adoptCheckpoint(chk *ledger.Checkpoint) error {
 // recovered from its own archive or served by a peer, the two are
 // trusted alike: not at all. Verification context is pure common
 // knowledge, a fresh genesis ledger, so a hostile checkpoint cannot lean
-// on any state it shipped us. A failure is counted in SnapshotRejects
-// and leaves the ledger untouched (the caller falls back to replaying
-// blocks). Adopts only a checkpoint that advances the chain.
+// on any state it shipped us. A failure is counted in
+// algorand_node_snapshot_rejects_total and leaves the ledger untouched
+// (the caller falls back to replaying blocks). Adopts only a checkpoint
+// that advances the chain.
 func (n *Node) RestoreFromCheckpoint(chk *ledger.Checkpoint) (bool, error) {
 	if chk == nil || chk.Round() <= n.ledger.ChainLength() {
 		return false, nil
@@ -130,7 +131,7 @@ func (n *Node) RestoreFromCheckpoint(chk *ledger.Checkpoint) (bool, error) {
 		err = n.adoptCheckpoint(chk)
 	}
 	if err != nil {
-		n.SnapshotRejects++
+		n.reg.Counter("algorand_node_snapshot_rejects_total", "checkpoints, from disk or a peer, that failed verification").Inc()
 		return false, err
 	}
 	return true, nil

@@ -20,7 +20,7 @@ func TestTxFlushPeriodFollowsLambdaPriority(t *testing.T) {
 		{150 * time.Millisecond, 37500 * time.Microsecond},
 		{0, time.Millisecond}, // never a zero sleep in a loop
 	} {
-		if got := txFlushPeriod(params.Params{LambdaPriority: c.lambdaPriority}); got != c.want {
+		if got := TxFlushPeriod(params.Params{LambdaPriority: c.lambdaPriority}); got != c.want {
 			t.Errorf("λ_priority %v: flush period %v, want %v", c.lambdaPriority, got, c.want)
 		}
 	}
@@ -97,7 +97,7 @@ func TestPaymentGossipedWithinQuarterLambdaPriority(t *testing.T) {
 // tick; that tick sends nothing and arms no other.
 func TestHaltedNodeStopsFlushing(t *testing.T) {
 	sim, n, log, prm, submit := launchIdle(t)
-	period := txFlushPeriod(prm)
+	period := TxFlushPeriod(prm)
 	submit(period / 2)     // leaves at the first tick
 	submit(3 * period / 2) // admitted, then the node halts before the second tick
 	sim.After(7*period/4, n.Halt)

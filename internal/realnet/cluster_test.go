@@ -45,14 +45,14 @@ func realParams() params.Params {
 // testConfig returns transport tuning suited to fast loopback tests:
 // quick redials and short deadlines, so healing happens on the test's
 // timescale rather than production's.
-func testConfig() Config {
-	cfg := DefaultConfig()
-	cfg.DialTimeout = time.Second
-	cfg.RedialMin = 25 * time.Millisecond
-	cfg.RedialMax = 500 * time.Millisecond
-	cfg.WriteTimeout = 2 * time.Second
-	cfg.IdleTimeout = 10 * time.Second
-	cfg.KeepaliveInterval = 2 * time.Second
+func testConfig() settings {
+	cfg := defaults(DefaultConfig())
+	cfg.dialTimeout = time.Second
+	cfg.redialMin = 25 * time.Millisecond
+	cfg.redialMax = 500 * time.Millisecond
+	cfg.writeTimeout = 2 * time.Second
+	cfg.idleTimeout = 10 * time.Second
+	cfg.keepaliveInterval = 2 * time.Second
 	return cfg
 }
 
@@ -67,7 +67,7 @@ type realCluster struct {
 	prm    params.Params
 	// cfg returns node i's transport config (fault-injecting dialers go
 	// here); nil means testConfig().
-	cfg func(i int) Config
+	cfg func(i int) settings
 	// wrapListener decorates node i's listener (inbound faults); nil
 	// means identity.
 	wrapListener func(i int, ln net.Listener) net.Listener
@@ -125,7 +125,7 @@ func newRealCluster(t *testing.T, n int, rounds uint64) *realCluster {
 	return c
 }
 
-func (c *realCluster) transportConfig(i int) Config {
+func (c *realCluster) transportConfig(i int) settings {
 	if c.cfg != nil {
 		return c.cfg(i)
 	}
@@ -138,7 +138,7 @@ func (c *realCluster) build(i int, ln net.Listener) {
 		ln = c.wrapListener(i, ln)
 	}
 	sim := vtime.New().Realtime()
-	tr := NewWithConfig(sim, i, c.addrs, ln, c.transportConfig(i))
+	tr := newTransport(sim, i, c.addrs, ln, c.transportConfig(i))
 	nd := nodepkg.New(i, sim, tr, c.provider, c.ids[i], c.nodeCfg, c.genesis, c.seed0)
 	nd.StopAfterRound = c.rounds
 	if c.wrapHandler != nil {
@@ -330,10 +330,10 @@ type miniTransport struct {
 
 // newMiniAt builds one transport at slot id of addrs with a counting
 // handler, starts it, and runs its scheduler for the horizon.
-func newMiniAt(t *testing.T, id int, addrs []string, ln net.Listener, conf Config, horizon time.Duration) *miniTransport {
+func newMiniAt(t *testing.T, id int, addrs []string, ln net.Listener, conf settings, horizon time.Duration) *miniTransport {
 	t.Helper()
 	sim := vtime.New().Realtime()
-	tr := NewWithConfig(sim, id, addrs, ln, conf)
+	tr := newTransport(sim, id, addrs, ln, conf)
 	var got []network.Message
 	ch := make(chan network.Message, 4096)
 	tr.SetHandler(id, network.HandlerFunc(func(from int, m network.Message) network.Verdict {
@@ -365,7 +365,7 @@ func newMiniAt(t *testing.T, id int, addrs []string, ln net.Listener, conf Confi
 
 // newMiniNet builds n connected transports with counting handlers and
 // starts their schedulers for the given horizon.
-func newMiniNet(t *testing.T, n int, cfg func(i int) Config, horizon time.Duration) []*miniTransport {
+func newMiniNet(t *testing.T, n int, cfg func(i int) settings, horizon time.Duration) []*miniTransport {
 	t.Helper()
 	lns, addrs := listenLoopback(t, n)
 	out := make([]*miniTransport, n)

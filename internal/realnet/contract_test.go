@@ -17,7 +17,7 @@ import (
 
 // endpoints is the size of each network a contract case runs on. With
 // four, both topologies are a full mesh — the simulator draws
-// min(Fanout, n−1) = 3 peers, the TCP transport's neighbours are the
+// min(fanout, n−1) = 3 peers, the TCP transport's neighbours are the
 // address book — so a case reads the same on both: what endpoints 2 and 3
 // handle of a flooded message sent to endpoint 1 alone is what 1 relayed.
 const endpoints = 4
@@ -132,9 +132,9 @@ func (c *contractNet) from(t *testing.T, what string, m network.Message, sender 
 // simContract is one network.Network serving all four endpoints on
 // virtual time: a settle runs every event due, and a wait costs nothing.
 func simContract(t *testing.T) *contractNet {
-	sim, cfg := vtime.New(), network.DefaultConfig()
-	nw := network.New(sim, cfg, endpoints)
-	c := &contractNet{ttl: cfg.SeenTTL, settle: func() { sim.Run(0) }, wait: func(d time.Duration) {
+	sim := vtime.New()
+	nw := network.New(sim, network.DefaultConfig(), endpoints)
+	c := &contractNet{ttl: network.SeenTTL, settle: func() { sim.Run(0) }, wait: func(d time.Duration) {
 		sim.After(d, func() {})
 		sim.Run(0)
 	}, stall: func(int, int) func() { return func() {} }}
@@ -157,8 +157,8 @@ func tcpContract(t *testing.T) *contractNet {
 	}
 	const quiet = 150 * time.Millisecond
 	cfg := testConfig()
-	cfg.SeenTTL = time.Second
-	c := &contractNet{ttl: cfg.SeenTTL, wait: time.Sleep}
+	cfg.seenTTL = time.Second
+	c := &contractNet{ttl: cfg.seenTTL, wait: time.Sleep}
 	c.settle = func() {
 		for n, since := -1, time.Now(); time.Since(since) < quiet; time.Sleep(quiet / 8) {
 			c.mu.Lock()
@@ -171,7 +171,7 @@ func tcpContract(t *testing.T) *contractNet {
 	lns, addrs := listenLoopback(t, endpoints)
 	var trs [endpoints]*Transport
 	for i := range trs {
-		trs[i] = NewWithConfig(vtime.New().Realtime(), i, addrs, lns[i], cfg)
+		trs[i] = newTransport(vtime.New().Realtime(), i, addrs, lns[i], cfg)
 		c.tr[i] = trs[i]
 	}
 	// A stall quarantines the peer at the sender for a moment: the writer

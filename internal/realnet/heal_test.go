@@ -112,11 +112,11 @@ func TestSelfHealingUnderFaults(t *testing.T) {
 	// no second one), a stall (long enough to be felt, short of the write
 	// deadline) and then a reset, or a partial write that tears a frame
 	// mid-stream.
-	c.cfg = func(i int) Config {
+	c.cfg = func(i int) settings {
 		cfg := testConfig()
 		cfg.Seed = int64(i + 1)
-		cfg.QueueCap = 512
-		cfg.Dial = netfault.WrapDial(nil, func(ord int) netfault.Script {
+		cfg.queueCap = 512
+		cfg.dial = netfault.WrapDial(nil, func(ord int) netfault.Script {
 			switch ord % 3 {
 			case 0:
 				return netfault.Script{{After: 32 << 10, Act: netfault.Reset}}

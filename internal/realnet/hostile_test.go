@@ -9,6 +9,7 @@ import (
 
 	"algorand/internal/crypto"
 	"algorand/internal/ledger"
+	"algorand/internal/metrics"
 	nodepkg "algorand/internal/node"
 	"algorand/internal/wire"
 )
@@ -136,8 +137,8 @@ func TestHostileTruncatedFrame(t *testing.T) {
 	// And a frame whose header promises more than the peer ever sends,
 	// with the connection left open: the read deadline must reap it.
 	cfgShort := testConfig()
-	cfgShort.IdleTimeout = 300 * time.Millisecond
-	m2 := newMiniNet(t, 2, func(int) Config { return cfgShort }, 20*time.Second)[0]
+	cfgShort.idleTimeout = 300 * time.Millisecond
+	m2 := newMiniNet(t, 2, func(int) settings { return cfgShort }, 20*time.Second)[0]
 	r2 := dialRaw(t, m2.tr.Addr())
 	r2.hello(1)
 	tag2, payload2 := requestFrame(t, 9)
@@ -202,11 +203,11 @@ func TestRateAbuseShedsAndQuarantines(t *testing.T) {
 		t.Skip("wall-clock TCP test")
 	}
 	cfg := testConfig()
-	cfg.RateLimit = 20
-	cfg.RateWindow = 5 * time.Second // one window for the whole flood
-	cfg.QuarantineThreshold = 6      // three over-budget frames (2+2+2)
-	cfg.QuarantineDuration = 10 * time.Second
-	m := newMiniNet(t, 2, func(int) Config { return cfg }, 30*time.Second)[0]
+	cfg.rateLimit = 20
+	cfg.rateWindow = 5 * time.Second // one window for the whole flood
+	cfg.quarantineThreshold = 6      // three over-budget frames (2+2+2)
+	cfg.quarantineDuration = 10 * time.Second
+	m := newMiniNet(t, 2, func(int) settings { return cfg }, 30*time.Second)[0]
 
 	r := dialRaw(t, m.tr.Addr())
 	r.hello(1)
@@ -230,10 +231,10 @@ func TestRateAbuseShedsAndQuarantines(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	// Everything past the budget was shed before delivery: the handler
-	// saw at most RateLimit messages (the hello is not a message).
+	// saw at most rateLimit messages (the hello is not a message).
 	time.Sleep(200 * time.Millisecond)
-	if got := m.count(); got > cfg.RateLimit {
-		t.Fatalf("handler saw %d messages, rate budget is %d", got, cfg.RateLimit)
+	if got := m.count(); got > cfg.rateLimit {
+		t.Fatalf("handler saw %d messages, rate budget is %d", got, cfg.rateLimit)
 	}
 }
 
@@ -253,8 +254,8 @@ func TestHostileTxBatch(t *testing.T) {
 	// is pinned by TestReportMisbehaviorQuarantines and
 	// TestRateAbuseShedsAndQuarantines).
 	cfg := testConfig()
-	cfg.QuarantineThreshold = 100
-	m := newMiniNet(t, 2, func(int) Config { return cfg }, 30*time.Second)[0]
+	cfg.quarantineThreshold = 100
+	m := newMiniNet(t, 2, func(int) settings { return cfg }, 30*time.Second)[0]
 
 	// An honestly encoded oversized batch: enough max-signature
 	// transactions to cross MaxTxBatchBytes.
@@ -314,9 +315,9 @@ func TestReportMisbehaviorQuarantines(t *testing.T) {
 		t.Skip("wall-clock TCP test")
 	}
 	cfg := testConfig()
-	cfg.QuarantineThreshold = 8 // two reports (4+4) cross it
-	cfg.QuarantineDuration = 600 * time.Millisecond
-	m := newMiniNet(t, 3, func(int) Config { return cfg }, 30*time.Second)[0]
+	cfg.quarantineThreshold = 8 // two reports (4+4) cross it
+	cfg.quarantineDuration = 600 * time.Millisecond
+	m := newMiniNet(t, 3, func(int) settings { return cfg }, 30*time.Second)[0]
 
 	// Reports against self and unknown ids are dropped, not scored.
 	m.tr.ReportMisbehavior(0, "self-report must be ignored")
@@ -354,12 +355,67 @@ func TestReportMisbehaviorQuarantines(t *testing.T) {
 	assertAlive(t, m, 2, 400)
 
 	// After parole, the reported peer is welcome again.
-	time.Sleep(cfg.QuarantineDuration + 100*time.Millisecond)
+	time.Sleep(cfg.quarantineDuration + 100*time.Millisecond)
 	assertAlive(t, m, 1, 401)
 	if ps = m.tr.Stats().Peers[0]; ps.Quarantined {
 		t.Fatal("peer still quarantined after parole")
 	}
 	if ps.Score != 0 {
 		t.Fatalf("score %d after parole, want clean slate", ps.Score)
+	}
+}
+
+// TestInboundCapHoldsAndFrees pins the cap on accepted connections:
+// maxInbound connections that never send a hello are all accepted, the
+// next one is closed and counted, and closing one of the silent ones
+// frees its slot for the next dialer. Until idleTimeout reaps them, the
+// silent dialers alone fill the cap.
+func TestInboundCapHoldsAndFrees(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock TCP test")
+	}
+	reg := metrics.NewRegistry()
+	cfg := testConfig()
+	cfg.Metrics = reg
+	m := newMiniNet(t, 2, func(i int) settings {
+		if i == 0 {
+			return cfg
+		}
+		return testConfig()
+	}, 30*time.Second)[0]
+	rejected := func() float64 { return reg.Snapshot()["algorand_realnet_inbound_rejected_total"].Value }
+	waitInbound := func(want int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for m.tr.Stats().InboundConns != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d inbound connections live, want %d", m.tr.Stats().InboundConns, want)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+
+	silent := make([]*rawPeer, maxInbound)
+	for i := range silent {
+		silent[i] = dialRaw(t, m.tr.Addr())
+	}
+	waitInbound(maxInbound)
+	if got := rejected(); got != 0 {
+		t.Fatalf("%v connections refused below the cap", got)
+	}
+
+	over := dialRaw(t, m.tr.Addr())
+	if !closedWithin(over.c, 5*time.Second) {
+		t.Fatalf("connection %d was not closed", maxInbound+1)
+	}
+	if got := rejected(); got != 1 {
+		t.Fatalf("algorand_realnet_inbound_rejected_total = %v, want 1", got)
+	}
+
+	silent[0].c.Close()
+	waitInbound(maxInbound - 1)
+	assertAlive(t, m, 1, 500)
+	if got := rejected(); got != 1 {
+		t.Fatalf("the dialer after a freed slot was refused: %v rejections", got)
 	}
 }

@@ -31,8 +31,9 @@ type peer struct {
 	rng *rand.Rand
 
 	// queue and replies are the send queue's two classes, each oldest
-	// first: the writer takes from replies only when queue is empty (see
-	// Config.QueueCap). queuedBytes counts both.
+	// first: the writer takes from replies only when queue is empty, as
+	// the simulator's links send them (see queueCap). queuedBytes counts
+	// both.
 	mu          sync.Mutex
 	queue       []frame
 	replies     []frame
@@ -134,7 +135,7 @@ func (p *peer) pushBack(f frame) {
 func (p *peer) pushFront(f frame) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if cap := p.t.cfg.QueueCap; cap > 0 && p.depthLocked() >= cap {
+	if p.depthLocked() >= p.t.cfg.queueCap {
 		p.c.drops.Inc()
 		return
 	}
@@ -148,8 +149,7 @@ func (p *peer) pushFront(f frame) {
 // is queued. It never drops the newest frame, the last of its class, which
 // is a reply if newestReply.
 func (p *peer) trimLocked(newestReply bool) {
-	maxN, maxB := p.t.cfg.QueueCap, p.t.cfg.QueueBytes
-	for (maxN > 0 && p.depthLocked() > maxN) || (maxB > 0 && p.queuedBytes > maxB) {
+	for p.depthLocked() > p.t.cfg.queueCap || p.queuedBytes > p.t.cfg.queueBytes {
 		var q *[]frame
 		switch {
 		case len(p.replies) > 1 || len(p.replies) == 1 && !newestReply:
@@ -239,7 +239,7 @@ func withJitter(d time.Duration, rng *rand.Rand) time.Duration {
 func (p *peer) loop() {
 	defer p.t.wg.Done()
 	cfg := &p.t.cfg
-	backoff := cfg.RedialMin
+	backoff := cfg.redialMin
 	var conn net.Conn
 	var bw *bufio.Writer
 	drop := func() {
@@ -280,14 +280,12 @@ func (p *peer) loop() {
 					return
 				}
 				backoff *= 2
-				if backoff > cfg.RedialMax {
-					backoff = cfg.RedialMax
-				}
+				backoff = min(backoff, cfg.redialMax)
 				continue
 			}
 			p.noteDial()
 			conn, bw = c, bufio.NewWriter(c)
-			backoff = cfg.RedialMin
+			backoff = cfg.redialMin
 			p.setConnected(true)
 			if err := p.writeFrame(conn, bw, frame{tag: tagHello, payload: helloPayload(p.t.id)}); err != nil {
 				p.t.reportErr(err)
@@ -297,7 +295,7 @@ func (p *peer) loop() {
 		}
 		f, ok := p.pop()
 		if !ok {
-			work, alive := p.wait(cfg.KeepaliveInterval)
+			work, alive := p.wait(cfg.keepaliveInterval)
 			if !alive {
 				return
 			}
@@ -319,9 +317,7 @@ func (p *peer) loop() {
 
 // writeFrame writes and flushes one frame under the write deadline.
 func (p *peer) writeFrame(c net.Conn, w *bufio.Writer, f frame) error {
-	if wt := p.t.cfg.WriteTimeout; wt > 0 {
-		c.SetWriteDeadline(time.Now().Add(wt))
-	}
+	c.SetWriteDeadline(time.Now().Add(p.t.cfg.writeTimeout))
 	if err := wire.WriteFrame(w, f.tag, f.payload); err != nil {
 		return err
 	}
@@ -365,20 +361,15 @@ func (p *peer) noteFrame(bytes int, now time.Time) bool {
 	p.mu.Lock()
 	p.c.framesIn.Inc()
 	p.c.bytesIn.Add(uint64(bytes))
-	ok := true
-	if lim := p.t.cfg.RateLimit; lim > 0 {
-		if now.Sub(p.windowStart) > p.t.cfg.RateWindow {
-			p.windowStart = now
-			p.windowCount = 0
-		}
-		p.windowCount++
-		if p.windowCount > lim {
-			p.c.rateAbuse.Inc()
-			ok = false
-		}
+	if now.Sub(p.windowStart) > p.t.cfg.rateWindow {
+		p.windowStart = now
+		p.windowCount = 0
 	}
+	p.windowCount++
+	ok := p.windowCount <= p.t.cfg.rateLimit
 	var quarantined bool
 	if !ok {
+		p.c.rateAbuse.Inc()
 		quarantined = p.offendLocked(scoreRate, now)
 	}
 	p.mu.Unlock()
@@ -409,8 +400,8 @@ func (p *peer) offendLocked(pts int, now time.Time) bool {
 		return false // already serving
 	}
 	p.score += pts
-	if th := p.t.cfg.QuarantineThreshold; th > 0 && p.score >= th {
-		p.quarantinedUntil = now.Add(p.t.cfg.QuarantineDuration)
+	if p.score >= p.t.cfg.quarantineThreshold {
+		p.quarantinedUntil = now.Add(p.t.cfg.quarantineDuration)
 		p.score = 0
 		p.c.quarantines.Inc()
 		return true

@@ -27,7 +27,7 @@ func deadAddr(t *testing.T) string {
 }
 
 // TestQueueDropOldest pins the backpressure policy: a down peer's queue
-// holds the newest QueueCap frames and counts what it shed, instead of
+// holds the newest queueCap frames and counts what it shed, instead of
 // growing without bound or blocking the sender.
 func TestQueueDropOldest(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -35,9 +35,9 @@ func TestQueueDropOldest(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig()
-	cfg.QueueCap = 4
+	cfg.queueCap = 4
 	sim := vtime.New().Realtime()
-	tr := NewWithConfig(sim, 0, []string{ln.Addr().String(), deadAddr(t)}, ln, cfg)
+	tr := newTransport(sim, 0, []string{ln.Addr().String(), deadAddr(t)}, ln, cfg)
 	defer tr.Close()
 
 	for i := 0; i < 10; i++ {
@@ -57,7 +57,7 @@ func TestQueueDropOldest(t *testing.T) {
 }
 
 // TestQueueBytesBound pins the byte-denominated bound: many large
-// frames queued to a down peer stay within QueueBytes (while a single
+// frames queued to a down peer stay within queueBytes (while a single
 // oversized frame is still accepted, since blocks must transit).
 func TestQueueBytesBound(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -65,10 +65,10 @@ func TestQueueBytesBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig()
-	cfg.QueueCap = 1024
-	cfg.QueueBytes = 4096
+	cfg.queueCap = 1024
+	cfg.queueBytes = 4096
 	sim := vtime.New().Realtime()
-	tr := NewWithConfig(sim, 0, []string{ln.Addr().String(), deadAddr(t)}, ln, cfg)
+	tr := newTransport(sim, 0, []string{ln.Addr().String(), deadAddr(t)}, ln, cfg)
 	defer tr.Close()
 
 	for i := 0; i < 50; i++ {
@@ -87,7 +87,7 @@ func TestQueueBytesBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr2 := NewWithConfig(vtime.New().Realtime(), 0, []string{tr2ln.Addr().String(), deadAddr(t)}, tr2ln, cfg)
+	tr2 := newTransport(vtime.New().Realtime(), 0, []string{tr2ln.Addr().String(), deadAddr(t)}, tr2ln, cfg)
 	defer tr2.Close()
 	tr2.enqueue(1, frame{tag: tagPing, payload: make([]byte, 64<<10)})
 	if got := tr2.Stats().Peers[0].QueueDepth; got != 1 {
@@ -96,7 +96,7 @@ func TestQueueBytesBound(t *testing.T) {
 }
 
 // TestQueueRepliesYield pins the send queue's two classes on a down peer:
-// a reply larger than QueueBytes, queued behind votes, drops the older
+// a reply larger than queueBytes, queued behind votes, drops the older
 // reply and none of the votes; the writer takes every vote before any
 // reply; and a frame requeued after a failed write goes back to the head
 // of its own class.
@@ -107,7 +107,7 @@ func TestQueueRepliesYield(t *testing.T) {
 	}
 	cfg := testConfig()
 	sim := vtime.New().Realtime()
-	tr := NewWithConfig(sim, 0, []string{ln.Addr().String(), deadAddr(t)}, ln, cfg)
+	tr := newTransport(sim, 0, []string{ln.Addr().String(), deadAddr(t)}, ln, cfg)
 	defer tr.Close()
 
 	tr.Unicast(0, 1, &nodepkg.BlockFill{Block: &ledger.Block{Round: 1}})
@@ -122,8 +122,8 @@ func TestQueueRepliesYield(t *testing.T) {
 	for range 9 {
 		big.Blocks = append(big.Blocks, &ledger.Block{PayloadPadding: 1 << 20})
 	}
-	if big.WireSize() <= cfg.QueueBytes {
-		t.Fatalf("a chain reply of %d bytes is not over QueueBytes %d", big.WireSize(), cfg.QueueBytes)
+	if big.WireSize() <= cfg.queueBytes {
+		t.Fatalf("a chain reply of %d bytes is not over queueBytes %d", big.WireSize(), cfg.queueBytes)
 	}
 	tr.Unicast(0, 1, big)
 	if ps := tr.Stats().Peers[0]; ps.QueueDepth != len(votes)+1 || ps.QueueDrops != 1 {
@@ -172,9 +172,9 @@ func TestSupervisorRedialsAndFlushesQueue(t *testing.T) {
 	addrs := []string{lnA.Addr().String(), addrB}
 
 	cfg := testConfig()
-	cfg.DialTimeout = 200 * time.Millisecond
+	cfg.dialTimeout = 200 * time.Millisecond
 	simA := vtime.New().Realtime()
-	trA := NewWithConfig(simA, 0, addrs, lnA, cfg)
+	trA := newTransport(simA, 0, addrs, lnA, cfg)
 	defer trA.Close()
 	go simA.Run(10 * time.Second)
 

@@ -28,9 +28,9 @@
 //   - Connections carry read/write deadlines and idle keepalive pings,
 //     so a dead peer is detected and reaped rather than leaking.
 //   - The duplicate-suppression and relay-limit caches hold relayed
-//     messages (network.Flooded) only, and are generational with a TTL
-//     (mirroring internal/network.Config.SeenTTL), bounding their memory
-//     over long runs.
+//     messages (network.Flooded) only, and are generational with the
+//     simulator's TTL, network.SeenTTL, bounding their memory over long
+//     runs.
 //   - Inbound connections must open with a hello frame declaring the
 //     dialer's address-book id, which is the sender of every frame after
 //     it. Per-peer inbound accounting scores misbehavior — malformed
@@ -38,6 +38,11 @@
 //     parole period. The id claim is transport-level bookkeeping only;
 //     message authenticity still rests on the signatures every gossip
 //     message carries (§8.4).
+//
+// Every bound above is a constant of this package (queueCap, dialTimeout,
+// idleTimeout, rateLimit, quarantineThreshold, maxInbound and the rest),
+// and none has a value that turns it off; a Config carries only the seed
+// of the backoff jitter and the registry the counters go to.
 //
 // Stats() snapshots all of it (queue depths, drops, redials, quarantine
 // state, bytes in/out) for operators; cmd/algorand-node prints it.
@@ -67,110 +72,103 @@ const (
 	tagPing  byte = 0xF1 // idle keepalive, empty payload
 )
 
-// Misbehavior scores. A peer whose score reaches
-// Config.QuarantineThreshold is quarantined.
+// Misbehavior scores. A peer whose score reaches quarantineThreshold is
+// quarantined.
 const (
 	scoreMalformed = 4 // frame that fails to decode
 	scoreRate      = 2 // frames above the per-window rate budget
 	scoreReported  = 4 // application-reported offense (e.g. forged snapshot)
 )
 
-// DialFunc opens a connection to addr. Tests substitute fault-injecting
-// dialers (internal/realnet/netfault).
-type DialFunc func(ctx context.Context, addr string) (net.Conn, error)
+// The transport's fixed settings.
+const (
+	// queueCap bounds each peer's send queue in frames and queueBytes in
+	// payload bytes, replies (network.Reply) and other frames counted
+	// alike. Over a bound a reply goes first — a requester asks again,
+	// while a vote or an announce is not sent twice — and the newest frame
+	// stays, so a BlockFill, ChainReply or SnapshotReply, which carries
+	// whole blocks and may exceed queueBytes alone, still transits without
+	// pushing out the votes queued before it (see trimLocked).
+	queueCap   = 256
+	queueBytes = 8 << 20
 
-// Config tunes the transport's self-healing behavior. The zero value is
-// not useful; start from DefaultConfig.
-type Config struct {
-	// QueueCap bounds each peer's send queue in frames; QueueBytes
-	// bounds it in payload bytes. The queue holds two classes, replies
-	// (network.Reply) and every other frame, and both bounds count both.
-	// The writer sends the oldest frame that is not a reply before any
-	// reply, as the simulator's links do. When either bound is exceeded
-	// the oldest reply is dropped first, and a frame that is not a reply
-	// only when no reply is queued: a requester asks again, while a vote
-	// or an announce is not sent twice. The newest frame is always kept,
-	// so a reply larger than QueueBytes on its own is still queued — no
-	// piece exceeds blockprop.PieceSize plus a header, but a BlockFill, a
-	// ChainReply or a SnapshotReply carries whole blocks and must transit
-	// — and no vote queued before it is dropped to make room for it.
-	QueueCap   int
-	QueueBytes int
-
-	// DialTimeout bounds one connection attempt. RedialMin/RedialMax
+	// dialTimeout bounds one connection attempt. redialMin and redialMax
 	// bound the supervisor's exponential backoff between attempts; the
 	// actual wait is jittered to ±50% so a cluster restarting together
 	// does not thundering-herd one peer.
-	DialTimeout time.Duration
-	RedialMin   time.Duration
-	RedialMax   time.Duration
+	dialTimeout = 3 * time.Second
+	redialMin   = 100 * time.Millisecond
+	redialMax   = 5 * time.Second
 
-	// WriteTimeout is the deadline for writing one frame (a stalled
+	// writeTimeout is the deadline for writing one frame (a stalled
 	// peer's TCP buffer fills; the write times out and the supervisor
-	// redials). IdleTimeout is the read deadline: a connection that
-	// delivers nothing for this long is reaped. KeepaliveInterval makes
-	// idle writers send ping frames so healthy-but-quiet connections
-	// stay ahead of the peer's IdleTimeout; keep it well under the
-	// peers' IdleTimeout.
-	WriteTimeout      time.Duration
-	IdleTimeout       time.Duration
-	KeepaliveInterval time.Duration
+	// redials). idleTimeout is the read deadline: a connection that
+	// delivers nothing for this long is reaped. keepaliveInterval makes
+	// idle writers send ping frames so healthy-but-quiet connections stay
+	// ahead of the peer's idleTimeout, which it is well under.
+	writeTimeout      = 10 * time.Second
+	idleTimeout       = 90 * time.Second
+	keepaliveInterval = 25 * time.Second
 
-	// SeenTTL rotates the duplicate-suppression and relay-limit caches:
-	// an entry lives between one and two TTLs, bounding cache memory
-	// over long runs (mirrors internal/network.Config.SeenTTL, which PR
-	// 2's chaos swarm showed is also a liveness requirement for retried
-	// rounds). Zero disables expiry.
-	SeenTTL time.Duration
-
-	// RateLimit bounds inbound frames per peer per RateWindow; frames
+	// rateLimit bounds inbound frames per peer per rateWindow; frames
 	// over budget are shed before reaching the scheduler and score the
-	// peer. Zero disables rate accounting.
-	RateLimit  int
-	RateWindow time.Duration
+	// peer.
+	rateLimit  = 20000
+	rateWindow = time.Second
 
-	// QuarantineThreshold is the misbehavior score at which a peer is
+	// quarantineThreshold is the misbehavior score at which a peer is
 	// quarantined: its inbound connections are closed and refused, its
 	// frames dropped, and our writer to it parked. After
-	// QuarantineDuration the peer is paroled with a clean score.
-	QuarantineThreshold int
-	QuarantineDuration  time.Duration
+	// quarantineDuration the peer is paroled with a clean score.
+	quarantineThreshold = 10
+	quarantineDuration  = 30 * time.Second
 
-	// MaxInbound caps simultaneously accepted connections (a hostile
-	// dialer cannot hold unbounded goroutines/fds).
-	MaxInbound int
+	// maxInbound caps simultaneously accepted connections, so a hostile
+	// dialer cannot hold unbounded goroutines and file descriptors.
+	maxInbound = 256
+)
 
-	// Dial overrides the dialer (tests inject faults); nil uses
-	// net.Dialer.
-	Dial DialFunc
-
+// Config is what a deployment sets. Everything else is a constant above,
+// and the duplicate and relay-limit records live for network.SeenTTL, as
+// the simulator's do.
+type Config struct {
 	// Seed drives the backoff jitter.
 	Seed int64
-
 	// Metrics receives the transport's counters and gauges
 	// (algorand_realnet_*, per-peer series labeled peer="N"). Nil gets a
 	// private registry, so Stats() works standalone.
 	Metrics *metrics.Registry
 }
 
-// DefaultConfig returns production-leaning defaults.
-func DefaultConfig() Config {
-	return Config{
-		QueueCap:            256,
-		QueueBytes:          8 << 20,
-		DialTimeout:         3 * time.Second,
-		RedialMin:           100 * time.Millisecond,
-		RedialMax:           5 * time.Second,
-		WriteTimeout:        10 * time.Second,
-		IdleTimeout:         90 * time.Second,
-		KeepaliveInterval:   25 * time.Second,
-		SeenTTL:             time.Minute,
-		RateLimit:           20000,
-		RateWindow:          time.Second,
-		QuarantineThreshold: 10,
-		QuarantineDuration:  30 * time.Second,
-		MaxInbound:          256,
-		Seed:                1,
+// DefaultConfig returns the configuration of a deployment that sets
+// nothing.
+func DefaultConfig() Config { return Config{Seed: 1} }
+
+// settings is a Config and the values it does not carry. NewWithConfig
+// gives every transport the constants; this package's tests build
+// settings of their own, to heal, expire and quarantine on their own
+// timescale or to dial through injected faults.
+type settings struct {
+	Config
+	queueCap, queueBytes, rateLimit, quarantineThreshold int
+	dialTimeout, redialMin, redialMax, writeTimeout      time.Duration
+	idleTimeout, keepaliveInterval, seenTTL, rateWindow  time.Duration
+	quarantineDuration                                   time.Duration
+	dial                                                 func(ctx context.Context, addr string) (net.Conn, error)
+}
+
+// defaults is cfg with the constants beside it.
+func defaults(cfg Config) settings {
+	return settings{Config: cfg,
+		queueCap: queueCap, queueBytes: queueBytes,
+		dialTimeout: dialTimeout, redialMin: redialMin, redialMax: redialMax,
+		writeTimeout: writeTimeout, idleTimeout: idleTimeout, keepaliveInterval: keepaliveInterval,
+		seenTTL: network.SeenTTL, rateLimit: rateLimit, rateWindow: rateWindow,
+		quarantineThreshold: quarantineThreshold, quarantineDuration: quarantineDuration,
+		dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			var d net.Dialer
+			return d.DialContext(ctx, "tcp", addr)
+		},
 	}
 }
 
@@ -179,7 +177,7 @@ type Transport struct {
 	id    int
 	sim   *vtime.Sim
 	addrs []string
-	cfg   Config
+	cfg   settings
 
 	handler network.Handler
 	ln      net.Listener
@@ -194,8 +192,9 @@ type Transport struct {
 	// claimed (-1 before the handshake). Entries are reaped when the
 	// read loop exits, so the registry tracks live connections only.
 	inbound map[net.Conn]int
-	// Generational duplicate-suppression and relay-limit caches; see
-	// Config.SeenTTL. Lookups consult both generations. Both run on
+	// Generational duplicate-suppression and relay-limit caches, whose
+	// entries live between one and two seenTTLs. Lookups consult both
+	// generations. Both run on
 	// wall time relative to epoch.
 	seen  *cache.TwoGen[crypto.Digest, struct{}]
 	limit *cache.TwoGen[network.LimitKey, int]
@@ -218,6 +217,11 @@ type Transport struct {
 // address book (§9: "we currently provide each user with an address
 // book file listing the IP address and port for every user").
 func NewWithConfig(sim *vtime.Sim, id int, addrs []string, ln net.Listener, cfg Config) *Transport {
+	return newTransport(sim, id, addrs, ln, defaults(cfg))
+}
+
+// newTransport is NewWithConfig on settings of the caller's.
+func newTransport(sim *vtime.Sim, id int, addrs []string, ln net.Listener, cfg settings) *Transport {
 	ctx, cancel := context.WithCancel(context.Background())
 	reg := cfg.Metrics
 	if reg == nil {
@@ -233,13 +237,13 @@ func NewWithConfig(sim *vtime.Sim, id int, addrs []string, ln net.Listener, cfg 
 		cancelDial: cancel,
 		peers:      make(map[int]*peer),
 		inbound:    make(map[net.Conn]int),
-		seen:       cache.New[crypto.Digest, struct{}](cfg.SeenTTL),
-		limit:      cache.New[network.LimitKey, int](cfg.SeenTTL),
+		seen:       cache.New[crypto.Digest, struct{}](cfg.seenTTL),
+		limit:      cache.New[network.LimitKey, int](cfg.seenTTL),
 		epoch:      time.Now(),
 		reg:        reg,
 		closed:     make(chan struct{}),
 
-		inboundRejected: reg.Counter("algorand_realnet_inbound_rejected_total", "inbound connections refused at the MaxInbound cap"),
+		inboundRejected: reg.Counter("algorand_realnet_inbound_rejected_total", "inbound connections refused at the cap on accepted connections"),
 		quarantineDrops: reg.Counter("algorand_realnet_quarantine_drops_total", "frames and connections refused due to peer quarantine"),
 		dupDropped:      reg.Counter("algorand_realnet_dup_dropped_total", "gossip messages suppressed as exact duplicates"),
 		relayLimited:    reg.Counter("algorand_realnet_relay_limited_total", "relays suppressed by per-(sender,round,step) limits"),
@@ -327,20 +331,12 @@ func (t *Transport) reportErr(err error) {
 	}
 }
 
-// dialPeer opens one connection, honoring Config.Dial and DialTimeout,
-// and aborting if the transport closes mid-dial.
+// dialPeer opens one connection within dialTimeout, aborting if the
+// transport closes mid-dial.
 func (t *Transport) dialPeer(addr string) (net.Conn, error) {
-	ctx := t.dialCtx
-	if t.cfg.DialTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, t.cfg.DialTimeout)
-		defer cancel()
-	}
-	if t.cfg.Dial != nil {
-		return t.cfg.Dial(ctx, addr)
-	}
-	var d net.Dialer
-	return d.DialContext(ctx, "tcp", addr)
+	ctx, cancel := context.WithTimeout(t.dialCtx, t.cfg.dialTimeout)
+	defer cancel()
+	return t.cfg.dial(ctx, addr)
 }
 
 func (t *Transport) acceptLoop() {
@@ -357,7 +353,7 @@ func (t *Transport) acceptLoop() {
 			}
 		}
 		t.mu.Lock()
-		if t.cfg.MaxInbound > 0 && len(t.inbound) >= t.cfg.MaxInbound {
+		if len(t.inbound) >= maxInbound {
 			t.inboundRejected.Inc()
 			t.mu.Unlock()
 			c.Close()
@@ -434,7 +430,7 @@ func (t *Transport) quarantineEnacted(id int) {
 	if p := t.peers[id]; p != nil {
 		p.wake()
 	}
-	t.reportErr(fmt.Errorf("realnet: peer %d quarantined for %v (misbehavior)", id, t.cfg.QuarantineDuration))
+	t.reportErr(fmt.Errorf("realnet: peer %d quarantined for %v (misbehavior)", id, t.cfg.quarantineDuration))
 }
 
 // readLoop decodes frames from one inbound connection and injects
@@ -451,9 +447,7 @@ func (t *Transport) readLoop(c net.Conn) {
 	peerID := -1
 	var p *peer
 	for {
-		if t.cfg.IdleTimeout > 0 {
-			c.SetReadDeadline(time.Now().Add(t.cfg.IdleTimeout))
-		}
+		c.SetReadDeadline(time.Now().Add(t.cfg.idleTimeout))
 		tag, payload, err := wire.ReadFrame(r)
 		if err != nil {
 			return // EOF, reset, or idle expiry: reap the connection

@@ -39,8 +39,10 @@ func TestRealTCPColdJoinViaPeerSnapshot(t *testing.T) {
 	c.waitAll()
 
 	nd := c.nodes[joiner]
-	if nd.SnapshotSyncs != 1 || nd.SnapshotRejects != 0 {
-		t.Fatalf("SnapshotSyncs = %d, SnapshotRejects = %d, want 1 and 0", nd.SnapshotSyncs, nd.SnapshotRejects)
+	snap := nd.Metrics().Snapshot()
+	syncs, rejects := snap["algorand_node_snapshot_syncs_total"].Value, snap["algorand_node_snapshot_rejects_total"].Value
+	if syncs != 1 || rejects != 0 {
+		t.Fatalf("snapshot syncs = %v, rejects = %v, want 1 and 0", syncs, rejects)
 	}
 	l, ref := nd.Ledger(), c.nodes[0].Ledger()
 	base := uint64(1)

@@ -20,8 +20,8 @@ func TestSoakBoundedTransportState(t *testing.T) {
 		t.Skip("wall-clock TCP soak test")
 	}
 	cfg := testConfig()
-	cfg.SeenTTL = 100 * time.Millisecond
-	cfg.QueueCap = 8
+	cfg.seenTTL = 100 * time.Millisecond
+	cfg.queueCap = 8
 
 	// Three-slot address book: slot 0 is the transport under soak,
 	// slot 1 a live transport, slot 2 permanently down.
@@ -52,7 +52,7 @@ func TestSoakBoundedTransportState(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// Let the last generation age out, then trigger a rotation.
-	time.Sleep(3 * cfg.SeenTTL)
+	time.Sleep(3 * cfg.seenTTL)
 	m.tr.Gossip(0, soakVote(uint64(iters+1)))
 	time.Sleep(100 * time.Millisecond)
 
@@ -74,8 +74,8 @@ func TestSoakBoundedTransportState(t *testing.T) {
 		if ps.Peer != 2 {
 			continue
 		}
-		if ps.QueueDepth > cfg.QueueCap {
-			t.Fatalf("down peer queue depth %d exceeds cap %d", ps.QueueDepth, cfg.QueueCap)
+		if ps.QueueDepth > cfg.queueCap {
+			t.Fatalf("down peer queue depth %d exceeds cap %d", ps.QueueDepth, cfg.queueCap)
 		}
 		if ps.QueueDrops < uint64(iters/2) {
 			t.Fatalf("down peer shed only %d of ~%d frames", ps.QueueDrops, iters)

@@ -125,9 +125,9 @@ func TestRealTCPForgedPiecesScored(t *testing.T) {
 	const n, rounds, forger = 5, 3, 4
 	c := newSwarmCluster(t, n, rounds)
 	c.genesis[c.ids[forger].PublicKey()] = 1
-	c.cfg = func(int) Config {
+	c.cfg = func(int) settings {
 		cfg := testConfig()
-		cfg.QuarantineThreshold = 1 << 20 // scored, never silenced: the run needs its votes' relays
+		cfg.quarantineThreshold = 1 << 20 // scored, never silenced: the run needs its votes' relays
 		return cfg
 	}
 	c.wrapHandler = func(i int, nd *nodepkg.Node) network.Handler {

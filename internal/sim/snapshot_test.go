@@ -70,11 +70,11 @@ func TestSnapshotFastSync(t *testing.T) {
 	if synced == nil {
 		t.Fatal("replacement never started")
 	}
-	if synced.SnapshotSyncs != 1 {
-		t.Fatalf("SnapshotSyncs = %d, want 1 (rejects %d)", synced.SnapshotSyncs, synced.SnapshotRejects)
+	if syncs(synced) != 1 {
+		t.Fatalf("snapshot syncs = %d, want 1 (rejects %d)", syncs(synced), rejects(synced))
 	}
-	if synced.SnapshotRejects != 0 {
-		t.Errorf("%d honest snapshots rejected", synced.SnapshotRejects)
+	if rejects(synced) != 0 {
+		t.Errorf("%d honest snapshots rejected", rejects(synced))
 	}
 	l := synced.Ledger()
 	base := snapshotBase(l)
@@ -174,10 +174,10 @@ func TestSnapshotPoisoningFallback(t *testing.T) {
 	if poisoned == 0 {
 		t.Fatal("no tampered snapshot was ever served; scenario premise broken")
 	}
-	if synced.SnapshotSyncs != 0 {
-		t.Fatalf("a tampered snapshot was adopted (%d syncs)", synced.SnapshotSyncs)
+	if syncs(synced) != 0 {
+		t.Fatalf("a tampered snapshot was adopted (%d syncs)", syncs(synced))
 	}
-	if synced.SnapshotRejects == 0 {
+	if rejects(synced) == 0 {
 		t.Fatal("tampered snapshots were never rejected")
 	}
 	l := synced.Ledger()
@@ -198,7 +198,7 @@ func TestSnapshotPoisoningFallback(t *testing.T) {
 		}
 	}
 	t.Logf("poisoning: %d tampered snapshots served, %d rejected, fallback chain %d",
-		poisoned, synced.SnapshotRejects, l.ChainLength())
+		poisoned, rejects(synced), l.ChainLength())
 }
 
 // TestColdRestartCheckpointByteIdentity pins the recovery equivalence
@@ -302,7 +302,7 @@ func TestColdRestartReplayBoundedByInterval(t *testing.T) {
 		if err != nil || repl == nil {
 			t.Fatalf("crash at %d: restart: %v", crashAt, err)
 		}
-		if repl.SnapshotRejects != 0 {
+		if rejects(repl) != 0 {
 			t.Fatalf("crash at %d: the node refused its own checkpoint", crashAt)
 		}
 		base := snapshotBase(repl.Ledger())
@@ -321,4 +321,13 @@ func TestColdRestartReplayBoundedByInterval(t *testing.T) {
 		}
 		t.Logf("chain %d: re-based onto %d, %d rounds replayed from disk", atCrash, base, replayed)
 	}
+}
+
+// syncs and rejects read a node's fast-sync and refused-checkpoint counts.
+func syncs(n *node.Node) int {
+	return int(n.Metrics().Snapshot()["algorand_node_snapshot_syncs_total"].Value)
+}
+
+func rejects(n *node.Node) int {
+	return int(n.Metrics().Snapshot()["algorand_node_snapshot_rejects_total"].Value)
 }
