@@ -14,17 +14,23 @@
 //
 //	meta      — format version, shard index 0, shard count 1 (first
 //	            record of every segment)
-//	put       — block, has-cert bool, certificate
-//	cert      — round, certificate (tentative→final upgrade without
-//	            rewriting the block)
-//	reconcile — block, has-cert bool, certificate (§8.2 fork repair;
-//	            has-cert=false erases any stored certificate)
+//	put       — block, has-cert bool, certificate (a round's first)
+//	cert      — round, certificate (a new or tentative→final
+//	            certificate without rewriting the block)
+//	reconcile — block, has-cert bool, certificate (another block for a
+//	            round already on disk, as §8.2 fork repair and fork
+//	            adoption leave; it drops the round's certificate, and
+//	            has-cert=false leaves the round with none)
 //	checkpoint — a ledger.Checkpoint: block header, certificate, and
 //	            full account table at one committed round; the newest
 //	            structurally valid one wins
 //
-// Durability rules: every record is fsync'd before Append/Reconcile
-// returns (unless Options.NoSync), and a freshly created segment's
+// Store.Append is the one write of a block: it keeps the block it is
+// given as its round's, so replay treats put and reconcile records alike
+// and the last block record for a round wins.
+//
+// Durability rules: every record is fsync'd before Append returns, and a
+// freshly created segment's
 // directory is fsync'd so the file name itself survives power loss. A
 // write or fsync failure poisons the active segment: the store rotates
 // to a new segment and retries, so one bad sector cannot wedge the
@@ -73,6 +79,9 @@ const (
 	// formatVersion is the on-disk format this package writes and reads.
 	formatVersion = 1
 
+	// segmentBytes is the size past which the active segment is rotated.
+	segmentBytes = 4 << 20
+
 	segPrefix = "seg-"
 	segSuffix = ".wal"
 )
@@ -96,19 +105,22 @@ type Options struct {
 	// FS is the file abstraction to write through; nil means the real
 	// filesystem. Tests pass a diskfault.Injector.
 	FS diskfault.FS
-	// SegmentBytes rotates the active segment once it exceeds this size
-	// (default 4 MiB).
-	SegmentBytes int64
-	// NoSync skips fsync after each record — only for benchmarks that
-	// build long chains quickly; it forfeits the crash-safety the
-	// package exists for.
-	NoSync bool
 	// Metrics receives the store's counters and recovery gauges
 	// (algorand_disk_*). Nil gets a private registry, so Stats() works
 	// standalone. Recovery gauges always describe the most recent Open;
 	// the operational counters accumulate for the registry's lifetime
 	// while Stats() reports them relative to Open.
 	Metrics *metrics.Registry
+}
+
+// settings is Options and the values it does not carry. Open gives every
+// store segmentBytes and an fsync per record; this package's tests build
+// settings of their own, to rotate small segments or to build long
+// chains without fsync.
+type settings struct {
+	Options
+	segBytes int64
+	noSync   bool
 }
 
 // Stats counts what the store has done since (and during) Open.
@@ -208,13 +220,19 @@ func newStoreCounters(r *metrics.Registry) storeCounters {
 // scanned under the recovery rules in the package comment; a new active
 // segment is then started for writing.
 func Open(dir string, opts Options) (*Store, error) {
+	return open(dir, defaults(opts))
+}
+
+// defaults is opts with the package's settings beside it.
+func defaults(opts Options) settings {
+	return settings{Options: opts, segBytes: segmentBytes}
+}
+
+// open is Open on settings of the caller's.
+func open(dir string, opts settings) (*Store, error) {
 	fs := opts.FS
 	if fs == nil {
 		fs = diskfault.OS()
-	}
-	segBytes := opts.SegmentBytes
-	if segBytes <= 0 {
-		segBytes = 4 << 20
 	}
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("diskstore: %w", err)
@@ -226,8 +244,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{
 		fs:       fs,
 		dir:      dir,
-		segBytes: segBytes,
-		noSync:   opts.NoSync,
+		segBytes: opts.segBytes,
+		noSync:   opts.noSync,
 		mem:      ledger.NewStore(),
 		durable:  make(map[uint64]recState),
 		cnt:      newStoreCounters(reg),
@@ -395,6 +413,7 @@ func (s *Store) applyRecord(payload []byte, foreign *bool) bool {
 		*foreign = shardIndex != 0 || shardCount != 1
 		return !*foreign
 	case recPut, recReconcile:
+		// Alike: each names its round's block, and the last one wins.
 		b := new(ledger.Block)
 		b.DecodeFrom(d)
 		var c *ledger.Certificate
@@ -409,12 +428,8 @@ func (s *Store) applyRecord(payload []byte, foreign *bool) bool {
 		if c != nil && c.Value != hash {
 			return false
 		}
-		if kind == recPut {
-			s.mem.Put(b, c)
-		} else {
-			s.mem.Reconcile(b, c)
-		}
-		s.noteDurable(b, hash)
+		s.mem.Put(b, hash, c)
+		s.durable[b.Round] = s.stateOf(b.Round, hash)
 		return true
 	case recCheckpoint:
 		cp := new(ledger.Checkpoint)
@@ -441,7 +456,7 @@ func (s *Store) applyRecord(payload []byte, foreign *bool) bool {
 			return false
 		}
 		b, _ := s.mem.Block(round)
-		s.mem.Put(b, c)
+		s.mem.Put(b, st.hash, c)
 		s.durable[round] = s.stateOf(round, st.hash)
 		return true
 	default:
@@ -453,16 +468,6 @@ func (s *Store) applyRecord(payload []byte, foreign *bool) bool {
 func (s *Store) stateOf(round uint64, hash crypto.Digest) recState {
 	c, ok := s.mem.Cert(round)
 	return recState{hash: hash, hasCert: ok, certFinal: ok && c.Final}
-}
-
-// noteDurable refreshes the dedup state for b's round from the in-memory
-// image. hash is b's; only another block held for the round is re-hashed.
-func (s *Store) noteDurable(b *ledger.Block, hash crypto.Digest) {
-	held, _ := s.mem.Block(b.Round)
-	if held != b {
-		hash = held.Hash()
-	}
-	s.durable[b.Round] = s.stateOf(b.Round, hash)
 }
 
 // rotateLocked closes the active segment (if any) and starts a fresh
@@ -525,7 +530,7 @@ func (s *Store) record(kind byte, body func(*wire.Encoder)) error {
 	return s.journal(frame(e, kind, body))
 }
 
-// writeToActive writes and (unless NoSync) fsyncs one framed record to
+// writeToActive writes and (unless noSync) fsyncs one framed record to
 // the active segment. Caller holds s.mu.
 func (s *Store) writeToActive(rec []byte) error {
 	if _, err := s.active.Write(rec); err != nil {
@@ -569,36 +574,46 @@ func (s *Store) journal(rec []byte) error {
 	return fmt.Errorf("diskstore: journal failed after retries: %w", lastErr)
 }
 
-// Append durably archives a committed (block, certificate) pair. Rounds
-// already durable in the same state are no-ops — so replaying a
-// recovered chain through Append (the restart path) writes nothing. The
-// in-memory image always reflects the call even if the disk write
-// errors, so a transient disk fault never desynchronizes the node's
-// view; the error reports that durability was not achieved.
+// Append durably archives a (block, certificate) pair under
+// ledger.Store.Put's rule: b becomes its round's block, replacing a
+// different one and dropping that block's certificate, and c is kept when
+// it is new or a tentative→final upgrade. A round already durable in the
+// resulting state is a no-op — so replaying a recovered chain through
+// Append (the restart path) writes nothing. The in-memory image always
+// reflects the call even if the disk write errors, so a transient disk
+// fault never desynchronizes the node's view; the error reports that
+// durability was not achieved, and the next Append of the round retries.
 func (s *Store) Append(b *ledger.Block, c *ledger.Certificate) (err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	s.mem.Put(b, c)
 	hash := b.Hash()
+	s.mem.Put(b, hash, c) // the image's block for the round now hashes to hash
+	want := s.stateOf(b.Round, hash)
 	st, have := s.durable[b.Round]
+	if have && st == want {
+		return nil // already durable in this state
+	}
+	nb, _ := s.mem.Block(b.Round)
+	nc, _ := s.mem.Cert(b.Round) // nil when the round has none
 	switch {
 	case !have:
-		err = s.record(recPut, func(e *wire.Encoder) { encodePair(e, b, c) })
-	case st.hash == hash && c != nil && c.Value == hash &&
-		(!st.hasCert || (c.Final && !st.certFinal)):
+		err = s.record(recPut, func(e *wire.Encoder) { encodePair(e, nb, nc) })
+	case st.hash == hash && nc != nil:
 		// Same block, new or upgraded certificate: journal just the cert.
 		err = s.record(recCert, func(e *wire.Encoder) {
 			e.Uint64(b.Round)
-			c.EncodeTo(e)
+			nc.EncodeTo(e)
 		})
 	default:
-		return nil // already durable in this state
+		// Another block than the one on disk: replace it, certificate
+		// and all.
+		err = s.record(recReconcile, func(e *wire.Encoder) { encodePair(e, nb, nc) })
 	}
 	if err == nil {
-		s.noteDurable(b, hash)
+		s.durable[b.Round] = want
 	}
 	return err
 }
@@ -610,29 +625,6 @@ func encodePair(e *wire.Encoder, b *ledger.Block, c *ledger.Certificate) {
 	if c != nil {
 		c.EncodeTo(e)
 	}
-}
-
-// Reconcile durably forces the archive to the canonical block for a
-// round (§8.2 fork repair), mirroring ledger.Store.Reconcile. Like
-// Append it is a no-op when the durable state already matches.
-func (s *Store) Reconcile(b *ledger.Block, c *ledger.Certificate) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	s.mem.Reconcile(b, c)
-	nb, _ := s.mem.Block(b.Round)
-	want := s.stateOf(b.Round, nb.Hash())
-	if st, have := s.durable[b.Round]; have && st == want {
-		return nil
-	}
-	nc, _ := s.mem.Cert(b.Round) // nil when the round has none
-	if err := s.record(recReconcile, func(e *wire.Encoder) { encodePair(e, nb, nc) }); err != nil {
-		return err
-	}
-	s.durable[b.Round] = want
-	return nil
 }
 
 // AppendCheckpoint durably archives a state snapshot. Checkpoints not

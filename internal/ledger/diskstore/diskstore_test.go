@@ -68,11 +68,30 @@ func snapshot(s *Store) []byte {
 
 func mustOpen(t *testing.T, dir string, opts Options) *Store {
 	t.Helper()
-	s, err := Open(dir, opts)
+	return mustOpenWith(t, dir, defaults(opts))
+}
+
+// mustOpenWith is mustOpen on settings of the test's.
+func mustOpenWith(t *testing.T, dir string, cfg settings) *Store {
+	t.Helper()
+	s, err := open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// tuned is Open's settings for opts with segments rotated past segBytes
+// (0 keeps the package's size) and, if noSync, no fsync per record: the
+// speed a test that builds long chains needs, at the crash-safety the
+// package exists for.
+func tuned(opts Options, segBytes int64, noSync bool) settings {
+	cfg := defaults(opts)
+	if segBytes > 0 {
+		cfg.segBytes = segBytes
+	}
+	cfg.noSync = noSync
+	return cfg
 }
 
 func TestAppendRecoverRoundTrip(t *testing.T) {
@@ -180,8 +199,11 @@ func TestCertUpgrade(t *testing.T) {
 	}
 }
 
-// TestReconcileDurable: §8.2 fork repair replaces the block on disk;
-// a nil certificate erases the stored one; matching state is a no-op.
+// TestReconcileDurable: Append of another block for a round on disk
+// (§8.2 fork repair, fork adoption) journals one reconcile record that
+// replaces the block and drops its certificate, and a reopen replays the
+// replacement; Append of a block already held, with no certificate,
+// writes nothing.
 func TestReconcileDurable(t *testing.T) {
 	dir := t.TempDir()
 	blocks, certs := makeChain(2)
@@ -199,15 +221,27 @@ func TestReconcileDurable(t *testing.T) {
 		PrevHash: blocks[0].Hash(),
 		Seed:     crypto.HashUint64("test.fork", 2, nil),
 	}
-	if err := s.Reconcile(fork, nil); err != nil {
+	appends := s.Stats().Appends
+	if err := s.Append(fork, nil); err != nil {
 		t.Fatal(err)
 	}
-	before := s.Stats().Appends
-	if err := s.Reconcile(fork, nil); err != nil { // identical state: no-op
-		t.Fatal(err)
+	if got := s.Stats().Appends - appends; got != 1 {
+		t.Fatalf("the replacement journaled %d records, want 1", got)
 	}
-	if after := s.Stats().Appends; after != before {
-		t.Fatalf("idempotent reconcile journaled %d extra records", after-before)
+	if got, _ := s.Recovered().Block(2); got != fork {
+		t.Fatal("the image kept the replaced block")
+	}
+	if _, ok := s.Recovered().Cert(2); ok {
+		t.Fatal("the image kept the replaced block's certificate")
+	}
+	appends = s.Stats().Appends
+	for _, b := range []*ledger.Block{fork, blocks[0]} { // without and with a certificate held
+		if err := s.Append(b, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Stats().Appends - appends; got != 0 {
+		t.Fatalf("appending held blocks without a certificate journaled %d records", got)
 	}
 	s.Close()
 
@@ -215,13 +249,16 @@ func TestReconcileDurable(t *testing.T) {
 	defer r.Close()
 	got, ok := r.Recovered().Block(2)
 	if !ok || got.Hash() != fork.Hash() {
-		t.Fatal("reconciled block did not survive recovery")
+		t.Fatal("the replacement did not survive recovery")
 	}
 	if _, ok := r.Recovered().Cert(2); ok {
-		t.Fatal("erased certificate came back after recovery")
+		t.Fatal("the dropped certificate came back after recovery")
 	}
 	if b1, ok := r.Recovered().Block(1); !ok || b1.Hash() != blocks[0].Hash() {
-		t.Fatal("untouched round 1 damaged by reconcile")
+		t.Fatal("untouched round 1 damaged by the replacement")
+	}
+	if c1, ok := r.Recovered().Cert(1); !ok || c1.Value != blocks[0].Hash() {
+		t.Fatal("untouched round 1 lost its certificate")
 	}
 }
 
@@ -471,7 +508,7 @@ func TestCorruptReadAtRecovery(t *testing.T) {
 func TestSegmentRotationBySize(t *testing.T) {
 	dir := t.TempDir()
 	blocks, certs := makeChain(12)
-	s := mustOpen(t, dir, Options{SegmentBytes: 1024})
+	s := mustOpenWith(t, dir, tuned(Options{}, 1024, false))
 	for i, b := range blocks {
 		if err := s.Append(b, certs[i]); err != nil {
 			t.Fatal(err)
@@ -536,7 +573,7 @@ func TestFaultSoak(t *testing.T) {
 			}
 			n := 3 + rng.Intn(10)
 			blocks, certs := makeChain(n)
-			s, err := Open(dir, Options{FS: inj, SegmentBytes: int64(512 + rng.Intn(4096))})
+			s, err := open(dir, tuned(Options{FS: inj}, int64(512+rng.Intn(4096)), false))
 			if err != nil {
 				t.Fatalf("open under faults: %v", err)
 			}
@@ -888,16 +925,17 @@ func (f *opLogFile) Sync() error {
 // TestRecordBytesMatchFrozenReference: records are framed in place in a
 // borrowed buffer now, and nothing on disk may show it. A scripted run of
 // every record kind — put with and without a certificate, a certificate
-// for a block already there, a tentative→final upgrade, both reconcile
-// forms, two checkpoints, a dozen rotations — must leave segment files
-// equal, byte for byte, to the reference's; each record must reach the
+// for a block already there, a tentative→final upgrade, a replaced block
+// with and without a certificate (reconcile records), two checkpoints, a
+// dozen rotations — must leave segment files equal, byte for byte, to
+// the reference's; each record must reach the
 // file as exactly one Write of the whole record followed by one Sync;
 // and an archive written the reference way must open to the same image.
 func TestRecordBytesMatchFrozenReference(t *testing.T) {
 	const segBytes = 700
 	dir := t.TempDir()
 	var ops []string
-	s := mustOpen(t, dir, Options{FS: opLogFS{diskfault.OS(), &ops}, SegmentBytes: segBytes})
+	s := mustOpenWith(t, dir, tuned(Options{FS: opLogFS{diskfault.OS(), &ops}}, segBytes, false))
 	ref := &refArchive{segBytes: segBytes}
 	ref.open()
 
@@ -925,12 +963,12 @@ func TestRecordBytesMatchFrozenReference(t *testing.T) {
 	ref.add(refCert(3, finalOf(blocks[2])))
 	must(s.Append(blocks[2], certs[2])) // a downgrade writes nothing
 	fork2 := &ledger.Block{Round: 2, PrevHash: blocks[0].Hash(), Seed: crypto.HashUint64("test.fork", 2, nil)}
-	must(s.Reconcile(fork2, nil)) // erases round 2's certificate
+	must(s.Append(fork2, nil)) // replaces round 2 and drops its certificate
 	ref.add(refPair(3, fork2, nil))
 	fork3 := &ledger.Block{Round: 3, PrevHash: fork2.Hash(), Seed: crypto.HashUint64("test.fork", 3, nil), PayloadPadding: 40}
-	must(s.Reconcile(fork3, finalOf(fork3)))
+	must(s.Append(fork3, finalOf(fork3)))
 	ref.add(refPair(3, fork3, finalOf(fork3)))
-	must(s.Reconcile(fork3, finalOf(fork3))) // already so: writes nothing
+	must(s.Append(fork3, finalOf(fork3))) // already so: writes nothing
 	cp4 := makeCheckpoint(4, 5)
 	must(s.AppendCheckpoint(cp4))
 	ref.add(refCheckpoint(cp4))
@@ -1162,7 +1200,7 @@ func TestAllocBudgetAppend(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const budget = 16 << 10
 	const warm, ops = 9, 8
-	s := mustOpen(t, t.TempDir(), Options{NoSync: true})
+	s := mustOpenWith(t, t.TempDir(), tuned(Options{}, 0, true))
 	defer s.Close()
 	blocks, certs := paddedChain(warm+ops, 1<<20)
 	appendFrom := func(from, to int) {
@@ -1216,7 +1254,7 @@ func TestAllocBudgetAppend(t *testing.T) {
 // fresh io.ReadAll per segment cost.
 func TestAllocBudgetOpen(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{NoSync: true, SegmentBytes: 1 << 20})
+	s := mustOpenWith(t, dir, tuned(Options{}, 1<<20, true))
 	blocks, certs := paddedChain(18, 256<<10)
 	for i := range blocks {
 		if err := s.Append(blocks[i], certs[i]); err != nil {
@@ -1237,7 +1275,7 @@ func TestAllocBudgetOpen(t *testing.T) {
 		t.Fatalf("%d segments, %d bytes in all, largest %d: the test wants several of similar size", len(entries), sum, largest)
 	}
 	var r *Store
-	got := int64(allocatedBy(func() { r = mustOpen(t, dir, Options{NoSync: true}) }))
+	got := int64(allocatedBy(func() { r = mustOpenWith(t, dir, tuned(Options{}, 0, true)) }))
 	defer r.Close()
 	if r.Rounds() != len(blocks) {
 		t.Fatalf("recovered %d rounds, want %d", r.Rounds(), len(blocks))
@@ -1278,7 +1316,7 @@ func TestConcurrentAppendAndHash(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s, err := Open(dirs[d], Options{NoSync: true, SegmentBytes: 512 << 10})
+			s, err := open(dirs[d], tuned(Options{}, 512<<10, true))
 			if err != nil {
 				t.Error(err)
 				return
@@ -1335,7 +1373,7 @@ func BenchmarkAppend(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			dir := b.TempDir()
-			s, err := Open(dir, Options{NoSync: !sync})
+			s, err := open(dir, tuned(Options{}, 0, !sync))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1356,7 +1394,7 @@ func BenchmarkRecover(b *testing.B) {
 	for _, n := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("rounds=%d", n), func(b *testing.B) {
 			dir := b.TempDir()
-			s, err := Open(dir, Options{NoSync: true})
+			s, err := open(dir, tuned(Options{}, 0, true))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1369,7 +1407,7 @@ func BenchmarkRecover(b *testing.B) {
 			s.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, err := Open(dir, Options{NoSync: true})
+				r, err := open(dir, tuned(Options{}, 0, true))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,18 +1,24 @@
 package ledger
 
+import "algorand/internal/crypto"
+
 // Store is a user's block/certificate archive (§8.3). A running node's
 // one Store is its durable archive's image (diskstore.Store.Recovered).
 type Store struct {
-	blocks map[uint64]*Block
-	certs  map[uint64]*Certificate
+	rounds map[uint64]stored
+}
+
+// stored is what a Store holds for one round: the block, its hash and
+// the best certificate of it seen (nil when it has none).
+type stored struct {
+	block *Block
+	hash  crypto.Digest
+	cert  *Certificate
 }
 
 // NewStore creates an empty store.
 func NewStore() *Store {
-	return &Store{
-		blocks: make(map[uint64]*Block),
-		certs:  make(map[uint64]*Certificate),
-	}
+	return &Store{rounds: make(map[uint64]stored)}
 }
 
 // CertifiedChain returns l's head chain from round 1 up to the first
@@ -30,54 +36,40 @@ func CertifiedChain(l *Ledger) *Store {
 		if !ok {
 			return s
 		}
-		s.Put(b, c)
+		h, _ := l.HashAt(r)
+		s.Put(b, h, c)
 	}
 }
 
-// Put archives a block and its certificate.
-func (s *Store) Put(b *Block, c *Certificate) {
-	if _, dup := s.blocks[b.Round]; !dup {
-		s.blocks[b.Round] = b
+// Put archives b, whose hash is h, as its round's block: the head chain's
+// block is the one to keep and serve, so a different block held for the
+// round is replaced and its certificate dropped (§8.2 fork repair and
+// fork adoption write through here). c is recorded when the round holds
+// no certificate yet, or when it is final and the one held is tentative;
+// a nil c adds nothing. Nothing is verified: an archive is trusted no
+// more than a peer (node.RestoreFromArchive checks every pair).
+func (s *Store) Put(b *Block, h crypto.Digest, c *Certificate) {
+	e, ok := s.rounds[b.Round]
+	if !ok || e.hash != h {
+		e = stored{block: b, hash: h}
 	}
-	if c != nil {
-		if prev, dup := s.certs[b.Round]; !dup || (c.Final && !prev.Final) {
-			// A final certificate replaces a tentative one for a round, as
-			// when a §8.2 adoption reconciles a block the node held.
-			s.certs[b.Round] = c
-		}
+	if c != nil && (e.cert == nil || (c.Final && !e.cert.Final)) {
+		e.cert = c
 	}
-}
-
-// Reconcile forces the archive to the canonical block for a round,
-// replacing whatever was stored — used after §8.2 fork recovery, when
-// the block this node originally archived for a round may belong to an
-// abandoned fork. A nil certificate erases any stored one (recovery
-// adoptions have no certificate of their own).
-func (s *Store) Reconcile(b *Block, c *Certificate) {
-	if prev, ok := s.blocks[b.Round]; ok && prev.Hash() == b.Hash() {
-		if c != nil {
-			s.Put(b, c)
-		}
-		return
-	}
-	s.blocks[b.Round] = b
-	delete(s.certs, b.Round)
-	if c != nil {
-		s.certs[b.Round] = c
-	}
+	s.rounds[b.Round] = e
 }
 
 // Block returns the stored block for a round.
 func (s *Store) Block(round uint64) (*Block, bool) {
-	b, ok := s.blocks[round]
-	return b, ok
+	e, ok := s.rounds[round]
+	return e.block, ok
 }
 
 // Cert returns the stored certificate for a round.
 func (s *Store) Cert(round uint64) (*Certificate, bool) {
-	c, ok := s.certs[round]
-	return c, ok
+	c := s.rounds[round].cert
+	return c, c != nil
 }
 
 // Rounds returns how many rounds are archived.
-func (s *Store) Rounds() int { return len(s.blocks) }
+func (s *Store) Rounds() int { return len(s.rounds) }

@@ -123,15 +123,12 @@ func (n *Node) committeeParams() ledger.CommitteeParams {
 
 // joined is the node's share of accepting a block it did not agree on
 // itself (the §8.3 rule lives in ledger.ApplyCertified/ApplyRun): the
-// block is archived — with its certificate, or as the canonical block of
-// its round when it stands on a descendant's — and passes the same
-// post-commit hook as a block of a live round. b is on the head chain.
+// block is archived as its round's, with the certificate the ledger
+// holds for it if any, and passes the same post-commit hook as a block
+// of a live round. b is on the head chain.
 func (n *Node) joined(b *ledger.Block) {
-	if cert, ok := n.ledger.CertificateAt(b.Round); ok {
-		n.persistPut(b, cert)
-	} else {
-		n.persistReconcile(b, nil)
-	}
+	cert, _ := n.ledger.CertificateAt(b.Round)
+	n.persist(b, cert)
 	n.flow.Committed(b, n.ledger.Balances())
 }
 
@@ -245,13 +242,10 @@ func (n *Node) tryAdoptFork(reply *ChainReply) bool {
 		n.ledger.SwitchHead(prevHead)
 		return false
 	}
+	// joined archives the adopted branch over the abandoned one: a
+	// restart replays the canonical chain, not the fork.
 	for _, b := range applied {
 		n.joined(b)
-		// Force the archives onto the adopted branch, as §8.2 repair does
-		// (a plain put keeps the block it already holds for a round): a
-		// restart must replay the canonical chain, not the abandoned fork.
-		cert, _ := n.ledger.CertificateAt(b.Round)
-		n.persistReconcile(b, cert)
 	}
 	n.reg.Counter("algorand_node_fork_adoptions_total", "tentative suffixes abandoned for a longer certified chain served by peers").Inc()
 	return true

@@ -333,27 +333,19 @@ func (n *Node) HandleMessage(from int, m network.Message) network.Verdict {
 // node holds in memory but could not make durable.
 func (n *Node) PersistErrors() int64 { return int64(n.persistErrors.Load()) }
 
-// persistPut archives a committed (block, certificate) pair, journaling
-// it to the durable archive — fsync'd before this returns — when one is
-// configured. The paper's §8.3 storage obligation: persist before the
+// persist archives a head-chain block and the certificate the ledger
+// holds for it, journaling them to the durable archive — fsync'd before
+// this returns — when one is configured. The archive keeps b as its
+// round's block, so a block of an abandoned fork never outlives the
+// switch. The paper's §8.3 storage obligation: persist before the
 // round's outcome is treated as settled.
-func (n *Node) persistPut(b *ledger.Block, c *ledger.Certificate) {
+func (n *Node) persist(b *ledger.Block, c *ledger.Certificate) {
 	if n.archive != nil {
 		if err := n.archive.Append(b, c); err != nil {
 			n.persistErrors.Inc()
 		}
 	}
 	n.maybeCheckpoint(b, c)
-}
-
-// persistReconcile forces the durable archive to the canonical block for
-// a round after §8.2 fork repair.
-func (n *Node) persistReconcile(b *ledger.Block, c *ledger.Certificate) {
-	if n.archive != nil {
-		if err := n.archive.Reconcile(b, c); err != nil {
-			n.persistErrors.Inc()
-		}
-	}
 }
 
 // TxFlow exposes the node's transaction ingestion pipeline. Unlike
@@ -1028,7 +1020,7 @@ func (n *Node) runRound() error {
 	}
 	n.tracer.Record(round, trace.PhaseCommit, 0, commitStart, n.tracer.WallNow())
 	persistStart := n.tracer.WallNow()
-	n.persistPut(block, out.Cert)
+	n.persist(block, out.Cert)
 	n.tracer.Record(round, trace.PhasePersist, 0, persistStart, n.tracer.WallNow())
 	n.flow.Committed(block, n.ledger.Balances())
 	stat.Empty = block.IsEmpty()

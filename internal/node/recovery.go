@@ -234,15 +234,13 @@ func (n *Node) adoptChain(b *ledger.Block, h crypto.Digest, cert *ledger.Certifi
 	if n.ledger.SwitchHead(h) != nil {
 		return false
 	}
-	// Reconcile the archive onto the adopted chain — any block this node
-	// archived for those rounds belongs to the abandoned fork, and a
-	// restart must not replay it — and run the post-commit hook a block
-	// of a live round gets.
+	// Archive the adopted chain over any block this node archived for
+	// those rounds — it belongs to the abandoned fork, and a restart must
+	// not replay it — and run the post-commit hook a block of a live round
+	// gets.
 	for r := from; r <= b.Round; r++ {
 		if blk, ok := n.ledger.BlockAt(r); ok {
-			c, _ := n.ledger.CertificateAt(r)
-			n.persistReconcile(blk, c)
-			n.flow.Committed(blk, n.ledger.Balances())
+			n.joined(blk)
 		}
 	}
 	return true

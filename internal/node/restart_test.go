@@ -133,7 +133,7 @@ func TestRestartRejectsTamperedArchive(t *testing.T) {
 				b = &forged
 				tampered = true
 			}
-			forgedStore.Put(b, cert)
+			forgedStore.Put(b, b.Hash(), cert)
 		}
 		if !tampered {
 			return // premise check below fails the test
@@ -230,7 +230,8 @@ func TestPredecessorReplyProvesItself(t *testing.T) {
 		for r := uint64(1); r <= k; r++ {
 			b, _ := ref.BlockAt(r)
 			cert, _ := ref.CertificateAt(r)
-			s.Put(b, cert)
+			h, _ := ref.HashAt(r)
+			s.Put(b, h, cert)
 		}
 		return s
 	}

@@ -104,7 +104,7 @@ func (n *Node) adoptCheckpoint(chk *ledger.Checkpoint) error {
 	if n.checkpoint == nil || chk.Round() > n.checkpoint.Round() {
 		n.checkpoint = chk
 	}
-	n.persistPut(chk.Block, chk.Cert)
+	n.persist(chk.Block, chk.Cert)
 	if n.archive != nil {
 		if err := n.archive.AppendCheckpoint(chk); err != nil {
 			n.persistErrors.Inc()

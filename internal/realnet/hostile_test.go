@@ -368,8 +368,8 @@ func TestReportMisbehaviorQuarantines(t *testing.T) {
 // TestInboundCapHoldsAndFrees pins the cap on accepted connections:
 // maxInbound connections that never send a hello are all accepted, the
 // next one is closed and counted, and closing one of the silent ones
-// frees its slot for the next dialer. Until idleTimeout reaps them, the
-// silent dialers alone fill the cap.
+// frees its slot for the next dialer. A dialer that sends no hello
+// within dialTimeout is closed and its slot freed.
 func TestInboundCapHoldsAndFrees(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock TCP test")
@@ -377,6 +377,7 @@ func TestInboundCapHoldsAndFrees(t *testing.T) {
 	reg := metrics.NewRegistry()
 	cfg := testConfig()
 	cfg.Metrics = reg
+	cfg.dialTimeout = 6 * time.Second // the cap is checked before the silent dialers are reaped
 	m := newMiniNet(t, 2, func(i int) settings {
 		if i == 0 {
 			return cfg
@@ -384,22 +385,23 @@ func TestInboundCapHoldsAndFrees(t *testing.T) {
 		return testConfig()
 	}, 30*time.Second)[0]
 	rejected := func() float64 { return reg.Snapshot()["algorand_realnet_inbound_rejected_total"].Value }
-	waitInbound := func(want int) {
+	waitInbound := func(want int, by time.Time) {
 		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
 		for m.tr.Stats().InboundConns != want {
-			if time.Now().After(deadline) {
+			if time.Now().After(by) {
 				t.Fatalf("%d inbound connections live, want %d", m.tr.Stats().InboundConns, want)
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
+	soon := func() time.Time { return time.Now().Add(5 * time.Second) }
 
 	silent := make([]*rawPeer, maxInbound)
 	for i := range silent {
 		silent[i] = dialRaw(t, m.tr.Addr())
 	}
-	waitInbound(maxInbound)
+	dialed := time.Now()
+	waitInbound(maxInbound, soon())
 	if got := rejected(); got != 0 {
 		t.Fatalf("%v connections refused below the cap", got)
 	}
@@ -413,9 +415,18 @@ func TestInboundCapHoldsAndFrees(t *testing.T) {
 	}
 
 	silent[0].c.Close()
-	waitInbound(maxInbound - 1)
+	waitInbound(maxInbound-1, soon())
 	assertAlive(t, m, 1, 500)
 	if got := rejected(); got != 1 {
 		t.Fatalf("the dialer after a freed slot was refused: %v rejections", got)
 	}
+
+	// The hello deadline: every silent dialer is closed, and its slot
+	// freed, within dialTimeout of its dial (a second of slack for the
+	// reaping); the connection that said hello stays.
+	by := dialed.Add(cfg.dialTimeout + time.Second)
+	if !closedWithin(silent[maxInbound-1].c, time.Until(by)) {
+		t.Fatalf("a dialer silent for %v was not closed", cfg.dialTimeout)
+	}
+	waitInbound(1, by)
 }

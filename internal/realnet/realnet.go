@@ -31,9 +31,9 @@
 //     messages (network.Flooded) only, and are generational with the
 //     simulator's TTL, network.SeenTTL, bounding their memory over long
 //     runs.
-//   - Inbound connections must open with a hello frame declaring the
-//     dialer's address-book id, which is the sender of every frame after
-//     it. Per-peer inbound accounting scores misbehavior — malformed
+//   - Inbound connections must open, within dialTimeout, with a hello
+//     frame declaring the dialer's address-book id, which is the sender
+//     of every frame after it. Per-peer inbound accounting scores misbehavior — malformed
 //     frames, frame-rate abuse — and quarantines an offending peer for a
 //     parole period. The id claim is transport-level bookkeeping only;
 //     message authenticity still rests on the signatures every gossip
@@ -447,10 +447,16 @@ func (t *Transport) readLoop(c net.Conn) {
 	peerID := -1
 	var p *peer
 	for {
-		c.SetReadDeadline(time.Now().Add(t.cfg.idleTimeout))
+		// A dialer has dialTimeout to say hello, as we give ourselves to
+		// connect: one that stays silent would hold a maxInbound slot.
+		wait := t.cfg.idleTimeout
+		if peerID < 0 {
+			wait = t.cfg.dialTimeout
+		}
+		c.SetReadDeadline(time.Now().Add(wait))
 		tag, payload, err := wire.ReadFrame(r)
 		if err != nil {
-			return // EOF, reset, or idle expiry: reap the connection
+			return // EOF, reset, or hello or idle expiry: reap the connection
 		}
 		if peerID < 0 {
 			id, err := decodeHello(tag, payload, len(t.addrs), t.id)
