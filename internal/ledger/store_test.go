@@ -28,40 +28,98 @@ func storeCert(b *Block, final bool) *Certificate {
 	}
 }
 
-// TestPutKeepsTheHeadChainsBlock is Put's one rule, case by case: a
-// different block for a held round replaces it and drops its certificate
-// (§8.2 fork repair and fork adoption write through Put), and the same
-// block gains a certificate only when the round has none or it upgrades
-// a tentative one to final.
+// put writes b under its own hash, as the node does.
+func put(s *Store, b *Block, c *Certificate) { s.Put(b, b.Hash(), c) }
+
+// TestReconcileReplacesAbandonedFork is the §8.2 path: after fork
+// recovery the archived block for a round may belong to an abandoned
+// branch; Put of the canonical block must swap it in and drop the
+// stale certificate.
+func TestReconcileReplacesAbandonedFork(t *testing.T) {
+	s := NewStore()
+	forked := storeBlock(1, 64)
+	put(s, forked, storeCert(forked, false))
+
+	canonical := storeBlock(1, 256)
+	cert := storeCert(canonical, true)
+	put(s, canonical, cert)
+
+	got, ok := s.Block(1)
+	if !ok || got.Hash() != canonical.Hash() {
+		t.Fatal("canonical block did not replace the fork's")
+	}
+	c, ok := s.Cert(1)
+	if !ok || c.Value != canonical.Hash() || !c.Final {
+		t.Fatal("canonical certificate not stored")
+	}
+}
+
+// TestReconcileNilCertErases: recovery adoptions carry no certificate
+// of their own, so putting another block with nil must erase the stale
+// cert (it certifies a block no longer in the archive).
+func TestReconcileNilCertErases(t *testing.T) {
+	s := NewStore()
+	forked := storeBlock(2, 64)
+	put(s, forked, storeCert(forked, false))
+
+	adopted := storeBlock(2, 0)
+	put(s, adopted, nil)
+	if _, ok := s.Cert(2); ok {
+		t.Fatal("stale certificate survived a nil-cert replacement")
+	}
+	if got, ok := s.Block(2); !ok || got.Hash() != adopted.Hash() {
+		t.Fatal("adopted block not stored")
+	}
+}
+
+// TestReconcileSameBlockUpgradesCert: when the archived block already
+// is the canonical one, a tentative cert upgrades to final, a nil cert
+// is a pure no-op, and a downgrade back to tentative is refused.
+func TestReconcileSameBlockUpgradesCert(t *testing.T) {
+	s := NewStore()
+	b := storeBlock(3, 64)
+	tent := storeCert(b, false)
+	put(s, b, tent)
+
+	put(s, b, nil) // same block, no cert: nothing changes
+	if c, _ := s.Cert(3); c != tent {
+		t.Fatal("no-op put changed the certificate")
+	}
+
+	final := storeCert(b, true)
+	final.Votes = append(final.Votes, Vote{Round: 3, Step: 1, Value: b.Hash()})
+	put(s, b, final)
+	if c, _ := s.Cert(3); !c.Final {
+		t.Fatal("tentative certificate not upgraded to final")
+	}
+
+	put(s, b, tent) // downgrade attempt
+	if c, _ := s.Cert(3); !c.Final {
+		t.Fatal("final certificate downgraded to tentative")
+	}
+}
+
+// TestPutKeepsTheHeadChainsBlock covers the rest of Put's rule: the
+// same block gains a certificate when the round has none, and a copy of
+// the held block leaves the held one in place.
 func TestPutKeepsTheHeadChainsBlock(t *testing.T) {
-	forked, canonical := storeBlock(1, 64), storeBlock(1, 256)
+	canonical := storeBlock(1, 256)
 	copied := *canonical // the same block, decoded twice
-	tentForked := storeCert(forked, false)
-	tent, final := storeCert(canonical, false), storeCert(canonical, true)
-	type put struct {
+	tent := storeCert(canonical, false)
+	type step struct {
 		b *Block
 		c *Certificate
 	}
 	for _, tc := range []struct {
 		name  string
-		puts  []put
+		puts  []step
 		block *Block
 		cert  *Certificate
 	}{
-		{"another block replaces the held one and its certificate",
-			[]put{{forked, tentForked}, {canonical, final}}, canonical, final},
-		{"another block without a certificate leaves the round none",
-			[]put{{forked, tentForked}, {canonical, nil}}, canonical, nil},
-		{"the same block without a certificate changes nothing",
-			[]put{{canonical, tent}, {canonical, nil}}, canonical, tent},
 		{"the same block gains a first certificate",
-			[]put{{canonical, nil}, {canonical, tent}}, canonical, tent},
-		{"a final certificate upgrades a tentative one",
-			[]put{{canonical, tent}, {canonical, final}}, canonical, final},
-		{"a tentative certificate never downgrades a final one",
-			[]put{{canonical, tent}, {canonical, final}, {canonical, tent}}, canonical, final},
+			[]step{{canonical, nil}, {canonical, tent}}, canonical, tent},
 		{"a copy of the held block leaves the held one in place",
-			[]put{{canonical, nil}, {&copied, tent}}, canonical, tent},
+			[]step{{canonical, nil}, {&copied, tent}}, canonical, tent},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewStore()
