@@ -205,6 +205,15 @@ func TestChaosPinnedSwarmSeeds(t *testing.T) {
 		// never left it while a chain ask asked for more than its wait
 		// carried; with sized asks each adopts the majority's branch.
 		1876,
+		// Node 5 fast-synced onto a peer's checkpoint of tentative round 2
+		// and held it final, stuck at round 2 of 4.
+		1976,
+		// Nodes 4 (from a peer) and 3 (from its own disk) re-based onto a
+		// checkpoint of tentative round 2 and held it final, stuck at 2.
+		2340,
+		// Node 8, restarted from disk, re-based onto its own checkpoint of
+		// tentative round 3 and held it final, stuck at round 4 of 5.
+		2407,
 	}
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {

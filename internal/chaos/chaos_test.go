@@ -436,16 +436,17 @@ func TestChaosPartitionForks(t *testing.T) {
 }
 
 // TestChaosRebasedNodeFollowsGenesisRecovery pins swarm seed 5104: node 9
-// restarts re-based onto its own round-2 checkpoint while no round of the
-// run is final, and its peers agree on round 4 by §8.2 recovery based on
-// genesis, their last final block. A re-based chain stops at its anchor,
-// so a verifier that looked for genesis by walking back from the head
-// refused the recovery certificate and the node stayed at round 3.
+// restarts from disk while no round of the run is final, and its peers
+// agree on round 4 by §8.2 recovery based on genesis, their last final
+// block. A checkpoint is only ever of a final round, so node 9 has none:
+// it replays its archive from genesis and must still reach the run's
+// rounds. (ledger.TestRebasedLedgerFollowsGenesisRecovery holds a
+// re-based ledger to a genesis-based recovery certificate.)
 func TestChaosRebasedNodeFollowsGenesisRecovery(t *testing.T) {
 	res := runScenario(t, RandomScenario(5104))
 	n := res.Cluster.Nodes[9]
-	if chainBase(n.Ledger()) == 0 {
-		t.Error("node 9 did not re-base onto a checkpoint; test premise broken")
+	if base := chainBase(n.Ledger()); base != 0 {
+		t.Errorf("node 9 re-based onto round %d while no round of the run was final", base)
 	}
 	if got := n.Ledger().ChainLength(); got < res.Scenario.Rounds {
 		t.Errorf("node 9 chain %d of %d", got, res.Scenario.Rounds)

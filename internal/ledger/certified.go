@@ -141,7 +141,7 @@ func (l *Ledger) extendHead(b *Block, cert *Certificate) error {
 	// Commit leaves the head alone when it already knew b (a block left
 	// on a dead side branch by an earlier run whose anchor failed).
 	if l.head.block != b {
-		l.setHead(l.entries[b.Hash()])
+		l.head = l.entries[b.Hash()]
 	}
 	return nil
 }
@@ -212,12 +212,12 @@ func (l *Ledger) applyAnchored(prefix []*Block, anchor *Block, cert *Certificate
 	}
 	for _, b := range prefix {
 		if err := l.extendHead(b, nil); err != nil {
-			l.setHead(old)
+			l.head = old
 			return err
 		}
 	}
 	if err := l.ApplyCertified(anchor, cert, cp); err != nil {
-		l.setHead(old)
+		l.head = old
 		return err
 	}
 	return nil

@@ -41,7 +41,6 @@ type entry struct {
 	parent   *entry
 	balances *Balances // state after applying block
 	cert     *Certificate
-	final    bool
 	// weights is balances as the map sortition reads, money by account,
 	// built when a round first draws its weights from this block.
 	weights map[crypto.PublicKey]uint64
@@ -97,9 +96,6 @@ type Ledger struct {
 	byRound map[uint64][]*entry
 	genesis *entry
 	head    *entry
-	// lastFinal is the most recent block known to have a final
-	// certificate on the head chain.
-	lastFinal *entry
 
 	// pendingBlocks holds proposal pre-images by hash that are not yet
 	// committed (BlockOfHash in Algorithm 3 resolves from here). It follows
@@ -139,14 +135,12 @@ func NewFromGenesis(p crypto.Provider, cfg Config, g *Genesis) *Ledger {
 		block:    g.block,
 		hash:     g.hash,
 		balances: g.balances,
-		final:    true,
 		weights:  g.weights,
 	}
 	l.entries[e.hash] = e
 	l.byRound[0] = []*entry{e}
 	l.genesis = e
 	l.head = e
-	l.lastFinal = e
 	return l
 }
 
@@ -163,10 +157,21 @@ func (l *Ledger) NextRound() uint64 { return l.head.block.Round + 1 }
 func (l *Ledger) GenesisHash() crypto.Digest { return l.genesis.hash }
 
 // LastFinal returns the most recent final block on the head chain.
-func (l *Ledger) LastFinal() *Block { return l.lastFinal.block }
+func (l *Ledger) LastFinal() *Block { return l.lastFinal().block }
 
 // LastFinalHash returns LastFinal's hash.
-func (l *Ledger) LastFinalHash() crypto.Digest { return l.lastFinal.hash }
+func (l *Ledger) LastFinalHash() crypto.Digest { return l.lastFinal().hash }
+
+// lastFinal walks down the head chain to the first block with a final
+// certificate (§7.4), or to the chain's floor: genesis, or a checkpoint
+// anchor, which node.VerifyCheckpoint holds to a final certificate.
+func (l *Ledger) lastFinal() *entry {
+	e := l.head
+	for e.parent != nil && (e.cert == nil || !e.cert.Final) {
+		e = e.parent
+	}
+	return e
+}
 
 // Balances returns the state after the head block. Callers must not
 // mutate it.
@@ -332,18 +337,12 @@ func (l *Ledger) Commit(b *Block, cert *Certificate) error {
 // b was resolved or verified: BlockOfHash's own index, or the agreed
 // value a verified proposal was registered under.
 func (l *Ledger) CommitHashed(b *Block, h crypto.Digest, cert *Certificate) error {
-	if _, dup := l.entries[h]; dup {
+	if e, dup := l.entries[h]; dup {
 		// Already known; attach a certificate the entry lacks (e.g. a
 		// §8.2 recovery certificate for a block first seen uncertified)
 		// or upgrade certificate finality.
-		e := l.entries[h]
-		if cert != nil && e.cert == nil {
+		if betterCert(e.cert, cert) {
 			e.cert = cert
-		}
-		if cert != nil && cert.Final && !e.final {
-			e.final = true
-			e.cert = cert
-			l.updateLastFinal()
 		}
 		return nil
 	}
@@ -381,7 +380,6 @@ func (l *Ledger) CommitHashed(b *Block, h crypto.Digest, cert *Certificate) erro
 		parent:   parent,
 		balances: bal,
 		cert:     cert,
-		final:    cert != nil && cert.Final,
 	}
 	l.entries[h] = e
 	l.byRound[b.Round] = append(l.byRound[b.Round], e)
@@ -397,21 +395,13 @@ func (l *Ledger) CommitHashed(b *Block, h crypto.Digest, cert *Certificate) erro
 	if parent == l.head {
 		l.head = e
 	}
-	if e.final {
-		l.updateLastFinal()
-	}
 	return nil
 }
 
-// updateLastFinal advances lastFinal to the deepest final entry on the
-// head chain.
-func (l *Ledger) updateLastFinal() {
-	for e := l.head; e != nil; e = e.parent {
-		if e.final {
-			l.lastFinal = e
-			return
-		}
-	}
+// betterCert reports whether c replaces held as a block's certificate:
+// it does when held is nil, or when c is final and held is tentative.
+func betterCert(held, c *Certificate) bool {
+	return c != nil && (held == nil || c.Final && !held.Final)
 }
 
 // BalancesAt returns the account state after the block with the given
@@ -479,14 +469,8 @@ func (l *Ledger) SwitchHead(h crypto.Digest) error {
 	if !ok {
 		return errors.New("ledger: switch to unknown block")
 	}
-	l.setHead(e)
-	return nil
-}
-
-// setHead re-points the canonical chain at e.
-func (l *Ledger) setHead(e *entry) {
 	l.head = e
-	l.updateLastFinal()
+	return nil
 }
 
 // ChainLength returns the head round (number of blocks after genesis).

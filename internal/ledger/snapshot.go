@@ -107,9 +107,9 @@ func (cp *Checkpoint) VerifyState() (*Balances, error) {
 // genesis itself (see Ledger.SortitionContextKnown for the guard).
 //
 // The checkpoint's structural integrity is re-verified here, but NOT
-// its certificate — the caller must have checked the certificate
-// against the committee before trusting the resulting ledger (see
-// node.VerifyCheckpoint).
+// its certificate — the caller must have checked that it is final and
+// that the committee signed it (see node.VerifyCheckpoint): the anchor
+// is the chain's floor, where LastFinal stops.
 func NewFromCheckpoint(p crypto.Provider, cfg Config, g *Genesis, cp *Checkpoint) (*Ledger, error) {
 	bal, err := cp.VerifyState()
 	if err != nil {
@@ -130,10 +130,6 @@ func NewFromCheckpoint(p crypto.Provider, cfg Config, g *Genesis, cp *Checkpoint
 		hash:     hash,
 		balances: bal,
 		cert:     cp.Cert,
-		// The checkpoint anchors finality: this node cannot validate
-		// anything below it, so no fork below the checkpoint round is
-		// ever adoptable.
-		final: true,
 	}
 	if cp.Block.Round == 1 && cp.Block.PrevHash == l.genesis.hash {
 		e.parent = l.genesis
@@ -141,7 +137,6 @@ func NewFromCheckpoint(p crypto.Provider, cfg Config, g *Genesis, cp *Checkpoint
 	l.entries[e.hash] = e
 	l.byRound[cp.Block.Round] = append(l.byRound[cp.Block.Round], e)
 	l.head = e
-	l.lastFinal = e
 	return l, nil
 }
 

@@ -53,7 +53,7 @@ func (s *Store) Put(b *Block, h crypto.Digest, c *Certificate) {
 	if !ok || e.hash != h {
 		e = stored{block: b, hash: h}
 	}
-	if c != nil && (e.cert == nil || (c.Final && !e.cert.Final)) {
+	if betterCert(e.cert, c) {
 		e.cert = c
 	}
 	s.rounds[b.Round] = e

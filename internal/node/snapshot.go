@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 
 	"algorand/internal/ledger"
@@ -24,17 +25,17 @@ type MisbehaviorReporter interface {
 
 // maybeCheckpoint writes a state checkpoint when a commit lands on the
 // checkpoint grid: every persisted round whose number is a positive
-// multiple of CheckpointInterval, certified by a regular (non-recovery)
-// certificate. Recovery-certified rounds are skipped — their proof
-// needs the adopter's chain context, which a fast-syncing node does
-// not have yet; the next grid round carries a normal certificate.
+// multiple of CheckpointInterval, certified by a regular final
+// certificate. A tentative round is skipped (§8.2 may abandon it), as
+// is a recovery-certified one (its proof needs chain context a
+// fast-syncing node does not have yet).
 func (n *Node) maybeCheckpoint(b *ledger.Block, c *ledger.Certificate) {
 	interval := n.cfg.CheckpointInterval
 	if interval == 0 || b.Round == 0 || b.Round%interval != 0 {
 		return
 	}
 	// b was just committed, so the ledger has its hash at that round.
-	if h, ok := n.ledger.HashAt(b.Round); !ok || c == nil || c.Value != h || c.Round >= ledger.RecoveryRoundBase {
+	if h, ok := n.ledger.HashAt(b.Round); !ok || c == nil || !c.Final || c.Value != h || c.Round >= ledger.RecoveryRoundBase {
 		return
 	}
 	if n.checkpoint != nil && n.checkpoint.Round() >= b.Round {
@@ -68,12 +69,14 @@ func (n *Node) handleSnapshotRequest(from int, msg *SnapshotRequest) network.Ver
 	return network.Verdict{Relay: false}
 }
 
+// ErrTentativeCheckpoint refuses a checkpoint whose certificate is not final.
+var ErrTentativeCheckpoint = errors.New("snapshot: checkpoint certificate is tentative, not final")
+
 // VerifyCheckpoint checks a checkpoint as transferable proof that the
-// network committed its block, using only common knowledge: the
-// genesis state held by base. Structural integrity first (certificate
-// is for the block, account table hashes to the header's state root),
-// then the certificate itself, by the one §8.3 rule, against the
-// committee that genesis context derives for the checkpointed round.
+// network committed its block for good, using only common knowledge:
+// the genesis state held by base. Structural integrity first, then that
+// the certificate is final, then the certificate itself, by the one
+// §8.3 rule, against the committee genesis derives for that round.
 // Returns an error when the proof fails OR when base lacks the sortition
 // context to judge it — a checkpoint past the first seed-refresh epoch
 // needs chain history genesis alone cannot supply, and an unverifiable
@@ -83,6 +86,9 @@ func VerifyCheckpoint(base *ledger.Ledger, chk *ledger.Checkpoint, cp ledger.Com
 		return err
 	}
 	c, b := chk.Cert, chk.Block
+	if !c.Final {
+		return fmt.Errorf("round %d: %w", b.Round, ErrTentativeCheckpoint)
+	}
 	if c.Round >= ledger.RecoveryRoundBase {
 		return fmt.Errorf("snapshot: round %d carries a recovery certificate, not syncable without chain context", b.Round)
 	}
@@ -94,7 +100,7 @@ func VerifyCheckpoint(base *ledger.Ledger, chk *ledger.Checkpoint, cp ledger.Com
 
 // adoptCheckpoint re-bases the node's ledger onto a checkpoint that
 // has already been verified. The old ledger (and anything tentative on
-// it) is discarded; the checkpoint anchors finality.
+// it) is discarded; the anchor is final by its certificate.
 func (n *Node) adoptCheckpoint(chk *ledger.Checkpoint) error {
 	l, err := ledger.NewFromCheckpoint(n.provider, n.cfg.LedgerCfg, n.genesis, chk)
 	if err != nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -320,6 +321,50 @@ func TestColdRestartReplayBoundedByInterval(t *testing.T) {
 			t.Fatalf("crash at %d: replacement ended at round %d, the network at %d", atCrash, got, want)
 		}
 		t.Logf("chain %d: re-based onto %d, %d rounds replayed from disk", atCrash, base, replayed)
+	}
+}
+
+// TestTentativeRoundIsNoCheckpoint pins that a checkpoint is only ever
+// of a final round. With τ_final at 200 the final step needs more than
+// 148 votes of W = 100, so no round of the run is final: no node may
+// checkpoint one, and a replacement handed a checkpoint of a tentative
+// round refuses it, counts the refusal and keeps its ledger as it was.
+func TestTentativeRoundIsNoCheckpoint(t *testing.T) {
+	cfg := snapshotConfig(10, 4, 2)
+	cfg.Params.TauFinal = 200
+	c := NewCluster(cfg)
+	c.Run()
+
+	l := c.Nodes[0].Ledger()
+	if l.ChainLength() < 2 {
+		t.Fatalf("run only reached round %d", l.ChainLength())
+	}
+	for i, n := range c.Nodes {
+		if chk, ok := n.Checkpoint(); ok {
+			t.Fatalf("node %d checkpointed round %d on a tentative certificate", i, chk.Round())
+		}
+	}
+	b, _ := l.BlockAt(2)
+	cert, _ := l.CertificateAt(2)
+	bal, _ := l.BalancesAt(b.Hash())
+	if cert == nil || cert.Final {
+		t.Fatal("round 2 holds no tentative certificate; scenario premise broken")
+	}
+
+	repl, _, err := c.RestartNodeFromStore(5, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := repl.Ledger().HeadHash()
+	adopted, err := repl.RestoreFromCheckpoint(ledger.CheckpointOf(b, cert, bal))
+	if adopted || !errors.Is(err, node.ErrTentativeCheckpoint) {
+		t.Fatalf("a tentative checkpoint was adopted (adopted %v, err %v)", adopted, err)
+	}
+	if got := rejects(repl); got != 1 {
+		t.Errorf("refusal counted %d times, want 1", got)
+	}
+	if repl.Ledger().HeadHash() != head {
+		t.Error("the refused checkpoint moved the ledger")
 	}
 }
 
