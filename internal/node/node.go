@@ -899,18 +899,24 @@ func (n *Node) launch(name string, body func(p *vtime.Proc)) {
 }
 
 // TxFlushPeriod is how long a freshly admitted transaction may wait in
-// the outbox before its TxBatch leaves: a quarter of λ_priority, so that a
-// payment crosses several hops inside the proposal wait of the round it
-// arrives in, and never more than 250 ms — which is what the quarter comes
-// to at the paper's λ_priority = 5 s and wherever it is at least 1 s. A
-// period set apart from the round's own timers could exceed the round: at
-// λ_priority = 150 ms a fixed 250 ms made a payment miss a proposal it had
-// arrived in time for. Less than a quarter buys no latency at the median
-// and costs a frame per payment per hop; the floor keeps a degenerate λ
-// (a flag set to zero) from turning the flush process into a spin. A
-// gateway flushes on the same period.
+// the outbox before its TxBatch leaves: a quarter of λ_priority, and
+// never more than 100 ms. The quarter holds below λ_priority = 400 ms (on
+// loopback, 37.5 ms at λ_priority = 150 ms): a period set apart from the
+// round's own timers could exceed the round, and a fixed 250 ms there made
+// a payment miss a proposal it had arrived in time for; less than a
+// quarter buys no latency at the median and costs a frame per payment per
+// hop. The cap holds from 400 ms up, every simulated workload and the
+// paper's λ_priority = 5 s included, where the quarter would be 1.25 s: a
+// payment waits this period at every relay on its way to the next
+// proposer, and 100 ms is about one wide-area hop (§10's New York–London
+// is 33 ms one way, its farthest pair about 130 ms), so the timer adds no
+// more to a hop than the wire does. It is the knee of the simulator's
+// curve: against 250 ms it takes 0.2 s off a payment's median
+// confirmation, and 50 ms would take 0.02 s more for 1.5× the frames. The
+// floor keeps a degenerate λ (a flag set to zero) from turning the
+// flush timer into a spin. A gateway flushes on the same period.
 func TxFlushPeriod(p params.Params) time.Duration {
-	return max(time.Millisecond, min(250*time.Millisecond, p.LambdaPriority/4))
+	return max(time.Millisecond, min(100*time.Millisecond, p.LambdaPriority/4))
 }
 
 // flushTxBatches is the flush timer's tick: until the node is done it

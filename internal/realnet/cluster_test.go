@@ -114,9 +114,13 @@ func newRealCluster(t *testing.T, n int, rounds uint64) *realCluster {
 	// Bind ephemeral ports first to build the address book.
 	var listeners []net.Listener
 	listeners, c.addrs = listenLoopback(t, n)
+	// 1 000 units an account: at realParams' τ_final of 60, a cluster of
+	// ten-unit accounts has every unit selected, and a round is final only
+	// when every final vote arrives. The benchmark's loopback cluster
+	// holds 2^20 an account.
 	for i := 0; i < n; i++ {
 		c.ids = append(c.ids, c.provider.NewIdentity(crypto.SeedFromUint64(uint64(7000+i))))
-		c.genesis[c.ids[i].PublicKey()] = 10
+		c.genesis[c.ids[i].PublicKey()] = 1000
 	}
 	c.nodeCfg = nodepkg.Config{Params: c.prm, LedgerCfg: ledger.DefaultConfig()}
 	// Defer transport/node construction until startAll so tests can

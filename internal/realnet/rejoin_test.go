@@ -12,11 +12,8 @@ import (
 // four nodes that write checkpoints run past one, a fifth with an empty
 // archive comes up through Rejoin, and must fast-sync — re-base onto a
 // peer's verified checkpoint, replay only the delta, end on the common
-// head. A checkpoint is only ever of a final round, and at the
-// cluster's ten units an account τ_final selects every unit, so no round
-// is final while the joiner is down: the accounts hold 1 000 units each
-// here, as the benchmark's loopback cluster holds 2^20 (the joiner
-// keeps its token stake).
+// head. A checkpoint is only ever of a final round, so it relies on
+// rounds going final while the joiner, a token-stake account, is down.
 func TestRealTCPColdJoinViaPeerSnapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock TCP test")
@@ -26,9 +23,6 @@ func TestRealTCPColdJoinViaPeerSnapshot(t *testing.T) {
 	const interval = 2
 	const joiner = 4
 	c := newRealCluster(t, n, rounds)
-	for pk := range c.genesis {
-		c.genesis[pk] = 1000
-	}
 	c.nodeCfg.CheckpointInterval = interval
 	c.joinLater(joiner)
 	c.startAll(240 * time.Second)
