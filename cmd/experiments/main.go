@@ -74,13 +74,14 @@ func main() {
 	if want("figure7") {
 		ran = true
 		fmt.Println("# Figure 7: phase breakdown vs block size")
-		fmt.Println("bytes\tproposal_med\tba_med\tfinal_med\ttotal_med")
+		fmt.Println("bytes\tproposal_med\tba_med\tfinal_med\ttotal_med\tperiod_med")
 		for _, p := range experiments.Figure7(scale, experiments.DefaultFigure7Sizes()) {
-			fmt.Printf("%d\t%.2f\t%.2f\t%.2f\t%.2f\n", p.BlockSize,
+			fmt.Printf("%d\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\n", p.BlockSize,
 				p.Phases.BlockProposal.Median.Seconds(),
 				p.Phases.BAWithoutFinal.Median.Seconds(),
 				p.Phases.FinalStep.Median.Seconds(),
-				p.Phases.RoundCompletion.Median.Seconds())
+				p.Phases.RoundCompletion.Median.Seconds(),
+				p.Phases.Period.Median.Seconds())
 		}
 		fmt.Println()
 	}

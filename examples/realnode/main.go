@@ -132,11 +132,11 @@ func main() {
 		fmt.Printf("  node %d: round %d head %v\n", i, head.Round, head.Hash())
 	}
 	for _, st := range members[0].Stats {
-		fmt.Printf("  round %d: start=%v prop=%v binary=%v end=%v steps=%d final=%v\n",
+		fmt.Printf("  round %d: start=%v prop=%v binary=%v final_step=%v steps=%d final=%v\n",
 			st.Round, st.Start.Round(time.Millisecond),
 			(st.ProposalDone - st.Start).Round(time.Millisecond),
 			(st.BinaryDone - st.ProposalDone).Round(time.Millisecond),
-			(st.End - st.BinaryDone).Round(time.Millisecond),
+			(st.Finalized - st.BinaryDone).Round(time.Millisecond),
 			st.BinarySteps, st.Final)
 	}
 	joined := members[j].Ledger().ChainLength()

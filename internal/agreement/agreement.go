@@ -5,8 +5,10 @@
 // count, conclude, stuck. Drive is the one blocking loop that executes
 // those actions for a vtime process: a vote through sortition, signing
 // and gossip, a count by reading a per-(round, step) mailbox until its
-// deadline. Committee membership is re-drawn with cryptographic
-// sortition at every step, so members speak only once.
+// deadline. A Count is one step's count; the final step's (StartFinal)
+// runs after the round's commit without blocking, fed by its host.
+// Committee membership is re-drawn with cryptographic sortition at every
+// step, so members speak only once.
 //
 // The package is deliberately free of networking and ledger policy: the
 // host node supplies an Env with its identity, a gossip function and
@@ -206,36 +208,101 @@ func committeeVote(env *Env, ctx *Context, step uint64, tau uint64, value crypto
 // (round, step) until m's tally crosses the threshold or lambda passes,
 // and returns what m does next.
 func countVotes(env *Env, m *Machine, step uint64, lambda time.Duration) []Action {
-	start := env.Proc.Now()
-	inbox, deadline := env.Inbox(m.ctx.Round, step), start+lambda
-	var acts []Action
-	timedOut := false
-	for len(acts) == 0 {
-		msg, ok := env.Proc.RecvDeadline(inbox, deadline)
-		if !ok {
-			timedOut, acts = true, m.Timeout()
-			break
-		}
-		var rc Receipt
-		rc, acts = m.Deliver(msg.(*ValidatedVote))
-		if mt := env.Metrics; mt != nil && rc == VoteCounted {
-			mt.VotesCounted.Inc()
-		} else if mt != nil && rc == VoteDuplicate {
-			mt.VotesDeduped.Inc()
+	c := Count{env: env, m: m, step: step, start: env.Proc.Now(), lambda: lambda}
+	inbox := env.Inbox(m.ctx.Round, step)
+	for !c.ended {
+		if !c.take(inbox, c.Deadline()) {
+			c.Timeout()
 		}
 	}
-	took := env.Proc.Now() - start
-	if mt := env.Metrics; mt != nil {
+	return c.acts
+}
+
+// Count is one step's count (Algorithm 5): the machine it hands the
+// step's validated votes to, and the one place the step's counters and
+// its StepTimer span are recorded. Drive's wait runs one to its end. A
+// host runs the §7.4 final step's (StartFinal) after its round's commit,
+// while it runs the next round (§10.2): its handler hands the count each
+// later vote of the step (Deliver), and a timer of its own ends it at
+// Deadline (Timeout).
+type Count struct {
+	env    *Env
+	m      *Machine
+	step   uint64
+	start  time.Duration
+	lambda time.Duration
+	ended  bool
+	acts   []Action // what m does next, once the count ended
+}
+
+// StartFinal begins m's final step (Confirm) after BinaryBA⋆ concluded, as
+// a count that does not block: it hands the count the votes of the step
+// env.Inbox holds already — the host's own, and those of users who
+// concluded sooner — and returns it, ended if they crossed the threshold.
+func StartFinal(env *Env, m *Machine) *Count {
+	a := m.Confirm()[0]
+	c := &Count{env: env, m: m, step: a.Step, start: env.Proc.Now(), lambda: a.Lambda}
+	inbox := env.Inbox(m.ctx.Round, a.Step)
+	for !c.ended && c.take(inbox, c.start) {
+	}
+	return c
+}
+
+// take hands c the next vote waiting in inbox or arriving there by
+// deadline, and reports whether one did.
+func (c *Count) take(inbox *vtime.Mailbox, deadline time.Duration) bool {
+	msg, ok := c.env.Proc.RecvDeadline(inbox, deadline)
+	if ok {
+		c.Deliver(msg.(*ValidatedVote))
+	}
+	return ok
+}
+
+// Deliver hands the count one validated vote of its step, and reports
+// whether the count ended with it: the vote crossed the threshold.
+func (c *Count) Deliver(vv *ValidatedVote) bool {
+	if c.ended {
+		return false
+	}
+	rc, acts := c.m.Deliver(vv)
+	if mt := c.env.Metrics; mt != nil && rc == VoteCounted {
+		mt.VotesCounted.Inc()
+	} else if mt != nil && rc == VoteDuplicate {
+		mt.VotesDeduped.Inc()
+	}
+	if acts != nil {
+		c.end(acts, false)
+	}
+	return c.ended
+}
+
+// Timeout ends the count without a winner, if it is still going on.
+func (c *Count) Timeout() {
+	if !c.ended {
+		c.end(c.m.Timeout(), true)
+	}
+}
+
+// Deadline is when the count times out: λ after it began.
+func (c *Count) Deadline() time.Duration { return c.start + c.lambda }
+
+// Outcome is the machine's outcome once its final step's count ended:
+// whether the round is final, and its one certificate.
+func (c *Count) Outcome() (Outcome, bool) { return c.m.out, c.ended }
+
+func (c *Count) end(acts []Action, timedOut bool) {
+	c.ended, c.acts = true, acts
+	took := c.env.Proc.Now() - c.start
+	if mt := c.env.Metrics; mt != nil {
 		mt.Steps.Inc()
 		if timedOut {
 			mt.StepTimeouts.Inc()
 		}
 		mt.StepSeconds.ObserveDuration(took)
 	}
-	if env.StepTimer != nil {
-		env.StepTimer(step, took, timedOut)
+	if c.env.StepTimer != nil {
+		c.env.StepTimer(c.step, took, timedOut)
 	}
-	return acts
 }
 
 // NewContext builds a Context from a ledger for its next round.

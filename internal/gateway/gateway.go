@@ -348,12 +348,19 @@ func (g *Gateway) gossip(batches [][]*ledger.Transaction) {
 
 // run is the gateway's background process: flush admitted transactions
 // every flushPeriod, ask for the chain at the first flush of each
-// askInterval, and wind down when the cluster is done.
+// askInterval, and wind down when the cluster is done, asking once more
+// so that the head it ends at is the chain's.
 func (g *Gateway) run(p *vtime.Proc) {
 	nextAsk := g.sim.Now() + askInterval
 	for {
 		p.Sleep(g.flushPeriod)
-		if g.sim.Stopped() || (g.cfg.Done != nil && g.cfg.Done()) {
+		if g.sim.Stopped() {
+			return
+		}
+		if g.cfg.Done != nil && g.cfg.Done() {
+			if !g.halted {
+				g.askChain()
+			}
 			return
 		}
 		ask := g.sim.Now() >= nextAsk

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"algorand/internal/metrics"
 	"algorand/internal/txflow"
 )
 
@@ -83,13 +84,15 @@ func TestServerSubmitAndQuery(t *testing.T) {
 }
 
 // servedEndpoint is one handler set booted behind the shared server
-// (txflow.Server), with read-outs of its reject counters — nil where the
-// handler set keeps none.
+// (txflow.Server), with read-outs of its session and reject counters —
+// nil where the handler set keeps none. A connection the server accepted
+// is counted in sessions, or in connRejects when the cap turned it away.
 type servedEndpoint struct {
 	h            *testHarness // signs transactions for either set
 	srv          *Server
 	frameRejects func() int64
 	connRejects  func() int64
+	sessions     func() int64
 }
 
 // handlerSets are the two handler sets the system serves clients
@@ -103,7 +106,8 @@ var handlerSets = []struct {
 		h, srv := serverHarness(t, lim)
 		return servedEndpoint{h, srv,
 			func() int64 { return h.gw.Stats().FrameRejects },
-			func() int64 { return h.gw.Stats().ConnRejects }}
+			func() int64 { return h.gw.Stats().ConnRejects },
+			func() int64 { return h.gw.Stats().Sessions }}
 	}},
 	// The consensus node's -submit-addr endpoint: a bare Flow.
 	{"node", func(t *testing.T, lim txflow.Limits) servedEndpoint {
@@ -111,16 +115,23 @@ var handlerSets = []struct {
 		flow := txflow.New(h.prov, txflow.Config{})
 		var srv *Server
 		var err error
+		e := servedEndpoint{h: h}
 		if lim == (txflow.Limits{}) {
 			srv, err = txflow.ListenAndServe("127.0.0.1:0", flow)
 		} else {
-			srv, err = txflow.Serve("127.0.0.1:0", txflow.Endpoint{Name: "txflow", SubmitBatch: flow.SubmitBatch, Limits: lim})
+			reg := metrics.NewRegistry()
+			sessions, rejects := reg.Counter("sessions", ""), reg.Counter("conn_rejects", "")
+			e.sessions = func() int64 { return int64(sessions.Load()) }
+			e.connRejects = func() int64 { return int64(rejects.Load()) }
+			srv, err = txflow.Serve("127.0.0.1:0", txflow.Endpoint{Name: "txflow", SubmitBatch: flow.SubmitBatch, Limits: lim,
+				Sessions: sessions, ConnRejects: rejects})
 		}
 		if err != nil {
 			t.Fatalf("listen: %v", err)
 		}
 		t.Cleanup(srv.Close)
-		return servedEndpoint{h: h, srv: srv}
+		e.srv = srv
+		return e
 	}},
 }
 
@@ -233,7 +244,11 @@ func hostileConnectionCap(t *testing.T, e servedEndpoint) {
 		t.Fatal("conn reject not counted")
 	}
 
-	// Closing one in-cap connection frees a slot.
+	// Closing one in-cap connection frees a slot: the server holds both
+	// until it sees the close.
+	if n := e.srv.ConnCount(); n != 2 {
+		t.Fatalf("%d connections tracked at the cap, want 2", n)
+	}
 	c1.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for e.srv.ConnCount() >= 2 && time.Now().Before(deadline) {
@@ -242,10 +257,32 @@ func hostileConnectionCap(t *testing.T, e servedEndpoint) {
 	served(dialT(t, e.srv.Addr()))
 }
 
+// awaitAccepted waits, with a bound, until the server has decided on k
+// connections — served or turned away at the cap — so that a wait for
+// them to be gone starts from connections it has seen.
+func awaitAccepted(t *testing.T, e servedEndpoint, k int64) {
+	t.Helper()
+	decided := func() int64 {
+		n := e.sessions()
+		if e.connRejects != nil {
+			n += e.connRejects()
+		}
+		return n
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for decided() < k && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := decided(); n < k {
+		t.Fatalf("the server accepted %d connections of %d", n, k)
+	}
+}
+
 func hostileHalfOpen(t *testing.T, e servedEndpoint) {
 	c := dialT(t, e.srv.Addr())
 	// Send nothing. The server must reap the connection, not pin its
 	// goroutine and map entry forever.
+	awaitAccepted(t, e, 1)
 	deadline := time.Now().Add(5 * time.Second)
 	for e.srv.ConnCount() > 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
@@ -271,6 +308,7 @@ func hostileChurn(t *testing.T, e servedEndpoint) {
 		fmt.Fprintf(c, "garbage-%d\n", i)
 		c.Close()
 	}
+	awaitAccepted(t, e, 100)
 	deadline := time.Now().Add(5 * time.Second)
 	for e.srv.ConnCount() > 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)

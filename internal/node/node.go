@@ -8,6 +8,7 @@ package node
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -96,12 +97,16 @@ type RoundStat struct {
 	PriorityLearned time.Duration // winning priority first seen (§10.5)
 	ProposalDone    time.Duration // highest-priority block in hand (Figure 7 bottom)
 	BinaryDone      time.Duration // BA⋆ without the final step (Figure 7 middle)
-	End             time.Duration // final step complete (Figure 7 top)
-	BinarySteps     int
-	Final           bool
-	Empty           bool
-	Equivocation    bool
-	Value           crypto.Digest
+	End             time.Duration // committed: the next round starts here
+	// Finalized is when the round's §7.4 final step ended, after the
+	// commit (Figure 7 top), and Final what it decided; zero and false
+	// while it counts.
+	Finalized    time.Duration
+	BinarySteps  int
+	Final        bool
+	Empty        bool
+	Equivocation bool
+	Value        crypto.Digest
 }
 
 // Node is one simulated Algorand user.
@@ -141,9 +146,14 @@ type Node struct {
 	voteInboxes  map[[2]uint64]*vtime.Mailbox
 	propInboxes  map[uint64]*vtime.Mailbox
 	spareInboxes []*vtime.Mailbox
-	// machine is the node's one BA⋆ machine, reset for every round and
-	// every §8.2 recovery attempt (see machineFor).
-	machine *agreement.Machine
+	// machines are the BA⋆ machines no round or §8.2 recovery attempt is
+	// using (machineFor). A round's machine counts its final step after
+	// the commit, so the next round takes another: a node grows one or two,
+	// and a few while tentative rounds' final steps wait out λ_step.
+	machines []*agreement.Machine
+	// finals are the §7.4 final steps still counting, oldest first: each
+	// round's, from its commit until its threshold or λ_step (openFinal).
+	finals []*finalStep
 
 	// Messages for the next round, buffered unverified with their senders
 	// until we get there; pendingSize is their wire size, which bufferNext
@@ -186,11 +196,12 @@ type Node struct {
 	// emitting messages and its process winds down (see Halt).
 	halted bool
 
-	// finished is set when the node's process returns (see launch); the
-	// transaction flush timer reads it to stop re-arming. Atomic because
-	// SubmitTx reads it from RPC goroutines while the scheduler winds the
-	// node down.
+	// finished is set when the node's process has returned (ended, see
+	// launch) and its last final step has ended; the transaction flush
+	// timer reads it to stop re-arming. Atomic because SubmitTx reads it
+	// from RPC goroutines while the scheduler winds the node down.
 	finished atomic.Bool
+	ended    bool
 	// flushTick is flushTxBatches bound once, so that re-arming the timer
 	// every tick allocates no method value.
 	flushTick func()
@@ -380,8 +391,8 @@ func (n *Node) Halt() { n.halted = true }
 // Halted reports whether the node has been crashed via Halt.
 func (n *Node) Halted() bool { return n.halted }
 
-// Done reports whether the node's main process has wound down — either
-// crashed via Halt or completed its configured rounds. A done node no
+// Done reports whether the node has wound down — crashed via Halt, or
+// completed its configured rounds and their final steps. A done node no
 // longer flushes transaction batches or accepts submissions.
 func (n *Node) Done() bool { return n.halted || n.finished.Load() }
 
@@ -423,15 +434,22 @@ func (n *Node) retireInbox(mb *vtime.Mailbox) {
 	n.spareInboxes = append(n.spareInboxes, mb)
 }
 
-// machineFor returns the node's one BA⋆ machine, reset for ctx.
+// machineFor returns a BA⋆ machine reset for ctx: one a round's final
+// step or a recovery attempt gave back (releaseMachine), with the tally
+// storage it grew, or else a new one.
 func (n *Node) machineFor(ctx *agreement.Context) *agreement.Machine {
-	if n.machine == nil {
-		n.machine = agreement.NewMachine(ctx, n.cfg.Params)
-	} else {
-		n.machine.Reset(ctx, n.cfg.Params)
+	k := len(n.machines)
+	if k == 0 {
+		return agreement.NewMachine(ctx, n.cfg.Params)
 	}
-	return n.machine
+	m := n.machines[k-1]
+	n.machines = n.machines[:k-1]
+	m.Reset(ctx, n.cfg.Params)
+	return m
 }
+
+// releaseMachine gives back a machine whose round or attempt is over.
+func (n *Node) releaseMachine(m *agreement.Machine) { n.machines = append(n.machines, m) }
 
 // costs returns the modeled CPU cost model if charging is enabled.
 func (n *Node) costs() crypto.CostModel {
@@ -527,7 +545,12 @@ func (n *Node) answer(from int, box *vtime.Mailbox, m network.Message) network.V
 func (n *Node) handleVote(from int, msg *VoteMsg, cost crypto.CostModel) network.Verdict {
 	cpu := cost.VerifySig + cost.VRFVerify
 	v := &msg.Vote
-	ctx := n.ctx
+	ctx, f := n.ctx, n.finalOf(v.Round)
+	if f != nil {
+		// The round's final step counts after its commit: its votes are
+		// checked against its context and relayed as while the round ran.
+		ctx = f.ctx
+	}
 	if ctx == nil {
 		return network.Verdict{Relay: false}
 	}
@@ -543,7 +566,12 @@ func (n *Node) handleVote(from int, msg *VoteMsg, cost crypto.CostModel) network
 		if nv == 0 {
 			return network.Verdict{Relay: false, CPU: cpu}
 		}
-		n.voteInbox(v.Round, v.Step).Send(&agreement.ValidatedVote{Vote: v, NumVotes: nv})
+		if f == nil {
+			n.voteInbox(v.Round, v.Step).Send(&agreement.ValidatedVote{Vote: v, NumVotes: nv})
+		} else if v.Step == agreement.StepFinal && f.count.Deliver(&agreement.ValidatedVote{Vote: v, NumVotes: nv}) {
+			n.sim.Cancel(&f.beaten)
+			n.endFinal(f)
+		}
 		return network.Verdict{Relay: true, CPU: cpu}
 	case v.Round == ctx.Round+1:
 		// We are a step behind; buffer and validate when we get there.
@@ -891,7 +919,10 @@ func (n *Node) launch(name string, body func(p *vtime.Proc)) {
 	n.flow.Start(n.cfg.TxFlowWorkers)
 	n.sim.Spawn(name, func(p *vtime.Proc) {
 		n.proc = p
-		defer n.finished.Store(true)
+		defer func() {
+			n.ended = true
+			n.finish()
+		}()
 		body(p)
 	})
 	n.flushTick = n.flushTxBatches
@@ -970,10 +1001,12 @@ func (n *Node) liveFork() bool {
 	return false
 }
 
-// runRound executes one complete round in Algorithm 3's order: propose,
-// wait, BA⋆ (Reduction and BinaryBA⋆), the §7.4 final step, then resolve
-// → commit → persist → announce → post-commit hook → round stat. It is
-// the one way a block this node agreed on reaches its chain.
+// runRound executes one round in Algorithm 3's order up to its commit:
+// propose, wait, BA⋆ (Reduction and BinaryBA⋆), then resolve → commit →
+// persist → post-commit hook → round stat. The round ends there and the
+// next one starts: its §7.4 final step counts on after the commit
+// (openFinal, §10.2), and attaches the round's certificate when it ends.
+// It is the one way a block this node agreed on reaches its chain.
 func (n *Node) runRound() error {
 	round := n.ledger.NextRound()
 	stat := RoundStat{Round: round, Start: n.proc.Now()}
@@ -1002,31 +1035,31 @@ func (n *Node) runRound() error {
 	env, m := n.env(round), n.machineFor(ctx)
 	out, err := agreement.Drive(env, m, m.Start(target))
 	if err != nil {
+		n.releaseMachine(m)
 		return err
 	}
-	stat.BinaryDone = n.proc.Now()
-	// The final step concludes unless the node halts.
-	if out, err = agreement.Drive(env, m, m.Confirm()); err != nil {
-		return err
-	}
-	stat.BinarySteps, stat.Final = out.BinarySteps, out.Final
-	n.tracer.Record(round, trace.PhaseCertify, 0, stat.BinaryDone, n.proc.Now())
+	stat.BinaryDone, stat.BinarySteps = n.proc.Now(), out.BinarySteps
 
 	block, ok := n.resolveBlock(ctx, out.Value)
 	if !ok {
 		// Agreed on a body no reachable peer holds: whoever committed it
 		// serves it with its certificate once we can reach them (§8.3).
+		n.releaseMachine(m)
 		return fmt.Errorf("round %d: agreed block %v not obtained from any peer", round, out.Value)
 	}
+	n.tracer.Record(round, trace.PhaseCertify, 0, stat.BinaryDone, n.proc.Now())
+	// Committed and journaled with no certificate: the final step attaches
+	// the round's one certificate when it ends.
 	commitStart := n.tracer.WallNow()
-	if err := n.ledger.CommitHashed(block, out.Value, out.Cert); err != nil {
+	if err := n.ledger.CommitHashed(block, out.Value, nil); err != nil {
 		// Agreed on a block we cannot apply: treat like no-consensus so
 		// recovery reconciles us (should not happen in honest runs).
+		n.releaseMachine(m)
 		return fmt.Errorf("commit: %w", err)
 	}
 	n.tracer.Record(round, trace.PhaseCommit, 0, commitStart, n.tracer.WallNow())
 	persistStart := n.tracer.WallNow()
-	n.persist(block, out.Cert)
+	n.persist(block, nil)
 	n.tracer.Record(round, trace.PhasePersist, 0, persistStart, n.tracer.WallNow())
 	n.flow.Committed(block, n.ledger.Balances())
 	stat.Empty = block.IsEmpty()
@@ -1038,10 +1071,91 @@ func (n *Node) runRound() error {
 	if stat.Empty {
 		n.roundsEmpty.Inc()
 	}
-	if stat.Final {
-		n.roundsFinal.Inc()
+	n.openFinal(ctx, env, m, block)
+	return nil
+}
+
+// finalStep is a round's §7.4 final step, counted after the round's
+// commit while the node runs the next round: the round's context, which
+// the handler checks and relays the round's votes against while it
+// counts, the count its final-step votes go to and the machine under it,
+// the committed block the round's certificate is for, the round's index
+// in Stats, and the flag that calls off its λ_step timer when the
+// threshold beats it.
+type finalStep struct {
+	ctx    *agreement.Context
+	count  *agreement.Count
+	m      *agreement.Machine
+	block  *ledger.Block
+	stat   int
+	beaten bool
+}
+
+// openFinal begins the final step of the round just committed on m, the
+// machine that concluded its BinaryBA⋆: the count takes the final-step
+// votes the node holds already, then each one handleVote checks, until
+// they cross the threshold or a timer at λ_step ends it (endFinal).
+func (n *Node) openFinal(ctx *agreement.Context, env *agreement.Env, m *agreement.Machine, block *ledger.Block) {
+	f := &finalStep{ctx: ctx, m: m, block: block, stat: len(n.Stats) - 1}
+	f.count = agreement.StartFinal(env, m)
+	n.finals = append(n.finals, f)
+	if _, ended := f.count.Outcome(); ended {
+		n.endFinal(f)
+		return
+	}
+	n.sim.AfterUnless(f.count.Deadline()-n.sim.Now(), func() {
+		f.count.Timeout()
+		n.endFinal(f)
+	}, &f.beaten)
+}
+
+// finalOf returns the final step still counting for round, or nil.
+func (n *Node) finalOf(round uint64) *finalStep {
+	for _, f := range n.finals {
+		if f.ctx.Round == round {
+			return f
+		}
 	}
 	return nil
+}
+
+// endFinal closes f, whose count has ended. Its round's stat records
+// when and whether the round became final, and the round's one
+// certificate — the final step's votes, or else the concluding BinaryBA⋆
+// step's — is attached to the block (CommitHashed) and journaled
+// (persist, which checkpoints a final round on the grid), unless the node
+// has since left the block's branch. A halted node journals nothing.
+func (n *Node) endFinal(f *finalStep) {
+	n.finals = slices.DeleteFunc(n.finals, func(g *finalStep) bool { return g == f })
+	out, _ := f.count.Outcome()
+	st := &n.Stats[f.stat]
+	st.Finalized, st.Final = n.sim.Now(), out.Final
+	if st.Final {
+		n.roundsFinal.Inc()
+	}
+	if h, ok := n.ledger.HashAt(st.Round); ok && h == st.Value {
+		if err := n.ledger.CommitHashed(f.block, st.Value, out.Cert); err == nil && !n.halted {
+			n.persist(f.block, out.Cert)
+		}
+	}
+	n.releaseMachine(f.m)
+	n.finish()
+}
+
+// finish marks the node done once its process has returned and its last
+// final step has ended.
+func (n *Node) finish() {
+	if n.ended && len(n.finals) == 0 {
+		n.finished.Store(true)
+	}
+}
+
+// awaitFinals sleeps until the final steps still counting have ended —
+// each within λ_step of its round's commit.
+func (n *Node) awaitFinals() {
+	for k := len(n.finals); k > 0 && !n.halted; k = len(n.finals) {
+		n.proc.Sleep(n.finals[k-1].count.Deadline() - n.proc.Now())
+	}
 }
 
 // proposeIfSelected runs proposer sortition, which ends the sortition span,

@@ -24,6 +24,9 @@ const maxRecoveryAttempts = 8
 // property the paper's quantization is after, available exactly in a
 // deterministic simulation.
 func (n *Node) recover() {
+	// Recovery starts from the last final block, which every user must
+	// read alike: the final steps still counting end first.
+	n.awaitFinals()
 	ri := n.cfg.RecoveryInterval
 	checkpoint := uint64(n.proc.Now() / ri)
 	// Recovery only works when the whole network attends the same
@@ -179,6 +182,7 @@ func (n *Node) recoverOnce(checkpoint, attempt uint64) bool {
 	if err == nil {
 		out, err = agreement.Drive(env, m, m.Confirm())
 	}
+	n.releaseMachine(m)
 	if err != nil || out.Value == ctx.EmptyHash {
 		return false
 	}

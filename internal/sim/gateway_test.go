@@ -174,11 +174,12 @@ func TestGatewayTierCarriesAllClientTraffic(t *testing.T) {
 	}
 
 	// The query drivers tick every 10 ms until the last consensus node
-	// finishes its rounds, so they are at most one tick short of rate ×
-	// time (and one session a gateway for the fractional carry).
+	// finishes its rounds — its last final step, which ends after the
+	// commit — so they are at most one tick short of rate × time (and one
+	// session a gateway for the fractional carry).
 	var doneAt time.Duration
 	for _, nd := range c.Nodes {
-		if end := nd.Stats[len(nd.Stats)-1].End; end > doneAt {
+		if end := nd.Stats[len(nd.Stats)-1].Finalized; end > doneAt {
 			doneAt = end
 		}
 	}

@@ -426,14 +426,15 @@ func Summarize(sample []time.Duration) Percentiles {
 }
 
 // RoundLatencies returns, for the given round, every node's round
-// completion time (End - Start), the quantity the paper's Figures 5, 6
-// and 8 plot.
+// completion time (Finalized - Start: its final step included, though the
+// next round started at the commit), the quantity the paper's Figures 5,
+// 6 and 8 plot.
 func (c *Cluster) RoundLatencies(round uint64) []time.Duration {
 	var out []time.Duration
 	for _, n := range c.Nodes {
 		for _, st := range n.Stats {
-			if st.Round == round && st.End > st.Start {
-				out = append(out, st.End-st.Start)
+			if st.Round == round && st.Finalized > st.Start {
+				out = append(out, st.Finalized-st.Start)
 			}
 		}
 	}
@@ -449,26 +450,32 @@ func (c *Cluster) AllRoundLatencies(from, to uint64) []time.Duration {
 	return out
 }
 
-// PhaseBreakdown is the Figure 7 decomposition of a round.
+// PhaseBreakdown is the Figure 7 decomposition of a round: the paper's
+// three bars, which add up to its completion, and the period a node
+// spends in it, from its start to its commit, where the next round starts
+// while the final step counts on.
 type PhaseBreakdown struct {
 	BlockProposal   Percentiles // time to obtain the proposed block
 	BAWithoutFinal  Percentiles // reduction + BinaryBA⋆
-	FinalStep       Percentiles // the final confirmation step
-	RoundCompletion Percentiles
+	FinalStep       Percentiles // the final confirmation step, to Finalized
+	RoundCompletion Percentiles // Start to Finalized
+	Period          Percentiles // Start to End, the commit
 }
 
-// Phases computes the per-phase timing distribution for a round.
+// Phases computes the per-phase timing distribution for a round, over
+// the nodes whose final step of it has ended.
 func (c *Cluster) Phases(round uint64) PhaseBreakdown {
-	var prop, ba, fin, all []time.Duration
+	var prop, ba, fin, all, period []time.Duration
 	for _, n := range c.Nodes {
 		for _, st := range n.Stats {
-			if st.Round != round || st.End == 0 {
+			if st.Round != round || st.Finalized == 0 {
 				continue
 			}
 			prop = append(prop, st.ProposalDone-st.Start)
 			ba = append(ba, st.BinaryDone-st.ProposalDone)
-			fin = append(fin, st.End-st.BinaryDone)
-			all = append(all, st.End-st.Start)
+			fin = append(fin, st.Finalized-st.BinaryDone)
+			all = append(all, st.Finalized-st.Start)
+			period = append(period, st.End-st.Start)
 		}
 	}
 	return PhaseBreakdown{
@@ -476,6 +483,7 @@ func (c *Cluster) Phases(round uint64) PhaseBreakdown {
 		BAWithoutFinal:  Summarize(ba),
 		FinalStep:       Summarize(fin),
 		RoundCompletion: Summarize(all),
+		Period:          Summarize(period),
 	}
 }
 

@@ -45,8 +45,10 @@ const (
 	// PhaseBAStep is one BA⋆ vote-counting step (reduction, binary, or
 	// final); the span's Step field carries the wire step number.
 	PhaseBAStep Phase = "ba_step"
-	// PhaseCertify covers BA⋆ conclusion to certificate in hand (the
-	// §7.4 final confirmation wait).
+	// PhaseCertify covers BA⋆'s conclusion to the commit: the agreed
+	// block in hand, from a peer if the node lacks it (§7.1). The §7.4
+	// final step that makes the round's certificate final counts after
+	// the commit, and shows as its ba_step span.
 	PhaseCertify Phase = "certify"
 	// PhaseCommit covers applying the agreed block to the ledger.
 	PhaseCommit Phase = "commit"

@@ -234,6 +234,18 @@ func (s *Sim) After(d time.Duration, fn func()) {
 	s.schedule(s.now+d, runFunc(fn), nil)
 }
 
+// AfterUnless is After for an event its caller may call off before it
+// runs (Cancel): a deadline that what it waits for beat. A called-off
+// event neither runs nor moves the clock, so it does not keep Run going
+// to its time.
+func (s *Sim) AfterUnless(d time.Duration, fn func(), off *bool) {
+	s.schedule(s.now+d, runFunc(fn), off)
+}
+
+// Cancel calls off the event AfterUnless scheduled with off, which must
+// not have run yet.
+func (s *Sim) Cancel(off *bool) { s.cancel(off) }
+
 // AfterRun is After for work the caller holds as a Runner.
 func (s *Sim) AfterRun(d time.Duration, r Runner) {
 	s.schedule(s.now+d, r, nil)

@@ -388,3 +388,18 @@ func TestInjectPanicsInVirtualMode(t *testing.T) {
 	}()
 	New().Inject(func() {})
 }
+
+// TestCancelledEventNeitherRunsNorMovesTheClock: an event AfterUnless
+// scheduled and Cancel called off does not run, and Run ends at the last
+// event that did, not at the called-off one's time.
+func TestCancelledEventNeitherRunsNorMovesTheClock(t *testing.T) {
+	s := New()
+	var off, kept bool
+	ran := false
+	s.AfterUnless(20*time.Second, func() { ran = true }, &off)
+	s.AfterUnless(3*time.Second, func() {}, &kept)
+	s.After(time.Second, func() { s.Cancel(&off) })
+	if end := s.Run(0); ran || end != 3*time.Second {
+		t.Fatalf("called-off event ran %v, Run ended at %v; want not run, 3s", ran, end)
+	}
+}
