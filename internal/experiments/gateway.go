@@ -66,19 +66,11 @@ func GatewayClientScale(scale Scale, offeredTPS float64, querySessionsPerSec int
 			c.GatewayWorkload(offeredTPS, cfg.Seed)
 			c.QueryWorkload(float64(querySessionsPerSec), cfg.Seed+1)
 		}
-		c.Run()
+		elapsed := c.Run()
 		if err := c.AgreementCheck(); err != nil {
 			panic(fmt.Sprintf("experiments: agreement violated with %d gateways: %v", gateways, err))
 		}
-		// Over the time consensus took, to the last node's last final
-		// step: a gateway's last chain reply may arrive after it.
-		var done time.Duration
-		for _, nd := range c.Nodes {
-			if k := len(nd.Stats); k > 0 {
-				done = max(done, nd.Stats[k-1].Finalized)
-			}
-		}
-		return c, float64(c.CommittedPayloadBytes(rounds)) / (1 << 20) / done.Hours()
+		return c, float64(c.CommittedPayloadBytes(rounds)) / (1 << 20) / elapsed.Hours()
 	}
 	_, baseline := run(0)
 	c, mbPerHour := run(4)

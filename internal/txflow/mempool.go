@@ -29,6 +29,11 @@ func (f *Flow) checkLocked(tx *ledger.Transaction) error {
 	if tx.Nonce < f.floor[tx.From] {
 		return ErrStaleNonce
 	}
+	if f.evicted.holds(tx) {
+		// It lost its place to better-paying payments, and only a commit
+		// makes room again.
+		return ErrPoolFull
+	}
 	q := f.senders[tx.From]
 	if q == nil {
 		return nil
@@ -112,6 +117,7 @@ func (f *Flow) insert(tx *ledger.Transaction, own bool) (*ledger.Transaction, er
 			return nil, ErrPoolFull
 		}
 		f.c.evicted.Inc()
+		f.evicted.add(ve, f.cfg.MaxTxs)
 	}
 	return tx, nil
 }
@@ -149,6 +155,7 @@ func (f *Flow) Committed(b *ledger.Block, balances *ledger.Balances) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.evicted.reset()
 	for from := range bySender {
 		floor := balances.NonceOf(from)
 		if f.floor[from] < floor {
@@ -167,6 +174,44 @@ func (f *Flow) Committed(b *ledger.Block, balances *ledger.Balances) {
 			}
 		}
 	}
+}
+
+// evictions remembers the payments the pool evicted since the last commit,
+// at most max of them (the oldest forgotten first), by ID and signature:
+// only the very payment that was evicted is refused, and a corrupted
+// signature over its core is verified like any other.
+type evictions struct {
+	sigs map[crypto.Digest][]byte
+	ring []crypto.Digest
+	next int
+}
+
+func (e *evictions) holds(tx *ledger.Transaction) bool {
+	if len(e.sigs) == 0 {
+		return false
+	}
+	sig, ok := e.sigs[tx.ID()]
+	return ok && bytes.Equal(sig, tx.Sig)
+}
+
+func (e *evictions) add(tx *ledger.Transaction, max int) {
+	if e.sigs == nil {
+		e.sigs = make(map[crypto.Digest][]byte)
+	}
+	id := tx.ID()
+	if len(e.ring) < max {
+		e.ring = append(e.ring, id)
+	} else {
+		delete(e.sigs, e.ring[e.next])
+		e.ring[e.next] = id
+		e.next = (e.next + 1) % max
+	}
+	e.sigs[id] = tx.Sig
+}
+
+func (e *evictions) reset() {
+	clear(e.sigs)
+	e.ring, e.next = e.ring[:0], 0
 }
 
 // --- Block assembly ---------------------------------------------------------

@@ -5,8 +5,9 @@
 // claims (§10, Figure 8: ~750 MByte/h of committed payload):
 //
 //	Submit/SubmitBatch ─┐
-//	                    ├─ admission (bounds, rate caps, stale-nonce
-//	gossip (TxBatch) ───┘   and duplicate filters; explicit rejects)
+//	                    ├─ admission (bounds, rate caps, stale-nonce,
+//	gossip (TxBatch) ───┘   duplicate and evicted filters; explicit
+//	                        rejects)
 //	                        │
 //	                        ▼
 //	               signature verification
@@ -66,7 +67,8 @@ var (
 	// RateWindow.
 	ErrRateLimited = errors.New("txflow: sender rate limit")
 	// ErrPoolFull: the pool is at its global bound and the transaction's
-	// fee is too low to evict anything.
+	// fee is too low to evict anything, or the pool evicted this very
+	// transaction since the last commit.
 	ErrPoolFull = errors.New("txflow: pool full, fee too low")
 	// ErrQueueFull: the async ingest queue is full (EnqueueBatch only).
 	ErrQueueFull = errors.New("txflow: ingest queue full")
@@ -169,6 +171,12 @@ type Flow struct {
 	floor map[crypto.PublicKey]uint64
 	count int
 	bytes int
+	// evicted is what the pool gave up since the last commit. A payment
+	// a full pool evicted comes back from a neighbour that admitted it
+	// afresh; admitting it again would evict another payment and flood
+	// it once more, and the neighbours answer in kind: a circulation that
+	// never settles while the chain stands still.
+	evicted evictions
 
 	rateMu    sync.Mutex
 	rates     map[crypto.PublicKey]rateSlot
@@ -341,7 +349,7 @@ func (f *Flow) ingest(tx *ledger.Transaction, own bool) ingestResult {
 	// signature verification: every re-delivery ends here.
 	if err := f.precheck(tx); err != nil {
 		f.c.count(err)
-		if errors.Is(err, ErrSenderLimit) {
+		if errors.Is(err, ErrSenderLimit) || errors.Is(err, ErrPoolFull) {
 			err = &Reject{Err: err, RetryAfter: shedBackoff}
 		}
 		return ingestResult{err: err}

@@ -189,6 +189,53 @@ func TestEvictedCoreWithCorruptSigIsBadSig(t *testing.T) {
 	}
 }
 
+// TestEvictedPaymentStaysOutUntilACommit: a payment the full pool evicted
+// comes back from a neighbour that still holds it. Once a later nonce of
+// its sender holds the sender's tail, it would outrank another sender's
+// tail: admitting it would evict that payment and stage this one to be
+// flooded again, and the neighbours would answer in kind. It is refused
+// before its signature is checked, and not staged, until a commit makes
+// room.
+func TestEvictedPaymentStaysOutUntilACommit(t *testing.T) {
+	h := newHarness(t, 4, Config{MaxTxs: 2})
+	victim := h.tx(0, 3, 1, 2, 0)
+	b0, c0 := h.tx(1, 3, 1, 5, 0), h.tx(2, 3, 1, 6, 0)
+	for i, tx := range []*ledger.Transaction{victim, b0, c0, h.tx(0, 3, 1, 9, 1)} {
+		if fresh, _ := h.flow.IngestGossip(tx); !fresh {
+			t.Fatalf("payment %d was not admitted", i)
+		}
+	}
+	// c0 evicted the victim, the victim's sender's nonce 1 then b0.
+	if got := h.flow.Stats().Evicted; got != 2 {
+		t.Fatalf("setup: evicted %d, want 2", got)
+	}
+	h.flow.DrainOutbox(1 << 20)
+
+	back := *victim // a neighbour's decoded copy
+	back.Sig = append([]byte(nil), victim.Sig...)
+	if fresh, sig := h.flow.IngestGossip(&back); fresh || sig {
+		t.Fatalf("evicted payment back from a neighbour: fresh=%v sigChecked=%v, want neither", fresh, sig)
+	}
+	err := h.flow.Submit(victim)
+	if hint, ok := RetryAfterHint(err); !errors.Is(err, ErrPoolFull) || !ok || hint <= 0 {
+		t.Fatalf("evicted payment resubmitted: err=%v, want ErrPoolFull with a retry hint", err)
+	}
+	if staged := h.flow.DrainOutbox(1 << 20); staged != nil {
+		t.Fatalf("the refused payment was staged for gossip: %d batches", len(staged))
+	}
+	if s := h.flow.Stats(); s.Pending != 2 || s.Evicted != 2 {
+		t.Fatalf("after the refusals: pending %d evicted %d, want 2 and 2", s.Pending, s.Evicted)
+	}
+
+	// A commit of c0 makes room, and the pool forgets what it evicted.
+	blk := &ledger.Block{Round: 1, Txns: []ledger.Transaction{*c0}}
+	h.balances.ApplyTx(c0)
+	h.flow.Committed(blk, h.balances)
+	if fresh, _ := h.flow.IngestGossip(&back); !fresh {
+		t.Fatal("evicted payment refused after a commit made room")
+	}
+}
+
 // TestFullPoolEvictsCheapestAnywhere: a full pool makes room for a
 // higher-fee payment by evicting the cheapest pending one, whichever
 // sender holds it.
